@@ -44,8 +44,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -207,15 +205,7 @@ func listen(addr string) (net.Listener, error) {
 	return nil, fmt.Errorf("rebinding %s: %w", addr, err)
 }
 
-func canonKey(classes []int) string {
-	sorted := append([]int(nil), classes...)
-	sort.Ints(sorted)
-	parts := make([]string, len(sorted))
-	for i, c := range sorted {
-		parts[i] = strconv.Itoa(c)
-	}
-	return strings.Join(parts, ",")
-}
+func canonKey(classes []int) string { return string(serve.AppendKey(nil, classes)) }
 
 // makeTenants draws distinct class pairs; order is popularity order (index
 // 0 is the Zipf head).

@@ -18,6 +18,45 @@
 // The shard endpoints are always mounted — a standalone server is just a
 // cluster of one — and /drain and /handoff require a snapshot store, since
 // that store is the handoff channel between shards.
+//
+// # The predict body
+//
+// /predict is the hot endpoint, so its body is not handed to encoding/json:
+// one hand-written scanner (codec.go) reads it, here and in the cluster
+// router (Route), and the reply is appended to a recycled buffer. The wire
+// format is still JSON and nothing about it changed for a client; what the
+// scanner accepts is, case for case, what json.Unmarshal accepted into the
+// struct the handler used to declare — FuzzPredictCodec holds it to that:
+//
+//	body    = ws ( object | "null" ) ws            nothing but white space after it
+//	object  = "{" [ member { "," member } ] "}"
+//	member  = name ":" value                       nesting at most 10000 deep
+//	name    : matched to classes | samples | inputs (and qos, at the router and
+//	          on /personalize) in any letter case, through \u escapes, and with
+//	          U+017F for s; any other member is checked for syntax and ignored
+//	classes = "[" int { "," int } "]" | null       integer literals only: 1.0 and 1e0
+//	                                               are errors; sorted and
+//	                                               deduplicated by the server
+//	samples = int | null                           used when inputs has no row
+//	inputs  = "[" row { "," row } "]" | null
+//	row     = "[" number { "," number } "]" | null exactly C*H*W numbers, parsed by
+//	                                               strconv.ParseFloat
+//
+// A null where a number is expected leaves the value as it was (zero, or what
+// an earlier member of the same name put there: a repeated member decodes
+// over the earlier one, it does not replace it). The inputs go from the body
+// straight into the [B,C,H,W] tensor the engine reads; no [][]float64 exists.
+//
+// Two rules hold on both tiers, router and shard, because both read the body
+// whole into a buffer before looking at it: a body longer than MaxBody
+// (32 MiB) is answered 413, whether its length was announced or it arrived
+// chunked — it is never cut short and reported as malformed; and a body with
+// anything but white space after the request object is answered 400. A
+// malformed body, a wrong type, an empty or out-of-range class set and a row
+// of the wrong length are 400 as before.
+//
+// The cold endpoints (/personalize, /handoff, and every reply but /predict's)
+// stay on encoding/json.
 package api
 
 import (
@@ -26,6 +65,7 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	"sync"
 
 	"repro/internal/data"
 	"repro/internal/serve"
@@ -119,43 +159,9 @@ func NewMux(s *serve.Server, ds *data.Dataset, cfg Config) *http.ServeMux {
 		})
 	})
 	mux.HandleFunc("POST /predict", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			Classes []int       `json:"classes"`
-			Samples int         `json:"samples"`
-			Inputs  [][]float64 `json:"inputs"`
-		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-			return
-		}
-		canon, key, err := s.Canonicalize(req.Classes)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
-		if len(req.Inputs) > 0 {
-			x, err := inputsToBatch(req.Inputs, ds)
-			if err != nil {
-				httpError(w, http.StatusBadRequest, err)
-				return
-			}
-			preds, err := s.Predict(canon, x)
-			if err != nil {
-				httpError(w, predictStatus(w, err), err)
-				return
-			}
-			writeJSON(w, map[string]any{"key": key, "predictions": preds, "samples": len(preds)})
-			return
-		}
-		preds, labels, acc, err := s.PredictSamples(canon, req.Samples)
-		if err != nil {
-			httpError(w, predictStatus(w, err), err)
-			return
-		}
-		writeJSON(w, map[string]any{
-			"key": key, "predictions": preds, "labels": labels,
-			"accuracy": acc, "samples": len(preds),
-		})
+		c := predictCalls.Get().(*predictCall)
+		c.serve(w, r, s, ds)
+		c.release()
 	})
 	mux.HandleFunc("POST /snapshot", func(w http.ResponseWriter, r *http.Request) {
 		// Explicit flush: write every cached engine that is not yet on disk.
@@ -251,20 +257,83 @@ func personalizeStatus(w http.ResponseWriter, err error) int {
 	return http.StatusInternalServerError
 }
 
-// inputsToBatch validates caller-provided images against the dataset shape
-// and stacks them into one [B,C,H,W] batch.
-func inputsToBatch(inputs [][]float64, ds *data.Dataset) (*tensor.Tensor, error) {
-	c, h, w := ds.Channels, ds.H, ds.W
-	vol := c * h * w
-	xs := make([]*tensor.Tensor, len(inputs))
-	for i, in := range inputs {
-		if len(in) != vol {
-			return nil, fmt.Errorf("input %d has %d values, want C*H*W=%d", i, len(in), vol)
-		}
-		xs[i] = tensor.FromSlice(in, 1, c, h, w)
-	}
-	return tensor.Concat(xs), nil
+// predictCall is the storage one /predict request decodes into and replies
+// from: the body, the class set, the input tensor and the reply all live in
+// buffers recycled through predictCalls, so a steady stream of predicts
+// allocates nothing here. Server.Predict returns only after the engine has
+// read the tensor (a batch leader copies its riders' rows into the engine's
+// arena before it answers them), so nothing refers to a call's buffers once
+// serve returns.
+type predictCall struct {
+	body  []byte
+	req   predictRequest
+	shape [4]int
+	x     tensor.Tensor
+	key   []byte
+	out   []byte
 }
+
+var predictCalls = sync.Pool{New: func() any { return new(predictCall) }}
+
+// release recycles c unless it grew for an outsized body (the tensor grows
+// with the body, to four times its size).
+func (c *predictCall) release() {
+	if cap(c.body) <= MaxPooledBody {
+		predictCalls.Put(c)
+	}
+}
+
+func (c *predictCall) serve(w http.ResponseWriter, r *http.Request, s *serve.Server, ds *data.Dataset) {
+	var err error
+	if c.body, err = ReadBody(c.body, r, MaxBody); err != nil {
+		httpError(w, BodyErrorStatus(err), fmt.Errorf("reading request: %w", err))
+		return
+	}
+	vol := ds.Channels * ds.H * ds.W
+	if err := c.req.decode(c.body, vol); err != nil {
+		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+		return
+	}
+	// The class set goes to the server canonical, so a cached tenant is
+	// found by Predict's allocation-free lookup.
+	canon, err := s.CanonicalizeInPlace(c.req.classes)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err)
+		return
+	}
+	c.key = serve.AppendKey(c.key[:0], canon)
+	if c.req.rows == 0 {
+		preds, labels, acc, err := s.PredictSamples(canon, c.req.samples)
+		if err != nil {
+			httpError(w, predictStatus(w, err), err)
+			return
+		}
+		writeJSON(w, map[string]any{
+			"key": string(c.key), "predictions": preds, "labels": labels,
+			"accuracy": acc, "samples": len(preds),
+		})
+		return
+	}
+	batch, err := c.req.batch(vol)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err)
+		return
+	}
+	c.shape = [4]int{c.req.rows, ds.Channels, ds.H, ds.W}
+	c.x = tensor.Tensor{Shape: c.shape[:], Data: batch}
+	preds, err := s.Predict(canon, &c.x)
+	if err != nil {
+		httpError(w, predictStatus(w, err), err)
+		return
+	}
+	c.out = appendPredictReply(c.out[:0], c.key, preds)
+	w.Header()["Content-Type"] = jsonContentType
+	if _, err := w.Write(c.out); err != nil {
+		log.Printf("api: writing response: %v", err)
+	}
+}
+
+var jsonContentType = []string{"application/json"}
 
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")

@@ -701,3 +701,146 @@ func TestDrainAndHandoffHTTP(t *testing.T) {
 	}
 	_ = sA
 }
+
+// TestPredictBodyRules: both rules of the single read-into-buffer path, at
+// the shard: a body over the limit is 413 whether or not its length was
+// announced, and anything but white space after the request object is 400
+// (the streaming decoder this replaces stopped reading at the brace).
+func TestPredictBodyRules(t *testing.T) {
+	mux, _, _ := newTestMux(t)
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	if code := postJSON(t, srv, "/personalize", map[string]any{"classes": []int{1, 3}}, nil); code != http.StatusOK {
+		t.Fatalf("/personalize status %d", code)
+	}
+	huge := `{"classes":[1,3],"samples":1,"pad":"` + strings.Repeat("x", MaxBody) + `"}`
+	for _, tc := range []struct {
+		name string
+		body io.Reader
+		want int
+	}{
+		{"oversized, length announced", strings.NewReader(huge), http.StatusRequestEntityTooLarge},
+		{"oversized, chunked", struct{ io.Reader }{strings.NewReader(huge)}, http.StatusRequestEntityTooLarge},
+		{"trailing junk", strings.NewReader(`{"classes":[1,3],"samples":1} junk`), http.StatusBadRequest},
+		{"second object", strings.NewReader(`{"classes":[1,3],"samples":1}{}`), http.StatusBadRequest},
+		{"trailing white space", strings.NewReader("{\"classes\":[1,3],\"samples\":1} \r\n\t"), http.StatusOK},
+		{"chunked", struct{ io.Reader }{strings.NewReader(`{"classes":[3,1],"samples":1}`)}, http.StatusOK},
+	} {
+		resp, err := srv.Client().Post(srv.URL+"/predict", "application/json", tc.body)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var e struct {
+			Error string `json:"error"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Fatalf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.want)
+		}
+		if tc.want != http.StatusOK && (err != nil || e.Error == "") {
+			t.Fatalf("%s: error body missing (%v)", tc.name, err)
+		}
+	}
+}
+
+// predictBody is a /predict body of n caller-provided inputs for classes,
+// row r filled from fill(r, i).
+func predictBody(t *testing.T, ds *data.Dataset, classes []int, n int, fill func(r, i int) float64) []byte {
+	t.Helper()
+	inputs := make([][]float64, n)
+	for r := range inputs {
+		inputs[r] = make([]float64, ds.Channels*ds.H*ds.W)
+		for i := range inputs[r] {
+			inputs[r][i] = fill(r, i)
+		}
+	}
+	body, err := json.Marshal(map[string]any{"classes": classes, "inputs": inputs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// TestPredictHandlerAllocs locks the shard's share of the wire-tax cut into
+// tier-1: one single-sample POST /predict through the mux, recorder and all,
+// stays at or under 40 allocations (72 before the codec). What is left is
+// the recorder, the mux's routing, Server.Predict's result and the batcher —
+// the decode, the input tensor, the canonical key and the reply cost none.
+func TestPredictHandlerAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	mux, s, ds := newTestMux(t)
+	classes := []int{1, 3}
+	if _, _, err := s.Personalize(classes); err != nil {
+		t.Fatal(err)
+	}
+	body := predictBody(t, ds, classes, 1, func(_, i int) float64 { return float64(i%7) * 0.125 })
+	rd := bytes.NewReader(body)
+	req := httptest.NewRequest(http.MethodPost, "/predict", rd)
+	var code int
+	allocs := testing.AllocsPerRun(100, func() {
+		rd.Reset(body)
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, req)
+		code = rec.Code
+	})
+	if code != http.StatusOK {
+		t.Fatalf("status %d", code)
+	}
+	if allocs > 40 {
+		t.Fatalf("POST /predict: %.0f allocations per request, want <= 40", allocs)
+	}
+	t.Logf("POST /predict: %.0f allocations per request", allocs)
+}
+
+// TestPredictBuffersNotSharedAcrossRequests (run under -race): handlers
+// recycle their body buffer and input tensor the moment they return, while a
+// batch leader is still fanning results out to other riders. Concurrent
+// clients whose inputs differ must each get the answer a lone request gets,
+// and the race detector must see no handler writing a buffer a leader still
+// reads.
+func TestPredictBuffersNotSharedAcrossRequests(t *testing.T) {
+	mux, s, ds := newTestMuxOpts(t, func(o *serve.Options) {
+		o.MaxBatch = 8
+		o.Linger = 2 * time.Millisecond
+	})
+	classes := []int{0, 2, 4}
+	if _, _, err := s.Personalize(classes); err != nil {
+		t.Fatal(err)
+	}
+	const clients, rounds = 8, 20
+	bodies := make([][]byte, clients)
+	want := make([]string, clients)
+	for c := range bodies {
+		split := ds.MakeSplit(fmt.Sprintf("pool-%d", c), classes, 1)
+		vol := ds.Channels * ds.H * ds.W
+		bodies[c] = predictBody(t, ds, classes, 1+c%3, func(r, i int) float64 { return split.X.Data[r*vol+i] })
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/predict", bytes.NewReader(bodies[c])))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("client %d: status %d: %s", c, rec.Code, rec.Body)
+		}
+		want[c] = rec.Body.String()
+	}
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				rec := httptest.NewRecorder()
+				mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/predict", bytes.NewReader(bodies[c])))
+				if got := rec.Body.String(); rec.Code != http.StatusOK || got != want[c] {
+					t.Errorf("client %d round %d: status %d reply %q, alone it was %q", c, i, rec.Code, got, want[c])
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	if st := s.Stats(); st.PredictBatches >= st.SamplesPredicted {
+		t.Logf("no request shared a batch (batches %d, samples %d)", st.PredictBatches, st.SamplesPredicted)
+	}
+}

@@ -123,7 +123,7 @@ func (sh *realShard) kill() {
 // comparisons of one tenant across shards.
 func probeX(classes []int) *tensor.Tensor {
 	env := e2eShared()
-	return env.ds.MakeSplit("cluster-probe-"+canonKey(classes), classes, 2).X
+	return env.ds.MakeSplit("cluster-probe-"+keyOf(classes), classes, 2).X
 }
 
 // logitsOn asserts the tenant is resident on the shard and returns its
@@ -213,7 +213,7 @@ func TestClusterKillRejoinE2E(t *testing.T) {
 	fps := map[string]uint64{}
 	owners := map[string]string{}
 	for _, classes := range tenants {
-		key := canonKey(classes)
+		key := keyOf(classes)
 		pr := personalizeVia(t, front.URL, classes)
 		if pr.Key != key {
 			t.Fatalf("router and shard disagree on key: %q vs %q", pr.Key, key)
@@ -239,7 +239,7 @@ func TestClusterKillRejoinE2E(t *testing.T) {
 	// timing from the test).
 	baseline := map[string][]float64{}
 	for _, classes := range tenants {
-		key := canonKey(classes)
+		key := keyOf(classes)
 		logits, fp := logitsOn(t, shards[owners[key]], classes)
 		if fp != fps[key] {
 			t.Fatalf("HTTP fingerprint %016x != engine fingerprint %016x for %q", fps[key], fp, key)
@@ -318,7 +318,7 @@ func TestClusterKillRejoinE2E(t *testing.T) {
 	// survivor ran a pruning job.
 	restores := uint64(0)
 	for _, classes := range tenants {
-		key := canonKey(classes)
+		key := keyOf(classes)
 		newOwner, ok := rt.LookupShard(key)
 		if !ok || newOwner == victimID {
 			t.Fatalf("tenant %q owned by %q after kill", key, newOwner)
@@ -355,7 +355,7 @@ func TestClusterKillRejoinE2E(t *testing.T) {
 		return rt.ring.Has(victimID)
 	})
 	for _, classes := range tenants {
-		key := canonKey(classes)
+		key := keyOf(classes)
 		if owner, _ := rt.LookupShard(key); owner != owners[key] {
 			t.Fatalf("rejoin did not restore placement of %q: %q vs %q", key, owner, owners[key])
 		}
@@ -371,7 +371,7 @@ func TestClusterKillRejoinE2E(t *testing.T) {
 		}
 	}
 	for _, classes := range tenants {
-		key := canonKey(classes)
+		key := keyOf(classes)
 		if owners[key] != victimID {
 			continue
 		}
@@ -416,7 +416,7 @@ func TestClusterDrainHandoffE2E(t *testing.T) {
 	owners := map[string]string{}
 	baseline := map[string][]float64{}
 	for _, classes := range tenants {
-		key := canonKey(classes)
+		key := keyOf(classes)
 		fps[key] = personalizeVia(t, front.URL, classes).Fingerprint
 		owners[key], _ = rt.LookupShard(key)
 		logits, _ := logitsOn(t, shards[owners[key]], classes)
@@ -462,7 +462,7 @@ func TestClusterDrainHandoffE2E(t *testing.T) {
 	// Every tenant keeps serving, with verified bit-identical engines on
 	// the new owners — handoff restores, not pruning runs.
 	for _, classes := range tenants {
-		key := canonKey(classes)
+		key := keyOf(classes)
 		if code, err := predictVia(front.URL, classes); err != nil || code != http.StatusOK {
 			t.Fatalf("tenant %q after drain: code %d err %v", key, code, err)
 		}

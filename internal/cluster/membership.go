@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/url"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/api"
 	"repro/internal/serve"
@@ -50,6 +52,8 @@ func (st ShardState) String() string {
 type Shard struct {
 	ID   string
 	Addr string // host:port, no scheme
+	// urls holds the proxied endpoints of Addr, parsed once per AddShard.
+	urls atomic.Pointer[shardURLs]
 
 	mu           sync.Mutex
 	state        ShardState
@@ -57,6 +61,18 @@ type Shard struct {
 	breakerFails int         // consecutive inconclusive proxy failures (circuit breaker)
 	stats        serve.Stats // last successful /healthz snapshot
 	lastErr      string
+}
+
+// shardURLs are the endpoints the router proxies to on one shard address.
+type shardURLs struct{ predict, personalize url.URL }
+
+// url returns the shard's endpoint for a proxied path.
+func (sh *Shard) url(path string) *url.URL {
+	u := sh.urls.Load()
+	if path == "/predict" {
+		return &u.predict
+	}
+	return &u.personalize
 }
 
 // breakerReset clears the circuit breaker after a successful proxied

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"hash/fnv"
 	"sort"
 	"strconv"
 	"sync"
@@ -49,10 +48,13 @@ func NewRing(vnodes int) *Ring {
 // ("s3#0".."s3#63") keep correlated high bits and a shard's vnodes clump
 // together on the ring; the finalizer's shift-xor-multiply rounds spread
 // them, which is what makes 64 vnodes enough for a few-percent balance.
-func hashKey(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	x := h.Sum64()
+// It takes the key as a string or as bytes, so the proxy path hashes the key
+// it composed in a stack buffer without making a string of it.
+func hashKey[K string | []byte](s K) uint64 {
+	x := uint64(14695981039346656037)
+	for i := 0; i < len(s); i++ {
+		x = (x ^ uint64(s[i])) * 1099511628211
+	}
 	x ^= x >> 33
 	x *= 0xff51afd7ed558ccd
 	x ^= x >> 33
@@ -94,12 +96,16 @@ func (r *Ring) Remove(node string) {
 
 // Lookup returns the shard owning key, or ok=false on an empty ring.
 func (r *Ring) Lookup(key string) (string, bool) {
+	return r.lookupHash(hashKey(key))
+}
+
+// lookupHash returns the shard owning the key that hashes to h.
+func (r *Ring) lookupHash(h uint64) (string, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	if len(r.points) == 0 {
 		return "", false
 	}
-	h := hashKey(key)
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	if i == len(r.points) {
 		i = 0 // wrap: the ring is circular

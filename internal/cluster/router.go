@@ -9,13 +9,14 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/url"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/serve"
 )
 
@@ -60,7 +61,8 @@ type Options struct {
 	// Client serves proxied requests. Deadlines are per-request (see
 	// PredictTimeout/PersonalizeTimeout), so the default client carries no
 	// blanket timeout — a blanket one would cap every request at the
-	// slowest path's ceiling.
+	// slowest path's ceiling. The default keeps proxyIdleConnsPerHost idle
+	// connections to each shard; a caller's client brings its own pool.
 	Client *http.Client
 	// ProbeClient serves /healthz probes. The default times out in 3s so a
 	// wedged shard cannot stall the probe loop.
@@ -76,6 +78,9 @@ type Router struct {
 	ring        *Ring
 	client      *http.Client
 	probeClient *http.Client
+	// transport is the default client's connection pool, nil when the caller
+	// supplied Options.Client; Close drops its idle connections.
+	transport *http.Transport
 
 	mu     sync.RWMutex
 	shards map[string]*Shard
@@ -105,6 +110,12 @@ type Router struct {
 	proxyTimeouts      atomic.Uint64 // proxied requests that hit their deadline
 	breakerTrips       atomic.Uint64 // shards marked down by the circuit breaker
 }
+
+// proxyIdleConnsPerHost sizes the default client's keep-alive pool per shard:
+// enough that a router under a few dozen concurrent requests per shard reuses
+// connections instead of dialling, small enough to cost an idle router
+// nothing that matters.
+const proxyIdleConnsPerHost = 64
 
 // NewRouter builds a router with no members; call AddShard then Start.
 func NewRouter(opts Options) *Router {
@@ -148,7 +159,16 @@ func NewRouter(opts Options) *Router {
 		stopc:       make(chan struct{}),
 	}
 	if rt.client == nil {
-		rt.client = &http.Client{}
+		// http.DefaultTransport keeps two idle connections per host: with
+		// more concurrent predicts than that to one shard, every request
+		// past the second dials a fresh connection and drops it afterwards.
+		rt.transport = &http.Transport{
+			Proxy:               http.ProxyFromEnvironment,
+			DialContext:         (&net.Dialer{Timeout: 30 * time.Second, KeepAlive: 30 * time.Second}).DialContext,
+			MaxIdleConnsPerHost: proxyIdleConnsPerHost,
+			IdleConnTimeout:     90 * time.Second,
+		}
+		rt.client = &http.Client{Transport: rt.transport}
 	}
 	if rt.probeClient == nil {
 		rt.probeClient = &http.Client{Timeout: 3 * time.Second}
@@ -167,6 +187,10 @@ func (rt *Router) AddShard(id, addr string) {
 		rt.shards[id] = sh
 	}
 	rt.mu.Unlock()
+	sh.urls.Store(&shardURLs{
+		predict:     url.URL{Scheme: "http", Host: addr, Path: "/predict"},
+		personalize: url.URL{Scheme: "http", Host: addr, Path: "/personalize"},
+	})
 	sh.mu.Lock()
 	sh.Addr = addr
 	sh.state = ShardUp
@@ -200,6 +224,9 @@ func (rt *Router) Start() {
 func (rt *Router) Close() {
 	rt.stopped.Do(func() { close(rt.stopc) })
 	rt.wg.Wait()
+	if rt.transport != nil {
+		rt.transport.CloseIdleConnections()
+	}
 }
 
 func (rt *Router) members() []*Shard {
@@ -215,7 +242,12 @@ func (rt *Router) members() []*Shard {
 
 // shardFor resolves a tenant key to its current owner.
 func (rt *Router) shardFor(key string) (*Shard, bool) {
-	id, ok := rt.ring.Lookup(key)
+	return rt.shardForHash(hashKey(key))
+}
+
+// shardForHash is shardFor by the key's ring hash.
+func (rt *Router) shardForHash(h uint64) (*Shard, bool) {
+	id, ok := rt.ring.lookupHash(h)
 	if !ok {
 		return nil, false
 	}
@@ -231,10 +263,12 @@ func (rt *Router) LookupShard(key string) (string, bool) {
 	return rt.ring.Lookup(key)
 }
 
-func (rt *Router) isMoving(key string) bool {
+// isMoving takes the key as the bytes the proxy path composed it in: the map
+// index converts without allocating.
+func (rt *Router) isMoving(key []byte) bool {
 	rt.movingMu.Lock()
 	defer rt.movingMu.Unlock()
-	_, ok := rt.moving[key]
+	_, ok := rt.moving[string(key)]
 	return ok
 }
 
@@ -246,30 +280,6 @@ func (rt *Router) setMoving(key string, moving bool) {
 		delete(rt.moving, key)
 	}
 	rt.movingMu.Unlock()
-}
-
-// canonKey mirrors serve.Canonicalize's key construction (sorted, deduped,
-// comma-joined) without validating class ids against a dataset — range
-// errors are the owning shard's 400 to give.
-func canonKey(classes []int) string {
-	if len(classes) == 0 {
-		return ""
-	}
-	sorted := append([]int(nil), classes...)
-	sort.Ints(sorted)
-	var b bytes.Buffer
-	prev := 0
-	for i, c := range sorted {
-		if i > 0 {
-			if c == prev {
-				continue
-			}
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.Itoa(c))
-		prev = c
-	}
-	return b.String()
 }
 
 // Mux wires the router's HTTP surface:
@@ -324,7 +334,55 @@ func (rt *Router) Mux() *http.ServeMux {
 	return mux
 }
 
-const maxProxyBody = 32 << 20
+// proxyBody is one proxied request's body, read once into a buffer that is
+// recycled through proxyBodies and sent to the shard (again on a retry) from
+// there. net/http may go on reading a request body after the round trip has
+// returned and closes it when done, so the buffer is counted: the handler
+// holds one reference, every reader handed to the client another, and the
+// last release recycles it. A round tripper that never closes a body only
+// costs the reuse.
+type proxyBody struct {
+	buf  []byte
+	refs atomic.Int32
+	// getBody is reader as http.Request.GetBody wants it, made once per
+	// proxyBody: the transport rewinds a request with it when a kept-alive
+	// connection turns out to be dead.
+	getBody func() (io.ReadCloser, error)
+}
+
+var proxyBodies = sync.Pool{New: func() any {
+	pb := &proxyBody{}
+	pb.getBody = func() (io.ReadCloser, error) { return pb.reader(), nil }
+	return pb
+}}
+
+func (pb *proxyBody) reader() *bodyReader {
+	pb.refs.Add(1)
+	rd := &bodyReader{pb: pb}
+	rd.Reset(pb.buf)
+	return rd
+}
+
+func (pb *proxyBody) release() {
+	if pb.refs.Add(-1) == 0 && cap(pb.buf) <= api.MaxPooledBody {
+		proxyBodies.Put(pb)
+	}
+}
+
+// bodyReader reads a proxyBody's buffer and gives its reference back on the
+// first Close.
+type bodyReader struct {
+	bytes.Reader
+	pb     *proxyBody
+	closed atomic.Bool
+}
+
+func (rd *bodyReader) Close() error {
+	if !rd.closed.Swap(true) {
+		rd.pb.release()
+	}
+	return nil
+}
 
 // proxy forwards one request to the tenant's owner. Idempotent requests
 // (predicts) retry with exponential backoff after a failure: a connection
@@ -336,38 +394,45 @@ const maxProxyBody = 32 << 20
 // QoS layer's 429s (ErrOverloaded/ErrOverQuota) — relay to the client
 // without failover: the tenant's quota bucket lives on its owner shard,
 // so retrying elsewhere would dodge the very limiter that fired.
+//
+// The hot path allocates nothing of its own before the request leaves: the
+// body is read into a recycled buffer, api.Route takes the class set out of
+// it without building a value for anything else, and the tenant key is
+// composed, hashed and looked up as bytes on the stack.
 func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, path string, idempotent bool) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxProxyBody))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("reading request: %w", err))
+	pb := proxyBodies.Get().(*proxyBody)
+	pb.refs.Store(1)
+	defer pb.release()
+	var err error
+	if pb.buf, err = api.ReadBody(pb.buf, r, api.MaxBody); err != nil {
+		httpError(w, api.BodyErrorStatus(err), fmt.Errorf("reading request: %w", err))
 		return
 	}
-	var req struct {
-		Classes []int  `json:"classes"`
-		QoS     string `json:"qos"`
-	}
-	if err := json.Unmarshal(body, &req); err != nil {
+	var cbuf [16]int
+	classes, qos, err := api.Route(pb.buf, cbuf[:0])
+	if err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return
 	}
-	key := canonKey(req.Classes)
-	if key == "" {
+	if len(classes) == 0 {
 		httpError(w, http.StatusBadRequest, errors.New("empty class set"))
 		return
 	}
-	if path == "/personalize" && req.QoS != "" {
+	var kbuf [96]byte // stays on the stack: error messages below copy the key
+	key := serve.AppendKey(kbuf[:0], classes)
+	if path == "/personalize" && qos != "" {
 		// Remember the class so later predicts get a budget-derived deadline.
 		// Invalid values are the shard's 400 to give; don't learn them.
-		if class, err := serve.ParseQoSClass(req.QoS); err == nil {
+		if class, err := serve.ParseQoSClass(qos); err == nil {
 			rt.qosMu.Lock()
-			rt.qosByKey[key] = class
+			rt.qosByKey[string(key)] = class
 			rt.qosMu.Unlock()
 		}
 	}
 	if rt.isMoving(key) {
 		rt.unavailable.Add(1)
 		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusServiceUnavailable, fmt.Errorf("tenant {%s} is mid-handoff", key))
+		httpError(w, http.StatusServiceUnavailable, fmt.Errorf("tenant {%s} is mid-handoff", string(key)))
 		return
 	}
 
@@ -377,6 +442,7 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, path string, ide
 	}
 	timeout := rt.deadlineFor(path, key)
 	backoff := rt.opts.RetryBackoff
+	hash := hashKey(key)
 	var lastErr error
 	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
@@ -385,21 +451,21 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, path string, ide
 				// The client hung up or the router is shutting down; there
 				// is no one left to retry for.
 				rt.proxyErrors.Add(1)
-				httpError(w, http.StatusBadGateway, fmt.Errorf("retry abandoned for {%s}: %w", key, lastErr))
+				httpError(w, http.StatusBadGateway, fmt.Errorf("retry abandoned for {%s}: %w", string(key), lastErr))
 				return
 			}
 			if backoff *= 2; backoff > time.Second {
 				backoff = time.Second
 			}
 		}
-		sh, ok := rt.shardFor(key)
+		sh, ok := rt.shardForHash(hash)
 		if !ok {
 			rt.unavailable.Add(1)
 			w.Header().Set("Retry-After", "1")
 			httpError(w, http.StatusServiceUnavailable, errors.New("no shards on the ring"))
 			return
 		}
-		resp, err := rt.postShard(r.Context(), sh.Addr, path, body, timeout)
+		resp, err := rt.postShard(r.Context(), sh.url(path), pb, timeout)
 		if err != nil {
 			rt.shardFailed(sh, err)
 			lastErr = err
@@ -431,7 +497,7 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, path string, ide
 		return
 	}
 	rt.proxyErrors.Add(1)
-	httpError(w, http.StatusBadGateway, fmt.Errorf("no shard could serve {%s}: %w", key, lastErr))
+	httpError(w, http.StatusBadGateway, fmt.Errorf("no shard could serve {%s}: %w", string(key), lastErr))
 }
 
 // deadlineFor derives the per-request deadline: personalizations get the
@@ -439,12 +505,12 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, path string, ide
 // scaled by BudgetScale and clamped to [PredictFloor, PredictTimeout], so a
 // gold tenant's failover fires in about a second while a batch tenant is
 // given the time its class already promised it.
-func (rt *Router) deadlineFor(path, key string) time.Duration {
+func (rt *Router) deadlineFor(path string, key []byte) time.Duration {
 	if path != "/predict" {
 		return rt.opts.PersonalizeTimeout
 	}
 	rt.qosMu.RLock()
-	class, ok := rt.qosByKey[key]
+	class, ok := rt.qosByKey[string(key)]
 	rt.qosMu.RUnlock()
 	if !ok {
 		return rt.opts.PredictTimeout
@@ -459,17 +525,20 @@ func (rt *Router) deadlineFor(path, key string) time.Duration {
 	return d
 }
 
-// postShard issues one deadline-bounded POST. The deadline's cancel is tied
-// to the response body: it fires when the caller closes the body (relay or
-// the retry loop's drain), never before the body is read.
-func (rt *Router) postShard(ctx context.Context, addr, path string, body []byte, timeout time.Duration) (*http.Response, error) {
+// proxyHeader is the header of every proxied request. It is shared and never
+// written: a round tripper may not modify the request it is given.
+var proxyHeader = http.Header{"Content-Type": {"application/json"}}
+
+// postShard issues one deadline-bounded POST of pb to a shard URL. The
+// deadline's cancel is tied to the response body: it fires when the caller
+// closes the body (relay or the retry loop's drain), never before the body
+// is read.
+func (rt *Router) postShard(ctx context.Context, u *url.URL, pb *proxyBody, timeout time.Duration) (*http.Response, error) {
 	ctx, cancel := context.WithTimeout(ctx, timeout)
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, "http://"+addr+path, bytes.NewReader(body))
-	if err != nil {
-		cancel()
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
+	req := (&http.Request{
+		Method: http.MethodPost, URL: u, Host: u.Host, Header: proxyHeader,
+		Body: pb.reader(), GetBody: pb.getBody, ContentLength: int64(len(pb.buf)),
+	}).WithContext(ctx)
 	resp, err := rt.client.Do(req)
 	if err != nil {
 		cancel()
@@ -536,12 +605,13 @@ func (rt *Router) shardFailed(sh *Shard, err error) {
 	}
 }
 
-// relay copies the shard's response through to the client.
+// relay copies the shard's response through to the client. The two headers
+// that matter are passed on as the slices the response already holds.
 func relay(w http.ResponseWriter, resp *http.Response) {
 	defer resp.Body.Close()
-	for _, h := range []string{"Content-Type", "Retry-After"} {
-		if v := resp.Header.Get(h); v != "" {
-			w.Header().Set(h, v)
+	for _, h := range [...]string{"Content-Type", "Retry-After"} {
+		if v := resp.Header[h]; len(v) > 0 && v[0] != "" {
+			w.Header()[h] = v[:1]
 		}
 	}
 	w.WriteHeader(resp.StatusCode)

@@ -3,6 +3,7 @@ package cluster
 import (
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"net"
 	"net/http"
@@ -117,20 +118,143 @@ func postBody(t *testing.T, url, body string) (*http.Response, map[string]any) {
 	return resp, out
 }
 
-func TestCanonKey(t *testing.T) {
-	cases := []struct {
-		in   []int
-		want string
-	}{
-		{nil, ""},
-		{[]int{3}, "3"},
-		{[]int{3, 1, 3, 1}, "1,3"},
-		{[]int{5, 0, 2}, "0,2,5"},
-		{[]int{7, 7, 7}, "7"},
+// keyOf is the tenant key of a class set, as the router composes it.
+func keyOf(classes []int) string { return string(serve.AppendKey(nil, classes)) }
+
+// TestRouterAndShardAgreeOnKeys: the key the router routes a body by is the
+// key the owning shard caches the tenant under, for class sets sent sorted,
+// unsorted and with duplicates. The router does not know the dataset, so a
+// set with an id out of range still gets a key and a shard — whose 400 it is.
+func TestRouterAndShardAgreeOnKeys(t *testing.T) {
+	env := e2eShared()
+	srv, err := serve.NewServer(env.build, env.base, env.ds, serve.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range cases {
-		if got := canonKey(tc.in); got != tc.want {
-			t.Fatalf("canonKey(%v) = %q, want %q", tc.in, got, tc.want)
+	defer srv.Close()
+	for _, tc := range []struct {
+		body    string
+		want    string
+		inRange bool
+	}{
+		{`{"classes":[3]}`, "3", true},
+		{`{"classes":[1,3]}`, "1,3", true},
+		{`{"classes":[3,1,3,1]}`, "1,3", true},
+		{`{"classes":[5,0,2],"samples":4}`, "0,2,5", true},
+		{`{"inputs":[[1,2]],"classes":[4,4,4]}`, "4", true},
+		{`{"classes":[2,1],"classes":[5,4,4]}`, "4,5", true},
+		{`{"classes":[0,1,2,3,4,5,5,4,3,2,1,0,0,1,2,3,4,5]}`, "0,1,2,3,4,5", true},
+		{`{"classes":[99,1]}`, "1,99", false},
+		{`{"classes":[3,-1,3]}`, "-1,3", false},
+	} {
+		classes, _, err := api.Route([]byte(tc.body), nil)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.body, err)
+		}
+		if got := keyOf(classes); got != tc.want {
+			t.Fatalf("%s: router key %q, want %q", tc.body, got, tc.want)
+		}
+		_, shardKey, err := srv.Canonicalize(classes)
+		if tc.inRange && (err != nil || shardKey != tc.want) {
+			t.Fatalf("%s: shard key %q (error %v), router key %q", tc.body, shardKey, err, tc.want)
+		}
+		if !tc.inRange && err == nil {
+			t.Fatalf("%s: shard accepted an out-of-range class set", tc.body)
+		}
+	}
+}
+
+// TestRouteLookupAllocatesNothing locks in the proxy path's share of the
+// wire-tax cut: taking the class set out of a 3.8 KB predict body, composing
+// the tenant key and resolving it against the ring, the moving set and the
+// QoS table cost no allocation.
+func TestRouteLookupAllocatesNothing(t *testing.T) {
+	rt := NewRouter(Options{})
+	defer rt.Close()
+	for _, id := range []string{"s1", "s2", "s3"} {
+		rt.AddShard(id, "127.0.0.1:1")
+	}
+	var b strings.Builder
+	b.WriteString(`{"classes":[7,2,5],"inputs":[[`)
+	for i := 0; b.Len() < 3800; i++ {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, "%.17g", float64(i)*-0.123456789012345)
+	}
+	b.WriteString(`]]}`)
+	body := []byte(b.String())
+	var owner *Shard
+	allocs := testing.AllocsPerRun(200, func() {
+		var cbuf [16]int
+		classes, _, err := api.Route(body, cbuf[:0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		var kbuf [96]byte
+		key := serve.AppendKey(kbuf[:0], classes)
+		if rt.isMoving(key) {
+			t.Fatal("tenant is not moving")
+		}
+		rt.deadlineFor("/predict", key)
+		owner, _ = rt.shardForHash(hashKey(key))
+	})
+	if want, _ := rt.LookupShard("2,5,7"); owner == nil || owner.ID != want {
+		t.Fatalf("routed to %v, ring says %q", owner, want)
+	}
+	if allocs != 0 {
+		t.Fatalf("route + lookup of a %d-byte body: %.0f allocations, want 0", len(body), allocs)
+	}
+}
+
+// TestRouterBodyRules: both rules of the single read-into-buffer path, at
+// the router: a body over the limit is 413 whether or not its length was
+// announced (never truncated and answered as a JSON error), and anything
+// but white space after the request object is 400.
+func TestRouterBodyRules(t *testing.T) {
+	_, front, stubs := newStubCluster(t, 1)
+	huge := `{"classes":[1],"pad":"` + strings.Repeat("x", api.MaxBody) + `"}`
+	for _, tc := range []struct {
+		name, path string
+		body       io.Reader
+		want       int
+	}{
+		{"oversized, length announced", "/predict", strings.NewReader(huge), http.StatusRequestEntityTooLarge},
+		{"oversized, chunked", "/predict", struct{ io.Reader }{strings.NewReader(huge)}, http.StatusRequestEntityTooLarge},
+		{"oversized personalize", "/personalize", strings.NewReader(huge), http.StatusRequestEntityTooLarge},
+		{"trailing junk", "/predict", strings.NewReader(`{"classes":[1]} junk`), http.StatusBadRequest},
+		{"second object", "/personalize", strings.NewReader(`{"classes":[1]}{"classes":[2]}`), http.StatusBadRequest},
+		{"trailing white space", "/predict", strings.NewReader("{\"classes\":[1]} \r\n\t"), http.StatusOK},
+	} {
+		resp, err := http.Post(front.URL+tc.path, "application/json", tc.body)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Fatalf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.want)
+		}
+	}
+	if n := stubs["s1"].predicts.Load(); n != 1 {
+		t.Fatalf("%d predicts reached the shard, want only the well-formed one", n)
+	}
+}
+
+// TestRingHashUnchanged pins the ring hash to FNV-64a + the finalizer over
+// either key representation: placements must survive the hash being inlined.
+func TestRingHashUnchanged(t *testing.T) {
+	for _, key := range []string{"", "1,3", "s3#63", "0,2,5,7,9"} {
+		h := fnv.New64a()
+		h.Write([]byte(key))
+		x := h.Sum64()
+		x ^= x >> 33
+		x *= 0xff51afd7ed558ccd
+		x ^= x >> 33
+		x *= 0xc4ceb9fe1a85ec53
+		x ^= x >> 33
+		if got := hashKey(key); got != x || hashKey([]byte(key)) != x {
+			t.Fatalf("hashKey(%q) = %#x (bytes %#x), FNV-64a reference %#x", key, got, hashKey([]byte(key)), x)
 		}
 	}
 }
@@ -138,7 +262,7 @@ func TestCanonKey(t *testing.T) {
 func TestRouterProxiesToOwner(t *testing.T) {
 	rt, front, stubs := newStubCluster(t, 3)
 	for _, classes := range [][]int{{1, 3}, {0, 2}, {2, 4, 5}, {1}} {
-		key := canonKey(classes)
+		key := keyOf(classes)
 		owner, ok := rt.LookupShard(key)
 		if !ok {
 			t.Fatalf("no owner for %q", key)
@@ -171,7 +295,7 @@ func TestRouterProxiesToOwner(t *testing.T) {
 // shard down immediately, the retry re-looks-up the ring.
 func TestRouterPredictFailover(t *testing.T) {
 	rt, front, stubs := newStubCluster(t, 3)
-	key := canonKey([]int{1, 3})
+	key := keyOf([]int{1, 3})
 	owner, _ := rt.LookupShard(key)
 	stubs[owner].ts.CloseClientConnections()
 	stubs[owner].ts.Close()
@@ -215,7 +339,7 @@ func TestRouterPredictFailover(t *testing.T) {
 // survivor.
 func TestRouterPersonalizeNotRetried(t *testing.T) {
 	rt, front, stubs := newStubCluster(t, 3)
-	key := canonKey([]int{2, 4})
+	key := keyOf([]int{2, 4})
 	owner, _ := rt.LookupShard(key)
 	stubs[owner].ts.CloseClientConnections()
 	stubs[owner].ts.Close()
@@ -236,7 +360,7 @@ func TestRouterPersonalizeNotRetried(t *testing.T) {
 // handoff lands the tenant serves from its new owner.
 func TestRouterDrainMovesTenantsAnd503(t *testing.T) {
 	rt, front, stubs := newStubCluster(t, 3)
-	key := canonKey([]int{1, 3})
+	key := keyOf([]int{1, 3})
 	owner, _ := rt.LookupShard(key)
 	victim := stubs[owner]
 	victim.mu.Lock()

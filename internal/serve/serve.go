@@ -4,9 +4,8 @@ import (
 	"container/list"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -528,26 +527,65 @@ func (s *Server) Pool() *Pool { return s.pool }
 // Canonicalize validates a user class set against the dataset and returns
 // the sorted, deduplicated set plus its cache key.
 func (s *Server) Canonicalize(classes []int) ([]int, string, error) {
-	if len(classes) == 0 {
-		return nil, "", fmt.Errorf("serve: empty class set")
+	canon, err := s.CanonicalizeInPlace(slices.Clone(classes))
+	if err != nil {
+		return nil, "", err
 	}
-	seen := map[int]bool{}
-	canon := make([]int, 0, len(classes))
+	return canon, string(AppendKey(nil, canon)), nil
+}
+
+// CanonicalizeInPlace is Canonicalize for a caller that owns classes: the
+// set is validated, then sorted and deduplicated where it lies, so an
+// already-canonical set costs no allocation. The key is AppendKey's to build.
+func (s *Server) CanonicalizeInPlace(classes []int) ([]int, error) {
+	if len(classes) == 0 {
+		return nil, errors.New("serve: empty class set")
+	}
 	for _, c := range classes {
 		if c < 0 || c >= s.ds.NumClasses {
-			return nil, "", fmt.Errorf("serve: class %d outside [0,%d)", c, s.ds.NumClasses)
-		}
-		if !seen[c] {
-			seen[c] = true
-			canon = append(canon, c)
+			return nil, fmt.Errorf("serve: class %d outside [0,%d)", c, s.ds.NumClasses)
 		}
 	}
-	sort.Ints(canon)
-	parts := make([]string, len(canon))
-	for i, c := range canon {
-		parts[i] = strconv.Itoa(c)
+	return sortDedup(classes), nil
+}
+
+// AppendKey appends the tenant key of a class set to dst: its ids sorted,
+// deduplicated and comma-joined. It is the one definition of the key — the
+// engine cache, the snapshot index and the cluster router's ring all place a
+// tenant by it — and it does not validate ids against a dataset: a range
+// error is the owning server's to report. A strictly increasing set is
+// joined as it stands; any other is sorted in a copy (on the stack up to 16
+// classes), so classes is never modified.
+func AppendKey(dst []byte, classes []int) []byte {
+	if !strictlyIncreasing(classes) {
+		var buf [16]int
+		classes = sortDedup(append(buf[:0], classes...))
 	}
-	return canon, strings.Join(parts, ","), nil
+	for i, c := range classes {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = strconv.AppendInt(dst, int64(c), 10)
+	}
+	return dst
+}
+
+func strictlyIncreasing(classes []int) bool {
+	for i := 1; i < len(classes); i++ {
+		if classes[i] <= classes[i-1] {
+			return false
+		}
+	}
+	return true
+}
+
+// sortDedup sorts classes in place and returns the prefix of distinct ids.
+func sortDedup(classes []int) []int {
+	if strictlyIncreasing(classes) {
+		return classes
+	}
+	slices.Sort(classes)
+	return slices.Compact(classes)
 }
 
 // Personalize returns the engine for the given class set, building it on
@@ -845,22 +883,11 @@ func (s *Server) Predict(classes []int, x *tensor.Tensor) ([]int, error) {
 // up without materializing a string, and the usual Personalize bookkeeping
 // (Requests, CacheHits, LRU touch) still happens under mu.
 func (s *Server) predictFast(classes []int) *Personalization {
-	if len(classes) == 0 {
+	if len(classes) == 0 || !strictlyIncreasing(classes) || classes[0] < 0 || classes[len(classes)-1] >= s.ds.NumClasses {
 		return nil
 	}
 	var buf [96]byte
-	key := buf[:0]
-	prev := -1
-	for i, c := range classes {
-		if c <= prev || c >= s.ds.NumClasses {
-			return nil
-		}
-		prev = c
-		if i > 0 {
-			key = append(key, ',')
-		}
-		key = strconv.AppendInt(key, int64(c), 10)
-	}
+	key := AppendKey(buf[:0], classes)
 	s.mu.Lock()
 	el, ok := s.entries[string(key)]
 	if !ok {
