@@ -196,18 +196,34 @@ func BenchmarkMem_ModelSize(b *testing.B) {
 
 // Micro-benchmarks of the core kernels.
 
-// BenchmarkGEMM measures the parallel dense GEMM on a conv-sized problem.
+// BenchmarkGEMM measures the dense GEMM's three operand layouts: A·B on a
+// conv-forward-sized problem, and the two a conv backward runs on one
+// width-2 resnet-s layer at batch 16 (OutC=16, K=144, N·P=1024) —
+// dW = dy·colsᵀ (A·Bᵀ) and dcols = Wᵀ·dy (Aᵀ·B). allocs/op is the number to
+// read: all three shapes fan out over the worker pool, whose handoff is the
+// only allocation a call makes. ns/op is not gateable on shared CI hosts,
+// so none of these has a BENCH_baseline.json entry.
 func BenchmarkGEMM(b *testing.B) {
-	b.ReportAllocs()
-	rng := rand.New(rand.NewSource(1))
-	m, k, n := 128, 576, 784
-	a := tensor.Randn(rng, 1, m, k)
-	x := tensor.Randn(rng, 1, k, n)
-	c := make([]float64, m*n)
-	b.ReportMetric(float64(2*m*k*n), "flop/op")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tensor.Gemm(false, false, m, n, k, 1, a.Data, x.Data, 0, c)
+	for _, bc := range []struct {
+		name           string
+		transA, transB bool
+		m, n, k        int
+	}{
+		{"AB", false, false, 128, 784, 576},
+		{"ABt", false, true, 16, 144, 1024},
+		{"AtB", true, false, 144, 1024, 16},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			rng := rand.New(rand.NewSource(1))
+			a := tensor.Randn(rng, 1, bc.m*bc.k)
+			x := tensor.Randn(rng, 1, bc.k*bc.n)
+			c := make([]float64, bc.m*bc.n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tensor.Gemm(bc.transA, bc.transB, bc.m, bc.n, bc.k, 1, a.Data, x.Data, 0, c)
+			}
+		})
 	}
 }
 

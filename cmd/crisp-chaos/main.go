@@ -156,6 +156,7 @@ func buildEnv(seed int64) *env {
 	base := build()
 	pruner.Finetune(base, ds.MakeSplit("pretrain", []int{0, 1, 2, 3, 4, 5}, 8), 2, 16,
 		nn.NewSGD(0.05, 0.9, 4e-5), rand.New(rand.NewSource(seed+2)))
+	base.ReleaseTrainingState()
 	return &env{ds: ds, build: build, base: base}
 }
 

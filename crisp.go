@@ -133,6 +133,7 @@ func Pretrain(model *Classifier, ds *Dataset, epochs, samplesPerClass int, seed 
 	split := ds.MakeSplit("pretrain", all, samplesPerClass)
 	opt := nn.NewSGD(0.05, 0.9, 4e-5)
 	pruner.Finetune(model, split, epochs, 16, opt, rand.New(rand.NewSource(seed)))
+	model.ReleaseTrainingState()
 }
 
 // Result bundles the outcome of Personalize.

@@ -157,6 +157,7 @@ func (h *Harness) Pretrained(f models.Family, ds *data.Dataset) *nn.Classifier {
 		split := ds.MakeSplit("pretrain", all, perClass)
 		opt := nn.NewSGD(0.05, 0.9, 4e-5)
 		pruner.Finetune(clf, split, epochs, 16, opt, rand.New(rand.NewSource(seed+1)))
+		clf.ReleaseTrainingState()
 		snap.trained = clf
 	})
 	fresh := snap.build()

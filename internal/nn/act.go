@@ -124,6 +124,10 @@ func (g *GELU) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	return dx
 }
 
+func (g *GELU) trainingStateBytes() int64 { return tensorBytes(g.x) }
+
+func (g *GELU) releaseTrainingState() { g.x = nil }
+
 // Params implements Layer.
 func (g *GELU) Params() []*Param { return nil }
 
@@ -137,6 +141,10 @@ func (r *ReLU) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	}
 	return dx
 }
+
+func (r *ReLU) trainingStateBytes() int64 { return int64(cap(r.pass)) }
+
+func (r *ReLU) releaseTrainingState() { r.pass = nil }
 
 // Params implements Layer.
 func (r *ReLU) Params() []*Param { return nil }

@@ -23,11 +23,13 @@ type Conv2D struct {
 	// scores channels with.
 	OutStats *ChannelStats
 
-	// caches for backward
-	cols    *tensor.Tensor
-	weff    *tensor.Tensor
 	batch   int
 	lastOut [2]int // OH, OW
+
+	// Training state (see workspace.go): cols and weff are what Backward
+	// reads back from Forward; the rest is scratch either pass overwrites.
+	cols, weff, dcols *tensor.Tensor
+	outMat, dyMat, dw []float64
 }
 
 // ChannelStats accumulates per-channel |activation| sums.
@@ -81,19 +83,29 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	n := x.Shape[0]
 	oh, ow := g.OutH(), g.OutW()
-	cols := tensor.Im2Col(x, g)                      // [K, N*OH*OW]
-	weff := c.Weight.Effective().Reshape(c.OutC, -1) // [S, K]
-	outMat := tensor.MatMul(weff, cols)              // [S, N*OH*OW]
+	p := oh * ow
+	k := g.InC * g.KH * g.KW
+	weff := c.Weight.Effective().Reshape(c.OutC, k) // [S, K]
+	var outMat []float64                            // [S, N*P]
+	if train {
+		c.cols = reuse2D(c.cols, k, n*p) // [K, N*P]
+		c.outMat = grow(c.outMat, c.OutC*n*p)
+		c.weff = weff
+		tensor.Im2ColInto(x, g, c.cols)
+		tensor.Gemm(false, false, c.OutC, n*p, k, 1, weff.Data, c.cols.Data, 0, c.outMat)
+		outMat = c.outMat
+	} else {
+		outMat = tensor.MatMul(weff, tensor.Im2Col(x, g)).Data
+	}
 
 	// Re-layout [S][N*P] → [N][S][P].
-	p := oh * ow
 	y := tensor.New(n, c.OutC, oh, ow)
 	for s := 0; s < c.OutC; s++ {
 		bias := 0.0
 		if c.Bias != nil {
 			bias = c.Bias.W.Data[s]
 		}
-		src := outMat.Data[s*n*p : (s+1)*n*p]
+		src := outMat[s*n*p : (s+1)*n*p]
 		for b := 0; b < n; b++ {
 			dst := y.Data[(b*c.OutC+s)*p : (b*c.OutC+s+1)*p]
 			for i, v := range src[b*p : (b+1)*p] {
@@ -117,10 +129,6 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	c.batch = n
 	c.lastOut = [2]int{oh, ow}
 	c.Geom = g
-	if train {
-		c.cols = cols
-		c.weff = weff
-	}
 	return y
 }
 
@@ -133,32 +141,42 @@ func (c *Conv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: Conv2D backward shape %v does not match cached forward (%d,%d,%d,%d)", dy.Shape, n, c.OutC, oh, ow))
 	}
 	// Re-layout dy [N][S][P] → [S][N*P].
-	dyMat := tensor.New(c.OutC, n*p)
+	c.dyMat = grow(c.dyMat, c.OutC*n*p)
+	dyMat := c.dyMat
 	for s := 0; s < c.OutC; s++ {
-		dst := dyMat.Data[s*n*p : (s+1)*n*p]
+		dst := dyMat[s*n*p : (s+1)*n*p]
 		for b := 0; b < n; b++ {
 			copy(dst[b*p:(b+1)*p], dy.Data[(b*c.OutC+s)*p:(b*c.OutC+s+1)*p])
 		}
 	}
 	// dW = dyMat · colsᵀ  (dense gradient: straight-through estimator).
 	k := c.Geom.InC * c.Geom.KH * c.Geom.KW
-	dw := make([]float64, c.OutC*k)
-	tensor.Gemm(false, true, c.OutC, k, n*p, 1, dyMat.Data, c.cols.Data, 0, dw)
-	c.Weight.Grad.AddInPlace(tensor.FromSlice(dw, c.Weight.Grad.Shape...))
+	c.dw = grow(c.dw, c.OutC*k)
+	tensor.Gemm(false, true, c.OutC, k, n*p, 1, dyMat, c.cols.Data, 0, c.dw)
+	accumulate(c.Weight.Grad.Data, c.dw)
 	// Bias gradient: row sums of dyMat.
 	if c.Bias != nil {
 		for s := 0; s < c.OutC; s++ {
 			sum := 0.0
-			for _, v := range dyMat.Data[s*n*p : (s+1)*n*p] {
+			for _, v := range dyMat[s*n*p : (s+1)*n*p] {
 				sum += v
 			}
 			c.Bias.Grad.Data[s] += sum
 		}
 	}
 	// dx via dcols = Weffᵀ · dyMat, then col2im.
-	dcols := tensor.New(k, n*p)
-	tensor.Gemm(true, false, k, n*p, c.OutC, 1, c.weff.Data, dyMat.Data, 0, dcols.Data)
-	return tensor.Col2Im(dcols, n, c.Geom)
+	c.dcols = reuse2D(c.dcols, k, n*p)
+	tensor.Gemm(true, false, k, n*p, c.OutC, 1, c.weff.Data, dyMat, 0, c.dcols.Data)
+	return tensor.Col2Im(c.dcols, n, c.Geom)
+}
+
+func (c *Conv2D) trainingStateBytes() int64 {
+	return tensorBytes(c.cols, c.weff, c.dcols) + sliceBytes(c.outMat, c.dyMat, c.dw)
+}
+
+func (c *Conv2D) releaseTrainingState() {
+	c.cols, c.weff, c.dcols = nil, nil, nil
+	c.outMat, c.dyMat, c.dw = nil, nil, nil
 }
 
 // Params implements Layer.
@@ -290,6 +308,10 @@ func (d *DepthwiseConv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	}
 	return dx
 }
+
+func (d *DepthwiseConv2D) trainingStateBytes() int64 { return tensorBytes(d.x) }
+
+func (d *DepthwiseConv2D) releaseTrainingState() { d.x = nil }
 
 // Params implements Layer.
 func (d *DepthwiseConv2D) Params() []*Param {

@@ -16,7 +16,9 @@ type Linear struct {
 	Weight  *Param
 	Bias    *Param
 
-	x *tensor.Tensor
+	// Training state (see workspace.go).
+	x  *tensor.Tensor // the input Backward reads back
+	dw []float64
 }
 
 // NewLinear constructs a fully connected layer with He initialization.
@@ -58,9 +60,9 @@ func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 func (l *Linear) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	n := dy.Shape[0]
 	// dW = dyᵀ · x (dense: straight-through estimator).
-	dw := make([]float64, l.Out*l.In)
-	tensor.Gemm(true, false, l.Out, l.In, n, 1, dy.Data, l.x.Data, 0, dw)
-	l.Weight.Grad.AddInPlace(tensor.FromSlice(dw, l.Out, l.In))
+	l.dw = grow(l.dw, l.Out*l.In)
+	tensor.Gemm(true, false, l.Out, l.In, n, 1, dy.Data, l.x.Data, 0, l.dw)
+	accumulate(l.Weight.Grad.Data, l.dw)
 	for b := 0; b < n; b++ {
 		for j := 0; j < l.Out; j++ {
 			l.Bias.Grad.Data[j] += dy.Data[b*l.Out+j]
@@ -72,6 +74,10 @@ func (l *Linear) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	tensor.Gemm(false, false, n, l.In, l.Out, 1, dy.Data, weff.Data, 0, dx.Data)
 	return dx
 }
+
+func (l *Linear) trainingStateBytes() int64 { return tensorBytes(l.x) + sliceBytes(l.dw) }
+
+func (l *Linear) releaseTrainingState() { l.x, l.dw = nil, nil }
 
 // Params implements Layer.
 func (l *Linear) Params() []*Param { return []*Param{l.Weight, l.Bias} }

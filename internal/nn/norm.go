@@ -18,10 +18,10 @@ type BatchNorm2D struct {
 	RunMean     *tensor.Tensor
 	RunVar      *tensor.Tensor
 
-	// caches for backward
-	xhat    *tensor.Tensor
-	invStd  []float64
-	inShape []int
+	// Training state (see workspace.go): normalized activations and the
+	// per-channel 1/σ, written by a training Forward, read by Backward.
+	xhat, invStd []float64
+	inShape      []int
 }
 
 // NewBatchNorm2D builds a batch-norm layer with gamma=1, beta=0.
@@ -51,11 +51,8 @@ func (bn *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 	if train {
 		bn.inShape = append(bn.inShape[:0], x.Shape...)
-		bn.xhat = tensor.New(x.Shape...)
-		if cap(bn.invStd) < c {
-			bn.invStd = make([]float64, c)
-		}
-		bn.invStd = bn.invStd[:c]
+		bn.xhat = grow(bn.xhat, len(x.Data))
+		bn.invStd = grow(bn.invStd, c)
 		for ch := 0; ch < c; ch++ {
 			mean, sq := 0.0, 0.0
 			for b := 0; b < n; b++ {
@@ -76,7 +73,7 @@ func (bn *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 				off := (b*c + ch) * h * w
 				for i := 0; i < h*w; i++ {
 					xh := (x.Data[off+i] - mean) * inv
-					bn.xhat.Data[off+i] = xh
+					bn.xhat[off+i] = xh
 					y.Data[off+i] = g*xh + be
 				}
 			}
@@ -111,7 +108,7 @@ func (bn *BatchNorm2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 			off := (b*c + ch) * h * w
 			for i := 0; i < h*w; i++ {
 				sumDy += dy.Data[off+i]
-				sumDyXhat += dy.Data[off+i] * bn.xhat.Data[off+i]
+				sumDyXhat += dy.Data[off+i] * bn.xhat[off+i]
 			}
 		}
 		bn.Beta.Grad.Data[ch] += sumDy
@@ -121,13 +118,17 @@ func (bn *BatchNorm2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 		for b := 0; b < n; b++ {
 			off := (b*c + ch) * h * w
 			for i := 0; i < h*w; i++ {
-				xh := bn.xhat.Data[off+i]
+				xh := bn.xhat[off+i]
 				dx.Data[off+i] = g * inv / cnt * (cnt*dy.Data[off+i] - sumDy - xh*sumDyXhat)
 			}
 		}
 	}
 	return dx
 }
+
+func (bn *BatchNorm2D) trainingStateBytes() int64 { return sliceBytes(bn.xhat, bn.invStd) }
+
+func (bn *BatchNorm2D) releaseTrainingState() { bn.xhat, bn.invStd = nil, nil }
 
 // Params implements Layer.
 func (bn *BatchNorm2D) Params() []*Param { return []*Param{bn.Gamma, bn.Beta} }

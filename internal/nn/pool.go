@@ -79,6 +79,10 @@ func (m *MaxPool2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	return dx
 }
 
+func (m *MaxPool2D) trainingStateBytes() int64 { return int64(cap(m.argmax)) * 8 }
+
+func (m *MaxPool2D) releaseTrainingState() { m.argmax = nil }
+
 // Params implements Layer.
 func (m *MaxPool2D) Params() []*Param { return nil }
 

@@ -24,7 +24,9 @@ type TokenLinear struct {
 	// FLOPs accounting).
 	LastTokens int
 
-	x *tensor.Tensor // cached [N*T, In]
+	// Training state (see workspace.go).
+	x  *tensor.Tensor // cached [N*T, In]
+	dw []float64
 }
 
 // NewTokenLinear constructs the layer with He initialization.
@@ -67,9 +69,9 @@ func (l *TokenLinear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 func (l *TokenLinear) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	n, t := dy.Shape[0], dy.Shape[1]
 	flatDy := dy.Reshape(n*t, l.Out)
-	dw := make([]float64, l.Out*l.In)
-	tensor.Gemm(true, false, l.Out, l.In, n*t, 1, flatDy.Data, l.x.Data, 0, dw)
-	l.Weight.Grad.AddInPlace(tensor.FromSlice(dw, l.Out, l.In))
+	l.dw = grow(l.dw, l.Out*l.In)
+	tensor.Gemm(true, false, l.Out, l.In, n*t, 1, flatDy.Data, l.x.Data, 0, l.dw)
+	accumulate(l.Weight.Grad.Data, l.dw)
 	for r := 0; r < n*t; r++ {
 		for j := 0; j < l.Out; j++ {
 			l.Bias.Grad.Data[j] += flatDy.Data[r*l.Out+j]
@@ -80,6 +82,10 @@ func (l *TokenLinear) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	tensor.Gemm(false, false, n*t, l.In, l.Out, 1, flatDy.Data, weff.Data, 0, dx.Data)
 	return dx.Reshape(n, t, l.In)
 }
+
+func (l *TokenLinear) trainingStateBytes() int64 { return tensorBytes(l.x) + sliceBytes(l.dw) }
+
+func (l *TokenLinear) releaseTrainingState() { l.x, l.dw = nil, nil }
 
 // Params implements Layer.
 func (l *TokenLinear) Params() []*Param { return []*Param{l.Weight, l.Bias} }
@@ -92,8 +98,9 @@ type LayerNorm struct {
 
 	Gamma, Beta *Param
 
-	xhat   *tensor.Tensor
-	invStd []float64
+	// Training state (see workspace.go): normalized activations and the
+	// per-row 1/σ, written by a training Forward, read by Backward.
+	xhat, invStd []float64
 }
 
 // NewLayerNorm constructs the layer with gamma=1, beta=0.
@@ -117,11 +124,8 @@ func (ln *LayerNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	rows := x.Shape[0] * x.Shape[1]
 	y := tensor.New(x.Shape...)
 	if train {
-		ln.xhat = tensor.New(x.Shape...)
-		if cap(ln.invStd) < rows {
-			ln.invStd = make([]float64, rows)
-		}
-		ln.invStd = ln.invStd[:rows]
+		ln.xhat = grow(ln.xhat, rows*ln.D)
+		ln.invStd = grow(ln.invStd, rows)
 	}
 	d := float64(ln.D)
 	for r := 0; r < rows; r++ {
@@ -142,7 +146,7 @@ func (ln *LayerNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			xh := (v - mean) * inv
 			out[i] = ln.Gamma.W.Data[i]*xh + ln.Beta.W.Data[i]
 			if train {
-				ln.xhat.Data[r*ln.D+i] = xh
+				ln.xhat[r*ln.D+i] = xh
 			}
 		}
 		if train {
@@ -161,7 +165,7 @@ func (ln *LayerNorm) Backward(dy *tensor.Tensor) *tensor.Tensor {
 		sumDy, sumDyXhat := 0.0, 0.0
 		for i := 0; i < ln.D; i++ {
 			g := dy.Data[r*ln.D+i] * ln.Gamma.W.Data[i]
-			xh := ln.xhat.Data[r*ln.D+i]
+			xh := ln.xhat[r*ln.D+i]
 			sumDy += g
 			sumDyXhat += g * xh
 			ln.Gamma.Grad.Data[i] += dy.Data[r*ln.D+i] * xh
@@ -170,12 +174,16 @@ func (ln *LayerNorm) Backward(dy *tensor.Tensor) *tensor.Tensor {
 		inv := ln.invStd[r]
 		for i := 0; i < ln.D; i++ {
 			g := dy.Data[r*ln.D+i] * ln.Gamma.W.Data[i]
-			xh := ln.xhat.Data[r*ln.D+i]
+			xh := ln.xhat[r*ln.D+i]
 			dx.Data[r*ln.D+i] = inv / d * (d*g - sumDy - xh*sumDyXhat)
 		}
 	}
 	return dx
 }
+
+func (ln *LayerNorm) trainingStateBytes() int64 { return sliceBytes(ln.xhat, ln.invStd) }
+
+func (ln *LayerNorm) releaseTrainingState() { ln.xhat, ln.invStd = nil, nil }
 
 // Params implements Layer.
 func (ln *LayerNorm) Params() []*Param { return []*Param{ln.Gamma, ln.Beta} }
@@ -190,11 +198,13 @@ type MultiHeadAttention struct {
 	// LastTokens records T from the most recent forward pass.
 	LastTokens int
 
-	// caches
+	// Training state (see workspace.go): what Backward reads back from
+	// Forward, then its scratch.
 	x       *tensor.Tensor // [N,T,D]
 	q, k, v *tensor.Tensor // [N,T,D]
 	attn    []float64      // per (batch, head): T×T softmax rows
 	z       *tensor.Tensor // pre-output-projection [N,T,D]
+	dw, da  []float64      // one projection's dW; one attention row's dA
 }
 
 // NewMultiHeadAttention constructs the layer; heads must divide d.
@@ -286,14 +296,16 @@ func (m *MultiHeadAttention) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	// Through the output projection: dz = dy·Wo; dWo = dyᵀ·z.
 	dz := tensor.New(n*t, m.D)
 	woEff := m.Wo.Effective()
-	tensor.Gemm(false, false, n*t, m.D, m.D, 1, dy.Reshape(n*t, m.D).Data, woEff.Data, 0, dz.Data)
-	dwo := make([]float64, m.D*m.D)
-	tensor.Gemm(true, false, m.D, m.D, n*t, 1, dy.Reshape(n*t, m.D).Data, m.z.Reshape(n*t, m.D).Data, 0, dwo)
-	m.Wo.Grad.AddInPlace(tensor.FromSlice(dwo, m.D, m.D))
+	tensor.Gemm(false, false, n*t, m.D, m.D, 1, dy.Data, woEff.Data, 0, dz.Data)
+	m.dw = grow(m.dw, m.D*m.D)
+	tensor.Gemm(true, false, m.D, m.D, n*t, 1, dy.Data, m.z.Data, 0, m.dw)
+	accumulate(m.Wo.Grad.Data, m.dw)
 
 	dq := tensor.New(n, t, m.D)
 	dk := tensor.New(n, t, m.D)
 	dv := tensor.New(n, t, m.D)
+	m.da = grow(m.da, t)
+	da := m.da
 	for b := 0; b < n; b++ {
 		for h := 0; h < m.Heads; h++ {
 			off := h * dh
@@ -302,7 +314,6 @@ func (m *MultiHeadAttention) Backward(dy *tensor.Tensor) *tensor.Tensor {
 				dzi := dz.Data[(b*t+i)*m.D+off : (b*t+i)*m.D+off+dh]
 				row := m.attn[aBase+i*t : aBase+(i+1)*t]
 				// dA[j] = dz_i · v_j ; dV_j += A[j]·dz_i.
-				da := make([]float64, t)
 				dot := 0.0
 				for j := 0; j < t; j++ {
 					vj := m.v.Data[(b*t+j)*m.D+off : (b*t+j)*m.D+off+dh]
@@ -335,16 +346,24 @@ func (m *MultiHeadAttention) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	// Through the Q/K/V projections.
 	dx := tensor.New(n*t, m.D)
 	backProj := func(d *tensor.Tensor, p *Param) {
-		dwp := make([]float64, m.D*m.D)
-		tensor.Gemm(true, false, m.D, m.D, n*t, 1, d.Reshape(n*t, m.D).Data, m.x.Reshape(n*t, m.D).Data, 0, dwp)
-		p.Grad.AddInPlace(tensor.FromSlice(dwp, m.D, m.D))
+		tensor.Gemm(true, false, m.D, m.D, n*t, 1, d.Data, m.x.Data, 0, m.dw)
+		accumulate(p.Grad.Data, m.dw)
 		weff := p.Effective()
-		tensor.Gemm(false, false, n*t, m.D, m.D, 1, d.Reshape(n*t, m.D).Data, weff.Data, 1, dx.Data)
+		tensor.Gemm(false, false, n*t, m.D, m.D, 1, d.Data, weff.Data, 1, dx.Data)
 	}
 	backProj(dq, m.Wq)
 	backProj(dk, m.Wk)
 	backProj(dv, m.Wv)
 	return dx.Reshape(n, t, m.D)
+}
+
+func (m *MultiHeadAttention) trainingStateBytes() int64 {
+	return tensorBytes(m.x, m.q, m.k, m.v, m.z) + sliceBytes(m.attn, m.dw, m.da)
+}
+
+func (m *MultiHeadAttention) releaseTrainingState() {
+	m.x, m.q, m.k, m.v, m.z = nil, nil, nil, nil, nil
+	m.attn, m.dw, m.da = nil, nil, nil
 }
 
 // Params implements Layer.
@@ -363,8 +382,10 @@ type PatchEmbed struct {
 	// LastTokens records T from the most recent forward pass.
 	LastTokens int
 
-	patches *tensor.Tensor // [N*T, C*P*P]
-	inShape []int
+	// Training state (see workspace.go).
+	patches      *tensor.Tensor // [N*T, C*P*P], read back by Backward
+	dw, dpatches []float64
+	inShape      []int
 }
 
 // NewPatchEmbed constructs the embedding.
@@ -430,7 +451,14 @@ func (pe *PatchEmbed) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	t := pe.tokens(x.Shape[2], x.Shape[3])
 	pe.LastTokens = t
 	in := pe.C * pe.P * pe.P
-	patches := pe.ExtractPatches(x)
+	var patches *tensor.Tensor
+	if train {
+		pe.patches = reuse2D(pe.patches, n*t, in)
+		pe.inShape = append(pe.inShape[:0], x.Shape...)
+		patches = pe.ExtractPatchesInto(x, pe.patches)
+	} else {
+		patches = pe.ExtractPatches(x)
+	}
 	weff := pe.Weight.Effective()
 	y := tensor.New(n*t, pe.D)
 	tensor.Gemm(false, true, n*t, pe.D, in, 1, patches.Data, weff.Data, 0, y.Data)
@@ -438,10 +466,6 @@ func (pe *PatchEmbed) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		for j := 0; j < pe.D; j++ {
 			y.Data[r*pe.D+j] += pe.Bias.W.Data[j]
 		}
-	}
-	if train {
-		pe.patches = patches
-		pe.inShape = append(pe.inShape[:0], x.Shape...)
 	}
 	return y.Reshape(n, t, pe.D)
 }
@@ -451,17 +475,18 @@ func (pe *PatchEmbed) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	n, t := dy.Shape[0], dy.Shape[1]
 	in := pe.C * pe.P * pe.P
 	flat := dy.Reshape(n*t, pe.D)
-	dw := make([]float64, pe.D*in)
-	tensor.Gemm(true, false, pe.D, in, n*t, 1, flat.Data, pe.patches.Data, 0, dw)
-	pe.Weight.Grad.AddInPlace(tensor.FromSlice(dw, pe.D, in))
+	pe.dw = grow(pe.dw, pe.D*in)
+	tensor.Gemm(true, false, pe.D, in, n*t, 1, flat.Data, pe.patches.Data, 0, pe.dw)
+	accumulate(pe.Weight.Grad.Data, pe.dw)
 	for r := 0; r < n*t; r++ {
 		for j := 0; j < pe.D; j++ {
 			pe.Bias.Grad.Data[j] += flat.Data[r*pe.D+j]
 		}
 	}
 	weff := pe.Weight.Effective()
-	dpatches := tensor.New(n*t, in)
-	tensor.Gemm(false, false, n*t, in, pe.D, 1, flat.Data, weff.Data, 0, dpatches.Data)
+	pe.dpatches = grow(pe.dpatches, n*t*in)
+	dpatches := pe.dpatches
+	tensor.Gemm(false, false, n*t, in, pe.D, 1, flat.Data, weff.Data, 0, dpatches)
 	// Scatter patch gradients back to image layout.
 	c, h, w := pe.inShape[1], pe.inShape[2], pe.inShape[3]
 	ty, tx := h/pe.P, w/pe.P
@@ -469,7 +494,7 @@ func (pe *PatchEmbed) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	for b := 0; b < n; b++ {
 		for py := 0; py < ty; py++ {
 			for px := 0; px < tx; px++ {
-				row := dpatches.Data[((b*ty+py)*tx+px)*in : ((b*ty+py)*tx+px+1)*in]
+				row := dpatches[((b*ty+py)*tx+px)*in : ((b*ty+py)*tx+px+1)*in]
 				idx := 0
 				for ch := 0; ch < c; ch++ {
 					for yy := 0; yy < pe.P; yy++ {
@@ -483,6 +508,12 @@ func (pe *PatchEmbed) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	}
 	return dx
 }
+
+func (pe *PatchEmbed) trainingStateBytes() int64 {
+	return tensorBytes(pe.patches) + sliceBytes(pe.dw, pe.dpatches)
+}
+
+func (pe *PatchEmbed) releaseTrainingState() { pe.patches, pe.dw, pe.dpatches = nil, nil, nil }
 
 // Params implements Layer.
 func (pe *PatchEmbed) Params() []*Param { return []*Param{pe.Weight, pe.Bias} }

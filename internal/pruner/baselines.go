@@ -25,6 +25,7 @@ func NewNMOnly(opts Options) *NMOnly { return &NMOnly{Opts: opts.WithDefaults()}
 
 // Prune applies N:M masks iteratively with fine-tuning between rounds.
 func (b *NMOnly) Prune(clf *nn.Classifier, train data.Split) Report {
+	defer clf.ReleaseTrainingState()
 	o := b.Opts
 	rng := rand.New(rand.NewSource(o.Seed))
 	opt := nn.NewSGD(o.LR, o.Momentum, o.WeightDecay)
@@ -63,6 +64,7 @@ func NewBlockOnly(opts Options, balanced bool) *BlockOnly {
 
 // Prune iteratively removes blocks until the target sparsity.
 func (b *BlockOnly) Prune(clf *nn.Classifier, train data.Split) Report {
+	defer clf.ReleaseTrainingState()
 	o := b.Opts
 	rng := rand.New(rand.NewSource(o.Seed))
 	opt := nn.NewSGD(o.LR, o.Momentum, o.WeightDecay)
@@ -172,6 +174,7 @@ func NewChannel(opts Options) *Channel {
 
 // Prune iteratively removes channels until the target sparsity.
 func (b *Channel) Prune(clf *nn.Classifier, train data.Split) Report {
+	defer clf.ReleaseTrainingState()
 	o := b.Opts
 	rng := rand.New(rand.NewSource(o.Seed))
 	opt := nn.NewSGD(o.LR, o.Momentum, o.WeightDecay)
@@ -306,6 +309,7 @@ func NewUnstructured(opts Options) *Unstructured { return &Unstructured{Opts: op
 
 // Prune iteratively masks the globally smallest saliency entries.
 func (b *Unstructured) Prune(clf *nn.Classifier, train data.Split) Report {
+	defer clf.ReleaseTrainingState()
 	o := b.Opts
 	rng := rand.New(rand.NewSource(o.Seed))
 	opt := nn.NewSGD(o.LR, o.Momentum, o.WeightDecay)

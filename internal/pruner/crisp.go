@@ -45,6 +45,7 @@ func coreLayers(params []*nn.Param, scores saliency.Scores) []*core.Layer {
 // Prune runs Algorithm 1 on clf using train as the user-class sample set,
 // mutating the classifier's masks and weights in place.
 func (c *CRISP) Prune(clf *nn.Classifier, train data.Split) Report {
+	defer clf.ReleaseTrainingState()
 	o := c.Opts
 	rng := rand.New(rand.NewSource(o.Seed))
 	opt := nn.NewSGD(o.LR, o.Momentum, o.WeightDecay)

@@ -43,6 +43,7 @@ type layerState struct {
 
 // Prune runs the iterative search + fine-tune loop.
 func (b *MixedNM) Prune(clf *nn.Classifier, train data.Split) Report {
+	defer clf.ReleaseTrainingState()
 	o := b.Opts
 	rng := rand.New(rand.NewSource(o.Seed))
 	opt := nn.NewSGD(o.LR, o.Momentum, o.WeightDecay)

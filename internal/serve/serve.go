@@ -779,6 +779,11 @@ func (s *Server) personalize(classes []int, key string) (*Personalization, perso
 		s.pendingAdd(&s.pendingSnaps)
 	}
 	acc := clone.Accuracy(test.X, test.Labels)
+	// The clone is about to be cached for as long as the tenant stays hot:
+	// nothing of the training run that produced it may ride along. Prune
+	// released on its way out; this holds the line after the last forward
+	// pass over the clone, whatever ran in between.
+	clone.ReleaseTrainingState()
 	return s.newPersonalization(key, classes, rep, acc, agreement, eng, clone), srcPruned, nil
 }
 

@@ -157,29 +157,28 @@ func TestGemmAllTransposeCombos(t *testing.T) {
 	for _, m := range []int{1, 3, 7} {
 		for _, n := range []int{1, 4, 9} {
 			for _, k := range []int{1, 5, 8} {
-				for _, ta := range []bool{false, true} {
-					for _, tb := range []bool{false, true} {
-						a := make([]float64, m*k)
-						b := make([]float64, k*n)
-						for i := range a {
-							a[i] = rng.NormFloat64()
-						}
-						for i := range b {
-							b[i] = rng.NormFloat64()
-						}
-						got := make([]float64, m*n)
-						want := make([]float64, m*n)
-						for i := range got {
-							got[i] = rng.NormFloat64()
-							want[i] = got[i]
-						}
-						Gemm(ta, tb, m, n, k, 1.25, a, b, 0.5, got)
-						naiveGemm(ta, tb, m, n, k, 1.25, a, b, 0.5, want)
-						for i := range got {
-							if math.Abs(got[i]-want[i]) > 1e-9 {
-								t.Fatalf("Gemm(%v,%v,m=%d,n=%d,k=%d)[%d] = %v, want %v",
-									ta, tb, m, n, k, i, got[i], want[i])
-							}
+				for _, tr := range transposeCases {
+					ta, tb := tr[0], tr[1]
+					a := make([]float64, m*k)
+					b := make([]float64, k*n)
+					for i := range a {
+						a[i] = rng.NormFloat64()
+					}
+					for i := range b {
+						b[i] = rng.NormFloat64()
+					}
+					got := make([]float64, m*n)
+					want := make([]float64, m*n)
+					for i := range got {
+						got[i] = rng.NormFloat64()
+						want[i] = got[i]
+					}
+					Gemm(ta, tb, m, n, k, 1.25, a, b, 0.5, got)
+					naiveGemm(ta, tb, m, n, k, 1.25, a, b, 0.5, want)
+					for i := range got {
+						if math.Abs(got[i]-want[i]) > 1e-9 {
+							t.Fatalf("Gemm(%v,%v,m=%d,n=%d,k=%d)[%d] = %v, want %v",
+								ta, tb, m, n, k, i, got[i], want[i])
 						}
 					}
 				}
