@@ -56,7 +56,10 @@
 // of the wrong length are 400 as before.
 //
 // The cold endpoints (/personalize, /handoff, and every reply but /predict's)
-// stay on encoding/json.
+// stay on encoding/json, behind http.MaxBytesReader: their bodies are a class
+// list, or a key and two fingerprints, so at most MaxColdBody (16 KiB) is
+// read and a longer body is answered 413 — by the router too, which holds
+// /personalize to the same limit before it forwards.
 package api
 
 import (
@@ -117,8 +120,7 @@ func NewMux(s *serve.Server, ds *data.Dataset, cfg Config) *http.ServeMux {
 			// tenant keeps its class.
 			QoS *string `json:"qos"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+		if !decodeCold(w, r, &req) {
 			return
 		}
 		// Canonicalize separates caller errors (bad class set → 400) from
@@ -204,8 +206,7 @@ func NewMux(s *serve.Server, ds *data.Dataset, cfg Config) *http.ServeMux {
 	})
 	mux.HandleFunc("POST /handoff", func(w http.ResponseWriter, r *http.Request) {
 		var req HandoffRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+		if !decodeCold(w, r, &req) {
 			return
 		}
 		if req.Key == "" {
@@ -340,6 +341,24 @@ func writeJSON(w http.ResponseWriter, v any) {
 	if err := json.NewEncoder(w).Encode(v); err != nil {
 		log.Printf("api: encoding response: %v", err)
 	}
+}
+
+// decodeCold decodes the small JSON body of a cold endpoint (/personalize,
+// /handoff) into v, reading at most MaxColdBody of it. On failure it has
+// answered — 413 for a longer body, 400 for a malformed one — and returns
+// false.
+func decodeCold(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxColdBody)).Decode(v)
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	httpError(w, code, fmt.Errorf("decoding request: %w", err))
+	return false
 }
 
 func httpError(w http.ResponseWriter, code int, err error) {

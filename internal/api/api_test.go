@@ -563,6 +563,9 @@ func TestTieredMetricsExposed(t *testing.T) {
 		"crisp_serve_warm_hits_total 1\n",
 		"crisp_serve_promotions_total 1\n",
 		"crisp_serve_promote_errors_total 0\n",
+		"# TYPE crisp_serve_promote_seconds_total counter\ncrisp_serve_promote_seconds_total ",
+		"# TYPE crisp_serve_demote_seconds_total counter\ncrisp_serve_demote_seconds_total ",
+		"crisp_serve_restore_seconds_total 0\n",
 		"crisp_serve_warm_entries 1\n",
 		"crisp_serve_cached_engines 1\n",
 		"crisp_serve_shared_plans ",
@@ -590,6 +593,10 @@ func TestTieredMetricsExposed(t *testing.T) {
 	}
 	if st.HotBytes <= 0 || st.WarmBytes <= 0 || st.SharedPlanRefs <= 0 {
 		t.Fatalf("tier gauges not live: %+v", st)
+	}
+	if st.PromoteNanos == 0 || st.DemoteNanos == 0 || st.RestoreNanos != 0 {
+		t.Fatalf("transition clocks: promote %d ns, demote %d ns, restore %d ns after one promotion, two demotions and no restore",
+			st.PromoteNanos, st.DemoteNanos, st.RestoreNanos)
 	}
 }
 
@@ -741,6 +748,55 @@ func TestPredictBodyRules(t *testing.T) {
 		if tc.want != http.StatusOK && (err != nil || e.Error == "") {
 			t.Fatalf("%s: error body missing (%v)", tc.name, err)
 		}
+	}
+}
+
+// TestColdEndpointBodyRules: /personalize and /handoff read at most
+// MaxColdBody of their body — a longer one is 413 whether or not its length
+// was announced, and is not buffered to find that out.
+func TestColdEndpointBodyRules(t *testing.T) {
+	mux, s, _ := newTestMux(t)
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	pad := strings.Repeat(" ", MaxColdBody)
+	for _, tc := range []struct {
+		name, path, body string
+		chunked          bool
+		want             int
+	}{
+		{"personalize", "/personalize", `{"classes":[1,3]}`, false, http.StatusOK},
+		{"personalize, padded to the limit", "/personalize", `{"classes":[1,3]}` + pad[:MaxColdBody-17], true, http.StatusOK},
+		{"oversized personalize, length announced", "/personalize", `{"classes":[1,3],"pad":"` + pad + `"}`, false, http.StatusRequestEntityTooLarge},
+		{"oversized personalize, chunked", "/personalize", `{"classes":[1,3],"pad":"` + pad + `"}`, true, http.StatusRequestEntityTooLarge},
+		{"oversized class list", "/personalize", `{"classes":[1` + strings.Repeat(",1", MaxColdBody/2) + `]}`, true, http.StatusRequestEntityTooLarge},
+		{"malformed personalize", "/personalize", `{"classes":`, false, http.StatusBadRequest},
+		{"oversized handoff, length announced", "/handoff", `{"key":"1,3","pad":"` + pad + `"}`, false, http.StatusRequestEntityTooLarge},
+		{"oversized handoff, chunked", "/handoff", `{"key":"` + pad + `"}`, true, http.StatusRequestEntityTooLarge},
+		{"malformed handoff", "/handoff", `{"key":`, false, http.StatusBadRequest},
+		{"handoff without a snapshot store", "/handoff", `{"key":"1,3"}`, false, http.StatusBadRequest},
+	} {
+		var body io.Reader = strings.NewReader(tc.body)
+		if tc.chunked {
+			body = struct{ io.Reader }{body}
+		}
+		resp, err := srv.Client().Post(srv.URL+tc.path, "application/json", body)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var e struct {
+			Error string `json:"error"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Fatalf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.want)
+		}
+		if tc.want != http.StatusOK && (err != nil || e.Error == "") {
+			t.Fatalf("%s: error body missing (%v)", tc.name, err)
+		}
+	}
+	if st := s.Stats(); st.Personalizations != 1 || st.HandoffRestores != 0 {
+		t.Fatalf("%d personalizations and %d handoffs ran, want only the well-formed tenant's", st.Personalizations, st.HandoffRestores)
 	}
 }
 

@@ -41,6 +41,11 @@ import (
 // MaxBody bounds a request body on both tiers; a longer one is answered 413.
 const MaxBody = 32 << 20
 
+// MaxColdBody bounds the body of the endpoints that carry no inputs — a
+// class list (/personalize) or a key and two fingerprints (/handoff): room
+// for every id of a 1000-class model several times over.
+const MaxColdBody = 16 << 10
+
 // MaxPooledBody is the largest body buffer either tier keeps for reuse: one
 // 32 MiB request must not pin its buffers in a pool.
 const MaxPooledBody = 1 << 20

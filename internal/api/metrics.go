@@ -46,6 +46,12 @@ func WriteMetrics(w io.Writer, st serve.Stats) {
 	counter("demotions_total", "Hot engines demoted to warm delta records.", st.Demotions)
 	counter("warm_evictions_total", "Warm records dropped to the cold tier for budget.", st.WarmEvictions)
 	counter("promote_errors_total", "Warm records that failed promote-time verification.", st.PromoteErrors)
+	seconds := func(name, help string, ns uint64) {
+		fmt.Fprintf(w, "# HELP crisp_serve_%s %s\n# TYPE crisp_serve_%s counter\ncrisp_serve_%s %g\n", name, help, name, name, float64(ns)/1e9)
+	}
+	seconds("promote_seconds_total", "Wall seconds inside warm promotions; over promotions_total, the mean.", st.PromoteNanos)
+	seconds("restore_seconds_total", "Wall seconds rebuilding engines from disk records; over restore_hits_total, the mean.", st.RestoreNanos)
+	seconds("demote_seconds_total", "Wall seconds demoting hot engines to warm records; over demotions_total, the mean.", st.DemoteNanos)
 	gauge("cached_engines", "Engines currently in the hot tier.", st.CachedEngines)
 	gauge("in_flight", "Personalization jobs currently running.", st.InFlight)
 	gauge("queue_depth", "Samples waiting in predict queues.", st.QueueDepth)

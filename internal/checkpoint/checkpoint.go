@@ -10,25 +10,34 @@
 //	u32 #bnStats; per stat: name | u32 len | f64 means | f64 vars
 //
 // Masks are bit-packed (8 elements per byte); weights are raw float64.
+//
+// Every format in the package — this v1 stream, the v3 personalization
+// record (personalization.go) and the v2 model delta (delta.go) — is written
+// and read by one codec (codec.go) that works a slice at a time through a
+// 4 KiB chunk. Each Save, Load, Encode or Apply call allocates one chunk
+// and owns it until it returns; there is no package-level buffer and no
+// pool, because a hot tenant's classifier is read concurrently by its
+// write-behind snapshot and by demotion, and scratch shared between calls is
+// how one tenant's weights end up in another's record. The writer, and the
+// CRC-64 of the checksummed formats, see one call per chunk, not one per
+// value — on a file that is the difference between a syscall per float and
+// one per 4 KiB. So the cost of a call is a handful of allocations set by
+// the number of parameters (listing them, the chunk, the record's own
+// strings), whatever their size.
+//
+// A loader asks its reader for exactly the bytes of the field it is
+// decoding, never ahead: it consumes its record and not one byte after it,
+// so records can sit back to back in a stream, and a loader handed a file
+// needs no bufio in front of it (a buffering reader in front of a loader is
+// harmless but takes what follows the record with it).
 package checkpoint
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash"
-	"hash/crc64"
 	"io"
-	"math"
 
 	"repro/internal/nn"
 )
-
-// crcTable is the CRC-64/ECMA table checksummed streams use; the sum
-// covers everything after the version word, so any single flipped bit —
-// including in raw float64 weights, which otherwise decode "successfully"
-// into silently wrong logits — fails the load closed.
-var crcTable = crc64.MakeTable(crc64.ECMA)
 
 const (
 	magic   = "CRSP"
@@ -38,16 +47,16 @@ const (
 // Save writes the classifier's parameters, masks and batch-norm running
 // statistics to w.
 func Save(w io.Writer, clf *nn.Classifier) error {
-	bw := &errWriter{w: w}
-	bw.bytes([]byte(magic))
+	bw := &enc{w: w}
+	bw.raw(magic)
 	bw.u32(version)
 	saveBody(bw, clf)
-	return bw.err
+	return bw.finish()
 }
 
 // saveBody writes the classifier payload (params, masks, batch-norm running
-// statistics) shared by the v1 stream and the v2 personalization record.
-func saveBody(bw *errWriter, clf *nn.Classifier) {
+// statistics) shared by the v1 stream and the v3 personalization record.
+func saveBody(bw *enc, clf *nn.Classifier) {
 	params := clf.Params()
 	bw.u32(uint32(len(params)))
 	for _, p := range params {
@@ -56,15 +65,8 @@ func saveBody(bw *errWriter, clf *nn.Classifier) {
 		for _, d := range p.W.Shape {
 			bw.u32(uint32(d))
 		}
-		for _, v := range p.W.Data {
-			bw.f64(v)
-		}
-		if p.Mask == nil {
-			bw.bytes([]byte{0})
-		} else {
-			bw.bytes([]byte{1})
-			bw.bytes(packBits(p.Mask.Data))
-		}
+		bw.f64s(p.W.Data)
+		bw.mask(p)
 	}
 
 	stats := bnStats(clf)
@@ -72,34 +74,23 @@ func saveBody(bw *errWriter, clf *nn.Classifier) {
 	for _, s := range stats {
 		bw.str(s.name)
 		bw.u32(uint32(len(s.mean)))
-		for _, v := range s.mean {
-			bw.f64(v)
-		}
-		for _, v := range s.variance {
-			bw.f64(v)
-		}
+		bw.f64s(s.mean)
+		bw.f64s(s.variance)
 	}
 }
 
 // Load restores a checkpoint written by Save into clf, whose architecture
 // must match (same parameters in the same order with the same shapes).
 func Load(r io.Reader, clf *nn.Classifier) error {
-	br := &errReader{r: r}
-	head := br.bytes(4)
-	if br.err != nil {
-		return br.err
-	}
-	if string(head) != magic {
-		return fmt.Errorf("checkpoint: bad magic %q", head)
-	}
-	if v := br.u32(); v != version {
-		return fmt.Errorf("checkpoint: unsupported version %d (want %d)", v, version)
+	br := &dec{r: r}
+	if err := br.header(magic, version, "checkpoint"); err != nil {
+		return err
 	}
 	return loadBody(br, clf)
 }
 
 // loadBody restores the classifier payload written by saveBody.
-func loadBody(br *errReader, clf *nn.Classifier) error {
+func loadBody(br *dec, clf *nn.Classifier) error {
 	params := clf.Params()
 	n := br.u32()
 	if br.err != nil {
@@ -109,11 +100,11 @@ func loadBody(br *errReader, clf *nn.Classifier) error {
 		return fmt.Errorf("checkpoint: %d stored params, model has %d", n, len(params))
 	}
 	for _, p := range params {
-		name := br.str()
+		name, ok := br.expect(p.Name)
 		if br.err != nil {
 			return br.err
 		}
-		if name != p.Name {
+		if !ok {
 			return fmt.Errorf("checkpoint: stored param %q does not match model param %q", name, p.Name)
 		}
 		nd := int(br.u32())
@@ -125,21 +116,10 @@ func loadBody(br *errReader, clf *nn.Classifier) error {
 				return fmt.Errorf("checkpoint: %s dim %d is %d, model has %d", name, i, d, p.W.Shape[i])
 			}
 		}
-		for i := range p.W.Data {
-			p.W.Data[i] = br.f64()
-		}
-		hasMask := br.bytes(1)
+		br.f64s(p.W.Data)
+		br.mask(p)
 		if br.err != nil {
 			return br.err
-		}
-		if hasMask[0] == 1 {
-			bits := br.bytes((p.W.Len() + 7) / 8)
-			if br.err != nil {
-				return br.err
-			}
-			unpackBits(bits, p.EnsureMask().Data)
-		} else {
-			p.ClearMask()
 		}
 	}
 
@@ -152,20 +132,16 @@ func loadBody(br *errReader, clf *nn.Classifier) error {
 		return fmt.Errorf("checkpoint: %d stored norm stats, model has %d", ns, len(stats))
 	}
 	for _, s := range stats {
-		name := br.str()
-		if name != s.name {
+		name, ok := br.expect(s.name)
+		if br.err == nil && !ok {
 			return fmt.Errorf("checkpoint: norm stat %q does not match %q", name, s.name)
 		}
 		l := int(br.u32())
 		if l != len(s.mean) {
 			return fmt.Errorf("checkpoint: norm stat %s length %d, model has %d", name, l, len(s.mean))
 		}
-		for i := range s.mean {
-			s.mean[i] = br.f64()
-		}
-		for i := range s.variance {
-			s.variance[i] = br.f64()
-		}
+		br.f64s(s.mean)
+		br.f64s(s.variance)
 	}
 	return br.err
 }
@@ -190,132 +166,4 @@ func bnStats(clf *nn.Classifier) []stat {
 		}
 	})
 	return out
-}
-
-// packBits packs a {0,1} float slice into bytes, LSB first.
-func packBits(vals []float64) []byte {
-	out := make([]byte, (len(vals)+7)/8)
-	for i, v := range vals {
-		if v != 0 {
-			out[i/8] |= 1 << (i % 8)
-		}
-	}
-	return out
-}
-
-// unpackBits expands packed bytes into a {0,1} float slice.
-func unpackBits(bits []byte, dst []float64) {
-	for i := range dst {
-		if bits[i/8]&(1<<(i%8)) != 0 {
-			dst[i] = 1
-		} else {
-			dst[i] = 0
-		}
-	}
-}
-
-// errWriter accumulates the first write error. When crc is set, every byte
-// written also feeds it — checksummed formats (personalization v3, deltas)
-// point it at a crc64 and emit the sum as a trailer.
-type errWriter struct {
-	w   io.Writer
-	crc hash.Hash64
-	err error
-}
-
-func (e *errWriter) bytes(b []byte) {
-	if e.err != nil {
-		return
-	}
-	if _, e.err = e.w.Write(b); e.err == nil && e.crc != nil {
-		e.crc.Write(b)
-	}
-}
-
-func (e *errWriter) u32(v uint32) {
-	var buf [4]byte
-	binary.LittleEndian.PutUint32(buf[:], v)
-	e.bytes(buf[:])
-}
-
-func (e *errWriter) f64(v float64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-	e.bytes(buf[:])
-}
-
-func (e *errWriter) str(s string) {
-	e.u32(uint32(len(s)))
-	e.bytes([]byte(s))
-}
-
-// i32 writes a signed 32-bit value (two's complement in the u32 slot).
-func (e *errWriter) i32(v int32) { e.u32(uint32(v)) }
-
-func (e *errWriter) u64(v uint64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	e.bytes(buf[:])
-}
-
-// errReader accumulates the first read error. Like errWriter, a non-nil
-// crc sees every byte read, so checksum verification costs no second pass.
-type errReader struct {
-	r   io.Reader
-	crc hash.Hash64
-	err error
-}
-
-func (e *errReader) bytes(n int) []byte {
-	if e.err != nil {
-		return nil
-	}
-	if n < 0 || n > 1<<30 {
-		e.err = errors.New("checkpoint: implausible field length")
-		return nil
-	}
-	buf := make([]byte, n)
-	if _, e.err = io.ReadFull(e.r, buf); e.err == nil && e.crc != nil {
-		e.crc.Write(buf)
-	}
-	return buf
-}
-
-func (e *errReader) u32() uint32 {
-	b := e.bytes(4)
-	if e.err != nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (e *errReader) f64() float64 {
-	b := e.bytes(8)
-	if e.err != nil {
-		return 0
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(b))
-}
-
-// i32 reads a signed 32-bit value written by errWriter.i32.
-func (e *errReader) i32() int32 { return int32(e.u32()) }
-
-func (e *errReader) u64() uint64 {
-	b := e.bytes(8)
-	if e.err != nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (e *errReader) str() string {
-	n := e.u32()
-	if e.err != nil {
-		return ""
-	}
-	if n > 1<<20 {
-		e.err = errors.New("checkpoint: implausible string length")
-		return ""
-	}
-	return string(e.bytes(int(n)))
 }

@@ -104,17 +104,35 @@ func TestMaskAbsencePreserved(t *testing.T) {
 	}
 }
 
+// TestPackUnpackBits: mask bits go to and from the chunk LSB first, 8 per
+// byte, exactly as the reference's packBits lays them out — for a ragged
+// tail and for a mask that spans several chunks.
 func TestPackUnpackBits(t *testing.T) {
-	vals := []float64{1, 0, 0, 1, 1, 1, 0, 1, 0, 1, 1}
-	packed := packBits(vals)
-	if len(packed) != 2 {
-		t.Fatalf("packed %d bytes", len(packed))
+	long := make([]float64, 8*chunk+8*100+3)
+	rng := rand.New(rand.NewSource(16))
+	for i := range long {
+		long[i] = float64(rng.Intn(2))
 	}
-	out := make([]float64, len(vals))
-	unpackBits(packed, out)
-	for i := range vals {
-		if out[i] != vals[i] {
-			t.Fatalf("bit %d: %v != %v", i, out[i], vals[i])
+	for _, vals := range [][]float64{{1, 0, 0, 1, 1, 1, 0, 1, 0, 1, 1}, long} {
+		var buf bytes.Buffer
+		bw := &enc{w: &buf}
+		bw.bits(vals)
+		if err := bw.finish(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), packBits(vals)) {
+			t.Fatalf("%d bits packed differently from the reference", len(vals))
+		}
+		out := make([]float64, len(vals))
+		br := &dec{r: &buf}
+		br.bits(out)
+		if br.err != nil {
+			t.Fatal(br.err)
+		}
+		for i := range vals {
+			if out[i] != vals[i] {
+				t.Fatalf("bit %d of %d: %v != %v", i, len(vals), out[i], vals[i])
+			}
 		}
 	}
 }

@@ -1,0 +1,298 @@
+package checkpoint
+
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"hash/crc64"
+	"io"
+	"math"
+
+	"repro/internal/nn"
+)
+
+// chunk is the codec's scratch size: one per enc or dec, so one per
+// Save/Load/Encode/Apply call, owned by that call (package comment).
+const chunk = 4096
+
+// crcTable is the CRC-64/ECMA table checksummed streams use; the sum
+// covers everything after the version word, so any single flipped bit —
+// including in raw float64 weights, which otherwise decode "successfully"
+// into silently wrong logits — fails the load closed.
+var crcTable = crc64.MakeTable(crc64.ECMA)
+
+var le = binary.LittleEndian
+
+// enc gathers fields into the chunk and hands the writer (and, between
+// startSum and trailer, the CRC) one call per chunk. It keeps the first
+// write error; finish reports it.
+type enc struct {
+	w      io.Writer
+	err    error
+	crc    uint64
+	sum    bool // inside the checksummed region: buf[hashed:n] is owed to crc
+	hashed int
+	n      int
+	buf    [chunk]byte
+}
+
+// settle feeds the CRC the chunk bytes it has not seen yet.
+func (e *enc) settle() {
+	if e.sum {
+		e.crc = crc64.Update(e.crc, crcTable, e.buf[e.hashed:e.n])
+		e.hashed = e.n
+	}
+}
+
+func (e *enc) flush() {
+	e.settle()
+	if e.err == nil && e.n > 0 {
+		_, e.err = e.w.Write(e.buf[:e.n])
+	}
+	e.n, e.hashed = 0, 0
+}
+
+// room returns the next n (≤ chunk) bytes of the chunk to fill.
+func (e *enc) room(n int) []byte {
+	if e.n+n > chunk {
+		e.flush()
+	}
+	e.n += n
+	return e.buf[e.n-n : e.n]
+}
+
+func (e *enc) u8(v byte)     { e.room(1)[0] = v }
+func (e *enc) u32(v uint32)  { le.PutUint32(e.room(4), v) }
+func (e *enc) u64(v uint64)  { le.PutUint64(e.room(8), v) }
+func (e *enc) f64(v float64) { e.u64(math.Float64bits(v)) }
+
+// raw writes s with no length prefix.
+func (e *enc) raw(s string) {
+	for len(s) > 0 {
+		if e.n == chunk {
+			e.flush()
+		}
+		c := copy(e.buf[e.n:], s)
+		e.n += c
+		s = s[c:]
+	}
+}
+
+func (e *enc) str(s string) {
+	e.u32(uint32(len(s)))
+	e.raw(s)
+}
+
+func (e *enc) f64s(src []float64) {
+	for len(src) > 0 {
+		if chunk-e.n < 8 {
+			e.flush()
+		}
+		k := min(len(src), (chunk-e.n)/8)
+		b := e.room(8 * k)
+		for i, v := range src[:k] {
+			le.PutUint64(b[8*i:], math.Float64bits(v))
+		}
+		src = src[k:]
+	}
+}
+
+// f64sKept writes src at the positions mask keeps, in index order.
+func (e *enc) f64sKept(src, mask []float64) {
+	for j, m := range mask {
+		if m != 0 {
+			e.f64(src[j])
+		}
+	}
+}
+
+// bits packs a {0,1} float slice 8 elements per byte, LSB first.
+func (e *enc) bits(mask []float64) {
+	for i := 0; i < len(mask); i += 8 {
+		var b byte
+		for j, m := range mask[i:min(i+8, len(mask))] {
+			if m != 0 {
+				b |= 1 << j
+			}
+		}
+		e.u8(b)
+	}
+}
+
+// mask writes a parameter's hasMask byte and, when it has one, its mask.
+func (e *enc) mask(p *nn.Param) {
+	if p.Mask == nil {
+		e.u8(0)
+		return
+	}
+	e.u8(1)
+	e.bits(p.Mask.Data)
+}
+
+// startSum begins the checksummed region at the next byte written.
+func (e *enc) startSum() { e.hashed, e.sum = e.n, true }
+
+// trailer ends the checksummed region and writes its sum, which is not
+// part of it.
+func (e *enc) trailer() {
+	e.settle()
+	e.sum = false
+	e.u64(e.crc)
+}
+
+func (e *enc) finish() error {
+	e.flush()
+	return e.err
+}
+
+// dec reads fields through the chunk. It asks the reader for exactly the
+// bytes of the field at hand — never ahead — so a loader consumes its
+// record and nothing after it, and a record can sit mid-stream. It keeps
+// the first read error; after one, every field reads as zero.
+type dec struct {
+	r   io.Reader
+	err error
+	crc uint64
+	sum bool
+	buf [chunk]byte
+}
+
+func (d *dec) read(b []byte) {
+	if d.err == nil {
+		_, d.err = io.ReadFull(d.r, b)
+	}
+	if d.err != nil {
+		clear(b)
+	} else if d.sum {
+		d.crc = crc64.Update(d.crc, crcTable, b)
+	}
+}
+
+// take reads the next n (≤ chunk) bytes; they are valid until the next call.
+func (d *dec) take(n int) []byte {
+	d.read(d.buf[:n])
+	return d.buf[:n]
+}
+
+func (d *dec) u8() byte     { return d.take(1)[0] }
+func (d *dec) u32() uint32  { return le.Uint32(d.take(4)) }
+func (d *dec) u64() uint64  { return le.Uint64(d.take(8)) }
+func (d *dec) f64() float64 { return math.Float64frombits(d.u64()) }
+
+// header consumes a stream's magic and version word and checks both; what
+// names the format in the errors.
+func (d *dec) header(magic string, version uint32, what string) error {
+	head := d.take(4)
+	if d.err != nil {
+		return d.err
+	}
+	if string(head) != magic {
+		return fmt.Errorf("%s: bad magic %q", what, head)
+	}
+	if v := d.u32(); d.err == nil && v != version {
+		return fmt.Errorf("%s: unsupported version %d (want %d)", what, v, version)
+	}
+	return d.err
+}
+
+func (d *dec) str() string { return d.strN(int(d.u32())) }
+
+// strN materialises an n-byte string; n comes from the stream, so it is
+// bounded before anything is allocated for it.
+func (d *dec) strN(n int) string {
+	if d.err != nil {
+		return ""
+	}
+	if n > 1<<20 {
+		d.err = errors.New("checkpoint: implausible string length")
+		return ""
+	}
+	if n <= chunk {
+		return string(d.take(n))
+	}
+	b := make([]byte, n)
+	d.read(b)
+	return string(b)
+}
+
+// expect consumes a stored string and reports whether it is want, without
+// building a string when it is; got is the stored string either way. Like
+// every field, the answer means nothing once d.err is set.
+func (d *dec) expect(want string) (got string, ok bool) {
+	n := int(d.u32())
+	if n != len(want) || n > chunk {
+		got = d.strN(n)
+		return got, got == want
+	}
+	if b := d.take(n); string(b) != want {
+		return string(b), false
+	}
+	return want, true
+}
+
+func (d *dec) f64s(dst []float64) {
+	for len(dst) > 0 {
+		k := min(len(dst), chunk/8)
+		b := d.take(8 * k)
+		for i := range dst[:k] {
+			dst[i] = math.Float64frombits(le.Uint64(b[8*i:]))
+		}
+		dst = dst[k:]
+	}
+}
+
+// f64sKept scatters the next kept values to the positions mask keeps, in
+// index order; kept is the number of such positions.
+func (d *dec) f64sKept(dst, mask []float64, kept int) {
+	var b []byte
+	for j, m := range mask {
+		if m == 0 {
+			continue
+		}
+		if len(b) == 0 {
+			b = d.take(8 * min(kept, chunk/8))
+			kept -= len(b) / 8
+		}
+		dst[j] = math.Float64frombits(le.Uint64(b))
+		b = b[8:]
+	}
+}
+
+// bits expands packed mask bits into a {0,1} float slice.
+func (d *dec) bits(mask []float64) {
+	for len(mask) > 0 {
+		k := min(len(mask), chunk*8)
+		b := d.take((k + 7) / 8)
+		for i := range mask[:k] {
+			mask[i] = float64(b[i/8] >> (i % 8) & 1)
+		}
+		mask = mask[k:]
+	}
+}
+
+// mask reads a parameter's hasMask byte and, when set, its packed mask
+// bits into p's mask; otherwise p's mask is cleared.
+func (d *dec) mask(p *nn.Param) {
+	if d.u8() == 1 && d.err == nil {
+		d.bits(p.EnsureMask().Data)
+	} else {
+		p.ClearMask()
+	}
+}
+
+// startSum begins the checksummed region at the next byte read.
+func (d *dec) startSum() { d.sum = true }
+
+// checkTrailer ends the checksummed region and holds the computed sum to
+// the stored one that follows it.
+func (d *dec) checkTrailer(what string) error {
+	d.sum = false
+	stored := d.u64()
+	if d.err != nil {
+		return d.err
+	}
+	if stored != d.crc {
+		return fmt.Errorf("checkpoint: %s checksum mismatch (stored %016x, computed %016x)", what, stored, d.crc)
+	}
+	return nil
+}

@@ -1,0 +1,83 @@
+package checkpoint
+
+import (
+	"bytes"
+	"io"
+	"math/rand"
+	"testing"
+
+	"repro/internal/models"
+)
+
+// TestCodecAllocsFollowParamCountNotSize is the guard that fails when the
+// per-value cost comes back: each codec entry point allocates its chunk, its
+// parameter and norm-stat lists and the record's own strings and slices —
+// a count fixed by how many parameters the architecture has. Doubling the
+// width multiplies the floats by ~4 and must not move a single count.
+func TestCodecAllocsFollowParamCountNotSize(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	for _, f := range []models.Family{models.ResNet, models.Transformer} {
+		var counts [2]map[string]float64
+		var walk float64 // listing one model's parameters and norm stats
+		for i := range counts {
+			base := models.Build(f, rand.New(rand.NewSource(60)), 6, i+1)
+			tenant := randomTenant(f, i+1, base, 61)
+			for _, p := range tenant.PrunableParams() {
+				if p.Mask == nil {
+					randomMask(rand.New(rand.NewSource(62)), p)
+				}
+			}
+			delta, err := EncodeModelDelta(base, tenant)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := testRecord()
+			record := savedRecord(t, SavePersonalization, rec, tenant)
+			dst := models.Build(f, rand.New(rand.NewSource(63)), 6, i+1)
+			walk = testing.AllocsPerRun(5, func() { tenant.Params(); bnStats(tenant) })
+			counts[i] = map[string]float64{
+				"EncodeModelDelta": testing.AllocsPerRun(5, func() {
+					if _, err := EncodeModelDelta(base, tenant); err != nil {
+						t.Fatal(err)
+					}
+				}),
+				"ApplyModelDelta": testing.AllocsPerRun(5, func() {
+					if err := ApplyModelDelta(delta, base, dst); err != nil {
+						t.Fatal(err)
+					}
+				}),
+				"SavePersonalization": testing.AllocsPerRun(5, func() {
+					if err := SavePersonalization(io.Discard, rec, tenant); err != nil {
+						t.Fatal(err)
+					}
+				}),
+				"LoadPersonalization": testing.AllocsPerRun(5, func() {
+					if _, err := LoadPersonalization(bytes.NewReader(record), dst); err != nil {
+						t.Fatal(err)
+					}
+				}),
+			}
+		}
+		// Beyond the walks: the chunk, plus the delta's plan, output and
+		// buffer header, the reader over the delta bytes, and the record's
+		// key, class list, method, two slices and two layer names.
+		bounds := map[string]float64{
+			"EncodeModelDelta":    2*walk + 4,
+			"ApplyModelDelta":     2*walk + 2,
+			"SavePersonalization": walk + 1,
+			"LoadPersonalization": walk + 2 + 7,
+		}
+		for name, bound := range bounds {
+			w1, w2 := counts[0][name], counts[1][name]
+			t.Logf("%s %s: %v allocs at width 1, %v at width 2", f, name, w1, w2)
+			if w1 != w2 {
+				t.Errorf("%s %s: %v allocs at width 1 but %v at width 2 — the count follows the parameters' size", f, name, w1, w2)
+			}
+			if w1 > bound {
+				t.Errorf("%s %s: %v allocs, want at most %v", f, name, w1, bound)
+			}
+		}
+	}
+}

@@ -10,6 +10,7 @@ package checkpoint
 import (
 	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/models"
@@ -149,9 +150,10 @@ func TestDeltaTruncationsFailClosed(t *testing.T) {
 	}
 }
 
-// TestLegacyDowngradeRejected pins the downgrade hole shut: corrupting a
-// v3 record's version word into the legacy value must NOT yield a
-// checksum-free successful load.
+// TestLegacyDowngradeRejected: there is no pre-checksum reader to fall
+// into. A v3 record whose version word is flipped to 2 (the retired
+// trailer-less format) is an unsupported-version error, not a load that
+// skips the checksum.
 func TestLegacyDowngradeRejected(t *testing.T) {
 	src := prunedModel(37)
 	var buf bytes.Buffer
@@ -161,7 +163,13 @@ func TestLegacyDowngradeRejected(t *testing.T) {
 	mut := buf.Bytes()
 	mut[4] ^= 1 // little-endian version word: 3 -> 2
 	dst := models.Build(models.ResNet, rand.New(rand.NewSource(38)), 4, 1)
-	if _, err := LoadPersonalization(bytes.NewReader(mut), dst); err == nil {
-		t.Fatal("v3 record downgraded to v2 loaded without its checksum being checked")
+	_, err := LoadPersonalization(bytes.NewReader(mut), dst)
+	if err == nil || !strings.Contains(err.Error(), "unsupported version 2") {
+		t.Fatalf("v3 record with its version word flipped to 2: got %v, want an unsupported-version error", err)
+	}
+	// The same record cut before its trailer is what a v2 record was.
+	_, err = LoadPersonalization(bytes.NewReader(mut[:len(mut)-8]), dst)
+	if err == nil || !strings.Contains(err.Error(), "unsupported version 2") {
+		t.Fatalf("trailer-less v2 record: got %v, want an unsupported-version error", err)
 	}
 }

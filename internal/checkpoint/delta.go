@@ -3,7 +3,6 @@ package checkpoint
 import (
 	"bytes"
 	"fmt"
-	"hash/crc64"
 
 	"repro/internal/nn"
 )
@@ -43,38 +42,38 @@ const (
 
 // EncodeModelDelta serializes tenant's personalized state as a delta over
 // base. The two classifiers must share an architecture (same parameters in
-// the same order with the same shapes).
+// the same order with the same shapes). A first pass picks each entry's
+// mode and counts its kept values, which fixes the record's exact size; the
+// second writes into a buffer of that size.
 func EncodeModelDelta(base, tenant *nn.Classifier) ([]byte, error) {
 	bp, tp := base.Params(), tenant.Params()
 	if len(bp) != len(tp) {
 		return nil, fmt.Errorf("checkpoint: delta across architectures: %d vs %d params", len(bp), len(tp))
 	}
-	var buf bytes.Buffer
-	bw := &errWriter{w: &buf}
-	bw.bytes([]byte(deltaMagic))
-	bw.u32(deltaVersion)
-	bw.crc = crc64.New(crcTable)
-	bw.u32(uint32(len(tp)))
+	bs, ts := bnStats(base), bnStats(tenant)
+	if len(bs) != len(ts) {
+		return nil, fmt.Errorf("checkpoint: delta norm stats: %d vs base %d", len(ts), len(bs))
+	}
+	type entry struct {
+		mode byte
+		kept int
+	}
+	plan := make([]entry, len(tp)+len(ts))
+	size := 4 + 4 + 4 + 4 + 8 // magic, version, #params, #bnStats, crc
 	for i, p := range tp {
 		b := bp[i]
 		if p.Name != b.Name || p.W.Len() != b.W.Len() {
 			return nil, fmt.Errorf("checkpoint: delta param %d: %q/%d vs base %q/%d", i, p.Name, p.W.Len(), b.Name, b.W.Len())
 		}
-		bw.str(p.Name)
+		size += 4 + len(p.Name) + 1 + 1 // name, hasMask, mode
 		if p.Mask == nil {
-			bw.bytes([]byte{0})
-			if equalSlices(p.W.Data, b.W.Data) {
-				bw.bytes([]byte{deltaSame})
-			} else {
-				bw.bytes([]byte{deltaDense})
-				for _, v := range p.W.Data {
-					bw.f64(v)
-				}
+			if !equalSlices(p.W.Data, b.W.Data) {
+				plan[i].mode = deltaDense
+				size += 8 * p.W.Len()
 			}
 			continue
 		}
-		bw.bytes([]byte{1})
-		bw.bytes(packBits(p.Mask.Data))
+		size += (p.W.Len() + 7) / 8
 		kept, same := 0, true
 		for j, m := range p.Mask.Data {
 			if m != 0 {
@@ -84,49 +83,53 @@ func EncodeModelDelta(base, tenant *nn.Classifier) ([]byte, error) {
 				}
 			}
 		}
-		if same {
-			bw.bytes([]byte{deltaSame})
-			continue
-		}
-		bw.bytes([]byte{deltaKept})
-		bw.u32(uint32(kept))
-		for j, m := range p.Mask.Data {
-			if m != 0 {
-				bw.f64(p.W.Data[j])
-			}
+		if !same {
+			plan[i] = entry{deltaKept, kept}
+			size += 4 + 8*kept
 		}
 	}
-
-	bs, ts := bnStats(base), bnStats(tenant)
-	if len(bs) != len(ts) {
-		return nil, fmt.Errorf("checkpoint: delta norm stats: %d vs base %d", len(ts), len(bs))
-	}
-	bw.u32(uint32(len(ts)))
 	for i, s := range ts {
 		if s.name != bs[i].name || len(s.mean) != len(bs[i].mean) {
 			return nil, fmt.Errorf("checkpoint: delta norm stat %d: %q vs base %q", i, s.name, bs[i].name)
 		}
+		size += 4 + len(s.name) + 1
+		if !equalSlices(s.mean, bs[i].mean) || !equalSlices(s.variance, bs[i].variance) {
+			plan[len(tp)+i].mode = deltaDense
+			size += 8 * (len(s.mean) + len(s.variance))
+		}
+	}
+
+	buf := bytes.NewBuffer(make([]byte, 0, size))
+	bw := &enc{w: buf}
+	bw.raw(deltaMagic)
+	bw.u32(deltaVersion)
+	bw.startSum()
+	bw.u32(uint32(len(tp)))
+	for i, p := range tp {
+		bw.str(p.Name)
+		bw.mask(p)
+		bw.u8(plan[i].mode)
+		switch plan[i].mode {
+		case deltaKept:
+			bw.u32(uint32(plan[i].kept))
+			bw.f64sKept(p.W.Data, p.Mask.Data)
+		case deltaDense:
+			bw.f64s(p.W.Data)
+		}
+	}
+	bw.u32(uint32(len(ts)))
+	for i, s := range ts {
 		bw.str(s.name)
-		if equalSlices(s.mean, bs[i].mean) && equalSlices(s.variance, bs[i].variance) {
-			bw.bytes([]byte{deltaSame})
-			continue
-		}
-		bw.bytes([]byte{deltaDense})
-		for _, v := range s.mean {
-			bw.f64(v)
-		}
-		for _, v := range s.variance {
-			bw.f64(v)
+		mode := plan[len(tp)+i].mode
+		bw.u8(mode)
+		if mode == deltaDense {
+			bw.f64s(s.mean)
+			bw.f64s(s.variance)
 		}
 	}
-	sum := uint64(0)
-	if bw.err == nil {
-		sum = bw.crc.Sum64()
-	}
-	bw.crc = nil
-	bw.u64(sum)
-	if bw.err != nil {
-		return nil, bw.err
+	bw.trailer()
+	if err := bw.finish(); err != nil {
+		return nil, err
 	}
 	return buf.Bytes(), nil
 }
@@ -137,18 +140,11 @@ func EncodeModelDelta(base, tenant *nn.Classifier) ([]byte, error) {
 // become the stored masks, and its norm statistics the stored (or
 // universal) ones. dst and base must share the encoder's architecture.
 func ApplyModelDelta(delta []byte, base, dst *nn.Classifier) error {
-	br := &errReader{r: bytes.NewReader(delta)}
-	head := br.bytes(4)
-	if br.err != nil {
-		return br.err
+	br := &dec{r: bytes.NewReader(delta)}
+	if err := br.header(deltaMagic, deltaVersion, "checkpoint: delta"); err != nil {
+		return err
 	}
-	if string(head) != deltaMagic {
-		return fmt.Errorf("checkpoint: delta: bad magic %q", head)
-	}
-	if v := br.u32(); v != deltaVersion {
-		return fmt.Errorf("checkpoint: delta: unsupported version %d (want %d)", v, deltaVersion)
-	}
-	br.crc = crc64.New(crcTable)
+	br.startSum()
 	bp, dp := base.Params(), dst.Params()
 	if len(bp) != len(dp) {
 		return fmt.Errorf("checkpoint: delta across architectures: %d vs %d params", len(bp), len(dp))
@@ -165,32 +161,20 @@ func ApplyModelDelta(delta []byte, base, dst *nn.Classifier) error {
 		if p.W.Len() != b.W.Len() {
 			return fmt.Errorf("checkpoint: delta param %q: dst/base shapes differ", p.Name)
 		}
-		name := br.str()
+		name, ok := br.expect(p.Name)
 		if br.err != nil {
 			return br.err
 		}
-		if name != p.Name {
+		if !ok {
 			return fmt.Errorf("checkpoint: delta param %q does not match model param %q", name, p.Name)
 		}
-		hasMask := br.bytes(1)
-		if br.err != nil {
-			return br.err
-		}
-		if hasMask[0] == 1 {
-			bits := br.bytes((p.W.Len() + 7) / 8)
-			if br.err != nil {
-				return br.err
-			}
-			unpackBits(bits, p.EnsureMask().Data)
-		} else {
-			p.ClearMask()
-		}
+		br.mask(p)
 		copy(p.W.Data, b.W.Data)
-		mode := br.bytes(1)
+		mode := br.u8()
 		if br.err != nil {
 			return br.err
 		}
-		switch mode[0] {
+		switch mode {
 		case deltaSame:
 		case deltaKept:
 			if p.Mask == nil {
@@ -206,17 +190,11 @@ func ApplyModelDelta(delta []byte, base, dst *nn.Classifier) error {
 			if count != kept {
 				return fmt.Errorf("checkpoint: delta param %q: %d stored values for %d kept positions", name, count, kept)
 			}
-			for j, m := range p.Mask.Data {
-				if m != 0 {
-					p.W.Data[j] = br.f64()
-				}
-			}
+			br.f64sKept(p.W.Data, p.Mask.Data, kept)
 		case deltaDense:
-			for j := range p.W.Data {
-				p.W.Data[j] = br.f64()
-			}
+			br.f64s(p.W.Data)
 		default:
-			return fmt.Errorf("checkpoint: delta param %q: unknown mode %d", name, mode[0])
+			return fmt.Errorf("checkpoint: delta param %q: unknown mode %d", name, mode)
 		}
 		if br.err != nil {
 			return br.err
@@ -235,45 +213,29 @@ func ApplyModelDelta(delta []byte, base, dst *nn.Classifier) error {
 		return fmt.Errorf("checkpoint: delta stores %d norm stats, model has %d", ns, len(ds))
 	}
 	for i, s := range ds {
-		name := br.str()
-		if name != s.name {
+		name, ok := br.expect(s.name)
+		if br.err == nil && !ok {
 			return fmt.Errorf("checkpoint: delta norm stat %q does not match %q", name, s.name)
 		}
 		if len(s.mean) != len(bs[i].mean) {
 			return fmt.Errorf("checkpoint: delta norm stat %q: dst/base lengths differ", name)
 		}
-		mode := br.bytes(1)
+		mode := br.u8()
 		if br.err != nil {
 			return br.err
 		}
-		switch mode[0] {
+		switch mode {
 		case deltaSame:
 			copy(s.mean, bs[i].mean)
 			copy(s.variance, bs[i].variance)
 		case deltaDense:
-			for j := range s.mean {
-				s.mean[j] = br.f64()
-			}
-			for j := range s.variance {
-				s.variance[j] = br.f64()
-			}
+			br.f64s(s.mean)
+			br.f64s(s.variance)
 		default:
-			return fmt.Errorf("checkpoint: delta norm stat %q: unknown mode %d", name, mode[0])
+			return fmt.Errorf("checkpoint: delta norm stat %q: unknown mode %d", name, mode)
 		}
 	}
-	if br.err != nil {
-		return br.err
-	}
-	sum := br.crc.Sum64()
-	br.crc = nil
-	want := br.u64()
-	if br.err != nil {
-		return br.err
-	}
-	if sum != want {
-		return fmt.Errorf("checkpoint: delta checksum mismatch (stored %016x, computed %016x)", want, sum)
-	}
-	return nil
+	return br.checkTrailer("delta")
 }
 
 // equalSlices reports elementwise equality (bit-level intent: weights are

@@ -37,7 +37,7 @@ func FuzzLoad(f *testing.F) {
 	})
 }
 
-// FuzzLoadPersonalization mirrors FuzzLoad for the v2 record parser: the
+// FuzzLoadPersonalization mirrors FuzzLoad for the v3 record parser: the
 // snapshot store feeds it whatever survives on disk, so arbitrary bytes
 // must produce an error or a record — never a panic or a hang. This is the
 // fail-closed half of the warm-restart contract: Restore skips what this

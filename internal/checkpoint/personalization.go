@@ -25,29 +25,24 @@ package checkpoint
 // the tenant's logits; with the trailer, any flip anywhere in the record is
 // a load error (and the serving layer quarantines the record).
 //
-// Version 2 records (identical, minus the checksum trailer) still load —
-// fleets carry snapshots written before the trailer existed. Version 1
-// streams (plain classifiers written by Save) remain loadable by Load;
-// LoadPersonalization rejects them, and Load rejects v2+ records, so the
-// two cannot be confused silently.
+// LoadPersonalization accepts version 3 only. Version 2 (the same record
+// minus the trailer) was written by no deployed server, and a reader for it
+// is a way to skip the checksum by flipping one bit of the version word.
+// Version 1 streams (plain classifiers written by Save) remain loadable by
+// Load; LoadPersonalization rejects them, and Load rejects v3 records, so
+// the two cannot be confused silently.
 
 import (
 	"fmt"
-	"hash/crc64"
 	"io"
 
 	"repro/internal/nn"
 	"repro/internal/pruner"
 )
 
-const (
-	personalizationVersion = 3
-	// legacyPersonalizationVersion is the pre-checksum record format,
-	// accepted on load for snapshots written by older servers.
-	legacyPersonalizationVersion = 2
-)
+const personalizationVersion = 3
 
-// maxCount bounds every repeated-field count in a v2 record. Real records
+// maxCount bounds every repeated-field count in a record. Real records
 // have a handful of classes, layers and iterations; anything near the bound
 // is corruption, and rejecting it early keeps hostile inputs from driving
 // large allocation or parse loops.
@@ -70,10 +65,10 @@ type PersonalizationRecord struct {
 // SavePersonalization writes a version-3 record: rec's metadata followed by
 // the pruned classifier's full payload and a crc64 trailer.
 func SavePersonalization(w io.Writer, rec PersonalizationRecord, clf *nn.Classifier) error {
-	bw := &errWriter{w: w}
-	bw.bytes([]byte(magic))
+	bw := &enc{w: w}
+	bw.raw(magic)
 	bw.u32(personalizationVersion)
-	bw.crc = crc64.New(crcTable)
+	bw.startSum()
 
 	bw.str(rec.Key)
 	bw.u32(uint32(len(rec.Classes)))
@@ -93,7 +88,7 @@ func SavePersonalization(w io.Writer, rec PersonalizationRecord, clf *nn.Classif
 		bw.u32(uint32(l.Rows))
 		bw.u32(uint32(l.Cols))
 		bw.f64(l.Sparsity)
-		bw.i32(int32(l.KeptBlockCols)) // −1 marks block-exempt layers
+		bw.u32(uint32(int32(l.KeptBlockCols))) // −1 marks block-exempt layers
 		bw.u32(uint32(l.GridCols))
 	}
 	bw.u32(uint32(len(r.Iterations)))
@@ -105,13 +100,8 @@ func SavePersonalization(w io.Writer, rec PersonalizationRecord, clf *nn.Classif
 	}
 
 	saveBody(bw, clf)
-	var sum uint64
-	if bw.err == nil {
-		sum = bw.crc.Sum64()
-	}
-	bw.crc = nil // the trailer itself is not part of the sum
-	bw.u64(sum)
-	return bw.err
+	bw.trailer()
+	return bw.finish()
 }
 
 // LoadPersonalization restores a record written by SavePersonalization,
@@ -121,21 +111,11 @@ func SavePersonalization(w io.Writer, rec PersonalizationRecord, clf *nn.Classif
 // clone, never a live model.
 func LoadPersonalization(r io.Reader, clf *nn.Classifier) (PersonalizationRecord, error) {
 	var rec PersonalizationRecord
-	br := &errReader{r: r}
-	head := br.bytes(4)
-	if br.err != nil {
-		return rec, br.err
+	br := &dec{r: r}
+	if err := br.header(magic, personalizationVersion, "checkpoint: personalization"); err != nil {
+		return rec, err
 	}
-	if string(head) != magic {
-		return rec, fmt.Errorf("checkpoint: bad magic %q", head)
-	}
-	v := br.u32()
-	if br.err == nil && v != personalizationVersion && v != legacyPersonalizationVersion {
-		return rec, fmt.Errorf("checkpoint: unsupported personalization version %d (want %d)", v, personalizationVersion)
-	}
-	if v == personalizationVersion {
-		br.crc = crc64.New(crcTable)
-	}
+	br.startSum()
 
 	rec.Key = br.str()
 	nc := int(br.u32())
@@ -169,7 +149,7 @@ func LoadPersonalization(r io.Reader, clf *nn.Classifier) (PersonalizationRecord
 		l.Rows = int(br.u32())
 		l.Cols = int(br.u32())
 		l.Sparsity = br.f64()
-		l.KeptBlockCols = int(br.i32())
+		l.KeptBlockCols = int(int32(br.u32()))
 		l.GridCols = int(br.u32())
 		if br.err != nil {
 			return rec, br.err
@@ -197,25 +177,5 @@ func LoadPersonalization(r io.Reader, clf *nn.Classifier) (PersonalizationRecord
 	if err := loadBody(br, clf); err != nil {
 		return rec, err
 	}
-	if v == personalizationVersion {
-		sum := br.crc.Sum64()
-		br.crc = nil
-		want := br.u64()
-		if br.err != nil {
-			return rec, br.err
-		}
-		if sum != want {
-			return rec, fmt.Errorf("checkpoint: personalization record checksum mismatch (stored %016x, computed %016x)", want, sum)
-		}
-	} else {
-		// A legacy record ends exactly at the body. Trailing bytes mean this
-		// is really a v3 stream whose version word was corrupted into 2 —
-		// accepting it would silently skip the checksum (a downgrade hole),
-		// so refuse instead.
-		var one [1]byte
-		if n, _ := io.ReadFull(br.r, one[:]); n != 0 {
-			return rec, fmt.Errorf("checkpoint: trailing bytes after legacy personalization record")
-		}
-	}
-	return rec, nil
+	return rec, br.checkTrailer("personalization record")
 }

@@ -105,12 +105,23 @@ func TestVersionsDoNotCrossLoad(t *testing.T) {
 		t.Fatal("LoadPersonalization accepted a v1 classifier stream")
 	}
 
-	var v2 bytes.Buffer
-	if err := SavePersonalization(&v2, testRecord(), clf); err != nil {
+	var v3 bytes.Buffer
+	if err := SavePersonalization(&v3, testRecord(), clf); err != nil {
 		t.Fatal(err)
 	}
-	if err := Load(bytes.NewReader(v2.Bytes()), dst); err == nil {
-		t.Fatal("Load accepted a v2 personalization record")
+	if err := Load(bytes.NewReader(v3.Bytes()), dst); err == nil {
+		t.Fatal("Load accepted a v3 personalization record")
+	}
+	if _, err := LoadPersonalization(bytes.NewReader(v3.Bytes()), dst); err != nil {
+		t.Fatalf("v3 record no longer loads: %v", err)
+	}
+	// Versions 0, 1, 2 and 4 in a record's version word: none loads.
+	for _, v := range []byte{0, 1, 2, 4} {
+		mut := append([]byte(nil), v3.Bytes()...)
+		mut[4] = v
+		if _, err := LoadPersonalization(bytes.NewReader(mut), dst); err == nil {
+			t.Fatalf("LoadPersonalization accepted version %d", v)
+		}
 	}
 }
 

@@ -29,7 +29,8 @@
 //     owner; personalizations get one attempt and the client owns the
 //     retry. While a tenant is mid-handoff the router answers 503 with
 //     Retry-After. The router reads a body once into a recycled buffer
-//     (413 past api.MaxBody), takes the class set out of it with the
+//     (413 past api.MaxBody; past api.MaxColdBody on /personalize, which
+//     carries no inputs), takes the class set out of it with the
 //     shards' own scanner (api.Route: same syntax rules on both tiers,
 //     nothing built for the members it skips), makes the tenant key of it
 //     with the shards' own key builder (serve.AppendKey) and forwards the

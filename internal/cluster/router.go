@@ -404,7 +404,11 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, path string, ide
 	pb.refs.Store(1)
 	defer pb.release()
 	var err error
-	if pb.buf, err = api.ReadBody(pb.buf, r, api.MaxBody); err != nil {
+	limit := int64(api.MaxBody)
+	if path == "/personalize" {
+		limit = api.MaxColdBody
+	}
+	if pb.buf, err = api.ReadBody(pb.buf, r, limit); err != nil {
 		httpError(w, api.BodyErrorStatus(err), fmt.Errorf("reading request: %w", err))
 		return
 	}

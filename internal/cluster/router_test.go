@@ -222,6 +222,9 @@ func TestRouterBodyRules(t *testing.T) {
 		{"oversized, length announced", "/predict", strings.NewReader(huge), http.StatusRequestEntityTooLarge},
 		{"oversized, chunked", "/predict", struct{ io.Reader }{strings.NewReader(huge)}, http.StatusRequestEntityTooLarge},
 		{"oversized personalize", "/personalize", strings.NewReader(huge), http.StatusRequestEntityTooLarge},
+		{"personalize over the cold limit", "/personalize", strings.NewReader(huge[:api.MaxColdBody+1]), http.StatusRequestEntityTooLarge},
+		{"personalize over the cold limit, chunked", "/personalize", struct{ io.Reader }{strings.NewReader(huge[:api.MaxColdBody+1])}, http.StatusRequestEntityTooLarge},
+		{"predict of that size", "/predict", strings.NewReader(huge[:api.MaxColdBody-1] + `"}`), http.StatusOK},
 		{"trailing junk", "/predict", strings.NewReader(`{"classes":[1]} junk`), http.StatusBadRequest},
 		{"second object", "/personalize", strings.NewReader(`{"classes":[1]}{"classes":[2]}`), http.StatusBadRequest},
 		{"trailing white space", "/predict", strings.NewReader("{\"classes\":[1]} \r\n\t"), http.StatusOK},
@@ -236,8 +239,8 @@ func TestRouterBodyRules(t *testing.T) {
 			t.Fatalf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.want)
 		}
 	}
-	if n := stubs["s1"].predicts.Load(); n != 1 {
-		t.Fatalf("%d predicts reached the shard, want only the well-formed one", n)
+	if n := stubs["s1"].predicts.Load(); n != 2 {
+		t.Fatalf("%d predicts reached the shard, want only the two well-formed ones", n)
 	}
 }
 

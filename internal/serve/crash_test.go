@@ -190,6 +190,33 @@ func TestSnapshotPutFsyncOrdering(t *testing.T) {
 	}
 }
 
+// TestSnapshotPutWritesByTheChunk: a record goes to disk a checkpoint chunk
+// (4 KiB) at a time, not a field at a time. The codec used to make one
+// write call per float — each a syscall on a real file, ~5 000 for this
+// 43 KB record — while the put held a pool worker beside the predict lanes.
+func TestSnapshotPutWritesByTheChunk(t *testing.T) {
+	dir := t.TempDir()
+	ffs := fault.NewFS(fault.OS{}, fault.NewInjector(1), fault.DiskFaults{})
+	st, err := openStore(dir, ffs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := ffs.Stats().Writes
+	rec := checkpoint.PersonalizationRecord{Key: "1,2", Classes: []int{1, 2}, Accuracy: 0.5}
+	clf := models.Build(models.Transformer, rand.New(rand.NewSource(42)), 6, 1)
+	if err := st.put(rec, clf); err != nil {
+		t.Fatal(err)
+	}
+	info, err := os.Stat(filepath.Join(dir, fileFor("1,2")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	writes, limit := ffs.Stats().Writes-before, uint64(info.Size()/4096+8)
+	if writes > limit {
+		t.Fatalf("put of a %d-byte record issued %d writes, want at most %d", info.Size(), writes, limit)
+	}
+}
+
 // TestSnapshotWriteFaultsCountedAndHeal runs a server whose snapshot disk
 // refuses every record write (injected ENOSPC): snapshots fail and are
 // counted, nothing is indexed, serving continues — and once the disk heals,

@@ -120,7 +120,7 @@
 // amortization argument assumes away):
 //
 //   - Write-behind: when a pruning job completes, its Personalization is
-//     serialized as a checkpoint v2 record (pruned weights, masks,
+//     serialized as a checkpoint v3 record (pruned weights, masks,
 //     batch-norm statistics, class set, report, accuracy) on the worker
 //     pool — Personalize and Predict never wait on disk. Records land via
 //     temp-file + rename, and an index file names the valid records, so a
@@ -173,6 +173,9 @@
 // restore as before. Every transition is exact: promotion is bit-identical
 // on the float path and QuantSignature-identical on int8, because the delta
 // preserves precisely what compilation and deterministic quantization read.
+// Stats.DemoteNanos, PromoteNanos and RestoreNanos accumulate the wall time
+// of those three transitions; over Demotions, Promotions and RestoreHits
+// they are what one costs on the running system.
 // Budget 0 (the default) keeps the single-level count LRU; evicted engines
 // release immediately and rely on the cold tier alone.
 //

@@ -271,6 +271,13 @@ type Stats struct {
 	Demotions     uint64 `json:"demotions"`
 	WarmEvictions uint64 `json:"warm_evictions"`
 	PromoteErrors uint64 `json:"promote_errors"`
+	// PromoteNanos, RestoreNanos and DemoteNanos are cumulative wall time
+	// inside warm promotions, cold restores (disk record → engine) and
+	// demotions, failed attempts included; divided by Promotions,
+	// RestoreHits and Demotions they are the mean cost of one transition.
+	PromoteNanos uint64 `json:"promote_nanos"`
+	RestoreNanos uint64 `json:"restore_nanos"`
+	DemoteNanos  uint64 `json:"demote_nanos"`
 	// CachedEngines and InFlight are current gauges.
 	CachedEngines int `json:"cached_engines"`
 	InFlight      int `json:"in_flight"`

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/data"
@@ -266,6 +267,7 @@ var errSnapshotQuarantined = errors.New("record quarantined")
 // (Engine.QuantSignature pins this); the agreement measurement is re-run on
 // the same deterministic held-out split.
 func (s *Server) restoreOne(key string) (*Personalization, error) {
+	defer s.clock(&s.stats.RestoreNanos, time.Now())
 	clone := s.build()
 	rec, err := s.store.load(key, clone)
 	if err != nil {

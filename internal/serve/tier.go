@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/inference"
@@ -160,6 +161,7 @@ func (s *Server) demote(p *Personalization) {
 		p.release()
 		return
 	}
+	defer s.clock(&s.stats.DemoteNanos, time.Now())
 	delta, derr := checkpoint.EncodeModelDelta(s.base, p.clf)
 	if s.store != nil && !s.store.has(p.Key) {
 		// The write-behind snapshot may not have landed yet; demotion must
@@ -201,6 +203,16 @@ func (s *Server) demote(p *Personalization) {
 	s.stats.WarmBytes = s.warmBytes
 }
 
+// clock adds the wall time since start to one of the Stats transition
+// totals. Deferred first in a transition, so it runs after the function has
+// given up s.mu.
+func (s *Server) clock(total *uint64, start time.Time) {
+	d := uint64(time.Since(start))
+	s.mu.Lock()
+	*total += d
+	s.mu.Unlock()
+}
+
 // takeWarm removes and returns the warm record for key, or nil. The caller
 // owns the record: a successful promote re-inserts the tenant hot, a failed
 // one falls through to the cold/prune path (and the record is gone — it was
@@ -229,6 +241,7 @@ func (s *Server) takeWarm(key string) *warmEntry {
 // signature must too. The stored accuracy/agreement carry over: the rebuilt
 // engine is pinned identical, so re-measuring would be wasted work.
 func (s *Server) promoteWarm(we *warmEntry) (*Personalization, error) {
+	defer s.clock(&s.stats.PromoteNanos, time.Now())
 	clone := s.build()
 	if err := checkpoint.ApplyModelDelta(we.delta, s.base, clone); err != nil {
 		return nil, fmt.Errorf("serve: promoting {%s}: %w", we.key, err)

@@ -64,7 +64,7 @@ func TestTierRoundTripBitIdentical(t *testing.T) {
 				t.Fatalf("eviction bookkeeping: %+v", st)
 			}
 			wantWarm := tc.budget > 1
-			if wantWarm && (st.Demotions != 1 || st.WarmEntries != 1 || st.WarmBytes <= 0) {
+			if wantWarm && (st.Demotions != 1 || st.WarmEntries != 1 || st.WarmBytes <= 0 || st.DemoteNanos == 0) {
 				t.Fatalf("demotion bookkeeping: %+v", st)
 			}
 			if !wantWarm {
@@ -85,10 +85,10 @@ func TestTierRoundTripBitIdentical(t *testing.T) {
 			}
 			st = s.Stats()
 			if wantWarm {
-				if st.WarmHits != 1 || st.Promotions != 1 {
+				if st.WarmHits != 1 || st.Promotions != 1 || st.PromoteNanos == 0 || st.RestoreNanos != 0 {
 					t.Fatalf("expected a warm promotion: %+v", st)
 				}
-			} else if st.RestoreHits != 1 {
+			} else if st.RestoreHits != 1 || st.RestoreNanos == 0 || st.PromoteNanos != 0 {
 				t.Fatalf("expected a cold restore: %+v", st)
 			}
 			if st.PromoteErrors != 0 {
