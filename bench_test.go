@@ -853,22 +853,32 @@ var benchDensity = sync.OnceValue(func() *tenantsDensity {
 	}
 	sets := [][]int{{0, 1}, {2, 3}, {4, 5}, {6, 7}, {0, 7}, {1, 6}}
 
-	// Full-copy baseline: no budget, every tenant stays a hot engine.
-	full, err := serve.NewServer(env.build, env.base, env.ds, opts)
+	// Full-copy baseline: what a cache that keeps a model clone beside every
+	// compiled engine would hold. Every pruned clone of one architecture
+	// costs the same (dense W, Grad and Mask), so one is pruned here for its
+	// size; the engines are the ones an unbudgeted server compiles.
+	clone := env.build()
+	env.base.CloneWeightsTo(clone)
+	pruner.NewCRISP(opts.Prune).Prune(clone, env.ds.MakeSplit("bench-density", sets[0], opts.TrainPerClass))
+	fullBytes := int64(len(sets)) * inference.ModelBytes(clone)
+
+	hot, err := serve.NewServer(env.build, env.base, env.ds, opts)
 	if err != nil {
 		return &tenantsDensity{err: err}
 	}
-	defer full.Close()
+	defer hot.Close()
 	for _, set := range sets {
-		if _, _, err := full.Personalize(set); err != nil {
+		p, _, err := hot.Personalize(set)
+		if err != nil {
 			return &tenantsDensity{err: err}
 		}
+		fullBytes += p.Engine().MemoryFootprint()
 	}
-	fullBytes := full.Stats().HotBytes
 
-	// Tiered: a budget a third of the full-copy residency forces all but
-	// one tenant into warm delta records.
-	opts.MemoryBudgetBytes = fullBytes / 3
+	// Tiered: hot tenants are an engine and a delta, not full copies, so the
+	// budget is sized from what keeping them all hot costs — three fifths of
+	// it holds two hot and forces the rest into warm delta records.
+	opts.MemoryBudgetBytes = hot.Stats().HotBytes * 3 / 5
 	tiered, err := serve.NewServer(env.build, env.base, env.ds, opts)
 	if err != nil {
 		return &tenantsDensity{err: err}
@@ -880,9 +890,9 @@ var benchDensity = sync.OnceValue(func() *tenantsDensity {
 		}
 	}
 	st := tiered.Stats()
-	if st.CachedEngines+st.WarmEntries != len(sets) {
-		return &tenantsDensity{err: fmt.Errorf("only %d of %d tenants resident (hot %d, warm %d)",
-			st.CachedEngines+st.WarmEntries, len(sets), st.CachedEngines, st.WarmEntries)}
+	if st.CachedEngines+st.WarmEntries != len(sets) || st.Demotions == 0 {
+		return &tenantsDensity{err: fmt.Errorf("%d of %d tenants resident (hot %d, warm %d) after %d demotions",
+			st.CachedEngines+st.WarmEntries, len(sets), st.CachedEngines, st.WarmEntries, st.Demotions)}
 	}
 	resident := st.HotBytes + st.WarmBytes
 	return &tenantsDensity{

@@ -1,11 +1,11 @@
 // Tiered serving: many tenants under one memory budget. A full-copy
-// engine cache holds a complete pruned model per tenant; with
-// ServerConfig.MemoryBudgetBytes set, each tenant is instead a delta over
-// the shared universal weights, and the cache becomes a hot/warm/cold
-// hierarchy — compiled engines, compact delta records, disk snapshots.
-// This example personalizes more tenants than the full-copy footprint
-// would allow, shows them all staying resident, and round-trips one
-// tenant through demotion and promotion with identical predictions.
+// engine cache would hold a complete pruned model per tenant beside its
+// compiled engine; here a hot tenant is the engine plus a delta over the
+// shared universal weights, and with ServerConfig.MemoryBudgetBytes set the
+// cache becomes a hot/warm/cold hierarchy — compiled engines, bare delta
+// records, disk snapshots. This example measures what the full copies would
+// cost, keeps every tenant resident in a fraction of it, and round-trips
+// one tenant through demotion and promotion with identical predictions.
 package main
 
 import (
@@ -13,6 +13,7 @@ import (
 
 	crisp "repro"
 	"repro/internal/data"
+	"repro/internal/inference"
 )
 
 func main() {
@@ -34,8 +35,15 @@ func main() {
 
 	tenants := [][]int{{0, 1}, {2, 3}, {4, 5}, {6, 7}, {8, 9}, {10, 11}}
 
-	// Pass 1: no budget — every tenant is a full-copy hot engine.
-	// Measures the baseline footprint the budget will undercut.
+	// What one full copy costs: a pruned clone's dense weights, gradients
+	// and masks (the same for every tenant of one architecture).
+	clone := crisp.NewModel(crisp.ResNet, ds.NumClasses, 1, 18)
+	model.CloneWeightsTo(clone)
+	crisp.Personalize(clone, ds, tenants[0], cfg)
+	fullBytes := int64(len(tenants)) * inference.ModelBytes(clone)
+
+	// Pass 1: no budget — every tenant hot. Their engines complete the
+	// full-copy figure; their HotBytes is what the budget will undercut.
 	full, err := crisp.NewServer(model, crisp.ResNet, 1, 18, ds, crisp.ServerConfig{
 		Prune: cfg, TrainPerClass: 12, TestPerClass: 6,
 	})
@@ -43,18 +51,23 @@ func main() {
 		panic(err)
 	}
 	for _, u := range tenants {
-		if _, _, err := full.Personalize(u); err != nil {
+		p, _, err := full.Personalize(u)
+		if err != nil {
 			panic(err)
 		}
+		fullBytes += p.Engine().MemoryFootprint()
 	}
-	fullBytes := full.Stats().HotBytes
+	hotBytes := full.Stats().HotBytes
 	full.Close()
 	fmt.Printf("full-copy cache: %d tenants in %d bytes\n", len(tenants), fullBytes)
+	fmt.Printf("all-hot cache:   %d tenants in %d bytes (engine + delta each, %.1fx denser)\n",
+		len(tenants), hotBytes, float64(fullBytes)/float64(hotBytes))
 
-	// Pass 2: the same tenants under a third of that budget.
+	// Pass 2: the same tenants under three fifths of the all-hot bytes —
+	// room for two hot engines, the rest demote to warm records.
 	srv, err := crisp.NewServer(model, crisp.ResNet, 1, 18, ds, crisp.ServerConfig{
 		Prune: cfg, TrainPerClass: 12, TestPerClass: 6,
-		MemoryBudgetBytes: fullBytes / 3,
+		MemoryBudgetBytes: hotBytes * 3 / 5,
 	})
 	if err != nil {
 		panic(err)

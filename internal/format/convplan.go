@@ -102,7 +102,16 @@ func (p *Plan) CompileConv(kh, kw, stride, pad int) *ConvPlan {
 	return cp
 }
 
-// Geom reports whether g matches the compiled kernel shape.
+// SizeBytes reports the heap bytes the conv specialization owns on top of
+// its Plan: the tap table (two int32 per stored weight) and the one cached
+// per-geometry clip table (five int32 per kernel position), counted whether
+// or not a forward has built it yet so the figure is fixed at compile time.
+// Struct headers are excluded as negligible, as in Plan.SizeBytes.
+func (cp *ConvPlan) SizeBytes() int64 {
+	return int64(len(cp.taps))*8 + int64(cp.kh*cp.kw)*20
+}
+
+// matches reports whether g matches the compiled kernel shape.
 func (cp *ConvPlan) matches(g tensor.ConvGeom) bool {
 	return g.KH == cp.kh && g.KW == cp.kw && g.Stride == cp.stride && g.Pad == cp.pad && g.InC == cp.inC
 }

@@ -7,8 +7,9 @@ import (
 )
 
 // MemoryFootprint reports the engine-owned resident bytes of the compiled
-// state: owned plan payloads, owned (or first-owner) int8 images, and
-// privately materialized effective weights. Memory the engine merely
+// state: owned plan payloads, owned (or first-owner) int8 images, privately
+// materialized effective weights, the conv layers' tap tables, and the
+// executors' copies of biases and norm vectors. Memory the engine merely
 // references is excluded — shared universal slabs belong to the base model,
 // and plans deduplicated through a format.Registry are counted by the
 // engine that first interned them, so summing footprints across engines
@@ -53,9 +54,10 @@ func (e *Engine) Release() {
 }
 
 // ModelBytes reports the resident bytes of a classifier's learnable state:
-// dense weights, gradients, masks, and normalization running statistics —
-// the cost of holding a full per-tenant model clone, and the denominator
-// the tiered cache's density win is measured against.
+// dense weights, gradients, masks, and normalization running statistics.
+// Nothing in the serving path holds a per-tenant clone any more; this is
+// what one would cost, kept as the denominator the density tests measure
+// the cache against.
 func ModelBytes(clf *nn.Classifier) int64 {
 	var n int64
 	for _, p := range clf.Params() {

@@ -39,11 +39,21 @@
 // classifier's masked weights, layers run in evaluation mode, and no
 // gradients exist. Concurrent Logits/Predict calls are safe — each pass
 // owns its arena and the compiled state is read-only.
+//
+// An engine owns what it reads. Once New returns, nothing reachable from it
+// is the classifier it was compiled from or any nn layer that owns a Param:
+// executors hold geometry and dimensions by value and engine-owned copies of
+// the vectors they index (biases, norm scales and running statistics), so
+// the caller may drop — or overwrite — the classifier while the engine
+// serves. Only parameter-free layers (ReLU with its Stats hook, GELU) stay
+// by pointer, and only Shared slabs and Registry plans alias anything: the
+// base model, never the tenant's.
 package inference
 
 import (
 	"hash/fnv"
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/accel"
@@ -114,11 +124,11 @@ const defaultBatchHint = 16
 // Engine is a compiled sparse-execution plan for one classifier. An engine
 // is immutable after New and safe for concurrent Logits/LogitsBatch calls.
 type Engine struct {
-	clf       *nn.Classifier
-	root      execLayer
-	precision Precision
-	shared    *SharedWeights
-	registry  *format.Registry
+	numClasses int
+	root       execLayer
+	precision  Precision
+	shared     *SharedWeights
+	registry   *format.Registry
 	// plans lists every compiled float plan in compile order — the
 	// structural Fingerprint surface.
 	plans []*format.Plan
@@ -157,7 +167,7 @@ func New(clf *nn.Classifier, blockSize int, nm sparsity.NM) (*Engine, error) {
 // quantization scratch drawn from the same engine-owned arena as the float
 // buffers.
 func NewWithOptions(clf *nn.Classifier, blockSize int, nm sparsity.NM, opts CompileOptions) (*Engine, error) {
-	e := &Engine{clf: clf, precision: opts.Precision, shared: opts.Shared, registry: opts.Registry, batchHint: opts.BatchHint}
+	e := &Engine{numClasses: clf.NumClasses, precision: opts.Precision, shared: opts.Shared, registry: opts.Registry, batchHint: opts.BatchHint}
 	if e.batchHint <= 0 {
 		e.batchHint = defaultBatchHint
 	}
@@ -244,7 +254,7 @@ func (e *Engine) LogitsBatch(xs []*tensor.Tensor) *tensor.Tensor {
 // Predict returns the argmax class of every sample in the batch.
 func (e *Engine) Predict(x *tensor.Tensor) []int {
 	a := e.getArena()
-	preds := nn.ArgmaxRows(e.root.forward(x, a), e.clf.NumClasses)
+	preds := nn.ArgmaxRows(e.root.forward(x, a), e.numClasses)
 	e.putArena(a)
 	return preds
 }
@@ -259,7 +269,7 @@ func (e *Engine) PredictBatch(xs []*tensor.Tensor) []int {
 	if len(xs) > 1 {
 		x = concatArena(xs, a)
 	}
-	preds := nn.ArgmaxRows(e.root.forward(x, a), e.clf.NumClasses)
+	preds := nn.ArgmaxRows(e.root.forward(x, a), e.numClasses)
 	e.putArena(a)
 	return preds
 }
@@ -329,12 +339,13 @@ func (e *Engine) compile(l nn.Layer, b int, nm sparsity.NM) (execLayer, error) {
 		if err != nil {
 			return nil, err
 		}
-		sc := &sparseConv{conv: v, mm: mm}
+		sc := &sparseConv{geom: v.Geom, outC: v.OutC, bias: e.own(v.Bias), mm: mm}
 		if mm.qplan == nil {
 			// Float engines run conv through the fused implicit-im2col
 			// kernel; decoding the tap table here keeps the forward path
 			// allocation-free (see format.CompileConv).
 			sc.cp = mm.plan.CompileConv(v.Geom.KH, v.Geom.KW, v.Geom.Stride, v.Geom.Pad)
+			e.footprint += sc.cp.SizeBytes()
 		}
 		return sc, nil
 	case *nn.Linear:
@@ -342,19 +353,19 @@ func (e *Engine) compile(l nn.Layer, b int, nm sparsity.NM) (execLayer, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &sparseLinear{lin: v, mm: mm}, nil
+		return &sparseLinear{in: v.In, out: v.Out, bias: e.own(v.Bias), mm: mm}, nil
 	case *nn.TokenLinear:
 		mm, err := e.newSpMM(v.Weight, b, nm)
 		if err != nil {
 			return nil, err
 		}
-		return &sparseTokenLinear{lin: v, mm: mm}, nil
+		return &sparseTokenLinear{in: v.In, out: v.Out, bias: e.own(v.Bias), mm: mm}, nil
 	case *nn.PatchEmbed:
 		mm, err := e.newSpMM(v.Weight, b, nm)
 		if err != nil {
 			return nil, err
 		}
-		return &sparsePatchEmbed{pe: v, mm: mm}, nil
+		return &sparsePatchEmbed{pe: nn.PatchEmbed{C: v.C, P: v.P, D: v.D}, bias: e.own(v.Bias), mm: mm}, nil
 	case *nn.MultiHeadAttention:
 		return &execAttention{
 			d: v.D, heads: v.Heads,
@@ -362,13 +373,17 @@ func (e *Engine) compile(l nn.Layer, b int, nm sparsity.NM) (execLayer, error) {
 			wv: e.effective(v.Wv), wo: e.effective(v.Wo),
 		}, nil
 	case *nn.DepthwiseConv2D:
-		return &execDepthwise{conv: v, weff: e.effective(v.Weight)}, nil
+		return &execDepthwise{geom: v.Geom, bias: e.own(v.Bias), weff: e.effective(v.Weight)}, nil
 	case *nn.BatchNorm2D:
-		return &execBatchNorm{bn: v}, nil
+		return &execBatchNorm{
+			eps:  v.Eps,
+			mean: e.ownVec(v.RunMean.Data), variance: e.ownVec(v.RunVar.Data),
+			gamma: e.own(v.Gamma), beta: e.own(v.Beta),
+		}, nil
 	case *nn.ReLU:
 		return &execReLU{relu: v}, nil
 	case *nn.LayerNorm:
-		return &execLayerNorm{ln: v}, nil
+		return &execLayerNorm{d: v.D, eps: v.Eps, gamma: e.own(v.Gamma), beta: e.own(v.Beta)}, nil
 	case *nn.MaxPool2D:
 		return &execMaxPool{k: v.K, stride: v.Stride}, nil
 	case *nn.GlobalAvgPool:
@@ -489,6 +504,21 @@ func (e *Engine) effective(p *nn.Param) *tensor.Tensor {
 	return t
 }
 
+// own returns an engine-owned copy of a parameter's values (nil for an
+// absent parameter, e.g. a bias-free conv) and charges it to the footprint.
+func (e *Engine) own(p *nn.Param) []float64 {
+	if p == nil {
+		return nil
+	}
+	return e.ownVec(p.W.Data)
+}
+
+// ownVec is own for a bare vector (normalization running statistics).
+func (e *Engine) ownVec(v []float64) []float64 {
+	e.footprint += int64(len(v)) * 8
+	return slices.Clone(v)
+}
+
 // encodeParam compresses one parameter's masked weights and compiles the
 // execution plan. Dense and exempt parameters use CSR; hybrid-masked ones
 // use the CRISP format. Either way the plan's per-row accumulation order is
@@ -557,13 +587,15 @@ const convBatchLastMin = 4
 
 // sparseConv runs Conv2D from a compiled weight plan.
 type sparseConv struct {
-	conv *nn.Conv2D
+	geom tensor.ConvGeom // kernel shape; InH/InW come from each input
+	outC int
+	bias []float64 // nil for a bias-free conv
 	mm   spmm
 	cp   *format.ConvPlan // fused implicit-im2col kernel; nil in Int8 engines
 }
 
 func (s *sparseConv) forward(x *tensor.Tensor, a *arena) *tensor.Tensor {
-	g := s.conv.Geom
+	g := s.geom
 	g.InH, g.InW = x.Shape[2], x.Shape[3]
 	n := x.Shape[0]
 	oh, ow := g.OutH(), g.OutW()
@@ -585,14 +617,14 @@ func (s *sparseConv) forward(x *tensor.Tensor, a *arena) *tensor.Tensor {
 		chw := g.InC * g.InH * g.InW
 		xT := tensor.TransposeInto(a.view(x.Data, n, chw), a.tensor(chw, n))
 		outT := s.cp.MatMulBatchLastInto(xT, g, n, a.tensor(s.mm.plan.Rows*oh*ow, n))
-		y := a.tensor(n, s.conv.OutC, oh, ow)
-		tensor.TransposeInto(outT, a.view(y.Data, n, s.conv.OutC*oh*ow))
-		if s.conv.Bias != nil {
+		y := a.tensor(n, s.outC, oh, ow)
+		tensor.TransposeInto(outT, a.view(y.Data, n, s.outC*oh*ow))
+		if s.bias != nil {
 			p := oh * ow
 			for b := 0; b < n; b++ {
-				for oc := 0; oc < s.conv.OutC; oc++ {
-					bias := s.conv.Bias.W.Data[oc]
-					dst := y.Data[(b*s.conv.OutC+oc)*p : (b*s.conv.OutC+oc+1)*p]
+				for oc := 0; oc < s.outC; oc++ {
+					bias := s.bias[oc]
+					dst := y.Data[(b*s.outC+oc)*p : (b*s.outC+oc+1)*p]
 					for i := range dst {
 						dst[i] += bias
 					}
@@ -605,15 +637,15 @@ func (s *sparseConv) forward(x *tensor.Tensor, a *arena) *tensor.Tensor {
 		outMat = s.mm.into(cols, a.tensor(s.mm.plan.Rows, n*oh*ow), a)
 	}
 	p := oh * ow
-	y := a.tensor(n, s.conv.OutC, oh, ow)
-	for oc := 0; oc < s.conv.OutC; oc++ {
+	y := a.tensor(n, s.outC, oh, ow)
+	for oc := 0; oc < s.outC; oc++ {
 		bias := 0.0
-		if s.conv.Bias != nil {
-			bias = s.conv.Bias.W.Data[oc]
+		if s.bias != nil {
+			bias = s.bias[oc]
 		}
 		src := outMat.Data[oc*n*p : (oc+1)*n*p]
 		for b := 0; b < n; b++ {
-			dst := y.Data[(b*s.conv.OutC+oc)*p : (b*s.conv.OutC+oc+1)*p]
+			dst := y.Data[(b*s.outC+oc)*p : (b*s.outC+oc+1)*p]
 			for i, v := range src[b*p : (b+1)*p] {
 				dst[i] = v + bias
 			}
@@ -624,19 +656,20 @@ func (s *sparseConv) forward(x *tensor.Tensor, a *arena) *tensor.Tensor {
 
 // sparseLinear runs Linear from a compiled weight plan: y = (W·xᵀ)ᵀ + b.
 type sparseLinear struct {
-	lin *nn.Linear
-	mm  spmm
+	in, out int
+	bias    []float64
+	mm      spmm
 }
 
 func (s *sparseLinear) forward(x *tensor.Tensor, a *arena) *tensor.Tensor {
 	n := x.Shape[0]
 	// SpMM computes W·B for B = xᵀ [In, N].
-	xt := tensor.TransposeInto(x, a.tensor(s.lin.In, n))
-	out := s.mm.into(xt, a.tensor(s.lin.Out, n), a) // [Out, N]
-	y := a.tensor(n, s.lin.Out)
-	for j := 0; j < s.lin.Out; j++ {
+	xt := tensor.TransposeInto(x, a.tensor(s.in, n))
+	out := s.mm.into(xt, a.tensor(s.out, n), a) // [Out, N]
+	y := a.tensor(n, s.out)
+	for j := 0; j < s.out; j++ {
 		for b := 0; b < n; b++ {
-			y.Data[b*s.lin.Out+j] = out.Data[j*n+b] + s.lin.Bias.W.Data[j]
+			y.Data[b*s.out+j] = out.Data[j*n+b] + s.bias[j]
 		}
 	}
 	return y
@@ -644,28 +677,30 @@ func (s *sparseLinear) forward(x *tensor.Tensor, a *arena) *tensor.Tensor {
 
 // sparseTokenLinear runs TokenLinear from a compiled weight plan.
 type sparseTokenLinear struct {
-	lin *nn.TokenLinear
-	mm  spmm
+	in, out int
+	bias    []float64
+	mm      spmm
 }
 
 func (s *sparseTokenLinear) forward(x *tensor.Tensor, a *arena) *tensor.Tensor {
 	n, t := x.Shape[0], x.Shape[1]
-	flat := a.view(x.Data, n*t, s.lin.In)
-	xt := tensor.TransposeInto(flat, a.tensor(s.lin.In, n*t))
-	out := s.mm.into(xt, a.tensor(s.lin.Out, n*t), a) // [Out, N*T]
-	y := a.tensor(n*t, s.lin.Out)
-	for j := 0; j < s.lin.Out; j++ {
+	flat := a.view(x.Data, n*t, s.in)
+	xt := tensor.TransposeInto(flat, a.tensor(s.in, n*t))
+	out := s.mm.into(xt, a.tensor(s.out, n*t), a) // [Out, N*T]
+	y := a.tensor(n*t, s.out)
+	for j := 0; j < s.out; j++ {
 		for r := 0; r < n*t; r++ {
-			y.Data[r*s.lin.Out+j] = out.Data[j*n*t+r] + s.lin.Bias.W.Data[j]
+			y.Data[r*s.out+j] = out.Data[j*n*t+r] + s.bias[j]
 		}
 	}
-	return a.view(y.Data, n, t, s.lin.Out)
+	return a.view(y.Data, n, t, s.out)
 }
 
 // sparsePatchEmbed runs PatchEmbed from a compiled weight plan.
 type sparsePatchEmbed struct {
-	pe *nn.PatchEmbed
-	mm spmm
+	pe   nn.PatchEmbed // geometry only (C, P, D): no Params
+	bias []float64
+	mm   spmm
 }
 
 func (s *sparsePatchEmbed) forward(x *tensor.Tensor, a *arena) *tensor.Tensor {
@@ -679,7 +714,7 @@ func (s *sparsePatchEmbed) forward(x *tensor.Tensor, a *arena) *tensor.Tensor {
 	y := a.tensor(n*t, s.pe.D)
 	for j := 0; j < s.pe.D; j++ {
 		for r := 0; r < n*t; r++ {
-			y.Data[r*s.pe.D+j] = out.Data[j*n*t+r] + s.pe.Bias.W.Data[j]
+			y.Data[r*s.pe.D+j] = out.Data[j*n*t+r] + s.bias[j]
 		}
 	}
 	return a.view(y.Data, n, t, s.pe.D)
@@ -755,12 +790,13 @@ func (m *execAttention) forward(x *tensor.Tensor, a *arena) *tensor.Tensor {
 // execDepthwise runs DepthwiseConv2D with the masked kernels materialized
 // at compile time and the output drawn from the arena.
 type execDepthwise struct {
-	conv *nn.DepthwiseConv2D
+	geom tensor.ConvGeom
+	bias []float64 // nil for a bias-free conv
 	weff *tensor.Tensor
 }
 
 func (d *execDepthwise) forward(x *tensor.Tensor, a *arena) *tensor.Tensor {
-	g := d.conv.Geom
+	g := d.geom
 	g.InH, g.InW = x.Shape[2], x.Shape[3]
 	n, cch := x.Shape[0], g.InC
 	oh, ow := g.OutH(), g.OutW()
@@ -771,8 +807,8 @@ func (d *execDepthwise) forward(x *tensor.Tensor, a *arena) *tensor.Tensor {
 			ker := d.weff.Data[ch*g.KH*g.KW : (ch+1)*g.KH*g.KW]
 			dst := y.Data[(b*cch+ch)*oh*ow : (b*cch+ch+1)*oh*ow]
 			bias := 0.0
-			if d.conv.Bias != nil {
-				bias = d.conv.Bias.W.Data[ch]
+			if d.bias != nil {
+				bias = d.bias[ch]
 			}
 			for oy := 0; oy < oh; oy++ {
 				for ox := 0; ox < ow; ox++ {
@@ -801,17 +837,17 @@ func (d *execDepthwise) forward(x *tensor.Tensor, a *arena) *tensor.Tensor {
 // execBatchNorm is the eval branch of nn.BatchNorm2D (running statistics)
 // with the output drawn from the arena.
 type execBatchNorm struct {
-	bn *nn.BatchNorm2D
+	eps                         float64
+	mean, variance, gamma, beta []float64
 }
 
 func (e *execBatchNorm) forward(x *tensor.Tensor, a *arena) *tensor.Tensor {
-	bn := e.bn
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	y := a.tensor(x.Shape...)
 	for ch := 0; ch < c; ch++ {
-		inv := 1.0 / math.Sqrt(bn.RunVar.Data[ch]+bn.Eps)
-		mean := bn.RunMean.Data[ch]
-		g, be := bn.Gamma.W.Data[ch], bn.Beta.W.Data[ch]
+		inv := 1.0 / math.Sqrt(e.variance[ch]+e.eps)
+		mean := e.mean[ch]
+		g, be := e.gamma[ch], e.beta[ch]
 		for b := 0; b < n; b++ {
 			off := (b*c + ch) * h * w
 			for i := 0; i < h*w; i++ {
@@ -876,16 +912,17 @@ func (e *execReLU) forward(x *tensor.Tensor, a *arena) *tensor.Tensor {
 // execLayerNorm is eval-mode nn.LayerNorm with the output drawn from the
 // arena.
 type execLayerNorm struct {
-	ln *nn.LayerNorm
+	d           int
+	eps         float64
+	gamma, beta []float64
 }
 
 func (e *execLayerNorm) forward(x *tensor.Tensor, a *arena) *tensor.Tensor {
-	ln := e.ln
 	rows := x.Shape[0] * x.Shape[1]
 	y := a.tensor(x.Shape...)
-	d := float64(ln.D)
+	d := float64(e.d)
 	for r := 0; r < rows; r++ {
-		seg := x.Data[r*ln.D : (r+1)*ln.D]
+		seg := x.Data[r*e.d : (r+1)*e.d]
 		mean := 0.0
 		for _, v := range seg {
 			mean += v
@@ -896,10 +933,10 @@ func (e *execLayerNorm) forward(x *tensor.Tensor, a *arena) *tensor.Tensor {
 			variance += (v - mean) * (v - mean)
 		}
 		variance /= d
-		inv := 1.0 / math.Sqrt(variance+ln.Eps)
-		out := y.Data[r*ln.D : (r+1)*ln.D]
+		inv := 1.0 / math.Sqrt(variance+e.eps)
+		out := y.Data[r*e.d : (r+1)*e.d]
 		for i, v := range seg {
-			out[i] = ln.Gamma.W.Data[i]*((v-mean)*inv) + ln.Beta.W.Data[i]
+			out[i] = e.gamma[i]*((v-mean)*inv) + e.beta[i]
 		}
 	}
 	return y

@@ -37,6 +37,60 @@ func sharedEnv(t *testing.T, f models.Family) (base *nn.Classifier, clone func()
 	return base, clone, x, prune
 }
 
+// unsharedBytes sums by hand what every engine owns whatever Shared and
+// Registry save it: a copy of each bias, norm scale/shift and running
+// statistic its executors index, and — float engines — a tap table per conv
+// layer (two int32 per stored weight, five per kernel position).
+func unsharedBytes(clf *nn.Classifier, eng *Engine) int64 {
+	var n int64
+	vec := func(ps ...*nn.Param) {
+		for _, p := range ps {
+			if p != nil {
+				n += int64(p.W.Len()) * 8
+			}
+		}
+	}
+	nn.Walk(clf.Net, func(l nn.Layer) {
+		switch v := l.(type) {
+		case *nn.Conv2D:
+			vec(v.Bias)
+		case *nn.DepthwiseConv2D:
+			vec(v.Bias)
+		case *nn.Linear:
+			vec(v.Bias)
+		case *nn.TokenLinear:
+			vec(v.Bias)
+		case *nn.PatchEmbed:
+			vec(v.Bias)
+		case *nn.LayerNorm:
+			vec(v.Gamma, v.Beta)
+		case *nn.BatchNorm2D:
+			vec(v.Gamma, v.Beta)
+			n += int64(len(v.RunMean.Data)+len(v.RunVar.Data)) * 8
+		}
+	})
+	var taps func(l execLayer)
+	taps = func(l execLayer) {
+		switch v := l.(type) {
+		case *execSeq:
+			for _, c := range v.layers {
+				taps(c)
+			}
+		case *execResidual:
+			taps(v.main)
+			if v.shortcut != nil {
+				taps(v.shortcut)
+			}
+		case *sparseConv:
+			if v.cp != nil {
+				n += int64(v.mm.plan.NNZ())*8 + int64(v.geom.KH*v.geom.KW)*20
+			}
+		}
+	}
+	taps(eng.root)
+	return n
+}
+
 func compileOpts(base *nn.Classifier, reg *format.Registry, prec Precision) CompileOptions {
 	return CompileOptions{Precision: prec, Shared: NewSharedWeights(base), Registry: reg}
 }
@@ -89,13 +143,19 @@ func TestSlabBindingShrinksFootprint(t *testing.T) {
 	if !tensor.Equal(owned.Logits(x), shared.Logits(x), 0) {
 		t.Fatal("slab-bound engine changed outputs")
 	}
-	if shared.MemoryFootprint() >= owned.MemoryFootprint()/2 {
-		t.Fatalf("slab binding saved too little: shared %d vs owned %d bytes", shared.MemoryFootprint(), owned.MemoryFootprint())
-	}
+	// Binding drops exactly the value payloads (8 bytes per stored weight):
+	// more than half of what the plans own, a third of the whole footprint
+	// now that it also counts the conv tap tables.
+	var vals int64
 	for _, p := range shared.plans {
 		if !p.Shared() {
 			t.Fatal("undiverged tenant compiled an owned plan")
 		}
+		vals += int64(p.NNZ()) * 8
+	}
+	if saved := owned.MemoryFootprint() - shared.MemoryFootprint(); saved != vals || saved < owned.MemoryFootprint()/3 {
+		t.Fatalf("slab binding saved %d bytes, want the %d of value payload: shared %d vs owned %d bytes",
+			saved, vals, shared.MemoryFootprint(), owned.MemoryFootprint())
 	}
 }
 
@@ -126,9 +186,9 @@ func TestRegistryDedupAcrossEngines(t *testing.T) {
 	if refs != 2*plans {
 		t.Fatalf("refs %d, want %d (every plan shared by both engines)", refs, 2*plans)
 	}
-	// The second engine owns nothing: every plan deduped onto the first.
-	if eb.MemoryFootprint() != 0 {
-		t.Fatalf("deduped engine still owns %d bytes", eb.MemoryFootprint())
+	// The second engine owns no plan: every one deduped onto the first.
+	if got, want := eb.MemoryFootprint(), unsharedBytes(b, eb); got != want {
+		t.Fatalf("deduped engine owns %d bytes, want only its tap tables and vector copies (%d)", got, want)
 	}
 	ea.Release()
 	ea.Release() // idempotent
@@ -157,7 +217,7 @@ func TestMemoryFootprintManualSum(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var want int64
+		want := unsharedBytes(tenant, eng)
 		for _, p := range eng.plans {
 			want += p.SizeBytes()
 		}
@@ -192,8 +252,8 @@ func TestMemoryFootprintManualSum(t *testing.T) {
 	if eff == 0 {
 		t.Fatal("MobileNet fixture has no depthwise layers")
 	}
-	if got := eng.MemoryFootprint(); got != plansOnly+eff {
-		t.Fatalf("MemoryFootprint %d, want plans %d + effectives %d", got, plansOnly, eff)
+	if got, rest := eng.MemoryFootprint(), unsharedBytes(tm, eng); got != plansOnly+eff+rest {
+		t.Fatalf("MemoryFootprint %d, want plans %d + effectives %d + taps and vectors %d", got, plansOnly, eff, rest)
 	}
 }
 

@@ -1,0 +1,137 @@
+package serve
+
+import (
+	"bytes"
+	"testing"
+
+	"repro/internal/checkpoint"
+	"repro/internal/inference"
+	"repro/internal/pruner"
+)
+
+// engineID is everything two engines must agree on to be the same engine.
+type engineID struct {
+	fp, qsig uint64
+	logits   []float64
+}
+
+func identify(s *Server, p *Personalization) engineID {
+	x := tierX(s, p.Classes)
+	return engineID{p.Engine().Fingerprint(), p.Engine().QuantSignature(), p.Engine().Logits(x).Data}
+}
+
+func (a engineID) equal(b engineID) bool {
+	if a.fp != b.fp || a.qsig != b.qsig || len(a.logits) != len(b.logits) {
+		return false
+	}
+	for i, v := range a.logits {
+		if b.logits[i] != v {
+			return false
+		}
+	}
+	return true
+}
+
+// TestSnapshotFromDeltaRestoresIdenticalEngine: a snapshot record is now
+// written from a clone rebuilt out of the personalization's delta. A second
+// server cold-restores it to the engine that was serving — same fingerprint,
+// quant signature and logits — and so does a record written the way the
+// previous code wrote it, from the pruned clone itself (whose pruned
+// positions hold fine-tuned values instead of the base's).
+func TestSnapshotFromDeltaRestoresIdenticalEngine(t *testing.T) {
+	env := sharedEnv()
+	classes := []int{1, 3}
+	for _, prec := range []inference.Precision{inference.Float32, inference.Int8} {
+		t.Run(prec.String(), func(t *testing.T) {
+			opts, _ := snapshotOpts(t)
+			opts.Precision = prec
+			s1 := newTestServer(t, opts)
+			p1, _, err := s1.Personalize(classes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s1.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			want := identify(s1, p1)
+
+			// The previous writer: SavePersonalization straight from the
+			// pruned clone, into a directory of its own.
+			clone := env.build()
+			env.base.CloneWeightsTo(clone)
+			pruner.NewCRISP(s1.opts.Prune).Prune(clone, env.ds.MakeSplit("serve-train/"+p1.Key, classes, opts.TrainPerClass))
+			legacy := opts
+			legacy.SnapshotDir = t.TempDir()
+			st, err := openStore(legacy.SnapshotDir, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := checkpoint.PersonalizationRecord{Key: p1.Key, Classes: p1.Classes, Accuracy: p1.Accuracy, Report: p1.Report}
+			if err := st.put(rec, clone); err != nil {
+				t.Fatal(err)
+			}
+
+			for name, o := range map[string]Options{"from the delta": opts, "from the clone": legacy} {
+				s2 := newTestServer(t, o)
+				p2, _, err := s2.Personalize(classes)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st := s2.Stats(); st.RestoreHits != 1 || st.Personalizations != 0 {
+					t.Fatalf("record written %s was not cold-restored: %+v", name, st)
+				}
+				if !identify(s2, p2).equal(want) {
+					t.Errorf("record written %s restored to a different engine", name)
+				}
+				if p2.Accuracy != p1.Accuracy || !bytes.Equal(p2.delta, p1.delta) {
+					t.Errorf("record written %s restored a different accuracy or delta", name)
+				}
+			}
+		})
+	}
+}
+
+// TestDemoteParksTheHotDelta: demotion encodes nothing — the warm record is
+// the very slice the hot personalization carried — and that slice is a fixed
+// point of encode ∘ apply, so a tenant can cycle through the tiers (each
+// promotion hands the delta on, each snapshot write applies it) without its
+// bytes ever drifting.
+func TestDemoteParksTheHotDelta(t *testing.T) {
+	env := sharedEnv()
+	opts := quickOpts()
+	opts.CacheSize = 1
+	opts.MemoryBudgetBytes = 1 << 40
+	s := newTestServer(t, opts)
+	p, _, err := s.Personalize([]int{1, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.Personalize([]int{0, 2}); err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	el := s.warm[p.Key]
+	s.mu.Unlock()
+	if el == nil {
+		t.Fatalf("tenant %s was not demoted: %+v", p.Key, s.Stats())
+	}
+	we := el.Value.(*warmEntry)
+	if len(we.delta) == 0 || &we.delta[0] != &p.delta[0] || len(we.delta) != len(p.delta) {
+		t.Fatal("the warm record is not the hot personalization's delta")
+	}
+	if want := int64(len(p.delta)) + p.engine.MemoryFootprint() + personalizationOverheadBytes; p.size != want {
+		t.Fatalf("hot size %d, want engine + delta + overhead = %d", p.size, want)
+	}
+
+	clone := env.build()
+	if err := checkpoint.ApplyModelDelta(p.delta, env.base, clone); err != nil {
+		t.Fatal(err)
+	}
+	again, err := checkpoint.EncodeModelDelta(env.base, clone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, p.delta) {
+		t.Fatal("encode ∘ apply moved the delta")
+	}
+}

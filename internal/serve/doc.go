@@ -122,7 +122,10 @@
 //   - Write-behind: when a pruning job completes, its Personalization is
 //     serialized as a checkpoint v3 record (pruned weights, masks,
 //     batch-norm statistics, class set, report, accuracy) on the worker
-//     pool — Personalize and Predict never wait on disk. Records land via
+//     pool — Personalize and Predict never wait on disk. The classifier in
+//     the record is rebuilt from the personalization's delta for the
+//     write, so its pruned positions carry the universal model's values,
+//     not the fine-tuned ones: dead data no loader reads. Records land via
 //     temp-file + rename, and an index file names the valid records, so a
 //     crash mid-write can never surface a torn snapshot.
 //   - Restore-on-start: Server.Restore rebuilds indexed records into
@@ -143,27 +146,32 @@
 //
 // # Memory tiers (Options.MemoryBudgetBytes)
 //
-// A full-copy engine cache cannot reach millions of tenants: every cached
-// Personalization holds a complete model clone plus compiled plans. With a
-// byte budget configured the cache becomes a three-tier hierarchy, built on
-// two structural facts: every tenant is a delta over ONE universal model,
-// and serving only ever reads the effective weights W ⊙ Mask.
+// A full-copy engine cache — a complete model clone beside every compiled
+// engine, 24 bytes per parameter — cannot reach millions of tenants. No
+// cached Personalization holds one: the cache is built on two structural
+// facts, that every tenant is a delta over ONE universal model and that
+// serving only ever reads the effective weights W ⊙ Mask. A hot tenant is
+// a compiled engine, which owns everything it reads, plus that delta
+// (checkpoint.EncodeModelDelta, encoded once when the tenant is created);
+// the pruned classifier dies with the call that built it. With a byte
+// budget configured the cache becomes a three-tier hierarchy:
 //
-//	hot   — compiled engines, ready to Predict. Bounded by CacheSize and
-//	        by HotFraction (default 0.75) of the budget. Engines compile
-//	        against shared universal weight slabs (inference.SharedWeights)
-//	        and deduplicate bit-identical plans through a format.Registry,
-//	        so even the hot tier never clones what it can reference.
-//	warm  — demoted tenants as delta records (checkpoint.EncodeModelDelta):
-//	        bit-packed masks plus kept-position weight values only, a small
-//	        fraction of a full copy. Bounded by the rest of the budget.
+//	hot   — compiled engine + delta, ready to Predict. Bounded by CacheSize
+//	        and by HotFraction (default 0.75) of the budget. Engines
+//	        compile against shared universal weight slabs
+//	        (inference.SharedWeights) and deduplicate bit-identical plans
+//	        through a format.Registry, so even the hot tier never clones
+//	        what it can reference.
+//	warm  — demoted tenants as the delta alone: bit-packed masks plus
+//	        kept-position weight values only, a small fraction of a full
+//	        copy. Bounded by the rest of the budget.
 //	ssd   — (cold) the snapshot store, unbounded; demotion synchronously
 //	        ensures the disk copy before the engine is released, so no
 //	        transition can lose the only durable state.
 //
 // Lifecycle: an insert past the hot bound demotes the LRU engine — its
-// state is delta-encoded, its plans return their registry references, its
-// batcher flushes — and the record parks in a warm LRU (Stats.Demotions).
+// plans return their registry references, its batcher flushes — and the
+// delta it already carried parks in a warm LRU (Stats.Demotions).
 // A request for a warm tenant promotes instead of re-pruning: apply the
 // delta to a fresh clone, recompile, and verify the rebuild against the
 // structural fingerprint (and, on Int8, the quant signature) captured at

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
+	"weak"
 
 	"repro/internal/checkpoint"
 	"repro/internal/data"
@@ -14,27 +16,91 @@ import (
 	"repro/internal/sparsity"
 )
 
-// TestPersonalizationPinsNoTrainingState: a cached personalization holds a
-// model clone that was just pruned and fine-tuned. None of that run's
-// workspace or backprop caches may ride into the cache with it — the hot
-// tier's byte budget does not count them.
+// builtClassifiers wraps env.build so a test can see what became of every
+// classifier a server built: a weak pointer into the backing array of each
+// one's largest weight tensor, which anything holding the classifier — or
+// aliasing its weights — keeps alive.
+type builtClassifiers struct {
+	mu      sync.Mutex
+	weights []weak.Pointer[float64]
+}
+
+func (b *builtClassifiers) build() *nn.Classifier {
+	clf := sharedEnv().build()
+	var largest *nn.Param
+	for _, p := range clf.Params() {
+		if largest == nil || p.W.Len() > largest.W.Len() {
+			largest = p
+		}
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.weights = append(b.weights, weak.Make(&largest.W.Data[0]))
+	return clf
+}
+
+// live counts the built classifiers whose weights survive a collection.
+func (b *builtClassifiers) live() (built, live int) {
+	runtime.GC()
+	runtime.GC()
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for _, w := range b.weights {
+		if w.Value() != nil {
+			live++
+		}
+	}
+	return len(b.weights), live
+}
+
+// TestPersonalizationPinsNoTrainingState: the cache holds no classifier at
+// all, so none of a pruning run's weights, gradients, workspace or backprop
+// caches can ride into it — the hot tier's byte budget counts none of them.
+// Every classifier the server builds (to prune, to promote a warm record, to
+// write a snapshot, to restore a cold one) is garbage once its call returns,
+// while the tenants it produced stay resident.
 func TestPersonalizationPinsNoTrainingState(t *testing.T) {
-	s := newTestServer(t, quickOpts())
-	for _, classes := range [][]int{{1, 3}, {0, 2, 5}, {4}} {
+	env := sharedEnv()
+	opts, _ := snapshotOpts(t)
+	opts.CacheSize = 2
+	opts.MemoryBudgetBytes = 1 << 40
+	var built builtClassifiers
+	s, err := NewServer(built.build, env.base, env.ds, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	sets := [][]int{{1, 3}, {0, 2, 5}, {4}}
+	for _, classes := range append(sets, sets[0]) { // the repeat promotes {1,3}
 		if _, _, err := s.Personalize(classes); err != nil {
 			t.Fatal(err)
 		}
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.lru.Len() != 3 {
-		t.Fatalf("%d cached personalizations, want 3", s.lru.Len())
+	if _, err := s.Flush(); err != nil {
+		t.Fatal(err)
 	}
-	for el := s.lru.Front(); el != nil; el = el.Next() {
-		p := el.Value.(*Personalization)
-		if n := nn.TrainingStateBytes(p.clf); n != 0 {
-			t.Errorf("tenant %s pins %d bytes of training state", p.Key, n)
-		}
+	st := s.Stats()
+	if st.CachedEngines != 2 || st.WarmEntries != 1 || st.Promotions != 1 || st.SnapshotWrites != 3 {
+		t.Fatalf("fixture did not prune, snapshot, demote and promote: %+v", st)
+	}
+	if n, live := built.live(); n != 7 || live != 0 {
+		t.Errorf("%d of %d built classifiers still reachable behind 2 hot and 1 warm tenant (want 3 prunes + 3 snapshot writes + 1 promotion, none live)", live, n)
+	}
+
+	var rebuilt builtClassifiers
+	s2, err := NewServer(rebuilt.build, env.base, env.ds, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if _, _, err := s2.Personalize(sets[2]); err != nil {
+		t.Fatal(err)
+	}
+	if st := s2.Stats(); st.RestoreHits != 1 || st.Personalizations != 0 {
+		t.Fatalf("second server did not cold-restore: %+v", st)
+	}
+	if n, live := rebuilt.live(); n != 1 || live != 0 {
+		t.Errorf("%d of %d classifiers still reachable behind a cold-restored tenant", live, n)
 	}
 }
 
@@ -88,8 +154,12 @@ func liveHeap() uint64 {
 // TestHotBytesMatchesLiveHeap holds the hot tier's byte accounting to what
 // a hot tenant really pins: on the repository benchmark's fixture shapes,
 // twelve personalizations grow the live heap by no more than 15 % over what
-// Stats().HotBytes charges for them. Before training state was released a
-// resnet-s tenant pinned 13.98 MB against 4.30 MB charged.
+// Stats().HotBytes charges for them. A resnet-s tenant pins 0.57 MB against
+// 0.54 MB charged (transformer-s 0.12 against 0.11); it pinned 13.98 MB
+// against 4.30 MB charged before training state was released and 4.48 MB
+// while the cache still held the pruned clone beside the engine. Without the
+// conv tap tables in the footprint the charge would be 0.40 MB and the live
+// heap 40 % over it.
 func TestHotBytesMatchesLiveHeap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale personalizations (short mode)")

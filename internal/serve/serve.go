@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/data"
 	"repro/internal/fault"
 	"repro/internal/format"
@@ -123,9 +124,11 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Personalization is one cached tenant model: the CRISP-pruned classifier
-// for a class set, its compiled sparse engine, and the pruning outcome.
-// It is immutable after creation and safe for concurrent Predict use.
+// Personalization is one cached tenant model: the compiled sparse engine of
+// the CRISP-pruned classifier for a class set, that classifier as a delta
+// over the universal model, and the pruning outcome. The classifier itself
+// is not kept: the engine owns everything it reads. It is immutable after
+// creation and safe for concurrent Predict use.
 type Personalization struct {
 	// Key is the canonical cache key (sorted, deduplicated class ids).
 	Key string
@@ -142,7 +145,10 @@ type Personalization struct {
 	Agreement float64
 
 	engine *inference.Engine
-	clf    *nn.Classifier
+	// delta is checkpoint.EncodeModelDelta(base, clone), written once at
+	// creation and read-only after: demotion parks it as the warm record and
+	// a snapshot write rebuilds the clone from it.
+	delta []byte
 	// bat coalesces concurrent Predict calls against this engine; nil when
 	// batching is disabled (Options.MaxBatch <= 1).
 	bat *batcher
@@ -153,8 +159,8 @@ type Personalization struct {
 	qos    atomic.Int32
 	bucket tokenBucket
 	// size is the resident cost this personalization charges against the
-	// hot tier: engine-owned compiled state plus the model clone, fixed at
-	// creation (see Server.sizeOf).
+	// hot tier: engine-owned compiled state plus the delta, fixed at
+	// creation (see newPersonalization).
 	size int64
 	// releaseOnce guards release: eviction paths may race a duplicate
 	// insert's loser cleanup.
@@ -779,6 +785,13 @@ func (s *Server) personalize(classes []int, key string) (*Personalization, perso
 	if err != nil {
 		return nil, srcPruned, err
 	}
+	// The clone dies with this call: the cache keeps the engine and this
+	// delta, nothing of the classifier or the training run behind it.
+	delta, err := checkpoint.EncodeModelDelta(s.base, clone)
+	if err != nil {
+		eng.Release()
+		return nil, srcPruned, fmt.Errorf("serve: encoding {%s}: %w", key, err)
+	}
 	if s.store != nil {
 		// Register the write-behind snapshot here, inside the job, so it
 		// is counted before the job itself retires — Personalize balances
@@ -786,12 +799,7 @@ func (s *Server) personalize(classes []int, key string) (*Personalization, perso
 		s.pendingAdd(&s.pendingSnaps)
 	}
 	acc := clone.Accuracy(test.X, test.Labels)
-	// The clone is about to be cached for as long as the tenant stays hot:
-	// nothing of the training run that produced it may ride along. Prune
-	// released on its way out; this holds the line after the last forward
-	// pass over the clone, whatever ran in between.
-	clone.ReleaseTrainingState()
-	return s.newPersonalization(key, classes, rep, acc, agreement, eng, clone), srcPruned, nil
+	return s.newPersonalization(key, classes, rep, acc, agreement, eng, delta), srcPruned, nil
 }
 
 // compileEngine builds the serving engine for a personalized clone at the

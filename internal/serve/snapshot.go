@@ -286,7 +286,12 @@ func (s *Server) restoreOne(key string) (*Personalization, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: restoring {%s}: %w", key, err)
 	}
-	return s.newPersonalization(key, rec.Classes, rec.Report, rec.Accuracy, agreement, eng, clone), nil
+	delta, err := checkpoint.EncodeModelDelta(s.base, clone)
+	if err != nil {
+		eng.Release()
+		return nil, fmt.Errorf("serve: restoring {%s}: %w", key, err)
+	}
+	return s.newPersonalization(key, rec.Classes, rec.Report, rec.Accuracy, agreement, eng, delta), nil
 }
 
 // Restore rebuilds engines from indexed snapshot records and inserts them
@@ -385,14 +390,22 @@ func (s *Server) scheduleSnapshot(p *Personalization) {
 	}()
 }
 
-// writeSnapshot persists one personalization and updates the counters.
+// writeSnapshot persists one personalization and updates the counters. The
+// record's classifier is rebuilt from the delta for this one write, so its
+// pruned positions carry the universal model's values rather than the
+// fine-tuned ones — dead data no loader reads (W ⊙ Mask, masks and norm
+// statistics are exact).
 func (s *Server) writeSnapshot(p *Personalization) error {
-	err := s.store.put(checkpoint.PersonalizationRecord{
-		Key:      p.Key,
-		Classes:  p.Classes,
-		Accuracy: p.Accuracy,
-		Report:   p.Report,
-	}, p.clf)
+	clone := s.build()
+	err := checkpoint.ApplyModelDelta(p.delta, s.base, clone)
+	if err == nil {
+		err = s.store.put(checkpoint.PersonalizationRecord{
+			Key:      p.Key,
+			Classes:  p.Classes,
+			Accuracy: p.Accuracy,
+			Report:   p.Report,
+		}, clone)
+	}
 	s.mu.Lock()
 	if err != nil {
 		s.stats.SnapshotErrors++

@@ -16,12 +16,19 @@ import (
 //	warm  — delta records over the shared universal weights (rest of budget)
 //	cold  — disk snapshots (Options.SnapshotDir), unbounded
 //
-// An engine squeezed out of the hot tier is demoted: its personalized state
-// is re-encoded as a checkpoint model delta (mask + kept-position values
-// only — a small fraction of a full copy), its compiled plans return their
-// registry references, and the delta parks in a warm LRU. A later request
-// promotes the record instead of re-pruning: apply the delta to a fresh
-// clone of the universal model and recompile against the shared slabs.
+// A hot tenant is a compiled engine and a delta, not a model clone: the
+// engine owns everything it reads (inference package comment), and the
+// personalized classifier survives only as a checkpoint model delta over the
+// universal base (mask + kept-position values — a small fraction of a full
+// copy), encoded once when the tenant is created. An engine squeezed out of
+// the hot tier is demoted: its compiled plans return their registry
+// references and that same delta parks in a warm LRU — no encoding work. A
+// later request promotes the record instead of re-pruning: apply the delta
+// to a fresh clone of the universal model, recompile against the shared
+// slabs, and let the clone die. A snapshot write rebuilds a clone the same
+// way for the duration of the write, so a newly written record's pruned
+// positions hold the base's values, not the fine-tuned ones (dead data: no
+// loader reads them).
 // Because compilation and quantization only ever read the effective weights
 // W ⊙ Mask — exactly what the delta preserves — promotion is bit-identical
 // on the float path and QuantSignature-identical on int8; both are verified
@@ -74,8 +81,9 @@ func (s *Server) newEngine(clone *nn.Classifier, key string) (*inference.Engine,
 }
 
 // newPersonalization assembles a cache entry and fixes its resident cost:
-// the engine's owned compiled state plus the model clone it serves from.
-func (s *Server) newPersonalization(key string, classes []int, rep pruner.Report, acc, agreement float64, eng *inference.Engine, clone *nn.Classifier) *Personalization {
+// the engine's owned compiled state plus the delta a demotion or snapshot
+// write will need. The delta must not be written after this call.
+func (s *Server) newPersonalization(key string, classes []int, rep pruner.Report, acc, agreement float64, eng *inference.Engine, delta []byte) *Personalization {
 	p := &Personalization{
 		Key:       key,
 		Classes:   classes,
@@ -83,10 +91,10 @@ func (s *Server) newPersonalization(key string, classes []int, rep pruner.Report
 		Accuracy:  acc,
 		Agreement: agreement,
 		engine:    eng,
-		clf:       clone,
+		delta:     delta,
 		bat:       s.newBatcher(eng.PredictBatch),
 	}
-	p.size = eng.MemoryFootprint() + inference.ModelBytes(clone) + personalizationOverheadBytes
+	p.size = eng.MemoryFootprint() + int64(len(delta)) + personalizationOverheadBytes
 	return p
 }
 
@@ -112,8 +120,9 @@ func (s *Server) hotOverLocked() bool {
 
 // rebalance enforces the tier bounds after an insert: hot engines past the
 // count or byte bound demote (LRU order) to warm records, then warm records
-// past the remaining budget drop to cold. Demotion work (delta encoding,
-// snapshot writes) runs outside mu; only the list surgery holds it.
+// past the remaining budget drop to cold. Demotion work (a snapshot write
+// when the tenant is not durable yet) runs outside mu; only the list surgery
+// holds it.
 func (s *Server) rebalance() {
 	for {
 		s.mu.Lock()
@@ -162,17 +171,11 @@ func (s *Server) demote(p *Personalization) {
 		return
 	}
 	defer s.clock(&s.stats.DemoteNanos, time.Now())
-	delta, derr := checkpoint.EncodeModelDelta(s.base, p.clf)
 	if s.store != nil && !s.store.has(p.Key) {
 		// The write-behind snapshot may not have landed yet; demotion must
 		// not strand the tenant without a durable copy. put is idempotent,
 		// so racing the scheduled write is harmless.
 		s.writeSnapshot(p)
-	}
-	if derr != nil {
-		// A clone of base cannot fail to delta-encode; fail safe to cold.
-		p.release()
-		return
 	}
 	we := &warmEntry{
 		key:       p.Key,
@@ -180,7 +183,7 @@ func (s *Server) demote(p *Personalization) {
 		report:    p.Report,
 		accuracy:  p.Accuracy,
 		agreement: p.Agreement,
-		delta:     delta,
+		delta:     p.delta,
 		fp:        p.engine.Fingerprint(),
 	}
 	if s.opts.Precision == inference.Int8 {
@@ -192,7 +195,7 @@ func (s *Server) demote(p *Personalization) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, hot := s.entries[we.key]; hot {
-		return // re-personalized while encoding; the hot copy wins
+		return // re-personalized meanwhile; the hot copy wins
 	}
 	if _, ok := s.warm[we.key]; !ok {
 		s.warm[we.key] = s.warmLRU.PushFront(we)
@@ -260,5 +263,5 @@ func (s *Server) promoteWarm(we *warmEntry) (*Personalization, error) {
 			return nil, fmt.Errorf("serve: promoting {%s}: quant signature %016x, demoted engine had %016x", we.key, sig, we.qsig)
 		}
 	}
-	return s.newPersonalization(we.key, we.classes, we.report, we.accuracy, we.agreement, eng, clone), nil
+	return s.newPersonalization(we.key, we.classes, we.report, we.accuracy, we.agreement, eng, we.delta), nil
 }
