@@ -14,8 +14,8 @@
 // Every format in the package — this v1 stream, the v3 personalization
 // record (personalization.go) and the v2 model delta (delta.go) — is written
 // and read by one codec (codec.go) that works a slice at a time through a
-// 4 KiB chunk. Each Save, Load, Encode or Apply call allocates one chunk
-// and owns it until it returns; there is no package-level buffer and no
+// 4 KiB chunk. Each Save, Load, Encode, Apply or View call allocates one
+// chunk and owns it until it returns; there is no package-level buffer and no
 // pool, because a hot tenant's classifier is read concurrently by its
 // write-behind snapshot and by demotion, and scratch shared between calls is
 // how one tenant's weights end up in another's record. The writer, and the

@@ -48,6 +48,11 @@ func TestCodecAllocsFollowParamCountNotSize(t *testing.T) {
 						t.Fatal(err)
 					}
 				}),
+				"ViewModelDelta": testing.AllocsPerRun(5, func() {
+					if _, err := ViewModelDelta(delta, base); err != nil {
+						t.Fatal(err)
+					}
+				}),
 				"SavePersonalization": testing.AllocsPerRun(5, func() {
 					if err := SavePersonalization(io.Discard, rec, tenant); err != nil {
 						t.Fatal(err)
@@ -66,6 +71,7 @@ func TestCodecAllocsFollowParamCountNotSize(t *testing.T) {
 		bounds := map[string]float64{
 			"EncodeModelDelta":    2*walk + 4,
 			"ApplyModelDelta":     2*walk + 2,
+			"ViewModelDelta":      walk + 3 + 8, // the chunk, reader and view, and up to four objects per map
 			"SavePersonalization": walk + 1,
 			"LoadPersonalization": walk + 2 + 7,
 		}

@@ -271,6 +271,8 @@ func TestStringsLongerThanTheChunk(t *testing.T) {
 // FuzzModelDelta: for random masks, weights and norm statistics the encoder
 // writes the reference's bytes and apply∘encode reproduces the tenant; a
 // flipped bit or a truncation either fails or still decodes to that tenant.
+// The view (ViewModelDelta) rejects exactly the inputs apply rejects, and
+// where both accept hands out what apply-then-read yields, bit for bit.
 func FuzzModelDelta(f *testing.F) {
 	f.Add(int64(1), int64(2), uint32(0), uint8(0))
 	f.Add(int64(3), int64(4), uint32(9), uint8(3))      // #params word
@@ -297,15 +299,20 @@ func FuzzModelDelta(f *testing.F) {
 			t.Fatal(err)
 		}
 		checkRebuilt(t, tenant, dst)
+		checkView(t, delta, base, dst, nil)
 
 		at := int(off % uint32(len(delta)))
 		mut := append([]byte(nil), delta...)
 		mut[at] ^= 1 << (bit % 8)
-		if ApplyModelDelta(mut, base, dst) == nil {
+		err = ApplyModelDelta(mut, base, dst)
+		if err == nil {
 			checkRebuilt(t, tenant, dst)
 		}
-		if ApplyModelDelta(delta[:at], base, dst) == nil {
+		checkView(t, mut, base, dst, err)
+		err = ApplyModelDelta(delta[:at], base, dst)
+		if err == nil {
 			t.Fatalf("%s: delta truncated to %d of %d bytes applied", fam, at, len(delta))
 		}
+		checkView(t, delta[:at], base, dst, err)
 	})
 }

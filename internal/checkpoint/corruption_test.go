@@ -109,6 +109,7 @@ func TestDeltaBitFlipsFailClosed(t *testing.T) {
 	if err := ApplyModelDelta(valid, base, dst); err != nil {
 		t.Fatalf("pristine delta failed to apply: %v", err)
 	}
+	checkView(t, valid, base, dst, nil)
 
 	for _, off := range corruptionOffsets(len(valid)) {
 		for _, bit := range []uint{0, 7} {
@@ -120,9 +121,11 @@ func TestDeltaBitFlipsFailClosed(t *testing.T) {
 						t.Fatalf("flip at byte %d bit %d: panic %v", off, bit, r)
 					}
 				}()
-				if err := ApplyModelDelta(mut, base, dst); err == nil {
+				err := ApplyModelDelta(mut, base, dst)
+				if err == nil {
 					t.Errorf("flip at byte %d bit %d of %d applied without error", off, bit, len(valid))
 				}
+				checkView(t, mut, base, dst, err)
 			}()
 		}
 	}
@@ -143,9 +146,11 @@ func TestDeltaTruncationsFailClosed(t *testing.T) {
 					t.Fatalf("truncation at %d: panic %v", cut, r)
 				}
 			}()
-			if err := ApplyModelDelta(valid[:cut], base, dst); err == nil {
+			err := ApplyModelDelta(valid[:cut], base, dst)
+			if err == nil {
 				t.Errorf("truncation at %d/%d bytes applied without error", cut, len(valid))
 			}
+			checkView(t, valid[:cut], base, dst, err)
 		}()
 	}
 }

@@ -55,7 +55,16 @@ func EncodeCRISP(m *tensor.Tensor, b int, nm sparsity.NM) (*CRISPFormat, error) 
 			return nil, fmt.Errorf("format: crisp requires row balance; block row %d keeps %d, row 0 keeps %d", i, c, kept)
 		}
 	}
-	e := &CRISPFormat{Rows: rows, Cols: cols, B: b, NM: nm, KeptPerRow: kept}
+	// Sized once: every block row keeps `kept` blocks of at most b rows ×
+	// b/M groups × N slots (edge blocks are smaller, so this is a capacity).
+	blocks := g.GridRows() * kept
+	slots := blocks * b * (b / nm.M) * nm.N
+	e := &CRISPFormat{
+		Rows: rows, Cols: cols, B: b, NM: nm, KeptPerRow: kept,
+		BlockCols: make([]int32, 0, blocks),
+		Offsets:   make([]uint8, 0, slots),
+		Val:       make([]float64, 0, slots),
+	}
 	for br := 0; br < g.GridRows(); br++ {
 		for bc := 0; bc < g.GridCols(); bc++ {
 			if !sparsity.BlockKept(m, g, br, bc) {

@@ -3,6 +3,7 @@ package format
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -276,5 +277,73 @@ func TestBSRAnalyticalMatchesEncoder(t *testing.T) {
 	want := BSRMetadataBits(g.GridRows(), g.GridCols(), len(e.BlockCol))
 	if e.MetadataBits() != want {
 		t.Fatalf("analytical %d vs encoder %d", want, e.MetadataBits())
+	}
+}
+
+// appendEncodeCRISP is EncodeCRISP's slot walk with BlockCols / Offsets / Val
+// grown by append from nil, as the encoder did before it sized them once — the
+// reference TestEncodeCRISPSizedOnce holds the sized encoder to.
+func appendEncodeCRISP(m *tensor.Tensor, b int, nm sparsity.NM) *CRISPFormat {
+	rows, cols := checkMatrix(m)
+	g := sparsity.NewBlockGrid(rows, cols, b)
+	e := &CRISPFormat{Rows: rows, Cols: cols, B: b, NM: nm, KeptPerRow: sparsity.KeptBlocksPerRow(m, g)[0]}
+	for br := 0; br < g.GridRows(); br++ {
+		for bc := 0; bc < g.GridCols(); bc++ {
+			if !sparsity.BlockKept(m, g, br, bc) {
+				continue
+			}
+			e.BlockCols = append(e.BlockCols, int32(bc))
+			r0, r1, c0, c1 := g.Bounds(br, bc)
+			for r := r0; r < r1; r++ {
+				for g0 := c0; g0 < c1; g0 += nm.M {
+					stored := 0
+					for cc := g0; cc < min(g0+nm.M, c1) && stored < nm.N; cc++ {
+						if v := m.Data[r*cols+cc]; v != 0 {
+							e.Offsets, e.Val = append(e.Offsets, uint8(cc-g0)), append(e.Val, v)
+							stored++
+						}
+					}
+					for ; stored < nm.N; stored++ {
+						e.Offsets, e.Val = append(e.Offsets, 0), append(e.Val, 0)
+					}
+				}
+			}
+		}
+	}
+	return e
+}
+
+// TestEncodeCRISPSizedOnce: the encoder allocates its three slices once, at
+// a bound it never outgrows, and the encoding — and so the compiled plan,
+// fingerprint included — is the append-grown one's, across the conformance
+// grid's hybrid shapes plus two whose edge blocks are partial.
+func TestEncodeCRISPSizedOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	nm := sparsity.NM{N: 2, M: 4}
+	perShape := 0.0
+	for _, s := range [][3]int{{64, 128, 4}, {8, 16, 4}, {16, 32, 8}, {10, 20, 8}, {6, 12, 4}} {
+		w := hybridMatrix(rng, s[0], s[1], s[2], nm, 1)
+		got, err := EncodeCRISP(w, s[2], nm)
+		if err != nil {
+			t.Fatalf("%v: %v", s, err)
+		}
+		want := appendEncodeCRISP(w, s[2], nm)
+		if !slices.Equal(got.BlockCols, want.BlockCols) || !slices.Equal(got.Offsets, want.Offsets) || !slices.Equal(got.Val, want.Val) {
+			t.Fatalf("%v: sized encoding differs from the append-grown one", s)
+		}
+		if gp, wp := got.Compile(), want.Compile(); gp.Fingerprint() != wp.Fingerprint() {
+			t.Fatalf("%v: plan fingerprint %016x, append-grown encoding compiles to %016x", s, gp.Fingerprint(), wp.Fingerprint())
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, err := EncodeCRISP(w, s[2], nm); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if perShape == 0 {
+			perShape = allocs
+		}
+		if allocs != perShape {
+			t.Errorf("%v: EncodeCRISP allocates %.0f objects, %.0f on the first shape: the count follows the matrix", s, allocs, perShape)
+		}
 	}
 }

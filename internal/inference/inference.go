@@ -40,17 +40,22 @@
 // gradients exist. Concurrent Logits/Predict calls are safe — each pass
 // owns its arena and the compiled state is read-only.
 //
-// An engine owns what it reads. Once New returns, nothing reachable from it
-// is the classifier it was compiled from or any nn layer that owns a Param:
-// executors hold geometry and dimensions by value and engine-owned copies of
-// the vectors they index (biases, norm scales and running statistics), so
-// the caller may drop — or overwrite — the classifier while the engine
-// serves. Only parameter-free layers (ReLU with its Stats hook, GELU) stay
-// by pointer, and only Shared slabs and Registry plans alias anything: the
-// base model, never the tenant's.
+// An engine owns what it reads. compile walks a layer tree for structure and
+// geometry only and takes every value from a ParamSource — the tree's own
+// parameters (OwnParams: New, NewWithOptions) or a tenant's delta over that
+// tree (checkpoint.DeltaView, the serving layer's promote path) — in memory
+// the source allocates per call and the engine then owns. Once compiled,
+// nothing reachable from the engine is the tree, a layer of it, the source
+// or the bytes behind it: executors hold geometry, dimensions, ReLU caps
+// and the activation-statistics hook by value, and a layer type without an
+// executor is a compile error rather than a retained layer. The caller may
+// drop or overwrite classifier and delta while the engine serves. Only
+// Shared slabs and Registry plans alias anything: the base model, never the
+// tenant's.
 package inference
 
 import (
+	"fmt"
 	"hash/fnv"
 	"math"
 	"slices"
@@ -98,8 +103,8 @@ type CompileOptions struct {
 	// weights instead of owning copies: compiled plans bind to the shared
 	// value slabs when the tenant's kept values still equal the universal
 	// weights, and masked-dense layers (attention, depthwise) borrow the
-	// shared effective tensors when their weights and mask match the
-	// universal parameter. Results are bit-identical either way; only
+	// shared effective tensors when their effective weights equal the
+	// universal parameter's. Results are bit-identical either way; only
 	// ownership (and MemoryFootprint) changes.
 	Shared *SharedWeights
 	// Registry, when set, deduplicates compiled plans across engines:
@@ -126,9 +131,11 @@ const defaultBatchHint = 16
 type Engine struct {
 	numClasses int
 	root       execLayer
-	precision  Precision
-	shared     *SharedWeights
-	registry   *format.Registry
+	// src is where compile reads values; nil once compiled.
+	src       ParamSource
+	precision Precision
+	shared    *SharedWeights
+	registry  *format.Registry
 	// plans lists every compiled float plan in compile order — the
 	// structural Fingerprint surface.
 	plans []*format.Plan
@@ -167,11 +174,55 @@ func New(clf *nn.Classifier, blockSize int, nm sparsity.NM) (*Engine, error) {
 // quantization scratch drawn from the same engine-owned arena as the float
 // buffers.
 func NewWithOptions(clf *nn.Classifier, blockSize int, nm sparsity.NM, opts CompileOptions) (*Engine, error) {
-	e := &Engine{numClasses: clf.NumClasses, precision: opts.Precision, shared: opts.Shared, registry: opts.Registry, batchHint: opts.BatchHint}
+	return NewFromSource(clf, OwnParams{}, blockSize, nm, opts)
+}
+
+// ParamSource is where compile reads a tenant's values. The nodes it is
+// handed belong to the layer tree being compiled; every result is freshly
+// allocated by the call and owned by the caller — never a view of the
+// source's storage, and never memory an earlier call returned.
+type ParamSource interface {
+	// Effective returns p's W ⊙ Mask as a [p.Rows, p.Cols] matrix.
+	Effective(p *nn.Param) *tensor.Tensor
+	// Values returns p's unmasked values (a bias, γ or β vector).
+	Values(p *nn.Param) []float64
+	// NormStats returns bn's running mean and variance.
+	NormStats(bn *nn.BatchNorm2D) (mean, variance []float64)
+}
+
+// OwnParams is the source of a classifier compiled from itself: each call
+// copies out of the node it is handed.
+type OwnParams struct{}
+
+// Effective implements ParamSource.
+func (OwnParams) Effective(p *nn.Param) *tensor.Tensor {
+	w := slices.Clone(p.W.Data)
+	if p.Mask != nil {
+		for i, m := range p.Mask.Data {
+			w[i] *= m
+		}
+	}
+	return tensor.FromSlice(w, p.Rows, p.Cols)
+}
+
+// Values implements ParamSource.
+func (OwnParams) Values(p *nn.Param) []float64 { return slices.Clone(p.W.Data) }
+
+// NormStats implements ParamSource.
+func (OwnParams) NormStats(bn *nn.BatchNorm2D) (mean, variance []float64) {
+	return slices.Clone(bn.RunMean.Data), slices.Clone(bn.RunVar.Data)
+}
+
+// NewFromSource compiles the tenant whose values src holds: tree supplies
+// the architecture (the tenant's own classifier with OwnParams, the
+// universal model with a delta view over it) and is not retained.
+func NewFromSource(tree *nn.Classifier, src ParamSource, blockSize int, nm sparsity.NM, opts CompileOptions) (*Engine, error) {
+	e := &Engine{numClasses: tree.NumClasses, src: src, precision: opts.Precision, shared: opts.Shared, registry: opts.Registry, batchHint: opts.BatchHint}
 	if e.batchHint <= 0 {
 		e.batchHint = defaultBatchHint
 	}
-	root, err := e.compile(clf.Net, blockSize, nm)
+	root, err := e.compile(tree.Net, blockSize, nm)
+	e.src = nil
 	if err != nil {
 		return nil, err
 	}
@@ -307,8 +358,9 @@ type execLayer interface {
 }
 
 // compile mirrors the layer tree, swapping weight-bearing layers for
-// plan-backed executors and eval-mode layers for arena-backed ones.
-// Unrecognized layers execute through their own Forward in eval mode.
+// plan-backed executors and eval-mode layers for arena-backed ones, with
+// every value read through e.src. A layer type it does not know is an
+// error: there is no executor that could run it without retaining it.
 func (e *Engine) compile(l nn.Layer, b int, nm sparsity.NM) (execLayer, error) {
 	switch v := l.(type) {
 	case *nn.Sequential:
@@ -375,13 +427,16 @@ func (e *Engine) compile(l nn.Layer, b int, nm sparsity.NM) (execLayer, error) {
 	case *nn.DepthwiseConv2D:
 		return &execDepthwise{geom: v.Geom, bias: e.own(v.Bias), weff: e.effective(v.Weight)}, nil
 	case *nn.BatchNorm2D:
+		mean, variance := e.src.NormStats(v)
 		return &execBatchNorm{
 			eps:  v.Eps,
-			mean: e.ownVec(v.RunMean.Data), variance: e.ownVec(v.RunVar.Data),
+			mean: e.charge(mean), variance: e.charge(variance),
 			gamma: e.own(v.Gamma), beta: e.own(v.Beta),
 		}, nil
 	case *nn.ReLU:
-		return &execReLU{relu: v}, nil
+		return &execReLU{clip: v.Cap, stats: v.Stats}, nil
+	case *nn.GELU:
+		return execGELU{}, nil
 	case *nn.LayerNorm:
 		return &execLayerNorm{d: v.D, eps: v.Eps, gamma: e.own(v.Gamma), beta: e.own(v.Beta)}, nil
 	case *nn.MaxPool2D:
@@ -393,8 +448,7 @@ func (e *Engine) compile(l nn.Layer, b int, nm sparsity.NM) (execLayer, error) {
 	case *nn.Flatten:
 		return &execFlatten{}, nil
 	default:
-		// Stateless or statistics-only layers execute as-is (eval mode).
-		return &execDense{l: l}, nil
+		return nil, fmt.Errorf("inference: no executor for layer type %T", l)
 	}
 }
 
@@ -434,10 +488,7 @@ func (s *spmm) into(b, out *tensor.Tensor, a *arena) *tensor.Tensor {
 // onto the canonical instance for its content. Neither step changes a bit
 // of any result — only who owns the memory, which MemoryFootprint tracks.
 func (e *Engine) newSpMM(p *nn.Param, b int, nm sparsity.NM) (spmm, error) {
-	plan, err := encodeParam(p, b, nm)
-	if err != nil {
-		return spmm{}, err
-	}
+	plan := encodeParam(p, e.src.Effective(p), b, nm)
 	if e.shared != nil {
 		plan.BindSlab(e.shared.Slab(p.Name))
 	}
@@ -474,6 +525,7 @@ func (e *Engine) newSpMM(p *nn.Param, b int, nm sparsity.NM) (spmm, error) {
 	e.plans = append(e.plans, plan)
 	if e.precision == Int8 {
 		var q *format.QuantPlan
+		var err error
 		if e.registry != nil {
 			q, err = e.registry.QuantFor(plan)
 		} else {
@@ -493,48 +545,46 @@ func (e *Engine) newSpMM(p *nn.Param, b int, nm sparsity.NM) (spmm, error) {
 }
 
 // effective materializes a masked-dense layer's weights, borrowing the
-// shared universal tensor when the parameter still matches the universal
-// model; a private materialization counts toward the engine footprint.
+// shared universal tensor when the tenant's are bit for bit the universal
+// model's (the materialization is then dropped); a private one counts
+// toward the engine footprint.
 func (e *Engine) effective(p *nn.Param) *tensor.Tensor {
-	if t := e.shared.universalEffective(p); t != nil {
-		return t
+	t := e.src.Effective(p)
+	if u := e.shared.universalEffective(p.Name, t); u != nil {
+		return u
 	}
-	t := p.Effective()
 	e.footprint += int64(len(t.Data)) * 8
 	return t
 }
 
-// own returns an engine-owned copy of a parameter's values (nil for an
-// absent parameter, e.g. a bias-free conv) and charges it to the footprint.
+// own takes ownership of a parameter's values (nil for an absent parameter,
+// e.g. a bias-free conv) and charges them to the footprint.
 func (e *Engine) own(p *nn.Param) []float64 {
 	if p == nil {
 		return nil
 	}
-	return e.ownVec(p.W.Data)
+	return e.charge(e.src.Values(p))
 }
 
-// ownVec is own for a bare vector (normalization running statistics).
-func (e *Engine) ownVec(v []float64) []float64 {
+// charge adds a vector the source just handed over to the footprint.
+func (e *Engine) charge(v []float64) []float64 {
 	e.footprint += int64(len(v)) * 8
-	return slices.Clone(v)
+	return v
 }
 
-// encodeParam compresses one parameter's masked weights and compiles the
-// execution plan. Dense and exempt parameters use CSR; hybrid-masked ones
-// use the CRISP format. Either way the plan's per-row accumulation order is
-// the storage kernel's, so results are bit-identical to slot walking.
-func encodeParam(p *nn.Param, b int, nm sparsity.NM) (*format.Plan, error) {
-	masked := tensor.Mul(p.MatrixView(), p.MaskMatrixView())
-	if p.BlockExempt || p.Mask == nil || !p.Prunable {
-		return format.EncodeCSR(masked).Compile(), nil
+// encodeParam compresses one parameter's effective matrix and compiles the
+// execution plan. Exempt and unprunable parameters use CSR; the rest use the
+// CRISP format when their mask is hybrid, CSR when it is dense or
+// non-conforming (e.g. a baseline pruner) — they still execute, just without
+// the hybrid layout. Either way the plan's per-row accumulation order is the
+// storage kernel's, so results are bit-identical to slot walking.
+func encodeParam(p *nn.Param, masked *tensor.Tensor, b int, nm sparsity.NM) *format.Plan {
+	if !p.BlockExempt && p.Prunable {
+		if enc, err := format.EncodeCRISP(masked, b, nm); err == nil {
+			return enc.Compile()
+		}
 	}
-	enc, err := format.EncodeCRISP(masked, b, nm)
-	if err != nil {
-		// Dense or non-conforming masks (e.g. a baseline pruner) still
-		// execute, just without the hybrid layout.
-		return format.EncodeCSR(masked).Compile(), nil
-	}
-	return enc.Compile(), nil
+	return format.EncodeCSR(masked).Compile()
 }
 
 // execSeq chains executors.
@@ -569,13 +619,15 @@ func (r *execResidual) forward(x *tensor.Tensor, a *arena) *tensor.Tensor {
 	return out
 }
 
-// execDense runs an uncompiled layer through its own eval-mode Forward.
-type execDense struct {
-	l nn.Layer
-}
+// execGELU is eval-mode nn.GELU with the output drawn from the arena.
+type execGELU struct{}
 
-func (d *execDense) forward(x *tensor.Tensor, _ *arena) *tensor.Tensor {
-	return d.l.Forward(x, false)
+func (execGELU) forward(x *tensor.Tensor, a *arena) *tensor.Tensor {
+	y := a.tensor(x.Shape...)
+	for i, v := range x.Data {
+		y.Data[i] = nn.Gelu(v)
+	}
+	return y
 }
 
 // convBatchLastMin gates the batch-last implicit-im2col conv path: its two
@@ -859,15 +911,17 @@ func (e *execBatchNorm) forward(x *tensor.Tensor, a *arena) *tensor.Tensor {
 }
 
 // execReLU is the eval-mode rectifier (optionally clipped) with the output
-// drawn from the arena. Activation statistics, when attached, still
-// accumulate — matching nn.ReLU.Forward.
+// drawn from the arena. Cap and the statistics hook are the layer's at
+// compile time; statistics, when attached then, still accumulate — matching
+// nn.ReLU.Forward.
 type execReLU struct {
-	relu *nn.ReLU
+	clip  float64 // > 0 clips activations there (ReLU6)
+	stats *nn.ActStats
 }
 
 func (e *execReLU) forward(x *tensor.Tensor, a *arena) *tensor.Tensor {
 	y := a.tensor(x.Shape...)
-	if c := e.relu.Cap; c > 0 {
+	if c := e.clip; c > 0 {
 		for i, v := range x.Data {
 			out := v
 			if v < 0 {
@@ -894,8 +948,8 @@ func (e *execReLU) forward(x *tensor.Tensor, a *arena) *tensor.Tensor {
 			yd[i] = math.Float64frombits(b)
 		}
 	}
-	if e.relu.Stats != nil {
-		e.relu.Stats.Total += int64(len(y.Data))
+	if e.stats != nil {
+		e.stats.Total += int64(len(y.Data))
 		nz := int64(0)
 		for _, v := range y.Data {
 			// v != 0 ⇔ magnitude bits != 0 (shifting out the sign keeps
@@ -904,7 +958,7 @@ func (e *execReLU) forward(x *tensor.Tensor, a *arena) *tensor.Tensor {
 			m := math.Float64bits(v) << 1
 			nz += int64((m | -m) >> 63)
 		}
-		e.relu.Stats.NonZeros += nz
+		e.stats.NonZeros += nz
 	}
 	return y
 }

@@ -1,11 +1,16 @@
 package inference
 
 import (
+	"bytes"
 	"math"
+	"math/rand"
 	"runtime"
+	"slices"
+	"sync"
 	"testing"
 	"weak"
 
+	"repro/internal/checkpoint"
 	"repro/internal/format"
 	"repro/internal/models"
 	"repro/internal/nn"
@@ -42,11 +47,7 @@ func compileTenant(t *testing.T, base *nn.Classifier, clone func() *nn.Classifie
 func TestEngineOutlivesItsClassifier(t *testing.T) {
 	for _, f := range []models.Family{models.ResNet, models.VGG, models.MobileNet, models.Transformer} {
 		base, clone, x, prune := sharedEnv(t, f)
-		x16 := tensor.Concat([]*tensor.Tensor{x, x})
-		x1 := tensor.FromSlice(x.Data[:x.Len()/x.Shape[0]], 1, x.Shape[1], x.Shape[2], x.Shape[3])
-		if x16.Shape[0] != 16 {
-			t.Fatalf("fixture batch is %d samples, want 16", x16.Shape[0])
-		}
+		x1, x16 := batches(t, x)
 		for _, prec := range []Precision{Float32, Int8} {
 			eng, tenant, _ := compileTenant(t, base, clone, prune, prec)
 			want1, want16 := eng.Logits(x1), eng.Logits(x16)
@@ -82,5 +83,177 @@ func TestEngineOutlivesItsClassifier(t *testing.T) {
 			t.Errorf("%s: the tenant's largest weight tensor survives a GC while only the engine is live", f)
 		}
 		runtime.KeepAlive(eng)
+	}
+}
+
+// batches cuts the fixture batch into the two shapes the equivalence tests
+// run: one sample and sixteen.
+func batches(t *testing.T, x *tensor.Tensor) (x1, x16 *tensor.Tensor) {
+	t.Helper()
+	x16 = tensor.Concat([]*tensor.Tensor{x, x})
+	if x16.Shape[0] != 16 {
+		t.Fatalf("fixture batch is %d samples, want 16", x16.Shape[0])
+	}
+	return tensor.FromSlice(x.Data[:x.Len()/x.Shape[0]], 1, x.Shape[1], x.Shape[2], x.Shape[3]), x16
+}
+
+func sameLogits(a, b *tensor.Tensor) bool {
+	return slices.EqualFunc(a.Data, b.Data, func(v, w float64) bool { return math.Float64bits(v) == math.Float64bits(w) })
+}
+
+// engineFromDelta compiles a tenant the way the serving layer promotes one:
+// a validated view over its delta as the source, the universal model as the
+// layer tree, fresh shared slabs and registry.
+func engineFromDelta(t *testing.T, base *nn.Classifier, delta []byte, prec Precision) (*Engine, CompileOptions) {
+	t.Helper()
+	view, err := checkpoint.ViewModelDelta(delta, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := compileOpts(base, format.NewRegistry(), prec)
+	eng, err := NewFromSource(base, view, 4, sparsity.NM{N: 2, M: 4}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng, opts
+}
+
+// TestEngineFromDeltaMatchesEngineFromClone: compiling straight from (base,
+// delta) yields the engine the clone path yields — build a classifier,
+// ApplyModelDelta, NewWithOptions — on every family at both precisions:
+// same Fingerprint, QuantSignature, MemoryFootprint and CompressedLayers,
+// logits bit for bit at batch 1 and 16. Three tenants each: fine-tuned
+// (kept values stored), mask-only (pruned, every kept value still the
+// base's: every delta entry is "same", every plan binds its slab) and
+// untouched (no masks: masked-dense layers borrow the shared effective
+// tensors). The fine-tuned one is also held to the engine compiled from the
+// pruned tenant itself, which shares no decoding with either path.
+func TestEngineFromDeltaMatchesEngineFromClone(t *testing.T) {
+	nm := sparsity.NM{N: 2, M: 4}
+	for _, f := range []models.Family{models.ResNet, models.VGG, models.MobileNet, models.Transformer} {
+		base, clone, x, prune := sharedEnv(t, f)
+		x1, x16 := batches(t, x)
+		finetuned := clone()
+		prune(finetuned, []int{1, 5})
+		maskOnly := clone()
+		for i, p := range maskOnly.Params() {
+			if m := finetuned.Params()[i].Mask; m != nil {
+				p.Mask = m.Clone()
+			}
+		}
+		for name, tenant := range map[string]*nn.Classifier{"fine-tuned": finetuned, "mask-only": maskOnly, "untouched": clone()} {
+			delta, err := checkpoint.EncodeModelDelta(base, tenant)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, prec := range []Precision{Float32, Int8} {
+				rebuilt := models.Build(f, rand.New(rand.NewSource(77)), base.NumClasses, 1)
+				if err := checkpoint.ApplyModelDelta(delta, base, rebuilt); err != nil {
+					t.Fatal(err)
+				}
+				want, err := NewWithOptions(rebuilt, 4, nm, compileOpts(base, format.NewRegistry(), prec))
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, opts := engineFromDelta(t, base, delta, prec)
+				if got.Fingerprint() != want.Fingerprint() || got.QuantSignature() != want.QuantSignature() ||
+					got.MemoryFootprint() != want.MemoryFootprint() || got.CompressedLayers != want.CompressedLayers {
+					t.Fatalf("%s/%s/%s: from delta fp %016x qsig %016x footprint %d layers %d, from clone %016x %016x %d %d", f, name, prec,
+						got.Fingerprint(), got.QuantSignature(), got.MemoryFootprint(), got.CompressedLayers,
+						want.Fingerprint(), want.QuantSignature(), want.MemoryFootprint(), want.CompressedLayers)
+				}
+				if !sameLogits(got.Logits(x1), want.Logits(x1)) || !sameLogits(got.Logits(x16), want.Logits(x16)) {
+					t.Fatalf("%s/%s/%s: logits from the delta differ from the clone path's", f, name, prec)
+				}
+				switch name {
+				case "fine-tuned":
+					direct, err := NewWithOptions(tenant, 4, nm, compileOpts(base, format.NewRegistry(), prec))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got.Fingerprint() != direct.Fingerprint() || got.QuantSignature() != direct.QuantSignature() || !sameLogits(got.Logits(x16), direct.Logits(x16)) {
+						t.Fatalf("%s/%s: engine from the delta is not the engine compiled from the pruned tenant", f, prec)
+					}
+				case "mask-only":
+					for _, p := range got.plans {
+						if !p.Shared() {
+							t.Fatalf("%s/%s: a tenant whose kept values are the base's compiled an owned plan from its delta", f, prec)
+						}
+					}
+				case "untouched":
+					if masked := f == models.MobileNet || f == models.Transformer; masked != (len(opts.Shared.eff) > 0) {
+						t.Fatalf("%s/%s: %d shared effective tensors borrowed by an untouched tenant", f, prec, len(opts.Shared.eff))
+					}
+				}
+			}
+		}
+	}
+}
+
+// baseBytes is the base's checkpoint stream: every weight, mask and norm
+// statistic bit.
+func baseBytes(t *testing.T, base *nn.Classifier) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := checkpoint.Save(&buf, base); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestEngineFromDeltaOwnsWhatItReads: an engine compiled from (base, delta)
+// keeps nothing of the delta and writes nothing of the base. Overwriting
+// every delta byte leaves its logits bit-identical, the delta's backing
+// array is collected while the engine is live, every weight, mask and norm
+// statistic of the base is untouched, and two tenants' engines over one base
+// serve concurrently (clean under -race).
+func TestEngineFromDeltaOwnsWhatItReads(t *testing.T) {
+	for _, f := range []models.Family{models.ResNet, models.VGG, models.MobileNet, models.Transformer} {
+		base, clone, x, prune := sharedEnv(t, f)
+		x1, x16 := batches(t, x)
+		before := baseBytes(t, base)
+		for _, prec := range []Precision{Float32, Int8} {
+			var engines [2]*Engine
+			var want [2][2]*tensor.Tensor
+			var deltas [2]weak.Pointer[byte]
+			for i, classes := range [][]int{{1, 5}, {0, 2, 6}} {
+				tenant := clone()
+				prune(tenant, classes)
+				delta, err := checkpoint.EncodeModelDelta(base, tenant)
+				if err != nil {
+					t.Fatal(err)
+				}
+				engines[i], _ = engineFromDelta(t, base, delta, prec)
+				want[i] = [2]*tensor.Tensor{engines[i].Logits(x1), engines[i].Logits(x16)}
+				for j := range delta {
+					delta[j] = 0xA5
+				}
+				deltas[i] = weak.Make(&delta[0])
+			}
+			var wg sync.WaitGroup
+			for i, eng := range engines {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for rep := 0; rep < 4; rep++ {
+						if !sameLogits(eng.Logits(x1), want[i][0]) || !sameLogits(eng.Logits(x16), want[i][1]) {
+							t.Errorf("%s/%s: tenant %d's logits changed once its delta was overwritten and a neighbour served beside it", f, prec, i)
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			runtime.GC()
+			runtime.GC()
+			for i, d := range deltas {
+				if d.Value() != nil {
+					t.Errorf("%s/%s: tenant %d's delta survives a GC while only its engine is live", f, prec, i)
+				}
+			}
+			runtime.KeepAlive(engines)
+		}
+		if !bytes.Equal(baseBytes(t, base), before) {
+			t.Errorf("%s: compiling from deltas wrote the base", f)
+		}
 	}
 }

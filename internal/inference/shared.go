@@ -1,6 +1,7 @@
 package inference
 
 import (
+	"math"
 	"sync"
 
 	"repro/internal/format"
@@ -15,8 +16,8 @@ import (
 // (attention projections, depthwise kernels). Engines compiled with
 // CompileOptions.Shared bind their plans to these slabs whenever the
 // tenant's kept values still equal the universal weights, and borrow the
-// cached effective tensors whenever the tenant's weights and mask match the
-// universal parameter — so per-tenant memory shrinks to index data plus
+// cached effective tensors whenever the tenant's effective weights equal the
+// universal parameter's — so per-tenant memory shrinks to index data plus
 // only the layers that actually diverged.
 //
 // The base classifier must not be trained or re-pruned while engines built
@@ -53,65 +54,36 @@ func (s *SharedWeights) Slab(name string) *format.ValueSlab {
 	return s.slabs[name]
 }
 
-// universalEffective returns the shared effective (W ⊙ Mask) tensor for p
-// when the tenant parameter still matches the universal one bit-for-bit —
-// same weights, same mask — and nil when it diverged (the caller then
-// materializes privately). The shared tensor is computed once per parameter
-// and must be treated as immutable by every borrower.
-func (s *SharedWeights) universalEffective(p *nn.Param) *tensor.Tensor {
+// universalEffective returns the shared effective (W ⊙ Mask) tensor for the
+// named parameter when t, the tenant's effective weights, equals it bit for
+// bit, and nil when the tenant diverged (the caller then keeps t). Either
+// tensor computes the same results; borrowing only changes who owns the
+// memory. The comparison multiplies the universal mask in on the fly, so a
+// server whose tenants all diverged never materializes the shared tensor; it
+// is computed once per parameter, on the first match, and must be treated as
+// immutable by every borrower.
+func (s *SharedWeights) universalEffective(name string, t *tensor.Tensor) *tensor.Tensor {
 	if s == nil {
 		return nil
 	}
-	b := s.params[p.Name]
-	if b == nil || !tensorEqualBits(p.W, b.W) || !maskEqual(p.Mask, b.Mask) {
+	b := s.params[name]
+	if b == nil || len(t.Data) != b.W.Len() {
 		return nil
+	}
+	for i, w := range b.W.Data {
+		if b.Mask != nil {
+			w *= b.Mask.Data[i]
+		}
+		if math.Float64bits(t.Data[i]) != math.Float64bits(w) {
+			return nil
+		}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	t := s.eff[p.Name]
-	if t == nil {
-		t = b.Effective()
-		s.eff[p.Name] = t
+	u := s.eff[name]
+	if u == nil {
+		u = OwnParams{}.Effective(b)
+		s.eff[name] = u
 	}
-	return t
-}
-
-// tensorEqualBits reports elementwise equality of two tensors' storage.
-func tensorEqualBits(a, b *tensor.Tensor) bool {
-	if a == b {
-		return true
-	}
-	if a == nil || b == nil || len(a.Data) != len(b.Data) {
-		return false
-	}
-	for i, v := range a.Data {
-		if b.Data[i] != v {
-			return false
-		}
-	}
-	return true
-}
-
-// maskEqual reports whether two masks keep the same positions, treating a
-// nil mask as all-ones.
-func maskEqual(a, b *tensor.Tensor) bool {
-	switch {
-	case a == nil && b == nil:
-		return true
-	case a == nil:
-		return allOnes(b)
-	case b == nil:
-		return allOnes(a)
-	default:
-		return tensorEqualBits(a, b)
-	}
-}
-
-func allOnes(m *tensor.Tensor) bool {
-	for _, v := range m.Data {
-		if v != 1 {
-			return false
-		}
-	}
-	return true
+	return u
 }

@@ -90,12 +90,12 @@ type GELU struct {
 // geluCoef is the tanh-approximation constant √(2/π).
 const geluCoef = 0.7978845608028654
 
-// geluForward computes the tanh-approximated GELU of v.
-func geluForward(v float64) float64 {
+// Gelu computes the tanh-approximated GELU of v.
+func Gelu(v float64) float64 {
 	return 0.5 * v * (1 + math.Tanh(geluCoef*(v+0.044715*v*v*v)))
 }
 
-// geluGrad is d/dv of geluForward.
+// geluGrad is d/dv of Gelu.
 func geluGrad(v float64) float64 {
 	inner := geluCoef * (v + 0.044715*v*v*v)
 	t := math.Tanh(inner)
@@ -107,7 +107,7 @@ func geluGrad(v float64) float64 {
 func (g *GELU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	y := tensor.New(x.Shape...)
 	for i, v := range x.Data {
-		y.Data[i] = geluForward(v)
+		y.Data[i] = Gelu(v)
 	}
 	if train {
 		g.x = x

@@ -172,11 +172,12 @@
 // Lifecycle: an insert past the hot bound demotes the LRU engine — its
 // plans return their registry references, its batcher flushes — and the
 // delta it already carried parks in a warm LRU (Stats.Demotions).
-// A request for a warm tenant promotes instead of re-pruning: apply the
-// delta to a fresh clone, recompile, and verify the rebuild against the
-// structural fingerprint (and, on Int8, the quant signature) captured at
-// demotion (Stats.WarmHits/Promotions; a failed verification counts
-// PromoteErrors and falls through to the cold tier). Warm records squeezed
+// A request for a warm tenant promotes instead of re-pruning, and builds no
+// classifier to do it: the engine compiles from the universal model's layer
+// tree and a checksum-verified view over the delta (checkpoint.DeltaView),
+// and is verified against the structural fingerprint (and, on Int8, the
+// quant signature) captured at demotion (Stats.WarmHits/Promotions; failing
+// either counts PromoteErrors and falls to the cold tier). Warm records squeezed
 // out by the budget drop to disk (Stats.WarmEvictions); cold tenants
 // restore as before. Every transition is exact: promotion is bit-identical
 // on the float path and QuantSignature-identical on int8, because the delta

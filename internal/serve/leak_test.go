@@ -56,9 +56,11 @@ func (b *builtClassifiers) live() (built, live int) {
 // TestPersonalizationPinsNoTrainingState: the cache holds no classifier at
 // all, so none of a pruning run's weights, gradients, workspace or backprop
 // caches can ride into it — the hot tier's byte budget counts none of them.
-// Every classifier the server builds (to prune, to promote a warm record, to
-// write a snapshot, to restore a cold one) is garbage once its call returns,
-// while the tenants it produced stay resident.
+// Every classifier the server builds (to prune, to write a snapshot, to
+// restore a cold record) is garbage once its call returns, while the tenants
+// it produced stay resident — and a warm promotion builds none: however many
+// times tenants cycle between the hot and warm tiers, the build count stays
+// at what the prunes and snapshot writes took.
 func TestPersonalizationPinsNoTrainingState(t *testing.T) {
 	env := sharedEnv()
 	opts, _ := snapshotOpts(t)
@@ -71,7 +73,7 @@ func TestPersonalizationPinsNoTrainingState(t *testing.T) {
 	}
 	defer s.Close()
 	sets := [][]int{{1, 3}, {0, 2, 5}, {4}}
-	for _, classes := range append(sets, sets[0]) { // the repeat promotes {1,3}
+	for _, classes := range sets {
 		if _, _, err := s.Personalize(classes); err != nil {
 			t.Fatal(err)
 		}
@@ -79,12 +81,21 @@ func TestPersonalizationPinsNoTrainingState(t *testing.T) {
 	if _, err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	if n, _ := built.live(); n != 6 {
+		t.Fatalf("%d classifiers built for 3 prunes + 3 snapshot writes, want 6", n)
+	}
+	const promotions = 7 // each request is for the one warm tenant
+	for i := 0; i < promotions; i++ {
+		if _, _, err := s.Personalize(sets[i%len(sets)]); err != nil {
+			t.Fatal(err)
+		}
+	}
 	st := s.Stats()
-	if st.CachedEngines != 2 || st.WarmEntries != 1 || st.Promotions != 1 || st.SnapshotWrites != 3 {
+	if st.CachedEngines != 2 || st.WarmEntries != 1 || st.Promotions != promotions || st.SnapshotWrites != 3 || st.PromoteErrors != 0 {
 		t.Fatalf("fixture did not prune, snapshot, demote and promote: %+v", st)
 	}
-	if n, live := built.live(); n != 7 || live != 0 {
-		t.Errorf("%d of %d built classifiers still reachable behind 2 hot and 1 warm tenant (want 3 prunes + 3 snapshot writes + 1 promotion, none live)", live, n)
+	if n, live := built.live(); n != 6 || live != 0 {
+		t.Errorf("%d classifiers built, %d still reachable, behind 2 hot and 1 warm tenant after %d promotions (want the 6 of 3 prunes + 3 snapshot writes, none from a promotion, none live)", n, live, promotions)
 	}
 
 	var rebuilt builtClassifiers
@@ -166,23 +177,7 @@ func TestHotBytesMatchesLiveHeap(t *testing.T) {
 	}
 	for _, f := range []models.Family{models.ResNet, models.Transformer} {
 		t.Run(string(f), func(t *testing.T) {
-			cfg := data.Config{Name: "bench", NumClasses: 10, Channels: 3, H: 8, W: 8, Noise: 0.25, Jitter: 1, Seed: 20240607}
-			ds := data.New(cfg)
-			build := func() *nn.Classifier {
-				return models.Build(f, rand.New(rand.NewSource(20240608)), cfg.NumClasses, 2)
-			}
-			base := build()
-			all := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-			pruner.Finetune(base, ds.MakeSplit("pretrain", all, 8), 2, 16, nn.NewSGD(0.05, 0.9, 4e-5), rand.New(rand.NewSource(20240609)))
-			base.ReleaseTrainingState()
-			s, err := NewServer(build, base, ds, Options{
-				Prune:         pruner.Options{Target: 0.9, NM: sparsity.NM{N: 2, M: 4}, BlockSize: 4, Iterations: 1, FinetuneEpochs: 1, BatchSize: 16},
-				TrainPerClass: 8, TestPerClass: 8, MaxBatch: 16, CacheSize: 32,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
+			s := benchShapeServer(t, f, Options{CacheSize: 32})
 			before := liveHeap()
 			const tenants = 12
 			for i := 0; i < tenants; i++ {
@@ -196,6 +191,79 @@ func TestHotBytesMatchesLiveHeap(t *testing.T) {
 			if grown > 1.15*charged {
 				t.Errorf("%d hot tenants grew the live heap by %.0f bytes, %.0f%% more than the %.0f bytes HotBytes charges",
 					tenants, grown, 100*(grown/charged-1), charged)
+			}
+		})
+	}
+}
+
+// benchShapeServer is a server at the repository benchmark's fixture shapes
+// (bench/fixture.go: width-2 models, ten 8×8 classes, a 2-epoch pre-train,
+// 90 % target at 2:4 in 4×4 blocks); tiers sets the cache bounds.
+func benchShapeServer(t *testing.T, f models.Family, tiers Options) *Server {
+	t.Helper()
+	cfg := data.Config{Name: "bench", NumClasses: 10, Channels: 3, H: 8, W: 8, Noise: 0.25, Jitter: 1, Seed: 20240607}
+	ds := data.New(cfg)
+	build := func() *nn.Classifier {
+		return models.Build(f, rand.New(rand.NewSource(20240608)), cfg.NumClasses, 2)
+	}
+	base := build()
+	all := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
+	pruner.Finetune(base, ds.MakeSplit("pretrain", all, 8), 2, 16, nn.NewSGD(0.05, 0.9, 4e-5), rand.New(rand.NewSource(20240609)))
+	base.ReleaseTrainingState()
+	tiers.Prune = pruner.Options{Target: 0.9, NM: sparsity.NM{N: 2, M: 4}, BlockSize: 4, Iterations: 1, FinetuneEpochs: 1, BatchSize: 16}
+	tiers.TrainPerClass, tiers.TestPerClass, tiers.MaxBatch = 8, 8, 16
+	s, err := NewServer(build, base, ds, tiers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	return s
+}
+
+// TestPromoteAllocsBudget bounds what one tier round trip allocates at the
+// benchmark's fixture shapes. With one hot slot and two tenants, each
+// request demotes the resident tenant (no encoding: its delta parks) and
+// promotes the other straight from (base, delta) — no classifier is built.
+// Measured per demote + promote pair: transformer-s 318 objects / 216 KB
+// (792 / 692 KB when promotion built and filled a clone), resnet-s 515 /
+// 1.96 MB (1 326 / 6.45 MB). The budgets leave room for toolchain drift and
+// do not admit a clone: a build alone is 307 objects / 315 KB on
+// transformer-s and 417 / 2.75 MB on resnet-s.
+func TestPromoteAllocsBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	if testing.Short() {
+		t.Skip("full-scale personalizations (short mode)")
+	}
+	for _, c := range []struct {
+		family         models.Family
+		objects, bytes float64
+	}{{models.Transformer, 480, 300e3}, {models.ResNet, 900, 3.2e6}} {
+		t.Run(string(c.family), func(t *testing.T) {
+			s := benchShapeServer(t, c.family, Options{CacheSize: 1, MemoryBudgetBytes: 1 << 40})
+			sets := [][]int{{0, 1, 3}, {2, 5, 8}}
+			swap := func(i int) {
+				if _, hit, err := s.Personalize(sets[i%2]); err != nil || hit {
+					t.Fatalf("Personalize(%v): hit %v, err %v", sets[i%2], hit, err)
+				}
+			}
+			swap(0)
+			swap(1)
+			swap(0) // first promotion: fills the shared caches
+			const pairs = 20
+			i := 1
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			objects := testing.AllocsPerRun(pairs, func() { swap(i); i++ })
+			runtime.ReadMemStats(&after)
+			bytes := float64(after.TotalAlloc-before.TotalAlloc) / (pairs + 1)
+			if st := s.Stats(); st.Personalizations != 2 || st.Promotions != pairs+2 || st.Demotions != pairs+3 || st.PromoteErrors != 0 {
+				t.Fatalf("fixture did not swap two tenants through the warm tier: %+v", st)
+			}
+			t.Logf("%s: %.0f objects, %.0f KB per demote + promote pair", c.family, objects, bytes/1e3)
+			if objects > c.objects || bytes > c.bytes {
+				t.Errorf("%s: a demote + promote pair allocates %.0f objects / %.0f bytes, budget %.0f / %.0f", c.family, objects, bytes, c.objects, c.bytes)
 			}
 		})
 	}

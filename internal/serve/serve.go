@@ -146,8 +146,8 @@ type Personalization struct {
 
 	engine *inference.Engine
 	// delta is checkpoint.EncodeModelDelta(base, clone), written once at
-	// creation and read-only after: demotion parks it as the warm record and
-	// a snapshot write rebuilds the clone from it.
+	// creation and read-only after: demotion parks it as the warm record,
+	// promotion compiles from it, a snapshot write rebuilds the clone from it.
 	delta []byte
 	// bat coalesces concurrent Predict calls against this engine; nil when
 	// batching is disabled (Options.MaxBatch <= 1).
@@ -811,7 +811,7 @@ func (s *Server) personalize(classes []int, key string) (*Personalization, perso
 // through a thunk so callers that don't already have one (the restore
 // path) only synthesize it when the precision actually needs it.
 func (s *Server) compileEngine(clone *nn.Classifier, key string, testSplit func() data.Split) (*inference.Engine, float64, error) {
-	eng, err := s.newEngine(clone, key)
+	eng, err := s.newEngine(clone, inference.OwnParams{}, key)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -23,12 +23,11 @@ import (
 // copy), encoded once when the tenant is created. An engine squeezed out of
 // the hot tier is demoted: its compiled plans return their registry
 // references and that same delta parks in a warm LRU — no encoding work. A
-// later request promotes the record instead of re-pruning: apply the delta
-// to a fresh clone of the universal model, recompile against the shared
-// slabs, and let the clone die. A snapshot write rebuilds a clone the same
-// way for the duration of the write, so a newly written record's pruned
-// positions hold the base's values, not the fine-tuned ones (dead data: no
-// loader reads them).
+// later request promotes the record instead of re-pruning, and builds no
+// model to do it: the universal model supplies the layer tree and a validated
+// view over the delta (checkpoint.ViewModelDelta) the tenant's values. A
+// snapshot write does rebuild a clone (build + ApplyModelDelta), so a new
+// record's pruned positions hold the base's values (dead data: none reads them).
 // Because compilation and quantization only ever read the effective weights
 // W ⊙ Mask — exactly what the delta preserves — promotion is bit-identical
 // on the float path and QuantSignature-identical on int8; both are verified
@@ -66,12 +65,12 @@ func warmEntryBytes(we *warmEntry) int64 {
 	return int64(len(we.delta)) + int64(len(we.key)) + int64(len(we.classes))*8 + warmEntryOverheadBytes
 }
 
-// newEngine compiles the serving engine for a personalized clone at the
-// server's precision, referencing the shared universal slabs and the
-// cross-tenant plan registry.
-func (s *Server) newEngine(clone *nn.Classifier, key string) (*inference.Engine, error) {
+// newEngine compiles the serving engine for the tenant src holds over tree
+// (a personalized clone and its own parameters, or base and a delta view) at
+// the server's precision, on the shared slabs and the cross-tenant registry.
+func (s *Server) newEngine(tree *nn.Classifier, src inference.ParamSource, key string) (*inference.Engine, error) {
 	bs, nm := s.opts.Prune.BlockSize, s.opts.Prune.NM
-	eng, err := inference.NewWithOptions(clone, bs, nm, inference.CompileOptions{
+	eng, err := inference.NewFromSource(tree, src, bs, nm, inference.CompileOptions{
 		Precision: s.opts.Precision, Shared: s.shared, Registry: s.registry,
 	})
 	if err != nil {
@@ -237,19 +236,19 @@ func (s *Server) takeWarm(key string) *warmEntry {
 	return we
 }
 
-// promoteWarm rebuilds a hot Personalization from a warm record: apply the
-// delta to a fresh clone of the universal model, recompile against the
-// shared slabs, and verify the result is the engine that was demoted — the
-// structural fingerprint must match on every server, and on Int8 the quant
-// signature must too. The stored accuracy/agreement carry over: the rebuilt
-// engine is pinned identical, so re-measuring would be wasted work.
+// promoteWarm rebuilds a hot Personalization from a warm record: compile the
+// engine straight from (base, delta view) — checksum-verified before compile
+// reads a value; no classifier is built — and verify the result is the engine
+// that was demoted: the structural fingerprint must match on every server,
+// and on Int8 the quant signature must too. The stored accuracy/agreement
+// carry over: the engine is pinned identical, so re-measuring would be waste.
 func (s *Server) promoteWarm(we *warmEntry) (*Personalization, error) {
 	defer s.clock(&s.stats.PromoteNanos, time.Now())
-	clone := s.build()
-	if err := checkpoint.ApplyModelDelta(we.delta, s.base, clone); err != nil {
+	view, err := checkpoint.ViewModelDelta(we.delta, s.base)
+	if err != nil {
 		return nil, fmt.Errorf("serve: promoting {%s}: %w", we.key, err)
 	}
-	eng, err := s.newEngine(clone, we.key)
+	eng, err := s.newEngine(s.base, view, we.key)
 	if err != nil {
 		return nil, err
 	}
