@@ -325,38 +325,6 @@ func BenchmarkSpMM_PlanInt8Batch16(b *testing.B) {
 	}
 }
 
-// BenchmarkSpMM_BlockedFloatBatch16 pins the register-blocked, cache-tiled
-// float kernel on the plan-pair shape: the explicit 64×128 tiling bypasses
-// the auto heuristic (which would pick scalar at this batch width), so the
-// blocked outer loop + panel microkernels are measured in isolation against
-// BenchmarkSpMM_PlanFloatBatch16's dispatch. Bit-identical output is
-// enforced separately by the conformance harness (internal/format).
-func BenchmarkSpMM_BlockedFloatBatch16(b *testing.B) {
-	b.ReportAllocs()
-	p, _, x := benchPlanPair(b)
-	p.SetTiling(format.Tiling{RowTile: 64, ColTile: 128})
-	out := tensor.New(p.Rows, 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.MatMulInto(x, out)
-	}
-}
-
-// BenchmarkSpMM_BlockedInt8Batch16 is the quantized kernel riding the same
-// blocked outer loops: the packed SWAR accumulators stay in registers
-// across each column tile instead of round-tripping the scratch slabs.
-func BenchmarkSpMM_BlockedInt8Batch16(b *testing.B) {
-	b.ReportAllocs()
-	_, q, x := benchPlanPair(b)
-	q.SetTiling(format.Tiling{RowTile: 64, ColTile: 128})
-	out := tensor.New(q.Rows, 16)
-	s := q.Scratch(16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q.MatMulInto(x, out, s)
-	}
-}
-
 // BenchmarkSpMM_CRISPFastPath measures the CRISP-structure-specialized
 // blocked kernel: the hybrid matrix compiles with a proved uniform span
 // width, so the blocked path runs its fixed-trip-count microkernel loop

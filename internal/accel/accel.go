@@ -26,10 +26,6 @@ type HW struct {
 	MACsPerCycle int
 	// SMEMBytes is the shared-memory capacity (256 KB).
 	SMEMBytes int
-	// L1Bytes is the innermost private cache, used by the CPU-side tiling
-	// model to derive cache-block sizes (zero on accelerator configs,
-	// whose SMEM is software-managed).
-	L1Bytes int
 	// SMEMBytesPerCycle is the on-chip bandwidth into the compute fabric.
 	SMEMBytesPerCycle float64
 	// DRAMBytesPerCycle is the off-chip bandwidth (edge LPDDR-class).

@@ -122,9 +122,8 @@ func TileSim(hw HW, arch string, l models.LayerShape, sp Sparsity) (*TileTrace, 
 	return trace, nil
 }
 
-// runSchedule plays the double-buffered load/compute pipeline shared by
-// TileSim and the CPU-side tiling cost model (SimulateTiling): tile i+1's
-// load starts when tile i's load finishes (single prefetch buffer), tile
+// runSchedule plays TileSim's double-buffered load/compute pipeline: tile
+// i+1's load starts when tile i's load finishes (single prefetch buffer), tile
 // i's compute starts when both its load and the previous compute are done.
 // It returns the event timeline, the last compute-end time, and the summed
 // busy cycles per resource.

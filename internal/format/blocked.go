@@ -4,31 +4,11 @@ import (
 	"repro/internal/tensor"
 )
 
-// Tiling describes how the blocked SpMM kernels partition an output matrix
-// into cache-sized tiles: RowTile output rows by ColTile activation columns
-// per tile. Within a tile, column-panel microkernels (microkernel.go)
-// process eight (falling back to four, then one) columns per row-span pass
-// with the panel accumulators in registers.
-//
-// The zero value selects the package defaults below; accel.PickTiling
-// chooses tile sizes from the tile simulator at plan-compile time and the
-// inference engine installs them via SetTiling. Scalar forces the scalar
-// reference kernel regardless of batch width (conformance, debugging).
-type Tiling struct {
-	RowTile, ColTile int
-	Scalar           bool
-}
-
-// Default tile sizes, derived from the one cache-block constant shared with
-// tensor.TransposeInto (tensor.CacheBlockF64, itself pinned to
-// accel.CPUHW().CacheBlockF64() — see the accel tests): two cache blocks of
-// output rows, and an activation panel of four cache blocks of columns, so
-// one tile's output (RowTile × ColTile float64s = 64 KiB) plus the
-// activation slice it gathers stay L2-resident while the row spans stream.
-const (
-	defaultRowTile = 2 * tensor.CacheBlockF64
-	defaultColTile = 4 * tensor.CacheBlockF64
-)
+// defaultRowTile is the row-chunk height the blocked path hands the worker
+// pool: two cache blocks of output rows, derived from the one cache-block
+// constant shared with tensor.TransposeInto (tensor.CacheBlockF64). A plan
+// with fewer than two chunks runs serially.
+const defaultRowTile = 2 * tensor.CacheBlockF64
 
 // panelMin is the batch width below which the blocked path does not apply:
 // with fewer than four activation columns there is no panel to register-
@@ -41,158 +21,81 @@ const panelMin = 4
 // gathers pay L2-miss/TLB latency on every span entry while the scalar
 // kernel's full-width row walks ride the hardware prefetcher at stream
 // bandwidth — measured 2× FASTER than panel gathers at conv-sized
-// activations (Cols×n ≥ 4 MiB) on the reference machine. Auto dispatch
-// (zero-value Tiling) therefore takes the blocked path only under this
-// budget; accel.SimulateTiling models the same cliff as a cache-thrash
-// penalty, so PickTiling reaches the same verdict from the cost model
-// side. 1 MiB = 32 × CacheBlockF64² float64 blocks (tensor.CacheBlockF64).
+// activations (Cols×n ≥ 4 MiB) on the reference machine.
+// 1 MiB = 32 × CacheBlockF64² float64 blocks (tensor.CacheBlockF64).
 const blockedActBudget = 1 << 20
 
 // blockedPanelWidth is the widest column panel the microkernels compute in
 // one pass (spanPanel8's eight register accumulators). Batches up to this
 // width walk each row span exactly once with the destination held in
 // registers — the regime where the blocked path beats the scalar kernel.
-// Wider batches re-walk every span once per extra panel, and the repeated
-// Col/Val streams measured slower than the scalar kernel's single pass
-// from n≈12 on the reference machine (accel.SimulateTiling reproduces the
-// crossover), so auto dispatch stops at one pass.
+// Wider batches would re-walk every span once per extra panel, and the
+// repeated Col/Val streams measured slower than the scalar kernel's single
+// pass from n≈12 on the reference machine, so dispatch stops at one pass.
 const blockedPanelWidth = 8
 
-// blockedAuto reports whether auto dispatch (no explicit tiling) should
-// take the blocked path for a Cols×n float64 activation: the batch must
-// fit a single panel pass and the activation must be cache-resident.
+// blockedAuto is the one kernel decider: it reports whether a Cols×n
+// float64 activation takes the blocked path. The batch must fill a panel
+// (panelMin) yet fit a single panel pass (blockedPanelWidth), and the
+// activation must be cache-resident (blockedActBudget); everything else
+// runs the scalar kernel.
 func blockedAuto(cols, n int) bool {
-	return n <= blockedPanelWidth && cols*n*8 <= blockedActBudget
+	return n >= panelMin && n <= blockedPanelWidth && cols*n*8 <= blockedActBudget
 }
 
-// KernelVariant is one enrolled SpMM kernel configuration: a name and the
-// Tiling that selects it through the public dispatch. The conformance
-// harness (conformance_test.go) proves every variant bit-identical to the
-// scalar reference over the full shape grid; the fuzz targets replay the
-// same registry against fuzzer-built encodings.
-type KernelVariant struct {
-	Name   string
-	Tiling Tiling
-}
-
-// KernelVariants enumerates the kernel configurations under the
-// bit-exactness contract. A new dispatch mode is only considered shipped
-// once it is listed here — enrollment is what subjects it to the
-// conformance and fuzz harnesses. The tilings are chosen to force every
-// structural case: the defaults, deliberately ragged tiles that misalign
-// with the 8/4-column panels, single-row tiles, and one-column tiles that
-// run entirely in the tail microkernel.
-func KernelVariants() []KernelVariant {
-	return []KernelVariant{
-		{Name: "scalar", Tiling: Tiling{Scalar: true}},
-		{Name: "auto", Tiling: Tiling{}},
-		{Name: "blocked-default", Tiling: Tiling{RowTile: defaultRowTile, ColTile: defaultColTile}},
-		{Name: "tiled-ragged", Tiling: Tiling{RowTile: 3, ColTile: 5}},
-		{Name: "tiled-rows", Tiling: Tiling{RowTile: 1, ColTile: 1 << 20}},
-		{Name: "tiled-cols", Tiling: Tiling{RowTile: 1 << 20, ColTile: 1}},
-	}
-}
-
-// explicit reports whether the tiling was set explicitly (PickTiling or a
-// caller choosing tile sizes) rather than left to auto dispatch.
-func (t Tiling) explicit() bool { return t.RowTile > 0 || t.ColTile > 0 }
-
-// SetTiling installs the tile sizes the blocked kernels use for this plan.
-// Call at compile time, before the plan sees concurrent kernel use; results
-// are bit-identical under every tiling (tiles partition the output, and
-// each output element is still one in-order walk of its row span).
-func (p *Plan) SetTiling(t Tiling) { p.tiling = t }
-
-// Tiling returns the installed tiling (zero value = package defaults).
-func (p *Plan) Tiling() Tiling { return p.tiling }
-
-// SetTiling installs the tile sizes for the quantized blocked kernels.
-// Quantize copies the source plan's tiling, so explicit calls are only
-// needed to diverge from it.
-func (q *QuantPlan) SetTiling(t Tiling) { q.tiling = t }
-
-// Tiling returns the quantized plan's installed tiling.
-func (q *QuantPlan) Tiling() Tiling { return q.tiling }
-
-// clamped resolves the zero value to the defaults and clamps the tile sizes
-// to the actual output extent rows×n.
-func (t Tiling) clamped(rows, n int) Tiling {
-	if t.RowTile <= 0 {
-		t.RowTile = defaultRowTile
-	}
-	if t.ColTile <= 0 {
-		t.ColTile = defaultColTile
-	}
-	if t.RowTile > rows {
-		t.RowTile = rows
-	}
-	if t.ColTile > n {
-		t.ColTile = n
-	}
-	return t
-}
-
-// matmulBlocked is the cache-tiled, register-blocked float kernel driver:
-// the rows×n output is partitioned into RowTile×ColTile tiles, and tiles
-// feed the persistent worker pool tile-by-tile (instead of the scalar
-// path's row chunks). Every tile owns its output region exclusively, and
-// each output element is produced by one in-order walk of its row span, so
-// results are bit-identical to the scalar kernel for any tiling.
-func (p *Plan) matmulBlocked(b, out *tensor.Tensor, n int) {
-	t := p.tiling.clamped(p.Rows, n)
-	cTiles := (n + t.ColTile - 1) / t.ColTile
-	rTiles := (p.Rows + t.RowTile - 1) / t.RowTile
-	tiles := rTiles * cTiles
-	// The serial path repeats runTiles' loop inline rather than sharing a
+// matmulBlocked is the register-blocked float kernel driver: output rows
+// are cut into chunks of rowTile rows (production passes defaultRowTile;
+// the conformance and fuzz harnesses pass ragged sizes) that feed the
+// persistent worker pool chunk by chunk. Every chunk owns its output rows
+// exclusively, and each output element is produced by one in-order walk of
+// its row span, so results are bit-identical to the scalar kernel for any
+// chunk size and any batch width.
+func (p *Plan) matmulBlocked(b, out *tensor.Tensor, n, rowTile int) {
+	chunks := (p.Rows + rowTile - 1) / rowTile
+	// The serial path calls runChunks directly rather than sharing a
 	// closure with the parallel branch: a shared closure would escape
 	// through the pool's task channel and cost sub-threshold calls a heap
-	// allocation (see matmul).
-	if p.NNZ()*n < spmmParallelThreshold || tiles < 2 {
-		p.runTiles(b, out, n, t, cTiles, 0, tiles)
+	// allocation (see matmulScalar).
+	if p.NNZ()*n < spmmParallelThreshold || chunks < 2 {
+		p.runChunks(b, out, n, rowTile, 0, chunks)
 		return
 	}
-	parallelTiles(tiles, p.NNZ()*n, func(t0, t1 int) {
-		p.runTiles(b, out, n, t, cTiles, t0, t1)
+	parallelRows(chunks, p.NNZ()*n, func(c0, c1 int) {
+		p.runChunks(b, out, n, rowTile, c0, c1)
 	})
 }
 
-// runTiles executes tiles [t0, t1) of the row-major tile grid.
-func (p *Plan) runTiles(b, out *tensor.Tensor, n int, t Tiling, cTiles, t0, t1 int) {
-	for ti := t0; ti < t1; ti++ {
-		r0 := (ti / cTiles) * t.RowTile
-		c0 := (ti % cTiles) * t.ColTile
-		r1 := min(r0+t.RowTile, p.Rows)
-		c1 := min(c0+t.ColTile, n)
-		p.blockedTile(b, out, n, r0, r1, c0, c1, 8)
+// runChunks executes row chunks [c0, c1).
+func (p *Plan) runChunks(b, out *tensor.Tensor, n, rowTile, c0, c1 int) {
+	for c := c0; c < c1; c++ {
+		p.blockedTile(b, out, n, c*rowTile, min((c+1)*rowTile, p.Rows))
 	}
 }
 
-// blockedTile computes output rows [row0, row1) × columns [c0, c1) with
-// column-panel microkernels, selecting the CRISP uniform-span fast path
-// when Compile proved one. maxPanel caps the panel width (production 8;
-// the conformance suite forces 4 to exercise the fallback microkernel).
-func (p *Plan) blockedTile(b, out *tensor.Tensor, n, row0, row1, c0, c1, maxPanel int) {
+// blockedTile computes output rows [row0, row1) with column-panel
+// microkernels — eight columns per span pass, then four, then the ragged
+// tail — selecting the CRISP uniform-span fast path when Compile proved
+// one.
+func (p *Plan) blockedTile(b, out *tensor.Tensor, n, row0, row1 int) {
 	switch {
 	case p.slab != nil:
-		p.blockedTileSlab(b, out, n, row0, row1, c0, c1, maxPanel)
+		p.blockedTileSlab(b, out, n, row0, row1)
 	case p.uniform > 0:
-		p.blockedTileUniform(b, out, n, row0, row1, c0, c1, maxPanel)
+		p.blockedTileUniform(b, out, n, row0, row1)
 	default:
 		bd := b.Data
 		for r := row0; r < row1; r++ {
 			i0, i1 := int(p.RowPtr[r]), int(p.RowPtr[r+1])
 			dst := out.Data[r*n : (r+1)*n]
-			j := c0
-			if maxPanel >= 8 {
-				for ; j+8 <= c1; j += 8 {
-					spanPanel8(dst, bd, p.Col, p.Val, i0, i1, j, n)
-				}
+			j := 0
+			for ; j+8 <= n; j += 8 {
+				spanPanel8(dst, bd, p.Col, p.Val, i0, i1, j, n)
 			}
-			for ; j+4 <= c1; j += 4 {
+			for ; j+4 <= n; j += 4 {
 				spanPanel4(dst, bd, p.Col, p.Val, i0, i1, j, n)
 			}
-			if j < c1 {
-				spanPanelTail(dst, bd, p.Col, p.Val, i0, i1, j, c1, n)
+			if j < n {
+				spanPanelTail(dst, bd, p.Col, p.Val, i0, i1, j, n)
 			}
 		}
 	}
@@ -203,24 +106,22 @@ func (p *Plan) blockedTile(b, out *tensor.Tensor, n, row0, row1, c0, c1, maxPane
 // no padding slots → every row stores exactly `uniform` entries), row spans
 // are addressed arithmetically — no RowPtr loads — and every panel pass
 // runs the same fixed trip count.
-func (p *Plan) blockedTileUniform(b, out *tensor.Tensor, n, row0, row1, c0, c1, maxPanel int) {
+func (p *Plan) blockedTileUniform(b, out *tensor.Tensor, n, row0, row1 int) {
 	bd := b.Data
 	u := p.uniform
 	i0 := row0 * u
 	for r := row0; r < row1; r++ {
 		i1 := i0 + u
 		dst := out.Data[r*n : (r+1)*n]
-		j := c0
-		if maxPanel >= 8 {
-			for ; j+8 <= c1; j += 8 {
-				spanPanel8(dst, bd, p.Col, p.Val, i0, i1, j, n)
-			}
+		j := 0
+		for ; j+8 <= n; j += 8 {
+			spanPanel8(dst, bd, p.Col, p.Val, i0, i1, j, n)
 		}
-		for ; j+4 <= c1; j += 4 {
+		for ; j+4 <= n; j += 4 {
 			spanPanel4(dst, bd, p.Col, p.Val, i0, i1, j, n)
 		}
-		if j < c1 {
-			spanPanelTail(dst, bd, p.Col, p.Val, i0, i1, j, c1, n)
+		if j < n {
+			spanPanelTail(dst, bd, p.Col, p.Val, i0, i1, j, n)
 		}
 		i0 = i1
 	}
@@ -228,7 +129,7 @@ func (p *Plan) blockedTileUniform(b, out *tensor.Tensor, n, row0, row1, c0, c1, 
 
 // blockedTileSlab is blockedTile for slab-bound plans: values gather from
 // the shared universal-weight slab row by column index.
-func (p *Plan) blockedTileSlab(b, out *tensor.Tensor, n, row0, row1, c0, c1, maxPanel int) {
+func (p *Plan) blockedTileSlab(b, out *tensor.Tensor, n, row0, row1 int) {
 	bd := b.Data
 	w := p.slab.Data
 	cols := p.slab.Cols
@@ -236,91 +137,15 @@ func (p *Plan) blockedTileSlab(b, out *tensor.Tensor, n, row0, row1, c0, c1, max
 		i0, i1 := int(p.RowPtr[r]), int(p.RowPtr[r+1])
 		wrow := w[r*cols : (r+1)*cols]
 		dst := out.Data[r*n : (r+1)*n]
-		j := c0
-		if maxPanel >= 8 {
-			for ; j+8 <= c1; j += 8 {
-				spanPanel8Slab(dst, bd, p.Col, wrow, i0, i1, j, n)
-			}
+		j := 0
+		for ; j+8 <= n; j += 8 {
+			spanPanel8Slab(dst, bd, p.Col, wrow, i0, i1, j, n)
 		}
-		for ; j+4 <= c1; j += 4 {
+		for ; j+4 <= n; j += 4 {
 			spanPanel4Slab(dst, bd, p.Col, wrow, i0, i1, j, n)
 		}
-		if j < c1 {
-			spanPanelTailSlab(dst, bd, p.Col, wrow, i0, i1, j, c1, n)
+		if j < n {
+			spanPanelTailSlab(dst, bd, p.Col, wrow, i0, i1, j, n)
 		}
-	}
-}
-
-// matmulPackedBlocked is the quantized twin of matmulBlocked: the int8 SWAR
-// kernel riding the blocked outer loops. Tiles partition output rows ×
-// packed accumulator words (two columns per word); within a tile, quadMAC
-// keeps four packed words — eight output columns — of both sign spans in
-// registers, so the scratch accumulator slabs (AccP/AccN) are never
-// touched. Integer accumulation is exact, so the result is identical to
-// the scalar SWAR kernel under any tiling.
-func (q *QuantPlan) matmulPackedBlocked(packed []uint64, colScale []float64, out *tensor.Tensor, n, halfW int) {
-	t := q.tiling.clamped(q.Rows, n)
-	wTile := (t.ColTile + 1) / 2 // tile width in packed words
-	cTiles := (halfW + wTile - 1) / wTile
-	rTiles := (q.Rows + t.RowTile - 1) / t.RowTile
-	tiles := rTiles * cTiles
-	if len(q.Code)*n < spmmParallelThreshold || tiles < 2 {
-		q.runTilesPacked(packed, colScale, out, n, halfW, t.RowTile, wTile, cTiles, 0, tiles)
-		return
-	}
-	parallelTiles(tiles, len(q.Code)*n, func(t0, t1 int) {
-		q.runTilesPacked(packed, colScale, out, n, halfW, t.RowTile, wTile, cTiles, t0, t1)
-	})
-}
-
-// runTilesPacked executes tiles [t0, t1) of the quantized tile grid.
-func (q *QuantPlan) runTilesPacked(packed []uint64, colScale []float64, out *tensor.Tensor, n, halfW, rowTile, wTile, cTiles, t0, t1 int) {
-	for ti := t0; ti < t1; ti++ {
-		r0 := (ti / cTiles) * rowTile
-		w0 := (ti % cTiles) * wTile
-		r1 := min(r0+rowTile, q.Rows)
-		w1 := min(w0+wTile, halfW)
-		q.blockedTilePacked(packed, colScale, out, n, halfW, r0, r1, w0, w1)
-	}
-}
-
-// blockedTilePacked computes output rows [row0, row1) × packed words
-// [w0, w1): both sign spans accumulate into register panels, then one
-// bias-correcting, dequantizing store per element recombines the lanes —
-// the same store arithmetic as the scalar rowRange.
-func (q *QuantPlan) blockedTilePacked(packed []uint64, colScale []float64, out *tensor.Tensor, n, halfW, row0, row1, w0, w1 int) {
-	for r := row0; r < row1; r++ {
-		pEnd := int(q.NegPtr[r])
-		i0, i1 := int(q.RowPtr[r]), int(q.RowPtr[r+1])
-		rs := q.RowScale[r]
-		wsum := 128 * int64(q.rowSum[r])
-		dst := out.Data[r*n : (r+1)*n]
-		w := w0
-		for ; w+4 <= w1; w += 4 {
-			p0, p1, p2, p3 := quadMAC(packed, q.Code, q.Col, halfW, i0, pEnd, w, false, 0, 0, 0, 0)
-			n0, n1, n2, n3 := quadMAC(packed, q.Code, q.Col, halfW, pEnd, i1, w, true, 0, 0, 0, 0)
-			storePackedPair(dst, colScale, 2*w, n, p0, n0, wsum, rs)
-			storePackedPair(dst, colScale, 2*w+2, n, p1, n1, wsum, rs)
-			storePackedPair(dst, colScale, 2*w+4, n, p2, n2, wsum, rs)
-			storePackedPair(dst, colScale, 2*w+6, n, p3, n3, wsum, rs)
-		}
-		for ; w < w1; w++ {
-			ap := monoMAC(packed, q.Code, q.Col, halfW, i0, pEnd, w, false, 0)
-			an := monoMAC(packed, q.Code, q.Col, halfW, pEnd, i1, w, true, 0)
-			storePackedPair(dst, colScale, 2*w, n, ap, an, wsum, rs)
-		}
-	}
-}
-
-// storePackedPair dequantizes and stores the two columns of one packed
-// accumulator word pair (positive span ap, negative span an), skipping the
-// pad lane of an odd trailing column. The lane extraction and store math
-// are exactly the scalar kernel's.
-func storePackedPair(dst, colScale []float64, j, n int, ap, an uint64, wsum int64, rs float64) {
-	lane := int64(ap&0xffffffff) - int64(an&0xffffffff)
-	dst[j] = float64(lane-wsum) * rs * colScale[j]
-	if j+1 < n {
-		lane = int64(ap>>32) - int64(an>>32)
-		dst[j+1] = float64(lane-wsum) * rs * colScale[j+1]
 	}
 }

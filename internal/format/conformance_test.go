@@ -9,15 +9,14 @@ import (
 	"repro/internal/tensor"
 )
 
-// Kernel conformance/differential harness. Every kernel variant enrolled in
-// KernelVariants — and the internal microkernel fallbacks the public
-// dispatch cannot force — runs against the scalar reference kernel over a
-// shape grid chosen to hit every structural edge: ragged row/column tiles,
-// batch widths straddling the 8/4/1-column panels, empty rows, all-padding
-// CRISP spans, uniform-span CRISP plans (the fixed-trip-count fast path)
-// and slab-bound plans. Float results must be bit-identical; int8 results
-// accumulate in exact integer arithmetic, so they must be bit-identical
-// under any tiling too.
+// Kernel conformance/differential harness. Every float kernel path — the
+// public dispatch (whichever way blockedAuto sends the call) and the
+// blocked driver at ragged and default row-chunk sizes — runs against the
+// scalar reference kernel over a shape grid chosen to hit every structural
+// edge: ragged row chunks, batch widths straddling the 8/4/1-column
+// panels, empty rows, all-padding CRISP spans, uniform-span CRISP plans
+// (the fixed-trip-count fast path) and slab-bound plans. Results must be
+// bit-identical.
 
 // bitIdentical reports whether two rank-2 tensors hold exactly the same
 // bit patterns (stricter than ==: distinguishes -0 from +0, NaN payloads).
@@ -36,13 +35,37 @@ func bitIdentical(t *testing.T, got, want *tensor.Tensor) bool {
 	return true
 }
 
-// withTiling returns a shallow copy of the plan with the given tiling, so
-// one compiled plan can run under every variant without mutating shared
-// state mid-test.
-func withTiling(p *Plan, t Tiling) *Plan {
-	cp := *p
-	cp.SetTiling(t)
-	return &cp
+// conformanceRowTiles are the row-chunk sizes the harness drives
+// matmulBlocked at: single-row chunks, a ragged size that misaligns with
+// every shape in the grid, and the production default.
+var conformanceRowTiles = []int{1, 3, defaultRowTile}
+
+// scalarRef runs the scalar reference kernel directly, bypassing dispatch.
+func scalarRef(p *Plan, x *tensor.Tensor) *tensor.Tensor {
+	n := x.Shape[1]
+	want := tensor.New(p.Rows, n)
+	p.matmulScalar(x, want, n)
+	return want
+}
+
+// checkAgainstScalar is the conformance contract for one (plan, activation)
+// pair: the public dispatch and matmulBlocked at every conformance chunk
+// size must reproduce the scalar reference bit for bit. The fuzz target
+// and the dispatch table feed it too.
+func checkAgainstScalar(t *testing.T, p *Plan, x *tensor.Tensor, label string) {
+	t.Helper()
+	n := x.Shape[1]
+	want := scalarRef(p, x)
+	if !bitIdentical(t, p.MatMul(x), want) {
+		t.Fatalf("%s: dispatch at %dx%d n=%d differs from scalar reference", label, p.Rows, p.Cols, n)
+	}
+	for _, rt := range conformanceRowTiles {
+		got := tensor.New(p.Rows, n)
+		p.matmulBlocked(x, got, n, rt)
+		if !bitIdentical(t, got, want) {
+			t.Fatalf("%s: blocked (row chunk %d) at %dx%d n=%d differs from scalar reference", label, rt, p.Rows, p.Cols, n)
+		}
+	}
 }
 
 // conformancePlans builds the plan corpus for one matrix: the CSR compile,
@@ -66,9 +89,13 @@ func conformancePlans(t *testing.T, w *tensor.Tensor, blk int, nm sparsity.NM) m
 	return plans
 }
 
-// TestKernelConformance is the main differential sweep: every registry
-// variant × every plan source × a shape/batch grid, all proven
-// bit-identical to the scalar reference.
+// TestKernelConformance is the main differential sweep: every kernel path
+// × every plan source × a shape/batch grid, all proven bit-identical to
+// the scalar reference. The batch grid holds every width of the one-pass
+// regime (n = 4…7 run spanPanel4 plus the tail kernel, n = 8 spanPanel8)
+// and widths on both sides of it; the last shape is large enough that
+// batches of four and up cross spmmParallelThreshold, so on a multi-core
+// host the chunk sizes also partition the pool fan-out differently.
 func TestKernelConformance(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	type shape struct {
@@ -83,8 +110,9 @@ func TestKernelConformance(t *testing.T) {
 		{rows: 65, cols: 33, emptyRows: true},
 		{rows: 8, cols: 16, blk: 4},
 		{rows: 16, cols: 32, blk: 8},
+		{rows: 132, cols: 512, blk: 4},
 	}
-	batches := []int{1, 3, 4, 5, 8, 16, 17}
+	batches := []int{1, 3, 4, 5, 6, 7, 8, 16, 17}
 	for _, s := range shapes {
 		var w *tensor.Tensor
 		if s.blk > 0 {
@@ -104,26 +132,7 @@ func TestKernelConformance(t *testing.T) {
 		}
 		for src, p := range conformancePlans(t, w, s.blk, sparsity.NM{N: 2, M: 4}) {
 			for _, n := range batches {
-				x := tensor.Randn(rng, 1, s.cols, n)
-				want := withTiling(p, Tiling{Scalar: true}).MatMul(x)
-				for _, kv := range KernelVariants() {
-					got := withTiling(p, kv.Tiling).MatMul(x)
-					if !bitIdentical(t, got, want) {
-						t.Fatalf("%s/%s: %dx%d n=%d differs from scalar reference",
-							src, kv.Name, s.rows, s.cols, n)
-					}
-				}
-				// The four-wide panel fallback and the uniform fast path at
-				// forced panel width are internal (the dispatch only takes
-				// them on narrow tail columns), so enroll them directly.
-				got := tensor.New(p.Rows, n)
-				for r := 0; r < p.Rows; r += 2 {
-					p.blockedTile(x, got, n, r, min(r+2, p.Rows), 0, n, 4)
-				}
-				if !bitIdentical(t, got, want) {
-					t.Fatalf("%s/blocked-4: %dx%d n=%d differs from scalar reference",
-						src, s.rows, s.cols, n)
-				}
+				checkAgainstScalar(t, p, tensor.Randn(rng, 1, s.cols, n), src)
 			}
 		}
 	}
@@ -132,7 +141,7 @@ func TestKernelConformance(t *testing.T) {
 // TestUniformSpanFastPath pins the CRISP-metadata specialization: an
 // encoding with no surviving padding slots must compile to a uniform plan
 // (blockedTileUniform eligible), one with a dropped zero must not — and
-// both must stay bit-identical to scalar under every variant.
+// both must stay bit-identical to scalar on every kernel path.
 func TestUniformSpanFastPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	w := hybridMatrix(rng, 16, 32, 4, sparsity.NM{N: 2, M: 4}, 1)
@@ -145,12 +154,7 @@ func TestUniformSpanFastPath(t *testing.T) {
 		t.Fatal("fully dense-slot CRISP encoding should compile to uniform spans")
 	}
 	x := tensor.Randn(rng, 1, 32, 9)
-	want := withTiling(p, Tiling{Scalar: true}).MatMul(x)
-	for _, kv := range KernelVariants() {
-		if !bitIdentical(t, withTiling(p, kv.Tiling).MatMul(x), want) {
-			t.Fatalf("%s: uniform plan differs from scalar reference", kv.Name)
-		}
-	}
+	checkAgainstScalar(t, p, x, "uniform")
 
 	// Zero one stored value: the padding slot disappears from the plan, the
 	// spans go ragged, and Compile must not claim uniformity.
@@ -159,16 +163,11 @@ func TestUniformSpanFastPath(t *testing.T) {
 	if rp.uniform != 0 {
 		t.Fatal("ragged spans misdetected as uniform")
 	}
-	want = withTiling(rp, Tiling{Scalar: true}).MatMul(x)
-	for _, kv := range KernelVariants() {
-		if !bitIdentical(t, withTiling(rp, kv.Tiling).MatMul(x), want) {
-			t.Fatalf("%s: ragged plan differs from scalar reference", kv.Name)
-		}
-	}
+	checkAgainstScalar(t, rp, x, "ragged")
 }
 
 // TestAllPaddingSpans drives the degenerate encoding whose every slot is a
-// padding zero: the plan holds no entries at all, and every kernel variant
+// padding zero: the plan holds no entries at all, and every kernel path
 // must still produce an exact zero matrix of the right shape.
 func TestAllPaddingSpans(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
@@ -185,42 +184,47 @@ func TestAllPaddingSpans(t *testing.T) {
 		t.Fatalf("all-padding encoding compiled to %d entries", p.NNZ())
 	}
 	x := tensor.Randn(rng, 1, 16, 7)
-	want := withTiling(p, Tiling{Scalar: true}).MatMul(x)
-	for _, v := range want.Data {
+	for _, v := range scalarRef(p, x).Data {
 		if v != 0 {
 			t.Fatal("scalar reference nonzero on empty plan")
 		}
 	}
-	for _, kv := range KernelVariants() {
-		if !bitIdentical(t, withTiling(p, kv.Tiling).MatMul(x), want) {
-			t.Fatalf("%s: empty plan differs from scalar reference", kv.Name)
-		}
-	}
+	checkAgainstScalar(t, p, x, "all-padding")
 }
 
-// TestQuantKernelConformance proves the int8 SWAR kernel identical under
-// scalar and blocked dispatch: integer accumulation is exact, so any
-// tiling must reproduce the scalar result bit for bit.
-func TestQuantKernelConformance(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for _, s := range []struct{ rows, cols int }{{8, 16}, {16, 32}, {64, 128}} {
-		w := hybridMatrix(rng, s.rows, s.cols, 4, sparsity.NM{N: 2, M: 4}, 1)
-		q, err := EncodeCSR(w).Compile().Quantize()
-		if err != nil {
-			t.Fatal(err)
+// TestKernelDispatch holds the one dispatch rule (blockedAuto): the blocked
+// path takes exactly the cache-resident one-panel-pass calls — 4 ≤ n ≤ 8
+// with Cols·n·8 ≤ blockedActBudget — and everything else is scalar. Each
+// row also goes through the conformance contract, so the shapes on both
+// sides of every boundary are proven bit-identical as dispatched.
+func TestKernelDispatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	overBudget := blockedActBudget/(8*blockedPanelWidth) + 1 // smallest Cols over budget at n = 8
+	for _, c := range []struct {
+		cols, n int
+		blocked bool
+	}{
+		{cols: 64, n: 1, blocked: false},
+		{cols: 64, n: 3, blocked: false},
+		{cols: 64, n: 4, blocked: true},
+		{cols: 64, n: 8, blocked: true},
+		{cols: 64, n: 9, blocked: false},
+		{cols: 64, n: 16, blocked: false},
+		{cols: overBudget - 1, n: 8, blocked: true},
+		{cols: overBudget, n: 8, blocked: false},
+		{cols: overBudget, n: 7, blocked: true},
+		{cols: 2 * overBudget, n: 4, blocked: false},
+	} {
+		if got := blockedAuto(c.cols, c.n); got != c.blocked {
+			t.Errorf("blockedAuto(cols=%d, n=%d) = %v, want %v", c.cols, c.n, got, c.blocked)
 		}
-		for _, n := range []int{1, 3, 4, 8, 16, 17} {
-			x := tensor.Randn(rng, 1, s.cols, n)
-			want := q.MatMul(x)
-			for _, kv := range KernelVariants() {
-				qq := *q
-				qq.SetTiling(kv.Tiling)
-				if !bitIdentical(t, qq.MatMul(x), want) {
-					t.Fatalf("int8/%s: %dx%d n=%d differs from scalar SWAR",
-						kv.Name, s.rows, s.cols, n)
-				}
+		w := tensor.New(3, c.cols)
+		for i := range w.Data {
+			if rng.Float64() < 0.05 {
+				w.Data[i] = rng.NormFloat64()
 			}
 		}
+		checkAgainstScalar(t, EncodeCSR(w).Compile(), tensor.Randn(rng, 1, c.cols, c.n), "dispatch")
 	}
 }
 
@@ -261,7 +265,7 @@ func TestConvPlanDifferential(t *testing.T) {
 
 			lowered := tensor.New(cols, n)
 			tensor.Im2ColInto(x, g, lowered)
-			want := withTiling(p, Tiling{Scalar: true}).MatMul(lowered)
+			want := scalarRef(p, lowered)
 
 			got := p.ConvMatMulInto(x, g, tensor.New(rows, n))
 			if !tensor.Equal(got, want, 0) {

@@ -32,42 +32,37 @@
 //
 // # The blocked kernel family
 //
-// A compiled Plan dispatches among several kernel implementations of the
-// same SpMM (blocked.go, microkernel.go):
+// A compiled Plan runs one of two kernel implementations of the same SpMM
+// (plan.go, blocked.go, microkernel.go):
 //
 //   - the scalar reference kernel: one pass per row span, full-batch-width
 //     AXPY per entry (rowRange) — the semantics-defining implementation;
-//   - register-blocked panel kernels: eight- and four-column panels whose
-//     partial sums live in register accumulators across the whole span
-//     (spanPanel8/spanPanel4, with slab-gather variants);
-//   - a cache-tiled outer loop that feeds RowTile×ColTile output tiles to
-//     the worker pool (matmulBlocked/runTiles);
-//   - a CRISP-structure-specialized fast path for plans whose row spans
-//     were proved uniform at compile time (blockedTileUniform, fixed trip
-//     counts, no row-pointer loads); and
-//   - the int8 SWAR kernel, whose packed integer accumulators ride the
-//     same blocked outer loops under an explicit tiling.
+//   - the register-blocked panel kernels: eight- and four-column panels
+//     whose partial sums live in register accumulators across the whole
+//     span (spanPanel8/spanPanel4 and a tail kernel, with slab-gather
+//     variants), run over row chunks handed to the worker pool
+//     (matmulBlocked), with a CRISP-structure fast path for plans whose
+//     row spans were proved uniform at compile time (blockedTileUniform,
+//     fixed trip counts, no row-pointer loads).
 //
-// Which kernel runs is chosen per call: an explicit Tiling (SetTiling)
-// pins the blocked path or the scalar path; the zero-value Tiling lets
-// blockedAuto decide from the batch width and activation size (a single
-// panel pass over a cache-resident activation is the blocked family's
-// winning regime — see blockedPanelWidth and blockedActBudget). The
-// simulator-backed picker in internal/accel (PickTiling) makes the same
-// call from a cost model at plan-compile time.
+// Which one runs is decided in one place, per call: Plan.matmul asks
+// blockedAuto, which takes the blocked path when the batch is one panel
+// pass (4 ≤ n ≤ 8) over a cache-resident activation (Cols·n·8 ≤ 1 MiB)
+// and the scalar kernel otherwise. A plan carries no kernel choice. The
+// int8 kernel (QuantPlan) is the scalar SWAR walk at every batch width.
 //
 // # Bit-exactness contract
 //
-// Every kernel variant must produce output bit-identical to the scalar
-// reference: for each output element, floating-point products are added in
-// ascending span (storage) order. Blocking, tiling, panel width, slab
-// binding, parallel fan-out and quantized dispatch may change where
-// partial sums live and which order output *elements* are produced in,
-// but never the order of additions *within* an element. KernelVariants
-// enrolls every dispatchable configuration in a registry; the conformance
-// harness (conformance_test.go) proves each one bit-identical to the
-// scalar reference across a geometry/batch grid, and FuzzBlockedMatMul
-// replays the same differential check under fuzzer-chosen shapes,
-// sparsity and values. New kernels join the family by adding a
-// KernelVariant entry — enrollment in the harness is automatic.
+// Every kernel must produce output bit-identical to the scalar reference:
+// for each output element, floating-point products are added in ascending
+// span (storage) order. Blocking, panel width, row chunking, slab binding
+// and parallel fan-out may change where partial sums live and which order
+// output *elements* are produced in, but never the order of additions
+// *within* an element. The conformance harness (conformance_test.go)
+// proves the public dispatch and the blocked driver — at ragged and
+// default chunk sizes, at batch widths the dispatch would never send it —
+// bit-identical to the scalar reference across a geometry/batch grid, and
+// FuzzBlockedMatMul replays the same differential check under
+// fuzzer-chosen shapes, sparsity and values. A new kernel joins the family
+// by being driven from checkAgainstScalar.
 package format

@@ -1,7 +1,6 @@
 package format
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -9,14 +8,13 @@ import (
 	"repro/internal/tensor"
 )
 
-// FuzzBlockedMatMul differentially fuzzes every enrolled kernel variant
-// (KernelVariants) against the scalar reference: fuzzer-chosen geometry,
+// FuzzBlockedMatMul differentially fuzzes the float kernel paths against
+// the scalar reference (checkAgainstScalar: the public dispatch and
+// matmulBlocked at every conformance chunk size): fuzzer-chosen geometry,
 // sparsity and batch width build a plan corpus — arbitrary CSR structure
 // and, when the matrix conforms, the CRISP compile with its uniform-span
-// fast path — and every variant must reproduce the scalar result bit for
-// bit. The int8 SWAR kernel rides the same inputs: integer accumulation is
-// exact, so blocked dispatch must match scalar dispatch exactly there too.
-// Seed corpus: testdata/fuzz/FuzzBlockedMatMul.
+// fast path — and every path must reproduce the scalar result bit for
+// bit. Seed corpus: testdata/fuzz/FuzzBlockedMatMul.
 func FuzzBlockedMatMul(f *testing.F) {
 	f.Add(int64(1), int64(2), int64(3), int64(16), int64(0))
 	f.Add(int64(7), int64(0), int64(0), int64(1), int64(1))
@@ -46,32 +44,7 @@ func FuzzBlockedMatMul(f *testing.F) {
 		}
 		x := tensor.Randn(rng, 1, cols, n)
 		for _, p := range plans {
-			ref := *p
-			ref.SetTiling(Tiling{Scalar: true})
-			want := ref.MatMul(x)
-			for _, kv := range KernelVariants() {
-				v := *p
-				v.SetTiling(kv.Tiling)
-				got := v.MatMul(x)
-				for i := range got.Data {
-					if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
-						t.Fatalf("%s: output[%d] = %v, scalar reference %v", kv.Name, i, got.Data[i], want.Data[i])
-					}
-				}
-			}
-			if q, err := p.Quantize(); err == nil {
-				qwant := q.MatMul(x)
-				for _, kv := range KernelVariants() {
-					qv := *q
-					qv.SetTiling(kv.Tiling)
-					qgot := qv.MatMul(x)
-					for i := range qgot.Data {
-						if math.Float64bits(qgot.Data[i]) != math.Float64bits(qwant.Data[i]) {
-							t.Fatalf("int8/%s: output[%d] = %v, scalar SWAR %v", kv.Name, i, qgot.Data[i], qwant.Data[i])
-						}
-					}
-				}
-			}
+			checkAgainstScalar(t, p, x, "fuzz")
 		}
 	})
 }

@@ -16,7 +16,7 @@ package format
 // unrolling change only where the partial sum lives between additions,
 // never the sequence of floating-point operations, so every panel kernel
 // is bit-identical to the scalar reference. The conformance suite
-// (conformance_test.go) enforces this for every registered variant.
+// (conformance_test.go) enforces this for every panel kernel.
 
 // spanPanel8 computes output columns [j0, j0+8) of one row: eight register
 // accumulators walk the span [i0, i1) once, then store. n is the output
@@ -127,10 +127,10 @@ func spanPanel4(dst, bd []float64, col []int32, val []float64, i0, i1, j0, n int
 	d[0], d[1], d[2], d[3] = a0, a1, a2, a3
 }
 
-// spanPanelTail finishes the ragged column tail [j0, j1) with j1-j0 < 4,
-// one register accumulator per column.
-func spanPanelTail(dst, bd []float64, col []int32, val []float64, i0, i1, j0, j1, n int) {
-	for j := j0; j < j1; j++ {
+// spanPanelTail finishes the ragged column tail [j0, n) with n-j0 < 4, one
+// register accumulator per column.
+func spanPanelTail(dst, bd []float64, col []int32, val []float64, i0, i1, j0, n int) {
+	for j := j0; j < n; j++ {
 		var a float64
 		for i := i0; i < i1; i++ {
 			a += val[i] * bd[int(col[i])*n+j]
@@ -226,8 +226,8 @@ func spanPanel4Slab(dst, bd []float64, col []int32, wrow []float64, i0, i1, j0, 
 }
 
 // spanPanelTailSlab is spanPanelTail with slab-gathered values.
-func spanPanelTailSlab(dst, bd []float64, col []int32, wrow []float64, i0, i1, j0, j1, n int) {
-	for j := j0; j < j1; j++ {
+func spanPanelTailSlab(dst, bd []float64, col []int32, wrow []float64, i0, i1, j0, n int) {
+	for j := j0; j < n; j++ {
 		var a float64
 		for i := i0; i < i1; i++ {
 			c := int(col[i])
@@ -235,55 +235,4 @@ func spanPanelTailSlab(dst, bd []float64, col []int32, wrow []float64, i0, i1, j
 		}
 		dst[j] = a
 	}
-}
-
-// quadMAC is the int8 SWAR panel microkernel: four packed accumulator words
-// (eight activation columns) held in registers while one sign span's
-// entries stream past, unrolled two entries per pass. Integer addition is
-// exact, so register blocking cannot change the result; the walk order
-// matches spanMAC's anyway. Returns the updated accumulators.
-func quadMAC(packed []uint64, code []int8, col []int32, halfW, i0, i1, w0 int, neg bool, a0, a1, a2, a3 uint64) (uint64, uint64, uint64, uint64) {
-	sign := int32(1)
-	if neg {
-		sign = -1
-	}
-	i := i0
-	for ; i+1 < i1; i += 2 {
-		w0v := uint64(sign * int32(code[i]))
-		w1v := uint64(sign * int32(code[i+1]))
-		s0 := packed[int(col[i])*halfW+w0:]
-		s1 := packed[int(col[i+1])*halfW+w0:]
-		s0, s1 = s0[:4:4], s1[:4:4]
-		a0 += w0v * s0[0]
-		a0 += w1v * s1[0]
-		a1 += w0v * s0[1]
-		a1 += w1v * s1[1]
-		a2 += w0v * s0[2]
-		a2 += w1v * s1[2]
-		a3 += w0v * s0[3]
-		a3 += w1v * s1[3]
-	}
-	for ; i < i1; i++ {
-		wv := uint64(sign * int32(code[i]))
-		s := packed[int(col[i])*halfW+w0:]
-		s = s[:4:4]
-		a0 += wv * s[0]
-		a1 += wv * s[1]
-		a2 += wv * s[2]
-		a3 += wv * s[3]
-	}
-	return a0, a1, a2, a3
-}
-
-// monoMAC is quadMAC at panel width one — the tail kernel for the last
-// packed words of a row when the width is not a multiple of four.
-func monoMAC(packed []uint64, code []int8, col []int32, halfW, i0, i1, w0 int, neg bool, a0 uint64) uint64 {
-	sign := int32(1)
-	if neg {
-		sign = -1
-	}
-	for i := i0; i < i1; i++ {
-		a0 += uint64(sign*int32(code[i])) * packed[int(col[i])*halfW+w0]
-	}
-	return a0
 }

@@ -18,11 +18,3 @@ const spmmParallelThreshold = 1 << 16
 func parallelRows(rows, work int, fn func(r0, r1 int)) {
 	tensor.ParallelRows(rows, work, fn)
 }
-
-// parallelTiles fans a blocked SpMM's tile grid out over the same pool,
-// tile-index range by tile-index range. Tiles partition the output
-// (disjoint row×column rectangles), so each output element keeps a single
-// writer and results stay bit-identical to the sequential tile loop.
-func parallelTiles(tiles, work int, fn func(t0, t1 int)) {
-	tensor.ParallelRows(tiles, work, fn)
-}

@@ -36,12 +36,6 @@ type Plan struct {
 	// verifies bit-equality first (see slab.go).
 	slab *ValueSlab
 
-	// tiling configures the blocked kernel path (blocked.go); the zero
-	// value selects the package defaults. Installed via SetTiling at
-	// compile time — the plan's kernel-visible state stays immutable once
-	// it sees concurrent use.
-	tiling Tiling
-
 	// uniform, when positive, records that every row span holds exactly
 	// this many entries — proved by CRISPFormat.Compile from the N:M +
 	// block metadata when no padding slot survives — enabling the
@@ -55,8 +49,7 @@ func (p *Plan) NNZ() int { return len(p.Col) }
 
 // UniformSpan returns the proved per-row entry count when every row span
 // holds the same number of entries (the CRISP fixed-trip-count fast path),
-// and 0 for ragged plans. Tiling pickers use it to cost the cheaper span
-// walk.
+// and 0 for ragged plans.
 func (p *Plan) UniformSpan() int { return p.uniform }
 
 // Planner is implemented by encodings that compile directly into a Plan.
@@ -181,22 +174,27 @@ func (p *Plan) MatMulInto(b, out *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-// matmul is the plan kernel. Batch widths of panelMin and up take the
-// register-blocked, cache-tiled path (blocked.go) when the activation
-// matrix is cache-resident (blockedAuto) or the caller installed an
-// explicit tiling; streaming-sized activations — and plans opting out via
-// Tiling.Scalar — run the scalar reference kernel, whose contiguous
-// full-width row walks win above the cache budget (see blockedActBudget).
-// Both produce bit-identical output (see microkernel.go). The
-// single-sample path calls rowRange directly — routing it through a
-// closure would heap-allocate the closure on every SpMM call, because the
-// worker pool's task channel makes it escape — and only batch-scale
-// problems pay for the fan-out wrapper.
+// matmul is the plan kernel, and the one place a kernel is chosen: per
+// call, from what the call can observe. blockedAuto sends cache-resident
+// activations of one panel pass (4 ≤ n ≤ 8) to the register-blocked path
+// (blocked.go); everything else — single samples, wide batches,
+// streaming-sized activations — runs the scalar reference kernel, whose
+// contiguous full-width row walks win there (see blockedActBudget). Both
+// produce bit-identical output (see microkernel.go).
 func (p *Plan) matmul(b, out *tensor.Tensor, n int) {
-	if n >= panelMin && !p.tiling.Scalar && (p.tiling.explicit() || blockedAuto(p.Cols, n)) {
-		p.matmulBlocked(b, out, n)
+	if blockedAuto(p.Cols, n) {
+		p.matmulBlocked(b, out, n, defaultRowTile)
 		return
 	}
+	p.matmulScalar(b, out, n)
+}
+
+// matmulScalar is the scalar reference kernel's driver. The single-sample
+// path calls rowRange directly — routing it through a closure would
+// heap-allocate the closure on every SpMM call, because the worker pool's
+// task channel makes it escape — and only batch-scale problems pay for the
+// fan-out wrapper.
+func (p *Plan) matmulScalar(b, out *tensor.Tensor, n int) {
 	// Branches (not a method value) keep the serial path allocation-free:
 	// a bound method value would escape through the pool's task channel.
 	if p.NNZ()*n < spmmParallelThreshold || p.Rows < 2 {

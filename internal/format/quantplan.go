@@ -68,10 +68,6 @@ type QuantPlan struct {
 	// rowSum[r] is Σ Code over row r — the W term of the bias correction,
 	// fixed at quantization time.
 	rowSum []int32
-
-	// tiling configures the blocked kernel path (blocked.go); Quantize
-	// copies it from the source plan, SetTiling overrides it.
-	tiling Tiling
 }
 
 // NNZ returns the number of stored entries. It is at most the float plan's
@@ -94,7 +90,6 @@ func (p *Plan) Quantize() (*QuantPlan, error) {
 		rowSum:   make([]int32, p.Rows),
 		Col:      make([]int32, 0, p.NNZ()),
 		Code:     make([]int8, 0, p.NNZ()),
-		tiling:   p.tiling,
 	}
 	for r := 0; r < p.Rows; r++ {
 		if nnz := int(p.RowPtr[r+1] - p.RowPtr[r]); nnz > maxQuantRowNNZ {
@@ -262,20 +257,12 @@ func (q *QuantPlan) MatMulPackedInto(packed []uint64, colScale []float64, out *t
 }
 
 // matmulPacked runs the integer MAC over pre-packed activations, fanning
-// rows out across the kernel pool at batch scale. With an explicit tiling
-// installed, batch widths of panelMin and up ride the blocked outer loops
-// (matmulPackedBlocked), which keep the packed accumulators in registers
-// instead of the AccP/AccN scratch slabs; integer accumulation is exact,
-// so both paths are identical. Auto dispatch stays scalar: the packed
-// accumulator slice of a row is only ⌈n/2⌉ words (one cache line at
-// serving batch sizes), so the scratch slabs are already L1-resident and
-// the panel gathers measured slower than the streaming SWAR walk on the
-// reference machine.
+// rows out across the kernel pool at batch scale. Int8 SpMM is the scalar
+// SWAR walk at every batch width: a row's packed accumulator slice is only
+// ⌈n/2⌉ words (one cache line at serving batch sizes), so the scratch
+// slabs are already L1-resident and there is nothing for a register panel
+// to save.
 func (q *QuantPlan) matmulPacked(packed []uint64, colScale []float64, accP, accN []uint64, out *tensor.Tensor, n, halfW int) *tensor.Tensor {
-	if n >= panelMin && !q.tiling.Scalar && q.tiling.explicit() {
-		q.matmulPackedBlocked(packed, colScale, out, n, halfW)
-		return out
-	}
 	if len(q.Code)*n < spmmParallelThreshold || q.Rows < 2 {
 		q.rowRange(packed, colScale, accP, accN, out, n, halfW, 0, q.Rows)
 		return out

@@ -61,7 +61,6 @@ import (
 	"slices"
 	"sync"
 
-	"repro/internal/accel"
 	"repro/internal/format"
 	"repro/internal/nn"
 	"repro/internal/sparsity"
@@ -112,19 +111,7 @@ type CompileOptions struct {
 	// values) share one canonical instance and one cached int8 image. The
 	// engine holds references it returns via Release when evicted.
 	Registry *format.Registry
-	// BatchHint is the activation batch width the engine specializes its
-	// kernel tilings for: at compile time each plan asks the simulator-
-	// backed picker (accel.PickTiling) which kernel family wins its shape
-	// at this width, and pins the verdict when it names a blocked tiling.
-	// Zero selects the nominal serving batch (defaultBatchHint). The hint
-	// only steers performance — every kernel variant is bit-identical.
-	BatchHint int
 }
-
-// defaultBatchHint is the nominal serving batch width engines specialize
-// for when CompileOptions.BatchHint is zero (the benchmark and serve-tier
-// batch scale).
-const defaultBatchHint = 16
 
 // Engine is a compiled sparse-execution plan for one classifier. An engine
 // is immutable after New and safe for concurrent Logits/LogitsBatch calls.
@@ -145,8 +132,6 @@ type Engine struct {
 	// interned lists the canonical plans this engine holds registry
 	// references to; Release returns them.
 	interned []*format.Plan
-	// batchHint is the batch width tilings were picked for (CompileOptions).
-	batchHint int
 	// footprint accumulates the engine-owned bytes at compile time (see
 	// MemoryFootprint).
 	footprint int64
@@ -217,10 +202,7 @@ func (OwnParams) NormStats(bn *nn.BatchNorm2D) (mean, variance []float64) {
 // the architecture (the tenant's own classifier with OwnParams, the
 // universal model with a delta view over it) and is not retained.
 func NewFromSource(tree *nn.Classifier, src ParamSource, blockSize int, nm sparsity.NM, opts CompileOptions) (*Engine, error) {
-	e := &Engine{numClasses: tree.NumClasses, src: src, precision: opts.Precision, shared: opts.Shared, registry: opts.Registry, batchHint: opts.BatchHint}
-	if e.batchHint <= 0 {
-		e.batchHint = defaultBatchHint
-	}
+	e := &Engine{numClasses: tree.NumClasses, src: src, precision: opts.Precision, shared: opts.Shared, registry: opts.Registry}
 	root, err := e.compile(tree.Net, blockSize, nm)
 	e.src = nil
 	if err != nil {
@@ -454,8 +436,8 @@ func (e *Engine) compile(l nn.Layer, b int, nm sparsity.NM) (execLayer, error) {
 
 // spmm is the executors' shared SpMM dispatch: the compiled float plan and,
 // in Int8 engines, its quantized twin. Executors are precision-agnostic —
-// they compose shapes and biases and call into; which kernel runs was
-// decided once, at compile time.
+// they compose shapes and biases and call into; which kernel runs is the
+// plan's own per-call decision.
 type spmm struct {
 	plan  *format.Plan
 	qplan *format.QuantPlan // nil in Float32 engines
@@ -491,23 +473,6 @@ func (e *Engine) newSpMM(p *nn.Param, b int, nm sparsity.NM) (spmm, error) {
 	plan := encodeParam(p, e.src.Effective(p), b, nm)
 	if e.shared != nil {
 		plan.BindSlab(e.shared.Slab(p.Name))
-	}
-	// Compile-time tiling: the simulator-backed picker costs the candidate
-	// kernel families for this plan's shape at the engine's batch hint. A
-	// blocked verdict is pinned; a Scalar verdict leaves the zero-value
-	// tiling so per-call dispatch (blockedAuto) keeps adapting to batch
-	// widths the hint did not anticipate. Runs before registry interning —
-	// the pick is a pure function of plan shape, so structurally identical
-	// plans carry identical tilings and dedup is unaffected.
-	pick := accel.PickTiling(accel.CPUHW(), accel.PlanShape{
-		Rows:    plan.Rows,
-		Cols:    plan.Cols,
-		NNZ:     plan.NNZ(),
-		Batch:   e.batchHint,
-		Uniform: plan.UniformSpan() > 0,
-	})
-	if !pick.Scalar {
-		plan.SetTiling(pick)
 	}
 	owned := true
 	if e.registry != nil {

@@ -251,13 +251,10 @@ func concatShape(ts []*Tensor) []int {
 // CacheBlockF64 is THE cache-block edge for float64 tiling in this repo:
 // the square tile side (in elements) below which two tiles — one read, one
 // written — fit in a 16 KiB half-L1 budget (2·32²·8 B = 16 KiB). The
-// cache-blocked transpose uses it directly, and the sparse blocked-kernel
-// tile partitioner (internal/format) derives its default row/column tiles
-// from it, so both sides of every SpMM (transposed weights in, tiled
-// output out) block at the same granularity. The value is pinned to the
-// hardware model's derivation — accel.CPUHW().CacheBlockF64() — and a test
-// in internal/accel asserts they agree (tensor cannot import accel: accel
-// depends on this package through internal/sparsity).
+// cache-blocked transpose uses it directly, and the sparse blocked kernels
+// (internal/format) derive their row-chunk height and activation budget
+// from it, so both sides of every SpMM (transposed weights in, chunked
+// output out) block at the same granularity.
 const CacheBlockF64 = 32
 
 // Transpose returns mᵀ for a rank-2 tensor.
