@@ -844,9 +844,14 @@ var benchDensity = sync.OnceValue(func() *tenantsDensity {
 	}
 
 	// Tiered: hot tenants are an engine and a delta, not full copies, so the
-	// budget is sized from what keeping them all hot costs — three fifths of
-	// it holds two hot and forces the rest into warm delta records.
-	opts.MemoryBudgetBytes = hot.Stats().HotBytes * 3 / 5
+	// budget is sized from what keeping them all hot costs — seven tenths of
+	// it, three fifths of that for the hot tier: 2.52 hot tenants' worth holds
+	// two hot, and the rest holds the other four as warm delta records while
+	// a delta is under 0.55 of a hot tenant (0.42 on transformer-s since its
+	// engine holds no dense attention projection; three fifths of the all-hot
+	// bytes at the default split needed it under 0.4).
+	opts.MemoryBudgetBytes = hot.Stats().HotBytes * 7 / 10
+	opts.HotFraction = 0.6
 	tiered, err := serve.NewServer(env.build, env.base, env.ds, opts)
 	if err != nil {
 		return &tenantsDensity{err: err}

@@ -63,11 +63,12 @@ func main() {
 	fmt.Printf("all-hot cache:   %d tenants in %d bytes (engine + delta each, %.1fx denser)\n",
 		len(tenants), hotBytes, float64(fullBytes)/float64(hotBytes))
 
-	// Pass 2: the same tenants under three fifths of the all-hot bytes —
-	// room for two hot engines, the rest demote to warm records.
+	// Pass 2: the same tenants under seven tenths of the all-hot bytes, three
+	// fifths of that for the hot tier — room for two hot engines, the rest
+	// demote to warm records (a delta is ~0.4 of a hot tenant).
 	srv, err := crisp.NewServer(model, crisp.ResNet, 1, 18, ds, crisp.ServerConfig{
 		Prune: cfg, TrainPerClass: 12, TestPerClass: 6,
-		MemoryBudgetBytes: hotBytes * 3 / 5,
+		MemoryBudgetBytes: hotBytes * 7 / 10, HotFraction: 0.6,
 	})
 	if err != nil {
 		panic(err)

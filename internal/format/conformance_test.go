@@ -228,11 +228,11 @@ func TestKernelDispatch(t *testing.T) {
 	}
 }
 
-// TestConvPlanDifferential proves the fused implicit-im2col kernels — both
-// the sample-major reference layout and the batch-last engine layout —
-// against the explicit lowering (Im2ColInto + scalar plan MatMulInto).
-// Equality is |difference| = 0 via tensor.Equal: bit patterns may differ
-// only in the sign of all-padding-tap zeros (see convplan.go).
+// TestConvPlanDifferential proves the fused implicit-im2col kernel (the
+// batch-last layout the engine runs) against the explicit lowering
+// (Im2ColInto + scalar plan MatMulInto). Equality is |difference| = 0: bit
+// patterns may differ only in the sign of all-padding-tap zeros (see
+// convplan.go).
 func TestConvPlanDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	type geom struct {
@@ -266,11 +266,6 @@ func TestConvPlanDifferential(t *testing.T) {
 			lowered := tensor.New(cols, n)
 			tensor.Im2ColInto(x, g, lowered)
 			want := scalarRef(p, lowered)
-
-			got := p.ConvMatMulInto(x, g, tensor.New(rows, n))
-			if !tensor.Equal(got, want, 0) {
-				t.Fatalf("fused conv %+v batch=%d differs from lowering", gm, batch)
-			}
 
 			cp := p.CompileConv(gm.kh, gm.kw, gm.stride, gm.pad)
 			chw := gm.inC * gm.inH * gm.inW

@@ -23,15 +23,18 @@ import (
 // index into (channel, kh, kw) costs two integer divides — done per entry
 // per sample it costs more than the multiply-accumulates it feeds (the
 // first cut of this kernel measured ~2× slower than the lowering for
-// exactly that reason). CompileConv therefore decodes every entry once
-// into a tap table, and the per-geometry border clipping (which output
+// exactly that reason). CompileConv therefore decodes every column once
+// into a tap table — one entry per plan column, not per stored weight:
+// Plan.Col already says which column an entry reads, so the table is
+// Cols long (L1-resident per layer) and the hot loop indexes it by
+// Col[i] — and the per-geometry border clipping (which output
 // rows/columns keep a given kernel position inside the image) collapses
 // into a KH·KW-entry table computed once per input size and cached on the
 // plan. What remains per (entry, sample) is a handful of adds and one
 // multiply to form the slice bases, then pure contiguous AXPYs.
 //
 // Accumulation-order contract: for every output element the products are
-// added in ascending span order — exactly the order MatMulInto's scalar
+// added in ascending span order — exactly the order Plan.MatMulInto's scalar
 // kernel uses over an im2col matrix, so results match the lowered path
 // element for element (|difference| = 0). The one representational
 // exception: taps that fall in the zero padding are skipped here but
@@ -43,7 +46,7 @@ import (
 // ConvPlan is a Plan specialized for implicit-im2col convolution with a
 // fixed kernel shape. It is immutable after CompileConv apart from the
 // per-input-geometry clip cache, which is republished atomically and is
-// safe for concurrent MatMulInto use.
+// safe for concurrent MatMulBatchLastInto use.
 type ConvPlan struct {
 	p                   *Plan
 	kh, kw, stride, pad int
@@ -52,9 +55,9 @@ type ConvPlan struct {
 	state               atomic.Pointer[convState]
 }
 
-// convTap is one stored weight entry's decoded position: the input channel
-// and the flattened kernel position kh·KW+kw (the index into the
-// per-geometry clip table).
+// convTap is one plan column's decoded position: the input channel and the
+// flattened kernel position kh·KW+kw (the index into the per-geometry clip
+// table).
 type convTap struct {
 	c  int32
 	kk int32
@@ -80,7 +83,7 @@ type convState struct {
 }
 
 // CompileConv specializes the plan for convolution with the given kernel
-// shape, decoding every entry's (channel, kernel-position) tap once. The
+// shape, decoding every column's (channel, kernel-position) tap once. The
 // plan's Cols must equal InC·KH·KW for some whole channel count.
 func (p *Plan) CompileConv(kh, kw, stride, pad int) *ConvPlan {
 	if kh <= 0 || kw <= 0 || stride <= 0 || pad < 0 {
@@ -93,17 +96,16 @@ func (p *Plan) CompileConv(kh, kw, stride, pad int) *ConvPlan {
 	cp := &ConvPlan{
 		p: p, kh: kh, kw: kw, stride: stride, pad: pad,
 		inC:  p.Cols / khw,
-		taps: make([]convTap, len(p.Col)),
+		taps: make([]convTap, p.Cols),
 	}
-	for i, cc := range p.Col {
-		c := cc / int32(khw)
-		cp.taps[i] = convTap{c: c, kk: cc - c*int32(khw)}
+	for cc := range cp.taps {
+		cp.taps[cc] = convTap{c: int32(cc / khw), kk: int32(cc % khw)}
 	}
 	return cp
 }
 
 // SizeBytes reports the heap bytes the conv specialization owns on top of
-// its Plan: the tap table (two int32 per stored weight) and the one cached
+// its Plan: the tap table (two int32 per plan column) and the one cached
 // per-geometry clip table (five int32 per kernel position), counted whether
 // or not a forward has built it yet so the figure is fixed at compile time.
 // Struct headers are excluded as negligible, as in Plan.SizeBytes.
@@ -162,41 +164,6 @@ func (cp *ConvPlan) stateFor(g tensor.ConvGeom) *convState {
 	return st
 }
 
-// MatMulInto computes the convolution of every sample in x ([batch, InC,
-// InH, InW]) with the plan's weight rows into out ([Rows, batch·OH·OW],
-// im2col output layout). Previous contents of out are overwritten.
-func (cp *ConvPlan) MatMulInto(x *tensor.Tensor, g tensor.ConvGeom, out *tensor.Tensor) *tensor.Tensor {
-	if !cp.matches(g) {
-		panic(fmt.Sprintf("format: ConvPlan compiled for %dx%d stride %d pad %d inC %d, got %+v",
-			cp.kh, cp.kw, cp.stride, cp.pad, cp.inC, g))
-	}
-	if len(x.Shape) != 4 || x.Shape[1] != g.InC || x.Shape[2] != g.InH || x.Shape[3] != g.InW {
-		panic(fmt.Sprintf("format: ConvPlan input %v does not match geometry %+v", x.Shape, g))
-	}
-	st := cp.stateFor(g)
-	batch := x.Shape[0]
-	n := batch * st.oh * st.ow
-	p := cp.p
-	if len(out.Shape) != 2 || out.Shape[0] != p.Rows || out.Shape[1] != n {
-		panic(fmt.Sprintf("format: ConvPlan output %v, want [%d %d]", out.Shape, p.Rows, n))
-	}
-	if p.NNZ()*n < spmmParallelThreshold || p.Rows < 2 {
-		cp.convRows(x.Data, st, batch, out.Data, n, 0, p.Rows)
-		return out
-	}
-	parallelRows(p.Rows, p.NNZ()*n, func(row0, row1 int) {
-		cp.convRows(x.Data, st, batch, out.Data, n, row0, row1)
-	})
-	return out
-}
-
-// ConvMatMulInto is the compile-on-the-fly convenience form: it builds a
-// throwaway ConvPlan for g's kernel shape and runs it. Steady-state
-// callers (the inference engine) hold a compiled ConvPlan instead.
-func (p *Plan) ConvMatMulInto(x *tensor.Tensor, g tensor.ConvGeom, out *tensor.Tensor) *tensor.Tensor {
-	return p.CompileConv(g.KH, g.KW, g.Stride, g.Pad).MatMulInto(x, g, out)
-}
-
 // MatMulBatchLastInto is the batch-last form of the fused convolution: xT
 // is the transposed input [InC·InH·InW, batch] (sample index innermost)
 // and out is filled as [Rows·OH·OW, batch]. Batch-last is the layout the
@@ -206,9 +173,9 @@ func (p *Plan) ConvMatMulInto(x *tensor.Tensor, g tensor.ConvGeom, out *tensor.T
 // feature maps), so slice and loop overhead swamp the multiply-adds;
 // batch-last fuses the clipped pixel run and the batch dimension into one
 // run, amortizing that overhead across an order of magnitude more work.
-// The per-element accumulation order is identical to MatMulInto's —
-// ascending span order, entries in the outermost loop — so transposing the
-// result back to sample-major reproduces it bit for bit.
+// The per-element accumulation order is the lowering's — ascending span
+// order, entries in the outermost loop — so transposing the result back to
+// sample-major reproduces Plan.MatMulInto over an im2col matrix.
 func (cp *ConvPlan) MatMulBatchLastInto(xT *tensor.Tensor, g tensor.ConvGeom, batch int, out *tensor.Tensor) *tensor.Tensor {
 	if !cp.matches(g) {
 		panic(fmt.Sprintf("format: ConvPlan compiled for %dx%d stride %d pad %d inC %d, got %+v",
@@ -248,7 +215,7 @@ func (cp *ConvPlan) convRowsBatchLast(xd []float64, st *convState, batch int, ou
 		clear(dst)
 		i0, i1 := int(p.RowPtr[r]), int(p.RowPtr[r+1])
 		for i := i0; i < i1; i++ {
-			t := cp.taps[i]
+			t := cp.taps[p.Col[i]]
 			cl := &st.clips[t.kk]
 			w := int(cl.ox1 - cl.ox0)
 			rows := int(cl.oy1 - cl.oy0)
@@ -289,74 +256,6 @@ func (cp *ConvPlan) convRowsBatchLast(xd []float64, st *convState, batch int, ou
 					}
 					so += rowStep
 					do += ow * batch
-				}
-			}
-		}
-	}
-}
-
-// convRows computes output rows [row0, row1) of the fused convolution.
-// Each output row is owned by one worker: it is zeroed once, then every
-// span entry scatters its clipped, shifted input window into it, sample by
-// sample. Entries walk in span order in the outermost loop, so each output
-// element accumulates its products in ascending span order — the scalar
-// SpMM's order over an im2col matrix — regardless of the sample/row
-// nesting inside (distinct (b, oy, ox) never alias). The whole n-wide dst
-// row (batch·OH·OW floats) is small enough to stay cache-resident across
-// the span walk, while Col/Val/taps stream through exactly once per row.
-func (cp *ConvPlan) convRows(xd []float64, st *convState, batch int, out []float64, n, row0, row1 int) {
-	p := cp.p
-	chanSize := st.inH * st.inW
-	imgSize := cp.inC * chanSize
-	ohow := st.oh * st.ow
-	ow := st.ow
-	rowStep := cp.stride * st.inW
-	s := cp.stride
-	for r := row0; r < row1; r++ {
-		dst := out[r*n : (r+1)*n]
-		clear(dst)
-		i0, i1 := int(p.RowPtr[r]), int(p.RowPtr[r+1])
-		for i := i0; i < i1; i++ {
-			t := cp.taps[i]
-			cl := &st.clips[t.kk]
-			w := int(cl.ox1 - cl.ox0)
-			rows := int(cl.oy1 - cl.oy0)
-			if w <= 0 || rows <= 0 {
-				continue
-			}
-			v := p.value(r, int32(i))
-			srcBase := int(t.c)*chanSize + int(cl.src0)
-			dstBase := int(cl.oy0)*ow + int(cl.ox0)
-			if s == 1 {
-				for b := 0; b < batch; b++ {
-					bd := dst[b*ohow:]
-					img := xd[b*imgSize:]
-					so, do := srcBase, dstBase
-					for k := 0; k < rows; k++ {
-						// Equal-length reslices let the compiler drop the
-						// per-element bounds checks from the AXPY.
-						xr := img[so : so+w]
-						d := bd[do : do+w]
-						for j, xv := range xr {
-							d[j] += v * xv
-						}
-						so += rowStep
-						do += ow
-					}
-				}
-			} else {
-				for b := 0; b < batch; b++ {
-					bd := dst[b*ohow:]
-					img := xd[b*imgSize:]
-					so, do := srcBase, dstBase
-					for k := 0; k < rows; k++ {
-						d := bd[do : do+w]
-						for j := range d {
-							d[j] += v * img[so+j*s]
-						}
-						so += rowStep
-						do += ow
-					}
 				}
 			}
 		}

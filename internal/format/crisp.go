@@ -2,6 +2,7 @@ package format
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/sparsity"
 	"repro/internal/tensor"
@@ -23,49 +24,55 @@ type CRISPFormat struct {
 	Offsets []uint8
 	// Val holds the slot values in the same order.
 	Val []float64
-
-	// starts caches the per-block-row slot prefix for MatMul's parallel
-	// fan-out; EncodeCRISP fills it, and MatMul rebuilds it when absent
-	// (e.g. a hand-constructed literal).
-	starts []int
 }
 
 // EncodeCRISP encodes m, which must satisfy both hybrid invariants: uniform
 // kept blocks per block row, and the N:M pattern within rows. M must divide
 // B so N:M groups never straddle blocks.
 func EncodeCRISP(m *tensor.Tensor, b int, nm sparsity.NM) (*CRISPFormat, error) {
-	if err := nm.Validate(); err != nil {
+	e := &CRISPFormat{}
+	if err := e.Encode(m, b, nm); err != nil {
 		return nil, err
 	}
+	return e, nil
+}
+
+// Encode is EncodeCRISP into e, overwriting what e held and reusing its
+// slices' capacity, so one value can encode a model's parameters one after
+// another (Compile copies out of it; nothing compiled aliases e). After an
+// error e's contents are unspecified.
+func (e *CRISPFormat) Encode(m *tensor.Tensor, b int, nm sparsity.NM) error {
+	if err := nm.Validate(); err != nil {
+		return err
+	}
 	if b%nm.M != 0 {
-		return nil, fmt.Errorf("format: block size %d is not a multiple of M=%d", b, nm.M)
+		return fmt.Errorf("format: block size %d is not a multiple of M=%d", b, nm.M)
 	}
 	rows, cols := checkMatrix(m)
 	if err := sparsity.VerifyNM(m, nm); err != nil {
-		return nil, fmt.Errorf("format: matrix violates %s: %w", nm, err)
+		return fmt.Errorf("format: matrix violates %s: %w", nm, err)
 	}
 	g := sparsity.NewBlockGrid(rows, cols, b)
-	counts := sparsity.KeptBlocksPerRow(m, g)
 	kept := 0
-	if len(counts) > 0 {
-		kept = counts[0]
-	}
-	for i, c := range counts {
-		if c != kept {
-			return nil, fmt.Errorf("format: crisp requires row balance; block row %d keeps %d, row 0 keeps %d", i, c, kept)
+	if g.GridRows() > 0 {
+		for bc := 0; bc < g.GridCols(); bc++ {
+			if sparsity.BlockKept(m, g, 0, bc) {
+				kept++
+			}
 		}
 	}
 	// Sized once: every block row keeps `kept` blocks of at most b rows ×
 	// b/M groups × N slots (edge blocks are smaller, so this is a capacity).
 	blocks := g.GridRows() * kept
 	slots := blocks * b * (b / nm.M) * nm.N
-	e := &CRISPFormat{
+	*e = CRISPFormat{
 		Rows: rows, Cols: cols, B: b, NM: nm, KeptPerRow: kept,
-		BlockCols: make([]int32, 0, blocks),
-		Offsets:   make([]uint8, 0, slots),
-		Val:       make([]float64, 0, slots),
+		BlockCols: slices.Grow(e.BlockCols[:0], blocks),
+		Offsets:   slices.Grow(e.Offsets[:0], slots),
+		Val:       slices.Grow(e.Val[:0], slots),
 	}
 	for br := 0; br < g.GridRows(); br++ {
+		rowStart := len(e.BlockCols)
 		for bc := 0; bc < g.GridCols(); bc++ {
 			if !sparsity.BlockKept(m, g, br, bc) {
 				continue
@@ -93,9 +100,11 @@ func EncodeCRISP(m *tensor.Tensor, b int, nm sparsity.NM) (*CRISPFormat, error) 
 				}
 			}
 		}
+		if c := len(e.BlockCols) - rowStart; c != kept {
+			return fmt.Errorf("format: crisp requires row balance; block row %d keeps %d, row 0 keeps %d", br, c, kept)
+		}
 	}
-	e.starts = e.slotStarts(g)
-	return e, nil
+	return nil
 }
 
 // Name implements Encoded.
@@ -145,7 +154,7 @@ func (e *CRISPFormat) Decode() *tensor.Tensor {
 // slotStarts returns the index into Val/Offsets where each block row's
 // slots begin (length gridRows+1), so MatMul can give each worker an
 // independent starting slot. Slot counts follow from the grid geometry
-// alone; the result is cached on the encoding.
+// alone.
 func (e *CRISPFormat) slotStarts(g sparsity.BlockGrid) []int {
 	starts := make([]int, g.GridRows()+1)
 	for br := 0; br < g.GridRows(); br++ {
@@ -169,10 +178,7 @@ func (e *CRISPFormat) MatMul(b *tensor.Tensor) *tensor.Tensor {
 	_, n := checkSpMM(b, e.Cols)
 	out := tensor.New(e.Rows, n)
 	g := e.grid()
-	starts := e.starts
-	if starts == nil {
-		starts = e.slotStarts(g)
-	}
+	starts := e.slotStarts(g)
 	parallelRows(g.GridRows(), len(e.Val)*n, func(br0, br1 int) {
 		for br := br0; br < br1; br++ {
 			si := starts[br]

@@ -14,7 +14,11 @@ type CSR struct {
 // EncodeCSR encodes the non-zeros of the dense matrix m.
 func EncodeCSR(m *tensor.Tensor) *CSR {
 	rows, cols := checkMatrix(m)
-	c := &CSR{Rows: rows, Cols: cols, RowPtr: make([]int32, rows+1)}
+	nnz := m.CountNonZero()
+	c := &CSR{
+		Rows: rows, Cols: cols, RowPtr: make([]int32, rows+1),
+		ColIdx: make([]int32, 0, nnz), Val: make([]float64, 0, nnz),
+	}
 	for r := 0; r < rows; r++ {
 		for cc := 0; cc < cols; cc++ {
 			if v := m.Data[r*cols+cc]; v != 0 {

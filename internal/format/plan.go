@@ -93,44 +93,26 @@ func (c *CSR) Compile() *Plan {
 // left-to-right, slots in stored order), so MatMul over the plan
 // accumulates bit-identically to the slot-walking kernel.
 func (e *CRISPFormat) Compile() *Plan {
-	g := e.grid()
 	p := &Plan{Rows: e.Rows, Cols: e.Cols, RowPtr: make([]int32, e.Rows+1)}
 
-	// Pass 1: count non-zero slots per output row.
-	walk := func(visit func(r int, col int32, v float64)) {
-		si := 0
-		for br := 0; br < g.GridRows(); br++ {
-			for k := 0; k < e.KeptPerRow; k++ {
-				bc := int(e.BlockCols[br*e.KeptPerRow+k])
-				r0, r1, c0, c1 := g.Bounds(br, bc)
-				for r := r0; r < r1; r++ {
-					for g0 := c0; g0 < c1; g0 += e.NM.M {
-						for s := 0; s < e.NM.N; s++ {
-							if v := e.Val[si]; v != 0 {
-								visit(r, int32(g0+int(e.Offsets[si])), v)
-							}
-							si++
-						}
-					}
-				}
-			}
-		}
-	}
-	walk(func(r int, _ int32, _ float64) { p.RowPtr[r+1]++ })
+	// Pass 1: count non-zero slots per output row, then prefix-sum so that
+	// RowPtr[r] is where row r's span starts.
+	e.walk(func(r int, _ int32, _ float64) { p.RowPtr[r+1]++ })
 	for r := 0; r < e.Rows; r++ {
 		p.RowPtr[r+1] += p.RowPtr[r]
 	}
 
-	// Pass 2: fill, using a moving cursor per row.
+	// Pass 2: fill with RowPtr[r] itself as row r's moving cursor — it ends
+	// on row r+1's start, so shifting the array up one entry restores it.
 	p.Col = make([]int32, p.RowPtr[e.Rows])
 	p.Val = make([]float64, p.RowPtr[e.Rows])
-	next := make([]int32, e.Rows)
-	copy(next, p.RowPtr[:e.Rows])
-	walk(func(r int, col int32, v float64) {
-		p.Col[next[r]] = col
-		p.Val[next[r]] = v
-		next[r]++
+	e.walk(func(r int, col int32, v float64) {
+		p.Col[p.RowPtr[r]] = col
+		p.Val[p.RowPtr[r]] = v
+		p.RowPtr[r]++
 	})
+	copy(p.RowPtr[1:], p.RowPtr[:e.Rows])
+	p.RowPtr[0] = 0
 
 	// The N:M + block-column layout stores the same slot count for every
 	// row of a kept block; when no padding slot survives the compile (no
@@ -152,6 +134,29 @@ func (e *CRISPFormat) Compile() *Plan {
 		}
 	}
 	return p
+}
+
+// walk replays the slot walk of CRISPFormat.MatMul, visiting every non-zero
+// slot with its output row and absolute column.
+func (e *CRISPFormat) walk(visit func(r int, col int32, v float64)) {
+	g := e.grid()
+	si := 0
+	for br := 0; br < g.GridRows(); br++ {
+		for k := 0; k < e.KeptPerRow; k++ {
+			bc := int(e.BlockCols[br*e.KeptPerRow+k])
+			r0, r1, c0, c1 := g.Bounds(br, bc)
+			for r := r0; r < r1; r++ {
+				for g0 := c0; g0 < c1; g0 += e.NM.M {
+					for s := 0; s < e.NM.N; s++ {
+						if v := e.Val[si]; v != 0 {
+							visit(r, int32(g0+int(e.Offsets[si])), v)
+						}
+						si++
+					}
+				}
+			}
+		}
+	}
 }
 
 // MatMul computes Plan · B for a dense Cols×n matrix B into a new tensor.

@@ -62,9 +62,21 @@ type arena struct {
 	f64 slabRun[float64]
 	u64 slabRun[uint64]
 
-	hdrs []*tensor.Tensor // recycled tensor headers
-	used int              // headers handed out this pass
+	hdrs [][]hdr // recycled tensor headers, hdrChunk to an allocation
+	used int     // headers handed out this pass
 }
+
+// hdr is a tensor header with room for its shape inline. A freshly
+// compiled engine's first pass builds every header it will ever use — and on
+// a churning server half the predicts are such a pass — so headers come
+// hdrChunk to an allocation and carry their shape with them: one object per
+// sixteen tensors instead of two per tensor.
+type hdr struct {
+	t     tensor.Tensor
+	shape [4]int // every executor's rank fits; a longer shape spills to the heap
+}
+
+const hdrChunk = 16
 
 // reset recycles the arena for the next pass; memory is retained.
 func (a *arena) reset() {
@@ -92,16 +104,13 @@ func (a *arena) allocU64(n int) []uint64 {
 
 // header returns a recycled tensor header with the given shape (data unset).
 func (a *arena) header(shape []int) *tensor.Tensor {
-	var t *tensor.Tensor
-	if a.used < len(a.hdrs) {
-		t = a.hdrs[a.used]
-	} else {
-		t = &tensor.Tensor{}
-		a.hdrs = append(a.hdrs, t)
+	if a.used == len(a.hdrs)*hdrChunk {
+		a.hdrs = append(a.hdrs, make([]hdr, hdrChunk))
 	}
+	h := &a.hdrs[a.used/hdrChunk][a.used%hdrChunk]
 	a.used++
-	t.Shape = append(t.Shape[:0], shape...)
-	return t
+	h.t.Shape = append(h.shape[:0], shape...)
+	return &h.t
 }
 
 // tensor returns an arena tensor with arbitrary contents; callers must

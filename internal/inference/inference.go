@@ -18,13 +18,14 @@
 //     engine-owned arena recycled through a sync.Pool, so steady-state
 //     Predict/PredictBatch calls are (near) zero-allocation. See arena.go
 //     for the lifecycle.
-//   - Multi-head attention keeps masked-dense projections (its four GEMMs
-//     interleave with the attention pattern), but the masked weights are
-//     materialized once at compile time instead of per call.
+//   - Multi-head attention's four projections (Q, K, V, O) are plans like
+//     every other matrix: the tokens are transposed once, the plans run over
+//     the whole batch, and only the per-head softmax / A·V loop is dense.
 //
 // The engine also has a deployment-precision mode
 // (NewWithOptions(CompileOptions{Precision: Int8})): every plan-backed
-// layer materializes an int8 quantized plan at compile time — int8 weight
+// layer except attention (whose projections stay float at either precision)
+// materializes an int8 quantized plan at compile time — int8 weight
 // codes at symmetric per-row scales — and the forward pass quantizes
 // activations per column on the fly, accumulates int8×int8 products in
 // 32-bit integer lanes (format.QuantPlan's SWAR kernel), and dequantizes
@@ -77,8 +78,9 @@ const (
 	// Float32 is the full-precision reference path: compiled float plans,
 	// bit-identical to the masked dense model.
 	Float32 Precision = iota
-	// Int8 runs every plan-backed layer (sparse conv/linear/token/patch)
-	// from int8 quantized plans: int8 weight codes at per-row scales,
+	// Int8 runs the sparse conv/linear/token/patch layers from int8
+	// quantized plans (attention projections stay float): int8 weight codes
+	// at per-row scales,
 	// activations quantized per column on the fly, int32 accumulation,
 	// dequantize-on-store. Outputs are approximate; the golden agreement
 	// suite bounds the top-1 disagreement against the Float32 engine.
@@ -101,8 +103,8 @@ type CompileOptions struct {
 	// Shared, when set, lets the engine reference the universal model's
 	// weights instead of owning copies: compiled plans bind to the shared
 	// value slabs when the tenant's kept values still equal the universal
-	// weights, and masked-dense layers (attention, depthwise) borrow the
-	// shared effective tensors when their effective weights equal the
+	// weights, and depthwise layers (the one masked-dense executor) borrow
+	// the shared effective tensors when their effective weights equal the
 	// universal parameter's. Results are bit-identical either way; only
 	// ownership (and MemoryFootprint) changes.
 	Shared *SharedWeights
@@ -119,7 +121,10 @@ type Engine struct {
 	numClasses int
 	root       execLayer
 	// src is where compile reads values; nil once compiled.
-	src       ParamSource
+	src ParamSource
+	// enc is compile's one CRISP encoder, re-encoded per parameter (plans
+	// copy out of it); zero once compiled.
+	enc       format.CRISPFormat
 	precision Precision
 	shared    *SharedWeights
 	registry  *format.Registry
@@ -204,7 +209,7 @@ func (OwnParams) NormStats(bn *nn.BatchNorm2D) (mean, variance []float64) {
 func NewFromSource(tree *nn.Classifier, src ParamSource, blockSize int, nm sparsity.NM, opts CompileOptions) (*Engine, error) {
 	e := &Engine{numClasses: tree.NumClasses, src: src, precision: opts.Precision, shared: opts.Shared, registry: opts.Registry}
 	root, err := e.compile(tree.Net, blockSize, nm)
-	e.src = nil
+	e.src, e.enc = nil, format.CRISPFormat{}
 	if err != nil {
 		return nil, err
 	}
@@ -401,10 +406,15 @@ func (e *Engine) compile(l nn.Layer, b int, nm sparsity.NM) (execLayer, error) {
 		}
 		return &sparsePatchEmbed{pe: nn.PatchEmbed{C: v.C, P: v.P, D: v.D}, bias: e.own(v.Bias), mm: mm}, nil
 	case *nn.MultiHeadAttention:
+		// Float plans at either precision: taking attention to int8 is an
+		// accuracy question the golden agreement suite has not been asked.
+		plan := func(p *nn.Param) *format.Plan {
+			pl, _ := e.newPlan(p, b, nm)
+			return pl
+		}
 		return &execAttention{
 			d: v.D, heads: v.Heads,
-			wq: e.effective(v.Wq), wk: e.effective(v.Wk),
-			wv: e.effective(v.Wv), wo: e.effective(v.Wo),
+			wq: plan(v.Wq), wk: plan(v.Wk), wv: plan(v.Wv), wo: plan(v.Wo),
 		}, nil
 	case *nn.DepthwiseConv2D:
 		return &execDepthwise{geom: v.Geom, bias: e.own(v.Bias), weff: e.effective(v.Weight)}, nil
@@ -470,24 +480,8 @@ func (s *spmm) into(b, out *tensor.Tensor, a *arena) *tensor.Tensor {
 // onto the canonical instance for its content. Neither step changes a bit
 // of any result — only who owns the memory, which MemoryFootprint tracks.
 func (e *Engine) newSpMM(p *nn.Param, b int, nm sparsity.NM) (spmm, error) {
-	plan := encodeParam(p, e.src.Effective(p), b, nm)
-	if e.shared != nil {
-		plan.BindSlab(e.shared.Slab(p.Name))
-	}
-	owned := true
-	if e.registry != nil {
-		canon := e.registry.Intern(plan)
-		e.interned = append(e.interned, canon)
-		if canon != plan {
-			owned = false
-			plan = canon
-		}
-	}
-	if owned {
-		e.footprint += plan.SizeBytes()
-	}
+	plan, owned := e.newPlan(p, b, nm)
 	s := spmm{plan: plan}
-	e.plans = append(e.plans, plan)
 	if e.precision == Int8 {
 		var q *format.QuantPlan
 		var err error
@@ -505,11 +499,34 @@ func (e *Engine) newSpMM(p *nn.Param, b int, nm sparsity.NM) (spmm, error) {
 		s.qplan = q
 		e.quantPlans = append(e.quantPlans, q)
 	}
-	e.CompressedLayers++
 	return s, nil
 }
 
-// effective materializes a masked-dense layer's weights, borrowing the
+// newPlan is the float half of newSpMM: encode, bind, intern, charge. owned
+// reports whether this engine is the one the plan's bytes are charged to.
+func (e *Engine) newPlan(p *nn.Param, b int, nm sparsity.NM) (plan *format.Plan, owned bool) {
+	plan = e.encodeParam(p, e.src.Effective(p), b, nm)
+	if e.shared != nil {
+		plan.BindSlab(e.shared.Slab(p.Name))
+	}
+	owned = true
+	if e.registry != nil {
+		canon := e.registry.Intern(plan)
+		e.interned = append(e.interned, canon)
+		if canon != plan {
+			owned = false
+			plan = canon
+		}
+	}
+	if owned {
+		e.footprint += plan.SizeBytes()
+	}
+	e.plans = append(e.plans, plan)
+	e.CompressedLayers++
+	return plan, owned
+}
+
+// effective materializes a depthwise layer's masked weights, borrowing the
 // shared universal tensor when the tenant's are bit for bit the universal
 // model's (the materialization is then dropped); a private one counts
 // toward the engine footprint.
@@ -543,10 +560,10 @@ func (e *Engine) charge(v []float64) []float64 {
 // non-conforming (e.g. a baseline pruner) — they still execute, just without
 // the hybrid layout. Either way the plan's per-row accumulation order is the
 // storage kernel's, so results are bit-identical to slot walking.
-func encodeParam(p *nn.Param, masked *tensor.Tensor, b int, nm sparsity.NM) *format.Plan {
+func (e *Engine) encodeParam(p *nn.Param, masked *tensor.Tensor, b int, nm sparsity.NM) *format.Plan {
 	if !p.BlockExempt && p.Prunable {
-		if enc, err := format.EncodeCRISP(masked, b, nm); err == nil {
-			return enc.Compile()
+		if err := e.enc.Encode(masked, b, nm); err == nil {
+			return e.enc.Compile()
 		}
 	}
 	return format.EncodeCSR(masked).Compile()
@@ -737,13 +754,13 @@ func (s *sparsePatchEmbed) forward(x *tensor.Tensor, a *arena) *tensor.Tensor {
 	return a.view(y.Data, n, t, s.pe.D)
 }
 
-// execAttention runs multi-head self-attention with the masked projection
-// weights materialized once at compile time; all intermediate state (Q, K,
-// V, attention rows, head outputs) lives in the pass's arena. The math is
-// the eval-mode nn.MultiHeadAttention forward, step for step.
+// execAttention runs multi-head self-attention with its four projections
+// as compiled float plans; all intermediate state (transposes, Q, K, V,
+// attention rows, head outputs) lives in the pass's arena. The per-head math
+// is the eval-mode nn.MultiHeadAttention forward, step for step.
 type execAttention struct {
 	d, heads       int
-	wq, wk, wv, wo *tensor.Tensor // effective [D, D] weights
+	wq, wk, wv, wo *format.Plan
 }
 
 func (m *execAttention) forward(x *tensor.Tensor, a *arena) *tensor.Tensor {
@@ -751,16 +768,16 @@ func (m *execAttention) forward(x *tensor.Tensor, a *arena) *tensor.Tensor {
 	dh := m.d / m.heads
 	scale := 1.0 / math.Sqrt(float64(dh))
 
-	// project computes tokens · Wᵀ into a flat [N*T, D] arena tensor
-	// (Gemm's beta=0 path clears the uninitialized destination).
-	project := func(src []float64, w *tensor.Tensor) *tensor.Tensor {
-		out := a.tensor(n*t, m.d)
-		tensor.Gemm(false, true, n*t, m.d, m.d, 1, src, w.Data, 0, out.Data)
-		return out
+	// project computes tokens · Wᵀ for tokens handed over transposed
+	// ([D, N*T]) and returns it token-major, as a flat [N*T, D] tensor.
+	project := func(srcT *tensor.Tensor, w *format.Plan) *tensor.Tensor {
+		out := w.MatMulInto(srcT, a.tensor(m.d, n*t))
+		return tensor.TransposeInto(out, a.tensor(n*t, m.d))
 	}
-	q := project(x.Data, m.wq)
-	k := project(x.Data, m.wk)
-	v := project(x.Data, m.wv)
+	xT := tensor.TransposeInto(a.view(x.Data, n*t, m.d), a.tensor(m.d, n*t))
+	q := project(xT, m.wq)
+	k := project(xT, m.wk)
+	v := project(xT, m.wv)
 	z := a.tensorZero(n*t, m.d) // accumulated head by head
 	attn := a.alloc(n * m.heads * t * t)
 
@@ -800,7 +817,7 @@ func (m *execAttention) forward(x *tensor.Tensor, a *arena) *tensor.Tensor {
 			}
 		}
 	}
-	out := project(z.Data, m.wo)
+	out := project(tensor.TransposeInto(z, a.tensor(m.d, n*t)), m.wo)
 	return a.view(out.Data, n, t, m.d)
 }
 

@@ -125,9 +125,10 @@ func engineFromDelta(t *testing.T, base *nn.Classifier, delta []byte, prec Preci
 // logits bit for bit at batch 1 and 16. Three tenants each: fine-tuned
 // (kept values stored), mask-only (pruned, every kept value still the
 // base's: every delta entry is "same", every plan binds its slab) and
-// untouched (no masks: masked-dense layers borrow the shared effective
-// tensors). The fine-tuned one is also held to the engine compiled from the
-// pruned tenant itself, which shares no decoding with either path.
+// untouched (no masks: every plan binds its slab — attention's included —
+// and depthwise layers, which only mobilenet-s has, borrow the shared
+// effective tensors). The fine-tuned one is also held to the engine compiled
+// from the pruned tenant itself, which shares no decoding with either path.
 func TestEngineFromDeltaMatchesEngineFromClone(t *testing.T) {
 	nm := sparsity.NM{N: 2, M: 4}
 	for _, f := range []models.Family{models.ResNet, models.VGG, models.MobileNet, models.Transformer} {
@@ -174,14 +175,13 @@ func TestEngineFromDeltaMatchesEngineFromClone(t *testing.T) {
 					if got.Fingerprint() != direct.Fingerprint() || got.QuantSignature() != direct.QuantSignature() || !sameLogits(got.Logits(x16), direct.Logits(x16)) {
 						t.Fatalf("%s/%s: engine from the delta is not the engine compiled from the pruned tenant", f, prec)
 					}
-				case "mask-only":
+				case "mask-only", "untouched":
 					for _, p := range got.plans {
 						if !p.Shared() {
-							t.Fatalf("%s/%s: a tenant whose kept values are the base's compiled an owned plan from its delta", f, prec)
+							t.Fatalf("%s/%s/%s: a tenant whose kept values are the base's compiled an owned plan from its delta", f, name, prec)
 						}
 					}
-				case "untouched":
-					if masked := f == models.MobileNet || f == models.Transformer; masked != (len(opts.Shared.eff) > 0) {
+					if name == "untouched" && (f == models.MobileNet) != (len(opts.Shared.eff) > 0) {
 						t.Fatalf("%s/%s: %d shared effective tensors borrowed by an untouched tenant", f, prec, len(opts.Shared.eff))
 					}
 				}

@@ -12,8 +12,8 @@ import (
 // SharedWeights is the compile-time view of the universal model every
 // tenant prunes: one immutable value slab per parameter (aliasing the base
 // classifier's weight storage — referenced, never cloned) plus a lazy cache
-// of universal effective tensors for the layers that execute masked-dense
-// (attention projections, depthwise kernels). Engines compiled with
+// of universal effective tensors for the one layer type that executes
+// masked-dense (depthwise kernels). Engines compiled with
 // CompileOptions.Shared bind their plans to these slabs whenever the
 // tenant's kept values still equal the universal weights, and borrow the
 // cached effective tensors whenever the tenant's effective weights equal the
@@ -55,8 +55,9 @@ func (s *SharedWeights) Slab(name string) *format.ValueSlab {
 }
 
 // universalEffective returns the shared effective (W ⊙ Mask) tensor for the
-// named parameter when t, the tenant's effective weights, equals it bit for
-// bit, and nil when the tenant diverged (the caller then keeps t). Either
+// named parameter — a depthwise kernel: nothing else asks — when t, the
+// tenant's effective weights, equals it bit for bit, and nil when the tenant
+// diverged (the caller then keeps t). Either
 // tensor computes the same results; borrowing only changes who owns the
 // memory. The comparison multiplies the universal mask in on the fly, so a
 // server whose tenants all diverged never materializes the shared tensor; it

@@ -40,7 +40,7 @@ func sharedEnv(t *testing.T, f models.Family) (base *nn.Classifier, clone func()
 // unsharedBytes sums by hand what every engine owns whatever Shared and
 // Registry save it: a copy of each bias, norm scale/shift and running
 // statistic its executors index, and — float engines — a tap table per conv
-// layer (two int32 per stored weight, five per kernel position).
+// layer (two int32 per plan column, five per kernel position).
 func unsharedBytes(clf *nn.Classifier, eng *Engine) int64 {
 	var n int64
 	vec := func(ps ...*nn.Param) {
@@ -83,7 +83,7 @@ func unsharedBytes(clf *nn.Classifier, eng *Engine) int64 {
 			}
 		case *sparseConv:
 			if v.cp != nil {
-				n += int64(v.mm.plan.NNZ())*8 + int64(v.geom.KH*v.geom.KW)*20
+				n += int64(v.mm.plan.Cols)*8 + int64(v.geom.KH*v.geom.KW)*20
 			}
 		}
 	}
@@ -209,25 +209,28 @@ func TestRegistryDedupAcrossEngines(t *testing.T) {
 // by-hand sums of the compiled state (the satellite's unsafe.Sizeof-style
 // cross-check).
 func TestMemoryFootprintManualSum(t *testing.T) {
-	_, clone, _, prune := sharedEnv(t, models.ResNet)
-	tenant := clone()
-	prune(tenant, []int{2, 6})
-	for _, prec := range []Precision{Float32, Int8} {
-		eng, err := NewWithOptions(tenant, 4, sparsity.NM{N: 2, M: 4}, CompileOptions{Precision: prec})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := unsharedBytes(tenant, eng)
-		for _, p := range eng.plans {
-			want += p.SizeBytes()
-		}
-		for _, q := range eng.quantPlans {
-			want += q.SizeBytes()
-		}
-		// ResNet has no attention/depthwise layers, so no materialized
-		// effectives contribute.
-		if got := eng.MemoryFootprint(); got != want {
-			t.Fatalf("%s: MemoryFootprint %d, want manual sum %d", prec, got, want)
+	// ResNet and the Transformer have no depthwise layers, so no
+	// materialized effective contributes: the footprint is plans (attention's
+	// Q/K/V/O among them — no dense D×D term) plus taps and vectors.
+	for _, f := range []models.Family{models.ResNet, models.Transformer} {
+		_, clone, _, prune := sharedEnv(t, f)
+		tenant := clone()
+		prune(tenant, []int{2, 6})
+		for _, prec := range []Precision{Float32, Int8} {
+			eng, err := NewWithOptions(tenant, 4, sparsity.NM{N: 2, M: 4}, CompileOptions{Precision: prec})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := unsharedBytes(tenant, eng)
+			for _, p := range eng.plans {
+				want += p.SizeBytes()
+			}
+			for _, q := range eng.quantPlans {
+				want += q.SizeBytes()
+			}
+			if got := eng.MemoryFootprint(); got != want {
+				t.Fatalf("%s/%s: MemoryFootprint %d, want manual sum %d", f, prec, got, want)
+			}
 		}
 	}
 

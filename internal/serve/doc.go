@@ -267,6 +267,16 @@
 //     handoff for missing state is a loud error
 //     (Stats.HandoffRestores/HandoffErrors).
 //
+// A fingerprint is a function of the build as well as of the tenant: it
+// hashes every compiled plan, so a build that compiles more matrices into
+// plans (attention's Q/K/V/O projections joined the rest) reports different
+// values for the same tenant. Fingerprints live in memory only — no record
+// carries one — so nothing on disk goes stale, but a handoff between shards
+// of different builds fails closed: the receiver's engine does not match the
+// sender's manifest, the adoption is refused (HandoffErrors), and the tenant
+// comes back on first touch through the ordinary miss path — a restore from
+// the shared store, else a re-prune.
+//
 // Crash recovery needs no handoff call at all: the ordinary personalize
 // miss path refreshes the shared store index before pruning, so a
 // survivor that inherits a dead shard's tenant restores it on first touch

@@ -165,12 +165,11 @@ func liveHeap() uint64 {
 // TestHotBytesMatchesLiveHeap holds the hot tier's byte accounting to what
 // a hot tenant really pins: on the repository benchmark's fixture shapes,
 // twelve personalizations grow the live heap by no more than 15 % over what
-// Stats().HotBytes charges for them. A resnet-s tenant pins 0.57 MB against
-// 0.54 MB charged (transformer-s 0.12 against 0.11); it pinned 13.98 MB
+// Stats().HotBytes charges for them. A resnet-s tenant pins 0.45 MB against
+// 0.43 MB charged (transformer-s 0.06 against 0.06, now that its attention
+// projections are plans and not dense D×D tensors); it pinned 13.98 MB
 // against 4.30 MB charged before training state was released and 4.48 MB
-// while the cache still held the pruned clone beside the engine. Without the
-// conv tap tables in the footprint the charge would be 0.40 MB and the live
-// heap 40 % over it.
+// while the cache still held the pruned clone beside the engine.
 func TestHotBytesMatchesLiveHeap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale personalizations (short mode)")
@@ -224,14 +223,16 @@ func benchShapeServer(t *testing.T, f models.Family, tiers Options) *Server {
 // benchmark's fixture shapes. With one hot slot and two tenants, each
 // request demotes the resident tenant (no encoding: its delta parks) and
 // promotes the other straight from (base, delta) — no classifier is built.
-// Measured per demote + promote pair: transformer-s 256 objects / 211 KB
-// (792 / 692 KB when promotion built and filled a clone), resnet-s 400 /
-// 1.95 MB (1 326 / 6.45 MB). The budgets leave room for toolchain drift and
-// admit neither a clone — a build alone is 307 objects / 315 KB on
-// transformer-s and 417 / 2.75 MB on resnet-s — nor a per-plan decision at
-// compile time: the tiling picker that ran once per plan cost ~10.5
-// objects each, 318 objects on transformer-s (6 plans) and 515 on resnet-s
-// (11 plans).
+// Measured per demote + promote pair: transformer-s 250 objects / 204 KB
+// for 14 plans (256 / 211 KB when it compiled 6 and kept attention's eight
+// projections dense; 792 / 692 KB when promotion built and filled a clone),
+// resnet-s 320 / 1.73 MB for 11 (400 / 1.95 MB; 1 326 / 6.45 MB). The
+// budgets leave some room for toolchain drift and admit neither a clone — a
+// build alone is 307 objects / 315 KB on transformer-s and 417 / 2.75 MB on
+// resnet-s — nor anything per plan beyond the plan itself: with a
+// CRISPFormat encoder allocated per parameter (4 objects each; compile owns
+// one and re-encodes it) the pairs read 298 and 351 objects, and eight dense
+// D×D projections are 64 KB of a transformer-s promotion's bytes.
 func TestPromoteAllocsBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -242,7 +243,7 @@ func TestPromoteAllocsBudget(t *testing.T) {
 	for _, c := range []struct {
 		family         models.Family
 		objects, bytes float64
-	}{{models.Transformer, 300, 300e3}, {models.ResNet, 480, 3.2e6}} {
+	}{{models.Transformer, 270, 240e3}, {models.ResNet, 345, 2.2e6}} {
 		t.Run(string(c.family), func(t *testing.T) {
 			s := benchShapeServer(t, c.family, Options{CacheSize: 1, MemoryBudgetBytes: 1 << 40})
 			sets := [][]int{{0, 1, 3}, {2, 5, 8}}
