@@ -144,9 +144,12 @@ func (d *Dataset) gen(rng *rand.Rand, c int, dst []float64) {
 	for cc := 0; cc < ch; cc++ {
 		for y := 0; y < h; y++ {
 			sy := ((y+dy)%h + h) % h
+			// The prototype is [C, H, W]; indexed directly because the
+			// variadic At allocates its index slice per pixel.
+			src := p.Data[(cc*h+sy)*w : (cc*h+sy+1)*w]
 			for x := 0; x < w; x++ {
 				sx := ((x+dx)%w + w) % w
-				dst[(cc*h+y)*w+x] = p.At(cc, sy, sx) + rng.NormFloat64()*d.Noise
+				dst[(cc*h+y)*w+x] = src[sx] + rng.NormFloat64()*d.Noise
 			}
 		}
 	}

@@ -65,4 +65,15 @@
 // FuzzBlockedMatMul replays the same differential check under
 // fuzzer-chosen shapes, sparsity and values. A new kernel joins the family
 // by being driven from checkAgainstScalar.
+//
+// # The registry
+//
+// Tenants whose class sets prune a layer identically compile byte-identical
+// plans; a Registry makes them share one instance. An entry retains what
+// engines execute and nothing behind it: the float Plan of a float-executed
+// layer, or the QuantPlan of an int8-executed one, keyed (QuantPlan.Hash)
+// and compared on the image's own content — the float plan it was quantized
+// from is a compile-time transient no one keeps. The caller hashes a plan
+// once and hands the key in; Intern returns a Ref and Release takes it back,
+// so no one rehashes a plan to find its entry.
 package format

@@ -1,11 +1,33 @@
 package format
 
 import (
-	"encoding/binary"
-	"hash/fnv"
 	"math"
+	"slices"
 	"sync"
 )
+
+// Hash64 is a running FNV-1a state. Folding bytes in by value (no hash.Hash
+// behind an interface, no per-word buffer) makes a fingerprint a plain loop
+// over the plan; the values are hash/fnv's New64a bit for bit.
+type Hash64 uint64
+
+// HashInit is the empty FNV-1a state.
+const HashInit Hash64 = 14695981039346656037
+
+const fnvPrime64 = 1099511628211
+
+// Uint32 folds v in as four little-endian bytes.
+func (h Hash64) Uint32(v uint32) Hash64 {
+	for i := 0; i < 4; i++ {
+		h = (h ^ Hash64(byte(v>>(8*i)))) * fnvPrime64
+	}
+	return h
+}
+
+// Uint64 folds v in as eight little-endian bytes.
+func (h Hash64) Uint64(v uint64) Hash64 {
+	return h.Uint32(uint32(v)).Uint32(uint32(v >> 32))
+}
 
 // Fingerprint returns an FNV-64a hash of the plan's complete identity:
 // dimensions, row spans, column indices, and the exact bit pattern of every
@@ -15,45 +37,44 @@ import (
 // fingerprint is invariant under BindSlab: binding never changes a value,
 // only where it is stored.
 func (p *Plan) Fingerprint() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	put32 := func(v int32) {
-		binary.LittleEndian.PutUint32(buf[:4], uint32(v))
-		h.Write(buf[:4])
-	}
-	put64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	put32(int32(p.Rows))
-	put32(int32(p.Cols))
+	h := HashInit.Uint32(uint32(p.Rows)).Uint32(uint32(p.Cols))
 	for _, v := range p.RowPtr {
-		put32(v)
+		h = h.Uint32(uint32(v))
 	}
 	for r := 0; r < p.Rows; r++ {
 		for i := p.RowPtr[r]; i < p.RowPtr[r+1]; i++ {
-			put32(p.Col[i])
-			put64(math.Float64bits(p.value(r, i)))
+			h = h.Uint32(uint32(p.Col[i])).Uint64(math.Float64bits(p.value(r, i)))
 		}
 	}
-	return h.Sum64()
+	return uint64(h)
+}
+
+// Hash folds the image's layout, codes and scales into h. NegPtr and the
+// row sums are functions of the codes, so they add nothing.
+func (q *QuantPlan) Hash(h Hash64) Hash64 {
+	h = h.Uint64(uint64(q.Rows)).Uint64(uint64(q.Cols))
+	for _, p := range q.RowPtr {
+		h = h.Uint64(uint64(uint32(p)))
+	}
+	for i, c := range q.Col {
+		h = h.Uint64(uint64(uint32(c))<<8 | uint64(uint8(q.Code[i])))
+	}
+	for _, s := range q.RowScale {
+		h = h.Uint64(math.Float64bits(s))
+	}
+	return h
 }
 
 // plansEqual reports full structural and value equality, reading values
 // through the slab-aware accessor so an owned plan compares equal to its
 // slab-bound twin.
 func plansEqual(a, b *Plan) bool {
-	if a.Rows != b.Rows || a.Cols != b.Cols || len(a.Col) != len(b.Col) || len(a.RowPtr) != len(b.RowPtr) {
+	if a.Rows != b.Rows || a.Cols != b.Cols || !slices.Equal(a.RowPtr, b.RowPtr) || !slices.Equal(a.Col, b.Col) {
 		return false
-	}
-	for i, v := range a.RowPtr {
-		if b.RowPtr[i] != v {
-			return false
-		}
 	}
 	for r := 0; r < a.Rows; r++ {
 		for i := a.RowPtr[r]; i < a.RowPtr[r+1]; i++ {
-			if a.Col[i] != b.Col[i] || a.value(r, i) != b.value(r, i) {
+			if a.value(r, i) != b.value(r, i) {
 				return false
 			}
 		}
@@ -61,23 +82,34 @@ func plansEqual(a, b *Plan) bool {
 	return true
 }
 
-// Registry deduplicates compiled plans across engines: tenants whose class
-// sets prune a layer identically compile byte-identical plans, and the
-// registry makes them share one instance (and one cached int8 image)
-// instead of each holding a private copy. Entries are reference-counted;
-// an engine returns its references with Release when it is evicted, and an
-// entry whose count reaches zero is dropped so the memory can be reclaimed.
-// All methods are safe for concurrent use.
+// quantPlansEqual reports equality of everything QuantPlan.Hash covers.
+func quantPlansEqual(a, b *QuantPlan) bool {
+	return a.Rows == b.Rows && a.Cols == b.Cols && slices.Equal(a.RowPtr, b.RowPtr) &&
+		slices.Equal(a.Col, b.Col) && slices.Equal(a.Code, b.Code) && slices.Equal(a.RowScale, b.RowScale)
+}
+
+// Registry deduplicates what engines execute — float plans and int8 images —
+// across tenants (package comment, "The registry"). Entries are
+// reference-counted; an engine returns its references with Release when it
+// is evicted, and an entry whose count reaches zero is dropped so the memory
+// can be reclaimed. All methods are safe for concurrent use.
 type Registry struct {
 	mu      sync.Mutex
 	entries map[uint64]*regEntry
 }
 
+// regEntry holds a plan or an image, never both.
 type regEntry struct {
-	plan     *Plan
-	quant    *QuantPlan
-	quantErr error
-	refs     int
+	plan  *Plan
+	quant *QuantPlan
+	refs  int
+}
+
+// Ref is one held reference to a registry entry. The zero Ref holds
+// nothing and releases as a no-op.
+type Ref struct {
+	fp uint64
+	e  *regEntry
 }
 
 // NewRegistry returns an empty plan registry.
@@ -85,87 +117,73 @@ func NewRegistry() *Registry {
 	return &Registry{entries: make(map[uint64]*regEntry)}
 }
 
-// Intern registers p and returns the canonical instance for its content:
-// p itself when it is the first of its kind, or the already-registered
-// equal plan otherwise (p is then discarded by the caller and the shared
-// instance's reference count grows). A fingerprint collision with a
-// non-equal plan returns p untracked — the caller keeps a private copy and
-// Release on it is a no-op, so collisions cost memory, never correctness.
-func (reg *Registry) Intern(p *Plan) *Plan {
-	fp := p.Fingerprint()
+// Intern registers p under fp, its Fingerprint (the caller has computed it
+// already, and the registry never recomputes it), and returns the canonical
+// instance for its content: p itself when it is the first of its kind, or
+// the already-registered equal plan otherwise (p is then discarded by the
+// caller and the shared instance's reference count grows). A fingerprint
+// collision with non-equal content returns p with the zero Ref — the caller
+// keeps a private copy, so collisions cost memory, never correctness.
+func (reg *Registry) Intern(p *Plan, fp uint64) (*Plan, Ref) {
+	e, ref := reg.intern(fp, &regEntry{plan: p})
+	return e.plan, ref
+}
+
+// InternQuant is Intern for an int8 image, under fp = q.Hash(HashInit).
+func (reg *Registry) InternQuant(q *QuantPlan, fp uint64) (*QuantPlan, Ref) {
+	e, ref := reg.intern(fp, &regEntry{quant: q})
+	return e.quant, ref
+}
+
+// intern returns the entry the caller should run from — the resident equal
+// one, else fresh — and the reference it now holds on it (none when fresh
+// lost its key to different content).
+func (reg *Registry) intern(fp uint64, fresh *regEntry) (*regEntry, Ref) {
 	reg.mu.Lock()
 	defer reg.mu.Unlock()
 	e := reg.entries[fp]
-	if e == nil {
-		reg.entries[fp] = &regEntry{plan: p, refs: 1}
-		return p
+	switch {
+	case e == nil:
+		fresh.refs = 1
+		reg.entries[fp] = fresh
+		return fresh, Ref{fp, fresh}
+	case fresh.plan != nil && e.plan != nil && plansEqual(e.plan, fresh.plan),
+		fresh.quant != nil && e.quant != nil && quantPlansEqual(e.quant, fresh.quant):
+		e.refs++
+		return e, Ref{fp, e}
 	}
-	if !plansEqual(e.plan, p) {
-		return p
-	}
-	e.refs++
-	return e.plan
+	return fresh, Ref{}
 }
 
-// QuantFor returns the int8 image of a canonical plan, computing it once
-// and caching it on the registry entry so every engine sharing the plan
-// also shares its codes. Quantization is deterministic, so the cached image
-// is exactly what each engine would have computed privately. An untracked
-// plan (never interned, or a collision loser) quantizes privately.
-func (reg *Registry) QuantFor(p *Plan) (*QuantPlan, error) {
-	fp := p.Fingerprint()
-	reg.mu.Lock()
-	e := reg.entries[fp]
-	if e == nil || e.plan != p {
-		reg.mu.Unlock()
-		return p.Quantize()
-	}
-	if e.quant == nil && e.quantErr == nil {
-		e.quant, e.quantErr = p.Quantize()
-	}
-	q, err := e.quant, e.quantErr
-	reg.mu.Unlock()
-	return q, err
-}
-
-// Release returns one reference to the canonical plan p, dropping the
-// entry (plan and cached int8 image) when the last reference goes. Passing
-// a plan that is not the registered canonical instance — a collision loser,
-// or a plan from another registry — is a safe no-op.
-func (reg *Registry) Release(p *Plan) {
-	fp := p.Fingerprint()
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	e := reg.entries[fp]
-	if e == nil || e.plan != p {
+// Release returns one reference, dropping the entry (and with it the
+// registry's hold on the plan or image) when the last one goes. Each Ref is
+// released at most once.
+func (reg *Registry) Release(ref Ref) {
+	if ref.e == nil {
 		return
 	}
-	if e.refs--; e.refs <= 0 {
-		delete(reg.entries, fp)
+	reg.mu.Lock()
+	defer reg.mu.Unlock()
+	if ref.e.refs--; ref.e.refs <= 0 && reg.entries[ref.fp] == ref.e {
+		delete(reg.entries, ref.fp)
 	}
 }
 
-// Stats reports the registry's resident state: distinct canonical plans,
+// Stats reports the registry's resident state: distinct canonical entries,
 // total outstanding references across them, and the owned bytes of the
-// registered plans plus their cached int8 images (slab-backed value memory
-// excluded, as everywhere).
+// registered plans and int8 images (slab-backed value memory excluded, as
+// everywhere).
 func (reg *Registry) Stats() (plans, refs int, bytes int64) {
 	reg.mu.Lock()
 	defer reg.mu.Unlock()
 	for _, e := range reg.entries {
 		plans++
 		refs += e.refs
-		bytes += e.plan.SizeBytes()
-		if e.quant != nil {
+		if e.plan != nil {
+			bytes += e.plan.SizeBytes()
+		} else {
 			bytes += e.quant.SizeBytes()
 		}
 	}
 	return plans, refs, bytes
-}
-
-// Len returns the number of distinct canonical plans currently registered.
-func (reg *Registry) Len() int {
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	return len(reg.entries)
 }

@@ -1,6 +1,8 @@
 package format
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math/rand"
 	"testing"
 
@@ -161,54 +163,122 @@ func TestFingerprint(t *testing.T) {
 }
 
 // TestRegistry: interning deduplicates equal plans onto one canonical
-// instance with a shared cached int8 image; releasing the last reference
-// drops the entry.
+// instance, and equal int8 images onto one, each keyed on its own content;
+// releasing the last reference drops the entry. Stats charges exactly what
+// the entries retain.
 func TestRegistry(t *testing.T) {
 	rng := rand.New(rand.NewSource(86))
 	reg := NewRegistry()
 	p1, _, _ := slabPlan(t, rng, 16, 32, 8, sparsity.NM{N: 2, M: 4}, 1)
 	p2 := &Plan{Rows: p1.Rows, Cols: p1.Cols, RowPtr: p1.RowPtr, Col: p1.Col, Val: append([]float64(nil), p1.Val...)}
+	fp := p1.Fingerprint()
 
-	if got := reg.Intern(p1); got != p1 {
+	got, r1 := reg.Intern(p1, fp)
+	if got != p1 {
 		t.Fatal("first intern did not canonicalize the new plan")
 	}
-	if got := reg.Intern(p2); got != p1 {
+	got, r2 := reg.Intern(p2, fp)
+	if got != p1 {
 		t.Fatal("equal plan did not dedup onto the canonical instance")
 	}
-	if plans, refs, bytes := reg.Stats(); plans != 1 || refs != 2 || bytes < p1.SizeBytes() {
-		t.Fatalf("Stats = (%d, %d, %d), want (1, 2, >=%d)", plans, refs, bytes, p1.SizeBytes())
+	if plans, refs, bytes := reg.Stats(); plans != 1 || refs != 2 || bytes != p1.SizeBytes() {
+		t.Fatalf("Stats = (%d, %d, %d), want (1, 2, %d)", plans, refs, bytes, p1.SizeBytes())
 	}
 
-	q1, err := reg.QuantFor(p1)
+	// Images intern beside plans: two quantizations of equal plans share
+	// one, and the registry holds the image alone — no float plan behind it.
+	q1, err := p1.Quantize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	q2, err := reg.QuantFor(p1)
+	q2, err := p2.Quantize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q1 != q2 {
-		t.Fatal("QuantFor did not cache the int8 image")
+	qfp := uint64(q1.Hash(HashInit))
+	if uint64(q2.Hash(HashInit)) != qfp {
+		t.Fatal("equal images hash differently")
+	}
+	gq, qr1 := reg.InternQuant(q1, qfp)
+	if gq != q1 {
+		t.Fatal("first intern did not canonicalize the new image")
+	}
+	gq, qr2 := reg.InternQuant(q2, qfp)
+	if gq != q1 {
+		t.Fatal("equal image did not dedup onto the canonical instance")
+	}
+	if plans, refs, bytes := reg.Stats(); plans != 2 || refs != 4 || bytes != p1.SizeBytes()+q1.SizeBytes() {
+		t.Fatalf("Stats = (%d, %d, %d), want (2, 4, %d)", plans, refs, bytes, p1.SizeBytes()+q1.SizeBytes())
 	}
 
-	// A plan that was never interned quantizes privately and releases as a
-	// no-op.
+	// A key collision with unequal content — another plan, a changed code,
+	// or an image under a plan's key — stays private: the caller's own
+	// instance back, a zero Ref that releases as a no-op.
 	other, _, _ := slabPlan(t, rng, 8, 16, 4, sparsity.NM{N: 2, M: 4}, 1)
-	if q, err := reg.QuantFor(other); err != nil || q == nil {
-		t.Fatalf("QuantFor(untracked) = (%v, %v)", q, err)
+	q3, err := p1.Quantize()
+	if err != nil {
+		t.Fatal(err)
 	}
-	reg.Release(other)
+	q3.Code[0] ^= 1
+	if q3.Hash(HashInit) == q1.Hash(HashInit) {
+		t.Fatal("code change kept the image hash")
+	}
+	if got, ref := reg.Intern(other, fp); got != other || ref != (Ref{}) {
+		t.Fatal("colliding plan was not kept private")
+	}
+	if got, ref := reg.InternQuant(q3, qfp); got != q3 || ref != (Ref{}) {
+		t.Fatal("colliding image was not kept private")
+	}
+	if got, ref := reg.InternQuant(q2, fp); got != q2 || ref != (Ref{}) {
+		t.Fatal("image under a plan's key was not kept private")
+	}
+	reg.Release(Ref{})
+	if _, refs, _ := reg.Stats(); refs != 4 {
+		t.Fatalf("collisions moved the reference count to %d", refs)
+	}
 
-	reg.Release(p1)
-	if reg.Len() != 1 {
-		t.Fatal("entry dropped while references remain")
+	reg.Release(qr1)
+	reg.Release(qr2)
+	reg.Release(r1)
+	if plans, refs, bytes := reg.Stats(); plans != 1 || refs != 1 || bytes != p1.SizeBytes() {
+		t.Fatalf("Stats = (%d, %d, %d) with one plan reference left, want (1, 1, %d)", plans, refs, bytes, p1.SizeBytes())
 	}
-	reg.Release(p1)
-	if reg.Len() != 0 {
+	reg.Release(r2)
+	if plans, _, _ := reg.Stats(); plans != 0 {
 		t.Fatal("last release did not drop the entry")
 	}
-	reg.Release(p1) // over-release: safe no-op
-	if reg.Len() != 0 {
-		t.Fatal("over-release resurrected state")
+	// A stale Ref must not drop a newer entry under the same key.
+	reg.Intern(p2, fp)
+	reg.Release(r2)
+	if plans, _, _ := reg.Stats(); plans != 1 {
+		t.Fatal("a stale reference dropped a live entry")
+	}
+}
+
+// TestHash64MatchesFNV pins Hash64 to hash/fnv's FNV-1a: fingerprints are
+// compared across processes (handoff manifests), so the fold must be the
+// standard one.
+func TestHash64MatchesFNV(t *testing.T) {
+	rng := rand.New(rand.NewSource(87))
+	want := fnv.New64a()
+	got := HashInit
+	if uint64(got) != want.Sum64() {
+		t.Fatalf("empty state %016x, fnv %016x", uint64(got), want.Sum64())
+	}
+	var buf [8]byte
+	for i := 0; i < 64; i++ {
+		v := rng.Uint64()
+		if i%2 == 0 {
+			binary.LittleEndian.PutUint64(buf[:], v)
+			want.Write(buf[:])
+			got = got.Uint64(v)
+		} else {
+			binary.LittleEndian.PutUint32(buf[:4], uint32(v))
+			want.Write(buf[:4])
+			got = got.Uint32(uint32(v))
+		}
+		if uint64(got) != want.Sum64() {
+			t.Fatalf("after %d words: %016x, fnv %016x", i+1, uint64(got), want.Sum64())
+		}
 	}
 }

@@ -65,6 +65,38 @@ func TestFirstPassAllocsBudget(t *testing.T) {
 	}
 }
 
+// TestInt8EngineSmallerThanFloat: an int8 tenant holds int8. At the
+// repository benchmark's fixture shapes an Int8 engine's footprint is below
+// the Float32 engine's of the same tenant on every family — 5 bytes a kept
+// weight against 12, and no conv tap tables. While each image kept the float
+// plan it was quantized from it was the larger one (resnet-s: 324 KB against
+// 256 KB).
+func TestInt8EngineSmallerThanFloat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("four full-scale prunes; the byte counts are the same with or without the race detector")
+	}
+	cfg := data.Config{Name: "bench", NumClasses: 10, Channels: 3, H: 8, W: 8, Noise: 0.25, Jitter: 1, Seed: 20240607}
+	ds := data.New(cfg)
+	nm := sparsity.NM{N: 2, M: 4}
+	for _, f := range []models.Family{models.ResNet, models.VGG, models.MobileNet, models.Transformer} {
+		tenant := models.Build(f, rand.New(rand.NewSource(20240608)), cfg.NumClasses, 2)
+		pruner.NewCRISP(pruner.Options{Target: 0.9, NM: nm, BlockSize: 4, Iterations: 1, FinetuneEpochs: 1, BatchSize: 16}).
+			Prune(tenant, ds.MakeSplit("user", []int{0, 1, 3}, 8))
+		var bytes [2]int64
+		for i, prec := range []Precision{Float32, Int8} {
+			eng, err := NewWithOptions(tenant, 4, nm, CompileOptions{Precision: prec})
+			if err != nil {
+				t.Fatal(err)
+			}
+			bytes[i] = eng.MemoryFootprint()
+		}
+		t.Logf("%s: float32 %d bytes, int8 %d", f, bytes[0], bytes[1])
+		if bytes[1] >= bytes[0] {
+			t.Errorf("%s: the int8 engine holds %d bytes, the float32 engine of the same tenant %d", f, bytes[1], bytes[0])
+		}
+	}
+}
+
 // TestCompiledPlansDoNotAliasTheEncoder: one CRISPFormat value encodes every
 // parameter of a compile, so a plan that kept a view of it — instead of the
 // copy Compile makes — would be rewritten by the next parameter. Compile two
@@ -79,9 +111,9 @@ func TestCompiledPlansDoNotAliasTheEncoder(t *testing.T) {
 
 	e := &Engine{src: OwnParams{}}
 	var plans, alone [2]*format.Plan
-	plans[0], _ = e.newPlan(params[0], 4, nm)
+	plans[0] = e.newPlan(params[0], 4, nm)
 	col, val, rowPtr := slices.Clone(plans[0].Col), slices.Clone(plans[0].Val), slices.Clone(plans[0].RowPtr)
-	plans[1], _ = e.newPlan(params[1], 4, nm)
+	plans[1] = e.newPlan(params[1], 4, nm)
 	if len(e.enc.Val) == 0 {
 		t.Fatal("fixture: the second parameter did not go through the CRISP encoder")
 	}

@@ -1,15 +1,12 @@
 package inference
 
-import (
-	"hash/fnv"
-
-	"repro/internal/nn"
-)
+import "repro/internal/nn"
 
 // MemoryFootprint reports the engine-owned resident bytes of the compiled
-// state: owned plan payloads, owned (or first-owner) int8 images, privately
-// materialized effective weights, the conv layers' tap tables, and the
-// executors' copies of biases and norm vectors. Memory the engine merely
+// state: the owned payloads of what the forward pass runs (a float plan or
+// an int8 image per layer, never both), privately materialized effective
+// weights, the conv layers' tap tables, and the executors' copies of biases
+// and norm vectors. Memory the engine merely
 // references is excluded — shared universal slabs belong to the base model,
 // and plans deduplicated through a format.Registry are counted by the
 // engine that first interned them, so summing footprints across engines
@@ -18,39 +15,26 @@ import (
 func (e *Engine) MemoryFootprint() int64 { return e.footprint }
 
 // Fingerprint is the engine's structural fingerprint: an FNV-64a hash over
-// every compiled plan's fingerprint in compile order. Two engines compiled
-// from the same weights and masks always agree (compilation is
-// deterministic), so the serving layer uses it to verify that a rebuilt
-// engine reproduced the original compiled shape and values exactly.
-func (e *Engine) Fingerprint() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	for _, p := range e.plans {
-		fp := p.Fingerprint()
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(fp >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	return h.Sum64()
-}
+// every compiled float plan's fingerprint in compile order — in an Int8
+// engine too, where most of those plans were dropped once quantized. Two
+// engines compiled from the same weights and masks always agree
+// (compilation is deterministic), so the serving layer uses it to verify
+// that a rebuilt engine reproduced the original compiled shape and values
+// exactly. Fixed at compile time.
+func (e *Engine) Fingerprint() uint64 { return uint64(e.fingerprint) }
 
-// Release returns the engine's interned plans to its registry so their
-// reference counts drop (and fully unreferenced entries free). Idempotent;
+// Release returns the engine's registry references so the entries' counts
+// drop (and fully unreferenced entries free). Idempotent;
 // a no-op for engines compiled without a registry. In-flight forward
 // passes may still complete — releasing only drops dedup bookkeeping, the
 // compiled plans themselves stay valid until the engine is garbage
 // collected. Not safe to call concurrently with itself; the serving layer
 // serializes it per engine.
 func (e *Engine) Release() {
-	if e.released || e.registry == nil {
-		return
+	for _, ref := range e.refs {
+		e.registry.Release(ref)
 	}
-	e.released = true
-	for _, p := range e.interned {
-		e.registry.Release(p)
-	}
-	e.interned = nil
+	e.refs = nil
 }
 
 // ModelBytes reports the resident bytes of a classifier's learnable state:

@@ -25,14 +25,18 @@
 // The engine also has a deployment-precision mode
 // (NewWithOptions(CompileOptions{Precision: Int8})): every plan-backed
 // layer except attention (whose projections stay float at either precision)
-// materializes an int8 quantized plan at compile time — int8 weight
-// codes at symmetric per-row scales — and the forward pass quantizes
+// holds an int8 quantized plan instead of a float one — int8 weight codes
+// at symmetric per-row scales — and the forward pass quantizes
 // activations per column on the fly, accumulates int8×int8 products in
 // 32-bit integer lanes (format.QuantPlan's SWAR kernel), and dequantizes
-// once on store, mirroring sparse tensor cores in int8 mode. The quantized
-// path rides the same arena (packed code and accumulator slabs pooled like
-// the float slabs), so it is equally allocation-free; its outputs are
-// approximate, with the accuracy cost
+// once on store, mirroring sparse tensor cores in int8 mode. The float plan
+// behind each int8 image is a compile-time transient, like the dense
+// effective matrix before it: encoded, compiled, fingerprinted, quantized,
+// dropped. An engine keeps only what its forward pass reads, so an int8
+// engine is the smaller one (5 bytes per kept weight against 12). The
+// quantized path rides the same arena (packed code and accumulator slabs
+// pooled like the float slabs), so it is equally allocation-free; its
+// outputs are approximate, with the accuracy cost
 // bounded by the golden agreement suite in quant_test.go (top-1 agreement
 // ≥95% vs the Float32 engine, per-family logit error bounds).
 //
@@ -57,7 +61,6 @@ package inference
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"slices"
 	"sync"
@@ -101,17 +104,19 @@ type CompileOptions struct {
 	// Precision selects float or int8 execution for the plan-backed layers.
 	Precision Precision
 	// Shared, when set, lets the engine reference the universal model's
-	// weights instead of owning copies: compiled plans bind to the shared
-	// value slabs when the tenant's kept values still equal the universal
-	// weights, and depthwise layers (the one masked-dense executor) borrow
+	// weights instead of owning copies: compiled float plans bind to the
+	// shared value slabs when the tenant's kept values still equal the
+	// universal weights (an int8 image stores codes: nothing to bind), and
+	// depthwise layers (the one masked-dense executor) borrow
 	// the shared effective tensors when their effective weights equal the
 	// universal parameter's. Results are bit-identical either way; only
 	// ownership (and MemoryFootprint) changes.
 	Shared *SharedWeights
-	// Registry, when set, deduplicates compiled plans across engines:
-	// structurally identical plans (same class set → same pruned shape and
-	// values) share one canonical instance and one cached int8 image. The
-	// engine holds references it returns via Release when evicted.
+	// Registry, when set, deduplicates what engines execute: structurally
+	// identical float plans — or, for int8-executed layers, identical int8
+	// images — (same class set → same pruned shape and values) share one
+	// canonical instance. The engine holds references it returns via
+	// Release when evicted.
 	Registry *format.Registry
 }
 
@@ -128,19 +133,15 @@ type Engine struct {
 	precision Precision
 	shared    *SharedWeights
 	registry  *format.Registry
-	// plans lists every compiled float plan in compile order — the
-	// structural Fingerprint surface.
-	plans []*format.Plan
-	// quantPlans lists every compiled quantized plan (Int8 engines only),
-	// in compile order — the QuantSignature surface.
-	quantPlans []*format.QuantPlan
-	// interned lists the canonical plans this engine holds registry
-	// references to; Release returns them.
-	interned []*format.Plan
+	// fingerprint and quantSig are running hashes during compile and the
+	// values Fingerprint and QuantSignature report after it.
+	fingerprint, quantSig format.Hash64
+	// refs are the registry references this engine holds; Release returns
+	// them.
+	refs []format.Ref
 	// footprint accumulates the engine-owned bytes at compile time (see
 	// MemoryFootprint).
 	footprint int64
-	released  bool
 	// CompressedLayers counts the layers running from sparse encodings; it
 	// is fixed at compile time.
 	CompressedLayers int
@@ -157,8 +158,8 @@ func New(clf *nn.Classifier, blockSize int, nm sparsity.NM) (*Engine, error) {
 }
 
 // NewWithOptions is New with explicit compile options: with
-// CompileOptions{Precision: Int8} every plan-backed layer additionally
-// materializes its int8 quantized plan at compile time, and the forward
+// CompileOptions{Precision: Int8} every plan-backed layer but attention
+// keeps its int8 quantized plan in place of the float one, and the forward
 // pass runs the quantized kernels (per-column activation quantization,
 // 32-bit integer accumulation, dequantize-on-store) with the packed
 // quantization scratch drawn from the same engine-owned arena as the float
@@ -207,10 +208,17 @@ func (OwnParams) NormStats(bn *nn.BatchNorm2D) (mean, variance []float64) {
 // the architecture (the tenant's own classifier with OwnParams, the
 // universal model with a delta view over it) and is not retained.
 func NewFromSource(tree *nn.Classifier, src ParamSource, blockSize int, nm sparsity.NM, opts CompileOptions) (*Engine, error) {
-	e := &Engine{numClasses: tree.NumClasses, src: src, precision: opts.Precision, shared: opts.Shared, registry: opts.Registry}
+	e := &Engine{
+		numClasses: tree.NumClasses, src: src, precision: opts.Precision, shared: opts.Shared, registry: opts.Registry,
+		fingerprint: format.HashInit,
+	}
+	if e.precision == Int8 {
+		e.quantSig = format.HashInit // stays 0, the "no codes" signature, at Float32
+	}
 	root, err := e.compile(tree.Net, blockSize, nm)
 	e.src, e.enc = nil, format.CRISPFormat{}
 	if err != nil {
+		e.Release() // the layers compiled before the failing one interned theirs
 		return nil, err
 	}
 	e.root = root
@@ -225,34 +233,8 @@ func (e *Engine) Precision() Precision { return e.precision }
 // compiled from the same weights and masks at Int8 always agree: plan
 // compilation and quantization are deterministic, which is what lets the
 // serving layer re-quantize a restored snapshot and verify it reproduced
-// the pre-restart codes exactly.
-func (e *Engine) QuantSignature() uint64 {
-	if len(e.quantPlans) == 0 {
-		return 0
-	}
-	h := fnv.New64a()
-	var buf [8]byte
-	put := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	for _, q := range e.quantPlans {
-		put(uint64(q.Rows))
-		put(uint64(q.Cols))
-		for _, p := range q.RowPtr {
-			put(uint64(uint32(p)))
-		}
-		for i, c := range q.Col {
-			put(uint64(uint32(c))<<8 | uint64(uint8(q.Code[i])))
-		}
-		for _, s := range q.RowScale {
-			put(math.Float64bits(s))
-		}
-	}
-	return h.Sum64()
-}
+// the pre-restart codes exactly. Fixed at compile time.
+func (e *Engine) QuantSignature() uint64 { return uint64(e.quantSig) }
 
 // getArena checks an arena out of the pool for one forward pass.
 func (e *Engine) getArena() *arena {
@@ -379,7 +361,7 @@ func (e *Engine) compile(l nn.Layer, b int, nm sparsity.NM) (execLayer, error) {
 			return nil, err
 		}
 		sc := &sparseConv{geom: v.Geom, outC: v.OutC, bias: e.own(v.Bias), mm: mm}
-		if mm.qplan == nil {
+		if mm.plan != nil {
 			// Float engines run conv through the fused implicit-im2col
 			// kernel; decoding the tap table here keeps the forward path
 			// allocation-free (see format.CompileConv).
@@ -408,13 +390,9 @@ func (e *Engine) compile(l nn.Layer, b int, nm sparsity.NM) (execLayer, error) {
 	case *nn.MultiHeadAttention:
 		// Float plans at either precision: taking attention to int8 is an
 		// accuracy question the golden agreement suite has not been asked.
-		plan := func(p *nn.Param) *format.Plan {
-			pl, _ := e.newPlan(p, b, nm)
-			return pl
-		}
 		return &execAttention{
 			d: v.D, heads: v.Heads,
-			wq: plan(v.Wq), wk: plan(v.Wk), wv: plan(v.Wv), wo: plan(v.Wo),
+			wq: e.newPlan(v.Wq, b, nm), wk: e.newPlan(v.Wk, b, nm), wv: e.newPlan(v.Wv, b, nm), wo: e.newPlan(v.Wo, b, nm),
 		}, nil
 	case *nn.DepthwiseConv2D:
 		return &execDepthwise{geom: v.Geom, bias: e.own(v.Bias), weff: e.effective(v.Weight)}, nil
@@ -444,16 +422,16 @@ func (e *Engine) compile(l nn.Layer, b int, nm sparsity.NM) (execLayer, error) {
 	}
 }
 
-// spmm is the executors' shared SpMM dispatch: the compiled float plan and,
-// in Int8 engines, its quantized twin. Executors are precision-agnostic —
-// they compose shapes and biases and call into; which kernel runs is the
-// plan's own per-call decision.
+// spmm is the executors' shared SpMM dispatch: a compiled float plan, or —
+// in Int8 engines — the int8 image quantized from it, never both.
+// Executors are precision-agnostic: they compose shapes and biases and call
+// into; which kernel runs is the plan's own per-call decision.
 type spmm struct {
-	plan  *format.Plan
+	plan  *format.Plan      // nil in Int8 engines
 	qplan *format.QuantPlan // nil in Float32 engines
 }
 
-// into computes W·B into out ([plan.Rows, n]). The quantized path draws its
+// into computes W·B into out ([Rows, n]). The quantized path draws its
 // activation-code (int8), column-scale (float) and accumulator (int32)
 // scratch from the pass's arena, so it stays allocation-free in steady
 // state just like the float path.
@@ -473,57 +451,63 @@ func (s *spmm) into(b, out *tensor.Tensor, a *arena) *tensor.Tensor {
 }
 
 // newSpMM compiles one weight-bearing layer's SpMM dispatch at the engine's
-// precision and counts it as a compressed layer. With shared universal
-// weights, the plan first tries to re-home its values onto the layer's
-// slab (free when fine-tuning diverged them — BindSlab refuses and the
-// plan keeps its owned copy); with a registry, the whole plan then dedups
-// onto the canonical instance for its content. Neither step changes a bit
-// of any result — only who owns the memory, which MemoryFootprint tracks.
+// precision. An Int8 engine keeps the image and drops the float plan it was
+// quantized from: no forward path reads it. There is no slab to bind — an
+// image stores codes, not the universal model's values — so only the
+// registry can take its bytes off this engine.
 func (e *Engine) newSpMM(p *nn.Param, b int, nm sparsity.NM) (spmm, error) {
-	plan, owned := e.newPlan(p, b, nm)
-	s := spmm{plan: plan}
-	if e.precision == Int8 {
-		var q *format.QuantPlan
-		var err error
-		if e.registry != nil {
-			q, err = e.registry.QuantFor(plan)
-		} else {
-			q, err = plan.Quantize()
-		}
-		if err != nil {
-			return spmm{}, err
-		}
-		if owned {
-			e.footprint += q.SizeBytes()
-		}
-		s.qplan = q
-		e.quantPlans = append(e.quantPlans, q)
+	if e.precision != Int8 {
+		return spmm{plan: e.newPlan(p, b, nm)}, nil
 	}
-	return s, nil
+	plan, _ := e.compileParam(p, b, nm)
+	q, err := plan.Quantize()
+	if err != nil {
+		return spmm{}, err
+	}
+	e.quantSig = q.Hash(e.quantSig)
+	if e.registry != nil {
+		canon, ref := e.registry.InternQuant(q, uint64(q.Hash(format.HashInit)))
+		e.refs = append(e.refs, ref)
+		if canon != q {
+			return spmm{qplan: canon}, nil
+		}
+	}
+	e.footprint += q.SizeBytes()
+	return spmm{qplan: q}, nil
 }
 
-// newPlan is the float half of newSpMM: encode, bind, intern, charge. owned
-// reports whether this engine is the one the plan's bytes are charged to.
-func (e *Engine) newPlan(p *nn.Param, b int, nm sparsity.NM) (plan *format.Plan, owned bool) {
-	plan = e.encodeParam(p, e.src.Effective(p), b, nm)
+// newPlan compiles a float-executed matrix. With shared universal weights,
+// the plan first tries to re-home its values onto the layer's slab (free
+// when fine-tuning diverged them — BindSlab refuses and the plan keeps its
+// owned copy); with a registry, the whole plan then dedups onto the
+// canonical instance for its content. Neither step changes a bit of any
+// result — only who owns the memory, which MemoryFootprint tracks.
+func (e *Engine) newPlan(p *nn.Param, b int, nm sparsity.NM) *format.Plan {
+	plan, fp := e.compileParam(p, b, nm)
 	if e.shared != nil {
 		plan.BindSlab(e.shared.Slab(p.Name))
 	}
-	owned = true
 	if e.registry != nil {
-		canon := e.registry.Intern(plan)
-		e.interned = append(e.interned, canon)
+		canon, ref := e.registry.Intern(plan, fp)
+		e.refs = append(e.refs, ref)
 		if canon != plan {
-			owned = false
-			plan = canon
+			return canon
 		}
 	}
-	if owned {
-		e.footprint += plan.SizeBytes()
-	}
-	e.plans = append(e.plans, plan)
+	e.footprint += plan.SizeBytes()
+	return plan
+}
+
+// compileParam is what every plan-backed layer does at either precision:
+// encode the tenant's effective matrix, compile the float plan, fold its
+// fingerprint — hashed here once, for the engine and the registry both —
+// into the engine's, and count a compressed layer.
+func (e *Engine) compileParam(p *nn.Param, b int, nm sparsity.NM) (*format.Plan, uint64) {
+	plan := e.encodeParam(p, e.src.Effective(p), b, nm)
+	fp := plan.Fingerprint()
+	e.fingerprint = e.fingerprint.Uint64(fp)
 	e.CompressedLayers++
-	return plan, owned
+	return plan, fp
 }
 
 // effective materializes a depthwise layer's masked weights, borrowing the
@@ -650,7 +634,7 @@ func (s *sparseConv) forward(x *tensor.Tensor, a *arena) *tensor.Tensor {
 		// sample-major reassembly below is skipped entirely.
 		chw := g.InC * g.InH * g.InW
 		xT := tensor.TransposeInto(a.view(x.Data, n, chw), a.tensor(chw, n))
-		outT := s.cp.MatMulBatchLastInto(xT, g, n, a.tensor(s.mm.plan.Rows*oh*ow, n))
+		outT := s.cp.MatMulBatchLastInto(xT, g, n, a.tensor(s.outC*oh*ow, n))
 		y := a.tensor(n, s.outC, oh, ow)
 		tensor.TransposeInto(outT, a.view(y.Data, n, s.outC*oh*ow))
 		if s.bias != nil {
@@ -668,7 +652,7 @@ func (s *sparseConv) forward(x *tensor.Tensor, a *arena) *tensor.Tensor {
 		return y
 	default:
 		cols := tensor.Im2ColInto(x, g, a.tensor(g.InC*g.KH*g.KW, n*oh*ow))
-		outMat = s.mm.into(cols, a.tensor(s.mm.plan.Rows, n*oh*ow), a)
+		outMat = s.mm.into(cols, a.tensor(s.outC, n*oh*ow), a)
 	}
 	p := oh * ow
 	y := a.tensor(n, s.outC, oh, ow)

@@ -2,6 +2,9 @@ package inference
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"runtime"
@@ -39,11 +42,78 @@ func compileTenant(t *testing.T, base *nn.Classifier, clone func() *nn.Classifie
 	return eng, tenant, weak.Make(&largest.W.Data[0])
 }
 
+// standaloneSignatures recomputes what Fingerprint and QuantSignature must
+// report for clf with no engine involved: each plan-backed parameter, in
+// layer order, through EncodeCRISP (CSR where the engine falls back) →
+// Compile → Quantize, hashed with hash/fnv. The float plans an Int8 engine
+// dropped at compile time still count toward its Fingerprint; attention's
+// four count toward no QuantSignature.
+func standaloneSignatures(t *testing.T, clf *nn.Classifier, prec Precision) (fp, qsig uint64) {
+	t.Helper()
+	fph, qh := fnv.New64a(), fnv.New64a()
+	put := func(h hash.Hash64, v uint64) {
+		var buf [8]byte
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	add := func(quantized bool, ps ...*nn.Param) {
+		for _, p := range ps {
+			masked := tensor.Mul(p.MatrixView(), p.MaskMatrixView())
+			plan := format.EncodeCSR(masked).Compile()
+			if !p.BlockExempt && p.Prunable {
+				if enc, err := format.EncodeCRISP(masked, 4, sparsity.NM{N: 2, M: 4}); err == nil {
+					plan = enc.Compile()
+				}
+			}
+			put(fph, plan.Fingerprint())
+			if !quantized || prec != Int8 {
+				continue
+			}
+			q, err := plan.Quantize()
+			if err != nil {
+				t.Fatal(err)
+			}
+			put(qh, uint64(q.Rows))
+			put(qh, uint64(q.Cols))
+			for _, p := range q.RowPtr {
+				put(qh, uint64(uint32(p)))
+			}
+			for i, c := range q.Col {
+				put(qh, uint64(uint32(c))<<8|uint64(uint8(q.Code[i])))
+			}
+			for _, s := range q.RowScale {
+				put(qh, math.Float64bits(s))
+			}
+		}
+	}
+	nn.Walk(clf.Net, func(l nn.Layer) {
+		switch v := l.(type) {
+		case *nn.Conv2D:
+			add(true, v.Weight)
+		case *nn.Linear:
+			add(true, v.Weight)
+		case *nn.TokenLinear:
+			add(true, v.Weight)
+		case *nn.PatchEmbed:
+			add(true, v.Weight)
+		case *nn.MultiHeadAttention:
+			add(false, v.Wq, v.Wk, v.Wv, v.Wo)
+		}
+	})
+	if prec != Int8 {
+		return fph.Sum64(), 0
+	}
+	return fph.Sum64(), qh.Sum64()
+}
+
 // TestEngineOutlivesItsClassifier holds the ownership rule: after compile
 // the engine reads nothing of the tenant classifier. Overwriting every
 // weight, mask, gradient and norm statistic of the tenant with NaN leaves the
 // logits bit-identical at batch 1 and 16, and once the tenant is dropped its
-// largest weight tensor is collected while the engine is still live.
+// largest weight tensor is collected while the engine is still live. What an
+// engine keeps of the plans it compiled is two words: Fingerprint and
+// QuantSignature, stored at compile time, equal what a standalone encode →
+// compile → quantize of the same parameters hashes to, from either source.
 func TestEngineOutlivesItsClassifier(t *testing.T) {
 	for _, f := range []models.Family{models.ResNet, models.VGG, models.MobileNet, models.Transformer} {
 		base, clone, x, prune := sharedEnv(t, f)
@@ -51,6 +121,19 @@ func TestEngineOutlivesItsClassifier(t *testing.T) {
 		for _, prec := range []Precision{Float32, Int8} {
 			eng, tenant, _ := compileTenant(t, base, clone, prune, prec)
 			want1, want16 := eng.Logits(x1), eng.Logits(x16)
+
+			delta, err := checkpoint.EncodeModelDelta(base, tenant)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fromDelta, _ := engineFromDelta(t, base, delta, prec)
+			fp, qsig := standaloneSignatures(t, tenant, prec)
+			for src, e := range map[string]*Engine{"OwnParams": eng, "DeltaView": fromDelta} {
+				if e.Fingerprint() != fp || e.QuantSignature() != qsig {
+					t.Fatalf("%s/%s/%s: fingerprint %016x signature %016x, standalone plans hash to %016x / %016x",
+						f, prec, src, e.Fingerprint(), e.QuantSignature(), fp, qsig)
+				}
+			}
 
 			nan := math.NaN()
 			for _, p := range tenant.Params() {
@@ -176,8 +259,8 @@ func TestEngineFromDeltaMatchesEngineFromClone(t *testing.T) {
 						t.Fatalf("%s/%s: engine from the delta is not the engine compiled from the pruned tenant", f, prec)
 					}
 				case "mask-only", "untouched":
-					for _, p := range got.plans {
-						if !p.Shared() {
+					for _, m := range resident(got) {
+						if m.plan != nil && !m.plan.Shared() {
 							t.Fatalf("%s/%s/%s: a tenant whose kept values are the base's compiled an owned plan from its delta", f, name, prec)
 						}
 					}

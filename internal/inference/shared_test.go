@@ -1,6 +1,7 @@
 package inference
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -69,26 +70,61 @@ func unsharedBytes(clf *nn.Classifier, eng *Engine) int64 {
 			n += int64(len(v.RunMean.Data)+len(v.RunVar.Data)) * 8
 		}
 	})
-	var taps func(l execLayer)
-	taps = func(l execLayer) {
+	for _, m := range resident(eng) {
+		if c, ok := m.owner.(*sparseConv); ok && c.cp != nil {
+			n += int64(m.plan.Cols)*8 + int64(c.geom.KH*c.geom.KW)*20
+		}
+	}
+	return n
+}
+
+// held is one matrix an executor runs: a float plan or an int8 image.
+type held struct {
+	owner execLayer
+	plan  *format.Plan
+	quant *format.QuantPlan
+}
+
+func (h held) bytes() int64 {
+	if h.plan != nil {
+		return h.plan.SizeBytes()
+	}
+	return h.quant.SizeBytes()
+}
+
+// resident walks the executor tree for every plan and image reachable from
+// the engine, in compile order — the engine itself keeps no list of them.
+func resident(eng *Engine) []held {
+	var out []held
+	var walk func(l execLayer)
+	mm := func(l execLayer, m spmm) { out = append(out, held{l, m.plan, m.qplan}) }
+	walk = func(l execLayer) {
 		switch v := l.(type) {
 		case *execSeq:
 			for _, c := range v.layers {
-				taps(c)
+				walk(c)
 			}
 		case *execResidual:
-			taps(v.main)
+			walk(v.main)
 			if v.shortcut != nil {
-				taps(v.shortcut)
+				walk(v.shortcut)
 			}
 		case *sparseConv:
-			if v.cp != nil {
-				n += int64(v.mm.plan.Cols)*8 + int64(v.geom.KH*v.geom.KW)*20
+			mm(v, v.mm)
+		case *sparseLinear:
+			mm(v, v.mm)
+		case *sparseTokenLinear:
+			mm(v, v.mm)
+		case *sparsePatchEmbed:
+			mm(v, v.mm)
+		case *execAttention:
+			for _, p := range []*format.Plan{v.wq, v.wk, v.wv, v.wo} {
+				out = append(out, held{owner: v, plan: p})
 			}
 		}
 	}
-	taps(eng.root)
-	return n
+	walk(eng.root)
+	return out
 }
 
 func compileOpts(base *nn.Classifier, reg *format.Registry, prec Precision) CompileOptions {
@@ -147,11 +183,11 @@ func TestSlabBindingShrinksFootprint(t *testing.T) {
 	// more than half of what the plans own, a third of the whole footprint
 	// now that it also counts the conv tap tables.
 	var vals int64
-	for _, p := range shared.plans {
-		if !p.Shared() {
+	for _, m := range resident(shared) {
+		if !m.plan.Shared() {
 			t.Fatal("undiverged tenant compiled an owned plan")
 		}
-		vals += int64(p.NNZ()) * 8
+		vals += int64(m.plan.NNZ()) * 8
 	}
 	if saved := owned.MemoryFootprint() - shared.MemoryFootprint(); saved != vals || saved < owned.MemoryFootprint()/3 {
 		t.Fatalf("slab binding saved %d bytes, want the %d of value payload: shared %d vs owned %d bytes",
@@ -160,48 +196,77 @@ func TestSlabBindingShrinksFootprint(t *testing.T) {
 }
 
 // TestRegistryDedupAcrossEngines: two tenants pruned identically compile
-// identical plans and must share one instance through the registry;
-// releasing both drops every reference.
+// identical plans — at Int8, identical images — and must share one instance
+// through the registry, which then holds exactly what the first engine
+// runs; releasing both drops every reference.
 func TestRegistryDedupAcrossEngines(t *testing.T) {
 	base, clone, x, prune := sharedEnv(t, models.ResNet)
-	reg := format.NewRegistry()
 	a, b := clone(), clone()
 	prune(a, []int{1, 5})
 	prune(b, []int{1, 5}) // deterministic: same classes → same plans
-	ea, err := NewWithOptions(a, 4, sparsity.NM{N: 2, M: 4}, CompileOptions{Shared: NewSharedWeights(base), Registry: reg})
-	if err != nil {
-		t.Fatal(err)
+	for _, prec := range []Precision{Float32, Int8} {
+		reg := format.NewRegistry()
+		ea, err := NewWithOptions(a, 4, sparsity.NM{N: 2, M: 4}, compileOpts(base, reg, prec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		eb, err := NewWithOptions(b, 4, sparsity.NM{N: 2, M: 4}, compileOpts(base, reg, prec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !tensor.Equal(ea.Logits(x), eb.Logits(x), 0) {
+			t.Fatalf("%s: identically pruned tenants disagree", prec)
+		}
+		var held int64
+		twin := resident(eb)
+		for i, m := range resident(ea) {
+			if other := twin[i]; m.plan != other.plan || m.quant != other.quant {
+				t.Fatalf("%s: layer %d runs from two instances", prec, i)
+			}
+			held += m.bytes()
+		}
+		plans, refs, bytes := reg.Stats()
+		if plans != ea.CompressedLayers || bytes != held {
+			t.Fatalf("%s: registry holds %d entries / %d bytes, the engine runs %d layers from %d bytes", prec, plans, bytes, ea.CompressedLayers, held)
+		}
+		if refs != 2*plans {
+			t.Fatalf("%s: refs %d, want %d (every plan shared by both engines)", prec, refs, 2*plans)
+		}
+		// The second engine owns no plan: every one deduped onto the first.
+		if got, want := eb.MemoryFootprint(), unsharedBytes(b, eb); got != want {
+			t.Fatalf("%s: deduped engine owns %d bytes, want only its tap tables and vector copies (%d)", prec, got, want)
+		}
+		ea.Release()
+		ea.Release() // idempotent
+		if _, refs, _ := reg.Stats(); refs != plans {
+			t.Fatalf("%s: after one release refs = %d, want %d", prec, refs, plans)
+		}
+		eb.Release()
+		if plans, _, _ := reg.Stats(); plans != 0 {
+			t.Fatalf("%s: registry holds %d entries after all releases", prec, plans)
+		}
+		// Released engines still serve: plans remain valid objects.
+		if !tensor.Equal(ea.Logits(x), eb.Logits(x), 0) {
+			t.Fatalf("%s: released engines disagree", prec)
+		}
 	}
-	eb, err := NewWithOptions(b, 4, sparsity.NM{N: 2, M: 4}, CompileOptions{Shared: NewSharedWeights(base), Registry: reg})
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestFailedCompileReleasesItsReferences: an Int8 compile that fails on its
+// last layer (a non-finite weight does not quantize) leaves nothing of the
+// layers before it in the registry — there is no engine to Release.
+func TestFailedCompileReleasesItsReferences(t *testing.T) {
+	base, clone, _, prune := sharedEnv(t, models.ResNet)
+	tenant := clone()
+	prune(tenant, []int{1, 5})
+	params := tenant.Params()
+	params[len(params)-2].W.Data[0] = math.Inf(1) // the head's weight; its bias is last
+	reg := format.NewRegistry()
+	if _, err := NewWithOptions(tenant, 4, sparsity.NM{N: 2, M: 4}, compileOpts(base, reg, Int8)); err == nil {
+		t.Fatal("a non-finite weight compiled at int8")
 	}
-	if !tensor.Equal(ea.Logits(x), eb.Logits(x), 0) {
-		t.Fatal("identically pruned tenants disagree")
-	}
-	plans, refs, _ := reg.Stats()
-	if plans != len(ea.plans) {
-		t.Fatalf("registry holds %d canonical plans, engines compiled %d layers", plans, len(ea.plans))
-	}
-	if refs != 2*plans {
-		t.Fatalf("refs %d, want %d (every plan shared by both engines)", refs, 2*plans)
-	}
-	// The second engine owns no plan: every one deduped onto the first.
-	if got, want := eb.MemoryFootprint(), unsharedBytes(b, eb); got != want {
-		t.Fatalf("deduped engine owns %d bytes, want only its tap tables and vector copies (%d)", got, want)
-	}
-	ea.Release()
-	ea.Release() // idempotent
-	if _, refs, _ := reg.Stats(); refs != plans {
-		t.Fatalf("after one release refs = %d, want %d", refs, plans)
-	}
-	eb.Release()
-	if reg.Len() != 0 {
-		t.Fatalf("registry holds %d entries after all releases", reg.Len())
-	}
-	// Released engines still serve: plans remain valid objects.
-	if !tensor.Equal(ea.Logits(x), eb.Logits(x), 0) {
-		t.Fatal("released engines disagree")
+	if plans, refs, bytes := reg.Stats(); plans != 0 || refs != 0 || bytes != 0 {
+		t.Fatalf("a failed compile left %d entries, %d references, %d bytes in the registry", plans, refs, bytes)
 	}
 }
 
@@ -222,11 +287,14 @@ func TestMemoryFootprintManualSum(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := unsharedBytes(tenant, eng)
-			for _, p := range eng.plans {
-				want += p.SizeBytes()
-			}
-			for _, q := range eng.quantPlans {
-				want += q.SizeBytes()
+			for _, m := range resident(eng) {
+				if m.plan != nil && m.quant != nil {
+					t.Fatalf("%s/%s: %T holds a float plan beside its int8 image", f, prec, m.owner)
+				}
+				if _, attn := m.owner.(*execAttention); !attn && (m.quant != nil) != (prec == Int8) {
+					t.Fatalf("%s/%s: %T runs at the wrong precision", f, prec, m.owner)
+				}
+				want += m.bytes()
 			}
 			if got := eng.MemoryFootprint(); got != want {
 				t.Fatalf("%s/%s: MemoryFootprint %d, want manual sum %d", f, prec, got, want)
@@ -243,8 +311,8 @@ func TestMemoryFootprintManualSum(t *testing.T) {
 		t.Fatal(err)
 	}
 	var plansOnly int64
-	for _, p := range eng.plans {
-		plansOnly += p.SizeBytes()
+	for _, m := range resident(eng) {
+		plansOnly += m.bytes()
 	}
 	var eff int64
 	nn.Walk(tm.Net, func(l nn.Layer) {

@@ -161,7 +161,13 @@
 //	        compile against shared universal weight slabs
 //	        (inference.SharedWeights) and deduplicate bit-identical plans
 //	        through a format.Registry, so even the hot tier never clones
-//	        what it can reference.
+//	        what it can reference. An engine retains what its forward
+//	        pass reads and nothing else, so an Int8 tenant is the smaller
+//	        one: on the benchmark fixture a hot resnet-s tenant is
+//	        ~292 KB at Int8 against ~434 KB at Float32 (transformer-s
+//	        ~50 KB against ~56 KB), of which ~177 KB (~24 KB) is the
+//	        delta. Size the hot tier from Stats.HotBytes/CachedEngines
+//	        at the precision you serve.
 //	warm  — demoted tenants as the delta alone: bit-packed masks plus
 //	        kept-position weight values only, a small fraction of a full
 //	        copy. Bounded by the rest of the budget.

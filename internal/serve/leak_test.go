@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/data"
+	"repro/internal/inference"
 	"repro/internal/models"
 	"repro/internal/nn"
 	"repro/internal/pruner"
@@ -165,33 +166,42 @@ func liveHeap() uint64 {
 // TestHotBytesMatchesLiveHeap holds the hot tier's byte accounting to what
 // a hot tenant really pins: on the repository benchmark's fixture shapes,
 // twelve personalizations grow the live heap by no more than 15 % over what
-// Stats().HotBytes charges for them. A resnet-s tenant pins 0.45 MB against
-// 0.43 MB charged (transformer-s 0.06 against 0.06, now that its attention
-// projections are plans and not dense D×D tensors); it pinned 13.98 MB
-// against 4.30 MB charged before training state was released and 4.48 MB
-// while the cache still held the pruned clone beside the engine.
+// Stats().HotBytes charges for them, at either precision. A resnet-s tenant
+// pins 0.45 MB against 0.43 MB charged (transformer-s 0.06 against 0.06, now
+// that its attention projections are plans and not dense D×D tensors); it
+// pinned 13.98 MB against 4.30 MB charged before training state was released
+// and 4.48 MB while the cache still held the pruned clone beside the engine.
+// At int8 nothing float stays reachable behind a quantized layer: resnet-s
+// 0.31 MB against 0.29 MB charged (0.50 charged while every image kept the
+// float plan it was quantized from), transformer-s 0.06 against 0.05.
 func TestHotBytesMatchesLiveHeap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale personalizations (short mode)")
 	}
-	for _, f := range []models.Family{models.ResNet, models.Transformer} {
-		t.Run(string(f), func(t *testing.T) {
-			s := benchShapeServer(t, f, Options{CacheSize: 32})
-			before := liveHeap()
-			const tenants = 12
-			for i := 0; i < tenants; i++ {
-				if _, _, err := s.Personalize([]int{i % 10, (i + 1 + i/10) % 10, (i + 3 + i/10) % 10}); err != nil {
-					t.Fatal(err)
+	for _, prec := range []inference.Precision{inference.Float32, inference.Int8} {
+		for _, f := range []models.Family{models.ResNet, models.Transformer} {
+			name := string(f)
+			if prec == inference.Int8 {
+				name += "-int8"
+			}
+			t.Run(name, func(t *testing.T) {
+				s := benchShapeServer(t, f, Options{CacheSize: 32, Precision: prec})
+				before := liveHeap()
+				const tenants = 12
+				for i := 0; i < tenants; i++ {
+					if _, _, err := s.Personalize([]int{i % 10, (i + 1 + i/10) % 10, (i + 3 + i/10) % 10}); err != nil {
+						t.Fatal(err)
+					}
 				}
-			}
-			grown := float64(liveHeap() - before)
-			charged := float64(s.Stats().HotBytes)
-			t.Logf("live heap per hot tenant %.2f MB, HotBytes per tenant %.2f MB", grown/tenants/1e6, charged/tenants/1e6)
-			if grown > 1.15*charged {
-				t.Errorf("%d hot tenants grew the live heap by %.0f bytes, %.0f%% more than the %.0f bytes HotBytes charges",
-					tenants, grown, 100*(grown/charged-1), charged)
-			}
-		})
+				grown := float64(liveHeap() - before)
+				charged := float64(s.Stats().HotBytes)
+				t.Logf("live heap per hot tenant %.2f MB, HotBytes per tenant %.2f MB", grown/tenants/1e6, charged/tenants/1e6)
+				if grown > 1.15*charged {
+					t.Errorf("%d hot tenants grew the live heap by %.0f bytes, %.0f%% more than the %.0f bytes HotBytes charges",
+						tenants, grown, 100*(grown/charged-1), charged)
+				}
+			})
+		}
 	}
 }
 

@@ -10,7 +10,6 @@ package sparsity
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/tensor"
 )
@@ -37,39 +36,34 @@ func (nm NM) String() string { return fmt.Sprintf("%d:%d", nm.N, nm.M) }
 
 // ApplyNM writes an N:M mask into mask: within every group of M consecutive
 // elements of each row of scores, the N highest-scoring positions are kept
-// (set to 1) and the rest zeroed. Partial trailing groups of size s keep
-// min(N, s) elements. mask and scores must be rank-2 with equal shapes.
+// (set to 1) and the rest zeroed; of equal scores the leftmost wins. Partial
+// trailing groups of size s keep min(N, s) elements. mask and scores must be
+// rank-2 with equal shapes.
 func ApplyNM(mask, scores *tensor.Tensor, nm NM) {
 	if err := nm.Validate(); err != nil {
 		panic(err)
 	}
 	rows, cols := checkMatrix(mask, scores)
-	type idxScore struct {
-		idx   int
-		score float64
-	}
-	group := make([]idxScore, 0, nm.M)
+	// order is one group's positions in stable descending score order,
+	// built by insertion: the call's one allocation, however many groups.
+	order := make([]int, 0, nm.M)
 	for r := 0; r < rows; r++ {
-		base := r * cols
+		row, out := scores.Data[r*cols:(r+1)*cols], mask.Data[r*cols:(r+1)*cols]
 		for g0 := 0; g0 < cols; g0 += nm.M {
-			g1 := g0 + nm.M
-			if g1 > cols {
-				g1 = cols
+			order = order[:0]
+			for i := g0; i < min(g0+nm.M, cols); i++ {
+				j := len(order)
+				order = append(order, i)
+				for ; j > 0 && row[i] > row[order[j-1]]; j-- {
+					order[j] = order[j-1]
+				}
+				order[j] = i
 			}
-			group = group[:0]
-			for i := g0; i < g1; i++ {
-				group = append(group, idxScore{i, scores.Data[base+i]})
-			}
-			keep := nm.N
-			if keep > len(group) {
-				keep = len(group)
-			}
-			sort.Slice(group, func(a, b int) bool { return group[a].score > group[b].score })
-			for k, gs := range group {
-				if k < keep {
-					mask.Data[base+gs.idx] = 1
+			for k, i := range order {
+				if k < nm.N {
+					out[i] = 1
 				} else {
-					mask.Data[base+gs.idx] = 0
+					out[i] = 0
 				}
 			}
 		}
