@@ -357,6 +357,10 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Fatalf("metrics missing %q:\n%s", want, text)
 		}
 	}
+	// Engines share no plans, so there is no shared-plan gauge to render.
+	if strings.Contains(text, "crisp_serve_shared_plan") {
+		t.Fatalf("metrics still render a shared-plan gauge:\n%s", text)
+	}
 }
 
 // TestPredictOverload429: a full predict queue surfaces as HTTP 429 (the
@@ -568,7 +572,6 @@ func TestTieredMetricsExposed(t *testing.T) {
 		"crisp_serve_restore_seconds_total 0\n",
 		"crisp_serve_warm_entries 1\n",
 		"crisp_serve_cached_engines 1\n",
-		"crisp_serve_shared_plans ",
 		"crisp_serve_hot_bytes ",
 		"crisp_serve_warm_bytes ",
 	} {
@@ -591,7 +594,7 @@ func TestTieredMetricsExposed(t *testing.T) {
 	}(); code != http.StatusOK {
 		t.Fatalf("/stats status %d", code)
 	}
-	if st.HotBytes <= 0 || st.WarmBytes <= 0 || st.SharedPlanRefs <= 0 {
+	if st.HotBytes <= 0 || st.WarmBytes <= 0 {
 		t.Fatalf("tier gauges not live: %+v", st)
 	}
 	if st.PromoteNanos == 0 || st.DemoteNanos == 0 || st.RestoreNanos != 0 {

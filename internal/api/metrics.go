@@ -69,9 +69,6 @@ func WriteMetrics(w io.Writer, st serve.Stats) {
 	gauge64("warm_bytes", "Resident bytes of warm delta records.", st.WarmBytes)
 	gauge("warm_entries", "Tenants currently held as warm delta records.", st.WarmEntries)
 	gauge("cold_records", "Personalization records indexed in the snapshot store.", st.ColdRecords)
-	gauge("shared_plans", "Canonical compiled plans in the cross-tenant dedup registry.", st.SharedPlans)
-	gauge("shared_plan_refs", "Engine references onto canonical shared plans.", st.SharedPlanRefs)
-	gauge64("shared_plan_bytes", "Bytes held once for all engines sharing each canonical plan.", st.SharedPlanBytes)
 
 	// Precision as an info-style gauge (the mode is a label) and the
 	// measured agreement ratio as a float gauge.

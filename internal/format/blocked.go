@@ -77,26 +77,23 @@ func (p *Plan) runChunks(b, out *tensor.Tensor, n, rowTile, c0, c1 int) {
 // tail — selecting the CRISP uniform-span fast path when Compile proved
 // one.
 func (p *Plan) blockedTile(b, out *tensor.Tensor, n, row0, row1 int) {
-	switch {
-	case p.slab != nil:
-		p.blockedTileSlab(b, out, n, row0, row1)
-	case p.uniform > 0:
+	if p.uniform > 0 {
 		p.blockedTileUniform(b, out, n, row0, row1)
-	default:
-		bd := b.Data
-		for r := row0; r < row1; r++ {
-			i0, i1 := int(p.RowPtr[r]), int(p.RowPtr[r+1])
-			dst := out.Data[r*n : (r+1)*n]
-			j := 0
-			for ; j+8 <= n; j += 8 {
-				spanPanel8(dst, bd, p.Col, p.Val, i0, i1, j, n)
-			}
-			for ; j+4 <= n; j += 4 {
-				spanPanel4(dst, bd, p.Col, p.Val, i0, i1, j, n)
-			}
-			if j < n {
-				spanPanelTail(dst, bd, p.Col, p.Val, i0, i1, j, n)
-			}
+		return
+	}
+	bd := b.Data
+	for r := row0; r < row1; r++ {
+		i0, i1 := int(p.RowPtr[r]), int(p.RowPtr[r+1])
+		dst := out.Data[r*n : (r+1)*n]
+		j := 0
+		for ; j+8 <= n; j += 8 {
+			spanPanel8(dst, bd, p.Col, p.Val, i0, i1, j, n)
+		}
+		for ; j+4 <= n; j += 4 {
+			spanPanel4(dst, bd, p.Col, p.Val, i0, i1, j, n)
+		}
+		if j < n {
+			spanPanelTail(dst, bd, p.Col, p.Val, i0, i1, j, n)
 		}
 	}
 }
@@ -124,28 +121,5 @@ func (p *Plan) blockedTileUniform(b, out *tensor.Tensor, n, row0, row1 int) {
 			spanPanelTail(dst, bd, p.Col, p.Val, i0, i1, j, n)
 		}
 		i0 = i1
-	}
-}
-
-// blockedTileSlab is blockedTile for slab-bound plans: values gather from
-// the shared universal-weight slab row by column index.
-func (p *Plan) blockedTileSlab(b, out *tensor.Tensor, n, row0, row1 int) {
-	bd := b.Data
-	w := p.slab.Data
-	cols := p.slab.Cols
-	for r := row0; r < row1; r++ {
-		i0, i1 := int(p.RowPtr[r]), int(p.RowPtr[r+1])
-		wrow := w[r*cols : (r+1)*cols]
-		dst := out.Data[r*n : (r+1)*n]
-		j := 0
-		for ; j+8 <= n; j += 8 {
-			spanPanel8Slab(dst, bd, p.Col, wrow, i0, i1, j, n)
-		}
-		for ; j+4 <= n; j += 4 {
-			spanPanel4Slab(dst, bd, p.Col, wrow, i0, i1, j, n)
-		}
-		if j < n {
-			spanPanelTailSlab(dst, bd, p.Col, wrow, i0, i1, j, n)
-		}
 	}
 }

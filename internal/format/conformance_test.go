@@ -15,8 +15,7 @@ import (
 // scalar reference kernel over a shape grid chosen to hit every structural
 // edge: ragged row chunks, batch widths straddling the 8/4/1-column
 // panels, empty rows, all-padding CRISP spans, uniform-span CRISP plans
-// (the fixed-trip-count fast path) and slab-bound plans. Results must be
-// bit-identical.
+// (the fixed-trip-count fast path). Results must be bit-identical.
 
 // bitIdentical reports whether two rank-2 tensors hold exactly the same
 // bit patterns (stricter than ==: distinguishes -0 from +0, NaN payloads).
@@ -70,20 +69,12 @@ func checkAgainstScalar(t *testing.T, p *Plan, x *tensor.Tensor, label string) {
 
 // conformancePlans builds the plan corpus for one matrix: the CSR compile,
 // and — when the matrix satisfies the hybrid invariants — the CRISP
-// compile (which may prove uniform spans) plus its slab-bound twin.
-func conformancePlans(t *testing.T, w *tensor.Tensor, blk int, nm sparsity.NM) map[string]*Plan {
-	t.Helper()
+// compile (which may prove uniform spans).
+func conformancePlans(w *tensor.Tensor, blk int, nm sparsity.NM) map[string]*Plan {
 	plans := map[string]*Plan{"csr": EncodeCSR(w).Compile()}
 	if blk > 0 {
-		e, err := EncodeCRISP(w, blk, nm)
-		if err == nil {
+		if e, err := EncodeCRISP(w, blk, nm); err == nil {
 			plans["crisp"] = e.Compile()
-			slabbed := e.Compile()
-			if slabbed.BindSlab(NewValueSlab(w)) {
-				plans["crisp-slab"] = slabbed
-			} else {
-				t.Fatalf("BindSlab refused the plan's own source matrix")
-			}
 		}
 	}
 	return plans
@@ -130,7 +121,7 @@ func TestKernelConformance(t *testing.T) {
 				w.Data[(s.rows/2)*s.cols+c] = 0
 			}
 		}
-		for src, p := range conformancePlans(t, w, s.blk, sparsity.NM{N: 2, M: 4}) {
+		for src, p := range conformancePlans(w, s.blk, sparsity.NM{N: 2, M: 4}) {
 			for _, n := range batches {
 				checkAgainstScalar(t, p, tensor.Randn(rng, 1, s.cols, n), src)
 			}

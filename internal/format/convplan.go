@@ -222,7 +222,7 @@ func (cp *ConvPlan) convRowsBatchLast(xd []float64, st *convState, batch int, ou
 			if w <= 0 || rows <= 0 {
 				continue
 			}
-			v := p.value(r, int32(i))
+			v := p.Val[i]
 			so := (int(t.c)*chanSize + int(cl.src0)) * batch
 			do := (int(cl.oy0)*ow + int(cl.ox0)) * batch
 			if s == 1 {

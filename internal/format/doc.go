@@ -39,8 +39,8 @@
 //     AXPY per entry (rowRange) — the semantics-defining implementation;
 //   - the register-blocked panel kernels: eight- and four-column panels
 //     whose partial sums live in register accumulators across the whole
-//     span (spanPanel8/spanPanel4 and a tail kernel, with slab-gather
-//     variants), run over row chunks handed to the worker pool
+//     span (spanPanel8/spanPanel4 and a tail kernel), run over row chunks
+//     handed to the worker pool
 //     (matmulBlocked), with a CRISP-structure fast path for plans whose
 //     row spans were proved uniform at compile time (blockedTileUniform,
 //     fixed trip counts, no row-pointer loads).
@@ -55,25 +55,14 @@
 //
 // Every kernel must produce output bit-identical to the scalar reference:
 // for each output element, floating-point products are added in ascending
-// span (storage) order. Blocking, panel width, row chunking, slab binding
-// and parallel fan-out may change where partial sums live and which order
-// output *elements* are produced in, but never the order of additions
-// *within* an element. The conformance harness (conformance_test.go)
-// proves the public dispatch and the blocked driver — at ragged and
-// default chunk sizes, at batch widths the dispatch would never send it —
+// span (storage) order. Blocking, panel width, row chunking and parallel
+// fan-out may change where partial sums live and which order output
+// *elements* are produced in, but never the order of additions *within* an
+// element. The conformance harness (conformance_test.go) proves the public
+// dispatch and the blocked driver — at ragged and default chunk sizes, at
+// batch widths the dispatch would never send it —
 // bit-identical to the scalar reference across a geometry/batch grid, and
 // FuzzBlockedMatMul replays the same differential check under
 // fuzzer-chosen shapes, sparsity and values. A new kernel joins the family
 // by being driven from checkAgainstScalar.
-//
-// # The registry
-//
-// Tenants whose class sets prune a layer identically compile byte-identical
-// plans; a Registry makes them share one instance. An entry retains what
-// engines execute and nothing behind it: the float Plan of a float-executed
-// layer, or the QuantPlan of an int8-executed one, keyed (QuantPlan.Hash)
-// and compared on the image's own content — the float plan it was quantized
-// from is a compile-time transient no one keeps. The caller hashes a plan
-// once and hands the key in; Intern returns a Ref and Release takes it back,
-// so no one rehashes a plan to find its entry.
 package format

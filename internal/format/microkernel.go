@@ -138,101 +138,3 @@ func spanPanelTail(dst, bd []float64, col []int32, val []float64, i0, i1, j0, n 
 		dst[j] = a
 	}
 }
-
-// spanPanel8Slab is spanPanel8 for slab-bound plans: values gather from the
-// shared universal-weight row instead of an owned Val span. BindSlab proved
-// every gathered value equals the owned value bit-for-bit, so the result is
-// unchanged.
-func spanPanel8Slab(dst, bd []float64, col []int32, wrow []float64, i0, i1, j0, n int) {
-	var a0, a1, a2, a3, a4, a5, a6, a7 float64
-	i := i0
-	for ; i+3 < i1; i += 4 {
-		c0, c1, c2, c3 := int(col[i]), int(col[i+1]), int(col[i+2]), int(col[i+3])
-		v0, v1, v2, v3 := wrow[c0], wrow[c1], wrow[c2], wrow[c3]
-		s0 := bd[c0*n+j0:]
-		s1 := bd[c1*n+j0:]
-		s2 := bd[c2*n+j0:]
-		s3 := bd[c3*n+j0:]
-		s0, s1, s2, s3 = s0[:8:8], s1[:8:8], s2[:8:8], s3[:8:8]
-		a0 += v0 * s0[0]
-		a0 += v1 * s1[0]
-		a0 += v2 * s2[0]
-		a0 += v3 * s3[0]
-		a1 += v0 * s0[1]
-		a1 += v1 * s1[1]
-		a1 += v2 * s2[1]
-		a1 += v3 * s3[1]
-		a2 += v0 * s0[2]
-		a2 += v1 * s1[2]
-		a2 += v2 * s2[2]
-		a2 += v3 * s3[2]
-		a3 += v0 * s0[3]
-		a3 += v1 * s1[3]
-		a3 += v2 * s2[3]
-		a3 += v3 * s3[3]
-		a4 += v0 * s0[4]
-		a4 += v1 * s1[4]
-		a4 += v2 * s2[4]
-		a4 += v3 * s3[4]
-		a5 += v0 * s0[5]
-		a5 += v1 * s1[5]
-		a5 += v2 * s2[5]
-		a5 += v3 * s3[5]
-		a6 += v0 * s0[6]
-		a6 += v1 * s1[6]
-		a6 += v2 * s2[6]
-		a6 += v3 * s3[6]
-		a7 += v0 * s0[7]
-		a7 += v1 * s1[7]
-		a7 += v2 * s2[7]
-		a7 += v3 * s3[7]
-	}
-	for ; i < i1; i++ {
-		c := int(col[i])
-		v := wrow[c]
-		s := bd[c*n+j0:]
-		s = s[:8:8]
-		a0 += v * s[0]
-		a1 += v * s[1]
-		a2 += v * s[2]
-		a3 += v * s[3]
-		a4 += v * s[4]
-		a5 += v * s[5]
-		a6 += v * s[6]
-		a7 += v * s[7]
-	}
-	d := dst[j0:]
-	d = d[:8:8]
-	d[0], d[1], d[2], d[3] = a0, a1, a2, a3
-	d[4], d[5], d[6], d[7] = a4, a5, a6, a7
-}
-
-// spanPanel4Slab is spanPanel4 with slab-gathered values.
-func spanPanel4Slab(dst, bd []float64, col []int32, wrow []float64, i0, i1, j0, n int) {
-	var a0, a1, a2, a3 float64
-	for i := i0; i < i1; i++ {
-		c := int(col[i])
-		v := wrow[c]
-		s := bd[c*n+j0:]
-		s = s[:4:4]
-		a0 += v * s[0]
-		a1 += v * s[1]
-		a2 += v * s[2]
-		a3 += v * s[3]
-	}
-	d := dst[j0:]
-	d = d[:4:4]
-	d[0], d[1], d[2], d[3] = a0, a1, a2, a3
-}
-
-// spanPanelTailSlab is spanPanelTail with slab-gathered values.
-func spanPanelTailSlab(dst, bd []float64, col []int32, wrow []float64, i0, i1, j0, n int) {
-	for j := j0; j < n; j++ {
-		var a float64
-		for i := i0; i < i1; i++ {
-			c := int(col[i])
-			a += wrow[c] * bd[c*n+j]
-		}
-		dst[j] = a
-	}
-}

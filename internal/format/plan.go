@@ -30,12 +30,6 @@ type Plan struct {
 	Col []int32
 	Val []float64
 
-	// slab, when non-nil, replaces Val as the value source: the plan's kept
-	// values live in a shared universal-weight slab and kernels gather them
-	// by (row, Col) instead of by entry index. Set only by BindSlab, which
-	// verifies bit-equality first (see slab.go).
-	slab *ValueSlab
-
 	// uniform, when positive, records that every row span holds exactly
 	// this many entries — proved by CRISPFormat.Compile from the N:M +
 	// block metadata when no padding slot survives — enabling the
@@ -43,9 +37,14 @@ type Plan struct {
 	uniform int
 }
 
-// NNZ returns the number of stored (all non-zero) entries. Col is populated
-// in both owned and slab-bound plans, so it is the authoritative count.
+// NNZ returns the number of stored (all non-zero) entries.
 func (p *Plan) NNZ() int { return len(p.Col) }
+
+// SizeBytes reports the heap bytes the plan's slice payloads occupy (RowPtr,
+// Col and Val). The fixed struct header is excluded as negligible.
+func (p *Plan) SizeBytes() int64 {
+	return int64(len(p.RowPtr))*4 + int64(len(p.Col))*4 + int64(len(p.Val))*8
+}
 
 // UniformSpan returns the proved per-row entry count when every row span
 // holds the same number of entries (the CRISP fixed-trip-count fast path),
@@ -203,17 +202,7 @@ func (p *Plan) matmulScalar(b, out *tensor.Tensor, n int) {
 	// Branches (not a method value) keep the serial path allocation-free:
 	// a bound method value would escape through the pool's task channel.
 	if p.NNZ()*n < spmmParallelThreshold || p.Rows < 2 {
-		if p.slab != nil {
-			p.rowRangeSlab(b, out, n, 0, p.Rows)
-		} else {
-			p.rowRange(b, out, n, 0, p.Rows)
-		}
-		return
-	}
-	if p.slab != nil {
-		parallelRows(p.Rows, p.NNZ()*n, func(row0, row1 int) {
-			p.rowRangeSlab(b, out, n, row0, row1)
-		})
+		p.rowRange(b, out, n, 0, p.Rows)
 		return
 	}
 	parallelRows(p.Rows, p.NNZ()*n, func(row0, row1 int) {

@@ -75,6 +75,13 @@ type QuantPlan struct {
 // to any product).
 func (q *QuantPlan) NNZ() int { return len(q.Code) }
 
+// SizeBytes reports the heap bytes of the quantized plan's slice payloads
+// (RowPtr, NegPtr, Col, Code, RowScale and the row-sum correction terms).
+func (q *QuantPlan) SizeBytes() int64 {
+	return int64(len(q.RowPtr))*4 + int64(len(q.NegPtr))*4 + int64(len(q.Col))*4 +
+		int64(len(q.Code)) + int64(len(q.RowScale))*8 + int64(len(q.rowSum))*4
+}
+
 // Quantize compiles the plan's weights to int8 at symmetric per-row
 // scales, sign-grouping each row's codes for the SWAR kernel. Quantization
 // is deterministic: the same plan always yields the same codes, scales and
@@ -96,11 +103,7 @@ func (p *Plan) Quantize() (*QuantPlan, error) {
 			return nil, fmt.Errorf("format: quantize: row %d stores %d entries, max %d (packed accumulator bound)", r, nnz, maxQuantRowNNZ)
 		}
 		maxAbs := 0.0
-		// Values go through the slab-aware accessor: a slab-bound plan
-		// quantizes to exactly the codes its owned twin would (BindSlab
-		// proved bit-equality), so sharing never perturbs the int8 image.
-		for i := p.RowPtr[r]; i < p.RowPtr[r+1]; i++ {
-			v := p.value(r, i)
+		for _, v := range p.Val[p.RowPtr[r]:p.RowPtr[r+1]] {
 			a := math.Abs(v)
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				return nil, fmt.Errorf("format: quantize: non-finite weight %v in row %d", v, r)
@@ -116,7 +119,7 @@ func (p *Plan) Quantize() (*QuantPlan, error) {
 		q.RowScale[r] = s
 		inv := 1 / s
 		code := func(i int32) int8 {
-			c := math.Round(p.value(r, i) * inv)
+			c := math.Round(p.Val[i] * inv)
 			if c > 127 {
 				c = 127
 			} else if c < -127 {

@@ -103,7 +103,7 @@ func TestInt8EngineSmallerThanFloat(t *testing.T) {
 // parameters back to back, then scribble over the encoder: the first plan
 // holds what it held, and both still compute what plans compiled alone do.
 func TestCompiledPlansDoNotAliasTheEncoder(t *testing.T) {
-	_, clone, _, prune := sharedEnv(t, models.Transformer)
+	_, clone, _, prune := tenantEnv(t, models.Transformer)
 	tenant := clone()
 	prune(tenant, []int{1, 5})
 	nm := sparsity.NM{N: 2, M: 4}

@@ -4,14 +4,11 @@ import "repro/internal/nn"
 
 // MemoryFootprint reports the engine-owned resident bytes of the compiled
 // state: the owned payloads of what the forward pass runs (a float plan or
-// an int8 image per layer, never both), privately materialized effective
-// weights, the conv layers' tap tables, and the executors' copies of biases
-// and norm vectors. Memory the engine merely
-// references is excluded — shared universal slabs belong to the base model,
-// and plans deduplicated through a format.Registry are counted by the
-// engine that first interned them, so summing footprints across engines
-// never double-counts. Transient arena scratch is excluded: it is pooled
-// per pass, not held per engine. Fixed at compile time.
+// an int8 image per layer, never both), the depthwise layers' materialized
+// effective weights, the conv layers' tap tables, and the executors' copies of biases
+// and norm vectors. An engine shares none of it, so summing footprints
+// across engines never double-counts. Transient arena scratch is excluded:
+// it is pooled per pass, not held per engine. Fixed at compile time.
 func (e *Engine) MemoryFootprint() int64 { return e.footprint }
 
 // Fingerprint is the engine's structural fingerprint: an FNV-64a hash over
@@ -22,20 +19,6 @@ func (e *Engine) MemoryFootprint() int64 { return e.footprint }
 // that a rebuilt engine reproduced the original compiled shape and values
 // exactly. Fixed at compile time.
 func (e *Engine) Fingerprint() uint64 { return uint64(e.fingerprint) }
-
-// Release returns the engine's registry references so the entries' counts
-// drop (and fully unreferenced entries free). Idempotent;
-// a no-op for engines compiled without a registry. In-flight forward
-// passes may still complete — releasing only drops dedup bookkeeping, the
-// compiled plans themselves stay valid until the engine is garbage
-// collected. Not safe to call concurrently with itself; the serving layer
-// serializes it per engine.
-func (e *Engine) Release() {
-	for _, ref := range e.refs {
-		e.registry.Release(ref)
-	}
-	e.refs = nil
-}
 
 // ModelBytes reports the resident bytes of a classifier's learnable state:
 // dense weights, gradients, masks, and normalization running statistics.

@@ -54,9 +54,9 @@
 // or the bytes behind it: executors hold geometry, dimensions, ReLU caps
 // and the activation-statistics hook by value, and a layer type without an
 // executor is a compile error rather than a retained layer. The caller may
-// drop or overwrite classifier and delta while the engine serves. Only
-// Shared slabs and Registry plans alias anything: the base model, never the
-// tenant's.
+// drop or overwrite classifier and delta while the engine serves — and the
+// universal model too: an engine aliases nothing, shares nothing with another
+// engine, and owns every byte its MemoryFootprint charges.
 package inference
 
 import (
@@ -103,21 +103,6 @@ func (p Precision) String() string {
 type CompileOptions struct {
 	// Precision selects float or int8 execution for the plan-backed layers.
 	Precision Precision
-	// Shared, when set, lets the engine reference the universal model's
-	// weights instead of owning copies: compiled float plans bind to the
-	// shared value slabs when the tenant's kept values still equal the
-	// universal weights (an int8 image stores codes: nothing to bind), and
-	// depthwise layers (the one masked-dense executor) borrow
-	// the shared effective tensors when their effective weights equal the
-	// universal parameter's. Results are bit-identical either way; only
-	// ownership (and MemoryFootprint) changes.
-	Shared *SharedWeights
-	// Registry, when set, deduplicates what engines execute: structurally
-	// identical float plans — or, for int8-executed layers, identical int8
-	// images — (same class set → same pruned shape and values) share one
-	// canonical instance. The engine holds references it returns via
-	// Release when evicted.
-	Registry *format.Registry
 }
 
 // Engine is a compiled sparse-execution plan for one classifier. An engine
@@ -131,14 +116,9 @@ type Engine struct {
 	// copy out of it); zero once compiled.
 	enc       format.CRISPFormat
 	precision Precision
-	shared    *SharedWeights
-	registry  *format.Registry
 	// fingerprint and quantSig are running hashes during compile and the
 	// values Fingerprint and QuantSignature report after it.
 	fingerprint, quantSig format.Hash64
-	// refs are the registry references this engine holds; Release returns
-	// them.
-	refs []format.Ref
 	// footprint accumulates the engine-owned bytes at compile time (see
 	// MemoryFootprint).
 	footprint int64
@@ -209,7 +189,7 @@ func (OwnParams) NormStats(bn *nn.BatchNorm2D) (mean, variance []float64) {
 // universal model with a delta view over it) and is not retained.
 func NewFromSource(tree *nn.Classifier, src ParamSource, blockSize int, nm sparsity.NM, opts CompileOptions) (*Engine, error) {
 	e := &Engine{
-		numClasses: tree.NumClasses, src: src, precision: opts.Precision, shared: opts.Shared, registry: opts.Registry,
+		numClasses: tree.NumClasses, src: src, precision: opts.Precision,
 		fingerprint: format.HashInit,
 	}
 	if e.precision == Int8 {
@@ -218,7 +198,6 @@ func NewFromSource(tree *nn.Classifier, src ParamSource, blockSize int, nm spars
 	root, err := e.compile(tree.Net, blockSize, nm)
 	e.src, e.enc = nil, format.CRISPFormat{}
 	if err != nil {
-		e.Release() // the layers compiled before the failing one interned theirs
 		return nil, err
 	}
 	e.root = root
@@ -395,7 +374,9 @@ func (e *Engine) compile(l nn.Layer, b int, nm sparsity.NM) (execLayer, error) {
 			wq: e.newPlan(v.Wq, b, nm), wk: e.newPlan(v.Wk, b, nm), wv: e.newPlan(v.Wv, b, nm), wo: e.newPlan(v.Wo, b, nm),
 		}, nil
 	case *nn.DepthwiseConv2D:
-		return &execDepthwise{geom: v.Geom, bias: e.own(v.Bias), weff: e.effective(v.Weight)}, nil
+		weff := e.src.Effective(v.Weight)
+		e.footprint += int64(len(weff.Data)) * 8
+		return &execDepthwise{geom: v.Geom, bias: e.own(v.Bias), weff: weff}, nil
 	case *nn.BatchNorm2D:
 		mean, variance := e.src.NormStats(v)
 		return &execBatchNorm{
@@ -452,75 +433,35 @@ func (s *spmm) into(b, out *tensor.Tensor, a *arena) *tensor.Tensor {
 
 // newSpMM compiles one weight-bearing layer's SpMM dispatch at the engine's
 // precision. An Int8 engine keeps the image and drops the float plan it was
-// quantized from: no forward path reads it. There is no slab to bind — an
-// image stores codes, not the universal model's values — so only the
-// registry can take its bytes off this engine.
+// quantized from: no forward path reads it.
 func (e *Engine) newSpMM(p *nn.Param, b int, nm sparsity.NM) (spmm, error) {
 	if e.precision != Int8 {
 		return spmm{plan: e.newPlan(p, b, nm)}, nil
 	}
-	plan, _ := e.compileParam(p, b, nm)
-	q, err := plan.Quantize()
+	q, err := e.compileParam(p, b, nm).Quantize()
 	if err != nil {
 		return spmm{}, err
 	}
 	e.quantSig = q.Hash(e.quantSig)
-	if e.registry != nil {
-		canon, ref := e.registry.InternQuant(q, uint64(q.Hash(format.HashInit)))
-		e.refs = append(e.refs, ref)
-		if canon != q {
-			return spmm{qplan: canon}, nil
-		}
-	}
 	e.footprint += q.SizeBytes()
 	return spmm{qplan: q}, nil
 }
 
-// newPlan compiles a float-executed matrix. With shared universal weights,
-// the plan first tries to re-home its values onto the layer's slab (free
-// when fine-tuning diverged them — BindSlab refuses and the plan keeps its
-// owned copy); with a registry, the whole plan then dedups onto the
-// canonical instance for its content. Neither step changes a bit of any
-// result — only who owns the memory, which MemoryFootprint tracks.
+// newPlan compiles a float-executed matrix and charges it to the footprint.
 func (e *Engine) newPlan(p *nn.Param, b int, nm sparsity.NM) *format.Plan {
-	plan, fp := e.compileParam(p, b, nm)
-	if e.shared != nil {
-		plan.BindSlab(e.shared.Slab(p.Name))
-	}
-	if e.registry != nil {
-		canon, ref := e.registry.Intern(plan, fp)
-		e.refs = append(e.refs, ref)
-		if canon != plan {
-			return canon
-		}
-	}
+	plan := e.compileParam(p, b, nm)
 	e.footprint += plan.SizeBytes()
 	return plan
 }
 
 // compileParam is what every plan-backed layer does at either precision:
 // encode the tenant's effective matrix, compile the float plan, fold its
-// fingerprint — hashed here once, for the engine and the registry both —
-// into the engine's, and count a compressed layer.
-func (e *Engine) compileParam(p *nn.Param, b int, nm sparsity.NM) (*format.Plan, uint64) {
+// fingerprint into the engine's, and count a compressed layer.
+func (e *Engine) compileParam(p *nn.Param, b int, nm sparsity.NM) *format.Plan {
 	plan := e.encodeParam(p, e.src.Effective(p), b, nm)
-	fp := plan.Fingerprint()
-	e.fingerprint = e.fingerprint.Uint64(fp)
+	e.fingerprint = e.fingerprint.Uint64(plan.Fingerprint())
 	e.CompressedLayers++
-	return plan, fp
-}
-
-// effective materializes a depthwise layer's masked weights, borrowing the
-// shared universal tensor when the tenant's are bit for bit the universal
-// model's (the materialization is then dropped); a private one counts
-// toward the engine footprint.
-func (e *Engine) effective(p *nn.Param) *tensor.Tensor {
-	t := e.src.Effective(p)
-	if u := e.shared.universalEffective(p.Name, t); u != nil {
-		return u
-	}
-	e.footprint += int64(len(t.Data)) * 8
-	return t
+	return plan
 }
 
 // own takes ownership of a parameter's values (nil for an absent parameter,

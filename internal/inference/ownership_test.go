@@ -21,15 +21,14 @@ import (
 	"repro/internal/tensor"
 )
 
-// compileTenant prunes a fresh tenant of base and compiles it the way the
-// serving layer does (shared slabs, dedup registry). It returns the engine,
-// the tenant, and a weak pointer into the backing array of the tenant's
-// largest weight tensor.
-func compileTenant(t *testing.T, base *nn.Classifier, clone func() *nn.Classifier, prune func(*nn.Classifier, []int), prec Precision) (*Engine, *nn.Classifier, weak.Pointer[float64]) {
+// compileTenant prunes a fresh tenant and compiles it. It returns the engine
+// and a weak pointer into the backing array of the tenant's largest weight
+// tensor.
+func compileTenant(t *testing.T, clone func() *nn.Classifier, prune func(*nn.Classifier, []int)) (*Engine, weak.Pointer[float64]) {
 	t.Helper()
 	tenant := clone()
 	prune(tenant, []int{1, 5})
-	eng, err := NewWithOptions(tenant, 4, sparsity.NM{N: 2, M: 4}, compileOpts(base, format.NewRegistry(), prec))
+	eng, err := New(tenant, 4, sparsity.NM{N: 2, M: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +38,26 @@ func compileTenant(t *testing.T, base *nn.Classifier, clone func() *nn.Classifie
 			largest = p
 		}
 	}
-	return eng, tenant, weak.Make(&largest.W.Data[0])
+	return eng, weak.Make(&largest.W.Data[0])
+}
+
+// poison overwrites every weight, mask, gradient and norm statistic of clf
+// with NaN.
+func poison(clf *nn.Classifier) {
+	nan := math.NaN()
+	for _, p := range clf.Params() {
+		for _, ts := range []*tensor.Tensor{p.W, p.Mask, p.Grad} {
+			if ts != nil {
+				ts.Fill(nan)
+			}
+		}
+	}
+	nn.Walk(clf.Net, func(l nn.Layer) {
+		if bn, ok := l.(*nn.BatchNorm2D); ok {
+			bn.RunMean.Fill(nan)
+			bn.RunVar.Fill(nan)
+		}
+	})
 }
 
 // standaloneSignatures recomputes what Fingerprint and QuantSignature must
@@ -107,59 +125,60 @@ func standaloneSignatures(t *testing.T, clf *nn.Classifier, prec Precision) (fp,
 }
 
 // TestEngineOutlivesItsClassifier holds the ownership rule: after compile
-// the engine reads nothing of the tenant classifier. Overwriting every
-// weight, mask, gradient and norm statistic of the tenant with NaN leaves the
-// logits bit-identical at batch 1 and 16, and once the tenant is dropped its
+// an engine reads nothing of the tenant classifier or of the universal model.
+// For a fine-tuned tenant and an untouched one — whose every value is the
+// base's bit for bit, so a plan that read its values out of the base rather
+// than owning them would pass every other test — compiled from its own
+// parameters and from a delta view over the base, overwriting every weight,
+// mask, gradient and norm statistic of both classifiers with NaN leaves the
+// logits bit-identical at batch 1 and 16. Once a tenant is dropped its
 // largest weight tensor is collected while the engine is still live. What an
 // engine keeps of the plans it compiled is two words: Fingerprint and
 // QuantSignature, stored at compile time, equal what a standalone encode →
 // compile → quantize of the same parameters hashes to, from either source.
 func TestEngineOutlivesItsClassifier(t *testing.T) {
 	for _, f := range []models.Family{models.ResNet, models.VGG, models.MobileNet, models.Transformer} {
-		base, clone, x, prune := sharedEnv(t, f)
+		base, clone, x, prune := tenantEnv(t, f)
 		x1, x16 := batches(t, x)
+		finetuned := clone()
+		prune(finetuned, []int{1, 5})
 		for _, prec := range []Precision{Float32, Int8} {
-			eng, tenant, _ := compileTenant(t, base, clone, prune, prec)
-			want1, want16 := eng.Logits(x1), eng.Logits(x16)
-
-			delta, err := checkpoint.EncodeModelDelta(base, tenant)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fromDelta, _ := engineFromDelta(t, base, delta, prec)
-			fp, qsig := standaloneSignatures(t, tenant, prec)
-			for src, e := range map[string]*Engine{"OwnParams": eng, "DeltaView": fromDelta} {
-				if e.Fingerprint() != fp || e.QuantSignature() != qsig {
-					t.Fatalf("%s/%s/%s: fingerprint %016x signature %016x, standalone plans hash to %016x / %016x",
-						f, prec, src, e.Fingerprint(), e.QuantSignature(), fp, qsig)
+			for name, values := range map[string]*nn.Classifier{"fine-tuned": finetuned, "untouched": base} {
+				// Private copies of the universal model and the tenant: both
+				// are overwritten once the engines are compiled.
+				universal, tenant := clone(), clone()
+				values.CloneWeightsTo(tenant)
+				own, err := NewWithOptions(tenant, 4, sparsity.NM{N: 2, M: 4}, CompileOptions{Precision: prec})
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-
-			nan := math.NaN()
-			for _, p := range tenant.Params() {
-				for _, ts := range []*tensor.Tensor{p.W, p.Mask, p.Grad} {
-					if ts != nil {
-						ts.Fill(nan)
+				delta, err := checkpoint.EncodeModelDelta(universal, tenant)
+				if err != nil {
+					t.Fatal(err)
+				}
+				engines := map[string]*Engine{"OwnParams": own, "DeltaView": engineFromDelta(t, universal, delta, prec)}
+				fp, qsig := standaloneSignatures(t, tenant, prec)
+				want := map[string][2]*tensor.Tensor{}
+				for src, e := range engines {
+					if e.Fingerprint() != fp || e.QuantSignature() != qsig {
+						t.Fatalf("%s/%s/%s/%s: fingerprint %016x signature %016x, standalone plans hash to %016x / %016x",
+							f, name, prec, src, e.Fingerprint(), e.QuantSignature(), fp, qsig)
 					}
+					want[src] = [2]*tensor.Tensor{e.Logits(x1), e.Logits(x16)}
 				}
-			}
-			nn.Walk(tenant.Net, func(l nn.Layer) {
-				if bn, ok := l.(*nn.BatchNorm2D); ok {
-					bn.RunMean.Fill(nan)
-					bn.RunVar.Fill(nan)
-				}
-			})
-			for i, pair := range [][2]*tensor.Tensor{{want1, eng.Logits(x1)}, {want16, eng.Logits(x16)}} {
-				for j, w := range pair[0].Data {
-					if got := pair[1].Data[j]; math.Float64bits(got) != math.Float64bits(w) {
-						t.Fatalf("%s/%s: input %d logit %d changed when the classifier was overwritten: %v vs %v", f, prec, i, j, got, w)
+
+				poison(tenant)
+				poison(universal)
+				for src, e := range engines {
+					if !sameLogits(e.Logits(x1), want[src][0]) || !sameLogits(e.Logits(x16), want[src][1]) {
+						t.Fatalf("%s/%s/%s/%s: logits changed when the tenant and the universal model were overwritten", f, name, prec, src)
 					}
 				}
 			}
 		}
 
 		// GC half: nothing the engine holds keeps the tenant's weights alive.
-		eng, _, weights := compileTenant(t, base, clone, prune, Float32)
+		eng, weights := compileTenant(t, clone, prune)
 		runtime.GC()
 		runtime.GC()
 		if weights.Value() != nil {
@@ -186,19 +205,18 @@ func sameLogits(a, b *tensor.Tensor) bool {
 
 // engineFromDelta compiles a tenant the way the serving layer promotes one:
 // a validated view over its delta as the source, the universal model as the
-// layer tree, fresh shared slabs and registry.
-func engineFromDelta(t *testing.T, base *nn.Classifier, delta []byte, prec Precision) (*Engine, CompileOptions) {
+// layer tree.
+func engineFromDelta(t *testing.T, base *nn.Classifier, delta []byte, prec Precision) *Engine {
 	t.Helper()
 	view, err := checkpoint.ViewModelDelta(delta, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := compileOpts(base, format.NewRegistry(), prec)
-	eng, err := NewFromSource(base, view, 4, sparsity.NM{N: 2, M: 4}, opts)
+	eng, err := NewFromSource(base, view, 4, sparsity.NM{N: 2, M: 4}, CompileOptions{Precision: prec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return eng, opts
+	return eng
 }
 
 // TestEngineFromDeltaMatchesEngineFromClone: compiling straight from (base,
@@ -207,15 +225,14 @@ func engineFromDelta(t *testing.T, base *nn.Classifier, delta []byte, prec Preci
 // same Fingerprint, QuantSignature, MemoryFootprint and CompressedLayers,
 // logits bit for bit at batch 1 and 16. Three tenants each: fine-tuned
 // (kept values stored), mask-only (pruned, every kept value still the
-// base's: every delta entry is "same", every plan binds its slab) and
-// untouched (no masks: every plan binds its slab — attention's included —
-// and depthwise layers, which only mobilenet-s has, borrow the shared
-// effective tensors). The fine-tuned one is also held to the engine compiled
-// from the pruned tenant itself, which shares no decoding with either path.
+// base's: every delta entry is "same") and untouched (no masks: every value
+// is read through the base). The fine-tuned one is also held to the engine
+// compiled from the pruned tenant itself, which shares no decoding with
+// either path.
 func TestEngineFromDeltaMatchesEngineFromClone(t *testing.T) {
 	nm := sparsity.NM{N: 2, M: 4}
 	for _, f := range []models.Family{models.ResNet, models.VGG, models.MobileNet, models.Transformer} {
-		base, clone, x, prune := sharedEnv(t, f)
+		base, clone, x, prune := tenantEnv(t, f)
 		x1, x16 := batches(t, x)
 		finetuned := clone()
 		prune(finetuned, []int{1, 5})
@@ -235,11 +252,11 @@ func TestEngineFromDeltaMatchesEngineFromClone(t *testing.T) {
 				if err := checkpoint.ApplyModelDelta(delta, base, rebuilt); err != nil {
 					t.Fatal(err)
 				}
-				want, err := NewWithOptions(rebuilt, 4, nm, compileOpts(base, format.NewRegistry(), prec))
+				want, err := NewWithOptions(rebuilt, 4, nm, CompileOptions{Precision: prec})
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, opts := engineFromDelta(t, base, delta, prec)
+				got := engineFromDelta(t, base, delta, prec)
 				if got.Fingerprint() != want.Fingerprint() || got.QuantSignature() != want.QuantSignature() ||
 					got.MemoryFootprint() != want.MemoryFootprint() || got.CompressedLayers != want.CompressedLayers {
 					t.Fatalf("%s/%s/%s: from delta fp %016x qsig %016x footprint %d layers %d, from clone %016x %016x %d %d", f, name, prec,
@@ -249,23 +266,13 @@ func TestEngineFromDeltaMatchesEngineFromClone(t *testing.T) {
 				if !sameLogits(got.Logits(x1), want.Logits(x1)) || !sameLogits(got.Logits(x16), want.Logits(x16)) {
 					t.Fatalf("%s/%s/%s: logits from the delta differ from the clone path's", f, name, prec)
 				}
-				switch name {
-				case "fine-tuned":
-					direct, err := NewWithOptions(tenant, 4, nm, compileOpts(base, format.NewRegistry(), prec))
+				if name == "fine-tuned" {
+					direct, err := NewWithOptions(tenant, 4, nm, CompileOptions{Precision: prec})
 					if err != nil {
 						t.Fatal(err)
 					}
 					if got.Fingerprint() != direct.Fingerprint() || got.QuantSignature() != direct.QuantSignature() || !sameLogits(got.Logits(x16), direct.Logits(x16)) {
 						t.Fatalf("%s/%s: engine from the delta is not the engine compiled from the pruned tenant", f, prec)
-					}
-				case "mask-only", "untouched":
-					for _, m := range resident(got) {
-						if m.plan != nil && !m.plan.Shared() {
-							t.Fatalf("%s/%s/%s: a tenant whose kept values are the base's compiled an owned plan from its delta", f, name, prec)
-						}
-					}
-					if name == "untouched" && (f == models.MobileNet) != (len(opts.Shared.eff) > 0) {
-						t.Fatalf("%s/%s: %d shared effective tensors borrowed by an untouched tenant", f, prec, len(opts.Shared.eff))
 					}
 				}
 			}
@@ -292,7 +299,7 @@ func baseBytes(t *testing.T, base *nn.Classifier) []byte {
 // serve concurrently (clean under -race).
 func TestEngineFromDeltaOwnsWhatItReads(t *testing.T) {
 	for _, f := range []models.Family{models.ResNet, models.VGG, models.MobileNet, models.Transformer} {
-		base, clone, x, prune := sharedEnv(t, f)
+		base, clone, x, prune := tenantEnv(t, f)
 		x1, x16 := batches(t, x)
 		before := baseBytes(t, base)
 		for _, prec := range []Precision{Float32, Int8} {
@@ -306,7 +313,7 @@ func TestEngineFromDeltaOwnsWhatItReads(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				engines[i], _ = engineFromDelta(t, base, delta, prec)
+				engines[i] = engineFromDelta(t, base, delta, prec)
 				want[i] = [2]*tensor.Tensor{engines[i].Logits(x1), engines[i].Logits(x16)}
 				for j := range delta {
 					delta[j] = 0xA5

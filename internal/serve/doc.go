@@ -157,17 +157,18 @@
 // budget configured the cache becomes a three-tier hierarchy:
 //
 //	hot   — compiled engine + delta, ready to Predict. Bounded by CacheSize
-//	        and by HotFraction (default 0.75) of the budget. Engines
-//	        compile against shared universal weight slabs
-//	        (inference.SharedWeights) and deduplicate bit-identical plans
-//	        through a format.Registry, so even the hot tier never clones
-//	        what it can reference. An engine retains what its forward
-//	        pass reads and nothing else, so an Int8 tenant is the smaller
-//	        one: on the benchmark fixture a hot resnet-s tenant is
-//	        ~292 KB at Int8 against ~434 KB at Float32 (transformer-s
-//	        ~50 KB against ~56 KB), of which ~177 KB (~24 KB) is the
-//	        delta. Size the hot tier from Stats.HotBytes/CachedEngines
-//	        at the precision you serve.
+//	        and by HotFraction (default 0.75) of the budget. Every engine
+//	        owns its plans and shares none: each tenant is fine-tuned
+//	        between pruning rounds, so no two tenants — nor a tenant and
+//	        the universal model — compile equal plans, and there is
+//	        nothing to share. An engine retains what its forward pass
+//	        reads and nothing else, so an Int8 tenant is the smaller one:
+//	        on the benchmark fixture a hot resnet-s tenant is ~292 KB at
+//	        Int8 against ~434 KB at Float32 (transformer-s ~50 KB against
+//	        ~56 KB), of which ~177 KB (~24 KB) is the delta. Each tenant
+//	        costs the same whatever else is resident, so the hot tier
+//	        holds HotFraction·budget / (Stats.HotBytes/CachedEngines)
+//	        tenants at the precision you serve.
 //	warm  — demoted tenants as the delta alone: bit-packed masks plus
 //	        kept-position weight values only, a small fraction of a full
 //	        copy. Bounded by the rest of the budget.
@@ -176,8 +177,8 @@
 //	        transition can lose the only durable state.
 //
 // Lifecycle: an insert past the hot bound demotes the LRU engine — its
-// plans return their registry references, its batcher flushes — and the
-// delta it already carried parks in a warm LRU (Stats.Demotions).
+// batcher flushes and the engine is dropped — and the delta it already
+// carried parks in a warm LRU (Stats.Demotions).
 // A request for a warm tenant promotes instead of re-pruning, and builds no
 // classifier to do it: the engine compiles from the universal model's layer
 // tree and a checksum-verified view over the delta (checkpoint.DeltaView),

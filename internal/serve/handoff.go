@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-
-	"repro/internal/inference"
 )
 
 // ErrDraining reports a personalization rejected because the server is
@@ -72,11 +70,9 @@ func (s *Server) Drain() ([]HandoffTenant, error) {
 	tenants := make([]HandoffTenant, 0, len(s.entries)+len(s.warm))
 	for _, el := range s.entries {
 		p := el.Value.(*Personalization)
-		t := HandoffTenant{Key: p.Key, Classes: p.Classes, Fingerprint: p.engine.Fingerprint()}
-		if s.opts.Precision == inference.Int8 {
-			t.QuantSignature = p.engine.QuantSignature()
-		}
-		tenants = append(tenants, t)
+		tenants = append(tenants, HandoffTenant{
+			Key: p.Key, Classes: p.Classes, Fingerprint: p.engine.Fingerprint(), QuantSignature: p.engine.QuantSignature(),
+		})
 	}
 	for _, el := range s.warm {
 		we := el.Value.(*warmEntry)
@@ -107,11 +103,10 @@ func (s *Server) RestoreTenant(key string, wantFP, wantQSig uint64) error {
 	if el, ok := s.entries[key]; ok {
 		// Already resident (e.g. lazily restored by a predict racing the
 		// handoff): verify it is the same engine and adopt in place.
-		p := el.Value.(*Personalization)
-		fp := p.engine.Fingerprint()
+		eng := el.Value.(*Personalization).engine
 		s.mu.Unlock()
-		if wantFP != 0 && fp != wantFP {
-			return fmt.Errorf("serve: handoff {%s}: resident fingerprint %016x, want %016x", key, fp, wantFP)
+		if err := checkIdentity(eng, wantFP, wantQSig); err != nil {
+			return fmt.Errorf("serve: handoff {%s}: resident engine: %w", key, err)
 		}
 		return nil
 	}
@@ -125,14 +120,10 @@ func (s *Server) RestoreTenant(key string, wantFP, wantQSig uint64) error {
 		return err
 	}
 	s.mu.Lock()
-	inserted := s.insertLocked(key, p)
-	if inserted {
+	if s.insertLocked(key, p) {
 		s.stats.HandoffRestores++
 	}
 	s.mu.Unlock()
-	if !inserted {
-		p.release()
-	}
 	s.rebalance()
 	return nil
 }
@@ -170,17 +161,8 @@ func (s *Server) adoptTenant(key string, wantFP, wantQSig uint64) (*Personalizat
 		}
 		p = restored
 	}
-	if wantFP != 0 {
-		if fp := p.engine.Fingerprint(); fp != wantFP {
-			p.release()
-			return nil, fmt.Errorf("serve: handoff {%s}: fingerprint %016x, want %016x", key, fp, wantFP)
-		}
-	}
-	if wantQSig != 0 && s.opts.Precision == inference.Int8 {
-		if sig := p.engine.QuantSignature(); sig != wantQSig {
-			p.release()
-			return nil, fmt.Errorf("serve: handoff {%s}: quant signature %016x, want %016x", key, sig, wantQSig)
-		}
+	if err := checkIdentity(p.engine, wantFP, wantQSig); err != nil {
+		return nil, fmt.Errorf("serve: handoff {%s}: %w", key, err)
 	}
 	return p, nil
 }

@@ -169,6 +169,26 @@ func TestRestoreTenantErrors(t *testing.T) {
 	}
 }
 
+// TestRestoreTenantResidentChecksQuantSignature: a handoff onto a tenant an
+// Int8 server already holds is held to the quant signature as well as the
+// fingerprint — the check every other adoption makes.
+func TestRestoreTenantResidentChecksQuantSignature(t *testing.T) {
+	opts := int8Opts()
+	opts.SnapshotDir = t.TempDir()
+	s := newTestServer(t, opts)
+	p, _, err := s.Personalize([]int{1, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, qsig := p.Engine().Fingerprint(), p.Engine().QuantSignature()
+	if err := s.RestoreTenant(p.Key, fp, qsig); err != nil {
+		t.Fatalf("resident re-handoff: %v", err)
+	}
+	if err := s.RestoreTenant(p.Key, fp, qsig^1); err == nil {
+		t.Fatal("a resident tenant's quant signature mismatch must fail the handoff")
+	}
+}
+
 // TestLazyFailoverAdoptsPeerSnapshot: when a shard inherits a dead peer's
 // tenant through ordinary traffic (no handoff call), the personalize miss
 // path refreshes the shared store index and restores instead of re-pruning.

@@ -233,16 +233,17 @@ func benchShapeServer(t *testing.T, f models.Family, tiers Options) *Server {
 // benchmark's fixture shapes. With one hot slot and two tenants, each
 // request demotes the resident tenant (no encoding: its delta parks) and
 // promotes the other straight from (base, delta) — no classifier is built.
-// Measured per demote + promote pair: transformer-s 250 objects / 204 KB
-// for 14 plans (256 / 211 KB when it compiled 6 and kept attention's eight
-// projections dense; 792 / 692 KB when promotion built and filled a clone),
-// resnet-s 320 / 1.73 MB for 11 (400 / 1.95 MB; 1 326 / 6.45 MB). The
-// budgets leave some room for toolchain drift and admit neither a clone — a
-// build alone is 307 objects / 315 KB on transformer-s and 417 / 2.75 MB on
-// resnet-s — nor anything per plan beyond the plan itself: with a
-// CRISPFormat encoder allocated per parameter (4 objects each; compile owns
-// one and re-encodes it) the pairs read 298 and 351 objects, and eight dense
-// D×D projections are 64 KB of a transformer-s promotion's bytes.
+// Measured per demote + promote pair: transformer-s 226 objects / 203 KB
+// for 14 plans (245 / 204 KB while every promote interned its plans in a
+// cross-tenant registry; 256 / 211 KB when it compiled 6 and kept
+// attention's eight projections dense; 792 / 692 KB when promotion built and
+// filled a clone), resnet-s 299 / 1.73 MB for 11 (315 / 1.73 MB; 400 /
+// 1.95 MB; 1 326 / 6.45 MB). The budgets leave a little room for toolchain
+// drift and admit neither a clone — a build alone is 307 objects / 315 KB on
+// transformer-s and 417 / 2.75 MB on resnet-s — nor anything per plan beyond
+// the plan itself: a CRISPFormat encoder allocated per parameter (4 objects
+// each; compile owns one and re-encodes it) adds 56 and 44 objects, and
+// eight dense D×D projections are 64 KB of a transformer-s promotion's bytes.
 func TestPromoteAllocsBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -253,7 +254,7 @@ func TestPromoteAllocsBudget(t *testing.T) {
 	for _, c := range []struct {
 		family         models.Family
 		objects, bytes float64
-	}{{models.Transformer, 270, 240e3}, {models.ResNet, 345, 2.2e6}} {
+	}{{models.Transformer, 240, 215e3}, {models.ResNet, 310, 1.9e6}} {
 		t.Run(string(c.family), func(t *testing.T) {
 			s := benchShapeServer(t, c.family, Options{CacheSize: 1, MemoryBudgetBytes: 1 << 40})
 			sets := [][]int{{0, 1, 3}, {2, 5, 8}}
@@ -264,7 +265,7 @@ func TestPromoteAllocsBudget(t *testing.T) {
 			}
 			swap(0)
 			swap(1)
-			swap(0) // first promotion: fills the shared caches
+			swap(0) // first promotion: warms the pools
 			const pairs = 20
 			i := 1
 			var before, after runtime.MemStats

@@ -4,12 +4,7 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/checkpoint"
-	"repro/internal/format"
 	"repro/internal/inference"
-	"repro/internal/models"
-	"repro/internal/nn"
-	"repro/internal/tensor"
 )
 
 // int8Opts is quickOpts at Int8 precision.
@@ -243,92 +238,4 @@ func TestMixedPrecisionServingStorm(t *testing.T) {
 	if checked != len(sets) {
 		t.Fatalf("checked %d of %d sets", checked, len(sets))
 	}
-}
-
-// TestInt8RegistryHoldsWhatEnginesExecute: on an Int8 server the registry's
-// bytes are the int8 images of the quantized layers plus attention's float
-// plans — nothing float behind an image — and evicting a tenant returns
-// exactly its share. The expectation is recomputed with no engine involved:
-// each tenant's delta applied to a fresh classifier, every plan-backed
-// parameter through EncodeCRISP → Compile (→ Quantize), deduplicated on
-// content the way the registry keys it.
-func TestInt8RegistryHoldsWhatEnginesExecute(t *testing.T) {
-	s := benchShapeServer(t, models.Transformer, Options{CacheSize: 3, Precision: inference.Int8})
-	nm, bs := s.opts.Prune.NM, s.opts.Prune.BlockSize
-	baseParams := map[string]*nn.Param{}
-	for _, p := range s.base.Params() {
-		baseParams[p.Name] = p
-	}
-	// standalone returns the distinct images and attention plans behind one
-	// tenant, keyed on content, with their bytes.
-	standalone := func(delta []byte, into map[uint64]int64) {
-		clf := s.build()
-		if err := checkpoint.ApplyModelDelta(delta, s.base, clf); err != nil {
-			t.Fatal(err)
-		}
-		add := func(quantized bool, ps ...*nn.Param) {
-			for _, p := range ps {
-				masked := tensor.Mul(p.MatrixView(), p.MaskMatrixView())
-				plan := format.EncodeCSR(masked).Compile()
-				if !p.BlockExempt && p.Prunable {
-					if enc, err := format.EncodeCRISP(masked, bs, nm); err == nil {
-						plan = enc.Compile()
-					}
-				}
-				if !quantized {
-					plan.BindSlab(format.NewValueSlab(baseParams[p.Name].MatrixView()))
-					into[plan.Fingerprint()] = plan.SizeBytes()
-					continue
-				}
-				q, err := plan.Quantize()
-				if err != nil {
-					t.Fatal(err)
-				}
-				into[uint64(q.Hash(format.HashInit))] = q.SizeBytes()
-			}
-		}
-		nn.Walk(clf.Net, func(l nn.Layer) {
-			switch v := l.(type) {
-			case *nn.Linear:
-				add(true, v.Weight)
-			case *nn.TokenLinear:
-				add(true, v.Weight)
-			case *nn.PatchEmbed:
-				add(true, v.Weight)
-			case *nn.MultiHeadAttention:
-				add(false, v.Wq, v.Wk, v.Wv, v.Wo)
-			}
-		})
-	}
-	check := func(when string, deltas ...[]byte) {
-		t.Helper()
-		want := map[uint64]int64{}
-		for _, d := range deltas {
-			standalone(d, want)
-		}
-		var bytes int64
-		for _, b := range want {
-			bytes += b
-		}
-		if st := s.Stats(); st.SharedPlans != len(want) || st.SharedPlanBytes != bytes {
-			t.Fatalf("%s: registry holds %d entries / %d bytes, the resident images and attention plans are %d / %d",
-				when, st.SharedPlans, st.SharedPlanBytes, len(want), bytes)
-		}
-	}
-	var deltas [][]byte
-	for _, classes := range [][]int{{0, 1, 3}, {2, 5, 8}, {4, 6, 7}} {
-		p, _, err := s.Personalize(classes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		deltas = append(deltas, p.delta)
-	}
-	check("three hot tenants", deltas...)
-	// A fourth tenant evicts the least recently used one (no warm tier:
-	// the engine and its references go).
-	p, _, err := s.Personalize([]int{1, 2, 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("after an eviction", deltas[1], deltas[2], p.delta)
 }

@@ -13,7 +13,6 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/data"
 	"repro/internal/fault"
-	"repro/internal/format"
 	"repro/internal/inference"
 	"repro/internal/nn"
 	"repro/internal/pruner"
@@ -162,26 +161,17 @@ type Personalization struct {
 	// hot tier: engine-owned compiled state plus the delta, fixed at
 	// creation (see newPersonalization).
 	size int64
-	// releaseOnce guards release: eviction paths may race a duplicate
-	// insert's loser cleanup.
-	releaseOnce sync.Once
 }
 
 // release frees the per-tenant serving state an eviction leaves behind:
 // the batcher's queued generation is flushed (its waiting callers are
-// served, its pooled slices recycled) and the engine returns its shared
-// plan references to the dedup registry. In-flight Predicts racing the
-// release still complete — nothing the engine computes with is freed, only
-// shared-ownership bookkeeping. Idempotent.
+// served, its pooled slices recycled). In-flight Predicts racing the release
+// still complete — the engine is untouched; it is garbage once no caller
+// holds it. Safe to call more than once, and concurrently.
 func (p *Personalization) release() {
-	p.releaseOnce.Do(func() {
-		if p.bat != nil {
-			p.bat.forceFlush()
-		}
-		if p.engine != nil {
-			p.engine.Release()
-		}
-	})
+	if p.bat != nil {
+		p.bat.forceFlush()
+	}
 }
 
 // Engine exposes the compiled sparse inference engine.
@@ -296,13 +286,6 @@ type Stats struct {
 	WarmBytes         int64 `json:"warm_bytes"`
 	WarmEntries       int   `json:"warm_entries"`
 	ColdRecords       int   `json:"cold_records"`
-	// SharedPlans/SharedPlanRefs/SharedPlanBytes snapshot the cross-tenant
-	// plan dedup registry: canonical compiled plans alive, engine
-	// references onto them, and the bytes one copy of each occupies.
-	// Stable refs across personalize/evict cycles double as a leak probe.
-	SharedPlans     int   `json:"shared_plans"`
-	SharedPlanRefs  int   `json:"shared_plan_refs"`
-	SharedPlanBytes int64 `json:"shared_plan_bytes"`
 	// Workers echoes the pool bound.
 	Workers int `json:"workers"`
 	// Precision echoes the engine precision mode every personalization is
@@ -407,12 +390,6 @@ type Server struct {
 	base  *nn.Classifier
 	pool  *Pool
 	store *snapshotStore // nil when Options.SnapshotDir is empty
-	// shared exposes the universal weights as immutable slabs every
-	// compiled engine references instead of cloning, and registry dedups
-	// bit-identical compiled plans across tenants. Both are active on every
-	// server — sharing costs nothing — independent of MemoryBudgetBytes.
-	shared   *inference.SharedWeights
-	registry *format.Registry
 	// budget and hotBudget freeze the tier policy derived from Options:
 	// total resident bytes (hot + warm) and the hot tier's share. Zero
 	// budget means the legacy single-level count LRU.
@@ -468,8 +445,6 @@ func NewServer(build func() *nn.Classifier, base *nn.Classifier, ds *data.Datase
 		build:    build,
 		base:     base,
 		pool:     NewPool(opts.Workers),
-		shared:   inference.NewSharedWeights(base),
-		registry: format.NewRegistry(),
 		entries:  map[string]*list.Element{},
 		lru:      list.New(),
 		inflight: map[string]*inflightCall{},
@@ -700,8 +675,8 @@ func (s *Server) personalizeLane(classes []int, lane Lane, qos *QoSClass) (*Pers
 	if call.err == nil {
 		if !inserted {
 			// Lost an insert race (e.g. a concurrent Restore): the cached
-			// entry wins; this copy gives its shared references back. It
-			// stays fully serveable for the joined callers holding it.
+			// entry wins. This copy stays fully serveable for the joined
+			// callers holding it; release flushes what they queued.
 			call.p.release()
 		}
 		s.rebalance()
@@ -789,7 +764,6 @@ func (s *Server) personalize(classes []int, key string) (*Personalization, perso
 	// delta, nothing of the classifier or the training run behind it.
 	delta, err := checkpoint.EncodeModelDelta(s.base, clone)
 	if err != nil {
-		eng.Release()
 		return nil, srcPruned, fmt.Errorf("serve: encoding {%s}: %w", key, err)
 	}
 	if s.store != nil {
@@ -818,13 +792,8 @@ func (s *Server) compileEngine(clone *nn.Classifier, key string, testSplit func(
 	if s.opts.Precision != inference.Int8 {
 		return eng, 1, nil
 	}
-	// The throwaway reference engine binds the shared slabs (free memory
-	// win) but never joins the registry: it is dropped right after the
-	// measurement and would otherwise leak its plan references.
-	bs, nm := s.opts.Prune.BlockSize, s.opts.Prune.NM
-	ref, err := inference.NewWithOptions(clone, bs, nm, inference.CompileOptions{Shared: s.shared})
+	ref, err := inference.New(clone, s.opts.Prune.BlockSize, s.opts.Prune.NM)
 	if err != nil {
-		eng.Release()
 		return nil, 0, fmt.Errorf("serve: compiling reference engine for {%s}: %w", key, err)
 	}
 	test := testSplit()
@@ -1029,6 +998,5 @@ func (s *Server) Stats() Stats {
 	if s.store != nil {
 		st.ColdRecords = s.store.count()
 	}
-	st.SharedPlans, st.SharedPlanRefs, st.SharedPlanBytes = s.registry.Stats()
 	return st
 }

@@ -288,7 +288,6 @@ func (s *Server) restoreOne(key string) (*Personalization, error) {
 	}
 	delta, err := checkpoint.EncodeModelDelta(s.base, clone)
 	if err != nil {
-		eng.Release()
 		return nil, fmt.Errorf("serve: restoring {%s}: %w", key, err)
 	}
 	return s.newPersonalization(key, rec.Classes, rec.Report, rec.Accuracy, agreement, eng, delta), nil
@@ -331,11 +330,8 @@ func (s *Server) Restore() (int, error) {
 		if s.insertLocked(key, p) {
 			s.stats.RestoreHits++
 			restored++
-			s.mu.Unlock()
-		} else {
-			s.mu.Unlock()
-			p.release()
 		}
+		s.mu.Unlock()
 	}
 	// Engine sizes are only known after compilation, so a byte-budgeted
 	// restore can overshoot by one engine; settle the tiers before serving.

@@ -21,12 +21,11 @@ import (
 // personalized classifier survives only as a checkpoint model delta over the
 // universal base (mask + kept-position values — a small fraction of a full
 // copy), encoded once when the tenant is created. An engine squeezed out of
-// the hot tier is demoted: its compiled plans return their registry
-// references and that same delta parks in a warm LRU — no encoding work. A
-// later request promotes the record instead of re-pruning, and builds no
-// model to do it: the universal model supplies the layer tree and a validated
-// view over the delta (checkpoint.ViewModelDelta) the tenant's values. A
-// snapshot write does rebuild a clone (build + ApplyModelDelta), so a new
+// the hot tier is demoted: the engine is dropped and that same delta parks in
+// a warm LRU — no encoding work. A later request promotes the record instead
+// of re-pruning, and builds no model to do it: the universal model supplies
+// the layer tree and a validated view over the delta
+// (checkpoint.ViewModelDelta) the tenant's values. A snapshot write does rebuild a clone (build + ApplyModelDelta), so a new
 // record's pruned positions hold the base's values (dead data: none reads them).
 // Because compilation and quantization only ever read the effective weights
 // W ⊙ Mask — exactly what the delta preserves — promotion is bit-identical
@@ -55,7 +54,7 @@ type warmEntry struct {
 	// delta is the checkpoint model delta over the universal base.
 	delta []byte
 	// fp pins the float structural identity (plan fingerprints in compile
-	// order); qsig pins the int8 code identity on Int8 servers.
+	// order); qsig pins the int8 code identity (0 on Float32 servers).
 	fp   uint64
 	qsig uint64
 	size int64
@@ -67,12 +66,10 @@ func warmEntryBytes(we *warmEntry) int64 {
 
 // newEngine compiles the serving engine for the tenant src holds over tree
 // (a personalized clone and its own parameters, or base and a delta view) at
-// the server's precision, on the shared slabs and the cross-tenant registry.
+// the server's precision.
 func (s *Server) newEngine(tree *nn.Classifier, src inference.ParamSource, key string) (*inference.Engine, error) {
 	bs, nm := s.opts.Prune.BlockSize, s.opts.Prune.NM
-	eng, err := inference.NewFromSource(tree, src, bs, nm, inference.CompileOptions{
-		Precision: s.opts.Precision, Shared: s.shared, Registry: s.registry,
-	})
+	eng, err := inference.NewFromSource(tree, src, bs, nm, inference.CompileOptions{Precision: s.opts.Precision})
 	if err != nil {
 		return nil, fmt.Errorf("serve: compiling engine for {%s}: %w", key, err)
 	}
@@ -162,8 +159,7 @@ func (s *Server) trimWarmLocked() {
 // demote turns an evicted hot engine into a warm record (budgeted servers)
 // or simply releases it (legacy count-LRU servers). Either way the durable
 // copy is ensured first when a store is configured, so no tier transition
-// can lose the only recoverable state, and the engine's shared plan
-// references return to the registry.
+// can lose the only recoverable state.
 func (s *Server) demote(p *Personalization) {
 	if s.budget <= 0 {
 		p.release()
@@ -184,9 +180,7 @@ func (s *Server) demote(p *Personalization) {
 		agreement: p.Agreement,
 		delta:     p.delta,
 		fp:        p.engine.Fingerprint(),
-	}
-	if s.opts.Precision == inference.Int8 {
-		we.qsig = p.engine.QuantSignature()
+		qsig:      p.engine.QuantSignature(),
 	}
 	we.size = warmEntryBytes(we)
 	p.release()
@@ -239,9 +233,8 @@ func (s *Server) takeWarm(key string) *warmEntry {
 // promoteWarm rebuilds a hot Personalization from a warm record: compile the
 // engine straight from (base, delta view) — checksum-verified before compile
 // reads a value; no classifier is built — and verify the result is the engine
-// that was demoted: the structural fingerprint must match on every server,
-// and on Int8 the quant signature must too. The stored accuracy/agreement
-// carry over: the engine is pinned identical, so re-measuring would be waste.
+// that was demoted (checkIdentity). The stored accuracy/agreement carry over:
+// the engine is pinned identical, so re-measuring would be waste.
 func (s *Server) promoteWarm(we *warmEntry) (*Personalization, error) {
 	defer s.clock(&s.stats.PromoteNanos, time.Now())
 	view, err := checkpoint.ViewModelDelta(we.delta, s.base)
@@ -252,15 +245,23 @@ func (s *Server) promoteWarm(we *warmEntry) (*Personalization, error) {
 	if err != nil {
 		return nil, err
 	}
-	if fp := eng.Fingerprint(); fp != we.fp {
-		eng.Release()
-		return nil, fmt.Errorf("serve: promoting {%s}: fingerprint %016x, demoted engine had %016x", we.key, fp, we.fp)
-	}
-	if s.opts.Precision == inference.Int8 {
-		if sig := eng.QuantSignature(); sig != we.qsig {
-			eng.Release()
-			return nil, fmt.Errorf("serve: promoting {%s}: quant signature %016x, demoted engine had %016x", we.key, sig, we.qsig)
-		}
+	if err := checkIdentity(eng, we.fp, we.qsig); err != nil {
+		return nil, fmt.Errorf("serve: promoting {%s}: %w", we.key, err)
 	}
 	return s.newPersonalization(we.key, we.classes, we.report, we.accuracy, we.agreement, eng, we.delta), nil
+}
+
+// checkIdentity is the one check that an engine is the one a tenant's
+// fingerprint and quant signature pin, made by a warm promotion, a handoff
+// adoption and a handoff onto an already-resident tenant alike. A zero want
+// skips its half (an unverified adopt); a Float32 engine's signature is 0,
+// as is its warm record's.
+func checkIdentity(eng *inference.Engine, wantFP, wantQSig uint64) error {
+	if fp := eng.Fingerprint(); wantFP != 0 && fp != wantFP {
+		return fmt.Errorf("fingerprint %016x, want %016x", fp, wantFP)
+	}
+	if sig := eng.QuantSignature(); wantQSig != 0 && sig != wantQSig {
+		return fmt.Errorf("quant signature %016x, want %016x", sig, wantQSig)
+	}
+	return nil
 }
