@@ -13,8 +13,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"strconv"
-	"strings"
 
 	"repro/internal/accel"
 	"repro/internal/energy"
@@ -37,7 +35,7 @@ func main() {
 	)
 	flag.Parse()
 
-	nm, err := parseNM(*nmFlag)
+	nm, err := sparsity.ParseNM(*nmFlag)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -128,21 +126,4 @@ func head(evs []accel.TileEvent, n int) []accel.TileEvent {
 		return evs
 	}
 	return evs[:n]
-}
-
-func parseNM(s string) (sparsity.NM, error) {
-	parts := strings.SplitN(s, ":", 2)
-	if len(parts) != 2 {
-		return sparsity.NM{}, fmt.Errorf("bad N:M %q (want like 2:4)", s)
-	}
-	n, err := strconv.Atoi(parts[0])
-	if err != nil {
-		return sparsity.NM{}, err
-	}
-	m, err := strconv.Atoi(parts[1])
-	if err != nil {
-		return sparsity.NM{}, err
-	}
-	nm := sparsity.NM{N: n, M: m}
-	return nm, nm.Validate()
 }

@@ -14,8 +14,6 @@ import (
 	"log"
 	"math/rand"
 	"os"
-	"strconv"
-	"strings"
 
 	crisp "repro"
 	"repro/internal/checkpoint"
@@ -48,7 +46,7 @@ func main() {
 	)
 	flag.Parse()
 
-	nm, err := parseNM(*nmFlag)
+	nm, err := sparsity.ParseNM(*nmFlag)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -154,21 +152,4 @@ func widthFor(f models.Family) int {
 		return 1
 	}
 	return 2
-}
-
-func parseNM(s string) (sparsity.NM, error) {
-	parts := strings.SplitN(s, ":", 2)
-	if len(parts) != 2 {
-		return sparsity.NM{}, fmt.Errorf("bad N:M %q (want like 2:4)", s)
-	}
-	n, err := strconv.Atoi(parts[0])
-	if err != nil {
-		return sparsity.NM{}, fmt.Errorf("bad N in %q: %v", s, err)
-	}
-	m, err := strconv.Atoi(parts[1])
-	if err != nil {
-		return sparsity.NM{}, fmt.Errorf("bad M in %q: %v", s, err)
-	}
-	nm := sparsity.NM{N: n, M: m}
-	return nm, nm.Validate()
 }

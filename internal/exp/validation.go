@@ -4,10 +4,12 @@ import (
 	"fmt"
 
 	"repro/internal/accel"
+	"repro/internal/data"
 	"repro/internal/energy"
+	"repro/internal/inference"
 	"repro/internal/models"
+	"repro/internal/nn"
 	"repro/internal/pruner"
-	"repro/internal/quant"
 	"repro/internal/sparsity"
 )
 
@@ -120,48 +122,76 @@ func (h *Harness) SweepSparsity() ([]SweepRow, *Table) {
 	return rows, t
 }
 
-// QuantRow records accuracy before/after int8 weight quantization.
+// QuantRow records one pruned model served by both engine precisions.
 type QuantRow struct {
 	Family models.Family
-	Before float64
-	After  float64
-	MaxErr float64
+	// Float and Int8 are the test accuracies of the Float32 and Int8
+	// engines compiled from the same pruned classifier.
+	Float, Int8 float64
+	// Agreement is the share of test samples on which the two engines
+	// predict the same class — the quantity serve publishes per tenant as
+	// Personalization.Agreement.
+	Agreement float64
 }
 
-// AblationQuant measures the accuracy cost of 8-bit per-channel weights on
-// CRISP-pruned models — the deployment precision CRISP-STC computes at.
-func (h *Harness) AblationQuant() ([]QuantRow, *Table) {
+// quantModel prunes family f for Ablation F's scenario (5 ImageNet-like
+// user classes, κ=0.80, 2:4) and returns the model, its held-out split and
+// the options it was pruned with.
+func (h *Harness) quantModel(f models.Family) (*nn.Classifier, data.Split, pruner.Options) {
 	ds := h.ImageNetLike
 	sc := h.Scenario(ds, 5)
+	clf := h.Pretrained(f, ds)
+	o := h.pruneOpts(0.8)
+	o.NM = sparsity.NM{N: 2, M: 4}
+	pruner.NewCRISP(o).Prune(clf, sc.Train)
+	return clf, sc.Test, o
+}
+
+// AblationQuant compiles CRISP-pruned models into the engines the server
+// runs at each precision and compares them on the held-out split: the
+// Float32 engine (bit-identical to masked dense) against the Int8 one
+// (per-row int8 weights, per-column int8 activations, 32-bit integer
+// accumulation) — the deployment precision CRISP-STC computes at.
+func (h *Harness) AblationQuant() ([]QuantRow, *Table) {
 	var rows []QuantRow
 	for _, f := range []models.Family{models.ResNet, models.VGG} {
-		clf := h.Pretrained(f, ds)
-		o := h.pruneOpts(0.8)
-		o.NM = sparsity.NM{N: 2, M: 4}
-		pruner.NewCRISP(o).Prune(clf, sc.Train)
-		before := clf.Accuracy(sc.Test.X, sc.Test.Labels)
-		errs, err := quant.QuantizeModel(clf, quant.PerChannel)
+		clf, test, o := h.quantModel(f)
+		fp, err := inference.New(clf, o.BlockSize, o.NM)
 		if err != nil {
-			// A pruned+fine-tuned model with non-finite weights means the
-			// training diverged — an experiment invariant, not a data error.
-			panic(fmt.Sprintf("exp: quantizing %s: %v", f, err))
+			panic(fmt.Sprintf("exp: compiling %s: %v", f, err))
 		}
-		after := clf.Accuracy(sc.Test.X, sc.Test.Labels)
-		worst := 0.0
-		for _, e := range errs {
-			if e > worst {
-				worst = e
-			}
+		// Int8 compile fails closed on non-finite weights: the training
+		// diverged — an experiment invariant, not a data error.
+		q, err := inference.NewWithOptions(clf, o.BlockSize, o.NM, inference.CompileOptions{Precision: inference.Int8})
+		if err != nil {
+			panic(fmt.Sprintf("exp: compiling %s at int8: %v", f, err))
 		}
-		rows = append(rows, QuantRow{Family: f, Before: before, After: after, MaxErr: worst})
+		want, got := fp.Predict(test.X), q.Predict(test.X)
+		rows = append(rows, QuantRow{
+			Family:    f,
+			Float:     matchShare(want, test.Labels),
+			Int8:      matchShare(got, test.Labels),
+			Agreement: matchShare(got, want),
+		})
 	}
 	t := &Table{
-		Title:   "Ablation F: int8 per-channel weight quantization after CRISP pruning (κ=0.80)",
-		Columns: []string{"model", "acc-fp64", "acc-int8", "max-reconstruction-err"},
+		Title:   "Ablation F: served int8 engine vs float32 engine after CRISP pruning (κ=0.80, 2:4)",
+		Columns: []string{"model", "acc-float32", "acc-int8", "top1-agreement"},
 	}
 	for _, r := range rows {
-		t.Rows = append(t.Rows, []string{string(r.Family), f3(r.Before), f3(r.After), fmt.Sprintf("%.4f", r.MaxErr)})
+		t.Rows = append(t.Rows, []string{string(r.Family), f3(r.Float), f3(r.Int8), f3(r.Agreement)})
 	}
-	t.Notes = append(t.Notes, "CRISP-STC computes on int8 operands; quantization must not undo the pruning accuracy")
+	t.Notes = append(t.Notes, "accuracies are the engines crisp-serve runs at -precision float32 / int8; agreement is what it reports per int8 tenant")
 	return rows, t
+}
+
+// matchShare returns the fraction of positions where a and b agree.
+func matchShare(a, b []int) float64 {
+	n := 0
+	for i := range a {
+		if a[i] == b[i] {
+			n++
+		}
+	}
+	return float64(n) / float64(len(a))
 }

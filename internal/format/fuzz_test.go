@@ -1,6 +1,7 @@
 package format
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -132,6 +133,93 @@ func FuzzEncodeCRISPDecode(f *testing.F) {
 		dense := tensor.MatMul(w, x)
 		if !tensor.Equal(want, dense, 1e-9) {
 			t.Fatal("sparse SpMM differs from dense GEMM")
+		}
+	})
+}
+
+// FuzzPlanQuantize drives Plan.Quantize — the int8 quantizer the server
+// runs — across arbitrary weight matrices, magnitudes and sparsity, and
+// asserts the contract the int8 engines depend on:
+//
+//   - finite weights quantize with strictly positive, finite row scales;
+//   - every stored code is non-zero and inside the symmetric window
+//     [-127, 127];
+//   - every float-plan entry reconstructs within half its row scale (+
+//     rounding headroom); an entry whose code rounds to 0 is dropped and
+//     reconstructs as 0;
+//   - quantization is deterministic (equal Hash), the invariant the
+//     serving layer's snapshot-restore re-quantization checks;
+//   - one NaN/Inf weight fails the whole plan closed.
+func FuzzPlanQuantize(f *testing.F) {
+	f.Add(int64(1), 1.0, false, uint8(0), uint16(0))
+	f.Add(int64(2), 1e-6, true, uint8(1), uint16(3))
+	f.Add(int64(3), 1e6, false, uint8(2), uint16(17))
+	f.Add(int64(4), 0.0, true, uint8(3), uint16(65535))
+	// The four above leave one clean 2×1 matrix; these add a clean sparse
+	// 6×8 one and an all-zero 2×11 one (seed>>8 picks the width).
+	f.Add(int64(0x705), 1.0, true, uint8(0), uint16(0))
+	f.Add(int64(0xa03), 0.0, false, uint8(0), uint16(0))
+	f.Fuzz(func(t *testing.T, seed int64, scale float64, sparse bool, poison uint8, poisonAt uint16) {
+		if math.IsNaN(scale) || math.IsInf(scale, 0) || math.Abs(scale) > 1e12 {
+			t.Skip("scale itself out of the finite test envelope")
+		}
+		if scale != 0 && math.Abs(scale) < 1e-280 {
+			t.Skip("near-subnormal row scales cannot hold a half-scale error bound")
+		}
+		rows, cols := 1+int(uint64(seed)%7), 1+int(uint64(seed>>8)%15)
+		rng := rand.New(rand.NewSource(seed))
+		m := tensor.New(rows, cols)
+		// Magnitudes spread over 12 binades, so rows mix weights that
+		// quantize to 0 (and must be dropped) with ones near the row max.
+		for i := range m.Data {
+			if !sparse || rng.Intn(2) == 0 {
+				m.Data[i] = math.Ldexp(scale*(rng.Float64()-0.5), -rng.Intn(12))
+			}
+		}
+
+		// poison != 0 injects one non-finite weight: Quantize must reject
+		// the whole plan, never emit codes for it.
+		if poison%4 != 0 {
+			bad := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[poison%4-1]
+			m.Data[int(poisonAt)%len(m.Data)] = bad
+			if q, err := EncodeCSR(m).Compile().Quantize(); err == nil {
+				t.Fatalf("non-finite weight %v produced codes %v instead of failing closed", bad, q.Code)
+			}
+			return
+		}
+
+		p := EncodeCSR(m).Compile()
+		q, err := p.Quantize()
+		if err != nil {
+			t.Fatalf("finite weights rejected: %v", err)
+		}
+		deq := make([]float64, rows*cols)
+		for r, s := range q.RowScale {
+			if !(s > 0) || math.IsInf(s, 0) {
+				t.Fatalf("row %d scale %v not strictly positive and finite", r, s)
+			}
+			for i := q.RowPtr[r]; i < q.RowPtr[r+1]; i++ {
+				if c := q.Code[i]; c == 0 || c < -127 {
+					t.Fatalf("row %d entry %d: code %d outside the non-zero symmetric int8 window", r, i, c)
+				}
+				deq[r*cols+int(q.Col[i])] = float64(q.Code[i]) * s
+			}
+		}
+		for r := 0; r < p.Rows; r++ {
+			s := q.RowScale[r]
+			for i := p.RowPtr[r]; i < p.RowPtr[r+1]; i++ {
+				if e := math.Abs(deq[r*cols+int(p.Col[i])] - p.Val[i]); e > s/2+1e-9*s {
+					t.Fatalf("row %d col %d: reconstruction error %v exceeds half-scale %v", r, p.Col[i], e, s/2)
+				}
+			}
+		}
+
+		q2, err := p.Quantize()
+		if err != nil {
+			t.Fatalf("second quantization rejected: %v", err)
+		}
+		if q2.Hash(HashInit) != q.Hash(HashInit) {
+			t.Fatal("two quantizations of the same plan differ")
 		}
 	})
 }

@@ -150,12 +150,6 @@ func (p *Plan) Quantize() (*QuantPlan, error) {
 	return q, nil
 }
 
-// CompileQuantized compiles any encoding straight to its int8 plan:
-// CompilePlan for the layout, then Quantize for the codes.
-func CompileQuantized(e Encoded) (*QuantPlan, error) {
-	return CompilePlan(e).Quantize()
-}
-
 // QuantScratch holds one SpMM call's activation-quantization and
 // accumulation buffers. Contents need not be initialized — every element is
 // overwritten before use — so callers on a hot path hand in recycled arena
@@ -312,9 +306,9 @@ func quantizePacked(bd []float64, rows, n, halfW int, packed []uint64, colScale,
 			dst := packed[r*halfW : (r+1)*halfW]
 			for jp := 0; jp < halfW; jp++ {
 				j0 := 2 * jp
-				w := encodeBiased(src[j0], colInv[j0])
+				w := EncodeBiased(src[j0], colInv[j0])
 				if j0+1 < n {
-					w |= encodeBiased(src[j0+1], colInv[j0+1]) << 32
+					w |= EncodeBiased(src[j0+1], colInv[j0+1]) << 32
 				} else {
 					w |= 128 << 32 // pad lane: biased zero
 				}
@@ -350,10 +344,6 @@ func EncodeBiased(v, inv float64) uint64 {
 		return 128
 	}
 }
-
-// encodeBiased is the internal alias (kept for the packed encoder's hot
-// loop).
-func encodeBiased(v, inv float64) uint64 { return EncodeBiased(v, inv) }
 
 // spanMAC accumulates one sign span's entries into acc: for each stored
 // entry, |code| times the gathered packed activation word. The walk is

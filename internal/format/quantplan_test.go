@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/sparsity"
 	"repro/internal/tensor"
@@ -116,34 +117,65 @@ func TestQuantPlanReconstruction(t *testing.T) {
 	}
 }
 
-// TestCompileQuantized: the one-call path must match compile-then-quantize.
-func TestCompileQuantized(t *testing.T) {
-	rng := rand.New(rand.NewSource(83))
-	w := hybridMatrix(rng, 16, 32, 8, sparsity.NM{N: 2, M: 4}, 1)
-	e, err := EncodeCRISP(w, 8, sparsity.NM{N: 2, M: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := CompileQuantized(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := e.Compile()
-	q2, err := p.Quantize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(q.Code) != len(q2.Code) {
-		t.Fatalf("code lengths differ: %d vs %d", len(q.Code), len(q2.Code))
-	}
-	for i := range q.Code {
-		if q.Code[i] != q2.Code[i] {
-			t.Fatalf("code %d differs: %d vs %d", i, q.Code[i], q2.Code[i])
+// dequantize decodes q into a dense row-major [Rows, Cols] matrix: stored
+// entries become Code·RowScale, dropped (zero-code) entries stay 0.
+func dequantize(q *QuantPlan) []float64 {
+	deq := make([]float64, q.Rows*q.Cols)
+	for r, s := range q.RowScale {
+		for i := q.RowPtr[r]; i < q.RowPtr[r+1]; i++ {
+			deq[r*q.Cols+int(q.Col[i])] = float64(q.Code[i]) * s
 		}
 	}
-	x := tensor.Randn(rng, 1, 32, 4)
-	if !tensor.Equal(q.MatMul(x), q2.MatMul(x), 0) {
-		t.Fatal("CompileQuantized result differs from Compile().Quantize()")
+	return deq
+}
+
+// TestPlanQuantizeRoundTripBounds: a dense Gaussian matrix quantizes with
+// strictly positive row scales and every weight reconstructs within half
+// its row scale.
+func TestPlanQuantizeRoundTripBounds(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	m := tensor.Randn(rng, 2, 8, 16)
+	p := EncodeCSR(m).Compile()
+	q, err := p.Quantize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	deq := dequantize(q)
+	for r := 0; r < 8; r++ {
+		s := q.RowScale[r]
+		if !(s > 0) {
+			t.Fatalf("row %d scale %v not strictly positive", r, s)
+		}
+		for c := 0; c < 16; c++ {
+			if e := math.Abs(deq[r*16+c] - m.At(r, c)); e > s/2+1e-12 {
+				t.Fatalf("row %d col %d: error %v exceeds half-scale %v", r, c, e, s/2)
+			}
+		}
+	}
+}
+
+// TestPlanQuantizeErrorBoundProperty: the half-scale reconstruction bound
+// holds for any seed and weight magnitude.
+func TestPlanQuantizeErrorBoundProperty(t *testing.T) {
+	f := func(seed int64, scale uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		m := tensor.Randn(rng, float64(scale%50)+0.1, 4, 8)
+		q, err := EncodeCSR(m).Compile().Quantize()
+		if err != nil {
+			return false
+		}
+		deq := dequantize(q)
+		for r := 0; r < 4; r++ {
+			for c := 0; c < 8; c++ {
+				if math.Abs(deq[r*8+c]-m.At(r, c)) > q.RowScale[r]/2+1e-9 {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -193,7 +225,7 @@ func TestQuantizeRejectsNonFiniteWeights(t *testing.T) {
 func TestQuantMatMulIntoDirtyScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(85))
 	w := hybridMatrix(rng, 32, 64, 8, sparsity.NM{N: 2, M: 4}, 2)
-	q, err := CompileQuantized(EncodeCSR(w))
+	q, err := EncodeCSR(w).Compile().Quantize()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +300,7 @@ func TestQuantMatMulZeroAndNonFiniteActivations(t *testing.T) {
 func TestQuantMatMulParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(87))
 	w := hybridMatrix(rng, 128, 256, 8, sparsity.NM{N: 2, M: 4}, 2)
-	q, err := CompileQuantized(EncodeCSR(w))
+	q, err := EncodeCSR(w).Compile().Quantize()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,11 +2,13 @@ package inference
 
 import (
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 
 	"repro/internal/data"
 	"repro/internal/models"
+	"repro/internal/sparsity"
 	"repro/internal/tensor"
 )
 
@@ -87,6 +89,43 @@ func TestInt8EngineAgreementGolden(t *testing.T) {
 		if frac < tc.minAgree {
 			t.Fatalf("%s: top-1 agreement %.3f below the %.2f floor", tc.family, frac, tc.minAgree)
 		}
+	}
+}
+
+// TestInt8EngineAccuracyClose: on a lightly trained dense model, serving at
+// int8 must not change held-out accuracy materially. The float engine is
+// the baseline, and it scores exactly the classifier's own accuracy.
+func TestInt8EngineAccuracyClose(t *testing.T) {
+	cfg := data.Config{Name: "q", NumClasses: 6, Channels: 3, H: 8, W: 8, Noise: 0.25, Jitter: 1, Seed: 3}
+	ds := data.New(cfg)
+	clf := models.Build(models.ResNet, rand.New(rand.NewSource(4)), 6, 1)
+	all := []int{0, 1, 2, 3, 4, 5}
+	split := ds.MakeSplit("train", all, 8)
+	for e := 0; e < 2; e++ {
+		x := tensor.New(split.Len(), 3, 8, 8)
+		copy(x.Data, split.X.Data)
+		clf.TrainBatch(x, split.Labels)
+	}
+	test := ds.MakeSplit("test", all, 6)
+	accuracy := func(opts CompileOptions) float64 {
+		eng, err := NewWithOptions(clf, 4, sparsity.NM{N: 2, M: 4}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hit := 0
+		for i, c := range eng.Predict(test.X) {
+			if c == test.Labels[i] {
+				hit++
+			}
+		}
+		return float64(hit) / float64(len(test.Labels))
+	}
+	fp, q8 := accuracy(CompileOptions{}), accuracy(CompileOptions{Precision: Int8})
+	if dense := clf.Accuracy(test.X, test.Labels); fp != dense {
+		t.Fatalf("float engine accuracy %v, classifier %v", fp, dense)
+	}
+	if math.Abs(fp-q8) > 0.15 {
+		t.Fatalf("int8 serving moved accuracy %v → %v", fp, q8)
 	}
 }
 

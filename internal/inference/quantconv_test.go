@@ -41,7 +41,7 @@ func TestQuantConvForwardMatchesReference(t *testing.T) {
 				w.Data[i] = 0
 			}
 		}
-		qp, err := format.CompileQuantized(format.EncodeCSR(w))
+		qp, err := format.EncodeCSR(w).Compile().Quantize()
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}

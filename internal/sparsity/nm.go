@@ -10,6 +10,8 @@ package sparsity
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"repro/internal/tensor"
 )
@@ -26,6 +28,24 @@ func (nm NM) Validate() error {
 		return fmt.Errorf("sparsity: invalid N:M pattern %d:%d", nm.N, nm.M)
 	}
 	return nil
+}
+
+// ParseNM parses a pattern written "N:M" (e.g. "2:4") and validates it.
+func ParseNM(s string) (NM, error) {
+	ns, ms, ok := strings.Cut(s, ":")
+	if !ok {
+		return NM{}, fmt.Errorf("sparsity: bad N:M %q (want like 2:4)", s)
+	}
+	n, err := strconv.Atoi(ns)
+	if err != nil {
+		return NM{}, fmt.Errorf("sparsity: bad N in %q: %v", s, err)
+	}
+	m, err := strconv.Atoi(ms)
+	if err != nil {
+		return NM{}, fmt.Errorf("sparsity: bad M in %q: %v", s, err)
+	}
+	nm := NM{N: n, M: m}
+	return nm, nm.Validate()
 }
 
 // Density returns N/M, the kept fraction under the pattern.

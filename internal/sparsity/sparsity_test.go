@@ -20,6 +20,30 @@ func TestNMValidate(t *testing.T) {
 	}
 }
 
+func TestParseNM(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want NM
+		ok   bool
+	}{
+		{"2:4", NM{2, 4}, true},
+		{"1:1", NM{1, 1}, true},
+		{"2", NM{}, false},
+		{"a:4", NM{}, false},
+		{"2:b", NM{}, false},
+		{"5:4", NM{}, false},
+		{"0:4", NM{}, false},
+	} {
+		got, err := ParseNM(c.in)
+		if (err == nil) != c.ok {
+			t.Fatalf("ParseNM(%q) error %v, want ok=%v", c.in, err, c.ok)
+		}
+		if c.ok && got != c.want {
+			t.Fatalf("ParseNM(%q) = %v, want %v", c.in, got, c.want)
+		}
+	}
+}
+
 func TestApplyNMKeepsTopScores(t *testing.T) {
 	scores := tensor.FromSlice([]float64{
 		4, 1, 3, 2, 9, 8, 7, 6,
