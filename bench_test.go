@@ -1,21 +1,13 @@
 package crisp
 
 import (
-	"bytes"
-	"encoding/json"
-	"fmt"
-	"io"
 	"math"
 	"math/rand"
-	"net/http"
-	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/accel"
-	"repro/internal/api"
-	"repro/internal/cluster"
 	"repro/internal/data"
 	"repro/internal/energy"
 	"repro/internal/exp"
@@ -30,9 +22,9 @@ import (
 )
 
 // Figure/table benchmarks: each regenerates one of the paper's evaluation
-// artifacts at quick scale (DESIGN.md §4 maps benchmarks to figures; see
-// EXPERIMENTS.md for recorded outputs). They report one op per full
-// regeneration.
+// artifacts at quick scale (exp.Figures lists them by name; `go run
+// ./cmd/crisp-bench -fig <name>` prints the same tables). They report one
+// op per full regeneration.
 
 func benchHarness() *exp.Harness {
 	return exp.NewHarness(exp.Config{Scale: exp.Quick, Seed: 1})
@@ -201,8 +193,7 @@ func BenchmarkMem_ModelSize(b *testing.B) {
 // width-2 resnet-s layer at batch 16 (OutC=16, K=144, N·P=1024) —
 // dW = dy·colsᵀ (A·Bᵀ) and dcols = Wᵀ·dy (Aᵀ·B). allocs/op is the number to
 // read: all three shapes fan out over the worker pool, whose handoff is the
-// only allocation a call makes. ns/op is not gateable on shared CI hosts,
-// so none of these has a BENCH_baseline.json entry.
+// only allocation a call makes.
 func BenchmarkGEMM(b *testing.B) {
 	for _, bc := range []struct {
 		name           string
@@ -274,54 +265,6 @@ func BenchmarkSpMM_CSR(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.MatMul(x)
-	}
-}
-
-// benchPlanPair compiles the float and int8 plans of one memory-bound
-// hybrid-sparse matrix plus a batch-16 activation block — the SpMM
-// precision shoot-out fixture (512×4096 at ~10% density: the gather walks
-// far more activation memory than fits in cache lines per row, so the
-// kernels are bound by operand traffic, which is exactly where 8-bit
-// operands pay).
-func benchPlanPair(b *testing.B) (*format.Plan, *format.QuantPlan, *tensor.Tensor) {
-	b.Helper()
-	w := benchHybridMatrix(512, 4096, 16, sparsity.NM{N: 2, M: 4})
-	p := format.EncodeCSR(w).Compile()
-	q, err := p.Quantize()
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(6))
-	x := tensor.Randn(rng, 1, 4096, 16)
-	return p, q, x
-}
-
-// BenchmarkSpMM_PlanFloatBatch16 is the float compiled-plan kernel on the
-// batch-16 memory-bound shape — the reference the int8 kernel must meet.
-// Output and scratch live outside the loop, so steady state is
-// allocation-free up to the row-parallel fan-out.
-func BenchmarkSpMM_PlanFloatBatch16(b *testing.B) {
-	b.ReportAllocs()
-	p, _, x := benchPlanPair(b)
-	out := tensor.New(p.Rows, 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.MatMulInto(x, out)
-	}
-}
-
-// BenchmarkSpMM_PlanInt8Batch16 is the quantized kernel on the same shape:
-// per-column activation quantization + SWAR integer MAC + dequantizing
-// store, with recycled scratch. The acceptance bar is ns/op at or below
-// the float plan's.
-func BenchmarkSpMM_PlanInt8Batch16(b *testing.B) {
-	b.ReportAllocs()
-	_, q, x := benchPlanPair(b)
-	out := tensor.New(q.Rows, 16)
-	s := q.Scratch(16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q.MatMulInto(x, out, s)
 	}
 }
 
@@ -399,25 +342,10 @@ func BenchmarkAccelSimulate(b *testing.B) {
 // GEMMs (the training-time representation).
 func BenchmarkInference_MaskedDense(b *testing.B) {
 	b.ReportAllocs()
-	clf, x := benchPrunedModel(b)
+	clf, x := benchPrunedFamily(b, models.ResNet)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		clf.Logits(x, false)
-	}
-}
-
-// BenchmarkInference_SparseEngine measures inference through the CRISP
-// storage format's SpMM kernels (the deployed representation).
-func BenchmarkInference_SparseEngine(b *testing.B) {
-	b.ReportAllocs()
-	clf, x := benchPrunedModel(b)
-	eng, err := inference.New(clf, 4, sparsity.NM{N: 2, M: 4})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.Logits(x)
 	}
 }
 
@@ -431,104 +359,10 @@ func benchSamples(x *tensor.Tensor) []*tensor.Tensor {
 	return xs
 }
 
-// BenchmarkInference_SparsePerSample16 serves a 16-sample workload one
-// sample at a time: 16 sparse forward passes, 16 SpMMs per layer.
-func BenchmarkInference_SparsePerSample16(b *testing.B) {
-	b.ReportAllocs()
-	clf, x := benchPrunedModel(b)
-	eng, err := inference.New(clf, 4, sparsity.NM{N: 2, M: 4})
-	if err != nil {
-		b.Fatal(err)
-	}
-	xs := benchSamples(x)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, s := range xs {
-			eng.Logits(s)
-		}
-	}
-}
-
-// BenchmarkInference_SparseBatch16 serves the same 16-sample workload as
-// one batch: one sparse forward pass, one SpMM per layer (the serving
-// layer's fast path; compare against SparsePerSample16 for the batching
-// win, which must be ≥2× at batch 16).
-func BenchmarkInference_SparseBatch16(b *testing.B) {
-	b.ReportAllocs()
-	clf, x := benchPrunedModel(b)
-	eng, err := inference.New(clf, 4, sparsity.NM{N: 2, M: 4})
-	if err != nil {
-		b.Fatal(err)
-	}
-	xs := benchSamples(x)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.LogitsBatch(xs)
-	}
-}
-
-// BenchmarkInference_TransformerPerSample16 is the per-sample loop on the
-// transformer, where each sample offers the SpMM only a handful of token
-// columns — the worst case for per-sample serving: the sparse metadata is
-// decoded once per nonzero but amortized over almost nothing.
-func BenchmarkInference_TransformerPerSample16(b *testing.B) {
-	b.ReportAllocs()
-	clf, x := benchPrunedFamily(b, models.Transformer)
-	eng, err := inference.New(clf, 4, sparsity.NM{N: 2, M: 4})
-	if err != nil {
-		b.Fatal(err)
-	}
-	xs := benchSamples(x)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, s := range xs {
-			eng.Logits(s)
-		}
-	}
-}
-
-// BenchmarkInference_TransformerBatch16 is the batched path on the same
-// workload: 16× the activation columns per SpMM, so the metadata decode
-// amortizes and batched inference beats the per-sample loop by ≥2× even on
-// one core (conv families lower each sample to OH·OW columns via im2col,
-// so their per-sample baseline is already partially batched; token/linear
-// layers are where serving one sample at a time really pays).
-func BenchmarkInference_TransformerBatch16(b *testing.B) {
-	b.ReportAllocs()
-	clf, x := benchPrunedFamily(b, models.Transformer)
-	eng, err := inference.New(clf, 4, sparsity.NM{N: 2, M: 4})
-	if err != nil {
-		b.Fatal(err)
-	}
-	xs := benchSamples(x)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.LogitsBatch(xs)
-	}
-}
-
-// BenchmarkInference_Int8Batch16 serves the 16-sample CNN workload through
-// the int8 engine — the quantized twin of Inference_SparseBatch16 (same
-// model, same batch): per-column activation quantization, SWAR integer
-// MACs and dequantizing stores ride the engine arena, so allocs/op must
-// stay at the float engine's level.
-func BenchmarkInference_Int8Batch16(b *testing.B) {
-	b.ReportAllocs()
-	clf, x := benchPrunedModel(b)
-	eng, err := inference.NewWithOptions(clf, 4, sparsity.NM{N: 2, M: 4}, inference.CompileOptions{Precision: inference.Int8})
-	if err != nil {
-		b.Fatal(err)
-	}
-	xs := benchSamples(x)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.LogitsBatch(xs)
-	}
-}
-
-// BenchmarkInference_Int8TransformerBatch16 is the quantized twin of
-// Inference_TransformerBatch16 — the token-heavy family where SpMM
-// dominates the pass.
+// BenchmarkInference_Int8TransformerBatch16 serves a 16-sample batch through
+// the int8 engine of the token-heavy family, where SpMM dominates the pass.
+// The repository benchmark has no int8 transformer workload, so this is
+// its only timing.
 func BenchmarkInference_Int8TransformerBatch16(b *testing.B) {
 	b.ReportAllocs()
 	clf, x := benchPrunedFamily(b, models.Transformer)
@@ -541,11 +375,6 @@ func BenchmarkInference_Int8TransformerBatch16(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		eng.LogitsBatch(xs)
 	}
-}
-
-// benchPrunedModel builds a 90%-sparse classifier and an input batch.
-func benchPrunedModel(b *testing.B) (*nn.Classifier, *tensor.Tensor) {
-	return benchPrunedFamily(b, models.ResNet)
 }
 
 // benchPrunedFamily builds a 90%-sparse classifier of the family and a
@@ -606,8 +435,7 @@ var benchServeEnv = sync.OnceValue(func() *serveBenchEnv {
 	ds := data.New(cfg)
 	// The transformer is the family where per-sample serving hurts most:
 	// each sample offers the SpMM only a handful of token columns, so the
-	// metadata decode amortizes only across a batch (see the
-	// Inference_Transformer* benchmarks) — exactly the workload
+	// metadata decode amortizes only across a batch — exactly the workload
 	// cross-request batching exists for.
 	build := func() *nn.Classifier {
 		return models.Build(models.Transformer, rand.New(rand.NewSource(33)), cfg.NumClasses, 2)
@@ -689,206 +517,8 @@ func BenchmarkServePredict_Solo(b *testing.B) {
 
 // BenchmarkServePredict_Int8 is the batched serving path on an Int8 server
 // (quantized engines end to end): same 16-client workload as _Concurrent,
-// so their ns/op compare the deployed cost of precision directly; the
-// allocs/op gate holds the quantized predict path to the float path's
-// steady state.
+// so their ns/op compare the deployed cost of precision directly.
 func BenchmarkServePredict_Int8(b *testing.B) {
 	b.ReportAllocs()
 	benchServePredict(b, 16, inference.Int8)
-}
-
-// --- Cluster-router benchmark (the proxy hot path) ---
-
-// routerBench shares one three-shard cluster — real serve.Servers behind
-// the real HTTP mux, fronted by the consistent-hash router — across
-// benchmark repeats; rebuilding three servers per repeat would dwarf the
-// path under measurement.
-type routerBench struct {
-	url    string
-	body   []byte
-	client *http.Client
-	err    error
-}
-
-var benchRouterEnv = sync.OnceValue(func() *routerBench {
-	env := benchServeEnv()
-	rb := &routerBench{}
-	rt := cluster.NewRouter(cluster.Options{ProbeInterval: time.Second})
-	for i := 1; i <= 3; i++ {
-		s, err := serve.NewServer(env.build, env.base, env.ds, serve.Options{
-			Prune: pruner.Options{
-				Target: 0.9, NM: sparsity.NM{N: 2, M: 4}, BlockSize: 4,
-				Iterations: 1, FinetuneEpochs: 1, BatchSize: 16, LR: 0.01,
-			},
-			TrainPerClass: 8,
-			TestPerClass:  4,
-			MaxBatch:      16,
-			Linger:        time.Millisecond,
-			MaxQueue:      1024,
-		})
-		if err != nil {
-			rb.err = err
-			return rb
-		}
-		id := fmt.Sprintf("s%d", i)
-		ts := httptest.NewServer(api.NewMux(s, env.ds, api.Config{ShardID: id}))
-		rt.AddShard(id, ts.Listener.Addr().String())
-	}
-	rt.Start()
-	front := httptest.NewServer(rt.Mux())
-	rb.url = front.URL + "/predict"
-
-	classes := []int{1, 5}
-	pb, _ := json.Marshal(map[string]any{"classes": classes})
-	resp, err := http.Post(front.URL+"/personalize", "application/json", bytes.NewReader(pb))
-	if err != nil {
-		rb.err = err
-		return rb
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		rb.err = fmt.Errorf("personalize via router: status %d", resp.StatusCode)
-		return rb
-	}
-	vol := env.ds.Channels * env.ds.H * env.ds.W
-	split := env.ds.MakeSplit("bench-router", classes, 1)
-	rb.body, _ = json.Marshal(map[string]any{
-		"classes": classes, "inputs": [][]float64{split.X.Data[:vol]},
-	})
-	// 16 clients reuse connections; the default two idle conns per host
-	// would re-dial constantly and measure the TCP stack instead.
-	rb.client = &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 64}}
-	return rb
-})
-
-// BenchmarkRouterPredict_3Shards measures the cluster proxy hot path: 16
-// concurrent clients issuing single-sample HTTP predicts through the
-// consistent-hash router into a three-shard tier over real TCP. One op is
-// one predict per client (mirroring ServePredict_Concurrent), so the ns/op
-// delta against that benchmark is the router + HTTP serialization tax.
-func BenchmarkRouterPredict_3Shards(b *testing.B) {
-	b.ReportAllocs()
-	rb := benchRouterEnv()
-	if rb.err != nil {
-		b.Fatal(rb.err)
-	}
-	const clients = 16
-	b.ResetTimer()
-	var wg sync.WaitGroup
-	wg.Add(clients)
-	for c := 0; c < clients; c++ {
-		go func() {
-			defer wg.Done()
-			for i := 0; i < b.N; i++ {
-				resp, err := rb.client.Post(rb.url, "application/json", bytes.NewReader(rb.body))
-				if err != nil {
-					b.Error(err)
-					return
-				}
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
-					b.Errorf("predict status %d", resp.StatusCode)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// --- Memory-density benchmark (the tiered-cache acceptance gate) ---
-
-// tenantsDensity is the once-computed density measurement shared across
-// benchmark repeats: the tenant fixture is deterministic, so re-personalizing
-// per repeat would re-measure the same bytes at great cost.
-type tenantsDensity struct {
-	tenantsPerGB float64 // resident tenants per GB under the byte budget
-	ratio        float64 // density vs the full-copy cache (acceptance: >= 3x)
-	err          error
-}
-
-var benchDensity = sync.OnceValue(func() *tenantsDensity {
-	env := benchServeEnv()
-	opts := serve.Options{
-		Prune: pruner.Options{
-			Target: 0.9, NM: sparsity.NM{N: 2, M: 4}, BlockSize: 4,
-			Iterations: 1, FinetuneEpochs: 1, BatchSize: 16, LR: 0.01,
-		},
-		TrainPerClass: 8,
-		TestPerClass:  4,
-	}
-	sets := [][]int{{0, 1}, {2, 3}, {4, 5}, {6, 7}, {0, 7}, {1, 6}}
-
-	// Full-copy baseline: what a cache that keeps a model clone beside every
-	// compiled engine would hold. Every pruned clone of one architecture
-	// costs the same (dense W, Grad and Mask), so one is pruned here for its
-	// size; the engines are the ones an unbudgeted server compiles.
-	clone := env.build()
-	env.base.CloneWeightsTo(clone)
-	pruner.NewCRISP(opts.Prune).Prune(clone, env.ds.MakeSplit("bench-density", sets[0], opts.TrainPerClass))
-	fullBytes := int64(len(sets)) * inference.ModelBytes(clone)
-
-	hot, err := serve.NewServer(env.build, env.base, env.ds, opts)
-	if err != nil {
-		return &tenantsDensity{err: err}
-	}
-	defer hot.Close()
-	for _, set := range sets {
-		p, _, err := hot.Personalize(set)
-		if err != nil {
-			return &tenantsDensity{err: err}
-		}
-		fullBytes += p.Engine().MemoryFootprint()
-	}
-
-	// Tiered: hot tenants are an engine and a delta, not full copies, so the
-	// budget is sized from what keeping them all hot costs — seven tenths of
-	// it, three fifths of that for the hot tier: 2.52 hot tenants' worth holds
-	// two hot, and the rest holds the other four as warm delta records while
-	// a delta is under 0.55 of a hot tenant (0.42 on transformer-s since its
-	// engine holds no dense attention projection; three fifths of the all-hot
-	// bytes at the default split needed it under 0.4).
-	opts.MemoryBudgetBytes = hot.Stats().HotBytes * 7 / 10
-	opts.HotFraction = 0.6
-	tiered, err := serve.NewServer(env.build, env.base, env.ds, opts)
-	if err != nil {
-		return &tenantsDensity{err: err}
-	}
-	defer tiered.Close()
-	for _, set := range sets {
-		if _, _, err := tiered.Personalize(set); err != nil {
-			return &tenantsDensity{err: err}
-		}
-	}
-	st := tiered.Stats()
-	if st.CachedEngines+st.WarmEntries != len(sets) || st.Demotions == 0 {
-		return &tenantsDensity{err: fmt.Errorf("%d of %d tenants resident (hot %d, warm %d) after %d demotions",
-			st.CachedEngines+st.WarmEntries, len(sets), st.CachedEngines, st.WarmEntries, st.Demotions)}
-	}
-	resident := st.HotBytes + st.WarmBytes
-	return &tenantsDensity{
-		tenantsPerGB: float64(len(sets)) * float64(1<<30) / float64(resident),
-		ratio:        float64(fullBytes) / float64(resident),
-	}
-})
-
-// BenchmarkServeTenantsPerGB measures how many resident tenants one GB of
-// tenant state holds under the tiered cache, and the density multiple over
-// the full-copy engine cache at identical serving behavior (promotion is
-// bit-identical). Both surface as custom benchmark metrics; benchcheck
-// gates them as higher-is-better against BENCH_baseline.json, so a change
-// that bloats warm records or stops demoting fails CI the same way a
-// latency regression does.
-func BenchmarkServeTenantsPerGB(b *testing.B) {
-	var d *tenantsDensity
-	for i := 0; i < b.N; i++ {
-		d = benchDensity()
-	}
-	if d.err != nil {
-		b.Fatal(d.err)
-	}
-	b.ReportMetric(d.tenantsPerGB, "tenants/GB")
-	b.ReportMetric(d.ratio, "densityX")
 }

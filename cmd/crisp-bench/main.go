@@ -1,6 +1,6 @@
 // Command crisp-bench regenerates the CRISP paper's tables and figures as
-// text tables on the reproduction substrate (see DESIGN.md §4 for the
-// experiment index and EXPERIMENTS.md for recorded results). The suite fans
+// text tables on the reproduction substrate (exp.Figures is the experiment
+// index; -fig selects from it). The suite fans
 // out across a bounded worker pool (the same scheduler cmd/crisp-serve
 // uses), so a multi-core machine regenerates all figures concurrently.
 //

@@ -13,7 +13,7 @@ import (
 )
 
 func main() {
-	// 1. A synthetic dataset (stands in for ImageNet; see DESIGN.md).
+	// 1. A synthetic dataset (stands in for ImageNet; see package data).
 	ds := crisp.NewDataset(data.Config{
 		Name: "quickstart", NumClasses: 20, Channels: 3, H: 8, W: 8,
 		Noise: 0.25, Jitter: 1, Seed: 42,

@@ -1,5 +1,5 @@
-// doc.go documents the simulator's cost equations (the substitution for
-// Sparseloop + CACTI; see DESIGN.md §2).
+// doc.go documents the simulator's cost equations, this reproduction's
+// substitute for the paper's Sparseloop + CACTI evaluation.
 //
 // Every architecture evaluates one layer as an implicit GEMM with
 // M = output channels, K = reduction (Cin·kh·kw), N = output positions.

@@ -1,8 +1,8 @@
 package checkpoint
 
 import (
-	"bufio"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -30,11 +30,14 @@ func ReadIndex(path string) (Index, error) { return ReadIndexFS(fault.OS{}, path
 
 // ReadIndexFS loads an index file. A missing file is an empty index, not an
 // error; a malformed file is an error. Entries are appended one per write
-// (AppendIndex), so the file is a journal: duplicate keys resolve to the
-// last entry, and a malformed FINAL line — a write torn by a crash — is
-// dropped silently rather than poisoning the whole index (the orphaned
-// record re-indexes on its next snapshot). A malformed interior line is
-// still an error.
+// (AppendIndexFS), so the file is a journal: duplicate keys resolve to the
+// last entry, and a write torn by a crash is dropped silently rather than
+// poisoning the whole index (the orphaned record re-indexes on its next
+// snapshot). Both writers end every line with '\n', so a torn write is
+// recognized by its missing newline: an empty file or a bare prefix of the
+// header is an empty index, and text after the last newline is never an
+// entry, however whole it looks. A malformed FINAL line is dropped too; a
+// malformed interior line is still an error.
 func ReadIndexFS(fsys fault.FS, path string) (Index, error) {
 	f, err := fsys.Open(path)
 	if os.IsNotExist(err) {
@@ -44,19 +47,20 @@ func ReadIndexFS(fsys fault.FS, path string) (Index, error) {
 		return nil, err
 	}
 	defer f.Close()
-
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	if !sc.Scan() || sc.Text() != indexHeader {
-		return nil, fmt.Errorf("checkpoint: %s is not a snapshot index", path)
-	}
-	var lines []string
-	for sc.Scan() {
-		lines = append(lines, sc.Text())
-	}
-	if err := sc.Err(); err != nil {
+	raw, err := io.ReadAll(f)
+	if err != nil {
 		return nil, err
 	}
+
+	header, body, ok := strings.Cut(string(raw), "\n")
+	if !ok && strings.HasPrefix(indexHeader, header) {
+		return Index{}, nil // the first append was torn inside its header
+	}
+	if header != indexHeader {
+		return nil, fmt.Errorf("checkpoint: %s is not a snapshot index", path)
+	}
+	lines := strings.Split(body, "\n")
+	lines = lines[:len(lines)-1] // what follows the last newline: "" or a torn append
 	idx := Index{}
 	for i, l := range lines {
 		key, file, ok := strings.Cut(l, "\t")
@@ -69,11 +73,6 @@ func ReadIndexFS(fsys fault.FS, path string) (Index, error) {
 		idx[key] = file
 	}
 	return idx, nil
-}
-
-// AppendIndex journals one entry on the real filesystem; see AppendIndexFS.
-func AppendIndex(path, key, file string) error {
-	return AppendIndexFS(fault.OS{}, path, key, file)
 }
 
 // AppendIndexFS journals one entry to the index file in a single O_APPEND
@@ -122,12 +121,6 @@ func AppendIndexFS(fsys fault.FS, path, key, file string) error {
 		return err
 	}
 	return f.Close()
-}
-
-// WriteIndex atomically replaces the index file on the real filesystem;
-// see WriteIndexFS.
-func WriteIndex(path string, idx Index) error {
-	return WriteIndexFS(fault.OS{}, path, idx)
 }
 
 // WriteIndexFS atomically replaces the index file: the new content lands in

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/models"
 	"repro/internal/nn"
 	"repro/internal/pruner"
@@ -169,7 +170,7 @@ func TestIndexRoundTrip(t *testing.T) {
 	}
 
 	idx = Index{"1,3": "p01.ckpt", "0,2,4": "p02.ckpt"}
-	if err := WriteIndex(path, idx); err != nil {
+	if err := WriteIndexFS(fault.OS{}, path, idx); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadIndex(path)
@@ -182,7 +183,7 @@ func TestIndexRoundTrip(t *testing.T) {
 
 	// Overwrite replaces atomically (no merge with the old content).
 	idx2 := Index{"5": "p03.ckpt"}
-	if err := WriteIndex(path, idx2); err != nil {
+	if err := WriteIndexFS(fault.OS{}, path, idx2); err != nil {
 		t.Fatal(err)
 	}
 	if got, _ := ReadIndex(path); !reflect.DeepEqual(got, idx2) {
@@ -192,11 +193,12 @@ func TestIndexRoundTrip(t *testing.T) {
 
 // TestIndexJournal pins the append-mode semantics: O(1) appends, header on
 // first write, last-entry-wins for duplicate keys, a torn final line is
-// dropped, and a malformed interior line is still an error.
+// dropped at every cut (the header's too), and a malformed interior line is
+// still an error.
 func TestIndexJournal(t *testing.T) {
 	path := filepath.Join(t.TempDir(), IndexFile)
 	for _, e := range [][2]string{{"1,3", "a.ckpt"}, {"2", "b.ckpt"}, {"1,3", "c.ckpt"}} {
-		if err := AppendIndex(path, e[0], e[1]); err != nil {
+		if err := AppendIndexFS(fault.OS{}, path, e[0], e[1]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -209,7 +211,7 @@ func TestIndexJournal(t *testing.T) {
 		t.Fatalf("journal read %v, want %v", got, want)
 	}
 
-	if err := AppendIndex(path, "bad\tkey", "x"); err == nil {
+	if err := AppendIndexFS(fault.OS{}, path, "bad\tkey", "x"); err == nil {
 		t.Fatal("tab in key must be rejected")
 	}
 
@@ -247,5 +249,22 @@ func TestIndexJournal(t *testing.T) {
 	}
 	if _, err := ReadIndex(bad); err == nil {
 		t.Fatal("wrong header must be an error")
+	}
+
+	// A crash can tear any append, the first one's header included: every
+	// proper prefix of a one-entry journal is the empty index — not "not a
+	// snapshot index", not an entry with a truncated filename.
+	const journal = indexHeader + "\n0,1\tp00.ckpt\n"
+	for cut := 0; cut <= len(journal); cut++ {
+		if err := os.WriteFile(bad, []byte(journal[:cut]), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want := Index{}
+		if cut == len(journal) {
+			want = Index{"0,1": "p00.ckpt"}
+		}
+		if got, err := ReadIndex(bad); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("prefix %q read as %v (%v), want %v", journal[:cut], got, err, want)
+		}
 	}
 }

@@ -207,6 +207,52 @@ func TestRouteLookupAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestProxyPredictAllocs counts a whole clustered round trip: one
+// single-sample POST /predict from a keep-alive client through Router.Mux to
+// a stub shard over loopback — the client, both net/http servers, the proxy
+// and the stub's reply. It measures 180 objects at GOMAXPROCS 1, 2 and 8;
+// the budget is five more. The router_http workload of bench/ times the
+// same path against real shards.
+func TestProxyPredictAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	sh := newStubShard(t, "s1")
+	rt := NewRouter(Options{})
+	t.Cleanup(rt.Close)
+	rt.AddShard(sh.id, sh.addr())
+	front := httptest.NewServer(rt.Mux())
+	t.Cleanup(front.Close)
+
+	var b strings.Builder
+	b.WriteString(`{"classes":[1,5],"inputs":[[`)
+	for i := 0; i < 3*8*8; i++ {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, "%.17g", float64(i%7)*0.125)
+	}
+	b.WriteString(`]]}`)
+	body := strings.NewReader(b.String())
+	url := front.URL + "/predict"
+	allocs := testing.AllocsPerRun(200, func() {
+		body.Seek(0, io.SeekStart)
+		resp, err := front.Client().Post(url, "application/json", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d", resp.StatusCode)
+		}
+	})
+	t.Logf("POST /predict through the router: %.0f allocations per round trip", allocs)
+	if allocs > 185 {
+		t.Fatalf("POST /predict through the router: %.0f allocations per round trip, want <= 185", allocs)
+	}
+}
+
 // TestRouterBodyRules: both rules of the single read-into-buffer path, at
 // the router: a body over the limit is 413 whether or not its length was
 // announced (never truncated and answered as a JSON error), and anything

@@ -12,7 +12,7 @@ import (
 // coarse label byte, one fine label byte, then 3×32×32 pixel bytes in
 // channel-major order. This loader lets the reproduction run on the real
 // dataset when the files are present; the synthetic datasets remain the
-// offline default (DESIGN.md §2).
+// offline default.
 const (
 	cifarChannels = 3
 	cifarSide     = 32

@@ -1,6 +1,6 @@
 // Package data provides seeded synthetic classification datasets that stand
 // in for ImageNet and CIFAR-100 in this reproduction (the pruning pipeline
-// only consumes (sample, label) pairs and their gradients — see DESIGN.md).
+// only consumes (sample, label) pairs and their gradients).
 //
 // Each class is a smooth low-frequency prototype image; samples are the
 // prototype under random circular shift ("jitter") plus Gaussian pixel

@@ -23,7 +23,8 @@ const (
 	// Quick is the CI-friendly configuration (small synthetic datasets,
 	// few epochs) used by `go test -bench` and the default CLI mode.
 	Quick Scale = iota
-	// Full is the larger configuration behind EXPERIMENTS.md.
+	// Full is the larger configuration (`crisp-bench -full`, and the
+	// package's tests under -full).
 	Full
 )
 
@@ -49,7 +50,7 @@ type Config struct {
 type Harness struct {
 	Cfg Config
 	// ImageNetLike and CIFARLike are the two synthetic datasets standing in
-	// for ImageNet and CIFAR-100 (see DESIGN.md §2).
+	// for ImageNet and CIFAR-100 (package data).
 	ImageNetLike *data.Dataset
 	CIFARLike    *data.Dataset
 

@@ -2,7 +2,7 @@
 // the CRISP paper evaluates — ResNet-50, VGG-16 and MobileNetV2 at ImageNet
 // resolution — used by the FLOPs, metadata and accelerator experiments, and
 // (b) scaled-down trainable versions of the same architecture families used
-// by the accuracy experiments on the synthetic datasets (see DESIGN.md).
+// by the accuracy experiments on the synthetic datasets (package data).
 package models
 
 import "fmt"

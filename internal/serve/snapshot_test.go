@@ -264,27 +264,34 @@ func TestCorruptIndexFailsLoudly(t *testing.T) {
 }
 
 // TestTornIndexTailHeals: a crash mid-append can leave the index with a
-// partial final line and nothing else. Opening the store must truncate the
-// tail (not fail, not let the next append concatenate onto it), and the
-// next snapshot must index under its real key.
+// partial final line and nothing else — or, on the first append, an empty
+// file or part of the header. Opening the store must truncate the tail (not
+// fail, not let the next append concatenate onto it, not trust a filename
+// cut short and quarantine a record that was never corrupt), and the next
+// snapshot must index under its real key.
 func TestTornIndexTailHeals(t *testing.T) {
-	opts, dir := snapshotOpts(t)
-	if err := os.WriteFile(filepath.Join(dir, checkpoint.IndexFile), []byte("CRSPIDX1\n0,"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s := newTestServer(t, opts)
-	if _, _, err := s.Personalize([]int{0, 1}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	idx, err := checkpoint.ReadIndex(filepath.Join(dir, checkpoint.IndexFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(idx) != 1 || idx["0,1"] == "" {
-		t.Fatalf("torn tail garbled the index: %v", idx)
+	for _, torn := range []string{"", "CRSP", "CRSPIDX1\n0,", "CRSPIDX1\n0,1\tp00.ckp"} {
+		opts, dir := snapshotOpts(t)
+		if err := os.WriteFile(filepath.Join(dir, checkpoint.IndexFile), []byte(torn), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s := newTestServer(t, opts)
+		if _, _, err := s.Personalize([]int{0, 1}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if st := s.Stats(); st.SnapshotsQuarantined != 0 || st.RestoreErrors != 0 {
+			t.Fatalf("index %q: %d records quarantined, %d restore errors", torn, st.SnapshotsQuarantined, st.RestoreErrors)
+		}
+		idx, err := checkpoint.ReadIndex(filepath.Join(dir, checkpoint.IndexFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(idx) != 1 || idx["0,1"] != fileFor("0,1") {
+			t.Fatalf("index %q: torn tail garbled the index: %v", torn, idx)
+		}
 	}
 }
 
