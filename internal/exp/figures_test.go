@@ -216,6 +216,9 @@ func TestMemoryTable(t *testing.T) {
 		if r.Compression < 1.5 {
 			t.Fatalf("%s: compression %.2f too small at κ=0.85", r.Family, r.Compression)
 		}
+		if r.ServedInt8Bytes <= 0 || r.ServedInt8Bytes >= r.ServedF32Bytes {
+			t.Fatalf("%s: served int8 %d bytes, float32 %d: an int8 engine must hold less", r.Family, r.ServedInt8Bytes, r.ServedF32Bytes)
+		}
 	}
 	if tb.String() == "" {
 		t.Fatal("empty table")

@@ -67,6 +67,17 @@ func checkAgainstScalar(t *testing.T, p *Plan, x *tensor.Tensor, label string) {
 	}
 }
 
+// edgeColumns returns a rows × MaxCols matrix whose only entries sit in the
+// first and the last column a uint16 index reaches.
+func edgeColumns(rng *rand.Rand, rows int) *tensor.Tensor {
+	w := tensor.New(rows, MaxCols)
+	for r := 0; r < rows; r++ {
+		w.Data[r*MaxCols] = rng.NormFloat64()
+		w.Data[(r+1)*MaxCols-1] = rng.NormFloat64()
+	}
+	return w
+}
+
 // conformancePlans builds the plan corpus for one matrix: the CSR compile,
 // and — when the matrix satisfies the hybrid invariants — the CRISP
 // compile (which may prove uniform spans).
@@ -84,15 +95,18 @@ func conformancePlans(w *tensor.Tensor, blk int, nm sparsity.NM) map[string]*Pla
 // × every plan source × a shape/batch grid, all proven bit-identical to
 // the scalar reference. The batch grid holds every width of the one-pass
 // regime (n = 4…7 run spanPanel4 plus the tail kernel, n = 8 spanPanel8)
-// and widths on both sides of it; the last shape is large enough that
+// and widths on both sides of it; the seventh shape is large enough that
 // batches of four and up cross spmmParallelThreshold, so on a multi-core
-// host the chunk sizes also partition the pool fan-out differently.
+// host the chunk sizes also partition the pool fan-out differently. The
+// last is the uint16 width boundary (edgeColumns), also held to the dense
+// product: the scalar reference shares its column load with every path.
 func TestKernelConformance(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	type shape struct {
 		rows, cols int
 		blk        int // 0 = CSR-only (arbitrary structure)
 		emptyRows  bool
+		edge       bool // edgeColumns' matrix (cols = MaxCols)
 	}
 	shapes := []shape{
 		{rows: 1, cols: 8},
@@ -102,13 +116,17 @@ func TestKernelConformance(t *testing.T) {
 		{rows: 8, cols: 16, blk: 4},
 		{rows: 16, cols: 32, blk: 8},
 		{rows: 132, cols: 512, blk: 4},
+		{rows: 2, cols: MaxCols, edge: true},
 	}
 	batches := []int{1, 3, 4, 5, 6, 7, 8, 16, 17}
 	for _, s := range shapes {
 		var w *tensor.Tensor
-		if s.blk > 0 {
+		switch {
+		case s.edge:
+			w = edgeColumns(rng, s.rows)
+		case s.blk > 0:
 			w = hybridMatrix(rng, s.rows, s.cols, s.blk, sparsity.NM{N: 2, M: 4}, 1)
-		} else {
+		default:
 			w = tensor.Randn(rng, 3, s.rows, s.cols)
 			for i := range w.Data {
 				if rng.Float64() < 0.6 {
@@ -123,7 +141,11 @@ func TestKernelConformance(t *testing.T) {
 		}
 		for src, p := range conformancePlans(w, s.blk, sparsity.NM{N: 2, M: 4}) {
 			for _, n := range batches {
-				checkAgainstScalar(t, p, tensor.Randn(rng, 1, s.cols, n), src)
+				x := tensor.Randn(rng, 1, s.cols, n)
+				checkAgainstScalar(t, p, x, src)
+				if s.edge && !tensor.Equal(p.MatMul(x), tensor.MatMul(w, x), 1e-12) {
+					t.Fatalf("%s: %dx%d n=%d differs from the dense product", src, s.rows, s.cols, n)
+				}
 			}
 		}
 	}
@@ -236,6 +258,8 @@ func TestConvPlanDifferential(t *testing.T) {
 		{inC: 2, kh: 1, kw: 1, stride: 2, pad: 0, inH: 8, inW: 8},
 		{inC: 1, kh: 5, kw: 3, stride: 1, pad: 2, inH: 7, inW: 5},
 		{inC: 3, kh: 3, kw: 3, stride: 1, pad: 1, inH: 4, inW: 4},
+		{inC: 2, kh: 7, kw: 7, stride: 2, pad: 3, inH: 9, inW: 8},
+		{inC: 64, kh: 1, kw: 1, stride: 1, pad: 0, inH: 3, inW: 4},
 	}
 	for _, gm := range geoms {
 		for _, batch := range []int{1, 3, 16} {
@@ -276,6 +300,20 @@ func TestConvPlanDifferential(t *testing.T) {
 						}
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestConvTapDecode proves the fused kernel's column decode exact: for every
+// kernel size KH·KW in 1…64 and every column a uint16 index holds, the
+// multiply-shift CompileConv sets up yields (col / KH·KW, col % KH·KW).
+func TestConvTapDecode(t *testing.T) {
+	for khw := 1; khw <= 64; khw++ {
+		cp := (&Plan{Cols: MaxCols / khw * khw}).CompileConv(khw, 1, 1, 0)
+		for col := 0; col < MaxCols; col++ {
+			if c, kk := cp.tap(uint16(col)); c != col/khw || kk != col%khw {
+				t.Fatalf("KH·KW = %d, col %d: decoded (%d, %d), want (%d, %d)", khw, col, c, kk, col/khw, col%khw)
 			}
 		}
 	}

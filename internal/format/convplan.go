@@ -19,19 +19,21 @@ import (
 // smaller, cache-resident — and the im2col matrix is never built.
 //
 // The fusion is only profitable because everything data-dependent is
-// hoisted out of the hot loop at compile time. Decoding a plan column
-// index into (channel, kh, kw) costs two integer divides — done per entry
-// per sample it costs more than the multiply-accumulates it feeds (the
-// first cut of this kernel measured ~2× slower than the lowering for
-// exactly that reason). CompileConv therefore decodes every column once
-// into a tap table — one entry per plan column, not per stored weight:
-// Plan.Col already says which column an entry reads, so the table is
-// Cols long (L1-resident per layer) and the hot loop indexes it by
-// Col[i] — and the per-geometry border clipping (which output
-// rows/columns keep a given kernel position inside the image) collapses
-// into a KH·KW-entry table computed once per input size and cached on the
-// plan. What remains per (entry, sample) is a handful of adds and one
-// multiply to form the slice bases, then pure contiguous AXPYs.
+// hoisted out of the per-sample loops. Decoding a plan column index into
+// (channel, kh, kw) with integer divides costs more, done per entry per
+// sample, than the multiply-accumulates it feeds (the first cut of this
+// kernel measured ~2× slower than the lowering for exactly that reason).
+// The kernel decodes each stored entry's column once per call instead, by
+// a multiply-shift: with magic = ⌊2³²/KH·KW⌋+1, channel = col·magic>>32 and
+// kernel position = col − channel·KH·KW. That quotient is exact whenever
+// col·KH·KW < 2³², which uint16 columns (col < Cols ≤ MaxCols) guarantee,
+// so the plan keeps two words (KH·KW and magic) where a per-column tap
+// table would keep 8 bytes a column. The per-geometry border clipping
+// (which output rows/columns keep a given kernel position inside the
+// image) collapses into a KH·KW-entry table computed once per input size
+// and cached on the plan. What remains per (entry, sample) is a handful of
+// adds and one multiply to form the slice bases, then pure contiguous
+// AXPYs.
 //
 // Accumulation-order contract: for every output element the products are
 // added in ascending span order — exactly the order Plan.MatMulInto's scalar
@@ -51,16 +53,12 @@ type ConvPlan struct {
 	p                   *Plan
 	kh, kw, stride, pad int
 	inC                 int
-	taps                []convTap
-	state               atomic.Pointer[convState]
-}
-
-// convTap is one plan column's decoded position: the input channel and the
-// flattened kernel position kh·KW+kw (the index into the per-geometry clip
-// table).
-type convTap struct {
-	c  int32
-	kk int32
+	// khw is KH·KW and magic ⌊2³²/khw⌋+1, the multiply-shift that splits a
+	// column into (channel, kernel position); a uint64 because khw = 1
+	// overflows a uint32.
+	khw   int
+	magic uint64
+	state atomic.Pointer[convState]
 }
 
 // convClip is the border clipping for one kernel position (kh, kw) at one
@@ -83,8 +81,7 @@ type convState struct {
 }
 
 // CompileConv specializes the plan for convolution with the given kernel
-// shape, decoding every column's (channel, kernel-position) tap once. The
-// plan's Cols must equal InC·KH·KW for some whole channel count.
+// shape. The plan's Cols must equal InC·KH·KW for some whole channel count.
 func (p *Plan) CompileConv(kh, kw, stride, pad int) *ConvPlan {
 	if kh <= 0 || kw <= 0 || stride <= 0 || pad < 0 {
 		panic(fmt.Sprintf("format: CompileConv bad kernel %dx%d stride %d pad %d", kh, kw, stride, pad))
@@ -93,24 +90,28 @@ func (p *Plan) CompileConv(kh, kw, stride, pad int) *ConvPlan {
 	if p.Cols%khw != 0 {
 		panic(fmt.Sprintf("format: CompileConv plan cols %d not divisible by KH*KW = %d", p.Cols, khw))
 	}
-	cp := &ConvPlan{
+	return &ConvPlan{
 		p: p, kh: kh, kw: kw, stride: stride, pad: pad,
-		inC:  p.Cols / khw,
-		taps: make([]convTap, p.Cols),
+		inC: p.Cols / khw,
+		khw: khw, magic: 1<<32/uint64(khw) + 1,
 	}
-	for cc := range cp.taps {
-		cp.taps[cc] = convTap{c: int32(cc / khw), kk: int32(cc % khw)}
-	}
-	return cp
 }
 
 // SizeBytes reports the heap bytes the conv specialization owns on top of
-// its Plan: the tap table (two int32 per plan column) and the one cached
-// per-geometry clip table (five int32 per kernel position), counted whether
-// or not a forward has built it yet so the figure is fixed at compile time.
-// Struct headers are excluded as negligible, as in Plan.SizeBytes.
+// its Plan: the one cached per-geometry clip table (five int32 per kernel
+// position), counted whether or not a forward has built it yet so the
+// figure is fixed at compile time. Struct headers are excluded as
+// negligible, as in Plan.SizeBytes.
 func (cp *ConvPlan) SizeBytes() int64 {
-	return int64(len(cp.taps))*8 + int64(cp.kh*cp.kw)*20
+	return int64(cp.khw) * 20
+}
+
+// tap splits a plan column into its input channel and its flattened kernel
+// position kh·KW+kw (the index into the per-geometry clip table) by the
+// multiply-shift described above.
+func (cp *ConvPlan) tap(col uint16) (c, kk int) {
+	c = int(uint64(col) * cp.magic >> 32)
+	return c, int(col) - c*cp.khw
 }
 
 // matches reports whether g matches the compiled kernel shape.
@@ -215,15 +216,15 @@ func (cp *ConvPlan) convRowsBatchLast(xd []float64, st *convState, batch int, ou
 		clear(dst)
 		i0, i1 := int(p.RowPtr[r]), int(p.RowPtr[r+1])
 		for i := i0; i < i1; i++ {
-			t := cp.taps[p.Col[i]]
-			cl := &st.clips[t.kk]
+			c, kk := cp.tap(p.Col[i])
+			cl := &st.clips[kk]
 			w := int(cl.ox1 - cl.ox0)
 			rows := int(cl.oy1 - cl.oy0)
 			if w <= 0 || rows <= 0 {
 				continue
 			}
 			v := p.Val[i]
-			so := (int(t.c)*chanSize + int(cl.src0)) * batch
+			so := (c*chanSize + int(cl.src0)) * batch
 			do := (int(cl.oy0)*ow + int(cl.ox0)) * batch
 			if s == 1 {
 				// Stride-1 taps read w·batch consecutive values: one long

@@ -116,6 +116,23 @@ func TestCRISPRejectsViolations(t *testing.T) {
 	if _, err := EncodeCRISP(tensor.New(8, 8), 6, sparsity.NM{N: 2, M: 4}); err == nil {
 		t.Fatal("B not multiple of M accepted")
 	}
+	// A matrix one column wider than uint16 indices reach encodes, but
+	// neither direct compiler makes a plan of it.
+	wide := tensor.New(1, MaxCols+1)
+	ce, err := EncodeCRISP(wide, 4, sparsity.NM{N: 2, M: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []Planner{EncodeCSR(wide), ce} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%T compiled a %d-column matrix", e, MaxCols+1)
+				}
+			}()
+			e.Compile()
+		}()
+	}
 }
 
 func TestSpMMMatchesDense(t *testing.T) {

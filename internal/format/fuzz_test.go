@@ -15,7 +15,8 @@ import (
 // sparsity and batch width build a plan corpus — arbitrary CSR structure
 // and, when the matrix conforms, the CRISP compile with its uniform-span
 // fast path — and every path must reproduce the scalar result bit for
-// bit. Seed corpus: testdata/fuzz/FuzzBlockedMatMul.
+// bit. Seed corpus: testdata/fuzz/FuzzBlockedMatMul (9f6503bd0e51d467 holds
+// a negative selector).
 func FuzzBlockedMatMul(f *testing.F) {
 	f.Add(int64(1), int64(2), int64(3), int64(16), int64(0))
 	f.Add(int64(7), int64(0), int64(0), int64(1), int64(1))
@@ -24,13 +25,15 @@ func FuzzBlockedMatMul(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		rowsGrid := []int{1, 3, 8, 64, 65}
 		colsGrid := []int{8, 16, 33, 128}
-		rows := rowsGrid[int(uint64(rowSel))%len(rowsGrid)]
-		cols := colsGrid[int(uint64(colSel))%len(colsGrid)]
-		n := int(uint64(nSel))%19 + 1
+		// pick reduces a selector in uint64, so a negative one stays in range.
+		pick := func(sel int64, n int) int { return int(uint64(sel) % uint64(n)) }
+		rows := rowsGrid[pick(rowSel, len(rowsGrid))]
+		cols := colsGrid[pick(colSel, len(colsGrid))]
+		n := pick(nSel, 19) + 1
 
 		var w *tensor.Tensor
 		if mode%2 == 0 && rows%4 == 0 && cols%4 == 0 {
-			w = hybridMatrix(rng, rows, cols, 4, sparsity.NM{N: 2, M: 4}, int(uint64(mode>>1))%(cols/4))
+			w = hybridMatrix(rng, rows, cols, 4, sparsity.NM{N: 2, M: 4}, pick(mode>>1, cols/4))
 		} else {
 			w = tensor.Randn(rng, 2, rows, cols)
 			for i := range w.Data {

@@ -24,7 +24,7 @@ func hybridPlan(t *testing.T, rng *rand.Rand, rows, cols, b int, nm sparsity.NM,
 func TestSizeBytesManualSums(t *testing.T) {
 	rng := rand.New(rand.NewSource(84))
 	p := hybridPlan(t, rng, 16, 32, 8, sparsity.NM{N: 2, M: 4}, 1)
-	want := int64(len(p.RowPtr))*4 + int64(len(p.Col))*4 + int64(len(p.Val))*8
+	want := int64(len(p.RowPtr))*4 + int64(len(p.Col))*2 + int64(len(p.Val))*8
 	if got := p.SizeBytes(); got != want {
 		t.Fatalf("Plan.SizeBytes %d, want %d", got, want)
 	}
@@ -32,7 +32,7 @@ func TestSizeBytesManualSums(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantQ := int64(len(q.RowPtr))*4 + int64(len(q.NegPtr))*4 + int64(len(q.Col))*4 +
+	wantQ := int64(len(q.RowPtr))*4 + int64(len(q.NegPtr))*4 + int64(len(q.Col))*2 +
 		int64(len(q.Code)) + int64(len(q.RowScale))*8 + int64(len(q.rowSum))*4
 	if got := q.SizeBytes(); got != wantQ {
 		t.Fatalf("QuantPlan.SizeBytes %d, want %d", got, wantQ)

@@ -21,7 +21,7 @@ package format
 // spanPanel8 computes output columns [j0, j0+8) of one row: eight register
 // accumulators walk the span [i0, i1) once, then store. n is the output
 // row stride (the SpMM batch width).
-func spanPanel8(dst, bd []float64, col []int32, val []float64, i0, i1, j0, n int) {
+func spanPanel8(dst, bd []float64, col []uint16, val []float64, i0, i1, j0, n int) {
 	var a0, a1, a2, a3, a4, a5, a6, a7 float64
 	i := i0
 	for ; i+3 < i1; i += 4 {
@@ -86,7 +86,7 @@ func spanPanel8(dst, bd []float64, col []int32, val []float64, i0, i1, j0, n int
 // spanPanel4 is spanPanel8 at panel width four — the ragged-tail microkernel
 // for batch widths that are not multiples of eight (and the whole kernel
 // for widths in [4, 8)).
-func spanPanel4(dst, bd []float64, col []int32, val []float64, i0, i1, j0, n int) {
+func spanPanel4(dst, bd []float64, col []uint16, val []float64, i0, i1, j0, n int) {
 	var a0, a1, a2, a3 float64
 	i := i0
 	for ; i+3 < i1; i += 4 {
@@ -129,7 +129,7 @@ func spanPanel4(dst, bd []float64, col []int32, val []float64, i0, i1, j0, n int
 
 // spanPanelTail finishes the ragged column tail [j0, n) with n-j0 < 4, one
 // register accumulator per column.
-func spanPanelTail(dst, bd []float64, col []int32, val []float64, i0, i1, j0, n int) {
+func spanPanelTail(dst, bd []float64, col []uint16, val []float64, i0, i1, j0, n int) {
 	for j := j0; j < n; j++ {
 		var a float64
 		for i := i0; i < i1; i++ {

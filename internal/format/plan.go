@@ -12,8 +12,9 @@ import (
 // padding slots), the plan keeps only what the SpMM inner loop needs:
 //
 //   - padding/zero slots are dropped entirely (no v == 0 branch),
-//   - per-slot offsets are resolved to absolute int32 column indices
-//     (no block-grid arithmetic in the inner loop),
+//   - per-slot offsets are resolved to absolute uint16 column indices
+//     (no block-grid arithmetic in the inner loop; a matrix is at most
+//     MaxCols wide),
 //   - per-output-row slot ranges are precomputed (RowPtr), so each row is a
 //     straight gather-multiply-accumulate over a contiguous Col/Val span.
 //
@@ -27,7 +28,7 @@ type Plan struct {
 	// RowPtr[r] .. RowPtr[r+1] is row r's span in Col/Val (len Rows+1).
 	RowPtr []int32
 	// Col holds absolute column indices, Val the matching non-zero values.
-	Col []int32
+	Col []uint16
 	Val []float64
 
 	// uniform, when positive, records that every row span holds exactly
@@ -43,7 +44,20 @@ func (p *Plan) NNZ() int { return len(p.Col) }
 // SizeBytes reports the heap bytes the plan's slice payloads occupy (RowPtr,
 // Col and Val). The fixed struct header is excluded as negligible.
 func (p *Plan) SizeBytes() int64 {
-	return int64(len(p.RowPtr))*4 + int64(len(p.Col))*4 + int64(len(p.Val))*8
+	return int64(len(p.RowPtr))*4 + int64(len(p.Col))*2 + int64(len(p.Val))*8
+}
+
+// MaxCols is the widest matrix a plan holds: its column indices are uint16.
+// No model here comes near it: the widest trainable matrix is 288·width
+// columns (resnet-s and vgg-s, 576 at the experiments' width 2), and the
+// widest paper-scale layer shape, VGG-16's fc6, is 25 088.
+const MaxCols = 1 << 16
+
+// checkCols panics when a matrix is too wide for uint16 column indices.
+func checkCols(cols int) {
+	if cols > MaxCols {
+		panic(fmt.Sprintf("format: %d columns, a plan holds at most %d", cols, MaxCols))
+	}
 }
 
 // UniformSpan returns the proved per-row entry count when every row span
@@ -68,17 +82,21 @@ func CompilePlan(e Encoded) *Plan {
 }
 
 // Compile implements Planner: CSR is already row-pointer + column-index +
-// value, so the plan is a direct image of the encoding.
+// value, so the plan is a direct image of the encoding. It panics on a
+// matrix wider than MaxCols.
 func (c *CSR) Compile() *Plan {
+	checkCols(c.Cols)
 	p := &Plan{
 		Rows:   c.Rows,
 		Cols:   c.Cols,
 		RowPtr: make([]int32, len(c.RowPtr)),
-		Col:    make([]int32, len(c.ColIdx)),
+		Col:    make([]uint16, len(c.ColIdx)),
 		Val:    make([]float64, len(c.Val)),
 	}
 	copy(p.RowPtr, c.RowPtr)
-	copy(p.Col, c.ColIdx)
+	for i, cc := range c.ColIdx {
+		p.Col[i] = uint16(cc)
+	}
 	copy(p.Val, c.Val)
 	return p
 }
@@ -90,22 +108,24 @@ func (c *CSR) Compile() *Plan {
 // absolute column indices. Within each output row the emitted order is
 // exactly the slot-walk order (kept blocks in stored order, groups
 // left-to-right, slots in stored order), so MatMul over the plan
-// accumulates bit-identically to the slot-walking kernel.
+// accumulates bit-identically to the slot-walking kernel. It panics on a
+// matrix wider than MaxCols.
 func (e *CRISPFormat) Compile() *Plan {
+	checkCols(e.Cols)
 	p := &Plan{Rows: e.Rows, Cols: e.Cols, RowPtr: make([]int32, e.Rows+1)}
 
 	// Pass 1: count non-zero slots per output row, then prefix-sum so that
 	// RowPtr[r] is where row r's span starts.
-	e.walk(func(r int, _ int32, _ float64) { p.RowPtr[r+1]++ })
+	e.walk(func(r int, _ uint16, _ float64) { p.RowPtr[r+1]++ })
 	for r := 0; r < e.Rows; r++ {
 		p.RowPtr[r+1] += p.RowPtr[r]
 	}
 
 	// Pass 2: fill with RowPtr[r] itself as row r's moving cursor — it ends
 	// on row r+1's start, so shifting the array up one entry restores it.
-	p.Col = make([]int32, p.RowPtr[e.Rows])
+	p.Col = make([]uint16, p.RowPtr[e.Rows])
 	p.Val = make([]float64, p.RowPtr[e.Rows])
-	e.walk(func(r int, col int32, v float64) {
+	e.walk(func(r int, col uint16, v float64) {
 		p.Col[p.RowPtr[r]] = col
 		p.Val[p.RowPtr[r]] = v
 		p.RowPtr[r]++
@@ -137,7 +157,7 @@ func (e *CRISPFormat) Compile() *Plan {
 
 // walk replays the slot walk of CRISPFormat.MatMul, visiting every non-zero
 // slot with its output row and absolute column.
-func (e *CRISPFormat) walk(visit func(r int, col int32, v float64)) {
+func (e *CRISPFormat) walk(visit func(r int, col uint16, v float64)) {
 	g := e.grid()
 	si := 0
 	for br := 0; br < g.GridRows(); br++ {
@@ -148,7 +168,7 @@ func (e *CRISPFormat) walk(visit func(r int, col int32, v float64)) {
 				for g0 := c0; g0 < c1; g0 += e.NM.M {
 					for s := 0; s < e.NM.N; s++ {
 						if v := e.Val[si]; v != 0 {
-							visit(r, int32(g0+int(e.Offsets[si])), v)
+							visit(r, uint16(g0+int(e.Offsets[si])), v)
 						}
 						si++
 					}

@@ -61,7 +61,7 @@ type QuantPlan struct {
 	NegPtr []int32
 	// Col holds absolute column indices, Code the matching non-zero int8
 	// weight codes, sign-grouped per row as described above.
-	Col  []int32
+	Col  []uint16
 	Code []int8
 	// RowScale dequantizes row r: weight ≈ Code·RowScale[r] (len Rows).
 	RowScale []float64
@@ -78,7 +78,7 @@ func (q *QuantPlan) NNZ() int { return len(q.Code) }
 // SizeBytes reports the heap bytes of the quantized plan's slice payloads
 // (RowPtr, NegPtr, Col, Code, RowScale and the row-sum correction terms).
 func (q *QuantPlan) SizeBytes() int64 {
-	return int64(len(q.RowPtr))*4 + int64(len(q.NegPtr))*4 + int64(len(q.Col))*4 +
+	return int64(len(q.RowPtr))*4 + int64(len(q.NegPtr))*4 + int64(len(q.Col))*2 +
 		int64(len(q.Code)) + int64(len(q.RowScale))*8 + int64(len(q.rowSum))*4
 }
 
@@ -95,7 +95,7 @@ func (p *Plan) Quantize() (*QuantPlan, error) {
 		NegPtr:   make([]int32, p.Rows),
 		RowScale: make([]float64, p.Rows),
 		rowSum:   make([]int32, p.Rows),
-		Col:      make([]int32, 0, p.NNZ()),
+		Col:      make([]uint16, 0, p.NNZ()),
 		Code:     make([]int8, 0, p.NNZ()),
 	}
 	for r := 0; r < p.Rows; r++ {

@@ -1,6 +1,7 @@
 package format
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -44,9 +45,21 @@ func quantTol(p *Plan, q *QuantPlan, b *tensor.Tensor, n int) []float64 {
 // TestQuantPlanCloseToFloatPlan is the int8 analog of the bit-identity
 // suite: the quantized kernel cannot match the float plan exactly, but it
 // must stay inside the analytical quantization-error bound on every output
-// element, across the same matrix/batch sweep.
+// element, across the same matrix/batch sweep — and, at the uint16 width
+// boundary (edgeColumns), against the dense product.
 func TestQuantPlanCloseToFloatPlan(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
+	within := func(label string, p *Plan, q *QuantPlan, x, want *tensor.Tensor) {
+		t.Helper()
+		n := x.Shape[1]
+		got := q.MatMul(x)
+		tol := quantTol(p, q, x, n)
+		for i := range want.Data {
+			if e := math.Abs(got.Data[i] - want.Data[i]); e > tol[i]+1e-12 {
+				t.Fatalf("%s batch %d: element %d error %v exceeds bound %v", label, n, i, e, tol[i])
+			}
+		}
+	}
 	for _, s := range planShapes {
 		w := hybridMatrix(rng, s.rows, s.cols, s.b, s.nm, s.pruned)
 		e, err := EncodeCRISP(w, s.b, s.nm)
@@ -63,16 +76,19 @@ func TestQuantPlanCloseToFloatPlan(t *testing.T) {
 		}
 		for _, n := range planBatches {
 			x := tensor.Randn(rng, 1, s.cols, n)
-			want := p.MatMul(x)
-			got := q.MatMul(x)
-			tol := quantTol(p, q, x, n)
-			for i := range want.Data {
-				if e := math.Abs(got.Data[i] - want.Data[i]); e > tol[i]+1e-12 {
-					t.Fatalf("%dx%d batch %d: element %d error %v exceeds bound %v",
-						s.rows, s.cols, n, i, e, tol[i])
-				}
-			}
+			within(fmt.Sprintf("%dx%d", s.rows, s.cols), p, q, x, p.MatMul(x))
 		}
+	}
+
+	w := edgeColumns(rng, 2)
+	p := EncodeCSR(w).Compile()
+	q, err := p.Quantize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{1, 3} {
+		x := tensor.Randn(rng, 1, MaxCols, n)
+		within("edge columns", p, q, x, tensor.MatMul(w, x))
 	}
 }
 

@@ -93,8 +93,8 @@ func TestFirstPassAllocsBudget(t *testing.T) {
 
 // TestInt8EngineSmallerThanFloat: an int8 tenant holds int8. At the
 // repository benchmark's fixture shapes an Int8 engine's footprint is below
-// the Float32 engine's of the same tenant on every family — 5 bytes a kept
-// weight against 12, and no conv tap tables. While each image kept the float
+// the Float32 engine's of the same tenant on every family — 3 bytes a kept
+// weight against 10, and no conv clip tables. While each image kept the float
 // plan it was quantized from it was the larger one (resnet-s: 324 KB against
 // 256 KB).
 func TestInt8EngineSmallerThanFloat(t *testing.T) {
@@ -137,9 +137,14 @@ func TestCompiledPlansDoNotAliasTheEncoder(t *testing.T) {
 
 	e := &Engine{src: OwnParams{}}
 	var plans, alone [2]*format.Plan
-	plans[0] = e.newPlan(params[0], 4, nm)
+	var err error
+	if plans[0], err = e.newPlan(params[0], 4, nm); err != nil {
+		t.Fatal(err)
+	}
 	col, val, rowPtr := slices.Clone(plans[0].Col), slices.Clone(plans[0].Val), slices.Clone(plans[0].RowPtr)
-	plans[1] = e.newPlan(params[1], 4, nm)
+	if plans[1], err = e.newPlan(params[1], 4, nm); err != nil {
+		t.Fatal(err)
+	}
 	if len(e.enc.Val) == 0 {
 		t.Fatal("fixture: the second parameter did not go through the CRISP encoder")
 	}

@@ -5,10 +5,11 @@ import "repro/internal/nn"
 // MemoryFootprint reports the engine-owned resident bytes of the compiled
 // state: the owned payloads of what the forward pass runs (a float plan or
 // an int8 image per layer, never both), the depthwise layers' materialized
-// effective weights, the conv layers' tap tables, and the executors' copies of biases
-// and norm vectors. An engine shares none of it, so summing footprints
-// across engines never double-counts. Transient arena scratch is excluded:
-// it is pooled per pass, not held per engine. Fixed at compile time.
+// effective weights, the float conv layers' clip tables, and the
+// executors' copies of biases and norm vectors. An engine shares none of
+// it, so summing footprints across engines never double-counts. Transient
+// arena buffers are excluded: they are pooled per pass, not held per engine.
+// Fixed at compile time.
 func (e *Engine) MemoryFootprint() int64 { return e.footprint }
 
 // Fingerprint is the engine's structural fingerprint: an FNV-64a hash over

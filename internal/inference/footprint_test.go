@@ -39,8 +39,9 @@ func tenantEnv(t *testing.T, f models.Family) (base *nn.Classifier, clone func()
 
 // tapAndVectorBytes sums by hand what an engine owns beside its plans and
 // depthwise kernels: a copy of each bias, norm scale/shift and running
-// statistic its executors index, and — float engines — a tap table per conv
-// layer (two int32 per plan column, five per kernel position).
+// statistic its executors index, and — float engines — a clip table per
+// conv layer (five int32 per kernel position; a column's tap is computed,
+// not stored).
 func tapAndVectorBytes(clf *nn.Classifier, eng *Engine) int64 {
 	var n int64
 	vec := func(ps ...*nn.Param) {
@@ -71,7 +72,7 @@ func tapAndVectorBytes(clf *nn.Classifier, eng *Engine) int64 {
 	})
 	for _, m := range resident(eng) {
 		if c, ok := m.owner.(*sparseConv); ok && c.cp != nil {
-			n += int64(m.plan.Cols)*8 + int64(c.geom.KH*c.geom.KW)*20
+			n += int64(c.geom.KH*c.geom.KW) * 20
 		}
 	}
 	return n

@@ -11,8 +11,9 @@
 //
 //   - Weight encodings are compiled once, at New time, into flat
 //     format.Plan gather-multiply-accumulate kernels (padding slots
-//     dropped, offsets resolved to absolute columns, per-row spans
-//     precomputed) that run bit-identically to the slot-walking kernels.
+//     dropped, offsets resolved to absolute uint16 columns, per-row spans
+//     precomputed) that run bit-identically to the slot-walking kernels. A
+//     matrix wider than format.MaxCols is a compile error.
 //   - Every forward pass draws its scratch — im2col matrices, transposes,
 //     SpMM outputs, bias fan-outs, batch concats, attention state — from an
 //     engine-owned arena recycled through a sync.Pool, so steady-state
@@ -33,7 +34,7 @@
 // behind each int8 image is a compile-time transient, like the dense
 // effective matrix before it: encoded, compiled, fingerprinted, quantized,
 // dropped. An engine keeps only what its forward pass reads, so an int8
-// engine is the smaller one (5 bytes per kept weight against 12). The
+// engine is the smaller one (3 bytes per kept weight against 10). The
 // quantized path rides the same arena (packed code and accumulator slabs
 // pooled like the float slabs), so it is equally allocation-free; its
 // outputs are approximate, with the accuracy cost
@@ -342,8 +343,7 @@ func (e *Engine) compile(l nn.Layer, b int, nm sparsity.NM) (execLayer, error) {
 		sc := &sparseConv{geom: v.Geom, outC: v.OutC, bias: e.own(v.Bias), mm: mm}
 		if mm.plan != nil {
 			// Float engines run conv through the fused implicit-im2col
-			// kernel; decoding the tap table here keeps the forward path
-			// allocation-free (see format.CompileConv).
+			// kernel (see format.CompileConv).
 			sc.cp = mm.plan.CompileConv(v.Geom.KH, v.Geom.KW, v.Geom.Stride, v.Geom.Pad)
 			e.footprint += sc.cp.SizeBytes()
 		}
@@ -369,10 +369,14 @@ func (e *Engine) compile(l nn.Layer, b int, nm sparsity.NM) (execLayer, error) {
 	case *nn.MultiHeadAttention:
 		// Float plans at either precision: taking attention to int8 is an
 		// accuracy question the golden agreement suite has not been asked.
-		return &execAttention{
-			d: v.D, heads: v.Heads,
-			wq: e.newPlan(v.Wq, b, nm), wk: e.newPlan(v.Wk, b, nm), wv: e.newPlan(v.Wv, b, nm), wo: e.newPlan(v.Wo, b, nm),
-		}, nil
+		var w [4]*format.Plan
+		for i, p := range [...]*nn.Param{v.Wq, v.Wk, v.Wv, v.Wo} {
+			var err error
+			if w[i], err = e.newPlan(p, b, nm); err != nil {
+				return nil, err
+			}
+		}
+		return &execAttention{d: v.D, heads: v.Heads, wq: w[0], wk: w[1], wv: w[2], wo: w[3]}, nil
 	case *nn.DepthwiseConv2D:
 		weff := e.src.Effective(v.Weight)
 		e.footprint += int64(len(weff.Data)) * 8
@@ -436,9 +440,14 @@ func (s *spmm) into(b, out *tensor.Tensor, a *arena) *tensor.Tensor {
 // quantized from: no forward path reads it.
 func (e *Engine) newSpMM(p *nn.Param, b int, nm sparsity.NM) (spmm, error) {
 	if e.precision != Int8 {
-		return spmm{plan: e.newPlan(p, b, nm)}, nil
+		plan, err := e.newPlan(p, b, nm)
+		return spmm{plan: plan}, err
 	}
-	q, err := e.compileParam(p, b, nm).Quantize()
+	plan, err := e.compileParam(p, b, nm)
+	if err != nil {
+		return spmm{}, err
+	}
+	q, err := plan.Quantize()
 	if err != nil {
 		return spmm{}, err
 	}
@@ -448,20 +457,28 @@ func (e *Engine) newSpMM(p *nn.Param, b int, nm sparsity.NM) (spmm, error) {
 }
 
 // newPlan compiles a float-executed matrix and charges it to the footprint.
-func (e *Engine) newPlan(p *nn.Param, b int, nm sparsity.NM) *format.Plan {
-	plan := e.compileParam(p, b, nm)
+func (e *Engine) newPlan(p *nn.Param, b int, nm sparsity.NM) (*format.Plan, error) {
+	plan, err := e.compileParam(p, b, nm)
+	if err != nil {
+		return nil, err
+	}
 	e.footprint += plan.SizeBytes()
-	return plan
+	return plan, nil
 }
 
 // compileParam is what every plan-backed layer does at either precision:
 // encode the tenant's effective matrix, compile the float plan, fold its
-// fingerprint into the engine's, and count a compressed layer.
-func (e *Engine) compileParam(p *nn.Param, b int, nm sparsity.NM) *format.Plan {
+// fingerprint into the engine's, and count a compressed layer. A matrix
+// wider than a plan's uint16 columns reach is an error naming the
+// parameter, raised before the source materializes it.
+func (e *Engine) compileParam(p *nn.Param, b int, nm sparsity.NM) (*format.Plan, error) {
+	if p.Cols > format.MaxCols {
+		return nil, fmt.Errorf("inference: %s has %d columns, a plan holds at most %d", p.Name, p.Cols, format.MaxCols)
+	}
 	plan := e.encodeParam(p, e.src.Effective(p), b, nm)
 	e.fingerprint = e.fingerprint.Uint64(plan.Fingerprint())
 	e.CompressedLayers++
-	return plan
+	return plan, nil
 }
 
 // own takes ownership of a parameter's values (nil for an absent parameter,

@@ -3,10 +3,12 @@ package inference
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/data"
+	"repro/internal/format"
 	"repro/internal/models"
 	"repro/internal/nn"
 	"repro/internal/pruner"
@@ -125,6 +127,16 @@ func TestEngineOnDenseModelStillCorrect(t *testing.T) {
 	}
 	if !tensor.Equal(clf.Logits(x, false), eng.Logits(x), 1e-9) {
 		t.Fatal("dense fallback disagrees")
+	}
+
+	// Unless a matrix is wider than a plan's uint16 columns reach: then
+	// compile is an error naming the parameter, at either precision.
+	wide := nn.NewClassifier("wide", nn.NewLinear("fc", rng, format.MaxCols+1, 2, true), 2)
+	for _, prec := range []Precision{Float32, Int8} {
+		_, err := NewWithOptions(wide, 4, sparsity.NM{N: 2, M: 4}, CompileOptions{Precision: prec})
+		if err == nil || !strings.Contains(err.Error(), "fc.weight") {
+			t.Fatalf("%s: a %d-input linear layer compiled with error %v, want one naming fc.weight", prec, format.MaxCols+1, err)
+		}
 	}
 }
 

@@ -167,13 +167,14 @@ func liveHeap() uint64 {
 // a hot tenant really pins: on the repository benchmark's fixture shapes,
 // twelve personalizations grow the live heap by no more than 15 % over what
 // Stats().HotBytes charges for them, at either precision. A resnet-s tenant
-// pins 0.45 MB against 0.43 MB charged (transformer-s 0.06 against 0.06, now
+// pins 0.39 MB against 0.37 MB charged (transformer-s 0.06 against 0.05, now
 // that its attention projections are plans and not dense D×D tensors); it
-// pinned 13.98 MB against 4.30 MB charged before training state was released
-// and 4.48 MB while the cache still held the pruned clone beside the engine.
+// pinned 13.98 MB against 4.30 MB charged before training state was released,
+// 4.48 MB while the cache still held the pruned clone beside the engine, and
+// 0.45 MB against 0.43 MB with int32 plan columns and conv tap tables.
 // At int8 nothing float stays reachable behind a quantized layer: resnet-s
-// 0.31 MB against 0.29 MB charged (0.50 charged while every image kept the
-// float plan it was quantized from), transformer-s 0.06 against 0.05.
+// 0.27 MB against 0.26 MB charged (0.50 charged while every image kept the
+// float plan it was quantized from), transformer-s 0.05 against 0.05.
 func TestHotBytesMatchesLiveHeap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale personalizations (short mode)")
@@ -233,17 +234,19 @@ func benchShapeServer(t *testing.T, f models.Family, tiers Options) *Server {
 // benchmark's fixture shapes. With one hot slot and two tenants, each
 // request demotes the resident tenant (no encoding: its delta parks) and
 // promotes the other straight from (base, delta) — no classifier is built.
-// Measured per demote + promote pair: transformer-s 226 objects / 203 KB
-// for 14 plans (245 / 204 KB while every promote interned its plans in a
-// cross-tenant registry; 256 / 211 KB when it compiled 6 and kept
-// attention's eight projections dense; 792 / 692 KB when promotion built and
-// filled a clone), resnet-s 299 / 1.73 MB for 11 (315 / 1.73 MB; 400 /
-// 1.95 MB; 1 326 / 6.45 MB). The budgets leave a little room for toolchain
-// drift and admit neither a clone — a build alone is 307 objects / 315 KB on
-// transformer-s and 417 / 2.75 MB on resnet-s — nor anything per plan beyond
-// the plan itself: a CRISPFormat encoder allocated per parameter (4 objects
-// each; compile owns one and re-encodes it) adds 56 and 44 objects, and
-// eight dense D×D projections are 64 KB of a transformer-s promotion's bytes.
+// Measured per demote + promote pair: transformer-s 226 objects / 199 KB
+// for 14 plans (203 KB with int32 plan columns; 245 / 204 KB while every
+// promote interned its plans in a cross-tenant registry; 256 / 211 KB when
+// it compiled 6 and kept attention's eight projections dense; 792 / 692 KB
+// when promotion built and filled a clone), resnet-s 289 / 1.66 MB for 11
+// (299 / 1.73 MB with int32 columns and a tap table per conv; 315 /
+// 1.73 MB; 400 / 1.95 MB; 1 326 / 6.45 MB). The budgets leave a little
+// room for toolchain drift and admit neither a clone — a build alone is 307
+// objects / 315 KB on transformer-s and 417 / 2.75 MB on resnet-s — nor
+// anything per plan beyond the plan itself: a CRISPFormat encoder allocated
+// per parameter (4 objects each; compile owns one and re-encodes it) adds
+// 56 and 44 objects, and eight dense D×D projections are 64 KB of a
+// transformer-s promotion's bytes.
 func TestPromoteAllocsBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
