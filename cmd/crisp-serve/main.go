@@ -25,7 +25,7 @@
 // With -memory-budget (e.g. -memory-budget 512M) the engine cache becomes a
 // three-tier hot/warm/cold hierarchy: hot compiled engines up to
 // -hot-fraction of the budget, evicted engines demoted to compact warm
-// delta records over the shared universal weights, and warm records
+// delta records over the universal weights, and warm records
 // squeezed past the budget falling back to disk snapshots. Promotion back
 // to hot is bit-identical (QuantSignature-identical on int8); /metrics
 // exposes the tier gauges and flow counters (crisp_serve_hot_bytes,

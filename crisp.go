@@ -40,8 +40,8 @@
 // Set ServerConfig.MemoryBudgetBytes to cap resident tenant state: the
 // engine cache becomes a three-tier hierarchy (hot compiled engines →
 // warm delta-encoded records → cold disk snapshots) that stores every
-// tenant as a delta over the shared universal weights instead of a full
-// model copy. Demoted tenants promote back bit-identically on their next
+// tenant as a delta over the universal weights instead of a full model
+// copy. Demoted tenants promote back bit-identically on their next
 // request; see examples/tiered and internal/serve's "Memory tiers"
 // section. Budget 0 (the default) keeps the single-level count LRU.
 //

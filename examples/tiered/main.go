@@ -1,7 +1,7 @@
 // Tiered serving: many tenants under one memory budget. A full-copy
 // engine cache would hold a complete pruned model per tenant beside its
 // compiled engine; here a hot tenant is the engine plus a delta over the
-// shared universal weights, and with ServerConfig.MemoryBudgetBytes set the
+// universal weights, and with ServerConfig.MemoryBudgetBytes set the
 // cache becomes a hot/warm/cold hierarchy — compiled engines, bare delta
 // records, disk snapshots. This example measures what the full copies would
 // cost, keeps every tenant resident in a fraction of it, and round-trips

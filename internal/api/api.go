@@ -304,6 +304,13 @@ func (c *predictCall) serve(w http.ResponseWriter, r *http.Request, s *serve.Ser
 	}
 	c.key = serve.AppendKey(c.key[:0], canon)
 	if c.req.rows == 0 {
+		// A "samples" body is a few bytes whatever it asks for, so it may ask
+		// for no more rows than an "inputs" body could carry: MaxBody spends
+		// at least two bytes on every value of a row.
+		if limit := MaxBody / (2 * vol); c.req.samples > limit {
+			httpError(w, http.StatusBadRequest, fmt.Errorf("samples %d exceeds %d", c.req.samples, limit))
+			return
+		}
 		preds, labels, acc, err := s.PredictSamples(canon, c.req.samples)
 		if err != nil {
 			httpError(w, predictStatus(w, err), err)

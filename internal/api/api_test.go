@@ -198,9 +198,11 @@ func TestPersonalizeQoSField(t *testing.T) {
 }
 
 func TestErrorPaths(t *testing.T) {
-	mux, _, _ := newTestMux(t)
+	mux, _, ds := newTestMux(t)
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
+	// The most rows an "inputs" body can carry, and so the most samples.
+	maxSamples := MaxBody / (2 * ds.Channels * ds.H * ds.W)
 
 	cases := []struct {
 		name, path, body string
@@ -216,6 +218,8 @@ func TestErrorPaths(t *testing.T) {
 		{"predict empty class set", "/predict", `{"classes":[],"samples":4}`, http.StatusBadRequest},
 		{"predict unknown class", "/predict", `{"classes":[42],"samples":4}`, http.StatusBadRequest},
 		{"predict short input row", "/predict", `{"classes":[1],"inputs":[[1,2,3]]}`, http.StatusBadRequest},
+		{"predict samples past the inputs bound", "/predict", fmt.Sprintf(`{"classes":[1],"samples":%d}`, maxSamples+1), http.StatusBadRequest},
+		{"predict samples 1<<40", "/predict", fmt.Sprintf(`{"classes":[0,1],"samples":%d}`, int64(1)<<40), http.StatusBadRequest},
 		{"snapshot without store", "/snapshot", ``, http.StatusBadRequest},
 		{"drain without store", "/drain", ``, http.StatusBadRequest},
 		{"handoff malformed json", "/handoff", `{"key":`, http.StatusBadRequest},

@@ -241,23 +241,6 @@ func (d *dec) f64s(dst []float64) {
 	}
 }
 
-// f64sKept scatters the next kept values to the positions mask keeps, in
-// index order; kept is the number of such positions.
-func (d *dec) f64sKept(dst, mask []float64, kept int) {
-	var b []byte
-	for j, m := range mask {
-		if m == 0 {
-			continue
-		}
-		if len(b) == 0 {
-			b = d.take(8 * min(kept, chunk/8))
-			kept -= len(b) / 8
-		}
-		dst[j] = math.Float64frombits(le.Uint64(b))
-		b = b[8:]
-	}
-}
-
 // bits expands packed mask bits into a {0,1} float slice.
 func (d *dec) bits(mask []float64) {
 	for len(mask) > 0 {

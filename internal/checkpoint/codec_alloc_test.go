@@ -67,11 +67,15 @@ func TestCodecAllocsFollowParamCountNotSize(t *testing.T) {
 		}
 		// Beyond the walks: the chunk, plus the delta's plan, output and
 		// buffer header, the reader over the delta bytes, and the record's
-		// key, class list, method, two slices and two layer names.
+		// key, class list, method, two slices and two layer names. Apply is
+		// the view written back into dst, so it costs the view (its walk of
+		// base, the chunk, reader and view, and up to four objects per map)
+		// plus a walk of dst, and the write-back takes its base values from
+		// the view's entries instead of walking base a second time.
 		bounds := map[string]float64{
 			"EncodeModelDelta":    2*walk + 4,
-			"ApplyModelDelta":     2*walk + 2,
-			"ViewModelDelta":      walk + 3 + 8, // the chunk, reader and view, and up to four objects per map
+			"ApplyModelDelta":     2*walk + 3 + 8,
+			"ViewModelDelta":      walk + 3 + 8,
 			"SavePersonalization": walk + 1,
 			"LoadPersonalization": walk + 2 + 7,
 		}

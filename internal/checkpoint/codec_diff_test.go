@@ -271,8 +271,8 @@ func TestStringsLongerThanTheChunk(t *testing.T) {
 // FuzzModelDelta: for random masks, weights and norm statistics the encoder
 // writes the reference's bytes and apply∘encode reproduces the tenant; a
 // flipped bit or a truncation either fails or still decodes to that tenant.
-// The view (ViewModelDelta) rejects exactly the inputs apply rejects, and
-// where both accept hands out what apply-then-read yields, bit for bit.
+// Apply is the delta view written back, so the two cannot disagree; every
+// input is held to the per-value reference apply instead (checkApplyRef).
 func FuzzModelDelta(f *testing.F) {
 	f.Add(int64(1), int64(2), uint32(0), uint8(0))
 	f.Add(int64(3), int64(4), uint32(9), uint8(3))      // #params word
@@ -294,8 +294,8 @@ func FuzzModelDelta(f *testing.F) {
 		if !bytes.Equal(delta, want) {
 			t.Fatalf("%s: delta of %d bytes differs from the reference's %d", fam, len(delta), len(want))
 		}
-		dst := models.Build(fam, rand.New(rand.NewSource(tenantSeed+1)), 6, 1)
-		if err := ApplyModelDelta(delta, base, dst); err != nil {
+		dst, err := checkApplyRef(t, fam, delta, base)
+		if err != nil {
 			t.Fatal(err)
 		}
 		checkRebuilt(t, tenant, dst)
@@ -304,15 +304,28 @@ func FuzzModelDelta(f *testing.F) {
 		at := int(off % uint32(len(delta)))
 		mut := append([]byte(nil), delta...)
 		mut[at] ^= 1 << (bit % 8)
-		err = ApplyModelDelta(mut, base, dst)
-		if err == nil {
+		if dst, err := checkApplyRef(t, fam, mut, base); err == nil {
 			checkRebuilt(t, tenant, dst)
 		}
-		checkView(t, mut, base, dst, err)
-		err = ApplyModelDelta(delta[:at], base, dst)
-		if err == nil {
+		if _, err := checkApplyRef(t, fam, delta[:at], base); err == nil {
 			t.Fatalf("%s: delta truncated to %d of %d bytes applied", fam, at, len(delta))
 		}
-		checkView(t, delta[:at], base, dst, err)
 	})
+}
+
+// checkApplyRef applies delta with ApplyModelDelta and with the per-value
+// reference, each into a fresh model of family f: both must accept or both
+// reject, and where both accept they must rebuild the same model, byte for
+// byte. It returns ApplyModelDelta's model and error.
+func checkApplyRef(t testing.TB, f models.Family, delta []byte, base *nn.Classifier) (*nn.Classifier, error) {
+	t.Helper()
+	got, ref := models.Build(f, rand.New(rand.NewSource(1)), 6, 1), models.Build(f, rand.New(rand.NewSource(1)), 6, 1)
+	err, refErr := ApplyModelDelta(delta, base, got), refApplyModelDelta(delta, base, ref)
+	if (err == nil) != (refErr == nil) {
+		t.Fatalf("%s: apply and the reference disagree on a %d-byte delta: apply %v, reference %v", f, len(delta), err, refErr)
+	}
+	if err == nil && !bytes.Equal(saved(t, refSave, got), saved(t, refSave, ref)) {
+		t.Fatalf("%s: apply and the reference rebuilt different models from a %d-byte delta", f, len(delta))
+	}
+	return got, err
 }

@@ -7,9 +7,9 @@ import (
 	"repro/internal/nn"
 )
 
-// Model deltas are the warm tier's in-memory record: one tenant's
-// personalized state expressed against the shared universal model instead
-// of as a full weight copy. Per parameter the delta stores the pruning mask
+// Model deltas are how the serving layer holds a tenant: one tenant's
+// personalized state expressed against the universal model instead of as a
+// full weight copy. Per parameter the delta stores the pruning mask
 // (bit-packed) plus only the weight values the rebuilt engine can actually
 // observe:
 //
@@ -23,13 +23,13 @@ import (
 //
 // The delta is exact where it matters and deliberately lossy where it
 // cannot matter: masked-out (pruned) weight values are not stored, and
-// ApplyModelDelta rebuilds them from the universal base. The effective
-// weights W ⊙ Mask — the only thing inference, plan compilation and
-// deterministic int8 quantization ever read — are reproduced bit-for-bit,
-// so a rebuilt engine is bit-identical on the float path and
-// QuantSignature-identical on the int8 path. Gradients are not stored
-// (serving never trains); at typical CRISP sparsity the record is a small
-// fraction of a full model copy.
+// DeltaView (and ApplyModelDelta through it) reads them from the universal
+// base. The effective weights W ⊙ Mask — the only thing inference, plan
+// compilation and deterministic int8 quantization ever read — are
+// reproduced bit-for-bit, so a rebuilt engine is bit-identical on the float
+// path and QuantSignature-identical on the int8 path. Gradients are not
+// stored (serving never trains); at typical CRISP sparsity the record is a
+// small fraction of a full model copy.
 
 const (
 	deltaMagic   = "CRSD"
@@ -138,104 +138,41 @@ func EncodeModelDelta(base, tenant *nn.Classifier) ([]byte, error) {
 // into dst, reading unstored values from base: dst's weights become the
 // universal weights overlaid with the delta's kept/dense values, its masks
 // become the stored masks, and its norm statistics the stored (or
-// universal) ones. dst and base must share the encoder's architecture.
+// universal) ones. dst and base must share the encoder's architecture. It is
+// the view (ViewModelDelta) written back, so a delta the view rejects, or a
+// dst of another architecture, fails before dst is written at all.
 func ApplyModelDelta(delta []byte, base, dst *nn.Classifier) error {
-	br := &dec{r: bytes.NewReader(delta)}
-	if err := br.header(deltaMagic, deltaVersion, "checkpoint: delta"); err != nil {
+	v, err := ViewModelDelta(delta, base)
+	if err != nil {
 		return err
 	}
-	br.startSum()
-	bp, dp := base.Params(), dst.Params()
-	if len(bp) != len(dp) {
-		return fmt.Errorf("checkpoint: delta across architectures: %d vs %d params", len(bp), len(dp))
+	dp, ds := dst.Params(), bnStats(dst)
+	if len(dp) != len(v.params) || len(ds) != len(v.stats) {
+		return fmt.Errorf("checkpoint: delta across architectures: %d params, %d norm stats vs base %d, %d", len(dp), len(ds), len(v.params), len(v.stats))
 	}
-	n := int(br.u32())
-	if br.err != nil {
-		return br.err
-	}
-	if n != len(dp) {
-		return fmt.Errorf("checkpoint: delta stores %d params, model has %d", n, len(dp))
-	}
-	for i, p := range dp {
-		b := bp[i]
-		if p.W.Len() != b.W.Len() {
+	for _, p := range dp {
+		if e, ok := v.params[p.Name]; !ok || e.base.W.Len() != p.W.Len() {
 			return fmt.Errorf("checkpoint: delta param %q: dst/base shapes differ", p.Name)
 		}
-		name, ok := br.expect(p.Name)
-		if br.err != nil {
-			return br.err
-		}
-		if !ok {
-			return fmt.Errorf("checkpoint: delta param %q does not match model param %q", name, p.Name)
-		}
-		br.mask(p)
-		copy(p.W.Data, b.W.Data)
-		mode := br.u8()
-		if br.err != nil {
-			return br.err
-		}
-		switch mode {
-		case deltaSame:
-		case deltaKept:
-			if p.Mask == nil {
-				return fmt.Errorf("checkpoint: delta param %q: kept values without a mask", name)
-			}
-			count := int(br.u32())
-			kept := 0
-			for _, m := range p.Mask.Data {
-				if m != 0 {
-					kept++
-				}
-			}
-			if count != kept {
-				return fmt.Errorf("checkpoint: delta param %q: %d stored values for %d kept positions", name, count, kept)
-			}
-			br.f64sKept(p.W.Data, p.Mask.Data, kept)
-		case deltaDense:
-			br.f64s(p.W.Data)
-		default:
-			return fmt.Errorf("checkpoint: delta param %q: unknown mode %d", name, mode)
-		}
-		if br.err != nil {
-			return br.err
+	}
+	for _, s := range ds {
+		if e, ok := v.stats[s.name]; !ok || len(e.base.mean) != len(s.mean) {
+			return fmt.Errorf("checkpoint: delta norm stat %q: dst/base lengths differ", s.name)
 		}
 	}
-
-	bs, ds := bnStats(base), bnStats(dst)
-	if len(bs) != len(ds) {
-		return fmt.Errorf("checkpoint: delta norm stats: base %d vs dst %d", len(bs), len(ds))
-	}
-	ns := int(br.u32())
-	if br.err != nil {
-		return br.err
-	}
-	if ns != len(ds) {
-		return fmt.Errorf("checkpoint: delta stores %d norm stats, model has %d", ns, len(ds))
-	}
-	for i, s := range ds {
-		name, ok := br.expect(s.name)
-		if br.err == nil && !ok {
-			return fmt.Errorf("checkpoint: delta norm stat %q does not match %q", name, s.name)
-		}
-		if len(s.mean) != len(bs[i].mean) {
-			return fmt.Errorf("checkpoint: delta norm stat %q: dst/base lengths differ", name)
-		}
-		mode := br.u8()
-		if br.err != nil {
-			return br.err
-		}
-		switch mode {
-		case deltaSame:
-			copy(s.mean, bs[i].mean)
-			copy(s.variance, bs[i].variance)
-		case deltaDense:
-			br.f64s(s.mean)
-			br.f64s(s.variance)
-		default:
-			return fmt.Errorf("checkpoint: delta norm stat %q: unknown mode %d", name, mode)
+	for _, p := range dp {
+		e := v.params[p.Name]
+		v.overlay(e, p.W.Data)
+		if e.mask == 0 {
+			p.ClearMask()
+		} else {
+			v.unpackMask(e, p.EnsureMask().Data)
 		}
 	}
-	return br.checkTrailer("delta")
+	for _, s := range ds {
+		v.normStats(v.stats[s.name], s.mean, s.variance)
+	}
+	return nil
 }
 
 // equalSlices reports elementwise equality (bit-level intent: weights are

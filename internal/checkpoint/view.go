@@ -12,17 +12,18 @@ import (
 )
 
 // DeltaView reads one tenant's values straight out of its delta, without a
-// classifier to apply it to. ViewModelDelta accepts exactly the deltas
-// ApplyModelDelta accepts — header, architecture against base, every entry's
-// structure, and the CRC-64 trailer over the whole record — before a view
-// exists; each call then decodes one parameter into memory it allocates and
-// the caller owns, bit-equal to what apply-then-read would yield. Nothing
-// handed out aliases the delta, the base or an earlier result. The view
-// itself holds both: drop it when the reads are done.
+// classifier to apply it to. ViewModelDelta is the format's one parser: it
+// checks the header, the architecture against base, every entry's structure
+// and the CRC-64 trailer over the whole record before a view exists, and
+// ApplyModelDelta is a view written back into a classifier. Each call then
+// decodes one parameter into memory it allocates and the caller owns,
+// bit-equal to what apply-then-read yields. Nothing handed out aliases the
+// delta, the base or an earlier result. The view itself holds both: drop it
+// when the reads are done.
 type DeltaView struct {
 	delta  []byte
 	params map[string]deltaEntry
-	stats  map[string]int // offset of a norm layer's stored means (then variances); absent = base's
+	stats  map[string]statEntry
 }
 
 type deltaEntry struct {
@@ -30,6 +31,11 @@ type deltaEntry struct {
 	mask int // offset of the packed mask bits; 0 without a mask
 	mode byte
 	vals int // offset of the kept / dense values
+}
+
+type statEntry struct {
+	base stat
+	at   int // offset of the stored means (then variances); 0 = base's
 }
 
 // ViewModelDelta validates delta against base and returns the view over it.
@@ -53,7 +59,7 @@ func ViewModelDelta(delta []byte, base *nn.Classifier) (*DeltaView, error) {
 	if n := int(br.u32()); br.err == nil && n != len(bp) {
 		return nil, fmt.Errorf("checkpoint: delta stores %d params, model has %d", n, len(bp))
 	}
-	v := &DeltaView{delta: delta, params: make(map[string]deltaEntry, len(bp)), stats: make(map[string]int, len(bs))}
+	v := &DeltaView{delta: delta, params: make(map[string]deltaEntry, len(bp)), stats: make(map[string]statEntry, len(bs))}
 	for _, p := range bp {
 		if name, ok := br.expect(p.Name); br.err == nil && !ok {
 			return nil, fmt.Errorf("checkpoint: delta param %q does not match model param %q", name, p.Name)
@@ -94,15 +100,17 @@ func ViewModelDelta(delta []byte, base *nn.Classifier) (*DeltaView, error) {
 		if name, ok := br.expect(s.name); br.err == nil && !ok {
 			return nil, fmt.Errorf("checkpoint: delta norm stat %q does not match %q", name, s.name)
 		}
+		e := statEntry{base: s}
 		switch mode := br.u8(); mode {
 		case deltaSame:
 		case deltaDense:
-			v.stats[s.name] = skip(16 * len(s.mean))
+			e.at = skip(16 * len(s.mean))
 		default:
 			if br.err == nil {
 				return nil, fmt.Errorf("checkpoint: delta norm stat %q: unknown mode %d", s.name, mode)
 			}
 		}
+		v.stats[s.name] = e
 	}
 	if err := br.checkTrailer("delta"); err != nil {
 		return nil, err
@@ -110,32 +118,52 @@ func ViewModelDelta(delta []byte, base *nn.Classifier) (*DeltaView, error) {
 	return v, nil
 }
 
-// weights rebuilds the named parameter's W — base overlaid with the kept or
-// dense values — and, when masked is set, multiplies the stored mask in.
-func (v *DeltaView) weights(name string, masked bool) []float64 {
+// overlay writes e's tenant values into w: the base's, overlaid with the
+// stored dense values or, at the positions the stored mask keeps, with the
+// kept ones. Values, Effective and ApplyModelDelta all take a parameter's
+// values from it.
+func (v *DeltaView) overlay(e deltaEntry, w []float64) {
+	copy(w, e.base.W.Data)
+	switch e.mode {
+	case deltaDense:
+		readF64s(w, v.delta[e.vals:])
+	case deltaKept:
+		packed, vals := v.delta[e.mask:], v.delta[e.vals:]
+		for i := range w {
+			if packed[i/8]>>(i%8)&1 == 1 {
+				w[i] = math.Float64frombits(le.Uint64(vals))
+				vals = vals[8:]
+			}
+		}
+	}
+}
+
+// unpackMask expands e's stored mask bits into m as {0,1} values.
+func (v *DeltaView) unpackMask(e deltaEntry, m []float64) {
+	packed := v.delta[e.mask:]
+	for i := range m {
+		m[i] = float64(packed[i/8] >> (i % 8) & 1)
+	}
+}
+
+// normStats writes layer e's running mean and variance into mean and
+// variance: the stored ones, else the base's.
+func (v *DeltaView) normStats(e statEntry, mean, variance []float64) {
+	if e.at == 0 {
+		copy(mean, e.base.mean)
+		copy(variance, e.base.variance)
+		return
+	}
+	readF64s(mean, v.delta[e.at:])
+	readF64s(variance, v.delta[e.at+8*len(mean):])
+}
+
+func (v *DeltaView) entry(name string) deltaEntry {
 	e, ok := v.params[name]
 	if !ok {
 		panic("checkpoint: delta view has no parameter " + name)
 	}
-	w := slices.Clone(e.base.W.Data)
-	if e.mode == deltaDense {
-		readF64s(w, v.delta[e.vals:])
-	}
-	if e.mask == 0 {
-		return w
-	}
-	packed, vals := v.delta[e.mask:], v.delta[e.vals:]
-	for i := range w {
-		m := packed[i/8] >> (i % 8) & 1
-		if m == 1 && e.mode == deltaKept {
-			w[i] = math.Float64frombits(le.Uint64(vals))
-			vals = vals[8:]
-		}
-		if masked {
-			w[i] *= float64(m)
-		}
-	}
-	return w
+	return e
 }
 
 func readF64s(dst []float64, src []byte) {
@@ -147,18 +175,29 @@ func readF64s(dst []float64, src []byte) {
 // Effective returns the tenant's W ⊙ Mask for base parameter p as a
 // [p.Rows, p.Cols] matrix.
 func (v *DeltaView) Effective(p *nn.Param) *tensor.Tensor {
-	return tensor.FromSlice(v.weights(p.Name, true), p.Rows, p.Cols)
+	w := v.Values(p)
+	if e := v.entry(p.Name); e.mask != 0 {
+		packed := v.delta[e.mask:]
+		for i := range w {
+			w[i] *= float64(packed[i/8] >> (i % 8) & 1)
+		}
+	}
+	return tensor.FromSlice(w, p.Rows, p.Cols)
 }
 
 // Values returns the tenant's unmasked values for base parameter p.
-func (v *DeltaView) Values(p *nn.Param) []float64 { return v.weights(p.Name, false) }
+func (v *DeltaView) Values(p *nn.Param) []float64 {
+	e := v.entry(p.Name)
+	w := make([]float64, e.base.W.Len())
+	v.overlay(e, w)
+	return w
+}
 
 // NormStats returns the tenant's running mean and variance for base layer bn.
 func (v *DeltaView) NormStats(bn *nn.BatchNorm2D) (mean, variance []float64) {
 	mean, variance = slices.Clone(bn.RunMean.Data), slices.Clone(bn.RunVar.Data)
-	if at, ok := v.stats[bn.Gamma.Name]; ok {
-		readF64s(mean, v.delta[at:])
-		readF64s(variance, v.delta[at+8*len(mean):])
+	if e, ok := v.stats[bn.Gamma.Name]; ok {
+		v.normStats(e, mean, variance)
 	}
 	return mean, variance
 }

@@ -49,7 +49,7 @@
 // An engine owns what it reads. compile walks a layer tree for structure and
 // geometry only and takes every value from a ParamSource — the tree's own
 // parameters (OwnParams: New, NewWithOptions) or a tenant's delta over that
-// tree (checkpoint.DeltaView, the serving layer's promote path) — in memory
+// tree (checkpoint.DeltaView, every serving path) — in memory
 // the source allocates per call and the engine then owns. Once compiled,
 // nothing reachable from the engine is the tree, a layer of it, the source
 // or the bytes behind it: executors hold geometry, dimensions, ReLU caps

@@ -32,12 +32,17 @@ func (a engineID) equal(b engineID) bool {
 	return true
 }
 
-// TestSnapshotFromDeltaRestoresIdenticalEngine: a snapshot record is now
-// written from a clone rebuilt out of the personalization's delta. A second
-// server cold-restores it to the engine that was serving — same fingerprint,
-// quant signature and logits — and so does a record written the way the
-// previous code wrote it, from the pruned clone itself (whose pruned
-// positions hold fine-tuned values instead of the base's).
+// TestSnapshotFromDeltaRestoresIdenticalEngine: the server compiles every
+// tenant from its delta, never from a classifier, so the reference here is
+// the one thing it does not do: the tenant re-pruned on a private clone and
+// compiled from that clone (inference.NewWithOptions). The served engine
+// must be that engine — same fingerprint, quant signature and logits — and
+// at Int8 its agreement must be that engine's top-1 agreement with the
+// clone's Float32 engine on the held-out split. A snapshot record is written
+// from a clone rebuilt out of the delta; a second server cold-restores it to
+// the same engine, and so does a record written from the pruned clone
+// itself (whose pruned positions hold fine-tuned values instead of the
+// base's).
 func TestSnapshotFromDeltaRestoresIdenticalEngine(t *testing.T) {
 	env := sharedEnv()
 	classes := []int{1, 3}
@@ -45,6 +50,9 @@ func TestSnapshotFromDeltaRestoresIdenticalEngine(t *testing.T) {
 		t.Run(prec.String(), func(t *testing.T) {
 			opts, _ := snapshotOpts(t)
 			opts.Precision = prec
+			// Large enough that the int8 engine disagrees with the float one
+			// somewhere, so the agreement check can tell the engines apart.
+			opts.TestPerClass = 64
 			s1 := newTestServer(t, opts)
 			p1, _, err := s1.Personalize(classes)
 			if err != nil {
@@ -55,11 +63,40 @@ func TestSnapshotFromDeltaRestoresIdenticalEngine(t *testing.T) {
 			}
 			want := identify(s1, p1)
 
-			// The previous writer: SavePersonalization straight from the
-			// pruned clone, into a directory of its own.
 			clone := env.build()
 			env.base.CloneWeightsTo(clone)
 			pruner.NewCRISP(s1.opts.Prune).Prune(clone, env.ds.MakeSplit("serve-train/"+p1.Key, classes, opts.TrainPerClass))
+			bs, nm := s1.opts.Prune.BlockSize, s1.opts.Prune.NM
+			ref, err := inference.NewWithOptions(clone, bs, nm, inference.CompileOptions{Precision: prec})
+			if err != nil {
+				t.Fatal(err)
+			}
+			x := tierX(s1, classes)
+			if !want.equal(engineID{ref.Fingerprint(), ref.QuantSignature(), ref.Logits(x).Data}) {
+				t.Fatal("the served engine is not the engine compiled from the pruned clone")
+			}
+			wantAgreement := 1.0
+			if prec == inference.Int8 {
+				f32, err := inference.New(clone, bs, nm)
+				if err != nil {
+					t.Fatal(err)
+				}
+				test := env.ds.MakeSplit("serve-test/"+p1.Key, classes, opts.TestPerClass)
+				got, truth := ref.Predict(test.X), f32.Predict(test.X)
+				matches := 0
+				for i := range truth {
+					if got[i] == truth[i] {
+						matches++
+					}
+				}
+				wantAgreement = float64(matches) / float64(len(truth))
+			}
+			if p1.Agreement != wantAgreement {
+				t.Fatalf("agreement %v, want the clone's engines' %v", p1.Agreement, wantAgreement)
+			}
+
+			// The previous writer: SavePersonalization straight from the
+			// pruned clone, into a directory of its own.
 			legacy := opts
 			legacy.SnapshotDir = t.TempDir()
 			st, err := openStore(legacy.SnapshotDir, nil)

@@ -14,11 +14,21 @@
 //   - In-flight join (singleflight): an identical request is already being
 //     pruned; the new request waits on the same job instead of starting a
 //     duplicate, and both receive the same Personalization.
-//   - Miss: a job is scheduled on the pool — clone the universal model,
-//     run pruner.NewCRISP(...).Prune for the class set, compile the
-//     compressed representation with inference.New, and measure held-out
-//     accuracy. The pool bounds concurrent pruning jobs at Options.Workers
-//     (default GOMAXPROCS); submission blocks for backpressure.
+//   - Miss: a job is scheduled on the pool. It first looks the tenant up in
+//     the tiers below the cache (a warm delta record, then the snapshot
+//     store; see "Memory tiers"). Only a tenant no tier holds is pruned:
+//     clone the universal model, run pruner.NewCRISP(...).Prune for the
+//     class set, measure held-out accuracy, and encode the pruned clone as
+//     a delta over the universal model. The pool bounds concurrent jobs at
+//     Options.Workers (default GOMAXPROCS); submission blocks for
+//     backpressure.
+//
+// Every tenant becomes servable the same way, whether it was just pruned,
+// restored from disk or promoted from the warm tier: its delta is admitted —
+// validated (checkpoint.ViewModelDelta) and compiled straight from the
+// universal model's layer tree and that view (inference.NewFromSource). No
+// serving path compiles from a classifier; a pruned clone lives only as
+// long as the job that pruned it.
 //
 // Completed engines land in an LRU cache of Options.CacheSize entries;
 // inserting past capacity evicts the least recently used engine (counted in
@@ -130,11 +140,10 @@
 //     crash mid-write can never surface a torn snapshot.
 //   - Restore-on-start: Server.Restore rebuilds indexed records into
 //     cached engines — up to the cache capacity; any remaining keys load
-//     lazily on first request — recompiling the CSR/CRISP formats from the
-//     stored masks (compiled buffers are never persisted). Corrupt or
-//     truncated
-//     records are skipped and counted in Stats.RestoreErrors; a bad
-//     snapshot never takes the server down. Restored engines are
+//     lazily on first request — by encoding each record's classifier as a
+//     delta and admitting it (compiled buffers are never persisted).
+//     Corrupt or truncated records are skipped and counted in
+//     Stats.RestoreErrors; a bad snapshot never takes the server down. Restored engines are
 //     bit-identical to the originals: the checkpoint preserves exact
 //     float64 bits and format compilation is deterministic.
 //   - Eviction keeps the disk copy: an engine dropped by the LRU policy
@@ -179,14 +188,15 @@
 // Lifecycle: an insert past the hot bound demotes the LRU engine — its
 // batcher flushes and the engine is dropped — and the delta it already
 // carried parks in a warm LRU (Stats.Demotions).
-// A request for a warm tenant promotes instead of re-pruning, and builds no
-// classifier to do it: the engine compiles from the universal model's layer
-// tree and a checksum-verified view over the delta (checkpoint.DeltaView),
-// and is verified against the structural fingerprint (and, on Int8, the
-// quant signature) captured at demotion (Stats.WarmHits/Promotions; failing
-// either counts PromoteErrors and falls to the cold tier). Warm records squeezed
-// out by the budget drop to disk (Stats.WarmEvictions); cold tenants
-// restore as before. Every transition is exact: promotion is bit-identical
+// A request for a warm tenant promotes instead of re-pruning: the delta is
+// admitted like every other (a checksum-verified checkpoint.DeltaView over
+// the universal model, no classifier built), and the engine is verified
+// against the structural fingerprint (and, on Int8, the quant signature)
+// captured at demotion (Stats.WarmHits/Promotions; failing either counts
+// PromoteErrors and falls to the cold tier). Warm records squeezed out by
+// the budget drop to disk (Stats.WarmEvictions); cold tenants restore as
+// before. A Personalize miss and a handoff adopt share this one warm → cold
+// lookup and its counters. Every transition is exact: promotion is bit-identical
 // on the float path and QuantSignature-identical on int8, because the delta
 // preserves precisely what compilation and deterministic quantization read.
 // Stats.DemoteNanos, PromoteNanos and RestoreNanos accumulate the wall time
@@ -206,7 +216,9 @@
 //	  Personalizes if needed, synthesizes a batch of the class set's
 //	  samples, and classifies it in one batched sparse forward pass.
 //	  Alternatively pass "inputs": [[...C*H*W floats...], ...] to classify
-//	  caller-provided images; "labels" is then omitted.
+//	  caller-provided images; "labels" is then omitted. "samples" may ask
+//	  for no more rows than a body within the size limit could carry as
+//	  "inputs" (api.MaxBody / (2·C·H·W)); more is a 400.
 //
 //	POST /snapshot
 //	  → {"written","snapshot_writes","snapshot_errors"}
@@ -236,8 +248,9 @@
 // treats that as a first-class, measured property:
 //
 //   - At personalization (and restore) time the server compiles the float
-//     reference engine once and measures top-1 agreement on the held-out
-//     split — never on the predict path. The result is surfaced per
+//     reference engine once, from the same delta view as the served
+//     engine, and measures top-1 agreement on the held-out split — never on
+//     the predict path; a promotion carries the stored agreement over. The result is surfaced per
 //     tenant (Personalization.Agreement) and aggregated in Stats
 //     (AgreementSamples/AgreementMatches/Top1Agreement).
 //   - Snapshot records are precision-agnostic: they persist float weights
@@ -266,10 +279,10 @@
 //     batches out, Flush every resident to the (shared) snapshot store,
 //     and return the manifest of tenants — key, classes, structural
 //     fingerprint, quant signature on int8 — another shard can adopt.
-//   - RestoreTenant is the receiving side: adopt one tenant from the
-//     cheapest tier that has it (local warm record, else the shared store,
-//     re-reading the store's index first to pick up records written by
-//     peer shards) and verify the rebuilt engine against the sending
+//   - RestoreTenant is the receiving side: adopt one tenant through the
+//     lookup a Personalize miss makes (local warm record, else the shared
+//     store, re-reading the store's index first to pick up records written
+//     by peer shards) and verify the rebuilt engine against the sending
 //     shard's fingerprints. It never falls back to a pruning run — a
 //     handoff for missing state is a loud error
 //     (Stats.HandoffRestores/HandoffErrors).

@@ -86,14 +86,15 @@ func (s *Server) Drain() ([]HandoffTenant, error) {
 }
 
 // RestoreTenant is the receiving side of a handoff: adopt the tenant for
-// key from the cheapest tier that has it — a local warm record, else the
-// shared snapshot store (re-reading the store index first, since the record
-// was most likely written by another shard after this store opened) — and
-// verify the rebuilt engine against the fingerprints the sending shard
-// captured. wantFP/wantQSig of zero skip their check (an unverified adopt,
-// e.g. recovering a shard that died without draining). Unlike the
-// Personalize miss path it never falls back to a fresh pruning run: a
-// handoff for state that cannot be found is an error the router must see,
+// key from the cheapest tier that has it — the same lookup a Personalize
+// miss makes: a local warm record, else the shared snapshot store
+// (re-reading the store index first, since the record was most likely
+// written by another shard after this store opened) — and verify the
+// rebuilt engine against the fingerprints the sending shard captured.
+// wantFP/wantQSig of zero skip their check (an unverified adopt, e.g.
+// recovering a shard that died without draining). Unlike the Personalize
+// miss path it never falls back to a fresh pruning run: a handoff for state
+// that cannot be found is an error the router must see (ErrTenantNotFound),
 // not a silent multi-second re-prune.
 func (s *Server) RestoreTenant(key string, wantFP, wantQSig uint64) error {
 	if s.store == nil {
@@ -112,12 +113,15 @@ func (s *Server) RestoreTenant(key string, wantFP, wantQSig uint64) error {
 	}
 	s.mu.Unlock()
 
-	p, err := s.adoptTenant(key, wantFP, wantQSig)
+	p, err := s.lookup(key)
+	if err == nil {
+		err = checkIdentity(p.engine, wantFP, wantQSig)
+	}
 	if err != nil {
 		s.mu.Lock()
 		s.stats.HandoffErrors++
 		s.mu.Unlock()
-		return err
+		return fmt.Errorf("serve: handoff {%s}: %w", key, err)
 	}
 	s.mu.Lock()
 	if s.insertLocked(key, p) {
@@ -126,43 +130,4 @@ func (s *Server) RestoreTenant(key string, wantFP, wantQSig uint64) error {
 	s.mu.Unlock()
 	s.rebalance()
 	return nil
-}
-
-// adoptTenant rebuilds the tenant from warm or cold state and verifies it.
-func (s *Server) adoptTenant(key string, wantFP, wantQSig uint64) (*Personalization, error) {
-	var p *Personalization
-	if we := s.takeWarm(key); we != nil {
-		promoted, err := s.promoteWarm(we)
-		if err == nil {
-			p = promoted
-			s.mu.Lock()
-			s.stats.Promotions++
-			s.mu.Unlock()
-		} else {
-			s.mu.Lock()
-			s.stats.PromoteErrors++
-			s.mu.Unlock()
-		}
-	}
-	if p == nil {
-		if !s.store.has(key) {
-			// The record was written by another shard into the shared store
-			// after this server indexed it; pick up their appends.
-			if err := s.store.refresh(); err != nil {
-				return nil, fmt.Errorf("serve: handoff {%s}: refreshing store: %w", key, err)
-			}
-		}
-		if !s.store.has(key) {
-			return nil, fmt.Errorf("serve: handoff {%s}: %w", key, ErrTenantNotFound)
-		}
-		restored, err := s.restoreOne(key)
-		if err != nil {
-			return nil, err
-		}
-		p = restored
-	}
-	if err := checkIdentity(p.engine, wantFP, wantQSig); err != nil {
-		return nil, fmt.Errorf("serve: handoff {%s}: %w", key, err)
-	}
-	return p, nil
 }

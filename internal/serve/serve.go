@@ -64,8 +64,8 @@ type Options struct {
 	// hot/warm/cold hierarchy governed by a byte budget instead of a pure
 	// count LRU: hot compiled engines may use up to HotFraction of the
 	// budget, engines evicted from hot are demoted to compact warm records
-	// (a delta over the shared universal weights — typically a small
-	// fraction of a full copy), and warm records squeezed out by the budget
+	// (a delta over the universal weights — typically a small fraction of
+	// a full copy), and warm records squeezed out by the budget
 	// fall back to the cold tier (disk snapshots, when SnapshotDir is set).
 	// Promotion back to hot is bit-identical on the float path and
 	// QuantSignature-identical on int8. 0 (the default) keeps the
@@ -145,8 +145,9 @@ type Personalization struct {
 
 	engine *inference.Engine
 	// delta is checkpoint.EncodeModelDelta(base, clone), written once at
-	// creation and read-only after: demotion parks it as the warm record,
-	// promotion compiles from it, a snapshot write rebuilds the clone from it.
+	// creation and read-only after: the engine was compiled from it (admit),
+	// demotion parks it as the warm record, a snapshot write rebuilds the
+	// clone from it.
 	delta []byte
 	// bat coalesces concurrent Predict calls against this engine; nil when
 	// batching is disabled (Options.MaxBatch <= 1).
@@ -237,8 +238,9 @@ type Stats struct {
 	SnapshotWrites uint64 `json:"snapshot_writes"`
 	SnapshotErrors uint64 `json:"snapshot_errors"`
 	// RestoreHits counts engines rebuilt from disk instead of re-pruned
-	// (both Server.Restore and the cache-miss path); RestoreErrors counts
-	// records that failed to load and were skipped.
+	// (Server.Restore, and the tier lookup a cache miss and a handoff adopt
+	// share); RestoreErrors counts records that failed to load or compile
+	// and were skipped.
 	RestoreHits   uint64 `json:"restore_hits"`
 	RestoreErrors uint64 `json:"restore_errors"`
 	// SnapshotsQuarantined counts corrupt on-disk records the restore path
@@ -250,27 +252,30 @@ type Stats struct {
 	// HandoffRestores counts tenants adopted from another shard via
 	// RestoreTenant (verified against the sending shard's fingerprints);
 	// HandoffErrors counts adoptions that failed (missing record or a
-	// fingerprint mismatch). Draining reports BeginDrain was called: this
-	// shard serves resident tenants but accepts no new ones.
+	// fingerprint mismatch). An adoption also counts the tier transition
+	// that produced it (Promotions or RestoreHits, and their errors), like
+	// any other lookup. Draining reports BeginDrain was called: this shard
+	// serves resident tenants but accepts no new ones.
 	HandoffRestores uint64 `json:"handoff_restores"`
 	HandoffErrors   uint64 `json:"handoff_errors"`
 	Draining        bool   `json:"draining"`
-	// Tier flows (MemoryBudgetBytes > 0): WarmHits counts cache misses
-	// resolved by a warm delta record, Promotions the engines those rebuilt
-	// into the hot tier, Demotions the hot engines compacted to warm
-	// records on eviction, WarmEvictions the warm records dropped for
-	// budget (their cold snapshot, if any, remains), and PromoteErrors the
-	// warm records that failed verification at promote time (the request
-	// fell through to cold restore or a fresh prune).
+	// Tier flows (MemoryBudgetBytes > 0): WarmHits counts lookups (cache
+	// misses and handoff adopts) that found a warm delta record, Promotions
+	// the engines those rebuilt into the hot tier, Demotions the hot engines
+	// compacted to warm records on eviction, WarmEvictions the warm records
+	// dropped for budget (their cold snapshot, if any, remains), and
+	// PromoteErrors the warm records that failed verification at promote
+	// time (the lookup fell through to the cold tier; a miss then prunes).
 	WarmHits      uint64 `json:"warm_hits"`
 	Promotions    uint64 `json:"promotions"`
 	Demotions     uint64 `json:"demotions"`
 	WarmEvictions uint64 `json:"warm_evictions"`
 	PromoteErrors uint64 `json:"promote_errors"`
 	// PromoteNanos, RestoreNanos and DemoteNanos are cumulative wall time
-	// inside warm promotions, cold restores (disk record → engine) and
-	// demotions, failed attempts included; divided by Promotions,
-	// RestoreHits and Demotions they are the mean cost of one transition.
+	// inside warm promotions (delta → engine), cold restores (disk record →
+	// delta → engine) and demotions, failed attempts included; a fresh
+	// prune's compile counts in neither. Divided by Promotions, RestoreHits
+	// and Demotions they are the mean cost of one transition.
 	PromoteNanos uint64 `json:"promote_nanos"`
 	RestoreNanos uint64 `json:"restore_nanos"`
 	DemoteNanos  uint64 `json:"demote_nanos"`
@@ -293,10 +298,10 @@ type Stats struct {
 	Precision string `json:"precision"`
 	// AgreementSamples and AgreementMatches accumulate the per-
 	// personalization int8-vs-float top-1 agreement measurements (Int8
-	// servers only; each completed or restored personalization contributes
-	// its held-out split once). Top1Agreement is their ratio — the measured
-	// fleet-wide accuracy cost of serving quantized — or 1 when nothing has
-	// been measured yet.
+	// servers only; each pruned or restored personalization contributes its
+	// held-out split once, a promotion carries its stored agreement over).
+	// Top1Agreement is their ratio — the measured fleet-wide accuracy cost
+	// of serving quantized — or 1 when nothing has been measured yet.
 	AgreementSamples uint64  `json:"agreement_samples"`
 	AgreementMatches uint64  `json:"agreement_matches"`
 	Top1Agreement    float64 `json:"top1_agreement"`
@@ -509,7 +514,7 @@ func (s *Server) pendingWait(counter *int) {
 }
 
 // Pool exposes the server's scheduler so other subsystems (the experiment
-// runner, admission control in later PRs) can share it.
+// runner) can share it.
 func (s *Server) Pool() *Pool { return s.pool }
 
 // Canonicalize validates a user class set against the dataset and returns
@@ -647,9 +652,9 @@ func (s *Server) personalizeLane(classes []int, lane Lane, qos *QoSClass) (*Pers
 	// already closed) and its snapshot registration.
 	s.pendingAdd(&s.pendingJobs)
 	defer s.pendingDone(&s.pendingJobs)
-	var src personalizeSource
+	var pruned bool
 	s.pool.DoLane(lane, func() {
-		call.p, src, call.err = s.personalize(canon, key)
+		call.p, pruned, call.err = s.personalize(canon, key)
 	})
 	if qos != nil && call.err == nil {
 		call.p.qos.Store(int32(*qos))
@@ -659,12 +664,7 @@ func (s *Server) personalizeLane(classes []int, lane Lane, qos *QoSClass) (*Pers
 	inserted := false
 	if call.err == nil {
 		inserted = s.insertLocked(key, call.p)
-		switch src {
-		case srcCold:
-			s.stats.RestoreHits++
-		case srcWarm:
-			s.stats.Promotions++
-		default:
+		if pruned {
 			s.stats.Personalizations++
 		}
 	}
@@ -680,7 +680,7 @@ func (s *Server) personalizeLane(classes []int, lane Lane, qos *QoSClass) (*Pers
 			call.p.release()
 		}
 		s.rebalance()
-		if src == srcPruned && s.store != nil {
+		if pruned && s.store != nil {
 			s.scheduleSnapshot(call.p)
 		}
 	}
@@ -706,65 +706,31 @@ func (s *Server) insertLocked(key string, p *Personalization) bool {
 	return true
 }
 
-// personalizeSource reports how a cache miss was resolved: a fresh pruning
-// run, a cold-tier disk restore, or a warm-tier promotion.
-type personalizeSource int
-
-const (
-	srcPruned personalizeSource = iota
-	srcCold
-	srcWarm
-)
-
-// personalize is the cache-miss path, run on a pool worker. It resolves the
-// tenant from the cheapest tier that has it: a warm delta record promotes
-// without touching disk or the pruner; a cold snapshot restores from disk;
-// only a tenant known to no tier pays for a fresh pruning run. Failures
-// cascade downward — a bad warm record or disk record must not take the
-// request down, it falls through to the next tier.
-func (s *Server) personalize(classes []int, key string) (*Personalization, personalizeSource, error) {
-	if we := s.takeWarm(key); we != nil {
-		p, err := s.promoteWarm(we)
-		if err == nil {
-			return p, srcWarm, nil
-		}
-		s.mu.Lock()
-		s.stats.PromoteErrors++
-		s.mu.Unlock()
-	}
-	if s.store != nil && !s.store.has(key) {
-		// Shards can share one snapshot store: a record another shard wrote
-		// after this store opened is on disk but not in the in-memory index
-		// yet. Re-reading the index before paying for a pruning run is what
-		// lets a surviving shard adopt a dead shard's tenants by restore —
-		// a failed refresh only costs the shortcut, never the request.
-		_ = s.store.refresh()
-	}
-	if s.store != nil && s.store.has(key) {
-		p, err := s.restoreOne(key)
-		if err == nil {
-			return p, srcCold, nil
-		}
-		// A bad record must not take the request down: count it and fall
-		// through to a fresh pruning run (which re-snapshots over it).
-		s.mu.Lock()
-		s.stats.RestoreErrors++
-		s.mu.Unlock()
+// personalize is the cache-miss path, run on a pool worker. A tenant some
+// tier still holds comes back through lookup. Any lookup failure — no tier
+// holds the tenant, a bad warm or disk record, a failed index refresh —
+// falls through to a fresh pruning run (which re-snapshots over a bad
+// record): it costs the shortcut, never the request. The pruned tenant's
+// delta is then admitted like any other; pruned reports which happened.
+func (s *Server) personalize(classes []int, key string) (*Personalization, bool, error) {
+	if p, err := s.lookup(key); err == nil {
+		return p, false, nil
 	}
 	clone := s.build()
 	s.base.CloneWeightsTo(clone)
 	train := s.ds.MakeSplit("serve-train/"+key, classes, s.opts.TrainPerClass)
 	test := s.ds.MakeSplit("serve-test/"+key, classes, s.opts.TestPerClass)
 	rep := pruner.NewCRISP(s.opts.Prune).Prune(clone, train)
-	eng, agreement, err := s.compileEngine(clone, key, func() data.Split { return test })
-	if err != nil {
-		return nil, srcPruned, err
-	}
-	// The clone dies with this call: the cache keeps the engine and this
-	// delta, nothing of the classifier or the training run behind it.
+	// The clone dies with this call: the cache keeps the engine admit
+	// compiles and this delta, nothing of the classifier or the training run
+	// behind it.
 	delta, err := checkpoint.EncodeModelDelta(s.base, clone)
 	if err != nil {
-		return nil, srcPruned, fmt.Errorf("serve: encoding {%s}: %w", key, err)
+		return nil, true, fmt.Errorf("serve: encoding {%s}: %w", key, err)
+	}
+	p, err := s.admit(&warmEntry{key: key, classes: classes, report: rep, accuracy: clone.Accuracy(test.X, test.Labels), delta: delta})
+	if err != nil {
+		return nil, true, err
 	}
 	if s.store != nil {
 		// Register the write-behind snapshot here, inside the job, so it
@@ -772,44 +738,52 @@ func (s *Server) personalize(classes []int, key string) (*Personalization, perso
 		// this via scheduleSnapshot's pendingDone.
 		s.pendingAdd(&s.pendingSnaps)
 	}
-	acc := clone.Accuracy(test.X, test.Labels)
-	return s.newPersonalization(key, classes, rep, acc, agreement, eng, delta), srcPruned, nil
+	return p, true, nil
 }
 
-// compileEngine builds the serving engine for a personalized clone at the
-// server's precision. At Int8 it also compiles the float reference engine
-// (once, at personalization time — never on the predict path) and measures
-// top-1 agreement over the held-out split, feeding the per-tenant
-// Agreement field and the aggregate Stats counters; at Float32 the engine
-// is the reference and agreement is trivially 1. The split is requested
-// through a thunk so callers that don't already have one (the restore
-// path) only synthesize it when the precision actually needs it.
-func (s *Server) compileEngine(clone *nn.Classifier, key string, testSplit func() data.Split) (*inference.Engine, float64, error) {
-	eng, err := s.newEngine(clone, inference.OwnParams{}, key)
-	if err != nil {
-		return nil, 0, err
-	}
-	if s.opts.Precision != inference.Int8 {
-		return eng, 1, nil
-	}
-	ref, err := inference.New(clone, s.opts.Prune.BlockSize, s.opts.Prune.NM)
-	if err != nil {
-		return nil, 0, fmt.Errorf("serve: compiling reference engine for {%s}: %w", key, err)
-	}
-	test := testSplit()
-	want := ref.Predict(test.X)
-	got := eng.Predict(test.X)
-	matches := 0
-	for i := range want {
-		if got[i] == want[i] {
-			matches++
+// lookup resolves a tenant from the cheapest tier that holds it: a warm
+// delta record promotes without touching disk or the pruner, a cold
+// snapshot restores from disk. A bad warm record falls through to the
+// store. It counts Promotions/PromoteErrors and RestoreHits/RestoreErrors
+// whoever asked — a Personalize miss or a handoff — and on a miss returns
+// ErrTenantNotFound, or the error that kept it from finding the tenant.
+func (s *Server) lookup(key string) (*Personalization, error) {
+	if we := s.takeWarm(key); we != nil {
+		p, err := s.promoteWarm(we)
+		s.tally(err, &s.stats.Promotions, &s.stats.PromoteErrors)
+		if err == nil {
+			return p, nil
 		}
 	}
+	if s.store == nil {
+		return nil, ErrTenantNotFound
+	}
+	if !s.store.has(key) {
+		// Shards can share one snapshot store: a record another shard wrote
+		// after this store opened is on disk but not in the in-memory index
+		// yet. Re-reading the index is what lets a surviving shard adopt a
+		// dead shard's tenants by restore.
+		if err := s.store.refresh(); err != nil {
+			return nil, fmt.Errorf("refreshing store: %w", err)
+		}
+		if !s.store.has(key) {
+			return nil, ErrTenantNotFound
+		}
+	}
+	p, err := s.restoreOne(key)
+	s.tally(err, &s.stats.RestoreHits, &s.stats.RestoreErrors)
+	return p, err
+}
+
+// tally counts a tier transition into ok or, when it failed, into failed.
+func (s *Server) tally(err error, ok, failed *uint64) {
 	s.mu.Lock()
-	s.stats.AgreementSamples += uint64(len(want))
-	s.stats.AgreementMatches += uint64(matches)
+	if err == nil {
+		*ok++
+	} else {
+		*failed++
+	}
 	s.mu.Unlock()
-	return eng, float64(matches) / float64(len(want)), nil
 }
 
 // Predict personalizes (or fetches) the engine for the class set and runs

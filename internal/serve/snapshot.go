@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/checkpoint"
-	"repro/internal/data"
 	"repro/internal/fault"
 	"repro/internal/nn"
 )
@@ -257,11 +256,11 @@ var errNoSnapshot = errors.New("serve: no snapshot for key")
 // de-indexed (counted in Stats.SnapshotsQuarantined).
 var errSnapshotQuarantined = errors.New("record quarantined")
 
-// restoreOne rebuilds a Personalization from its disk record: the pruned
-// weights and masks load into a fresh clone and the sparse formats are
-// recompiled from the masks — compiled CSR/CRISP buffers are never
-// persisted, so the on-disk format stays independent of the kernel layout.
-// On an Int8 server that recompilation re-quantizes: snapshot records are
+// restoreOne rebuilds a Personalization from its disk record: the record
+// loads into a fresh clone, which is encoded as the tenant's delta and
+// admitted like any other — compiled CSR/CRISP buffers are never persisted,
+// so the on-disk format stays independent of the kernel layout. On an Int8
+// server that compilation re-quantizes: snapshot records are
 // precision-agnostic (float weights + masks), and because quantization is
 // deterministic the restored engine carries exactly the pre-restart codes
 // (Engine.QuantSignature pins this); the agreement measurement is re-run on
@@ -278,19 +277,11 @@ func (s *Server) restoreOne(key string) (*Personalization, error) {
 		}
 		return nil, err
 	}
-	// The split is only synthesized when the precision measures agreement
-	// (Int8); Float32 restores skip the generation cost entirely.
-	eng, agreement, err := s.compileEngine(clone, key, func() data.Split {
-		return s.ds.MakeSplit("serve-test/"+key, rec.Classes, s.opts.TestPerClass)
-	})
-	if err != nil {
-		return nil, fmt.Errorf("serve: restoring {%s}: %w", key, err)
-	}
 	delta, err := checkpoint.EncodeModelDelta(s.base, clone)
 	if err != nil {
 		return nil, fmt.Errorf("serve: restoring {%s}: %w", key, err)
 	}
-	return s.newPersonalization(key, rec.Classes, rec.Report, rec.Accuracy, agreement, eng, delta), nil
+	return s.admit(&warmEntry{key: key, classes: rec.Classes, report: rec.Report, accuracy: rec.Accuracy, delta: delta})
 }
 
 // Restore rebuilds engines from indexed snapshot records and inserts them

@@ -6,34 +6,36 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/inference"
-	"repro/internal/nn"
 	"repro/internal/pruner"
 )
 
 // The three-tier cache (Options.MemoryBudgetBytes > 0):
 //
 //	hot   — compiled engines, ready to Predict (up to HotFraction of budget)
-//	warm  — delta records over the shared universal weights (rest of budget)
+//	warm  — delta records over the universal weights (rest of budget)
 //	cold  — disk snapshots (Options.SnapshotDir), unbounded
 //
 // A hot tenant is a compiled engine and a delta, not a model clone: the
 // engine owns everything it reads (inference package comment), and the
 // personalized classifier survives only as a checkpoint model delta over the
 // universal base (mask + kept-position values — a small fraction of a full
-// copy), encoded once when the tenant is created. An engine squeezed out of
-// the hot tier is demoted: the engine is dropped and that same delta parks in
-// a warm LRU — no encoding work. A later request promotes the record instead
-// of re-pruning, and builds no model to do it: the universal model supplies
-// the layer tree and a validated view over the delta
-// (checkpoint.ViewModelDelta) the tenant's values. A snapshot write does rebuild a clone (build + ApplyModelDelta), so a new
-// record's pruned positions hold the base's values (dead data: none reads them).
-// Because compilation and quantization only ever read the effective weights
-// W ⊙ Mask — exactly what the delta preserves — promotion is bit-identical
-// on the float path and QuantSignature-identical on int8; both are verified
-// structurally at promote time against fingerprints captured at demotion.
-// Warm records squeezed out by the byte budget drop to the cold tier
-// (demotion synchronously ensures the disk copy first, when a store is
-// configured), and cold records re-prune only if the store is absent.
+// copy), encoded once when the tenant is created or restored. Every hot
+// tenant — pruned, restored or promoted — is compiled from that delta by
+// admit, and none builds a model to do it: the universal model supplies the
+// layer tree and a validated view over the delta
+// (checkpoint.ViewModelDelta) the tenant's values. An engine squeezed out of
+// the hot tier is demoted: the engine is dropped and that same delta parks
+// in a warm LRU — no encoding work. A later request promotes the record
+// instead of re-pruning. A snapshot write does rebuild a clone (build +
+// ApplyModelDelta), so a new record's pruned positions hold the base's
+// values (dead data: none reads them). Because compilation and quantization
+// only ever read the effective weights W ⊙ Mask — exactly what the delta
+// preserves — promotion is bit-identical on the float path and
+// QuantSignature-identical on int8; both are verified structurally at
+// promote time against fingerprints captured at demotion. Warm records
+// squeezed out by the byte budget drop to the cold tier (demotion
+// synchronously ensures the disk copy first, when a store is configured),
+// and cold records re-prune only if the store is absent.
 
 // estimated fixed overhead charged per resident object on top of the
 // measured buffers (struct headers, batcher, LRU bookkeeping).
@@ -42,9 +44,10 @@ const (
 	warmEntryOverheadBytes       = 256
 )
 
-// warmEntry is one demoted tenant: everything needed to rebuild the hot
-// Personalization without touching disk or the pruner, plus the identity
-// fingerprints the rebuild is checked against.
+// warmEntry is one tenant as admit takes it: everything needed to build the
+// hot Personalization without touching disk or the pruner. A demoted tenant
+// (a warm record) also carries the identity fingerprints the rebuild is
+// checked against; a tenant admitted for the first time carries zeros.
 type warmEntry struct {
 	key       string
 	classes   []int
@@ -54,7 +57,8 @@ type warmEntry struct {
 	// delta is the checkpoint model delta over the universal base.
 	delta []byte
 	// fp pins the float structural identity (plan fingerprints in compile
-	// order); qsig pins the int8 code identity (0 on Float32 servers).
+	// order); qsig pins the int8 code identity (0 on Float32 servers). Both
+	// are 0 on an entry that was never compiled.
 	fp   uint64
 	qsig uint64
 	size int64
@@ -62,18 +66,6 @@ type warmEntry struct {
 
 func warmEntryBytes(we *warmEntry) int64 {
 	return int64(len(we.delta)) + int64(len(we.key)) + int64(len(we.classes))*8 + warmEntryOverheadBytes
-}
-
-// newEngine compiles the serving engine for the tenant src holds over tree
-// (a personalized clone and its own parameters, or base and a delta view) at
-// the server's precision.
-func (s *Server) newEngine(tree *nn.Classifier, src inference.ParamSource, key string) (*inference.Engine, error) {
-	bs, nm := s.opts.Prune.BlockSize, s.opts.Prune.NM
-	eng, err := inference.NewFromSource(tree, src, bs, nm, inference.CompileOptions{Precision: s.opts.Precision})
-	if err != nil {
-		return nil, fmt.Errorf("serve: compiling engine for {%s}: %w", key, err)
-	}
-	return eng, nil
 }
 
 // newPersonalization assembles a cache entry and fixes its resident cost:
@@ -230,25 +222,66 @@ func (s *Server) takeWarm(key string) *warmEntry {
 	return we
 }
 
-// promoteWarm rebuilds a hot Personalization from a warm record: compile the
-// engine straight from (base, delta view) — checksum-verified before compile
-// reads a value; no classifier is built — and verify the result is the engine
-// that was demoted (checkIdentity). The stored accuracy/agreement carry over:
-// the engine is pinned identical, so re-measuring would be waste.
-func (s *Server) promoteWarm(we *warmEntry) (*Personalization, error) {
-	defer s.clock(&s.stats.PromoteNanos, time.Now())
+// admit is the one way a tenant becomes servable: every hot Personalization
+// — a fresh prune, a cold restore, a warm promotion — is compiled here from
+// the universal model's layer tree and a checksum-verified view over the
+// tenant's delta (checkpoint.ViewModelDelta), and builds no classifier to do
+// it. A pinned entry (a demoted tenant, fp != 0) must compile to the engine
+// it was demoted from (checkIdentity), and its stored agreement carries
+// over: re-measuring an identical engine would be waste. An unpinned entry
+// at Int8 measures its agreement against a Float32 engine compiled from the
+// same view, on the tenant's held-out split — once, here, never on the
+// predict path; at Float32 the engine is the reference and agreement is 1.
+func (s *Server) admit(we *warmEntry) (*Personalization, error) {
 	view, err := checkpoint.ViewModelDelta(we.delta, s.base)
 	if err != nil {
-		return nil, fmt.Errorf("serve: promoting {%s}: %w", we.key, err)
+		return nil, fmt.Errorf("serve: admitting {%s}: %w", we.key, err)
 	}
-	eng, err := s.newEngine(s.base, view, we.key)
+	compile := func(prec inference.Precision) (*inference.Engine, error) {
+		eng, err := inference.NewFromSource(s.base, view, s.opts.Prune.BlockSize, s.opts.Prune.NM, inference.CompileOptions{Precision: prec})
+		if err != nil {
+			return nil, fmt.Errorf("serve: compiling %s engine for {%s}: %w", prec, we.key, err)
+		}
+		return eng, nil
+	}
+	eng, err := compile(s.opts.Precision)
 	if err != nil {
 		return nil, err
 	}
-	if err := checkIdentity(eng, we.fp, we.qsig); err != nil {
-		return nil, fmt.Errorf("serve: promoting {%s}: %w", we.key, err)
+	agreement := we.agreement
+	switch {
+	case we.fp != 0:
+		if err := checkIdentity(eng, we.fp, we.qsig); err != nil {
+			return nil, fmt.Errorf("serve: admitting {%s}: %w", we.key, err)
+		}
+	case s.opts.Precision == inference.Int8:
+		ref, err := compile(inference.Float32)
+		if err != nil {
+			return nil, err
+		}
+		test := s.ds.MakeSplit("serve-test/"+we.key, we.classes, s.opts.TestPerClass)
+		want, got := ref.Predict(test.X), eng.Predict(test.X)
+		matches := 0
+		for i := range want {
+			if got[i] == want[i] {
+				matches++
+			}
+		}
+		s.mu.Lock()
+		s.stats.AgreementSamples += uint64(len(want))
+		s.stats.AgreementMatches += uint64(matches)
+		s.mu.Unlock()
+		agreement = float64(matches) / float64(len(want))
+	default:
+		agreement = 1
 	}
-	return s.newPersonalization(we.key, we.classes, we.report, we.accuracy, we.agreement, eng, we.delta), nil
+	return s.newPersonalization(we.key, we.classes, we.report, we.accuracy, agreement, eng, we.delta), nil
+}
+
+// promoteWarm is admit timed as a warm promotion (Stats.PromoteNanos).
+func (s *Server) promoteWarm(we *warmEntry) (*Personalization, error) {
+	defer s.clock(&s.stats.PromoteNanos, time.Now())
+	return s.admit(we)
 }
 
 // checkIdentity is the one check that an engine is the one a tenant's
