@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"log"
 	"math"
+	"math/big"
 	"math/rand"
 	"os"
 	"sort"
@@ -89,6 +90,9 @@ func main() {
 	}
 	if *diurnal < 0 || *diurnal >= 1 {
 		log.Fatalf("-diurnal must be in [0,1), got %g", *diurnal)
+	}
+	if err := checkTenants(*tenants, *classesPer, *numClasses); err != nil {
+		log.Fatal(err)
 	}
 	period := *diurnalPer
 	if period <= 0 {
@@ -247,6 +251,19 @@ func (t *tenant) nextInput() *tensor.Tensor {
 	t.next++
 	t.mu.Unlock()
 	return x
+}
+
+// checkTenants rejects, before any pre-training, a population makeTenants
+// cannot draw: a class set wider than the universal model panics in
+// UserClasses, and more tenants than distinct class sets never finish.
+func checkTenants(tenants, classesPer, numClasses int) error {
+	if tenants < 1 || classesPer < 1 || classesPer > numClasses {
+		return fmt.Errorf("want -tenants >= 1 and 1 <= -classes-per-tenant <= -num-classes, got %d, %d and %d", tenants, classesPer, numClasses)
+	}
+	if sets := new(big.Int).Binomial(int64(numClasses), int64(classesPer)); sets.Cmp(big.NewInt(int64(tenants))) < 0 {
+		return fmt.Errorf("-tenants %d exceeds the %s distinct %d-class sets of %d classes", tenants, sets, classesPer, numClasses)
+	}
+	return nil
 }
 
 // makeTenants derives the deterministic tenant population: distinct class

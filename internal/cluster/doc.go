@@ -91,10 +91,10 @@
 // cluster's impatience.
 //
 // cmd/crisp-router is the binary; internal/cluster/e2e_test.go drives a
-// router plus three real in-process shards through kill, lazy failover,
-// rejoin, and drain under concurrent load (with seeded network faults when
-// CRISP_E2E_FAULTS is set). cmd/crisp-chaos replays Zipf traffic through a
-// live cluster under a seeded storm — partition, record corruption, crash,
-// restart — and fails CI unless recovery is exact: zero lost tenants, one
-// quarantine, one re-prune, bit-identical logits.
+// router plus three real in-process shards, over a seeded flaky network,
+// through kill, lazy failover, rejoin, and drain under concurrent load, and
+// through TestClusterStormE2E's seeded storm — partition, record corruption,
+// crash, fsync stalls, restart — which fails unless recovery is exact: zero
+// lost tenants, one quarantine, one re-prune, and logits bit-equal to an
+// oracle that prunes each tenant outside the fleet, from its own base.
 package cluster

@@ -84,7 +84,7 @@ type Options struct {
 	// (DefaultQoSPolicy); set QoS.Disabled for the FIFO baseline.
 	QoS QoSOptions
 	// FS is the filesystem the snapshot store writes through; nil means the
-	// real one (fault.OS). Crash/chaos tests and cmd/crisp-chaos pass a
+	// real one (fault.OS). Crash tests and the cluster storm e2e pass a
 	// fault.NewFS here to inject torn writes, read bit-flips and fsync
 	// stalls under the serving stack without touching it.
 	FS fault.FS

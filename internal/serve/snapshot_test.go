@@ -389,8 +389,8 @@ func TestSnapshotStorm(t *testing.T) {
 // journal their own appends, so a quarantining store's in-memory index may
 // be stale. The de-index rewrite must merge the on-disk index first — a
 // rewrite from the stale view would silently drop peers' records, turning
-// each one's next failover restore into a needless re-prune. (Found by
-// cmd/crisp-chaos.)
+// each one's next failover restore into a needless re-prune. (Found by the
+// chaos storm, now the cluster package's TestClusterStormE2E.)
 func TestQuarantineKeepsPeerRecords(t *testing.T) {
 	opts, dir := snapshotOpts(t)
 
