@@ -97,15 +97,6 @@ func (e *enc) f64s(src []float64) {
 	}
 }
 
-// f64sKept writes src at the positions mask keeps, in index order.
-func (e *enc) f64sKept(src, mask []float64) {
-	for j, m := range mask {
-		if m != 0 {
-			e.f64(src[j])
-		}
-	}
-}
-
 // bits packs a {0,1} float slice 8 elements per byte, LSB first.
 func (e *enc) bits(mask []float64) {
 	for i := 0; i < len(mask); i += 8 {

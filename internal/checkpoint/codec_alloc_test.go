@@ -6,7 +6,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/inference"
 	"repro/internal/models"
+	"repro/internal/sparsity"
 )
 
 // TestCodecAllocsFollowParamCountNotSize is the guard that fails when the
@@ -33,6 +35,10 @@ func TestCodecAllocsFollowParamCountNotSize(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			eng, err := inference.New(tenant, 4, sparsity.NM{N: 2, M: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
 			rec := testRecord()
 			record := savedRecord(t, SavePersonalization, rec, tenant)
 			dst := models.Build(f, rand.New(rand.NewSource(63)), 6, i+1)
@@ -40,6 +46,11 @@ func TestCodecAllocsFollowParamCountNotSize(t *testing.T) {
 			counts[i] = map[string]float64{
 				"EncodeModelDelta": testing.AllocsPerRun(5, func() {
 					if _, err := EncodeModelDelta(base, tenant); err != nil {
+						t.Fatal(err)
+					}
+				}),
+				"EncodeEngineDelta": testing.AllocsPerRun(5, func() {
+					if _, err := EncodeEngineDelta(base, eng); err != nil {
 						t.Fatal(err)
 					}
 				}),
@@ -66,7 +77,10 @@ func TestCodecAllocsFollowParamCountNotSize(t *testing.T) {
 			}
 		}
 		// Beyond the walks: the chunk, plus the delta's plan, output and
-		// buffer header, the reader over the delta bytes, and the record's
+		// buffer header. The engine source walks only base; in place of the
+		// tenant's walk it adds its norm-stat list and the two callbacks
+		// Engine.Walk takes, with the two counters they share — nothing per
+		// value. Then the reader over the delta bytes, and the record's
 		// key, class list, method, two slices and two layer names. Apply is
 		// the view written back into dst, so it costs the view (its walk of
 		// base, the chunk, reader and view, and up to four objects per map)
@@ -74,6 +88,7 @@ func TestCodecAllocsFollowParamCountNotSize(t *testing.T) {
 		// the view's entries instead of walking base a second time.
 		bounds := map[string]float64{
 			"EncodeModelDelta":    2*walk + 4,
+			"EncodeEngineDelta":   walk + 9,
 			"ApplyModelDelta":     2*walk + 3 + 8,
 			"ViewModelDelta":      walk + 3 + 8,
 			"SavePersonalization": walk + 1,

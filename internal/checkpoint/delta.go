@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 
+	"repro/internal/format"
 	"repro/internal/nn"
 )
 
@@ -30,6 +31,12 @@ import (
 // path and QuantSignature-identical on the int8 path. Gradients are not
 // stored (serving never trains); at typical CRISP sparsity the record is a
 // small fraction of a full model copy.
+//
+// One encoder writes the format, from either of two sources: a tenant
+// classifier (EncodeModelDelta) or the Float32 engine compiled from it
+// (EncodeEngineDelta), which holds every value a delta stores: compiling
+// from a delta view (inference.ParamSource) run in reverse. It is what lets
+// a hot float tenant hold its weights once.
 
 const (
 	deltaMagic   = "CRSD"
@@ -42,9 +49,7 @@ const (
 
 // EncodeModelDelta serializes tenant's personalized state as a delta over
 // base. The two classifiers must share an architecture (same parameters in
-// the same order with the same shapes). A first pass picks each entry's
-// mode and counts its kept values, which fixes the record's exact size; the
-// second writes into a buffer of that size.
+// the same order with the same shapes).
 func EncodeModelDelta(base, tenant *nn.Classifier) ([]byte, error) {
 	bp, tp := base.Params(), tenant.Params()
 	if len(bp) != len(tp) {
@@ -54,47 +59,177 @@ func EncodeModelDelta(base, tenant *nn.Classifier) ([]byte, error) {
 	if len(bs) != len(ts) {
 		return nil, fmt.Errorf("checkpoint: delta norm stats: %d vs base %d", len(ts), len(bs))
 	}
-	type entry struct {
-		mode byte
-		kept int
-	}
-	plan := make([]entry, len(tp)+len(ts))
-	size := 4 + 4 + 4 + 4 + 8 // magic, version, #params, #bnStats, crc
+	src := make([]tenantParam, len(tp))
 	for i, p := range tp {
-		b := bp[i]
-		if p.Name != b.Name || p.W.Len() != b.W.Len() {
+		if b := bp[i]; p.Name != b.Name || p.W.Len() != b.W.Len() {
 			return nil, fmt.Errorf("checkpoint: delta param %d: %q/%d vs base %q/%d", i, p.Name, p.W.Len(), b.Name, b.W.Len())
 		}
-		size += 4 + len(p.Name) + 1 + 1 // name, hasMask, mode
-		if p.Mask == nil {
-			if !equalSlices(p.W.Data, b.W.Data) {
-				plan[i].mode = deltaDense
-				size += 8 * p.W.Len()
-			}
-			continue
-		}
-		size += (p.W.Len() + 7) / 8
-		kept, same := 0, true
-		for j, m := range p.Mask.Data {
-			if m != 0 {
-				kept++
-				if p.W.Data[j] != b.W.Data[j] {
-					same = false
-				}
-			}
-		}
-		if !same {
-			plan[i] = entry{deltaKept, kept}
-			size += 4 + 8*kept
+		src[i] = tenantParam{masked: p.Mask != nil, w: p.W.Data}
+		if p.Mask != nil {
+			src[i].mask = p.Mask.Data
 		}
 	}
 	for i, s := range ts {
 		if s.name != bs[i].name || len(s.mean) != len(bs[i].mean) {
 			return nil, fmt.Errorf("checkpoint: delta norm stat %d: %q vs base %q", i, s.name, bs[i].name)
 		}
-		size += 4 + len(s.name) + 1
-		if !equalSlices(s.mean, bs[i].mean) || !equalSlices(s.variance, bs[i].variance) {
-			plan[len(tp)+i].mode = deltaDense
+	}
+	return encodeDelta(bp, bs, src, ts)
+}
+
+// Compiled is a tenant as a compiled Float32 engine holds it — the second
+// source the delta encoder reads, implemented by *inference.Engine (an
+// interface because inference's tests import this package). Walk
+// visits, in the order of the layer tree's Params, each parameter's values
+// (a matrix's plan, whose entries are the non-zeros of W ⊙ Mask in index
+// order, or a vector held verbatim: a depthwise W ⊙ Mask, a bias, γ or β),
+// and, in batch-norm order, each norm layer's running statistics.
+type Compiled interface {
+	Walk(param func(plan *format.Plan, values []float64), norm func(mean, variance []float64)) error
+}
+
+// EncodeEngineDelta serializes the tenant a Float32 engine compiled from
+// base's architecture holds, as a delta over base: the record
+// EncodeModelDelta writes for the tenant classifier the engine was compiled
+// from, byte for byte, for a masked tenant (every prunable parameter masked,
+// no other) whose kept weights are all non-zero. An engine keeps no zero
+// value, so a kept weight that is exactly ±0 comes back unkept; W ⊙ Mask is
+// unchanged, so the record compiles to the same engine. Parameters carry a
+// mask exactly when base marks them prunable.
+func EncodeEngineDelta(base *nn.Classifier, eng Compiled) ([]byte, error) {
+	bp, bs := base.Params(), bnStats(base)
+	src := make([]tenantParam, len(bp))
+	ts := make([]stat, len(bs))
+	np, ns := 0, 0
+	err := eng.Walk(func(plan *format.Plan, values []float64) {
+		if np < len(src) {
+			src[np] = tenantParam{masked: bp[np].Prunable, w: values, plan: plan}
+		}
+		np++
+	}, func(mean, variance []float64) {
+		if ns < len(ts) {
+			ts[ns] = stat{mean: mean, variance: variance}
+		}
+		ns++
+	})
+	if err != nil {
+		return nil, err
+	}
+	if np != len(bp) || ns != len(bs) {
+		return nil, fmt.Errorf("checkpoint: engine holds %d params and %d norm stats, base has %d and %d", np, ns, len(bp), len(bs))
+	}
+	for i, p := range src {
+		b := bp[i]
+		if pl := p.plan; pl != nil && (pl.Rows != b.Rows || pl.Cols != b.Cols) || pl == nil && len(p.w) != b.W.Len() {
+			return nil, fmt.Errorf("checkpoint: engine param %d does not have the shape of base %q", i, b.Name)
+		}
+	}
+	for i, s := range ts {
+		if len(s.mean) != len(bs[i].mean) || len(s.variance) != len(bs[i].variance) {
+			return nil, fmt.Errorf("checkpoint: engine norm stat %d does not have the length of base %q", i, bs[i].name)
+		}
+		ts[i].name = bs[i].name
+	}
+	return encodeDelta(bp, bs, src, ts)
+}
+
+// tenantParam is one tenant parameter as the encoder reads it: a source
+// says where its values are, the sizing pass adds the record's mode and kept
+// count.
+type tenantParam struct {
+	// masked is whether the record carries a mask for the parameter.
+	masked bool
+	// A classifier's values and, when masked, its mask; or a vector an
+	// engine holds verbatim (W ⊙ Mask when masked).
+	w, mask []float64
+	// plan is a compiled matrix: its entries are the non-zeros of W ⊙ Mask.
+	plan *format.Plan
+	mode byte
+	kept int
+}
+
+// each visits, in index order, the positions the tenant holds a value at:
+// a mask's kept positions, a plan's entries, the non-zeros of a masked
+// vector held as W ⊙ Mask, or every position of an unmasked vector.
+func (p *tenantParam) each(visit func(j int, v float64)) {
+	switch {
+	case p.plan != nil:
+		pl := p.plan
+		for r := range pl.Rows {
+			for i := pl.RowPtr[r]; i < pl.RowPtr[r+1]; i++ {
+				visit(r*pl.Cols+int(pl.Col[i]), pl.Val[i])
+			}
+		}
+	case p.mask != nil:
+		for j, m := range p.mask {
+			if m != 0 {
+				visit(j, p.w[j])
+			}
+		}
+	default:
+		for j, v := range p.w {
+			if v != 0 || !p.masked {
+				visit(j, v)
+			}
+		}
+	}
+}
+
+// dense visits all n positions of an unmasked plan in index order; a
+// position the plan skips (it keeps no zero) reads as zero. An unmasked
+// vector is its own dense form.
+func (p *tenantParam) dense(n int, visit func(j int, v float64)) {
+	next := 0
+	p.each(func(j int, v float64) {
+		for ; next < j; next++ {
+			visit(next, 0)
+		}
+		visit(j, v)
+		next = j + 1
+	})
+	for ; next < n; next++ {
+		visit(next, 0)
+	}
+}
+
+// encodeDelta is the one delta encoder, whichever source filled src and ts
+// (checked against bp and bs, whose names it writes). A first pass picks each
+// entry's mode and counts its kept values, which fixes the record's exact
+// size; the second writes into a buffer of that size.
+func encodeDelta(bp []*nn.Param, bs []stat, src []tenantParam, ts []stat) ([]byte, error) {
+	size := 4 + 4 + 4 + 4 + 8 // magic, version, #params, #bnStats, crc
+	for i := range src {
+		p, b := &src[i], bp[i].W.Data
+		size += 4 + len(bp[i].Name) + 1 + 1 // name, hasMask, mode
+		same := true
+		if !p.masked {
+			if p.plan == nil {
+				same = equalSlices(p.w, b)
+			} else {
+				p.dense(len(b), func(j int, v float64) { same = same && v == b[j] })
+			}
+			if !same {
+				p.mode = deltaDense
+				size += 8 * len(b)
+			}
+			continue
+		}
+		size += (len(b) + 7) / 8
+		p.each(func(j int, v float64) {
+			p.kept++
+			same = same && v == b[j]
+		})
+		if !same {
+			p.mode = deltaKept
+			size += 4 + 8*p.kept
+		}
+	}
+	statSame := func(i int) bool {
+		return equalSlices(ts[i].mean, bs[i].mean) && equalSlices(ts[i].variance, bs[i].variance)
+	}
+	for i, s := range ts {
+		size += 4 + len(bs[i].name) + 1
+		if !statSame(i) {
 			size += 8 * (len(s.mean) + len(s.variance))
 		}
 	}
@@ -104,28 +239,57 @@ func EncodeModelDelta(base, tenant *nn.Classifier) ([]byte, error) {
 	bw.raw(deltaMagic)
 	bw.u32(deltaVersion)
 	bw.startSum()
-	bw.u32(uint32(len(tp)))
-	for i, p := range tp {
-		bw.str(p.Name)
-		bw.mask(p)
-		bw.u8(plan[i].mode)
-		switch plan[i].mode {
+	bw.u32(uint32(len(src)))
+	put := func(_ int, v float64) { bw.f64(v) }
+	for i := range src {
+		p, n := &src[i], bp[i].W.Len()
+		bw.str(bp[i].Name)
+		switch {
+		case !p.masked:
+			bw.u8(0)
+		case p.mask != nil:
+			bw.u8(1)
+			bw.bits(p.mask)
+		default:
+			bw.u8(1)
+			// Pack the kept positions 8 to a byte, LSB first, as bits does.
+			var cur byte
+			at := 0
+			p.each(func(j int, _ float64) {
+				for ; at < j/8; at++ {
+					bw.u8(cur)
+					cur = 0
+				}
+				cur |= 1 << (j % 8)
+			})
+			for ; at < (n+7)/8; at++ {
+				bw.u8(cur)
+				cur = 0
+			}
+		}
+		bw.u8(p.mode)
+		switch p.mode {
 		case deltaKept:
-			bw.u32(uint32(plan[i].kept))
-			bw.f64sKept(p.W.Data, p.Mask.Data)
+			bw.u32(uint32(p.kept))
+			p.each(put)
 		case deltaDense:
-			bw.f64s(p.W.Data)
+			if p.plan == nil {
+				bw.f64s(p.w)
+			} else {
+				p.dense(n, put)
+			}
 		}
 	}
 	bw.u32(uint32(len(ts)))
 	for i, s := range ts {
-		bw.str(s.name)
-		mode := plan[len(tp)+i].mode
-		bw.u8(mode)
-		if mode == deltaDense {
-			bw.f64s(s.mean)
-			bw.f64s(s.variance)
+		bw.str(bs[i].name)
+		if statSame(i) {
+			bw.u8(deltaSame)
+			continue
 		}
+		bw.u8(deltaDense)
+		bw.f64s(s.mean)
+		bw.f64s(s.variance)
 	}
 	bw.trailer()
 	if err := bw.finish(); err != nil {

@@ -4,8 +4,10 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/inference"
 	"repro/internal/models"
 	"repro/internal/nn"
+	"repro/internal/sparsity"
 	"repro/internal/tensor"
 )
 
@@ -143,5 +145,32 @@ func TestModelDeltaRejectsGarbage(t *testing.T) {
 	other := models.Build(models.VGG, rand.New(rand.NewSource(90)), 6, 1)
 	if err := ApplyModelDelta(delta, base, other); err == nil {
 		t.Fatal("cross-architecture apply accepted")
+	}
+}
+
+// TestEngineDeltaRejectsAnotherArchitecture: an engine walked against a base
+// it was not compiled from fails — another family (parameter count), another
+// width (shapes) — and so does an Int8 engine, which holds no float values.
+func TestEngineDeltaRejectsAnotherArchitecture(t *testing.T) {
+	base, tenant := deltaPair(t, models.ResNet)
+	nm := sparsity.NM{N: 2, M: 4}
+	for name, clf := range map[string]*nn.Classifier{
+		"other family": models.Build(models.VGG, rand.New(rand.NewSource(91)), 6, 1),
+		"other width":  models.Build(models.ResNet, rand.New(rand.NewSource(92)), 6, 2),
+	} {
+		eng, err := inference.New(clf, 4, nm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := EncodeEngineDelta(base, eng); err == nil {
+			t.Errorf("%s: an engine of another architecture gave back a delta over base", name)
+		}
+	}
+	q, err := inference.NewWithOptions(tenant, 4, nm, inference.CompileOptions{Precision: inference.Int8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := EncodeEngineDelta(base, q); err == nil {
+		t.Error("an int8 engine gave back a delta")
 	}
 }

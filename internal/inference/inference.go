@@ -57,7 +57,10 @@
 // executor is a compile error rather than a retained layer. The caller may
 // drop or overwrite classifier and delta while the engine serves — and the
 // universal model too: an engine aliases nothing, shares nothing with another
-// engine, and owns every byte its MemoryFootprint charges.
+// engine, and owns every byte its MemoryFootprint charges. Walk runs compile
+// in reverse: a Float32 engine hands back, read-only, every value it took
+// from its source, which is enough to encode the tenant's delta again
+// (checkpoint.EncodeEngineDelta), so a serving layer need not keep one.
 package inference
 
 import (
@@ -509,6 +512,68 @@ func (e *Engine) encodeParam(p *nn.Param, masked *tensor.Tensor, b int, nm spars
 		}
 	}
 	return format.EncodeCSR(masked).Compile()
+}
+
+// Walk hands a Float32 engine's values back — the reverse of compile, which
+// took them from a ParamSource. It visits in compile order, which is the order
+// of the layer tree's Params and of its batch norms: param once per
+// parameter, with the plan a matrix compiled to (its entries are the
+// non-zeros of W ⊙ Mask, each row's in ascending column order) or the vector
+// the engine holds verbatim (a depthwise kernel's W ⊙ Mask, a bias, γ or β);
+// norm once per batch norm, with its running mean and variance. What it hands
+// out is the engine's own memory: read it, never write it. An Int8 engine
+// holds lossy images of its matrices, not their values, and walks nothing.
+func (e *Engine) Walk(param func(plan *format.Plan, values []float64), norm func(mean, variance []float64)) error {
+	if e.precision != Float32 {
+		return fmt.Errorf("inference: a %s engine holds no float values to walk", e.precision)
+	}
+	walk(e.root, param, norm)
+	return nil
+}
+
+func walk(l execLayer, param func(*format.Plan, []float64), norm func(mean, variance []float64)) {
+	vec := func(v []float64) {
+		if v != nil { // a bias-free layer's absent bias
+			param(nil, v)
+		}
+	}
+	switch v := l.(type) {
+	case *execSeq:
+		for _, c := range v.layers {
+			walk(c, param, norm)
+		}
+	case *execResidual:
+		walk(v.main, param, norm)
+		if v.shortcut != nil {
+			walk(v.shortcut, param, norm)
+		}
+	case *sparseConv:
+		param(v.mm.plan, nil)
+		vec(v.bias)
+	case *sparseLinear:
+		param(v.mm.plan, nil)
+		vec(v.bias)
+	case *sparseTokenLinear:
+		param(v.mm.plan, nil)
+		vec(v.bias)
+	case *sparsePatchEmbed:
+		param(v.mm.plan, nil)
+		vec(v.bias)
+	case *execAttention:
+		for _, p := range [...]*format.Plan{v.wq, v.wk, v.wv, v.wo} {
+			param(p, nil)
+		}
+	case *execDepthwise:
+		param(nil, v.weff.Data)
+		vec(v.bias)
+	case *execBatchNorm:
+		param(nil, v.gamma)
+		param(nil, v.beta)
+		norm(v.mean, v.variance)
+	case *execLayerNorm:
+		param(nil, v.gamma)
+		param(nil, v.beta)
+	}
 }
 
 // execSeq chains executors.

@@ -43,12 +43,44 @@ func (s *Sequential) Backward(dy *tensor.Tensor) *tensor.Tensor {
 }
 
 // Params implements Layer.
-func (s *Sequential) Params() []*Param {
-	var ps []*Param
-	for _, l := range s.Layers {
-		ps = append(ps, l.Params()...)
+func (s *Sequential) Params() []*Param { return appendParams(nil, s) }
+
+// appendParams appends l's parameters to ps in Params order. One slice grows
+// across the whole tree: containers recurse into it, and the layer types
+// named below have their lists inlined and copied in rather than allocated
+// per layer — a codec call lists the universal model's parameters on every
+// tier transition. Any other layer appends its own Params.
+func appendParams(ps []*Param, l Layer) []*Param {
+	switch v := l.(type) {
+	case *Sequential:
+		for _, c := range v.Layers {
+			ps = appendParams(ps, c)
+		}
+		return ps
+	case *Residual:
+		ps = appendParams(ps, v.Main)
+		if v.Shortcut != nil {
+			ps = appendParams(ps, v.Shortcut)
+		}
+		return ps
+	case *Conv2D:
+		return append(ps, v.Params()...)
+	case *DepthwiseConv2D:
+		return append(ps, v.Params()...)
+	case *Linear:
+		return append(ps, v.Params()...)
+	case *BatchNorm2D:
+		return append(ps, v.Params()...)
+	case *TokenLinear:
+		return append(ps, v.Params()...)
+	case *LayerNorm:
+		return append(ps, v.Params()...)
+	case *MultiHeadAttention:
+		return append(ps, v.Params()...)
+	case *PatchEmbed:
+		return append(ps, v.Params()...)
 	}
-	return ps
+	return append(ps, l.Params()...)
 }
 
 // Residual computes y = Main(x) + Shortcut(x). A nil Shortcut is the
@@ -88,13 +120,7 @@ func (r *Residual) Backward(dy *tensor.Tensor) *tensor.Tensor {
 }
 
 // Params implements Layer.
-func (r *Residual) Params() []*Param {
-	ps := r.Main.Params()
-	if r.Shortcut != nil {
-		ps = append(ps, r.Shortcut.Params()...)
-	}
-	return ps
-}
+func (r *Residual) Params() []*Param { return appendParams(nil, r) }
 
 // Flatten reshapes [N, ...] activations to [N, D] for the classifier head.
 type Flatten struct {

@@ -120,7 +120,15 @@ func TestSnapshotFromDeltaRestoresIdenticalEngine(t *testing.T) {
 				if !identify(s2, p2).equal(want) {
 					t.Errorf("record written %s restored to a different engine", name)
 				}
-				if p2.Accuracy != p1.Accuracy || !bytes.Equal(p2.delta, p1.delta) {
+				d1, err := s1.deltaOf(p1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				d2, err := s2.deltaOf(p2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if p2.Accuracy != p1.Accuracy || !bytes.Equal(d2, d1) {
 					t.Errorf("record written %s restored a different accuracy or delta", name)
 				}
 			}
@@ -128,47 +136,79 @@ func TestSnapshotFromDeltaRestoresIdenticalEngine(t *testing.T) {
 	}
 }
 
-// TestDemoteParksTheHotDelta: demotion encodes nothing — the warm record is
-// the very slice the hot personalization carried — and that slice is a fixed
-// point of encode ∘ apply, so a tenant can cycle through the tiers (each
-// promotion hands the delta on, each snapshot write applies it) without its
-// bytes ever drifting.
-func TestDemoteParksTheHotDelta(t *testing.T) {
+// TestDemotionDerivesTheDelta: a hot Float32 tenant holds no delta — its
+// engine holds every value one would carry, and its resident size is the
+// engine plus overhead — so demotion derives the warm record from the
+// engine, and that record is the very delta the pruned clone encodes to (the
+// tenant re-pruned here on a private clone of the base). An Int8 tenant
+// keeps the delta it was compiled from, and demotion parks that slice
+// without encoding. Either record is a fixed point of encode ∘ apply, so a
+// tenant can cycle through the tiers (each promotion compiles it, each
+// snapshot write applies it) without its bytes ever drifting.
+func TestDemotionDerivesTheDelta(t *testing.T) {
 	env := sharedEnv()
-	opts := quickOpts()
-	opts.CacheSize = 1
-	opts.MemoryBudgetBytes = 1 << 40
-	s := newTestServer(t, opts)
-	p, _, err := s.Personalize([]int{1, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := s.Personalize([]int{0, 2}); err != nil {
-		t.Fatal(err)
-	}
-	s.mu.Lock()
-	el := s.warm[p.Key]
-	s.mu.Unlock()
-	if el == nil {
-		t.Fatalf("tenant %s was not demoted: %+v", p.Key, s.Stats())
-	}
-	we := el.Value.(*warmEntry)
-	if len(we.delta) == 0 || &we.delta[0] != &p.delta[0] || len(we.delta) != len(p.delta) {
-		t.Fatal("the warm record is not the hot personalization's delta")
-	}
-	if want := int64(len(p.delta)) + p.engine.MemoryFootprint() + personalizationOverheadBytes; p.size != want {
-		t.Fatalf("hot size %d, want engine + delta + overhead = %d", p.size, want)
-	}
+	for _, prec := range []inference.Precision{inference.Float32, inference.Int8} {
+		t.Run(prec.String(), func(t *testing.T) {
+			opts := quickOpts()
+			opts.CacheSize = 1
+			opts.MemoryBudgetBytes = 1 << 40
+			opts.Precision = prec
+			s := newTestServer(t, opts)
+			classes := []int{1, 3}
+			p, _, err := s.Personalize(classes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			held := p.delta
+			wantSize := p.engine.MemoryFootprint() + personalizationOverheadBytes
+			if prec == inference.Float32 && held != nil {
+				t.Fatal("a hot Float32 tenant holds a delta beside its engine")
+			}
+			if prec == inference.Int8 {
+				if held == nil {
+					t.Fatal("a hot Int8 tenant holds no delta: its engine cannot give one back")
+				}
+				wantSize += int64(len(held))
+			}
+			if p.size != wantSize {
+				t.Fatalf("hot size %d, want engine + held delta + overhead = %d", p.size, wantSize)
+			}
+			if _, _, err := s.Personalize([]int{0, 2}); err != nil {
+				t.Fatal(err)
+			}
+			s.mu.Lock()
+			el := s.warm[p.Key]
+			s.mu.Unlock()
+			if el == nil {
+				t.Fatalf("tenant %s was not demoted: %+v", p.Key, s.Stats())
+			}
+			we := el.Value.(*warmEntry)
+			if held != nil && (len(we.delta) != len(held) || &we.delta[0] != &held[0]) {
+				t.Fatal("the warm record is not the delta the hot Int8 tenant held")
+			}
 
-	clone := env.build()
-	if err := checkpoint.ApplyModelDelta(p.delta, env.base, clone); err != nil {
-		t.Fatal(err)
-	}
-	again, err := checkpoint.EncodeModelDelta(env.base, clone)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(again, p.delta) {
-		t.Fatal("encode ∘ apply moved the delta")
+			clone := env.build()
+			env.base.CloneWeightsTo(clone)
+			pruner.NewCRISP(s.opts.Prune).Prune(clone, env.ds.MakeSplit("serve-train/"+p.Key, classes, opts.TrainPerClass))
+			want, err := checkpoint.EncodeModelDelta(env.base, clone)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(we.delta, want) {
+				t.Fatal("the warm record is not the delta the pruned clone encodes to")
+			}
+
+			rebuilt := env.build()
+			if err := checkpoint.ApplyModelDelta(we.delta, env.base, rebuilt); err != nil {
+				t.Fatal(err)
+			}
+			again, err := checkpoint.EncodeModelDelta(env.base, rebuilt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(again, we.delta) {
+				t.Fatal("encode ∘ apply moved the delta")
+			}
+		})
 	}
 }

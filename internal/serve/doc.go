@@ -133,9 +133,10 @@
 //     serialized as a checkpoint v3 record (pruned weights, masks,
 //     batch-norm statistics, class set, report, accuracy) on the worker
 //     pool — Personalize and Predict never wait on disk. The classifier in
-//     the record is rebuilt from the personalization's delta for the
-//     write, so its pruned positions carry the universal model's values,
-//     not the fine-tuned ones: dead data no loader reads. Records land via
+//     the record is rebuilt from the personalization's delta for the write
+//     (a Float32 tenant's is derived from its engine first), so its pruned
+//     positions carry the universal model's values, not the fine-tuned
+//     ones: dead data no loader reads. Records land via
 //     temp-file + rename, and an index file names the valid records, so a
 //     crash mid-write can never surface a torn snapshot.
 //   - Restore-on-start: Server.Restore rebuilds indexed records into
@@ -150,7 +151,8 @@
 //     stays on disk, and the next request for its class set restores it
 //     (counted in Stats.RestoreHits) instead of re-pruning.
 //   - Explicit flush: Server.Flush waits for pending write-behind
-//     snapshots and writes any cached engine not yet on disk — the admin
+//     snapshots and writes any resident tenant not yet on disk — a hot
+//     engine, or a warm record whose write at demotion failed — the admin
 //     hook before a planned restart (POST /snapshot in cmd/crisp-serve).
 //
 // # Memory tiers (Options.MemoryBudgetBytes)
@@ -160,21 +162,26 @@
 // cached Personalization holds one: the cache is built on two structural
 // facts, that every tenant is a delta over ONE universal model and that
 // serving only ever reads the effective weights W ⊙ Mask. A hot tenant is
-// a compiled engine, which owns everything it reads, plus that delta
-// (checkpoint.EncodeModelDelta, encoded once when the tenant is created);
-// the pruned classifier dies with the call that built it. With a byte
+// a compiled engine, which owns everything it reads; the pruned classifier
+// dies with the call that built it. A Float32 engine holds every value the
+// tenant's delta would, so it is the tenant's only copy: a demotion or
+// snapshot write derives the delta from it (checkpoint.EncodeEngineDelta),
+// the bytes the pruned clone encodes to. An Int8 engine holds lossy images,
+// so an Int8 tenant also keeps the delta it was compiled from. With a byte
 // budget configured the cache becomes a three-tier hierarchy:
 //
-//	hot   — compiled engine + delta, ready to Predict. Bounded by CacheSize
-//	        and by HotFraction (default 0.75) of the budget. Every engine
-//	        owns its plans and shares none: each tenant is fine-tuned
-//	        between pruning rounds, so no two tenants — nor a tenant and
-//	        the universal model — compile equal plans, and there is
-//	        nothing to share. An engine retains what its forward pass
-//	        reads and nothing else, so an Int8 tenant is the smaller one:
-//	        on the benchmark fixture a hot resnet-s tenant is ~292 KB at
-//	        Int8 against ~434 KB at Float32 (transformer-s ~50 KB against
-//	        ~56 KB), of which ~177 KB (~24 KB) is the delta. Each tenant
+//	hot   — compiled engine (and, at Int8, its delta), ready to Predict.
+//	        Bounded by CacheSize and by HotFraction (default 0.75) of the
+//	        budget. Every engine owns its plans and shares none: each
+//	        tenant is fine-tuned between pruning rounds, so no two tenants
+//	        — nor a tenant and the universal model — compile equal plans,
+//	        and there is nothing to share. An engine retains what its
+//	        forward pass reads and nothing else. On the benchmark fixture
+//	        a hot resnet-s tenant is ~196 KB at Float32 (the engine alone)
+//	        against ~257 KB at Int8 (a ~78 KB engine and the ~177 KB
+//	        delta); transformer-s ~29 KB against ~50 KB (a ~24 KB delta).
+//	        The int8 engine is the smaller engine, but only the float one
+//	        can stand in for its delta. Each tenant
 //	        costs the same whatever else is resident, so the hot tier
 //	        holds HotFraction·budget / (Stats.HotBytes/CachedEngines)
 //	        tenants at the precision you serve.
@@ -182,12 +189,12 @@
 //	        kept-position weight values only, a small fraction of a full
 //	        copy. Bounded by the rest of the budget.
 //	ssd   — (cold) the snapshot store, unbounded; demotion synchronously
-//	        ensures the disk copy before the engine is released, so no
-//	        transition can lose the only durable state.
+//	        writes the disk copy before the engine is released, and a
+//	        warm record whose write failed is written by the next Flush.
 //
 // Lifecycle: an insert past the hot bound demotes the LRU engine — its
-// batcher flushes and the engine is dropped — and the delta it already
-// carried parks in a warm LRU (Stats.Demotions).
+// delta is derived (Float32) or taken (Int8), its batcher flushes, the
+// engine is dropped — and the delta parks in a warm LRU (Stats.Demotions).
 // A request for a warm tenant promotes instead of re-pruning: the delta is
 // admitted like every other (a checksum-verified checkpoint.DeltaView over
 // the universal model, no classifier built), and the engine is verified

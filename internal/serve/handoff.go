@@ -46,10 +46,10 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // Drain executes the shard-side half of a handoff: stop accepting new
 // tenants, force queued predict batches out, flush every resident tenant to
 // the shared snapshot store, and return the manifest of tenants (hot
-// engines and warm delta records) another shard can now restore. Warm
-// records are already durable — demotion writes the snapshot before the
-// engine is released — so after the Flush every manifest entry has a disk
-// copy. The manifest carries each tenant's structural fingerprint (and
+// engines and warm delta records) another shard can now restore. Flush
+// writes every hot tenant and every warm record not on disk yet (demotion
+// writes the snapshot before it parks the record, but that write can fail),
+// so after it every manifest entry has a disk copy. The manifest carries each tenant's structural fingerprint (and
 // quant signature on int8 servers) so the receiving shard can verify its
 // restored engine is bit-identical to the one that served here.
 //

@@ -2,7 +2,11 @@ package serve
 
 import (
 	"errors"
+	"path/filepath"
+	"strings"
 	"testing"
+
+	"repro/internal/fault"
 )
 
 // TestDrainRequiresSnapshotStore: the snapshot store is the handoff
@@ -104,6 +108,55 @@ func TestDrainHandoffRoundTrip(t *testing.T) {
 	}
 	if err := b.RestoreTenant("1,3", 12345, 0); err == nil {
 		t.Fatal("resident fingerprint mismatch must fail the handoff")
+	}
+}
+
+// TestDrainWritesWarmRecordsDemotionCouldNot: a demotion whose snapshot
+// write fails (a disk error) still parks the warm record, which is then the
+// tenant's only copy. Once the disk heals, Flush writes it beside the hot
+// tenant, so every tenant Drain's manifest lists restores on a fresh server
+// over the same directory. (Flush used to write hot tenants only: it wrote
+// 1 here, and the peer's RestoreTenant of the warm tenant failed with
+// ErrTenantNotFound.)
+func TestDrainWritesWarmRecordsDemotionCouldNot(t *testing.T) {
+	ckptOnly := func(name string) bool { return strings.Contains(filepath.Base(name), ".ckpt") }
+	ffs := fault.NewFS(fault.OS{}, fault.NewInjector(11), fault.DiskFaults{WriteErr: 1, Match: ckptOnly})
+	opts, dir := snapshotOpts(t)
+	opts.FS = ffs
+	opts.CacheSize = 1
+	opts.MemoryBudgetBytes = 1 << 40
+	s := newTestServer(t, opts)
+	for _, set := range [][]int{{1, 2}, {0, 3}} {
+		if _, _, err := s.Personalize(set); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.pendingWait(&s.pendingSnaps) // every write-behind has failed
+	if st := s.Stats(); st.Demotions != 1 || st.WarmEntries != 1 || st.ColdRecords != 0 || st.SnapshotErrors == 0 {
+		t.Fatalf("fixture: want one warm record and nothing on disk: %+v", st)
+	}
+
+	ffs.SetEnabled(false) // the disk heals
+	if n, err := s.Flush(); err != nil || n != 2 {
+		t.Fatalf("Flush after healing wrote %d (%v), want the hot tenant and the warm record", n, err)
+	}
+	tenants, err := s.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tenants) != 2 {
+		t.Fatalf("manifest %+v, want both tenants", tenants)
+	}
+	peerOpts := quickOpts()
+	peerOpts.SnapshotDir = dir
+	peer := newTestServer(t, peerOpts)
+	for _, tn := range tenants {
+		if err := peer.RestoreTenant(tn.Key, tn.Fingerprint, tn.QuantSignature); err != nil {
+			t.Fatalf("handoff %q: %v", tn.Key, err)
+		}
+	}
+	if st := peer.Stats(); st.HandoffRestores != 2 || st.Personalizations != 0 {
+		t.Fatalf("adoption must be restore-only: %+v", st)
 	}
 }
 

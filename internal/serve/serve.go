@@ -124,10 +124,10 @@ func (o Options) withDefaults() Options {
 }
 
 // Personalization is one cached tenant model: the compiled sparse engine of
-// the CRISP-pruned classifier for a class set, that classifier as a delta
-// over the universal model, and the pruning outcome. The classifier itself
-// is not kept: the engine owns everything it reads. It is immutable after
-// creation and safe for concurrent Predict use.
+// the CRISP-pruned classifier for a class set, the pruning outcome and, at
+// Int8 only, that classifier as a delta over the universal model. The
+// classifier itself is not kept: the engine owns everything it reads. It is
+// immutable after creation and safe for concurrent Predict use.
 type Personalization struct {
 	// Key is the canonical cache key (sorted, deduplicated class ids).
 	Key string
@@ -144,10 +144,13 @@ type Personalization struct {
 	Agreement float64
 
 	engine *inference.Engine
-	// delta is checkpoint.EncodeModelDelta(base, clone), written once at
-	// creation and read-only after: the engine was compiled from it (admit),
-	// demotion parks it as the warm record, a snapshot write rebuilds the
-	// clone from it.
+	// delta is the Int8 tenant's checkpoint model delta over the universal
+	// base, read-only after creation: the engine was compiled from it
+	// (admit), demotion parks it as the warm record, a snapshot write
+	// rebuilds the clone from it. It is nil exactly when the engine is
+	// Float32: that engine holds every value the delta would, and deltaOf
+	// derives the same bytes from it when a demotion or snapshot write
+	// needs them.
 	delta []byte
 	// bat coalesces concurrent Predict calls against this engine; nil when
 	// batching is disabled (Options.MaxBatch <= 1).
@@ -159,9 +162,14 @@ type Personalization struct {
 	qos    atomic.Int32
 	bucket tokenBucket
 	// size is the resident cost this personalization charges against the
-	// hot tier: engine-owned compiled state plus the delta, fixed at
-	// creation (see newPersonalization).
+	// hot tier: engine-owned compiled state, plus the delta when one is
+	// held, fixed at creation (see newPersonalization).
 	size int64
+}
+
+// record is the snapshot record metadata of the tenant.
+func (p *Personalization) record() checkpoint.PersonalizationRecord {
+	return checkpoint.PersonalizationRecord{Key: p.Key, Classes: p.Classes, Accuracy: p.Accuracy, Report: p.Report}
 }
 
 // release frees the per-tenant serving state an eviction leaves behind:

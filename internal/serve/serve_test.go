@@ -22,7 +22,15 @@ type testEnv struct {
 	base  *nn.Classifier
 }
 
-var sharedEnv = sync.OnceValue(func() *testEnv {
+// sharedEnv is what every test server is built from. oracleEnv is a second
+// build of it, pre-trained afresh, that only the oracle (tier_test.go)
+// touches.
+var (
+	sharedEnv = sync.OnceValue(newTestEnv)
+	oracleEnv = sync.OnceValue(newTestEnv)
+)
+
+func newTestEnv() *testEnv {
 	cfg := data.Config{Name: "serve-test", NumClasses: 6, Channels: 3, H: 8, W: 8, Noise: 0.25, Jitter: 1, Seed: 5}
 	ds := data.New(cfg)
 	build := func() *nn.Classifier {
@@ -33,7 +41,7 @@ var sharedEnv = sync.OnceValue(func() *testEnv {
 	opt := nn.NewSGD(0.05, 0.9, 4e-5)
 	pruner.Finetune(base, ds.MakeSplit("pretrain", all, 8), 2, 16, opt, rand.New(rand.NewSource(42)))
 	return &testEnv{ds: ds, build: build, base: base}
-})
+}
 
 // quickOpts keeps personalization cheap: one pruning iteration, one epoch.
 func quickOpts() Options {

@@ -331,9 +331,10 @@ func (s *Server) Restore() (int, error) {
 }
 
 // Flush waits for pending write-behind snapshots, then synchronously writes
-// every cached personalization that is not yet on disk (the explicit-flush
-// admin path). It returns the number of records written; write failures are
-// counted in Stats.SnapshotErrors and the first one is returned.
+// every resident tenant — hot, or a warm record whose write at demotion
+// failed — that is not yet on disk (the explicit-flush admin path). It
+// returns the number of records written; write failures are counted in
+// Stats.SnapshotErrors and the first one is returned.
 func (s *Server) Flush() (int, error) {
 	if s.store == nil {
 		return 0, ErrNoSnapshotDir
@@ -341,25 +342,34 @@ func (s *Server) Flush() (int, error) {
 	s.pendingWait(&s.pendingSnaps)
 
 	s.mu.Lock()
-	pending := make([]*Personalization, 0, len(s.entries))
+	var hot []*Personalization
+	var warm []*warmEntry
 	for _, el := range s.entries {
-		p := el.Value.(*Personalization)
-		if !s.store.has(p.Key) {
-			pending = append(pending, p)
+		if p := el.Value.(*Personalization); !s.store.has(p.Key) {
+			hot = append(hot, p)
+		}
+	}
+	for _, el := range s.warm {
+		if we := el.Value.(*warmEntry); !s.store.has(we.key) {
+			warm = append(warm, we)
 		}
 	}
 	s.mu.Unlock()
 
 	written := 0
 	var firstErr error
-	for _, p := range pending {
-		if err := s.writeSnapshot(p); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
+	tally := func(err error) {
+		if err == nil {
+			written++
+		} else if firstErr == nil {
+			firstErr = err
 		}
-		written++
+	}
+	for _, p := range hot {
+		tally(s.snapshotHot(p))
+	}
+	for _, we := range warm {
+		tally(s.writeSnapshot(we.record(), we.delta))
 	}
 	return written, firstErr
 }
@@ -373,25 +383,32 @@ func (s *Server) Flush() (int, error) {
 func (s *Server) scheduleSnapshot(p *Personalization) {
 	go func() {
 		defer s.pendingDone(&s.pendingSnaps)
-		s.pool.Do(func() { s.writeSnapshot(p) })
+		s.pool.Do(func() { s.snapshotHot(p) })
 	}()
 }
 
-// writeSnapshot persists one personalization and updates the counters. The
+// snapshotHot writes a hot tenant's record from its delta (deltaOf).
+func (s *Server) snapshotHot(p *Personalization) error {
+	delta, err := s.deltaOf(p)
+	if err != nil {
+		s.mu.Lock()
+		s.stats.SnapshotErrors++
+		s.mu.Unlock()
+		return err
+	}
+	return s.writeSnapshot(p.record(), delta)
+}
+
+// writeSnapshot persists one tenant's record and updates the counters. The
 // record's classifier is rebuilt from the delta for this one write, so its
 // pruned positions carry the universal model's values rather than the
 // fine-tuned ones — dead data no loader reads (W ⊙ Mask, masks and norm
 // statistics are exact).
-func (s *Server) writeSnapshot(p *Personalization) error {
+func (s *Server) writeSnapshot(rec checkpoint.PersonalizationRecord, delta []byte) error {
 	clone := s.build()
-	err := checkpoint.ApplyModelDelta(p.delta, s.base, clone)
+	err := checkpoint.ApplyModelDelta(delta, s.base, clone)
 	if err == nil {
-		err = s.store.put(checkpoint.PersonalizationRecord{
-			Key:      p.Key,
-			Classes:  p.Classes,
-			Accuracy: p.Accuracy,
-			Report:   p.Report,
-		}, clone)
+		err = s.store.put(rec, clone)
 	}
 	s.mu.Lock()
 	if err != nil {

@@ -15,27 +15,31 @@ import (
 //	warm  — delta records over the universal weights (rest of budget)
 //	cold  — disk snapshots (Options.SnapshotDir), unbounded
 //
-// A hot tenant is a compiled engine and a delta, not a model clone: the
-// engine owns everything it reads (inference package comment), and the
-// personalized classifier survives only as a checkpoint model delta over the
-// universal base (mask + kept-position values — a small fraction of a full
-// copy), encoded once when the tenant is created or restored. Every hot
-// tenant — pruned, restored or promoted — is compiled from that delta by
-// admit, and none builds a model to do it: the universal model supplies the
-// layer tree and a validated view over the delta
-// (checkpoint.ViewModelDelta) the tenant's values. An engine squeezed out of
-// the hot tier is demoted: the engine is dropped and that same delta parks
-// in a warm LRU — no encoding work. A later request promotes the record
-// instead of re-pruning. A snapshot write does rebuild a clone (build +
+// A hot tenant is a compiled engine, not a model clone: the engine owns
+// everything it reads (inference package comment), and the personalized
+// classifier survives only as a checkpoint model delta over the universal
+// base (mask + kept-position values — a small fraction of a full copy). A
+// Float32 tenant holds its weights once, in its engine: its delta is derived
+// from the engine (checkpoint.EncodeEngineDelta) when a demotion or a
+// snapshot write needs it, the same bytes the pruned clone encodes to. An
+// Int8 engine holds lossy images, so an Int8 tenant also keeps the delta it
+// was compiled from. Every hot tenant — pruned, restored or promoted — is
+// compiled from a delta by admit, and none builds a model to do it: the
+// universal model supplies the layer tree and a validated view over the
+// delta (checkpoint.ViewModelDelta) the tenant's values. An engine squeezed
+// out of the hot tier is demoted: its delta (held or derived) parks in a
+// warm LRU and the engine is dropped. A later request promotes the record
+// instead of re-pruning. A snapshot write rebuilds a clone (build +
 // ApplyModelDelta), so a new record's pruned positions hold the base's
 // values (dead data: none reads them). Because compilation and quantization
 // only ever read the effective weights W ⊙ Mask — exactly what the delta
 // preserves — promotion is bit-identical on the float path and
 // QuantSignature-identical on int8; both are verified structurally at
 // promote time against fingerprints captured at demotion. Warm records
-// squeezed out by the byte budget drop to the cold tier (demotion
-// synchronously ensures the disk copy first, when a store is configured),
-// and cold records re-prune only if the store is absent.
+// squeezed out by the byte budget drop to the cold tier (demotion first
+// tries to write the disk copy, when a store is configured, and Flush
+// retries a warm record whose write failed), and cold records re-prune only
+// if the store is absent.
 
 // estimated fixed overhead charged per resident object on top of the
 // measured buffers (struct headers, batcher, LRU bookkeeping).
@@ -64,14 +68,23 @@ type warmEntry struct {
 	size int64
 }
 
+// record is the snapshot record metadata of the tenant.
+func (we *warmEntry) record() checkpoint.PersonalizationRecord {
+	return checkpoint.PersonalizationRecord{Key: we.key, Classes: we.classes, Accuracy: we.accuracy, Report: we.report}
+}
+
 func warmEntryBytes(we *warmEntry) int64 {
 	return int64(len(we.delta)) + int64(len(we.key)) + int64(len(we.classes))*8 + warmEntryOverheadBytes
 }
 
 // newPersonalization assembles a cache entry and fixes its resident cost:
-// the engine's owned compiled state plus the delta a demotion or snapshot
-// write will need. The delta must not be written after this call.
+// the engine's owned compiled state, plus — Int8 only, whose engine cannot
+// give it back — the delta it was compiled from, which a demotion or
+// snapshot write will need. The delta must not be written after this call.
 func (s *Server) newPersonalization(key string, classes []int, rep pruner.Report, acc, agreement float64, eng *inference.Engine, delta []byte) *Personalization {
+	if eng.Precision() == inference.Float32 {
+		delta = nil
+	}
 	p := &Personalization{
 		Key:       key,
 		Classes:   classes,
@@ -84,6 +97,15 @@ func (s *Server) newPersonalization(key string, classes []int, rep pruner.Report
 	}
 	p.size = eng.MemoryFootprint() + int64(len(delta)) + personalizationOverheadBytes
 	return p
+}
+
+// deltaOf returns p's delta over the universal base: the one an Int8 tenant
+// holds, else derived from its Float32 engine.
+func (s *Server) deltaOf(p *Personalization) ([]byte, error) {
+	if p.delta != nil {
+		return p.delta, nil
+	}
+	return checkpoint.EncodeEngineDelta(s.base, p.engine)
 }
 
 // hotFullLocked reports whether the hot tier has no room for another
@@ -149,20 +171,23 @@ func (s *Server) trimWarmLocked() {
 }
 
 // demote turns an evicted hot engine into a warm record (budgeted servers)
-// or simply releases it (legacy count-LRU servers). Either way the durable
-// copy is ensured first when a store is configured, so no tier transition
-// can lose the only recoverable state.
+// or simply releases it (legacy count-LRU servers). A budgeted demotion takes
+// the tenant's delta once (deltaOf: a Float32 engine encodes it) and, when a
+// store is configured and holds no record yet, writes the snapshot from it
+// before parking it. A write that fails (a disk error) still parks the
+// record: it is not durable, and Flush writes it.
 func (s *Server) demote(p *Personalization) {
 	if s.budget <= 0 {
 		p.release()
 		return
 	}
 	defer s.clock(&s.stats.DemoteNanos, time.Now())
-	if s.store != nil && !s.store.has(p.Key) {
-		// The write-behind snapshot may not have landed yet; demotion must
-		// not strand the tenant without a durable copy. put is idempotent,
-		// so racing the scheduled write is harmless.
-		s.writeSnapshot(p)
+	delta, err := s.deltaOf(p)
+	if err != nil {
+		// Nothing to park or write: the tenant falls to the store, if it
+		// has a record, and is re-pruned otherwise.
+		p.release()
+		return
 	}
 	we := &warmEntry{
 		key:       p.Key,
@@ -170,11 +195,17 @@ func (s *Server) demote(p *Personalization) {
 		report:    p.Report,
 		accuracy:  p.Accuracy,
 		agreement: p.Agreement,
-		delta:     p.delta,
+		delta:     delta,
 		fp:        p.engine.Fingerprint(),
 		qsig:      p.engine.QuantSignature(),
 	}
 	we.size = warmEntryBytes(we)
+	if s.store != nil && !s.store.has(p.Key) {
+		// The write-behind snapshot may not have landed yet; demotion must
+		// not strand the tenant without a durable copy. put is idempotent,
+		// so racing the scheduled write is harmless.
+		s.writeSnapshot(we.record(), delta)
+	}
 	p.release()
 
 	s.mu.Lock()

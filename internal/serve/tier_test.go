@@ -2,11 +2,15 @@ package serve
 
 import (
 	"runtime"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/checkpoint"
 	"repro/internal/inference"
+	"repro/internal/pruner"
 	"repro/internal/tensor"
 )
 
@@ -113,6 +117,84 @@ func TestTierRoundTripBitIdentical(t *testing.T) {
 			}
 		})
 	}
+}
+
+// oracle returns the engine the tenant for classes must be, from a path that
+// shares nothing with a server: a private clone of oracleEnv's base, pruned
+// with prune on the sorted class set's serve-train split and compiled
+// straight from that clone by inference.New — no delta, tier or snapshot. A
+// CRISP tenant is a function of (universal model, class set), so this is
+// what a server must serve, however the tenant reached its hot tier.
+func oracle(t *testing.T, prune pruner.Options, trainPerClass int, classes []int) *inference.Engine {
+	t.Helper()
+	env := oracleEnv()
+	canon := slices.Compact(slices.Sorted(slices.Values(classes)))
+	key := make([]string, len(canon))
+	for i, c := range canon {
+		key[i] = strconv.Itoa(c)
+	}
+	clone := env.build()
+	env.base.CloneWeightsTo(clone)
+	pruner.NewCRISP(prune).Prune(clone, env.ds.MakeSplit("serve-train/"+strings.Join(key, ","), canon, trainPerClass))
+	eng, err := inference.New(clone, prune.BlockSize, prune.NM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
+// TestTierTransitionsMatchTheOracle holds a Float32 tenant to the oracle,
+// not to its earlier self, after each way it can come back: personalize →
+// demote (its delta derived from the engine) → warm promotion, and Flush →
+// cold restore on a fresh server over the same directory. The served engine
+// must have the oracle's Fingerprint and its logits bit for bit, so a tenant
+// whose delta went wrong on the way down is caught even when the server
+// would agree with itself.
+func TestTierTransitionsMatchTheOracle(t *testing.T) {
+	opts, _ := snapshotOpts(t)
+	opts.CacheSize = 1
+	opts.MemoryBudgetBytes = 1 << 40
+	s := newTestServer(t, opts)
+	a := []int{3, 1}
+	want := oracle(t, s.opts.Prune, opts.TrainPerClass, a)
+	x := oracleEnv().ds.MakeSplit("tier-probe", []int{1, 3}, 2).X
+	check := func(path string, p *Personalization) {
+		t.Helper()
+		if fp := p.Engine().Fingerprint(); fp != want.Fingerprint() {
+			t.Fatalf("%s: engine %016x, the oracle's is %016x", path, fp, want.Fingerprint())
+		}
+		if !slices.Equal(p.Engine().Logits(x).Data, want.Logits(x).Data) {
+			t.Fatalf("%s: logits differ from the oracle's", path)
+		}
+	}
+
+	p, _, err := s.Personalize(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("pruned", p)
+	if _, _, err := s.Personalize([]int{0, 2}); err != nil {
+		t.Fatal(err)
+	}
+	if p, _, err = s.Personalize(a); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Demotions < 1 || st.Promotions != 1 || st.Personalizations != 2 {
+		t.Fatalf("expected a demotion and a warm promotion: %+v", st)
+	}
+	check("demoted and promoted", p)
+
+	if _, err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	fresh := newTestServer(t, opts)
+	if p, _, err = fresh.Personalize(a); err != nil {
+		t.Fatal(err)
+	}
+	if st := fresh.Stats(); st.RestoreHits != 1 || st.Personalizations != 0 {
+		t.Fatalf("expected a cold restore: %+v", st)
+	}
+	check("flushed and cold-restored", p)
 }
 
 // TestTierStorm mixes Predict traffic, demotions, promotions and cold
@@ -222,36 +304,52 @@ func TestTierCycleDoesNotLeak(t *testing.T) {
 // tenants per byte under a budget must beat a full-copy cache — one that
 // keeps a model clone (inference.ModelBytes) beside every compiled engine —
 // by >= 3x, with every tenant still resident (hot or warm, none dropped).
-// Hot tenants are no longer full copies themselves, so the budget is sized
-// from what keeping them all hot costs: seven tenths of it with three fifths
-// of that for the hot tier holds two hot (2.52 hot tenants' worth) and the
-// other four as warm records while a delta is under 0.55 of a hot tenant
-// (0.40 here — the edge three fifths at the default split stood on).
+// The budget comes from the measured sizes: a hot tier between two and three
+// hot tenants, and room beside it for the other four as warm records. (It
+// was seven tenths of the all-hot bytes with three fifths of that hot, which
+// held while a warm record was under 0.55 of a hot tenant — 0.40 while a hot
+// Float32 tenant carried its delta beside its engine. Without it a warm
+// record is 0.83 of a hot tenant — 117 703 against 141 084..141 404 bytes
+// here — and four no longer fit; density went from 7.12× with 2 hot + 4 warm
+// in 986 812 bytes to 9.34× in 752 468.)
 func TestTieredDensityAtLeast3x(t *testing.T) {
 	env := sharedEnv()
 	sets := [][]int{{0, 1}, {2, 3}, {4, 5}, {0, 5}, {1, 4}, {2, 5}}
 
 	full := newTestServer(t, quickOpts()) // budget 0: every tenant hot
-	var fullBytes int64
+	var fullBytes, hotMin, hotMax, warmMax int64
 	for _, set := range sets {
 		p, _, err := full.Personalize(set)
 		if err != nil {
 			t.Fatal(err)
 		}
+		delta, err := full.deltaOf(p)
+		if err != nil {
+			t.Fatal(err)
+		}
 		clone := env.build()
-		if err := checkpoint.ApplyModelDelta(p.delta, env.base, clone); err != nil {
+		if err := checkpoint.ApplyModelDelta(delta, env.base, clone); err != nil {
 			t.Fatal(err)
 		}
 		fullBytes += inference.ModelBytes(clone) + p.engine.MemoryFootprint()
+		if hotMin == 0 || p.size < hotMin {
+			hotMin = p.size
+		}
+		hotMax = max(hotMax, p.size)
+		warmMax = max(warmMax, warmEntryBytes(&warmEntry{key: p.Key, classes: p.Classes, delta: delta}))
 	}
 	hotBytes := full.Stats().HotBytes
 	if hotBytes <= 0 || fullBytes <= hotBytes {
 		t.Fatalf("all-hot residency %d, full-copy residency %d", hotBytes, fullBytes)
 	}
+	hotBudget := (2*hotMax + 3*hotMin) / 2 // two hot tenants fit, three do not
+	if hotBudget <= 2*hotMax || hotBudget >= 3*hotMin {
+		t.Fatalf("hot tenants %d..%d bytes: no hot tier holds exactly two", hotMin, hotMax)
+	}
 
 	opts := quickOpts()
-	opts.MemoryBudgetBytes = hotBytes * 7 / 10
-	opts.HotFraction = 0.6
+	opts.MemoryBudgetBytes = hotBudget + int64(len(sets)-2)*warmMax
+	opts.HotFraction = float64(hotBudget) / float64(opts.MemoryBudgetBytes)
 	tiered := newTestServer(t, opts)
 	for _, set := range sets {
 		if _, _, err := tiered.Personalize(set); err != nil {
@@ -274,6 +372,6 @@ func TestTieredDensityAtLeast3x(t *testing.T) {
 		t.Fatalf("density %.2fx, want >= 3x (full %d bytes, tiered %d bytes for %d tenants)",
 			ratio, fullBytes, resident, len(sets))
 	}
-	t.Logf("density %.2fx: %d tenants (%d hot) in %d bytes vs %d full-copy, %d all hot",
-		ratio, len(sets), st.CachedEngines, resident, fullBytes, hotBytes)
+	t.Logf("density %.2fx: %d tenants (%d hot) in %d bytes vs %d full-copy, %d all hot; hot tenant %d..%d bytes, warm record <= %d",
+		ratio, len(sets), st.CachedEngines, resident, fullBytes, hotBytes, hotMin, hotMax, warmMax)
 }
