@@ -11,19 +11,20 @@
 //
 // Masks are bit-packed (8 elements per byte); weights are raw float64.
 //
-// Every format in the package — this v1 stream, the v3 personalization
-// record (personalization.go) and the v2 model delta (delta.go) — is written
-// and read by one codec (codec.go) that works a slice at a time through a
-// 4 KiB chunk. Each Save, Load, Encode, Apply or View call allocates one
-// chunk and owns it until it returns; there is no package-level buffer and no
-// pool, because a hot tenant's classifier is read concurrently by its
-// write-behind snapshot and by demotion, and scratch shared between calls is
-// how one tenant's weights end up in another's record. The writer, and the
-// CRC-64 of the checksummed formats, see one call per chunk, not one per
-// value — on a file that is the difference between a syscall per float and
-// one per 4 KiB. So the cost of a call is a handful of allocations set by
-// the number of parameters (listing them, the chunk, the record's own
-// strings), whatever their size.
+// Every format in the package — this v1 stream, the v3 model delta
+// (delta.go) and the v4 personalization record that carries one
+// (personalization.go) — is written and read by one codec (codec.go) that
+// works a slice at a time through a 4 KiB chunk. Each Save, Load, Encode,
+// Apply, View, Write or Read call allocates one chunk and owns it until it
+// returns; there is no package-level buffer and no pool, because a hot
+// tenant is read concurrently by its write-behind snapshot and by demotion,
+// and scratch shared between calls is how one tenant's weights end up in
+// another's record. The writer, and the CRC-64 of the checksummed formats,
+// see one call per chunk, not one per value — on a file that is the
+// difference between a syscall per float and one per 4 KiB. So the cost of
+// a call is a handful of allocations set by the number of parameters
+// (listing them, the chunk, the delta's bytes, the record's own strings),
+// whatever their size.
 //
 // A loader asks its reader for exactly the bytes of the field it is
 // decoding, never ahead: it consumes its record and not one byte after it,
@@ -48,15 +49,8 @@ const (
 // statistics to w.
 func Save(w io.Writer, clf *nn.Classifier) error {
 	bw := &enc{w: w}
-	bw.raw(magic)
+	raw(bw, magic)
 	bw.u32(version)
-	saveBody(bw, clf)
-	return bw.finish()
-}
-
-// saveBody writes the classifier payload (params, masks, batch-norm running
-// statistics) shared by the v1 stream and the v3 personalization record.
-func saveBody(bw *enc, clf *nn.Classifier) {
 	params := clf.Params()
 	bw.u32(uint32(len(params)))
 	for _, p := range params {
@@ -77,6 +71,7 @@ func saveBody(bw *enc, clf *nn.Classifier) {
 		bw.f64s(s.mean)
 		bw.f64s(s.variance)
 	}
+	return bw.finish()
 }
 
 // Load restores a checkpoint written by Save into clf, whose architecture
@@ -86,11 +81,6 @@ func Load(r io.Reader, clf *nn.Classifier) error {
 	if err := br.header(magic, version, "checkpoint"); err != nil {
 		return err
 	}
-	return loadBody(br, clf)
-}
-
-// loadBody restores the classifier payload written by saveBody.
-func loadBody(br *dec, clf *nn.Classifier) error {
 	params := clf.Params()
 	n := br.u32()
 	if br.err != nil {

@@ -66,8 +66,8 @@ func (e *enc) u32(v uint32)  { le.PutUint32(e.room(4), v) }
 func (e *enc) u64(v uint64)  { le.PutUint64(e.room(8), v) }
 func (e *enc) f64(v float64) { e.u64(math.Float64bits(v)) }
 
-// raw writes s with no length prefix.
-func (e *enc) raw(s string) {
+// raw writes s, a string or a byte slice, with no length prefix.
+func raw[T string | []byte](e *enc, s T) {
 	for len(s) > 0 {
 		if e.n == chunk {
 			e.flush()
@@ -80,7 +80,7 @@ func (e *enc) raw(s string) {
 
 func (e *enc) str(s string) {
 	e.u32(uint32(len(s)))
-	e.raw(s)
+	raw(e, s)
 }
 
 func (e *enc) f64s(src []float64) {

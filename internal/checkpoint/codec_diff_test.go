@@ -1,7 +1,7 @@
 package checkpoint
 
 // Differential tests: the chunked codec against the per-value reference in
-// codec_ref_test.go. The wire formats did not change, so these are
+// codec_ref_test.go. Both write the same wire formats, so these are
 // equalities — same bytes out, and each side loads what the other wrote.
 
 import (
@@ -52,8 +52,9 @@ func randomMask(rng *rand.Rand, p *nn.Param) {
 }
 
 // randomTenant clones base and diverges it parameter by parameter, so one
-// delta carries every mode: untouched, masked and untouched, masked with
-// fine-tuned kept weights, densely changed; likewise the norm statistics.
+// delta carries every kind of entry: untouched, masked and untouched, masked
+// with fine-tuned kept weights, densely changed; likewise the norm
+// statistics.
 func randomTenant(f models.Family, width int, base *nn.Classifier, seed int64) *nn.Classifier {
 	rng := rand.New(rand.NewSource(seed))
 	tenant := models.Build(f, rng, 6, width)
@@ -154,20 +155,24 @@ func TestRecordsCrossLoad(t *testing.T) {
 			t.Errorf("%s: reference load of a Save stream restored a different model", f)
 		}
 
-		dst = fresh()
-		got, err := LoadPersonalization(bytes.NewReader(savedRecord(t, refSavePersonalization, rec, src)), dst)
+		// A record carries no pruned position, so each loader leaves its
+		// destination's own values there: two fresh models of one seed come
+		// out equal, and equal to src wherever a loader reads.
+		a := fresh()
+		got, err := LoadPersonalization(bytes.NewReader(savedRecord(t, refSavePersonalization, rec, src)), a)
 		if err != nil {
 			t.Fatalf("%s: LoadPersonalization of a reference record: %v", f, err)
 		}
-		if !reflect.DeepEqual(got, rec) || !bytes.Equal(saved(t, refSave, dst), want) {
-			t.Errorf("%s: LoadPersonalization of a reference record restored different state", f)
+		if !reflect.DeepEqual(got, rec) {
+			t.Errorf("%s: LoadPersonalization of a reference record restored different metadata", f)
 		}
-		dst = fresh()
-		got, err = refLoadPersonalization(bytes.NewReader(savedRecord(t, SavePersonalization, rec, src)), dst)
+		checkRebuilt(t, src, a)
+		b := fresh()
+		got, err = refLoadPersonalization(bytes.NewReader(savedRecord(t, SavePersonalization, rec, src)), b)
 		if err != nil {
 			t.Fatalf("%s: reference load of a SavePersonalization record: %v", f, err)
 		}
-		if !reflect.DeepEqual(got, rec) || !bytes.Equal(saved(t, refSave, dst), want) {
+		if !reflect.DeepEqual(got, rec) || !bytes.Equal(saved(t, refSave, a), saved(t, refSave, b)) {
 			t.Errorf("%s: reference load of a SavePersonalization record restored different state", f)
 		}
 
@@ -176,7 +181,7 @@ func TestRecordsCrossLoad(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, b := fresh(), fresh()
+		a, b = fresh(), fresh()
 		if err := ApplyModelDelta(delta, src, a); err != nil {
 			t.Fatalf("%s: apply: %v", f, err)
 		}
@@ -220,7 +225,10 @@ func checkRebuilt(t testing.TB, tenant, got *nn.Classifier) {
 
 // TestLoadersReadExactlyTheirRecord: no read-ahead. A record followed by
 // other bytes in the same stream leaves exactly those bytes unread, however
-// the reader fragments its reads.
+// the reader fragments its reads — the record's delta is read by its
+// declared length, in one piece. (The record here is 172 775 bytes, the
+// delta of a randomly masked resnet-s; it was 355 655 while it held the
+// dense classifier.)
 func TestLoadersReadExactlyTheirRecord(t *testing.T) {
 	src := randomModel(models.ResNet, 43, true)
 	const tail = "next record"
@@ -244,6 +252,13 @@ func TestLoadersReadExactlyTheirRecord(t *testing.T) {
 		}
 		if r.Len() != len(tail) {
 			t.Errorf("%s: LoadPersonalization left %d bytes unread, want %d", name, r.Len(), len(tail))
+		}
+		r = bytes.NewReader(append(savedRecord(t, SavePersonalization, testRecord(), src), tail...))
+		if _, _, err := ReadPersonalization(wrap(r), dst); err != nil {
+			t.Fatalf("%s: ReadPersonalization: %v", name, err)
+		}
+		if r.Len() != len(tail) {
+			t.Errorf("%s: ReadPersonalization left %d bytes unread, want %d", name, r.Len(), len(tail))
 		}
 	}
 }

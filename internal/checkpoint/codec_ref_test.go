@@ -1,8 +1,10 @@
 package checkpoint
 
 // The per-value codec every format in this package used before the chunked
-// one (codec.go), kept verbatim as the test-only oracle: one Write / Read
-// and one hash call per field, a heap-allocated scratch per value. The
+// one (codec.go), kept as the test-only oracle: one Write / Read and one
+// hash call per field, a heap-allocated scratch per value. It follows the
+// formats as they change — the v4 personalization record that carries a
+// delta, the v3 delta without a "same" mode — but not the chunking. The
 // differential tests (codec_diff_test.go) hold the new encoders to these
 // bytes and check that each side loads what the other wrote.
 
@@ -171,7 +173,7 @@ func unpackBits(bits []byte, dst []float64) {
 }
 
 // errWriter accumulates the first write error. When crc is set, every byte
-// written also feeds it — checksummed formats (personalization v3, deltas)
+// written also feeds it — checksummed formats (personalization records, deltas)
 // point it at a crc64 and emit the sum as a trailer.
 type errWriter struct {
 	w   io.Writer
@@ -311,7 +313,12 @@ func refSavePersonalization(w io.Writer, rec PersonalizationRecord, clf *nn.Clas
 		bw.f64(it.Loss)
 	}
 
-	refSaveBody(bw, clf)
+	delta, err := refEncodeModelDelta(clf, clf)
+	if err != nil {
+		return err
+	}
+	bw.u32(uint32(len(delta)))
+	bw.bytes(delta)
 	var sum uint64
 	if bw.err == nil {
 		sum = bw.crc.Sum64()
@@ -393,9 +400,7 @@ func refLoadPersonalization(r io.Reader, clf *nn.Classifier) (PersonalizationRec
 		}
 	}
 
-	if err := refLoadBody(br, clf); err != nil {
-		return rec, err
-	}
+	delta := br.bytes(int(br.u32()))
 	sum := br.crc.Sum64()
 	br.crc = nil
 	want := br.u64()
@@ -405,7 +410,7 @@ func refLoadPersonalization(r io.Reader, clf *nn.Classifier) (PersonalizationRec
 	if sum != want {
 		return rec, fmt.Errorf("checkpoint: personalization record checksum mismatch (stored %016x, computed %016x)", want, sum)
 	}
-	return rec, nil
+	return rec, refApplyModelDelta(delta, clf, clf)
 }
 
 func refEncodeModelDelta(base, tenant *nn.Classifier) ([]byte, error) {
@@ -427,32 +432,19 @@ func refEncodeModelDelta(base, tenant *nn.Classifier) ([]byte, error) {
 		bw.str(p.Name)
 		if p.Mask == nil {
 			bw.bytes([]byte{0})
-			if equalSlices(p.W.Data, b.W.Data) {
-				bw.bytes([]byte{deltaSame})
-			} else {
-				bw.bytes([]byte{deltaDense})
-				for _, v := range p.W.Data {
-					bw.f64(v)
-				}
+			for _, v := range p.W.Data {
+				bw.f64(v)
 			}
 			continue
 		}
 		bw.bytes([]byte{1})
 		bw.bytes(packBits(p.Mask.Data))
-		kept, same := 0, true
-		for j, m := range p.Mask.Data {
+		kept := 0
+		for _, m := range p.Mask.Data {
 			if m != 0 {
 				kept++
-				if p.W.Data[j] != b.W.Data[j] {
-					same = false
-				}
 			}
 		}
-		if same {
-			bw.bytes([]byte{deltaSame})
-			continue
-		}
-		bw.bytes([]byte{deltaKept})
 		bw.u32(uint32(kept))
 		for j, m := range p.Mask.Data {
 			if m != 0 {
@@ -471,11 +463,6 @@ func refEncodeModelDelta(base, tenant *nn.Classifier) ([]byte, error) {
 			return nil, fmt.Errorf("checkpoint: delta norm stat %d: %q vs base %q", i, s.name, bs[i].name)
 		}
 		bw.str(s.name)
-		if equalSlices(s.mean, bs[i].mean) && equalSlices(s.variance, bs[i].variance) {
-			bw.bytes([]byte{deltaSame})
-			continue
-		}
-		bw.bytes([]byte{deltaDense})
 		for _, v := range s.mean {
 			bw.f64(v)
 		}
@@ -544,17 +531,12 @@ func refApplyModelDelta(delta []byte, base, dst *nn.Classifier) error {
 		} else {
 			p.ClearMask()
 		}
-		copy(p.W.Data, b.W.Data)
-		mode := br.bytes(1)
-		if br.err != nil {
-			return br.err
-		}
-		switch mode[0] {
-		case deltaSame:
-		case deltaKept:
-			if p.Mask == nil {
-				return fmt.Errorf("checkpoint: delta param %q: kept values without a mask", name)
+		if p.Mask == nil {
+			for j := range p.W.Data {
+				p.W.Data[j] = br.f64()
 			}
+		} else {
+			copy(p.W.Data, b.W.Data)
 			count := int(br.u32())
 			kept := 0
 			for _, m := range p.Mask.Data {
@@ -562,7 +544,7 @@ func refApplyModelDelta(delta []byte, base, dst *nn.Classifier) error {
 					kept++
 				}
 			}
-			if count != kept {
+			if br.err == nil && count != kept {
 				return fmt.Errorf("checkpoint: delta param %q: %d stored values for %d kept positions", name, count, kept)
 			}
 			for j, m := range p.Mask.Data {
@@ -570,12 +552,6 @@ func refApplyModelDelta(delta []byte, base, dst *nn.Classifier) error {
 					p.W.Data[j] = br.f64()
 				}
 			}
-		case deltaDense:
-			for j := range p.W.Data {
-				p.W.Data[j] = br.f64()
-			}
-		default:
-			return fmt.Errorf("checkpoint: delta param %q: unknown mode %d", name, mode[0])
 		}
 		if br.err != nil {
 			return br.err
@@ -601,23 +577,11 @@ func refApplyModelDelta(delta []byte, base, dst *nn.Classifier) error {
 		if len(s.mean) != len(bs[i].mean) {
 			return fmt.Errorf("checkpoint: delta norm stat %q: dst/base lengths differ", name)
 		}
-		mode := br.bytes(1)
-		if br.err != nil {
-			return br.err
+		for j := range s.mean {
+			s.mean[j] = br.f64()
 		}
-		switch mode[0] {
-		case deltaSame:
-			copy(s.mean, bs[i].mean)
-			copy(s.variance, bs[i].variance)
-		case deltaDense:
-			for j := range s.mean {
-				s.mean[j] = br.f64()
-			}
-			for j := range s.variance {
-				s.variance[j] = br.f64()
-			}
-		default:
-			return fmt.Errorf("checkpoint: delta norm stat %q: unknown mode %d", name, mode[0])
+		for j := range s.variance {
+			s.variance[j] = br.f64()
 		}
 	}
 	if br.err != nil {

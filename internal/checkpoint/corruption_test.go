@@ -1,7 +1,7 @@
 package checkpoint
 
 // Systematic corruption suite for the checksummed formats. The contract the
-// crc64 trailer buys (personalization v3, delta v2): ANY single flipped bit
+// crc64 trailer buys (personalization v4, delta v3): ANY single flipped bit
 // anywhere in the stream — header, counts, strings, raw float payload, the
 // trailer itself — and any truncation must surface as a load error, never a
 // panic and never a silently different model. Before the trailer, flips
@@ -9,6 +9,7 @@ package checkpoint
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -155,26 +156,30 @@ func TestDeltaTruncationsFailClosed(t *testing.T) {
 	}
 }
 
-// TestLegacyDowngradeRejected: there is no pre-checksum reader to fall
-// into. A v3 record whose version word is flipped to 2 (the retired
-// trailer-less format) is an unsupported-version error, not a load that
-// skips the checksum.
+// TestLegacyDowngradeRejected: there is no reader for an earlier record to
+// fall into. A v4 record whose version word reads 3 (the retired
+// dense-classifier record) or 2 (the retired trailer-less one) is an
+// unsupported-version error, not a load that skips the delta's bound or the
+// checksum.
 func TestLegacyDowngradeRejected(t *testing.T) {
 	src := prunedModel(37)
 	var buf bytes.Buffer
 	if err := SavePersonalization(&buf, testRecord(), src); err != nil {
 		t.Fatal(err)
 	}
-	mut := buf.Bytes()
-	mut[4] ^= 1 // little-endian version word: 3 -> 2
 	dst := models.Build(models.ResNet, rand.New(rand.NewSource(38)), 4, 1)
-	_, err := LoadPersonalization(bytes.NewReader(mut), dst)
-	if err == nil || !strings.Contains(err.Error(), "unsupported version 2") {
-		t.Fatalf("v3 record with its version word flipped to 2: got %v, want an unsupported-version error", err)
-	}
-	// The same record cut before its trailer is what a v2 record was.
-	_, err = LoadPersonalization(bytes.NewReader(mut[:len(mut)-8]), dst)
-	if err == nil || !strings.Contains(err.Error(), "unsupported version 2") {
-		t.Fatalf("trailer-less v2 record: got %v, want an unsupported-version error", err)
+	for _, v := range []byte{3, 2} {
+		mut := append([]byte(nil), buf.Bytes()...)
+		mut[4] = v // little-endian version word: 4 -> v
+		want := fmt.Sprintf("unsupported version %d", v)
+		_, err := LoadPersonalization(bytes.NewReader(mut), dst)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("v4 record with its version word set to %d: got %v, want an unsupported-version error", v, err)
+		}
+		// The same record cut before its trailer, as a v2 record was.
+		_, err = LoadPersonalization(bytes.NewReader(mut[:len(mut)-8]), dst)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("trailer-less record of version %d: got %v, want an unsupported-version error", v, err)
+		}
 	}
 }

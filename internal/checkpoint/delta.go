@@ -8,29 +8,31 @@ import (
 	"repro/internal/nn"
 )
 
-// Model deltas are how the serving layer holds a tenant: one tenant's
-// personalized state expressed against the universal model instead of as a
-// full weight copy. Per parameter the delta stores the pruning mask
-// (bit-packed) plus only the weight values the rebuilt engine can actually
-// observe:
+// Model deltas are how the serving layer holds a tenant, in memory and on
+// disk: one tenant's personalized state without a full weight copy. Per
+// parameter the delta stores the pruning mask (bit-packed) plus only the
+// weight values the rebuilt engine can actually observe:
 //
 //	magic "CRSD" | u32 version | u32 #params
-//	per param: name | u8 hasMask (+ packed mask bits) | u8 mode
-//	  mode 0 (same):  nothing — every observable value equals the base
-//	  mode 1 (kept):  u32 count | f64 kept-position values, in index order
-//	  mode 2 (dense): f64 full weight tensor (unmasked param that diverged)
-//	u32 #bnStats | per stat: name | u8 mode(0|2) | [f64 means | f64 vars]
+//	per param: name | u8 hasMask
+//	  masked:   packed mask bits | u32 count | f64 kept-position values, in index order
+//	  unmasked: f64 full weight tensor
+//	u32 #bnStats | per stat: name | f64 means | f64 vars
 //	u64 crc64/ECMA over everything after the version word (since v2)
 //
+// Every value a reader sees is stored, so a delta depends on the tenant
+// alone: the base a caller passes supplies only the architecture (and, in
+// ApplyModelDelta, the dead values written at pruned positions), and a
+// delta restores over any model of its architecture.
+//
 // The delta is exact where it matters and deliberately lossy where it
-// cannot matter: masked-out (pruned) weight values are not stored, and
-// DeltaView (and ApplyModelDelta through it) reads them from the universal
-// base. The effective weights W ⊙ Mask — the only thing inference, plan
-// compilation and deterministic int8 quantization ever read — are
-// reproduced bit-for-bit, so a rebuilt engine is bit-identical on the float
-// path and QuantSignature-identical on the int8 path. Gradients are not
-// stored (serving never trains); at typical CRISP sparsity the record is a
-// small fraction of a full model copy.
+// cannot matter: masked-out (pruned) weight values are not stored. The
+// effective weights W ⊙ Mask — the only thing inference, plan compilation
+// and deterministic int8 quantization ever read — are reproduced
+// bit-for-bit, so a rebuilt engine is bit-identical on the float path and
+// QuantSignature-identical on the int8 path. Gradients are not stored
+// (serving never trains); at typical CRISP sparsity the delta is a small
+// fraction of a full model copy.
 //
 // One encoder writes the format, from either of two sources: a tenant
 // classifier (EncodeModelDelta) or the Float32 engine compiled from it
@@ -40,16 +42,12 @@ import (
 
 const (
 	deltaMagic   = "CRSD"
-	deltaVersion = 2 // v2 added the crc64 trailer
-
-	deltaSame  = 0
-	deltaKept  = 1
-	deltaDense = 2
+	deltaVersion = 3 // v2 added the crc64 trailer; v3 dropped the mode byte and "same"
 )
 
-// EncodeModelDelta serializes tenant's personalized state as a delta over
-// base. The two classifiers must share an architecture (same parameters in
-// the same order with the same shapes).
+// EncodeModelDelta serializes tenant's personalized state as a delta. base
+// names the architecture the tenant must share (same parameters in the same
+// order with the same shapes); none of its values is read.
 func EncodeModelDelta(base, tenant *nn.Classifier) ([]byte, error) {
 	bp, tp := base.Params(), tenant.Params()
 	if len(bp) != len(tp) {
@@ -89,7 +87,7 @@ type Compiled interface {
 }
 
 // EncodeEngineDelta serializes the tenant a Float32 engine compiled from
-// base's architecture holds, as a delta over base: the record
+// base's architecture holds, as a delta: the record
 // EncodeModelDelta writes for the tenant classifier the engine was compiled
 // from, byte for byte, for a masked tenant (every prunable parameter masked,
 // no other) whose kept weights are all non-zero. An engine keeps no zero
@@ -134,8 +132,7 @@ func EncodeEngineDelta(base *nn.Classifier, eng Compiled) ([]byte, error) {
 }
 
 // tenantParam is one tenant parameter as the encoder reads it: a source
-// says where its values are, the sizing pass adds the record's mode and kept
-// count.
+// says where its values are, the sizing pass adds the kept count.
 type tenantParam struct {
 	// masked is whether the record carries a mask for the parameter.
 	masked bool
@@ -144,7 +141,6 @@ type tenantParam struct {
 	w, mask []float64
 	// plan is a compiled matrix: its entries are the non-zeros of W ⊙ Mask.
 	plan *format.Plan
-	mode byte
 	kept int
 }
 
@@ -193,50 +189,28 @@ func (p *tenantParam) dense(n int, visit func(j int, v float64)) {
 }
 
 // encodeDelta is the one delta encoder, whichever source filled src and ts
-// (checked against bp and bs, whose names it writes). A first pass picks each
-// entry's mode and counts its kept values, which fixes the record's exact
-// size; the second writes into a buffer of that size.
+// (checked against bp and bs, whose names it writes). A first pass counts
+// each masked entry's kept values, which fixes the record's exact size; the
+// second writes into a buffer of that size.
 func encodeDelta(bp []*nn.Param, bs []stat, src []tenantParam, ts []stat) ([]byte, error) {
 	size := 4 + 4 + 4 + 4 + 8 // magic, version, #params, #bnStats, crc
 	for i := range src {
-		p, b := &src[i], bp[i].W.Data
-		size += 4 + len(bp[i].Name) + 1 + 1 // name, hasMask, mode
-		same := true
+		p, n := &src[i], bp[i].W.Len()
+		size += 4 + len(bp[i].Name) + 1 // name, hasMask
 		if !p.masked {
-			if p.plan == nil {
-				same = equalSlices(p.w, b)
-			} else {
-				p.dense(len(b), func(j int, v float64) { same = same && v == b[j] })
-			}
-			if !same {
-				p.mode = deltaDense
-				size += 8 * len(b)
-			}
+			size += 8 * n
 			continue
 		}
-		size += (len(b) + 7) / 8
-		p.each(func(j int, v float64) {
-			p.kept++
-			same = same && v == b[j]
-		})
-		if !same {
-			p.mode = deltaKept
-			size += 4 + 8*p.kept
-		}
-	}
-	statSame := func(i int) bool {
-		return equalSlices(ts[i].mean, bs[i].mean) && equalSlices(ts[i].variance, bs[i].variance)
+		p.each(func(int, float64) { p.kept++ })
+		size += (n+7)/8 + 4 + 8*p.kept
 	}
 	for i, s := range ts {
-		size += 4 + len(bs[i].name) + 1
-		if !statSame(i) {
-			size += 8 * (len(s.mean) + len(s.variance))
-		}
+		size += 4 + len(bs[i].name) + 16*len(s.mean)
 	}
 
 	buf := bytes.NewBuffer(make([]byte, 0, size))
 	bw := &enc{w: buf}
-	bw.raw(deltaMagic)
+	raw(bw, deltaMagic)
 	bw.u32(deltaVersion)
 	bw.startSum()
 	bw.u32(uint32(len(src)))
@@ -247,6 +221,12 @@ func encodeDelta(bp []*nn.Param, bs []stat, src []tenantParam, ts []stat) ([]byt
 		switch {
 		case !p.masked:
 			bw.u8(0)
+			if p.plan == nil {
+				bw.f64s(p.w)
+			} else {
+				p.dense(n, put)
+			}
+			continue
 		case p.mask != nil:
 			bw.u8(1)
 			bw.bits(p.mask)
@@ -267,27 +247,12 @@ func encodeDelta(bp []*nn.Param, bs []stat, src []tenantParam, ts []stat) ([]byt
 				cur = 0
 			}
 		}
-		bw.u8(p.mode)
-		switch p.mode {
-		case deltaKept:
-			bw.u32(uint32(p.kept))
-			p.each(put)
-		case deltaDense:
-			if p.plan == nil {
-				bw.f64s(p.w)
-			} else {
-				p.dense(n, put)
-			}
-		}
+		bw.u32(uint32(p.kept))
+		p.each(put)
 	}
 	bw.u32(uint32(len(ts)))
 	for i, s := range ts {
 		bw.str(bs[i].name)
-		if statSame(i) {
-			bw.u8(deltaSame)
-			continue
-		}
-		bw.u8(deltaDense)
 		bw.f64s(s.mean)
 		bw.f64s(s.variance)
 	}
@@ -298,57 +263,32 @@ func encodeDelta(bp []*nn.Param, bs []stat, src []tenantParam, ts []stat) ([]byt
 	return buf.Bytes(), nil
 }
 
+// deltaBound is the size of the largest delta base's architecture admits:
+// every parameter masked with every position kept, every norm stat stored.
+// A reader holds a declared delta length to it before allocating for it.
+func deltaBound(base *nn.Classifier) int {
+	size := 4 + 4 + 4 + 4 + 8
+	for _, p := range base.Params() {
+		n := p.W.Len()
+		size += 4 + len(p.Name) + 1 + (n+7)/8 + 4 + 8*n
+	}
+	for _, s := range bnStats(base) {
+		size += 4 + len(s.name) + 16*len(s.mean)
+	}
+	return size
+}
+
 // ApplyModelDelta rebuilds the tenant state encoded by EncodeModelDelta
-// into dst, reading unstored values from base: dst's weights become the
-// universal weights overlaid with the delta's kept/dense values, its masks
-// become the stored masks, and its norm statistics the stored (or
-// universal) ones. dst and base must share the encoder's architecture. It is
-// the view (ViewModelDelta) written back, so a delta the view rejects, or a
-// dst of another architecture, fails before dst is written at all.
+// into dst: its masks become the stored masks, its weights and norm
+// statistics the stored values, and its pruned positions — which the delta
+// does not store and nothing reads — base's values. dst and base must share
+// the encoder's architecture, and may be the same classifier. It is the view
+// (ViewModelDelta) written back, so a delta the view rejects, or a dst of
+// another architecture, fails before dst is written at all.
 func ApplyModelDelta(delta []byte, base, dst *nn.Classifier) error {
 	v, err := ViewModelDelta(delta, base)
 	if err != nil {
 		return err
 	}
-	dp, ds := dst.Params(), bnStats(dst)
-	if len(dp) != len(v.params) || len(ds) != len(v.stats) {
-		return fmt.Errorf("checkpoint: delta across architectures: %d params, %d norm stats vs base %d, %d", len(dp), len(ds), len(v.params), len(v.stats))
-	}
-	for _, p := range dp {
-		if e, ok := v.params[p.Name]; !ok || e.base.W.Len() != p.W.Len() {
-			return fmt.Errorf("checkpoint: delta param %q: dst/base shapes differ", p.Name)
-		}
-	}
-	for _, s := range ds {
-		if e, ok := v.stats[s.name]; !ok || len(e.base.mean) != len(s.mean) {
-			return fmt.Errorf("checkpoint: delta norm stat %q: dst/base lengths differ", s.name)
-		}
-	}
-	for _, p := range dp {
-		e := v.params[p.Name]
-		v.overlay(e, p.W.Data)
-		if e.mask == 0 {
-			p.ClearMask()
-		} else {
-			v.unpackMask(e, p.EnsureMask().Data)
-		}
-	}
-	for _, s := range ds {
-		v.normStats(v.stats[s.name], s.mean, s.variance)
-	}
-	return nil
-}
-
-// equalSlices reports elementwise equality (bit-level intent: weights are
-// finite, so == matches bit equality here).
-func equalSlices(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i, v := range a {
-		if b[i] != v {
-			return false
-		}
-	}
-	return true
+	return v.applyTo(dst)
 }

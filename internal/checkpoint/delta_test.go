@@ -1,7 +1,9 @@
 package checkpoint
 
 import (
+	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/inference"
@@ -12,15 +14,15 @@ import (
 )
 
 // deltaPair returns a universal base and a diverged tenant: cloned weights,
-// a pruning mask on the first prunable layer, fine-tuned kept weights and
-// perturbed BN statistics — every delta mode exercised at once.
+// a pruning mask on the last prunable layer, fine-tuned kept weights and
+// perturbed BN statistics — every kind of delta entry at once.
 func deltaPair(t *testing.T, f models.Family) (base, tenant *nn.Classifier) {
 	t.Helper()
 	base = trainedModel(t, f, 20)
 	tenant = models.Build(f, rand.New(rand.NewSource(77)), 6, 1)
 	base.CloneWeightsTo(tenant)
-	// Mask a second layer and perturb its kept weights (deltaKept); leave
-	// other params untouched (deltaSame).
+	// Mask a layer and perturb its kept weights (a kept entry); leave other
+	// params untouched (dense entries equal to the base's).
 	pp := tenant.PrunableParams()
 	p := pp[len(pp)-1]
 	m := p.EnsureMask()
@@ -32,7 +34,7 @@ func deltaPair(t *testing.T, f models.Family) (base, tenant *nn.Classifier) {
 			p.W.Data[i] += 0.125
 		}
 	}
-	// Perturb one unmasked param densely (deltaDense) and one BN stat.
+	// Perturb one unmasked param densely and one BN stat.
 	for _, q := range tenant.Params() {
 		if q.Mask == nil {
 			for i := range q.W.Data {
@@ -113,17 +115,82 @@ func TestModelDeltaSizeScalesWithMask(t *testing.T) {
 		t.Fatal(err)
 	}
 	if int64(len(delta)) >= full/2 {
-		t.Fatalf("delta %d bytes vs %d full weights: kept-value mode not engaged", len(delta), full)
+		t.Fatalf("delta %d bytes vs %d full weights: kept-value entries not engaged", len(delta), full)
 	}
-	// An undiverged clone encodes to almost nothing (headers + masks only).
-	clean := models.Build(models.ResNet, rand.New(rand.NewSource(32)), 6, 1)
-	base.CloneWeightsTo(clean)
-	small, err := EncodeModelDelta(base, clean)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int64(len(small)) >= int64(len(delta))/2 {
-		t.Fatalf("clean delta %d bytes vs diverged %d: same-mode not engaged", len(small), len(delta))
+}
+
+// TestModelDeltaIsBaseIndependent: a delta depends on the tenant alone.
+// Encoded over two unrelated models of its architecture — from the tenant
+// classifier or from its Float32 engine — it is the same bytes, and it
+// compiles from either base to the same values wherever a reader looks.
+func TestModelDeltaIsBaseIndependent(t *testing.T) {
+	for _, f := range allFamilies {
+		a, b := randomModel(f, 70, false), randomModel(f, 71, true)
+		tenant := randomTenant(f, 1, a, 72)
+		for _, p := range tenant.PrunableParams() {
+			if p.Mask == nil {
+				randomMask(rand.New(rand.NewSource(73)), p)
+			}
+		}
+		da, err := EncodeModelDelta(a, tenant)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db, err := EncodeModelDelta(b, tenant)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(da, db) {
+			t.Fatalf("%s: the delta over one base is %d bytes that differ from the %d over another", f, len(da), len(db))
+		}
+		eng, err := inference.New(tenant, 4, sparsity.NM{N: 2, M: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ea, err := EncodeEngineDelta(a, eng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eb, err := EncodeEngineDelta(b, eng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(ea, eb) {
+			t.Fatalf("%s: the engine's delta depends on the base it is encoded over", f)
+		}
+		ra, rb := randomModel(f, 74, false), randomModel(f, 74, false)
+		if err := ApplyModelDelta(da, a, ra); err != nil {
+			t.Fatal(err)
+		}
+		if err := ApplyModelDelta(da, b, rb); err != nil {
+			t.Fatal(err)
+		}
+		checkRebuilt(t, tenant, ra)
+		checkRebuilt(t, tenant, rb)
+		va, err := ViewModelDelta(da, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vb, err := ViewModelDelta(da, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A pruned position's effective weight is a zero that takes its
+		// sign from the base's dead value: equal, if not always bit-equal.
+		bp := b.Params()
+		for i, p := range a.Params() {
+			if !slices.Equal(va.Effective(p).Data, vb.Effective(bp[i]).Data) {
+				t.Fatalf("%s: %s: the view's effective weights depend on its base", f, p.Name)
+			}
+		}
+		bn := normLayers(b)
+		for i, l := range normLayers(a) {
+			ma, sa := va.NormStats(l)
+			mb, sb := vb.NormStats(bn[i])
+			if !sameBits(ma, mb) || !sameBits(sa, sb) {
+				t.Fatalf("%s: %s: the view's running statistics depend on its base", f, l.Gamma.Name)
+			}
+		}
 	}
 }
 

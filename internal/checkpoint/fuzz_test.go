@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 
@@ -37,11 +38,12 @@ func FuzzLoad(f *testing.F) {
 	})
 }
 
-// FuzzLoadPersonalization mirrors FuzzLoad for the v3 record parser: the
+// FuzzLoadPersonalization mirrors FuzzLoad for the v4 record parser: the
 // snapshot store feeds it whatever survives on disk, so arbitrary bytes
-// must produce an error or a record — never a panic or a hang. This is the
-// fail-closed half of the warm-restart contract: Restore skips what this
-// parser rejects.
+// must produce an error or a record — never a panic, a hang, or an
+// allocation sized by a length word no record of the architecture could
+// carry. This is the fail-closed half of the warm-restart contract: Restore
+// skips what this parser rejects.
 func FuzzLoadPersonalization(f *testing.F) {
 	clf := models.Build(models.ResNet, rand.New(rand.NewSource(3)), 4, 1)
 	for _, p := range clf.PrunableParams() {
@@ -58,12 +60,22 @@ func FuzzLoadPersonalization(f *testing.F) {
 			Iterations: []pruner.IterStat{{Iteration: 0, Kappa: 0.7, Sparsity: 0.69, Loss: 1.1}},
 		},
 	}
+	delta, err := EncodeModelDelta(clf, clf)
+	if err != nil {
+		f.Fatal(err)
+	}
 	var buf bytes.Buffer
-	if err := SavePersonalization(&buf, rec, clf); err != nil {
+	if err := WritePersonalization(&buf, rec, delta); err != nil {
 		f.Fatal(err)
 	}
 	valid := buf.Bytes()
 	f.Add(valid)
+	// The delta's length word, declaring more than the stream holds and more
+	// than the architecture admits.
+	huge := append([]byte(nil), valid...)
+	binary.LittleEndian.PutUint32(huge[len(huge)-8-len(delta)-4:], uint32(deltaBound(clf)+1))
+	f.Add(huge)
+	f.Add(huge[:len(huge)-8-len(delta)])
 	f.Add([]byte{})
 	f.Add([]byte("CRSP"))
 	f.Add(valid[:len(valid)/3])

@@ -124,11 +124,13 @@ func AppendIndexFS(fsys fault.FS, path, key, file string) error {
 }
 
 // WriteIndexFS atomically replaces the index file: the new content lands in
-// a temp file in the same directory (written and fsynced before the rename
-// publishes it, then the directory is fsynced so the rename itself is
-// durable), so readers see either the old or the new index, never a torn
-// one — even across a power cut. Entries are written in sorted key order
-// for reproducible files.
+// a temp file of its own in the same directory (written and fsynced before
+// the rename publishes it, then the directory is fsynced so the rename
+// itself is durable), so readers see either the old or the new index, never
+// a torn one — even across a power cut. Every call gets a unique temp name,
+// as record writes do, so stores sharing a directory can rewrite the index
+// at once: the last rename wins whole. Entries are written in sorted key
+// order for reproducible files.
 func WriteIndexFS(fsys fault.FS, path string, idx Index) error {
 	var b strings.Builder
 	b.WriteString(indexHeader + "\n")
@@ -141,11 +143,11 @@ func WriteIndexFS(fsys fault.FS, path string, idx Index) error {
 		fmt.Fprintf(&b, "%s\t%s\n", k, idx[k])
 	}
 
-	tmp := path + ".tmp"
-	f, err := fsys.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	f, err := fsys.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
 	if err != nil {
 		return err
 	}
+	tmp := f.Name()
 	if _, err := f.Write([]byte(b.String())); err != nil {
 		f.Close()
 		fsys.Remove(tmp)

@@ -1,36 +1,44 @@
 package checkpoint
 
-// Personalization records are the durable form of one serving-layer tenant
-// model: the pruned classifier (weights, masks, batch-norm statistics)
-// together with the class set it was pruned for, the pruning report and the
-// measured held-out accuracy. They are what the personalization server
-// snapshots to disk so a restart can reload engines instead of re-running
-// the prune+fine-tune pipeline per tenant.
+// Personalization records are the durable form of one serving-layer tenant:
+// the tenant's model delta (delta.go) together with the class set it was
+// pruned for, the pruning report and the measured held-out accuracy. They
+// are what the personalization server snapshots to disk so a restart can
+// reload engines instead of re-running the prune+fine-tune pipeline per
+// tenant. The record carries the very bytes the server holds a warm tenant
+// as, so writing one builds no model and reading one back needs none.
 //
-// The record is version 3 of the checkpoint stream (same magic, same
+// The record is version 4 of the checkpoint stream (same magic, same
 // endian-fixed primitives):
 //
-//	magic "CRSP" | u32 3
+//	magic "CRSP" | u32 4
 //	| key | u32 #classes | u32 classes (sorted ids)
 //	| f64 accuracy
 //	| report: method | f64 target | f64 achieved | f64 flopsRatio
 //	|   u32 #layers;  per layer: name | u32 rows | u32 cols | f64 sparsity
 //	|                            | i32 keptBlockCols | u32 gridCols
 //	|   u32 #iters;   per iter:  u32 iteration | f64 kappa | f64 sparsity | f64 loss
-//	| classifier body (identical encoding to the v1 payload)
+//	| u32 delta length | model delta, verbatim
 //	| u64 crc64/ECMA over everything after the version word
 //
 // The trailing checksum is what makes disk corruption fail closed: a bit
 // flipped inside a raw float64 weight parses fine and would silently change
 // the tenant's logits; with the trailer, any flip anywhere in the record is
-// a load error (and the serving layer quarantines the record).
+// a load error (and the serving layer quarantines the record). The delta's
+// length is held to the largest delta the reader's architecture admits
+// before anything is allocated for it, and the delta must then parse
+// against that architecture (ViewModelDelta), so a record of another model
+// fails closed too.
 //
-// LoadPersonalization accepts version 3 only. Version 2 (the same record
-// minus the trailer) was written by no deployed server, and a reader for it
-// is a way to skip the checksum by flipping one bit of the version word.
-// Version 1 streams (plain classifiers written by Save) remain loadable by
-// Load; LoadPersonalization rejects them, and Load rejects v3 records, so
-// the two cannot be confused silently.
+// A record restores against any model of its architecture: the delta
+// carries every value a loader reads. The readers accept version 4 only.
+// Version 3 (the same metadata over the dense classifier payload) and
+// version 2 (v3 minus the trailer) fail at the header; a server quarantines
+// such a record and re-prunes the tenant once, which — pruning being
+// deterministic in (base, class set) — yields the same tenant. Version 1
+// streams (plain classifiers written by Save) remain loadable by Load;
+// LoadPersonalization rejects them, and Load rejects records, so the two
+// cannot be confused silently.
 
 import (
 	"fmt"
@@ -40,7 +48,7 @@ import (
 	"repro/internal/pruner"
 )
 
-const personalizationVersion = 3
+const personalizationVersion = 4
 
 // maxCount bounds every repeated-field count in a record. Real records
 // have a handful of classes, layers and iterations; anything near the bound
@@ -49,7 +57,7 @@ const personalizationVersion = 3
 const maxCount = 1 << 20
 
 // PersonalizationRecord is the serializable metadata of one personalized
-// model; the pruned classifier itself rides along in the same stream.
+// model; the tenant's model delta rides along in the same stream.
 type PersonalizationRecord struct {
 	// Key is the canonical cache key (sorted, deduplicated class ids joined
 	// by commas), as produced by the serving layer.
@@ -62,11 +70,21 @@ type PersonalizationRecord struct {
 	Report pruner.Report
 }
 
-// SavePersonalization writes a version-3 record: rec's metadata followed by
-// the pruned classifier's full payload and a crc64 trailer.
+// SavePersonalization writes the record of the pruned classifier clf: its
+// model delta (EncodeModelDelta) under rec's metadata.
 func SavePersonalization(w io.Writer, rec PersonalizationRecord, clf *nn.Classifier) error {
+	delta, err := EncodeModelDelta(clf, clf)
+	if err != nil {
+		return err
+	}
+	return WritePersonalization(w, rec, delta)
+}
+
+// WritePersonalization writes a version-4 record: rec's metadata, the model
+// delta verbatim, and a crc64 trailer.
+func WritePersonalization(w io.Writer, rec PersonalizationRecord, delta []byte) error {
 	bw := &enc{w: w}
-	bw.raw(magic)
+	raw(bw, magic)
 	bw.u32(personalizationVersion)
 	bw.startSum()
 
@@ -99,31 +117,53 @@ func SavePersonalization(w io.Writer, rec PersonalizationRecord, clf *nn.Classif
 		bw.f64(it.Loss)
 	}
 
-	saveBody(bw, clf)
+	bw.u32(uint32(len(delta)))
+	raw(bw, delta)
 	bw.trailer()
 	return bw.finish()
 }
 
-// LoadPersonalization restores a record written by SavePersonalization,
-// loading the pruned classifier into clf (which must be architecturally
-// identical to the saved one). Corrupted or truncated streams return an
-// error and may leave clf partially written; callers restore into a fresh
-// clone, never a live model.
+// LoadPersonalization restores a record written by SavePersonalization or
+// WritePersonalization, applying its delta onto clf (ApplyModelDelta with
+// clf as both base and destination): clf's masks, kept weights and norm
+// statistics become the record's, and its pruned positions keep whatever
+// clf held. clf must have the record's architecture; its values need not be
+// any particular model's. A record that fails to load leaves clf untouched.
 func LoadPersonalization(r io.Reader, clf *nn.Classifier) (PersonalizationRecord, error) {
+	rec, v, err := readPersonalization(r, clf)
+	if err != nil {
+		return rec, err
+	}
+	return rec, v.applyTo(clf)
+}
+
+// ReadPersonalization reads a record without applying it: its metadata and
+// its delta, which is known to parse against base's architecture.
+func ReadPersonalization(r io.Reader, base *nn.Classifier) (PersonalizationRecord, []byte, error) {
+	rec, v, err := readPersonalization(r, base)
+	if err != nil {
+		return rec, nil, err
+	}
+	return rec, v.delta, nil
+}
+
+// readPersonalization is the one record reader: the metadata, the delta
+// under its length bound, the trailer, then the delta's view over base.
+func readPersonalization(r io.Reader, base *nn.Classifier) (PersonalizationRecord, *DeltaView, error) {
 	var rec PersonalizationRecord
 	br := &dec{r: r}
 	if err := br.header(magic, personalizationVersion, "checkpoint: personalization"); err != nil {
-		return rec, err
+		return rec, nil, err
 	}
 	br.startSum()
 
 	rec.Key = br.str()
 	nc := int(br.u32())
 	if br.err != nil {
-		return rec, br.err
+		return rec, nil, br.err
 	}
 	if nc <= 0 || nc > maxCount {
-		return rec, fmt.Errorf("checkpoint: implausible class count %d", nc)
+		return rec, nil, fmt.Errorf("checkpoint: implausible class count %d", nc)
 	}
 	rec.Classes = make([]int, nc)
 	for i := range rec.Classes {
@@ -137,10 +177,10 @@ func LoadPersonalization(r io.Reader, clf *nn.Classifier) (PersonalizationRecord
 	rec.Report.FLOPsRatio = br.f64()
 	nl := int(br.u32())
 	if br.err != nil {
-		return rec, br.err
+		return rec, nil, br.err
 	}
 	if nl < 0 || nl > maxCount {
-		return rec, fmt.Errorf("checkpoint: implausible layer count %d", nl)
+		return rec, nil, fmt.Errorf("checkpoint: implausible layer count %d", nl)
 	}
 	rec.Report.Layers = make([]pruner.LayerStat, nl)
 	for i := range rec.Report.Layers {
@@ -152,15 +192,15 @@ func LoadPersonalization(r io.Reader, clf *nn.Classifier) (PersonalizationRecord
 		l.KeptBlockCols = int(int32(br.u32()))
 		l.GridCols = int(br.u32())
 		if br.err != nil {
-			return rec, br.err
+			return rec, nil, br.err
 		}
 	}
 	ni := int(br.u32())
 	if br.err != nil {
-		return rec, br.err
+		return rec, nil, br.err
 	}
 	if ni < 0 || ni > maxCount {
-		return rec, fmt.Errorf("checkpoint: implausible iteration count %d", ni)
+		return rec, nil, fmt.Errorf("checkpoint: implausible iteration count %d", ni)
 	}
 	rec.Report.Iterations = make([]pruner.IterStat, ni)
 	for i := range rec.Report.Iterations {
@@ -170,12 +210,25 @@ func LoadPersonalization(r io.Reader, clf *nn.Classifier) (PersonalizationRecord
 		it.Sparsity = br.f64()
 		it.Loss = br.f64()
 		if br.err != nil {
-			return rec, br.err
+			return rec, nil, br.err
 		}
 	}
 
-	if err := loadBody(br, clf); err != nil {
-		return rec, err
+	n := int(br.u32())
+	if br.err != nil {
+		return rec, nil, br.err
 	}
-	return rec, br.checkTrailer("personalization record")
+	if bound := deltaBound(base); n > bound {
+		return rec, nil, fmt.Errorf("checkpoint: record declares a %d-byte delta, the model admits at most %d", n, bound)
+	}
+	delta := make([]byte, n)
+	br.read(delta)
+	if err := br.checkTrailer("personalization record"); err != nil {
+		return rec, nil, err
+	}
+	v, err := ViewModelDelta(delta, base)
+	if err != nil {
+		return rec, nil, fmt.Errorf("checkpoint: personalization record: %w", err)
+	}
+	return rec, v, nil
 }

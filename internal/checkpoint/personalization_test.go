@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/fault"
@@ -72,25 +73,14 @@ func TestPersonalizationRoundTrip(t *testing.T) {
 		t.Fatalf("record diverged:\ngot  %+v\nwant %+v", got, rec)
 	}
 
-	sp, dp := src.Params(), dst.Params()
-	for i := range sp {
-		for j := range sp[i].W.Data {
-			if sp[i].W.Data[j] != dp[i].W.Data[j] {
-				t.Fatalf("param %s weight %d not bit-identical", sp[i].Name, j)
-			}
-		}
-		if (sp[i].Mask == nil) != (dp[i].Mask == nil) {
-			t.Fatalf("param %s mask presence diverged", sp[i].Name)
-		}
-		if sp[i].Mask != nil && !reflect.DeepEqual(sp[i].Mask.Data, dp[i].Mask.Data) {
-			t.Fatalf("param %s mask diverged", sp[i].Name)
-		}
-	}
+	// Masks, kept and unmasked weights and norm statistics bit for bit; a
+	// record stores no pruned position, so dst keeps its own values there.
+	checkRebuilt(t, src, dst)
 }
 
 // TestVersionsDoNotCrossLoad pins the compatibility contract: v1 classifier
-// streams keep loading via Load, and neither loader silently accepts the
-// other's version.
+// streams keep loading via Load, neither loader silently accepts the
+// other's version, and no record version but 4 loads.
 func TestVersionsDoNotCrossLoad(t *testing.T) {
 	clf := prunedModel(9)
 
@@ -106,19 +96,20 @@ func TestVersionsDoNotCrossLoad(t *testing.T) {
 		t.Fatal("LoadPersonalization accepted a v1 classifier stream")
 	}
 
-	var v3 bytes.Buffer
-	if err := SavePersonalization(&v3, testRecord(), clf); err != nil {
+	var v4 bytes.Buffer
+	if err := SavePersonalization(&v4, testRecord(), clf); err != nil {
 		t.Fatal(err)
 	}
-	if err := Load(bytes.NewReader(v3.Bytes()), dst); err == nil {
-		t.Fatal("Load accepted a v3 personalization record")
+	if err := Load(bytes.NewReader(v4.Bytes()), dst); err == nil {
+		t.Fatal("Load accepted a v4 personalization record")
 	}
-	if _, err := LoadPersonalization(bytes.NewReader(v3.Bytes()), dst); err != nil {
-		t.Fatalf("v3 record no longer loads: %v", err)
+	if _, err := LoadPersonalization(bytes.NewReader(v4.Bytes()), dst); err != nil {
+		t.Fatalf("v4 record no longer loads: %v", err)
 	}
-	// Versions 0, 1, 2 and 4 in a record's version word: none loads.
-	for _, v := range []byte{0, 1, 2, 4} {
-		mut := append([]byte(nil), v3.Bytes()...)
+	// Versions 0, 1, 2, 3 (the dense-classifier record) and 5 in a record's
+	// version word: none loads.
+	for _, v := range []byte{0, 1, 2, 3, 5} {
+		mut := append([]byte(nil), v4.Bytes()...)
 		mut[4] = v
 		if _, err := LoadPersonalization(bytes.NewReader(mut), dst); err == nil {
 			t.Fatalf("LoadPersonalization accepted version %d", v)
@@ -136,9 +127,8 @@ func TestPersonalizationFailsClosed(t *testing.T) {
 	}
 	valid := buf.Bytes()
 
-	// A truncated or mutated load may leave dst partially written — that is
-	// part of the contract (callers restore into throwaway clones), so one
-	// destination model serves every mutation below.
+	// A load that fails leaves dst untouched, so one destination model
+	// serves every mutation below.
 	dst := models.Build(models.ResNet, rand.New(rand.NewSource(12)), 4, 1)
 	for cut := 0; cut < len(valid); cut += 31 {
 		if _, err := LoadPersonalization(bytes.NewReader(valid[:cut]), dst); err == nil {
@@ -188,6 +178,45 @@ func TestIndexRoundTrip(t *testing.T) {
 	}
 	if got, _ := ReadIndex(path); !reflect.DeepEqual(got, idx2) {
 		t.Fatalf("overwrite: got %v want %v", got, idx2)
+	}
+}
+
+// TestIndexConcurrentRewrites: stores sharing a directory rewrite its index
+// at once (compaction on open, de-indexing in quarantine). Every rewrite
+// must succeed, and the file left behind must be one writer's index, whole.
+func TestIndexConcurrentRewrites(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, IndexFile)
+	idxs := []Index{
+		{"1,3": "p01.ckpt", "0,2,4": "p02.ckpt"},
+		{"5": "p03.ckpt", "6,7": "p04.ckpt", "8": "p05.ckpt"},
+	}
+	for range 100 {
+		var wg sync.WaitGroup
+		errs := make([]error, len(idxs))
+		for i, idx := range idxs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[i] = WriteIndexFS(fault.OS{}, path, idx)
+			}()
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				t.Fatalf("concurrent rewrite: %v", err)
+			}
+		}
+		got, err := ReadIndex(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, idxs[0]) && !reflect.DeepEqual(got, idxs[1]) {
+			t.Fatalf("concurrent rewrites left %v, which is neither writer's index", got)
+		}
+	}
+	if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmps) != 0 {
+		t.Fatalf("rewrites left temp files behind: %v", tmps)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 
 	"repro/internal/nn"
 	"repro/internal/tensor"
@@ -29,16 +28,16 @@ type DeltaView struct {
 type deltaEntry struct {
 	base *nn.Param
 	mask int // offset of the packed mask bits; 0 without a mask
-	mode byte
-	vals int // offset of the kept / dense values
+	vals int // offset of the kept (masked) or dense (unmasked) values
 }
 
 type statEntry struct {
-	base stat
-	at   int // offset of the stored means (then variances); 0 = base's
+	n  int // the layer's channel count
+	at int // offset of the stored means (then variances)
 }
 
-// ViewModelDelta validates delta against base and returns the view over it.
+// ViewModelDelta validates delta against base's architecture and returns the
+// view over it.
 func ViewModelDelta(delta []byte, base *nn.Classifier) (*DeltaView, error) {
 	rd := bytes.NewReader(delta)
 	br := &dec{r: rd}
@@ -65,32 +64,26 @@ func ViewModelDelta(delta []byte, base *nn.Classifier) (*DeltaView, error) {
 			return nil, fmt.Errorf("checkpoint: delta param %q does not match model param %q", name, p.Name)
 		}
 		e := deltaEntry{base: p}
-		kept, n := 0, p.W.Len()
-		if br.u8() == 1 {
-			if e.mask = skip((n + 7) / 8); br.err == nil {
-				for i := 0; i < n; i += 8 {
-					b := delta[e.mask+i/8]
-					if n-i < 8 {
-						b &= 1<<(n-i) - 1 // padding bits keep nothing
-					}
-					kept += bits.OnesCount8(b)
-				}
-			}
-		}
-		switch e.mode = br.u8(); e.mode {
-		case deltaSame:
-		case deltaKept:
-			if count := int(br.u32()); br.err == nil && (e.mask == 0 || count != kept) {
-				return nil, fmt.Errorf("checkpoint: delta param %q: %d stored values for %d kept positions", p.Name, count, kept)
-			}
-			e.vals = skip(8 * kept)
-		case deltaDense:
+		n := p.W.Len()
+		if br.u8() != 1 {
 			e.vals = skip(8 * n)
-		default:
-			if br.err == nil {
-				return nil, fmt.Errorf("checkpoint: delta param %q: unknown mode %d", p.Name, e.mode)
+			v.params[p.Name] = e
+			continue
+		}
+		kept := 0
+		if e.mask = skip((n + 7) / 8); br.err == nil {
+			for i := 0; i < n; i += 8 {
+				b := delta[e.mask+i/8]
+				if n-i < 8 {
+					b &= 1<<(n-i) - 1 // padding bits keep nothing
+				}
+				kept += bits.OnesCount8(b)
 			}
 		}
+		if count := int(br.u32()); br.err == nil && count != kept {
+			return nil, fmt.Errorf("checkpoint: delta param %q: %d stored values for %d kept positions", p.Name, count, kept)
+		}
+		e.vals = skip(8 * kept)
 		v.params[p.Name] = e
 	}
 	if n := int(br.u32()); br.err == nil && n != len(bs) {
@@ -100,17 +93,7 @@ func ViewModelDelta(delta []byte, base *nn.Classifier) (*DeltaView, error) {
 		if name, ok := br.expect(s.name); br.err == nil && !ok {
 			return nil, fmt.Errorf("checkpoint: delta norm stat %q does not match %q", name, s.name)
 		}
-		e := statEntry{base: s}
-		switch mode := br.u8(); mode {
-		case deltaSame:
-		case deltaDense:
-			e.at = skip(16 * len(s.mean))
-		default:
-			if br.err == nil {
-				return nil, fmt.Errorf("checkpoint: delta norm stat %q: unknown mode %d", s.name, mode)
-			}
-		}
-		v.stats[s.name] = e
+		v.stats[s.name] = statEntry{n: len(s.mean), at: skip(16 * len(s.mean))}
 	}
 	if err := br.checkTrailer("delta"); err != nil {
 		return nil, err
@@ -118,22 +101,54 @@ func ViewModelDelta(delta []byte, base *nn.Classifier) (*DeltaView, error) {
 	return v, nil
 }
 
-// overlay writes e's tenant values into w: the base's, overlaid with the
-// stored dense values or, at the positions the stored mask keeps, with the
-// kept ones. Values, Effective and ApplyModelDelta all take a parameter's
-// values from it.
+// applyTo writes the viewed tenant into dst (ApplyModelDelta), which may be
+// the view's own base. dst is checked against the view's architecture before
+// anything is written.
+func (v *DeltaView) applyTo(dst *nn.Classifier) error {
+	dp, ds := dst.Params(), bnStats(dst)
+	if len(dp) != len(v.params) || len(ds) != len(v.stats) {
+		return fmt.Errorf("checkpoint: delta across architectures: %d params, %d norm stats vs base %d, %d", len(dp), len(ds), len(v.params), len(v.stats))
+	}
+	for _, p := range dp {
+		if e, ok := v.params[p.Name]; !ok || e.base.W.Len() != p.W.Len() {
+			return fmt.Errorf("checkpoint: delta param %q: dst/base shapes differ", p.Name)
+		}
+	}
+	for _, s := range ds {
+		if e, ok := v.stats[s.name]; !ok || e.n != len(s.mean) {
+			return fmt.Errorf("checkpoint: delta norm stat %q: dst/base lengths differ", s.name)
+		}
+	}
+	for _, p := range dp {
+		e := v.params[p.Name]
+		v.overlay(e, p.W.Data)
+		if e.mask == 0 {
+			p.ClearMask()
+		} else {
+			v.unpackMask(e, p.EnsureMask().Data)
+		}
+	}
+	for _, s := range ds {
+		v.normStats(v.stats[s.name], s.mean, s.variance)
+	}
+	return nil
+}
+
+// overlay writes e's tenant values into w: the stored dense values, or the
+// base's overlaid at the positions the stored mask keeps with the kept ones.
+// Values, Effective and ApplyModelDelta all take a parameter's values from
+// it.
 func (v *DeltaView) overlay(e deltaEntry, w []float64) {
-	copy(w, e.base.W.Data)
-	switch e.mode {
-	case deltaDense:
+	if e.mask == 0 {
 		readF64s(w, v.delta[e.vals:])
-	case deltaKept:
-		packed, vals := v.delta[e.mask:], v.delta[e.vals:]
-		for i := range w {
-			if packed[i/8]>>(i%8)&1 == 1 {
-				w[i] = math.Float64frombits(le.Uint64(vals))
-				vals = vals[8:]
-			}
+		return
+	}
+	copy(w, e.base.W.Data)
+	packed, vals := v.delta[e.mask:], v.delta[e.vals:]
+	for i := range w {
+		if packed[i/8]>>(i%8)&1 == 1 {
+			w[i] = math.Float64frombits(le.Uint64(vals))
+			vals = vals[8:]
 		}
 	}
 }
@@ -146,16 +161,11 @@ func (v *DeltaView) unpackMask(e deltaEntry, m []float64) {
 	}
 }
 
-// normStats writes layer e's running mean and variance into mean and
-// variance: the stored ones, else the base's.
+// normStats writes layer e's stored running mean and variance into mean and
+// variance.
 func (v *DeltaView) normStats(e statEntry, mean, variance []float64) {
-	if e.at == 0 {
-		copy(mean, e.base.mean)
-		copy(variance, e.base.variance)
-		return
-	}
 	readF64s(mean, v.delta[e.at:])
-	readF64s(variance, v.delta[e.at+8*len(mean):])
+	readF64s(variance, v.delta[e.at+8*e.n:])
 }
 
 func (v *DeltaView) entry(name string) deltaEntry {
@@ -195,9 +205,11 @@ func (v *DeltaView) Values(p *nn.Param) []float64 {
 
 // NormStats returns the tenant's running mean and variance for base layer bn.
 func (v *DeltaView) NormStats(bn *nn.BatchNorm2D) (mean, variance []float64) {
-	mean, variance = slices.Clone(bn.RunMean.Data), slices.Clone(bn.RunVar.Data)
-	if e, ok := v.stats[bn.Gamma.Name]; ok {
-		v.normStats(e, mean, variance)
+	e, ok := v.stats[bn.Gamma.Name]
+	if !ok {
+		panic("checkpoint: delta view has no norm stat " + bn.Gamma.Name)
 	}
+	mean, variance = make([]float64, e.n), make([]float64, e.n)
+	v.normStats(e, mean, variance)
 	return mean, variance
 }

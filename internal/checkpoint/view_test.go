@@ -67,9 +67,9 @@ func checkView(t testing.TB, delta []byte, base, applied *nn.Classifier, applyEr
 }
 
 // TestDeltaViewMatchesApply: on every family, for deltas that carry every
-// mode (same, kept, dense; norm statistics stored and not) and for a pruned
-// tenant that was never fine-tuned (every entry "same"), the view hands out
-// what apply-then-read yields.
+// kind of entry (kept, dense; norm statistics diverged and not) and for a
+// pruned tenant that was never fine-tuned (every value the base's), the view
+// hands out what apply-then-read yields.
 func TestDeltaViewMatchesApply(t *testing.T) {
 	for _, f := range allFamilies {
 		base := randomModel(f, 51, false)

@@ -225,8 +225,7 @@ func engineFromDelta(t *testing.T, base *nn.Classifier, delta []byte, prec Preci
 // same Fingerprint, QuantSignature, MemoryFootprint and CompressedLayers,
 // logits bit for bit at batch 1 and 16. Three tenants each: fine-tuned
 // (kept values stored), mask-only (pruned, every kept value still the
-// base's: every delta entry is "same") and untouched (no masks: every value
-// is read through the base). The fine-tuned one is also held to the engine
+// base's) and untouched (no masks: every value stored dense). The fine-tuned one is also held to the engine
 // compiled from the pruned tenant itself, which shares no decoding with
 // either path.
 func TestEngineFromDeltaMatchesEngineFromClone(t *testing.T) {

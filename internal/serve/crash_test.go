@@ -8,6 +8,7 @@ package serve
 // and asserts what survived.
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"os"
@@ -35,6 +36,21 @@ func crashClassifier() *nn.Classifier {
 	return models.Build(models.ResNet, rand.New(rand.NewSource(41)), 6, 1)
 }
 
+// crashDelta is the delta a crash helper writes: crashClassifier's, with its
+// first weight perturbed when perturb is set.
+func crashDelta(t testing.TB, perturb bool) []byte {
+	t.Helper()
+	clf := crashClassifier()
+	if perturb {
+		clf.Params()[0].W.Data[0] = 123.456
+	}
+	delta, err := checkpoint.EncodeModelDelta(clf, clf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return delta
+}
+
 // TestCrashHelperProcess is the subprocess body; it only runs when the
 // parent test sets crashDirEnv. It writes one record for crashKeyEnv into
 // the snapshot store, dying at whatever crash point fault.CrashEnv names.
@@ -48,13 +64,9 @@ func TestCrashHelperProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clf := crashClassifier()
-	if os.Getenv(crashPerturbEnv) == "1" {
-		clf.Params()[0].W.Data[0] = 123.456
-	}
 	key := os.Getenv(crashKeyEnv)
 	rec := checkpoint.PersonalizationRecord{Key: key, Classes: []int{1, 2}, Accuracy: 0.5}
-	if err := st.put(rec, clf); err != nil {
+	if err := st.put(rec, crashDelta(t, os.Getenv(crashPerturbEnv) == "1")); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -106,12 +118,19 @@ func TestCrashBeforeRenamePreservesPriorRecord(t *testing.T) {
 	}
 	clone := crashClassifier()
 	want := clone.Params()[0].W.Data[0] // v1 value, rebuilt from the seed
-	rec, err := st.load("1,2", clone)
+	rec, delta, err := st.load("1,2", clone)
 	if err != nil {
 		t.Fatalf("prior record did not survive the crash: %v", err)
 	}
 	if rec.Key != "1,2" {
 		t.Fatalf("restored key %q", rec.Key)
+	}
+	if !bytes.Equal(delta, crashDelta(t, false)) {
+		t.Fatal("restored delta is not the pre-crash one")
+	}
+	clone.Params()[0].W.Data[0] = 0
+	if err := checkpoint.ApplyModelDelta(delta, clone, clone); err != nil {
+		t.Fatal(err)
 	}
 	if got := clone.Params()[0].W.Data[0]; got != want || got == 123.456 {
 		t.Fatalf("restored weight %v, want pre-crash value %v", got, want)
@@ -134,15 +153,15 @@ func TestCrashBeforeIndexLeavesCleanMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.load("3,4", crashClassifier()); !errors.Is(err, errNoSnapshot) {
+	if _, _, err := st.load("3,4", crashClassifier()); !errors.Is(err, errNoSnapshot) {
 		t.Fatalf("unacknowledged record must be a clean miss, got %v", err)
 	}
 	// The slot heals: re-putting the key publishes and indexes normally.
 	rec := checkpoint.PersonalizationRecord{Key: "3,4", Classes: []int{1, 2}, Accuracy: 0.5}
-	if err := st.put(rec, crashClassifier()); err != nil {
+	if err := st.put(rec, crashDelta(t, false)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.load("3,4", crashClassifier()); err != nil {
+	if _, _, err := st.load("3,4", crashClassifier()); err != nil {
 		t.Fatalf("re-put record failed to load: %v", err)
 	}
 }
@@ -160,7 +179,7 @@ func TestSnapshotPutFsyncOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := checkpoint.PersonalizationRecord{Key: "1,2", Classes: []int{1, 2}, Accuracy: 0.5}
-	if err := st.put(rec, crashClassifier()); err != nil {
+	if err := st.put(rec, crashDelta(t, false)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -192,8 +211,10 @@ func TestSnapshotPutFsyncOrdering(t *testing.T) {
 
 // TestSnapshotPutWritesByTheChunk: a record goes to disk a checkpoint chunk
 // (4 KiB) at a time, not a field at a time. The codec used to make one
-// write call per float — each a syscall on a real file, ~5 000 for this
-// 43 KB record — while the put held a pool worker beside the predict lanes.
+// write call per float — each a syscall on a real file, ~5 000 for the
+// 43 KB dense record this test wrote — while the put held a pool worker
+// beside the predict lanes. The record is now the tenant's delta: here half
+// of every prunable weight kept, 23 711 bytes of delta.
 func TestSnapshotPutWritesByTheChunk(t *testing.T) {
 	dir := t.TempDir()
 	ffs := fault.NewFS(fault.OS{}, fault.NewInjector(1), fault.DiskFaults{})
@@ -204,7 +225,17 @@ func TestSnapshotPutWritesByTheChunk(t *testing.T) {
 	before := ffs.Stats().Writes
 	rec := checkpoint.PersonalizationRecord{Key: "1,2", Classes: []int{1, 2}, Accuracy: 0.5}
 	clf := models.Build(models.Transformer, rand.New(rand.NewSource(42)), 6, 1)
-	if err := st.put(rec, clf); err != nil {
+	for _, p := range clf.PrunableParams() {
+		m := p.EnsureMask()
+		for j := range m.Data {
+			m.Data[j] = float64(j % 2)
+		}
+	}
+	delta, err := checkpoint.EncodeModelDelta(clf, clf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.put(rec, delta); err != nil {
 		t.Fatal(err)
 	}
 	info, err := os.Stat(filepath.Join(dir, fileFor("1,2")))

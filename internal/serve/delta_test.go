@@ -38,11 +38,10 @@ func (a engineID) equal(b engineID) bool {
 // compiled from that clone (inference.NewWithOptions). The served engine
 // must be that engine — same fingerprint, quant signature and logits — and
 // at Int8 its agreement must be that engine's top-1 agreement with the
-// clone's Float32 engine on the held-out split. A snapshot record is written
-// from a clone rebuilt out of the delta; a second server cold-restores it to
-// the same engine, and so does a record written from the pruned clone
-// itself (whose pruned positions hold fine-tuned values instead of the
-// base's).
+// clone's Float32 engine on the held-out split. A snapshot record carries
+// the served delta; a second server cold-restores it to the same engine, and
+// so does a record written from the pruned clone's own delta by a store of
+// its own.
 func TestSnapshotFromDeltaRestoresIdenticalEngine(t *testing.T) {
 	env := sharedEnv()
 	classes := []int{1, 3}
@@ -95,16 +94,19 @@ func TestSnapshotFromDeltaRestoresIdenticalEngine(t *testing.T) {
 				t.Fatalf("agreement %v, want the clone's engines' %v", p1.Agreement, wantAgreement)
 			}
 
-			// The previous writer: SavePersonalization straight from the
-			// pruned clone, into a directory of its own.
+			// The clone's own delta, into a directory of its own.
 			legacy := opts
 			legacy.SnapshotDir = t.TempDir()
 			st, err := openStore(legacy.SnapshotDir, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
+			cloneDelta, err := checkpoint.EncodeModelDelta(env.base, clone)
+			if err != nil {
+				t.Fatal(err)
+			}
 			rec := checkpoint.PersonalizationRecord{Key: p1.Key, Classes: p1.Classes, Accuracy: p1.Accuracy, Report: p1.Report}
-			if err := st.put(rec, clone); err != nil {
+			if err := st.put(rec, cloneDelta); err != nil {
 				t.Fatal(err)
 			}
 
@@ -144,7 +146,7 @@ func TestSnapshotFromDeltaRestoresIdenticalEngine(t *testing.T) {
 // keeps the delta it was compiled from, and demotion parks that slice
 // without encoding. Either record is a fixed point of encode ∘ apply, so a
 // tenant can cycle through the tiers (each promotion compiles it, each
-// snapshot write applies it) without its bytes ever drifting.
+// snapshot write stores it verbatim) without its bytes ever drifting.
 func TestDemotionDerivesTheDelta(t *testing.T) {
 	env := sharedEnv()
 	for _, prec := range []inference.Precision{inference.Float32, inference.Int8} {

@@ -130,23 +130,25 @@
 // amortization argument assumes away):
 //
 //   - Write-behind: when a pruning job completes, its Personalization is
-//     serialized as a checkpoint v3 record (pruned weights, masks,
-//     batch-norm statistics, class set, report, accuracy) on the worker
-//     pool — Personalize and Predict never wait on disk. The classifier in
-//     the record is rebuilt from the personalization's delta for the write
-//     (a Float32 tenant's is derived from its engine first), so its pruned
-//     positions carry the universal model's values, not the fine-tuned
-//     ones: dead data no loader reads. Records land via
-//     temp-file + rename, and an index file names the valid records, so a
-//     crash mid-write can never surface a torn snapshot.
+//     written as a checkpoint v4 personalization record — the class set,
+//     report and accuracy over the tenant's model delta, verbatim (a
+//     Float32 tenant's is derived from its engine first) — on the worker
+//     pool; Personalize and Predict never wait on disk, and no model is
+//     built for the write. The record is the very bytes a warm entry holds.
+//     Records land via temp-file + rename, and an index file names the
+//     valid records, so a crash mid-write can never surface a torn
+//     snapshot.
 //   - Restore-on-start: Server.Restore rebuilds indexed records into
 //     cached engines — up to the cache capacity; any remaining keys load
-//     lazily on first request — by encoding each record's classifier as a
-//     delta and admitting it (compiled buffers are never persisted).
-//     Corrupt or truncated records are skipped and counted in
-//     Stats.RestoreErrors; a bad snapshot never takes the server down. Restored engines are
-//     bit-identical to the originals: the checkpoint preserves exact
-//     float64 bits and format compilation is deterministic.
+//     lazily on first request — by admitting each record's delta like any
+//     other tenant's (compiled buffers are never persisted, and no model is
+//     built). A delta restores over any universal model of its
+//     architecture. Corrupt, truncated or unreadable records — another
+//     version, another architecture — are quarantined, skipped and counted
+//     in Stats.RestoreErrors; a bad snapshot never takes the server down,
+//     and costs its tenant one re-prune. Restored engines are bit-identical
+//     to the originals: the delta preserves exact float64 bits and format
+//     compilation is deterministic.
 //   - Eviction keeps the disk copy: an engine dropped by the LRU policy
 //     stays on disk, and the next request for its class set restores it
 //     (counted in Stats.RestoreHits) instead of re-pruning.
@@ -166,7 +168,8 @@
 // dies with the call that built it. A Float32 engine holds every value the
 // tenant's delta would, so it is the tenant's only copy: a demotion or
 // snapshot write derives the delta from it (checkpoint.EncodeEngineDelta),
-// the bytes the pruned clone encodes to. An Int8 engine holds lossy images,
+// the bytes the pruned clone encodes to, which are what the warm tier holds
+// and what a snapshot record carries. An Int8 engine holds lossy images,
 // so an Int8 tenant also keeps the delta it was compiled from. With a byte
 // budget configured the cache becomes a three-tier hierarchy:
 //
@@ -260,7 +263,7 @@
 //     the predict path; a promotion carries the stored agreement over. The result is surfaced per
 //     tenant (Personalization.Agreement) and aggregated in Stats
 //     (AgreementSamples/AgreementMatches/Top1Agreement).
-//   - Snapshot records are precision-agnostic: they persist float weights
+//   - Snapshot records are precision-agnostic: they persist float values
 //     and masks only, so a directory written by a Float32 server restores
 //     on an Int8 server (re-quantizing) and vice versa. Quantization is
 //     deterministic — a restored engine carries exactly the pre-restart

@@ -57,11 +57,10 @@ func (b *builtClassifiers) live() (built, live int) {
 // TestPersonalizationPinsNoTrainingState: the cache holds no classifier at
 // all, so none of a pruning run's weights, gradients, workspace or backprop
 // caches can ride into it — the hot tier's byte budget counts none of them.
-// Every classifier the server builds (to prune, to write a snapshot, to
-// restore a cold record) is garbage once its call returns, while the tenants
-// it produced stay resident — and a warm promotion builds none: however many
-// times tenants cycle between the hot and warm tiers, the build count stays
-// at what the prunes and snapshot writes took.
+// The server builds a classifier only to prune, and it is garbage once the
+// prune returns, while the tenant it produced stays resident. A snapshot
+// write, a cold restore and a warm promotion build none: however many times
+// tenants cycle between the tiers, the build count stays at the prunes'.
 func TestPersonalizationPinsNoTrainingState(t *testing.T) {
 	env := sharedEnv()
 	opts, _ := snapshotOpts(t)
@@ -82,8 +81,8 @@ func TestPersonalizationPinsNoTrainingState(t *testing.T) {
 	if _, err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := built.live(); n != 6 {
-		t.Fatalf("%d classifiers built for 3 prunes + 3 snapshot writes, want 6", n)
+	if n, _ := built.live(); n != 3 {
+		t.Fatalf("%d classifiers built for 3 prunes + 3 snapshot writes, want the prunes' 3", n)
 	}
 	const promotions = 7 // each request is for the one warm tenant
 	for i := 0; i < promotions; i++ {
@@ -95,8 +94,8 @@ func TestPersonalizationPinsNoTrainingState(t *testing.T) {
 	if st.CachedEngines != 2 || st.WarmEntries != 1 || st.Promotions != promotions || st.SnapshotWrites != 3 || st.PromoteErrors != 0 {
 		t.Fatalf("fixture did not prune, snapshot, demote and promote: %+v", st)
 	}
-	if n, live := built.live(); n != 6 || live != 0 {
-		t.Errorf("%d classifiers built, %d still reachable, behind 2 hot and 1 warm tenant after %d promotions (want the 6 of 3 prunes + 3 snapshot writes, none from a promotion, none live)", n, live, promotions)
+	if n, live := built.live(); n != 3 || live != 0 {
+		t.Errorf("%d classifiers built, %d still reachable, behind 2 hot and 1 warm tenant after %d promotions (want the 3 of 3 prunes, none from a snapshot write or a promotion, none live)", n, live, promotions)
 	}
 
 	var rebuilt builtClassifiers
@@ -111,8 +110,8 @@ func TestPersonalizationPinsNoTrainingState(t *testing.T) {
 	if st := s2.Stats(); st.RestoreHits != 1 || st.Personalizations != 0 {
 		t.Fatalf("second server did not cold-restore: %+v", st)
 	}
-	if n, live := rebuilt.live(); n != 1 || live != 0 {
-		t.Errorf("%d of %d classifiers still reachable behind a cold-restored tenant", live, n)
+	if n, _ := rebuilt.live(); n != 0 {
+		t.Errorf("a cold restore built %d classifiers, want none", n)
 	}
 }
 

@@ -24,8 +24,9 @@ var ErrNoSnapshotDir = errors.New("serve: snapshot store not configured")
 // will ever index or load them again.
 const quarantineSuffix = ".quarantined"
 
-// snapshotStore is the durable side of the engine cache: one checkpoint
-// record per personalized class set, plus an index file naming the records
+// snapshotStore is the durable side of the engine cache: one personalization
+// record — the tenant's metadata and its model delta, the bytes a warm entry
+// holds — per personalized class set, plus an index file naming the records
 // that are valid. Record writes go to a unique temp file — fsynced, then
 // renamed into place, then the directory fsynced — so concurrent writers, a
 // crash mid-write, and a power cut mid-rename can never leave a torn or
@@ -130,20 +131,20 @@ func (st *snapshotStore) mergeDiskLocked() error {
 	return nil
 }
 
-// put durably writes one personalization record and indexes it. The order
-// is load-bearing: the record bytes are fsynced BEFORE the rename publishes
-// the name, and the directory is fsynced before the index acknowledges the
-// key — a power cut at any instant leaves either the old state or the new,
-// never a named-but-empty record. The named crash points mark the two
+// put durably writes one tenant's record — rec's metadata over its delta —
+// and indexes it. The order is load-bearing: the record bytes are fsynced
+// BEFORE the rename publishes the name, and the directory is fsynced before
+// the index acknowledges the key — a power cut at any instant leaves either
+// the old state or the new, never a named-but-empty record. The named crash points mark the two
 // instants a crash-point test kills the process at to prove exactly that.
-func (st *snapshotStore) put(rec checkpoint.PersonalizationRecord, clf *nn.Classifier) error {
+func (st *snapshotStore) put(rec checkpoint.PersonalizationRecord, delta []byte) error {
 	name := fileFor(rec.Key)
 	tmp, err := st.fs.CreateTemp(st.dir, name+".*.tmp")
 	if err != nil {
 		return err
 	}
 	defer st.fs.Remove(tmp.Name()) // no-op after a successful rename
-	if err := checkpoint.SavePersonalization(tmp, rec, clf); err != nil {
+	if err := checkpoint.WritePersonalization(tmp, rec, delta); err != nil {
 		tmp.Close()
 		return err
 	}
@@ -177,38 +178,40 @@ func (st *snapshotStore) put(rec checkpoint.PersonalizationRecord, clf *nn.Class
 	return nil
 }
 
-// load restores the record for key into clf. It returns errNoSnapshot when
-// the key is not indexed; any other error means the record exists but could
-// not be used (corrupt, truncated, missing, or a hash collision with
-// another key). Unusable records are quarantined on the way out — see
-// quarantine — so a corrupt snapshot costs one re-prune, not an error on
-// every future restore.
-func (st *snapshotStore) load(key string, clf *nn.Classifier) (checkpoint.PersonalizationRecord, error) {
+// load reads the record for key: its metadata and its delta, which parses
+// against base's architecture (checkpoint.ReadPersonalization). It returns
+// errNoSnapshot when the key is not indexed; any other error means the
+// record exists but could not be used (corrupt, truncated, missing, of
+// another version or architecture, or a hash collision with another key).
+// Unusable records are quarantined on the way out — see quarantine — so a
+// bad snapshot costs one re-prune, not an error on every future restore.
+func (st *snapshotStore) load(key string, base *nn.Classifier) (checkpoint.PersonalizationRecord, []byte, error) {
+	var none checkpoint.PersonalizationRecord
 	st.mu.Lock()
 	name, ok := st.index[key]
 	st.mu.Unlock()
 	if !ok {
-		return checkpoint.PersonalizationRecord{}, errNoSnapshot
+		return none, nil, errNoSnapshot
 	}
 	f, err := st.fs.Open(filepath.Join(st.dir, name))
 	if err != nil {
 		if os.IsNotExist(err) {
 			// Indexed but gone: the record will never come back on its own.
-			return checkpoint.PersonalizationRecord{}, st.quarantine(key, name, err)
+			return none, nil, st.quarantine(key, name, err)
 		}
 		// Other open errors (permissions, transient I/O) may heal; leave
 		// the index alone.
-		return checkpoint.PersonalizationRecord{}, err
+		return none, nil, err
 	}
 	defer f.Close()
-	rec, err := checkpoint.LoadPersonalization(f, clf)
+	rec, delta, err := checkpoint.ReadPersonalization(f, base)
 	if err != nil {
-		return rec, st.quarantine(key, name, fmt.Errorf("serve: snapshot %s: %w", name, err))
+		return rec, nil, st.quarantine(key, name, fmt.Errorf("serve: snapshot %s: %w", name, err))
 	}
 	if rec.Key != key {
-		return rec, st.quarantine(key, name, fmt.Errorf("serve: snapshot %s holds key %q, want %q", name, rec.Key, key))
+		return rec, nil, st.quarantine(key, name, fmt.Errorf("serve: snapshot %s holds key %q, want %q", name, rec.Key, key))
 	}
-	return rec, nil
+	return rec, delta, nil
 }
 
 // quarantine takes a record the store can no longer trust out of service:
@@ -256,19 +259,19 @@ var errNoSnapshot = errors.New("serve: no snapshot for key")
 // de-indexed (counted in Stats.SnapshotsQuarantined).
 var errSnapshotQuarantined = errors.New("record quarantined")
 
-// restoreOne rebuilds a Personalization from its disk record: the record
-// loads into a fresh clone, which is encoded as the tenant's delta and
-// admitted like any other — compiled CSR/CRISP buffers are never persisted,
-// so the on-disk format stays independent of the kernel layout. On an Int8
-// server that compilation re-quantizes: snapshot records are
-// precision-agnostic (float weights + masks), and because quantization is
-// deterministic the restored engine carries exactly the pre-restart codes
-// (Engine.QuantSignature pins this); the agreement measurement is re-run on
-// the same deterministic held-out split.
+// restoreOne rebuilds a Personalization from its disk record: the record's
+// delta is admitted like any other tenant's, and no model is built to do it
+// — compiled CSR/CRISP buffers are never persisted, so the on-disk format
+// stays independent of the kernel layout. On an Int8 server that
+// compilation re-quantizes: snapshot records are precision-agnostic (float
+// values + masks), and because quantization is deterministic the restored
+// engine carries exactly the pre-restart codes (Engine.QuantSignature pins
+// this); the agreement measurement is re-run on the same deterministic
+// held-out split. Like a warm entry, a record restores the tenant it
+// acknowledged over any universal model of its architecture.
 func (s *Server) restoreOne(key string) (*Personalization, error) {
 	defer s.clock(&s.stats.RestoreNanos, time.Now())
-	clone := s.build()
-	rec, err := s.store.load(key, clone)
+	rec, delta, err := s.store.load(key, s.base)
 	if err != nil {
 		if errors.Is(err, errSnapshotQuarantined) {
 			s.mu.Lock()
@@ -276,10 +279,6 @@ func (s *Server) restoreOne(key string) (*Personalization, error) {
 			s.mu.Unlock()
 		}
 		return nil, err
-	}
-	delta, err := checkpoint.EncodeModelDelta(s.base, clone)
-	if err != nil {
-		return nil, fmt.Errorf("serve: restoring {%s}: %w", key, err)
 	}
 	return s.admit(&warmEntry{key: key, classes: rec.Classes, report: rec.Report, accuracy: rec.Accuracy, delta: delta})
 }
@@ -399,17 +398,10 @@ func (s *Server) snapshotHot(p *Personalization) error {
 	return s.writeSnapshot(p.record(), delta)
 }
 
-// writeSnapshot persists one tenant's record and updates the counters. The
-// record's classifier is rebuilt from the delta for this one write, so its
-// pruned positions carry the universal model's values rather than the
-// fine-tuned ones — dead data no loader reads (W ⊙ Mask, masks and norm
-// statistics are exact).
+// writeSnapshot persists one tenant's record — its metadata over its delta,
+// the bytes a warm entry holds — and updates the counters.
 func (s *Server) writeSnapshot(rec checkpoint.PersonalizationRecord, delta []byte) error {
-	clone := s.build()
-	err := checkpoint.ApplyModelDelta(delta, s.base, clone)
-	if err == nil {
-		err = s.store.put(rec, clone)
-	}
+	err := s.store.put(rec, delta)
 	s.mu.Lock()
 	if err != nil {
 		s.stats.SnapshotErrors++

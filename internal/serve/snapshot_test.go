@@ -429,7 +429,7 @@ func TestQuarantineKeepsPeerRecords(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s2.store.load("3,4", s2.build()); err == nil {
+	if _, _, err := s2.store.load("3,4", s2.base); err == nil {
 		t.Fatal("load of corrupted record succeeded")
 	}
 

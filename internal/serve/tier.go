@@ -12,13 +12,13 @@ import (
 // The three-tier cache (Options.MemoryBudgetBytes > 0):
 //
 //	hot   — compiled engines, ready to Predict (up to HotFraction of budget)
-//	warm  — delta records over the universal weights (rest of budget)
+//	warm  — model deltas, the bytes a snapshot record carries (rest of budget)
 //	cold  — disk snapshots (Options.SnapshotDir), unbounded
 //
 // A hot tenant is a compiled engine, not a model clone: the engine owns
 // everything it reads (inference package comment), and the personalized
-// classifier survives only as a checkpoint model delta over the universal
-// base (mask + kept-position values — a small fraction of a full copy). A
+// classifier survives only as a checkpoint model delta (mask + kept-position
+// values — a small fraction of a full copy). A
 // Float32 tenant holds its weights once, in its engine: its delta is derived
 // from the engine (checkpoint.EncodeEngineDelta) when a demotion or a
 // snapshot write needs it, the same bytes the pruned clone encodes to. An
@@ -29,9 +29,10 @@ import (
 // delta (checkpoint.ViewModelDelta) the tenant's values. An engine squeezed
 // out of the hot tier is demoted: its delta (held or derived) parks in a
 // warm LRU and the engine is dropped. A later request promotes the record
-// instead of re-pruning. A snapshot write rebuilds a clone (build +
-// ApplyModelDelta), so a new record's pruned positions hold the base's
-// values (dead data: none reads them). Because compilation and quantization
+// instead of re-pruning. A snapshot write stores the same delta under the
+// tenant's metadata (checkpoint.WritePersonalization), and a cold restore
+// admits the delta it reads back: warm entry and disk record are one format,
+// and no tier transition builds a model. Because compilation and quantization
 // only ever read the effective weights W ⊙ Mask — exactly what the delta
 // preserves — promotion is bit-identical on the float path and
 // QuantSignature-identical on int8; both are verified structurally at
@@ -58,7 +59,7 @@ type warmEntry struct {
 	report    pruner.Report
 	accuracy  float64
 	agreement float64
-	// delta is the checkpoint model delta over the universal base.
+	// delta is the tenant's checkpoint model delta.
 	delta []byte
 	// fp pins the float structural identity (plan fingerprints in compile
 	// order); qsig pins the int8 code identity (0 on Float32 servers). Both
@@ -99,8 +100,8 @@ func (s *Server) newPersonalization(key string, classes []int, rep pruner.Report
 	return p
 }
 
-// deltaOf returns p's delta over the universal base: the one an Int8 tenant
-// holds, else derived from its Float32 engine.
+// deltaOf returns p's delta: the one an Int8 tenant holds, else derived from
+// its Float32 engine.
 func (s *Server) deltaOf(p *Personalization) ([]byte, error) {
 	if p.delta != nil {
 		return p.delta, nil
