@@ -60,12 +60,12 @@ func main() {
 	hotBytes := full.Stats().HotBytes
 	full.Close()
 	fmt.Printf("full-copy cache: %d tenants in %d bytes\n", len(tenants), fullBytes)
-	fmt.Printf("all-hot cache:   %d tenants in %d bytes (engine + delta each, %.1fx denser)\n",
+	fmt.Printf("all-hot cache:   %d tenants in %d bytes (an engine each, %.1fx denser)\n",
 		len(tenants), hotBytes, float64(fullBytes)/float64(hotBytes))
 
 	// Pass 2: the same tenants under seven tenths of the all-hot bytes, three
 	// fifths of that for the hot tier — room for two hot engines, the rest
-	// demote to warm records (a delta is ~0.4 of a hot tenant).
+	// demote to warm records (each the tenant's delta).
 	srv, err := crisp.NewServer(model, crisp.ResNet, 1, 18, ds, crisp.ServerConfig{
 		Prune: cfg, TrainPerClass: 12, TestPerClass: 6,
 		MemoryBudgetBytes: hotBytes * 7 / 10, HotFraction: 0.6,

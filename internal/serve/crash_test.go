@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/fault"
+	"repro/internal/inference"
 	"repro/internal/models"
 	"repro/internal/nn"
 )
@@ -315,5 +316,97 @@ func TestRestoreBitFlipQuarantines(t *testing.T) {
 	}
 	if st := s2.Stats(); st.Personalizations != 1 {
 		t.Fatalf("want exactly one re-prune, got %+v", st)
+	}
+}
+
+// TestInt8TenantIsNeverStranded: an Int8 tenant drops the delta it holds
+// only once the store has acknowledged its record, so no tenant is ever left
+// with neither. While every record write fails, a hot tenant keeps its delta
+// (and is charged for it), and its demotion parks that delta as a warm
+// record. Once the disk heals, Flush writes both tenants, and the hot one
+// drops its delta; a promotion of the durable one retains none. Then the
+// record of the delta-less hot tenant goes bad on disk: the demotion that
+// would read it back quarantines it instead and parks nothing, and the next
+// request re-prunes the tenant, once, to the oracle's engine.
+func TestInt8TenantIsNeverStranded(t *testing.T) {
+	ckptOnly := func(name string) bool { return strings.Contains(filepath.Base(name), ".ckpt") }
+	ffs := fault.NewFS(fault.OS{}, fault.NewInjector(31), fault.DiskFaults{WriteErr: 1, Match: ckptOnly})
+	opts, dir := snapshotOpts(t)
+	opts.FS = ffs
+	opts.CacheSize = 1
+	opts.MemoryBudgetBytes = 1 << 40
+	opts.Precision = inference.Int8
+	s := newTestServer(t, opts)
+	a, b := []int{1, 3}, []int{0, 2}
+	pa, _, err := s.Personalize(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := s.Flush(); err == nil || n != 0 {
+		t.Fatalf("Flush on a failing disk wrote %d (err %v), want 0 and an error", n, err)
+	}
+	checkHeld(t, "write failed", s, pa, true)
+
+	pb, _, err := s.Personalize(b) // demotes a, whose write fails again
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	el := s.warm[pa.Key]
+	s.mu.Unlock()
+	if el == nil || el.Value.(*warmEntry).delta == nil {
+		t.Fatalf("a tenant whose writes failed was not demoted to a warm record: %+v", s.Stats())
+	}
+	if n, err := s.Flush(); err == nil || n != 0 { // waits out b's write-behind
+		t.Fatalf("Flush on a failing disk wrote %d (err %v), want 0 and an error", n, err)
+	}
+	checkHeld(t, "write failed", s, pb, true)
+	if st := s.Stats(); st.ColdRecords != 0 || st.SnapshotErrors < 3 {
+		t.Fatalf("failed writes not accounted: %+v", st)
+	}
+
+	ffs.SetEnabled(false) // the disk heals
+	if n, err := s.Flush(); err != nil || n != 2 {
+		t.Fatalf("Flush after healing wrote %d (%v), want the hot and the warm tenant", n, err)
+	}
+	checkHeld(t, "flushed", s, pb, false)
+	if st := s.Stats(); st.HotBytes != pb.engine.MemoryFootprint()+personalizationOverheadBytes {
+		t.Fatalf("HotBytes %d after the drop, want the one tenant's engine + overhead", st.HotBytes)
+	}
+
+	if pa, _, err = s.Personalize(a); err != nil { // promotes a, demotes b from its record
+		t.Fatal(err)
+	}
+	checkHeld(t, "promoted durable", s, pa, false)
+	before := s.Stats()
+	if before.Promotions != 1 || before.Personalizations != 2 || before.WarmEntries != 1 || before.SnapshotsQuarantined != 0 {
+		t.Fatalf("expected a warm promotion of a and b demoted from its record: %+v", before)
+	}
+
+	// a is hot and holds no delta; its record is all it has.
+	path := filepath.Join(dir, fileFor(pa.Key))
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)/2] ^= 0x40
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.Personalize(b); err != nil { // promotes b, demotes a
+		t.Fatal(err)
+	}
+	st := s.Stats()
+	if st.SnapshotsQuarantined != before.SnapshotsQuarantined+1 || st.WarmEntries != 0 || st.Demotions != before.Demotions {
+		t.Fatalf("a demotion over a bad record did not quarantine it and park nothing: %+v", st)
+	}
+	if pa, _, err = s.Personalize(a); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Personalizations != before.Personalizations+1 {
+		t.Fatalf("want exactly one re-prune of the quarantined tenant, got %+v", st)
+	}
+	if got, want := pa.Engine().QuantSignature(), oracle(t, s.opts.Prune, opts.TrainPerClass, a, inference.Int8).QuantSignature(); got != want {
+		t.Fatalf("re-pruned engine's quant signature %016x, the oracle's is %016x", got, want)
 	}
 }

@@ -142,9 +142,9 @@ func TestSnapshotFromDeltaRestoresIdenticalEngine(t *testing.T) {
 // engine holds every value one would carry, and its resident size is the
 // engine plus overhead — so demotion derives the warm record from the
 // engine, and that record is the very delta the pruned clone encodes to (the
-// tenant re-pruned here on a private clone of the base). An Int8 tenant
-// keeps the delta it was compiled from, and demotion parks that slice
-// without encoding. Either record is a fixed point of encode ∘ apply, so a
+// tenant re-pruned here on a private clone of the base). An Int8 tenant on
+// a server without a store keeps the delta it was compiled from, and
+// demotion parks that slice without encoding. Either record is a fixed point of encode ∘ apply, so a
 // tenant can cycle through the tiers (each promotion compiles it, each
 // snapshot write stores it verbatim) without its bytes ever drifting.
 func TestDemotionDerivesTheDelta(t *testing.T) {

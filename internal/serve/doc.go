@@ -135,6 +135,8 @@
 //     Float32 tenant's is derived from its engine first) — on the worker
 //     pool; Personalize and Predict never wait on disk, and no model is
 //     built for the write. The record is the very bytes a warm entry holds.
+//     Once the store acknowledges it, an Int8 tenant drops the delta it
+//     held: the record is its delta from then on.
 //     Records land via temp-file + rename, and an index file names the
 //     valid records, so a crash mid-write can never surface a torn
 //     snapshot.
@@ -170,10 +172,13 @@
 // snapshot write derives the delta from it (checkpoint.EncodeEngineDelta),
 // the bytes the pruned clone encodes to, which are what the warm tier holds
 // and what a snapshot record carries. An Int8 engine holds lossy images,
-// so an Int8 tenant also keeps the delta it was compiled from. With a byte
-// budget configured the cache becomes a three-tier hierarchy:
+// so an Int8 tenant keeps the delta it was compiled from until the snapshot
+// store has acknowledged the tenant's record; then it drops the delta, and
+// the record stands in for it. With a byte budget configured the cache
+// becomes a three-tier hierarchy:
 //
-//	hot   — compiled engine (and, at Int8, its delta), ready to Predict.
+//	hot   — compiled engine (and, at Int8, its delta until the tenant is
+//	        durable), ready to Predict.
 //	        Bounded by CacheSize and by HotFraction (default 0.75) of the
 //	        budget. Every engine owns its plans and shares none: each
 //	        tenant is fine-tuned between pruning rounds, so no two tenants
@@ -181,10 +186,9 @@
 //	        and there is nothing to share. An engine retains what its
 //	        forward pass reads and nothing else. On the benchmark fixture
 //	        a hot resnet-s tenant is ~196 KB at Float32 (the engine alone)
-//	        against ~257 KB at Int8 (a ~78 KB engine and the ~177 KB
-//	        delta); transformer-s ~29 KB against ~50 KB (a ~24 KB delta).
-//	        The int8 engine is the smaller engine, but only the float one
-//	        can stand in for its delta. Each tenant
+//	        against ~80 KB at Int8 once durable (the ~78 KB engine alone;
+//	        ~257 KB while it still holds its ~177 KB delta); transformer-s
+//	        ~29 KB against ~22 KB (~46 KB with its ~24 KB delta). Each tenant
 //	        costs the same whatever else is resident, so the hot tier
 //	        holds HotFraction·budget / (Stats.HotBytes/CachedEngines)
 //	        tenants at the precision you serve.
@@ -196,8 +200,11 @@
 //	        warm record whose write failed is written by the next Flush.
 //
 // Lifecycle: an insert past the hot bound demotes the LRU engine — its
-// delta is derived (Float32) or taken (Int8), its batcher flushes, the
-// engine is dropped — and the delta parks in a warm LRU (Stats.Demotions).
+// delta is derived (Float32), taken (an Int8 tenant that still holds it) or
+// read back from the tenant's record (a durable Int8 tenant: the read a
+// cold restore makes, so a bad record is quarantined, nothing parks, and
+// the tenant's next request re-prunes), its batcher flushes, the engine is
+// dropped — and the delta parks in a warm LRU (Stats.Demotions).
 // A request for a warm tenant promotes instead of re-pruning: the delta is
 // admitted like every other (a checksum-verified checkpoint.DeltaView over
 // the universal model, no classifier built), and the engine is verified

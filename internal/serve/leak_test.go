@@ -175,10 +175,37 @@ func liveHeap() uint64 {
 // against 0.43 MB with int32 plan columns and conv tap tables.
 // At int8 nothing float stays reachable behind a quantized layer: resnet-s
 // 0.27 MB against 0.26 MB charged (0.50 charged while every image kept the
-// float plan it was quantized from), transformer-s 0.05 against 0.05.
+// float plan it was quantized from), transformer-s 0.05 against 0.05. Over
+// a store, once Flush has made them durable, Int8 resnet-s tenants hold no
+// delta: 0.09 MB against 0.08 MB charged, 0.31× their charge while holding
+// it — a drop that only un-charged the delta would leave the heap at 0.27.
 func TestHotBytesMatchesLiveHeap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale personalizations (short mode)")
+	}
+	const tenants = 12
+	// grow personalizes the tenants on s — flushing them to its store when
+	// it has one — and returns what they grew the live heap by and what
+	// HotBytes charges for them.
+	grow := func(t *testing.T, s *Server) (grown, charged float64) {
+		before := liveHeap()
+		for i := 0; i < tenants; i++ {
+			if _, _, err := s.Personalize([]int{i % 10, (i + 1 + i/10) % 10, (i + 3 + i/10) % 10}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if s.store != nil {
+			if _, err := s.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		grown, charged = float64(liveHeap()-before), float64(s.Stats().HotBytes)
+		t.Logf("live heap per hot tenant %.2f MB, HotBytes per tenant %.2f MB", grown/tenants/1e6, charged/tenants/1e6)
+		if grown > 1.15*charged {
+			t.Errorf("%d hot tenants grew the live heap by %.0f bytes, %.0f%% more than the %.0f bytes HotBytes charges",
+				tenants, grown, 100*(grown/charged-1), charged)
+		}
+		return grown, charged
 	}
 	for _, prec := range []inference.Precision{inference.Float32, inference.Int8} {
 		for _, f := range []models.Family{models.ResNet, models.Transformer} {
@@ -187,24 +214,36 @@ func TestHotBytesMatchesLiveHeap(t *testing.T) {
 				name += "-int8"
 			}
 			t.Run(name, func(t *testing.T) {
-				s := benchShapeServer(t, f, Options{CacheSize: 32, Precision: prec})
-				before := liveHeap()
-				const tenants = 12
-				for i := 0; i < tenants; i++ {
-					if _, _, err := s.Personalize([]int{i % 10, (i + 1 + i/10) % 10, (i + 3 + i/10) % 10}); err != nil {
-						t.Fatal(err)
-					}
-				}
-				grown := float64(liveHeap() - before)
-				charged := float64(s.Stats().HotBytes)
-				t.Logf("live heap per hot tenant %.2f MB, HotBytes per tenant %.2f MB", grown/tenants/1e6, charged/tenants/1e6)
-				if grown > 1.15*charged {
-					t.Errorf("%d hot tenants grew the live heap by %.0f bytes, %.0f%% more than the %.0f bytes HotBytes charges",
-						tenants, grown, 100*(grown/charged-1), charged)
-				}
+				grow(t, benchShapeServer(t, f, Options{CacheSize: 32, Precision: prec}))
 			})
 		}
 	}
+	// Over a store, a flushed Int8 tenant is durable and drops its delta:
+	// the heap must show the delta gone, not just un-charged, and the tenant
+	// is charged at most 0.35× what it is charged holding the delta, as a
+	// budgeted server without a store keeps it.
+	t.Run("resnet-s-int8-store", func(t *testing.T) {
+		s := benchShapeServer(t, models.ResNet, Options{CacheSize: 32, Precision: inference.Int8, SnapshotDir: t.TempDir()})
+		_, charged := grow(t, s)
+		s.mu.Lock()
+		hot := make([]*Personalization, 0, len(s.entries))
+		for _, el := range s.entries {
+			hot = append(hot, el.Value.(*Personalization))
+		}
+		s.mu.Unlock()
+		holding := charged
+		for _, p := range hot {
+			delta, err := s.deltaOf(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			holding += float64(len(delta))
+		}
+		t.Logf("HotBytes per durable tenant %.0f B, %.0f B holding its delta (%.2f×)", charged/tenants, holding/tenants, charged/holding)
+		if len(hot) != tenants || charged > 0.35*holding {
+			t.Errorf("%d durable Int8 tenants charged %.0f bytes, want at most 0.35× the %.0f they are charged holding their deltas", len(hot), charged, holding)
+		}
+	})
 }
 
 // benchShapeServer is a server at the repository benchmark's fixture shapes

@@ -114,7 +114,7 @@ func TestV3RecordCostsOneReprune(t *testing.T) {
 	if _, err := os.Stat(path + quarantineSuffix); err != nil {
 		t.Fatalf("the v3 record was not moved aside: %v", err)
 	}
-	if got, want := p2.Engine().Fingerprint(), oracle(t, s2.opts.Prune, opts.TrainPerClass, a).Fingerprint(); got != want {
+	if got, want := p2.Engine().Fingerprint(), oracle(t, s2.opts.Prune, opts.TrainPerClass, a, inference.Float32).Fingerprint(); got != want {
 		t.Fatalf("re-pruned engine %016x, the oracle's is %016x", got, want)
 	}
 	if _, err := s2.Flush(); err != nil {

@@ -125,9 +125,12 @@ func (o Options) withDefaults() Options {
 
 // Personalization is one cached tenant model: the compiled sparse engine of
 // the CRISP-pruned classifier for a class set, the pruning outcome and, at
-// Int8 only, that classifier as a delta over the universal model. The
-// classifier itself is not kept: the engine owns everything it reads. It is
-// immutable after creation and safe for concurrent Predict use.
+// Int8 only and only until the tenant is durable, that classifier as a delta
+// over the universal model. The classifier itself is not kept: the engine
+// owns everything it reads. Its exported fields and engine never change
+// after creation, and it is safe for concurrent Predict use; delta and size
+// change once, when the store acknowledges the tenant's record (dropDelta),
+// and are read and written under the server's mu.
 type Personalization struct {
 	// Key is the canonical cache key (sorted, deduplicated class ids).
 	Key string
@@ -145,12 +148,13 @@ type Personalization struct {
 
 	engine *inference.Engine
 	// delta is the Int8 tenant's checkpoint model delta over the universal
-	// base, read-only after creation: the engine was compiled from it
-	// (admit), demotion parks it as the warm record, a snapshot write
-	// rebuilds the clone from it. It is nil exactly when the engine is
-	// Float32: that engine holds every value the delta would, and deltaOf
-	// derives the same bytes from it when a demotion or snapshot write
-	// needs them.
+	// base: the engine was compiled from it (admit), and a demotion parks it
+	// as the warm record or a snapshot write stores it. It is held only while
+	// nothing else can give it back (keepsDelta): never at Float32, whose
+	// engine holds every value the delta would and derives the same bytes
+	// (deltaOf), and at Int8 only until the store has acknowledged the
+	// tenant's record — after that deltaOf reads the record.
+	// Guarded by the server's mu; its bytes are never written.
 	delta []byte
 	// bat coalesces concurrent Predict calls against this engine; nil when
 	// batching is disabled (Options.MaxBatch <= 1).
@@ -162,8 +166,8 @@ type Personalization struct {
 	qos    atomic.Int32
 	bucket tokenBucket
 	// size is the resident cost this personalization charges against the
-	// hot tier: engine-owned compiled state, plus the delta when one is
-	// held, fixed at creation (see newPersonalization).
+	// hot tier: engine-owned compiled state, plus the delta while one is
+	// held (see newPersonalization, dropDelta). Guarded by the server's mu.
 	size int64
 }
 

@@ -271,16 +271,24 @@ var errSnapshotQuarantined = errors.New("record quarantined")
 // acknowledged over any universal model of its architecture.
 func (s *Server) restoreOne(key string) (*Personalization, error) {
 	defer s.clock(&s.stats.RestoreNanos, time.Now())
-	rec, delta, err := s.store.load(key, s.base)
+	rec, delta, err := s.loadRecord(key)
 	if err != nil {
-		if errors.Is(err, errSnapshotQuarantined) {
-			s.mu.Lock()
-			s.stats.SnapshotsQuarantined++
-			s.mu.Unlock()
-		}
 		return nil, err
 	}
 	return s.admit(&warmEntry{key: key, classes: rec.Classes, report: rec.Report, accuracy: rec.Accuracy, delta: delta})
+}
+
+// loadRecord is store.load counting a quarantined record
+// (Stats.SnapshotsQuarantined): the one read of a record, made by a cold
+// restore and by a durable Int8 tenant's deltaOf alike.
+func (s *Server) loadRecord(key string) (checkpoint.PersonalizationRecord, []byte, error) {
+	rec, delta, err := s.store.load(key, s.base)
+	if errors.Is(err, errSnapshotQuarantined) {
+		s.mu.Lock()
+		s.stats.SnapshotsQuarantined++
+		s.mu.Unlock()
+	}
+	return rec, delta, err
 }
 
 // Restore rebuilds engines from indexed snapshot records and inserts them
@@ -386,7 +394,10 @@ func (s *Server) scheduleSnapshot(p *Personalization) {
 	}()
 }
 
-// snapshotHot writes a hot tenant's record from its delta (deltaOf).
+// snapshotHot writes a hot tenant's record from its delta (deltaOf). Once
+// the store has acknowledged the record, an Int8 tenant drops the delta it
+// held (dropDelta): the record is the delta now. Never before — a tenant
+// whose write failed keeps its delta, for the next demotion or Flush.
 func (s *Server) snapshotHot(p *Personalization) error {
 	delta, err := s.deltaOf(p)
 	if err != nil {
@@ -395,7 +406,11 @@ func (s *Server) snapshotHot(p *Personalization) error {
 		s.mu.Unlock()
 		return err
 	}
-	return s.writeSnapshot(p.record(), delta)
+	if err := s.writeSnapshot(p.record(), delta); err != nil {
+		return err
+	}
+	s.dropDelta(p)
+	return nil
 }
 
 // writeSnapshot persists one tenant's record — its metadata over its delta,

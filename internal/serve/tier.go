@@ -18,29 +18,31 @@ import (
 // A hot tenant is a compiled engine, not a model clone: the engine owns
 // everything it reads (inference package comment), and the personalized
 // classifier survives only as a checkpoint model delta (mask + kept-position
-// values — a small fraction of a full copy). A
-// Float32 tenant holds its weights once, in its engine: its delta is derived
-// from the engine (checkpoint.EncodeEngineDelta) when a demotion or a
-// snapshot write needs it, the same bytes the pruned clone encodes to. An
-// Int8 engine holds lossy images, so an Int8 tenant also keeps the delta it
-// was compiled from. Every hot tenant — pruned, restored or promoted — is
-// compiled from a delta by admit, and none builds a model to do it: the
-// universal model supplies the layer tree and a validated view over the
-// delta (checkpoint.ViewModelDelta) the tenant's values. An engine squeezed
-// out of the hot tier is demoted: its delta (held or derived) parks in a
-// warm LRU and the engine is dropped. A later request promotes the record
-// instead of re-pruning. A snapshot write stores the same delta under the
-// tenant's metadata (checkpoint.WritePersonalization), and a cold restore
-// admits the delta it reads back: warm entry and disk record are one format,
-// and no tier transition builds a model. Because compilation and quantization
-// only ever read the effective weights W ⊙ Mask — exactly what the delta
-// preserves — promotion is bit-identical on the float path and
+// values — a small fraction of a full copy). A hot tenant holds its weights
+// once, in its engine. A Float32 engine gives its delta back
+// (checkpoint.EncodeEngineDelta) when a demotion or a snapshot write needs
+// it, the same bytes the pruned clone encodes to. An Int8 engine holds lossy
+// images, so an Int8 tenant keeps the delta it was compiled from until the
+// store has acknowledged the tenant's record, and drops it then: after that
+// the record is the delta (keepsDelta, deltaOf, dropDelta). Every hot
+// tenant — pruned, restored or promoted — is compiled from a delta by admit,
+// and none builds a model to do it: the universal model supplies the layer
+// tree and a validated view over the delta (checkpoint.ViewModelDelta) the
+// tenant's values. An engine squeezed out of the hot tier is demoted: its
+// delta (held, derived or read back from the store) parks in a warm LRU and
+// the engine is dropped. A later request promotes the record instead of
+// re-pruning. A snapshot write stores the same delta under the tenant's
+// metadata (checkpoint.WritePersonalization), and a cold restore admits the
+// delta it reads back: warm entry and disk record are one format, and no
+// tier transition builds a model. Because compilation and
+// quantization only ever read the effective weights W ⊙ Mask — exactly what
+// the delta preserves — promotion is bit-identical on the float path and
 // QuantSignature-identical on int8; both are verified structurally at
-// promote time against fingerprints captured at demotion. Warm records
-// squeezed out by the byte budget drop to the cold tier (demotion first
-// tries to write the disk copy, when a store is configured, and Flush
-// retries a warm record whose write failed), and cold records re-prune only
-// if the store is absent.
+// promote time against fingerprints captured at demotion, which also catches
+// a record read back wrong. Warm records squeezed out by the byte budget drop
+// to the cold tier (demotion first tries to write the disk copy, when a store
+// is configured, and Flush retries a warm record whose write failed), and
+// cold records re-prune only if the store is absent.
 
 // estimated fixed overhead charged per resident object on top of the
 // measured buffers (struct headers, batcher, LRU bookkeeping).
@@ -79,11 +81,11 @@ func warmEntryBytes(we *warmEntry) int64 {
 }
 
 // newPersonalization assembles a cache entry and fixes its resident cost:
-// the engine's owned compiled state, plus — Int8 only, whose engine cannot
-// give it back — the delta it was compiled from, which a demotion or
-// snapshot write will need. The delta must not be written after this call.
+// the engine's owned compiled state, plus the delta it was compiled from
+// when the tenant keeps one (keepsDelta). The delta must not be written
+// after this call.
 func (s *Server) newPersonalization(key string, classes []int, rep pruner.Report, acc, agreement float64, eng *inference.Engine, delta []byte) *Personalization {
-	if eng.Precision() == inference.Float32 {
+	if !s.keepsDelta(eng, key) {
 		delta = nil
 	}
 	p := &Personalization{
@@ -100,13 +102,52 @@ func (s *Server) newPersonalization(key string, classes []int, rep pruner.Report
 	return p
 }
 
-// deltaOf returns p's delta: the one an Int8 tenant holds, else derived from
-// its Float32 engine.
+// keepsDelta reports whether the tenant key, compiled to eng, must hold the
+// delta it was compiled from: only at Int8 — a Float32 engine gives the
+// delta back — and only while the tenant is not durable. Once the store has
+// the tenant's record, the record is its delta and deltaOf reads it back.
+// Without a store the held delta is the tenant's only full-precision copy.
+func (s *Server) keepsDelta(eng *inference.Engine, key string) bool {
+	return eng.Precision() == inference.Int8 && (s.store == nil || !s.store.has(key))
+}
+
+// deltaOf returns p's delta: the one an Int8 tenant still holds, else one
+// derived from its Float32 engine, else — a durable Int8 tenant, so the
+// server has a store — the one its record carries, read back as a cold
+// restore reads it (loadRecord: a bad record is quarantined and counted).
 func (s *Server) deltaOf(p *Personalization) ([]byte, error) {
-	if p.delta != nil {
-		return p.delta, nil
+	s.mu.Lock()
+	delta := p.delta
+	s.mu.Unlock()
+	switch {
+	case delta != nil:
+		return delta, nil
+	case p.engine.Precision() == inference.Float32:
+		return checkpoint.EncodeEngineDelta(s.base, p.engine)
 	}
-	return checkpoint.EncodeEngineDelta(s.base, p.engine)
+	_, delta, err := s.loadRecord(p.Key)
+	return delta, err
+}
+
+// dropDelta releases the delta a hot tenant holds once the store has
+// acknowledged its record, and takes its bytes off the hot tier. It
+// un-charges s.hotBytes only while p is the resident entry for its key: an
+// evicted tenant (rebalance un-charged its size) or one that lost its insert
+// (never charged) changes only its own size, so no tenant is un-charged
+// twice.
+func (s *Server) dropDelta(p *Personalization) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := int64(len(p.delta))
+	if n == 0 {
+		return
+	}
+	p.delta = nil
+	p.size -= n
+	if el, ok := s.entries[p.Key]; ok && el.Value.(*Personalization) == p {
+		s.hotBytes -= n
+		s.stats.HotBytes = s.hotBytes
+	}
 }
 
 // hotFullLocked reports whether the hot tier has no room for another
@@ -173,10 +214,13 @@ func (s *Server) trimWarmLocked() {
 
 // demote turns an evicted hot engine into a warm record (budgeted servers)
 // or simply releases it (legacy count-LRU servers). A budgeted demotion takes
-// the tenant's delta once (deltaOf: a Float32 engine encodes it) and, when a
-// store is configured and holds no record yet, writes the snapshot from it
-// before parking it. A write that fails (a disk error) still parks the
-// record: it is not durable, and Flush writes it.
+// the tenant's delta once (deltaOf: a Float32 engine encodes it, a durable
+// Int8 tenant's is read back from its record) and, when a store is
+// configured and holds no record yet, writes the snapshot from it before
+// parking it. A write that fails (a disk error) still parks the record: it
+// is not durable, and Flush writes it. A record that cannot be read back
+// leaves nothing to park: the tenant is released, and its next request
+// re-prunes.
 func (s *Server) demote(p *Personalization) {
 	if s.budget <= 0 {
 		p.release()
@@ -186,7 +230,7 @@ func (s *Server) demote(p *Personalization) {
 	delta, err := s.deltaOf(p)
 	if err != nil {
 		// Nothing to park or write: the tenant falls to the store, if it
-		// has a record, and is re-pruned otherwise.
+		// still has a record, and is re-pruned otherwise.
 		p.release()
 		return
 	}

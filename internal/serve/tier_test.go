@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/inference"
@@ -119,13 +120,14 @@ func TestTierRoundTripBitIdentical(t *testing.T) {
 	}
 }
 
-// oracle returns the engine the tenant for classes must be, from a path that
-// shares nothing with a server: a private clone of oracleEnv's base, pruned
-// with prune on the sorted class set's serve-train split and compiled
-// straight from that clone by inference.New — no delta, tier or snapshot. A
-// CRISP tenant is a function of (universal model, class set), so this is
-// what a server must serve, however the tenant reached its hot tier.
-func oracle(t *testing.T, prune pruner.Options, trainPerClass int, classes []int) *inference.Engine {
+// oracle returns the engine the tenant for classes must be at prec, from a
+// path that shares nothing with a server: a private clone of oracleEnv's
+// base, pruned with prune on the sorted class set's serve-train split and
+// compiled straight from that clone by inference.NewWithOptions — no delta,
+// tier or snapshot. A CRISP tenant is a function of (universal model, class
+// set), so this is what a server must serve, however the tenant reached its
+// hot tier.
+func oracle(t *testing.T, prune pruner.Options, trainPerClass int, classes []int, prec inference.Precision) *inference.Engine {
 	t.Helper()
 	env := oracleEnv()
 	canon := slices.Compact(slices.Sorted(slices.Values(classes)))
@@ -136,7 +138,7 @@ func oracle(t *testing.T, prune pruner.Options, trainPerClass int, classes []int
 	clone := env.build()
 	env.base.CloneWeightsTo(clone)
 	pruner.NewCRISP(prune).Prune(clone, env.ds.MakeSplit("serve-train/"+strings.Join(key, ","), canon, trainPerClass))
-	eng, err := inference.New(clone, prune.BlockSize, prune.NM)
+	eng, err := inference.NewWithOptions(clone, prune.BlockSize, prune.NM, inference.CompileOptions{Precision: prec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +158,7 @@ func TestTierTransitionsMatchTheOracle(t *testing.T) {
 	opts.MemoryBudgetBytes = 1 << 40
 	s := newTestServer(t, opts)
 	a := []int{3, 1}
-	want := oracle(t, s.opts.Prune, opts.TrainPerClass, a)
+	want := oracle(t, s.opts.Prune, opts.TrainPerClass, a, inference.Float32)
 	x := oracleEnv().ds.MakeSplit("tier-probe", []int{1, 3}, 2).X
 	check := func(path string, p *Personalization) {
 		t.Helper()
@@ -195,6 +197,109 @@ func TestTierTransitionsMatchTheOracle(t *testing.T) {
 		t.Fatalf("expected a cold restore: %+v", st)
 	}
 	check("flushed and cold-restored", p)
+}
+
+// TestInt8TierTransitionsMatchTheOracle is the Int8 half: one tenant, held
+// to the oracle's own Int8 engine — its QuantSignature and its top-1 — after
+// personalize, after Flush (the store acknowledges the record and the hot
+// tenant drops its delta), after a demotion that reads the record back and
+// the warm promotion of what it read, and after a cold restore on a fresh
+// server over the same directory. A durable tenant, however it came back,
+// holds no delta: it is charged its engine and overhead alone.
+func TestInt8TierTransitionsMatchTheOracle(t *testing.T) {
+	opts, _ := snapshotOpts(t)
+	opts.CacheSize = 1
+	opts.MemoryBudgetBytes = 1 << 40
+	opts.Precision = inference.Int8
+	s := newTestServer(t, opts)
+	a := []int{3, 1}
+	want := oracle(t, s.opts.Prune, opts.TrainPerClass, a, inference.Int8)
+	x := oracleEnv().ds.MakeSplit("tier-probe", []int{1, 3}, 2).X
+	check := func(path string, p *Personalization) {
+		t.Helper()
+		if sig := p.Engine().QuantSignature(); sig != want.QuantSignature() {
+			t.Fatalf("%s: quant signature %016x, the oracle's is %016x", path, sig, want.QuantSignature())
+		}
+		if !slices.Equal(p.Engine().Predict(x), want.Predict(x)) {
+			t.Fatalf("%s: top-1 differs from the oracle's", path)
+		}
+	}
+
+	p, _, err := s.Personalize(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("pruned", p)
+	if _, err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	checkHeld(t, "flushed", s, p, false)
+	if st := s.Stats(); st.HotBytes != p.size {
+		t.Fatalf("HotBytes %d after the drop, the one tenant's size is %d", st.HotBytes, p.size)
+	}
+	check("flushed", p)
+
+	if _, _, err := s.Personalize([]int{0, 2}); err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	_, parked := s.warm[p.Key]
+	s.mu.Unlock()
+	if st := s.Stats(); !parked || st.Demotions != 1 || st.SnapshotErrors != 0 || st.SnapshotsQuarantined != 0 {
+		t.Fatalf("the delta-less tenant was not demoted from its read-back record: %+v", st)
+	}
+	if p, _, err = s.Personalize(a); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Promotions != 1 || st.PromoteErrors != 0 || st.Personalizations != 2 {
+		t.Fatalf("expected a warm promotion: %+v", st)
+	}
+	check("demoted from its record and promoted", p)
+	checkHeld(t, "promoted", s, p, false)
+
+	fresh := newTestServer(t, opts)
+	if p, _, err = fresh.Personalize(a); err != nil {
+		t.Fatal(err)
+	}
+	if st := fresh.Stats(); st.RestoreHits != 1 || st.Personalizations != 0 {
+		t.Fatalf("expected a cold restore: %+v", st)
+	}
+	check("cold-restored", p)
+	checkHeld(t, "cold-restored", fresh, p, false)
+}
+
+// checkHeld holds whether tenant p of s holds a delta to want, and its
+// charge to its engine, the delta it holds and the overhead.
+func checkHeld(t *testing.T, what string, s *Server, p *Personalization, want bool) {
+	t.Helper()
+	s.mu.Lock()
+	delta, size := p.delta, p.size
+	s.mu.Unlock()
+	if (delta != nil) != want {
+		t.Fatalf("%s: tenant {%s} holds a delta: %v, want %v", what, p.Key, delta != nil, want)
+	}
+	if wantSize := p.engine.MemoryFootprint() + int64(len(delta)) + personalizationOverheadBytes; size != wantSize {
+		t.Fatalf("%s: tenant {%s} charged %d, want engine + held delta + overhead = %d", what, p.Key, size, wantSize)
+	}
+}
+
+// checkHotCharge holds the hot tier's byte accounting to its tenants, under
+// s.mu: the charge (and its gauge) is the sum of the resident tenants'
+// sizes and never negative. It reports whether the books balanced.
+func checkHotCharge(t *testing.T, s *Server) bool {
+	t.Helper()
+	s.mu.Lock()
+	var sum int64
+	for _, el := range s.entries {
+		sum += el.Value.(*Personalization).size
+	}
+	hot, gauge := s.hotBytes, s.stats.HotBytes
+	s.mu.Unlock()
+	if hot < 0 || hot != sum || gauge != hot {
+		t.Errorf("hot tier charged %d (gauge %d), its resident tenants' sizes sum to %d", hot, gauge, sum)
+		return false
+	}
+	return true
 }
 
 // TestTierStorm mixes Predict traffic, demotions, promotions and cold
@@ -242,6 +347,87 @@ func TestTierStorm(t *testing.T) {
 	}
 	if st.PromoteErrors != 0 {
 		t.Fatalf("promote errors under load: %+v", st)
+	}
+}
+
+// TestTierStormInt8Accounting is TestTierStorm at Int8 over a store, with
+// Flush running beside the traffic: write-behind snapshots and Flush drop
+// held deltas while predicts miss, demote (reading a durable tenant's record
+// back) and promote. Whenever the lock is free the hot tier's charge is the
+// sum of its resident tenants' sizes — a drop racing an eviction or a lost
+// insert would un-charge a tenant twice — and never negative; at quiescence
+// every hot tenant is durable and holds no delta.
+func TestTierStormInt8Accounting(t *testing.T) {
+	opts := quickOpts()
+	opts.CacheSize = 2
+	opts.MemoryBudgetBytes = 1 << 40
+	opts.SnapshotDir = t.TempDir()
+	opts.MaxBatch = 4
+	opts.Precision = inference.Int8
+	s := newTestServer(t, opts)
+
+	sets := [][]int{{0, 1}, {2, 3}, {4, 5}, {0, 5}, {1, 4}}
+	xs := make([]*tensor.Tensor, len(sets))
+	for i, set := range sets {
+		xs[i] = tierX(s, set)
+	}
+	iters := 12
+	if testing.Short() {
+		iters = 4
+	}
+	stop := make(chan struct{})
+	flusher := make(chan struct{})
+	go func() {
+		defer close(flusher)
+		for {
+			select {
+			case <-stop:
+				return
+			case <-time.After(time.Millisecond):
+			}
+			if !checkHotCharge(t, s) {
+				return
+			}
+			if _, err := s.Flush(); err != nil {
+				t.Error(err)
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				k := (g + i) % len(sets)
+				if _, err := s.Predict(sets[k], xs[k]); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(stop)
+	<-flusher
+
+	if _, err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	checkHotCharge(t, s)
+	s.mu.Lock()
+	for _, el := range s.entries {
+		if p := el.Value.(*Personalization); p.delta != nil {
+			t.Errorf("hot tenant {%s} still holds its delta after Flush", p.Key)
+		}
+	}
+	s.mu.Unlock()
+	st := s.Stats()
+	if st.CachedEngines > opts.CacheSize || st.Evictions == 0 || st.Demotions == 0 {
+		t.Fatalf("storm never exercised demotion: %+v", st)
+	}
+	if st.PromoteErrors != 0 || st.SnapshotErrors != 0 || st.SnapshotsQuarantined != 0 {
+		t.Fatalf("tier errors under load: %+v", st)
 	}
 }
 
