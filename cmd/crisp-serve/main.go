@@ -88,7 +88,6 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/data"
-	"repro/internal/fault"
 	"repro/internal/inference"
 	"repro/internal/models"
 	"repro/internal/nn"
@@ -128,9 +127,6 @@ func main() {
 		qosBatch    = flag.String("qos-batch", "", "batch-class policy overrides (empty: defaults)")
 		shedWM      = flag.Float64("shed-watermark", 0, "fraction of -shed-global-queue at which over-quota tenants shed (0: default 0.5)")
 		shedGlobal  = flag.Int("shed-global-queue", 0, "server-wide queued-sample reference for the shed watermark (0: 4 x max-queue)")
-
-		faultDisk = flag.String("fault-disk", "", "ARM SEEDED DISK FAULTS under the snapshot store (testing only), e.g. write-err=0.01,torn=0.005,read-flip=0.001,sync-err=0.01,rename-err=0.01,sync-delay=2ms (empty: none)")
-		faultSeed = flag.Int64("fault-seed", 0, "injection seed for -fault-disk; same seed, same fault sequence (0: derived from -seed)")
 	)
 	flag.Parse()
 
@@ -206,26 +202,11 @@ func main() {
 	base.ReleaseTrainingState()
 	log.Printf("pre-trained in %.1fs", time.Since(start).Seconds())
 
-	var fsys fault.FS
-	if *faultDisk != "" {
-		df, err := parseDiskFaults(*faultDisk)
-		if err != nil {
-			log.Fatalf("-fault-disk: %v", err)
-		}
-		fseed := *faultSeed
-		if fseed == 0 {
-			fseed = *seed + 3
-		}
-		fsys = fault.NewFS(fault.OS{}, fault.NewInjector(fseed), df)
-		log.Printf("WARNING: seeded disk faults armed under the snapshot store (%s; seed %d) — testing configuration, never production", *faultDisk, fseed)
-	}
-
 	s, err := serve.NewServer(build, base, ds, serve.Options{
 		Workers:           *workers,
 		CacheSize:         *cacheSize,
 		Prune:             prune,
 		SnapshotDir:       *snapDir,
-		FS:                fsys,
 		MaxBatch:          *maxBatch,
 		Linger:            *linger,
 		MaxQueue:          *maxQueue,
@@ -395,48 +376,4 @@ func parseBytes(s string) (int64, error) {
 		return 0, fmt.Errorf("invalid byte size %q (want e.g. 1073741824, 512M, 2G)", s)
 	}
 	return n * mult, nil
-}
-
-// parseDiskFaults parses the -fault-disk spec: comma-separated key=value
-// pairs over the fault.DiskFaults probabilities plus sync-delay as a
-// duration, e.g. "write-err=0.01,torn=0.005,sync-delay=2ms".
-func parseDiskFaults(spec string) (fault.DiskFaults, error) {
-	var df fault.DiskFaults
-	for _, kv := range strings.Split(spec, ",") {
-		kv = strings.TrimSpace(kv)
-		if kv == "" {
-			continue
-		}
-		key, val, ok := strings.Cut(kv, "=")
-		if !ok {
-			return df, fmt.Errorf("%q is not key=value", kv)
-		}
-		if key == "sync-delay" {
-			d, err := time.ParseDuration(val)
-			if err != nil || d < 0 {
-				return df, fmt.Errorf("invalid sync-delay %q", val)
-			}
-			df.SyncDelay = d
-			continue
-		}
-		p, err := strconv.ParseFloat(val, 64)
-		if err != nil || p < 0 || p > 1 {
-			return df, fmt.Errorf("invalid probability %q for %s", val, key)
-		}
-		switch key {
-		case "write-err":
-			df.WriteErr = p
-		case "torn":
-			df.TornWrite = p
-		case "read-flip":
-			df.ReadFlip = p
-		case "sync-err":
-			df.SyncErr = p
-		case "rename-err":
-			df.RenameErr = p
-		default:
-			return df, fmt.Errorf("unknown fault %q (want write-err, torn, read-flip, sync-err, rename-err, sync-delay)", key)
-		}
-	}
-	return df, nil
 }

@@ -42,9 +42,6 @@ type Options struct {
 	// PredictTimeout caps a proxied predict's per-request deadline (default
 	// 10s); it is also the deadline when the tenant's QoS class is unknown.
 	PredictTimeout time.Duration
-	// PersonalizeTimeout bounds a proxied personalization, which is a full
-	// pruning run on the shard (default 5m).
-	PersonalizeTimeout time.Duration
 	// BudgetScale turns a tenant's QoS latency budget into its predict
 	// deadline: deadline = budget × BudgetScale, clamped to
 	// [PredictFloor, PredictTimeout] (default 50). The budget is a p99
@@ -59,7 +56,7 @@ type Options struct {
 	// their own) trip a shard's circuit breaker and mark it down (default 4).
 	BreakerThreshold int
 	// Client serves proxied requests. Deadlines are per-request (see
-	// PredictTimeout/PersonalizeTimeout), so the default client carries no
+	// PredictTimeout and personalizeTimeout), so the default client carries no
 	// blanket timeout — a blanket one would cap every request at the
 	// slowest path's ceiling. The default keeps proxyIdleConnsPerHost idle
 	// connections to each shard; a caller's client brings its own pool.
@@ -117,6 +114,10 @@ type Router struct {
 // nothing that matters.
 const proxyIdleConnsPerHost = 64
 
+// personalizeTimeout bounds a proxied personalization, which is a full
+// pruning run on the shard.
+const personalizeTimeout = 5 * time.Minute
+
 // NewRouter builds a router with no members; call AddShard then Start.
 func NewRouter(opts Options) *Router {
 	if opts.ProbeInterval <= 0 {
@@ -135,9 +136,6 @@ func NewRouter(opts Options) *Router {
 	}
 	if opts.PredictTimeout <= 0 {
 		opts.PredictTimeout = 10 * time.Second
-	}
-	if opts.PersonalizeTimeout <= 0 {
-		opts.PersonalizeTimeout = 5 * time.Minute
 	}
 	if opts.BudgetScale <= 0 {
 		opts.BudgetScale = 50
@@ -511,7 +509,7 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, path string, ide
 // given the time its class already promised it.
 func (rt *Router) deadlineFor(path string, key []byte) time.Duration {
 	if path != "/predict" {
-		return rt.opts.PersonalizeTimeout
+		return personalizeTimeout
 	}
 	rt.qosMu.RLock()
 	class, ok := rt.qosByKey[string(key)]

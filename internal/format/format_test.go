@@ -250,53 +250,6 @@ func TestBitsFor(t *testing.T) {
 	}
 }
 
-func TestBSRRoundTripAndSpMM(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	// Unbalanced matrix: BSR must handle it (BlockedELL would refuse).
-	m := tensor.New(8, 16)
-	m.Set(1.5, 0, 0)
-	m.Set(-2, 1, 3)
-	m.Set(3, 5, 9)
-	m.Set(0.5, 7, 15)
-	e := EncodeBSR(m, 4)
-	if !tensor.Equal(e.Decode(), m, 0) {
-		t.Fatal("BSR decode mismatch")
-	}
-	x := tensor.Randn(rng, 1, 16, 5)
-	if !tensor.Equal(e.MatMul(x), tensor.MatMul(m, x), 1e-9) {
-		t.Fatal("BSR SpMM mismatch")
-	}
-}
-
-func TestBSRVsBlockedELLMetadata(t *testing.T) {
-	// On a balanced matrix both encode the same blocks, but BSR pays the
-	// row-pointer array — the cost CRISP's uniform structure removes.
-	rng := rand.New(rand.NewSource(9))
-	m := hybridMatrix(rng, 16, 32, 4, sparsity.NM{N: 4, M: 4}, 3)
-	be, err := EncodeBlockedELL(m, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bsr := EncodeBSR(m, 4)
-	if bsr.MetadataBits() <= be.MetadataBits() {
-		t.Fatalf("BSR metadata %d should exceed BlockedELL %d", bsr.MetadataBits(), be.MetadataBits())
-	}
-	if !tensor.Equal(bsr.Decode(), be.Decode(), 0) {
-		t.Fatal("formats disagree on content")
-	}
-}
-
-func TestBSRAnalyticalMatchesEncoder(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	m := hybridMatrix(rng, 16, 32, 4, sparsity.NM{N: 2, M: 4}, 2)
-	e := EncodeBSR(m, 4)
-	g := sparsity.NewBlockGrid(16, 32, 4)
-	want := BSRMetadataBits(g.GridRows(), g.GridCols(), len(e.BlockCol))
-	if e.MetadataBits() != want {
-		t.Fatalf("analytical %d vs encoder %d", want, e.MetadataBits())
-	}
-}
-
 // appendEncodeCRISP is EncodeCRISP's slot walk with BlockCols / Offsets / Val
 // grown by append from nil, as the encoder did before it sized them once — the
 // reference TestEncodeCRISPSizedOnce holds the sized encoder to.

@@ -52,9 +52,10 @@
 // tree (checkpoint.DeltaView, every serving path) — in memory
 // the source allocates per call and the engine then owns. Once compiled,
 // nothing reachable from the engine is the tree, a layer of it, the source
-// or the bytes behind it: executors hold geometry, dimensions, ReLU caps
-// and the activation-statistics hook by value, and a layer type without an
-// executor is a compile error rather than a retained layer. The caller may
+// or the bytes behind it: executors hold geometry, dimensions and ReLU caps
+// by value, take no activation-statistics hook (an engine counts no
+// activations), and a layer type without an executor is a compile error
+// rather than a retained layer. The caller may
 // drop or overwrite classifier and delta while the engine serves — and the
 // universal model too: an engine aliases nothing, shares nothing with another
 // engine, and owns every byte its MemoryFootprint charges. Walk runs compile
@@ -392,7 +393,7 @@ func (e *Engine) compile(l nn.Layer, b int, nm sparsity.NM) (execLayer, error) {
 			gamma: e.own(v.Gamma), beta: e.own(v.Beta),
 		}, nil
 	case *nn.ReLU:
-		return &execReLU{clip: v.Cap, stats: v.Stats}, nil
+		return &execReLU{clip: v.Cap}, nil
 	case *nn.GELU:
 		return execGELU{}, nil
 	case *nn.LayerNorm:
@@ -900,12 +901,11 @@ func (e *execBatchNorm) forward(x *tensor.Tensor, a *arena) *tensor.Tensor {
 }
 
 // execReLU is the eval-mode rectifier (optionally clipped) with the output
-// drawn from the arena. Cap and the statistics hook are the layer's at
-// compile time; statistics, when attached then, still accumulate — matching
-// nn.ReLU.Forward.
+// drawn from the arena. Cap is the layer's at compile time. An engine counts
+// no activations: nn.ReLU.Stats is the nn model's hook, and copying it here
+// would let every engine pass write the classifier's counters.
 type execReLU struct {
-	clip  float64 // > 0 clips activations there (ReLU6)
-	stats *nn.ActStats
+	clip float64 // > 0 clips activations there (ReLU6)
 }
 
 func (e *execReLU) forward(x *tensor.Tensor, a *arena) *tensor.Tensor {
@@ -936,18 +936,6 @@ func (e *execReLU) forward(x *tensor.Tensor, a *arena) *tensor.Tensor {
 			}
 			yd[i] = math.Float64frombits(b)
 		}
-	}
-	if e.stats != nil {
-		e.stats.Total += int64(len(y.Data))
-		nz := int64(0)
-		for _, v := range y.Data {
-			// v != 0 ⇔ magnitude bits != 0 (shifting out the sign keeps
-			// ±0 counted as zero); (m | -m) >> 63 extracts that as a
-			// branch-free 0/1.
-			m := math.Float64bits(v) << 1
-			nz += int64((m | -m) >> 63)
-		}
-		e.stats.NonZeros += nz
 	}
 	return y
 }

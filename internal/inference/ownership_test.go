@@ -346,3 +346,34 @@ func TestEngineFromDeltaOwnsWhatItReads(t *testing.T) {
 		}
 	}
 }
+
+// TestEngineCountsNoActivations: activation statistics attached to a
+// classifier's rectifiers before compile stay the classifier's. Concurrent
+// passes of the engine, at either precision, move none of its counters — an
+// engine keeps no pointer into the classifier it was compiled from, the
+// statistics hook included, so the race pass sees no shared write either.
+func TestEngineCountsNoActivations(t *testing.T) {
+	for _, f := range []models.Family{models.ResNet, models.MobileNet} {
+		for _, prec := range []Precision{Float32, Int8} {
+			clf := models.Build(f, rand.New(rand.NewSource(41)), 8, 1)
+			stats := nn.CollectActivationStats(clf.Net)
+			eng, err := NewWithOptions(clf, 4, sparsity.NM{N: 2, M: 4}, CompileOptions{Precision: prec})
+			if err != nil {
+				t.Fatal(err)
+			}
+			x := tensor.Randn(rand.New(rand.NewSource(42)), 1, 4, 3, 8, 8)
+			var wg sync.WaitGroup
+			for range 4 {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					eng.Predict(x)
+				}()
+			}
+			wg.Wait()
+			if *stats != (nn.ActStats{}) {
+				t.Fatalf("%s/%s: engine passes moved the classifier's activation counters to %d / %d", f, prec, stats.NonZeros, stats.Total)
+			}
+		}
+	}
+}

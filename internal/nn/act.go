@@ -25,7 +25,8 @@ func (s *ActStats) Density() float64 {
 type ReLU struct {
 	// Cap, when positive, clips activations at this value (ReLU6 => 6).
 	Cap float64
-	// Stats, when non-nil, accumulates output sparsity counts.
+	// Stats, when non-nil, accumulates output sparsity counts of this
+	// layer's own Forward passes. A compiled inference engine counts none.
 	Stats *ActStats
 
 	pass []bool // cached pass-through flags for backward

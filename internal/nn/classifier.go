@@ -105,13 +105,6 @@ func (c *Classifier) GlobalSparsity() float64 {
 	return 1 - float64(kept)/float64(total)
 }
 
-// ClearMasks removes all pruning masks (restores the dense model).
-func (c *Classifier) ClearMasks() {
-	for _, p := range c.Params() {
-		p.ClearMask()
-	}
-}
-
 // CloneWeightsTo copies weights, masks and batch-norm running statistics
 // from c into dst, which must have an architecturally identical network.
 // It is used to snapshot a pre-trained model before destructive pruning.

@@ -326,9 +326,9 @@ func TestClassifierGlobalSparsity(t *testing.T) {
 	if s := clf.GlobalSparsity(); math.Abs(s-want) > 1e-12 {
 		t.Fatalf("sparsity = %v, want %v", s, want)
 	}
-	clf.ClearMasks()
+	clf.PrunableParams()[0].ClearMask()
 	if s := clf.GlobalSparsity(); s != 0 {
-		t.Fatal("ClearMasks must restore dense")
+		t.Fatal("clearing the mask must restore dense")
 	}
 }
 

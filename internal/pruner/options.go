@@ -187,9 +187,10 @@ func (r Report) String() string {
 		r.Method, r.Target, r.AchievedSparsity, r.FLOPsRatio, len(r.Layers), len(r.Iterations))
 }
 
-// Finetune trains clf on split for the given epochs, returning the mean loss
-// of the final epoch. Gradients flow densely through masks (STE).
-func Finetune(clf *nn.Classifier, split data.Split, epochs, batchSize int, opt nn.Optimizer, rng *rand.Rand) float64 {
+// Finetune trains clf on split for the given epochs with SGD, the paper's
+// fine-tuner, returning the mean loss of the final epoch. Gradients flow
+// densely through masks (STE).
+func Finetune(clf *nn.Classifier, split data.Split, epochs, batchSize int, opt *nn.SGD, rng *rand.Rand) float64 {
 	last := 0.0
 	for e := 0; e < epochs; e++ {
 		sum, batches := 0.0, 0

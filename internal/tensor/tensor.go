@@ -71,9 +71,6 @@ func (t *Tensor) Clone() *Tensor {
 // Len returns the number of elements.
 func (t *Tensor) Len() int { return len(t.Data) }
 
-// Dim returns the extent of dimension i.
-func (t *Tensor) Dim(i int) int { return t.Shape[i] }
-
 // Reshape returns a view sharing Data with a new shape of equal volume.
 // One dimension may be -1, in which case it is inferred.
 func (t *Tensor) Reshape(shape ...int) *Tensor {
@@ -158,13 +155,6 @@ func (t *Tensor) MulInPlace(o *Tensor) {
 	checkSameLen(t, o, "MulInPlace")
 	for i, v := range o.Data {
 		t.Data[i] *= v
-	}
-}
-
-// ScaleInPlace multiplies every element by s.
-func (t *Tensor) ScaleInPlace(s float64) {
-	for i := range t.Data {
-		t.Data[i] *= s
 	}
 }
 
@@ -315,37 +305,6 @@ func (t *Tensor) AbsSum() float64 {
 		s += math.Abs(v)
 	}
 	return s
-}
-
-// Norm2 returns the Euclidean (L2) norm.
-func (t *Tensor) Norm2() float64 {
-	s := 0.0
-	for _, v := range t.Data {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
-// MaxAbs returns the largest absolute element value (0 for empty tensors).
-func (t *Tensor) MaxAbs() float64 {
-	m := 0.0
-	for _, v := range t.Data {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
-// ArgMax returns the index of the largest element in the flat data.
-func (t *Tensor) ArgMax() int {
-	best, bi := math.Inf(-1), 0
-	for i, v := range t.Data {
-		if v > best {
-			best, bi = v, i
-		}
-	}
-	return bi
 }
 
 // CountNonZero returns the number of elements that are not exactly zero.
