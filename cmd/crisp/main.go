@@ -16,7 +16,6 @@ import (
 	"os"
 
 	crisp "repro"
-	"repro/internal/checkpoint"
 	"repro/internal/data"
 	"repro/internal/export"
 	"repro/internal/inference"
@@ -41,8 +40,8 @@ func main() {
 		epochs   = flag.Int("finetune-epochs", 2, "fine-tune epochs δ per iteration")
 		pretrain = flag.Int("pretrain-epochs", 6, "universal pre-training epochs")
 		seed     = flag.Int64("seed", 1, "random seed")
-		saveCkpt = flag.String("save", "", "write the pruned model checkpoint to this path")
-		loadCkpt = flag.String("load", "", "load a pre-trained checkpoint instead of pre-training")
+		saveCkpt = flag.String("save", "", "write the pruned model to this path: its masks, kept weights and norm statistics, checksummed (pruned weights are not kept)")
+		loadCkpt = flag.String("load", "", "load a model written by -save instead of pre-training (a corrupt file is an error)")
 	)
 	flag.Parse()
 
@@ -74,7 +73,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := checkpoint.Load(f, modelClf); err != nil {
+		if err := crisp.LoadCheckpoint(f, modelClf); err != nil {
 			log.Fatal(err)
 		}
 		f.Close()
@@ -137,7 +136,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := checkpoint.Save(f, modelClf); err != nil {
+		if err := crisp.SaveCheckpoint(f, modelClf); err != nil {
 			log.Fatal(err)
 		}
 		if err := f.Close(); err != nil {

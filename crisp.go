@@ -162,16 +162,28 @@ func Personalize(model *Classifier, ds *Dataset, userClasses []int, cfg Config) 
 	}
 }
 
-// SaveCheckpoint writes the model's weights, pruning masks and
-// normalization statistics to w in the versioned binary format.
+// SaveCheckpoint writes the model to w as a personalization record serving
+// every class, the one checksummed format the checkpoint package writes.
+// The record keeps the pruning masks, every weight a mask keeps (an
+// unmasked parameter whole) and the normalization statistics. It does not
+// keep weights at pruned positions: W ⊙ Mask, all that inference,
+// compilation and quantization read, comes back bit for bit, but a
+// re-prune of a loaded pruned model starts its pruned weights from the
+// loading model's values. A universal model is unmasked and is saved whole.
 func SaveCheckpoint(w io.Writer, model *Classifier) error {
-	return checkpoint.Save(w, model)
+	classes := make([]int, model.NumClasses)
+	for i := range classes {
+		classes[i] = i
+	}
+	return checkpoint.SavePersonalization(w, checkpoint.PersonalizationRecord{Classes: classes}, model)
 }
 
-// LoadCheckpoint restores a checkpoint written by SaveCheckpoint into an
-// architecturally identical model.
+// LoadCheckpoint restores a record written by SaveCheckpoint into an
+// architecturally identical model. It fails closed: a corrupt, truncated or
+// foreign stream is an error and leaves the model untouched.
 func LoadCheckpoint(r io.Reader, model *Classifier) error {
-	return checkpoint.Load(r, model)
+	_, err := checkpoint.LoadPersonalization(r, model)
+	return err
 }
 
 // Deployment summarizes a pruned model's deployable artifacts.

@@ -2,6 +2,7 @@ package crisp
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/data"
@@ -290,6 +291,70 @@ func TestFacadeDeployWorkflow(t *testing.T) {
 	sparse := dep.Engine.Logits(x)
 	if !tensor.Equal(dense, sparse, 1e-9) {
 		t.Fatal("deployed engine disagrees with restored model")
+	}
+}
+
+// TestCheckpointFailsClosed: a saved model loads back exactly, and a saved
+// model with one bit flipped anywhere, or cut short, is an error that
+// leaves the destination model as it was.
+func TestCheckpointFailsClosed(t *testing.T) {
+	ds := NewDataset(data.Config{
+		Name: "ckpt-test", NumClasses: 6, Channels: 3, H: 8, W: 8,
+		Noise: 0.25, Jitter: 1, Seed: 41,
+	})
+	model := NewModel(ResNet, ds.NumClasses, 1, 42)
+	Pretrain(model, ds, 1, 4, 43)
+	var buf bytes.Buffer
+	if err := SaveCheckpoint(&buf, model); err != nil {
+		t.Fatal(err)
+	}
+	saved := buf.Bytes()
+	// An unpruned model's saved bytes hold every weight and statistic bit.
+	bits := func(m *Classifier) string {
+		var b bytes.Buffer
+		if err := SaveCheckpoint(&b, m); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+
+	fresh := func() *Classifier { return NewModel(ResNet, ds.NumClasses, 1, 99) }
+	before := bits(fresh())
+	// rejects loads a damaged stream into a fresh model and reports what,
+	// if anything, the load let through.
+	rejects := func(what string, stream []byte) {
+		t.Helper()
+		dst := fresh()
+		if err := LoadCheckpoint(bytes.NewReader(stream), dst); err == nil {
+			t.Errorf("%s: the model loaded", what)
+		}
+		if bits(dst) != before {
+			t.Errorf("%s: the load changed the model", what)
+		}
+	}
+	const flips = 50
+	for i := range flips {
+		at := i * (len(saved) - 1) / (flips - 1)
+		mut := append([]byte(nil), saved...)
+		mut[at] ^= 1 << (i % 8)
+		rejects(fmt.Sprintf("bit %d of byte %d of %d flipped", i%8, at, len(saved)), mut)
+	}
+	for _, cut := range []int{0, 5, len(saved) / 2, len(saved) - 1} {
+		rejects(fmt.Sprintf("cut to %d of %d bytes", cut, len(saved)), saved[:cut])
+	}
+
+	// The saved model is unpruned, so a mask the destination holds must go.
+	dst := fresh()
+	dst.PrunableParams()[0].EnsureMask()
+	if err := LoadCheckpoint(bytes.NewReader(saved), dst); err != nil {
+		t.Fatal(err)
+	}
+	if bits(dst) != string(saved) {
+		t.Fatal("the loaded model differs from the saved one")
+	}
+	x, _ := ds.MakeSplit("ckpt-test", []int{0, 1}, 1).Sample(0)
+	if !tensor.Equal(model.Logits(x, false), dst.Logits(x, false), 0) {
+		t.Fatal("the loaded model computes different logits")
 	}
 }
 

@@ -7,12 +7,10 @@ import (
 	"hash/crc64"
 	"io"
 	"math"
-
-	"repro/internal/nn"
 )
 
 // chunk is the codec's scratch size: one per enc or dec, so one per
-// Save/Load/Encode/Apply call, owned by that call (package comment).
+// Encode/Apply/Write/Read call, owned by that call (package comment).
 const chunk = 4096
 
 // crcTable is the CRC-64/ECMA table checksummed streams use; the sum
@@ -108,16 +106,6 @@ func (e *enc) bits(mask []float64) {
 		}
 		e.u8(b)
 	}
-}
-
-// mask writes a parameter's hasMask byte and, when it has one, its mask.
-func (e *enc) mask(p *nn.Param) {
-	if p.Mask == nil {
-		e.u8(0)
-		return
-	}
-	e.u8(1)
-	e.bits(p.Mask.Data)
 }
 
 // startSum begins the checksummed region at the next byte written.
@@ -241,16 +229,6 @@ func (d *dec) bits(mask []float64) {
 			mask[i] = float64(b[i/8] >> (i % 8) & 1)
 		}
 		mask = mask[k:]
-	}
-}
-
-// mask reads a parameter's hasMask byte and, when set, its packed mask
-// bits into p's mask; otherwise p's mask is cleared.
-func (d *dec) mask(p *nn.Param) {
-	if d.u8() == 1 && d.err == nil {
-		d.bits(p.EnsureMask().Data)
-	} else {
-		p.ClearMask()
 	}
 }
 

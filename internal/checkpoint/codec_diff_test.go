@@ -95,16 +95,13 @@ func savedRecord(t testing.TB, save func(io.Writer, PersonalizationRecord, *nn.C
 	return saved(t, func(w io.Writer, c *nn.Classifier) error { return save(w, rec, c) }, clf)
 }
 
-// TestEncodersMatchReference: Save, SavePersonalization and
-// EncodeModelDelta write the reference writer's bytes on every family,
+// TestEncodersMatchReference: SavePersonalization and EncodeModelDelta
+// write the reference writer's bytes on every family,
 // pruned and unpruned, with and without batch-norm.
 func TestEncodersMatchReference(t *testing.T) {
 	for _, f := range allFamilies {
 		for _, pruned := range []bool{false, true} {
 			clf := randomModel(f, 40, pruned)
-			if got, want := saved(t, Save, clf), saved(t, refSave, clf); !bytes.Equal(got, want) {
-				t.Errorf("%s pruned=%v: Save wrote %d bytes that differ from the reference's %d", f, pruned, len(got), len(want))
-			}
 			rec := testRecord()
 			if got, want := savedRecord(t, SavePersonalization, rec, clf), savedRecord(t, refSavePersonalization, rec, clf); !bytes.Equal(got, want) {
 				t.Errorf("%s pruned=%v: SavePersonalization wrote %d bytes that differ from the reference's %d", f, pruned, len(got), len(want))
@@ -136,24 +133,8 @@ func TestEncodersMatchReference(t *testing.T) {
 func TestRecordsCrossLoad(t *testing.T) {
 	for _, f := range allFamilies {
 		src := randomModel(f, 41, true)
-		want := saved(t, refSave, src)
 		rec := testRecord()
 		fresh := func() *nn.Classifier { return models.Build(f, rand.New(rand.NewSource(1)), 6, 1) }
-
-		dst := fresh()
-		if err := Load(bytes.NewReader(want), dst); err != nil {
-			t.Fatalf("%s: Load of a reference stream: %v", f, err)
-		}
-		if !bytes.Equal(saved(t, refSave, dst), want) {
-			t.Errorf("%s: Load of a reference stream restored a different model", f)
-		}
-		dst = fresh()
-		if err := refLoad(bytes.NewReader(saved(t, Save, src)), dst); err != nil {
-			t.Fatalf("%s: reference load of a Save stream: %v", f, err)
-		}
-		if !bytes.Equal(saved(t, refSave, dst), want) {
-			t.Errorf("%s: reference load of a Save stream restored a different model", f)
-		}
 
 		// A record carries no pruned position, so each loader leaves its
 		// destination's own values there: two fresh models of one seed come
@@ -239,14 +220,7 @@ func TestLoadersReadExactlyTheirRecord(t *testing.T) {
 	}
 	for name, wrap := range wrappers {
 		dst := models.Build(models.ResNet, rand.New(rand.NewSource(2)), 6, 1)
-		r := bytes.NewReader(append(saved(t, Save, src), tail...))
-		if err := Load(wrap(r), dst); err != nil {
-			t.Fatalf("%s: Load: %v", name, err)
-		}
-		if r.Len() != len(tail) {
-			t.Errorf("%s: Load left %d bytes unread, want %d", name, r.Len(), len(tail))
-		}
-		r = bytes.NewReader(append(savedRecord(t, SavePersonalization, testRecord(), src), tail...))
+		r := bytes.NewReader(append(savedRecord(t, SavePersonalization, testRecord(), src), tail...))
 		if _, err := LoadPersonalization(wrap(r), dst); err != nil {
 			t.Fatalf("%s: LoadPersonalization: %v", name, err)
 		}

@@ -22,15 +22,12 @@ import (
 	"repro/internal/pruner"
 )
 
+// refSave writes every bit of a classifier, one value at a time: each
+// parameter's name, shape, weights and mask, then each norm statistic. It
+// is the tests' fingerprint of a model: two models are the same model
+// exactly when their refSave bytes are equal.
 func refSave(w io.Writer, clf *nn.Classifier) error {
 	bw := &errWriter{w: w}
-	bw.bytes([]byte(magic))
-	bw.u32(version)
-	refSaveBody(bw, clf)
-	return bw.err
-}
-
-func refSaveBody(bw *errWriter, clf *nn.Classifier) {
 	params := clf.Params()
 	bw.u32(uint32(len(params)))
 	for _, p := range params {
@@ -62,92 +59,7 @@ func refSaveBody(bw *errWriter, clf *nn.Classifier) {
 			bw.f64(v)
 		}
 	}
-}
-
-func refLoad(r io.Reader, clf *nn.Classifier) error {
-	br := &errReader{r: r}
-	head := br.bytes(4)
-	if br.err != nil {
-		return br.err
-	}
-	if string(head) != magic {
-		return fmt.Errorf("checkpoint: bad magic %q", head)
-	}
-	if v := br.u32(); v != version {
-		return fmt.Errorf("checkpoint: unsupported version %d (want %d)", v, version)
-	}
-	return refLoadBody(br, clf)
-}
-
-func refLoadBody(br *errReader, clf *nn.Classifier) error {
-	params := clf.Params()
-	n := br.u32()
-	if br.err != nil {
-		return br.err
-	}
-	if int(n) != len(params) {
-		return fmt.Errorf("checkpoint: %d stored params, model has %d", n, len(params))
-	}
-	for _, p := range params {
-		name := br.str()
-		if br.err != nil {
-			return br.err
-		}
-		if name != p.Name {
-			return fmt.Errorf("checkpoint: stored param %q does not match model param %q", name, p.Name)
-		}
-		nd := int(br.u32())
-		if nd != len(p.W.Shape) {
-			return fmt.Errorf("checkpoint: %s rank %d, model rank %d", name, nd, len(p.W.Shape))
-		}
-		for i := 0; i < nd; i++ {
-			if d := int(br.u32()); d != p.W.Shape[i] {
-				return fmt.Errorf("checkpoint: %s dim %d is %d, model has %d", name, i, d, p.W.Shape[i])
-			}
-		}
-		for i := range p.W.Data {
-			p.W.Data[i] = br.f64()
-		}
-		hasMask := br.bytes(1)
-		if br.err != nil {
-			return br.err
-		}
-		if hasMask[0] == 1 {
-			bits := br.bytes((p.W.Len() + 7) / 8)
-			if br.err != nil {
-				return br.err
-			}
-			unpackBits(bits, p.EnsureMask().Data)
-		} else {
-			p.ClearMask()
-		}
-	}
-
-	stats := bnStats(clf)
-	ns := int(br.u32())
-	if br.err != nil {
-		return br.err
-	}
-	if ns != len(stats) {
-		return fmt.Errorf("checkpoint: %d stored norm stats, model has %d", ns, len(stats))
-	}
-	for _, s := range stats {
-		name := br.str()
-		if name != s.name {
-			return fmt.Errorf("checkpoint: norm stat %q does not match %q", name, s.name)
-		}
-		l := int(br.u32())
-		if l != len(s.mean) {
-			return fmt.Errorf("checkpoint: norm stat %s length %d, model has %d", name, l, len(s.mean))
-		}
-		for i := range s.mean {
-			s.mean[i] = br.f64()
-		}
-		for i := range s.variance {
-			s.variance[i] = br.f64()
-		}
-	}
-	return br.err
+	return bw.err
 }
 
 // packBits packs a {0,1} float slice into bytes, LSB first.

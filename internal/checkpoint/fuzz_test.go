@@ -10,36 +10,9 @@ import (
 	"repro/internal/pruner"
 )
 
-// FuzzLoad feeds arbitrary bytes to the checkpoint parser: it must always
-// return an error or succeed — never panic or hang.
-func FuzzLoad(f *testing.F) {
-	// Seed with a valid checkpoint and some mutations.
-	clf := models.Build(models.ResNet, rand.New(rand.NewSource(1)), 4, 1)
-	var buf bytes.Buffer
-	if err := Save(&buf, clf); err != nil {
-		f.Fatal(err)
-	}
-	valid := buf.Bytes()
-	f.Add(valid)
-	f.Add([]byte{})
-	f.Add([]byte("CRSP"))
-	f.Add(valid[:len(valid)/2])
-	corrupted := append([]byte(nil), valid...)
-	if len(corrupted) > 20 {
-		corrupted[10] ^= 0xFF
-		corrupted[19] ^= 0x0F
-	}
-	f.Add(corrupted)
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		dst := models.Build(models.ResNet, rand.New(rand.NewSource(2)), 4, 1)
-		// Must not panic; error or nil are both acceptable.
-		_ = Load(bytes.NewReader(data), dst)
-	})
-}
-
-// FuzzLoadPersonalization mirrors FuzzLoad for the v4 record parser: the
-// snapshot store feeds it whatever survives on disk, so arbitrary bytes
+// FuzzLoadPersonalization feeds arbitrary bytes to the record parser, the
+// one reader of every model file: the snapshot store feeds it whatever
+// survives on disk, and a saved model is a record too, so arbitrary bytes
 // must produce an error or a record — never a panic, a hang, or an
 // allocation sized by a length word no record of the architecture could
 // carry. This is the fail-closed half of the warm-restart contract: Restore

@@ -6,7 +6,8 @@ package checkpoint
 // are what the personalization server snapshots to disk so a restart can
 // reload engines instead of re-running the prune+fine-tune pipeline per
 // tenant. The record carries the very bytes the server holds a warm tenant
-// as, so writing one builds no model and reading one back needs none.
+// as, so writing one builds no model and reading one back needs none. A
+// saved universal model is a record too, whose class set is every class.
 //
 // The record is version 4 of the checkpoint stream (same magic, same
 // endian-fixed primitives):
@@ -36,9 +37,8 @@ package checkpoint
 // version 2 (v3 minus the trailer) fail at the header; a server quarantines
 // such a record and re-prunes the tenant once, which — pruning being
 // deterministic in (base, class set) — yields the same tenant. Version 1
-// streams (plain classifiers written by Save) remain loadable by Load;
-// LoadPersonalization rejects them, and Load rejects records, so the two
-// cannot be confused silently.
+// (the unchecksummed whole-classifier stream older builds saved models as)
+// fails at the header too; such a model is saved again as a record.
 
 import (
 	"fmt"

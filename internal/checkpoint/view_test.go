@@ -114,7 +114,7 @@ func TestDeltaViewHandsOutFreshMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := saved(t, Save, base)
+	before := saved(t, refSave, base)
 	v, err := ViewModelDelta(delta, base)
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +142,7 @@ func TestDeltaViewHandsOutFreshMemory(t *testing.T) {
 	if !sameBits(mean, wantMean) || !sameBits(variance, wantVar) || !sameBits(kept.Data, wantKept) {
 		t.Fatal("a result changed when the delta bytes were overwritten")
 	}
-	if string(saved(t, Save, base)) != string(before) {
+	if string(saved(t, refSave, base)) != string(before) {
 		t.Fatal("reading through the view wrote the base")
 	}
 }

@@ -52,9 +52,6 @@ func (s *slabRun[T]) alloc(n int) []T {
 // batch size (slabs grow, never shrink) and is stable afterwards; the pool
 // discards arenas under memory pressure.
 //
-// A nil *arena is valid and falls back to plain heap allocation, which
-// keeps the executors usable without an engine pass (tests, one-offs).
-//
 // Buffers come back with stale contents. Executors either overwrite every
 // element (the Into kernels' documented contract) or ask for tensorZero
 // when they accumulate with +=.
@@ -87,18 +84,12 @@ func (a *arena) reset() {
 
 // alloc returns an n-float buffer with arbitrary contents.
 func (a *arena) alloc(n int) []float64 {
-	if a == nil {
-		return make([]float64, n)
-	}
 	return a.f64.alloc(n)
 }
 
 // allocU64 returns an n-word buffer with arbitrary contents (the quantized
 // SpMM's packed activation codes and 32-bit-lane accumulators).
 func (a *arena) allocU64(n int) []uint64 {
-	if a == nil {
-		return make([]uint64, n)
-	}
 	return a.u64.alloc(n)
 }
 
@@ -115,19 +106,10 @@ func (a *arena) header(shape []int) *tensor.Tensor {
 
 // tensor returns an arena tensor with arbitrary contents; callers must
 // overwrite every element (all Into kernels do).
-//
-// The nil-arena fallbacks below copy shape themselves instead of passing it
-// to tensor.New/FromSlice: those constructors' panic diagnostics make shape
-// a leaking parameter, which would force every call site's variadic slice
-// onto the heap — exactly the per-layer allocation this arena exists to
-// remove.
 func (a *arena) tensor(shape ...int) *tensor.Tensor {
 	n := 1
 	for _, d := range shape {
 		n *= d
-	}
-	if a == nil {
-		return &tensor.Tensor{Shape: append([]int(nil), shape...), Data: make([]float64, n)}
 	}
 	t := a.header(shape)
 	t.Data = a.alloc(n)
@@ -138,17 +120,12 @@ func (a *arena) tensor(shape ...int) *tensor.Tensor {
 // accumulate with +=.
 func (a *arena) tensorZero(shape ...int) *tensor.Tensor {
 	t := a.tensor(shape...)
-	if a != nil {
-		clear(t.Data)
-	}
+	clear(t.Data)
 	return t
 }
 
 // view wraps existing data in a recycled header (a zero-copy reshape).
 func (a *arena) view(data []float64, shape ...int) *tensor.Tensor {
-	if a == nil {
-		return &tensor.Tensor{Shape: append([]int(nil), shape...), Data: data}
-	}
 	t := a.header(shape)
 	t.Data = data
 	return t

@@ -289,9 +289,6 @@ func concatArena(xs []*tensor.Tensor, a *arena) *tensor.Tensor {
 		copy(dst.Data, xs[0].Data)
 		return dst
 	}
-	if a == nil {
-		return tensor.Concat(xs)
-	}
 	lead, vol := 0, 0
 	for _, x := range xs {
 		lead += x.Shape[0]
@@ -304,8 +301,8 @@ func concatArena(xs []*tensor.Tensor, a *arena) *tensor.Tensor {
 }
 
 // execLayer is one node of the compiled forward pass. forward must draw all
-// scratch from the arena (nil = plain heap) and may return arena-backed
-// tensors; callers that outlive the pass must copy.
+// scratch from the arena and may return arena-backed tensors; callers that
+// outlive the pass must copy.
 type execLayer interface {
 	forward(x *tensor.Tensor, a *arena) *tensor.Tensor
 }

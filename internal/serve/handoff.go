@@ -35,9 +35,6 @@ type HandoffTenant struct {
 // off. Idempotent; there is no way back — a drained shard restarts fresh.
 func (s *Server) BeginDrain() {
 	s.draining.Store(true)
-	s.mu.Lock()
-	s.stats.Draining = true
-	s.mu.Unlock()
 }
 
 // Draining reports whether BeginDrain has been called.

@@ -2,13 +2,14 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
 	"weak"
 
-	"repro/internal/checkpoint"
 	"repro/internal/data"
 	"repro/internal/inference"
 	"repro/internal/models"
@@ -115,15 +116,31 @@ func TestPersonalizationPinsNoTrainingState(t *testing.T) {
 	}
 }
 
-// modelBytes is clf's checkpoint stream: every weight's bits, every mask
-// and every batch-norm running statistic.
-func modelBytes(t *testing.T, clf *nn.Classifier) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := checkpoint.Save(&buf, clf); err != nil {
-		t.Fatal(err)
+// modelBytes is every bit of clf: each parameter's weights and mask, then
+// each batch-norm running statistic, in a fixed order.
+func modelBytes(clf *nn.Classifier) []byte {
+	var b []byte
+	put := func(vs []float64) {
+		for _, v := range vs {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
 	}
-	return buf.Bytes()
+	for _, p := range clf.Params() {
+		put(p.W.Data)
+		if p.Mask != nil {
+			b = append(b, 1)
+			put(p.Mask.Data)
+		} else {
+			b = append(b, 0)
+		}
+	}
+	nn.Walk(clf.Net, func(l nn.Layer) {
+		if bn, ok := l.(*nn.BatchNorm2D); ok {
+			put(bn.RunMean.Data)
+			put(bn.RunVar.Data)
+		}
+	})
+	return b
 }
 
 // TestReleasedClassifierTrainsBitIdentically: releasing training state is
@@ -148,7 +165,7 @@ func TestReleasedClassifierTrainsBitIdentically(t *testing.T) {
 	env.base.CloneWeightsTo(reused)
 	pruner.NewCRISP(opts).Prune(reused, split)
 
-	if !bytes.Equal(modelBytes(t, fresh), modelBytes(t, reused)) {
+	if !bytes.Equal(modelBytes(fresh), modelBytes(reused)) {
 		t.Fatal("a released, reset and re-pruned classifier differs from one pruned from fresh")
 	}
 }

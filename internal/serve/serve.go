@@ -654,7 +654,6 @@ func (s *Server) personalizeLane(classes []int, lane Lane, qos *QoSClass) (*Pers
 	call := &inflightCall{done: make(chan struct{})}
 	s.inflight[key] = call
 	s.stats.CacheMisses++
-	s.stats.InFlight = len(s.inflight)
 	s.mu.Unlock()
 
 	// Run the pruning job on the bounded pool; the call blocks here, but
@@ -681,7 +680,6 @@ func (s *Server) personalizeLane(classes []int, lane Lane, qos *QoSClass) (*Pers
 		}
 	}
 	delete(s.inflight, key)
-	s.stats.InFlight = len(s.inflight)
 	s.mu.Unlock()
 	close(call.done)
 	if call.err == nil {
@@ -708,13 +706,10 @@ func (s *Server) personalizeLane(classes []int, lane Lane, qos *QoSClass) (*Pers
 func (s *Server) insertLocked(key string, p *Personalization) bool {
 	if el, ok := s.entries[key]; ok {
 		s.lru.MoveToFront(el)
-		s.stats.CachedEngines = s.lru.Len()
 		return false
 	}
 	s.entries[key] = s.lru.PushFront(p)
 	s.hotBytes += p.size
-	s.stats.CachedEngines = s.lru.Len()
-	s.stats.HotBytes = s.hotBytes
 	return true
 }
 
@@ -952,7 +947,11 @@ func (s *Server) PredictSamples(classes []int, n int) (preds, labels []int, acc 
 func (s *Server) Stats() Stats {
 	s.mu.Lock()
 	st := s.stats
+	st.CachedEngines, st.HotBytes = s.lru.Len(), s.hotBytes
+	st.WarmEntries, st.WarmBytes = s.warmLRU.Len(), s.warmBytes
+	st.InFlight = len(s.inflight)
 	s.mu.Unlock()
+	st.Draining = s.draining.Load()
 	st.PredictBatches = s.counters.batches.Load()
 	st.SamplesPredicted = s.counters.samples.Load()
 	st.Rejected = s.counters.rejected.Load()

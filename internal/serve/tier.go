@@ -146,7 +146,6 @@ func (s *Server) dropDelta(p *Personalization) {
 	p.size -= n
 	if el, ok := s.entries[p.Key]; ok && el.Value.(*Personalization) == p {
 		s.hotBytes -= n
-		s.stats.HotBytes = s.hotBytes
 	}
 }
 
@@ -189,8 +188,6 @@ func (s *Server) rebalance() {
 		delete(s.entries, victim.Key)
 		s.hotBytes -= victim.size
 		s.stats.Evictions++
-		s.stats.CachedEngines = s.lru.Len()
-		s.stats.HotBytes = s.hotBytes
 		s.mu.Unlock()
 		s.demote(victim)
 	}
@@ -208,8 +205,6 @@ func (s *Server) trimWarmLocked() {
 		s.warmBytes -= we.size
 		s.stats.WarmEvictions++
 	}
-	s.stats.WarmEntries = s.warmLRU.Len()
-	s.stats.WarmBytes = s.warmBytes
 }
 
 // demote turns an evicted hot engine into a warm record (budgeted servers)
@@ -263,8 +258,6 @@ func (s *Server) demote(p *Personalization) {
 		s.warmBytes += we.size
 		s.stats.Demotions++
 	}
-	s.stats.WarmEntries = s.warmLRU.Len()
-	s.stats.WarmBytes = s.warmBytes
 }
 
 // clock adds the wall time since start to one of the Stats transition
@@ -293,8 +286,6 @@ func (s *Server) takeWarm(key string) *warmEntry {
 	delete(s.warm, key)
 	s.warmBytes -= we.size
 	s.stats.WarmHits++
-	s.stats.WarmEntries = s.warmLRU.Len()
-	s.stats.WarmBytes = s.warmBytes
 	return we
 }
 
