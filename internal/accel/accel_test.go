@@ -38,8 +38,8 @@ func TestDenseSimulatePositive(t *testing.T) {
 	if p.Cycles <= 0 || p.EnergyUJ() <= 0 {
 		t.Fatalf("non-positive perf: %+v", p)
 	}
-	if p.MACs != float64(l.MACs()) {
-		t.Fatalf("dense MACs %v != layer MACs %v", p.MACs, l.MACs())
+	if macs := l.Params() * int64(l.OutH()) * int64(l.OutW()); p.MACs != float64(macs) {
+		t.Fatalf("dense MACs %v != layer MACs %v", p.MACs, macs)
 	}
 }
 

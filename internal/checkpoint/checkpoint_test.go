@@ -26,9 +26,10 @@ func trainedModel(t *testing.T, f models.Family, seed int64) *nn.Classifier {
 	return clf
 }
 
-// TestPackUnpackBits: mask bits go to and from the chunk LSB first, 8 per
-// byte, exactly as the reference's packBits lays them out — for a ragged
-// tail and for a mask that spans several chunks.
+// TestPackUnpackBits: mask bits go into the chunk LSB first, 8 per byte,
+// exactly as the reference's packBits lays them out, and the delta reader's
+// unpackMask reads them back in that order — for a ragged tail and for a
+// mask that spans several chunks.
 func TestPackUnpackBits(t *testing.T) {
 	long := make([]float64, 8*chunk+8*100+3)
 	rng := rand.New(rand.NewSource(16))
@@ -46,11 +47,7 @@ func TestPackUnpackBits(t *testing.T) {
 			t.Fatalf("%d bits packed differently from the reference", len(vals))
 		}
 		out := make([]float64, len(vals))
-		br := &dec{r: &buf}
-		br.bits(out)
-		if br.err != nil {
-			t.Fatal(br.err)
-		}
+		(&DeltaView{delta: buf.Bytes()}).unpackMask(deltaEntry{}, out)
 		for i := range vals {
 			if out[i] != vals[i] {
 				t.Fatalf("bit %d of %d: %v != %v", i, len(vals), out[i], vals[i])

@@ -209,29 +209,6 @@ func (d *dec) expect(want string) (got string, ok bool) {
 	return want, true
 }
 
-func (d *dec) f64s(dst []float64) {
-	for len(dst) > 0 {
-		k := min(len(dst), chunk/8)
-		b := d.take(8 * k)
-		for i := range dst[:k] {
-			dst[i] = math.Float64frombits(le.Uint64(b[8*i:]))
-		}
-		dst = dst[k:]
-	}
-}
-
-// bits expands packed mask bits into a {0,1} float slice.
-func (d *dec) bits(mask []float64) {
-	for len(mask) > 0 {
-		k := min(len(mask), chunk*8)
-		b := d.take((k + 7) / 8)
-		for i := range mask[:k] {
-			mask[i] = float64(b[i/8] >> (i % 8) & 1)
-		}
-		mask = mask[k:]
-	}
-}
-
 // startSum begins the checksummed region at the next byte read.
 func (d *dec) startSum() { d.sum = true }
 

@@ -142,16 +142,3 @@ func rankCost(mask *tensor.Tensor, g sparsity.BlockGrid, rc sparsity.RankColumn)
 	}
 	return cost
 }
-
-// GlobalSparsity measures the zero fraction across the layers' masks.
-func GlobalSparsity(layers []*Layer) float64 {
-	total, nonzero := 0, 0
-	for _, l := range layers {
-		total += l.Mask.Len()
-		nonzero += l.Mask.CountNonZero()
-	}
-	if total == 0 {
-		return 0
-	}
-	return 1 - float64(nonzero)/float64(total)
-}

@@ -55,7 +55,12 @@ func TestApplyHybridReachesTarget(t *testing.T) {
 	if got < 0.82 || got > 0.90 {
 		t.Fatalf("achieved sparsity %v, want ≈0.85", got)
 	}
-	if m := GlobalSparsity(layers); math.Abs(m-got) > 1e-12 {
+	total, nonzero := 0, 0
+	for _, l := range layers {
+		total += l.Mask.Len()
+		nonzero += l.Mask.CountNonZero()
+	}
+	if m := 1 - float64(nonzero)/float64(total); math.Abs(m-got) > 1e-12 {
 		t.Fatalf("reported %v but measured %v", got, m)
 	}
 }

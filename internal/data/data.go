@@ -97,10 +97,6 @@ func smoothField(rng *rand.Rand, c, h, w int) *tensor.Tensor {
 	return out
 }
 
-// Prototype returns the clean prototype of class c (shared storage; callers
-// must not mutate it).
-func (d *Dataset) Prototype(c int) *tensor.Tensor { return d.protos[c] }
-
 // Split is a materialized set of samples.
 type Split struct {
 	// X has shape [N, C, H, W].

@@ -17,7 +17,7 @@ func TestDeterministicPrototypes(t *testing.T) {
 	a := New(smallCfg())
 	b := New(smallCfg())
 	for c := 0; c < 10; c++ {
-		pa, pb := a.Prototype(c), b.Prototype(c)
+		pa, pb := a.protos[c], b.protos[c]
 		for i := range pa.Data {
 			if pa.Data[i] != pb.Data[i] {
 				t.Fatalf("prototype %d differs at %d", c, i)
@@ -31,7 +31,7 @@ func TestPrototypesDistinct(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		for j := i + 1; j < 10; j++ {
 			diff := 0.0
-			pi, pj := d.Prototype(i), d.Prototype(j)
+			pi, pj := d.protos[i], d.protos[j]
 			for k := range pi.Data {
 				diff += math.Abs(pi.Data[k] - pj.Data[k])
 			}
@@ -103,7 +103,7 @@ func TestSamplesClusterAroundPrototype(t *testing.T) {
 	cfg.Jitter = 0 // isolate noise behaviour
 	d := New(cfg)
 	s := d.MakeSplit("train", []int{0}, 64)
-	p := d.Prototype(0)
+	p := d.protos[0]
 	vol := len(p.Data)
 	// Mean over samples should approach the prototype.
 	mean := make([]float64, vol)

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/models"
-	"repro/internal/nn"
 )
 
 // sharedQuick lazily builds one quick-scale harness shared by every test in
@@ -292,12 +291,7 @@ func TestActivationDensitySupportsDSTCAssumption(t *testing.T) {
 	// The Fig 8 DSTC configuration assumes 40% activation sparsity
 	// (density 0.6, the paper's setting). Cross-validate against the
 	// post-ReLU densities our own trained models produce.
-	h := quickHarness()
-	clf := h.Pretrained(models.ResNet, h.ImageNetLike)
-	stats := nn.CollectActivationStats(clf.Net)
-	sc := h.Scenario(h.ImageNetLike, 5)
-	clf.Logits(sc.Test.X, false)
-	d := stats.Density()
+	d, _ := quickHarness().ActivationDensity()
 	if d < 0.25 || d > 0.9 {
 		t.Fatalf("trained-model activation density %.3f outside the plausible band around the paper's 0.6", d)
 	}

@@ -126,7 +126,7 @@ func (h *Harness) Figure8() ([]Fig8Row, *Table) {
 			emit := func(arch string, p accel.Perf, b int) {
 				rows = append(rows, Fig8Row{
 					Layer: l.Name, Arch: arch, NM: nm, BlockSize: b,
-					LayerSparsity: 1 - kept*nm.Density(),
+					LayerSparsity: sparsity.HybridSparsity(kept, nm),
 					Cycles:        p.Cycles,
 					Speedup:       d.Cycles / p.Cycles,
 					EnergyUJ:      p.EnergyUJ(),
@@ -137,7 +137,7 @@ func (h *Harness) Figure8() ([]Fig8Row, *Table) {
 			sp := accel.Sparsity{NM: nm, KeptColFrac: kept, BlockSize: 64, ActDensity: 1}
 			emit("nvidia-stc", stc.Simulate(l, sp), 0)
 			spD := sp
-			spD.ActDensity = 0.6 // the paper reserves 40% activation sparsity for DSTC
+			spD.ActDensity = dstcActDensity
 			emit("dstc", dstc.Simulate(l, spD), 0)
 			for _, b := range blockSizes {
 				spB := sp

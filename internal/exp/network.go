@@ -62,7 +62,7 @@ func (h *Harness) NetworkTable() ([]NetworkRow, *Table) {
 					sp.KeptColFrac = 1 // block-exempt: N:M only
 				}
 				if a.Name() == "dstc" {
-					sp.ActDensity = 0.6
+					sp.ActDensity = dstcActDensity
 				}
 				p := a.Simulate(l, sp)
 				totals[a.Name()].Cycles += p.Cycles

@@ -42,6 +42,7 @@ func Figures() []Figure {
 		{"tile-sim", "validate", func(h *Harness) *Table { _, t := h.ValidateTileSim(); return t }},
 		{"sweep", "validate", func(h *Harness) *Table { _, t := h.SweepSparsity(); return t }},
 		{"quant", "validate", func(h *Harness) *Table { _, t := h.AblationQuant(); return t }},
+		{"act-density", "validate", func(h *Harness) *Table { _, t := h.ActivationDensity(); return t }},
 	}
 }
 

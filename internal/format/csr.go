@@ -34,9 +34,6 @@ func EncodeCSR(m *tensor.Tensor) *CSR {
 // Name implements Encoded.
 func (c *CSR) Name() string { return "csr" }
 
-// NNZ returns the stored non-zero count.
-func (c *CSR) NNZ() int { return len(c.Val) }
-
 // MetadataBits implements Encoded: per-nnz column indices at ⌈log2 cols⌉
 // bits plus 32-bit row pointers.
 func (c *CSR) MetadataBits() int64 {

@@ -22,7 +22,7 @@
 // The storage formats model what the hardware stores; executing them
 // directly pays block-grid arithmetic, offset decoding and padding-slot
 // branches on every SpMM. For software serving each encoding therefore
-// compiles — once, via Compile/CompilePlan — into a Plan: a flat
+// compiles — once, via Compile — into a Plan: a flat
 // row-pointer / column-index / value layout with zero slots dropped, whose
 // kernel is a straight gather-multiply-accumulate that accumulates in
 // exactly the storage kernel's order (bit-identical results). Large SpMMs

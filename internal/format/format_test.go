@@ -123,7 +123,7 @@ func TestCRISPRejectsViolations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range []Planner{EncodeCSR(wide), ce} {
+	for _, e := range []interface{ Compile() *Plan }{EncodeCSR(wide), ce} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -196,7 +196,7 @@ func TestAnalyticalModelsMatchEncoders(t *testing.T) {
 	rows, cols, b := 16, 32, 4
 	m := hybridMatrix(rng, rows, cols, b, nm, 3)
 	csr := EncodeCSR(m)
-	if got, want := csr.MetadataBits(), CSRMetadataBits(rows, cols, csr.NNZ()); got != want {
+	if got, want := csr.MetadataBits(), CSRMetadataBits(rows, cols, len(csr.Val)); got != want {
 		t.Fatalf("CSR analytical %d vs encoder %d", want, got)
 	}
 	ell := EncodeELLPACK(m)

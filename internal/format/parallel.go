@@ -6,7 +6,7 @@ import "repro/internal/tensor"
 // below which SpMM runs single-threaded, mirroring the dense GEMM's
 // threshold: handing work to the pool costs more than it saves on small
 // problems. Single-sample inference on the scaled models stays under it;
-// batched inference (serve.Predict, Engine.LogitsBatch) crosses it and
+// batched inference (serve.Predict, Engine.PredictBatch) crosses it and
 // fans out. Plan.matmul tests this bound before building the fan-out
 // closure, so sub-threshold SpMMs are allocation-free.
 const spmmParallelThreshold = 1 << 16

@@ -65,25 +65,9 @@ func checkCols(cols int) {
 // and 0 for ragged plans.
 func (p *Plan) UniformSpan() int { return p.uniform }
 
-// Planner is implemented by encodings that compile directly into a Plan.
-type Planner interface {
-	Compile() *Plan
-}
-
-// CompilePlan compiles any encoding into an execution plan. CRISPFormat and
-// CSR compile directly (preserving their kernels' accumulation order);
-// other formats fall back through Decode → CSR, which yields the canonical
-// column-major per-row order.
-func CompilePlan(e Encoded) *Plan {
-	if p, ok := e.(Planner); ok {
-		return p.Compile()
-	}
-	return EncodeCSR(e.Decode()).Compile()
-}
-
-// Compile implements Planner: CSR is already row-pointer + column-index +
-// value, so the plan is a direct image of the encoding. It panics on a
-// matrix wider than MaxCols.
+// Compile compiles the encoding into an execution plan. CSR is already
+// row-pointer + column-index + value, so the plan is a direct image of the
+// encoding. It panics on a matrix wider than MaxCols.
 func (c *CSR) Compile() *Plan {
 	checkCols(c.Cols)
 	p := &Plan{
@@ -101,15 +85,15 @@ func (c *CSR) Compile() *Plan {
 	return p
 }
 
-// Compile implements Planner: the slot walk of CRISPFormat.MatMul is
-// replayed once at compile time, emitting one (column, value) pair per
-// non-zero slot into the owning output row. Padding slots (value 0)
-// disappear; intra-group offsets are resolved against their block bounds to
-// absolute column indices. Within each output row the emitted order is
-// exactly the slot-walk order (kept blocks in stored order, groups
-// left-to-right, slots in stored order), so MatMul over the plan
-// accumulates bit-identically to the slot-walking kernel. It panics on a
-// matrix wider than MaxCols.
+// Compile compiles the encoding into an execution plan: the slot walk of
+// CRISPFormat.MatMul is replayed once at compile time, emitting one
+// (column, value) pair per non-zero slot into the owning output row.
+// Padding slots (value 0) disappear; intra-group offsets are resolved
+// against their block bounds to absolute column indices. Within each output
+// row the emitted order is exactly the slot-walk order (kept blocks in
+// stored order, groups left-to-right, slots in stored order), so MatMul over
+// the plan accumulates bit-identically to the slot-walking kernel. It panics
+// on a matrix wider than MaxCols.
 func (e *CRISPFormat) Compile() *Plan {
 	checkCols(e.Cols)
 	p := &Plan{Rows: e.Rows, Cols: e.Cols, RowPtr: make([]int32, e.Rows+1)}

@@ -70,11 +70,6 @@ type QuantPlan struct {
 	rowSum []int32
 }
 
-// NNZ returns the number of stored entries. It is at most the float plan's
-// NNZ: weights that quantize to code 0 are dropped (they cannot contribute
-// to any product).
-func (q *QuantPlan) NNZ() int { return len(q.Code) }
-
 // SizeBytes reports the heap bytes of the quantized plan's slice payloads
 // (RowPtr, NegPtr, Col, Code, RowScale and the row-sum correction terms).
 func (q *QuantPlan) SizeBytes() int64 {

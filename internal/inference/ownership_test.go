@@ -192,7 +192,7 @@ func TestEngineOutlivesItsClassifier(t *testing.T) {
 // run: one sample and sixteen.
 func batches(t *testing.T, x *tensor.Tensor) (x1, x16 *tensor.Tensor) {
 	t.Helper()
-	x16 = tensor.Concat([]*tensor.Tensor{x, x})
+	x16 = tensor.ConcatInto([]*tensor.Tensor{x, x}, tensor.New(2*x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]))
 	if x16.Shape[0] != 16 {
 		t.Fatalf("fixture batch is %d samples, want 16", x16.Shape[0])
 	}

@@ -63,11 +63,6 @@ func (l LayerShape) Params() int64 {
 	}
 }
 
-// MACs returns the dense multiply-accumulate count for one inference.
-func (l LayerShape) MACs() int64 {
-	return l.Params() * int64(l.OutH()) * int64(l.OutW())
-}
-
 // GEMMDims returns the implicit-GEMM dimensions (M = output rows,
 // K = reduction, N = output positions) used by the accelerator model.
 // Depthwise layers map to per-channel GEMV-like work: M = OutC, K = KH*KW,
@@ -189,24 +184,6 @@ func MobileNetV2Shapes() []LayerShape {
 	out = append(out, conv("conv_last", 320, 1280, 1, 1, 0, 7))
 	out = append(out, LayerShape{Name: "fc", Kind: KindLinear, InC: 1280, OutC: 1000, KH: 1, KW: 1, Stride: 1, InH: 1, InW: 1})
 	return out
-}
-
-// TotalParams sums Params over the shapes.
-func TotalParams(shapes []LayerShape) int64 {
-	var t int64
-	for _, l := range shapes {
-		t += l.Params()
-	}
-	return t
-}
-
-// TotalMACs sums MACs over the shapes.
-func TotalMACs(shapes []LayerShape) int64 {
-	var t int64
-	for _, l := range shapes {
-		t += l.MACs()
-	}
-	return t
 }
 
 // RepresentativeResNet50Layers returns the subset of ResNet-50 layers used

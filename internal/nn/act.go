@@ -7,7 +7,8 @@ import (
 )
 
 // ActStats accumulates activation-sparsity statistics across rectifiers —
-// used to validate the activation densities the DSTC simulator assumes.
+// used to validate the activation density the DSTC simulator assumes
+// (exp.Harness.ActivationDensity).
 type ActStats struct {
 	NonZeros, Total int64
 }

@@ -45,13 +45,6 @@ func (c *Classifier) PrunableParams() []*Param {
 	return out
 }
 
-// LogitsBatch stacks B sample tensors into one batch and runs a single
-// forward pass, so each layer serves the whole batch with one GEMM instead
-// of B GEMMs. The result has shape [B, ...] in input order.
-func (c *Classifier) LogitsBatch(xs []*tensor.Tensor) *tensor.Tensor {
-	return c.Logits(tensor.Concat(xs), false)
-}
-
 // Predict returns the argmax class of every sample in the batch.
 func (c *Classifier) Predict(x *tensor.Tensor) []int {
 	return ArgmaxRows(c.Logits(x, false), c.NumClasses)

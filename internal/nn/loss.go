@@ -46,28 +46,3 @@ func SoftmaxCrossEntropy(logits *tensor.Tensor, labels []int) (float64, *tensor.
 	}
 	return loss, grad
 }
-
-// Softmax returns row-wise softmax probabilities for logits [N, C].
-func Softmax(logits *tensor.Tensor) *tensor.Tensor {
-	n, c := logits.Shape[0], logits.Shape[1]
-	out := tensor.New(n, c)
-	for b := 0; b < n; b++ {
-		row := logits.Data[b*c : (b+1)*c]
-		maxv := row[0]
-		for _, v := range row[1:] {
-			if v > maxv {
-				maxv = v
-			}
-		}
-		sum := 0.0
-		o := out.Data[b*c : (b+1)*c]
-		for j, v := range row {
-			o[j] = math.Exp(v - maxv)
-			sum += o[j]
-		}
-		for j := range o {
-			o[j] /= sum
-		}
-	}
-	return out
-}

@@ -72,7 +72,7 @@ func TestSTEGradientIsDense(t *testing.T) {
 	lin.Backward(dlogits)
 	_ = loss
 	// Even though every weight is masked, dense gradients must flow.
-	if lin.Weight.Grad.AbsSum() == 0 {
+	if lin.Weight.Grad.CountNonZero() == 0 {
 		t.Fatal("STE violated: gradient is zero under a full mask")
 	}
 }
@@ -112,16 +112,19 @@ func TestSoftmaxCrossEntropyStability(t *testing.T) {
 	}
 }
 
+// TestSoftmaxRowsSumToOne: a row of SoftmaxCrossEntropy's gradient is
+// (softmax − one-hot)/N, so it sums to zero exactly when the row's softmax
+// sums to one.
 func TestSoftmaxRowsSumToOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	p := Softmax(tensor.Randn(rng, 3, 4, 6))
+	_, grad := SoftmaxCrossEntropy(tensor.Randn(rng, 3, 4, 6), []int{0, 5, 2, 3})
 	for b := 0; b < 4; b++ {
 		s := 0.0
 		for j := 0; j < 6; j++ {
-			s += p.At(b, j)
+			s += grad.At(b, j)
 		}
-		if math.Abs(s-1) > 1e-12 {
-			t.Fatalf("row %d sums to %v", b, s)
+		if math.Abs(4*s) > 1e-12 {
+			t.Fatalf("row %d's softmax sums to %v", b, 1+4*s)
 		}
 	}
 }
@@ -138,7 +141,7 @@ func TestSGDStepDirection(t *testing.T) {
 			t.Fatalf("SGD step wrong at %d", i)
 		}
 	}
-	if lin.Weight.Grad.AbsSum() != 0 {
+	if lin.Weight.Grad.CountNonZero() != 0 {
 		t.Fatal("Step must zero gradients")
 	}
 }

@@ -1,7 +1,6 @@
 package pruner
 
 import (
-	"math"
 	"math/rand"
 	"sort"
 
@@ -294,69 +293,4 @@ func (b *Channel) pruneChannels(params []*nn.Param, rowScores map[*nn.Param][]fl
 		nonzero -= removed
 		keepLeft[rr.param]--
 	}
-}
-
-// Unstructured is the global magnitude-pruning baseline: the lowest-|w|
-// weights are masked irrespective of structure. It bounds what any
-// structured scheme can achieve in accuracy but offers no hardware benefit
-// (the paper's motivation for structure).
-type Unstructured struct {
-	Opts Options
-}
-
-// NewUnstructured constructs the baseline.
-func NewUnstructured(opts Options) *Unstructured { return &Unstructured{Opts: opts.WithDefaults()} }
-
-// Prune iteratively masks the globally smallest saliency entries.
-func (b *Unstructured) Prune(clf *nn.Classifier, train data.Split) Report {
-	defer clf.ReleaseTrainingState()
-	o := b.Opts
-	rng := rand.New(rand.NewSource(o.Seed))
-	opt := nn.NewSGD(o.LR, o.Momentum, o.WeightDecay)
-	rep := Report{Method: "unstructured", Target: o.Target}
-	params := clf.PrunableParams()
-	for p := 1; p <= o.Iterations; p++ {
-		loss := Finetune(clf, train, o.FinetuneEpochs, o.BatchSize, opt, rng)
-		scores := saliency.Compute(clf, train, o.BatchSize, o.Saliency)
-		kappa := o.kappaAt(p, o.Iterations, 0)
-		threshold := globalThreshold(params, scores, kappa)
-		for _, prm := range params {
-			mask := prm.EnsureMask()
-			sv := scores[prm]
-			for i := range mask.Data {
-				if sv.Data[i] <= threshold {
-					mask.Data[i] = 0
-				} else {
-					mask.Data[i] = 1
-				}
-			}
-		}
-		rep.Iterations = append(rep.Iterations, IterStat{Iteration: p, Kappa: kappa, Sparsity: clf.GlobalSparsity(), Loss: loss})
-	}
-	Finetune(clf, train, o.FinalFinetuneEpochs, o.BatchSize, opt, rng)
-	rep.AchievedSparsity = clf.GlobalSparsity()
-	rep.FLOPsRatio = FLOPsRatio(clf)
-	rep.Layers = LayerStats(clf, o.BlockSize)
-	return rep
-}
-
-// globalThreshold returns the score value below which the kappa fraction of
-// all prunable weights falls.
-func globalThreshold(params []*nn.Param, scores saliency.Scores, kappa float64) float64 {
-	var all []float64
-	for _, prm := range params {
-		all = append(all, scores[prm].Data...)
-	}
-	if len(all) == 0 {
-		return math.Inf(-1)
-	}
-	sort.Float64s(all)
-	idx := int(kappa * float64(len(all)))
-	if idx <= 0 {
-		return math.Inf(-1)
-	}
-	if idx >= len(all) {
-		idx = len(all) - 1
-	}
-	return all[idx-1]
 }

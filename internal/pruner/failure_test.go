@@ -146,15 +146,3 @@ func TestChannelPrunerKeepsFloor(t *testing.T) {
 		}
 	}
 }
-
-func TestUnstructuredZeroScoresStillValid(t *testing.T) {
-	// A freshly initialized model with zero gradients (magnitude-free
-	// Taylor scores) must not crash the unstructured pruner.
-	clf := models.Build(models.VGG, rand.New(rand.NewSource(72)), 4, 1)
-	empty := data.Split{X: tensor.New(0, 3, 8, 8), Labels: nil}
-	p := NewUnstructured(Options{Target: 0.5, Iterations: 1, FinetuneEpochs: 1, BatchSize: 8, LR: 0.01})
-	rep := p.Prune(clf, empty)
-	if rep.AchievedSparsity < 0.4 {
-		t.Fatalf("sparsity %v", rep.AchievedSparsity)
-	}
-}

@@ -2,7 +2,6 @@ package pruner
 
 import (
 	"math/rand"
-	"sort"
 
 	"repro/internal/data"
 	"repro/internal/nn"
@@ -139,15 +138,4 @@ func (b *MixedNM) AssignedPatterns(clf *nn.Classifier) map[string]sparsity.NM {
 		out[prm.Name] = bestNM
 	}
 	return out
-}
-
-// SortedLayerNames returns the map's keys in sorted order, for
-// deterministic reporting of assigned patterns.
-func SortedLayerNames(m map[string]sparsity.NM) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

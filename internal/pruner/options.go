@@ -1,7 +1,7 @@
 // Package pruner implements the CRISP class-aware pruning framework
 // (Algorithm 1 of the paper) and the baselines it is compared against:
 // pure block pruning (balanced and classic unbalanced), N:M-only pruning,
-// OCAP/CAPNN-style channel pruning, and unstructured magnitude pruning.
+// mixed per-layer N:M, and OCAP/CAPNN-style channel pruning.
 package pruner
 
 import (
@@ -14,13 +14,6 @@ import (
 	"repro/internal/sparsity"
 	"repro/internal/tensor"
 )
-
-// Pruner is the interface every pruning method implements: mutate the
-// classifier's masks (and weights, via fine-tuning) toward the configured
-// sparsity target using samples of the user-preferred classes.
-type Pruner interface {
-	Prune(clf *nn.Classifier, train data.Split) Report
-}
 
 // Schedule selects how the per-iteration sparsity target κ_p ramps from the
 // N:M floor to the final target κ.

@@ -145,7 +145,10 @@ func TestCRISPFLOPsRatioConsistent(t *testing.T) {
 
 func TestCRISPPreservesMoreAccuracyThanUnbalancedBlocks(t *testing.T) {
 	// The paper's Fig. 3 contrast at high sparsity on a shared substrate.
-	buildAndPrune := func(pr func(o Options) Pruner) float64 {
+	type pruner interface {
+		Prune(clf *nn.Classifier, train data.Split) Report
+	}
+	buildAndPrune := func(pr func(o Options) pruner) float64 {
 		clf, train, test := testSetup(t, models.ResNet)
 		o := Options{
 			Target: 0.9, NM: sparsity.NM{N: 2, M: 4}, BlockSize: 4,
@@ -154,8 +157,8 @@ func TestCRISPPreservesMoreAccuracyThanUnbalancedBlocks(t *testing.T) {
 		pr(o).Prune(clf, train)
 		return clf.Accuracy(test.X, test.Labels)
 	}
-	crispAcc := buildAndPrune(func(o Options) Pruner { return NewCRISP(o) })
-	blockAcc := buildAndPrune(func(o Options) Pruner { return NewBlockOnly(o, false) })
+	crispAcc := buildAndPrune(func(o Options) pruner { return NewCRISP(o) })
+	blockAcc := buildAndPrune(func(o Options) pruner { return NewBlockOnly(o, false) })
 	if crispAcc < blockAcc-0.05 {
 		t.Fatalf("CRISP %.3f should not trail block-only %.3f at κ=0.9", crispAcc, blockAcc)
 	}
@@ -222,15 +225,6 @@ func TestChannelPruningRemovesWholeRows(t *testing.T) {
 		if alive == 0 {
 			t.Fatalf("%s: all channels pruned", prm.Name)
 		}
-	}
-}
-
-func TestUnstructuredReachesTarget(t *testing.T) {
-	clf, train, _ := testSetup(t, models.ResNet)
-	p := NewUnstructured(Options{Target: 0.9, Iterations: 2, FinetuneEpochs: 1, BatchSize: 16, LR: 0.01})
-	rep := p.Prune(clf, train)
-	if math.Abs(rep.AchievedSparsity-0.9) > 0.03 {
-		t.Fatalf("unstructured sparsity %v, want ≈0.9", rep.AchievedSparsity)
 	}
 }
 
@@ -311,7 +305,7 @@ func TestSaliencyLeavesGradsClean(t *testing.T) {
 	clf, train, _ := testSetup(t, models.ResNet)
 	saliency.Compute(clf, train, 16, saliency.Taylor)
 	for _, p := range clf.Params() {
-		if p.Grad.AbsSum() != 0 {
+		if p.Grad.CountNonZero() != 0 {
 			t.Fatalf("param %s left dirty gradient", p.Name)
 		}
 	}
@@ -355,7 +349,7 @@ func TestMixedNMReachesTargetWithVariedPatterns(t *testing.T) {
 	if len(seen) < 2 {
 		t.Fatalf("mixed search assigned a single pattern everywhere: %v", seen)
 	}
-	if len(SortedLayerNames(patterns)) != len(clf.PrunableParams()) {
+	if len(patterns) != len(clf.PrunableParams()) {
 		t.Fatal("pattern map incomplete")
 	}
 }

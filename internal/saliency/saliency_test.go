@@ -119,7 +119,7 @@ func TestComputeRaggedBatches(t *testing.T) {
 		t.Fatal("no scores")
 	}
 	for _, p := range clf.Params() {
-		if p.Grad.AbsSum() != 0 {
+		if p.Grad.CountNonZero() != 0 {
 			t.Fatalf("dirty grad on %s", p.Name)
 		}
 	}

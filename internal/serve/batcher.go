@@ -51,7 +51,7 @@ var reqPool = sync.Pool{New: func() any {
 var lingerTimers sync.Pool
 
 // batcher coalesces concurrent Predict calls against one personalized
-// engine into shared LogitsBatch invocations. There is no background
+// engine into shared PredictBatch invocations. There is no background
 // goroutine: the first caller into an empty queue becomes the batch
 // *leader*, waits up to linger for followers to accumulate (woken early via
 // kick when the queue reaches maxBatch samples), then takes the whole queue,
@@ -60,8 +60,8 @@ var lingerTimers sync.Pool
 //
 // The engine call is bit-identical to running each request alone: batched
 // SpMM accumulates every output element in the same order regardless of
-// batch size (see inference.Engine.LogitsBatch), and the concat the engine
-// performs inside its arena is a pure row-wise copy.
+// batch size (TestLogitsBatchBitIdentical in internal/inference), and the
+// concat the engine performs inside its arena is a pure row-wise copy.
 //
 // Admission control: at most maxQueue samples wait in the queue; a request
 // that would overflow it is rejected with ErrOverloaded instead of queueing

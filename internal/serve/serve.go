@@ -525,8 +525,8 @@ func (s *Server) pendingWait(counter *int) {
 	s.snapMu.Unlock()
 }
 
-// Pool exposes the server's scheduler so other subsystems (the experiment
-// runner) can share it.
+// Pool returns the server's scheduler, the bounded worker pool every
+// personalization and snapshot write runs on.
 func (s *Server) Pool() *Pool { return s.pool }
 
 // Canonicalize validates a user class set against the dataset and returns

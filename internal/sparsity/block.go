@@ -161,17 +161,6 @@ func VerifyRowBalance(mask *tensor.Tensor, g BlockGrid) error {
 	return nil
 }
 
-// KeptBlockFraction returns the fraction of grid blocks containing at least
-// one non-zero.
-func KeptBlockFraction(mask *tensor.Tensor, g BlockGrid) float64 {
-	total := g.GridRows() * g.GridCols()
-	kept := 0
-	for _, c := range KeptBlocksPerRow(mask, g) {
-		kept += c
-	}
-	return float64(kept) / float64(total)
-}
-
 // HybridSparsity returns the overall sparsity of the paper's formula
 // 1 − (K'/K)·(N/M) for a kept-column fraction and N:M pattern.
 func HybridSparsity(keptColFraction float64, nm NM) float64 {

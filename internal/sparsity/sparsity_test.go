@@ -186,7 +186,7 @@ func TestPruneRankColumnBalance(t *testing.T) {
 	if err := VerifyRowBalance(mask, g); err != nil {
 		t.Fatal(err)
 	}
-	if f := KeptBlockFraction(mask, g); math.Abs(f-2.0/3.0) > 1e-12 {
+	if f := keptBlockFraction(mask, g); math.Abs(f-2.0/3.0) > 1e-12 {
 		t.Fatalf("kept fraction %v", f)
 	}
 }
@@ -238,6 +238,16 @@ func TestRankColumnsDisjointProperty(t *testing.T) {
 	}
 }
 
+// keptBlockFraction is the fraction of grid blocks holding at least one
+// non-zero: K'/K when every block row keeps the same count.
+func keptBlockFraction(mask *tensor.Tensor, g BlockGrid) float64 {
+	kept := 0
+	for _, c := range KeptBlocksPerRow(mask, g) {
+		kept += c
+	}
+	return float64(kept) / float64(g.GridRows()*g.GridCols())
+}
+
 func TestHybridCompose(t *testing.T) {
 	// N:M then block prune: result satisfies N:M everywhere and balance.
 	rng := rand.New(rand.NewSource(3))
@@ -262,7 +272,7 @@ func TestHybridCompose(t *testing.T) {
 		t.Fatalf("hybrid mask violates balance: %v", err)
 	}
 	// Overall sparsity matches the paper's formula 1-(K'/K)(N/M).
-	kept := KeptBlockFraction(mask, g)
+	kept := keptBlockFraction(mask, g)
 	want := HybridSparsity(kept, nm)
 	got := 1 - Density(mask)
 	if math.Abs(got-want) > 1e-12 {

@@ -16,23 +16,6 @@ func (g ConvGeom) OutH() int { return (g.InH+2*g.Pad-g.KH)/g.Stride + 1 }
 // OutW returns the output width.
 func (g ConvGeom) OutW() int { return (g.InW+2*g.Pad-g.KW)/g.Stride + 1 }
 
-// Validate reports a descriptive error when the geometry is degenerate.
-func (g ConvGeom) Validate() error {
-	if g.InC <= 0 || g.InH <= 0 || g.InW <= 0 || g.KH <= 0 || g.KW <= 0 {
-		return fmt.Errorf("tensor: non-positive conv geometry %+v", g)
-	}
-	if g.Stride <= 0 {
-		return fmt.Errorf("tensor: non-positive stride in %+v", g)
-	}
-	if g.Pad < 0 {
-		return fmt.Errorf("tensor: negative padding in %+v", g)
-	}
-	if g.OutH() <= 0 || g.OutW() <= 0 {
-		return fmt.Errorf("tensor: kernel larger than padded input in %+v", g)
-	}
-	return nil
-}
-
 // Im2Col lowers a batched image tensor x with shape [N, C, H, W] into a
 // matrix of shape [C*KH*KW, N*OutH*OutW] so that convolution becomes a
 // GEMM with the weight matrix reshaped to [OutC, C*KH*KW]. Out-of-bounds

@@ -52,15 +52,6 @@ func Randn(rng *rand.Rand, std float64, shape ...int) *Tensor {
 	return t
 }
 
-// Uniform fills a new tensor with U(lo, hi) samples drawn from rng.
-func Uniform(rng *rand.Rand, lo, hi float64, shape ...int) *Tensor {
-	t := New(shape...)
-	for i := range t.Data {
-		t.Data[i] = lo + rng.Float64()*(hi-lo)
-	}
-	return t
-}
-
 // Clone returns a deep copy.
 func (t *Tensor) Clone() *Tensor {
 	c := New(t.Shape...)
@@ -134,35 +125,11 @@ func (t *Tensor) Fill(v float64) {
 	}
 }
 
-// AddInPlace adds o elementwise into t. Shapes must have equal volume.
-func (t *Tensor) AddInPlace(o *Tensor) {
-	checkSameLen(t, o, "AddInPlace")
-	for i, v := range o.Data {
-		t.Data[i] += v
-	}
-}
-
-// SubInPlace subtracts o elementwise from t.
-func (t *Tensor) SubInPlace(o *Tensor) {
-	checkSameLen(t, o, "SubInPlace")
-	for i, v := range o.Data {
-		t.Data[i] -= v
-	}
-}
-
 // MulInPlace multiplies t elementwise by o (Hadamard product).
 func (t *Tensor) MulInPlace(o *Tensor) {
 	checkSameLen(t, o, "MulInPlace")
 	for i, v := range o.Data {
 		t.Data[i] *= v
-	}
-}
-
-// AddScaledInPlace performs t += s*o elementwise.
-func (t *Tensor) AddScaledInPlace(s float64, o *Tensor) {
-	checkSameLen(t, o, "AddScaledInPlace")
-	for i, v := range o.Data {
-		t.Data[i] += s * v
 	}
 }
 
@@ -186,18 +153,13 @@ func Add(a, b *Tensor) *Tensor {
 	return c
 }
 
-// Concat concatenates tensors along dimension 0. All inputs must share the
-// trailing dimensions; the result's leading dimension is the sum of the
-// inputs'. It is the batching primitive: B single-sample [1,C,H,W] tensors
-// become one [B,C,H,W] batch that a single forward pass (one GEMM per
-// layer) can serve.
-func Concat(ts []*Tensor) *Tensor {
-	return ConcatInto(ts, New(concatShape(ts)...))
-}
-
-// ConcatInto concatenates tensors along dimension 0 into dst, which must
-// have the concatenated shape; every element of dst is overwritten, so dst
-// may be an uninitialized scratch buffer. Returns dst.
+// ConcatInto concatenates tensors along dimension 0 into dst. All inputs
+// must share the trailing dimensions, and dst must have the concatenated
+// shape: the inputs' leading dimensions summed. It is the batching
+// primitive: B single-sample [1,C,H,W] tensors become one [B,C,H,W] batch
+// that a single forward pass (one GEMM per layer) can serve. Every element
+// of dst is overwritten, so dst may be an uninitialized scratch buffer.
+// Returns dst.
 func ConcatInto(ts []*Tensor, dst *Tensor) *Tensor {
 	shape := concatShape(ts)
 	if len(dst.Shape) != len(shape) {
@@ -219,18 +181,18 @@ func ConcatInto(ts []*Tensor, dst *Tensor) *Tensor {
 // concatShape validates the inputs of a concat and returns the result shape.
 func concatShape(ts []*Tensor) []int {
 	if len(ts) == 0 {
-		panic("tensor: Concat of zero tensors")
+		panic("tensor: ConcatInto of zero tensors")
 	}
 	first := ts[0]
 	rest := first.Shape[1:]
 	lead := 0
 	for _, t := range ts {
 		if len(t.Shape) != len(first.Shape) {
-			panic(fmt.Sprintf("tensor: Concat rank mismatch: %v vs %v", t.Shape, first.Shape))
+			panic(fmt.Sprintf("tensor: ConcatInto rank mismatch: %v vs %v", t.Shape, first.Shape))
 		}
 		for i, d := range t.Shape[1:] {
 			if d != rest[i] {
-				panic(fmt.Sprintf("tensor: Concat trailing-shape mismatch: %v vs %v", t.Shape, first.Shape))
+				panic(fmt.Sprintf("tensor: ConcatInto trailing-shape mismatch: %v vs %v", t.Shape, first.Shape))
 			}
 		}
 		lead += t.Shape[0]
@@ -287,24 +249,6 @@ func TransposeInto(m, dst *Tensor) *Tensor {
 		}
 	}
 	return dst
-}
-
-// Sum returns the sum of all elements.
-func (t *Tensor) Sum() float64 {
-	s := 0.0
-	for _, v := range t.Data {
-		s += v
-	}
-	return s
-}
-
-// AbsSum returns the sum of absolute values (L1 norm).
-func (t *Tensor) AbsSum() float64 {
-	s := 0.0
-	for _, v := range t.Data {
-		s += math.Abs(v)
-	}
-	return s
 }
 
 // CountNonZero returns the number of elements that are not exactly zero.
