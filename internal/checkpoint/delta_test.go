@@ -179,14 +179,17 @@ func TestModelDeltaIsBaseIndependent(t *testing.T) {
 		// sign from the base's dead value: equal, if not always bit-equal.
 		bp := b.Params()
 		for i, p := range a.Params() {
-			if !slices.Equal(va.Effective(p).Data, vb.Effective(bp[i]).Data) {
+			ea, eb := make([]float64, p.W.Len()), make([]float64, p.W.Len())
+			va.EffectiveInto(p, ea)
+			vb.EffectiveInto(bp[i], eb)
+			if !slices.Equal(ea, eb) {
 				t.Fatalf("%s: %s: the view's effective weights depend on its base", f, p.Name)
 			}
 		}
 		bn := normLayers(b)
 		for i, l := range normLayers(a) {
-			ma, sa := va.NormStats(l)
-			mb, sb := vb.NormStats(bn[i])
+			ma, sa := viewNormStats(va, l)
+			mb, sb := viewNormStats(vb, bn[i])
 			if !sameBits(ma, mb) || !sameBits(sa, sb) {
 				t.Fatalf("%s: %s: the view's running statistics depend on its base", f, l.Gamma.Name)
 			}

@@ -7,7 +7,6 @@ import (
 	"math/bits"
 
 	"repro/internal/nn"
-	"repro/internal/tensor"
 )
 
 // DeltaView reads one tenant's values straight out of its delta, without a
@@ -15,10 +14,10 @@ import (
 // checks the header, the architecture against base, every entry's structure
 // and the CRC-64 trailer over the whole record before a view exists, and
 // ApplyModelDelta is a view written back into a classifier. Each call then
-// decodes one parameter into memory it allocates and the caller owns,
-// bit-equal to what apply-then-read yields. Nothing handed out aliases the
-// delta, the base or an earlier result. The view itself holds both: drop it
-// when the reads are done.
+// decodes one parameter into memory the caller provides, bit-equal to what
+// apply-then-read yields: it writes that memory and nothing else, keeps no
+// reference to it, and what it writes are values, never a view of the delta
+// or the base. The view itself holds both: drop it when the reads are done.
 type DeltaView struct {
 	delta  []byte
 	params map[string]deltaEntry
@@ -136,8 +135,8 @@ func (v *DeltaView) applyTo(dst *nn.Classifier) error {
 
 // overlay writes e's tenant values into w: the stored dense values, or the
 // base's overlaid at the positions the stored mask keeps with the kept ones.
-// Values, Effective and ApplyModelDelta all take a parameter's values from
-// it.
+// ValuesInto, EffectiveInto and ApplyModelDelta all take a parameter's
+// values from it.
 func (v *DeltaView) overlay(e deltaEntry, w []float64) {
 	if e.mask == 0 {
 		readF64s(w, v.delta[e.vals:])
@@ -168,10 +167,14 @@ func (v *DeltaView) normStats(e statEntry, mean, variance []float64) {
 	readF64s(variance, v.delta[e.at+8*e.n:])
 }
 
-func (v *DeltaView) entry(name string) deltaEntry {
-	e, ok := v.params[name]
+// entryInto is p's entry, once dst is checked to hold exactly p's values.
+func (v *DeltaView) entryInto(p *nn.Param, dst []float64) deltaEntry {
+	e, ok := v.params[p.Name]
 	if !ok {
-		panic("checkpoint: delta view has no parameter " + name)
+		panic("checkpoint: delta view has no parameter " + p.Name)
+	}
+	if n := e.base.W.Len(); len(dst) != n {
+		panic(fmt.Sprintf("checkpoint: parameter %s has %d values, dst %d", p.Name, n, len(dst)))
 	}
 	return e
 }
@@ -182,34 +185,34 @@ func readF64s(dst []float64, src []byte) {
 	}
 }
 
-// Effective returns the tenant's W ⊙ Mask for base parameter p as a
-// [p.Rows, p.Cols] matrix.
-func (v *DeltaView) Effective(p *nn.Param) *tensor.Tensor {
-	w := v.Values(p)
-	if e := v.entry(p.Name); e.mask != 0 {
+// EffectiveInto writes the tenant's W ⊙ Mask for base parameter p into dst,
+// row-major [p.Rows, p.Cols].
+func (v *DeltaView) EffectiveInto(p *nn.Param, dst []float64) {
+	e := v.entryInto(p, dst)
+	v.overlay(e, dst)
+	if e.mask != 0 {
 		packed := v.delta[e.mask:]
-		for i := range w {
-			w[i] *= float64(packed[i/8] >> (i % 8) & 1)
+		for i := range dst {
+			dst[i] *= float64(packed[i/8] >> (i % 8) & 1)
 		}
 	}
-	return tensor.FromSlice(w, p.Rows, p.Cols)
 }
 
-// Values returns the tenant's unmasked values for base parameter p.
-func (v *DeltaView) Values(p *nn.Param) []float64 {
-	e := v.entry(p.Name)
-	w := make([]float64, e.base.W.Len())
-	v.overlay(e, w)
-	return w
+// ValuesInto writes the tenant's unmasked values for base parameter p into
+// dst.
+func (v *DeltaView) ValuesInto(p *nn.Param, dst []float64) {
+	v.overlay(v.entryInto(p, dst), dst)
 }
 
-// NormStats returns the tenant's running mean and variance for base layer bn.
-func (v *DeltaView) NormStats(bn *nn.BatchNorm2D) (mean, variance []float64) {
+// NormStatsInto writes the tenant's running mean and variance for base layer
+// bn into mean and variance.
+func (v *DeltaView) NormStatsInto(bn *nn.BatchNorm2D, mean, variance []float64) {
 	e, ok := v.stats[bn.Gamma.Name]
 	if !ok {
 		panic("checkpoint: delta view has no norm stat " + bn.Gamma.Name)
 	}
-	mean, variance = make([]float64, e.n), make([]float64, e.n)
+	if len(mean) != e.n || len(variance) != e.n {
+		panic(fmt.Sprintf("checkpoint: norm stat %s has %d channels, dst %d and %d", bn.Gamma.Name, e.n, len(mean), len(variance)))
+	}
 	v.normStats(e, mean, variance)
-	return mean, variance
 }

@@ -46,24 +46,32 @@ func checkView(t testing.TB, delta []byte, base, applied *nn.Classifier, applyEr
 	}
 	ap := applied.Params()
 	for i, p := range base.Params() {
-		eff := v.Effective(p)
-		if len(eff.Shape) != 2 || eff.Shape[0] != p.Rows || eff.Shape[1] != p.Cols {
-			t.Fatalf("%s: effective matrix is %v, want [%d %d]", p.Name, eff.Shape, p.Rows, p.Cols)
-		}
-		if !sameBits(eff.Data, ap[i].Effective().Data) {
+		eff := make([]float64, p.W.Len())
+		v.EffectiveInto(p, eff)
+		if !sameBits(eff, ap[i].Effective().Data) {
 			t.Fatalf("%s: view's effective weights differ from apply-then-Effective()", p.Name)
 		}
-		if !sameBits(v.Values(p), ap[i].W.Data) {
+		vals := make([]float64, p.W.Len())
+		v.ValuesInto(p, vals)
+		if !sameBits(vals, ap[i].W.Data) {
 			t.Fatalf("%s: view's values differ from the applied weights", p.Name)
 		}
 	}
 	an := normLayers(applied)
 	for i, bn := range normLayers(base) {
-		mean, variance := v.NormStats(bn)
+		mean, variance := viewNormStats(v, bn)
 		if !sameBits(mean, an[i].RunMean.Data) || !sameBits(variance, an[i].RunVar.Data) {
 			t.Fatalf("%s: view's running statistics differ from the applied model's", bn.Gamma.Name)
 		}
 	}
+}
+
+// viewNormStats reads bn's running statistics out of v into fresh slices.
+func viewNormStats(v *DeltaView, bn *nn.BatchNorm2D) (mean, variance []float64) {
+	n := len(bn.RunMean.Data)
+	mean, variance = make([]float64, n), make([]float64, n)
+	v.NormStatsInto(bn, mean, variance)
+	return mean, variance
 }
 
 // TestDeltaViewMatchesApply: on every family, for deltas that carry every
@@ -104,11 +112,11 @@ func TestDeltaViewMatchesApply(t *testing.T) {
 	}
 }
 
-// TestDeltaViewHandsOutFreshMemory: every read is a new allocation that
-// aliases neither the delta, the base, nor an earlier read — scribbling over
-// one result, and then over the delta itself, changes no other — and reading
-// never writes the base.
-func TestDeltaViewHandsOutFreshMemory(t *testing.T) {
+// TestDeltaViewWritesOnlyDst: every read writes the caller's dst and nothing
+// else — not a guard element on either side of it, not the base — and what
+// it writes are values: scribbling over one read's dst changes no later
+// read, and overwriting the delta afterwards changes no dst already written.
+func TestDeltaViewWritesOnlyDst(t *testing.T) {
 	base := randomModel(models.ResNet, 61, false)
 	delta, err := EncodeModelDelta(base, randomTenant(models.ResNet, 1, base, 62))
 	if err != nil {
@@ -119,28 +127,58 @@ func TestDeltaViewHandsOutFreshMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	const guard = -12345.5
+	// into reads through read into a guarded buffer of n values, checks the
+	// guards, and returns the n values.
+	into := func(name string, n int, read func(dst []float64)) []float64 {
+		buf := make([]float64, n+2)
+		for i := range buf {
+			buf[i] = guard
+		}
+		read(buf[1 : n+1])
+		if buf[0] != guard || buf[n+1] != guard {
+			t.Fatalf("%s: a read wrote outside its dst", name)
+		}
+		return buf[1 : n+1]
+	}
+	var results [][]float64
 	for _, p := range base.Params() {
-		first, vals := v.Effective(p), v.Values(p)
-		want := append([]float64(nil), first.Data...)
-		wantVals := append([]float64(nil), vals...)
-		first.Fill(math.NaN())
-		if second := v.Effective(p); !sameBits(second.Data, want) {
+		n := p.W.Len()
+		eff := into(p.Name, n, func(dst []float64) { v.EffectiveInto(p, dst) })
+		vals := into(p.Name, n, func(dst []float64) { v.ValuesInto(p, dst) })
+		want, wantVals := append([]float64(nil), eff...), append([]float64(nil), vals...)
+		for i := range eff {
+			eff[i], vals[i] = math.NaN(), math.NaN()
+		}
+		if again := into(p.Name, n, func(dst []float64) { v.EffectiveInto(p, dst) }); !sameBits(again, want) {
 			t.Fatalf("%s: a second read saw the first one's overwrite", p.Name)
 		}
-		if !sameBits(vals, wantVals) || !sameBits(v.Values(p), wantVals) {
-			t.Fatalf("%s: values alias the effective matrix", p.Name)
+		again := into(p.Name, n, func(dst []float64) { v.ValuesInto(p, dst) })
+		if !sameBits(again, wantVals) {
+			t.Fatalf("%s: a second values read saw the first one's overwrite", p.Name)
 		}
+		results = append(results, want, again)
 	}
-	bn := normLayers(base)[0]
-	mean, variance := v.NormStats(bn)
-	wantMean, wantVar := append([]float64(nil), mean...), append([]float64(nil), variance...)
-	kept := v.Effective(base.Params()[0])
-	wantKept := append([]float64(nil), kept.Data...)
+	for _, bn := range normLayers(base) {
+		n := len(bn.RunMean.Data)
+		// mean and variance side by side, a guard between them.
+		both := into(bn.Gamma.Name, 2*n+1, func(dst []float64) { v.NormStatsInto(bn, dst[:n], dst[n+1:]) })
+		if both[n] != guard {
+			t.Fatalf("%s: a norm-stat read wrote between its mean and its variance", bn.Gamma.Name)
+		}
+		results = append(results, both[:n], both[n+1:])
+	}
+	wantAll := make([][]float64, len(results))
+	for i, r := range results {
+		wantAll[i] = append([]float64(nil), r...)
+	}
 	for i := range delta {
 		delta[i] = 0xA5
 	}
-	if !sameBits(mean, wantMean) || !sameBits(variance, wantVar) || !sameBits(kept.Data, wantKept) {
-		t.Fatal("a result changed when the delta bytes were overwritten")
+	for i, r := range results {
+		if !sameBits(r, wantAll[i]) {
+			t.Fatal("a result changed when the delta bytes were overwritten")
+		}
 	}
 	if string(saved(t, refSave, base)) != string(before) {
 		t.Fatal("reading through the view wrote the base")

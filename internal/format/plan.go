@@ -85,6 +85,98 @@ func (c *CSR) Compile() *Plan {
 	return p
 }
 
+// PlanSlab is the backing memory of a set of plans whose sizes are known
+// before the first is built: one []Plan and one RowPtr, Col and Val array,
+// which the CompileIn entry points carve front to back. Every carved slice is
+// capped at its length, so no plan can grow into its neighbour.
+type PlanSlab struct {
+	plans  []Plan
+	rowPtr []int32
+	col    []uint16
+	val    []float64
+	// np, nr and nz are the next plan header, row pointer and entry to carve.
+	np, nr, nz int
+}
+
+// NewPlanSlab returns a slab sized exactly for the given number of plans,
+// rows (summed over the plans) and stored entries (summed likewise).
+func NewPlanSlab(plans, rows, nnz int) PlanSlab {
+	var s PlanSlab
+	s.Reset(plans, rows, nnz)
+	return s
+}
+
+// Reset re-sizes s exactly for a new set of plans and carves them from the
+// start of its arrays again, reusing each array that is large enough: a plan
+// carved after Reset may overwrite any plan carved before it.
+func (s *PlanSlab) Reset(plans, rows, nnz int) {
+	s.plans = resize(s.plans, plans)
+	s.rowPtr = resize(s.rowPtr, rows+plans)
+	s.col = resize(s.col, nnz)
+	s.val = resize(s.val, nnz)
+	s.np, s.nr, s.nz = 0, 0, 0
+}
+
+// resize returns v at length n: v's own array when it holds n, a new one of
+// exactly n when it does not.
+func resize[T any](v []T, n int) []T {
+	if cap(v) < n {
+		return make([]T, n)
+	}
+	return v[:n]
+}
+
+// Left reports what has not been carved yet: plan headers, row pointers and
+// entries.
+func (s *PlanSlab) Left() (plans, rowPtrs, nnz int) {
+	return len(s.plans) - s.np, len(s.rowPtr) - s.nr, len(s.col) - s.nz
+}
+
+// carve takes the next plan of rows × cols with nnz entries from s, its
+// RowPtr zeroed. A slab too short for it is an error, and carves nothing.
+func (s *PlanSlab) carve(rows, cols, nnz int) (*Plan, error) {
+	checkCols(cols)
+	plans, rowPtrs, left := s.Left()
+	if plans == 0 || rowPtrs < rows+1 || left < nnz {
+		return nil, fmt.Errorf("format: plan slab has %d plans, %d row pointers and %d entries left, a %d-row plan of %d entries needs 1, %d and %d",
+			plans, rowPtrs, left, rows, nnz, rows+1, nnz)
+	}
+	p := &s.plans[s.np]
+	*p = Plan{
+		Rows: rows, Cols: cols,
+		RowPtr: s.rowPtr[s.nr : s.nr+rows+1 : s.nr+rows+1],
+		Col:    s.col[s.nz : s.nz+nnz : s.nz+nnz],
+		Val:    s.val[s.nz : s.nz+nnz : s.nz+nnz],
+	}
+	s.np, s.nr, s.nz = s.np+1, s.nr+rows+1, s.nz+nnz
+	clear(p.RowPtr)
+	return p, nil
+}
+
+// CompileCSRIn compiles the non-zeros of the dense matrix m, row by row in
+// ascending column order, into a plan carved from s: the plan
+// EncodeCSR(m).Compile() returns, without the CSR encoding between. It
+// panics on a matrix wider than MaxCols.
+func CompileCSRIn(m *tensor.Tensor, s *PlanSlab) (*Plan, error) {
+	rows, cols := checkMatrix(m)
+	p, err := s.carve(rows, cols, m.CountNonZero())
+	if err != nil {
+		return nil, err
+	}
+	i := 0
+	for r := 0; r < rows; r++ {
+		for cc, v := range m.Data[r*cols : (r+1)*cols] {
+			if v != 0 {
+				p.Col[i] = uint16(cc)
+				p.Val[i] = v
+				i++
+			}
+		}
+		p.RowPtr[r+1] = int32(i)
+	}
+	return p, nil
+}
+
 // Compile compiles the encoding into an execution plan: the slot walk of
 // CRISPFormat.MatMul is replayed once at compile time, emitting one
 // (column, value) pair per non-zero slot into the owning output row.
@@ -95,8 +187,21 @@ func (c *CSR) Compile() *Plan {
 // the plan accumulates bit-identically to the slot-walking kernel. It panics
 // on a matrix wider than MaxCols.
 func (e *CRISPFormat) Compile() *Plan {
-	checkCols(e.Cols)
-	p := &Plan{Rows: e.Rows, Cols: e.Cols, RowPtr: make([]int32, e.Rows+1)}
+	s := NewPlanSlab(1, e.Rows, e.nnz())
+	p, err := e.CompileIn(&s)
+	if err != nil {
+		panic(err) // unreachable: s is sized for exactly this plan
+	}
+	return p
+}
+
+// CompileIn is Compile with the plan carved from s. Nothing carved aliases
+// e, so e may be re-encoded at once.
+func (e *CRISPFormat) CompileIn(s *PlanSlab) (*Plan, error) {
+	p, err := s.carve(e.Rows, e.Cols, e.nnz())
+	if err != nil {
+		return nil, err
+	}
 
 	// Pass 1: count non-zero slots per output row, then prefix-sum so that
 	// RowPtr[r] is where row r's span starts.
@@ -107,8 +212,6 @@ func (e *CRISPFormat) Compile() *Plan {
 
 	// Pass 2: fill with RowPtr[r] itself as row r's moving cursor — it ends
 	// on row r+1's start, so shifting the array up one entry restores it.
-	p.Col = make([]uint16, p.RowPtr[e.Rows])
-	p.Val = make([]float64, p.RowPtr[e.Rows])
 	e.walk(func(r int, col uint16, v float64) {
 		p.Col[p.RowPtr[r]] = col
 		p.Val[p.RowPtr[r]] = v
@@ -136,7 +239,18 @@ func (e *CRISPFormat) Compile() *Plan {
 			p.uniform = u
 		}
 	}
-	return p
+	return p, nil
+}
+
+// nnz counts the non-zero slots: the entries a compiled plan keeps.
+func (e *CRISPFormat) nnz() int {
+	n := 0
+	for _, v := range e.Val {
+		if v != 0 {
+			n++
+		}
+	}
+	return n
 }
 
 // walk replays the slot walk of CRISPFormat.MatMul, visiting every non-zero

@@ -175,3 +175,78 @@ func TestParallelRowsPool(t *testing.T) {
 		t.Fatal("small problem not executed")
 	}
 }
+
+// TestPlanSlabCarvesExactly: planShapes' matrices, compiled one after
+// another into one slab sized for all of them — CRISP and CSR alternately —
+// are the plans Compile returns alone (same fingerprint, same uniform span),
+// every slice capped at its length, and the slab ends empty. A slab one
+// entry short fails the last plan and carves nothing for it; a reused slab
+// carves from the start of its arrays again.
+func TestPlanSlabCarvesExactly(t *testing.T) {
+	rng := rand.New(rand.NewSource(76))
+	var ms []*tensor.Tensor
+	plans, rows, nnz := 0, 0, 0
+	for _, s := range planShapes {
+		m := hybridMatrix(rng, s.rows, s.cols, s.b, s.nm, s.pruned)
+		ms = append(ms, m)
+		plans, rows, nnz = plans+1, rows+s.rows, nnz+m.CountNonZero()
+	}
+	compile := func(i int, slab *PlanSlab) (got, alone *Plan, err error) {
+		s := planShapes[i]
+		if i%2 == 1 {
+			got, err = CompileCSRIn(ms[i], slab)
+			return got, EncodeCSR(ms[i]).Compile(), err
+		}
+		e, err := EncodeCRISP(ms[i], s.b, s.nm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err = e.CompileIn(slab)
+		return got, e.Compile(), err
+	}
+	slab := NewPlanSlab(plans, rows, nnz)
+	var first *Plan
+	for i := range ms {
+		got, alone, err := compile(i, &slab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = got
+		}
+		if got.Fingerprint() != alone.Fingerprint() || got.UniformSpan() != alone.UniformSpan() {
+			t.Fatalf("plan %d from the slab differs from the plan compiled alone", i)
+		}
+		if cap(got.RowPtr) != len(got.RowPtr) || cap(got.Col) != len(got.Col) || cap(got.Val) != len(got.Val) {
+			t.Fatalf("plan %d: slices not capped at their length", i)
+		}
+	}
+	if p, r, z := slab.Left(); p+r+z != 0 {
+		t.Fatalf("slab sized for the plans has %d plans, %d row pointers, %d entries left", p, r, z)
+	}
+
+	short := NewPlanSlab(plans, rows, nnz-1)
+	last := len(ms) - 1
+	for i := range ms[:last] {
+		if _, _, err := compile(i, &short); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p0, r0, z0 := short.Left()
+	if _, _, err := compile(last, &short); err == nil {
+		t.Fatal("a slab one entry short compiled the last plan")
+	}
+	if p, r, z := short.Left(); p != p0 || r != r0 || z != z0 {
+		t.Fatal("a failed carve consumed the slab")
+	}
+
+	// Reset reuses the arrays: the next plan lands where the first one did.
+	slab.Reset(1, planShapes[0].rows, ms[0].CountNonZero())
+	again, _, err := compile(0, &slab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &again.Val[0] != &first.Val[0] || &again.RowPtr[0] != &first.RowPtr[0] {
+		t.Fatal("a reset slab did not carve from the start of its arrays")
+	}
+}

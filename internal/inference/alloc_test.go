@@ -3,12 +3,12 @@ package inference
 import (
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"repro/internal/data"
 	"repro/internal/format"
 	"repro/internal/models"
+	"repro/internal/nn"
 	"repro/internal/pruner"
 	"repro/internal/sparsity"
 	"repro/internal/tensor"
@@ -124,51 +124,82 @@ func TestInt8EngineSmallerThanFloat(t *testing.T) {
 }
 
 // TestCompiledPlansDoNotAliasTheEncoder: one CRISPFormat value encodes every
-// parameter of a compile, so a plan that kept a view of it — instead of the
-// copy Compile makes — would be rewritten by the next parameter. Compile two
-// parameters back to back, then scribble over the encoder: the first plan
-// holds what it held, and both still compute what plans compiled alone do.
+// matrix of a compile, one dense buffer holds each matrix's W ⊙ Mask on its
+// way in, and at Int8 one scratch plan holds the float plan each image is
+// quantized from — so a plan or image that kept a view of any of them,
+// instead of the copy it makes, would be rewritten by the next matrix.
+// Compile a tenant at both precisions, then scribble over all three: the
+// engine's Fingerprint (Float32) and QuantSignature (Int8), recomputed over
+// what it holds now, still equal the values folded in as each plan was
+// built, and its logits do not move. The scratch plan is scribbled by
+// re-carving it for every quantized matrix, which reaches all the memory
+// the compile carved it from.
 func TestCompiledPlansDoNotAliasTheEncoder(t *testing.T) {
-	_, clone, _, prune := tenantEnv(t, models.Transformer)
+	_, clone, x, prune := tenantEnv(t, models.Transformer)
 	tenant := clone()
 	prune(tenant, []int{1, 5})
+	x1, x16 := batches(t, x)
 	nm := sparsity.NM{N: 2, M: 4}
-	params := tenant.PrunableParams()[:2]
-
-	e := &Engine{src: OwnParams{}}
-	var plans, alone [2]*format.Plan
-	var err error
-	if plans[0], err = e.newPlan(params[0], 4, nm); err != nil {
-		t.Fatal(err)
-	}
-	col, val, rowPtr := slices.Clone(plans[0].Col), slices.Clone(plans[0].Val), slices.Clone(plans[0].RowPtr)
-	if plans[1], err = e.newPlan(params[1], 4, nm); err != nil {
-		t.Fatal(err)
-	}
-	if len(e.enc.Val) == 0 {
-		t.Fatal("fixture: the second parameter did not go through the CRISP encoder")
-	}
-	for i := range e.enc.Val {
-		e.enc.Val[i] = math.NaN()
-	}
-	clear(e.enc.Offsets)
-	clear(e.enc.BlockCols)
-	if !slices.Equal(plans[0].Col, col) || !slices.Equal(plans[0].Val, val) || !slices.Equal(plans[0].RowPtr, rowPtr) {
-		t.Fatal("compiling a second parameter rewrote the first parameter's plan")
-	}
-	rng := rand.New(rand.NewSource(3))
-	for i, p := range params {
-		enc, err := format.EncodeCRISP(OwnParams{}.Effective(p), 4, nm)
+	for _, prec := range []Precision{Float32, Int8} {
+		c := compiler{src: OwnParams{}, b: 4, nm: nm}
+		eng, err := c.engine(tenant, prec)
 		if err != nil {
-			t.Fatalf("fixture: %s is not hybrid: %v", p.Name, err)
+			t.Fatal(err)
 		}
-		alone[i] = enc.Compile()
-		if plans[i].Fingerprint() != alone[i].Fingerprint() {
-			t.Fatalf("%s: plan from the shared encoder differs from one encoded alone", p.Name)
+		if len(c.enc.Val) == 0 {
+			t.Fatal("fixture: no parameter went through the CRISP encoder")
 		}
-		x := tensor.Randn(rng, 1, p.Cols, 5)
-		if !sameLogits(plans[i].MatMul(x), alone[i].MatMul(x)) {
-			t.Fatalf("%s: plan from the shared encoder computes differently once the encoder is overwritten", p.Name)
+		want := [2]*tensor.Tensor{eng.Logits(x1), eng.Logits(x16)}
+
+		c.e = &Engine{} // re-carving folds into c.e: keep it off eng
+		quantized := 0
+		takes(tenant.Net, prec, func(p *nn.Param, kept bool) {
+			if kept {
+				return
+			}
+			plan, err := c.scratchPlan(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range plan.Val {
+				plan.Val[i], plan.Col[i] = math.NaN(), math.MaxUint16
+			}
+			for i := range plan.RowPtr {
+				plan.RowPtr[i] = -1
+			}
+			quantized++
+		}, func(int) {})
+		if (quantized > 0) != (prec == Int8) {
+			t.Fatalf("%s: fixture re-carved %d scratch plans", prec, quantized)
+		}
+		for i := range c.enc.Val {
+			c.enc.Val[i] = math.NaN()
+		}
+		clear(c.enc.Offsets)
+		clear(c.enc.BlockCols)
+		for i := range c.dense {
+			c.dense[i] = math.NaN()
+		}
+
+		fp, qsig := format.HashInit, format.Hash64(0)
+		if prec == Int8 {
+			qsig = format.HashInit
+		}
+		for _, m := range resident(eng) {
+			if m.quant != nil {
+				qsig = m.quant.Hash(qsig)
+			} else {
+				fp = fp.Uint64(m.plan.Fingerprint())
+			}
+		}
+		if uint64(qsig) != eng.QuantSignature() {
+			t.Fatalf("%s: the images hash to %016x once the scratch is overwritten, %016x when compiled", prec, qsig, eng.QuantSignature())
+		}
+		if prec == Float32 && uint64(fp) != eng.Fingerprint() {
+			t.Fatalf("the plans hash to %016x once the scratch is overwritten, %016x when compiled", fp, eng.Fingerprint())
+		}
+		if !sameLogits(eng.Logits(x1), want[0]) || !sameLogits(eng.Logits(x16), want[1]) {
+			t.Fatalf("%s: logits changed once the compile's scratch was overwritten", prec)
 		}
 	}
 }

@@ -2,8 +2,10 @@ package inference
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/data"
 	"repro/internal/format"
 	"repro/internal/models"
@@ -125,6 +127,146 @@ func resident(eng *Engine) []held {
 	}
 	walk(eng.root)
 	return out
+}
+
+// vectors walks the executor tree for every vector the engine's executors
+// index: biases, γ, β, running statistics and depthwise kernels.
+func vectors(l execLayer) (out [][]float64) {
+	switch v := l.(type) {
+	case *execSeq:
+		for _, c := range v.layers {
+			out = append(out, vectors(c)...)
+		}
+	case *execResidual:
+		out = vectors(v.main)
+		if v.shortcut != nil {
+			out = append(out, vectors(v.shortcut)...)
+		}
+	case *sparseConv:
+		out = [][]float64{v.bias}
+	case *sparseLinear:
+		out = [][]float64{v.bias}
+	case *sparseTokenLinear:
+		out = [][]float64{v.bias}
+	case *sparsePatchEmbed:
+		out = [][]float64{v.bias}
+	case *execDepthwise:
+		out = [][]float64{v.weff, v.bias}
+	case *execBatchNorm:
+		out = [][]float64{v.mean, v.variance, v.gamma, v.beta}
+	case *execLayerNorm:
+		out = [][]float64{v.gamma, v.beta}
+	}
+	return out
+}
+
+// TestEngineSlabsAreExact: an engine compiled from a delta view, the way
+// every serving path compiles one, is carved from slabs sized to the
+// element, on every family at both precisions. Every float plan slice and
+// every vector it keeps has cap == len, so nothing it holds reaches into a
+// neighbour's memory; MemoryFootprint is the hand sum of its plans' and
+// images' SizeBytes, the float conv clip tables and 8 B per vector element
+// of the tree (biases, γ, β, running statistics, depthwise kernels); and
+// Fingerprint and QuantSignature are those of the tenant compiled from its
+// own parameters. mobilenet-s, whose depthwise kernels and batch-norm
+// statistics ride in the vector slab, is a family the serving layer's
+// byte-accounting tests never compile.
+func TestEngineSlabsAreExact(t *testing.T) {
+	nm := sparsity.NM{N: 2, M: 4}
+	for _, f := range []models.Family{models.ResNet, models.VGG, models.MobileNet, models.Transformer} {
+		base, clone, _, prune := tenantEnv(t, f)
+		tenant := clone()
+		prune(tenant, []int{2, 6})
+		delta, err := checkpoint.EncodeModelDelta(base, tenant)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var kernels int64
+		nn.Walk(tenant.Net, func(l nn.Layer) {
+			if dw, ok := l.(*nn.DepthwiseConv2D); ok {
+				kernels += int64(dw.Weight.W.Len()) * 8
+			}
+		})
+		if (kernels > 0) != (f == models.MobileNet) {
+			t.Fatalf("%s: fixture holds %d bytes of depthwise kernels", f, kernels)
+		}
+		for _, prec := range []Precision{Float32, Int8} {
+			eng := engineFromDelta(t, base, delta, prec)
+			own, err := NewWithOptions(tenant, 4, nm, CompileOptions{Precision: prec})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if eng.Fingerprint() != own.Fingerprint() || eng.QuantSignature() != own.QuantSignature() {
+				t.Fatalf("%s/%s: from the delta fp %016x qsig %016x, from the tenant %016x / %016x",
+					f, prec, eng.Fingerprint(), eng.QuantSignature(), own.Fingerprint(), own.QuantSignature())
+			}
+			want := tapAndVectorBytes(tenant, eng) + kernels
+			for _, m := range resident(eng) {
+				want += m.bytes()
+				if p := m.plan; p != nil && (cap(p.RowPtr) != len(p.RowPtr) || cap(p.Col) != len(p.Col) || cap(p.Val) != len(p.Val)) {
+					t.Fatalf("%s/%s: a %T plan's slices have cap %d/%d/%d for len %d/%d/%d", f, prec, m.owner,
+						cap(p.RowPtr), cap(p.Col), cap(p.Val), len(p.RowPtr), len(p.Col), len(p.Val))
+				}
+			}
+			for _, v := range vectors(eng.root) {
+				if cap(v) != len(v) {
+					t.Fatalf("%s/%s: a vector has cap %d for len %d", f, prec, cap(v), len(v))
+				}
+			}
+			if got := eng.MemoryFootprint(); got != want {
+				t.Fatalf("%s/%s: MemoryFootprint %d, hand sum %d", f, prec, got, want)
+			}
+		}
+	}
+}
+
+// rereadSource is OwnParams, except that every read of target after the
+// first keeps one non-zero fewer, or with add one more: measure and compile
+// then see different matrices.
+type rereadSource struct {
+	OwnParams
+	target *nn.Param
+	add    bool
+	reads  int
+}
+
+func (s *rereadSource) EffectiveInto(p *nn.Param, dst []float64) {
+	s.OwnParams.EffectiveInto(p, dst)
+	if p != s.target {
+		return
+	}
+	if s.reads++; s.reads == 1 {
+		return
+	}
+	for i, v := range dst {
+		if s.add && v == 0 {
+			dst[i] = 1
+			return
+		}
+		if !s.add && v != 0 {
+			dst[i] = 0
+			return
+		}
+	}
+}
+
+// TestCompileFailsWhenTheSlabsDisagree: the slabs are sized from one read of
+// the source and filled from another, so a source whose second read of a
+// matrix keeps one non-zero fewer or one more fails the compile — slab left
+// over or short — and never yields an engine with a plan cut to the wrong
+// size.
+func TestCompileFailsWhenTheSlabsDisagree(t *testing.T) {
+	_, clone, _, prune := tenantEnv(t, models.Transformer)
+	tenant := clone()
+	prune(tenant, []int{1, 5})
+	for _, add := range []bool{false, true} {
+		src := &rereadSource{target: tenant.PrunableParams()[0], add: add}
+		_, err := NewFromSource(tenant, src, 4, sparsity.NM{N: 2, M: 4}, CompileOptions{})
+		if err == nil || !strings.Contains(err.Error(), "left") {
+			t.Fatalf("a second read with one non-zero more (%v) or fewer: compile returned %v, want the slabs' disagreement", add, err)
+		}
+		t.Log(err)
+	}
 }
 
 // TestMemoryFootprintManualSum checks the accounting helpers against

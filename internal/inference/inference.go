@@ -32,8 +32,9 @@
 // 32-bit integer lanes (format.QuantPlan's SWAR kernel), and dequantizes
 // once on store, mirroring sparse tensor cores in int8 mode. The float plan
 // behind each int8 image is a compile-time transient, like the dense
-// effective matrix before it: encoded, compiled, fingerprinted, quantized,
-// dropped. An engine keeps only what its forward pass reads, so an int8
+// effective matrix before it: encoded, compiled into one scratch plan the
+// next matrix re-carves, fingerprinted, quantized. An engine keeps only
+// what its forward pass reads, so an int8
 // engine is the smaller one (3 bytes per kept weight against 10). The
 // quantized path rides the same arena (packed code and accumulator slabs
 // pooled like the float slabs), so it is equally allocation-free; its
@@ -49,8 +50,13 @@
 // An engine owns what it reads. compile walks a layer tree for structure and
 // geometry only and takes every value from a ParamSource — the tree's own
 // parameters (OwnParams: New, NewWithOptions) or a tenant's delta over that
-// tree (checkpoint.DeltaView, every serving path) — in memory
-// the source allocates per call and the engine then owns. Once compiled,
+// tree (checkpoint.DeltaView, every serving path) — into memory the compile
+// provides. A compile sizes the engine before it builds anything and carves
+// it from a fixed handful of exactly sized slabs: one []float64 for every
+// bias, γ, β, running statistic and depthwise kernel, and one []format.Plan
+// with one RowPtr, Col and Val array for the float plans. Each matrix's
+// W ⊙ Mask passes through one dense scratch, sized to the tree's largest
+// matrix, that dies with the compile. Once compiled,
 // nothing reachable from the engine is the tree, a layer of it, the source
 // or the bytes behind it: executors hold geometry, dimensions and ReLU caps
 // by value, take no activation-statistics hook (an engine counts no
@@ -67,7 +73,6 @@ package inference
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 
 	"repro/internal/format"
@@ -115,12 +120,7 @@ type CompileOptions struct {
 type Engine struct {
 	numClasses int
 	root       execLayer
-	// src is where compile reads values; nil once compiled.
-	src ParamSource
-	// enc is compile's one CRISP encoder, re-encoded per parameter (plans
-	// copy out of it); zero once compiled.
-	enc       format.CRISPFormat
-	precision Precision
+	precision  Precision
 	// fingerprint and quantSig are running hashes during compile and the
 	// values Fingerprint and QuantSignature report after it.
 	fingerprint, quantSig format.Hash64
@@ -154,59 +154,49 @@ func NewWithOptions(clf *nn.Classifier, blockSize int, nm sparsity.NM, opts Comp
 }
 
 // ParamSource is where compile reads a tenant's values. The nodes it is
-// handed belong to the layer tree being compiled; every result is freshly
-// allocated by the call and owned by the caller — never a view of the
-// source's storage, and never memory an earlier call returned.
+// handed belong to the layer tree being compiled, and dst holds exactly the
+// node's values. Each call overwrites all of dst with values — never a view
+// of the source's storage —, writes nothing else, and keeps no reference to
+// dst.
 type ParamSource interface {
-	// Effective returns p's W ⊙ Mask as a [p.Rows, p.Cols] matrix.
-	Effective(p *nn.Param) *tensor.Tensor
-	// Values returns p's unmasked values (a bias, γ or β vector).
-	Values(p *nn.Param) []float64
-	// NormStats returns bn's running mean and variance.
-	NormStats(bn *nn.BatchNorm2D) (mean, variance []float64)
+	// EffectiveInto writes p's W ⊙ Mask, row-major [p.Rows, p.Cols], into dst.
+	EffectiveInto(p *nn.Param, dst []float64)
+	// ValuesInto writes p's unmasked values (a bias, γ or β vector) into dst.
+	ValuesInto(p *nn.Param, dst []float64)
+	// NormStatsInto writes bn's running mean and variance into mean and
+	// variance.
+	NormStatsInto(bn *nn.BatchNorm2D, mean, variance []float64)
 }
 
 // OwnParams is the source of a classifier compiled from itself: each call
 // copies out of the node it is handed.
 type OwnParams struct{}
 
-// Effective implements ParamSource.
-func (OwnParams) Effective(p *nn.Param) *tensor.Tensor {
-	w := slices.Clone(p.W.Data)
+// EffectiveInto implements ParamSource.
+func (OwnParams) EffectiveInto(p *nn.Param, dst []float64) {
+	copy(dst, p.W.Data)
 	if p.Mask != nil {
 		for i, m := range p.Mask.Data {
-			w[i] *= m
+			dst[i] *= m
 		}
 	}
-	return tensor.FromSlice(w, p.Rows, p.Cols)
 }
 
-// Values implements ParamSource.
-func (OwnParams) Values(p *nn.Param) []float64 { return slices.Clone(p.W.Data) }
+// ValuesInto implements ParamSource.
+func (OwnParams) ValuesInto(p *nn.Param, dst []float64) { copy(dst, p.W.Data) }
 
-// NormStats implements ParamSource.
-func (OwnParams) NormStats(bn *nn.BatchNorm2D) (mean, variance []float64) {
-	return slices.Clone(bn.RunMean.Data), slices.Clone(bn.RunVar.Data)
+// NormStatsInto implements ParamSource.
+func (OwnParams) NormStatsInto(bn *nn.BatchNorm2D, mean, variance []float64) {
+	copy(mean, bn.RunMean.Data)
+	copy(variance, bn.RunVar.Data)
 }
 
 // NewFromSource compiles the tenant whose values src holds: tree supplies
 // the architecture (the tenant's own classifier with OwnParams, the
 // universal model with a delta view over it) and is not retained.
 func NewFromSource(tree *nn.Classifier, src ParamSource, blockSize int, nm sparsity.NM, opts CompileOptions) (*Engine, error) {
-	e := &Engine{
-		numClasses: tree.NumClasses, src: src, precision: opts.Precision,
-		fingerprint: format.HashInit,
-	}
-	if e.precision == Int8 {
-		e.quantSig = format.HashInit // stays 0, the "no codes" signature, at Float32
-	}
-	root, err := e.compile(tree.Net, blockSize, nm)
-	e.src, e.enc = nil, format.CRISPFormat{}
-	if err != nil {
-		return nil, err
-	}
-	e.root = root
-	return e, nil
+	c := compiler{src: src, b: blockSize, nm: nm}
+	return c.engine(tree, opts.Precision)
 }
 
 // Precision reports the compiled execution precision.
@@ -306,94 +296,145 @@ type execLayer interface {
 	forward(x *tensor.Tensor, a *arena) *tensor.Tensor
 }
 
+// compiler is one compile: the source it reads, the scratch every matrix
+// passes through on its way to a plan, and the slabs the engine's vectors and
+// plans are carved from. The engine keeps what was carved for it and nothing
+// else; the scratch dies with the compile, and no slab serves two engines.
+type compiler struct {
+	e   *Engine
+	src ParamSource
+	b   int
+	nm  sparsity.NM
+	// enc is the one CRISP encoder, re-encoded per matrix (plans copy out of
+	// it).
+	enc format.CRISPFormat
+	// dense holds the W ⊙ Mask of the matrix being compiled, behind the header
+	// mat: one buffer, sized to the tree's largest matrix.
+	dense []float64
+	mat   tensor.Tensor
+	shape [2]int
+	// tmp holds the float plan an Int8 image is quantized from, re-carved for
+	// every matrix.
+	tmp format.PlanSlab
+	// plans and vecs back the engine: every float plan it runs, and every
+	// vector its executors index (biases, γ, β, running statistics,
+	// depthwise kernels). measure sizes both exactly.
+	plans format.PlanSlab
+	vecs  []float64
+}
+
+// engine compiles tree at prec, reading every value through c.src. It fails
+// unless compile carves the slabs measure sized to the element.
+func (c *compiler) engine(tree *nn.Classifier, prec Precision) (*Engine, error) {
+	c.e = &Engine{numClasses: tree.NumClasses, precision: prec, fingerprint: format.HashInit}
+	if prec == Int8 {
+		c.e.quantSig = format.HashInit // stays 0, the "no codes" signature, at Float32
+	}
+	if err := c.measure(tree.Net); err != nil {
+		return nil, err
+	}
+	root, err := c.compile(tree.Net)
+	if err != nil {
+		return nil, err
+	}
+	if plans, rowPtrs, nnz := c.plans.Left(); len(c.vecs)+plans+rowPtrs+nnz != 0 {
+		return nil, fmt.Errorf("inference: compile and measure disagree: %d vector elements, %d plans, %d row pointers and %d entries left over",
+			len(c.vecs), plans, rowPtrs, nnz)
+	}
+	c.e.root = root
+	return c.e, nil
+}
+
 // compile mirrors the layer tree, swapping weight-bearing layers for
 // plan-backed executors and eval-mode layers for arena-backed ones, with
-// every value read through e.src. A layer type it does not know is an
-// error: there is no executor that could run it without retaining it.
-func (e *Engine) compile(l nn.Layer, b int, nm sparsity.NM) (execLayer, error) {
+// every value read through c.src into memory carved from c's slabs. A layer
+// type it does not know is an error: there is no executor that could run it
+// without retaining it.
+func (c *compiler) compile(l nn.Layer) (execLayer, error) {
 	switch v := l.(type) {
 	case *nn.Sequential:
-		out := &execSeq{}
-		for _, c := range v.Layers {
-			cc, err := e.compile(c, b, nm)
+		out := &execSeq{layers: make([]execLayer, 0, len(v.Layers))}
+		for _, child := range v.Layers {
+			cl, err := c.compile(child)
 			if err != nil {
 				return nil, err
 			}
-			out.layers = append(out.layers, cc)
+			out.layers = append(out.layers, cl)
 		}
 		return out, nil
 	case *nn.Residual:
-		main, err := e.compile(v.Main, b, nm)
+		main, err := c.compile(v.Main)
 		if err != nil {
 			return nil, err
 		}
 		var short execLayer
 		if v.Shortcut != nil {
-			short, err = e.compile(v.Shortcut, b, nm)
+			short, err = c.compile(v.Shortcut)
 			if err != nil {
 				return nil, err
 			}
 		}
 		return &execResidual{main: main, shortcut: short}, nil
 	case *nn.Conv2D:
-		mm, err := e.newSpMM(v.Weight, b, nm)
+		mm, err := c.newSpMM(v.Weight)
 		if err != nil {
 			return nil, err
 		}
-		sc := &sparseConv{geom: v.Geom, outC: v.OutC, bias: e.own(v.Bias), mm: mm}
+		sc := &sparseConv{geom: v.Geom, outC: v.OutC, bias: c.own(v.Bias), mm: mm}
 		if mm.plan != nil {
 			// Float engines run conv through the fused implicit-im2col
 			// kernel (see format.CompileConv).
 			sc.cp = mm.plan.CompileConv(v.Geom.KH, v.Geom.KW, v.Geom.Stride, v.Geom.Pad)
-			e.footprint += sc.cp.SizeBytes()
+			c.e.footprint += sc.cp.SizeBytes()
 		}
 		return sc, nil
 	case *nn.Linear:
-		mm, err := e.newSpMM(v.Weight, b, nm)
+		mm, err := c.newSpMM(v.Weight)
 		if err != nil {
 			return nil, err
 		}
-		return &sparseLinear{in: v.In, out: v.Out, bias: e.own(v.Bias), mm: mm}, nil
+		return &sparseLinear{in: v.In, out: v.Out, bias: c.own(v.Bias), mm: mm}, nil
 	case *nn.TokenLinear:
-		mm, err := e.newSpMM(v.Weight, b, nm)
+		mm, err := c.newSpMM(v.Weight)
 		if err != nil {
 			return nil, err
 		}
-		return &sparseTokenLinear{in: v.In, out: v.Out, bias: e.own(v.Bias), mm: mm}, nil
+		return &sparseTokenLinear{in: v.In, out: v.Out, bias: c.own(v.Bias), mm: mm}, nil
 	case *nn.PatchEmbed:
-		mm, err := e.newSpMM(v.Weight, b, nm)
+		mm, err := c.newSpMM(v.Weight)
 		if err != nil {
 			return nil, err
 		}
-		return &sparsePatchEmbed{pe: nn.PatchEmbed{C: v.C, P: v.P, D: v.D}, bias: e.own(v.Bias), mm: mm}, nil
+		return &sparsePatchEmbed{pe: nn.PatchEmbed{C: v.C, P: v.P, D: v.D}, bias: c.own(v.Bias), mm: mm}, nil
 	case *nn.MultiHeadAttention:
 		// Float plans at either precision: taking attention to int8 is an
 		// accuracy question the golden agreement suite has not been asked.
 		var w [4]*format.Plan
 		for i, p := range [...]*nn.Param{v.Wq, v.Wk, v.Wv, v.Wo} {
 			var err error
-			if w[i], err = e.newPlan(p, b, nm); err != nil {
+			if w[i], err = c.newPlan(p); err != nil {
 				return nil, err
 			}
 		}
 		return &execAttention{d: v.D, heads: v.Heads, wq: w[0], wk: w[1], wv: w[2], wo: w[3]}, nil
 	case *nn.DepthwiseConv2D:
-		weff := e.src.Effective(v.Weight)
-		e.footprint += int64(len(weff.Data)) * 8
-		return &execDepthwise{geom: v.Geom, bias: e.own(v.Bias), weff: weff}, nil
+		weff := c.vector(v.Weight.W.Len())
+		c.src.EffectiveInto(v.Weight, weff)
+		return &execDepthwise{geom: v.Geom, bias: c.own(v.Bias), weff: weff}, nil
 	case *nn.BatchNorm2D:
-		mean, variance := e.src.NormStats(v)
+		n := len(v.RunMean.Data)
+		mean, variance := c.vector(n), c.vector(n)
+		c.src.NormStatsInto(v, mean, variance)
 		return &execBatchNorm{
-			eps:  v.Eps,
-			mean: e.charge(mean), variance: e.charge(variance),
-			gamma: e.own(v.Gamma), beta: e.own(v.Beta),
+			eps: v.Eps, mean: mean, variance: variance,
+			gamma: c.own(v.Gamma), beta: c.own(v.Beta),
 		}, nil
 	case *nn.ReLU:
 		return &execReLU{clip: v.Cap}, nil
 	case *nn.GELU:
 		return execGELU{}, nil
 	case *nn.LayerNorm:
-		return &execLayerNorm{d: v.D, eps: v.Eps, gamma: e.own(v.Gamma), beta: e.own(v.Beta)}, nil
+		return &execLayerNorm{d: v.D, eps: v.Eps, gamma: c.own(v.Gamma), beta: c.own(v.Beta)}, nil
 	case *nn.MaxPool2D:
 		return &execMaxPool{k: v.K, stride: v.Stride}, nil
 	case *nn.GlobalAvgPool:
@@ -405,6 +446,85 @@ func (e *Engine) compile(l nn.Layer, b int, nm sparsity.NM) (execLayer, error) {
 	default:
 		return nil, fmt.Errorf("inference: no executor for layer type %T", l)
 	}
+}
+
+// takes is compile's switch reduced to what each case takes from the source,
+// in compile order: matrix for every weight compiled to a plan (kept when the
+// engine runs that float plan — an Int8 engine quantizes all but
+// attention's), vector for every run of values an executor copies (a bias, γ,
+// β, a norm layer's two running statistics, a depthwise kernel). A case that
+// compile and takes see differently leaves a slab over, which fails the
+// compile, or runs one short, which panics; TestEngineSlabsAreExact compiles
+// every family at both precisions.
+func takes(l nn.Layer, prec Precision, matrix func(p *nn.Param, kept bool), vector func(n int)) {
+	vec := func(ps ...*nn.Param) {
+		for _, p := range ps {
+			if p != nil {
+				vector(p.W.Len())
+			}
+		}
+	}
+	float := prec != Int8
+	nn.Walk(l, func(l nn.Layer) {
+		switch v := l.(type) {
+		case *nn.Conv2D:
+			matrix(v.Weight, float)
+			vec(v.Bias)
+		case *nn.Linear:
+			matrix(v.Weight, float)
+			vec(v.Bias)
+		case *nn.TokenLinear:
+			matrix(v.Weight, float)
+			vec(v.Bias)
+		case *nn.PatchEmbed:
+			matrix(v.Weight, float)
+			vec(v.Bias)
+		case *nn.MultiHeadAttention:
+			for _, p := range [...]*nn.Param{v.Wq, v.Wk, v.Wv, v.Wo} {
+				matrix(p, true)
+			}
+		case *nn.DepthwiseConv2D:
+			vec(v.Weight, v.Bias)
+		case *nn.BatchNorm2D:
+			vector(2 * len(v.RunMean.Data))
+			vec(v.Gamma, v.Beta)
+		case *nn.LayerNorm:
+			vec(v.Gamma, v.Beta)
+		}
+	})
+}
+
+// measure sizes the dense scratch and the engine's slabs before compile
+// carves anything, in two walks of takes: one for shapes (the largest
+// matrix, the vector elements, the kept plans and their rows), then, with
+// the scratch allocated, one that decodes each kept plan's matrix and counts
+// its non-zeros, which are exactly the entries both the CRISP and the CSR
+// compile keep. A matrix wider than a plan's uint16 columns reach is an error
+// naming the parameter, raised before the source materializes anything.
+func (c *compiler) measure(root nn.Layer) error {
+	var largest, vecs, plans, rows, nnz int
+	var wide *nn.Param
+	takes(root, c.e.precision, func(p *nn.Param, kept bool) {
+		largest = max(largest, p.W.Len())
+		if p.Cols > format.MaxCols && wide == nil {
+			wide = p
+		}
+		if kept {
+			plans++
+			rows += p.Rows
+		}
+	}, func(n int) { vecs += n })
+	if wide != nil {
+		return fmt.Errorf("inference: %s has %d columns, a plan holds at most %d", wide.Name, wide.Cols, format.MaxCols)
+	}
+	c.dense, c.vecs = make([]float64, largest), make([]float64, vecs)
+	takes(root, c.e.precision, func(p *nn.Param, kept bool) {
+		if kept {
+			nnz += c.matrix(p).CountNonZero()
+		}
+	}, func(int) {})
+	c.plans = format.NewPlanSlab(plans, rows, nnz)
+	return nil
 }
 
 // spmm is the executors' shared SpMM dispatch: a compiled float plan, or —
@@ -436,14 +556,15 @@ func (s *spmm) into(b, out *tensor.Tensor, a *arena) *tensor.Tensor {
 }
 
 // newSpMM compiles one weight-bearing layer's SpMM dispatch at the engine's
-// precision. An Int8 engine keeps the image and drops the float plan it was
-// quantized from: no forward path reads it.
-func (e *Engine) newSpMM(p *nn.Param, b int, nm sparsity.NM) (spmm, error) {
-	if e.precision != Int8 {
-		plan, err := e.newPlan(p, b, nm)
+// precision. An Int8 engine keeps the image and not the float plan it was
+// quantized from: that plan is carved from the compile's scratch, which the
+// next matrix re-carves, since no forward path reads it.
+func (c *compiler) newSpMM(p *nn.Param) (spmm, error) {
+	if c.e.precision != Int8 {
+		plan, err := c.newPlan(p)
 		return spmm{plan: plan}, err
 	}
-	plan, err := e.compileParam(p, b, nm)
+	plan, err := c.scratchPlan(p)
 	if err != nil {
 		return spmm{}, err
 	}
@@ -451,64 +572,82 @@ func (e *Engine) newSpMM(p *nn.Param, b int, nm sparsity.NM) (spmm, error) {
 	if err != nil {
 		return spmm{}, err
 	}
-	e.quantSig = q.Hash(e.quantSig)
-	e.footprint += q.SizeBytes()
+	c.e.quantSig = q.Hash(c.e.quantSig)
+	c.e.footprint += q.SizeBytes()
 	return spmm{qplan: q}, nil
 }
 
-// newPlan compiles a float-executed matrix and charges it to the footprint.
-func (e *Engine) newPlan(p *nn.Param, b int, nm sparsity.NM) (*format.Plan, error) {
-	plan, err := e.compileParam(p, b, nm)
+// newPlan compiles a float-executed matrix into the engine's plan slab and
+// charges it to the footprint.
+func (c *compiler) newPlan(p *nn.Param) (*format.Plan, error) {
+	plan, err := c.encode(p, c.matrix(p), &c.plans)
 	if err != nil {
 		return nil, err
 	}
-	e.footprint += plan.SizeBytes()
+	c.e.footprint += plan.SizeBytes()
 	return plan, nil
 }
 
-// compileParam is what every plan-backed layer does at either precision:
-// encode the tenant's effective matrix, compile the float plan, fold its
-// fingerprint into the engine's, and count a compressed layer. A matrix
-// wider than a plan's uint16 columns reach is an error naming the
-// parameter, raised before the source materializes it.
-func (e *Engine) compileParam(p *nn.Param, b int, nm sparsity.NM) (*format.Plan, error) {
-	if p.Cols > format.MaxCols {
-		return nil, fmt.Errorf("inference: %s has %d columns, a plan holds at most %d", p.Name, p.Cols, format.MaxCols)
+// scratchPlan compiles p into the compile's scratch plan, which the next
+// call re-carves.
+func (c *compiler) scratchPlan(p *nn.Param) (*format.Plan, error) {
+	m := c.matrix(p)
+	c.tmp.Reset(1, p.Rows, m.CountNonZero())
+	return c.encode(p, m, &c.tmp)
+}
+
+// matrix decodes p's W ⊙ Mask into the dense scratch and returns it as a
+// [p.Rows, p.Cols] matrix, valid until the next call.
+func (c *compiler) matrix(p *nn.Param) *tensor.Tensor {
+	n := p.W.Len()
+	c.shape = [2]int{p.Rows, p.Cols}
+	c.mat = tensor.Tensor{Shape: c.shape[:], Data: c.dense[:n:n]}
+	c.src.EffectiveInto(p, c.mat.Data)
+	return &c.mat
+}
+
+// encode is what every plan-backed layer does at either precision: compile
+// p's effective matrix m into a plan carved from s, fold its fingerprint into
+// the engine's, and count a compressed layer. Exempt and unprunable
+// parameters use CSR; the rest use the CRISP format when their mask is
+// hybrid, CSR when it is dense or non-conforming (e.g. a baseline pruner) —
+// they still execute, just without the hybrid layout. Either way the plan's
+// per-row accumulation order is the storage kernel's, so results are
+// bit-identical to slot walking, and the plan keeps exactly m's non-zeros.
+func (c *compiler) encode(p *nn.Param, m *tensor.Tensor, s *format.PlanSlab) (*format.Plan, error) {
+	var plan *format.Plan
+	var err error
+	if !p.BlockExempt && p.Prunable && c.enc.Encode(m, c.b, c.nm) == nil {
+		plan, err = c.enc.CompileIn(s)
+	} else {
+		plan, err = format.CompileCSRIn(m, s)
 	}
-	plan := e.encodeParam(p, e.src.Effective(p), b, nm)
-	e.fingerprint = e.fingerprint.Uint64(plan.Fingerprint())
-	e.CompressedLayers++
+	if err != nil {
+		return nil, err
+	}
+	c.e.fingerprint = c.e.fingerprint.Uint64(plan.Fingerprint())
+	c.e.CompressedLayers++
 	return plan, nil
 }
 
-// own takes ownership of a parameter's values (nil for an absent parameter,
-// e.g. a bias-free conv) and charges them to the footprint.
-func (e *Engine) own(p *nn.Param) []float64 {
-	if p == nil {
-		return nil
-	}
-	return e.charge(e.src.Values(p))
-}
-
-// charge adds a vector the source just handed over to the footprint.
-func (e *Engine) charge(v []float64) []float64 {
-	e.footprint += int64(len(v)) * 8
+// vector carves the next n elements of the vector slab and charges them to
+// the footprint.
+func (c *compiler) vector(n int) []float64 {
+	v := c.vecs[:n:n]
+	c.vecs = c.vecs[n:]
+	c.e.footprint += int64(n) * 8
 	return v
 }
 
-// encodeParam compresses one parameter's effective matrix and compiles the
-// execution plan. Exempt and unprunable parameters use CSR; the rest use the
-// CRISP format when their mask is hybrid, CSR when it is dense or
-// non-conforming (e.g. a baseline pruner) — they still execute, just without
-// the hybrid layout. Either way the plan's per-row accumulation order is the
-// storage kernel's, so results are bit-identical to slot walking.
-func (e *Engine) encodeParam(p *nn.Param, masked *tensor.Tensor, b int, nm sparsity.NM) *format.Plan {
-	if !p.BlockExempt && p.Prunable {
-		if err := e.enc.Encode(masked, b, nm); err == nil {
-			return e.enc.Compile()
-		}
+// own copies a parameter's values into the vector slab (nil for an absent
+// parameter, e.g. a bias-free conv).
+func (c *compiler) own(p *nn.Param) []float64 {
+	if p == nil {
+		return nil
 	}
-	return format.EncodeCSR(masked).Compile()
+	v := c.vector(p.W.Len())
+	c.src.ValuesInto(p, v)
+	return v
 }
 
 // Walk hands a Float32 engine's values back — the reverse of compile, which
@@ -561,7 +700,7 @@ func walk(l execLayer, param func(*format.Plan, []float64), norm func(mean, vari
 			param(p, nil)
 		}
 	case *execDepthwise:
-		param(nil, v.weff.Data)
+		param(nil, v.weff)
 		vec(v.bias)
 	case *execBatchNorm:
 		param(nil, v.gamma)
@@ -830,7 +969,7 @@ func (m *execAttention) forward(x *tensor.Tensor, a *arena) *tensor.Tensor {
 type execDepthwise struct {
 	geom tensor.ConvGeom
 	bias []float64 // nil for a bias-free conv
-	weff *tensor.Tensor
+	weff []float64 // [C, KH·KW]
 }
 
 func (d *execDepthwise) forward(x *tensor.Tensor, a *arena) *tensor.Tensor {
@@ -842,7 +981,7 @@ func (d *execDepthwise) forward(x *tensor.Tensor, a *arena) *tensor.Tensor {
 	for b := 0; b < n; b++ {
 		for ch := 0; ch < cch; ch++ {
 			src := x.Data[(b*cch+ch)*g.InH*g.InW : (b*cch+ch+1)*g.InH*g.InW]
-			ker := d.weff.Data[ch*g.KH*g.KW : (ch+1)*g.KH*g.KW]
+			ker := d.weff[ch*g.KH*g.KW : (ch+1)*g.KH*g.KW]
 			dst := y.Data[(b*cch+ch)*oh*ow : (b*cch+ch+1)*oh*ow]
 			bias := 0.0
 			if d.bias != nil {

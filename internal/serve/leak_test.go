@@ -293,8 +293,13 @@ func benchShapeServer(t *testing.T, f models.Family, tiers Options) *Server {
 // delta the warm record holds (checkpoint.EncodeEngineDelta: one listing of
 // the base, the record and a handful of objects) — and promotes the other
 // straight from (base, delta) — no classifier is built. Measured per demote
-// + promote pair: transformer-s 217 objects / 231 KB for 14 plans, resnet-s
-// 274 / 1.86 MB for 11. Deriving the delta added its bytes (226 / 199 KB and
+// + promote pair: transformer-s 83 objects / 96 KB for 14 plans, resnet-s
+// 131 / 781 KB for 11, now that a compile carves its engine from a few
+// exactly sized slabs (one vector slab; one []Plan and one RowPtr, Col and
+// Val array) and decodes every matrix into one dense scratch. Before, every
+// plan was four objects, every vector its own, and every matrix a fresh
+// dense W ⊙ Mask (three objects, and most of the bytes): 217 / 231 KB and
+// 274 / 1.86 MB. Deriving the delta added its bytes (226 / 199 KB and
 // 289 / 1.66 MB while the hot tenant held the delta and demotion parked it),
 // and listing a model's parameters into one growing slice, instead of one per
 // layer, took more objects off the promotion's view and the derivation than
@@ -303,13 +308,13 @@ func benchShapeServer(t *testing.T, f models.Family, tiers Options) *Server {
 // registry, 256 / 211 KB when it compiled 6 and kept attention's eight
 // projections dense, 792 / 692 KB when promotion built and filled a clone;
 // resnet-s 299 / 1.73 MB with int32 columns and a tap table per conv, 315 /
-// 1.73 MB, 400 / 1.95 MB, 1 326 / 6.45 MB. The budgets leave a little room
-// for toolchain drift and admit neither a clone — a build alone is 307
+// 1.73 MB, 400 / 1.95 MB, 1 326 / 6.45 MB. The budgets are the measurement
+// plus about 15 % and admit neither a clone — a build alone is 307
 // objects / 315 KB on transformer-s and 417 / 2.75 MB on resnet-s — nor
-// anything per plan beyond the plan itself: a CRISPFormat encoder allocated
-// per parameter (4 objects each; compile owns one and re-encodes it) adds
-// 56 and 44 objects, and eight dense D×D projections are 64 KB of a
-// transformer-s promotion's bytes.
+// anything per matrix beyond what the slabs hold: a dense W ⊙ Mask per
+// matrix adds 42 and 33 objects, a plan allocated on its own 56 and 44, and
+// so does a CRISPFormat encoder allocated per parameter (compile owns one
+// and re-encodes it).
 func TestPromoteAllocsBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -320,7 +325,7 @@ func TestPromoteAllocsBudget(t *testing.T) {
 	for _, c := range []struct {
 		family         models.Family
 		objects, bytes float64
-	}{{models.Transformer, 240, 250e3}, {models.ResNet, 310, 2.0e6}} {
+	}{{models.Transformer, 96, 110e3}, {models.ResNet, 151, 0.9e6}} {
 		t.Run(string(c.family), func(t *testing.T) {
 			s := benchShapeServer(t, c.family, Options{CacheSize: 1, MemoryBudgetBytes: 1 << 40})
 			sets := [][]int{{0, 1, 3}, {2, 5, 8}}
