@@ -110,7 +110,7 @@ func main() {
 		workers    = flag.Int("workers", 0, "personalization worker bound (0 = GOMAXPROCS)")
 		cacheSize  = flag.Int("cache", 64, "maximum cached engines (LRU beyond)")
 		memBudget  = flag.String("memory-budget", "", "resident tenant-state byte budget enabling the hot/warm/cold tiered cache, e.g. 512M or 2G (empty: single-level LRU)")
-		hotFrac    = flag.Float64("hot-fraction", 0.75, "share of -memory-budget reserved for hot compiled engines; the rest holds warm delta records")
+		hotFrac    = flag.Float64("hot-fraction", 0.75, "share of -memory-budget reserved for hot compiled engines, in (0, 1]; the rest holds warm delta records")
 		snapDir    = flag.String("snapshot-dir", "", "durable personalization store directory (empty: memory-only); shards sharing one directory can hand tenants off through it")
 		maxBatch   = flag.Int("max-batch", 16, "coalesce concurrent predicts up to this many samples per engine call (1 disables batching)")
 		linger     = flag.Duration("linger", 2*time.Millisecond, "max time a predict waits for batch mates before flushing")
@@ -148,6 +148,10 @@ func main() {
 	}
 
 	budget, err := parseBytes(*memBudget)
+	if err != nil {
+		log.Fatal(err)
+	}
+	tiers, err := tierMode(budget, *hotFrac)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -233,10 +237,6 @@ func main() {
 		log.Fatal(err)
 	}
 
-	tierMode := "single-level LRU"
-	if budget > 0 {
-		tierMode = fmt.Sprintf("tiered, budget %d bytes (hot %.0f%%)", budget, *hotFrac*100)
-	}
 	shard := "standalone"
 	if *shardID != "" {
 		shard = "shard " + *shardID
@@ -246,7 +246,7 @@ func main() {
 		qosMode = "qos off (FIFO)"
 	}
 	log.Printf("serving on %s (%s, %d workers, cache %d, %s, max-batch %d, linger %v, max-queue %d, precision %s, %s)",
-		ln.Addr(), shard, s.Stats().Workers, *cacheSize, tierMode, *maxBatch, *linger, *maxQueue, prec, qosMode)
+		ln.Addr(), shard, s.Stats().Workers, *cacheSize, tiers, *maxBatch, *linger, *maxQueue, prec, qosMode)
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
@@ -348,6 +348,21 @@ func gracefulStop(srv, pprofSrv *http.Server, s *serve.Server, hasStore bool, ti
 		}
 	}
 	s.Close()
+}
+
+// tierMode describes the engine cache the server runs for a -memory-budget
+// of budget bytes and a -hot-fraction of hotFrac: the single-level LRU
+// without a budget (hotFrac unused), else the tiered cache and the hot share
+// it reserves. With a budget, a share outside (0, 1] is an error rather than
+// a share the server would replace.
+func tierMode(budget int64, hotFrac float64) (string, error) {
+	if budget == 0 {
+		return "single-level LRU", nil
+	}
+	if !(hotFrac > 0 && hotFrac <= 1) {
+		return "", fmt.Errorf("-hot-fraction %v outside (0, 1]", hotFrac)
+	}
+	return fmt.Sprintf("tiered, budget %d bytes (hot %.0f%%)", budget, hotFrac*100), nil
 }
 
 // parseBytes parses a human byte size: a plain integer, or one with a K/M/G

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"log"
+	"math"
 	"math/rand"
 	"net"
 	"net/http"
@@ -49,6 +50,30 @@ func TestParseBytes(t *testing.T) {
 		}
 		if err == nil && got != tc.want {
 			t.Fatalf("parseBytes(%q) = %d, want %d", tc.in, got, tc.want)
+		}
+	}
+}
+
+func TestTierMode(t *testing.T) {
+	cases := []struct {
+		budget  int64
+		hotFrac float64
+		want    string // "" wants an error
+	}{
+		{0, 0.75, "single-level LRU"},
+		{0, 1.5, "single-level LRU"}, // no budget: the share is unused
+		{64 << 20, 0.75, "tiered, budget 67108864 bytes (hot 75%)"},
+		{64 << 20, 1, "tiered, budget 67108864 bytes (hot 100%)"},
+		{64 << 20, 0.5, "tiered, budget 67108864 bytes (hot 50%)"},
+		{64 << 20, 1.5, ""},
+		{64 << 20, 0, ""},
+		{64 << 20, -0.25, ""},
+		{64 << 20, math.NaN(), ""},
+	}
+	for _, tc := range cases {
+		got, err := tierMode(tc.budget, tc.hotFrac)
+		if (err == nil) != (tc.want != "") || got != tc.want {
+			t.Fatalf("tierMode(%d, %v) = %q, %v; want %q", tc.budget, tc.hotFrac, got, err, tc.want)
 		}
 	}
 }

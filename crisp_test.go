@@ -2,6 +2,7 @@ package crisp
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"testing"
 
@@ -295,8 +296,8 @@ func TestFacadeDeployWorkflow(t *testing.T) {
 }
 
 // TestCheckpointFailsClosed: a saved model loads back exactly, and a saved
-// model with one bit flipped anywhere, or cut short, is an error that
-// leaves the destination model as it was.
+// model with one bit flipped anywhere, cut short, or of the previous record
+// version, is an error that leaves the destination model as it was.
 func TestCheckpointFailsClosed(t *testing.T) {
 	ds := NewDataset(data.Config{
 		Name: "ckpt-test", NumClasses: 6, Channels: 3, H: 8, W: 8,
@@ -342,6 +343,11 @@ func TestCheckpointFailsClosed(t *testing.T) {
 	for _, cut := range []int{0, 5, len(saved) / 2, len(saved) - 1} {
 		rejects(fmt.Sprintf("cut to %d of %d bytes", cut, len(saved)), saved[:cut])
 	}
+	// A model saved by an older build, whose record is version 4 (the delta
+	// under the full pruning report), fails at the header and is saved again.
+	v4 := append([]byte(nil), saved...)
+	binary.LittleEndian.PutUint32(v4[4:], 4)
+	rejects("a v4 model stream", v4)
 
 	// The saved model is unpruned, so a mask the destination holds must go.
 	dst := fresh()

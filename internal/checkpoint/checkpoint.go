@@ -4,14 +4,15 @@
 // times (the deployment story of the paper), and a personalized tenant can
 // be held warm and restored after a restart.
 //
-// There is one model format on disk: the v4 personalization record
-// (personalization.go), a model delta (delta.go) under a class set, a
-// pruning report and a CRC-64 trailer. A saved universal model is a record
+// There is one model format on disk: the v5 personalization record
+// (personalization.go), a model delta (delta.go) under a fixed-size header
+// (class set, accuracy, achieved sparsity, FLOPs ratio) and a CRC-64
+// trailer. A saved universal model is a record
 // serving every class. The record keeps masks, kept weights (an unmasked
 // parameter whole) and norm statistics, never a weight at a pruned
 // position, and its one reader fails closed.
 //
-// Both formats in the package — the v3 model delta and the v4 record that
+// Both formats in the package — the v3 model delta and the v5 record that
 // carries one — are written and read by one codec (codec.go) that works a
 // slice at a time through a 4 KiB chunk. Each delta encode
 // (EncodeModelDelta, EncodeEngineDelta), view (ViewModelDelta, which

@@ -3,8 +3,8 @@ package checkpoint
 // The per-value codec every format in this package used before the chunked
 // one (codec.go), kept as the test-only oracle: one Write / Read and one
 // hash call per field, a heap-allocated scratch per value. It follows the
-// formats as they change — the v4 personalization record that carries a
-// delta, the v3 delta without a "same" mode — but not the chunking. The
+// formats as they change — the v5 personalization record that carries a
+// delta under a fixed-size header, the v3 delta without a "same" mode — but not the chunking. The
 // differential tests (codec_diff_test.go) hold the new encoders to these
 // bytes and check that each side loads what the other wrote.
 
@@ -19,7 +19,6 @@ import (
 	"math"
 
 	"repro/internal/nn"
-	"repro/internal/pruner"
 )
 
 // refSave writes every bit of a classifier, one value at a time: each
@@ -203,27 +202,8 @@ func refSavePersonalization(w io.Writer, rec PersonalizationRecord, clf *nn.Clas
 	}
 	bw.f64(rec.Accuracy)
 
-	r := rec.Report
-	bw.str(r.Method)
-	bw.f64(r.Target)
-	bw.f64(r.AchievedSparsity)
-	bw.f64(r.FLOPsRatio)
-	bw.u32(uint32(len(r.Layers)))
-	for _, l := range r.Layers {
-		bw.str(l.Name)
-		bw.u32(uint32(l.Rows))
-		bw.u32(uint32(l.Cols))
-		bw.f64(l.Sparsity)
-		bw.i32(int32(l.KeptBlockCols)) // −1 marks block-exempt layers
-		bw.u32(uint32(l.GridCols))
-	}
-	bw.u32(uint32(len(r.Iterations)))
-	for _, it := range r.Iterations {
-		bw.u32(uint32(it.Iteration))
-		bw.f64(it.Kappa)
-		bw.f64(it.Sparsity)
-		bw.f64(it.Loss)
-	}
+	bw.f64(rec.Report.AchievedSparsity)
+	bw.f64(rec.Report.FLOPsRatio)
 
 	delta, err := refEncodeModelDelta(clf, clf)
 	if err != nil {
@@ -269,48 +249,8 @@ func refLoadPersonalization(r io.Reader, clf *nn.Classifier) (PersonalizationRec
 	}
 	rec.Accuracy = br.f64()
 
-	rec.Report.Method = br.str()
-	rec.Report.Target = br.f64()
 	rec.Report.AchievedSparsity = br.f64()
 	rec.Report.FLOPsRatio = br.f64()
-	nl := int(br.u32())
-	if br.err != nil {
-		return rec, br.err
-	}
-	if nl < 0 || nl > maxCount {
-		return rec, fmt.Errorf("checkpoint: implausible layer count %d", nl)
-	}
-	rec.Report.Layers = make([]pruner.LayerStat, nl)
-	for i := range rec.Report.Layers {
-		l := &rec.Report.Layers[i]
-		l.Name = br.str()
-		l.Rows = int(br.u32())
-		l.Cols = int(br.u32())
-		l.Sparsity = br.f64()
-		l.KeptBlockCols = int(br.i32())
-		l.GridCols = int(br.u32())
-		if br.err != nil {
-			return rec, br.err
-		}
-	}
-	ni := int(br.u32())
-	if br.err != nil {
-		return rec, br.err
-	}
-	if ni < 0 || ni > maxCount {
-		return rec, fmt.Errorf("checkpoint: implausible iteration count %d", ni)
-	}
-	rec.Report.Iterations = make([]pruner.IterStat, ni)
-	for i := range rec.Report.Iterations {
-		it := &rec.Report.Iterations[i]
-		it.Iteration = int(br.u32())
-		it.Kappa = br.f64()
-		it.Sparsity = br.f64()
-		it.Loss = br.f64()
-		if br.err != nil {
-			return rec, br.err
-		}
-	}
 
 	delta := br.bytes(int(br.u32()))
 	sum := br.crc.Sum64()

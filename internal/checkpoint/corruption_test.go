@@ -1,7 +1,7 @@
 package checkpoint
 
 // Systematic corruption suite for the checksummed formats. The contract the
-// crc64 trailer buys (personalization v4, delta v3): ANY single flipped bit
+// crc64 trailer buys (personalization v5, delta v3): ANY single flipped bit
 // anywhere in the stream — header, counts, strings, raw float payload, the
 // trailer itself — and any truncation must surface as a load error, never a
 // panic and never a silently different model. Before the trailer, flips
@@ -157,9 +157,9 @@ func TestDeltaTruncationsFailClosed(t *testing.T) {
 }
 
 // TestLegacyDowngradeRejected: there is no reader for an earlier record to
-// fall into. A v4 record whose version word reads 3 (the retired
-// dense-classifier record) or 2 (the retired trailer-less one) is an
-// unsupported-version error, not a load that skips the delta's bound or the
+// fall into. A v5 record whose version word reads 4 (the retired record
+// under the full pruning report), 3 (the retired dense-classifier record) or
+// 2 (the retired trailer-less one) is an unsupported-version error, not a load that skips the delta's bound or the
 // checksum.
 func TestLegacyDowngradeRejected(t *testing.T) {
 	src := prunedModel(37)
@@ -168,13 +168,13 @@ func TestLegacyDowngradeRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := models.Build(models.ResNet, rand.New(rand.NewSource(38)), 4, 1)
-	for _, v := range []byte{3, 2} {
+	for _, v := range []byte{4, 3, 2} {
 		mut := append([]byte(nil), buf.Bytes()...)
-		mut[4] = v // little-endian version word: 4 -> v
+		mut[4] = v // little-endian version word: 5 -> v
 		want := fmt.Sprintf("unsupported version %d", v)
 		_, err := LoadPersonalization(bytes.NewReader(mut), dst)
 		if err == nil || !strings.Contains(err.Error(), want) {
-			t.Fatalf("v4 record with its version word set to %d: got %v, want an unsupported-version error", v, err)
+			t.Fatalf("v5 record with its version word set to %d: got %v, want an unsupported-version error", v, err)
 		}
 		// The same record cut before its trailer, as a v2 record was.
 		_, err = LoadPersonalization(bytes.NewReader(mut[:len(mut)-8]), dst)

@@ -27,11 +27,7 @@ func FuzzLoadPersonalization(f *testing.F) {
 	}
 	rec := PersonalizationRecord{
 		Key: "0,2", Classes: []int{0, 2}, Accuracy: 0.5,
-		Report: pruner.Report{
-			Method: "crisp", Target: 0.7, AchievedSparsity: 0.69, FLOPsRatio: 0.4,
-			Layers:     []pruner.LayerStat{{Name: "l0", Rows: 8, Cols: 8, Sparsity: 0.5, KeptBlockCols: -1, GridCols: 2}},
-			Iterations: []pruner.IterStat{{Iteration: 0, Kappa: 0.7, Sparsity: 0.69, Loss: 1.1}},
-		},
+		Report: pruner.Summary{AchievedSparsity: 0.69, FLOPsRatio: 0.4},
 	}
 	delta, err := EncodeModelDelta(clf, clf)
 	if err != nil {

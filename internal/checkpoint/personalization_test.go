@@ -38,21 +38,7 @@ func testRecord() PersonalizationRecord {
 		Key:      "1,3",
 		Classes:  []int{1, 3},
 		Accuracy: 0.875,
-		Report: pruner.Report{
-			Method:           "crisp",
-			Target:           0.7,
-			AchievedSparsity: 0.7125,
-			FLOPsRatio:       0.41,
-			Layers: []pruner.LayerStat{
-				{Name: "conv1.w", Rows: 16, Cols: 27, Sparsity: 0.5, KeptBlockCols: 3, GridCols: 7},
-				// −1 marks block-exempt layers; the signed field must survive.
-				{Name: "head.w", Rows: 4, Cols: 16, Sparsity: 0.75, KeptBlockCols: -1, GridCols: 4},
-			},
-			Iterations: []pruner.IterStat{
-				{Iteration: 0, Kappa: 0.6, Sparsity: 0.61, Loss: 1.2},
-				{Iteration: 1, Kappa: 0.7, Sparsity: 0.71, Loss: 0.9},
-			},
-		},
+		Report:   pruner.Summary{AchievedSparsity: 0.7125, FLOPsRatio: 0.41},
 	}
 }
 
@@ -78,24 +64,24 @@ func TestPersonalizationRoundTrip(t *testing.T) {
 	checkRebuilt(t, src, dst)
 }
 
-// TestVersionsDoNotCrossLoad pins the compatibility contract: a v4 record
+// TestVersionsDoNotCrossLoad pins the compatibility contract: a v5 record
 // loads, and no other version word in its place does — 1 (the retired
-// whole-classifier stream) and 3 (the dense-classifier record) included.
+// whole-classifier stream), 3 (the dense-classifier record) and 4 (the
+// record under the full pruning report) included.
 func TestVersionsDoNotCrossLoad(t *testing.T) {
 	clf := prunedModel(9)
 	dst := models.Build(models.ResNet, rand.New(rand.NewSource(10)), 4, 1)
 
-	var v4 bytes.Buffer
-	if err := SavePersonalization(&v4, testRecord(), clf); err != nil {
+	var v5 bytes.Buffer
+	if err := SavePersonalization(&v5, testRecord(), clf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadPersonalization(bytes.NewReader(v4.Bytes()), dst); err != nil {
-		t.Fatalf("v4 record no longer loads: %v", err)
+	if _, err := LoadPersonalization(bytes.NewReader(v5.Bytes()), dst); err != nil {
+		t.Fatalf("v5 record no longer loads: %v", err)
 	}
-	// Versions 0, 1, 2, 3 (the dense-classifier record) and 5 in a record's
-	// version word: none loads.
-	for _, v := range []byte{0, 1, 2, 3, 5} {
-		mut := append([]byte(nil), v4.Bytes()...)
+	// Versions 0 through 4 and 6 in a record's version word: none loads.
+	for _, v := range []byte{0, 1, 2, 3, 4, 6} {
+		mut := append([]byte(nil), v5.Bytes()...)
 		mut[4] = v
 		if _, err := LoadPersonalization(bytes.NewReader(mut), dst); err == nil {
 			t.Fatalf("LoadPersonalization accepted version %d", v)

@@ -26,10 +26,11 @@ type Config struct {
 	NM sparsity.NM
 	// BlockSize is the coarse block edge B.
 	BlockSize int
-	// MinKeepBlockCols floors the kept rank columns per layer (≥1 guards
-	// against layer collapse).
-	MinKeepBlockCols int
 }
+
+// minKeepBlockCols floors the kept rank columns per layer, guarding against
+// layer collapse.
+const minKeepBlockCols = 1
 
 // Validate rejects malformed configurations.
 func (c Config) Validate() error {
@@ -38,9 +39,6 @@ func (c Config) Validate() error {
 	}
 	if c.BlockSize <= 0 {
 		return fmt.Errorf("core: non-positive block size %d", c.BlockSize)
-	}
-	if c.MinKeepBlockCols < 1 {
-		return fmt.Errorf("core: MinKeepBlockCols %d must be ≥1", c.MinKeepBlockCols)
 	}
 	return nil
 }
@@ -90,7 +88,7 @@ func ApplyHybrid(layers []*Layer, cfg Config, kappa float64) float64 {
 			continue
 		}
 		g := sparsity.NewBlockGrid(rows, cols, cfg.BlockSize)
-		if g.GridCols() <= cfg.MinKeepBlockCols {
+		if g.GridCols() <= minKeepBlockCols {
 			continue
 		}
 		// Line 5: block scores over the surviving (post-N:M) importance.
@@ -98,7 +96,7 @@ func ApplyHybrid(layers []*Layer, cfg Config, kappa float64) float64 {
 		bs := sparsity.BlockScores(masked, g)
 		// Lines 6–7: per-row ascending sort and rank aggregation.
 		rcs := sparsity.RankColumns(bs)
-		for i := 0; i < len(rcs)-cfg.MinKeepBlockCols; i++ {
+		for i := 0; i < len(rcs)-minKeepBlockCols; i++ {
 			cands = append(cands, candidate{
 				layer: l,
 				grid:  g,

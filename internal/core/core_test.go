@@ -25,7 +25,7 @@ func mkLayer(rng *rand.Rand, id string, rows, cols int, exempt bool) *Layer {
 }
 
 func defaultCfg() Config {
-	return Config{NM: sparsity.NM{N: 2, M: 4}, BlockSize: 4, MinKeepBlockCols: 1}
+	return Config{NM: sparsity.NM{N: 2, M: 4}, BlockSize: 4}
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -33,9 +33,8 @@ func TestConfigValidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := []Config{
-		{NM: sparsity.NM{N: 0, M: 4}, BlockSize: 4, MinKeepBlockCols: 1},
-		{NM: sparsity.NM{N: 2, M: 4}, BlockSize: 0, MinKeepBlockCols: 1},
-		{NM: sparsity.NM{N: 2, M: 4}, BlockSize: 4, MinKeepBlockCols: 0},
+		{NM: sparsity.NM{N: 0, M: 4}, BlockSize: 4},
+		{NM: sparsity.NM{N: 2, M: 4}, BlockSize: 0},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -86,8 +85,8 @@ func TestApplyHybridInvariants(t *testing.T) {
 		}
 		counts := sparsity.KeptBlocksPerRow(l.Mask, g)
 		for _, c := range counts {
-			if c < cfg.MinKeepBlockCols {
-				t.Fatalf("%s: row kept %d < floor %d", l.ID, c, cfg.MinKeepBlockCols)
+			if c < minKeepBlockCols {
+				t.Fatalf("%s: row kept %d < floor %d", l.ID, c, minKeepBlockCols)
 			}
 		}
 	}
@@ -143,7 +142,7 @@ func TestApplyHybridEmpty(t *testing.T) {
 func TestBlockOnlyVia11Pattern(t *testing.T) {
 	// NM{1,1} keeps everything → pure balanced block pruning.
 	rng := rand.New(rand.NewSource(6))
-	cfg := Config{NM: sparsity.NM{N: 1, M: 1}, BlockSize: 4, MinKeepBlockCols: 1}
+	cfg := Config{NM: sparsity.NM{N: 1, M: 1}, BlockSize: 4}
 	layers := []*Layer{mkLayer(rng, "a", 16, 32, false)}
 	got := ApplyHybrid(layers, cfg, 0.5)
 	if math.Abs(got-0.5) > 0.13 {
@@ -162,7 +161,7 @@ func TestApplyHybridProperty(t *testing.T) {
 	f := func(seed int64, kappaRaw, nRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		nm := sparsity.NM{N: int(nRaw)%3 + 1, M: 4}
-		cfg := Config{NM: nm, BlockSize: 4, MinKeepBlockCols: 1}
+		cfg := Config{NM: nm, BlockSize: 4}
 		kappa := 0.5 + float64(kappaRaw%45)/100.0 // 0.50..0.94
 		layers := []*Layer{
 			mkLayer(rng, "a", 8, 16, false),

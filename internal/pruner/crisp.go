@@ -24,7 +24,7 @@ func NewCRISP(opts Options) *CRISP { return &CRISP{Opts: opts.WithDefaults()} }
 
 // coreConfig maps Options onto the mask-construction config.
 func coreConfig(o Options) core.Config {
-	return core.Config{NM: o.NM, BlockSize: o.BlockSize, MinKeepBlockCols: o.MinKeepBlockCols}
+	return core.Config{NM: o.NM, BlockSize: o.BlockSize}
 }
 
 // coreLayers adapts prunable parameters and their scores to core.Layer

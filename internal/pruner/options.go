@@ -53,9 +53,6 @@ type Options struct {
 	Schedule Schedule
 	// Saliency selects the importance criterion (default: the paper's CASS).
 	Saliency saliency.Method
-	// MinKeepBlockCols floors the kept rank columns per layer, guarding
-	// against layer collapse.
-	MinKeepBlockCols int
 	// Seed drives batch shuffling.
 	Seed int64
 }
@@ -116,9 +113,6 @@ func (o Options) WithDefaults() Options {
 	if o.WeightDecay == 0 {
 		o.WeightDecay = 4e-5
 	}
-	if o.MinKeepBlockCols == 0 {
-		o.MinKeepBlockCols = 1
-	}
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
@@ -172,6 +166,18 @@ type Report struct {
 	FLOPsRatio       float64
 	Layers           []LayerStat
 	Iterations       []IterStat
+}
+
+// Summary is what a served tenant keeps of its Report: the sparsity the
+// run achieved and the share of dense FLOPs it left. It is fixed-size.
+type Summary struct {
+	AchievedSparsity float64
+	FLOPsRatio       float64
+}
+
+// Summary returns r's fixed-size summary.
+func (r Report) Summary() Summary {
+	return Summary{AchievedSparsity: r.AchievedSparsity, FLOPsRatio: r.FLOPsRatio}
 }
 
 // String renders a short human-readable summary.

@@ -105,8 +105,7 @@ func TestSnapshotFromDeltaRestoresIdenticalEngine(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rec := checkpoint.PersonalizationRecord{Key: p1.Key, Classes: p1.Classes, Accuracy: p1.Accuracy, Report: p1.Report}
-			if err := st.put(rec, cloneDelta); err != nil {
+			if err := st.put(p1.PersonalizationRecord, cloneDelta); err != nil {
 				t.Fatal(err)
 			}
 

@@ -130,11 +130,14 @@
 // amortization argument assumes away):
 //
 //   - Write-behind: when a pruning job completes, its Personalization is
-//     written as a checkpoint v4 personalization record — the class set,
-//     report and accuracy over the tenant's model delta, verbatim (a
-//     Float32 tenant's is derived from its engine first) — on the worker
-//     pool; Personalize and Predict never wait on disk, and no model is
-//     built for the write. The record is the very bytes a warm entry holds.
+//     written as a checkpoint v5 personalization record — the tenant's
+//     fixed-size header (class set, accuracy, achieved sparsity, FLOPs
+//     ratio) over its model delta, verbatim (a Float32 tenant's is derived
+//     from its engine first) — on the worker pool; Personalize and Predict
+//     never wait on disk, and no model is built for the write. The record is
+//     the very bytes a warm entry holds, under the very header the hot
+//     tenant and the warm entry share (checkpoint.PersonalizationRecord):
+//     no tier keeps the pruning run's per-layer or per-round log.
 //     Once the store acknowledges it, an Int8 tenant drops the delta it
 //     held: the record is its delta from then on.
 //     Records land via temp-file + rename, and an index file names the
@@ -146,7 +149,8 @@
 //     other tenant's (compiled buffers are never persisted, and no model is
 //     built). A delta restores over any universal model of its
 //     architecture. Corrupt, truncated or unreadable records — another
-//     version, another architecture — are quarantined, skipped and counted
+//     version (a v4 record an older build wrote), another architecture —
+//     are quarantined, skipped and counted
 //     in Stats.RestoreErrors; a bad snapshot never takes the server down,
 //     and costs its tenant one re-prune. Restored engines are bit-identical
 //     to the originals: the delta preserves exact float64 bits and format

@@ -74,7 +74,7 @@ func (s *Server) Drain() ([]HandoffTenant, error) {
 	for _, el := range s.warm {
 		we := el.Value.(*warmEntry)
 		tenants = append(tenants, HandoffTenant{
-			Key: we.key, Classes: we.classes, Fingerprint: we.fp, QuantSignature: we.qsig,
+			Key: we.Key, Classes: we.Classes, Fingerprint: we.fp, QuantSignature: we.qsig,
 		})
 	}
 	s.mu.Unlock()

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
@@ -70,62 +71,68 @@ func TestRecordIsTheBenchmarksOracle(t *testing.T) {
 	}
 }
 
-// TestV3RecordCostsOneReprune: the dense-classifier record of the previous
-// format has no reader. Found under a tenant's indexed name it fails at the
-// header and is quarantined, and the tenant is pruned once more — to the
-// tenant the oracle predicts, since pruning is deterministic in (universal
-// model, class set) — and re-snapshotted in the current format.
+// TestV3RecordCostsOneReprune: the records of earlier formats have no
+// reader — version 3 (the dense-classifier record) and version 4 (the delta
+// under the full pruning report). Found under a tenant's indexed name, each
+// fails at the header and is quarantined, and the tenant is pruned once
+// more — to the tenant the oracle predicts, since pruning is deterministic
+// in (universal model, class set) — and re-snapshotted in the current
+// format.
 func TestV3RecordCostsOneReprune(t *testing.T) {
-	opts, dir := snapshotOpts(t)
-	a := []int{3, 1}
-	s1 := newTestServer(t, opts)
-	p, _, err := s1.Personalize(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s1.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	idx, err := checkpoint.ReadIndex(filepath.Join(dir, checkpoint.IndexFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, idx[p.Key])
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A v3 header over a body: the magic, version word 3, then what
-	// followed the version word.
-	binary.LittleEndian.PutUint32(raw[4:], 3)
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	for _, version := range []uint32{3, 4} {
+		t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) {
+			opts, dir := snapshotOpts(t)
+			a := []int{3, 1}
+			s1 := newTestServer(t, opts)
+			p, _, err := s1.Personalize(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s1.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			idx, err := checkpoint.ReadIndex(filepath.Join(dir, checkpoint.IndexFile))
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, idx[p.Key])
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// An old header over a body: the magic, the old version word,
+			// then what followed the version word.
+			binary.LittleEndian.PutUint32(raw[4:], version)
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	s2 := newTestServer(t, opts)
-	p2, _, err := s2.Personalize(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := s2.Stats()
-	if st.SnapshotsQuarantined != 1 || st.RestoreErrors != 1 || st.RestoreHits != 0 || st.Personalizations != 1 {
-		t.Fatalf("a v3 record was not quarantined and re-pruned once: %+v", st)
-	}
-	if _, err := os.Stat(path + quarantineSuffix); err != nil {
-		t.Fatalf("the v3 record was not moved aside: %v", err)
-	}
-	if got, want := p2.Engine().Fingerprint(), oracle(t, s2.opts.Prune, opts.TrainPerClass, a, inference.Float32).Fingerprint(); got != want {
-		t.Fatalf("re-pruned engine %016x, the oracle's is %016x", got, want)
-	}
-	if _, err := s2.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	s3 := newTestServer(t, opts)
-	if _, _, err := s3.Personalize(a); err != nil {
-		t.Fatal(err)
-	}
-	if st := s3.Stats(); st.RestoreHits != 1 || st.Personalizations != 0 {
-		t.Fatalf("the re-pruned tenant's record did not restore: %+v", st)
+			s2 := newTestServer(t, opts)
+			p2, _, err := s2.Personalize(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := s2.Stats()
+			if st.SnapshotsQuarantined != 1 || st.RestoreErrors != 1 || st.RestoreHits != 0 || st.Personalizations != 1 {
+				t.Fatalf("a v%d record was not quarantined and re-pruned once: %+v", version, st)
+			}
+			if _, err := os.Stat(path + quarantineSuffix); err != nil {
+				t.Fatalf("the v%d record was not moved aside: %v", version, err)
+			}
+			if got, want := p2.Engine().Fingerprint(), oracle(t, s2.opts.Prune, opts.TrainPerClass, a, inference.Float32).Fingerprint(); got != want {
+				t.Fatalf("re-pruned engine %016x, the oracle's is %016x", got, want)
+			}
+			if _, err := s2.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			s3 := newTestServer(t, opts)
+			if _, _, err := s3.Personalize(a); err != nil {
+				t.Fatal(err)
+			}
+			if st := s3.Stats(); st.RestoreHits != 1 || st.Personalizations != 0 {
+				t.Fatalf("the re-pruned tenant's record did not restore: %+v", st)
+			}
+		})
 	}
 }
 

@@ -113,7 +113,7 @@ func (o Options) withDefaults() Options {
 	if o.MemoryBudgetBytes < 0 {
 		o.MemoryBudgetBytes = 0
 	}
-	if o.HotFraction <= 0 || o.HotFraction > 1 {
+	if !(o.HotFraction > 0 && o.HotFraction <= 1) {
 		o.HotFraction = 0.75
 	}
 	if o.FS == nil {
@@ -124,22 +124,17 @@ func (o Options) withDefaults() Options {
 }
 
 // Personalization is one cached tenant model: the compiled sparse engine of
-// the CRISP-pruned classifier for a class set, the pruning outcome and, at
-// Int8 only and only until the tenant is durable, that classifier as a delta
-// over the universal model. The classifier itself is not kept: the engine
-// owns everything it reads. Its exported fields and engine never change
-// after creation, and it is safe for concurrent Predict use; delta and size
-// change once, when the store acknowledges the tenant's record (dropDelta),
-// and are read and written under the server's mu.
+// the CRISP-pruned classifier for a class set, the tenant's header (key,
+// classes, accuracy and pruning summary: the one a warm entry and the
+// tenant's snapshot record hold) and, at Int8 only and only until the tenant
+// is durable, that classifier as a delta over the universal model. The
+// classifier itself is not kept: the engine owns everything it reads. Its
+// exported fields and engine never change after creation, and it is safe
+// for concurrent Predict use; delta and size change once, when the store
+// acknowledges the tenant's record (dropDelta), and are read and written
+// under the server's mu.
 type Personalization struct {
-	// Key is the canonical cache key (sorted, deduplicated class ids).
-	Key string
-	// Classes is the canonical class set.
-	Classes []int
-	// Report is the pruning run summary.
-	Report pruner.Report
-	// Accuracy is top-1 accuracy on held-out samples of the classes.
-	Accuracy float64
+	checkpoint.PersonalizationRecord
 	// Agreement is the measured top-1 agreement between this engine and the
 	// full-precision reference on the held-out split — the per-tenant cost
 	// of int8 deployment. Trivially 1 for Float32 engines (they are the
@@ -169,11 +164,6 @@ type Personalization struct {
 	// hot tier: engine-owned compiled state, plus the delta while one is
 	// held (see newPersonalization, dropDelta). Guarded by the server's mu.
 	size int64
-}
-
-// record is the snapshot record metadata of the tenant.
-func (p *Personalization) record() checkpoint.PersonalizationRecord {
-	return checkpoint.PersonalizationRecord{Key: p.Key, Classes: p.Classes, Accuracy: p.Accuracy, Report: p.Report}
 }
 
 // release frees the per-tenant serving state an eviction leaves behind:
@@ -735,7 +725,8 @@ func (s *Server) personalize(classes []int, key string) (*Personalization, bool,
 	if err != nil {
 		return nil, true, fmt.Errorf("serve: encoding {%s}: %w", key, err)
 	}
-	p, err := s.admit(&warmEntry{key: key, classes: classes, report: rep, accuracy: clone.Accuracy(test.X, test.Labels), delta: delta})
+	hdr := checkpoint.PersonalizationRecord{Key: key, Classes: classes, Accuracy: clone.Accuracy(test.X, test.Labels), Report: rep.Summary()}
+	p, err := s.admit(&warmEntry{PersonalizationRecord: hdr, delta: delta})
 	if err != nil {
 		return nil, true, err
 	}

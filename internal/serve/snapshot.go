@@ -275,7 +275,7 @@ func (s *Server) restoreOne(key string) (*Personalization, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.admit(&warmEntry{key: key, classes: rec.Classes, report: rec.Report, accuracy: rec.Accuracy, delta: delta})
+	return s.admit(&warmEntry{PersonalizationRecord: rec, delta: delta})
 }
 
 // loadRecord is store.load counting a quarantined record
@@ -357,7 +357,7 @@ func (s *Server) Flush() (int, error) {
 		}
 	}
 	for _, el := range s.warm {
-		if we := el.Value.(*warmEntry); !s.store.has(we.key) {
+		if we := el.Value.(*warmEntry); !s.store.has(we.Key) {
 			warm = append(warm, we)
 		}
 	}
@@ -376,7 +376,7 @@ func (s *Server) Flush() (int, error) {
 		tally(s.snapshotHot(p))
 	}
 	for _, we := range warm {
-		tally(s.writeSnapshot(we.record(), we.delta))
+		tally(s.writeSnapshot(we.PersonalizationRecord, we.delta))
 	}
 	return written, firstErr
 }
@@ -406,7 +406,7 @@ func (s *Server) snapshotHot(p *Personalization) error {
 		s.mu.Unlock()
 		return err
 	}
-	if err := s.writeSnapshot(p.record(), delta); err != nil {
+	if err := s.writeSnapshot(p.PersonalizationRecord, delta); err != nil {
 		return err
 	}
 	s.dropDelta(p)

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/inference"
-	"repro/internal/pruner"
 )
 
 // The three-tier cache (Options.MemoryBudgetBytes > 0):
@@ -52,14 +51,13 @@ const (
 )
 
 // warmEntry is one tenant as admit takes it: everything needed to build the
-// hot Personalization without touching disk or the pruner. A demoted tenant
+// hot Personalization without touching disk or the pruner — the tenant's
+// header, which the Personalization and the snapshot record hold as is, and
+// its delta. A demoted tenant
 // (a warm record) also carries the identity fingerprints the rebuild is
 // checked against; a tenant admitted for the first time carries zeros.
 type warmEntry struct {
-	key       string
-	classes   []int
-	report    pruner.Report
-	accuracy  float64
+	checkpoint.PersonalizationRecord
 	agreement float64
 	// delta is the tenant's checkpoint model delta.
 	delta []byte
@@ -71,32 +69,24 @@ type warmEntry struct {
 	size int64
 }
 
-// record is the snapshot record metadata of the tenant.
-func (we *warmEntry) record() checkpoint.PersonalizationRecord {
-	return checkpoint.PersonalizationRecord{Key: we.key, Classes: we.classes, Accuracy: we.accuracy, Report: we.report}
-}
-
 func warmEntryBytes(we *warmEntry) int64 {
-	return int64(len(we.delta)) + int64(len(we.key)) + int64(len(we.classes))*8 + warmEntryOverheadBytes
+	return int64(len(we.delta)) + int64(len(we.Key)) + int64(len(we.Classes))*8 + warmEntryOverheadBytes
 }
 
 // newPersonalization assembles a cache entry and fixes its resident cost:
 // the engine's owned compiled state, plus the delta it was compiled from
 // when the tenant keeps one (keepsDelta). The delta must not be written
 // after this call.
-func (s *Server) newPersonalization(key string, classes []int, rep pruner.Report, acc, agreement float64, eng *inference.Engine, delta []byte) *Personalization {
-	if !s.keepsDelta(eng, key) {
+func (s *Server) newPersonalization(hdr checkpoint.PersonalizationRecord, agreement float64, eng *inference.Engine, delta []byte) *Personalization {
+	if !s.keepsDelta(eng, hdr.Key) {
 		delta = nil
 	}
 	p := &Personalization{
-		Key:       key,
-		Classes:   classes,
-		Report:    rep,
-		Accuracy:  acc,
-		Agreement: agreement,
-		engine:    eng,
-		delta:     delta,
-		bat:       s.newBatcher(eng.PredictBatch),
+		PersonalizationRecord: hdr,
+		Agreement:             agreement,
+		engine:                eng,
+		delta:                 delta,
+		bat:                   s.newBatcher(eng.PredictBatch),
 	}
 	p.size = eng.MemoryFootprint() + int64(len(delta)) + personalizationOverheadBytes
 	return p
@@ -201,7 +191,7 @@ func (s *Server) trimWarmLocked() {
 		el := s.warmLRU.Back()
 		we := el.Value.(*warmEntry)
 		s.warmLRU.Remove(el)
-		delete(s.warm, we.key)
+		delete(s.warm, we.Key)
 		s.warmBytes -= we.size
 		s.stats.WarmEvictions++
 	}
@@ -230,31 +220,28 @@ func (s *Server) demote(p *Personalization) {
 		return
 	}
 	we := &warmEntry{
-		key:       p.Key,
-		classes:   p.Classes,
-		report:    p.Report,
-		accuracy:  p.Accuracy,
-		agreement: p.Agreement,
-		delta:     delta,
-		fp:        p.engine.Fingerprint(),
-		qsig:      p.engine.QuantSignature(),
+		PersonalizationRecord: p.PersonalizationRecord,
+		agreement:             p.Agreement,
+		delta:                 delta,
+		fp:                    p.engine.Fingerprint(),
+		qsig:                  p.engine.QuantSignature(),
 	}
 	we.size = warmEntryBytes(we)
 	if s.store != nil && !s.store.has(p.Key) {
 		// The write-behind snapshot may not have landed yet; demotion must
 		// not strand the tenant without a durable copy. put is idempotent,
 		// so racing the scheduled write is harmless.
-		s.writeSnapshot(we.record(), delta)
+		s.writeSnapshot(we.PersonalizationRecord, delta)
 	}
 	p.release()
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, hot := s.entries[we.key]; hot {
+	if _, hot := s.entries[we.Key]; hot {
 		return // re-personalized meanwhile; the hot copy wins
 	}
-	if _, ok := s.warm[we.key]; !ok {
-		s.warm[we.key] = s.warmLRU.PushFront(we)
+	if _, ok := s.warm[we.Key]; !ok {
+		s.warm[we.Key] = s.warmLRU.PushFront(we)
 		s.warmBytes += we.size
 		s.stats.Demotions++
 	}
@@ -302,12 +289,12 @@ func (s *Server) takeWarm(key string) *warmEntry {
 func (s *Server) admit(we *warmEntry) (*Personalization, error) {
 	view, err := checkpoint.ViewModelDelta(we.delta, s.base)
 	if err != nil {
-		return nil, fmt.Errorf("serve: admitting {%s}: %w", we.key, err)
+		return nil, fmt.Errorf("serve: admitting {%s}: %w", we.Key, err)
 	}
 	compile := func(prec inference.Precision) (*inference.Engine, error) {
 		eng, err := inference.NewFromSource(s.base, view, s.opts.Prune.BlockSize, s.opts.Prune.NM, inference.CompileOptions{Precision: prec})
 		if err != nil {
-			return nil, fmt.Errorf("serve: compiling %s engine for {%s}: %w", prec, we.key, err)
+			return nil, fmt.Errorf("serve: compiling %s engine for {%s}: %w", prec, we.Key, err)
 		}
 		return eng, nil
 	}
@@ -319,14 +306,14 @@ func (s *Server) admit(we *warmEntry) (*Personalization, error) {
 	switch {
 	case we.fp != 0:
 		if err := checkIdentity(eng, we.fp, we.qsig); err != nil {
-			return nil, fmt.Errorf("serve: admitting {%s}: %w", we.key, err)
+			return nil, fmt.Errorf("serve: admitting {%s}: %w", we.Key, err)
 		}
 	case s.opts.Precision == inference.Int8:
 		ref, err := compile(inference.Float32)
 		if err != nil {
 			return nil, err
 		}
-		test := s.ds.MakeSplit("serve-test/"+we.key, we.classes, s.opts.TestPerClass)
+		test := s.ds.MakeSplit("serve-test/"+we.Key, we.Classes, s.opts.TestPerClass)
 		want, got := ref.Predict(test.X), eng.Predict(test.X)
 		matches := 0
 		for i := range want {
@@ -342,7 +329,7 @@ func (s *Server) admit(we *warmEntry) (*Personalization, error) {
 	default:
 		agreement = 1
 	}
-	return s.newPersonalization(we.key, we.classes, we.report, we.accuracy, agreement, eng, we.delta), nil
+	return s.newPersonalization(we.PersonalizationRecord, agreement, eng, we.delta), nil
 }
 
 // promoteWarm is admit timed as a warm promotion (Stats.PromoteNanos).

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"runtime"
 	"slices"
 	"strconv"
@@ -522,7 +523,7 @@ func TestTieredDensityAtLeast3x(t *testing.T) {
 			hotMin = p.size
 		}
 		hotMax = max(hotMax, p.size)
-		warmMax = max(warmMax, warmEntryBytes(&warmEntry{key: p.Key, classes: p.Classes, delta: delta}))
+		warmMax = max(warmMax, warmEntryBytes(&warmEntry{PersonalizationRecord: p.PersonalizationRecord, delta: delta}))
 	}
 	hotBytes := full.Stats().HotBytes
 	if hotBytes <= 0 || fullBytes <= hotBytes {
@@ -560,4 +561,16 @@ func TestTieredDensityAtLeast3x(t *testing.T) {
 	}
 	t.Logf("density %.2fx: %d tenants (%d hot) in %d bytes vs %d full-copy, %d all hot; hot tenant %d..%d bytes, warm record <= %d",
 		ratio, len(sets), st.CachedEngines, resident, fullBytes, hotBytes, hotMin, hotMax, warmMax)
+}
+
+// TestHotFractionDefault: a HotFraction outside (0, 1] — NaN included, which
+// fails every comparison — is the default share, and one inside is kept.
+func TestHotFractionDefault(t *testing.T) {
+	for _, tc := range []struct{ in, want float64 }{
+		{0, 0.75}, {-0.5, 0.75}, {1.5, 0.75}, {math.NaN(), 0.75}, {0.5, 0.5}, {1, 1},
+	} {
+		if got := (Options{MemoryBudgetBytes: 1 << 20, HotFraction: tc.in}).withDefaults().HotFraction; got != tc.want {
+			t.Fatalf("HotFraction %v defaults to %v, want %v", tc.in, got, tc.want)
+		}
+	}
 }
