@@ -51,24 +51,23 @@ func blockedAuto(cols, n int) bool {
 // its row span, so results are bit-identical to the scalar kernel for any
 // chunk size and any batch width.
 func (p *Plan) matmulBlocked(b, out *tensor.Tensor, n, rowTile int) {
-	chunks := (p.Rows + rowTile - 1) / rowTile
-	// The serial path calls runChunks directly rather than sharing a
-	// closure with the parallel branch: a shared closure would escape
-	// through the pool's task channel and cost sub-threshold calls a heap
-	// allocation (see matmulScalar).
-	if p.NNZ()*n < spmmParallelThreshold || chunks < 2 {
-		p.runChunks(b, out, n, rowTile, 0, chunks)
-		return
-	}
-	parallelRows(chunks, p.NNZ()*n, func(c0, c1 int) {
-		p.runChunks(b, out, n, rowTile, c0, c1)
-	})
+	blockedJobs.Run((p.Rows+rowTile-1)/rowTile, p.NNZ()*n, blockedJob{p: p, b: b, out: out, n: n, rowTile: rowTile})
 }
 
-// runChunks executes row chunks [c0, c1).
-func (p *Plan) runChunks(b, out *tensor.Tensor, n, rowTile, c0, c1 int) {
+// blockedJob is matmulBlocked's fan-out record; its rows are row chunks.
+type blockedJob struct {
+	tensor.Join
+	p          *Plan
+	b, out     *tensor.Tensor
+	n, rowTile int
+}
+
+var blockedJobs tensor.JobPool[blockedJob, *blockedJob]
+
+// Rows implements tensor.RowJob: it executes row chunks [c0, c1).
+func (j *blockedJob) Rows(c0, c1 int) {
 	for c := c0; c < c1; c++ {
-		p.blockedTile(b, out, n, c*rowTile, min((c+1)*rowTile, p.Rows))
+		j.p.blockedTile(j.b, j.out, j.n, c*j.rowTile, min((c+1)*j.rowTile, j.p.Rows))
 	}
 }
 

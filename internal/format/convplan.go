@@ -191,15 +191,23 @@ func (cp *ConvPlan) MatMulBatchLastInto(xT *tensor.Tensor, g tensor.ConvGeom, ba
 	if len(out.Shape) != 2 || out.Shape[0] != p.Rows*ohow || out.Shape[1] != batch {
 		panic(fmt.Sprintf("format: ConvPlan batch-last output %v, want [%d %d]", out.Shape, p.Rows*ohow, batch))
 	}
-	if p.NNZ()*batch*ohow < spmmParallelThreshold || p.Rows < 2 {
-		cp.convRowsBatchLast(xT.Data, st, batch, out.Data, 0, p.Rows)
-		return out
-	}
-	parallelRows(p.Rows, p.NNZ()*batch*ohow, func(row0, row1 int) {
-		cp.convRowsBatchLast(xT.Data, st, batch, out.Data, row0, row1)
-	})
+	convJobs.Run(p.Rows, p.NNZ()*batch*ohow, convJob{cp: cp, xd: xT.Data, st: st, batch: batch, out: out.Data})
 	return out
 }
+
+// convJob is MatMulBatchLastInto's fan-out record.
+type convJob struct {
+	tensor.Join
+	cp      *ConvPlan
+	xd, out []float64
+	st      *convState
+	batch   int
+}
+
+var convJobs tensor.JobPool[convJob, *convJob]
+
+// Rows implements tensor.RowJob.
+func (j *convJob) Rows(r0, r1 int) { j.cp.convRowsBatchLast(j.xd, j.st, j.batch, j.out, r0, r1) }
 
 // convRowsBatchLast computes output rows [row0, row1) in batch-last
 // layout. Entries stay outermost (the accumulation-order contract); the

@@ -178,34 +178,49 @@ func (e *CRISPFormat) MatMul(b *tensor.Tensor) *tensor.Tensor {
 	_, n := checkSpMM(b, e.Cols)
 	out := tensor.New(e.Rows, n)
 	g := e.grid()
-	starts := e.slotStarts(g)
-	parallelRows(g.GridRows(), len(e.Val)*n, func(br0, br1 int) {
-		for br := br0; br < br1; br++ {
-			si := starts[br]
-			for k := 0; k < e.KeptPerRow; k++ {
-				bc := int(e.BlockCols[br*e.KeptPerRow+k])
-				r0, r1, c0, c1 := g.Bounds(br, bc)
-				for r := r0; r < r1; r++ {
-					dst := out.Data[r*n : (r+1)*n]
-					for g0 := c0; g0 < c1; g0 += e.NM.M {
-						for s := 0; s < e.NM.N; s++ {
-							v := e.Val[si]
-							col := g0 + int(e.Offsets[si])
-							si++
-							if v == 0 {
-								continue
-							}
-							src := b.Data[col*n : (col+1)*n]
-							for j, bv := range src {
-								dst[j] += v * bv
-							}
+	crispJobs.Run(g.GridRows(), len(e.Val)*n, crispJob{e: e, g: g, starts: e.slotStarts(g), b: b.Data, out: out.Data, n: n})
+	return out
+}
+
+// crispJob is CRISPFormat.MatMul's fan-out record; its rows are block rows.
+type crispJob struct {
+	tensor.Join
+	e      *CRISPFormat
+	g      sparsity.BlockGrid
+	starts []int
+	b, out []float64
+	n      int
+}
+
+var crispJobs tensor.JobPool[crispJob, *crispJob]
+
+// Rows implements tensor.RowJob: it computes block rows [br0, br1).
+func (j *crispJob) Rows(br0, br1 int) {
+	e, g, n := j.e, j.g, j.n
+	for br := br0; br < br1; br++ {
+		si := j.starts[br]
+		for k := 0; k < e.KeptPerRow; k++ {
+			bc := int(e.BlockCols[br*e.KeptPerRow+k])
+			r0, r1, c0, c1 := g.Bounds(br, bc)
+			for r := r0; r < r1; r++ {
+				dst := j.out[r*n : (r+1)*n]
+				for g0 := c0; g0 < c1; g0 += e.NM.M {
+					for s := 0; s < e.NM.N; s++ {
+						v := e.Val[si]
+						col := g0 + int(e.Offsets[si])
+						si++
+						if v == 0 {
+							continue
+						}
+						src := j.b[col*n : (col+1)*n]
+						for x, bv := range src {
+							dst[x] += v * bv
 						}
 					}
 				}
 			}
 		}
-	})
-	return out
+	}
 }
 
 // CRISPMetadataBits is the analytical model for a rows×cols matrix with

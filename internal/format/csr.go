@@ -60,19 +60,33 @@ func (c *CSR) Decode() *tensor.Tensor {
 func (c *CSR) MatMul(b *tensor.Tensor) *tensor.Tensor {
 	_, n := checkSpMM(b, c.Cols)
 	out := tensor.New(c.Rows, n)
-	parallelRows(c.Rows, len(c.Val)*n, func(row0, row1 int) {
-		for r := row0; r < row1; r++ {
-			dst := out.Data[r*n : (r+1)*n]
-			for i := c.RowPtr[r]; i < c.RowPtr[r+1]; i++ {
-				v := c.Val[i]
-				src := b.Data[int(c.ColIdx[i])*n : (int(c.ColIdx[i])+1)*n]
-				for j, bv := range src {
-					dst[j] += v * bv
-				}
+	csrJobs.Run(c.Rows, len(c.Val)*n, csrJob{c: c, b: b.Data, out: out.Data, n: n})
+	return out
+}
+
+// csrJob is CSR.MatMul's fan-out record.
+type csrJob struct {
+	tensor.Join
+	c      *CSR
+	b, out []float64
+	n      int
+}
+
+var csrJobs tensor.JobPool[csrJob, *csrJob]
+
+// Rows implements tensor.RowJob.
+func (j *csrJob) Rows(row0, row1 int) {
+	c, n := j.c, j.n
+	for r := row0; r < row1; r++ {
+		dst := j.out[r*n : (r+1)*n]
+		for i := c.RowPtr[r]; i < c.RowPtr[r+1]; i++ {
+			v := c.Val[i]
+			src := j.b[int(c.ColIdx[i])*n : (int(c.ColIdx[i])+1)*n]
+			for k, bv := range src {
+				dst[k] += v * bv
 			}
 		}
-	})
-	return out
+	}
 }
 
 // CSRMetadataBits is the analytical model for a rows×cols matrix with nnz

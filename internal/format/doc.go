@@ -26,9 +26,10 @@
 // row-pointer / column-index / value layout with zero slots dropped, whose
 // kernel is a straight gather-multiply-accumulate that accumulates in
 // exactly the storage kernel's order (bit-identical results). Large SpMMs
-// fan out over a persistent package-level worker pool (see parallelRows);
-// the steady-state hot path spawns no goroutines and MatMulInto variants
-// let callers supply recycled output buffers.
+// fan out over the persistent kernel worker pool through tensor.JobPool,
+// each call handing it a recycled job record (convJob, quantJob, …): the
+// steady-state hot path spawns no goroutines and allocates nothing, and
+// MatMulInto variants let callers supply recycled output buffers.
 //
 // # The blocked kernel family
 //

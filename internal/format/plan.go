@@ -311,22 +311,24 @@ func (p *Plan) matmul(b, out *tensor.Tensor, n int) {
 	p.matmulScalar(b, out, n)
 }
 
-// matmulScalar is the scalar reference kernel's driver. The single-sample
-// path calls rowRange directly — routing it through a closure would
-// heap-allocate the closure on every SpMM call, because the worker pool's
-// task channel makes it escape — and only batch-scale problems pay for the
-// fan-out wrapper.
+// matmulScalar is the scalar reference kernel's driver: rowRange over
+// every row, fanned out over the worker pool at batch scale.
 func (p *Plan) matmulScalar(b, out *tensor.Tensor, n int) {
-	// Branches (not a method value) keep the serial path allocation-free:
-	// a bound method value would escape through the pool's task channel.
-	if p.NNZ()*n < spmmParallelThreshold || p.Rows < 2 {
-		p.rowRange(b, out, n, 0, p.Rows)
-		return
-	}
-	parallelRows(p.Rows, p.NNZ()*n, func(row0, row1 int) {
-		p.rowRange(b, out, n, row0, row1)
-	})
+	scalarJobs.Run(p.Rows, p.NNZ()*n, scalarJob{p: p, b: b, out: out, n: n})
 }
+
+// scalarJob is matmulScalar's fan-out record.
+type scalarJob struct {
+	tensor.Join
+	p      *Plan
+	b, out *tensor.Tensor
+	n      int
+}
+
+var scalarJobs tensor.JobPool[scalarJob, *scalarJob]
+
+// Rows implements tensor.RowJob.
+func (j *scalarJob) Rows(r0, r1 int) { j.p.rowRange(j.b, j.out, j.n, r0, r1) }
 
 // rowRange computes output rows [row0, row1). Each row is zeroed and
 // accumulated by exactly one worker, walking its Col/Val span in storage

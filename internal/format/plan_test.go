@@ -133,22 +133,40 @@ func TestMatMulIntoOverwritesDirtyBuffer(t *testing.T) {
 	}
 }
 
-// TestParallelRowsPool drives the persistent worker pool directly: every
-// row must be visited exactly once per call, including under many
-// concurrent SpMM-sized calls sharing the pool.
+// visitJob is a fan-out record that counts its visits to every row and,
+// when calls is set, records the ranges Rows ran on.
+type visitJob struct {
+	tensor.Join
+	visits []int32
+	calls  *[][2]int
+}
+
+func (j *visitJob) Rows(r0, r1 int) {
+	for r := r0; r < r1; r++ {
+		j.visits[r]++
+	}
+	if j.calls != nil {
+		*j.calls = append(*j.calls, [2]int{r0, r1})
+	}
+}
+
+var visitJobs tensor.JobPool[visitJob, *visitJob]
+
+// TestParallelRowsPool drives the persistent worker pool directly through
+// the one fan-out entry point, JobPool.Run: every row must be visited
+// exactly once per call, including under many concurrent SpMM-sized calls
+// sharing the pool and its recycled records.
 func TestParallelRowsPool(t *testing.T) {
 	const rows = 257
 	run := func() {
 		visits := make([]int32, rows)
-		// work above the threshold forces the pooled path.
-		parallelRows(rows, spmmParallelThreshold*2, func(r0, r1 int) {
-			for r := r0; r < r1; r++ {
-				visits[r]++
-			}
-		})
-		for r, v := range visits {
-			if v != 1 {
-				t.Errorf("row %d visited %d times", r, v)
+		for pass := int32(1); pass <= 3; pass++ {
+			// work above the threshold forces the pooled path.
+			visitJobs.Run(rows, tensor.ParallelThreshold*2, visitJob{visits: visits})
+			for r, v := range visits {
+				if v != pass {
+					t.Errorf("pass %d: row %d visited %d times in all", pass, r, v)
+				}
 			}
 		}
 	}
@@ -163,16 +181,58 @@ func TestParallelRowsPool(t *testing.T) {
 	}
 	wg.Wait()
 
-	// Sub-threshold work must stay on the caller.
-	called := false
-	parallelRows(4, 1, func(r0, r1 int) {
-		if r0 != 0 || r1 != 4 {
-			t.Errorf("small problem split into [%d,%d)", r0, r1)
+	// Sub-threshold work must stay on the caller, in one call.
+	var calls [][2]int
+	visitJobs.Run(4, 1, visitJob{visits: make([]int32, 4), calls: &calls})
+	if len(calls) != 1 || calls[0] != [2]int{0, 4} {
+		t.Fatalf("small problem ran as %v, want one call on [0,4)", calls)
+	}
+}
+
+// TestFanOutAllocatesNothing: every serving kernel at batch 16 crosses the
+// fan-out threshold and hands the worker pool a pooled job record, so a
+// call allocates nothing: the conv plan, the int8 plan (its activation
+// encode fans out too), and the scalar and blocked float plans.
+func TestFanOutAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	rng := rand.New(rand.NewSource(41))
+	const batch = 16
+	w := hybridMatrix(rng, 128, 256, 8, sparsity.NM{N: 2, M: 4}, 2)
+	p := EncodeCSR(w).Compile()
+	q, err := p.Quantize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := tensor.Randn(rng, 1, 256, batch)
+	out := tensor.New(128, batch)
+	qs := q.Scratch(batch)
+
+	g := tensor.ConvGeom{InC: 16, KH: 3, KW: 3, Stride: 1, Pad: 1, InH: 8, InW: 8}
+	cw := hybridMatrix(rng, 16, 16*9, 4, sparsity.NM{N: 2, M: 4}, 1)
+	cp := EncodeCSR(cw).Compile().CompileConv(3, 3, 1, 1)
+	ohow := g.OutH() * g.OutW()
+	xT := tensor.Randn(rng, 1, 16*8*8, batch)
+	convOut := tensor.New(16*ohow, batch)
+
+	for _, c := range []struct {
+		name string
+		work int
+		call func()
+	}{
+		{"conv-b16", cp.p.NNZ() * batch * ohow, func() { cp.MatMulBatchLastInto(xT, g, batch, convOut) }},
+		{"quant-b16", len(q.Code) * batch, func() { q.MatMulInto(x, out, qs) }},
+		{"scalar-b16", p.NNZ() * batch, func() { p.matmulScalar(x, out, batch) }},
+		{"blocked-b16", p.NNZ() * batch, func() { p.matmulBlocked(x, out, batch, 8) }},
+	} {
+		if c.work < tensor.ParallelThreshold {
+			t.Fatalf("%s: %d multiply-adds do not cross the fan-out threshold", c.name, c.work)
 		}
-		called = true
-	})
-	if !called {
-		t.Fatal("small problem not executed")
+		c.call() // starts the pool at the process's GOMAXPROCS and warms the scratch
+		if got := testing.AllocsPerRun(50, c.call); got != 0 {
+			t.Errorf("%s: a call allocates %v objects, want 0", c.name, got)
+		}
 	}
 }
 

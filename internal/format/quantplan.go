@@ -255,14 +255,25 @@ func (q *QuantPlan) MatMulPackedInto(packed []uint64, colScale []float64, out *t
 // slabs are already L1-resident and there is nothing for a register panel
 // to save.
 func (q *QuantPlan) matmulPacked(packed []uint64, colScale []float64, accP, accN []uint64, out *tensor.Tensor, n, halfW int) *tensor.Tensor {
-	if len(q.Code)*n < spmmParallelThreshold || q.Rows < 2 {
-		q.rowRange(packed, colScale, accP, accN, out, n, halfW, 0, q.Rows)
-		return out
-	}
-	parallelRows(q.Rows, len(q.Code)*n, func(row0, row1 int) {
-		q.rowRange(packed, colScale, accP, accN, out, n, halfW, row0, row1)
-	})
+	quantJobs.Run(q.Rows, len(q.Code)*n, quantJob{q: q, packed: packed, colScale: colScale, accP: accP, accN: accN, out: out, n: n, halfW: halfW})
 	return out
+}
+
+// quantJob is matmulPacked's fan-out record.
+type quantJob struct {
+	tensor.Join
+	q                  *QuantPlan
+	packed, accP, accN []uint64
+	colScale           []float64
+	out                *tensor.Tensor
+	n, halfW           int
+}
+
+var quantJobs tensor.JobPool[quantJob, *quantJob]
+
+// Rows implements tensor.RowJob.
+func (j *quantJob) Rows(r0, r1 int) {
+	j.q.rowRange(j.packed, j.colScale, j.accP, j.accN, j.out, j.n, j.halfW, r0, r1)
 }
 
 // quantizePacked encodes the dense activation matrix bd ([rows, n]
@@ -295,27 +306,36 @@ func quantizePacked(bd []float64, rows, n, halfW int, packed []uint64, colScale,
 	// The encode pass is per-activation-row independent; batch-scale calls
 	// fan it out over the shared kernel pool so the quantization pre-pass
 	// does not serialize an otherwise row-parallel SpMM.
-	encode := func(r0, r1 int) {
-		for r := r0; r < r1; r++ {
-			src := bd[r*n : (r+1)*n]
-			dst := packed[r*halfW : (r+1)*halfW]
-			for jp := 0; jp < halfW; jp++ {
-				j0 := 2 * jp
-				w := EncodeBiased(src[j0], colInv[j0])
-				if j0+1 < n {
-					w |= EncodeBiased(src[j0+1], colInv[j0+1]) << 32
-				} else {
-					w |= 128 << 32 // pad lane: biased zero
-				}
-				dst[jp] = w
+	encodeJobs.Run(rows, rows*n, encodeJob{bd: bd, colInv: colInv, packed: packed, n: n, halfW: halfW})
+}
+
+// encodeJob is quantizePacked's fan-out record.
+type encodeJob struct {
+	tensor.Join
+	bd, colInv []float64
+	packed     []uint64
+	n, halfW   int
+}
+
+var encodeJobs tensor.JobPool[encodeJob, *encodeJob]
+
+// Rows implements tensor.RowJob: it encodes activation rows [r0, r1).
+func (j *encodeJob) Rows(r0, r1 int) {
+	n, halfW, colInv := j.n, j.halfW, j.colInv
+	for r := r0; r < r1; r++ {
+		src := j.bd[r*n : (r+1)*n]
+		dst := j.packed[r*halfW : (r+1)*halfW]
+		for jp := 0; jp < halfW; jp++ {
+			j0 := 2 * jp
+			w := EncodeBiased(src[j0], colInv[j0])
+			if j0+1 < n {
+				w |= EncodeBiased(src[j0+1], colInv[j0+1]) << 32
+			} else {
+				w |= 128 << 32 // pad lane: biased zero
 			}
+			dst[jp] = w
 		}
 	}
-	if rows*n < spmmParallelThreshold || rows < 2 {
-		encode(0, rows)
-		return
-	}
-	parallelRows(rows, rows*n, encode)
 }
 
 // EncodeBiased rounds v/scale (inv = 1/scale) to the symmetric int8 window

@@ -311,7 +311,7 @@ func TestQuantMatMulZeroAndNonFiniteActivations(t *testing.T) {
 }
 
 // TestQuantMatMulParallelMatchesSerial forces the row-parallel path (work
-// above spmmParallelThreshold) and checks it against a serial row walk:
+// above tensor.ParallelThreshold) and checks it against a serial row walk:
 // per-row accumulator segments mean fan-out cannot change results.
 func TestQuantMatMulParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(87))
@@ -322,7 +322,7 @@ func TestQuantMatMulParallelMatchesSerial(t *testing.T) {
 	}
 	n := 64
 	x := tensor.Randn(rng, 1, 256, n)
-	if len(q.Code)*n < spmmParallelThreshold {
+	if len(q.Code)*n < tensor.ParallelThreshold {
 		t.Fatalf("shape too small to exercise the parallel path (%d work)", len(q.Code)*n)
 	}
 	got := q.MatMul(x)

@@ -3,6 +3,7 @@ package inference
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -242,5 +243,68 @@ func TestEngineConcurrentBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestConcurrentTenantsBitIdentical: every kernel fan-out hands the shared
+// worker pool a job record drawn from a process-wide pool, so two tenants'
+// passes may run on records the other just returned. Two differently
+// pruned resnet-s tenants, each at Float32 and Int8, serve batch-16 passes
+// (every conv crosses the fan-out threshold) from concurrent goroutines;
+// every result must be bit-equal to that engine's own result served alone.
+// It runs under -short, so the race detector sees the records change hands.
+func TestConcurrentTenantsBitIdentical(t *testing.T) {
+	_, clone, x, prune := tenantEnv(t, models.ResNet)
+	per := x.Len() / x.Shape[0]
+	xs := make([]*tensor.Tensor, 16)
+	for i := range xs {
+		s := i % x.Shape[0]
+		xs[i] = tensor.FromSlice(x.Data[s*per:(s+1)*per], append([]int{1}, x.Shape[1:]...)...)
+	}
+	type served struct {
+		eng    *Engine
+		logits *tensor.Tensor
+		preds  []int
+	}
+	var engines []served
+	for _, classes := range [][]int{{1, 5}, {0, 2, 3}} {
+		tenant := clone()
+		prune(tenant, classes)
+		for _, prec := range []Precision{Float32, Int8} {
+			eng, err := NewWithOptions(tenant, 4, sparsity.NM{N: 2, M: 4}, CompileOptions{Precision: prec})
+			if err != nil {
+				t.Fatal(err)
+			}
+			engines = append(engines, served{eng, eng.LogitsBatch(xs), eng.PredictBatch(xs)})
+		}
+	}
+	if tensor.Equal(engines[0].logits, engines[2].logits, 0) {
+		t.Fatal("the two tenants serve identical logits: a crossed record would not show")
+	}
+	const perEngine = 3
+	errs := make(chan error, len(engines)*perEngine)
+	var wg sync.WaitGroup
+	for ei, s := range engines {
+		for g := 0; g < perEngine; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for pass := 0; pass < 4; pass++ {
+					if got := s.eng.LogitsBatch(xs); !tensor.Equal(got, s.logits, 0) {
+						errs <- fmt.Errorf("engine %d (%s), goroutine %d, pass %d: logits differ from the engine's own served alone", ei, s.eng.Precision(), g, pass)
+						return
+					}
+					if got := s.eng.PredictBatch(xs); !slices.Equal(got, s.preds) {
+						errs <- fmt.Errorf("engine %d (%s), goroutine %d, pass %d: predictions %v, alone %v", ei, s.eng.Precision(), g, pass, got, s.preds)
+						return
+					}
+				}
+			}()
+		}
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

@@ -43,13 +43,54 @@ func (s *Sequential) Backward(dy *tensor.Tensor) *tensor.Tensor {
 }
 
 // Params implements Layer.
-func (s *Sequential) Params() []*Param { return appendParams(nil, s) }
+func (s *Sequential) Params() []*Param { return listParams(s) }
 
-// appendParams appends l's parameters to ps in Params order. One slice grows
-// across the whole tree: containers recurse into it, and the layer types
-// named below have their lists inlined and copied in rather than allocated
-// per layer — a codec call lists the universal model's parameters on every
-// tier transition. Any other layer appends its own Params.
+// listParams lists l's parameters in Params order into one slice of
+// exactly their number: counted first, then filled. A codec call lists the
+// universal model's parameters on every tier transition, so the layer
+// types named in countParams and appendParams have their lists inlined
+// rather than allocated per layer. Any other layer's own Params is called.
+func listParams(l Layer) []*Param {
+	return appendParams(make([]*Param, 0, countParams(l)), l)
+}
+
+// countParams returns the number of parameters appendParams lists for l.
+func countParams(l Layer) int {
+	switch v := l.(type) {
+	case *Sequential:
+		n := 0
+		for _, c := range v.Layers {
+			n += countParams(c)
+		}
+		return n
+	case *Residual:
+		n := countParams(v.Main)
+		if v.Shortcut != nil {
+			n += countParams(v.Shortcut)
+		}
+		return n
+	case *Conv2D:
+		return len(v.Params())
+	case *DepthwiseConv2D:
+		return len(v.Params())
+	case *Linear:
+		return len(v.Params())
+	case *BatchNorm2D:
+		return len(v.Params())
+	case *TokenLinear:
+		return len(v.Params())
+	case *LayerNorm:
+		return len(v.Params())
+	case *MultiHeadAttention:
+		return len(v.Params())
+	case *PatchEmbed:
+		return len(v.Params())
+	}
+	return len(l.Params())
+}
+
+// appendParams appends l's parameters to ps in Params order: containers
+// recurse into the one slice, leaves copy their lists in.
 func appendParams(ps []*Param, l Layer) []*Param {
 	switch v := l.(type) {
 	case *Sequential:
@@ -120,7 +161,7 @@ func (r *Residual) Backward(dy *tensor.Tensor) *tensor.Tensor {
 }
 
 // Params implements Layer.
-func (r *Residual) Params() []*Param { return appendParams(nil, r) }
+func (r *Residual) Params() []*Param { return listParams(r) }
 
 // Flatten reshapes [N, ...] activations to [N, D] for the classifier head.
 type Flatten struct {

@@ -1,7 +1,6 @@
 package nn_test
 
 import (
-	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -12,8 +11,8 @@ import (
 
 // TestParamsListsTheTreeInOrder: a classifier's Params is every layer's own
 // list, in execution order — the order every checkpoint record and delta
-// is written in — and listing it costs only the one growing slice, not an
-// object per layer.
+// is written in — and listing it costs one slice of exactly that length,
+// not an object per layer or a growing slice.
 func TestParamsListsTheTreeInOrder(t *testing.T) {
 	for _, f := range []models.Family{models.ResNet, models.VGG, models.MobileNet, models.Transformer} {
 		clf := models.Build(f, rand.New(rand.NewSource(1)), 6, 1)
@@ -29,8 +28,11 @@ func TestParamsListsTheTreeInOrder(t *testing.T) {
 		if !slices.Equal(got, want) {
 			t.Fatalf("%s: Params lists %d parameters, the layers %d, or in another order", f, len(got), len(want))
 		}
-		if n, bound := testing.AllocsPerRun(5, func() { clf.Params() }), float64(bits.Len(uint(len(got)))+1); !raceEnabled && n > bound {
-			t.Errorf("%s: listing %d parameters allocates %v objects, want at most %v", f, len(got), n, bound)
+		if cap(got) != len(got) {
+			t.Errorf("%s: Params lists %d parameters into a slice of capacity %d", f, len(got), cap(got))
+		}
+		if n := testing.AllocsPerRun(5, func() { clf.Params() }); !raceEnabled && n > 1 {
+			t.Errorf("%s: listing %d parameters allocates %v objects, want at most 1", f, len(got), n)
 		}
 	}
 }

@@ -293,17 +293,18 @@ func benchShapeServer(t *testing.T, f models.Family, tiers Options) *Server {
 // delta the warm record holds (checkpoint.EncodeEngineDelta: one listing of
 // the base, the record and a handful of objects) — and promotes the other
 // straight from (base, delta) — no classifier is built. Measured per demote
-// + promote pair: transformer-s 83 objects / 96 KB for 14 plans, resnet-s
-// 131 / 781 KB for 11, now that a compile carves its engine from a few
+// + promote pair: transformer-s 75 objects / 96 KB for 14 plans, resnet-s
+// 121 / 780 KB for 11, now that a compile carves its engine from a few
 // exactly sized slabs (one vector slab; one []Plan and one RowPtr, Col and
 // Val array) and decodes every matrix into one dense scratch. Before, every
 // plan was four objects, every vector its own, and every matrix a fresh
 // dense W ⊙ Mask (three objects, and most of the bytes): 217 / 231 KB and
 // 274 / 1.86 MB. Deriving the delta added its bytes (226 / 199 KB and
 // 289 / 1.66 MB while the hot tenant held the delta and demotion parked it),
-// and listing a model's parameters into one growing slice, instead of one per
-// layer, took more objects off the promotion's view and the derivation than
-// the derivation adds. Earlier: transformer-s 203 KB with int32 plan columns,
+// and listing a model's parameters into one exactly sized slice, instead of
+// one per layer, took more objects off the promotion's view and the
+// derivation than the derivation adds (83 and 131 objects while that slice
+// grew as it filled). Earlier: transformer-s 203 KB with int32 plan columns,
 // 245 / 204 KB while every promote interned its plans in a cross-tenant
 // registry, 256 / 211 KB when it compiled 6 and kept attention's eight
 // projections dense, 792 / 692 KB when promotion built and filled a clone;
@@ -325,7 +326,7 @@ func TestPromoteAllocsBudget(t *testing.T) {
 	for _, c := range []struct {
 		family         models.Family
 		objects, bytes float64
-	}{{models.Transformer, 96, 110e3}, {models.ResNet, 151, 0.9e6}} {
+	}{{models.Transformer, 86, 110e3}, {models.ResNet, 139, 0.9e6}} {
 		t.Run(string(c.family), func(t *testing.T) {
 			s := benchShapeServer(t, c.family, Options{CacheSize: 1, MemoryBudgetBytes: 1 << 40})
 			sets := [][]int{{0, 1, 3}, {2, 5, 8}}

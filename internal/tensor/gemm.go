@@ -25,9 +25,9 @@ func MatMul(a, b *Tensor) *Tensor {
 // buffer is the transpose of the operand; at most one of them may be set.
 // C must have length m*n.
 //
-// The row loop fans out over the persistent kernel worker pool
-// (ParallelRows) when the problem is large enough to amortize the handoff;
-// no goroutines are spawned per call.
+// The row loop fans out over the persistent kernel worker pool (gemmJobs'
+// Run) when the problem is large enough to amortize the handoff; no
+// goroutines are spawned per call, and the call allocates nothing.
 func Gemm(transA, transB bool, m, n, k int, alpha float64, a, b []float64, beta float64, c []float64) {
 	if len(c) != m*n {
 		panic(fmt.Sprintf("tensor: Gemm output length %d != %d*%d", len(c), m, n))
@@ -50,17 +50,23 @@ func Gemm(transA, transB bool, m, n, k int, alpha float64, a, b []float64, beta 
 	if alpha == 0 || m == 0 || n == 0 || k == 0 {
 		return
 	}
+	gemmJobs.Run(m, m*n*k, gemmJob{transA: transA, transB: transB, m: m, n: n, k: k, alpha: alpha, a: a, b: b, c: c})
+}
 
-	// The serial path calls gemmRows directly: a closure here would escape
-	// into the worker pool's task queue and heap-allocate on every call,
-	// even for the small GEMMs that never fan out.
-	if m*n*k < parallelThreshold {
-		gemmRows(transA, transB, m, n, k, alpha, a, b, c, 0, m)
-		return
-	}
-	ParallelRows(m, m*n*k, func(i0, i1 int) {
-		gemmRows(transA, transB, m, n, k, alpha, a, b, c, i0, i1)
-	})
+// gemmJob is Gemm's fan-out record: its arguments, for gemmRows.
+type gemmJob struct {
+	Join
+	transA, transB bool
+	m, n, k        int
+	alpha          float64
+	a, b, c        []float64
+}
+
+var gemmJobs JobPool[gemmJob, *gemmJob]
+
+// Rows implements RowJob.
+func (j *gemmJob) Rows(i0, i1 int) {
+	gemmRows(j.transA, j.transB, j.m, j.n, j.k, j.alpha, j.a, j.b, j.c, i0, i1)
 }
 
 // gemmRows computes output rows [i0, i1) of C = alpha*op(A)*op(B) + C.

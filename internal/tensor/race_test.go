@@ -1,0 +1,7 @@
+//go:build race
+
+package tensor
+
+// raceEnabled: the race detector allocates on its own behalf, so allocation
+// counts mean nothing there.
+const raceEnabled = true

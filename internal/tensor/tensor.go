@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // Tensor is a dense, row-major, contiguous float64 tensor.
@@ -161,14 +162,9 @@ func Add(a, b *Tensor) *Tensor {
 // of dst is overwritten, so dst may be an uninitialized scratch buffer.
 // Returns dst.
 func ConcatInto(ts []*Tensor, dst *Tensor) *Tensor {
-	shape := concatShape(ts)
-	if len(dst.Shape) != len(shape) {
-		panic(fmt.Sprintf("tensor: ConcatInto dst rank %v, want %v", dst.Shape, shape))
-	}
-	for i, d := range shape {
-		if dst.Shape[i] != d {
-			panic(fmt.Sprintf("tensor: ConcatInto dst shape %v, want %v", dst.Shape, shape))
-		}
+	lead := concatLead(ts)
+	if len(dst.Shape) != len(ts[0].Shape) || dst.Shape[0] != lead || !slices.Equal(dst.Shape[1:], ts[0].Shape[1:]) {
+		panic(fmt.Sprintf("tensor: ConcatInto dst shape %v, want lead %d and trailing %v", dst.Shape, lead, ts[0].Shape[1:]))
 	}
 	off := 0
 	for _, t := range ts {
@@ -178,26 +174,24 @@ func ConcatInto(ts []*Tensor, dst *Tensor) *Tensor {
 	return dst
 }
 
-// concatShape validates the inputs of a concat and returns the result shape.
-func concatShape(ts []*Tensor) []int {
+// concatLead validates the inputs of a concat and returns the summed lead
+// dimension; the result's trailing dimensions are the first input's.
+func concatLead(ts []*Tensor) int {
 	if len(ts) == 0 {
 		panic("tensor: ConcatInto of zero tensors")
 	}
 	first := ts[0]
-	rest := first.Shape[1:]
 	lead := 0
 	for _, t := range ts {
 		if len(t.Shape) != len(first.Shape) {
 			panic(fmt.Sprintf("tensor: ConcatInto rank mismatch: %v vs %v", t.Shape, first.Shape))
 		}
-		for i, d := range t.Shape[1:] {
-			if d != rest[i] {
-				panic(fmt.Sprintf("tensor: ConcatInto trailing-shape mismatch: %v vs %v", t.Shape, first.Shape))
-			}
+		if !slices.Equal(t.Shape[1:], first.Shape[1:]) {
+			panic(fmt.Sprintf("tensor: ConcatInto trailing-shape mismatch: %v vs %v", t.Shape, first.Shape))
 		}
 		lead += t.Shape[0]
 	}
-	return append([]int{lead}, rest...)
+	return lead
 }
 
 // CacheBlockF64 is THE cache-block edge for float64 tiling in this repo:
