@@ -14,11 +14,12 @@
 //
 // Both formats in the package — the v3 model delta and the v5 record that
 // carries one — are written and read by one codec (codec.go) that works a
-// slice at a time through a 4 KiB chunk. Each delta encode
-// (EncodeModelDelta, EncodeEngineDelta), view (ViewModelDelta, which
+// slice at a time through a 4 KiB chunk. Each view (ViewModelDelta, which
 // ApplyModelDelta runs) and record write or read (WritePersonalization,
 // ReadPersonalization, LoadPersonalization) allocates one chunk and owns it
-// until it returns; there is no package-level buffer and no pool, because
+// until it returns; a delta encode (EncodeModelDelta, EncodeEngineDelta)
+// sizes its output first and writes straight into it. There is no
+// package-level buffer and no pool, because
 // a hot tenant is read concurrently by its write-behind snapshot and by
 // demotion, and scratch shared between calls is how one tenant's weights end
 // up in another's record. The writer and the CRC-64 see one call per chunk,
@@ -46,9 +47,16 @@ type stat struct {
 	variance []float64
 }
 
-// bnStats collects batch-norm running statistics in execution order.
+// bnStats collects batch-norm running statistics in execution order, into
+// one exactly sized slice.
 func bnStats(clf *nn.Classifier) []stat {
-	var out []stat
+	n := 0
+	nn.Walk(clf.Net, func(l nn.Layer) {
+		if _, ok := l.(*nn.BatchNorm2D); ok {
+			n++
+		}
+	})
+	out := make([]stat, 0, n)
 	nn.Walk(clf.Net, func(l nn.Layer) {
 		if bn, ok := l.(*nn.BatchNorm2D); ok {
 			out = append(out, stat{

@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -9,8 +10,10 @@ import (
 	"math"
 )
 
-// chunk is the codec's scratch size: one per enc or dec, so one per
-// Encode/Apply/Write/Read call, owned by that call (package comment).
+// chunk is the codec's scratch size: one per enc writing to an io.Writer or
+// dec, so one per Apply/Write/Read call, owned by that call (package
+// comment). A delta encoder knows its output's size and writes straight
+// into it instead.
 const chunk = 4096
 
 // crcTable is the CRC-64/ECMA table checksummed streams use; the sum
@@ -21,18 +24,23 @@ var crcTable = crc64.MakeTable(crc64.ECMA)
 
 var le = binary.LittleEndian
 
-// enc gathers fields into the chunk and hands the writer (and, between
-// startSum and trailer, the CRC) one call per chunk. It keeps the first
-// write error; finish reports it.
+// enc gathers fields into buf, a chunk it makes at the first write, and
+// hands the writer (and, between startSum and trailer, the CRC) one call per
+// chunk. Without a writer, buf is the whole output: sized exactly by the
+// caller, it is never flushed. It keeps the first write error; finish
+// reports it.
 type enc struct {
-	w      io.Writer
+	w      io.Writer // nil: buf is the output
 	err    error
 	crc    uint64
 	sum    bool // inside the checksummed region: buf[hashed:n] is owed to crc
 	hashed int
 	n      int
-	buf    [chunk]byte
+	buf    []byte
 }
+
+// errOutgrown is an output-sized enc asked to hold more than its size.
+var errOutgrown = errors.New("checkpoint: encoding outgrew its computed size")
 
 // settle feeds the CRC the chunk bytes it has not seen yet.
 func (e *enc) settle() {
@@ -42,17 +50,26 @@ func (e *enc) settle() {
 	}
 }
 
+// flush hands the writer what buf holds and starts buf over, making the
+// chunk on first use. An output-sized enc has no writer to flush to: it has
+// outgrown its size, and goes on into a scratch chunk finish's error
+// discards.
 func (e *enc) flush() {
 	e.settle()
-	if e.err == nil && e.n > 0 {
+	if e.w == nil {
+		e.err, e.buf = cmp.Or(e.err, errOutgrown), nil
+	} else if e.err == nil && e.n > 0 {
 		_, e.err = e.w.Write(e.buf[:e.n])
 	}
 	e.n, e.hashed = 0, 0
+	if e.buf == nil {
+		e.buf = make([]byte, chunk)
+	}
 }
 
-// room returns the next n (≤ chunk) bytes of the chunk to fill.
+// room returns the next n (≤ chunk) bytes of buf to fill.
 func (e *enc) room(n int) []byte {
-	if e.n+n > chunk {
+	if e.n+n > len(e.buf) {
 		e.flush()
 	}
 	e.n += n
@@ -67,7 +84,7 @@ func (e *enc) f64(v float64) { e.u64(math.Float64bits(v)) }
 // raw writes s, a string or a byte slice, with no length prefix.
 func raw[T string | []byte](e *enc, s T) {
 	for len(s) > 0 {
-		if e.n == chunk {
+		if e.n == len(e.buf) {
 			e.flush()
 		}
 		c := copy(e.buf[e.n:], s)
@@ -83,10 +100,10 @@ func (e *enc) str(s string) {
 
 func (e *enc) f64s(src []float64) {
 	for len(src) > 0 {
-		if chunk-e.n < 8 {
+		if len(e.buf)-e.n < 8 {
 			e.flush()
 		}
-		k := min(len(src), (chunk-e.n)/8)
+		k := min(len(src), (len(e.buf)-e.n)/8)
 		b := e.room(8 * k)
 		for i, v := range src[:k] {
 			le.PutUint64(b[8*i:], math.Float64bits(v))
@@ -119,8 +136,11 @@ func (e *enc) trailer() {
 	e.u64(e.crc)
 }
 
+// finish hands a writer what buf still holds, and reports the first error.
 func (e *enc) finish() error {
-	e.flush()
+	if e.w != nil {
+		e.flush()
+	}
 	return e.err
 }
 

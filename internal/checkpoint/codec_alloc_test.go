@@ -76,29 +76,33 @@ func TestCodecAllocsFollowParamCountNotSize(t *testing.T) {
 				}),
 			}
 		}
-		// Beyond the walks: the chunk, plus the delta's plan, output and
-		// buffer header. The engine source walks only base; in place of the
-		// tenant's walk it adds its norm-stat list and the two callbacks
-		// Engine.Walk takes, with the two counters they share — nothing per
-		// value. Then the reader over the delta bytes, and the record's
-		// key, class list, method, two slices and two layer names. Apply is
-		// the view written back into dst, so it costs the view (its walk of
-		// base, the chunk, reader and view, and up to four objects per map)
-		// plus a walk of dst, and the write-back takes its base values from
-		// the view's entries instead of walking base a second time. A record
-		// carries the delta: saving one is EncodeModelDelta plus the
-		// record's chunk (it was walk + 1 while the record held the dense
-		// classifier: 12 allocs on resnet-s, 6 on transformer-s, now 27 and
-		// 15), and loading one is the record's chunk, reader and metadata,
-		// a walk for the delta's length bound, the delta's bytes, and Apply
-		// (it was walk + 2 + 7: 20 and 14, now 54 and 33).
+		// Beyond the walks (a model's Params and its norm-stat list, each
+		// one exactly sized slice): a delta encode allocates its source
+		// list and the one buffer it sizes and writes the delta into (it
+		// was a chunk, a bytes.Buffer and its backing array besides). The
+		// engine source walks only base; in place of the tenant's walk it
+		// adds its norm-stat list and the one visitor Engine.Walk takes (it
+		// was two escaping callbacks and the two counters they shared) —
+		// nothing per value. A view is the reader over the delta bytes, the
+		// chunk, the view and its two entry slices (two maps, up to four
+		// objects each, before). Apply is the view written back into dst, so
+		// it costs the view plus a walk of dst, and the write-back takes its
+		// base values from the view's entries instead of walking base a
+		// second time. A record carries the delta: saving one is
+		// EncodeModelDelta plus the record's chunk (it was walk + 1 while the
+		// record held the dense classifier: 12 allocs on resnet-s, 6 on
+		// transformer-s, now 7 and 5), and loading one is the record's
+		// chunk, reader and metadata, a walk for the delta's length bound,
+		// the delta's bytes, and Apply (it was walk + 2 + 7: 20 and 14, now
+		// 16 and 12). The bounds are resnet-s's measurement; transformer-s
+		// has no batch norm, so its norm-stat lists cost nothing.
 		bounds := map[string]float64{
-			"EncodeModelDelta":    2*walk + 4,
-			"EncodeEngineDelta":   walk + 9,
-			"ApplyModelDelta":     2*walk + 3 + 8,
-			"ViewModelDelta":      walk + 3 + 8,
-			"SavePersonalization": 2*walk + 4 + 1,
-			"LoadPersonalization": 3*walk + 2 + 7 + 1 + 3 + 8,
+			"EncodeModelDelta":    2*walk + 2,
+			"EncodeEngineDelta":   walk + 4,
+			"ApplyModelDelta":     2*walk + 5,
+			"ViewModelDelta":      walk + 5,
+			"SavePersonalization": 2*walk + 3,
+			"LoadPersonalization": 3*walk + 10,
 		}
 		for name, bound := range bounds {
 			w1, w2 := counts[0][name], counts[1][name]

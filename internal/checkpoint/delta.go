@@ -1,7 +1,6 @@
 package checkpoint
 
 import (
-	"bytes"
 	"fmt"
 
 	"repro/internal/format"
@@ -77,13 +76,16 @@ func EncodeModelDelta(base, tenant *nn.Classifier) ([]byte, error) {
 
 // Compiled is a tenant as a compiled Float32 engine holds it — the second
 // source the delta encoder reads, implemented by *inference.Engine (an
-// interface because inference's tests import this package). Walk
-// visits, in the order of the layer tree's Params, each parameter's values
+// interface because inference's tests import this package). Walk hands its
+// visitor, in the order of the layer tree's Params, each parameter's values
 // (a matrix's plan, whose entries are the non-zeros of W ⊙ Mask in index
 // order, or a vector held verbatim: a depthwise W ⊙ Mask, a bias, γ or β),
 // and, in batch-norm order, each norm layer's running statistics.
 type Compiled interface {
-	Walk(param func(plan *format.Plan, values []float64), norm func(mean, variance []float64)) error
+	Walk(v interface {
+		Param(plan *format.Plan, values []float64)
+		Norm(mean, variance []float64)
+	}) error
 }
 
 // EncodeEngineDelta serializes the tenant a Float32 engine compiled from
@@ -96,39 +98,51 @@ type Compiled interface {
 // mask exactly when base marks them prunable.
 func EncodeEngineDelta(base *nn.Classifier, eng Compiled) ([]byte, error) {
 	bp, bs := base.Params(), bnStats(base)
-	src := make([]tenantParam, len(bp))
-	ts := make([]stat, len(bs))
-	np, ns := 0, 0
-	err := eng.Walk(func(plan *format.Plan, values []float64) {
-		if np < len(src) {
-			src[np] = tenantParam{masked: bp[np].Prunable, w: values, plan: plan}
-		}
-		np++
-	}, func(mean, variance []float64) {
-		if ns < len(ts) {
-			ts[ns] = stat{mean: mean, variance: variance}
-		}
-		ns++
-	})
-	if err != nil {
+	w := &engineSource{bp: bp, src: make([]tenantParam, len(bp)), ts: make([]stat, len(bs))}
+	if err := eng.Walk(w); err != nil {
 		return nil, err
 	}
-	if np != len(bp) || ns != len(bs) {
-		return nil, fmt.Errorf("checkpoint: engine holds %d params and %d norm stats, base has %d and %d", np, ns, len(bp), len(bs))
+	if w.np != len(bp) || w.ns != len(bs) {
+		return nil, fmt.Errorf("checkpoint: engine holds %d params and %d norm stats, base has %d and %d", w.np, w.ns, len(bp), len(bs))
 	}
-	for i, p := range src {
+	for i, p := range w.src {
 		b := bp[i]
 		if pl := p.plan; pl != nil && (pl.Rows != b.Rows || pl.Cols != b.Cols) || pl == nil && len(p.w) != b.W.Len() {
 			return nil, fmt.Errorf("checkpoint: engine param %d does not have the shape of base %q", i, b.Name)
 		}
 	}
-	for i, s := range ts {
+	for i, s := range w.ts {
 		if len(s.mean) != len(bs[i].mean) || len(s.variance) != len(bs[i].variance) {
 			return nil, fmt.Errorf("checkpoint: engine norm stat %d does not have the length of base %q", i, bs[i].name)
 		}
-		ts[i].name = bs[i].name
+		w.ts[i].name = bs[i].name
 	}
-	return encodeDelta(bp, bs, src, ts)
+	return encodeDelta(bp, bs, w.src, w.ts)
+}
+
+// engineSource is the visitor EncodeEngineDelta walks an engine with: it
+// lists what the engine hands back as the encoder's sources, and counts every
+// call, so an engine that holds more or fewer values than base is caught
+// rather than written.
+type engineSource struct {
+	bp     []*nn.Param
+	src    []tenantParam
+	ts     []stat
+	np, ns int
+}
+
+func (w *engineSource) Param(plan *format.Plan, values []float64) {
+	if w.np < len(w.src) {
+		w.src[w.np] = tenantParam{masked: w.bp[w.np].Prunable, w: values, plan: plan}
+	}
+	w.np++
+}
+
+func (w *engineSource) Norm(mean, variance []float64) {
+	if w.ns < len(w.ts) {
+		w.ts[w.ns] = stat{mean: mean, variance: variance}
+	}
+	w.ns++
 }
 
 // tenantParam is one tenant parameter as the encoder reads it: a source
@@ -191,7 +205,7 @@ func (p *tenantParam) dense(n int, visit func(j int, v float64)) {
 // encodeDelta is the one delta encoder, whichever source filled src and ts
 // (checked against bp and bs, whose names it writes). A first pass counts
 // each masked entry's kept values, which fixes the record's exact size; the
-// second writes into a buffer of that size.
+// second writes straight into the one buffer of that size it returns.
 func encodeDelta(bp []*nn.Param, bs []stat, src []tenantParam, ts []stat) ([]byte, error) {
 	size := 4 + 4 + 4 + 4 + 8 // magic, version, #params, #bnStats, crc
 	for i := range src {
@@ -208,8 +222,7 @@ func encodeDelta(bp []*nn.Param, bs []stat, src []tenantParam, ts []stat) ([]byt
 		size += 4 + len(bs[i].name) + 16*len(s.mean)
 	}
 
-	buf := bytes.NewBuffer(make([]byte, 0, size))
-	bw := &enc{w: buf}
+	bw := &enc{buf: make([]byte, size)}
 	raw(bw, deltaMagic)
 	bw.u32(deltaVersion)
 	bw.startSum()
@@ -260,7 +273,10 @@ func encodeDelta(bp []*nn.Param, bs []stat, src []tenantParam, ts []stat) ([]byt
 	if err := bw.finish(); err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	if bw.n != size {
+		return nil, fmt.Errorf("checkpoint: delta is %d bytes, sized %d", bw.n, size)
+	}
+	return bw.buf, nil
 }
 
 // deltaBound is the size of the largest delta base's architecture admits:

@@ -18,10 +18,15 @@ import (
 // apply-then-read yields: it writes that memory and nothing else, keeps no
 // reference to it, and what it writes are values, never a view of the delta
 // or the base. The view itself holds both: drop it when the reads are done.
+//
+// Its entries are two slices in the order of base's Params and batch norms,
+// found by name: a compile reads them in that order, and a lookup scans a few
+// dozen entries, not the tenant's values. The view keeps no read position, so
+// concurrent reads share it safely.
 type DeltaView struct {
 	delta  []byte
-	params map[string]deltaEntry
-	stats  map[string]statEntry
+	params []deltaEntry
+	stats  []statEntry
 }
 
 type deltaEntry struct {
@@ -31,8 +36,9 @@ type deltaEntry struct {
 }
 
 type statEntry struct {
-	n  int // the layer's channel count
-	at int // offset of the stored means (then variances)
+	name string // the layer's γ name
+	n    int    // the layer's channel count
+	at   int    // offset of the stored means (then variances)
 }
 
 // ViewModelDelta validates delta against base's architecture and returns the
@@ -57,7 +63,7 @@ func ViewModelDelta(delta []byte, base *nn.Classifier) (*DeltaView, error) {
 	if n := int(br.u32()); br.err == nil && n != len(bp) {
 		return nil, fmt.Errorf("checkpoint: delta stores %d params, model has %d", n, len(bp))
 	}
-	v := &DeltaView{delta: delta, params: make(map[string]deltaEntry, len(bp)), stats: make(map[string]statEntry, len(bs))}
+	v := &DeltaView{delta: delta, params: make([]deltaEntry, 0, len(bp)), stats: make([]statEntry, 0, len(bs))}
 	for _, p := range bp {
 		if name, ok := br.expect(p.Name); br.err == nil && !ok {
 			return nil, fmt.Errorf("checkpoint: delta param %q does not match model param %q", name, p.Name)
@@ -66,7 +72,7 @@ func ViewModelDelta(delta []byte, base *nn.Classifier) (*DeltaView, error) {
 		n := p.W.Len()
 		if br.u8() != 1 {
 			e.vals = skip(8 * n)
-			v.params[p.Name] = e
+			v.params = append(v.params, e)
 			continue
 		}
 		kept := 0
@@ -83,7 +89,7 @@ func ViewModelDelta(delta []byte, base *nn.Classifier) (*DeltaView, error) {
 			return nil, fmt.Errorf("checkpoint: delta param %q: %d stored values for %d kept positions", p.Name, count, kept)
 		}
 		e.vals = skip(8 * kept)
-		v.params[p.Name] = e
+		v.params = append(v.params, e)
 	}
 	if n := int(br.u32()); br.err == nil && n != len(bs) {
 		return nil, fmt.Errorf("checkpoint: delta stores %d norm stats, model has %d", n, len(bs))
@@ -92,7 +98,7 @@ func ViewModelDelta(delta []byte, base *nn.Classifier) (*DeltaView, error) {
 		if name, ok := br.expect(s.name); br.err == nil && !ok {
 			return nil, fmt.Errorf("checkpoint: delta norm stat %q does not match %q", name, s.name)
 		}
-		v.stats[s.name] = statEntry{n: len(s.mean), at: skip(16 * len(s.mean))}
+		v.stats = append(v.stats, statEntry{name: s.name, n: len(s.mean), at: skip(16 * len(s.mean))})
 	}
 	if err := br.checkTrailer("delta"); err != nil {
 		return nil, err
@@ -109,17 +115,17 @@ func (v *DeltaView) applyTo(dst *nn.Classifier) error {
 		return fmt.Errorf("checkpoint: delta across architectures: %d params, %d norm stats vs base %d, %d", len(dp), len(ds), len(v.params), len(v.stats))
 	}
 	for _, p := range dp {
-		if e, ok := v.params[p.Name]; !ok || e.base.W.Len() != p.W.Len() {
+		if e, ok := v.param(p.Name); !ok || e.base.W.Len() != p.W.Len() {
 			return fmt.Errorf("checkpoint: delta param %q: dst/base shapes differ", p.Name)
 		}
 	}
 	for _, s := range ds {
-		if e, ok := v.stats[s.name]; !ok || e.n != len(s.mean) {
+		if e, ok := v.stat(s.name); !ok || e.n != len(s.mean) {
 			return fmt.Errorf("checkpoint: delta norm stat %q: dst/base lengths differ", s.name)
 		}
 	}
 	for _, p := range dp {
-		e := v.params[p.Name]
+		e, _ := v.param(p.Name)
 		v.overlay(e, p.W.Data)
 		if e.mask == 0 {
 			p.ClearMask()
@@ -128,9 +134,30 @@ func (v *DeltaView) applyTo(dst *nn.Classifier) error {
 		}
 	}
 	for _, s := range ds {
-		v.normStats(v.stats[s.name], s.mean, s.variance)
+		e, _ := v.stat(s.name)
+		v.normStats(e, s.mean, s.variance)
 	}
 	return nil
+}
+
+// param is the entry of the parameter named name.
+func (v *DeltaView) param(name string) (deltaEntry, bool) {
+	for _, e := range v.params {
+		if e.base.Name == name {
+			return e, true
+		}
+	}
+	return deltaEntry{}, false
+}
+
+// stat is the entry of the batch norm whose γ is named name.
+func (v *DeltaView) stat(name string) (statEntry, bool) {
+	for _, e := range v.stats {
+		if e.name == name {
+			return e, true
+		}
+	}
+	return statEntry{}, false
 }
 
 // overlay writes e's tenant values into w: the stored dense values, or the
@@ -169,7 +196,7 @@ func (v *DeltaView) normStats(e statEntry, mean, variance []float64) {
 
 // entryInto is p's entry, once dst is checked to hold exactly p's values.
 func (v *DeltaView) entryInto(p *nn.Param, dst []float64) deltaEntry {
-	e, ok := v.params[p.Name]
+	e, ok := v.param(p.Name)
 	if !ok {
 		panic("checkpoint: delta view has no parameter " + p.Name)
 	}
@@ -207,7 +234,7 @@ func (v *DeltaView) ValuesInto(p *nn.Param, dst []float64) {
 // NormStatsInto writes the tenant's running mean and variance for base layer
 // bn into mean and variance.
 func (v *DeltaView) NormStatsInto(bn *nn.BatchNorm2D, mean, variance []float64) {
-	e, ok := v.stats[bn.Gamma.Name]
+	e, ok := v.stat(bn.Gamma.Name)
 	if !ok {
 		panic("checkpoint: delta view has no norm stat " + bn.Gamma.Name)
 	}

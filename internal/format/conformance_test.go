@@ -96,7 +96,7 @@ func conformancePlans(w *tensor.Tensor, blk int, nm sparsity.NM) map[string]*Pla
 // the scalar reference. The batch grid holds every width of the one-pass
 // regime (n = 4…7 run spanPanel4 plus the tail kernel, n = 8 spanPanel8)
 // and widths on both sides of it; the seventh shape is large enough that
-// batches of four and up cross spmmParallelThreshold, so on a multi-core
+// batches of four and up cross tensor.ParallelThreshold, so on a multi-core
 // host the chunk sizes also partition the pool fan-out differently. The
 // last is the uint16 width boundary (edgeColumns), also held to the dense
 // product: the scalar reference shares its column load with every path.
@@ -282,7 +282,7 @@ func TestConvPlanDifferential(t *testing.T) {
 			tensor.Im2ColInto(x, g, lowered)
 			want := scalarRef(p, lowered)
 
-			cp := p.CompileConv(gm.kh, gm.kw, gm.stride, gm.pad)
+			cp := p.CompileConv(new(ConvPlan), gm.kh, gm.kw, gm.stride, gm.pad)
 			chw := gm.inC * gm.inH * gm.inW
 			xT := tensor.TransposeInto(x.Reshape(batch, chw), tensor.New(chw, batch))
 			outT := cp.MatMulBatchLastInto(xT, g, batch, tensor.New(rows*oh*ow, batch))
@@ -310,7 +310,7 @@ func TestConvPlanDifferential(t *testing.T) {
 // multiply-shift CompileConv sets up yields (col / KH·KW, col % KH·KW).
 func TestConvTapDecode(t *testing.T) {
 	for khw := 1; khw <= 64; khw++ {
-		cp := (&Plan{Cols: MaxCols / khw * khw}).CompileConv(khw, 1, 1, 0)
+		cp := (&Plan{Cols: MaxCols / khw * khw}).CompileConv(new(ConvPlan), khw, 1, 1, 0)
 		for col := 0; col < MaxCols; col++ {
 			if c, kk := cp.tap(uint16(col)); c != col/khw || kk != col%khw {
 				t.Fatalf("KH·KW = %d, col %d: decoded (%d, %d), want (%d, %d)", khw, col, c, kk, col/khw, col%khw)

@@ -81,8 +81,9 @@ type convState struct {
 }
 
 // CompileConv specializes the plan for convolution with the given kernel
-// shape. The plan's Cols must equal InC·KH·KW for some whole channel count.
-func (p *Plan) CompileConv(kh, kw, stride, pad int) *ConvPlan {
+// shape, into cp, which it returns: a compile carves every conv's from one
+// slab. The plan's Cols must equal InC·KH·KW for some whole channel count.
+func (p *Plan) CompileConv(cp *ConvPlan, kh, kw, stride, pad int) *ConvPlan {
 	if kh <= 0 || kw <= 0 || stride <= 0 || pad < 0 {
 		panic(fmt.Sprintf("format: CompileConv bad kernel %dx%d stride %d pad %d", kh, kw, stride, pad))
 	}
@@ -90,11 +91,12 @@ func (p *Plan) CompileConv(kh, kw, stride, pad int) *ConvPlan {
 	if p.Cols%khw != 0 {
 		panic(fmt.Sprintf("format: CompileConv plan cols %d not divisible by KH*KW = %d", p.Cols, khw))
 	}
-	return &ConvPlan{
+	*cp = ConvPlan{
 		p: p, kh: kh, kw: kw, stride: stride, pad: pad,
 		inC: p.Cols / khw,
 		khw: khw, magic: 1<<32/uint64(khw) + 1,
 	}
+	return cp
 }
 
 // SizeBytes reports the heap bytes the conv specialization owns on top of

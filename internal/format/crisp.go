@@ -53,18 +53,7 @@ func (e *CRISPFormat) Encode(m *tensor.Tensor, b int, nm sparsity.NM) error {
 		return fmt.Errorf("format: matrix violates %s: %w", nm, err)
 	}
 	g := sparsity.NewBlockGrid(rows, cols, b)
-	kept := 0
-	if g.GridRows() > 0 {
-		for bc := 0; bc < g.GridCols(); bc++ {
-			if sparsity.BlockKept(m, g, 0, bc) {
-				kept++
-			}
-		}
-	}
-	// Sized once: every block row keeps `kept` blocks of at most b rows ×
-	// b/M groups × N slots (edge blocks are smaller, so this is a capacity).
-	blocks := g.GridRows() * kept
-	slots := blocks * b * (b / nm.M) * nm.N
+	kept, blocks, slots := crispSize(m, g, nm)
 	*e = CRISPFormat{
 		Rows: rows, Cols: cols, B: b, NM: nm, KeptPerRow: kept,
 		BlockCols: slices.Grow(e.BlockCols[:0], blocks),
@@ -105,6 +94,35 @@ func (e *CRISPFormat) Encode(m *tensor.Tensor, b int, nm sparsity.NM) error {
 		}
 	}
 	return nil
+}
+
+// CRISPSlots reports the block columns and value slots Encode sizes a
+// CRISPFormat for when it encodes m, so an encoder made with the largest of
+// each over a set of matrices encodes them all without growing. A block size
+// or pattern Encode rejects needs none.
+func CRISPSlots(m *tensor.Tensor, b int, nm sparsity.NM) (blocks, slots int) {
+	if b <= 0 || nm.Validate() != nil || b%nm.M != 0 {
+		return 0, 0
+	}
+	rows, cols := checkMatrix(m)
+	_, blocks, slots = crispSize(m, sparsity.NewBlockGrid(rows, cols, b), nm)
+	return blocks, slots
+}
+
+// crispSize is Encode's sizing: the blocks block row 0 keeps, which every
+// block row must keep, and so the block columns and slots the encoding
+// holds. Every block row keeps `kept` blocks of at most b rows × b/M groups
+// × N slots (edge blocks are smaller, so slots is a capacity).
+func crispSize(m *tensor.Tensor, g sparsity.BlockGrid, nm sparsity.NM) (kept, blocks, slots int) {
+	if g.GridRows() > 0 {
+		for bc := 0; bc < g.GridCols(); bc++ {
+			if sparsity.BlockKept(m, g, 0, bc) {
+				kept++
+			}
+		}
+	}
+	blocks = g.GridRows() * kept
+	return kept, blocks, blocks * g.B * (g.B / nm.M) * nm.N
 }
 
 // Name implements Encoded.

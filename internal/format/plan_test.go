@@ -211,7 +211,7 @@ func TestFanOutAllocatesNothing(t *testing.T) {
 
 	g := tensor.ConvGeom{InC: 16, KH: 3, KW: 3, Stride: 1, Pad: 1, InH: 8, InW: 8}
 	cw := hybridMatrix(rng, 16, 16*9, 4, sparsity.NM{N: 2, M: 4}, 1)
-	cp := EncodeCSR(cw).Compile().CompileConv(3, 3, 1, 1)
+	cp := EncodeCSR(cw).Compile().CompileConv(new(ConvPlan), 3, 3, 1, 1)
 	ohow := g.OutH() * g.OutW()
 	xT := tensor.Randn(rng, 1, 16*8*8, batch)
 	convOut := tensor.New(16*ohow, batch)

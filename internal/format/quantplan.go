@@ -83,65 +83,204 @@ func (q *QuantPlan) SizeBytes() int64 {
 // layout. Non-finite weights fail closed: deploying a NaN/Inf model at
 // int8 would silently encode garbage codes, so it is an error instead.
 func (p *Plan) Quantize() (*QuantPlan, error) {
-	q := &QuantPlan{
-		Rows:     p.Rows,
-		Cols:     p.Cols,
-		RowPtr:   make([]int32, len(p.RowPtr)),
-		NegPtr:   make([]int32, p.Rows),
-		RowScale: make([]float64, p.Rows),
-		rowSum:   make([]int32, p.Rows),
-		Col:      make([]uint16, 0, p.NNZ()),
-		Code:     make([]int8, 0, p.NNZ()),
+	codes, err := p.quantCodes()
+	if err != nil {
+		return nil, err
 	}
-	for r := 0; r < p.Rows; r++ {
-		if nnz := int(p.RowPtr[r+1] - p.RowPtr[r]); nnz > maxQuantRowNNZ {
-			return nil, fmt.Errorf("format: quantize: row %d stores %d entries, max %d (packed accumulator bound)", r, nnz, maxQuantRowNNZ)
-		}
-		maxAbs := 0.0
-		for _, v := range p.Val[p.RowPtr[r]:p.RowPtr[r+1]] {
-			a := math.Abs(v)
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, fmt.Errorf("format: quantize: non-finite weight %v in row %d", v, r)
-			}
-			if a > maxAbs {
-				maxAbs = a
-			}
-		}
-		s := 1.0
-		if maxAbs > 0 {
-			s = maxAbs / 127
-		}
-		q.RowScale[r] = s
-		inv := 1 / s
-		code := func(i int32) int8 {
-			c := math.Round(p.Val[i] * inv)
-			if c > 127 {
-				c = 127
-			} else if c < -127 {
-				c = -127
-			}
-			return int8(c)
-		}
+	s := NewQuantSlab(1, p.Rows)
+	s.Reserve(codes)
+	return p.QuantizeIn(&s)
+}
+
+// QuantizeIn is Quantize with the image carved from s: its header, row
+// arrays and exactly as many Col and Code entries as the image keeps.
+func (p *Plan) QuantizeIn(s *QuantSlab) (*QuantPlan, error) {
+	codes, err := p.quantCodes()
+	if err != nil {
+		return nil, err
+	}
+	q, err := s.carve(p.Rows, p.Cols, codes)
+	if err != nil {
+		return nil, err
+	}
+	at := int32(0)
+	for r := range p.Rows {
+		vals := p.Val[p.RowPtr[r]:p.RowPtr[r+1]]
+		scale, _, _ := rowScale(vals, r)
+		q.RowScale[r] = scale
+		inv := 1 / scale
 		sum := int32(0)
 		// Positive codes first, then negatives; zero codes are dropped.
-		for i := p.RowPtr[r]; i < p.RowPtr[r+1]; i++ {
-			if c := code(i); c > 0 {
-				q.Col = append(q.Col, p.Col[i])
-				q.Code = append(q.Code, c)
+		for i, v := range vals {
+			if c := quantCode(v, inv); c > 0 {
+				q.Col[at], q.Code[at] = p.Col[int(p.RowPtr[r])+i], c
+				at++
 				sum += int32(c)
 			}
 		}
-		q.NegPtr[r] = int32(len(q.Code))
-		for i := p.RowPtr[r]; i < p.RowPtr[r+1]; i++ {
-			if c := code(i); c < 0 {
-				q.Col = append(q.Col, p.Col[i])
-				q.Code = append(q.Code, c)
+		q.NegPtr[r] = at
+		for i, v := range vals {
+			if c := quantCode(v, inv); c < 0 {
+				q.Col[at], q.Code[at] = p.Col[int(p.RowPtr[r])+i], c
+				at++
 				sum += int32(c)
 			}
 		}
 		q.rowSum[r] = sum
-		q.RowPtr[r+1] = int32(len(q.Code))
+		q.RowPtr[r+1] = at
 	}
+	return q, nil
+}
+
+// QuantCodes reports how many codes the image of a plan compiled from the
+// dense matrix m holds (Quantize keeps a code per non-zero that does not
+// round to zero), so a QuantSlab can be sized before any plan is built. A
+// zero weight quantizes to zero, and a plan keeps exactly m's non-zeros, so
+// each row counts as the plan's row will. The errors are Quantize's.
+func QuantCodes(m *tensor.Tensor) (int, error) {
+	rows, cols := checkMatrix(m)
+	codes := 0
+	for r := range rows {
+		_, n, err := rowScale(m.Data[r*cols:(r+1)*cols], r)
+		if err != nil {
+			return 0, err
+		}
+		codes += n
+	}
+	return codes, nil
+}
+
+// quantCodes is QuantCodes over the plan's own rows.
+func (p *Plan) quantCodes() (int, error) {
+	codes := 0
+	for r := range p.Rows {
+		_, n, err := rowScale(p.Val[p.RowPtr[r]:p.RowPtr[r+1]], r)
+		if err != nil {
+			return 0, err
+		}
+		codes += n
+	}
+	return codes, nil
+}
+
+// rowScale returns row r's symmetric scale (max|w|/127, 1 for an all-zero
+// row) and how many of its weights quantize to a non-zero code. A row of
+// more non-zeros than the packed accumulator bound, or with a non-finite
+// weight, is an error.
+func rowScale(vals []float64, r int) (scale float64, codes int, err error) {
+	maxAbs, nnz := 0.0, 0
+	for _, v := range vals {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return 0, 0, fmt.Errorf("format: quantize: non-finite weight %v in row %d", v, r)
+		}
+		if v != 0 {
+			nnz++
+		}
+		maxAbs = max(maxAbs, math.Abs(v))
+	}
+	if nnz > maxQuantRowNNZ {
+		return 0, 0, fmt.Errorf("format: quantize: row %d stores %d entries, max %d (packed accumulator bound)", r, nnz, maxQuantRowNNZ)
+	}
+	scale = 1.0
+	if maxAbs > 0 {
+		scale = maxAbs / 127
+	}
+	inv := 1 / scale
+	for _, v := range vals {
+		if quantCode(v, inv) != 0 {
+			codes++
+		}
+	}
+	return scale, codes, nil
+}
+
+// quantCode is v's int8 code at inverse scale inv, rounded and clamped to
+// ±127.
+func quantCode(v, inv float64) int8 {
+	return int8(max(-127, min(127, math.Round(v*inv))))
+}
+
+// QuantSlab is the backing memory of a set of int8 images whose sizes are
+// known before the first is quantized: one []QuantPlan, one int32 array for
+// every image's RowPtr, NegPtr and row sums, one RowScale array, and the
+// images' Col and Code entries in chunks, which QuantizeIn carves front to
+// back like a PlanSlab.
+type QuantSlab struct {
+	images []QuantPlan
+	ptrs   []int32
+	scales []float64
+	// col and code are the chunk being carved; chunks lists the code counts
+	// of the chunks after it, made as the carve reaches them.
+	col    []uint16
+	code   []int8
+	chunks []int
+	// ni, nr and nc are the next image, row and code (in the chunk) to carve.
+	ni, nr, nc int
+}
+
+// quantChunk bounds a chunk's entries: 16 Ki uint16 columns are 32 KiB, the
+// largest size class. One array past it is a large object, rounded up to
+// whole 8 KiB pages: a resnet-s tenant's 17 461 columns in one array would
+// waste 6 KB beside its 78 KB engine.
+const quantChunk = 1 << 14
+
+// NewQuantSlab returns a slab for the given number of images and rows
+// (summed over the images), with room for no codes yet: Reserve each image's,
+// in the order the images will be carved.
+func NewQuantSlab(images, rows int) QuantSlab {
+	return QuantSlab{
+		images: make([]QuantPlan, images),
+		ptrs:   make([]int32, 3*rows+images),
+		scales: make([]float64, rows),
+	}
+}
+
+// Reserve adds room for the next image's codes: to the last chunk while it
+// stays within quantChunk entries, else in a chunk of its own, so no image
+// straddles two.
+func (s *QuantSlab) Reserve(codes int) {
+	if n := len(s.chunks); n > 0 && s.chunks[n-1]+codes <= quantChunk {
+		s.chunks[n-1] += codes
+		return
+	}
+	s.chunks = append(s.chunks, codes)
+}
+
+// Left reports what has not been carved yet: images, rows and codes.
+func (s *QuantSlab) Left() (images, rows, codes int) {
+	codes = len(s.code) - s.nc
+	for _, n := range s.chunks {
+		codes += n
+	}
+	return len(s.images) - s.ni, len(s.scales) - s.nr, codes
+}
+
+// carve takes the next image of rows × cols with the given number of codes
+// from s, its RowPtr[0] zero, making the next chunk once the last is used
+// up. A slab too short for it is an error, and carves nothing.
+func (s *QuantSlab) carve(rows, cols, codes int) (*QuantPlan, error) {
+	if s.nc == len(s.code) && len(s.chunks) > 0 {
+		s.col, s.code = make([]uint16, s.chunks[0]), make([]int8, s.chunks[0])
+		s.chunks, s.nc = s.chunks[1:], 0
+	}
+	images, left := len(s.images)-s.ni, len(s.scales)-s.nr
+	if images == 0 || left < rows || len(s.code)-s.nc < codes {
+		return nil, fmt.Errorf("format: quant slab has %d images, %d rows and %d codes in its chunk left, a %d-row image of %d codes needs 1, %d and %d",
+			images, left, len(s.code)-s.nc, rows, codes, rows, codes)
+	}
+	q := &s.images[s.ni]
+	p := s.ptrs[3*s.nr+s.ni : 3*(s.nr+rows)+s.ni+1 : 3*(s.nr+rows)+s.ni+1]
+	*q = QuantPlan{
+		Rows: rows, Cols: cols,
+		RowPtr:   p[: rows+1 : rows+1],
+		NegPtr:   p[rows+1 : 2*rows+1 : 2*rows+1],
+		rowSum:   p[2*rows+1:],
+		RowScale: s.scales[s.nr : s.nr+rows : s.nr+rows],
+		Col:      s.col[s.nc : s.nc+codes : s.nc+codes],
+		Code:     s.code[s.nc : s.nc+codes : s.nc+codes],
+	}
+	s.ni, s.nr, s.nc = s.ni+1, s.nr+rows, s.nc+codes
+	q.RowPtr[0] = 0
 	return q, nil
 }
 

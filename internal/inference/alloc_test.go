@@ -1,10 +1,13 @@
 package inference
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/data"
 	"repro/internal/format"
 	"repro/internal/models"
@@ -22,12 +25,22 @@ import (
 // On a churning server every promotion is followed by a first pass (52 % of
 // tenant_churn's predicts), and it builds the arena from nothing: slabs, and
 // a header per tensor any executor draws. Measured at batch 1 / batch 16:
-// transformer-s 15 / 17 objects (139 at batch 16 when every header was its
-// own object with a heap-allocated shape), resnet-s 16 / 62 (238; at batch
-// 16 its ten convs each build a clip table, and most activations outgrow a
-// shared slab; 22 / 83 while every kernel fan-out allocated its closure and
-// join counter). The budgets are about twice the measurement; a header that
-// allocates per tensor again does not fit.
+// transformer-s 11 / 13 objects (15 / 17 while headers came sixteen to an
+// allocation, 139 at batch 16 when every header was its own object with a
+// heap-allocated shape), resnet-s 13 / 58 (16 / 62, and 238; at batch 16 its
+// ten convs each build a clip table, and most activations outgrow a shared
+// slab; 22 / 83 while every kernel fan-out allocated its closure and join
+// counter). Header slabs now double, so a pass's headers take a few objects
+// however many tensors it draws. The budgets are about twice the
+// measurement; a header that allocates per tensor again does not fit.
+//
+// An engine that has served and then lost its pooled arenas to two
+// collections (a hot tenant between bursts) builds its next arena in one
+// step, sized from the most one of its passes drew: 6 objects at batch 1 and
+// 16 on both families, 7 for resnet-s at batch 16, whose emptied kernel pools
+// also rebuild a job record. It was 15 / 17 and 17 / 42 while that arena grew
+// slab by slab and header chunk by header chunk like a fresh one. The budget
+// is the measurement.
 //
 // Every later pass of the same engine reuses that arena, and a kernel
 // fan-out draws its job record from a pool, so a pass allocates only its
@@ -43,12 +56,15 @@ func TestFirstPassAllocsBudget(t *testing.T) {
 	ds := data.New(cfg)
 	nm := sparsity.NM{N: 2, M: 4}
 	const steady = 1 // every later pass: its []int answer
+	// a pass with an emptied pool: the arena, its header and float slabs, the
+	// pool's re-registration, the answer (and a kernel job record)
+	const rebuilt = 7
 	for _, c := range []struct {
 		family models.Family
 		first  [2]float64 // a fresh Float32 engine's first pass, batch 1 / 16
 	}{
-		{models.Transformer, [2]float64{30, 35}},
-		{models.ResNet, [2]float64{35, 125}},
+		{models.Transformer, [2]float64{22, 26}},
+		{models.ResNet, [2]float64{26, 116}},
 	} {
 		tenant := models.Build(c.family, rand.New(rand.NewSource(20240608)), cfg.NumClasses, 2)
 		pruner.NewCRISP(pruner.Options{Target: 0.9, NM: nm, BlockSize: 4, Iterations: 1, FinetuneEpochs: 1, BatchSize: 16}).
@@ -75,6 +91,16 @@ func TestFirstPassAllocsBudget(t *testing.T) {
 			if objects > c.first[bi] {
 				t.Errorf("%s: a fresh engine's first batch-%d pass allocates %.0f objects, budget %.0f", c.family, batch, objects, c.first[bi])
 			}
+			// Two collections empty every engine's pool; each builds its
+			// next arena at the size its first pass reached.
+			runtime.GC()
+			runtime.GC()
+			i = 0
+			objects = testing.AllocsPerRun(passes, func() { engines[i].PredictBatch(xs[:batch]); i++ })
+			t.Logf("%s: %.0f objects in a batch-%d pass once the pool is emptied", c.family, objects, batch)
+			if objects > rebuilt {
+				t.Errorf("%s: a batch-%d pass after its engine's pool was emptied allocates %.0f objects, budget %d", c.family, batch, objects, rebuilt)
+			}
 
 			for _, prec := range []Precision{Float32, Int8} {
 				eng, err := NewWithOptions(tenant, 4, nm, CompileOptions{Precision: prec})
@@ -88,6 +114,81 @@ func TestFirstPassAllocsBudget(t *testing.T) {
 					t.Errorf("%s %s: a steady-state batch-%d pass allocates %.0f objects, budget %d", c.family, prec, batch, objects, steady)
 				}
 			}
+		}
+	}
+}
+
+// TestCompileAllocsDoNotFollowDepth: a compile allocates per tenant, not per
+// layer. Two models that differ only in depth — 4 and 16 residual blocks of
+// Linear, LayerNorm and ReLU — compile from a delta view, at both precisions,
+// with the same number of objects: every executor and child list, plan,
+// image and vector is carved from a slab sized before the first is built,
+// and the encoder and the scratch plan an image is quantized from are made
+// once, at their final size: 17 objects at Float32, 23 at Int8, at either
+// depth. While each executor was its own object, each image seven, and the
+// encoder grew as larger matrices came, it was 39 and 111 at Float32, 81 and
+// 237 at Int8.
+func TestCompileAllocsDoNotFollowDepth(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const d, classes = 16, 8
+	build := func(blocks int) *nn.Classifier {
+		rng := rand.New(rand.NewSource(5))
+		layers := []nn.Layer{&nn.Flatten{}, nn.NewLinear("in", rng, 3*4*4, d, true)}
+		for i := range blocks {
+			layers = append(layers, nn.NewResidual(nn.NewSequential(
+				nn.NewLinear(fmt.Sprintf("b%d.fc", i), rng, d, d, true),
+				nn.NewLayerNorm(fmt.Sprintf("b%d.ln", i), d),
+				nn.NewReLU(),
+			), nil))
+		}
+		layers = append(layers, nn.NewLinear("head", rng, d, classes, true))
+		return nn.NewClassifier("mlp", nn.NewSequential(layers...), classes)
+	}
+	nm := sparsity.NM{N: 2, M: 4}
+	var counts [2][2]float64
+	for i, blocks := range []int{4, 16} {
+		base, tenant := build(blocks), build(blocks)
+		// A hybrid mask: every block row keeps the even 4×4 block columns,
+		// and the first two of every group of four inside them.
+		for _, p := range tenant.PrunableParams() {
+			m := p.EnsureMask()
+			for j := range m.Data {
+				m.Data[j] = 0
+				if c := j % p.Cols; c/4%2 == 0 && c%4 < 2 {
+					m.Data[j] = 1
+				}
+			}
+		}
+		delta, err := checkpoint.EncodeModelDelta(base, tenant)
+		if err != nil {
+			t.Fatal(err)
+		}
+		view, err := checkpoint.ViewModelDelta(delta, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, prec := range []Precision{Float32, Int8} {
+			opts := CompileOptions{Precision: prec}
+			eng, err := NewFromSource(base, view, 4, nm, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if eng.CompressedLayers != blocks+2 {
+				t.Fatalf("%d blocks at %s: %d compressed layers", blocks, prec, eng.CompressedLayers)
+			}
+			counts[j][i] = testing.AllocsPerRun(10, func() {
+				if _, err := NewFromSource(base, view, 4, nm, opts); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	}
+	for j, prec := range []Precision{Float32, Int8} {
+		t.Logf("%s: %.0f objects to compile 4 blocks, %.0f to compile 16", prec, counts[j][0], counts[j][1])
+		if counts[j][0] != counts[j][1] {
+			t.Errorf("%s: a compile of 4 blocks allocates %.0f objects, of 16 blocks %.0f", prec, counts[j][0], counts[j][1])
 		}
 	}
 }

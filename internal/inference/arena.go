@@ -1,24 +1,37 @@
 package inference
 
-import "repro/internal/tensor"
+import (
+	"sync/atomic"
+
+	"repro/internal/tensor"
+)
 
 // arenaSlabFloats is the minimum slab size (elements). One slab comfortably
 // holds several small-layer activations; big layers get a dedicated slab of
 // exactly their size on first use.
 const arenaSlabFloats = 1 << 16
 
+// hdrChunk is the first header slab's length; each later one is as long as
+// all before it together.
+const hdrChunk = 16
+
 // slabRun is one element type's bump allocator inside the arena: recycled
 // slabs walked front to back, growing (never shrinking) as a pass demands.
-type slabRun[T uint64 | float64] struct {
+type slabRun[T any] struct {
 	slabs [][]T
-	slab  int // slab currently being bump-allocated
-	off   int // offset into slabs[slab]
+	first [1][]T // backs slabs until a second slab is added
+	slab  int    // slab currently being bump-allocated
+	off   int    // offset into slabs[slab]
+	held  int    // elements across all slabs
+	drawn int    // elements handed out this pass
 }
 
-func (s *slabRun[T]) reset() { s.slab, s.off = 0, 0 }
+func (s *slabRun[T]) reset() { s.slab, s.off, s.drawn = 0, 0, 0 }
 
-// alloc returns an n-element buffer with arbitrary contents.
-func (s *slabRun[T]) alloc(n int) []T {
+// alloc returns an n-element buffer with arbitrary contents. A slab it has
+// to add is at least least elements long.
+func (s *slabRun[T]) alloc(n, least int) []T {
+	s.drawn += n
 	for s.slab < len(s.slabs) {
 		if sl := s.slabs[s.slab]; s.off+n <= len(sl) {
 			out := sl[s.off : s.off+n : s.off+n]
@@ -28,13 +41,18 @@ func (s *slabRun[T]) alloc(n int) []T {
 		s.slab++
 		s.off = 0
 	}
-	sz := arenaSlabFloats
-	if n > sz {
-		sz = n
-	}
-	s.slabs = append(s.slabs, make([]T, sz))
+	s.add(max(n, least))
 	s.off = n
 	return s.slabs[s.slab][:n:n]
+}
+
+// add appends an n-element slab.
+func (s *slabRun[T]) add(n int) {
+	if s.slabs == nil {
+		s.slabs = s.first[:0]
+	}
+	s.slabs = append(s.slabs, make([]T, n))
+	s.held += n
 }
 
 // arena is the engine-owned scratch allocator behind one forward pass. It
@@ -50,56 +68,85 @@ func (s *slabRun[T]) alloc(n int) []T {
 // about; the whole arena resets at once when the pass completes and goes
 // back to the engine's sync.Pool. Capacity is learned on the first pass per
 // batch size (slabs grow, never shrink) and is stable afterwards; the pool
-// discards arenas under memory pressure.
+// discards arenas under memory pressure. The engine remembers the most any
+// of its passes drew (arenaHigh), so an arena built after the pool let go of
+// its last one is made in one step at that size (sized).
 //
 // Buffers come back with stale contents. Executors either overwrite every
 // element (the Into kernels' documented contract) or ask for tensorZero
 // when they accumulate with +=.
 type arena struct {
-	f64 slabRun[float64]
-	u64 slabRun[uint64]
-
-	hdrs [][]hdr // recycled tensor headers, hdrChunk to an allocation
-	used int     // headers handed out this pass
+	f64  slabRun[float64]
+	u64  slabRun[uint64]
+	hdrs slabRun[hdr] // recycled tensor headers
 }
 
 // hdr is a tensor header with room for its shape inline. A freshly
 // compiled engine's first pass builds every header it will ever use — and on
-// a churning server half the predicts are such a pass — so headers come
-// hdrChunk to an allocation and carry their shape with them: one object per
-// sixteen tensors instead of two per tensor.
+// a churning server half the predicts are such a pass — so headers come many
+// to an allocation, each slab as long as all before it, and carry their
+// shape with them: a handful of objects per pass instead of two per tensor.
 type hdr struct {
 	t     tensor.Tensor
 	shape [4]int // every executor's rank fits; a longer shape spills to the heap
 }
 
-const hdrChunk = 16
+// arenaHigh is the most one pass of an engine has drawn from its arena:
+// headers, floats and words.
+type arenaHigh struct {
+	hdrs, f64, u64 atomic.Int64
+}
+
+// note raises the high-water to what a's pass drew.
+func (h *arenaHigh) note(a *arena) {
+	raise(&h.hdrs, a.hdrs.drawn)
+	raise(&h.f64, a.f64.drawn)
+	raise(&h.u64, a.u64.drawn)
+}
+
+func raise(v *atomic.Int64, n int) {
+	for old := v.Load(); int64(n) > old && !v.CompareAndSwap(old, int64(n)); old = v.Load() {
+	}
+}
+
+// sized returns an arena whose first slab of each kind holds the high-water,
+// so a pass up to it allocates nothing more; an engine that has not served
+// yet gets an empty arena that grows as its first pass demands.
+func (h *arenaHigh) sized() *arena {
+	a := &arena{}
+	if n := int(h.hdrs.Load()); n > 0 {
+		a.hdrs.add(max(n, hdrChunk))
+	}
+	if n := int(h.f64.Load()); n > 0 {
+		a.f64.add(max(n, arenaSlabFloats))
+	}
+	if n := int(h.u64.Load()); n > 0 {
+		a.u64.add(max(n, arenaSlabFloats))
+	}
+	return a
+}
 
 // reset recycles the arena for the next pass; memory is retained.
 func (a *arena) reset() {
 	a.f64.reset()
 	a.u64.reset()
-	a.used = 0
+	a.hdrs.reset()
 }
 
 // alloc returns an n-float buffer with arbitrary contents.
 func (a *arena) alloc(n int) []float64 {
-	return a.f64.alloc(n)
+	return a.f64.alloc(n, arenaSlabFloats)
 }
 
 // allocU64 returns an n-word buffer with arbitrary contents (the quantized
 // SpMM's packed activation codes and 32-bit-lane accumulators).
 func (a *arena) allocU64(n int) []uint64 {
-	return a.u64.alloc(n)
+	return a.u64.alloc(n, arenaSlabFloats)
 }
 
 // header returns a recycled tensor header with the given shape (data unset).
 func (a *arena) header(shape []int) *tensor.Tensor {
-	if a.used == len(a.hdrs)*hdrChunk {
-		a.hdrs = append(a.hdrs, make([]hdr, hdrChunk))
-	}
-	h := &a.hdrs[a.used/hdrChunk][a.used%hdrChunk]
-	a.used++
+	h := &a.hdrs.alloc(1, max(hdrChunk, a.hdrs.held))[0]
 	h.t.Shape = append(h.shape[:0], shape...)
 	return &h.t
 }

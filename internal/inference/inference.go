@@ -52,11 +52,13 @@
 // parameters (OwnParams: New, NewWithOptions) or a tenant's delta over that
 // tree (checkpoint.DeltaView, every serving path) — into memory the compile
 // provides. A compile sizes the engine before it builds anything and carves
-// it from a fixed handful of exactly sized slabs: one []float64 for every
-// bias, γ, β, running statistic and depthwise kernel, and one []format.Plan
-// with one RowPtr, Col and Val array for the float plans. Each matrix's
-// W ⊙ Mask passes through one dense scratch, sized to the tree's largest
-// matrix, that dies with the compile. Once compiled,
+// it from a fixed handful of exactly sized slabs, so it allocates per tenant,
+// not per layer: one []float64 for every bias, γ, β, running statistic and
+// depthwise kernel, one []format.Plan with one RowPtr, Col and Val array for
+// the float plans, one format.QuantSlab for the int8 images, and one array
+// per executor type (execSlabs). Each matrix's W ⊙ Mask passes through one
+// dense scratch, sized to the tree's largest matrix, and one encoder, sized
+// to its largest encoding, that die with the compile. Once compiled,
 // nothing reachable from the engine is the tree, a layer of it, the source
 // or the bytes behind it: executors hold geometry, dimensions and ReLU caps
 // by value, take no activation-statistics hook (an engine counts no
@@ -130,8 +132,10 @@ type Engine struct {
 	// CompressedLayers counts the layers running from sparse encodings; it
 	// is fixed at compile time.
 	CompressedLayers int
-	// arenas recycles per-call scratch arenas across forward passes.
+	// arenas recycles per-call scratch arenas across forward passes, and
+	// high sizes the arena built when the pool has none.
 	arenas sync.Pool
+	high   arenaHigh
 }
 
 // New compiles clf's current masks into a sparse execution plan. The
@@ -215,11 +219,12 @@ func (e *Engine) getArena() *arena {
 	if a, ok := e.arenas.Get().(*arena); ok {
 		return a
 	}
-	return &arena{}
+	return e.high.sized()
 }
 
-// putArena resets and recycles a pass's arena.
+// putArena notes what the pass drew, then resets and recycles its arena.
 func (e *Engine) putArena(a *arena) {
+	e.high.note(a)
 	a.reset()
 	e.arenas.Put(a)
 }
@@ -316,11 +321,115 @@ type compiler struct {
 	// tmp holds the float plan an Int8 image is quantized from, re-carved for
 	// every matrix.
 	tmp format.PlanSlab
-	// plans and vecs back the engine: every float plan it runs, and every
-	// vector its executors index (biases, γ, β, running statistics,
-	// depthwise kernels). measure sizes both exactly.
-	plans format.PlanSlab
-	vecs  []float64
+	// plans, quants, vecs and execs back the engine: every float plan it
+	// runs, every int8 image, every vector its executors index (biases, γ,
+	// β, running statistics, depthwise kernels), and the executors
+	// themselves. measure sizes each exactly.
+	plans  format.PlanSlab
+	quants format.QuantSlab
+	vecs   []float64
+	execs  execSlabs
+}
+
+// execSlabs back an engine's executors: one exactly sized array per executor
+// type, and one for every execSeq's children, so a compile allocates per
+// executor type, not per layer. Executors of no state (GELU, the pools
+// without parameters, Flatten) are zero-sized and allocate nothing.
+type execSlabs struct {
+	seq       slab[execSeq]
+	children  slab[execLayer]
+	residual  slab[execResidual]
+	conv      slab[sparseConv]
+	linear    slab[sparseLinear]
+	token     slab[sparseTokenLinear]
+	patch     slab[sparsePatchEmbed]
+	attention slab[execAttention]
+	depthwise slab[execDepthwise]
+	batchNorm slab[execBatchNorm]
+	relu      slab[execReLU]
+	layerNorm slab[execLayerNorm]
+	maxPool   slab[execMaxPool]
+	// convPlans are the float convs' fused kernels (format.ConvPlan).
+	convPlans slab[format.ConvPlan]
+}
+
+// count adds what compile carves for l at prec to the slabs: its executor,
+// an execSeq's children, a float conv's fused kernel. measure walks the tree
+// with it.
+func (x *execSlabs) count(l nn.Layer, prec Precision) {
+	switch v := l.(type) {
+	case *nn.Sequential:
+		x.seq.n++
+		x.children.n += len(v.Layers)
+	case *nn.Residual:
+		x.residual.n++
+	case *nn.Conv2D:
+		x.conv.n++
+		if prec != Int8 {
+			x.convPlans.n++
+		}
+	case *nn.Linear:
+		x.linear.n++
+	case *nn.TokenLinear:
+		x.token.n++
+	case *nn.PatchEmbed:
+		x.patch.n++
+	case *nn.MultiHeadAttention:
+		x.attention.n++
+	case *nn.DepthwiseConv2D:
+		x.depthwise.n++
+	case *nn.BatchNorm2D:
+		x.batchNorm.n++
+	case *nn.ReLU:
+		x.relu.n++
+	case *nn.LayerNorm:
+		x.layerNorm.n++
+	case *nn.MaxPool2D:
+		x.maxPool.n++
+	}
+}
+
+// left is how many counted elements compile has not carved.
+func (x *execSlabs) left() int {
+	return x.seq.left() + x.children.left() + x.residual.left() + x.conv.left() +
+		x.linear.left() + x.token.left() + x.patch.left() + x.attention.left() +
+		x.depthwise.left() + x.batchNorm.left() + x.relu.left() + x.layerNorm.left() +
+		x.maxPool.left() + x.convPlans.left()
+}
+
+// slab is one element type's exactly sized array: measure counts n, and
+// compile carves it front to back, making it whole at the first carve. A
+// carve past n panics.
+type slab[T any] struct {
+	n    int
+	free []T
+}
+
+// take carves the next k elements.
+func (s *slab[T]) take(k int) []T {
+	if s.free == nil {
+		s.free = make([]T, s.n)
+	}
+	v := s.free[:k:k]
+	s.free = s.free[k:]
+	return v
+}
+
+// next carves one element.
+func (s *slab[T]) next() *T { return &s.take(1)[0] }
+
+// carve places v in the next element of s.
+func carve[T any](s *slab[T], v T) *T {
+	p := s.next()
+	*p = v
+	return p
+}
+
+func (s *slab[T]) left() int {
+	if s.free == nil {
+		return s.n
+	}
+	return len(s.free)
 }
 
 // engine compiles tree at prec, reading every value through c.src. It fails
@@ -337,9 +446,11 @@ func (c *compiler) engine(tree *nn.Classifier, prec Precision) (*Engine, error) 
 	if err != nil {
 		return nil, err
 	}
-	if plans, rowPtrs, nnz := c.plans.Left(); len(c.vecs)+plans+rowPtrs+nnz != 0 {
-		return nil, fmt.Errorf("inference: compile and measure disagree: %d vector elements, %d plans, %d row pointers and %d entries left over",
-			len(c.vecs), plans, rowPtrs, nnz)
+	plans, rowPtrs, nnz := c.plans.Left()
+	images, rows, codes := c.quants.Left()
+	if execs := c.execs.left(); len(c.vecs)+plans+rowPtrs+nnz+images+rows+codes+execs != 0 {
+		return nil, fmt.Errorf("inference: compile and measure disagree: %d vector elements, %d plans, %d row pointers, %d entries, %d images, %d image rows, %d codes and %d executors left over",
+			len(c.vecs), plans, rowPtrs, nnz, images, rows, codes, execs)
 	}
 	c.e.root = root
 	return c.e, nil
@@ -347,19 +458,19 @@ func (c *compiler) engine(tree *nn.Classifier, prec Precision) (*Engine, error) 
 
 // compile mirrors the layer tree, swapping weight-bearing layers for
 // plan-backed executors and eval-mode layers for arena-backed ones, with
-// every value read through c.src into memory carved from c's slabs. A layer
-// type it does not know is an error: there is no executor that could run it
-// without retaining it.
+// every value read through c.src into memory carved from c's slabs, the
+// executors too. A layer type it does not know is an error: there is no
+// executor that could run it without retaining it.
 func (c *compiler) compile(l nn.Layer) (execLayer, error) {
 	switch v := l.(type) {
 	case *nn.Sequential:
-		out := &execSeq{layers: make([]execLayer, 0, len(v.Layers))}
-		for _, child := range v.Layers {
+		out := carve(&c.execs.seq, execSeq{layers: c.execs.children.take(len(v.Layers))})
+		for i, child := range v.Layers {
 			cl, err := c.compile(child)
 			if err != nil {
 				return nil, err
 			}
-			out.layers = append(out.layers, cl)
+			out.layers[i] = cl
 		}
 		return out, nil
 	case *nn.Residual:
@@ -374,17 +485,17 @@ func (c *compiler) compile(l nn.Layer) (execLayer, error) {
 				return nil, err
 			}
 		}
-		return &execResidual{main: main, shortcut: short}, nil
+		return carve(&c.execs.residual, execResidual{main: main, shortcut: short}), nil
 	case *nn.Conv2D:
 		mm, err := c.newSpMM(v.Weight)
 		if err != nil {
 			return nil, err
 		}
-		sc := &sparseConv{geom: v.Geom, outC: v.OutC, bias: c.own(v.Bias), mm: mm}
+		sc := carve(&c.execs.conv, sparseConv{geom: v.Geom, outC: v.OutC, bias: c.own(v.Bias), mm: mm})
 		if mm.plan != nil {
 			// Float engines run conv through the fused implicit-im2col
 			// kernel (see format.CompileConv).
-			sc.cp = mm.plan.CompileConv(v.Geom.KH, v.Geom.KW, v.Geom.Stride, v.Geom.Pad)
+			sc.cp = mm.plan.CompileConv(c.execs.convPlans.next(), v.Geom.KH, v.Geom.KW, v.Geom.Stride, v.Geom.Pad)
 			c.e.footprint += sc.cp.SizeBytes()
 		}
 		return sc, nil
@@ -393,19 +504,19 @@ func (c *compiler) compile(l nn.Layer) (execLayer, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &sparseLinear{in: v.In, out: v.Out, bias: c.own(v.Bias), mm: mm}, nil
+		return carve(&c.execs.linear, sparseLinear{in: v.In, out: v.Out, bias: c.own(v.Bias), mm: mm}), nil
 	case *nn.TokenLinear:
 		mm, err := c.newSpMM(v.Weight)
 		if err != nil {
 			return nil, err
 		}
-		return &sparseTokenLinear{in: v.In, out: v.Out, bias: c.own(v.Bias), mm: mm}, nil
+		return carve(&c.execs.token, sparseTokenLinear{in: v.In, out: v.Out, bias: c.own(v.Bias), mm: mm}), nil
 	case *nn.PatchEmbed:
 		mm, err := c.newSpMM(v.Weight)
 		if err != nil {
 			return nil, err
 		}
-		return &sparsePatchEmbed{pe: nn.PatchEmbed{C: v.C, P: v.P, D: v.D}, bias: c.own(v.Bias), mm: mm}, nil
+		return carve(&c.execs.patch, sparsePatchEmbed{pe: nn.PatchEmbed{C: v.C, P: v.P, D: v.D}, bias: c.own(v.Bias), mm: mm}), nil
 	case *nn.MultiHeadAttention:
 		// Float plans at either precision: taking attention to int8 is an
 		// accuracy question the golden agreement suite has not been asked.
@@ -416,27 +527,27 @@ func (c *compiler) compile(l nn.Layer) (execLayer, error) {
 				return nil, err
 			}
 		}
-		return &execAttention{d: v.D, heads: v.Heads, wq: w[0], wk: w[1], wv: w[2], wo: w[3]}, nil
+		return carve(&c.execs.attention, execAttention{d: v.D, heads: v.Heads, wq: w[0], wk: w[1], wv: w[2], wo: w[3]}), nil
 	case *nn.DepthwiseConv2D:
 		weff := c.vector(v.Weight.W.Len())
 		c.src.EffectiveInto(v.Weight, weff)
-		return &execDepthwise{geom: v.Geom, bias: c.own(v.Bias), weff: weff}, nil
+		return carve(&c.execs.depthwise, execDepthwise{geom: v.Geom, bias: c.own(v.Bias), weff: weff}), nil
 	case *nn.BatchNorm2D:
 		n := len(v.RunMean.Data)
 		mean, variance := c.vector(n), c.vector(n)
 		c.src.NormStatsInto(v, mean, variance)
-		return &execBatchNorm{
+		return carve(&c.execs.batchNorm, execBatchNorm{
 			eps: v.Eps, mean: mean, variance: variance,
 			gamma: c.own(v.Gamma), beta: c.own(v.Beta),
-		}, nil
+		}), nil
 	case *nn.ReLU:
-		return &execReLU{clip: v.Cap}, nil
+		return carve(&c.execs.relu, execReLU{clip: v.Cap}), nil
 	case *nn.GELU:
 		return execGELU{}, nil
 	case *nn.LayerNorm:
-		return &execLayerNorm{d: v.D, eps: v.Eps, gamma: c.own(v.Gamma), beta: c.own(v.Beta)}, nil
+		return carve(&c.execs.layerNorm, execLayerNorm{d: v.D, eps: v.Eps, gamma: c.own(v.Gamma), beta: c.own(v.Beta)}), nil
 	case *nn.MaxPool2D:
-		return &execMaxPool{k: v.K, stride: v.Stride}, nil
+		return carve(&c.execs.maxPool, execMaxPool{k: v.K, stride: v.Stride}), nil
 	case *nn.GlobalAvgPool:
 		return &execGlobalAvgPool{}, nil
 	case *nn.MeanPoolTokens:
@@ -494,15 +605,18 @@ func takes(l nn.Layer, prec Precision, matrix func(p *nn.Param, kept bool), vect
 	})
 }
 
-// measure sizes the dense scratch and the engine's slabs before compile
-// carves anything, in two walks of takes: one for shapes (the largest
-// matrix, the vector elements, the kept plans and their rows), then, with
-// the scratch allocated, one that decodes each kept plan's matrix and counts
-// its non-zeros, which are exactly the entries both the CRISP and the CSR
-// compile keep. A matrix wider than a plan's uint16 columns reach is an error
-// naming the parameter, raised before the source materializes anything.
+// measure sizes everything a compile allocates before compile carves
+// anything, in two walks of takes: one for shapes (the largest matrix, the
+// vector elements, the kept plans and the images with their rows), with the
+// executors counted beside it; then, with the scratch allocated, one that
+// decodes each matrix once. It counts a kept plan's non-zeros, which are
+// exactly the entries both the CRISP and the CSR compile keep, and an image's
+// codes, and finds the largest encoding and scratch plan any matrix needs, so
+// the encoder and the scratch plan are made once at their final size. A
+// matrix wider than a plan's uint16 columns reach is an error naming the
+// parameter, raised before the source materializes anything.
 func (c *compiler) measure(root nn.Layer) error {
-	var largest, vecs, plans, rows, nnz int
+	var largest, vecs, plans, rows, images, imageRows int
 	var wide *nn.Param
 	takes(root, c.e.precision, func(p *nn.Param, kept bool) {
 		largest = max(largest, p.W.Len())
@@ -512,20 +626,52 @@ func (c *compiler) measure(root nn.Layer) error {
 		if kept {
 			plans++
 			rows += p.Rows
+		} else {
+			images++
+			imageRows += p.Rows
 		}
 	}, func(n int) { vecs += n })
 	if wide != nil {
 		return fmt.Errorf("inference: %s has %d columns, a plan holds at most %d", wide.Name, wide.Cols, format.MaxCols)
 	}
+	nn.Walk(root, func(l nn.Layer) { c.execs.count(l, c.e.precision) })
 	c.dense, c.vecs = make([]float64, largest), make([]float64, vecs)
+	c.quants = format.NewQuantSlab(images, imageRows)
+	var nnz, blocks, slots, tmpRows, tmpNNZ int
+	var err error
 	takes(root, c.e.precision, func(p *nn.Param, kept bool) {
-		if kept {
-			nnz += c.matrix(p).CountNonZero()
+		if err != nil {
+			return
 		}
+		m := c.matrix(p)
+		if blockSparse(p) {
+			b, s := format.CRISPSlots(m, c.b, c.nm)
+			blocks, slots = max(blocks, b), max(slots, s)
+		}
+		n := m.CountNonZero()
+		if kept {
+			nnz += n
+			return
+		}
+		tmpRows, tmpNNZ = max(tmpRows, p.Rows), max(tmpNNZ, n)
+		var codes int
+		codes, err = format.QuantCodes(m)
+		c.quants.Reserve(codes)
 	}, func(int) {})
+	if err != nil {
+		return err
+	}
 	c.plans = format.NewPlanSlab(plans, rows, nnz)
+	if images > 0 {
+		c.tmp = format.NewPlanSlab(1, tmpRows, tmpNNZ)
+	}
+	c.enc = format.CRISPFormat{BlockCols: make([]int32, 0, blocks), Offsets: make([]uint8, 0, slots), Val: make([]float64, 0, slots)}
 	return nil
 }
+
+// blockSparse reports whether p compiles through the CRISP encoder, which
+// falls back to CSR when p's mask is not hybrid; the rest always use CSR.
+func blockSparse(p *nn.Param) bool { return !p.BlockExempt && p.Prunable }
 
 // spmm is the executors' shared SpMM dispatch: a compiled float plan, or —
 // in Int8 engines — the int8 image quantized from it, never both.
@@ -556,9 +702,10 @@ func (s *spmm) into(b, out *tensor.Tensor, a *arena) *tensor.Tensor {
 }
 
 // newSpMM compiles one weight-bearing layer's SpMM dispatch at the engine's
-// precision. An Int8 engine keeps the image and not the float plan it was
-// quantized from: that plan is carved from the compile's scratch, which the
-// next matrix re-carves, since no forward path reads it.
+// precision. An Int8 engine keeps the image, carved from the engine's image
+// slab, and not the float plan it was quantized from: that plan is carved
+// from the compile's scratch, which the next matrix re-carves, since no
+// forward path reads it.
 func (c *compiler) newSpMM(p *nn.Param) (spmm, error) {
 	if c.e.precision != Int8 {
 		plan, err := c.newPlan(p)
@@ -568,7 +715,7 @@ func (c *compiler) newSpMM(p *nn.Param) (spmm, error) {
 	if err != nil {
 		return spmm{}, err
 	}
-	q, err := plan.Quantize()
+	q, err := plan.QuantizeIn(&c.quants)
 	if err != nil {
 		return spmm{}, err
 	}
@@ -617,7 +764,7 @@ func (c *compiler) matrix(p *nn.Param) *tensor.Tensor {
 func (c *compiler) encode(p *nn.Param, m *tensor.Tensor, s *format.PlanSlab) (*format.Plan, error) {
 	var plan *format.Plan
 	var err error
-	if !p.BlockExempt && p.Prunable && c.enc.Encode(m, c.b, c.nm) == nil {
+	if blockSparse(p) && c.enc.Encode(m, c.b, c.nm) == nil {
 		plan, err = c.enc.CompileIn(s)
 	} else {
 		plan, err = format.CompileCSRIn(m, s)
@@ -650,65 +797,74 @@ func (c *compiler) own(p *nn.Param) []float64 {
 	return v
 }
 
-// Walk hands a Float32 engine's values back — the reverse of compile, which
-// took them from a ParamSource. It visits in compile order, which is the order
-// of the layer tree's Params and of its batch norms: param once per
-// parameter, with the plan a matrix compiled to (its entries are the
-// non-zeros of W ⊙ Mask, each row's in ascending column order) or the vector
-// the engine holds verbatim (a depthwise kernel's W ⊙ Mask, a bias, γ or β);
-// norm once per batch norm, with its running mean and variance. What it hands
-// out is the engine's own memory: read it, never write it. An Int8 engine
-// holds lossy images of its matrices, not their values, and walks nothing.
-func (e *Engine) Walk(param func(plan *format.Plan, values []float64), norm func(mean, variance []float64)) error {
+// Visitor receives what Walk hands back: Param once per parameter, with the
+// plan a matrix compiled to (its entries are the non-zeros of W ⊙ Mask, each
+// row's in ascending column order) or the vector the engine holds verbatim
+// (a depthwise kernel's W ⊙ Mask, a bias, γ or β); Norm once per batch norm,
+// with its running mean and variance. It is an interface, not two callbacks,
+// so a walk allocates at most the visitor.
+type Visitor = interface {
+	Param(plan *format.Plan, values []float64)
+	Norm(mean, variance []float64)
+}
+
+// Walk hands a Float32 engine's values back to v — the reverse of compile,
+// which took them from a ParamSource. It visits in compile order, which is the
+// order of the layer tree's Params and of its batch norms. What it hands out
+// is the engine's own memory: read it, never write it. An Int8 engine holds
+// lossy images of its matrices, not their values, and walks nothing.
+func (e *Engine) Walk(v Visitor) error {
 	if e.precision != Float32 {
 		return fmt.Errorf("inference: a %s engine holds no float values to walk", e.precision)
 	}
-	walk(e.root, param, norm)
+	walk(e.root, v)
 	return nil
 }
 
-func walk(l execLayer, param func(*format.Plan, []float64), norm func(mean, variance []float64)) {
-	vec := func(v []float64) {
-		if v != nil { // a bias-free layer's absent bias
-			param(nil, v)
-		}
-	}
-	switch v := l.(type) {
+func walk(l execLayer, v Visitor) {
+	switch x := l.(type) {
 	case *execSeq:
-		for _, c := range v.layers {
-			walk(c, param, norm)
+		for _, c := range x.layers {
+			walk(c, v)
 		}
 	case *execResidual:
-		walk(v.main, param, norm)
-		if v.shortcut != nil {
-			walk(v.shortcut, param, norm)
+		walk(x.main, v)
+		if x.shortcut != nil {
+			walk(x.shortcut, v)
 		}
 	case *sparseConv:
-		param(v.mm.plan, nil)
-		vec(v.bias)
+		v.Param(x.mm.plan, nil)
+		walkBias(x.bias, v)
 	case *sparseLinear:
-		param(v.mm.plan, nil)
-		vec(v.bias)
+		v.Param(x.mm.plan, nil)
+		walkBias(x.bias, v)
 	case *sparseTokenLinear:
-		param(v.mm.plan, nil)
-		vec(v.bias)
+		v.Param(x.mm.plan, nil)
+		walkBias(x.bias, v)
 	case *sparsePatchEmbed:
-		param(v.mm.plan, nil)
-		vec(v.bias)
+		v.Param(x.mm.plan, nil)
+		walkBias(x.bias, v)
 	case *execAttention:
-		for _, p := range [...]*format.Plan{v.wq, v.wk, v.wv, v.wo} {
-			param(p, nil)
+		for _, p := range [...]*format.Plan{x.wq, x.wk, x.wv, x.wo} {
+			v.Param(p, nil)
 		}
 	case *execDepthwise:
-		param(nil, v.weff)
-		vec(v.bias)
+		v.Param(nil, x.weff)
+		walkBias(x.bias, v)
 	case *execBatchNorm:
-		param(nil, v.gamma)
-		param(nil, v.beta)
-		norm(v.mean, v.variance)
+		v.Param(nil, x.gamma)
+		v.Param(nil, x.beta)
+		v.Norm(x.mean, x.variance)
 	case *execLayerNorm:
-		param(nil, v.gamma)
-		param(nil, v.beta)
+		v.Param(nil, x.gamma)
+		v.Param(nil, x.beta)
+	}
+}
+
+// walkBias hands v a layer's bias; a bias-free layer has no parameter.
+func walkBias(bias []float64, v Visitor) {
+	if bias != nil {
+		v.Param(nil, bias)
 	}
 }
 

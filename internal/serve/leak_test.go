@@ -293,11 +293,17 @@ func benchShapeServer(t *testing.T, f models.Family, tiers Options) *Server {
 // delta the warm record holds (checkpoint.EncodeEngineDelta: one listing of
 // the base, the record and a handful of objects) — and promotes the other
 // straight from (base, delta) — no classifier is built. Measured per demote
-// + promote pair: transformer-s 75 objects / 96 KB for 14 plans, resnet-s
-// 121 / 780 KB for 11, now that a compile carves its engine from a few
-// exactly sized slabs (one vector slab; one []Plan and one RowPtr, Col and
-// Val array) and decodes every matrix into one dense scratch. Before, every
-// plan was four objects, every vector its own, and every matrix a fresh
+// + promote pair: transformer-s 44 objects / 86 KB for 14 plans, resnet-s
+// 47 / 745 KB for 11, now that a tier transition allocates per tenant, not
+// per layer: every executor, execSeq child list and conv kernel is carved
+// from one array per type, the delta view holds its entries in two slices
+// instead of two maps, the encoder is made once at the size of the largest
+// encoding, and a demotion walks the engine with one visitor and writes the
+// delta into the one buffer it returns. It was 75 / 96 KB and 121 / 780 KB
+// while each executor was its own object and only plans and vectors came
+// from exactly sized slabs (one vector slab; one []Plan and one RowPtr, Col
+// and Val array), every matrix decoded into one dense scratch. Before that,
+// every plan was four objects, every vector its own, and every matrix a fresh
 // dense W ⊙ Mask (three objects, and most of the bytes): 217 / 231 KB and
 // 274 / 1.86 MB. Deriving the delta added its bytes (226 / 199 KB and
 // 289 / 1.66 MB while the hot tenant held the delta and demotion parked it),
@@ -326,7 +332,7 @@ func TestPromoteAllocsBudget(t *testing.T) {
 	for _, c := range []struct {
 		family         models.Family
 		objects, bytes float64
-	}{{models.Transformer, 86, 110e3}, {models.ResNet, 139, 0.9e6}} {
+	}{{models.Transformer, 50, 100e3}, {models.ResNet, 54, 0.86e6}} {
 		t.Run(string(c.family), func(t *testing.T) {
 			s := benchShapeServer(t, c.family, Options{CacheSize: 1, MemoryBudgetBytes: 1 << 40})
 			sets := [][]int{{0, 1, 3}, {2, 5, 8}}

@@ -385,6 +385,10 @@ type inflightCall struct {
 	done chan struct{}
 	p    *Personalization
 	err  error
+	// pruned is the leader's own: whether the job ran the pruner, not a
+	// restore or promotion. It rides in the call rather than in a variable
+	// the pool job's closure would move to the heap.
+	pruned bool
 }
 
 // Server is the multi-tenant personalization service: it owns one
@@ -653,9 +657,8 @@ func (s *Server) personalizeLane(classes []int, lane Lane, qos *QoSClass) (*Pers
 	// already closed) and its snapshot registration.
 	s.pendingAdd(&s.pendingJobs)
 	defer s.pendingDone(&s.pendingJobs)
-	var pruned bool
 	s.pool.DoLane(lane, func() {
-		call.p, pruned, call.err = s.personalize(canon, key)
+		call.p, call.pruned, call.err = s.personalize(canon, key)
 	})
 	if qos != nil && call.err == nil {
 		call.p.qos.Store(int32(*qos))
@@ -665,7 +668,7 @@ func (s *Server) personalizeLane(classes []int, lane Lane, qos *QoSClass) (*Pers
 	inserted := false
 	if call.err == nil {
 		inserted = s.insertLocked(key, call.p)
-		if pruned {
+		if call.pruned {
 			s.stats.Personalizations++
 		}
 	}
@@ -680,7 +683,7 @@ func (s *Server) personalizeLane(classes []int, lane Lane, qos *QoSClass) (*Pers
 			call.p.release()
 		}
 		s.rebalance()
-		if pruned && s.store != nil {
+		if call.pruned && s.store != nil {
 			s.scheduleSnapshot(call.p)
 		}
 	}

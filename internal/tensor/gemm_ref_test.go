@@ -173,7 +173,7 @@ func TestGemmBitIdenticalToReference(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		shapes = append(shapes, shape{1 + rng.Intn(24), 1 + rng.Intn(40), 1 + rng.Intn(70)})
 	}
-	// Above parallelThreshold: the row range is split across the worker
+	// Above ParallelThreshold: the row range is split across the worker
 	// pool, with chunk boundaries that cut the 2-row blocks.
 	shapes = append(shapes, shape{16, 144, 64}, shape{33, 37, 67}, shape{5, 130, 129}, shape{64, 64, 64})
 	for _, s := range shapes {
