@@ -132,7 +132,6 @@ func main() {
 	}
 	pruner.Finetune(base, ds.MakeSplit("pretrain", all, 8), *pretrain, 16,
 		nn.NewSGD(0.05, 0.9, 4e-5), rand.New(rand.NewSource(*seed+2)))
-	base.ReleaseTrainingState()
 
 	servers := make([]*serve.Server, len(precs))
 	for i, prec := range precs {

@@ -203,7 +203,6 @@ func main() {
 	}
 	opt := nn.NewSGD(0.05, 0.9, 4e-5)
 	pruner.Finetune(base, ds.MakeSplit("pretrain", all, *perClass), *pretrain, 16, opt, rand.New(rand.NewSource(*seed+2)))
-	base.ReleaseTrainingState()
 	log.Printf("pre-trained in %.1fs", time.Since(start).Seconds())
 
 	s, err := serve.NewServer(build, base, ds, serve.Options{

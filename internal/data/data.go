@@ -196,26 +196,30 @@ func HashString(s string) uint32 {
 	return h
 }
 
-// Batches shuffles the split with rng and invokes fn on successive batches
-// of at most batchSize samples. It is the training-loop iterator.
-func Batches(rng *rand.Rand, s Split, batchSize int, fn func(x *tensor.Tensor, labels []int)) {
+// Batches runs epochs passes over the split, the training-loop iterator:
+// each pass shuffles the split with rng and invokes fn on successive batches
+// of at most batchSize samples, epoch numbering the pass from 0. One batch
+// tensor and one label slice, sized for a full batch, carry every batch of
+// every pass — a ragged last batch re-slices them — so the passes allocate
+// only their permutations, and fn must not keep x or labels past its return.
+func Batches(rng *rand.Rand, s Split, batchSize, epochs int, fn func(epoch int, x *tensor.Tensor, labels []int)) {
 	n := s.Len()
-	order := rng.Perm(n)
 	c, h, w := s.X.Shape[1], s.X.Shape[2], s.X.Shape[3]
 	vol := c * h * w
-	for start := 0; start < n; start += batchSize {
-		end := start + batchSize
-		if end > n {
-			end = n
+	x := tensor.New(min(batchSize, n), c, h, w)
+	buf, labels := x.Data, make([]int, min(batchSize, n))
+	for epoch := 0; epoch < epochs; epoch++ {
+		order := rng.Perm(n)
+		for start := 0; start < n; start += batchSize {
+			end := min(start+batchSize, n)
+			bs := end - start
+			x.Shape[0], x.Data = bs, buf[:bs*vol]
+			for i := 0; i < bs; i++ {
+				b := order[start+i]
+				copy(x.Data[i*vol:(i+1)*vol], s.X.Data[b*vol:(b+1)*vol])
+				labels[i] = s.Labels[b]
+			}
+			fn(epoch, x, labels[:bs])
 		}
-		bs := end - start
-		x := tensor.New(bs, c, h, w)
-		labels := make([]int, bs)
-		for i := 0; i < bs; i++ {
-			b := order[start+i]
-			copy(x.Data[i*vol:(i+1)*vol], s.X.Data[b*vol:(b+1)*vol])
-			labels[i] = s.Labels[b]
-		}
-		fn(x, labels)
 	}
 }

@@ -151,7 +151,10 @@ func TestBatchesCoverAllSamplesOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	counts := map[int]int{}
 	total := 0
-	Batches(rng, s, 4, func(x *tensor.Tensor, labels []int) {
+	Batches(rng, s, 4, 2, func(epoch int, x *tensor.Tensor, labels []int) {
+		if epoch != total/15 {
+			t.Fatalf("sample %d arrived in epoch %d", total, epoch)
+		}
 		if x.Shape[0] != len(labels) {
 			t.Fatalf("batch shape %v vs %d labels", x.Shape, len(labels))
 		}
@@ -163,12 +166,12 @@ func TestBatchesCoverAllSamplesOnce(t *testing.T) {
 			total++
 		}
 	})
-	if total != 15 {
-		t.Fatalf("saw %d samples, want 15", total)
+	if total != 30 {
+		t.Fatalf("saw %d samples in two epochs, want 30", total)
 	}
 	for c := 0; c < 3; c++ {
-		if counts[c] != 5 {
-			t.Fatalf("class %d seen %d times, want 5", c, counts[c])
+		if counts[c] != 10 {
+			t.Fatalf("class %d seen %d times in two epochs, want 10", c, counts[c])
 		}
 	}
 }

@@ -30,7 +30,10 @@ type ReLU struct {
 	// layer's own Forward passes. A compiled inference engine counts none.
 	Stats *ActStats
 
-	pass []bool // cached pass-through flags for backward
+	// Training state (see workspace.go): the pass-through flags Backward
+	// reads back, and what the two passes return.
+	pass    []bool
+	out, dx buffer
 }
 
 // NewReLU returns an unbounded rectifier.
@@ -41,7 +44,7 @@ func NewReLU6() *ReLU { return &ReLU{Cap: 6} }
 
 // Forward implements Layer.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	y := tensor.New(x.Shape...)
+	y := r.out.result(train, x.Shape...)
 	if train {
 		if cap(r.pass) < len(x.Data) {
 			r.pass = make([]bool, len(x.Data))
@@ -86,7 +89,9 @@ func CollectActivationStats(l Layer) *ActStats {
 // GELU is the Gaussian-error linear unit (tanh approximation), the standard
 // activation in transformer MLPs.
 type GELU struct {
-	x *tensor.Tensor
+	// Training state (see workspace.go).
+	x       *tensor.Tensor // the input Backward reads back
+	out, dx buffer
 }
 
 // geluCoef is the tanh-approximation constant √(2/π).
@@ -107,46 +112,48 @@ func geluGrad(v float64) float64 {
 
 // Forward implements Layer.
 func (g *GELU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	y := tensor.New(x.Shape...)
-	for i, v := range x.Data {
-		y.Data[i] = Gelu(v)
-	}
+	y := g.out.result(train, x.Shape...)
 	if train {
 		g.x = x
+	}
+	for i, v := range x.Data {
+		y.Data[i] = Gelu(v)
 	}
 	return y
 }
 
 // Backward implements Layer.
 func (g *GELU) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	dx := tensor.New(dy.Shape...)
+	dx := g.dx.take(dy.Shape...)
 	for i, v := range dy.Data {
 		dx.Data[i] = v * geluGrad(g.x.Data[i])
 	}
 	return dx
 }
 
-func (g *GELU) trainingStateBytes() int64 { return tensorBytes(g.x) }
+func (g *GELU) trainingStateBytes() int64 { return tensorBytes(g.x) + bufferBytes(&g.out, &g.dx) }
 
-func (g *GELU) releaseTrainingState() { g.x = nil }
+func (g *GELU) releaseTrainingState() { g.x, g.out, g.dx = nil, buffer{}, buffer{} }
 
 // Params implements Layer.
 func (g *GELU) Params() []*Param { return nil }
 
 // Backward implements Layer.
 func (r *ReLU) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	dx := tensor.New(dy.Shape...)
+	dx := r.dx.take(dy.Shape...)
 	for i, v := range dy.Data {
 		if r.pass[i] {
 			dx.Data[i] = v
+		} else {
+			dx.Data[i] = 0
 		}
 	}
 	return dx
 }
 
-func (r *ReLU) trainingStateBytes() int64 { return int64(cap(r.pass)) }
+func (r *ReLU) trainingStateBytes() int64 { return int64(cap(r.pass)) + bufferBytes(&r.out, &r.dx) }
 
-func (r *ReLU) releaseTrainingState() { r.pass = nil }
+func (r *ReLU) releaseTrainingState() { r.pass, r.out, r.dx = nil, buffer{}, buffer{} }
 
 // Params implements Layer.
 func (r *ReLU) Params() []*Param { return nil }

@@ -10,6 +10,10 @@ type Classifier struct {
 	Name       string
 	Net        Layer
 	NumClasses int
+
+	// dlogits is TrainBatch's loss gradient, training state like the
+	// layers' workspace (see workspace.go).
+	dlogits buffer
 }
 
 // NewClassifier wraps net.
@@ -24,11 +28,20 @@ func (c *Classifier) Logits(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // TrainBatch runs forward + backward on one batch and returns the loss.
 // Gradients are accumulated into the parameters; callers step the optimizer.
+// Every tensor the step makes lives in the classifier's training workspace
+// (see workspace.go), so from the second step on it allocates nothing.
 func (c *Classifier) TrainBatch(x *tensor.Tensor, labels []int) float64 {
-	logits := c.Net.Forward(x, true)
-	loss, dlogits := SoftmaxCrossEntropy(logits, labels)
-	c.Net.Backward(dlogits)
+	loss, _ := c.trainBatch(x, labels)
 	return loss
+}
+
+// trainBatch is TrainBatch, also returning the gradient of the loss with
+// respect to x (the network's, overwritten by the next training step).
+func (c *Classifier) trainBatch(x *tensor.Tensor, labels []int) (float64, *tensor.Tensor) {
+	logits := c.Net.Forward(x, true)
+	dlogits := c.dlogits.take(logits.Shape...)
+	loss := softmaxCrossEntropy(logits, labels, dlogits)
+	return loss, c.Net.Backward(dlogits)
 }
 
 // Params returns all parameters of the underlying network.

@@ -27,9 +27,10 @@ type Conv2D struct {
 	lastOut [2]int // OH, OW
 
 	// Training state (see workspace.go): cols and weff are what Backward
-	// reads back from Forward; the rest is scratch either pass overwrites.
-	cols, weff, dcols *tensor.Tensor
-	outMat, dyMat, dw []float64
+	// reads back from Forward, out and dx what the two passes return; the
+	// rest is scratch either pass overwrites.
+	cols, weff, dcols, out, dx buffer
+	outMat, dyMat, dw          []float64
 }
 
 // ChannelStats accumulates per-channel |activation| sums.
@@ -85,21 +86,22 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	oh, ow := g.OutH(), g.OutW()
 	p := oh * ow
 	k := g.InC * g.KH * g.KW
-	weff := c.Weight.Effective().Reshape(c.OutC, k) // [S, K]
-	var outMat []float64                            // [S, N*P]
+	var outMat []float64 // [S, N*P]
+	var y *tensor.Tensor
 	if train {
-		c.cols = reuse2D(c.cols, k, n*p) // [K, N*P]
+		weff := c.weff.masked(true, c.Weight) // [S, K] in memory
+		cols := tensor.Im2ColInto(x, g, c.cols.take(k, n*p))
 		c.outMat = grow(c.outMat, c.OutC*n*p)
-		c.weff = weff
-		tensor.Im2ColInto(x, g, c.cols)
-		tensor.Gemm(false, false, c.OutC, n*p, k, 1, weff.Data, c.cols.Data, 0, c.outMat)
+		tensor.Gemm(false, false, c.OutC, n*p, k, 1, weff.Data, cols.Data, 0, c.outMat)
 		outMat = c.outMat
+		y = c.out.take(n, c.OutC, oh, ow)
 	} else {
+		weff := c.Weight.Effective().Reshape(c.OutC, k)
 		outMat = tensor.MatMul(weff, tensor.Im2Col(x, g)).Data
+		y = tensor.New(n, c.OutC, oh, ow)
 	}
 
 	// Re-layout [S][N*P] → [N][S][P].
-	y := tensor.New(n, c.OutC, oh, ow)
 	for s := 0; s < c.OutC; s++ {
 		bias := 0.0
 		if c.Bias != nil {
@@ -152,7 +154,7 @@ func (c *Conv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	// dW = dyMat · colsᵀ  (dense gradient: straight-through estimator).
 	k := c.Geom.InC * c.Geom.KH * c.Geom.KW
 	c.dw = grow(c.dw, c.OutC*k)
-	tensor.Gemm(false, true, c.OutC, k, n*p, 1, dyMat, c.cols.Data, 0, c.dw)
+	tensor.Gemm(false, true, c.OutC, k, n*p, 1, dyMat, c.cols.t.Data, 0, c.dw)
 	accumulate(c.Weight.Grad.Data, c.dw)
 	// Bias gradient: row sums of dyMat.
 	if c.Bias != nil {
@@ -165,17 +167,17 @@ func (c *Conv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 		}
 	}
 	// dx via dcols = Weffᵀ · dyMat, then col2im.
-	c.dcols = reuse2D(c.dcols, k, n*p)
-	tensor.Gemm(true, false, k, n*p, c.OutC, 1, c.weff.Data, dyMat, 0, c.dcols.Data)
-	return tensor.Col2Im(c.dcols, n, c.Geom)
+	dcols := c.dcols.take(k, n*p)
+	tensor.Gemm(true, false, k, n*p, c.OutC, 1, c.weff.t.Data, dyMat, 0, dcols.Data)
+	return tensor.Col2ImInto(dcols, n, c.Geom, c.dx.take(n, c.Geom.InC, c.Geom.InH, c.Geom.InW))
 }
 
 func (c *Conv2D) trainingStateBytes() int64 {
-	return tensorBytes(c.cols, c.weff, c.dcols) + sliceBytes(c.outMat, c.dyMat, c.dw)
+	return bufferBytes(&c.cols, &c.weff, &c.dcols, &c.out, &c.dx) + sliceBytes(c.outMat, c.dyMat, c.dw)
 }
 
 func (c *Conv2D) releaseTrainingState() {
-	c.cols, c.weff, c.dcols = nil, nil, nil
+	c.cols, c.weff, c.dcols, c.out, c.dx = buffer{}, buffer{}, buffer{}, buffer{}, buffer{}
 	c.outMat, c.dyMat, c.dw = nil, nil, nil
 }
 
@@ -196,8 +198,12 @@ type DepthwiseConv2D struct {
 	Weight *Param
 	Bias   *Param
 
-	x     *tensor.Tensor
 	batch int
+
+	// Training state (see workspace.go): the input and masked weight
+	// Backward reads back, and what the two passes return.
+	x             *tensor.Tensor
+	weff, out, dx buffer
 }
 
 // NewDepthwiseConv2D constructs a depthwise convolution.
@@ -225,8 +231,7 @@ func (d *DepthwiseConv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	g.InH, g.InW = x.Shape[2], x.Shape[3]
 	n, cch := x.Shape[0], g.InC
 	oh, ow := g.OutH(), g.OutW()
-	weff := d.Weight.Effective()
-	y := tensor.New(n, cch, oh, ow)
+	weff, y := d.weff.masked(train, d.Weight), d.out.result(train, n, cch, oh, ow)
 	for b := 0; b < n; b++ {
 		for ch := 0; ch < cch; ch++ {
 			src := x.Data[(b*cch+ch)*g.InH*g.InW : (b*cch+ch+1)*g.InH*g.InW]
@@ -270,8 +275,8 @@ func (d *DepthwiseConv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	g := d.Geom
 	n, cch := d.batch, g.InC
 	oh, ow := g.OutH(), g.OutW()
-	dx := tensor.New(n, cch, g.InH, g.InW)
-	weff := d.Weight.Effective()
+	dx := d.dx.zeroed(n, cch, g.InH, g.InW) // accumulated below
+	weff := &d.weff.t
 	for b := 0; b < n; b++ {
 		for ch := 0; ch < cch; ch++ {
 			src := d.x.Data[(b*cch+ch)*g.InH*g.InW : (b*cch+ch+1)*g.InH*g.InW]
@@ -309,9 +314,13 @@ func (d *DepthwiseConv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	return dx
 }
 
-func (d *DepthwiseConv2D) trainingStateBytes() int64 { return tensorBytes(d.x) }
+func (d *DepthwiseConv2D) trainingStateBytes() int64 {
+	return tensorBytes(d.x) + bufferBytes(&d.weff, &d.out, &d.dx)
+}
 
-func (d *DepthwiseConv2D) releaseTrainingState() { d.x = nil }
+func (d *DepthwiseConv2D) releaseTrainingState() {
+	d.x, d.weff, d.out, d.dx = nil, buffer{}, buffer{}, buffer{}
+}
 
 // Params implements Layer.
 func (d *DepthwiseConv2D) Params() []*Param {

@@ -15,7 +15,7 @@ func lossOf(layer Layer, x *tensor.Tensor, labels []int) float64 {
 	if len(y.Shape) == 4 {
 		y = y.Reshape(y.Shape[0], -1)
 	}
-	loss, _ := SoftmaxCrossEntropy(y, labels)
+	loss, _ := softmaxCE(y, labels)
 	return loss
 }
 
@@ -30,7 +30,7 @@ func gradCheckLayer(t *testing.T, layer Layer, x *tensor.Tensor, labels []int, t
 	if len(y.Shape) == 4 {
 		flat = y.Reshape(y.Shape[0], -1)
 	}
-	_, dflat := SoftmaxCrossEntropy(flat, labels)
+	_, dflat := softmaxCE(flat, labels)
 	dy := dflat
 	if len(y.Shape) == 4 {
 		dy = dflat.Reshape(y.Shape...)
@@ -111,7 +111,7 @@ func TestConv2DMaskedGradCheck(t *testing.T) {
 	ZeroGrad(conv.Params())
 	y := conv.Forward(x, true)
 	flat := y.Reshape(2, -1)
-	_, dflat := SoftmaxCrossEntropy(flat, labels)
+	_, dflat := softmaxCE(flat, labels)
 	conv.Backward(dflat.Reshape(y.Shape...))
 
 	const h = 1e-5

@@ -1,6 +1,10 @@
 package nn
 
-import "repro/internal/tensor"
+import (
+	"fmt"
+
+	"repro/internal/tensor"
+)
 
 // Layer is a differentiable module. Forward consumes an activation tensor
 // and produces the next one; Backward consumes dL/dy and returns dL/dx while
@@ -129,6 +133,9 @@ func appendParams(ps []*Param, l Layer) []*Param {
 type Residual struct {
 	Main     Layer
 	Shortcut Layer // nil = identity
+
+	// Training state (see workspace.go): the sum and the input gradient.
+	out, dx buffer
 }
 
 // NewResidual builds a residual block; shortcut may be nil for identity.
@@ -139,45 +146,77 @@ func NewResidual(main, shortcut Layer) *Residual {
 // Forward implements Layer.
 func (r *Residual) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	m := r.Main.Forward(x, train)
-	var s *tensor.Tensor
+	s := x
 	if r.Shortcut != nil {
 		s = r.Shortcut.Forward(x, train)
-	} else {
-		s = x
 	}
-	return tensor.Add(m, s)
+	if !train {
+		return tensor.Add(m, s)
+	}
+	return addInto(r.out.take(m.Shape...), m, s)
 }
 
 // Backward implements Layer.
 func (r *Residual) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	dm := r.Main.Backward(dy)
-	var ds *tensor.Tensor
+	ds := dy
 	if r.Shortcut != nil {
 		ds = r.Shortcut.Backward(dy)
-	} else {
-		ds = dy
 	}
-	return tensor.Add(dm, ds)
+	return addInto(r.dx.take(dm.Shape...), dm, ds)
 }
+
+// addInto writes a + b into dst, element by element as tensor.Add does.
+func addInto(dst, a, b *tensor.Tensor) *tensor.Tensor {
+	if len(a.Data) != len(b.Data) {
+		panic(fmt.Sprintf("nn: Residual adds %v and %v", a.Shape, b.Shape))
+	}
+	for i, v := range a.Data {
+		dst.Data[i] = v + b.Data[i]
+	}
+	return dst
+}
+
+func (r *Residual) trainingStateBytes() int64 { return bufferBytes(&r.out, &r.dx) }
+
+func (r *Residual) releaseTrainingState() { r.out, r.dx = buffer{}, buffer{} }
 
 // Params implements Layer.
 func (r *Residual) Params() []*Param { return listParams(r) }
 
 // Flatten reshapes [N, ...] activations to [N, D] for the classifier head.
 type Flatten struct {
+	// Training state (see workspace.go): the input shape Backward restores,
+	// and the two headers — over the input and over the gradient — it
+	// hands on without copying.
 	inShape []int
+	out, dx buffer
 }
 
 // Forward implements Layer.
 func (f *Flatten) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	if !train {
+		return x.Reshape(x.Shape[0], -1)
+	}
 	f.inShape = append(f.inShape[:0], x.Shape...)
-	return x.Reshape(x.Shape[0], -1)
+	return f.out.view(x.Data, x.Shape[0], len(x.Data)/x.Shape[0])
 }
 
 // Backward implements Layer.
 func (f *Flatten) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	return dy.Reshape(f.inShape...)
+	n := 1
+	for _, d := range f.inShape {
+		n *= d
+	}
+	if len(dy.Data) != n {
+		panic(fmt.Sprintf("nn: Flatten backward %v does not match input %v", dy.Shape, f.inShape))
+	}
+	return f.dx.view(dy.Data, f.inShape...)
 }
+
+func (f *Flatten) trainingStateBytes() int64 { return 0 }
+
+func (f *Flatten) releaseTrainingState() { f.inShape, f.out, f.dx = nil, buffer{}, buffer{} }
 
 // Params implements Layer.
 func (f *Flatten) Params() []*Param { return nil }

@@ -17,8 +17,9 @@ type Linear struct {
 	Bias    *Param
 
 	// Training state (see workspace.go).
-	x  *tensor.Tensor // the input Backward reads back
-	dw []float64
+	x             *tensor.Tensor // the input Backward reads back
+	weff, out, dx buffer
+	dw            []float64
 }
 
 // NewLinear constructs a fully connected layer with He initialization.
@@ -40,8 +41,10 @@ func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: Linear expects [N,%d], got %v", l.In, x.Shape))
 	}
 	n := x.Shape[0]
-	weff := l.Weight.Effective()
-	y := tensor.New(n, l.Out)
+	weff, y := l.weff.masked(train, l.Weight), l.out.result(train, n, l.Out)
+	if train {
+		l.x = x
+	}
 	// y = x · Wᵀ
 	tensor.Gemm(false, true, n, l.Out, l.In, 1, x.Data, weff.Data, 0, y.Data)
 	for b := 0; b < n; b++ {
@@ -49,9 +52,6 @@ func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		for j := range row {
 			row[j] += l.Bias.W.Data[j]
 		}
-	}
-	if train {
-		l.x = x
 	}
 	return y
 }
@@ -69,15 +69,18 @@ func (l *Linear) Backward(dy *tensor.Tensor) *tensor.Tensor {
 		}
 	}
 	// dx = dy · Weff
-	weff := l.Weight.Effective()
-	dx := tensor.New(n, l.In)
-	tensor.Gemm(false, false, n, l.In, l.Out, 1, dy.Data, weff.Data, 0, dx.Data)
+	dx := l.dx.take(n, l.In)
+	tensor.Gemm(false, false, n, l.In, l.Out, 1, dy.Data, l.weff.t.Data, 0, dx.Data)
 	return dx
 }
 
-func (l *Linear) trainingStateBytes() int64 { return tensorBytes(l.x) + sliceBytes(l.dw) }
+func (l *Linear) trainingStateBytes() int64 {
+	return tensorBytes(l.x) + bufferBytes(&l.weff, &l.out, &l.dx) + sliceBytes(l.dw)
+}
 
-func (l *Linear) releaseTrainingState() { l.x, l.dw = nil, nil }
+func (l *Linear) releaseTrainingState() {
+	l.x, l.weff, l.out, l.dx, l.dw = nil, buffer{}, buffer{}, buffer{}, nil
+}
 
 // Params implements Layer.
 func (l *Linear) Params() []*Param { return []*Param{l.Weight, l.Bias} }

@@ -7,10 +7,12 @@ import (
 	"repro/internal/tensor"
 )
 
-// SoftmaxCrossEntropy computes the mean cross-entropy loss over a batch of
-// logits [N, C] with integer labels, returning the loss and dL/dlogits.
-// The softmax is computed in a numerically stable way (max-shifted).
-func SoftmaxCrossEntropy(logits *tensor.Tensor, labels []int) (float64, *tensor.Tensor) {
+// softmaxCrossEntropy computes the mean cross-entropy loss over a batch of
+// logits [N, C] with integer labels, returning the loss and writing
+// dL/dlogits into grad, which must have the logits' length; every element
+// is written. The softmax is computed in a numerically stable way
+// (max-shifted).
+func softmaxCrossEntropy(logits *tensor.Tensor, labels []int, grad *tensor.Tensor) float64 {
 	if len(logits.Shape) != 2 {
 		panic(fmt.Sprintf("nn: SoftmaxCrossEntropy expects [N,C] logits, got %v", logits.Shape))
 	}
@@ -18,7 +20,9 @@ func SoftmaxCrossEntropy(logits *tensor.Tensor, labels []int) (float64, *tensor.
 	if len(labels) != n {
 		panic(fmt.Sprintf("nn: %d labels for batch of %d", len(labels), n))
 	}
-	grad := tensor.New(n, c)
+	if len(grad.Data) != n*c {
+		panic(fmt.Sprintf("nn: loss gradient of %d elements for %v logits", len(grad.Data), logits.Shape))
+	}
 	loss := 0.0
 	invN := 1.0 / float64(n)
 	for b := 0; b < n; b++ {
@@ -44,5 +48,5 @@ func SoftmaxCrossEntropy(logits *tensor.Tensor, labels []int) (float64, *tensor.
 		}
 		g[labels[b]] -= invN
 	}
-	return loss, grad
+	return loss
 }

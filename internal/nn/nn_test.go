@@ -68,7 +68,7 @@ func TestSTEGradientIsDense(t *testing.T) {
 	x := tensor.Randn(rng, 1, 2, 4)
 	loss := 0.0
 	logits := lin.Forward(x, true)
-	loss, dlogits := SoftmaxCrossEntropy(logits, []int{0, 1})
+	loss, dlogits := softmaxCE(logits, []int{0, 1})
 	lin.Backward(dlogits)
 	_ = loss
 	// Even though every weight is masked, dense gradients must flow.
@@ -77,10 +77,17 @@ func TestSTEGradientIsDense(t *testing.T) {
 	}
 }
 
+// softmaxCE is the loss TrainBatch takes, with its gradient in a fresh
+// tensor.
+func softmaxCE(logits *tensor.Tensor, labels []int) (float64, *tensor.Tensor) {
+	grad := tensor.New(logits.Shape...)
+	return softmaxCrossEntropy(logits, labels, grad), grad
+}
+
 func TestSoftmaxCrossEntropyKnownValue(t *testing.T) {
 	// Uniform logits over C classes → loss = ln(C).
 	logits := tensor.New(2, 4)
-	loss, grad := SoftmaxCrossEntropy(logits, []int{1, 2})
+	loss, grad := softmaxCE(logits, []int{1, 2})
 	if math.Abs(loss-math.Log(4)) > 1e-12 {
 		t.Fatalf("loss = %v, want ln4 = %v", loss, math.Log(4))
 	}
@@ -98,7 +105,7 @@ func TestSoftmaxCrossEntropyKnownValue(t *testing.T) {
 
 func TestSoftmaxCrossEntropyStability(t *testing.T) {
 	logits := tensor.FromSlice([]float64{1e4, -1e4, 0}, 1, 3)
-	loss, grad := SoftmaxCrossEntropy(logits, []int{0})
+	loss, grad := softmaxCE(logits, []int{0})
 	if math.IsNaN(loss) || math.IsInf(loss, 0) {
 		t.Fatalf("unstable loss: %v", loss)
 	}
@@ -117,7 +124,7 @@ func TestSoftmaxCrossEntropyStability(t *testing.T) {
 // sums to one.
 func TestSoftmaxRowsSumToOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	_, grad := SoftmaxCrossEntropy(tensor.Randn(rng, 3, 4, 6), []int{0, 5, 2, 3})
+	_, grad := softmaxCE(tensor.Randn(rng, 3, 4, 6), []int{0, 5, 2, 3})
 	for b := 0; b < 4; b++ {
 		s := 0.0
 		for j := 0; j < 6; j++ {

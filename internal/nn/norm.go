@@ -19,9 +19,11 @@ type BatchNorm2D struct {
 	RunVar      *tensor.Tensor
 
 	// Training state (see workspace.go): normalized activations and the
-	// per-channel 1/σ, written by a training Forward, read by Backward.
+	// per-channel 1/σ, written by a training Forward, read by Backward, and
+	// what the two passes return.
 	xhat, invStd []float64
 	inShape      []int
+	out, dx      buffer
 }
 
 // NewBatchNorm2D builds a batch-norm layer with gamma=1, beta=0.
@@ -47,9 +49,9 @@ func (bn *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	cnt := float64(n * h * w)
-	y := tensor.New(x.Shape...)
 
 	if train {
+		y := bn.out.take(x.Shape...)
 		bn.inShape = append(bn.inShape[:0], x.Shape...)
 		bn.xhat = grow(bn.xhat, len(x.Data))
 		bn.invStd = grow(bn.invStd, c)
@@ -83,6 +85,7 @@ func (bn *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		return y
 	}
 
+	y := tensor.New(x.Shape...)
 	for ch := 0; ch < c; ch++ {
 		inv := 1.0 / math.Sqrt(bn.RunVar.Data[ch]+bn.Eps)
 		mean := bn.RunMean.Data[ch]
@@ -101,7 +104,7 @@ func (bn *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 func (bn *BatchNorm2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	n, c, h, w := bn.inShape[0], bn.inShape[1], bn.inShape[2], bn.inShape[3]
 	cnt := float64(n * h * w)
-	dx := tensor.New(bn.inShape...)
+	dx := bn.dx.take(bn.inShape...)
 	for ch := 0; ch < c; ch++ {
 		sumDy, sumDyXhat := 0.0, 0.0
 		for b := 0; b < n; b++ {
@@ -126,9 +129,13 @@ func (bn *BatchNorm2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	return dx
 }
 
-func (bn *BatchNorm2D) trainingStateBytes() int64 { return sliceBytes(bn.xhat, bn.invStd) }
+func (bn *BatchNorm2D) trainingStateBytes() int64 {
+	return sliceBytes(bn.xhat, bn.invStd) + bufferBytes(&bn.out, &bn.dx)
+}
 
-func (bn *BatchNorm2D) releaseTrainingState() { bn.xhat, bn.invStd = nil, nil }
+func (bn *BatchNorm2D) releaseTrainingState() {
+	bn.xhat, bn.invStd, bn.out, bn.dx = nil, nil, buffer{}, buffer{}
+}
 
 // Params implements Layer.
 func (bn *BatchNorm2D) Params() []*Param { return []*Param{bn.Gamma, bn.Beta} }

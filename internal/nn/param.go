@@ -67,6 +67,18 @@ func (p *Param) Effective() *tensor.Tensor {
 	return e
 }
 
+// effectiveInto writes W ⊙ Mask into dst (len W.Len()): the same products
+// Effective computes, into a training layer's workspace.
+func (p *Param) effectiveInto(dst []float64) {
+	if p.Mask == nil {
+		copy(dst, p.W.Data)
+		return
+	}
+	for i, m := range p.Mask.Data {
+		dst[i] = p.W.Data[i] * m
+	}
+}
+
 // EnsureMask returns the parameter's mask, allocating an all-ones mask on
 // first use.
 func (p *Param) EnsureMask() *tensor.Tensor {

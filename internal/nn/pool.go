@@ -10,8 +10,11 @@ import (
 type MaxPool2D struct {
 	K, Stride int
 
-	argmax  []int // flat input index of each output element's max
+	// Training state (see workspace.go): the flat input index of each
+	// output element's max, and what the two passes return.
+	argmax  []int
 	inShape []int
+	out, dx buffer
 }
 
 // NewMaxPool2D builds a max-pooling layer (stride defaults to k when 0).
@@ -33,7 +36,7 @@ func (m *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if oh <= 0 || ow <= 0 {
 		panic(fmt.Sprintf("nn: MaxPool2D window %d exceeds input %dx%d", m.K, h, w))
 	}
-	y := tensor.New(n, c, oh, ow)
+	y := m.out.result(train, n, c, oh, ow)
 	if train {
 		if cap(m.argmax) < y.Len() {
 			m.argmax = make([]int, y.Len())
@@ -72,16 +75,18 @@ func (m *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward implements Layer.
 func (m *MaxPool2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	dx := tensor.New(m.inShape...)
+	dx := m.dx.zeroed(m.inShape...) // accumulated below
 	for i, v := range dy.Data {
 		dx.Data[m.argmax[i]] += v
 	}
 	return dx
 }
 
-func (m *MaxPool2D) trainingStateBytes() int64 { return int64(cap(m.argmax)) * 8 }
+func (m *MaxPool2D) trainingStateBytes() int64 {
+	return int64(cap(m.argmax))*8 + bufferBytes(&m.out, &m.dx)
+}
 
-func (m *MaxPool2D) releaseTrainingState() { m.argmax = nil }
+func (m *MaxPool2D) releaseTrainingState() { m.argmax, m.out, m.dx = nil, buffer{}, buffer{} }
 
 // Params implements Layer.
 func (m *MaxPool2D) Params() []*Param { return nil }
@@ -89,7 +94,10 @@ func (m *MaxPool2D) Params() []*Param { return nil }
 // GlobalAvgPool averages over the spatial dimensions, mapping [N,C,H,W]
 // to [N,C].
 type GlobalAvgPool struct {
+	// Training state (see workspace.go): the input shape Backward restores,
+	// and what the two passes return.
 	inShape []int
+	out, dx buffer
 }
 
 // Forward implements Layer.
@@ -101,7 +109,7 @@ func (g *GlobalAvgPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if train {
 		g.inShape = append(g.inShape[:0], x.Shape...)
 	}
-	y := tensor.New(n, c)
+	y := g.out.result(train, n, c)
 	inv := 1.0 / float64(h*w)
 	for b := 0; b < n; b++ {
 		for ch := 0; ch < c; ch++ {
@@ -118,7 +126,7 @@ func (g *GlobalAvgPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // Backward implements Layer.
 func (g *GlobalAvgPool) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	n, c, h, w := g.inShape[0], g.inShape[1], g.inShape[2], g.inShape[3]
-	dx := tensor.New(g.inShape...)
+	dx := g.dx.take(g.inShape...)
 	inv := 1.0 / float64(h*w)
 	for b := 0; b < n; b++ {
 		for ch := 0; ch < c; ch++ {
@@ -131,6 +139,10 @@ func (g *GlobalAvgPool) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	}
 	return dx
 }
+
+func (g *GlobalAvgPool) trainingStateBytes() int64 { return bufferBytes(&g.out, &g.dx) }
+
+func (g *GlobalAvgPool) releaseTrainingState() { g.out, g.dx = buffer{}, buffer{} }
 
 // Params implements Layer.
 func (g *GlobalAvgPool) Params() []*Param { return nil }

@@ -11,11 +11,14 @@ import (
 
 // TestTrainBatchSteadyStateAllocs locks the training workspace into tier-1:
 // from the second step on, a TrainBatch on the repository benchmark's
-// fixture shapes (width-2 models, 16×3×8×8) allocates only what flows
-// between layers — outputs, input gradients, the masked weight copies —
-// and none of the per-layer scratch. Before the workspace the same step
-// made 567 allocations / 48.6 MB on resnet-s and 856 / 1.58 MB on
-// transformer-s; the bounds are the measured counts plus a small margin.
+// fixture shapes (width-2 models, 16×3×8×8) allocates nothing — every
+// output, input gradient, masked weight, reshaped header and scratch buffer
+// is the layers' own, and so is the loss gradient. Measured: 0 objects /
+// 0 KB on both families. While what flows between layers was made afresh
+// each step it was 363 / 14 440 KB on resnet-s and 450 / 1 301 KB on
+// transformer-s, and before the per-layer scratch was recycled 567 /
+// 48.6 MB and 856 / 1.58 MB. The bounds leave room for a kernel job record
+// rebuilt after a GC empties its pool, not for anything per layer.
 func TestTrainBatchSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -25,8 +28,8 @@ func TestTrainBatchSteadyStateAllocs(t *testing.T) {
 		maxAllocs float64
 		maxKB     float64
 	}{
-		{models.ResNet, 380, 16 << 10},  // measured 363, 14440 KB
-		{models.Transformer, 470, 1400}, // measured 450, 1301 KB
+		{models.ResNet, 2, 4},      // measured 0, 0 KB
+		{models.Transformer, 2, 4}, // measured 0, 0 KB
 	} {
 		t.Run(string(tc.family), func(t *testing.T) {
 			clf := models.Build(tc.family, rand.New(rand.NewSource(1)), 10, 2)

@@ -25,8 +25,9 @@ type TokenLinear struct {
 	LastTokens int
 
 	// Training state (see workspace.go).
-	x  *tensor.Tensor // cached [N*T, In]
-	dw []float64
+	x             *tensor.Tensor // the [N,T,In] input Backward reads back
+	weff, out, dx buffer
+	dw            []float64
 }
 
 // NewTokenLinear constructs the layer with He initialization.
@@ -49,43 +50,44 @@ func (l *TokenLinear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	n, t := x.Shape[0], x.Shape[1]
 	l.LastTokens = t
-	flat := x.Reshape(n*t, l.In)
-	weff := l.Weight.Effective()
-	y := tensor.New(n*t, l.Out)
-	tensor.Gemm(false, true, n*t, l.Out, l.In, 1, flat.Data, weff.Data, 0, y.Data)
+	weff, y := l.weff.masked(train, l.Weight), l.out.result(train, n, t, l.Out)
+	if train {
+		l.x = x
+	}
+	// The [N,T,*] tensors are [N*T, *] matrices in memory.
+	tensor.Gemm(false, true, n*t, l.Out, l.In, 1, x.Data, weff.Data, 0, y.Data)
 	for r := 0; r < n*t; r++ {
 		row := y.Data[r*l.Out : (r+1)*l.Out]
 		for j := range row {
 			row[j] += l.Bias.W.Data[j]
 		}
 	}
-	if train {
-		l.x = flat
-	}
-	return y.Reshape(n, t, l.Out)
+	return y
 }
 
 // Backward implements Layer.
 func (l *TokenLinear) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	n, t := dy.Shape[0], dy.Shape[1]
-	flatDy := dy.Reshape(n*t, l.Out)
 	l.dw = grow(l.dw, l.Out*l.In)
-	tensor.Gemm(true, false, l.Out, l.In, n*t, 1, flatDy.Data, l.x.Data, 0, l.dw)
+	tensor.Gemm(true, false, l.Out, l.In, n*t, 1, dy.Data, l.x.Data, 0, l.dw)
 	accumulate(l.Weight.Grad.Data, l.dw)
 	for r := 0; r < n*t; r++ {
 		for j := 0; j < l.Out; j++ {
-			l.Bias.Grad.Data[j] += flatDy.Data[r*l.Out+j]
+			l.Bias.Grad.Data[j] += dy.Data[r*l.Out+j]
 		}
 	}
-	weff := l.Weight.Effective()
-	dx := tensor.New(n*t, l.In)
-	tensor.Gemm(false, false, n*t, l.In, l.Out, 1, flatDy.Data, weff.Data, 0, dx.Data)
-	return dx.Reshape(n, t, l.In)
+	dx := l.dx.take(n, t, l.In)
+	tensor.Gemm(false, false, n*t, l.In, l.Out, 1, dy.Data, l.weff.t.Data, 0, dx.Data)
+	return dx
 }
 
-func (l *TokenLinear) trainingStateBytes() int64 { return tensorBytes(l.x) + sliceBytes(l.dw) }
+func (l *TokenLinear) trainingStateBytes() int64 {
+	return tensorBytes(l.x) + bufferBytes(&l.weff, &l.out, &l.dx) + sliceBytes(l.dw)
+}
 
-func (l *TokenLinear) releaseTrainingState() { l.x, l.dw = nil, nil }
+func (l *TokenLinear) releaseTrainingState() {
+	l.x, l.weff, l.out, l.dx, l.dw = nil, buffer{}, buffer{}, buffer{}, nil
+}
 
 // Params implements Layer.
 func (l *TokenLinear) Params() []*Param { return []*Param{l.Weight, l.Bias} }
@@ -99,8 +101,10 @@ type LayerNorm struct {
 	Gamma, Beta *Param
 
 	// Training state (see workspace.go): normalized activations and the
-	// per-row 1/σ, written by a training Forward, read by Backward.
+	// per-row 1/σ, written by a training Forward, read by Backward, and what
+	// the two passes return.
 	xhat, invStd []float64
+	out, dx      buffer
 }
 
 // NewLayerNorm constructs the layer with gamma=1, beta=0.
@@ -122,7 +126,7 @@ func (ln *LayerNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: LayerNorm expects [N,T,%d], got %v", ln.D, x.Shape))
 	}
 	rows := x.Shape[0] * x.Shape[1]
-	y := tensor.New(x.Shape...)
+	y := ln.out.result(train, x.Shape...)
 	if train {
 		ln.xhat = grow(ln.xhat, rows*ln.D)
 		ln.invStd = grow(ln.invStd, rows)
@@ -159,7 +163,7 @@ func (ln *LayerNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // Backward implements Layer.
 func (ln *LayerNorm) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	rows := dy.Shape[0] * dy.Shape[1]
-	dx := tensor.New(dy.Shape...)
+	dx := ln.dx.take(dy.Shape...)
 	d := float64(ln.D)
 	for r := 0; r < rows; r++ {
 		sumDy, sumDyXhat := 0.0, 0.0
@@ -181,9 +185,13 @@ func (ln *LayerNorm) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	return dx
 }
 
-func (ln *LayerNorm) trainingStateBytes() int64 { return sliceBytes(ln.xhat, ln.invStd) }
+func (ln *LayerNorm) trainingStateBytes() int64 {
+	return sliceBytes(ln.xhat, ln.invStd) + bufferBytes(&ln.out, &ln.dx)
+}
 
-func (ln *LayerNorm) releaseTrainingState() { ln.xhat, ln.invStd = nil, nil }
+func (ln *LayerNorm) releaseTrainingState() {
+	ln.xhat, ln.invStd, ln.out, ln.dx = nil, nil, buffer{}, buffer{}
+}
 
 // Params implements Layer.
 func (ln *LayerNorm) Params() []*Param { return []*Param{ln.Gamma, ln.Beta} }
@@ -199,12 +207,16 @@ type MultiHeadAttention struct {
 	LastTokens int
 
 	// Training state (see workspace.go): what Backward reads back from
-	// Forward, then its scratch.
-	x       *tensor.Tensor // [N,T,D]
-	q, k, v *tensor.Tensor // [N,T,D]
-	attn    []float64      // per (batch, head): T×T softmax rows
-	z       *tensor.Tensor // pre-output-projection [N,T,D]
-	dw, da  []float64      // one projection's dW; one attention row's dA
+	// Forward — the input, Q, K, V, the softmax rows, the pre-output-
+	// projection Z and the four masked projections in Params order — then
+	// what the two passes return and Backward's scratch.
+	x              *tensor.Tensor // [N,T,D]
+	q, k, v, z     buffer         // [N,T,D]
+	attn           []float64      // per (batch, head): T×T softmax rows
+	weff           [4]buffer      // Wq, Wk, Wv, Wo ⊙ their masks
+	out, dx        buffer         // [N,T,D]
+	dz, dq, dk, dv buffer         // [N,T,D]
+	dw, da         []float64      // one projection's dW; one attention row's dA
 }
 
 // NewMultiHeadAttention constructs the layer; heads must divide d.
@@ -219,13 +231,12 @@ func NewMultiHeadAttention(name string, rng *rand.Rand, d, heads int) *MultiHead
 	return &MultiHeadAttention{D: d, Heads: heads, Wq: mk("wq"), Wk: mk("wk"), Wv: mk("wv"), Wo: mk("wo")}
 }
 
-// project computes x·Wᵀ over tokens.
-func (m *MultiHeadAttention) project(x *tensor.Tensor, p *Param) *tensor.Tensor {
-	n, t := x.Shape[0], x.Shape[1]
-	weff := p.Effective()
-	out := tensor.New(n*t, m.D)
-	tensor.Gemm(false, true, n*t, m.D, m.D, 1, x.Reshape(n*t, m.D).Data, weff.Data, 0, out.Data)
-	return out.Reshape(n, t, m.D)
+// project writes x·Wᵀ over the tokens of x into out, both [N,T,D], for the
+// masked projection weff, and returns out.
+func (m *MultiHeadAttention) project(x, weff, out *tensor.Tensor) *tensor.Tensor {
+	rows := x.Shape[0] * x.Shape[1]
+	tensor.Gemm(false, true, rows, m.D, m.D, 1, x.Data, weff.Data, 0, out.Data)
+	return out
 }
 
 // Forward implements Layer.
@@ -238,11 +249,19 @@ func (m *MultiHeadAttention) Forward(x *tensor.Tensor, train bool) *tensor.Tenso
 	dh := m.D / m.Heads
 	scale := 1.0 / math.Sqrt(float64(dh))
 
-	q := m.project(x, m.Wq)
-	k := m.project(x, m.Wk)
-	v := m.project(x, m.Wv)
-	z := tensor.New(n, t, m.D)
-	attn := make([]float64, n*m.Heads*t*t)
+	q := m.project(x, m.weff[0].masked(train, m.Wq), m.q.result(train, n, t, m.D))
+	k := m.project(x, m.weff[1].masked(train, m.Wk), m.k.result(train, n, t, m.D))
+	v := m.project(x, m.weff[2].masked(train, m.Wv), m.v.result(train, n, t, m.D))
+	var z *tensor.Tensor
+	var attn []float64
+	if train {
+		z = m.z.zeroed(n, t, m.D) // accumulated below
+		m.attn = grow(m.attn, n*m.Heads*t*t)
+		attn, m.x = m.attn, x
+	} else {
+		z = tensor.New(n, t, m.D)
+		attn = make([]float64, n*m.Heads*t*t)
+	}
 
 	for b := 0; b < n; b++ {
 		for h := 0; h < m.Heads; h++ {
@@ -280,11 +299,7 @@ func (m *MultiHeadAttention) Forward(x *tensor.Tensor, train bool) *tensor.Tenso
 			}
 		}
 	}
-	out := m.project(z, m.Wo)
-	if train {
-		m.x, m.q, m.k, m.v, m.z, m.attn = x, q, k, v, z, attn
-	}
-	return out
+	return m.project(z, m.weff[3].masked(train, m.Wo), m.out.result(train, n, t, m.D))
 }
 
 // Backward implements Layer.
@@ -292,18 +307,17 @@ func (m *MultiHeadAttention) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	n, t := dy.Shape[0], dy.Shape[1]
 	dh := m.D / m.Heads
 	scale := 1.0 / math.Sqrt(float64(dh))
+	q, k, v, attn := &m.q.t, &m.k.t, &m.v.t, m.attn
 
 	// Through the output projection: dz = dy·Wo; dWo = dyᵀ·z.
-	dz := tensor.New(n*t, m.D)
-	woEff := m.Wo.Effective()
-	tensor.Gemm(false, false, n*t, m.D, m.D, 1, dy.Data, woEff.Data, 0, dz.Data)
+	dz := m.dz.take(n, t, m.D)
+	tensor.Gemm(false, false, n*t, m.D, m.D, 1, dy.Data, m.weff[3].t.Data, 0, dz.Data)
 	m.dw = grow(m.dw, m.D*m.D)
-	tensor.Gemm(true, false, m.D, m.D, n*t, 1, dy.Data, m.z.Data, 0, m.dw)
+	tensor.Gemm(true, false, m.D, m.D, n*t, 1, dy.Data, m.z.t.Data, 0, m.dw)
 	accumulate(m.Wo.Grad.Data, m.dw)
 
-	dq := tensor.New(n, t, m.D)
-	dk := tensor.New(n, t, m.D)
-	dv := tensor.New(n, t, m.D)
+	// dQ, dK and dV are accumulated below.
+	dq, dk, dv := m.dq.zeroed(n, t, m.D), m.dk.zeroed(n, t, m.D), m.dv.zeroed(n, t, m.D)
 	m.da = grow(m.da, t)
 	da := m.da
 	for b := 0; b < n; b++ {
@@ -312,11 +326,11 @@ func (m *MultiHeadAttention) Backward(dy *tensor.Tensor) *tensor.Tensor {
 			aBase := (b*m.Heads + h) * t * t
 			for i := 0; i < t; i++ {
 				dzi := dz.Data[(b*t+i)*m.D+off : (b*t+i)*m.D+off+dh]
-				row := m.attn[aBase+i*t : aBase+(i+1)*t]
+				row := attn[aBase+i*t : aBase+(i+1)*t]
 				// dA[j] = dz_i · v_j ; dV_j += A[j]·dz_i.
 				dot := 0.0
 				for j := 0; j < t; j++ {
-					vj := m.v.Data[(b*t+j)*m.D+off : (b*t+j)*m.D+off+dh]
+					vj := v.Data[(b*t+j)*m.D+off : (b*t+j)*m.D+off+dh]
 					dvj := dv.Data[(b*t+j)*m.D+off : (b*t+j)*m.D+off+dh]
 					s := 0.0
 					for l := range dzi {
@@ -328,11 +342,11 @@ func (m *MultiHeadAttention) Backward(dy *tensor.Tensor) *tensor.Tensor {
 				}
 				// Softmax backward: dS[j] = A[j]·(dA[j] − Σ A·dA), then the
 				// 1/√dh scale.
-				qi := m.q.Data[(b*t+i)*m.D+off : (b*t+i)*m.D+off+dh]
+				qi := q.Data[(b*t+i)*m.D+off : (b*t+i)*m.D+off+dh]
 				dqi := dq.Data[(b*t+i)*m.D+off : (b*t+i)*m.D+off+dh]
 				for j := 0; j < t; j++ {
 					ds := row[j] * (da[j] - dot) * scale
-					kj := m.k.Data[(b*t+j)*m.D+off : (b*t+j)*m.D+off+dh]
+					kj := k.Data[(b*t+j)*m.D+off : (b*t+j)*m.D+off+dh]
 					dkj := dk.Data[(b*t+j)*m.D+off : (b*t+j)*m.D+off+dh]
 					for l := range dqi {
 						dqi[l] += ds * kj[l]
@@ -343,27 +357,28 @@ func (m *MultiHeadAttention) Backward(dy *tensor.Tensor) *tensor.Tensor {
 		}
 	}
 
-	// Through the Q/K/V projections.
-	dx := tensor.New(n*t, m.D)
-	backProj := func(d *tensor.Tensor, p *Param) {
-		tensor.Gemm(true, false, m.D, m.D, n*t, 1, d.Data, m.x.Data, 0, m.dw)
+	// Through the Q/K/V projections, each one's dX accumulated onto the
+	// last's.
+	dx := m.dx.zeroed(n, t, m.D)
+	grads := [...]*tensor.Tensor{dq, dk, dv}
+	for i, p := range [...]*Param{m.Wq, m.Wk, m.Wv} {
+		tensor.Gemm(true, false, m.D, m.D, n*t, 1, grads[i].Data, m.x.Data, 0, m.dw)
 		accumulate(p.Grad.Data, m.dw)
-		weff := p.Effective()
-		tensor.Gemm(false, false, n*t, m.D, m.D, 1, d.Data, weff.Data, 1, dx.Data)
+		tensor.Gemm(false, false, n*t, m.D, m.D, 1, grads[i].Data, m.weff[i].t.Data, 1, dx.Data)
 	}
-	backProj(dq, m.Wq)
-	backProj(dk, m.Wk)
-	backProj(dv, m.Wv)
-	return dx.Reshape(n, t, m.D)
+	return dx
 }
 
 func (m *MultiHeadAttention) trainingStateBytes() int64 {
-	return tensorBytes(m.x, m.q, m.k, m.v, m.z) + sliceBytes(m.attn, m.dw, m.da)
+	return tensorBytes(m.x) + sliceBytes(m.attn, m.dw, m.da) +
+		bufferBytes(&m.q, &m.k, &m.v, &m.z, &m.weff[0], &m.weff[1], &m.weff[2], &m.weff[3],
+			&m.out, &m.dx, &m.dz, &m.dq, &m.dk, &m.dv)
 }
 
 func (m *MultiHeadAttention) releaseTrainingState() {
-	m.x, m.q, m.k, m.v, m.z = nil, nil, nil, nil, nil
-	m.attn, m.dw, m.da = nil, nil, nil
+	m.x, m.attn, m.dw, m.da = nil, nil, nil, nil
+	m.q, m.k, m.v, m.z, m.weff = buffer{}, buffer{}, buffer{}, buffer{}, [4]buffer{}
+	m.out, m.dx, m.dz, m.dq, m.dk, m.dv = buffer{}, buffer{}, buffer{}, buffer{}, buffer{}, buffer{}
 }
 
 // Params implements Layer.
@@ -382,10 +397,12 @@ type PatchEmbed struct {
 	// LastTokens records T from the most recent forward pass.
 	LastTokens int
 
-	// Training state (see workspace.go).
-	patches      *tensor.Tensor // [N*T, C*P*P], read back by Backward
-	dw, dpatches []float64
-	inShape      []int
+	// Training state (see workspace.go): the [N*T, C*P*P] patches and the
+	// masked weight Backward reads back, what the two passes return, and
+	// Backward's scratch.
+	patches, weff, out, dx buffer
+	dw, dpatches           []float64
+	inShape                []int
 }
 
 // NewPatchEmbed constructs the embedding.
@@ -451,46 +468,41 @@ func (pe *PatchEmbed) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	t := pe.tokens(x.Shape[2], x.Shape[3])
 	pe.LastTokens = t
 	in := pe.C * pe.P * pe.P
-	var patches *tensor.Tensor
 	if train {
-		pe.patches = reuse2D(pe.patches, n*t, in)
 		pe.inShape = append(pe.inShape[:0], x.Shape...)
-		patches = pe.ExtractPatchesInto(x, pe.patches)
-	} else {
-		patches = pe.ExtractPatches(x)
 	}
-	weff := pe.Weight.Effective()
-	y := tensor.New(n*t, pe.D)
+	patches := pe.ExtractPatchesInto(x, pe.patches.result(train, n*t, in))
+	weff, y := pe.weff.masked(train, pe.Weight), pe.out.result(train, n, t, pe.D)
 	tensor.Gemm(false, true, n*t, pe.D, in, 1, patches.Data, weff.Data, 0, y.Data)
 	for r := 0; r < n*t; r++ {
 		for j := 0; j < pe.D; j++ {
 			y.Data[r*pe.D+j] += pe.Bias.W.Data[j]
 		}
 	}
-	return y.Reshape(n, t, pe.D)
+	return y
 }
 
 // Backward implements Layer.
 func (pe *PatchEmbed) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	n, t := dy.Shape[0], dy.Shape[1]
 	in := pe.C * pe.P * pe.P
-	flat := dy.Reshape(n*t, pe.D)
 	pe.dw = grow(pe.dw, pe.D*in)
-	tensor.Gemm(true, false, pe.D, in, n*t, 1, flat.Data, pe.patches.Data, 0, pe.dw)
+	tensor.Gemm(true, false, pe.D, in, n*t, 1, dy.Data, pe.patches.t.Data, 0, pe.dw)
 	accumulate(pe.Weight.Grad.Data, pe.dw)
 	for r := 0; r < n*t; r++ {
 		for j := 0; j < pe.D; j++ {
-			pe.Bias.Grad.Data[j] += flat.Data[r*pe.D+j]
+			pe.Bias.Grad.Data[j] += dy.Data[r*pe.D+j]
 		}
 	}
-	weff := pe.Weight.Effective()
 	pe.dpatches = grow(pe.dpatches, n*t*in)
 	dpatches := pe.dpatches
-	tensor.Gemm(false, false, n*t, in, pe.D, 1, flat.Data, weff.Data, 0, dpatches)
-	// Scatter patch gradients back to image layout.
+	tensor.Gemm(false, false, n*t, in, pe.D, 1, dy.Data, pe.weff.t.Data, 0, dpatches)
+	// Scatter patch gradients back to image layout. The patches tile the
+	// image (Forward checks P divides H and W), so every element of dx is
+	// written.
 	c, h, w := pe.inShape[1], pe.inShape[2], pe.inShape[3]
 	ty, tx := h/pe.P, w/pe.P
-	dx := tensor.New(pe.inShape...)
+	dx := pe.dx.take(pe.inShape...)
 	for b := 0; b < n; b++ {
 		for py := 0; py < ty; py++ {
 			for px := 0; px < tx; px++ {
@@ -510,17 +522,23 @@ func (pe *PatchEmbed) Backward(dy *tensor.Tensor) *tensor.Tensor {
 }
 
 func (pe *PatchEmbed) trainingStateBytes() int64 {
-	return tensorBytes(pe.patches) + sliceBytes(pe.dw, pe.dpatches)
+	return bufferBytes(&pe.patches, &pe.weff, &pe.out, &pe.dx) + sliceBytes(pe.dw, pe.dpatches)
 }
 
-func (pe *PatchEmbed) releaseTrainingState() { pe.patches, pe.dw, pe.dpatches = nil, nil, nil }
+func (pe *PatchEmbed) releaseTrainingState() {
+	pe.patches, pe.weff, pe.out, pe.dx = buffer{}, buffer{}, buffer{}, buffer{}
+	pe.dw, pe.dpatches = nil, nil
+}
 
 // Params implements Layer.
 func (pe *PatchEmbed) Params() []*Param { return []*Param{pe.Weight, pe.Bias} }
 
 // MeanPoolTokens averages [N, T, D] tokens to [N, D] for the classifier.
 type MeanPoolTokens struct {
-	t int
+	// Training state (see workspace.go): the token count Backward spreads
+	// the gradient over, and what the two passes return.
+	t       int
+	out, dx buffer
 }
 
 // Forward implements Layer.
@@ -529,8 +547,13 @@ func (mp *MeanPoolTokens) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: MeanPoolTokens expects [N,T,D], got %v", x.Shape))
 	}
 	n, t, d := x.Shape[0], x.Shape[1], x.Shape[2]
-	mp.t = t
-	y := tensor.New(n, d)
+	var y *tensor.Tensor
+	if train {
+		mp.t = t
+		y = mp.out.zeroed(n, d) // accumulated below
+	} else {
+		y = tensor.New(n, d)
+	}
 	inv := 1.0 / float64(t)
 	for b := 0; b < n; b++ {
 		for tt := 0; tt < t; tt++ {
@@ -545,7 +568,7 @@ func (mp *MeanPoolTokens) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // Backward implements Layer.
 func (mp *MeanPoolTokens) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	n, d := dy.Shape[0], dy.Shape[1]
-	dx := tensor.New(n, mp.t, d)
+	dx := mp.dx.take(n, mp.t, d)
 	inv := 1.0 / float64(mp.t)
 	for b := 0; b < n; b++ {
 		for tt := 0; tt < mp.t; tt++ {
@@ -556,6 +579,10 @@ func (mp *MeanPoolTokens) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	}
 	return dx
 }
+
+func (mp *MeanPoolTokens) trainingStateBytes() int64 { return bufferBytes(&mp.out, &mp.dx) }
+
+func (mp *MeanPoolTokens) releaseTrainingState() { mp.out, mp.dx = buffer{}, buffer{} }
 
 // Params implements Layer.
 func (mp *MeanPoolTokens) Params() []*Param { return nil }

@@ -41,7 +41,7 @@ func TestTokenLinearMaskedSTE(t *testing.T) {
 			}
 		}
 	}
-	_, dlogits := SoftmaxCrossEntropy((&MeanPoolTokens{}).Forward(y, true), []int{0, 1})
+	_, dlogits := softmaxCE((&MeanPoolTokens{}).Forward(y, true), []int{0, 1})
 	l.Backward((&MeanPoolTokens{t: 3}).Backward(dlogits))
 	if l.Weight.Grad.CountNonZero() == 0 {
 		t.Fatal("STE violated for TokenLinear")

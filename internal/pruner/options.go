@@ -190,17 +190,18 @@ func (r Report) String() string {
 // fine-tuner, returning the mean loss of the final epoch. Gradients flow
 // densely through masks (STE).
 func Finetune(clf *nn.Classifier, split data.Split, epochs, batchSize int, opt *nn.SGD, rng *rand.Rand) float64 {
-	last := 0.0
-	for e := 0; e < epochs; e++ {
-		sum, batches := 0.0, 0
-		data.Batches(rng, split, batchSize, func(x *tensor.Tensor, labels []int) {
-			sum += clf.TrainBatch(x, labels)
-			opt.Step(clf.Params())
-			batches++
-		})
-		if batches > 0 {
-			last = sum / float64(batches)
+	params := clf.Params()
+	sum, batches, last := 0.0, 0, 0
+	data.Batches(rng, split, batchSize, epochs, func(epoch int, x *tensor.Tensor, labels []int) {
+		if epoch != last {
+			sum, batches, last = 0, 0, epoch
 		}
+		sum += clf.TrainBatch(x, labels)
+		opt.Step(params)
+		batches++
+	})
+	if batches == 0 {
+		return 0
 	}
-	return last
+	return sum / float64(batches)
 }

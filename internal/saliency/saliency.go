@@ -64,17 +64,17 @@ func Compute(clf *nn.Classifier, split data.Split, batchSize int, method Method)
 		return out
 	}
 
-	nn.ZeroGrad(clf.Params())
+	all := clf.Params()
+	nn.ZeroGrad(all)
 	n := split.Len()
-	vol := split.X.Shape[1] * split.X.Shape[2] * split.X.Shape[3]
+	c, h, w := split.X.Shape[1], split.X.Shape[2], split.X.Shape[3]
+	vol := c * h * w
+	// The batches are consecutive rows of the split, so one header walks
+	// them: a training pass only reads its input.
+	x := &tensor.Tensor{Shape: []int{0, c, h, w}}
 	for start := 0; start < n; start += batchSize {
-		end := start + batchSize
-		if end > n {
-			end = n
-		}
-		bs := end - start
-		x := tensor.New(bs, split.X.Shape[1], split.X.Shape[2], split.X.Shape[3])
-		copy(x.Data, split.X.Data[start*vol:end*vol])
+		end := min(start+batchSize, n)
+		x.Shape[0], x.Data = end-start, split.X.Data[start*vol:end*vol]
 		clf.TrainBatch(x, split.Labels[start:end])
 	}
 	// TrainBatch averages the loss within a batch; average across batches so
@@ -96,7 +96,7 @@ func Compute(clf *nn.Classifier, split data.Split, batchSize int, method Method)
 		}
 		out[p] = s
 	}
-	nn.ZeroGrad(clf.Params())
+	nn.ZeroGrad(all)
 	return out
 }
 

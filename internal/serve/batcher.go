@@ -69,10 +69,10 @@ var lingerTimers sync.Pool
 // the queue is empty — it flushes as its own batch and could never be
 // admitted otherwise).
 type batcher struct {
-	// run is one engine invocation over the batch's sample tensors
-	// (inference.Engine.PredictBatch): the engine concatenates them inside
-	// its own arena, so a coalesced flush allocates no more than a solo one.
-	run      func([]*tensor.Tensor) []int
+	// eng runs one invocation over the batch's sample tensors: the tenant's
+	// *inference.Engine, which concatenates them inside its own arena, so a
+	// coalesced flush allocates no more than a solo one.
+	eng      batchPredictor
 	maxBatch int              // soft flush threshold, in samples
 	linger   time.Duration    // leader's max wait for followers
 	maxQueue int              // admission bound, in samples
@@ -101,21 +101,25 @@ type batcher struct {
 	ewmaNS atomic.Int64
 }
 
-// newBatcher builds the per-personalization batcher, or returns nil when
-// batching is disabled (MaxBatch <= 1): a nil batcher makes Server.Predict
-// take the solo path.
-func (s *Server) newBatcher(run func([]*tensor.Tensor) []int) *batcher {
+// batchPredictor is what a batcher flushes into: an *inference.Engine.
+type batchPredictor interface {
+	PredictBatch(xs []*tensor.Tensor) []int
+}
+
+// initBatcher readies b, the per-personalization batcher, to flush into
+// eng and returns it, or returns nil when batching is disabled
+// (MaxBatch <= 1): a nil batcher makes Server.Predict take the solo path.
+func (s *Server) initBatcher(b *batcher, eng batchPredictor) *batcher {
 	if s.opts.MaxBatch <= 1 {
 		return nil
 	}
-	return &batcher{
-		run:      run,
-		maxBatch: s.opts.MaxBatch,
-		linger:   s.opts.Linger,
-		maxQueue: s.opts.MaxQueue,
-		counters: &s.counters,
-		kick:     make(chan struct{}, 1),
-	}
+	b.eng = eng
+	b.maxBatch = s.opts.MaxBatch
+	b.linger = s.opts.Linger
+	b.maxQueue = s.opts.MaxQueue
+	b.counters = &s.counters
+	b.kick = make(chan struct{}, 1)
+	return b
 }
 
 // submit enqueues x, drives the flush if this caller is the leader, and
@@ -318,7 +322,7 @@ func (b *batcher) invoke(xs []*tensor.Tensor, total int) (preds []int, err error
 		}
 	}()
 	start := time.Now()
-	preds = b.run(xs)
+	preds = b.eng.PredictBatch(xs)
 	d := time.Since(start)
 	b.counters.observe(total, d)
 	// Fold this invocation into the latency estimate the deadline flush

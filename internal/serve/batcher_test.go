@@ -17,7 +17,7 @@ import (
 func stubBatcher(maxBatch int, linger time.Duration, maxQueue int) (*batcher, *predictCounters) {
 	c := &predictCounters{}
 	b := &batcher{
-		run: func(xs []*tensor.Tensor) []int {
+		eng: predictFunc(func(xs []*tensor.Tensor) []int {
 			var preds []int
 			for _, x := range xs {
 				for r := 0; r < x.Shape[0]; r++ {
@@ -25,7 +25,7 @@ func stubBatcher(maxBatch int, linger time.Duration, maxQueue int) (*batcher, *p
 				}
 			}
 			return preds
-		},
+		}),
 		maxBatch: maxBatch,
 		linger:   linger,
 		maxQueue: maxQueue,
@@ -34,6 +34,11 @@ func stubBatcher(maxBatch int, linger time.Duration, maxQueue int) (*batcher, *p
 	}
 	return b, c
 }
+
+// predictFunc is a fake engine: its PredictBatch is the function.
+type predictFunc func([]*tensor.Tensor) []int
+
+func (f predictFunc) PredictBatch(xs []*tensor.Tensor) []int { return f(xs) }
 
 // sample builds a 1-sample [1,1,1,1] tensor carrying id.
 func sample(id int) *tensor.Tensor {
@@ -171,7 +176,7 @@ func TestBatcherOversizeRequestAdmitted(t *testing.T) {
 // an error, never strand followers behind a dead leader.
 func TestBatcherPanicFansOutError(t *testing.T) {
 	b, _ := stubBatcher(3, time.Minute, 100)
-	b.run = func([]*tensor.Tensor) []int { panic("kernel exploded") }
+	b.eng = predictFunc(func([]*tensor.Tensor) []int { panic("kernel exploded") })
 	const n = 3
 	errs := make([]error, n)
 	var wg sync.WaitGroup

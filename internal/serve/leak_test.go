@@ -170,6 +170,27 @@ func TestReleasedClassifierTrainsBitIdentically(t *testing.T) {
 	}
 }
 
+// TestServerReleasesItsBaseTrainingState: a server never trains its base,
+// so it does not pin the workspace the base's pre-training left behind —
+// a caller need not release it by hand first.
+func TestServerReleasesItsBaseTrainingState(t *testing.T) {
+	env := sharedEnv()
+	base := env.build()
+	env.base.CloneWeightsTo(base)
+	pruner.Finetune(base, env.ds.MakeSplit("pretrain", []int{0, 1}, 8), 1, 16, nn.NewSGD(0.05, 0.9, 4e-5), rand.New(rand.NewSource(1)))
+	if nn.TrainingStateBytes(base) == 0 {
+		t.Fatal("fixture: a fine-tuned base pins no training state")
+	}
+	s, err := NewServer(env.build, base, env.ds, quickOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if n := nn.TrainingStateBytes(base); n != 0 {
+		t.Errorf("NewServer left its base pinning %d bytes of training state", n)
+	}
+}
+
 // liveHeap is the heap in use once garbage is collected.
 func liveHeap() uint64 {
 	runtime.GC()
@@ -293,8 +314,10 @@ func benchShapeServer(t *testing.T, f models.Family, tiers Options) *Server {
 // delta the warm record holds (checkpoint.EncodeEngineDelta: one listing of
 // the base, the record and a handful of objects) — and promotes the other
 // straight from (base, delta) — no classifier is built. Measured per demote
-// + promote pair: transformer-s 44 objects / 86 KB for 14 plans, resnet-s
-// 47 / 745 KB for 11, now that a tier transition allocates per tenant, not
+// + promote pair: transformer-s 42 objects / 86 KB for 14 plans, resnet-s
+// 45 / 745 KB for 11, now that the promoted tenant and its batcher are one
+// object and the batcher holds the engine, not a bound PredictBatch method
+// value (44 and 47 before). A tier transition allocates per tenant, not
 // per layer: every executor, execSeq child list and conv kernel is carved
 // from one array per type, the delta view holds its entries in two slices
 // instead of two maps, the encoder is made once at the size of the largest
@@ -332,7 +355,7 @@ func TestPromoteAllocsBudget(t *testing.T) {
 	for _, c := range []struct {
 		family         models.Family
 		objects, bytes float64
-	}{{models.Transformer, 50, 100e3}, {models.ResNet, 54, 0.86e6}} {
+	}{{models.Transformer, 48, 100e3}, {models.ResNet, 52, 0.86e6}} {
 		t.Run(string(c.family), func(t *testing.T) {
 			s := benchShapeServer(t, c.family, Options{CacheSize: 1, MemoryBudgetBytes: 1 << 40})
 			sets := [][]int{{0, 1, 3}, {2, 5, 8}}

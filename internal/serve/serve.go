@@ -443,12 +443,17 @@ type Server struct {
 // NewServer builds a server around a pretrained universal model. build must
 // construct a fresh classifier architecturally identical to base; every
 // personalization clones base's weights into a new instance before pruning,
-// so base itself is never mutated. Invalid pruning options are reported as
-// an error, not a panic: this is a user-facing entry point.
+// so base's weights are never mutated. The server never trains base, so it
+// drops whatever training workspace base still pins from its pre-training
+// (nn.Classifier.ReleaseTrainingState, invisible to predictions and to any
+// later training): a server lives for hours and is charged for its tenants,
+// not for its base's last fine-tune. Invalid pruning options are reported
+// as an error, not a panic: this is a user-facing entry point.
 func NewServer(build func() *nn.Classifier, base *nn.Classifier, ds *data.Dataset, opts Options) (*Server, error) {
 	if err := opts.Prune.Validate(); err != nil {
 		return nil, err
 	}
+	base.ReleaseTrainingState()
 	opts = opts.withDefaults()
 	s := &Server{
 		opts:     opts,

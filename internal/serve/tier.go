@@ -81,13 +81,17 @@ func (s *Server) newPersonalization(hdr checkpoint.PersonalizationRecord, agreem
 	if !s.keepsDelta(eng, hdr.Key) {
 		delta = nil
 	}
-	p := &Personalization{
-		PersonalizationRecord: hdr,
-		Agreement:             agreement,
-		engine:                eng,
-		delta:                 delta,
-		bat:                   s.newBatcher(eng.PredictBatch),
-	}
+	// The tenant and its batcher are one object.
+	t := new(struct {
+		p   Personalization
+		bat batcher
+	})
+	p := &t.p
+	p.PersonalizationRecord = hdr
+	p.Agreement = agreement
+	p.engine = eng
+	p.delta = delta
+	p.bat = s.initBatcher(&t.bat, eng)
 	p.size = eng.MemoryFootprint() + int64(len(delta)) + personalizationOverheadBytes
 	return p
 }

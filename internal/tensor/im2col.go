@@ -100,17 +100,23 @@ func Im2ColInto(x *Tensor, g ConvGeom, dst *Tensor) *Tensor {
 	return dst
 }
 
-// Col2Im is the adjoint of Im2Col: it scatters (accumulating) a matrix of
-// shape [C*KH*KW, N*OutH*OutW] back into an image tensor [N, C, H, W].
-// It is used to backpropagate gradients through the im2col lowering.
-func Col2Im(cols *Tensor, n int, g ConvGeom) *Tensor {
+// Col2ImInto is the adjoint of Im2Col: it scatters (accumulating) a matrix
+// of shape [C*KH*KW, N*OutH*OutW] back into the image tensor dst, which must
+// have shape [N, C, H, W]. It is used to backpropagate gradients through the
+// im2col lowering. dst is cleared before the scatter, so it may be a dirty
+// scratch buffer. Returns dst.
+func Col2ImInto(cols *Tensor, n int, g ConvGeom, dst *Tensor) *Tensor {
 	oh, ow := g.OutH(), g.OutW()
 	rows := g.InC * g.KH * g.KW
 	ncols := n * oh * ow
 	if len(cols.Shape) != 2 || cols.Shape[0] != rows || cols.Shape[1] != ncols {
 		panic(fmt.Sprintf("tensor: Col2Im input %v does not match geometry %+v with batch %d", cols.Shape, g, n))
 	}
-	x := New(n, g.InC, g.InH, g.InW)
+	if len(dst.Shape) != 4 || dst.Shape[0] != n || dst.Shape[1] != g.InC || dst.Shape[2] != g.InH || dst.Shape[3] != g.InW {
+		panic(fmt.Sprintf("tensor: Col2ImInto dst %v, want [%d %d %d %d]", dst.Shape, n, g.InC, g.InH, g.InW))
+	}
+	x := dst
+	clear(x.Data)
 	for c := 0; c < g.InC; c++ {
 		for kh := 0; kh < g.KH; kh++ {
 			for kw := 0; kw < g.KW; kw++ {

@@ -258,7 +258,8 @@ func TestIm2ColPadding(t *testing.T) {
 
 // TestCol2ImAdjoint verifies the defining adjoint property
 // <Im2Col(x), y> == <x, Col2Im(y)> for random x, y, which is exactly the
-// identity backprop relies on.
+// identity backprop relies on. The destination starts dirty: Col2ImInto
+// clears it before it accumulates.
 func TestCol2ImAdjoint(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	g := ConvGeom{InC: 2, InH: 5, InW: 4, KH: 3, KW: 2, Stride: 2, Pad: 1}
@@ -270,7 +271,7 @@ func TestCol2ImAdjoint(t *testing.T) {
 	for i := range cols.Data {
 		lhs += cols.Data[i] * y.Data[i]
 	}
-	back := Col2Im(y, n, g)
+	back := Col2ImInto(y, n, g, Full(7, n, g.InC, g.InH, g.InW))
 	rhs := 0.0
 	for i := range x.Data {
 		rhs += x.Data[i] * back.Data[i]
