@@ -3,6 +3,7 @@ package data
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -148,8 +149,10 @@ func TestUserClassesDistinctAndDeterministic(t *testing.T) {
 func TestBatchesCoverAllSamplesOnce(t *testing.T) {
 	d := New(smallCfg())
 	s := d.MakeSplit("train", []int{0, 1, 2}, 5)
+	vol := len(s.X.Data) / s.Len()
 	rng := rand.New(rand.NewSource(1))
-	counts := map[int]int{}
+	var counts [2][3]int
+	var seen [2][15]int
 	total := 0
 	Batches(rng, s, 4, 2, func(epoch int, x *tensor.Tensor, labels []int) {
 		if epoch != total/15 {
@@ -161,17 +164,36 @@ func TestBatchesCoverAllSamplesOnce(t *testing.T) {
 		if x.Shape[0] > 4 {
 			t.Fatalf("batch larger than requested: %d", x.Shape[0])
 		}
-		for _, l := range labels {
-			counts[l]++
+		for i, l := range labels {
+			counts[epoch][l]++
 			total++
+			// The row must be one sample of the split, carrying its own label.
+			row := x.Data[i*vol : (i+1)*vol]
+			b := -1
+			for j := 0; j < s.Len() && b < 0; j++ {
+				if slices.Equal(row, s.X.Data[j*vol:(j+1)*vol]) {
+					b = j
+				}
+			}
+			if b < 0 || s.Labels[b] != l {
+				t.Fatalf("epoch %d: batch row %d (label %d) is not a sample of the split with that label", epoch, i, l)
+			}
+			seen[epoch][b]++
 		}
 	})
 	if total != 30 {
 		t.Fatalf("saw %d samples in two epochs, want 30", total)
 	}
-	for c := 0; c < 3; c++ {
-		if counts[c] != 10 {
-			t.Fatalf("class %d seen %d times in two epochs, want 10", c, counts[c])
+	for e := range counts {
+		for c := range counts[e] {
+			if counts[e][c] != 5 {
+				t.Fatalf("epoch %d: class %d seen %d times, want 5", e, c, counts[e][c])
+			}
+		}
+		for b, n := range seen[e] {
+			if n != 1 {
+				t.Fatalf("epoch %d: sample %d seen %d times, want 1", e, b, n)
+			}
 		}
 	}
 }

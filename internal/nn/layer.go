@@ -150,10 +150,7 @@ func (r *Residual) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if r.Shortcut != nil {
 		s = r.Shortcut.Forward(x, train)
 	}
-	if !train {
-		return tensor.Add(m, s)
-	}
-	return addInto(r.out.take(m.Shape...), m, s)
+	return tensor.AddInto(r.out.result(train, m.Shape...), m, s)
 }
 
 // Backward implements Layer.
@@ -163,18 +160,7 @@ func (r *Residual) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	if r.Shortcut != nil {
 		ds = r.Shortcut.Backward(dy)
 	}
-	return addInto(r.dx.take(dm.Shape...), dm, ds)
-}
-
-// addInto writes a + b into dst, element by element as tensor.Add does.
-func addInto(dst, a, b *tensor.Tensor) *tensor.Tensor {
-	if len(a.Data) != len(b.Data) {
-		panic(fmt.Sprintf("nn: Residual adds %v and %v", a.Shape, b.Shape))
-	}
-	for i, v := range a.Data {
-		dst.Data[i] = v + b.Data[i]
-	}
-	return dst
+	return tensor.AddInto(r.dx.take(dm.Shape...), dm, ds)
 }
 
 func (r *Residual) trainingStateBytes() int64 { return bufferBytes(&r.out, &r.dx) }

@@ -129,12 +129,10 @@ func (b *buffer) bytes() int64 { return int64(cap(b.t.Data)) * 8 }
 
 // result returns the tensor a Forward writes its output into: the buffer,
 // with unspecified contents, in a training pass; a fresh tensor in an
-// eval-mode one, which keeps nothing. tensor.New lets its shape argument
-// escape (a panic message formats it), so the eval branch hands it a copy
-// and a training pass's shape stays on its caller's stack.
+// eval-mode one, which keeps nothing.
 func (b *buffer) result(train bool, shape ...int) *tensor.Tensor {
 	if !train {
-		return tensor.New(append([]int(nil), shape...)...)
+		return tensor.New(shape...)
 	}
 	return b.take(shape...)
 }

@@ -191,10 +191,10 @@ func (r Report) String() string {
 // densely through masks (STE).
 func Finetune(clf *nn.Classifier, split data.Split, epochs, batchSize int, opt *nn.SGD, rng *rand.Rand) float64 {
 	params := clf.Params()
-	sum, batches, last := 0.0, 0, 0
+	sum, batches, cur := 0.0, 0, 0
 	data.Batches(rng, split, batchSize, epochs, func(epoch int, x *tensor.Tensor, labels []int) {
-		if epoch != last {
-			sum, batches, last = 0, 0, epoch
+		if epoch != cur {
+			sum, batches, cur = 0, 0, epoch
 		}
 		sum += clf.TrainBatch(x, labels)
 		opt.Step(params)

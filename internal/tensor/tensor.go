@@ -22,8 +22,8 @@ type Tensor struct {
 
 // New returns a zero-filled tensor with the given shape.
 func New(shape ...int) *Tensor {
-	n := prod(shape)
-	return &Tensor{Shape: append([]int(nil), shape...), Data: make([]float64, n)}
+	s := append([]int(nil), shape...)
+	return &Tensor{Shape: s, Data: make([]float64, prod(s))}
 }
 
 // FromSlice wraps data in a tensor of the given shape. The slice is used
@@ -145,13 +145,17 @@ func Mul(a, b *Tensor) *Tensor {
 }
 
 // Add returns the elementwise sum of a and b as a new tensor.
-func Add(a, b *Tensor) *Tensor {
+func Add(a, b *Tensor) *Tensor { return AddInto(New(a.Shape...), a, b) }
+
+// AddInto writes the elementwise sum of a and b into dst, which must have
+// their volume, and returns dst. Every element of dst is overwritten.
+func AddInto(dst, a, b *Tensor) *Tensor {
 	checkSameLen(a, b, "Add")
-	c := New(a.Shape...)
-	for i := range c.Data {
-		c.Data[i] = a.Data[i] + b.Data[i]
+	checkSameLen(dst, a, "AddInto")
+	for i := range dst.Data {
+		dst.Data[i] = a.Data[i] + b.Data[i]
 	}
-	return c
+	return dst
 }
 
 // ConcatInto concatenates tensors along dimension 0 into dst. All inputs
