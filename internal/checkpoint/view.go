@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/bits"
 
+	"repro/internal/format"
 	"repro/internal/nn"
 )
 
@@ -14,10 +15,12 @@ import (
 // checks the header, the architecture against base, every entry's structure
 // and the CRC-64 trailer over the whole record before a view exists, and
 // ApplyModelDelta is a view written back into a classifier. Each call then
-// decodes one parameter into memory the caller provides, bit-equal to what
-// apply-then-read yields: it writes that memory and nothing else, keeps no
-// reference to it, and what it writes are values, never a view of the delta
-// or the base. The view itself holds both: drop it when the reads are done.
+// decodes one parameter, bit-equal to what apply-then-read yields: into
+// memory the caller provides, writing that memory and nothing else, or as
+// the non-zeros of its W ⊙ Mask handed to the caller's sink. It keeps no
+// reference to either, and what it hands out are values, never a view of the
+// delta or the base. The view itself holds both: drop it when the reads are
+// done.
 //
 // Its entries are two slices in the order of base's Params and batch norms,
 // found by name: a compile reads them in that order, and a lookup scans a few
@@ -162,8 +165,7 @@ func (v *DeltaView) stat(name string) (statEntry, bool) {
 
 // overlay writes e's tenant values into w: the stored dense values, or the
 // base's overlaid at the positions the stored mask keeps with the kept ones.
-// ValuesInto, EffectiveInto and ApplyModelDelta all take a parameter's
-// values from it.
+// ValuesInto and ApplyModelDelta take a parameter's values from it.
 func (v *DeltaView) overlay(e deltaEntry, w []float64) {
 	if e.mask == 0 {
 		readF64s(w, v.delta[e.vals:])
@@ -194,14 +196,14 @@ func (v *DeltaView) normStats(e statEntry, mean, variance []float64) {
 	readF64s(variance, v.delta[e.at+8*e.n:])
 }
 
-// entryInto is p's entry, once dst is checked to hold exactly p's values.
-func (v *DeltaView) entryInto(p *nn.Param, dst []float64) deltaEntry {
+// entryOf is p's entry, once n is checked to be p's value count.
+func (v *DeltaView) entryOf(p *nn.Param, n int) deltaEntry {
 	e, ok := v.param(p.Name)
 	if !ok {
 		panic("checkpoint: delta view has no parameter " + p.Name)
 	}
-	if n := e.base.W.Len(); len(dst) != n {
-		panic(fmt.Sprintf("checkpoint: parameter %s has %d values, dst %d", p.Name, n, len(dst)))
+	if m := e.base.W.Len(); n != m {
+		panic(fmt.Sprintf("checkpoint: parameter %s has %d values, dst %d", p.Name, m, n))
 	}
 	return e
 }
@@ -212,15 +214,34 @@ func readF64s(dst []float64, src []byte) {
 	}
 }
 
-// EffectiveInto writes the tenant's W ⊙ Mask for base parameter p into dst,
-// row-major [p.Rows, p.Cols].
-func (v *DeltaView) EffectiveInto(p *nn.Param, dst []float64) {
-	e := v.entryInto(p, dst)
-	v.overlay(e, dst)
-	if e.mask != 0 {
-		packed := v.delta[e.mask:]
-		for i := range dst {
-			dst[i] *= float64(packed[i/8] >> (i % 8) & 1)
+// NonZerosInto hands dst every non-zero of the tenant's W ⊙ Mask for base
+// parameter p with its row-major index, in ascending index order: the kept
+// values the stored mask bits select, or an unmasked parameter's stored
+// values, read straight from the delta. A pruned position holds no value
+// here, so the base is never read.
+func (v *DeltaView) NonZerosInto(p *nn.Param, dst format.EntrySink) {
+	n := p.W.Len()
+	e := v.entryOf(p, n)
+	vals := v.delta[e.vals:]
+	if e.mask == 0 {
+		for i := range n {
+			if w := math.Float64frombits(le.Uint64(vals[8*i:])); w != 0 {
+				dst.Add(i, w)
+			}
+		}
+		return
+	}
+	for j, b := range v.delta[e.mask : e.mask+(n+7)/8] {
+		for ; b != 0; b &= b - 1 {
+			i := 8*j + bits.TrailingZeros8(b)
+			if i >= n {
+				return // padding bits keep nothing
+			}
+			w := math.Float64frombits(le.Uint64(vals))
+			vals = vals[8:]
+			if w != 0 {
+				dst.Add(i, w)
+			}
 		}
 	}
 }
@@ -228,7 +249,7 @@ func (v *DeltaView) EffectiveInto(p *nn.Param, dst []float64) {
 // ValuesInto writes the tenant's unmasked values for base parameter p into
 // dst.
 func (v *DeltaView) ValuesInto(p *nn.Param, dst []float64) {
-	v.overlay(v.entryInto(p, dst), dst)
+	v.overlay(v.entryOf(p, len(dst)), dst)
 }
 
 // NormStatsInto writes the tenant's running mean and variance for base layer

@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/models"
@@ -21,6 +22,42 @@ func sameBits(a, b []float64) bool {
 	return true
 }
 
+// entries collects what a NonZerosInto walk hands its sink: the non-zeros
+// of a W ⊙ Mask with their row-major indices.
+type entries struct {
+	idx []int
+	val []float64
+}
+
+// Add implements format.EntrySink.
+func (e *entries) Add(i int, v float64) {
+	e.idx, e.val = append(e.idx, i), append(e.val, v)
+}
+
+// same reports whether e and o hold the same indices and bit-equal values.
+func (e *entries) same(o *entries) bool {
+	return slices.Equal(e.idx, o.idx) && sameBits(e.val, o.val)
+}
+
+// nonZeros is p's W ⊙ Mask as v walks it.
+func nonZeros(v *DeltaView, p *nn.Param) *entries {
+	e := &entries{}
+	v.NonZerosInto(p, e)
+	return e
+}
+
+// denseNonZeros is what a walk of the dense W ⊙ Mask w hands out: its
+// non-zeros in index order.
+func denseNonZeros(w []float64) *entries {
+	e := &entries{}
+	for i, v := range w {
+		if v != 0 {
+			e.Add(i, v)
+		}
+	}
+	return e
+}
+
 func normLayers(clf *nn.Classifier) (out []*nn.BatchNorm2D) {
 	nn.Walk(clf.Net, func(l nn.Layer) {
 		if bn, ok := l.(*nn.BatchNorm2D); ok {
@@ -33,8 +70,9 @@ func normLayers(clf *nn.Classifier) (out []*nn.BatchNorm2D) {
 // checkView holds ViewModelDelta to ApplyModelDelta on one input. applyErr
 // is what ApplyModelDelta(delta, base, applied) just returned: the view must
 // reject exactly when apply did, and an accepted view must hand out, for
-// every parameter and norm layer of base, effective weights, unmasked values
-// and running statistics bit-equal to the applied model's.
+// every parameter and norm layer of base, the non-zeros of the effective
+// weights, the unmasked values and the running statistics bit-equal to the
+// applied model's.
 func checkView(t testing.TB, delta []byte, base, applied *nn.Classifier, applyErr error) {
 	t.Helper()
 	v, err := ViewModelDelta(delta, base)
@@ -46,10 +84,8 @@ func checkView(t testing.TB, delta []byte, base, applied *nn.Classifier, applyEr
 	}
 	ap := applied.Params()
 	for i, p := range base.Params() {
-		eff := make([]float64, p.W.Len())
-		v.EffectiveInto(p, eff)
-		if !sameBits(eff, ap[i].Effective().Data) {
-			t.Fatalf("%s: view's effective weights differ from apply-then-Effective()", p.Name)
+		if !nonZeros(v, p).same(denseNonZeros(ap[i].Effective().Data)) {
+			t.Fatalf("%s: view's effective non-zeros differ from apply-then-Effective()", p.Name)
 		}
 		vals := make([]float64, p.W.Len())
 		v.ValuesInto(p, vals)
@@ -114,8 +150,9 @@ func TestDeltaViewMatchesApply(t *testing.T) {
 
 // TestDeltaViewWritesOnlyDst: every read writes the caller's dst and nothing
 // else — not a guard element on either side of it, not the base — and what
-// it writes are values: scribbling over one read's dst changes no later
-// read, and overwriting the delta afterwards changes no dst already written.
+// it writes or walks out are values: scribbling over one read's dst or one
+// walk's entries changes no later read, and overwriting the delta afterwards
+// changes nothing already read.
 func TestDeltaViewWritesOnlyDst(t *testing.T) {
 	base := randomModel(models.ResNet, 61, false)
 	delta, err := EncodeModelDelta(base, randomTenant(models.ResNet, 1, base, 62))
@@ -144,20 +181,24 @@ func TestDeltaViewWritesOnlyDst(t *testing.T) {
 	var results [][]float64
 	for _, p := range base.Params() {
 		n := p.W.Len()
-		eff := into(p.Name, n, func(dst []float64) { v.EffectiveInto(p, dst) })
+		eff := nonZeros(v, p)
 		vals := into(p.Name, n, func(dst []float64) { v.ValuesInto(p, dst) })
-		want, wantVals := append([]float64(nil), eff...), append([]float64(nil), vals...)
-		for i := range eff {
-			eff[i], vals[i] = math.NaN(), math.NaN()
+		want, wantVals := &entries{idx: slices.Clone(eff.idx), val: slices.Clone(eff.val)}, append([]float64(nil), vals...)
+		for i := range eff.val {
+			eff.val[i] = math.NaN()
 		}
-		if again := into(p.Name, n, func(dst []float64) { v.EffectiveInto(p, dst) }); !sameBits(again, want) {
-			t.Fatalf("%s: a second read saw the first one's overwrite", p.Name)
+		for i := range vals {
+			vals[i] = math.NaN()
 		}
-		again := into(p.Name, n, func(dst []float64) { v.ValuesInto(p, dst) })
-		if !sameBits(again, wantVals) {
+		again := nonZeros(v, p)
+		if !again.same(want) {
+			t.Fatalf("%s: a second walk saw the first one's overwrite", p.Name)
+		}
+		againVals := into(p.Name, n, func(dst []float64) { v.ValuesInto(p, dst) })
+		if !sameBits(againVals, wantVals) {
 			t.Fatalf("%s: a second values read saw the first one's overwrite", p.Name)
 		}
-		results = append(results, want, again)
+		results = append(results, again.val, againVals)
 	}
 	for _, bn := range normLayers(base) {
 		n := len(bn.RunMean.Data)

@@ -96,19 +96,6 @@ func (e *CRISPFormat) Encode(m *tensor.Tensor, b int, nm sparsity.NM) error {
 	return nil
 }
 
-// CRISPSlots reports the block columns and value slots Encode sizes a
-// CRISPFormat for when it encodes m, so an encoder made with the largest of
-// each over a set of matrices encodes them all without growing. A block size
-// or pattern Encode rejects needs none.
-func CRISPSlots(m *tensor.Tensor, b int, nm sparsity.NM) (blocks, slots int) {
-	if b <= 0 || nm.Validate() != nil || b%nm.M != 0 {
-		return 0, 0
-	}
-	rows, cols := checkMatrix(m)
-	_, blocks, slots = crispSize(m, sparsity.NewBlockGrid(rows, cols, b), nm)
-	return blocks, slots
-}
-
 // crispSize is Encode's sizing: the blocks block row 0 keeps, which every
 // block row must keep, and so the block columns and slots the encoding
 // holds. Every block row keeps `kept` blocks of at most b rows × b/M groups

@@ -32,8 +32,7 @@ type Plan struct {
 	Val []float64
 
 	// uniform, when positive, records that every row span holds exactly
-	// this many entries — proved by CRISPFormat.Compile from the N:M +
-	// block metadata when no padding slot survives — enabling the
+	// this many entries — proved when the plan is built — enabling the
 	// fixed-trip-count fast path (blockedTileUniform).
 	uniform int
 }
@@ -61,33 +60,38 @@ func checkCols(cols int) {
 }
 
 // UniformSpan returns the proved per-row entry count when every row span
-// holds the same number of entries (the CRISP fixed-trip-count fast path),
-// and 0 for ragged plans.
+// holds the same number of entries (the fixed-trip-count fast path), and 0
+// for ragged plans.
 func (p *Plan) UniformSpan() int { return p.uniform }
 
 // Compile compiles the encoding into an execution plan. CSR is already
 // row-pointer + column-index + value, so the plan is a direct image of the
-// encoding. It panics on a matrix wider than MaxCols.
+// encoding. It panics on a matrix wider than MaxCols, and on an encoding
+// whose rows do not list their columns in ascending order, which EncodeCSR
+// never writes.
 func (c *CSR) Compile() *Plan {
-	checkCols(c.Cols)
-	p := &Plan{
-		Rows:   c.Rows,
-		Cols:   c.Cols,
-		RowPtr: make([]int32, len(c.RowPtr)),
-		Col:    make([]uint16, len(c.ColIdx)),
-		Val:    make([]float64, len(c.Val)),
+	s := NewPlanSlab(1, c.Rows, len(c.Val))
+	s.Begin(c.Rows, c.Cols)
+	for r := range c.Rows {
+		for i := c.RowPtr[r]; i < c.RowPtr[r+1]; i++ {
+			s.Add(r*c.Cols+int(c.ColIdx[i]), c.Val[i])
+		}
 	}
-	copy(p.RowPtr, c.RowPtr)
-	for i, cc := range c.ColIdx {
-		p.Col[i] = uint16(cc)
-	}
-	copy(p.Val, c.Val)
-	return p
+	return s.mustEnd()
+}
+
+// EntrySink takes a matrix's entries one call at a time, each with its
+// row-major index, in ascending index order. A PlanSlab builds a plan from
+// them.
+type EntrySink interface {
+	Add(i int, v float64)
 }
 
 // PlanSlab is the backing memory of a set of plans whose sizes are known
 // before the first is built: one []Plan and one RowPtr, Col and Val array,
-// which the CompileIn entry points carve front to back. Every carved slice is
+// carved front to back. It is also the one plan builder: Begin carves the
+// next plan's header and row pointers, Add hands it its entries, and End
+// closes it at exactly the entries it was handed. Every carved slice is
 // capped at its length, so no plan can grow into its neighbour.
 type PlanSlab struct {
 	plans  []Plan
@@ -96,35 +100,28 @@ type PlanSlab struct {
 	val    []float64
 	// np, nr and nz are the next plan header, row pointer and entry to carve.
 	np, nr, nz int
+	// cur is the plan being built, since the entry start; last is the index
+	// of its latest entry, and err the first entry it could not take.
+	cur   *Plan
+	start int
+	last  int
+	err   error
 }
 
 // NewPlanSlab returns a slab sized exactly for the given number of plans,
 // rows (summed over the plans) and stored entries (summed likewise).
 func NewPlanSlab(plans, rows, nnz int) PlanSlab {
-	var s PlanSlab
-	s.Reset(plans, rows, nnz)
-	return s
-}
-
-// Reset re-sizes s exactly for a new set of plans and carves them from the
-// start of its arrays again, reusing each array that is large enough: a plan
-// carved after Reset may overwrite any plan carved before it.
-func (s *PlanSlab) Reset(plans, rows, nnz int) {
-	s.plans = resize(s.plans, plans)
-	s.rowPtr = resize(s.rowPtr, rows+plans)
-	s.col = resize(s.col, nnz)
-	s.val = resize(s.val, nnz)
-	s.np, s.nr, s.nz = 0, 0, 0
-}
-
-// resize returns v at length n: v's own array when it holds n, a new one of
-// exactly n when it does not.
-func resize[T any](v []T, n int) []T {
-	if cap(v) < n {
-		return make([]T, n)
+	return PlanSlab{
+		plans:  make([]Plan, plans),
+		rowPtr: make([]int32, rows+plans),
+		col:    make([]uint16, nnz),
+		val:    make([]float64, nnz),
 	}
-	return v[:n]
 }
+
+// Rewind carves from the start of s's arrays again: a plan built after it
+// may overwrite any plan built before it.
+func (s *PlanSlab) Rewind() { s.np, s.nr, s.nz = 0, 0, 0 }
 
 // Left reports what has not been carved yet: plan headers, row pointers and
 // entries.
@@ -132,114 +129,121 @@ func (s *PlanSlab) Left() (plans, rowPtrs, nnz int) {
 	return len(s.plans) - s.np, len(s.rowPtr) - s.nr, len(s.col) - s.nz
 }
 
-// carve takes the next plan of rows × cols with nnz entries from s, its
-// RowPtr zeroed. A slab too short for it is an error, and carves nothing.
-func (s *PlanSlab) carve(rows, cols, nnz int) (*Plan, error) {
+// Begin starts the next plan, of rows × cols. A slab without a plan header
+// or rows+1 row pointers left is an error, and carves nothing. It panics on
+// a matrix wider than MaxCols.
+func (s *PlanSlab) Begin(rows, cols int) error {
 	checkCols(cols)
-	plans, rowPtrs, left := s.Left()
-	if plans == 0 || rowPtrs < rows+1 || left < nnz {
-		return nil, fmt.Errorf("format: plan slab has %d plans, %d row pointers and %d entries left, a %d-row plan of %d entries needs 1, %d and %d",
-			plans, rowPtrs, left, rows, nnz, rows+1, nnz)
+	if plans, rowPtrs, _ := s.Left(); plans == 0 || rowPtrs < rows+1 {
+		return fmt.Errorf("format: plan slab has %d plans and %d row pointers left, a %d-row plan needs 1 and %d", plans, rowPtrs, rows, rows+1)
 	}
-	p := &s.plans[s.np]
-	*p = Plan{
-		Rows: rows, Cols: cols,
-		RowPtr: s.rowPtr[s.nr : s.nr+rows+1 : s.nr+rows+1],
-		Col:    s.col[s.nz : s.nz+nnz : s.nz+nnz],
-		Val:    s.val[s.nz : s.nz+nnz : s.nz+nnz],
-	}
-	s.np, s.nr, s.nz = s.np+1, s.nr+rows+1, s.nz+nnz
-	clear(p.RowPtr)
-	return p, nil
+	s.cur = &s.plans[s.np]
+	*s.cur = Plan{Rows: rows, Cols: cols, RowPtr: s.rowPtr[s.nr : s.nr+rows+1 : s.nr+rows+1]}
+	clear(s.cur.RowPtr)
+	s.np, s.nr = s.np+1, s.nr+rows+1
+	s.start, s.last, s.err = s.nz, -1, nil
+	return nil
 }
 
-// CompileCSRIn compiles the non-zeros of the dense matrix m, row by row in
-// ascending column order, into a plan carved from s: the plan
-// EncodeCSR(m).Compile() returns, without the CSR encoding between. It
-// panics on a matrix wider than MaxCols.
-func CompileCSRIn(m *tensor.Tensor, s *PlanSlab) (*Plan, error) {
-	rows, cols := checkMatrix(m)
-	p, err := s.carve(rows, cols, m.CountNonZero())
-	if err != nil {
-		return nil, err
+// Add appends the entry at row-major index i (row i / Cols, column
+// i % Cols) of value v to the plan Begin started. Entries come in ascending
+// index order, so each row's are in ascending column order; an entry out of
+// order or out of range, or one past the slab's entries, fails End.
+func (s *PlanSlab) Add(i int, v float64) {
+	p := s.cur
+	switch {
+	case s.err != nil:
+		return
+	case i <= s.last || i >= p.Rows*p.Cols:
+		s.err = fmt.Errorf("format: plan entry %d after %d in a %d×%d plan", i, s.last, p.Rows, p.Cols)
+		return
+	case s.nz == len(s.col):
+		s.err = fmt.Errorf("format: plan slab has no entries left for a %d-row plan's entry %d", p.Rows, s.nz-s.start)
+		return
 	}
-	i := 0
-	for r := 0; r < rows; r++ {
-		for cc, v := range m.Data[r*cols : (r+1)*cols] {
-			if v != 0 {
-				p.Col[i] = uint16(cc)
-				p.Val[i] = v
-				i++
+	s.last = i
+	p.RowPtr[i/p.Cols+1]++
+	s.col[s.nz], s.val[s.nz] = uint16(i%p.Cols), v
+	s.nz++
+}
+
+// End closes the plan Begin started and returns it. After an entry Add
+// could not take it returns that error and gives the plan's memory back to
+// the slab.
+func (s *PlanSlab) End() (*Plan, error) {
+	p := s.cur
+	s.cur = nil
+	if s.err != nil {
+		s.np, s.nr, s.nz = s.np-1, s.nr-p.Rows-1, s.start
+		return nil, s.err
+	}
+	p.Col = s.col[s.start:s.nz:s.nz]
+	p.Val = s.val[s.start:s.nz:s.nz]
+	for r := range p.Rows {
+		p.RowPtr[r+1] += p.RowPtr[r]
+	}
+	// Every row span the same width (an N:M + block-column layout with no
+	// zero slot, or a dense matrix) lets the blocked kernels address spans
+	// without RowPtr loads (blockedTileUniform). One O(Rows) scan over the
+	// built RowPtr proves it.
+	if p.Rows > 0 {
+		u := p.RowPtr[1]
+		for r := 1; r < p.Rows && u > 0; r++ {
+			if p.RowPtr[r+1]-p.RowPtr[r] != u {
+				u = 0
 			}
 		}
-		p.RowPtr[r+1] = int32(i)
+		p.uniform = int(u)
 	}
 	return p, nil
 }
 
-// Compile compiles the encoding into an execution plan: the slot walk of
-// CRISPFormat.MatMul is replayed once at compile time, emitting one
-// (column, value) pair per non-zero slot into the owning output row.
-// Padding slots (value 0) disappear; intra-group offsets are resolved
-// against their block bounds to absolute column indices. Within each output
-// row the emitted order is exactly the slot-walk order (kept blocks in
-// stored order, groups left-to-right, slots in stored order), so MatMul over
-// the plan accumulates bit-identically to the slot-walking kernel. It panics
-// on a matrix wider than MaxCols.
-func (e *CRISPFormat) Compile() *Plan {
-	s := NewPlanSlab(1, e.Rows, e.nnz())
-	p, err := e.CompileIn(&s)
+// mustEnd is End for a slab sized for exactly the plan being built.
+func (s *PlanSlab) mustEnd() *Plan {
+	p, err := s.End()
 	if err != nil {
-		panic(err) // unreachable: s is sized for exactly this plan
+		panic(err)
 	}
 	return p
 }
 
-// CompileIn is Compile with the plan carved from s. Nothing carved aliases
-// e, so e may be re-encoded at once.
-func (e *CRISPFormat) CompileIn(s *PlanSlab) (*Plan, error) {
-	p, err := s.carve(e.Rows, e.Cols, e.nnz())
-	if err != nil {
-		return nil, err
-	}
-
-	// Pass 1: count non-zero slots per output row, then prefix-sum so that
-	// RowPtr[r] is where row r's span starts.
-	e.walk(func(r int, _ uint16, _ float64) { p.RowPtr[r+1]++ })
-	for r := 0; r < e.Rows; r++ {
-		p.RowPtr[r+1] += p.RowPtr[r]
-	}
-
-	// Pass 2: fill with RowPtr[r] itself as row r's moving cursor — it ends
-	// on row r+1's start, so shifting the array up one entry restores it.
-	e.walk(func(r int, col uint16, v float64) {
-		p.Col[p.RowPtr[r]] = col
-		p.Val[p.RowPtr[r]] = v
-		p.RowPtr[r]++
-	})
-	copy(p.RowPtr[1:], p.RowPtr[:e.Rows])
-	p.RowPtr[0] = 0
-
-	// The N:M + block-column layout stores the same slot count for every
-	// row of a kept block; when no padding slot survives the compile (no
-	// dropped zeros), every row span is therefore the same width. Proving
-	// that here lets the blocked kernels run the fixed-trip-count,
-	// RowPtr-free fast path (blockedTileUniform). One O(Rows) scan over
-	// the already-built RowPtr is the cheapest sound check — it also
-	// catches layouts the grid arithmetic alone couldn't prove.
-	if e.Rows > 0 {
-		u := int(p.RowPtr[1])
-		for r := 1; r < e.Rows; r++ {
-			if int(p.RowPtr[r+1])-int(p.RowPtr[r]) != u {
-				u = 0
-				break
+// Compile compiles the encoding into an execution plan, replaying the slot
+// walk of CRISPFormat.MatMul row by row: each output row takes the non-zero
+// slots of its kept blocks in stored order, groups left-to-right, slots in
+// stored order, with intra-group offsets resolved against their block bounds
+// to absolute column indices. Padding slots (value 0) disappear. Within each
+// output row the emitted order is exactly the slot-walk order, so MatMul
+// over the plan accumulates bit-identically to the slot-walking kernel. It
+// panics on a matrix wider than MaxCols, and on an encoding whose slots do
+// not ascend within a row, which EncodeCRISP never writes.
+func (e *CRISPFormat) Compile() *Plan {
+	s := NewPlanSlab(1, e.Rows, e.nnz())
+	s.Begin(e.Rows, e.Cols)
+	g := e.grid()
+	at := make([]int, e.KeptPerRow) // each kept block's next slot
+	si := 0
+	for br := range g.GridRows() {
+		r0, r1, _, _ := g.Bounds(br, 0)
+		for k := range at {
+			_, _, c0, c1 := g.Bounds(br, int(e.BlockCols[br*e.KeptPerRow+k]))
+			at[k] = si
+			si += (r1 - r0) * ((c1 - c0 + e.NM.M - 1) / e.NM.M) * e.NM.N
+		}
+		for r := r0; r < r1; r++ {
+			for k := range at {
+				_, _, c0, c1 := g.Bounds(br, int(e.BlockCols[br*e.KeptPerRow+k]))
+				for g0 := c0; g0 < c1; g0 += e.NM.M {
+					for range e.NM.N {
+						if v := e.Val[at[k]]; v != 0 {
+							s.Add(r*e.Cols+g0+int(e.Offsets[at[k]]), v)
+						}
+						at[k]++
+					}
+				}
 			}
 		}
-		if u > 0 {
-			p.uniform = u
-		}
 	}
-	return p, nil
+	return s.mustEnd()
 }
 
 // nnz counts the non-zero slots: the entries a compiled plan keeps.
@@ -251,29 +255,6 @@ func (e *CRISPFormat) nnz() int {
 		}
 	}
 	return n
-}
-
-// walk replays the slot walk of CRISPFormat.MatMul, visiting every non-zero
-// slot with its output row and absolute column.
-func (e *CRISPFormat) walk(visit func(r int, col uint16, v float64)) {
-	g := e.grid()
-	si := 0
-	for br := 0; br < g.GridRows(); br++ {
-		for k := 0; k < e.KeptPerRow; k++ {
-			bc := int(e.BlockCols[br*e.KeptPerRow+k])
-			r0, r1, c0, c1 := g.Bounds(br, bc)
-			for r := r0; r < r1; r++ {
-				for g0 := c0; g0 < c1; g0 += e.NM.M {
-					for s := 0; s < e.NM.N; s++ {
-						if v := e.Val[si]; v != 0 {
-							visit(r, uint16(g0+int(e.Offsets[si])), v)
-						}
-						si++
-					}
-				}
-			}
-		}
-	}
 }
 
 // MatMul computes Plan · B for a dense Cols×n matrix B into a new tensor.

@@ -236,12 +236,13 @@ func TestFanOutAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestPlanSlabCarvesExactly: planShapes' matrices, compiled one after
-// another into one slab sized for all of them — CRISP and CSR alternately —
-// are the plans Compile returns alone (same fingerprint, same uniform span),
-// every slice capped at its length, and the slab ends empty. A slab one
-// entry short fails the last plan and carves nothing for it; a reused slab
-// carves from the start of its arrays again.
+// TestPlanSlabCarvesExactly: planShapes' matrices, built one after another
+// into one slab sized for all of them from their non-zeros in row-major
+// order, are the plans Compile returns alone — from the CRISP encoding and
+// from CSR alternately — with the same fingerprint and the same uniform span,
+// every slice capped at its length, and the slab ends empty. A slab one entry
+// short fails the last plan and carves nothing for it; a rewound slab carves
+// from the start of its arrays again; an entry out of order fails its plan.
 func TestPlanSlabCarvesExactly(t *testing.T) {
 	rng := rand.New(rand.NewSource(76))
 	var ms []*tensor.Tensor
@@ -251,30 +252,38 @@ func TestPlanSlabCarvesExactly(t *testing.T) {
 		ms = append(ms, m)
 		plans, rows, nnz = plans+1, rows+s.rows, nnz+m.CountNonZero()
 	}
-	compile := func(i int, slab *PlanSlab) (got, alone *Plan, err error) {
-		s := planShapes[i]
-		if i%2 == 1 {
-			got, err = CompileCSRIn(ms[i], slab)
-			return got, EncodeCSR(ms[i]).Compile(), err
+	build := func(m *tensor.Tensor, slab *PlanSlab) (*Plan, error) {
+		if err := slab.Begin(m.Shape[0], m.Shape[1]); err != nil {
+			return nil, err
 		}
-		e, err := EncodeCRISP(ms[i], s.b, s.nm)
+		for i, v := range m.Data {
+			if v != 0 {
+				slab.Add(i, v)
+			}
+		}
+		return slab.End()
+	}
+	alone := func(i int) *Plan {
+		if i%2 == 1 {
+			return EncodeCSR(ms[i]).Compile()
+		}
+		e, err := EncodeCRISP(ms[i], planShapes[i].b, planShapes[i].nm)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err = e.CompileIn(slab)
-		return got, e.Compile(), err
+		return e.Compile()
 	}
 	slab := NewPlanSlab(plans, rows, nnz)
 	var first *Plan
-	for i := range ms {
-		got, alone, err := compile(i, &slab)
+	for i, m := range ms {
+		got, err := build(m, &slab)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if i == 0 {
 			first = got
 		}
-		if got.Fingerprint() != alone.Fingerprint() || got.UniformSpan() != alone.UniformSpan() {
+		if want := alone(i); got.Fingerprint() != want.Fingerprint() || got.UniformSpan() != want.UniformSpan() {
 			t.Fatalf("plan %d from the slab differs from the plan compiled alone", i)
 		}
 		if cap(got.RowPtr) != len(got.RowPtr) || cap(got.Col) != len(got.Col) || cap(got.Val) != len(got.Val) {
@@ -287,26 +296,43 @@ func TestPlanSlabCarvesExactly(t *testing.T) {
 
 	short := NewPlanSlab(plans, rows, nnz-1)
 	last := len(ms) - 1
-	for i := range ms[:last] {
-		if _, _, err := compile(i, &short); err != nil {
+	for _, m := range ms[:last] {
+		if _, err := build(m, &short); err != nil {
 			t.Fatal(err)
 		}
 	}
 	p0, r0, z0 := short.Left()
-	if _, _, err := compile(last, &short); err == nil {
-		t.Fatal("a slab one entry short compiled the last plan")
+	if _, err := build(ms[last], &short); err == nil {
+		t.Fatal("a slab one entry short built the last plan")
 	}
 	if p, r, z := short.Left(); p != p0 || r != r0 || z != z0 {
-		t.Fatal("a failed carve consumed the slab")
+		t.Fatal("a failed build consumed the slab")
 	}
 
-	// Reset reuses the arrays: the next plan lands where the first one did.
-	slab.Reset(1, planShapes[0].rows, ms[0].CountNonZero())
-	again, _, err := compile(0, &slab)
+	// Rewind reuses the arrays: the next plan lands where the first one did.
+	slab.Rewind()
+	again, err := build(ms[0], &slab)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if &again.Val[0] != &first.Val[0] || &again.RowPtr[0] != &first.RowPtr[0] {
-		t.Fatal("a reset slab did not carve from the start of its arrays")
+		t.Fatal("a rewound slab did not carve from the start of its arrays")
+	}
+
+	slab.Rewind()
+	if err := slab.Begin(2, 3); err != nil {
+		t.Fatal(err)
+	}
+	slab.Add(4, 1)
+	slab.Add(2, 1)
+	if _, err := slab.End(); err == nil {
+		t.Fatal("an entry before its predecessor built a plan")
+	}
+	if err := slab.Begin(2, 3); err != nil {
+		t.Fatal(err)
+	}
+	slab.Add(6, 1)
+	if _, err := slab.End(); err == nil {
+		t.Fatal("an entry past the matrix built a plan")
 	}
 }

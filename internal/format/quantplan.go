@@ -83,7 +83,7 @@ func (q *QuantPlan) SizeBytes() int64 {
 // layout. Non-finite weights fail closed: deploying a NaN/Inf model at
 // int8 would silently encode garbage codes, so it is an error instead.
 func (p *Plan) Quantize() (*QuantPlan, error) {
-	codes, err := p.quantCodes()
+	codes, err := p.QuantCodes()
 	if err != nil {
 		return nil, err
 	}
@@ -95,7 +95,7 @@ func (p *Plan) Quantize() (*QuantPlan, error) {
 // QuantizeIn is Quantize with the image carved from s: its header, row
 // arrays and exactly as many Col and Code entries as the image keeps.
 func (p *Plan) QuantizeIn(s *QuantSlab) (*QuantPlan, error) {
-	codes, err := p.quantCodes()
+	codes, err := p.QuantCodes()
 	if err != nil {
 		return nil, err
 	}
@@ -132,26 +132,10 @@ func (p *Plan) QuantizeIn(s *QuantSlab) (*QuantPlan, error) {
 	return q, nil
 }
 
-// QuantCodes reports how many codes the image of a plan compiled from the
-// dense matrix m holds (Quantize keeps a code per non-zero that does not
-// round to zero), so a QuantSlab can be sized before any plan is built. A
-// zero weight quantizes to zero, and a plan keeps exactly m's non-zeros, so
-// each row counts as the plan's row will. The errors are Quantize's.
-func QuantCodes(m *tensor.Tensor) (int, error) {
-	rows, cols := checkMatrix(m)
-	codes := 0
-	for r := range rows {
-		_, n, err := rowScale(m.Data[r*cols:(r+1)*cols], r)
-		if err != nil {
-			return 0, err
-		}
-		codes += n
-	}
-	return codes, nil
-}
-
-// quantCodes is QuantCodes over the plan's own rows.
-func (p *Plan) quantCodes() (int, error) {
+// QuantCodes reports how many codes the plan's int8 image holds: Quantize
+// keeps a code per entry that does not round to zero. It lets a QuantSlab be
+// sized before the image is quantized; the errors are Quantize's.
+func (p *Plan) QuantCodes() (int, error) {
 	codes := 0
 	for r := range p.Rows {
 		_, n, err := rowScale(p.Val[p.RowPtr[r]:p.RowPtr[r+1]], r)

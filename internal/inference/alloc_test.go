@@ -123,11 +123,12 @@ func TestFirstPassAllocsBudget(t *testing.T) {
 // Linear, LayerNorm and ReLU — compile from a delta view, at both precisions,
 // with the same number of objects: every executor and child list, plan,
 // image and vector is carved from a slab sized before the first is built,
-// and the encoder and the scratch plan an image is quantized from are made
-// once, at their final size: 17 objects at Float32, 23 at Int8, at either
-// depth. While each executor was its own object, each image seven, and the
-// encoder grew as larger matrices came, it was 39 and 111 at Float32, 81 and
-// 237 at Int8.
+// and the scratch plan an image is quantized from is made once, at its final
+// size: 13 objects at Float32, 19 at Int8, at either depth. While every
+// matrix also passed through a dense W ⊙ Mask scratch and a CRISP encoder
+// it was 17 and 23; while each executor was its own object, each image
+// seven, and the encoder grew as larger matrices came, 39 and 111 at
+// Float32, 81 and 237 at Int8.
 func TestCompileAllocsDoNotFollowDepth(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -146,7 +147,6 @@ func TestCompileAllocsDoNotFollowDepth(t *testing.T) {
 		layers = append(layers, nn.NewLinear("head", rng, d, classes, true))
 		return nn.NewClassifier("mlp", nn.NewSequential(layers...), classes)
 	}
-	nm := sparsity.NM{N: 2, M: 4}
 	var counts [2][2]float64
 	for i, blocks := range []int{4, 16} {
 		base, tenant := build(blocks), build(blocks)
@@ -171,7 +171,7 @@ func TestCompileAllocsDoNotFollowDepth(t *testing.T) {
 		}
 		for j, prec := range []Precision{Float32, Int8} {
 			opts := CompileOptions{Precision: prec}
-			eng, err := NewFromSource(base, view, 4, nm, opts)
+			eng, err := NewFromSource(base, view, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -179,7 +179,7 @@ func TestCompileAllocsDoNotFollowDepth(t *testing.T) {
 				t.Fatalf("%d blocks at %s: %d compressed layers", blocks, prec, eng.CompressedLayers)
 			}
 			counts[j][i] = testing.AllocsPerRun(10, func() {
-				if _, err := NewFromSource(base, view, 4, nm, opts); err != nil {
+				if _, err := NewFromSource(base, view, opts); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -225,31 +225,25 @@ func TestInt8EngineSmallerThanFloat(t *testing.T) {
 	}
 }
 
-// TestCompiledPlansDoNotAliasTheEncoder: one CRISPFormat value encodes every
-// matrix of a compile, one dense buffer holds each matrix's W ⊙ Mask on its
-// way in, and at Int8 one scratch plan holds the float plan each image is
-// quantized from — so a plan or image that kept a view of any of them,
-// instead of the copy it makes, would be rewritten by the next matrix.
-// Compile a tenant at both precisions, then scribble over all three: the
+// TestCompiledPlansDoNotAliasTheScratch: at Int8 one scratch plan holds the
+// float plan each image is quantized from, so an image that kept a view of
+// it, instead of the copy it makes, would be rewritten by the next matrix.
+// Compile a tenant at both precisions, then scribble over the scratch: the
 // engine's Fingerprint (Float32) and QuantSignature (Int8), recomputed over
 // what it holds now, still equal the values folded in as each plan was
 // built, and its logits do not move. The scratch plan is scribbled by
-// re-carving it for every quantized matrix, which reaches all the memory
+// rebuilding it for every quantized matrix, which reaches all the memory
 // the compile carved it from.
-func TestCompiledPlansDoNotAliasTheEncoder(t *testing.T) {
+func TestCompiledPlansDoNotAliasTheScratch(t *testing.T) {
 	_, clone, x, prune := tenantEnv(t, models.Transformer)
 	tenant := clone()
 	prune(tenant, []int{1, 5})
 	x1, x16 := batches(t, x)
-	nm := sparsity.NM{N: 2, M: 4}
 	for _, prec := range []Precision{Float32, Int8} {
-		c := compiler{src: OwnParams{}, b: 4, nm: nm}
+		c := compiler{src: OwnParams{}}
 		eng, err := c.engine(tenant, prec)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if len(c.enc.Val) == 0 {
-			t.Fatal("fixture: no parameter went through the CRISP encoder")
 		}
 		want := [2]*tensor.Tensor{eng.Logits(x1), eng.Logits(x16)}
 
@@ -272,15 +266,7 @@ func TestCompiledPlansDoNotAliasTheEncoder(t *testing.T) {
 			quantized++
 		}, func(int) {})
 		if (quantized > 0) != (prec == Int8) {
-			t.Fatalf("%s: fixture re-carved %d scratch plans", prec, quantized)
-		}
-		for i := range c.enc.Val {
-			c.enc.Val[i] = math.NaN()
-		}
-		clear(c.enc.Offsets)
-		clear(c.enc.BlockCols)
-		for i := range c.dense {
-			c.dense[i] = math.NaN()
+			t.Fatalf("%s: fixture rebuilt %d scratch plans", prec, quantized)
 		}
 
 		fp, qsig := format.HashInit, format.Hash64(0)

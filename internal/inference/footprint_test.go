@@ -221,8 +221,8 @@ func TestEngineSlabsAreExact(t *testing.T) {
 }
 
 // rereadSource is OwnParams, except that every read of target after the
-// first keeps one non-zero fewer, or with add one more: measure and compile
-// then see different matrices.
+// first hands out one non-zero fewer, or with add one more: measure and
+// compile then see different matrices.
 type rereadSource struct {
 	OwnParams
 	target *nn.Param
@@ -230,38 +230,54 @@ type rereadSource struct {
 	reads  int
 }
 
-func (s *rereadSource) EffectiveInto(p *nn.Param, dst []float64) {
-	s.OwnParams.EffectiveInto(p, dst)
+func (s *rereadSource) NonZerosInto(p *nn.Param, dst format.EntrySink) {
 	if p != s.target {
+		s.OwnParams.NonZerosInto(p, dst)
 		return
 	}
 	if s.reads++; s.reads == 1 {
+		s.OwnParams.NonZerosInto(p, dst)
 		return
 	}
-	for i, v := range dst {
-		if s.add && v == 0 {
-			dst[i] = 1
-			return
-		}
-		if !s.add && v != 0 {
-			dst[i] = 0
-			return
-		}
-	}
+	s.OwnParams.NonZerosInto(p, &rereadSink{to: dst, add: s.add})
 }
 
-// TestCompileFailsWhenTheSlabsDisagree: the slabs are sized from one read of
-// the source and filled from another, so a source whose second read of a
-// matrix keeps one non-zero fewer or one more fails the compile — slab left
-// over or short — and never yields an engine with a plan cut to the wrong
-// size.
+// rereadSink forwards a walk but for its first non-zero, which it drops, or
+// with add for the first zero before a non-zero, which it hands on as a 1.
+type rereadSink struct {
+	to        format.EntrySink
+	add, done bool
+	next      int
+}
+
+func (w *rereadSink) Add(i int, v float64) {
+	if !w.done {
+		w.done = true
+		if !w.add {
+			return
+		}
+		if i > w.next {
+			w.to.Add(w.next, 1)
+		} else {
+			w.done = false
+		}
+	}
+	w.next = i + 1
+	w.to.Add(i, v)
+}
+
+// TestCompileFailsWhenTheSlabsDisagree: the slabs are sized from one walk of
+// the source and filled from another, so a source whose second walk of a
+// matrix hands out one non-zero fewer or one more fails the compile — slab
+// left over or short — and never yields an engine with a plan cut to the
+// wrong size.
 func TestCompileFailsWhenTheSlabsDisagree(t *testing.T) {
 	_, clone, _, prune := tenantEnv(t, models.Transformer)
 	tenant := clone()
 	prune(tenant, []int{1, 5})
 	for _, add := range []bool{false, true} {
 		src := &rereadSource{target: tenant.PrunableParams()[0], add: add}
-		_, err := NewFromSource(tenant, src, 4, sparsity.NM{N: 2, M: 4}, CompileOptions{})
+		_, err := NewFromSource(tenant, src, CompileOptions{})
 		if err == nil || !strings.Contains(err.Error(), "left") {
 			t.Fatalf("a second read with one non-zero more (%v) or fewer: compile returned %v, want the slabs' disagreement", add, err)
 		}

@@ -138,10 +138,11 @@ type Engine struct {
 	high   arenaHigh
 }
 
-// New compiles clf's current masks into a sparse execution plan. The
-// classifier must already be pruned; non-exempt layers are encoded in the
-// CRISP format at the given block size and N:M pattern, exempt ones in CSR,
-// and both are flattened into format.Plan kernels.
+// New compiles clf's current masks into a sparse execution plan: every
+// weight matrix becomes the format.Plan of its W ⊙ Mask, its non-zeros row
+// by row in ascending column order. Compile reads neither blockSize nor nm —
+// the plan of a CRISP-pruned matrix is the one its CRISP encoding compiles to
+// — and they remain only so existing callers keep compiling.
 func New(clf *nn.Classifier, blockSize int, nm sparsity.NM) (*Engine, error) {
 	return NewWithOptions(clf, blockSize, nm, CompileOptions{})
 }
@@ -152,19 +153,20 @@ func New(clf *nn.Classifier, blockSize int, nm sparsity.NM) (*Engine, error) {
 // pass runs the quantized kernels (per-column activation quantization,
 // 32-bit integer accumulation, dequantize-on-store) with the packed
 // quantization scratch drawn from the same engine-owned arena as the float
-// buffers.
+// buffers. Like New, it reads neither blockSize nor nm.
 func NewWithOptions(clf *nn.Classifier, blockSize int, nm sparsity.NM, opts CompileOptions) (*Engine, error) {
-	return NewFromSource(clf, OwnParams{}, blockSize, nm, opts)
+	return NewFromSource(clf, OwnParams{}, opts)
 }
 
 // ParamSource is where compile reads a tenant's values. The nodes it is
-// handed belong to the layer tree being compiled, and dst holds exactly the
-// node's values. Each call overwrites all of dst with values — never a view
-// of the source's storage —, writes nothing else, and keeps no reference to
+// handed belong to the layer tree being compiled, and a dst slice holds
+// exactly the node's values. Each call hands out values — never a view of
+// the source's storage —, writes nothing but dst, and keeps no reference to
 // dst.
 type ParamSource interface {
-	// EffectiveInto writes p's W ⊙ Mask, row-major [p.Rows, p.Cols], into dst.
-	EffectiveInto(p *nn.Param, dst []float64)
+	// NonZerosInto hands dst each non-zero of p's W ⊙ Mask with its
+	// row-major index in [p.Rows, p.Cols], in ascending index order.
+	NonZerosInto(p *nn.Param, dst format.EntrySink)
 	// ValuesInto writes p's unmasked values (a bias, γ or β vector) into dst.
 	ValuesInto(p *nn.Param, dst []float64)
 	// NormStatsInto writes bn's running mean and variance into mean and
@@ -176,12 +178,14 @@ type ParamSource interface {
 // copies out of the node it is handed.
 type OwnParams struct{}
 
-// EffectiveInto implements ParamSource.
-func (OwnParams) EffectiveInto(p *nn.Param, dst []float64) {
-	copy(dst, p.W.Data)
-	if p.Mask != nil {
-		for i, m := range p.Mask.Data {
-			dst[i] *= m
+// NonZerosInto implements ParamSource.
+func (OwnParams) NonZerosInto(p *nn.Param, dst format.EntrySink) {
+	for i, w := range p.W.Data {
+		if p.Mask != nil {
+			w *= p.Mask.Data[i]
+		}
+		if w != 0 {
+			dst.Add(i, w)
 		}
 	}
 }
@@ -198,8 +202,8 @@ func (OwnParams) NormStatsInto(bn *nn.BatchNorm2D, mean, variance []float64) {
 // NewFromSource compiles the tenant whose values src holds: tree supplies
 // the architecture (the tenant's own classifier with OwnParams, the
 // universal model with a delta view over it) and is not retained.
-func NewFromSource(tree *nn.Classifier, src ParamSource, blockSize int, nm sparsity.NM, opts CompileOptions) (*Engine, error) {
-	c := compiler{src: src, b: blockSize, nm: nm}
+func NewFromSource(tree *nn.Classifier, src ParamSource, opts CompileOptions) (*Engine, error) {
+	c := compiler{src: src}
 	return c.engine(tree, opts.Precision)
 }
 
@@ -301,24 +305,18 @@ type execLayer interface {
 	forward(x *tensor.Tensor, a *arena) *tensor.Tensor
 }
 
-// compiler is one compile: the source it reads, the scratch every matrix
-// passes through on its way to a plan, and the slabs the engine's vectors and
-// plans are carved from. The engine keeps what was carved for it and nothing
-// else; the scratch dies with the compile, and no slab serves two engines.
+// compiler is one compile: the source it reads, the slabs the engine's
+// vectors and plans are carved from, and the scratch plan an int8 image is
+// quantized from. The engine keeps what was carved for it and nothing else;
+// the scratch dies with the compile, and no slab serves two engines.
 type compiler struct {
 	e   *Engine
 	src ParamSource
-	b   int
-	nm  sparsity.NM
-	// enc is the one CRISP encoder, re-encoded per matrix (plans copy out of
-	// it).
-	enc format.CRISPFormat
-	// dense holds the W ⊙ Mask of the matrix being compiled, behind the header
-	// mat: one buffer, sized to the tree's largest matrix.
-	dense []float64
-	mat   tensor.Tensor
-	shape [2]int
-	// tmp holds the float plan an Int8 image is quantized from, re-carved for
+	// count and scatter take a source's non-zeros when they build no plan:
+	// measure counts a matrix's, and a depthwise kernel scatters its own.
+	count   counter
+	scatter scatter
+	// tmp holds the float plan an Int8 image is quantized from, rebuilt for
 	// every matrix.
 	tmp format.PlanSlab
 	// plans, quants, vecs and execs back the engine: every float plan it
@@ -529,9 +527,15 @@ func (c *compiler) compile(l nn.Layer) (execLayer, error) {
 		}
 		return carve(&c.execs.attention, execAttention{d: v.D, heads: v.Heads, wq: w[0], wk: w[1], wv: w[2], wo: w[3]}), nil
 	case *nn.DepthwiseConv2D:
-		weff := c.vector(v.Weight.W.Len())
-		c.src.EffectiveInto(v.Weight, weff)
-		return carve(&c.execs.depthwise, execDepthwise{geom: v.Geom, bias: c.own(v.Bias), weff: weff}), nil
+		// A kernel is a vector, W ⊙ Mask byte for byte: each zero of it is
+		// W·0 — signed as nn's eval forward signs it —, each non-zero the
+		// source's.
+		c.scatter = c.own(v.Weight)
+		for i := range c.scatter {
+			c.scatter[i] *= 0
+		}
+		c.src.NonZerosInto(v.Weight, &c.scatter)
+		return carve(&c.execs.depthwise, execDepthwise{geom: v.Geom, bias: c.own(v.Bias), weff: c.scatter}), nil
 	case *nn.BatchNorm2D:
 		n := len(v.RunMean.Data)
 		mean, variance := c.vector(n), c.vector(n)
@@ -606,20 +610,18 @@ func takes(l nn.Layer, prec Precision, matrix func(p *nn.Param, kept bool), vect
 }
 
 // measure sizes everything a compile allocates before compile carves
-// anything, in two walks of takes: one for shapes (the largest matrix, the
-// vector elements, the kept plans and the images with their rows), with the
-// executors counted beside it; then, with the scratch allocated, one that
-// decodes each matrix once. It counts a kept plan's non-zeros, which are
-// exactly the entries both the CRISP and the CSR compile keep, and an image's
-// codes, and finds the largest encoding and scratch plan any matrix needs, so
-// the encoder and the scratch plan are made once at their final size. A
-// matrix wider than a plan's uint16 columns reach is an error naming the
-// parameter, raised before the source materializes anything.
+// anything, in walks of takes: one for shapes (the vector elements, the kept
+// plans and the images with their rows), with the executors counted beside
+// it; one that counts each matrix's non-zeros through the source, which are
+// exactly the entries its plan keeps; and at Int8, with the scratch plan made
+// at the size of the largest, one that builds each image's float plan to
+// count the codes it quantizes to. A matrix wider than a plan's uint16
+// columns reach is an error naming the parameter, raised before the source
+// is read.
 func (c *compiler) measure(root nn.Layer) error {
-	var largest, vecs, plans, rows, images, imageRows int
+	var vecs, plans, rows, images, imageRows int
 	var wide *nn.Param
 	takes(root, c.e.precision, func(p *nn.Param, kept bool) {
-		largest = max(largest, p.W.Len())
 		if p.Cols > format.MaxCols && wide == nil {
 			wide = p
 		}
@@ -635,43 +637,49 @@ func (c *compiler) measure(root nn.Layer) error {
 		return fmt.Errorf("inference: %s has %d columns, a plan holds at most %d", wide.Name, wide.Cols, format.MaxCols)
 	}
 	nn.Walk(root, func(l nn.Layer) { c.execs.count(l, c.e.precision) })
-	c.dense, c.vecs = make([]float64, largest), make([]float64, vecs)
+	c.vecs = make([]float64, vecs)
 	c.quants = format.NewQuantSlab(images, imageRows)
-	var nnz, blocks, slots, tmpRows, tmpNNZ int
+	var nnz, tmpRows, tmpNNZ int
+	takes(root, c.e.precision, func(p *nn.Param, kept bool) {
+		c.count = 0
+		c.src.NonZerosInto(p, &c.count)
+		if kept {
+			nnz += int(c.count)
+			return
+		}
+		tmpRows, tmpNNZ = max(tmpRows, p.Rows), max(tmpNNZ, int(c.count))
+	}, func(int) {})
+	c.plans = format.NewPlanSlab(plans, rows, nnz)
+	if images == 0 {
+		return nil
+	}
+	c.tmp = format.NewPlanSlab(1, tmpRows, tmpNNZ)
 	var err error
 	takes(root, c.e.precision, func(p *nn.Param, kept bool) {
-		if err != nil {
+		if kept || err != nil {
 			return
 		}
-		m := c.matrix(p)
-		if blockSparse(p) {
-			b, s := format.CRISPSlots(m, c.b, c.nm)
-			blocks, slots = max(blocks, b), max(slots, s)
+		var plan *format.Plan
+		if plan, err = c.scratchPlan(p); err == nil {
+			var codes int
+			codes, err = plan.QuantCodes()
+			c.quants.Reserve(codes)
 		}
-		n := m.CountNonZero()
-		if kept {
-			nnz += n
-			return
-		}
-		tmpRows, tmpNNZ = max(tmpRows, p.Rows), max(tmpNNZ, n)
-		var codes int
-		codes, err = format.QuantCodes(m)
-		c.quants.Reserve(codes)
 	}, func(int) {})
-	if err != nil {
-		return err
-	}
-	c.plans = format.NewPlanSlab(plans, rows, nnz)
-	if images > 0 {
-		c.tmp = format.NewPlanSlab(1, tmpRows, tmpNNZ)
-	}
-	c.enc = format.CRISPFormat{BlockCols: make([]int32, 0, blocks), Offsets: make([]uint8, 0, slots), Val: make([]float64, 0, slots)}
-	return nil
+	return err
 }
 
-// blockSparse reports whether p compiles through the CRISP encoder, which
-// falls back to CSR when p's mask is not hybrid; the rest always use CSR.
-func blockSparse(p *nn.Param) bool { return !p.BlockExempt && p.Prunable }
+// counter counts the entries it is handed.
+type counter int
+
+// Add implements format.EntrySink.
+func (n *counter) Add(int, float64) { *n++ }
+
+// scatter writes each entry it is handed into a dense vector.
+type scatter []float64
+
+// Add implements format.EntrySink.
+func (s *scatter) Add(i int, v float64) { (*s)[i] = v }
 
 // spmm is the executors' shared SpMM dispatch: a compiled float plan, or —
 // in Int8 engines — the int8 image quantized from it, never both.
@@ -703,9 +711,9 @@ func (s *spmm) into(b, out *tensor.Tensor, a *arena) *tensor.Tensor {
 
 // newSpMM compiles one weight-bearing layer's SpMM dispatch at the engine's
 // precision. An Int8 engine keeps the image, carved from the engine's image
-// slab, and not the float plan it was quantized from: that plan is carved
-// from the compile's scratch, which the next matrix re-carves, since no
-// forward path reads it.
+// slab, and not the float plan it was quantized from: that plan is built in
+// the compile's scratch, which the next matrix rebuilds, since no forward
+// path reads it.
 func (c *compiler) newSpMM(p *nn.Param) (spmm, error) {
 	if c.e.precision != Int8 {
 		plan, err := c.newPlan(p)
@@ -715,6 +723,7 @@ func (c *compiler) newSpMM(p *nn.Param) (spmm, error) {
 	if err != nil {
 		return spmm{}, err
 	}
+	c.compiled(plan)
 	q, err := plan.QuantizeIn(&c.quants)
 	if err != nil {
 		return spmm{}, err
@@ -724,57 +733,42 @@ func (c *compiler) newSpMM(p *nn.Param) (spmm, error) {
 	return spmm{qplan: q}, nil
 }
 
-// newPlan compiles a float-executed matrix into the engine's plan slab and
-// charges it to the footprint.
+// newPlan builds a float-executed matrix's plan in the engine's plan slab
+// and charges it to the footprint.
 func (c *compiler) newPlan(p *nn.Param) (*format.Plan, error) {
-	plan, err := c.encode(p, c.matrix(p), &c.plans)
+	plan, err := c.build(p, &c.plans)
 	if err != nil {
 		return nil, err
 	}
+	c.compiled(plan)
 	c.e.footprint += plan.SizeBytes()
 	return plan, nil
 }
 
-// scratchPlan compiles p into the compile's scratch plan, which the next
-// call re-carves.
+// scratchPlan builds p's plan in the compile's scratch, which the next call
+// rebuilds.
 func (c *compiler) scratchPlan(p *nn.Param) (*format.Plan, error) {
-	m := c.matrix(p)
-	c.tmp.Reset(1, p.Rows, m.CountNonZero())
-	return c.encode(p, m, &c.tmp)
+	c.tmp.Rewind()
+	return c.build(p, &c.tmp)
 }
 
-// matrix decodes p's W ⊙ Mask into the dense scratch and returns it as a
-// [p.Rows, p.Cols] matrix, valid until the next call.
-func (c *compiler) matrix(p *nn.Param) *tensor.Tensor {
-	n := p.W.Len()
-	c.shape = [2]int{p.Rows, p.Cols}
-	c.mat = tensor.Tensor{Shape: c.shape[:], Data: c.dense[:n:n]}
-	c.src.EffectiveInto(p, c.mat.Data)
-	return &c.mat
-}
-
-// encode is what every plan-backed layer does at either precision: compile
-// p's effective matrix m into a plan carved from s, fold its fingerprint into
-// the engine's, and count a compressed layer. Exempt and unprunable
-// parameters use CSR; the rest use the CRISP format when their mask is
-// hybrid, CSR when it is dense or non-conforming (e.g. a baseline pruner) —
-// they still execute, just without the hybrid layout. Either way the plan's
-// per-row accumulation order is the storage kernel's, so results are
-// bit-identical to slot walking, and the plan keeps exactly m's non-zeros.
-func (c *compiler) encode(p *nn.Param, m *tensor.Tensor, s *format.PlanSlab) (*format.Plan, error) {
-	var plan *format.Plan
-	var err error
-	if blockSparse(p) && c.enc.Encode(m, c.b, c.nm) == nil {
-		plan, err = c.enc.CompileIn(s)
-	} else {
-		plan, err = format.CompileCSRIn(m, s)
-	}
-	if err != nil {
+// build is how every matrix becomes a plan, at either precision: the next
+// plan of s, filled with the non-zeros of p's W ⊙ Mask the source hands it.
+// The plan keeps exactly those, each row's in ascending column order, which
+// is the order the CRISP and CSR storage kernels accumulate a row in.
+func (c *compiler) build(p *nn.Param, s *format.PlanSlab) (*format.Plan, error) {
+	if err := s.Begin(p.Rows, p.Cols); err != nil {
 		return nil, err
 	}
+	c.src.NonZerosInto(p, s)
+	return s.End()
+}
+
+// compiled folds a plan-backed layer's plan into the engine's fingerprint
+// and counts the layer compressed.
+func (c *compiler) compiled(plan *format.Plan) {
 	c.e.fingerprint = c.e.fingerprint.Uint64(plan.Fingerprint())
 	c.e.CompressedLayers++
-	return plan, nil
 }
 
 // vector carves the next n elements of the vector slab and charges them to

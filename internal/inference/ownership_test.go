@@ -212,7 +212,7 @@ func engineFromDelta(t *testing.T, base *nn.Classifier, delta []byte, prec Preci
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewFromSource(base, view, 4, sparsity.NM{N: 2, M: 4}, CompileOptions{Precision: prec})
+	eng, err := NewFromSource(base, view, CompileOptions{Precision: prec})
 	if err != nil {
 		t.Fatal(err)
 	}

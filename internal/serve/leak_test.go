@@ -314,15 +314,18 @@ func benchShapeServer(t *testing.T, f models.Family, tiers Options) *Server {
 // delta the warm record holds (checkpoint.EncodeEngineDelta: one listing of
 // the base, the record and a handful of objects) — and promotes the other
 // straight from (base, delta) — no classifier is built. Measured per demote
-// + promote pair: transformer-s 42 objects / 86 KB for 14 plans, resnet-s
-// 45 / 745 KB for 11, now that the promoted tenant and its batcher are one
-// object and the batcher holds the engine, not a bound PredictBatch method
-// value (44 and 47 before). A tier transition allocates per tenant, not
-// per layer: every executor, execSeq child list and conv kernel is carved
-// from one array per type, the delta view holds its entries in two slices
-// instead of two maps, the encoder is made once at the size of the largest
-// encoding, and a demotion walks the engine with one visitor and writes the
-// delta into the one buffer it returns. It was 75 / 96 KB and 121 / 780 KB
+// + promote pair: transformer-s 38 objects / 66 KB for 14 plans, resnet-s
+// 41 / 398 KB for 11, now that each plan is built straight from the kept
+// weights the delta view walks out, with no dense W ⊙ Mask scratch (resnet-s
+// 36 864 floats, 295 KB) and no CRISP encoder re-encoding each matrix
+// (42 / 86 KB and 45 / 745 KB before). A tier transition allocates per
+// tenant, not per layer: every executor, execSeq child list and conv kernel
+// is carved from one array per type, the delta view holds its entries in two
+// slices instead of two maps, and a demotion walks the engine with one
+// visitor and writes the delta into the one buffer it returns. Before the
+// promoted tenant and its batcher were one object, and the batcher held the
+// engine rather than a bound PredictBatch method value, it was 44 and 47
+// objects. It was 75 / 96 KB and 121 / 780 KB
 // while each executor was its own object and only plans and vectors came
 // from exactly sized slabs (one vector slab; one []Plan and one RowPtr, Col
 // and Val array), every matrix decoded into one dense scratch. Before that,
@@ -342,9 +345,7 @@ func benchShapeServer(t *testing.T, f models.Family, tiers Options) *Server {
 // plus about 15 % and admit neither a clone — a build alone is 307
 // objects / 315 KB on transformer-s and 417 / 2.75 MB on resnet-s — nor
 // anything per matrix beyond what the slabs hold: a dense W ⊙ Mask per
-// matrix adds 42 and 33 objects, a plan allocated on its own 56 and 44, and
-// so does a CRISPFormat encoder allocated per parameter (compile owns one
-// and re-encodes it).
+// matrix adds 42 and 33 objects, and a plan allocated on its own 56 and 44.
 func TestPromoteAllocsBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -355,7 +356,7 @@ func TestPromoteAllocsBudget(t *testing.T) {
 	for _, c := range []struct {
 		family         models.Family
 		objects, bytes float64
-	}{{models.Transformer, 48, 100e3}, {models.ResNet, 52, 0.86e6}} {
+	}{{models.Transformer, 44, 76e3}, {models.ResNet, 47, 0.46e6}} {
 		t.Run(string(c.family), func(t *testing.T) {
 			s := benchShapeServer(t, c.family, Options{CacheSize: 1, MemoryBudgetBytes: 1 << 40})
 			sets := [][]int{{0, 1, 3}, {2, 5, 8}}

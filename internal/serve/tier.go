@@ -296,7 +296,7 @@ func (s *Server) admit(we *warmEntry) (*Personalization, error) {
 		return nil, fmt.Errorf("serve: admitting {%s}: %w", we.Key, err)
 	}
 	compile := func(prec inference.Precision) (*inference.Engine, error) {
-		eng, err := inference.NewFromSource(s.base, view, s.opts.Prune.BlockSize, s.opts.Prune.NM, inference.CompileOptions{Precision: prec})
+		eng, err := inference.NewFromSource(s.base, view, inference.CompileOptions{Precision: prec})
 		if err != nil {
 			return nil, fmt.Errorf("serve: compiling %s engine for {%s}: %w", prec, we.Key, err)
 		}
