@@ -2,7 +2,7 @@ package sparsity
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/tensor"
 )
@@ -77,25 +77,37 @@ type RankColumn struct {
 
 // RankColumns implements lines 6–7 of Algorithm 1: it sorts each block row's
 // scores ascending and aggregates the o-th smallest across rows into c_o.
-// The result is ordered by rank (and therefore by non-decreasing score).
+// The result is ordered by rank (and therefore by non-decreasing score). It
+// allocates three objects at any grid size: the per-row orders in one
+// array, the ranks, and one array every rank's BlockCols is carved from.
 func RankColumns(blockScores *tensor.Tensor) []RankColumn {
 	gr, gc := checkMatrix(blockScores, blockScores)
-	// Per row, the ascending order of block columns.
-	order := make([][]int, gr)
+	// order[r*gc:(r+1)*gc] is block row r's block columns, ascending by score.
+	order := make([]int, gr*gc)
 	for r := 0; r < gr; r++ {
-		idx := make([]int, gc)
+		idx := order[r*gc : (r+1)*gc]
 		for i := range idx {
 			idx[i] = i
 		}
 		row := blockScores.Data[r*gc : (r+1)*gc]
-		sort.SliceStable(idx, func(a, b int) bool { return row[idx[a]] < row[idx[b]] })
-		order[r] = idx
+		// The stable sort asks only whether a sorts before b; answering with
+		// < as well keeps a NaN score where sort.SliceStable put it.
+		slices.SortStableFunc(idx, func(a, b int) int {
+			if row[a] < row[b] {
+				return -1
+			}
+			if row[b] < row[a] {
+				return 1
+			}
+			return 0
+		})
 	}
 	out := make([]RankColumn, gc)
-	for o := 0; o < gc; o++ {
-		rc := RankColumn{Rank: o, BlockCols: make([]int, gr)}
+	cols := make([]int, gc*gr)
+	for o := range out {
+		rc := RankColumn{Rank: o, BlockCols: cols[o*gr : (o+1)*gr : (o+1)*gr]}
 		for r := 0; r < gr; r++ {
-			bc := order[r][o]
+			bc := order[r*gc+o]
 			rc.BlockCols[r] = bc
 			rc.Score += blockScores.Data[r*gc+bc]
 		}
