@@ -73,7 +73,7 @@ func (j *blockedJob) Rows(c0, c1 int) {
 
 // blockedTile computes output rows [row0, row1) with column-panel
 // microkernels — eight columns per span pass, then four, then the ragged
-// tail — selecting the CRISP uniform-span fast path when Compile proved
+// tail — selecting the uniform-span fast path when the plan's build proved
 // one.
 func (p *Plan) blockedTile(b, out *tensor.Tensor, n, row0, row1 int) {
 	if p.uniform > 0 {
@@ -97,11 +97,10 @@ func (p *Plan) blockedTile(b, out *tensor.Tensor, n, row0, row1 int) {
 	}
 }
 
-// blockedTileUniform is the CRISP-structure-specialized fast path: when the
-// encoding's metadata proved uniform span widths (N:M + block layout with
-// no padding slots → every row stores exactly `uniform` entries), row spans
-// are addressed arithmetically — no RowPtr loads — and every panel pass
-// runs the same fixed trip count.
+// blockedTileUniform is the uniform-span fast path: when every row stores
+// exactly `uniform` entries (an N:M + block layout with no zero among its
+// kept weights, or a dense matrix), row spans are addressed arithmetically —
+// no RowPtr loads — and every panel pass runs the same fixed trip count.
 func (p *Plan) blockedTileUniform(b, out *tensor.Tensor, n, row0, row1 int) {
 	bd := b.Data
 	u := p.uniform

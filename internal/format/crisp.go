@@ -2,7 +2,6 @@ package format
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/sparsity"
 	"repro/internal/tensor"
@@ -30,35 +29,23 @@ type CRISPFormat struct {
 // kept blocks per block row, and the N:M pattern within rows. M must divide
 // B so N:M groups never straddle blocks.
 func EncodeCRISP(m *tensor.Tensor, b int, nm sparsity.NM) (*CRISPFormat, error) {
-	e := &CRISPFormat{}
-	if err := e.Encode(m, b, nm); err != nil {
+	if err := nm.Validate(); err != nil {
 		return nil, err
 	}
-	return e, nil
-}
-
-// Encode is EncodeCRISP into e, overwriting what e held and reusing its
-// slices' capacity, so one value can encode a model's parameters one after
-// another (Compile copies out of it; nothing compiled aliases e). After an
-// error e's contents are unspecified.
-func (e *CRISPFormat) Encode(m *tensor.Tensor, b int, nm sparsity.NM) error {
-	if err := nm.Validate(); err != nil {
-		return err
-	}
 	if b%nm.M != 0 {
-		return fmt.Errorf("format: block size %d is not a multiple of M=%d", b, nm.M)
+		return nil, fmt.Errorf("format: block size %d is not a multiple of M=%d", b, nm.M)
 	}
 	rows, cols := checkMatrix(m)
 	if err := sparsity.VerifyNM(m, nm); err != nil {
-		return fmt.Errorf("format: matrix violates %s: %w", nm, err)
+		return nil, fmt.Errorf("format: matrix violates %s: %w", nm, err)
 	}
 	g := sparsity.NewBlockGrid(rows, cols, b)
 	kept, blocks, slots := crispSize(m, g, nm)
-	*e = CRISPFormat{
+	e := &CRISPFormat{
 		Rows: rows, Cols: cols, B: b, NM: nm, KeptPerRow: kept,
-		BlockCols: slices.Grow(e.BlockCols[:0], blocks),
-		Offsets:   slices.Grow(e.Offsets[:0], slots),
-		Val:       slices.Grow(e.Val[:0], slots),
+		BlockCols: make([]int32, 0, blocks),
+		Offsets:   make([]uint8, 0, slots),
+		Val:       make([]float64, 0, slots),
 	}
 	for br := 0; br < g.GridRows(); br++ {
 		rowStart := len(e.BlockCols)
@@ -90,13 +77,13 @@ func (e *CRISPFormat) Encode(m *tensor.Tensor, b int, nm sparsity.NM) error {
 			}
 		}
 		if c := len(e.BlockCols) - rowStart; c != kept {
-			return fmt.Errorf("format: crisp requires row balance; block row %d keeps %d, row 0 keeps %d", br, c, kept)
+			return nil, fmt.Errorf("format: crisp requires row balance; block row %d keeps %d, row 0 keeps %d", br, c, kept)
 		}
 	}
-	return nil
+	return e, nil
 }
 
-// crispSize is Encode's sizing: the blocks block row 0 keeps, which every
+// crispSize is EncodeCRISP's sizing: the blocks block row 0 keeps, which every
 // block row must keep, and so the block columns and slots the encoding
 // holds. Every block row keeps `kept` blocks of at most b rows × b/M groups
 // × N slots (edge blocks are smaller, so slots is a capacity).

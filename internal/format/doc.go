@@ -21,15 +21,24 @@
 //
 // The storage formats model what the hardware stores; executing them
 // directly pays block-grid arithmetic, offset decoding and padding-slot
-// branches on every SpMM. For software serving each encoding therefore
-// compiles — once, via Compile — into a Plan: a flat
-// row-pointer / column-index / value layout with zero slots dropped, whose
-// kernel is a straight gather-multiply-accumulate that accumulates in
-// exactly the storage kernel's order (bit-identical results). Large SpMMs
-// fan out over the persistent kernel worker pool through tensor.JobPool,
-// each call handing it a recycled job record (convJob, quantJob, …): the
-// steady-state hot path spawns no goroutines and allocates nothing, and
-// MatMulInto variants let callers supply recycled output buffers.
+// branches on every SpMM. Software serving runs a Plan instead: the CSR
+// image of W ⊙ Mask — a flat row-pointer / column-index / value layout of
+// the non-zeros, each row's in ascending column order — whose kernel is a
+// straight gather-multiply-accumulate. PlanSlab is the one plan builder:
+// Begin carves a plan from exactly sized backing arrays, Add takes its
+// entries in row-major order (any EntrySink source can hand them over, so a
+// plan is built from a tenant's kept weights without a dense matrix or an
+// encoding between), and End closes it and proves whether every row span is
+// the same width (the uniform fast path below). The storage formats compile
+// through the same builder — CSR.Compile, CRISPFormat.Compile — only to model
+// Fig. 4 and for tests: the CRISP slot walk emits each row's non-zeros in
+// ascending column order as well, so the plan of a CRISP-pruned matrix is its
+// CSR plan, and a plan accumulates in exactly either storage kernel's order
+// (bit-identical results). Large SpMMs fan out over the persistent kernel
+// worker pool through tensor.JobPool, each call handing it a recycled job
+// record (convJob, quantJob, …): the steady-state hot path spawns no
+// goroutines and allocates nothing, and MatMulInto variants let callers
+// supply recycled output buffers.
 //
 // # The blocked kernel family
 //
@@ -42,9 +51,10 @@
 //     whose partial sums live in register accumulators across the whole
 //     span (spanPanel8/spanPanel4 and a tail kernel), run over row chunks
 //     handed to the worker pool
-//     (matmulBlocked), with a CRISP-structure fast path for plans whose
-//     row spans were proved uniform at compile time (blockedTileUniform,
-//     fixed trip counts, no row-pointer loads).
+//     (matmulBlocked), with a fast path for plans whose row spans were
+//     proved uniform when they were built (blockedTileUniform, fixed trip
+//     counts, no row-pointer loads) — a CRISP-pruned matrix with no zero
+//     among its kept weights, or a dense one.
 //
 // Which one runs is decided in one place, per call: Plan.matmul asks
 // blockedAuto, which takes the blocked path when the batch is one panel

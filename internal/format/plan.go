@@ -6,23 +6,22 @@ import (
 	"repro/internal/tensor"
 )
 
-// Plan is a compiled sparse-execution plan: the flat, kernel-ready form of
-// an encoding. Where the storage formats keep the structure the hardware
-// metadata model needs (block-column indices, per-slot intra-group offsets,
-// padding slots), the plan keeps only what the SpMM inner loop needs:
+// Plan is a compiled sparse-execution plan: the flat, kernel-ready CSR image
+// of a matrix's non-zeros. Where the storage formats keep the structure the
+// hardware metadata model needs (block-column indices, per-slot intra-group
+// offsets, padding slots), the plan keeps only what the SpMM inner loop
+// needs:
 //
-//   - padding/zero slots are dropped entirely (no v == 0 branch),
-//   - per-slot offsets are resolved to absolute uint16 column indices
-//     (no block-grid arithmetic in the inner loop; a matrix is at most
-//     MaxCols wide),
-//   - per-output-row slot ranges are precomputed (RowPtr), so each row is a
+//   - zeros are dropped entirely (no v == 0 branch),
+//   - columns are absolute uint16 indices (no block-grid arithmetic in the
+//     inner loop; a matrix is at most MaxCols wide),
+//   - per-output-row entry ranges are precomputed (RowPtr), so each row is a
 //     straight gather-multiply-accumulate over a contiguous Col/Val span.
 //
-// Compiling preserves the source kernel's per-row accumulation order
-// exactly: for every output element the same non-zero products are added in
-// the same order as the slot-walking (CRISP) or row-walking (CSR) kernel,
-// so plan results are bit-identical to the storage-format kernels. The
-// plan is immutable after compilation and safe for concurrent MatMul use.
+// Each row's entries are in ascending column order, which is the order the
+// slot-walking (CRISP) and row-walking (CSR) kernels add a row's products
+// in, so plan results are bit-identical to the storage-format kernels. The
+// plan is immutable once built and safe for concurrent MatMul use.
 type Plan struct {
 	Rows, Cols int
 	// RowPtr[r] .. RowPtr[r+1] is row r's span in Col/Val (len Rows+1).

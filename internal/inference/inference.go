@@ -1,19 +1,22 @@
 // Package inference executes a pruned classifier using compressed sparse
 // weights: convolution and fully connected layers run their GEMMs through
-// execution plans compiled from the CRISP storage format (falling back to
-// CSR where the hybrid structure does not apply), instead of multiplying
-// masked dense matrices. It is the software analogue of deploying the
-// pruned model on CRISP-STC, and doubles as an end-to-end validation that
-// the compressed representation computes exactly what the masked dense
-// model computes.
+// execution plans that hold only each matrix's kept non-zeros, instead of
+// multiplying masked dense matrices. It is the software analogue of
+// deploying the pruned model on CRISP-STC, and doubles as an end-to-end
+// validation that the compressed representation computes exactly what the
+// masked dense model computes.
 //
 // The hot path is built for serving:
 //
-//   - Weight encodings are compiled once, at New time, into flat
-//     format.Plan gather-multiply-accumulate kernels (padding slots
-//     dropped, offsets resolved to absolute uint16 columns, per-row spans
-//     precomputed) that run bit-identically to the slot-walking kernels. A
-//     matrix wider than format.MaxCols is a compile error.
+//   - Every weight matrix is compiled once, at New time, into a flat
+//     format.Plan gather-multiply-accumulate kernel: the CSR image of its
+//     W ⊙ Mask (absolute uint16 columns, per-row spans precomputed), built
+//     straight from the non-zeros its source hands out. A CRISP-pruned
+//     matrix's plan is the one its CRISP encoding (format.EncodeCRISP)
+//     compiles to — the slot walk emits each row's non-zeros in ascending
+//     column order too —, so it runs bit-identically to the slot-walking
+//     kernel without the encoding being built. A matrix wider than
+//     format.MaxCols is a compile error.
 //   - Every forward pass draws its scratch — im2col matrices, transposes,
 //     SpMM outputs, bias fan-outs, batch concats, attention state — from an
 //     engine-owned arena recycled through a sync.Pool, so steady-state
@@ -31,9 +34,8 @@
 // activations per column on the fly, accumulates int8×int8 products in
 // 32-bit integer lanes (format.QuantPlan's SWAR kernel), and dequantizes
 // once on store, mirroring sparse tensor cores in int8 mode. The float plan
-// behind each int8 image is a compile-time transient, like the dense
-// effective matrix before it: encoded, compiled into one scratch plan the
-// next matrix re-carves, fingerprinted, quantized. An engine keeps only
+// behind each int8 image is a compile-time transient: built into one scratch
+// plan the next matrix rebuilds, fingerprinted, quantized. An engine keeps only
 // what its forward pass reads, so an int8
 // engine is the smaller one (3 bytes per kept weight against 10). The
 // quantized path rides the same arena (packed code and accumulator slabs
@@ -56,9 +58,10 @@
 // not per layer: one []float64 for every bias, γ, β, running statistic and
 // depthwise kernel, one []format.Plan with one RowPtr, Col and Val array for
 // the float plans, one format.QuantSlab for the int8 images, and one array
-// per executor type (execSlabs). Each matrix's W ⊙ Mask passes through one
-// dense scratch, sized to the tree's largest matrix, and one encoder, sized
-// to its largest encoding, that die with the compile. Once compiled,
+// per executor type (execSlabs). No matrix passes through a dense W ⊙ Mask
+// on its way: the source walks out its non-zeros (OwnParams from W and Mask,
+// a delta view from its mask bits and stored values) once to size the slabs
+// and once to fill its plan. Once compiled,
 // nothing reachable from the engine is the tree, a layer of it, the source
 // or the bytes behind it: executors hold geometry, dimensions and ReLU caps
 // by value, take no activation-statistics hook (an engine counts no
