@@ -223,25 +223,14 @@ func (v *DeltaView) NonZerosInto(p *nn.Param, dst format.EntrySink) {
 	n := p.W.Len()
 	e := v.entryOf(p, n)
 	vals := v.delta[e.vals:]
-	if e.mask == 0 {
-		for i := range n {
-			if w := math.Float64frombits(le.Uint64(vals[8*i:])); w != 0 {
-				dst.Add(i, w)
-			}
+	for i := range n {
+		if e.mask != 0 && v.delta[e.mask+i/8]>>(i%8)&1 == 0 {
+			continue
 		}
-		return
-	}
-	for j, b := range v.delta[e.mask : e.mask+(n+7)/8] {
-		for ; b != 0; b &= b - 1 {
-			i := 8*j + bits.TrailingZeros8(b)
-			if i >= n {
-				return // padding bits keep nothing
-			}
-			w := math.Float64frombits(le.Uint64(vals))
-			vals = vals[8:]
-			if w != 0 {
-				dst.Add(i, w)
-			}
+		w := math.Float64frombits(le.Uint64(vals))
+		vals = vals[8:]
+		if w != 0 {
+			dst.Add(i, w)
 		}
 	}
 }

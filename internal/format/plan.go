@@ -70,7 +70,7 @@ func (p *Plan) UniformSpan() int { return p.uniform }
 // never writes.
 func (c *CSR) Compile() *Plan {
 	s := NewPlanSlab(1, c.Rows, len(c.Val))
-	s.Begin(c.Rows, c.Cols)
+	_ = s.Begin(c.Rows, c.Cols) // the slab has room for exactly this plan
 	for r := range c.Rows {
 		for i := c.RowPtr[r]; i < c.RowPtr[r+1]; i++ {
 			s.Add(r*c.Cols+int(c.ColIdx[i]), c.Val[i])
@@ -217,7 +217,7 @@ func (s *PlanSlab) mustEnd() *Plan {
 // not ascend within a row, which EncodeCRISP never writes.
 func (e *CRISPFormat) Compile() *Plan {
 	s := NewPlanSlab(1, e.Rows, e.nnz())
-	s.Begin(e.Rows, e.Cols)
+	_ = s.Begin(e.Rows, e.Cols) // the slab has room for exactly this plan
 	g := e.grid()
 	at := make([]int, e.KeptPerRow) // each kept block's next slot
 	si := 0
