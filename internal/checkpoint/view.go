@@ -196,14 +196,15 @@ func (v *DeltaView) normStats(e statEntry, mean, variance []float64) {
 	readF64s(variance, v.delta[e.at+8*e.n:])
 }
 
-// entryOf is p's entry, once n is checked to be p's value count.
+// entryOf is p's entry, once n, the values a read of p covers, is checked
+// to be the count the view holds for p.
 func (v *DeltaView) entryOf(p *nn.Param, n int) deltaEntry {
 	e, ok := v.param(p.Name)
 	if !ok {
 		panic("checkpoint: delta view has no parameter " + p.Name)
 	}
 	if m := e.base.W.Len(); n != m {
-		panic(fmt.Sprintf("checkpoint: parameter %s has %d values, dst %d", p.Name, m, n))
+		panic(fmt.Sprintf("checkpoint: parameter %s has %d values, the read covers %d", p.Name, m, n))
 	}
 	return e
 }
