@@ -124,7 +124,10 @@ func TestFirstPassAllocsBudget(t *testing.T) {
 // with the same number of objects: every executor and child list, plan,
 // image and vector is carved from a slab sized before the first is built,
 // and the scratch plan an image is quantized from is made once, at its final
-// size: 13 objects at Float32, 19 at Int8, at either depth. While every
+// size: 13 objects at Float32, 19 at Int8, at either depth (re-measured
+// with Linear, TokenLinear and PatchEmbed on one executor type: this model's
+// matrices are all Linear, so it carved one executor array before too).
+// While every
 // matrix also passed through a dense W ⊙ Mask scratch and a CRISP encoder
 // it was 17 and 23; while each executor was its own object, each image
 // seven, and the encoder grew as larger matrices came, 39 and 111 at

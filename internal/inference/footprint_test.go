@@ -113,11 +113,7 @@ func resident(eng *Engine) []held {
 			}
 		case *sparseConv:
 			mm(v, v.mm)
-		case *sparseLinear:
-			mm(v, v.mm)
-		case *sparseTokenLinear:
-			mm(v, v.mm)
-		case *sparsePatchEmbed:
+		case *sparseRows:
 			mm(v, v.mm)
 		case *execAttention:
 			for _, p := range []*format.Plan{v.wq, v.wk, v.wv, v.wo} {
@@ -144,11 +140,7 @@ func vectors(l execLayer) (out [][]float64) {
 		}
 	case *sparseConv:
 		out = [][]float64{v.bias}
-	case *sparseLinear:
-		out = [][]float64{v.bias}
-	case *sparseTokenLinear:
-		out = [][]float64{v.bias}
-	case *sparsePatchEmbed:
+	case *sparseRows:
 		out = [][]float64{v.bias}
 	case *execDepthwise:
 		out = [][]float64{v.weff, v.bias}

@@ -25,6 +25,18 @@
 //   - Multi-head attention's four projections (Q, K, V, O) are plans like
 //     every other matrix: the tokens are transposed once, the plans run over
 //     the whole batch, and only the per-head softmax / A·V loop is dense.
+//   - Linear, TokenLinear and PatchEmbed are one executor (sparseRows): a
+//     plan over the rows of its input — the input's leading dimensions, or
+//     the patches PatchEmbed extracts — and one transpose-and-bias epilogue.
+//   - A layer's math that is not a plan has one implementation, nn's: each
+//     executor calls the exported kernel nn's Forward calls in both modes
+//     (nn.BatchNormEvalInto, nn.LayerNormInto, nn.AttentionInto,
+//     nn.DepthwiseInto, nn.MaxPoolInto, nn.GlobalAvgPoolInto,
+//     nn.MeanPoolTokensInto, nn.ConvOutInto, nn.Gelu, tensor.AddInto) with
+//     its output drawn from the arena. What the engine adds is plans, so
+//     the masked-dense equivalence is a test of the plans. The rectifier
+//     alone keeps its own loop: branch-free, it maps −0 to +0, which nn's
+//     training ReLU must not.
 //
 // The engine also has a deployment-precision mode
 // (NewWithOptions(CompileOptions{Precision: Int8})): every plan-backed
@@ -341,9 +353,7 @@ type execSlabs struct {
 	children  slab[execLayer]
 	residual  slab[execResidual]
 	conv      slab[sparseConv]
-	linear    slab[sparseLinear]
-	token     slab[sparseTokenLinear]
-	patch     slab[sparsePatchEmbed]
+	rows      slab[sparseRows]
 	attention slab[execAttention]
 	depthwise slab[execDepthwise]
 	batchNorm slab[execBatchNorm]
@@ -369,12 +379,8 @@ func (x *execSlabs) count(l nn.Layer, prec Precision) {
 		if prec != Int8 {
 			x.convPlans.n++
 		}
-	case *nn.Linear:
-		x.linear.n++
-	case *nn.TokenLinear:
-		x.token.n++
-	case *nn.PatchEmbed:
-		x.patch.n++
+	case *nn.Linear, *nn.TokenLinear, *nn.PatchEmbed:
+		x.rows.n++
 	case *nn.MultiHeadAttention:
 		x.attention.n++
 	case *nn.DepthwiseConv2D:
@@ -393,9 +399,8 @@ func (x *execSlabs) count(l nn.Layer, prec Precision) {
 // left is how many counted elements compile has not carved.
 func (x *execSlabs) left() int {
 	return x.seq.left() + x.children.left() + x.residual.left() + x.conv.left() +
-		x.linear.left() + x.token.left() + x.patch.left() + x.attention.left() +
-		x.depthwise.left() + x.batchNorm.left() + x.relu.left() + x.layerNorm.left() +
-		x.maxPool.left() + x.convPlans.left()
+		x.rows.left() + x.attention.left() + x.depthwise.left() + x.batchNorm.left() +
+		x.relu.left() + x.layerNorm.left() + x.maxPool.left() + x.convPlans.left()
 }
 
 // slab is one element type's exactly sized array: measure counts n, and
@@ -500,24 +505,13 @@ func (c *compiler) compile(l nn.Layer) (execLayer, error) {
 			c.e.footprint += sc.cp.SizeBytes()
 		}
 		return sc, nil
-	case *nn.Linear:
-		mm, err := c.newSpMM(v.Weight)
+	case *nn.Linear, *nn.TokenLinear, *nn.PatchEmbed:
+		w, bias, patch := rowLayer(v)
+		mm, err := c.newSpMM(w)
 		if err != nil {
 			return nil, err
 		}
-		return carve(&c.execs.linear, sparseLinear{in: v.In, out: v.Out, bias: c.own(v.Bias), mm: mm}), nil
-	case *nn.TokenLinear:
-		mm, err := c.newSpMM(v.Weight)
-		if err != nil {
-			return nil, err
-		}
-		return carve(&c.execs.token, sparseTokenLinear{in: v.In, out: v.Out, bias: c.own(v.Bias), mm: mm}), nil
-	case *nn.PatchEmbed:
-		mm, err := c.newSpMM(v.Weight)
-		if err != nil {
-			return nil, err
-		}
-		return carve(&c.execs.patch, sparsePatchEmbed{pe: nn.PatchEmbed{C: v.C, P: v.P, D: v.D}, bias: c.own(v.Bias), mm: mm}), nil
+		return carve(&c.execs.rows, sparseRows{in: w.Cols, out: w.Rows, patch: patch, bias: c.own(bias), mm: mm}), nil
 	case *nn.MultiHeadAttention:
 		// Float plans at either precision: taking attention to int8 is an
 		// accuracy question the golden agreement suite has not been asked.
@@ -552,7 +546,7 @@ func (c *compiler) compile(l nn.Layer) (execLayer, error) {
 	case *nn.GELU:
 		return execGELU{}, nil
 	case *nn.LayerNorm:
-		return carve(&c.execs.layerNorm, execLayerNorm{d: v.D, eps: v.Eps, gamma: c.own(v.Gamma), beta: c.own(v.Beta)}), nil
+		return carve(&c.execs.layerNorm, execLayerNorm{eps: v.Eps, gamma: c.own(v.Gamma), beta: c.own(v.Beta)}), nil
 	case *nn.MaxPool2D:
 		return carve(&c.execs.maxPool, execMaxPool{k: v.K, stride: v.Stride}), nil
 	case *nn.GlobalAvgPool:
@@ -588,15 +582,10 @@ func takes(l nn.Layer, prec Precision, matrix func(p *nn.Param, kept bool), vect
 		case *nn.Conv2D:
 			matrix(v.Weight, float)
 			vec(v.Bias)
-		case *nn.Linear:
-			matrix(v.Weight, float)
-			vec(v.Bias)
-		case *nn.TokenLinear:
-			matrix(v.Weight, float)
-			vec(v.Bias)
-		case *nn.PatchEmbed:
-			matrix(v.Weight, float)
-			vec(v.Bias)
+		case *nn.Linear, *nn.TokenLinear, *nn.PatchEmbed:
+			w, bias, _ := rowLayer(v)
+			matrix(w, float)
+			vec(bias)
 		case *nn.MultiHeadAttention:
 			for _, p := range [...]*nn.Param{v.Wq, v.Wk, v.Wv, v.Wo} {
 				matrix(p, true)
@@ -610,6 +599,20 @@ func takes(l nn.Layer, prec Precision, matrix func(p *nn.Param, kept bool), vect
 			vec(v.Gamma, v.Beta)
 		}
 	})
+}
+
+// rowLayer returns the weight and bias of a layer sparseRows runs, and its
+// patch size (0 unless it is a PatchEmbed).
+func rowLayer(l nn.Layer) (w, bias *nn.Param, patch int) {
+	switch v := l.(type) {
+	case *nn.Linear:
+		return v.Weight, v.Bias, 0
+	case *nn.TokenLinear:
+		return v.Weight, v.Bias, 0
+	case *nn.PatchEmbed:
+		return v.Weight, v.Bias, v.P
+	}
+	panic(fmt.Sprintf("inference: %T is not a row layer", l))
 }
 
 // measure sizes everything a compile allocates before compile carves
@@ -832,13 +835,7 @@ func walk(l execLayer, v Visitor) {
 	case *sparseConv:
 		v.Param(x.mm.plan, nil)
 		walkBias(x.bias, v)
-	case *sparseLinear:
-		v.Param(x.mm.plan, nil)
-		walkBias(x.bias, v)
-	case *sparseTokenLinear:
-		v.Param(x.mm.plan, nil)
-		walkBias(x.bias, v)
-	case *sparsePatchEmbed:
+	case *sparseRows:
 		v.Param(x.mm.plan, nil)
 		walkBias(x.bias, v)
 	case *execAttention:
@@ -877,9 +874,9 @@ func (s *execSeq) forward(x *tensor.Tensor, a *arena) *tensor.Tensor {
 	return x
 }
 
-// execResidual computes main(x) + shortcut(x) (nil shortcut = identity)
-// into an arena buffer. The arena never reuses memory within a pass, so x
-// stays intact across the main branch.
+// execResidual is nn.Residual: main(x) + shortcut(x) (nil shortcut =
+// identity) by tensor.AddInto, into an arena buffer. The arena never reuses
+// memory within a pass, so x stays intact across the main branch.
 type execResidual struct {
 	main, shortcut execLayer
 }
@@ -890,11 +887,7 @@ func (r *execResidual) forward(x *tensor.Tensor, a *arena) *tensor.Tensor {
 	if r.shortcut != nil {
 		s = r.shortcut.forward(x, a)
 	}
-	out := a.tensor(m.Shape...)
-	for i, v := range m.Data {
-		out.Data[i] = v + s.Data[i]
-	}
-	return out
+	return tensor.AddInto(a.tensor(m.Shape...), m, s)
 }
 
 // execGELU is eval-mode nn.GELU with the output drawn from the arena.
@@ -915,7 +908,10 @@ func (execGELU) forward(x *tensor.Tensor, a *arena) *tensor.Tensor {
 // slower batch-last). Small batches fall through to the default case.
 const convBatchLastMin = 4
 
-// sparseConv runs Conv2D from a compiled weight plan.
+// sparseConv runs Conv2D from a compiled weight plan. The im2col and int8
+// paths re-lay their [S, N·P] output out with nn.ConvOutInto, nn's own conv
+// epilogue, into an arena tensor; the batch-last path lands in [N, S·P]
+// itself and adds the bias in place.
 type sparseConv struct {
 	geom tensor.ConvGeom // kernel shape; InH/InW come from each input
 	outC int
@@ -966,94 +962,55 @@ func (s *sparseConv) forward(x *tensor.Tensor, a *arena) *tensor.Tensor {
 		cols := tensor.Im2ColInto(x, g, a.tensor(g.InC*g.KH*g.KW, n*oh*ow))
 		outMat = s.mm.into(cols, a.tensor(s.outC, n*oh*ow), a)
 	}
-	p := oh * ow
 	y := a.tensor(n, s.outC, oh, ow)
-	for oc := 0; oc < s.outC; oc++ {
-		bias := 0.0
-		if s.bias != nil {
-			bias = s.bias[oc]
-		}
-		src := outMat.Data[oc*n*p : (oc+1)*n*p]
-		for b := 0; b < n; b++ {
-			dst := y.Data[(b*s.outC+oc)*p : (b*s.outC+oc+1)*p]
-			for i, v := range src[b*p : (b+1)*p] {
-				dst[i] = v + bias
-			}
-		}
-	}
+	nn.ConvOutInto(outMat.Data, s.bias, y.Data, n, s.outC, oh*ow)
 	return y
 }
 
-// sparseLinear runs Linear from a compiled weight plan: y = (W·xᵀ)ᵀ + b.
-type sparseLinear struct {
+// sparseRows runs Linear, TokenLinear and PatchEmbed from a compiled weight
+// plan: y = (W·xᵀ)ᵀ + b over the rows of its input — the rows of a Linear's
+// [N, In] input, the N·T tokens of a TokenLinear's [N, T, In], or the N·T
+// patches PatchEmbed extracts from an [N, C, H, W] image — so each output row
+// is one input row multiplied by every weight row.
+type sparseRows struct {
 	in, out int
+	patch   int // the patch size of a PatchEmbed, 0 otherwise
 	bias    []float64
 	mm      spmm
 }
 
-func (s *sparseLinear) forward(x *tensor.Tensor, a *arena) *tensor.Tensor {
-	n := x.Shape[0]
-	// SpMM computes W·B for B = xᵀ [In, N].
-	xt := tensor.TransposeInto(x, a.tensor(s.in, n))
-	out := s.mm.into(xt, a.tensor(s.out, n), a) // [Out, N]
-	y := a.tensor(n, s.out)
-	for j := 0; j < s.out; j++ {
-		for b := 0; b < n; b++ {
-			y.Data[b*s.out+j] = out.Data[j*n+b] + s.bias[j]
-		}
+func (s *sparseRows) forward(x *tensor.Tensor, a *arena) *tensor.Tensor {
+	// The output is [N, Out], or [N, T, Out] for tokens and patches.
+	n, t := x.Shape[0], 1
+	rows := x
+	switch {
+	case s.patch > 0:
+		t = (x.Shape[2] / s.patch) * (x.Shape[3] / s.patch)
+		rows = nn.ExtractPatchesInto(x, a.tensor(n*t, s.in), s.patch)
+	case len(x.Shape) == 3:
+		t = x.Shape[1]
+		rows = a.view(x.Data, n*t, s.in)
 	}
-	return y
-}
-
-// sparseTokenLinear runs TokenLinear from a compiled weight plan.
-type sparseTokenLinear struct {
-	in, out int
-	bias    []float64
-	mm      spmm
-}
-
-func (s *sparseTokenLinear) forward(x *tensor.Tensor, a *arena) *tensor.Tensor {
-	n, t := x.Shape[0], x.Shape[1]
-	flat := a.view(x.Data, n*t, s.in)
-	xt := tensor.TransposeInto(flat, a.tensor(s.in, n*t))
-	out := s.mm.into(xt, a.tensor(s.out, n*t), a) // [Out, N*T]
+	// SpMM computes W·B for B = rowsᵀ [In, N·T].
+	xt := tensor.TransposeInto(rows, a.tensor(s.in, n*t))
+	out := s.mm.into(xt, a.tensor(s.out, n*t), a) // [Out, N·T]
 	y := a.tensor(n*t, s.out)
 	for j := 0; j < s.out; j++ {
 		for r := 0; r < n*t; r++ {
 			y.Data[r*s.out+j] = out.Data[j*n*t+r] + s.bias[j]
 		}
 	}
-	return a.view(y.Data, n, t, s.out)
-}
-
-// sparsePatchEmbed runs PatchEmbed from a compiled weight plan.
-type sparsePatchEmbed struct {
-	pe   nn.PatchEmbed // geometry only (C, P, D): no Params
-	bias []float64
-	mm   spmm
-}
-
-func (s *sparsePatchEmbed) forward(x *tensor.Tensor, a *arena) *tensor.Tensor {
-	// Reuse the dense patch extraction, then the sparse projection.
-	n := x.Shape[0]
-	t := (x.Shape[2] / s.pe.P) * (x.Shape[3] / s.pe.P)
-	in := s.pe.C * s.pe.P * s.pe.P
-	patches := s.pe.ExtractPatchesInto(x, a.tensor(n*t, in)) // [N*T, C*P*P]
-	xt := tensor.TransposeInto(patches, a.tensor(in, n*t))
-	out := s.mm.into(xt, a.tensor(s.pe.D, n*t), a) // [D, N*T]
-	y := a.tensor(n*t, s.pe.D)
-	for j := 0; j < s.pe.D; j++ {
-		for r := 0; r < n*t; r++ {
-			y.Data[r*s.pe.D+j] = out.Data[j*n*t+r] + s.bias[j]
-		}
+	if rows == x {
+		return y
 	}
-	return a.view(y.Data, n, t, s.pe.D)
+	return a.view(y.Data, n, t, s.out)
 }
 
 // execAttention runs multi-head self-attention with its four projections
 // as compiled float plans; all intermediate state (transposes, Q, K, V,
-// attention rows, head outputs) lives in the pass's arena. The per-head math
-// is the eval-mode nn.MultiHeadAttention forward, step for step.
+// attention rows, head outputs) lives in the pass's arena. The per-head
+// softmax and A·V are nn.AttentionInto, the kernel nn.MultiHeadAttention
+// runs.
 type execAttention struct {
 	d, heads       int
 	wq, wk, wv, wo *format.Plan
@@ -1061,9 +1018,6 @@ type execAttention struct {
 
 func (m *execAttention) forward(x *tensor.Tensor, a *arena) *tensor.Tensor {
 	n, t := x.Shape[0], x.Shape[1]
-	dh := m.d / m.heads
-	scale := 1.0 / math.Sqrt(float64(dh))
-
 	// project computes tokens · Wᵀ for tokens handed over transposed
 	// ([D, N*T]) and returns it token-major, as a flat [N*T, D] tensor.
 	project := func(srcT *tensor.Tensor, w *format.Plan) *tensor.Tensor {
@@ -1074,51 +1028,15 @@ func (m *execAttention) forward(x *tensor.Tensor, a *arena) *tensor.Tensor {
 	q := project(xT, m.wq)
 	k := project(xT, m.wk)
 	v := project(xT, m.wv)
-	z := a.tensorZero(n*t, m.d) // accumulated head by head
-	attn := a.alloc(n * m.heads * t * t)
-
-	for b := 0; b < n; b++ {
-		for h := 0; h < m.heads; h++ {
-			off := h * dh
-			aBase := (b*m.heads + h) * t * t
-			// S[i][j] = q_i · k_j * scale; softmax rows → A; Z = A·V.
-			for i := 0; i < t; i++ {
-				qi := q.Data[(b*t+i)*m.d+off : (b*t+i)*m.d+off+dh]
-				row := attn[aBase+i*t : aBase+(i+1)*t]
-				maxv := math.Inf(-1)
-				for j := 0; j < t; j++ {
-					kj := k.Data[(b*t+j)*m.d+off : (b*t+j)*m.d+off+dh]
-					s := 0.0
-					for l, qv := range qi {
-						s += qv * kj[l]
-					}
-					row[j] = s * scale
-					if row[j] > maxv {
-						maxv = row[j]
-					}
-				}
-				sum := 0.0
-				for j := range row {
-					row[j] = math.Exp(row[j] - maxv)
-					sum += row[j]
-				}
-				zi := z.Data[(b*t+i)*m.d+off : (b*t+i)*m.d+off+dh]
-				for j := range row {
-					row[j] /= sum
-					vj := v.Data[(b*t+j)*m.d+off : (b*t+j)*m.d+off+dh]
-					for l := range zi {
-						zi[l] += row[j] * vj[l]
-					}
-				}
-			}
-		}
-	}
+	z := a.tensorZero(n*t, m.d) // nn.AttentionInto accumulates
+	nn.AttentionInto(q.Data, k.Data, v.Data, z.Data, a.alloc(n*m.heads*t*t), n, t, m.d, m.heads)
 	out := project(tensor.TransposeInto(z, a.tensor(m.d, n*t)), m.wo)
 	return a.view(out.Data, n, t, m.d)
 }
 
-// execDepthwise runs DepthwiseConv2D with the masked kernels materialized
-// at compile time and the output drawn from the arena.
+// execDepthwise is nn.DepthwiseConv2D: nn.DepthwiseInto over the masked
+// kernels materialized at compile time, with the output drawn from the
+// arena.
 type execDepthwise struct {
 	geom tensor.ConvGeom
 	bias []float64 // nil for a bias-free conv
@@ -1128,63 +1046,21 @@ type execDepthwise struct {
 func (d *execDepthwise) forward(x *tensor.Tensor, a *arena) *tensor.Tensor {
 	g := d.geom
 	g.InH, g.InW = x.Shape[2], x.Shape[3]
-	n, cch := x.Shape[0], g.InC
-	oh, ow := g.OutH(), g.OutW()
-	y := a.tensor(n, cch, oh, ow)
-	for b := 0; b < n; b++ {
-		for ch := 0; ch < cch; ch++ {
-			src := x.Data[(b*cch+ch)*g.InH*g.InW : (b*cch+ch+1)*g.InH*g.InW]
-			ker := d.weff[ch*g.KH*g.KW : (ch+1)*g.KH*g.KW]
-			dst := y.Data[(b*cch+ch)*oh*ow : (b*cch+ch+1)*oh*ow]
-			bias := 0.0
-			if d.bias != nil {
-				bias = d.bias[ch]
-			}
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					s := bias
-					for kh := 0; kh < g.KH; kh++ {
-						iy := oy*g.Stride + kh - g.Pad
-						if iy < 0 || iy >= g.InH {
-							continue
-						}
-						for kw := 0; kw < g.KW; kw++ {
-							ix := ox*g.Stride + kw - g.Pad
-							if ix < 0 || ix >= g.InW {
-								continue
-							}
-							s += ker[kh*g.KW+kw] * src[iy*g.InW+ix]
-						}
-					}
-					dst[oy*ow+ox] = s
-				}
-			}
-		}
-	}
+	y := a.tensor(x.Shape[0], g.InC, g.OutH(), g.OutW())
+	nn.DepthwiseInto(x.Data, d.weff, d.bias, y.Data, g, x.Shape[0])
 	return y
 }
 
-// execBatchNorm is the eval branch of nn.BatchNorm2D (running statistics)
-// with the output drawn from the arena.
+// execBatchNorm is the eval branch of nn.BatchNorm2D (running statistics):
+// nn.BatchNormEvalInto with the output drawn from the arena.
 type execBatchNorm struct {
 	eps                         float64
 	mean, variance, gamma, beta []float64
 }
 
 func (e *execBatchNorm) forward(x *tensor.Tensor, a *arena) *tensor.Tensor {
-	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	y := a.tensor(x.Shape...)
-	for ch := 0; ch < c; ch++ {
-		inv := 1.0 / math.Sqrt(e.variance[ch]+e.eps)
-		mean := e.mean[ch]
-		g, be := e.gamma[ch], e.beta[ch]
-		for b := 0; b < n; b++ {
-			off := (b*c + ch) * h * w
-			for i := 0; i < h*w; i++ {
-				y.Data[off+i] = g*(x.Data[off+i]-mean)*inv + be
-			}
-		}
-	}
+	nn.BatchNormEvalInto(x.Data, y.Data, x.Shape[0], x.Shape[2]*x.Shape[3], e.mean, e.variance, e.gamma, e.beta, e.eps)
 	return y
 }
 
@@ -1228,108 +1104,49 @@ func (e *execReLU) forward(x *tensor.Tensor, a *arena) *tensor.Tensor {
 	return y
 }
 
-// execLayerNorm is eval-mode nn.LayerNorm with the output drawn from the
-// arena.
+// execLayerNorm is eval-mode nn.LayerNorm: nn.LayerNormInto, without the
+// training caches, with the output drawn from the arena.
 type execLayerNorm struct {
-	d           int
 	eps         float64
 	gamma, beta []float64
 }
 
 func (e *execLayerNorm) forward(x *tensor.Tensor, a *arena) *tensor.Tensor {
-	rows := x.Shape[0] * x.Shape[1]
 	y := a.tensor(x.Shape...)
-	d := float64(e.d)
-	for r := 0; r < rows; r++ {
-		seg := x.Data[r*e.d : (r+1)*e.d]
-		mean := 0.0
-		for _, v := range seg {
-			mean += v
-		}
-		mean /= d
-		variance := 0.0
-		for _, v := range seg {
-			variance += (v - mean) * (v - mean)
-		}
-		variance /= d
-		inv := 1.0 / math.Sqrt(variance+e.eps)
-		out := y.Data[r*e.d : (r+1)*e.d]
-		for i, v := range seg {
-			out[i] = e.gamma[i]*((v-mean)*inv) + e.beta[i]
-		}
-	}
+	nn.LayerNormInto(x.Data, y.Data, e.gamma, e.beta, e.eps, nil, nil)
 	return y
 }
 
-// execMaxPool is eval-mode nn.MaxPool2D with the output drawn from the
-// arena.
+// execMaxPool is eval-mode nn.MaxPool2D: nn.MaxPoolInto with the output
+// drawn from the arena.
 type execMaxPool struct {
 	k, stride int
 }
 
 func (e *execMaxPool) forward(x *tensor.Tensor, a *arena) *tensor.Tensor {
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	oh := (h-e.k)/e.stride + 1
-	ow := (w-e.k)/e.stride + 1
-	y := a.tensor(n, c, oh, ow)
-	oi := 0
-	for b := 0; b < n; b++ {
-		for ch := 0; ch < c; ch++ {
-			plane := x.Data[(b*c+ch)*h*w : (b*c+ch+1)*h*w]
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					best := plane[oy*e.stride*w+ox*e.stride]
-					for ky := 0; ky < e.k; ky++ {
-						for kx := 0; kx < e.k; kx++ {
-							if v := plane[(oy*e.stride+ky)*w+ox*e.stride+kx]; v > best {
-								best = v
-							}
-						}
-					}
-					y.Data[oi] = best
-					oi++
-				}
-			}
-		}
-	}
+	y := a.tensor(n, c, (h-e.k)/e.stride+1, (w-e.k)/e.stride+1)
+	nn.MaxPoolInto(x.Data, y.Data, nil, n*c, h, w, e.k, e.stride)
 	return y
 }
 
-// execGlobalAvgPool is nn.GlobalAvgPool with the output drawn from the
-// arena.
+// execGlobalAvgPool is nn.GlobalAvgPool: nn.GlobalAvgPoolInto with the
+// output drawn from the arena.
 type execGlobalAvgPool struct{}
 
 func (execGlobalAvgPool) forward(x *tensor.Tensor, a *arena) *tensor.Tensor {
-	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	y := a.tensor(n, c)
-	inv := 1.0 / float64(h*w)
-	for b := 0; b < n; b++ {
-		for ch := 0; ch < c; ch++ {
-			s := 0.0
-			for _, v := range x.Data[(b*c+ch)*h*w : (b*c+ch+1)*h*w] {
-				s += v
-			}
-			y.Data[b*c+ch] = s * inv
-		}
-	}
+	y := a.tensor(x.Shape[0], x.Shape[1])
+	nn.GlobalAvgPoolInto(x.Data, y.Data, x.Shape[2]*x.Shape[3])
 	return y
 }
 
-// execMeanPool is nn.MeanPoolTokens with the output drawn from the arena
-// (zeroed: the token loop accumulates).
+// execMeanPool is nn.MeanPoolTokens: nn.MeanPoolTokensInto with the output
+// drawn from the arena, zeroed because the kernel accumulates.
 type execMeanPool struct{}
 
 func (execMeanPool) forward(x *tensor.Tensor, a *arena) *tensor.Tensor {
-	n, t, d := x.Shape[0], x.Shape[1], x.Shape[2]
-	y := a.tensorZero(n, d)
-	inv := 1.0 / float64(t)
-	for b := 0; b < n; b++ {
-		for tt := 0; tt < t; tt++ {
-			for j := 0; j < d; j++ {
-				y.Data[b*d+j] += x.Data[(b*t+tt)*d+j] * inv
-			}
-		}
-	}
+	y := a.tensorZero(x.Shape[0], x.Shape[2])
+	nn.MeanPoolTokensInto(x.Data, y.Data, x.Shape[0], x.Shape[1], x.Shape[2])
 	return y
 }
 

@@ -23,14 +23,14 @@ type Conv2D struct {
 	// scores channels with.
 	OutStats *ChannelStats
 
-	batch   int
-	lastOut [2]int // OH, OW
-
-	// Training state (see workspace.go): cols and weff are what Backward
-	// reads back from Forward, out and dx what the two passes return; the
-	// rest is scratch either pass overwrites.
-	cols, weff, dcols, out, dx buffer
-	outMat, dyMat, dw          []float64
+	// Training state (see workspace.go): batch and lastOut (OH, OW) are the
+	// output shape Backward checks dy against, cols and weff what it reads
+	// back from Forward, out and dx what the two passes return; the rest is
+	// scratch either pass overwrites.
+	batch                              int
+	lastOut                            [2]int
+	cols, weff, outMat, dcols, out, dx buffer
+	dyMat, dw                          []float64
 }
 
 // ChannelStats accumulates per-channel |activation| sums.
@@ -86,52 +86,55 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	oh, ow := g.OutH(), g.OutW()
 	p := oh * ow
 	k := g.InC * g.KH * g.KW
-	var outMat []float64 // [S, N*P]
-	var y *tensor.Tensor
-	if train {
-		weff := c.weff.masked(true, c.Weight) // [S, K] in memory
-		cols := tensor.Im2ColInto(x, g, c.cols.take(k, n*p))
-		c.outMat = grow(c.outMat, c.OutC*n*p)
-		tensor.Gemm(false, false, c.OutC, n*p, k, 1, weff.Data, cols.Data, 0, c.outMat)
-		outMat = c.outMat
-		y = c.out.take(n, c.OutC, oh, ow)
-	} else {
-		weff := c.Weight.Effective().Reshape(c.OutC, k)
-		outMat = tensor.MatMul(weff, tensor.Im2Col(x, g)).Data
-		y = tensor.New(n, c.OutC, oh, ow)
+	weff := c.weff.masked(train, c.Weight) // [S, K] in memory
+	cols := tensor.Im2ColInto(x, g, c.cols.result(train, k, n*p))
+	outMat := c.outMat.result(train, c.OutC, n*p)
+	tensor.Gemm(false, false, c.OutC, n*p, k, 1, weff.Data, cols.Data, 0, outMat.Data)
+	var bias []float64
+	if c.Bias != nil {
+		bias = c.Bias.W.Data
 	}
-
-	// Re-layout [S][N*P] → [N][S][P].
-	for s := 0; s < c.OutC; s++ {
-		bias := 0.0
-		if c.Bias != nil {
-			bias = c.Bias.W.Data[s]
-		}
-		src := outMat[s*n*p : (s+1)*n*p]
-		for b := 0; b < n; b++ {
-			dst := y.Data[(b*c.OutC+s)*p : (b*c.OutC+s+1)*p]
-			for i, v := range src[b*p : (b+1)*p] {
-				dst[i] = v + bias
-			}
-		}
-	}
+	y := c.out.result(train, n, c.OutC, oh, ow)
+	ConvOutInto(outMat.Data, bias, y.Data, n, c.OutC, p)
 	if c.OutStats != nil {
 		for s := 0; s < c.OutC; s++ {
 			for b := 0; b < n; b++ {
-				seg := y.Data[(b*c.OutC+s)*p : (b*c.OutC+s+1)*p]
-				for _, v := range seg {
+				for _, v := range y.Data[(b*c.OutC+s)*p : (b*c.OutC+s+1)*p] {
 					c.OutStats.Sum[s] += math.Abs(v)
 				}
 			}
 		}
 		c.OutStats.Count += int64(n * p)
 	}
-	// Geometry is recorded unconditionally so FLOPs accounting can probe the
-	// network in eval mode; the backprop caches are train-only.
-	c.batch = n
-	c.lastOut = [2]int{oh, ow}
+	// The input's geometry is recorded in either mode, since FLOPs accounting
+	// probes the network in eval mode; what only Backward reads is recorded
+	// by a training pass alone.
 	c.Geom = g
+	if train {
+		c.batch = n
+		c.lastOut = [2]int{oh, ow}
+	}
 	return y
+}
+
+// ConvOutInto re-lays a convolution's GEMM output out: outMat is
+// [outC, N·P], one row per output channel over every sample's p positions,
+// and y receives it as [N, outC, P] with bias[s] added to channel s (no bias
+// when nil). Every element of y is written.
+func ConvOutInto(outMat, bias, y []float64, n, outC, p int) {
+	for s := 0; s < outC; s++ {
+		b := 0.0
+		if bias != nil {
+			b = bias[s]
+		}
+		src := outMat[s*n*p : (s+1)*n*p]
+		for i := 0; i < n; i++ {
+			dst := y[(i*outC+s)*p : (i*outC+s+1)*p]
+			for j, v := range src[i*p : (i+1)*p] {
+				dst[j] = v + b
+			}
+		}
+	}
 }
 
 // Backward implements Layer.
@@ -173,12 +176,12 @@ func (c *Conv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 }
 
 func (c *Conv2D) trainingStateBytes() int64 {
-	return bufferBytes(&c.cols, &c.weff, &c.dcols, &c.out, &c.dx) + sliceBytes(c.outMat, c.dyMat, c.dw)
+	return bufferBytes(&c.cols, &c.weff, &c.outMat, &c.dcols, &c.out, &c.dx) + sliceBytes(c.dyMat, c.dw)
 }
 
 func (c *Conv2D) releaseTrainingState() {
-	c.cols, c.weff, c.dcols, c.out, c.dx = buffer{}, buffer{}, buffer{}, buffer{}, buffer{}
-	c.outMat, c.dyMat, c.dw = nil, nil, nil
+	c.cols, c.weff, c.outMat, c.dcols, c.out, c.dx = buffer{}, buffer{}, buffer{}, buffer{}, buffer{}, buffer{}
+	c.dyMat, c.dw = nil, nil
 }
 
 // Params implements Layer.
@@ -198,10 +201,9 @@ type DepthwiseConv2D struct {
 	Weight *Param
 	Bias   *Param
 
-	batch int
-
-	// Training state (see workspace.go): the input and masked weight
-	// Backward reads back, and what the two passes return.
+	// Training state (see workspace.go): the batch size, input and masked
+	// weight Backward reads back, and what the two passes return.
+	batch         int
 	x             *tensor.Tensor
 	weff, out, dx buffer
 }
@@ -232,18 +234,36 @@ func (d *DepthwiseConv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	n, cch := x.Shape[0], g.InC
 	oh, ow := g.OutH(), g.OutW()
 	weff, y := d.weff.masked(train, d.Weight), d.out.result(train, n, cch, oh, ow)
+	var bias []float64
+	if d.Bias != nil {
+		bias = d.Bias.W.Data
+	}
+	DepthwiseInto(x.Data, weff.Data, bias, y.Data, g, n)
+	d.Geom = g
+	if train {
+		d.batch, d.x = n, x
+	}
+	return y
+}
+
+// DepthwiseInto writes the depthwise convolution of x ([N, C, InH, InW],
+// with g's input size set) by the per-channel kernels w ([C, KH·KW]) into y
+// ([N, C, OutH, OutW]), adding bias[c] to channel c (no bias when nil).
+// Taps that fall in the padding are skipped. Every element of y is written.
+func DepthwiseInto(x, w, bias, y []float64, g tensor.ConvGeom, n int) {
+	cch, oh, ow := g.InC, g.OutH(), g.OutW()
 	for b := 0; b < n; b++ {
 		for ch := 0; ch < cch; ch++ {
-			src := x.Data[(b*cch+ch)*g.InH*g.InW : (b*cch+ch+1)*g.InH*g.InW]
-			ker := weff.Data[ch*g.KH*g.KW : (ch+1)*g.KH*g.KW]
-			dst := y.Data[(b*cch+ch)*oh*ow : (b*cch+ch+1)*oh*ow]
-			bias := 0.0
-			if d.Bias != nil {
-				bias = d.Bias.W.Data[ch]
+			src := x[(b*cch+ch)*g.InH*g.InW : (b*cch+ch+1)*g.InH*g.InW]
+			ker := w[ch*g.KH*g.KW : (ch+1)*g.KH*g.KW]
+			dst := y[(b*cch+ch)*oh*ow : (b*cch+ch+1)*oh*ow]
+			bv := 0.0
+			if bias != nil {
+				bv = bias[ch]
 			}
 			for oy := 0; oy < oh; oy++ {
 				for ox := 0; ox < ow; ox++ {
-					s := bias
+					s := bv
 					for kh := 0; kh < g.KH; kh++ {
 						iy := oy*g.Stride + kh - g.Pad
 						if iy < 0 || iy >= g.InH {
@@ -262,12 +282,6 @@ func (d *DepthwiseConv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			}
 		}
 	}
-	d.batch = n
-	d.Geom = g
-	if train {
-		d.x = x
-	}
-	return y
 }
 
 // Backward implements Layer.

@@ -86,18 +86,27 @@ func (bn *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 
 	y := tensor.New(x.Shape...)
+	BatchNormEvalInto(x.Data, y.Data, n, h*w, bn.RunMean.Data, bn.RunVar.Data, bn.Gamma.W.Data, bn.Beta.W.Data, bn.Eps)
+	return y
+}
+
+// BatchNormEvalInto is batch norm's evaluation branch: it normalizes x
+// ([N, C, HW], C = len(mean)) by the running statistics mean and variance,
+// scales by gamma and shifts by beta, into y. Every element of y is written.
+// Training normalizes by batch statistics instead, in another order of
+// operations, and is not this kernel.
+func BatchNormEvalInto(x, y []float64, n, hw int, mean, variance, gamma, beta []float64, eps float64) {
+	c := len(mean)
 	for ch := 0; ch < c; ch++ {
-		inv := 1.0 / math.Sqrt(bn.RunVar.Data[ch]+bn.Eps)
-		mean := bn.RunMean.Data[ch]
-		g, be := bn.Gamma.W.Data[ch], bn.Beta.W.Data[ch]
+		inv := 1.0 / math.Sqrt(variance[ch]+eps)
+		m, g, be := mean[ch], gamma[ch], beta[ch]
 		for b := 0; b < n; b++ {
-			off := (b*c + ch) * h * w
-			for i := 0; i < h*w; i++ {
-				y.Data[off+i] = g*(x.Data[off+i]-mean)*inv + be
+			off := (b*c + ch) * hw
+			for i, v := range x[off : off+hw] {
+				y[off+i] = g*(v-m)*inv + be
 			}
 		}
 	}
-	return y
 }
 
 // Backward implements Layer.

@@ -37,40 +37,61 @@ func (m *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: MaxPool2D window %d exceeds input %dx%d", m.K, h, w))
 	}
 	y := m.out.result(train, n, c, oh, ow)
+	var argmax []int
 	if train {
 		if cap(m.argmax) < y.Len() {
 			m.argmax = make([]int, y.Len())
 		}
 		m.argmax = m.argmax[:y.Len()]
 		m.inShape = append(m.inShape[:0], x.Shape...)
+		argmax = m.argmax
 	}
-	oi := 0
-	for b := 0; b < n; b++ {
-		for ch := 0; ch < c; ch++ {
-			plane := x.Data[(b*c+ch)*h*w : (b*c+ch+1)*h*w]
-			base := (b*c + ch) * h * w
+	MaxPoolInto(x.Data, y.Data, argmax, n*c, h, w, m.K, m.Stride)
+	return y
+}
+
+// MaxPoolInto writes the maxima of the k×k windows at the given stride over
+// x's planes (planes of them, each h×w) into y, plane by plane. argmax, when
+// non-nil, receives each output's flat index into x: the first maximum in
+// window order, which Backward routes the gradient to. Every element of y is
+// written.
+func MaxPoolInto(x, y []float64, argmax []int, planes, h, w, k, stride int) {
+	oh, ow := (h-k)/stride+1, (w-k)/stride+1
+	for pl := 0; pl < planes; pl++ {
+		plane := x[pl*h*w : (pl+1)*h*w]
+		out := y[pl*oh*ow : (pl+1)*oh*ow]
+		if argmax == nil {
 			for oy := 0; oy < oh; oy++ {
 				for ox := 0; ox < ow; ox++ {
-					best := plane[oy*m.Stride*w+ox*m.Stride]
-					bestIdx := oy*m.Stride*w + ox*m.Stride
-					for ky := 0; ky < m.K; ky++ {
-						for kx := 0; kx < m.K; kx++ {
-							idx := (oy*m.Stride+ky)*w + ox*m.Stride + kx
-							if plane[idx] > best {
-								best, bestIdx = plane[idx], idx
+					best := plane[oy*stride*w+ox*stride]
+					for ky := 0; ky < k; ky++ {
+						for kx := 0; kx < k; kx++ {
+							if v := plane[(oy*stride+ky)*w+ox*stride+kx]; v > best {
+								best = v
 							}
 						}
 					}
-					y.Data[oi] = best
-					if train {
-						m.argmax[oi] = base + bestIdx
-					}
-					oi++
+					out[oy*ow+ox] = best
 				}
+			}
+			continue
+		}
+		arg := argmax[pl*oh*ow : (pl+1)*oh*ow]
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
+				best := oy*stride*w + ox*stride
+				for ky := 0; ky < k; ky++ {
+					for kx := 0; kx < k; kx++ {
+						if i := (oy*stride+ky)*w + ox*stride + kx; plane[i] > plane[best] {
+							best = i
+						}
+					}
+				}
+				out[oy*ow+ox] = plane[best]
+				arg[oy*ow+ox] = pl*h*w + best
 			}
 		}
 	}
-	return y
 }
 
 // Backward implements Layer.
@@ -110,17 +131,21 @@ func (g *GlobalAvgPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		g.inShape = append(g.inShape[:0], x.Shape...)
 	}
 	y := g.out.result(train, n, c)
-	inv := 1.0 / float64(h*w)
-	for b := 0; b < n; b++ {
-		for ch := 0; ch < c; ch++ {
-			s := 0.0
-			for _, v := range x.Data[(b*c+ch)*h*w : (b*c+ch+1)*h*w] {
-				s += v
-			}
-			y.Data[b*c+ch] = s * inv
-		}
-	}
+	GlobalAvgPoolInto(x.Data, y.Data, h*w)
 	return y
+}
+
+// GlobalAvgPoolInto writes the mean of each hw-element plane of x into y,
+// one element per plane. Every element of y is written.
+func GlobalAvgPoolInto(x, y []float64, hw int) {
+	inv := 1.0 / float64(hw)
+	for i := range y {
+		s := 0.0
+		for _, v := range x[i*hw : (i+1)*hw] {
+			s += v
+		}
+		y[i] = s * inv
+	}
 }
 
 // Backward implements Layer.

@@ -127,37 +127,51 @@ func (ln *LayerNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	rows := x.Shape[0] * x.Shape[1]
 	y := ln.out.result(train, x.Shape...)
+	var xhat, invStd []float64
 	if train {
 		ln.xhat = grow(ln.xhat, rows*ln.D)
 		ln.invStd = grow(ln.invStd, rows)
+		xhat, invStd = ln.xhat, ln.invStd
 	}
-	d := float64(ln.D)
-	for r := 0; r < rows; r++ {
-		seg := x.Data[r*ln.D : (r+1)*ln.D]
+	LayerNormInto(x.Data, y.Data, ln.Gamma.W.Data, ln.Beta.W.Data, ln.Eps, xhat, invStd)
+	return y
+}
+
+// LayerNormInto normalizes each row of x (rows of d = len(gamma) elements)
+// to zero mean and unit variance, then scales by gamma and shifts by beta,
+// into y. xhat and invStd, when non-nil, receive the normalized activations
+// and each row's 1/σ, which Backward reads back. Every element of y is
+// written.
+func LayerNormInto(x, y, gamma, beta []float64, eps float64, xhat, invStd []float64) {
+	d := len(gamma)
+	fd := float64(d)
+	for r := 0; r < len(x)/d; r++ {
+		seg := x[r*d : (r+1)*d]
 		mean := 0.0
 		for _, v := range seg {
 			mean += v
 		}
-		mean /= d
+		mean /= fd
 		variance := 0.0
 		for _, v := range seg {
 			variance += (v - mean) * (v - mean)
 		}
-		variance /= d
-		inv := 1.0 / math.Sqrt(variance+ln.Eps)
-		out := y.Data[r*ln.D : (r+1)*ln.D]
-		for i, v := range seg {
-			xh := (v - mean) * inv
-			out[i] = ln.Gamma.W.Data[i]*xh + ln.Beta.W.Data[i]
-			if train {
-				ln.xhat[r*ln.D+i] = xh
+		variance /= fd
+		inv := 1.0 / math.Sqrt(variance+eps)
+		out := y[r*d : (r+1)*d]
+		if xhat == nil {
+			for i, v := range seg {
+				out[i] = gamma[i]*((v-mean)*inv) + beta[i]
 			}
+			continue
 		}
-		if train {
-			ln.invStd[r] = inv
+		xh := xhat[r*d : (r+1)*d]
+		for i, v := range seg {
+			xh[i] = (v - mean) * inv
+			out[i] = gamma[i]*xh[i] + beta[i]
 		}
+		invStd[r] = inv
 	}
-	return y
 }
 
 // Backward implements Layer.
@@ -246,34 +260,45 @@ func (m *MultiHeadAttention) Forward(x *tensor.Tensor, train bool) *tensor.Tenso
 	}
 	n, t := x.Shape[0], x.Shape[1]
 	m.LastTokens = t
-	dh := m.D / m.Heads
-	scale := 1.0 / math.Sqrt(float64(dh))
-
 	q := m.project(x, m.weff[0].masked(train, m.Wq), m.q.result(train, n, t, m.D))
 	k := m.project(x, m.weff[1].masked(train, m.Wk), m.k.result(train, n, t, m.D))
 	v := m.project(x, m.weff[2].masked(train, m.Wv), m.v.result(train, n, t, m.D))
 	var z *tensor.Tensor
 	var attn []float64
 	if train {
-		z = m.z.zeroed(n, t, m.D) // accumulated below
+		z = m.z.zeroed(n, t, m.D) // AttentionInto accumulates
 		m.attn = grow(m.attn, n*m.Heads*t*t)
 		attn, m.x = m.attn, x
 	} else {
 		z = tensor.New(n, t, m.D)
 		attn = make([]float64, n*m.Heads*t*t)
 	}
+	AttentionInto(q.Data, k.Data, v.Data, z.Data, attn, n, t, m.D, m.Heads)
+	return m.project(z, m.weff[3].masked(train, m.Wo), m.out.result(train, n, t, m.D))
+}
+
+// AttentionInto is scaled-dot-product attention's per-head core over n
+// samples of t tokens each. q, k, v and z are [N·T, d] token-major, each
+// head owning d/heads adjacent columns; attn holds N·heads·T·T elements. For
+// every sample, head and query token i it writes the softmax over j of
+// q_i·k_j/√(d/heads) into attn's row (sample, head, i) and accumulates that
+// row's weighted sum of the v_j into z_i, so z must arrive zeroed. Every
+// element of attn is written.
+func AttentionInto(q, k, v, z, attn []float64, n, t, d, heads int) {
+	dh := d / heads
+	scale := 1.0 / math.Sqrt(float64(dh))
 
 	for b := 0; b < n; b++ {
-		for h := 0; h < m.Heads; h++ {
+		for h := 0; h < heads; h++ {
 			off := h * dh
-			aBase := (b*m.Heads + h) * t * t
+			aBase := (b*heads + h) * t * t
 			// S[i][j] = q_i · k_j * scale; softmax rows → A; Z = A·V.
 			for i := 0; i < t; i++ {
-				qi := q.Data[(b*t+i)*m.D+off : (b*t+i)*m.D+off+dh]
+				qi := q[(b*t+i)*d+off : (b*t+i)*d+off+dh]
 				row := attn[aBase+i*t : aBase+(i+1)*t]
 				maxv := math.Inf(-1)
 				for j := 0; j < t; j++ {
-					kj := k.Data[(b*t+j)*m.D+off : (b*t+j)*m.D+off+dh]
+					kj := k[(b*t+j)*d+off : (b*t+j)*d+off+dh]
 					s := 0.0
 					for l, qv := range qi {
 						s += qv * kj[l]
@@ -288,10 +313,10 @@ func (m *MultiHeadAttention) Forward(x *tensor.Tensor, train bool) *tensor.Tenso
 					row[j] = math.Exp(row[j] - maxv)
 					sum += row[j]
 				}
-				zi := z.Data[(b*t+i)*m.D+off : (b*t+i)*m.D+off+dh]
+				zi := z[(b*t+i)*d+off : (b*t+i)*d+off+dh]
 				for j := range row {
 					row[j] /= sum
-					vj := v.Data[(b*t+j)*m.D+off : (b*t+j)*m.D+off+dh]
+					vj := v[(b*t+j)*d+off : (b*t+j)*d+off+dh]
 					for l := range zi {
 						zi[l] += row[j] * vj[l]
 					}
@@ -299,7 +324,6 @@ func (m *MultiHeadAttention) Forward(x *tensor.Tensor, train bool) *tensor.Tenso
 			}
 		}
 	}
-	return m.project(z, m.weff[3].masked(train, m.Wo), m.out.result(train, n, t, m.D))
 }
 
 // Backward implements Layer.
@@ -422,19 +446,19 @@ func NewPatchEmbed(name string, rng *rand.Rand, c, p, d int) *PatchEmbed {
 func (pe *PatchEmbed) tokens(h, w int) int { return (h / pe.P) * (w / pe.P) }
 
 // ExtractPatches gathers patch vectors: row (b, ty, tx) is the flattened
-// [C,P,P] patch. Exposed for the sparse inference engine.
+// [C,P,P] patch.
 func (pe *PatchEmbed) ExtractPatches(x *tensor.Tensor) *tensor.Tensor {
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	return pe.ExtractPatchesInto(x, tensor.New(n*(h/pe.P)*(w/pe.P), c*pe.P*pe.P))
+	return ExtractPatchesInto(x, tensor.New(n*(h/pe.P)*(w/pe.P), c*pe.P*pe.P), pe.P)
 }
 
-// ExtractPatchesInto is ExtractPatches writing into out, which must have
-// shape [N*T, C*P*P]. Every element of out is written, so it may be an
-// uninitialized scratch buffer. Returns out.
-func (pe *PatchEmbed) ExtractPatchesInto(x, out *tensor.Tensor) *tensor.Tensor {
+// ExtractPatchesInto is ExtractPatches for p×p patches writing into out,
+// which must have shape [N*T, C*p*p]. Every element of out is written, so it
+// may be an uninitialized scratch buffer. Returns out.
+func ExtractPatchesInto(x, out *tensor.Tensor, p int) *tensor.Tensor {
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	ty, tx := h/pe.P, w/pe.P
-	in := c * pe.P * pe.P
+	ty, tx := h/p, w/p
+	in := c * p * p
 	if len(out.Shape) != 2 || out.Shape[0] != n*ty*tx || out.Shape[1] != in {
 		panic(fmt.Sprintf("nn: ExtractPatchesInto out %v, want [%d %d]", out.Shape, n*ty*tx, in))
 	}
@@ -444,10 +468,10 @@ func (pe *PatchEmbed) ExtractPatchesInto(x, out *tensor.Tensor) *tensor.Tensor {
 				row := out.Data[((b*ty+py)*tx+px)*in : ((b*ty+py)*tx+px+1)*in]
 				idx := 0
 				for ch := 0; ch < c; ch++ {
-					for yy := 0; yy < pe.P; yy++ {
-						src := x.Data[((b*c+ch)*h+py*pe.P+yy)*w+px*pe.P : ((b*c+ch)*h+py*pe.P+yy)*w+px*pe.P+pe.P]
-						copy(row[idx:idx+pe.P], src)
-						idx += pe.P
+					for yy := 0; yy < p; yy++ {
+						src := x.Data[((b*c+ch)*h+py*p+yy)*w+px*p : ((b*c+ch)*h+py*p+yy)*w+px*p+p]
+						copy(row[idx:idx+p], src)
+						idx += p
 					}
 				}
 			}
@@ -471,7 +495,7 @@ func (pe *PatchEmbed) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if train {
 		pe.inShape = append(pe.inShape[:0], x.Shape...)
 	}
-	patches := pe.ExtractPatchesInto(x, pe.patches.result(train, n*t, in))
+	patches := ExtractPatchesInto(x, pe.patches.result(train, n*t, in), pe.P)
 	weff, y := pe.weff.masked(train, pe.Weight), pe.out.result(train, n, t, pe.D)
 	tensor.Gemm(false, true, n*t, pe.D, in, 1, patches.Data, weff.Data, 0, y.Data)
 	for r := 0; r < n*t; r++ {
@@ -550,19 +574,25 @@ func (mp *MeanPoolTokens) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	var y *tensor.Tensor
 	if train {
 		mp.t = t
-		y = mp.out.zeroed(n, d) // accumulated below
+		y = mp.out.zeroed(n, d) // MeanPoolTokensInto accumulates
 	} else {
 		y = tensor.New(n, d)
 	}
+	MeanPoolTokensInto(x.Data, y.Data, n, t, d)
+	return y
+}
+
+// MeanPoolTokensInto accumulates the mean of each sample's t token rows of x
+// ([N, T, D]) into y ([N, D]), so y must arrive zeroed.
+func MeanPoolTokensInto(x, y []float64, n, t, d int) {
 	inv := 1.0 / float64(t)
 	for b := 0; b < n; b++ {
 		for tt := 0; tt < t; tt++ {
 			for j := 0; j < d; j++ {
-				y.Data[b*d+j] += x.Data[(b*t+tt)*d+j] * inv
+				y[b*d+j] += x[(b*t+tt)*d+j] * inv
 			}
 		}
 	}
-	return y
 }
 
 // Backward implements Layer.

@@ -21,13 +21,23 @@ import "repro/internal/tensor"
 // outgrows the largest it has seen. The classifier's loss gradient is kept
 // the same way (Classifier.TrainBatch).
 //
+// A layer's forward math is an exported kernel over plain slices that
+// writes into destinations its caller passes (ConvOutInto, DepthwiseInto,
+// BatchNormEvalInto, LayerNormInto, AttentionInto, MaxPoolInto,
+// GlobalAvgPoolInto, MeanPoolTokensInto), with its training caches optional
+// and no layer state. A Forward picks the destinations — the workspace in a
+// training pass, fresh tensors in an eval-mode one — and calls the kernel;
+// the inference engine calls the same kernels with its arena's buffers.
+//
 // A recycled buffer must never leak a value into a result. Every producer
 // either writes each element it returns — Im2ColInto, the re-layout copies,
 // the norm and activation loops, Gemm with beta=0, which clears its
 // destination first — or accumulates with +=, and then its buffer is
 // cleared first: buffer.zeroed for MaxPool2D's and DepthwiseConv2D's input
-// gradients, attention's Z, dQ, dK, dV and dX and MeanPoolTokens' output,
-// and Col2ImInto clears its own destination. The arithmetic is the one the
+// gradients, attention's dQ, dK, dV and dX, and the two kernels that
+// accumulate into their destination, AttentionInto (attention's Z) and
+// MeanPoolTokensInto (MeanPoolTokens' output); Col2ImInto clears its own
+// destination. The arithmetic is the one the
 // allocating code ran, in the same order, so training is bit-identical
 // (pruner's TestTrainingNumericsPinned, TestWorkspaceRecyclesNoValues).
 //

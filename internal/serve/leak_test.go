@@ -314,13 +314,15 @@ func benchShapeServer(t *testing.T, f models.Family, tiers Options) *Server {
 // delta the warm record holds (checkpoint.EncodeEngineDelta: one listing of
 // the base, the record and a handful of objects) — and promotes the other
 // straight from (base, delta) — no classifier is built. Measured per demote
-// + promote pair: transformer-s 38 objects / 66 KB for 14 plans, resnet-s
-// 41 / 398 KB for 11, now that each plan is built straight from the kept
-// weights the delta view walks out, with no dense W ⊙ Mask scratch (resnet-s
-// 36 864 floats, 295 KB) and no CRISP encoder re-encoding each matrix
-// (42 / 86 KB and 45 / 745 KB before). A tier transition allocates per
-// tenant, not per layer: every executor, execSeq child list and conv kernel
-// is carved from one array per type, the delta view holds its entries in two
+// + promote pair: transformer-s 36 objects / 66 KB for 14 plans, resnet-s
+// 41 / 398 KB for 11, now that Linear, TokenLinear and PatchEmbed run one
+// executor type carved from one array (38 on transformer-s while each had
+// its own), each plan is built straight from the kept weights the delta view
+// walks out, with no dense W ⊙ Mask scratch (resnet-s 36 864 floats,
+// 295 KB) and no CRISP encoder re-encoding each matrix (42 / 86 KB and
+// 45 / 745 KB before). A tier transition allocates per tenant, not per
+// layer: every executor, execSeq child list and conv kernel is carved from
+// one array per type, the delta view holds its entries in two
 // slices instead of two maps, and a demotion walks the engine with one
 // visitor and writes the delta into the one buffer it returns. Before the
 // promoted tenant and its batcher were one object, and the batcher held the
@@ -356,7 +358,7 @@ func TestPromoteAllocsBudget(t *testing.T) {
 	for _, c := range []struct {
 		family         models.Family
 		objects, bytes float64
-	}{{models.Transformer, 44, 76e3}, {models.ResNet, 47, 0.46e6}} {
+	}{{models.Transformer, 41, 76e3}, {models.ResNet, 47, 0.46e6}} {
 		t.Run(string(c.family), func(t *testing.T) {
 			s := benchShapeServer(t, c.family, Options{CacheSize: 1, MemoryBudgetBytes: 1 << 40})
 			sets := [][]int{{0, 1, 3}, {2, 5, 8}}
