@@ -94,3 +94,48 @@ func TestTrainingNumericsPinned(t *testing.T) {
 		})
 	}
 }
+
+// TestPruneReportPinned holds what a prune reports back from the layers —
+// the achieved sparsity and the Fig. 7 FLOPs ratio, which reads each
+// layer's input geometry from its last training pass — to the bits one
+// fixed short prune produced on each family (CRISP on all four, the
+// weight-saliency channel baseline on resnet-s). A change to how layers
+// record their geometry, or to how FLOPsRatio reads it, must leave these
+// unchanged.
+func TestPruneReportPinned(t *testing.T) {
+	for _, tc := range []struct {
+		family   models.Family
+		channel  bool
+		sparsity uint64
+		flops    uint64
+	}{
+		{models.ResNet, false, 0x3fe99a37d0e00945, 0x3fd1af223c171265},
+		{models.VGG, false, 0x3fe9abe9fceb16ac, 0x3fc4785ac257ccb4},
+		{models.MobileNet, false, 0x3fe9b8c8e6e3239c, 0x3fcc833546b8fd30},
+		{models.Transformer, false, 0x3fe9af286bca1af2, 0x3fceb43c9c4fc033},
+		{models.ResNet, true, 0x3fe9a1f183d07d27, 0x3fd6e0ce9d156fa8},
+	} {
+		name := string(tc.family)
+		if tc.channel {
+			name += "/channel"
+		}
+		t.Run(name, func(t *testing.T) {
+			cfg := data.Config{Name: "pin", NumClasses: 4, Channels: 3, H: 8, W: 8, Noise: 0.25, Jitter: 1, Seed: 44}
+			train := data.New(cfg).MakeSplit("train", []int{0, 2}, 8)
+			clf := models.Build(tc.family, rand.New(rand.NewSource(45)), cfg.NumClasses, 1)
+			opts := Options{Target: 0.8, NM: sparsity.NM{N: 2, M: 4}, BlockSize: 4, Iterations: 1, FinetuneEpochs: 1, BatchSize: 8}
+			var rep Report
+			if tc.channel {
+				rep = NewChannel(opts).Prune(clf, train)
+			} else {
+				rep = NewCRISP(opts).Prune(clf, train)
+			}
+			if got := math.Float64bits(rep.AchievedSparsity); got != tc.sparsity {
+				t.Errorf("achieved sparsity %v (%#x), want %v (%#x)", rep.AchievedSparsity, got, math.Float64frombits(tc.sparsity), tc.sparsity)
+			}
+			if got := math.Float64bits(rep.FLOPsRatio); got != tc.flops {
+				t.Errorf("FLOPs ratio %v (%#x), want %v (%#x)", rep.FLOPsRatio, got, math.Float64frombits(tc.flops), tc.flops)
+			}
+		})
+	}
+}
