@@ -95,9 +95,19 @@ func (p *Plan) Quantize() (*QuantPlan, error) {
 // QuantizeIn is Quantize with the image carved from s: its header, row
 // arrays and exactly as many Col and Code entries as the image keeps.
 func (p *Plan) QuantizeIn(s *QuantSlab) (*QuantPlan, error) {
-	codes, err := p.QuantCodes()
-	if err != nil {
-		return nil, err
+	if left := len(s.scales) - s.nr; left < p.Rows {
+		return nil, fmt.Errorf("format: quant slab has %d rows left, an image needs %d", left, p.Rows)
+	}
+	// One rowScale pass per row: its scale goes straight into the slab rows
+	// the carve below hands the image as RowScale, its code count into the
+	// carve's size.
+	scales, codes := s.scales[s.nr:s.nr+p.Rows], 0
+	for r := range p.Rows {
+		scale, n, err := rowScale(p.Val[p.RowPtr[r]:p.RowPtr[r+1]], r)
+		if err != nil {
+			return nil, err
+		}
+		scales[r], codes = scale, codes+n
 	}
 	q, err := s.carve(p.Rows, p.Cols, codes)
 	if err != nil {
@@ -106,9 +116,7 @@ func (p *Plan) QuantizeIn(s *QuantSlab) (*QuantPlan, error) {
 	at := int32(0)
 	for r := range p.Rows {
 		vals := p.Val[p.RowPtr[r]:p.RowPtr[r+1]]
-		scale, _, _ := rowScale(vals, r)
-		q.RowScale[r] = scale
-		inv := 1 / scale
+		inv := 1 / q.RowScale[r]
 		sum := int32(0)
 		// Positive codes first, then negatives; zero codes are dropped.
 		for i, v := range vals {

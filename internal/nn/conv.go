@@ -18,40 +18,13 @@ type Conv2D struct {
 	Weight *Param
 	Bias   *Param // nil when the layer is followed by batch norm
 
-	// OutStats, when non-nil, accumulates per-output-channel mean absolute
-	// activation — the feature-map statistic OCAP-style channel pruning
-	// scores channels with.
-	OutStats *ChannelStats
-
-	// Training state (see workspace.go): batch and lastOut (OH, OW) are the
-	// output shape Backward checks dy against, cols and weff what it reads
-	// back from Forward, out and dx what the two passes return; the rest is
-	// scratch either pass overwrites.
+	// Training state (see workspace.go): batch is the batch size Backward
+	// checks dy against (Geom holds the input size of the last training
+	// pass), cols and weff what it reads back from Forward, out and dx what
+	// the two passes return; the rest is scratch either pass overwrites.
 	batch                              int
-	lastOut                            [2]int
 	cols, weff, outMat, dcols, out, dx buffer
 	dyMat, dw                          []float64
-}
-
-// ChannelStats accumulates per-channel |activation| sums.
-type ChannelStats struct {
-	Sum   []float64
-	Count int64
-}
-
-// NewChannelStats sizes the collector for c channels.
-func NewChannelStats(c int) *ChannelStats { return &ChannelStats{Sum: make([]float64, c)} }
-
-// Mean returns the per-channel mean absolute activation.
-func (s *ChannelStats) Mean() []float64 {
-	out := make([]float64, len(s.Sum))
-	if s.Count == 0 {
-		return out
-	}
-	for i, v := range s.Sum {
-		out[i] = v / float64(s.Count)
-	}
-	return out
 }
 
 // NewConv2D constructs a convolution with He-initialized weights.
@@ -96,23 +69,8 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	y := c.out.result(train, n, c.OutC, oh, ow)
 	ConvOutInto(outMat.Data, bias, y.Data, n, c.OutC, p)
-	if c.OutStats != nil {
-		for s := 0; s < c.OutC; s++ {
-			for b := 0; b < n; b++ {
-				for _, v := range y.Data[(b*c.OutC+s)*p : (b*c.OutC+s+1)*p] {
-					c.OutStats.Sum[s] += math.Abs(v)
-				}
-			}
-		}
-		c.OutStats.Count += int64(n * p)
-	}
-	// The input's geometry is recorded in either mode, since FLOPs accounting
-	// probes the network in eval mode; what only Backward reads is recorded
-	// by a training pass alone.
-	c.Geom = g
 	if train {
-		c.batch = n
-		c.lastOut = [2]int{oh, ow}
+		c.Geom, c.batch = g, n
 	}
 	return y
 }
@@ -140,7 +98,7 @@ func ConvOutInto(outMat, bias, y []float64, n, outC, p int) {
 // Backward implements Layer.
 func (c *Conv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	n := c.batch
-	oh, ow := c.lastOut[0], c.lastOut[1]
+	oh, ow := c.Geom.OutH(), c.Geom.OutW()
 	p := oh * ow
 	if len(dy.Shape) != 4 || dy.Shape[0] != n || dy.Shape[1] != c.OutC || dy.Shape[2] != oh || dy.Shape[3] != ow {
 		panic(fmt.Sprintf("nn: Conv2D backward shape %v does not match cached forward (%d,%d,%d,%d)", dy.Shape, n, c.OutC, oh, ow))
@@ -202,7 +160,8 @@ type DepthwiseConv2D struct {
 	Bias   *Param
 
 	// Training state (see workspace.go): the batch size, input and masked
-	// weight Backward reads back, and what the two passes return.
+	// weight Backward reads back (Geom holds the input size of the last
+	// training pass), and what the two passes return.
 	batch         int
 	x             *tensor.Tensor
 	weff, out, dx buffer
@@ -239,9 +198,8 @@ func (d *DepthwiseConv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		bias = d.Bias.W.Data
 	}
 	DepthwiseInto(x.Data, weff.Data, bias, y.Data, g, n)
-	d.Geom = g
 	if train {
-		d.batch, d.x = n, x
+		d.Geom, d.batch, d.x = g, n, x
 	}
 	return y
 }

@@ -20,74 +20,32 @@ type TokenLinear struct {
 	Weight  *Param
 	Bias    *Param
 
-	// LastTokens records T from the most recent forward pass (used by
-	// FLOPs accounting).
-	LastTokens int
-
-	// Training state (see workspace.go).
-	x             *tensor.Tensor // the [N,T,In] input Backward reads back
-	weff, out, dx buffer
-	dw            []float64
+	rows rowLinear // training state (see workspace.go)
 }
 
 // NewTokenLinear constructs the layer with He initialization.
 func NewTokenLinear(name string, rng *rand.Rand, in, out int, prunable bool) *TokenLinear {
-	std := math.Sqrt(2.0 / float64(in))
-	l := &TokenLinear{
-		In:     in,
-		Out:    out,
-		Weight: newParam(name+".weight", tensor.Randn(rng, std, out, in), out, in, prunable),
-		Bias:   newParam(name+".bias", tensor.New(out), out, 1, false),
-	}
-	l.Bias.NoDecay = true
-	return l
+	w, b := newRowParams(name, rng, in, out, prunable)
+	return &TokenLinear{In: in, Out: out, Weight: w, Bias: b}
 }
 
-// Forward implements Layer.
+// Forward implements Layer. The [N,T,*] tensors are [N*T, *] matrices in
+// memory.
 func (l *TokenLinear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if len(x.Shape) != 3 || x.Shape[2] != l.In {
 		panic(fmt.Sprintf("nn: TokenLinear expects [N,T,%d], got %v", l.In, x.Shape))
 	}
-	n, t := x.Shape[0], x.Shape[1]
-	l.LastTokens = t
-	weff, y := l.weff.masked(train, l.Weight), l.out.result(train, n, t, l.Out)
-	if train {
-		l.x = x
-	}
-	// The [N,T,*] tensors are [N*T, *] matrices in memory.
-	tensor.Gemm(false, true, n*t, l.Out, l.In, 1, x.Data, weff.Data, 0, y.Data)
-	for r := 0; r < n*t; r++ {
-		row := y.Data[r*l.Out : (r+1)*l.Out]
-		for j := range row {
-			row[j] += l.Bias.W.Data[j]
-		}
-	}
-	return y
+	return l.rows.forward(l.Weight, l.Bias, x.Data, train, x.Shape[0], x.Shape[1], l.Out)
 }
 
 // Backward implements Layer.
 func (l *TokenLinear) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	n, t := dy.Shape[0], dy.Shape[1]
-	l.dw = grow(l.dw, l.Out*l.In)
-	tensor.Gemm(true, false, l.Out, l.In, n*t, 1, dy.Data, l.x.Data, 0, l.dw)
-	accumulate(l.Weight.Grad.Data, l.dw)
-	for r := 0; r < n*t; r++ {
-		for j := 0; j < l.Out; j++ {
-			l.Bias.Grad.Data[j] += dy.Data[r*l.Out+j]
-		}
-	}
-	dx := l.dx.take(n, t, l.In)
-	tensor.Gemm(false, false, n*t, l.In, l.Out, 1, dy.Data, l.weff.t.Data, 0, dx.Data)
-	return dx
+	return l.rows.backward(l.Weight, l.Bias, dy, l.rows.dx.take(dy.Shape[0], dy.Shape[1], l.In), 0)
 }
 
-func (l *TokenLinear) trainingStateBytes() int64 {
-	return tensorBytes(l.x) + bufferBytes(&l.weff, &l.out, &l.dx) + sliceBytes(l.dw)
-}
+func (l *TokenLinear) trainingStateBytes() int64 { return l.rows.trainingStateBytes() }
 
-func (l *TokenLinear) releaseTrainingState() {
-	l.x, l.weff, l.out, l.dx, l.dw = nil, buffer{}, buffer{}, buffer{}, nil
-}
+func (l *TokenLinear) releaseTrainingState() { l.rows = rowLinear{} }
 
 // Params implements Layer.
 func (l *TokenLinear) Params() []*Param { return []*Param{l.Weight, l.Bias} }
@@ -217,20 +175,16 @@ type MultiHeadAttention struct {
 	D, Heads       int
 	Wq, Wk, Wv, Wo *Param
 
-	// LastTokens records T from the most recent forward pass.
-	LastTokens int
-
-	// Training state (see workspace.go): what Backward reads back from
-	// Forward — the input, Q, K, V, the softmax rows, the pre-output-
-	// projection Z and the four masked projections in Params order — then
-	// what the two passes return and Backward's scratch.
-	x              *tensor.Tensor // [N,T,D]
-	q, k, v, z     buffer         // [N,T,D]
-	attn           []float64      // per (batch, head): T×T softmax rows
-	weff           [4]buffer      // Wq, Wk, Wv, Wo ⊙ their masks
-	out, dx        buffer         // [N,T,D]
-	dz, dq, dk, dv buffer         // [N,T,D]
-	dw, da         []float64      // one projection's dW; one attention row's dA
+	// Training state (see workspace.go): the four projections in Params
+	// order — Q, K and V are their outputs, and the output projection's
+	// input is the pre-projection Z — the softmax rows Backward reads back,
+	// and Backward's scratch: dQ, dK, dV (dX accumulates in the Q
+	// projection's input gradient) and one attention row's dA.
+	proj       [4]rowLinear
+	z          buffer    // [N,T,D]
+	attn       []float64 // per (batch, head): T×T softmax rows
+	dq, dk, dv buffer    // [N,T,D]
+	da         []float64
 }
 
 // NewMultiHeadAttention constructs the layer; heads must divide d.
@@ -245,36 +199,27 @@ func NewMultiHeadAttention(name string, rng *rand.Rand, d, heads int) *MultiHead
 	return &MultiHeadAttention{D: d, Heads: heads, Wq: mk("wq"), Wk: mk("wk"), Wv: mk("wv"), Wo: mk("wo")}
 }
 
-// project writes x·Wᵀ over the tokens of x into out, both [N,T,D], for the
-// masked projection weff, and returns out.
-func (m *MultiHeadAttention) project(x, weff, out *tensor.Tensor) *tensor.Tensor {
-	rows := x.Shape[0] * x.Shape[1]
-	tensor.Gemm(false, true, rows, m.D, m.D, 1, x.Data, weff.Data, 0, out.Data)
-	return out
-}
-
 // Forward implements Layer.
 func (m *MultiHeadAttention) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if len(x.Shape) != 3 || x.Shape[2] != m.D {
 		panic(fmt.Sprintf("nn: MultiHeadAttention expects [N,T,%d], got %v", m.D, x.Shape))
 	}
 	n, t := x.Shape[0], x.Shape[1]
-	m.LastTokens = t
-	q := m.project(x, m.weff[0].masked(train, m.Wq), m.q.result(train, n, t, m.D))
-	k := m.project(x, m.weff[1].masked(train, m.Wk), m.k.result(train, n, t, m.D))
-	v := m.project(x, m.weff[2].masked(train, m.Wv), m.v.result(train, n, t, m.D))
+	q := m.proj[0].forward(m.Wq, nil, x.Data, train, n, t, m.D)
+	k := m.proj[1].forward(m.Wk, nil, x.Data, train, n, t, m.D)
+	v := m.proj[2].forward(m.Wv, nil, x.Data, train, n, t, m.D)
 	var z *tensor.Tensor
 	var attn []float64
 	if train {
 		z = m.z.zeroed(n, t, m.D) // AttentionInto accumulates
 		m.attn = grow(m.attn, n*m.Heads*t*t)
-		attn, m.x = m.attn, x
+		attn = m.attn
 	} else {
 		z = tensor.New(n, t, m.D)
 		attn = make([]float64, n*m.Heads*t*t)
 	}
 	AttentionInto(q.Data, k.Data, v.Data, z.Data, attn, n, t, m.D, m.Heads)
-	return m.project(z, m.weff[3].masked(train, m.Wo), m.out.result(train, n, t, m.D))
+	return m.proj[3].forward(m.Wo, nil, z.Data, train, n, t, m.D)
 }
 
 // AttentionInto is scaled-dot-product attention's per-head core over n
@@ -331,14 +276,10 @@ func (m *MultiHeadAttention) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	n, t := dy.Shape[0], dy.Shape[1]
 	dh := m.D / m.Heads
 	scale := 1.0 / math.Sqrt(float64(dh))
-	q, k, v, attn := &m.q.t, &m.k.t, &m.v.t, m.attn
+	q, k, v, attn := &m.proj[0].out.t, &m.proj[1].out.t, &m.proj[2].out.t, m.attn
 
-	// Through the output projection: dz = dy·Wo; dWo = dyᵀ·z.
-	dz := m.dz.take(n, t, m.D)
-	tensor.Gemm(false, false, n*t, m.D, m.D, 1, dy.Data, m.weff[3].t.Data, 0, dz.Data)
-	m.dw = grow(m.dw, m.D*m.D)
-	tensor.Gemm(true, false, m.D, m.D, n*t, 1, dy.Data, m.z.t.Data, 0, m.dw)
-	accumulate(m.Wo.Grad.Data, m.dw)
+	// Through the output projection: dWo = dyᵀ·z; dz = dy·Wo.
+	dz := m.proj[3].backward(m.Wo, nil, dy, m.proj[3].dx.take(n, t, m.D), 0)
 
 	// dQ, dK and dV are accumulated below.
 	dq, dk, dv := m.dq.zeroed(n, t, m.D), m.dk.zeroed(n, t, m.D), m.dv.zeroed(n, t, m.D)
@@ -382,27 +323,28 @@ func (m *MultiHeadAttention) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	}
 
 	// Through the Q/K/V projections, each one's dX accumulated onto the
-	// last's.
-	dx := m.dx.zeroed(n, t, m.D)
+	// last's. The four projections are D×D: they share the output
+	// projection's dW scratch.
+	dx := m.proj[0].dx.zeroed(n, t, m.D)
 	grads := [...]*tensor.Tensor{dq, dk, dv}
 	for i, p := range [...]*Param{m.Wq, m.Wk, m.Wv} {
-		tensor.Gemm(true, false, m.D, m.D, n*t, 1, grads[i].Data, m.x.Data, 0, m.dw)
-		accumulate(p.Grad.Data, m.dw)
-		tensor.Gemm(false, false, n*t, m.D, m.D, 1, grads[i].Data, m.weff[i].t.Data, 1, dx.Data)
+		m.proj[i].dw = m.proj[3].dw
+		m.proj[i].backward(p, nil, grads[i], dx, 1)
 	}
 	return dx
 }
 
 func (m *MultiHeadAttention) trainingStateBytes() int64 {
-	return tensorBytes(m.x) + sliceBytes(m.attn, m.dw, m.da) +
-		bufferBytes(&m.q, &m.k, &m.v, &m.z, &m.weff[0], &m.weff[1], &m.weff[2], &m.weff[3],
-			&m.out, &m.dx, &m.dz, &m.dq, &m.dk, &m.dv)
+	n := sliceBytes(m.attn, m.da) + bufferBytes(&m.z, &m.dq, &m.dk, &m.dv)
+	for i := range m.proj {
+		n += m.proj[i].trainingStateBytes()
+	}
+	return n - 3*sliceBytes(m.proj[3].dw) // the shared dW, counted once
 }
 
 func (m *MultiHeadAttention) releaseTrainingState() {
-	m.x, m.attn, m.dw, m.da = nil, nil, nil, nil
-	m.q, m.k, m.v, m.z, m.weff = buffer{}, buffer{}, buffer{}, buffer{}, [4]buffer{}
-	m.out, m.dx, m.dz, m.dq, m.dk, m.dv = buffer{}, buffer{}, buffer{}, buffer{}, buffer{}, buffer{}
+	m.proj, m.z, m.attn, m.da = [4]rowLinear{}, buffer{}, nil, nil
+	m.dq, m.dk, m.dv = buffer{}, buffer{}, buffer{}
 }
 
 // Params implements Layer.
@@ -418,28 +360,22 @@ type PatchEmbed struct {
 	Weight  *Param
 	Bias    *Param
 
-	// LastTokens records T from the most recent forward pass.
+	// LastTokens records T, the patch count per image, from the most recent
+	// training pass (used by FLOPs accounting).
 	LastTokens int
 
-	// Training state (see workspace.go): the [N*T, C*P*P] patches and the
-	// masked weight Backward reads back, what the two passes return, and
-	// Backward's scratch.
-	patches, weff, out, dx buffer
-	dw, dpatches           []float64
-	inShape                []int
+	// Training state (see workspace.go): the projection over the
+	// [N*T, C*P*P] patches, the patches themselves, the input shape
+	// Backward scatters back to, and its input gradient.
+	rows        rowLinear
+	patches, dx buffer
+	inShape     []int
 }
 
 // NewPatchEmbed constructs the embedding.
 func NewPatchEmbed(name string, rng *rand.Rand, c, p, d int) *PatchEmbed {
-	in := c * p * p
-	std := math.Sqrt(2.0 / float64(in))
-	pe := &PatchEmbed{
-		C: c, P: p, D: d,
-		Weight: newParam(name+".weight", tensor.Randn(rng, std, d, in), d, in, true),
-		Bias:   newParam(name+".bias", tensor.New(d), d, 1, false),
-	}
-	pe.Bias.NoDecay = true
-	return pe
+	w, b := newRowParams(name, rng, c*p*p, d, true)
+	return &PatchEmbed{C: c, P: p, D: d, Weight: w, Bias: b}
 }
 
 // tokens returns the patch count for an H×W image.
@@ -490,37 +426,19 @@ func (pe *PatchEmbed) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	n := x.Shape[0]
 	t := pe.tokens(x.Shape[2], x.Shape[3])
-	pe.LastTokens = t
-	in := pe.C * pe.P * pe.P
 	if train {
+		pe.LastTokens = t
 		pe.inShape = append(pe.inShape[:0], x.Shape...)
 	}
-	patches := ExtractPatchesInto(x, pe.patches.result(train, n*t, in), pe.P)
-	weff, y := pe.weff.masked(train, pe.Weight), pe.out.result(train, n, t, pe.D)
-	tensor.Gemm(false, true, n*t, pe.D, in, 1, patches.Data, weff.Data, 0, y.Data)
-	for r := 0; r < n*t; r++ {
-		for j := 0; j < pe.D; j++ {
-			y.Data[r*pe.D+j] += pe.Bias.W.Data[j]
-		}
-	}
-	return y
+	patches := ExtractPatchesInto(x, pe.patches.result(train, n*t, pe.C*pe.P*pe.P), pe.P)
+	return pe.rows.forward(pe.Weight, pe.Bias, patches.Data, train, n, t, pe.D)
 }
 
 // Backward implements Layer.
 func (pe *PatchEmbed) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	n, t := dy.Shape[0], dy.Shape[1]
 	in := pe.C * pe.P * pe.P
-	pe.dw = grow(pe.dw, pe.D*in)
-	tensor.Gemm(true, false, pe.D, in, n*t, 1, dy.Data, pe.patches.t.Data, 0, pe.dw)
-	accumulate(pe.Weight.Grad.Data, pe.dw)
-	for r := 0; r < n*t; r++ {
-		for j := 0; j < pe.D; j++ {
-			pe.Bias.Grad.Data[j] += dy.Data[r*pe.D+j]
-		}
-	}
-	pe.dpatches = grow(pe.dpatches, n*t*in)
-	dpatches := pe.dpatches
-	tensor.Gemm(false, false, n*t, in, pe.D, 1, dy.Data, pe.weff.t.Data, 0, dpatches)
+	dpatches := pe.rows.backward(pe.Weight, pe.Bias, dy, pe.rows.dx.take(n*t, in), 0).Data
 	// Scatter patch gradients back to image layout. The patches tile the
 	// image (Forward checks P divides H and W), so every element of dx is
 	// written.
@@ -546,12 +464,11 @@ func (pe *PatchEmbed) Backward(dy *tensor.Tensor) *tensor.Tensor {
 }
 
 func (pe *PatchEmbed) trainingStateBytes() int64 {
-	return bufferBytes(&pe.patches, &pe.weff, &pe.out, &pe.dx) + sliceBytes(pe.dw, pe.dpatches)
+	return pe.rows.trainingStateBytes() + bufferBytes(&pe.patches, &pe.dx)
 }
 
 func (pe *PatchEmbed) releaseTrainingState() {
-	pe.patches, pe.weff, pe.out, pe.dx = buffer{}, buffer{}, buffer{}, buffer{}
-	pe.dw, pe.dpatches = nil, nil
+	pe.rows, pe.patches, pe.dx = rowLinear{}, buffer{}, buffer{}
 }
 
 // Params implements Layer.

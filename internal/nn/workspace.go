@@ -21,6 +21,9 @@ import "repro/internal/tensor"
 // outgrows the largest it has seen. The classifier's loss gradient is kept
 // the same way (Classifier.TrainBatch).
 //
+// Linear, TokenLinear, PatchEmbed and attention's four projections keep
+// theirs in a rowLinear, the one row-linear core they all run on.
+//
 // A layer's forward math is an exported kernel over plain slices that
 // writes into destinations its caller passes (ConvOutInto, DepthwiseInto,
 // BatchNormEvalInto, LayerNormInto, AttentionInto, MaxPoolInto,
@@ -44,11 +47,13 @@ import "repro/internal/tensor"
 // A tensor a training step returns — the logits, an input gradient — is
 // the layer's and is overwritten by the next training step: callers read it
 // before they train again. Only training-mode passes touch the workspace.
-// An eval-mode Forward allocates what it returns and keeps no buffer, so
-// concurrent eval-mode passes share none, and a released classifier stays
-// released. (It does record its input's geometry — Conv2D.Geom, the token
-// layers' LastTokens — which FLOPs accounting reads back, so two eval-mode
-// passes on one classifier still race on those fields.)
+// An eval-mode Forward allocates what it returns and writes no layer field
+// — not the workspace, not the input geometry (Conv2D.Geom's and
+// DepthwiseConv2D.Geom's input size, PatchEmbed.LastTokens), which training
+// passes alone record — so concurrent eval-mode passes on one classifier
+// share nothing but the weights they read (TestEvalForwardIsRaceFree), and a
+// released classifier stays released. The one eval-time write is opt-in:
+// the counters of an ActStats a caller attached to the rectifiers.
 //
 // The workspace belongs to one classifier: it lives in that classifier's
 // layers, never in a pool or a package variable, so no two models share a

@@ -9,7 +9,6 @@ import (
 	"repro/internal/nn"
 	"repro/internal/saliency"
 	"repro/internal/sparsity"
-	"repro/internal/tensor"
 )
 
 // NMOnly prunes with the fine-grained N:M pattern alone (no block pruning),
@@ -152,24 +151,19 @@ func (b *BlockOnly) pruneUnbalanced(params []*nn.Param, scores saliency.Scores, 
 	}
 }
 
-// Channel is the OCAP/CAPNN-style class-aware structured baseline: entire
+// Channel is the CAPNN-style class-aware structured baseline: entire
 // output channels (rows of the pruning view) are removed by ascending
-// score. At least MinKeepRows rows survive per layer. Scores come from
-// aggregated weight saliency by default, or — with UseActivations — from
-// per-channel feature-map magnitudes over the user samples, OCAP's actual
-// statistic.
+// score, each row scored by its summed weight saliency over the user
+// samples. At least minKeepRows rows survive per layer.
 type Channel struct {
 	Opts Options
-	// MinKeepRows floors the surviving channels per layer (default 1).
-	MinKeepRows int
-	// UseActivations switches the channel score to mean |activation|.
-	UseActivations bool
 }
 
+// minKeepRows floors the surviving channels per layer.
+const minKeepRows = 1
+
 // NewChannel constructs the baseline.
-func NewChannel(opts Options) *Channel {
-	return &Channel{Opts: opts.WithDefaults(), MinKeepRows: 1}
-}
+func NewChannel(opts Options) *Channel { return &Channel{Opts: opts.WithDefaults()} }
 
 // Prune iteratively removes channels until the target sparsity.
 func (b *Channel) Prune(clf *nn.Classifier, train data.Split) Report {
@@ -177,11 +171,7 @@ func (b *Channel) Prune(clf *nn.Classifier, train data.Split) Report {
 	o := b.Opts
 	rng := rand.New(rand.NewSource(o.Seed))
 	opt := nn.NewSGD(o.LR, o.Momentum, o.WeightDecay)
-	name := "channel"
-	if b.UseActivations {
-		name = "channel-act"
-	}
-	rep := Report{Method: name, Target: o.Target}
+	rep := Report{Method: "channel", Target: o.Target}
 	params := clf.PrunableParams()
 	for p := 1; p <= o.Iterations; p++ {
 		loss := Finetune(clf, train, o.FinetuneEpochs, o.BatchSize, opt, rng)
@@ -200,11 +190,10 @@ func (b *Channel) Prune(clf *nn.Classifier, train data.Split) Report {
 	return rep
 }
 
-// rowScores returns one score per output row of every prunable parameter.
+// rowScores returns one score per output row of every prunable parameter:
+// the row's summed weight saliency.
 func (b *Channel) rowScores(clf *nn.Classifier, train data.Split) map[*nn.Param][]float64 {
 	out := map[*nn.Param][]float64{}
-	// Weight-saliency rows (always computed: the activation mode falls back
-	// to them for non-convolution parameters).
 	scores := saliency.Compute(clf, train, b.Opts.BatchSize, b.Opts.Saliency)
 	for _, prm := range clf.PrunableParams() {
 		sv := scores.MatrixView(prm)
@@ -217,40 +206,6 @@ func (b *Channel) rowScores(clf *nn.Classifier, train data.Split) map[*nn.Param]
 			rows[r] = s
 		}
 		out[prm] = rows
-	}
-	if !b.UseActivations {
-		return out
-	}
-	// OCAP mode: mean |feature map| per conv output channel over the user
-	// samples, collected with eval-mode forwards.
-	collectors := map[*nn.Param]*nn.ChannelStats{}
-	nn.Walk(clf.Net, func(l nn.Layer) {
-		if c, ok := l.(*nn.Conv2D); ok {
-			st := nn.NewChannelStats(c.OutC)
-			c.OutStats = st
-			collectors[c.Weight] = st
-		}
-	})
-	vol := train.X.Shape[1] * train.X.Shape[2] * train.X.Shape[3]
-	bs := b.Opts.BatchSize
-	for start := 0; start < train.Len(); start += bs {
-		end := start + bs
-		if end > train.Len() {
-			end = train.Len()
-		}
-		x := tensor.New(end-start, train.X.Shape[1], train.X.Shape[2], train.X.Shape[3])
-		copy(x.Data, train.X.Data[start*vol:end*vol])
-		clf.Logits(x, false)
-	}
-	nn.Walk(clf.Net, func(l nn.Layer) {
-		if c, ok := l.(*nn.Conv2D); ok {
-			c.OutStats = nil
-		}
-	})
-	for prm, st := range collectors {
-		if _, ok := out[prm]; ok {
-			out[prm] = st.Mean()
-		}
 	}
 	return out
 }
@@ -278,7 +233,7 @@ func (b *Channel) pruneChannels(params []*nn.Param, rowScores map[*nn.Param][]fl
 		if nonzero <= targetNonzero {
 			break
 		}
-		if keepLeft[rr.param] <= b.MinKeepRows {
+		if keepLeft[rr.param] <= minKeepRows {
 			continue
 		}
 		mask := rr.param.MaskMatrixView()

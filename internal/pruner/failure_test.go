@@ -123,7 +123,7 @@ func TestFinetuneEmptySplit(t *testing.T) {
 }
 
 func TestChannelPrunerKeepsFloor(t *testing.T) {
-	// Even at an absurd target, at least MinKeepRows channels survive.
+	// Even at an absurd target, at least minKeepRows channels survive.
 	clf := models.Build(models.ResNet, rand.New(rand.NewSource(70)), 4, 1)
 	cfg := data.Config{Name: "f4", NumClasses: 4, Channels: 3, H: 8, W: 8, Noise: 0.2, Jitter: 1, Seed: 71}
 	ds := data.New(cfg)
@@ -141,8 +141,8 @@ func TestChannelPrunerKeepsFloor(t *testing.T) {
 				}
 			}
 		}
-		if alive < p.MinKeepRows {
-			t.Fatalf("%s: %d rows alive, floor %d", prm.Name, alive, p.MinKeepRows)
+		if alive < minKeepRows {
+			t.Fatalf("%s: %d rows alive, floor %d", prm.Name, alive, minKeepRows)
 		}
 	}
 }

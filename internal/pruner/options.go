@@ -1,7 +1,7 @@
 // Package pruner implements the CRISP class-aware pruning framework
 // (Algorithm 1 of the paper) and the baselines it is compared against:
 // pure block pruning (balanced and classic unbalanced), N:M-only pruning,
-// mixed per-layer N:M, and OCAP/CAPNN-style channel pruning.
+// mixed per-layer N:M, and CAPNN-style channel pruning.
 package pruner
 
 import (

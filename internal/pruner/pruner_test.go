@@ -365,55 +365,3 @@ func TestMixedNMExtremesCollapseToUniform(t *testing.T) {
 		}
 	}
 }
-
-func TestChannelActivationModeRemovesWholeRows(t *testing.T) {
-	clf, train, _ := testSetup(t, models.ResNet)
-	p := NewChannel(Options{Target: 0.5, Iterations: 2, FinetuneEpochs: 1, BatchSize: 16, LR: 0.01})
-	p.UseActivations = true
-	rep := p.Prune(clf, train)
-	if rep.Method != "channel-act" {
-		t.Fatalf("method %s", rep.Method)
-	}
-	if math.Abs(rep.AchievedSparsity-0.5) > 0.08 {
-		t.Fatalf("channel-act sparsity %v, want ≈0.5", rep.AchievedSparsity)
-	}
-	for _, prm := range clf.PrunableParams() {
-		mv := prm.MaskMatrixView()
-		for r := 0; r < prm.Rows; r++ {
-			nz := 0
-			for c := 0; c < prm.Cols; c++ {
-				if mv.At(r, c) != 0 {
-					nz++
-				}
-			}
-			if nz != 0 && nz != prm.Cols {
-				t.Fatalf("%s row %d partially pruned", prm.Name, r)
-			}
-		}
-	}
-	// Collectors must be detached after pruning.
-	nn.Walk(clf.Net, func(l nn.Layer) {
-		if c, ok := l.(*nn.Conv2D); ok && c.OutStats != nil {
-			t.Fatalf("collector left attached on %s", c.Weight.Name)
-		}
-	})
-}
-
-func TestChannelActivationScoresDifferFromSaliency(t *testing.T) {
-	clf, train, _ := testSetup(t, models.ResNet)
-	b := NewChannel(Options{Target: 0.5, Iterations: 1, FinetuneEpochs: 1, BatchSize: 16, LR: 0.01})
-	salRows := b.rowScores(clf, train)
-	b.UseActivations = true
-	actRows := b.rowScores(clf, train)
-	prm := clf.PrunableParams()[0]
-	same := true
-	for i := range salRows[prm] {
-		if math.Abs(salRows[prm][i]-actRows[prm][i]) > 1e-12 {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatal("activation scores identical to saliency scores")
-	}
-}
