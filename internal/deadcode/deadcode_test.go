@@ -42,11 +42,10 @@ import (
 // the test that needs it. An entry that is not dead fails the gate too, so
 // the list cannot go stale.
 var allowlist = map[string]string{
-	"internal/format.Plan.UniformSpan":      "BenchmarkSpMM_CRISPFastPath (bench_test.go) refuses a matrix that misses the uniform-span kernel",
-	"internal/inference.Engine.LogitsBatch": "BenchmarkInference_Int8TransformerBatch16 (bench_test.go) times the batched int8 pass through it",
-	"internal/nn.TrainingStateBytes":        "serve's TestReleasedClassifierTrainsBitIdentically holds a pruned classifier's training state to zero bytes",
-	"internal/serve.Server.Pool":            "cmd/crisp-serve's TestGracefulShutdownFlushesPendingSnapshots wedges the lone pool worker through it",
-	"internal/sparsity.VerifyRowBalance":    "the CRISP row-balance oracle of core's TestApplyHybridInvariants and pruner's TestCRISPMaskInvariants",
+	"internal/format.Plan.UniformSpan":   "BenchmarkSpMM_CRISPFastPath (bench_test.go) refuses a matrix that misses the uniform-span kernel",
+	"internal/nn.TrainingStateBytes":     "serve's TestReleasedClassifierTrainsBitIdentically holds a pruned classifier's training state to zero bytes",
+	"internal/serve.Server.Pool":         "cmd/crisp-serve's TestGracefulShutdownFlushesPendingSnapshots wedges the lone pool worker through it",
+	"internal/sparsity.VerifyRowBalance": "the CRISP row-balance oracle of core's TestApplyHybridInvariants and pruner's TestCRISPMaskInvariants",
 }
 
 func TestNoDeadSurface(t *testing.T) {

@@ -285,7 +285,7 @@ func TestConvPlanDifferential(t *testing.T) {
 			cp := p.CompileConv(new(ConvPlan), gm.kh, gm.kw, gm.stride, gm.pad)
 			chw := gm.inC * gm.inH * gm.inW
 			xT := tensor.TransposeInto(x.Reshape(batch, chw), tensor.New(chw, batch))
-			outT := cp.MatMulBatchLastInto(xT, g, batch, tensor.New(rows*oh*ow, batch))
+			outT := cp.MatMulBatchLastInto(xT, g, batch, tensor.New(rows*oh*ow, batch), make([]float64, cp.ClipFloats()))
 			// Batch-last output [r·p, b] transposes to [b, r·p]; the
 			// lowering's layout is [r, b·p] — compare element-wise.
 			back := tensor.TransposeInto(outT, tensor.New(batch, rows*oh*ow))

@@ -2,7 +2,6 @@ package format
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/tensor"
 )
@@ -30,10 +29,10 @@ import (
 // so the plan keeps two words (KH·KW and magic) where a per-column tap
 // table would keep 8 bytes a column. The per-geometry border clipping
 // (which output rows/columns keep a given kernel position inside the
-// image) collapses into a KH·KW-entry table computed once per input size
-// and cached on the plan. What remains per (entry, sample) is a handful of
-// adds and one multiply to form the slice bases, then pure contiguous
-// AXPYs.
+// image) collapses into a KH·KW-entry table computed once per call, in
+// scratch its caller draws (ClipFloats). What remains per (entry, sample)
+// is a handful of adds and one multiply to form the slice bases, then pure
+// contiguous AXPYs.
 //
 // Accumulation-order contract: for every output element the products are
 // added in ascending span order — exactly the order Plan.MatMulInto's scalar
@@ -46,9 +45,8 @@ import (
 // unaffected.
 
 // ConvPlan is a Plan specialized for implicit-im2col convolution with a
-// fixed kernel shape. It is immutable after CompileConv apart from the
-// per-input-geometry clip cache, which is republished atomically and is
-// safe for concurrent MatMulBatchLastInto use.
+// fixed kernel shape. It is immutable after CompileConv, and safe for
+// concurrent MatMulBatchLastInto use.
 type ConvPlan struct {
 	p                   *Plan
 	kh, kw, stride, pad int
@@ -58,26 +56,18 @@ type ConvPlan struct {
 	// overflows a uint32.
 	khw   int
 	magic uint64
-	state atomic.Pointer[convState]
 }
 
-// convClip is the border clipping for one kernel position (kh, kw) at one
-// input geometry: the output rows [oy0, oy1) and columns [ox0, ox1) whose
-// tap lands inside the image, and the tap's input offset at (oy0, ox0)
-// within its channel. Taps outside the range read zero padding and
-// contribute nothing.
-type convClip struct {
-	oy0, oy1 int32
-	ox0, ox1 int32
-	src0     int32
-}
-
-// convState is the per-input-geometry derived state, cached on the plan so
-// steady-state forwards recompute nothing and allocate nothing.
+// convState is one call's input geometry and clip table: for each kernel
+// position (kh, kw), the width and height of the output block [oy0, oy1) ×
+// [ox0, ox1) whose tap lands inside the image, the tap's input offset at
+// (oy0, ox0) within its channel, and the block's output offset — integers,
+// held exactly as floats because the table is float scratch. Taps outside
+// the block read zero padding and contribute nothing.
 type convState struct {
 	inH, inW int
 	oh, ow   int
-	clips    []convClip
+	clips    []float64
 }
 
 // CompileConv specializes the plan for convolution with the given kernel
@@ -99,14 +89,18 @@ func (p *Plan) CompileConv(cp *ConvPlan, kh, kw, stride, pad int) *ConvPlan {
 	return cp
 }
 
-// SizeBytes reports the heap bytes the conv specialization owns on top of
-// its Plan: the one cached per-geometry clip table (five int32 per kernel
-// position), counted whether or not a forward has built it yet so the
-// figure is fixed at compile time. Struct headers are excluded as
+// SizeBytes reports the bytes the conv specialization is charged on top of
+// its Plan: 20 per kernel position, the per-geometry clip table it once
+// cached. The table is now the caller's scratch (ClipFloats); the charge
+// stays until scratch itself is charged. Struct headers are excluded as
 // negligible, as in Plan.SizeBytes.
 func (cp *ConvPlan) SizeBytes() int64 {
 	return int64(cp.khw) * 20
 }
+
+// ClipFloats is the scratch MatMulBatchLastInto takes: the clip table, four
+// floats per kernel position.
+func (cp *ConvPlan) ClipFloats() int { return 4 * cp.khw }
 
 // tap splits a plan column into its input channel and its flattened kernel
 // position kh·KW+kw (the index into the per-geometry clip table) by the
@@ -138,32 +132,18 @@ func clipRange(k, pad, stride, in, outDim int) (int, int) {
 	return o0, o1
 }
 
-// stateFor returns the clip table for the input geometry, computing and
-// caching it on first sight of a new input size. The compute is
-// deterministic, so a racing duplicate store publishes identical content.
-func (cp *ConvPlan) stateFor(g tensor.ConvGeom) *convState {
-	if st := cp.state.Load(); st != nil && st.inH == g.InH && st.inW == g.InW {
-		return st
-	}
-	st := &convState{
-		inH: g.InH, inW: g.InW,
-		oh: g.OutH(), ow: g.OutW(),
-		clips: make([]convClip, cp.kh*cp.kw),
-	}
+// stateFor writes the clip table for the input geometry into clips.
+func (cp *ConvPlan) stateFor(g tensor.ConvGeom, clips []float64) convState {
+	st := convState{inH: g.InH, inW: g.InW, oh: g.OutH(), ow: g.OutW(), clips: clips[:cp.ClipFloats()]}
 	for kh := 0; kh < cp.kh; kh++ {
 		for kw := 0; kw < cp.kw; kw++ {
 			oy0, oy1 := clipRange(kh, cp.pad, cp.stride, g.InH, st.oh)
 			ox0, ox1 := clipRange(kw, cp.pad, cp.stride, g.InW, st.ow)
-			iy0 := oy0*cp.stride + kh - cp.pad
-			ix0 := ox0*cp.stride + kw - cp.pad
-			st.clips[kh*cp.kw+kw] = convClip{
-				oy0: int32(oy0), oy1: int32(oy1),
-				ox0: int32(ox0), ox1: int32(ox1),
-				src0: int32(iy0*g.InW + ix0),
-			}
+			iy0, ix0 := oy0*cp.stride+kh-cp.pad, ox0*cp.stride+kw-cp.pad
+			cl := st.clips[4*(kh*cp.kw+kw):]
+			cl[0], cl[1], cl[2], cl[3] = float64(ox1-ox0), float64(oy1-oy0), float64(iy0*g.InW+ix0), float64(oy0*st.ow+ox0)
 		}
 	}
-	cp.state.Store(st)
 	return st
 }
 
@@ -179,7 +159,9 @@ func (cp *ConvPlan) stateFor(g tensor.ConvGeom) *convState {
 // The per-element accumulation order is the lowering's — ascending span
 // order, entries in the outermost loop — so transposing the result back to
 // sample-major reproduces Plan.MatMulInto over an im2col matrix.
-func (cp *ConvPlan) MatMulBatchLastInto(xT *tensor.Tensor, g tensor.ConvGeom, batch int, out *tensor.Tensor) *tensor.Tensor {
+//
+// clips is ClipFloats floats of scratch with any contents.
+func (cp *ConvPlan) MatMulBatchLastInto(xT *tensor.Tensor, g tensor.ConvGeom, batch int, out *tensor.Tensor, clips []float64) *tensor.Tensor {
 	if !cp.matches(g) {
 		panic(fmt.Sprintf("format: ConvPlan compiled for %dx%d stride %d pad %d inC %d, got %+v",
 			cp.kh, cp.kw, cp.stride, cp.pad, cp.inC, g))
@@ -187,7 +169,7 @@ func (cp *ConvPlan) MatMulBatchLastInto(xT *tensor.Tensor, g tensor.ConvGeom, ba
 	if len(xT.Shape) != 2 || xT.Shape[0] != g.InC*g.InH*g.InW || xT.Shape[1] != batch {
 		panic(fmt.Sprintf("format: ConvPlan batch-last input %v, want [%d %d]", xT.Shape, g.InC*g.InH*g.InW, batch))
 	}
-	st := cp.stateFor(g)
+	st := cp.stateFor(g, clips)
 	p := cp.p
 	ohow := st.oh * st.ow
 	if len(out.Shape) != 2 || out.Shape[0] != p.Rows*ohow || out.Shape[1] != batch {
@@ -202,14 +184,14 @@ type convJob struct {
 	tensor.Join
 	cp      *ConvPlan
 	xd, out []float64
-	st      *convState
+	st      convState
 	batch   int
 }
 
 var convJobs tensor.JobPool[convJob, *convJob]
 
 // Rows implements tensor.RowJob.
-func (j *convJob) Rows(r0, r1 int) { j.cp.convRowsBatchLast(j.xd, j.st, j.batch, j.out, r0, r1) }
+func (j *convJob) Rows(r0, r1 int) { j.cp.convRowsBatchLast(j.xd, &j.st, j.batch, j.out, r0, r1) }
 
 // convRowsBatchLast computes output rows [row0, row1) in batch-last
 // layout. Entries stay outermost (the accumulation-order contract); the
@@ -227,15 +209,14 @@ func (cp *ConvPlan) convRowsBatchLast(xd []float64, st *convState, batch int, ou
 		i0, i1 := int(p.RowPtr[r]), int(p.RowPtr[r+1])
 		for i := i0; i < i1; i++ {
 			c, kk := cp.tap(p.Col[i])
-			cl := &st.clips[kk]
-			w := int(cl.ox1 - cl.ox0)
-			rows := int(cl.oy1 - cl.oy0)
+			cl := st.clips[4*kk : 4*kk+4]
+			w, rows := int(cl[0]), int(cl[1])
 			if w <= 0 || rows <= 0 {
 				continue
 			}
 			v := p.Val[i]
-			so := (c*chanSize + int(cl.src0)) * batch
-			do := (int(cl.oy0)*ow + int(cl.ox0)) * batch
+			so := (c*chanSize + int(cl[2])) * batch
+			do := int(cl[3]) * batch
 			if s == 1 {
 				// Stride-1 taps read w·batch consecutive values: one long
 				// AXPY per clipped output row. Equal-length reslices let

@@ -215,13 +215,14 @@ func TestFanOutAllocatesNothing(t *testing.T) {
 	ohow := g.OutH() * g.OutW()
 	xT := tensor.Randn(rng, 1, 16*8*8, batch)
 	convOut := tensor.New(16*ohow, batch)
+	clips := make([]float64, cp.ClipFloats())
 
 	for _, c := range []struct {
 		name string
 		work int
 		call func()
 	}{
-		{"conv-b16", cp.p.NNZ() * batch * ohow, func() { cp.MatMulBatchLastInto(xT, g, batch, convOut) }},
+		{"conv-b16", cp.p.NNZ() * batch * ohow, func() { cp.MatMulBatchLastInto(xT, g, batch, convOut, clips) }},
 		{"quant-b16", len(q.Code) * batch, func() { q.MatMulInto(x, out, qs) }},
 		{"scalar-b16", p.NNZ() * batch, func() { p.matmulScalar(x, out, batch) }},
 		{"blocked-b16", p.NNZ() * batch, func() { p.matmulBlocked(x, out, batch, 8) }},

@@ -155,6 +155,48 @@ func (p *Plan) QuantCodes() (int, error) {
 	return codes, nil
 }
 
+// QuantCounter is an EntrySink that counts the codes Quantize would keep for
+// the non-zeros of a matrix handed to it in ascending index order, without
+// the matrix's plan being built: it holds one row's values at a time, in
+// the entry memory of the PlanSlab that made it. Its errors are Quantize's.
+type QuantCounter struct {
+	cols, row, codes int
+	vals             []float64
+	err              error
+}
+
+// QuantCounter returns a counter for a matrix of cols columns. s must have
+// room for the matrix's widest row, and builds no plan while the counter is
+// in use.
+func (s *PlanSlab) QuantCounter(cols int) QuantCounter {
+	return QuantCounter{cols: cols, vals: s.val[:0]}
+}
+
+// Add implements EntrySink.
+func (q *QuantCounter) Add(i int, v float64) {
+	if r := i / q.cols; r != q.row {
+		q.flush()
+		q.row = r
+	}
+	q.vals = append(q.vals, v)
+}
+
+func (q *QuantCounter) flush() {
+	if q.err == nil {
+		var n int
+		_, n, q.err = rowScale(q.vals, q.row)
+		q.codes += n
+	}
+	q.vals = q.vals[:0]
+}
+
+// Codes reports the codes of every entry handed over, or the error that
+// quantizing them would raise.
+func (q *QuantCounter) Codes() (int, error) {
+	q.flush()
+	return q.codes, q.err
+}
+
 // rowScale returns row r's symmetric scale (max|w|/127, 1 for an all-zero
 // row) and how many of its weights quantize to a non-zero code. A row of
 // more non-zeros than the packed accumulator bound, or with a non-finite

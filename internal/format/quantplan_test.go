@@ -235,6 +235,43 @@ func TestQuantizeRejectsNonFiniteWeights(t *testing.T) {
 	}
 }
 
+// TestQuantCounterMatchesQuantize: a QuantCounter handed a matrix's
+// non-zeros counts the codes its plan quantizes to, in a slab that has room
+// for the matrix, and fails where Quantize fails.
+func TestQuantCounterMatchesQuantize(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	count := func(w *tensor.Tensor, s *PlanSlab) (int, error) {
+		q := s.QuantCounter(w.Shape[1])
+		for i, v := range w.Data {
+			if v != 0 {
+				q.Add(i, v)
+			}
+		}
+		return q.Codes()
+	}
+	for _, shape := range [][2]int{{1, 1}, {7, 33}, {32, 96}, {64, 288}} {
+		w := hybridMatrix(rng, shape[0], shape[1], 1, sparsity.NM{N: 2, M: 4}, 0)
+		for i := range w.Data {
+			w.Data[i] *= math.Pow(10, float64(rng.Intn(5)-2)) // rows whose small entries round to no code
+		}
+		p := EncodeCSR(w).Compile()
+		want, err := p.QuantCodes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := NewPlanSlab(1, p.Rows, p.NNZ())
+		if got, err := count(w, &s); err != nil || got != want {
+			t.Fatalf("%v: counted %d codes (%v), the plan quantizes to %d", shape, got, err, want)
+		}
+	}
+	w := tensor.New(4, 8)
+	w.Data[3], w.Data[9] = 1.5, math.NaN()
+	s := NewPlanSlab(1, 4, 2)
+	if _, err := count(w, &s); err == nil {
+		t.Fatal("a non-finite weight must fail the count")
+	}
+}
+
 // TestQuantMatMulIntoDirtyScratch: MatMulInto must own its destination and
 // every scratch buffer — garbage-filled recycled memory (the arena
 // contract) yields the same result as freshly allocated scratch.

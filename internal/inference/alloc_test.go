@@ -19,28 +19,23 @@ import (
 
 // TestFirstPassAllocsBudget bounds what an engine's PredictBatch allocates,
 // at the repository benchmark's fixture shapes (width-2 models, ten 8×8
-// classes, 90 % target at 2:4 in 4×4 blocks), first on a fresh engine and
-// then in steady state.
+// classes, 90 % target at 2:4 in 4×4 blocks), first on a fresh engine, then
+// once its arena pool has been emptied, and in steady state.
 //
 // On a churning server every promotion is followed by a first pass (52 % of
-// tenant_churn's predicts), and it builds the arena from nothing: slabs, and
-// a header per tensor any executor draws. Measured at batch 1 / batch 16:
-// transformer-s 11 / 13 objects (15 / 17 while headers came sixteen to an
-// allocation, 139 at batch 16 when every header was its own object with a
-// heap-allocated shape), resnet-s 13 / 58 (16 / 62, and 238; at batch 16 its
-// ten convs each build a clip table, and most activations outgrow a shared
-// slab; 22 / 83 while every kernel fan-out allocated its closure and join
-// counter). Header slabs now double, so a pass's headers take a few objects
-// however many tensors it draws. The budgets are about twice the
-// measurement; a header that allocates per tensor again does not fit.
-//
-// An engine that has served and then lost its pooled arenas to two
-// collections (a hot tenant between bursts) builds its next arena in one
-// step, sized from the most one of its passes drew: 6 objects at batch 1 and
-// 16 on both families, 7 for resnet-s at batch 16, whose emptied kernel pools
-// also rebuild a job record. It was 15 / 17 and 17 / 42 while that arena grew
-// slab by slab and header chunk by header chunk like a fresh one. The budget
-// is the measurement.
+// tenant_churn's predicts). A fresh engine's first pass now costs what a pass
+// with an emptied pool costs: its arena is planned by a sizing walk that
+// allocates nothing, then made in one step at the plan's size — the arena,
+// its header slab, its float slab (and word slab at Int8) —, beside the
+// pool's re-registration and the answer; resnet-s at batch 16 also rebuilds
+// a kernel job record its emptied pool dropped. Measured at batch 1 / 16:
+// transformer-s 5 / 5 objects either way, resnet-s 5 / 5 fresh and 5 / 6
+// emptied. Both budgets are the emptied-pool measurement. While the arena
+// grew slab by slab from a 512 KB floor, a fresh engine's first pass was
+// transformer-s 11 / 13 and resnet-s 13 / 58 objects (its ten convs each
+// cached a clip table, now drawn as scratch), and an emptied pool's 6 / 6
+// and 6 / 7, sized from the most any earlier pass had drawn (15 / 17 and
+// 17 / 42 before that).
 //
 // Every later pass of the same engine reuses that arena, and a kernel
 // fan-out draws its job record from a pool, so a pass allocates only its
@@ -52,61 +47,37 @@ func TestFirstPassAllocsBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	cfg := data.Config{Name: "bench", NumClasses: 10, Channels: 3, H: 8, W: 8, Noise: 0.25, Jitter: 1, Seed: 20240607}
-	ds := data.New(cfg)
-	nm := sparsity.NM{N: 2, M: 4}
 	const steady = 1 // every later pass: its []int answer
-	// a pass with an emptied pool: the arena, its header and float slabs, the
-	// pool's re-registration, the answer (and a kernel job record)
-	const rebuilt = 7
 	for _, c := range []struct {
-		family models.Family
-		first  [2]float64 // a fresh Float32 engine's first pass, batch 1 / 16
+		family  models.Family
+		emptied [2]float64 // a pass once the pool is emptied, batch 1 / 16
 	}{
-		{models.Transformer, [2]float64{22, 26}},
-		{models.ResNet, [2]float64{26, 116}},
+		{models.Transformer, [2]float64{5, 5}},
+		{models.ResNet, [2]float64{5, 6}},
 	} {
-		tenant := models.Build(c.family, rand.New(rand.NewSource(20240608)), cfg.NumClasses, 2)
-		pruner.NewCRISP(pruner.Options{Target: 0.9, NM: nm, BlockSize: 4, Iterations: 1, FinetuneEpochs: 1, BatchSize: 16}).
-			Prune(tenant, ds.MakeSplit("user", []int{0, 1, 3}, 8))
-		x := ds.MakeSplit("test", []int{0, 1, 3}, 6).X
-		ch, h, w := x.Shape[1], x.Shape[2], x.Shape[3]
-		xs := make([]*tensor.Tensor, 16)
-		for i := range xs {
-			xs[i] = tensor.FromSlice(x.Data[i*ch*h*w:(i+1)*ch*h*w], 1, ch, h, w)
-		}
+		compile, xs := benchTenant(t, c.family)
 		for bi, batch := range []int{1, 16} {
 			const passes = 8
 			engines := make([]*Engine, passes+1) // AllocsPerRun warms up with one call
 			for i := range engines {
-				eng, err := New(tenant, 4, nm)
-				if err != nil {
-					t.Fatal(err)
-				}
-				engines[i] = eng
+				engines[i] = compile(Float32)
 			}
 			i := 0
-			objects := testing.AllocsPerRun(passes, func() { engines[i].PredictBatch(xs[:batch]); i++ })
-			t.Logf("%s: %.0f objects in a fresh engine's first batch-%d pass", c.family, objects, batch)
-			if objects > c.first[bi] {
-				t.Errorf("%s: a fresh engine's first batch-%d pass allocates %.0f objects, budget %.0f", c.family, batch, objects, c.first[bi])
-			}
+			first := testing.AllocsPerRun(passes, func() { engines[i].PredictBatch(xs[:batch]); i++ })
 			// Two collections empty every engine's pool; each builds its
-			// next arena at the size its first pass reached.
+			// next arena at the plan of the pass it serves.
 			runtime.GC()
 			runtime.GC()
 			i = 0
-			objects = testing.AllocsPerRun(passes, func() { engines[i].PredictBatch(xs[:batch]); i++ })
-			t.Logf("%s: %.0f objects in a batch-%d pass once the pool is emptied", c.family, objects, batch)
-			if objects > rebuilt {
-				t.Errorf("%s: a batch-%d pass after its engine's pool was emptied allocates %.0f objects, budget %d", c.family, batch, objects, rebuilt)
+			emptied := testing.AllocsPerRun(passes, func() { engines[i].PredictBatch(xs[:batch]); i++ })
+			t.Logf("%s: %.0f objects in a fresh engine's first batch-%d pass, %.0f once the pool is emptied", c.family, first, batch, emptied)
+			if emptied > c.emptied[bi] || first > c.emptied[bi] {
+				t.Errorf("%s: a batch-%d pass allocates %.0f objects on a fresh engine and %.0f once its pool is emptied, budget %.0f for either",
+					c.family, batch, first, emptied, c.emptied[bi])
 			}
 
 			for _, prec := range []Precision{Float32, Int8} {
-				eng, err := NewWithOptions(tenant, 4, nm, CompileOptions{Precision: prec})
-				if err != nil {
-					t.Fatal(err)
-				}
+				eng := compile(prec)
 				// AllocsPerRun's warm-up call is the first pass.
 				objects := testing.AllocsPerRun(100, func() { eng.PredictBatch(xs[:batch]) })
 				t.Logf("%s %s: %.0f objects in a steady-state batch-%d pass", c.family, prec, objects, batch)

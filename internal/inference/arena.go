@@ -1,177 +1,211 @@
 package inference
 
 import (
-	"sync/atomic"
+	"fmt"
+	"math"
 
 	"repro/internal/tensor"
 )
 
-// arenaSlabFloats is the minimum slab size (elements). One slab comfortably
-// holds several small-layer activations; big layers get a dedicated slab of
-// exactly their size on first use.
-const arenaSlabFloats = 1 << 16
-
-// hdrChunk is the first header slab's length; each later one is as long as
-// all before it together.
-const hdrChunk = 16
-
-// slabRun is one element type's bump allocator inside the arena: recycled
-// slabs walked front to back, growing (never shrinking) as a pass demands.
-type slabRun[T any] struct {
-	slabs [][]T
-	first [1][]T // backs slabs until a second slab is added
-	slab  int    // slab currently being bump-allocated
-	off   int    // offset into slabs[slab]
-	held  int    // elements across all slabs
-	drawn int    // elements handed out this pass
-}
-
-func (s *slabRun[T]) reset() { s.slab, s.off, s.drawn = 0, 0, 0 }
-
-// alloc returns an n-element buffer with arbitrary contents. A slab it has
-// to add is at least least elements long.
-func (s *slabRun[T]) alloc(n, least int) []T {
-	s.drawn += n
-	for s.slab < len(s.slabs) {
-		if sl := s.slabs[s.slab]; s.off+n <= len(sl) {
-			out := sl[s.off : s.off+n : s.off+n]
-			s.off += n
-			return out
-		}
-		s.slab++
-		s.off = 0
-	}
-	s.add(max(n, least))
-	s.off = n
-	return s.slabs[s.slab][:n:n]
-}
-
-// add appends an n-element slab.
-func (s *slabRun[T]) add(n int) {
-	if s.slabs == nil {
-		s.slabs = s.first[:0]
-	}
-	s.slabs = append(s.slabs, make([]T, n))
-	s.held += n
-}
-
-// arena is the engine-owned scratch allocator behind one forward pass. It
-// bump-allocates buffers out of recycled slabs and hands out recycled
-// tensor headers, so the steady-state predict path performs (near) zero
-// heap allocations: every im2col matrix, transpose, SpMM output, bias
-// fan-out and batch concat lives in arena memory. Int8 engines additionally
-// draw their packed activation-code and integer-accumulator words from a
-// second slab run pooled exactly like the float slabs.
+// arena is an engine's scratch for one forward pass: one []float64, one
+// []uint64 (int8 codes and accumulators) and one header slab, pooled per
+// engine. Every buffer a pass takes is drawn from it, with stale contents.
 //
-// Within one pass no allocation is ever reused — residual shortcuts can
-// hold any earlier activation alive — so there is no aliasing to reason
-// about; the whole arena resets at once when the pass completes and goes
-// back to the engine's sync.Pool. Capacity is learned on the first pass per
-// batch size (slabs grow, never shrink) and is stable afterwards; the pool
-// discards arenas under memory pressure. The engine remembers the most any
-// of its passes drew (arenaHigh), so an arena built after the pool let go of
-// its last one is made in one step at that size (sized).
+// Buffers share space by liveness. Floats are drawn from both ends of the
+// slab, each a stack. An executor runs through call with an output side: its
+// result is drawn there (out), its scratch (tensor, alloc, allocU64) on the
+// other side and in the words, and the scratch dies when call returns. An
+// execSeq alternates its children's sides and frees each child's input once
+// the next has returned, so activations ping-pong between the ends; a
+// residual keeps its main branch's result as scratch until the add.
 //
-// Buffers come back with stale contents. Executors either overwrite every
-// element (the Into kernels' documented contract) or ask for tensorZero
-// when they accumulate with +=.
+// The draws are a pure function of the executors and the input shape
+// (passKey), which compile does not know. So an arena's first pass at a
+// shape is preceded by a sizing walk — the same executors, drawing nothing
+// and running no kernel (fill) — whose most floats held at once, most words
+// and headers are the arena's plan. Slabs are made at the plan's size, one
+// step each, and remade when a later plan outgrows them; replaying the draws
+// in order puts every buffer where the walk did. A pass that drew other than
+// its plan panics before it answers.
+// Headers are not reused; compile bounds them (hdrs).
 type arena struct {
-	f64  slabRun[float64]
-	u64  slabRun[uint64]
-	hdrs slabRun[hdr] // recycled tensor headers
+	f64  []float64
+	u64  []uint64
+	hdrs []hdr
+	// used is the floats each side holds, words the words drawn, side the
+	// running executor's output side.
+	used        [2]int
+	words, side int
+	// sizing marks the walk that plans the arena: draws are counted, not
+	// handed out, and executors run no kernel (fill).
+	sizing bool
+	key    passKey
+	// plan is what a pass over key draws, drew what this pass has so far.
+	plan, drew scratch
 }
 
-// hdr is a tensor header with room for its shape inline. A freshly
-// compiled engine's first pass builds every header it will ever use — and on
-// a churning server half the predicts are such a pass — so headers come many
-// to an allocation, each slab as long as all before it, and carry their
-// shape with them: a handful of objects per pass instead of two per tensor.
+// scratch is what a pass draws: the most floats held at once, the most
+// words, and the headers.
+type scratch struct{ f64, u64, hdrs int }
+
+// passKey is what a pass's plan depends on besides the engine: the shape of
+// its input (every executor's rank fits), and whether it stacks samples.
+type passKey struct {
+	shape   [4]int
+	stacked bool
+}
+
+// hdr is a tensor header with room for its shape inline, so a pass's headers
+// come from one allocation and carry their shapes with them.
 type hdr struct {
 	t     tensor.Tensor
-	shape [4]int // every executor's rank fits; a longer shape spills to the heap
+	shape [4]int // a longer shape spills to the heap
 }
 
-// arenaHigh is the most one pass of an engine has drawn from its arena:
-// headers, floats and words.
-type arenaHigh struct {
-	hdrs, f64, u64 atomic.Int64
-}
+// poisonFreed makes every range a pass frees read NaN (words: all ones)
+// from then on, so a plan that frees a buffer before its last reader is done
+// shows in the logits. Tests set it.
+var poisonFreed bool
 
-// note raises the high-water to what a's pass drew.
-func (h *arenaHigh) note(a *arena) {
-	raise(&h.hdrs, a.hdrs.drawn)
-	raise(&h.f64, a.f64.drawn)
-	raise(&h.u64, a.u64.drawn)
-}
-
-func raise(v *atomic.Int64, n int) {
-	for old := v.Load(); int64(n) > old && !v.CompareAndSwap(old, int64(n)); old = v.Load() {
+func poisonRange[T any](s []T, v T) {
+	for i := range s {
+		s[i] = v
 	}
 }
 
-// sized returns an arena whose first slab of each kind holds the high-water,
-// so a pass up to it allocates nothing more; an engine that has not served
-// yet gets an empty arena that grows as its first pass demands.
-func (h *arenaHigh) sized() *arena {
-	a := &arena{}
-	if n := int(h.hdrs.Load()); n > 0 {
-		a.hdrs.add(max(n, hdrChunk))
+// prepare readies a for a pass over xs: planned for their shape, with slabs
+// that hold the plan.
+func (a *arena) prepare(root execLayer, xs []*tensor.Tensor) {
+	k := passKey{stacked: len(xs) > 1}
+	copy(k.shape[:], xs[0].Shape)
+	for _, x := range xs[1:] {
+		k.shape[0] += x.Shape[0]
 	}
-	if n := int(h.f64.Load()); n > 0 {
-		a.f64.add(max(n, arenaSlabFloats))
+	if k != a.key {
+		a.sizing = true
+		a.run(root, xs)
+		a.plan, a.key, a.sizing = a.drew, k, false
+		a.rewind()
 	}
-	if n := int(h.u64.Load()); n > 0 {
-		a.u64.add(max(n, arenaSlabFloats))
+	if len(a.f64) < a.plan.f64 {
+		a.f64 = make([]float64, a.plan.f64)
 	}
-	return a
+	if len(a.u64) < a.plan.u64 {
+		a.u64 = make([]uint64, a.plan.u64)
+	}
 }
 
-// reset recycles the arena for the next pass; memory is retained.
-func (a *arena) reset() {
-	a.f64.reset()
-	a.u64.reset()
-	a.hdrs.reset()
+// run is one pass: xs[0], or every sample stacked into one batch on side 1,
+// through root with its output on side 0.
+func (a *arena) run(root execLayer, xs []*tensor.Tensor) *tensor.Tensor {
+	x := xs[0]
+	if len(xs) > 1 {
+		x = concatArena(xs, a)
+	}
+	return a.call(root, x, 0)
 }
 
-// alloc returns an n-float buffer with arbitrary contents.
-func (a *arena) alloc(n int) []float64 {
-	return a.f64.alloc(n, arenaSlabFloats)
+// call runs l on x with its output on side; what l draws as scratch dies
+// when it returns.
+func (a *arena) call(l execLayer, x *tensor.Tensor, side int) *tensor.Tensor {
+	caller, held, words := a.side, a.used[side^1], a.words
+	a.side = side
+	y := l.forward(x, a)
+	a.pop(side^1, held)
+	if poisonFreed && !a.sizing {
+		poisonRange(a.u64[words:a.words], ^uint64(0))
+	}
+	a.words, a.side = words, caller
+	return y
 }
 
-// allocU64 returns an n-word buffer with arbitrary contents (the quantized
-// SpMM's packed activation codes and 32-bit-lane accumulators).
+// pop frees what side holds beyond held floats.
+func (a *arena) pop(side, held int) {
+	if poisonFreed && !a.sizing {
+		lo, hi := held, a.used[side]
+		if side == 1 {
+			lo, hi = len(a.f64)-hi, len(a.f64)-lo
+		}
+		poisonRange(a.f64[lo:hi], math.NaN())
+	}
+	a.used[side] = held
+}
+
+// finish checks that the pass drew exactly its plan — one that drew more
+// may have overlapped the two sides — and rewinds the arena for the next.
+func (a *arena) finish() {
+	if a.drew != a.plan {
+		panic(fmt.Sprintf("inference: a pass drew %+v from its arena, its plan %+v", a.drew, a.plan))
+	}
+	a.pop(0, 0)
+	a.pop(1, 0)
+	a.rewind()
+}
+
+func (a *arena) rewind() { a.used, a.words, a.side, a.drew = [2]int{}, 0, 0, scratch{} }
+
+// floats draws n floats on side, with arbitrary contents (none while sizing).
+func (a *arena) floats(side, n int) []float64 {
+	a.used[side] += n
+	if a.drew.f64 = max(a.drew.f64, a.used[0]+a.used[1]); a.sizing {
+		return nil
+	}
+	lo := a.used[0] - n
+	if side == 1 {
+		lo = len(a.f64) - a.used[1]
+	}
+	return a.f64[lo : lo+n : lo+n]
+}
+
+// alloc returns an n-float scratch buffer with arbitrary contents.
+func (a *arena) alloc(n int) []float64 { return a.floats(a.side^1, n) }
+
+// allocU64 returns an n-word scratch buffer with arbitrary contents (the
+// quantized SpMM's packed activation codes and 32-bit-lane accumulators).
 func (a *arena) allocU64(n int) []uint64 {
-	return a.u64.alloc(n, arenaSlabFloats)
+	a.words += n
+	if a.drew.u64 = max(a.drew.u64, a.words); a.sizing {
+		return nil
+	}
+	return a.u64[a.words-n : a.words : a.words]
 }
 
-// header returns a recycled tensor header with the given shape (data unset).
+// header returns the pass's next tensor header with the given shape (data
+// unset).
 func (a *arena) header(shape []int) *tensor.Tensor {
-	h := &a.hdrs.alloc(1, max(hdrChunk, a.hdrs.held))[0]
+	h := &a.hdrs[a.drew.hdrs]
+	a.drew.hdrs++
 	h.t.Shape = append(h.shape[:0], shape...)
 	return &h.t
 }
 
-// tensor returns an arena tensor with arbitrary contents; callers must
-// overwrite every element (all Into kernels do).
-func (a *arena) tensor(shape ...int) *tensor.Tensor {
+// on returns a tensor drawn on side with arbitrary contents.
+func (a *arena) on(side int, shape []int) *tensor.Tensor {
 	n := 1
 	for _, d := range shape {
 		n *= d
 	}
 	t := a.header(shape)
-	t.Data = a.alloc(n)
+	t.Data = a.floats(side, n)
 	return t
 }
 
-// tensorZero returns a zero-filled arena tensor, for executors that
-// accumulate with +=.
-func (a *arena) tensorZero(shape ...int) *tensor.Tensor {
-	t := a.tensor(shape...)
-	clear(t.Data)
-	return t
+// tensor returns a scratch tensor with arbitrary contents; callers must
+// overwrite every element (all Into kernels do).
+func (a *arena) tensor(shape ...int) *tensor.Tensor { return a.on(a.side^1, shape) }
+
+// out returns the running executor's result tensor, with arbitrary contents.
+func (a *arena) out(shape ...int) *tensor.Tensor { return a.on(a.side, shape) }
+
+// fill runs kernel, which writes y, unless a is sizing, and returns y.
+func (a *arena) fill(y *tensor.Tensor, kernel func()) *tensor.Tensor {
+	if !a.sizing {
+		kernel()
+	}
+	return y
 }
 
-// view wraps existing data in a recycled header (a zero-copy reshape).
+// view wraps existing data in a header (a zero-copy reshape).
 func (a *arena) view(data []float64, shape ...int) *tensor.Tensor {
 	t := a.header(shape)
 	t.Data = data

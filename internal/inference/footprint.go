@@ -5,11 +5,12 @@ import "repro/internal/nn"
 // MemoryFootprint reports the engine-owned resident bytes of the compiled
 // state: the owned payloads of what the forward pass runs (a float plan or
 // an int8 image per layer, never both), the depthwise layers' materialized
-// effective weights, the float conv layers' clip tables, and the
+// effective weights, 20 bytes per float conv kernel position (the clip
+// table a conv once cached; a pass now draws it as scratch), and the
 // executors' copies of biases and norm vectors. An engine shares none of
-// it, so summing footprints across engines never double-counts. Transient
-// arena buffers are excluded: they are pooled per pass, not held per engine.
-// Fixed at compile time.
+// it, so summing footprints across engines never double-counts. Scratch is
+// not charged: its arenas are pooled per engine, sized per pass shape, and
+// dropped by the pool at will. Fixed at compile time.
 func (e *Engine) MemoryFootprint() int64 { return e.footprint }
 
 // Fingerprint is the engine's structural fingerprint: an FNV-64a hash over

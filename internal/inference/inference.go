@@ -19,9 +19,9 @@
 //     format.MaxCols is a compile error.
 //   - Every forward pass draws its scratch — im2col matrices, transposes,
 //     SpMM outputs, bias fan-outs, batch concats, attention state — from an
-//     engine-owned arena recycled through a sync.Pool, so steady-state
-//     Predict/PredictBatch calls are (near) zero-allocation. See arena.go
-//     for the lifecycle.
+//     engine-owned arena recycled through a sync.Pool and made at exactly
+//     the size of a plan whose buffers share space by liveness, so a pass
+//     allocates only its answer. See arena.go.
 //   - Multi-head attention's four projections (Q, K, V, O) are plans like
 //     every other matrix: the tokens are transposed once, the plans run over
 //     the whole batch, and only the per-head softmax / A·V loop is dense.
@@ -50,8 +50,8 @@
 // plan the next matrix rebuilds, fingerprinted, quantized. An engine keeps only
 // what its forward pass reads, so an int8
 // engine is the smaller one (3 bytes per kept weight against 10). The
-// quantized path rides the same arena (packed code and accumulator slabs
-// pooled like the float slabs), so it is equally allocation-free; its
+// quantized path draws its codes and accumulators from the arena's word
+// slab, so it is equally allocation-free; its
 // outputs are approximate, with the accuracy cost
 // bounded by the golden agreement suite in quant_test.go (top-1 agreement
 // ≥95% vs the Float32 engine, per-family logit error bounds).
@@ -134,6 +134,9 @@ type CompileOptions struct {
 
 // Engine is a compiled sparse-execution plan for one classifier. An engine
 // is immutable after New and safe for concurrent Logits/PredictBatch calls.
+// Each pass runs on an arena from the engine's pool, planned for the pass's
+// input shape and made at exactly the plan's size (arena.go); what the pool
+// parks is not in MemoryFootprint.
 type Engine struct {
 	numClasses int
 	root       execLayer
@@ -147,10 +150,10 @@ type Engine struct {
 	// CompressedLayers counts the layers running from sparse encodings; it
 	// is fixed at compile time.
 	CompressedLayers int
-	// arenas recycles per-call scratch arenas across forward passes, and
-	// high sizes the arena built when the pool has none.
+	// arenas recycles the engine's pass arenas; hdrs is how many tensor
+	// headers one pass takes at most, the length of each arena's header slab.
 	arenas sync.Pool
-	high   arenaHigh
+	hdrs   int
 }
 
 // New compiles clf's current masks into a sparse execution plan: every
@@ -233,28 +236,24 @@ func (e *Engine) Precision() Precision { return e.precision }
 // the pre-restart codes exactly. Fixed at compile time.
 func (e *Engine) QuantSignature() uint64 { return uint64(e.quantSig) }
 
-// getArena checks an arena out of the pool for one forward pass.
-func (e *Engine) getArena() *arena {
-	if a, ok := e.arenas.Get().(*arena); ok {
-		return a
+// pass runs xs — xs[0], or every sample stacked into one batch — through
+// the engine on an arena from its pool, planned for their shape, and hands
+// use the output, which lives in the arena until use returns.
+func (e *Engine) pass(xs []*tensor.Tensor, use func(y *tensor.Tensor)) {
+	a, ok := e.arenas.Get().(*arena)
+	if !ok {
+		a = &arena{hdrs: make([]hdr, e.hdrs)}
 	}
-	return e.high.sized()
-}
-
-// putArena notes what the pass drew, then resets and recycles its arena.
-func (e *Engine) putArena(a *arena) {
-	e.high.note(a)
-	a.reset()
+	a.prepare(e.root, xs)
+	use(a.run(e.root, xs))
+	a.finish()
 	e.arenas.Put(a)
 }
 
 // Logits runs the sparse forward pass. The result is detached from the
 // pass's arena (one small copy), so callers may hold it indefinitely.
 func (e *Engine) Logits(x *tensor.Tensor) *tensor.Tensor {
-	a := e.getArena()
-	out := e.root.forward(x, a).Clone()
-	e.putArena(a)
-	return out
+	return e.LogitsBatch([]*tensor.Tensor{x})
 }
 
 // LogitsBatch stacks B sample tensors into one [B, ...] batch and runs a
@@ -262,46 +261,29 @@ func (e *Engine) Logits(x *tensor.Tensor) *tensor.Tensor {
 // batch with one SpMM instead of B SpMMs. Outputs are bit-identical to
 // calling Logits per sample: each output element is the same dot product
 // accumulated in the same order regardless of batch size.
-func (e *Engine) LogitsBatch(xs []*tensor.Tensor) *tensor.Tensor {
-	a := e.getArena()
-	out := e.root.forward(concatArena(xs, a), a).Clone()
-	e.putArena(a)
+func (e *Engine) LogitsBatch(xs []*tensor.Tensor) (out *tensor.Tensor) {
+	e.pass(xs, func(y *tensor.Tensor) { out = y.Clone() })
 	return out
 }
 
 // Predict returns the argmax class of every sample in the batch.
 func (e *Engine) Predict(x *tensor.Tensor) []int {
-	a := e.getArena()
-	preds := nn.ArgmaxRows(e.root.forward(x, a), e.numClasses)
-	e.putArena(a)
-	return preds
+	return e.PredictBatch([]*tensor.Tensor{x})
 }
 
 // PredictBatch concatenates the sample tensors inside the pass's arena,
 // runs one forward pass, and returns the per-row argmax — the serving
 // batcher's entry point: a whole coalesced batch costs the same steady-state
 // allocations as a single sample (the returned class slice).
-func (e *Engine) PredictBatch(xs []*tensor.Tensor) []int {
-	a := e.getArena()
-	x := xs[0]
-	if len(xs) > 1 {
-		x = concatArena(xs, a)
-	}
-	preds := nn.ArgmaxRows(e.root.forward(x, a), e.numClasses)
-	e.putArena(a)
+func (e *Engine) PredictBatch(xs []*tensor.Tensor) (preds []int) {
+	e.pass(xs, func(y *tensor.Tensor) { preds = nn.ArgmaxRows(y, e.numClasses) })
 	return preds
 }
 
-// concatArena is tensor.ConcatInto with the destination drawn from the arena.
+// concatArena is tensor.ConcatInto with the destination drawn as scratch.
 // The destination header is composed in place (first tensor's shape with
 // the lead dimension summed), so a batch concat costs zero allocations.
 func concatArena(xs []*tensor.Tensor, a *arena) *tensor.Tensor {
-	if len(xs) == 1 {
-		// Still copied: callers may mutate their sample after the call.
-		dst := a.tensor(xs[0].Shape...)
-		copy(dst.Data, xs[0].Data)
-		return dst
-	}
 	lead, vol := 0, 0
 	for _, x := range xs {
 		lead += x.Shape[0]
@@ -310,12 +292,14 @@ func concatArena(xs []*tensor.Tensor, a *arena) *tensor.Tensor {
 	dst := a.header(xs[0].Shape)
 	dst.Shape[0] = lead
 	dst.Data = a.alloc(vol)
-	return tensor.ConcatInto(xs, dst)
+	return a.fill(dst, func() { tensor.ConcatInto(xs, dst) })
 }
 
-// execLayer is one node of the compiled forward pass. forward must draw all
-// scratch from the arena and may return arena-backed tensors; callers that
-// outlive the pass must copy.
+// execLayer is one node of the compiled forward pass, run through
+// arena.call. forward draws its result with a.out and everything else as
+// scratch, and returns that result or a view of it; while the arena is
+// sizing it draws the same and runs no kernel. Callers that outlive the pass
+// must copy.
 type execLayer interface {
 	forward(x *tensor.Tensor, a *arena) *tensor.Tensor
 }
@@ -327,9 +311,11 @@ type execLayer interface {
 type compiler struct {
 	e   *Engine
 	src ParamSource
-	// count and scatter take a source's non-zeros when they build no plan:
-	// measure counts a matrix's, and a depthwise kernel scatters its own.
+	// count, codes and scatter take a source's non-zeros when they build no
+	// plan: measure counts a matrix's, and an int8 image's codes (in tmp's
+	// memory), and a depthwise kernel scatters its own.
 	count   counter
+	codes   format.QuantCounter
 	scatter scatter
 	// tmp holds the float plan an Int8 image is quantized from, rebuilt for
 	// every matrix.
@@ -362,16 +348,21 @@ type execSlabs struct {
 	maxPool   slab[execMaxPool]
 	// convPlans are the float convs' fused kernels (format.ConvPlan).
 	convPlans slab[format.ConvPlan]
+	// hdrs is the most tensor headers the executors draw in one pass.
+	hdrs int
 }
 
 // count adds what compile carves for l at prec to the slabs: its executor,
-// an execSeq's children, a float conv's fused kernel. measure walks the tree
-// with it.
+// an execSeq's children, a float conv's fused kernel; and the most headers
+// the executor draws in a pass, which is one (its result) unless noted.
+// measure walks the tree with it.
 func (x *execSlabs) count(l nn.Layer, prec Precision) {
+	x.hdrs++
 	switch v := l.(type) {
 	case *nn.Sequential:
 		x.seq.n++
 		x.children.n += len(v.Layers)
+		x.hdrs-- // none
 	case *nn.Residual:
 		x.residual.n++
 	case *nn.Conv2D:
@@ -379,10 +370,13 @@ func (x *execSlabs) count(l nn.Layer, prec Precision) {
 		if prec != Int8 {
 			x.convPlans.n++
 		}
+		x.hdrs += 4 // batch-last: two transposes and two views beside the result
 	case *nn.Linear, *nn.TokenLinear, *nn.PatchEmbed:
 		x.rows.n++
+		x.hdrs += 4 // the rows, their transpose, the product, a view of the result
 	case *nn.MultiHeadAttention:
 		x.attention.n++
+		x.hdrs += 8 // five token matrices, a projection, a view each of input and result
 	case *nn.DepthwiseConv2D:
 		x.depthwise.n++
 	case *nn.BatchNorm2D:
@@ -458,7 +452,7 @@ func (c *compiler) engine(tree *nn.Classifier, prec Precision) (*Engine, error) 
 		return nil, fmt.Errorf("inference: compile and measure disagree: %d vector elements, %d plans, %d row pointers, %d entries, %d images, %d image rows, %d codes and %d executors left over",
 			len(c.vecs), plans, rowPtrs, nnz, images, rows, codes, execs)
 	}
-	c.e.root = root
+	c.e.root, c.e.hdrs = root, c.execs.hdrs+1 // and a stacked batch
 	return c.e, nil
 }
 
@@ -470,6 +464,9 @@ func (c *compiler) engine(tree *nn.Classifier, prec Precision) (*Engine, error) 
 func (c *compiler) compile(l nn.Layer) (execLayer, error) {
 	switch v := l.(type) {
 	case *nn.Sequential:
+		if len(v.Layers) == 0 {
+			return nil, fmt.Errorf("inference: an empty %T has no result of its own to draw", v)
+		}
 		out := carve(&c.execs.seq, execSeq{layers: c.execs.children.take(len(v.Layers))})
 		for i, child := range v.Layers {
 			cl, err := c.compile(child)
@@ -620,8 +617,9 @@ func rowLayer(l nn.Layer) (w, bias *nn.Param, patch int) {
 // plans and the images with their rows), with the executors counted beside
 // it; one that counts each matrix's non-zeros through the source, which are
 // exactly the entries its plan keeps; and at Int8, with the scratch plan made
-// at the size of the largest, one that builds each image's float plan to
-// count the codes it quantizes to. A matrix wider than a plan's uint16
+// at the size of the largest, one that counts the codes each image
+// quantizes to, a row at a time in the scratch plan's memory, building no
+// plan. A matrix wider than a plan's uint16
 // columns reach is an error naming the parameter, raised before the source
 // is read.
 func (c *compiler) measure(root nn.Layer) error {
@@ -665,12 +663,11 @@ func (c *compiler) measure(root nn.Layer) error {
 		if kept || err != nil {
 			return
 		}
-		var plan *format.Plan
-		if plan, err = c.scratchPlan(p); err == nil {
-			var codes int
-			codes, err = plan.QuantCodes()
-			c.quants.Reserve(codes)
-		}
+		c.codes = c.tmp.QuantCounter(p.Cols)
+		c.src.NonZerosInto(p, &c.codes)
+		var codes int
+		codes, err = c.codes.Codes()
+		c.quants.Reserve(codes)
 	}, func(int) {})
 	return err
 }
@@ -702,17 +699,18 @@ type spmm struct {
 // state just like the float path.
 func (s *spmm) into(b, out *tensor.Tensor, a *arena) *tensor.Tensor {
 	if s.qplan == nil {
-		return s.plan.MatMulInto(b, out)
+		return a.fill(out, func() { s.plan.MatMulInto(b, out) })
 	}
 	n := out.Shape[1]
 	halfW := (n + 1) / 2
-	return s.qplan.MatMulInto(b, out, format.QuantScratch{
+	sc := format.QuantScratch{
 		Packed:   a.allocU64(s.qplan.Cols * halfW),
 		ColScale: a.alloc(n),
 		ColInv:   a.alloc(n),
 		AccP:     a.allocU64(s.qplan.Rows * halfW),
 		AccN:     a.allocU64(s.qplan.Rows * halfW),
-	})
+	}
+	return a.fill(out, func() { s.qplan.MatMulInto(b, out, sc) })
 }
 
 // newSpMM compiles one weight-bearing layer's SpMM dispatch at the engine's
@@ -862,43 +860,51 @@ func walkBias(bias []float64, v Visitor) {
 	}
 }
 
-// execSeq chains executors.
+// execSeq chains executors. Their results alternate between the arena's
+// two sides, the last on the seq's own, and each child's input is freed once
+// the next child has returned.
 type execSeq struct {
 	layers []execLayer
 }
 
 func (s *execSeq) forward(x *tensor.Tensor, a *arena) *tensor.Tensor {
+	held, side := a.used, a.side^(len(s.layers)-1)&1
 	for _, l := range s.layers {
-		x = l.forward(x, a)
+		x = a.call(l, x, side)
+		a.pop(side^1, held[side^1]) // the child's input, unless it was the seq's own
+		side ^= 1
 	}
 	return x
 }
 
 // execResidual is nn.Residual: main(x) + shortcut(x) (nil shortcut =
-// identity) by tensor.AddInto, into an arena buffer. The arena never reuses
-// memory within a pass, so x stays intact across the main branch.
+// identity) by tensor.AddInto. The main branch's result is the residual's
+// scratch, live until the add; the sum goes into the shortcut's result in
+// place, or into a result of its own at an identity shortcut.
 type execResidual struct {
 	main, shortcut execLayer
 }
 
 func (r *execResidual) forward(x *tensor.Tensor, a *arena) *tensor.Tensor {
-	m := r.main.forward(x, a)
-	s := x
-	if r.shortcut != nil {
-		s = r.shortcut.forward(x, a)
+	m := a.call(r.main, x, a.side^1)
+	if r.shortcut == nil {
+		sum := a.out(m.Shape...)
+		return a.fill(sum, func() { tensor.AddInto(sum, m, x) })
 	}
-	return tensor.AddInto(a.tensor(m.Shape...), m, s)
+	s := a.call(r.shortcut, x, a.side)
+	return a.fill(s, func() { tensor.AddInto(s, m, s) })
 }
 
 // execGELU is eval-mode nn.GELU with the output drawn from the arena.
 type execGELU struct{}
 
 func (execGELU) forward(x *tensor.Tensor, a *arena) *tensor.Tensor {
-	y := a.tensor(x.Shape...)
-	for i, v := range x.Data {
-		y.Data[i] = nn.Gelu(v)
-	}
-	return y
+	y := a.out(x.Shape...)
+	return a.fill(y, func() {
+		for i, v := range x.Data {
+			y.Data[i] = nn.Gelu(v)
+		}
+	})
 }
 
 // convBatchLastMin gates the batch-last implicit-im2col conv path: its two
@@ -941,10 +947,13 @@ func (s *sparseConv) forward(x *tensor.Tensor, a *arena) *tensor.Tensor {
 		// the [batch, OutC·OH·OW] layout the next layer wants, so the
 		// sample-major reassembly below is skipped entirely.
 		chw := g.InC * g.InH * g.InW
-		xT := tensor.TransposeInto(a.view(x.Data, n, chw), a.tensor(chw, n))
-		outT := s.cp.MatMulBatchLastInto(xT, g, n, a.tensor(s.outC*oh*ow, n))
-		y := a.tensor(n, s.outC, oh, ow)
-		tensor.TransposeInto(outT, a.view(y.Data, n, s.outC*oh*ow))
+		xT, outT, clips := a.tensor(chw, n), a.tensor(s.outC*oh*ow, n), a.alloc(s.cp.ClipFloats())
+		y := a.out(n, s.outC, oh, ow)
+		xv, yv := a.view(x.Data, n, chw), a.view(y.Data, n, s.outC*oh*ow)
+		if a.sizing {
+			return y
+		}
+		tensor.TransposeInto(s.cp.MatMulBatchLastInto(tensor.TransposeInto(xv, xT), g, n, outT, clips), yv)
 		if s.bias != nil {
 			p := oh * ow
 			for b := 0; b < n; b++ {
@@ -959,12 +968,11 @@ func (s *sparseConv) forward(x *tensor.Tensor, a *arena) *tensor.Tensor {
 		}
 		return y
 	default:
-		cols := tensor.Im2ColInto(x, g, a.tensor(g.InC*g.KH*g.KW, n*oh*ow))
-		outMat = s.mm.into(cols, a.tensor(s.outC, n*oh*ow), a)
+		cols := a.tensor(g.InC*g.KH*g.KW, n*oh*ow)
+		outMat = s.mm.into(a.fill(cols, func() { tensor.Im2ColInto(x, g, cols) }), a.tensor(s.outC, n*oh*ow), a)
 	}
-	y := a.tensor(n, s.outC, oh, ow)
-	nn.ConvOutInto(outMat.Data, s.bias, y.Data, n, s.outC, oh*ow)
-	return y
+	y := a.out(n, s.outC, oh, ow)
+	return a.fill(y, func() { nn.ConvOutInto(outMat.Data, s.bias, y.Data, n, s.outC, oh*ow) })
 }
 
 // sparseRows runs Linear, TokenLinear and PatchEmbed from a compiled weight
@@ -986,20 +994,24 @@ func (s *sparseRows) forward(x *tensor.Tensor, a *arena) *tensor.Tensor {
 	switch {
 	case s.patch > 0:
 		t = (x.Shape[2] / s.patch) * (x.Shape[3] / s.patch)
-		rows = nn.ExtractPatchesInto(x, a.tensor(n*t, s.in), s.patch)
+		rows = a.tensor(n*t, s.in)
+		a.fill(rows, func() { nn.ExtractPatchesInto(x, rows, s.patch) })
 	case len(x.Shape) == 3:
 		t = x.Shape[1]
 		rows = a.view(x.Data, n*t, s.in)
 	}
 	// SpMM computes W·B for B = rowsᵀ [In, N·T].
-	xt := tensor.TransposeInto(rows, a.tensor(s.in, n*t))
+	xt := a.tensor(s.in, n*t)
+	a.fill(xt, func() { tensor.TransposeInto(rows, xt) })
 	out := s.mm.into(xt, a.tensor(s.out, n*t), a) // [Out, N·T]
-	y := a.tensor(n*t, s.out)
-	for j := 0; j < s.out; j++ {
-		for r := 0; r < n*t; r++ {
-			y.Data[r*s.out+j] = out.Data[j*n*t+r] + s.bias[j]
+	y := a.out(n*t, s.out)
+	a.fill(y, func() {
+		for j := 0; j < s.out; j++ {
+			for r := 0; r < n*t; r++ {
+				y.Data[r*s.out+j] = out.Data[j*n*t+r] + s.bias[j]
+			}
 		}
-	}
+	})
 	if rows == x {
 		return y
 	}
@@ -1018,20 +1030,32 @@ type execAttention struct {
 
 func (m *execAttention) forward(x *tensor.Tensor, a *arena) *tensor.Tensor {
 	n, t := x.Shape[0], x.Shape[1]
-	// project computes tokens · Wᵀ for tokens handed over transposed
-	// ([D, N*T]) and returns it token-major, as a flat [N*T, D] tensor.
-	project := func(srcT *tensor.Tensor, w *format.Plan) *tensor.Tensor {
-		out := w.MatMulInto(srcT, a.tensor(m.d, n*t))
-		return tensor.TransposeInto(out, a.tensor(n*t, m.d))
+	nt := n * t
+	// Scratch: the tokens transposed ([D, N·T]; the heads' output
+	// transposed once Q, K and V are made), one projection's product (all
+	// four share it), Q, K, V, the heads' output z ([N·T, D]; cleared, since
+	// nn.AttentionInto accumulates) and the scores.
+	xT, prod := a.tensor(m.d, nt), a.tensor(m.d, nt)
+	q, k, v, z := a.tensor(nt, m.d), a.tensor(nt, m.d), a.tensor(nt, m.d), a.tensor(nt, m.d)
+	scores := a.alloc(n * m.heads * t * t)
+	y := a.out(nt, m.d)
+	xv, res := a.view(x.Data, nt, m.d), a.view(y.Data, n, t, m.d)
+	if a.sizing {
+		return res
 	}
-	xT := tensor.TransposeInto(a.view(x.Data, n*t, m.d), a.tensor(m.d, n*t))
-	q := project(xT, m.wq)
-	k := project(xT, m.wk)
-	v := project(xT, m.wv)
-	z := a.tensorZero(n*t, m.d) // nn.AttentionInto accumulates
-	nn.AttentionInto(q.Data, k.Data, v.Data, z.Data, a.alloc(n*m.heads*t*t), n, t, m.d, m.heads)
-	out := project(tensor.TransposeInto(z, a.tensor(m.d, n*t)), m.wo)
-	return a.view(out.Data, n, t, m.d)
+	// project computes tokens · Wᵀ for tokens handed over transposed and
+	// writes it token-major into dst.
+	project := func(srcT *tensor.Tensor, w *format.Plan, dst *tensor.Tensor) {
+		tensor.TransposeInto(w.MatMulInto(srcT, prod), dst)
+	}
+	tensor.TransposeInto(xv, xT)
+	project(xT, m.wq, q)
+	project(xT, m.wk, k)
+	project(xT, m.wv, v)
+	clear(z.Data)
+	nn.AttentionInto(q.Data, k.Data, v.Data, z.Data, scores, n, t, m.d, m.heads)
+	project(tensor.TransposeInto(z, xT), m.wo, y)
+	return res
 }
 
 // execDepthwise is nn.DepthwiseConv2D: nn.DepthwiseInto over the masked
@@ -1046,9 +1070,8 @@ type execDepthwise struct {
 func (d *execDepthwise) forward(x *tensor.Tensor, a *arena) *tensor.Tensor {
 	g := d.geom
 	g.InH, g.InW = x.Shape[2], x.Shape[3]
-	y := a.tensor(x.Shape[0], g.InC, g.OutH(), g.OutW())
-	nn.DepthwiseInto(x.Data, d.weff, d.bias, y.Data, g, x.Shape[0])
-	return y
+	y := a.out(x.Shape[0], g.InC, g.OutH(), g.OutW())
+	return a.fill(y, func() { nn.DepthwiseInto(x.Data, d.weff, d.bias, y.Data, g, x.Shape[0]) })
 }
 
 // execBatchNorm is the eval branch of nn.BatchNorm2D (running statistics):
@@ -1059,9 +1082,10 @@ type execBatchNorm struct {
 }
 
 func (e *execBatchNorm) forward(x *tensor.Tensor, a *arena) *tensor.Tensor {
-	y := a.tensor(x.Shape...)
-	nn.BatchNormEvalInto(x.Data, y.Data, x.Shape[0], x.Shape[2]*x.Shape[3], e.mean, e.variance, e.gamma, e.beta, e.eps)
-	return y
+	y := a.out(x.Shape...)
+	return a.fill(y, func() {
+		nn.BatchNormEvalInto(x.Data, y.Data, x.Shape[0], x.Shape[2]*x.Shape[3], e.mean, e.variance, e.gamma, e.beta, e.eps)
+	})
 }
 
 // execReLU is the eval-mode rectifier (optionally clipped) with the output
@@ -1073,7 +1097,10 @@ type execReLU struct {
 }
 
 func (e *execReLU) forward(x *tensor.Tensor, a *arena) *tensor.Tensor {
-	y := a.tensor(x.Shape...)
+	y := a.out(x.Shape...)
+	if a.sizing {
+		return y
+	}
 	if c := e.clip; c > 0 {
 		for i, v := range x.Data {
 			out := v
@@ -1112,9 +1139,8 @@ type execLayerNorm struct {
 }
 
 func (e *execLayerNorm) forward(x *tensor.Tensor, a *arena) *tensor.Tensor {
-	y := a.tensor(x.Shape...)
-	nn.LayerNormInto(x.Data, y.Data, e.gamma, e.beta, e.eps, nil, nil)
-	return y
+	y := a.out(x.Shape...)
+	return a.fill(y, func() { nn.LayerNormInto(x.Data, y.Data, e.gamma, e.beta, e.eps, nil, nil) })
 }
 
 // execMaxPool is eval-mode nn.MaxPool2D: nn.MaxPoolInto with the output
@@ -1125,9 +1151,8 @@ type execMaxPool struct {
 
 func (e *execMaxPool) forward(x *tensor.Tensor, a *arena) *tensor.Tensor {
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	y := a.tensor(n, c, (h-e.k)/e.stride+1, (w-e.k)/e.stride+1)
-	nn.MaxPoolInto(x.Data, y.Data, nil, n*c, h, w, e.k, e.stride)
-	return y
+	y := a.out(n, c, (h-e.k)/e.stride+1, (w-e.k)/e.stride+1)
+	return a.fill(y, func() { nn.MaxPoolInto(x.Data, y.Data, nil, n*c, h, w, e.k, e.stride) })
 }
 
 // execGlobalAvgPool is nn.GlobalAvgPool: nn.GlobalAvgPoolInto with the
@@ -1135,9 +1160,8 @@ func (e *execMaxPool) forward(x *tensor.Tensor, a *arena) *tensor.Tensor {
 type execGlobalAvgPool struct{}
 
 func (execGlobalAvgPool) forward(x *tensor.Tensor, a *arena) *tensor.Tensor {
-	y := a.tensor(x.Shape[0], x.Shape[1])
-	nn.GlobalAvgPoolInto(x.Data, y.Data, x.Shape[2]*x.Shape[3])
-	return y
+	y := a.out(x.Shape[0], x.Shape[1])
+	return a.fill(y, func() { nn.GlobalAvgPoolInto(x.Data, y.Data, x.Shape[2]*x.Shape[3]) })
 }
 
 // execMeanPool is nn.MeanPoolTokens: nn.MeanPoolTokensInto with the output
@@ -1145,14 +1169,23 @@ func (execGlobalAvgPool) forward(x *tensor.Tensor, a *arena) *tensor.Tensor {
 type execMeanPool struct{}
 
 func (execMeanPool) forward(x *tensor.Tensor, a *arena) *tensor.Tensor {
-	y := a.tensorZero(x.Shape[0], x.Shape[2])
-	nn.MeanPoolTokensInto(x.Data, y.Data, x.Shape[0], x.Shape[1], x.Shape[2])
-	return y
+	y := a.out(x.Shape[0], x.Shape[2])
+	return a.fill(y, func() {
+		clear(y.Data)
+		nn.MeanPoolTokensInto(x.Data, y.Data, x.Shape[0], x.Shape[1], x.Shape[2])
+	})
 }
 
-// execFlatten reshapes [N, ...] to [N, D] as a zero-copy arena view.
+// execFlatten reshapes [N, ...] to [N, D]. It copies: a result that viewed
+// its input would die with it.
 type execFlatten struct{}
 
 func (execFlatten) forward(x *tensor.Tensor, a *arena) *tensor.Tensor {
-	return a.view(x.Data, x.Shape[0], len(x.Data)/x.Shape[0])
+	d := 1
+	for _, v := range x.Shape[1:] {
+		d *= v
+	}
+	y := a.out(x.Shape[0], d)
+	copy(y.Data, x.Data)
+	return y
 }

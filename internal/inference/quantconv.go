@@ -32,16 +32,21 @@ import (
 func quantConvSupported(ow int) bool { return ow%2 == 0 && ow > 0 }
 
 // quantConvForward runs the quantized convolution and returns the [S,
-// N*OH*OW] output matrix (pre-bias), entirely from arena memory.
+// N*OH*OW] output matrix (pre-bias), entirely from arena scratch.
 func quantConvForward(qp *format.QuantPlan, x *tensor.Tensor, g tensor.ConvGeom, n, oh, ow int, a *arena) *tensor.Tensor {
 	vol := g.InC * g.InH * g.InW
 	positions := oh * ow
 	cols := n * positions
 	halfW := cols / 2 // cols even: ow is even
 
-	// Per-sample scales; one encode per input element.
-	codes := a.allocU64(n * vol)
+	codes, packed := a.allocU64(n*vol), a.allocU64(g.InC*g.KH*g.KW*halfW)
 	colScale := a.alloc(cols)
+	out := a.tensor(qp.Rows, cols)
+	sc := format.QuantScratch{AccP: a.allocU64(qp.Rows * halfW), AccN: a.allocU64(qp.Rows * halfW)}
+	if a.sizing {
+		return out
+	}
+	// Per-sample scales; one encode per input element.
 	for b := 0; b < n; b++ {
 		seg := x.Data[b*vol : (b+1)*vol]
 		maxAbs := 0.0
@@ -65,13 +70,8 @@ func quantConvForward(qp *format.QuantPlan, x *tensor.Tensor, g tensor.ConvGeom,
 		}
 	}
 
-	packed := a.allocU64(g.InC * g.KH * g.KW * halfW)
 	packIm2Col(codes, g, n, oh, ow, packed, halfW)
-	out := a.tensor(qp.Rows, cols)
-	return qp.MatMulPackedInto(packed, colScale, out, format.QuantScratch{
-		AccP: a.allocU64(qp.Rows * halfW),
-		AccN: a.allocU64(qp.Rows * halfW),
-	})
+	return qp.MatMulPackedInto(packed, colScale, out, sc)
 }
 
 // padPair is a packed word of two biased-zero lanes (padding taps).

@@ -47,7 +47,7 @@ func TestQuantConvForwardMatchesReference(t *testing.T) {
 		}
 		x := tensor.Randn(rng, 1.5, n, g.InC, g.InH, g.InW)
 
-		got := quantConvForward(qp, x, g, n, oh, ow, &arena{})
+		got := planned(func(a *arena) *tensor.Tensor { return quantConvForward(qp, x, g, n, oh, ow, a) })
 
 		// Reference: same quantization decisions, naive evaluation.
 		vol := g.InC * g.InH * g.InW
@@ -141,4 +141,15 @@ func TestPackIm2ColPadding(t *testing.T) {
 			}
 		}
 	}
+}
+
+// planned runs draw on an arena it first sizes by a walk of draw itself, as
+// an engine's pass does.
+func planned(draw func(*arena) *tensor.Tensor) *tensor.Tensor {
+	a := &arena{hdrs: make([]hdr, 1), sizing: true}
+	draw(a)
+	a.plan, a.sizing = a.drew, false
+	a.rewind()
+	a.f64, a.u64 = make([]float64, a.plan.f64), make([]uint64, a.plan.u64)
+	return draw(a)
 }

@@ -131,7 +131,7 @@ func (g *GELU) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	return dx
 }
 
-func (g *GELU) trainingStateBytes() int64 { return tensorBytes(g.x) + bufferBytes(&g.out, &g.dx) }
+func (g *GELU) trainingStateBytes() int64 { return bufferBytes(&g.out, &g.dx) } // x is its producer's
 
 func (g *GELU) releaseTrainingState() { g.x, g.out, g.dx = nil, buffer{}, buffer{} }
 

@@ -287,7 +287,7 @@ func (d *DepthwiseConv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 }
 
 func (d *DepthwiseConv2D) trainingStateBytes() int64 {
-	return tensorBytes(d.x) + bufferBytes(&d.weff, &d.out, &d.dx)
+	return bufferBytes(&d.weff, &d.out, &d.dx) // x is its producer's
 }
 
 func (d *DepthwiseConv2D) releaseTrainingState() {

@@ -182,17 +182,6 @@ func accumulate(dst, src []float64) {
 	}
 }
 
-// tensorBytes sums the storage of the given tensors, nil ones counting zero.
-func tensorBytes(ts ...*tensor.Tensor) int64 {
-	var n int64
-	for _, t := range ts {
-		if t != nil {
-			n += int64(cap(t.Data)) * 8
-		}
-	}
-	return n
-}
-
 // sliceBytes sums the storage of the given buffers.
 func sliceBytes(bufs ...[]float64) int64 {
 	var n int64

@@ -3,6 +3,7 @@ package nn_test
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/models"
@@ -74,4 +75,86 @@ func sameBits(a, b *tensor.Tensor) bool {
 		}
 	}
 	return true
+}
+
+// TestTrainingStateBytesIsWhatIsPinned: after a TrainBatch, TrainingStateBytes
+// is the bytes of the distinct backing arrays the classifier holds that
+// ReleaseTrainingState lets go — each array once, however many layers hold
+// it (a layer that keeps its input for Backward holds its producer's output),
+// and not the caller's batch. On every model family.
+func TestTrainingStateBytesIsWhatIsPinned(t *testing.T) {
+	for _, f := range []models.Family{models.ResNet, models.VGG, models.MobileNet, models.Transformer} {
+		rng := rand.New(rand.NewSource(3))
+		clf := models.Build(f, rng, 10, 2)
+		labels := make([]int, 8)
+		for i := range labels {
+			labels[i] = rng.Intn(10)
+		}
+		x := tensor.Randn(rng, 1, len(labels), 3, 8, 8)
+		clf.TrainBatch(x, labels)
+		held := arrays(clf)
+		got := nn.TrainingStateBytes(clf)
+		clf.ReleaseTrainingState()
+		for end := range arrays(clf) {
+			delete(held, end)
+		}
+		delete(held, arrayEnd(reflect.ValueOf(x.Data)))
+		var want int64
+		for _, n := range held {
+			want += n
+		}
+		if got != want {
+			t.Errorf("%s: TrainingStateBytes %d, the arrays released with the training state hold %d", f, got, want)
+		}
+	}
+}
+
+// arrays maps every array of numbers reachable from v to its bytes, keyed by
+// its end address, which every slice reaching to the end of it shares.
+func arrays(v any) map[uintptr]int64 {
+	out := map[uintptr]int64{}
+	seen := map[uintptr]bool{}
+	var walk func(v reflect.Value)
+	walk = func(v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Pointer:
+			if !v.IsNil() && !seen[v.Pointer()] {
+				seen[v.Pointer()] = true
+				walk(v.Elem())
+			}
+		case reflect.Interface:
+			if !v.IsNil() {
+				walk(v.Elem())
+			}
+		case reflect.Struct:
+			for i := range v.NumField() {
+				if v.Type() != reflect.TypeFor[tensor.Tensor]() || v.Type().Field(i).Name != "Shape" { // a shape lives in its header's owner
+					walk(v.Field(i))
+				}
+			}
+		case reflect.Array:
+			for i := range v.Len() {
+				walk(v.Index(i))
+			}
+		case reflect.Slice:
+			switch v.Type().Elem().Kind() {
+			case reflect.Float64, reflect.Bool, reflect.Int, reflect.Int32, reflect.Int64, reflect.Uint8, reflect.Uint32, reflect.Uint64:
+				if v.Cap() > 0 {
+					end := arrayEnd(v)
+					out[end] = max(out[end], int64(v.Cap())*int64(v.Type().Elem().Size()))
+				}
+			default:
+				for i := range v.Len() {
+					walk(v.Index(i))
+				}
+			}
+		}
+	}
+	walk(reflect.ValueOf(v))
+	return out
+}
+
+// arrayEnd is the address one past the last element s can reach.
+func arrayEnd(s reflect.Value) uintptr {
+	return s.Pointer() + uintptr(s.Cap())*s.Type().Elem().Size()
 }
