@@ -29,7 +29,9 @@
 // entries in row-major order (any EntrySink source can hand them over, so a
 // plan is built from a tenant's kept weights without a dense matrix or an
 // encoding between), and End closes it and proves whether every row span is
-// the same width (the uniform fast path below). The storage formats compile
+// the same width (the uniform fast path below); the zero PlanSlab counts
+// what those calls would carve, so a caller can size a slab by running its
+// build once against it. The storage formats compile
 // through the same builder — CSR.Compile, CRISPFormat.Compile — only to model
 // Fig. 4 and for tests: the CRISP slot walk emits each row's non-zeros in
 // ascending column order as well, so the plan of a CRISP-pruned matrix is its

@@ -92,13 +92,20 @@ type EntrySink interface {
 // next plan's header and row pointers, Add hands it its entries, and End
 // closes it at exactly the entries it was handed. Every carved slice is
 // capped at its length, so no plan can grow into its neighbour.
+//
+// The zero PlanSlab carves nothing and counts: it takes the same calls, End
+// returns no plan, and Left reports what they would have carved (the most
+// between two Rewinds), so NewPlanSlab(s.Left()) holds exactly what the same
+// calls build.
 type PlanSlab struct {
 	plans  []Plan
 	rowPtr []int32
 	col    []uint16
 	val    []float64
-	// np, nr and nz are the next plan header, row pointer and entry to carve.
+	// np, nr and nz are the plan headers, rows and entries carved (counted)
+	// so far; top is the most a counting slab counted before a Rewind.
 	np, nr, nz int
+	top        [3]int
 	// cur is the plan being built, since the entry start; last is the index
 	// of its latest entry, and err the first entry it could not take.
 	cur   *Plan
@@ -120,27 +127,38 @@ func NewPlanSlab(plans, rows, nnz int) PlanSlab {
 
 // Rewind carves from the start of s's arrays again: a plan built after it
 // may overwrite any plan built before it.
-func (s *PlanSlab) Rewind() { s.np, s.nr, s.nz = 0, 0, 0 }
+func (s *PlanSlab) Rewind() {
+	if s.plans == nil {
+		s.top[0], s.top[1], s.top[2] = s.Left()
+	}
+	s.np, s.nr, s.nz = 0, 0, 0
+}
 
-// Left reports what has not been carved yet: plan headers, row pointers and
-// entries.
-func (s *PlanSlab) Left() (plans, rowPtrs, nnz int) {
-	return len(s.plans) - s.np, len(s.rowPtr) - s.nr, len(s.col) - s.nz
+// Left reports what s has not carved yet, in NewPlanSlab's terms: plans, rows
+// and entries; for the zero PlanSlab, what it counted.
+func (s *PlanSlab) Left() (plans, rows, nnz int) {
+	if s.plans == nil {
+		return max(s.top[0], s.np), max(s.top[1], s.nr), max(s.top[2], s.nz)
+	}
+	return len(s.plans) - s.np, len(s.rowPtr) - len(s.plans) - s.nr, len(s.col) - s.nz
 }
 
 // Begin starts the next plan, of rows × cols. A slab without a plan header
-// or rows+1 row pointers left is an error, and carves nothing. It panics on
-// a matrix wider than MaxCols.
+// or rows rows left is an error, and carves nothing. It panics on a matrix
+// wider than MaxCols.
 func (s *PlanSlab) Begin(rows, cols int) error {
 	checkCols(cols)
-	if plans, rowPtrs, _ := s.Left(); plans == 0 || rowPtrs < rows+1 {
-		return fmt.Errorf("format: plan slab has %d plans and %d row pointers left, a %d-row plan needs 1 and %d", plans, rowPtrs, rows, rows+1)
-	}
-	s.cur = &s.plans[s.np]
-	*s.cur = Plan{Rows: rows, Cols: cols, RowPtr: s.rowPtr[s.nr : s.nr+rows+1 : s.nr+rows+1]}
-	clear(s.cur.RowPtr)
-	s.np, s.nr = s.np+1, s.nr+rows+1
 	s.start, s.last, s.err = s.nz, -1, nil
+	if s.plans != nil {
+		if plans, left, _ := s.Left(); plans == 0 || left < rows {
+			return fmt.Errorf("format: plan slab has %d plans and %d rows left, a %d-row plan needs 1 and %d", plans, left, rows, rows)
+		}
+		at := s.np + s.nr
+		s.cur = &s.plans[s.np]
+		*s.cur = Plan{Rows: rows, Cols: cols, RowPtr: s.rowPtr[at : at+rows+1 : at+rows+1]}
+		clear(s.cur.RowPtr)
+	}
+	s.np, s.nr = s.np+1, s.nr+rows
 	return nil
 }
 
@@ -151,6 +169,9 @@ func (s *PlanSlab) Begin(rows, cols int) error {
 func (s *PlanSlab) Add(i int, v float64) {
 	p := s.cur
 	switch {
+	case s.plans == nil:
+		s.nz++
+		return
 	case s.err != nil:
 		return
 	case i <= s.last || i >= p.Rows*p.Cols:
@@ -166,14 +187,17 @@ func (s *PlanSlab) Add(i int, v float64) {
 	s.nz++
 }
 
-// End closes the plan Begin started and returns it. After an entry Add
-// could not take it returns that error and gives the plan's memory back to
-// the slab.
+// End closes the plan Begin started and returns it (none while counting).
+// After an entry Add could not take it returns that error and gives the
+// plan's memory back to the slab.
 func (s *PlanSlab) End() (*Plan, error) {
 	p := s.cur
 	s.cur = nil
-	if s.err != nil {
-		s.np, s.nr, s.nz = s.np-1, s.nr-p.Rows-1, s.start
+	switch {
+	case s.plans == nil:
+		return nil, nil
+	case s.err != nil:
+		s.np, s.nr, s.nz = s.np-1, s.nr-p.Rows, s.start
 		return nil, s.err
 	}
 	p.Col = s.col[s.start:s.nz:s.nz]

@@ -237,6 +237,20 @@ func TestFanOutAllocatesNothing(t *testing.T) {
 	}
 }
 
+// buildPlan builds m into the next plan of slab from its non-zeros in
+// row-major order.
+func buildPlan(m *tensor.Tensor, slab *PlanSlab) (*Plan, error) {
+	if err := slab.Begin(m.Shape[0], m.Shape[1]); err != nil {
+		return nil, err
+	}
+	for i, v := range m.Data {
+		if v != 0 {
+			slab.Add(i, v)
+		}
+	}
+	return slab.End()
+}
+
 // TestPlanSlabCarvesExactly: planShapes' matrices, built one after another
 // into one slab sized for all of them from their non-zeros in row-major
 // order, are the plans Compile returns alone — from the CRISP encoding and
@@ -253,17 +267,6 @@ func TestPlanSlabCarvesExactly(t *testing.T) {
 		ms = append(ms, m)
 		plans, rows, nnz = plans+1, rows+s.rows, nnz+m.CountNonZero()
 	}
-	build := func(m *tensor.Tensor, slab *PlanSlab) (*Plan, error) {
-		if err := slab.Begin(m.Shape[0], m.Shape[1]); err != nil {
-			return nil, err
-		}
-		for i, v := range m.Data {
-			if v != 0 {
-				slab.Add(i, v)
-			}
-		}
-		return slab.End()
-	}
 	alone := func(i int) *Plan {
 		if i%2 == 1 {
 			return EncodeCSR(ms[i]).Compile()
@@ -277,7 +280,7 @@ func TestPlanSlabCarvesExactly(t *testing.T) {
 	slab := NewPlanSlab(plans, rows, nnz)
 	var first *Plan
 	for i, m := range ms {
-		got, err := build(m, &slab)
+		got, err := buildPlan(m, &slab)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -292,18 +295,18 @@ func TestPlanSlabCarvesExactly(t *testing.T) {
 		}
 	}
 	if p, r, z := slab.Left(); p+r+z != 0 {
-		t.Fatalf("slab sized for the plans has %d plans, %d row pointers, %d entries left", p, r, z)
+		t.Fatalf("slab sized for the plans has %d plans, %d rows, %d entries left", p, r, z)
 	}
 
 	short := NewPlanSlab(plans, rows, nnz-1)
 	last := len(ms) - 1
 	for _, m := range ms[:last] {
-		if _, err := build(m, &short); err != nil {
+		if _, err := buildPlan(m, &short); err != nil {
 			t.Fatal(err)
 		}
 	}
 	p0, r0, z0 := short.Left()
-	if _, err := build(ms[last], &short); err == nil {
+	if _, err := buildPlan(ms[last], &short); err == nil {
 		t.Fatal("a slab one entry short built the last plan")
 	}
 	if p, r, z := short.Left(); p != p0 || r != r0 || z != z0 {
@@ -312,7 +315,7 @@ func TestPlanSlabCarvesExactly(t *testing.T) {
 
 	// Rewind reuses the arrays: the next plan lands where the first one did.
 	slab.Rewind()
-	again, err := build(ms[0], &slab)
+	again, err := buildPlan(ms[0], &slab)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,5 +338,40 @@ func TestPlanSlabCarvesExactly(t *testing.T) {
 	slab.Add(6, 1)
 	if _, err := slab.End(); err == nil {
 		t.Fatal("an entry past the matrix built a plan")
+	}
+}
+
+// TestZeroPlanSlabCounts: the zero PlanSlab takes the calls of planShapes'
+// builds and carves nothing — End returns no plan and no error — and its
+// Left is what they would carve, so a slab made at it holds the same builds
+// exactly. Rewound before each build, it counts the largest, which is what
+// a scratch slab every build rewinds must hold.
+func TestZeroPlanSlabCounts(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	var counted, scratch PlanSlab
+	var ms []*tensor.Tensor
+	most := [3]int{1, 0, 0}
+	for _, s := range planShapes {
+		m := hybridMatrix(rng, s.rows, s.cols, s.b, s.nm, s.pruned)
+		ms = append(ms, m)
+		scratch.Rewind()
+		for _, slab := range []*PlanSlab{&counted, &scratch} {
+			if p, err := buildPlan(m, slab); p != nil || err != nil {
+				t.Fatalf("a counting slab built %v (%v)", p, err)
+			}
+		}
+		most[1], most[2] = max(most[1], s.rows), max(most[2], m.CountNonZero())
+	}
+	slab := NewPlanSlab(counted.Left())
+	for _, m := range ms {
+		if _, err := buildPlan(m, &slab); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if p, r, z := slab.Left(); p+r+z != 0 {
+		t.Fatalf("a slab made at the count has %d plans, %d rows, %d entries left", p, r, z)
+	}
+	if p, r, z := scratch.Left(); [3]int{p, r, z} != most {
+		t.Fatalf("a rewound count is %d plans, %d rows, %d entries, the largest build %v", p, r, z, most)
 	}
 }

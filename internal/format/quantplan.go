@@ -87,15 +87,18 @@ func (p *Plan) Quantize() (*QuantPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := NewQuantSlab(1, p.Rows)
-	s.Reserve(codes)
+	var s QuantSlab
+	s.Reserve(p.Rows, codes)
 	return p.QuantizeIn(&s)
 }
 
 // QuantizeIn is Quantize with the image carved from s: its header, row
 // arrays and exactly as many Col and Code entries as the image keeps.
 func (p *Plan) QuantizeIn(s *QuantSlab) (*QuantPlan, error) {
-	if left := len(s.scales) - s.nr; left < p.Rows {
+	if s.images == nil {
+		s.images, s.ptrs, s.scales = make([]QuantPlan, s.n), make([]int32, 3*s.rows+s.n), make([]float64, s.rows)
+	}
+	if left := s.rows - s.nr; left < p.Rows {
 		return nil, fmt.Errorf("format: quant slab has %d rows left, an image needs %d", left, p.Rows)
 	}
 	// One rowScale pass per row: its scale goes straight into the slab rows
@@ -155,48 +158,6 @@ func (p *Plan) QuantCodes() (int, error) {
 	return codes, nil
 }
 
-// QuantCounter is an EntrySink that counts the codes Quantize would keep for
-// the non-zeros of a matrix handed to it in ascending index order, without
-// the matrix's plan being built: it holds one row's values at a time, in
-// the entry memory of the PlanSlab that made it. Its errors are Quantize's.
-type QuantCounter struct {
-	cols, row, codes int
-	vals             []float64
-	err              error
-}
-
-// QuantCounter returns a counter for a matrix of cols columns. s must have
-// room for the matrix's widest row, and builds no plan while the counter is
-// in use.
-func (s *PlanSlab) QuantCounter(cols int) QuantCounter {
-	return QuantCounter{cols: cols, vals: s.val[:0]}
-}
-
-// Add implements EntrySink.
-func (q *QuantCounter) Add(i int, v float64) {
-	if r := i / q.cols; r != q.row {
-		q.flush()
-		q.row = r
-	}
-	q.vals = append(q.vals, v)
-}
-
-func (q *QuantCounter) flush() {
-	if q.err == nil {
-		var n int
-		_, n, q.err = rowScale(q.vals, q.row)
-		q.codes += n
-	}
-	q.vals = q.vals[:0]
-}
-
-// Codes reports the codes of every entry handed over, or the error that
-// quantizing them would raise.
-func (q *QuantCounter) Codes() (int, error) {
-	q.flush()
-	return q.codes, q.err
-}
-
 // rowScale returns row r's symmetric scale (max|w|/127, 1 for an all-zero
 // row) and how many of its weights quantize to a non-zero code. A row of
 // more non-zeros than the packed accumulator bound, or with a non-finite
@@ -237,19 +198,21 @@ func quantCode(v, inv float64) int8 {
 // QuantSlab is the backing memory of a set of int8 images whose sizes are
 // known before the first is quantized: one []QuantPlan, one int32 array for
 // every image's RowPtr, NegPtr and row sums, one RowScale array, and the
-// images' Col and Code entries in chunks, which QuantizeIn carves front to
-// back like a PlanSlab.
+// images' Col and Code entries in chunks. Reserve each image, in the order
+// they will be quantized; QuantizeIn then carves them front to back, making
+// the arrays at the first carve and each chunk as the carve reaches it.
 type QuantSlab struct {
 	images []QuantPlan
 	ptrs   []int32
 	scales []float64
 	// col and code are the chunk being carved; chunks lists the code counts
-	// of the chunks after it, made as the carve reaches them.
+	// of the chunks after it.
 	col    []uint16
 	code   []int8
 	chunks []int
-	// ni, nr and nc are the next image, row and code (in the chunk) to carve.
-	ni, nr, nc int
+	// n and rows are the images and rows reserved; ni, nr and nc the next
+	// image, row and code (in the chunk) to carve.
+	n, rows, ni, nr, nc int
 }
 
 // quantChunk bounds a chunk's entries: 16 Ki uint16 columns are 32 KiB, the
@@ -258,21 +221,11 @@ type QuantSlab struct {
 // waste 6 KB beside its 78 KB engine.
 const quantChunk = 1 << 14
 
-// NewQuantSlab returns a slab for the given number of images and rows
-// (summed over the images), with room for no codes yet: Reserve each image's,
-// in the order the images will be carved.
-func NewQuantSlab(images, rows int) QuantSlab {
-	return QuantSlab{
-		images: make([]QuantPlan, images),
-		ptrs:   make([]int32, 3*rows+images),
-		scales: make([]float64, rows),
-	}
-}
-
-// Reserve adds room for the next image's codes: to the last chunk while it
-// stays within quantChunk entries, else in a chunk of its own, so no image
-// straddles two.
-func (s *QuantSlab) Reserve(codes int) {
+// Reserve adds room for the next image, of rows rows and codes codes: its
+// codes go to the last chunk while it stays within quantChunk entries, else
+// to a chunk of their own, so no image straddles two.
+func (s *QuantSlab) Reserve(rows, codes int) {
+	s.n, s.rows = s.n+1, s.rows+rows
 	if n := len(s.chunks); n > 0 && s.chunks[n-1]+codes <= quantChunk {
 		s.chunks[n-1] += codes
 		return
@@ -286,7 +239,7 @@ func (s *QuantSlab) Left() (images, rows, codes int) {
 	for _, n := range s.chunks {
 		codes += n
 	}
-	return len(s.images) - s.ni, len(s.scales) - s.nr, codes
+	return s.n - s.ni, s.rows - s.nr, codes
 }
 
 // carve takes the next image of rows × cols with the given number of codes
@@ -297,7 +250,7 @@ func (s *QuantSlab) carve(rows, cols, codes int) (*QuantPlan, error) {
 		s.col, s.code = make([]uint16, s.chunks[0]), make([]int8, s.chunks[0])
 		s.chunks, s.nc = s.chunks[1:], 0
 	}
-	images, left := len(s.images)-s.ni, len(s.scales)-s.nr
+	images, left := s.n-s.ni, s.rows-s.nr
 	if images == 0 || left < rows || len(s.code)-s.nc < codes {
 		return nil, fmt.Errorf("format: quant slab has %d images, %d rows and %d codes in its chunk left, a %d-row image of %d codes needs 1, %d and %d",
 			images, left, len(s.code)-s.nc, rows, codes, rows, codes)

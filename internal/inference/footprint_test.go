@@ -213,8 +213,8 @@ func TestEngineSlabsAreExact(t *testing.T) {
 }
 
 // rereadSource is OwnParams, except that every read of target after the
-// first hands out one non-zero fewer, or with add one more: measure and
-// compile then see different matrices.
+// first hands out one non-zero fewer, or with add one more: the counting and
+// the building run then see different matrices.
 type rereadSource struct {
 	OwnParams
 	target *nn.Param
@@ -258,22 +258,116 @@ func (w *rereadSink) Add(i int, v float64) {
 	w.to.Add(i, v)
 }
 
-// TestCompileFailsWhenTheSlabsDisagree: the slabs are sized from one walk of
-// the source and filled from another, so a source whose second walk of a
-// matrix hands out one non-zero fewer or one more fails the compile — slab
-// left over or short — and never yields an engine with a plan cut to the
-// wrong size.
+// TestCompileFailsWhenTheSlabsDisagree: the slabs are sized by a counting
+// run that reads each matrix and filled by a building run that reads it
+// again, so a source whose later reads of a matrix hand out one non-zero
+// fewer or one more fails the compile — entries left over or short — and
+// never yields an engine with a plan cut to the wrong size. At Int8 the
+// matrix is block0.attn.wq, which an Int8 engine keeps as a float plan.
 func TestCompileFailsWhenTheSlabsDisagree(t *testing.T) {
 	_, clone, _, prune := tenantEnv(t, models.Transformer)
 	tenant := clone()
 	prune(tenant, []int{1, 5})
-	for _, add := range []bool{false, true} {
-		src := &rereadSource{target: tenant.PrunableParams()[0], add: add}
-		_, err := NewFromSource(tenant, src, CompileOptions{})
-		if err == nil || !strings.Contains(err.Error(), "left") {
-			t.Fatalf("a second read with one non-zero more (%v) or fewer: compile returned %v, want the slabs' disagreement", add, err)
+	targets := map[Precision]*nn.Param{Float32: tenant.PrunableParams()[0]}
+	for _, p := range tenant.PrunableParams() {
+		if p.Name == "block0.attn.wq" {
+			targets[Int8] = p
 		}
-		t.Log(err)
+	}
+	for _, prec := range []Precision{Float32, Int8} {
+		if targets[prec] == nil {
+			t.Fatalf("%s: fixture has no target matrix", prec)
+		}
+		for _, add := range []bool{false, true} {
+			src := &rereadSource{target: targets[prec], add: add}
+			_, err := NewFromSource(tenant, src, CompileOptions{Precision: prec})
+			if err == nil || !strings.Contains(err.Error(), "left") {
+				t.Fatalf("%s: a second read with one non-zero more (%v) or fewer: compile returned %v, want the slabs' disagreement", prec, add, err)
+			}
+			t.Log(err)
+		}
+	}
+}
+
+// unreadSource fails its test on any read.
+type unreadSource struct{ t *testing.T }
+
+func (s unreadSource) NonZerosInto(p *nn.Param, _ format.EntrySink) {
+	s.t.Errorf("%s was read", p.Name)
+}
+func (s unreadSource) ValuesInto(p *nn.Param, _ []float64) { s.t.Errorf("%s was read", p.Name) }
+func (s unreadSource) NormStatsInto(_ *nn.BatchNorm2D, _, _ []float64) {
+	s.t.Error("a batch norm's statistics were read")
+}
+
+// TestWideMatrixIsACompileError: a matrix wider than a plan's uint16 columns
+// reach fails the compile at either precision, without a panic and before
+// the source is read, with an error naming it.
+func TestWideMatrixIsACompileError(t *testing.T) {
+	const classes = 2
+	fc := nn.NewLinear("fc", rand.New(rand.NewSource(3)), format.MaxCols+1, classes, true)
+	clf := nn.NewClassifier("wide", nn.NewSequential(&nn.Flatten{}, fc), classes)
+	for _, prec := range []Precision{Float32, Int8} {
+		_, err := NewFromSource(clf, unreadSource{t}, CompileOptions{Precision: prec})
+		if err == nil || !strings.Contains(err.Error(), "fc.weight") || !strings.Contains(err.Error(), "a plan holds at most") {
+			t.Fatalf("%s: compile returned %v, want the plan-width error naming fc.weight", prec, err)
+		}
+	}
+}
+
+// readCounter is OwnParams counting each matrix's reads.
+type readCounter struct {
+	OwnParams
+	reads map[*nn.Param]int
+}
+
+func (s *readCounter) NonZerosInto(p *nn.Param, dst format.EntrySink) {
+	s.reads[p]++
+	s.OwnParams.NonZerosInto(p, dst)
+}
+
+// TestCompileReadsEachMatrixAtMost: a compile reads a float plan's matrix at
+// most twice (to count its entries, to build it) and an int8 image's at most
+// three times (to size the scratch plan, to count its codes, to quantize it),
+// on four families at both precisions; a depthwise kernel, a vector, once.
+// What a promotion costs grows with every extra read.
+func TestCompileReadsEachMatrixAtMost(t *testing.T) {
+	for _, f := range []models.Family{models.ResNet, models.VGG, models.MobileNet, models.Transformer} {
+		clf, _, _, _ := prunedModel(t, f)
+		for _, prec := range []Precision{Float32, Int8} {
+			bound := map[*nn.Param]int{}
+			plan := 2 // an Int8 engine's conv and row layers hold images
+			if prec == Int8 {
+				plan = 3
+			}
+			nn.Walk(clf.Net, func(l nn.Layer) {
+				switch v := l.(type) {
+				case *nn.Conv2D:
+					bound[v.Weight] = plan
+				case *nn.Linear, *nn.TokenLinear, *nn.PatchEmbed:
+					w, _, _ := rowLayer(v)
+					bound[w] = plan
+				case *nn.MultiHeadAttention:
+					for _, p := range []*nn.Param{v.Wq, v.Wk, v.Wv, v.Wo} {
+						bound[p] = 2
+					}
+				case *nn.DepthwiseConv2D:
+					bound[v.Weight] = 1
+				}
+			})
+			src := &readCounter{reads: map[*nn.Param]int{}}
+			if _, err := NewFromSource(clf, src, CompileOptions{Precision: prec}); err != nil {
+				t.Fatal(err)
+			}
+			for p, b := range bound {
+				if n := src.reads[p]; n < 1 || n > b {
+					t.Errorf("%s/%s: %s read %d times, bound %d", f, prec, p.Name, n, b)
+				}
+			}
+			if len(src.reads) != len(bound) {
+				t.Errorf("%s/%s: %d matrices read, %d compiled", f, prec, len(src.reads), len(bound))
+			}
+		}
 	}
 }
 

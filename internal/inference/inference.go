@@ -65,15 +65,13 @@
 // geometry only and takes every value from a ParamSource — the tree's own
 // parameters (OwnParams: New, NewWithOptions) or a tenant's delta over that
 // tree (checkpoint.DeltaView, every serving path) — into memory the compile
-// provides. A compile sizes the engine before it builds anything and carves
-// it from a fixed handful of exactly sized slabs, so it allocates per tenant,
-// not per layer: one []float64 for every bias, γ, β, running statistic and
-// depthwise kernel, one []format.Plan with one RowPtr, Col and Val array for
-// the float plans, one format.QuantSlab for the int8 images, and one array
-// per executor type (execSlabs). No matrix passes through a dense W ⊙ Mask
-// on its way: the source walks out its non-zeros (OwnParams from W and Mask,
-// a delta view from its mask bits and stored values) once to size the slabs
-// and once to fill its plan. Once compiled,
+// provides. It runs twice: counting, on slabs that count what they would
+// carve and hand back no memory, then building, on slabs made at exactly
+// those counts — one []float64 for every vector, one format.PlanSlab for the
+// float plans, one format.QuantSlab for the int8 images, one array per
+// executor type —, so a compile allocates per tenant, not per layer. The
+// source walks each matrix's non-zeros out once a run, with no dense
+// W ⊙ Mask between. Once compiled,
 // nothing reachable from the engine is the tree, a layer of it, the source
 // or the bytes behind it: executors hold geometry, dimensions and ReLU caps
 // by value, take no activation-statistics hook (an engine counts no
@@ -309,13 +307,10 @@ type execLayer interface {
 // quantized from. The engine keeps what was carved for it and nothing else;
 // the scratch dies with the compile, and no slab serves two engines.
 type compiler struct {
-	e   *Engine
-	src ParamSource
-	// count, codes and scatter take a source's non-zeros when they build no
-	// plan: measure counts a matrix's, and an int8 image's codes (in tmp's
-	// memory), and a depthwise kernel scatters its own.
-	count   counter
-	codes   format.QuantCounter
+	e    *Engine
+	src  ParamSource
+	mode mode
+	// scatter takes a depthwise kernel's non-zeros into its vector.
 	scatter scatter
 	// tmp holds the float plan an Int8 image is quantized from, rebuilt for
 	// every matrix.
@@ -323,12 +318,29 @@ type compiler struct {
 	// plans, quants, vecs and execs back the engine: every float plan it
 	// runs, every int8 image, every vector its executors index (biases, γ,
 	// β, running statistics, depthwise kernels), and the executors
-	// themselves. measure sizes each exactly.
+	// themselves.
 	plans  format.PlanSlab
 	quants format.QuantSlab
-	vecs   []float64
+	vecs   slab[float64]
 	execs  execSlabs
 }
+
+// mode is what one run of compile over the tree does.
+type mode int
+
+const (
+	// counting: every slab counts what it would carve and hands back no
+	// memory, and no value is copied out of the source. Each matrix is read
+	// once, to count the entries of its plan (of the scratch plan, for an
+	// int8 image).
+	counting mode = iota
+	// coding: only int8 images act, each built in the scratch plan and its
+	// codes reserved in the image slab.
+	coding
+	// building: the slabs, made at exactly the counts, are carved and
+	// filled, and the engine's fingerprints and footprint accumulate.
+	building
+)
 
 // execSlabs back an engine's executors: one exactly sized array per executor
 // type, and one for every execSeq's children, so a compile allocates per
@@ -348,66 +360,26 @@ type execSlabs struct {
 	maxPool   slab[execMaxPool]
 	// convPlans are the float convs' fused kernels (format.ConvPlan).
 	convPlans slab[format.ConvPlan]
-	// hdrs is the most tensor headers the executors draw in one pass.
-	hdrs int
 }
 
-// count adds what compile carves for l at prec to the slabs: its executor,
-// an execSeq's children, a float conv's fused kernel; and the most headers
-// the executor draws in a pass, which is one (its result) unless noted.
-// measure walks the tree with it.
-func (x *execSlabs) count(l nn.Layer, prec Precision) {
-	x.hdrs++
-	switch v := l.(type) {
-	case *nn.Sequential:
-		x.seq.n++
-		x.children.n += len(v.Layers)
-		x.hdrs-- // none
-	case *nn.Residual:
-		x.residual.n++
-	case *nn.Conv2D:
-		x.conv.n++
-		if prec != Int8 {
-			x.convPlans.n++
-		}
-		x.hdrs += 4 // batch-last: two transposes and two views beside the result
-	case *nn.Linear, *nn.TokenLinear, *nn.PatchEmbed:
-		x.rows.n++
-		x.hdrs += 4 // the rows, their transpose, the product, a view of the result
-	case *nn.MultiHeadAttention:
-		x.attention.n++
-		x.hdrs += 8 // five token matrices, a projection, a view each of input and result
-	case *nn.DepthwiseConv2D:
-		x.depthwise.n++
-	case *nn.BatchNorm2D:
-		x.batchNorm.n++
-	case *nn.ReLU:
-		x.relu.n++
-	case *nn.LayerNorm:
-		x.layerNorm.n++
-	case *nn.MaxPool2D:
-		x.maxPool.n++
-	}
-}
-
-// left is how many counted elements compile has not carved.
-func (x *execSlabs) left() int {
-	return x.seq.left() + x.children.left() + x.residual.left() + x.conv.left() +
-		x.rows.left() + x.attention.left() + x.depthwise.left() + x.batchNorm.left() +
-		x.relu.left() + x.layerNorm.left() + x.maxPool.left() + x.convPlans.left()
-}
-
-// slab is one element type's exactly sized array: measure counts n, and
-// compile carves it front to back, making it whole at the first carve. A
-// carve past n panics.
+// slab is one element type's exactly sized array: the counting run counts
+// n, and the building run carves it front to back, making it whole at the
+// first carve.
 type slab[T any] struct {
 	n    int
 	free []T
 }
 
-// take carves the next k elements.
-func (s *slab[T]) take(k int) []T {
-	if s.free == nil {
+// take carves the next k elements while c builds, and hands back nil
+// otherwise, counting them while c counts.
+func (s *slab[T]) take(c *compiler, k int) []T {
+	switch {
+	case c.mode == counting:
+		s.n += k
+		return nil
+	case c.mode == coding:
+		return nil
+	case s.free == nil:
 		s.free = make([]T, s.n)
 	}
 	v := s.free[:k:k]
@@ -415,65 +387,79 @@ func (s *slab[T]) take(k int) []T {
 	return v
 }
 
-// next carves one element.
-func (s *slab[T]) next() *T { return &s.take(1)[0] }
-
-// carve places v in the next element of s.
-func carve[T any](s *slab[T], v T) *T {
-	p := s.next()
-	*p = v
-	return p
-}
-
-func (s *slab[T]) left() int {
-	if s.free == nil {
-		return s.n
+// carve places v in the next element of s (nil unless c builds).
+func carve[T any](c *compiler, s *slab[T], v T) *T {
+	p := s.take(c, 1)
+	if p == nil {
+		return nil
 	}
-	return len(s.free)
+	p[0] = v
+	return &p[0]
 }
 
-// engine compiles tree at prec, reading every value through c.src. It fails
-// unless compile carves the slabs measure sized to the element.
+// engine compiles tree at prec, reading every value through c.src, by two
+// runs of compile: counting, then building on slabs made at exactly the
+// counts — and at Int8 a coding run between them, with the scratch plan made
+// at the largest image's size. A source whose matrix reads differently in the
+// building run than before makes a plan or image run short, an error, or
+// leaves entries or codes over, which fails the compile too.
 func (c *compiler) engine(tree *nn.Classifier, prec Precision) (*Engine, error) {
 	c.e = &Engine{numClasses: tree.NumClasses, precision: prec, fingerprint: format.HashInit}
 	if prec == Int8 {
 		c.e.quantSig = format.HashInit // stays 0, the "no codes" signature, at Float32
 	}
-	if err := c.measure(tree.Net); err != nil {
+	if _, err := c.run(counting, tree.Net); err != nil {
 		return nil, err
 	}
-	root, err := c.compile(tree.Net)
+	c.plans, c.tmp = format.NewPlanSlab(c.plans.Left()), format.NewPlanSlab(c.tmp.Left())
+	if prec == Int8 {
+		if _, err := c.run(coding, tree.Net); err != nil {
+			return nil, err
+		}
+	}
+	root, err := c.run(building, tree.Net)
 	if err != nil {
 		return nil, err
 	}
-	plans, rowPtrs, nnz := c.plans.Left()
-	images, rows, codes := c.quants.Left()
-	if execs := c.execs.left(); len(c.vecs)+plans+rowPtrs+nnz+images+rows+codes+execs != 0 {
-		return nil, fmt.Errorf("inference: compile and measure disagree: %d vector elements, %d plans, %d row pointers, %d entries, %d images, %d image rows, %d codes and %d executors left over",
-			len(c.vecs), plans, rowPtrs, nnz, images, rows, codes, execs)
+	_, _, nnz := c.plans.Left()
+	if _, _, codes := c.quants.Left(); nnz+codes != 0 {
+		return nil, fmt.Errorf("inference: the source read differently when building than when counting: %d entries and %d codes left over", nnz, codes)
 	}
-	c.e.root, c.e.hdrs = root, c.execs.hdrs+1 // and a stacked batch
+	c.e.root = root
 	return c.e, nil
+}
+
+// run is one run of compile over root in mode m.
+func (c *compiler) run(m mode, root nn.Layer) (execLayer, error) {
+	c.mode, c.e.hdrs = m, 1 // and a stacked batch
+	return c.compile(root)
 }
 
 // compile mirrors the layer tree, swapping weight-bearing layers for
 // plan-backed executors and eval-mode layers for arena-backed ones, with
 // every value read through c.src into memory carved from c's slabs, the
-// executors too. A layer type it does not know is an error: there is no
-// executor that could run it without retaining it.
+// executors too, and counts the headers each executor draws in a pass at
+// most (one, its result, unless its forward says more). Only the building
+// run's result is an engine. A layer type it does not know is an error:
+// there is no executor that could run it without retaining it.
 func (c *compiler) compile(l nn.Layer) (execLayer, error) {
+	c.e.hdrs++
 	switch v := l.(type) {
 	case *nn.Sequential:
 		if len(v.Layers) == 0 {
 			return nil, fmt.Errorf("inference: an empty %T has no result of its own to draw", v)
 		}
-		out := carve(&c.execs.seq, execSeq{layers: c.execs.children.take(len(v.Layers))})
+		c.e.hdrs-- // its result is its last child's
+		layers := c.execs.children.take(c, len(v.Layers))
+		out := carve(c, &c.execs.seq, execSeq{layers: layers})
 		for i, child := range v.Layers {
 			cl, err := c.compile(child)
 			if err != nil {
 				return nil, err
 			}
-			out.layers[i] = cl
+			if layers != nil {
+				layers[i] = cl
+			}
 		}
 		return out, nil
 	case *nn.Residual:
@@ -488,28 +474,33 @@ func (c *compiler) compile(l nn.Layer) (execLayer, error) {
 				return nil, err
 			}
 		}
-		return carve(&c.execs.residual, execResidual{main: main, shortcut: short}), nil
+		return carve(c, &c.execs.residual, execResidual{main: main, shortcut: short}), nil
 	case *nn.Conv2D:
+		c.e.hdrs += convHdrs
 		mm, err := c.newSpMM(v.Weight)
 		if err != nil {
 			return nil, err
 		}
-		sc := carve(&c.execs.conv, sparseConv{geom: v.Geom, outC: v.OutC, bias: c.own(v.Bias), mm: mm})
-		if mm.plan != nil {
+		sc := carve(c, &c.execs.conv, sparseConv{geom: v.Geom, outC: v.OutC, bias: c.own(v.Bias), mm: mm})
+		if c.e.precision == Float32 {
 			// Float engines run conv through the fused implicit-im2col
 			// kernel (see format.CompileConv).
-			sc.cp = mm.plan.CompileConv(c.execs.convPlans.next(), v.Geom.KH, v.Geom.KW, v.Geom.Stride, v.Geom.Pad)
-			c.e.footprint += sc.cp.SizeBytes()
+			if cp := c.execs.convPlans.take(c, 1); cp != nil {
+				sc.cp = mm.plan.CompileConv(&cp[0], v.Geom.KH, v.Geom.KW, v.Geom.Stride, v.Geom.Pad)
+				c.e.footprint += sc.cp.SizeBytes()
+			}
 		}
 		return sc, nil
 	case *nn.Linear, *nn.TokenLinear, *nn.PatchEmbed:
+		c.e.hdrs += rowsHdrs
 		w, bias, patch := rowLayer(v)
 		mm, err := c.newSpMM(w)
 		if err != nil {
 			return nil, err
 		}
-		return carve(&c.execs.rows, sparseRows{in: w.Cols, out: w.Rows, patch: patch, bias: c.own(bias), mm: mm}), nil
+		return carve(c, &c.execs.rows, sparseRows{in: w.Cols, out: w.Rows, patch: patch, bias: c.own(bias), mm: mm}), nil
 	case *nn.MultiHeadAttention:
+		c.e.hdrs += attentionHdrs
 		// Float plans at either precision: taking attention to int8 is an
 		// accuracy question the golden agreement suite has not been asked.
 		var w [4]*format.Plan
@@ -519,33 +510,36 @@ func (c *compiler) compile(l nn.Layer) (execLayer, error) {
 				return nil, err
 			}
 		}
-		return carve(&c.execs.attention, execAttention{d: v.D, heads: v.Heads, wq: w[0], wk: w[1], wv: w[2], wo: w[3]}), nil
+		return carve(c, &c.execs.attention, execAttention{d: v.D, heads: v.Heads, wq: w[0], wk: w[1], wv: w[2], wo: w[3]}), nil
 	case *nn.DepthwiseConv2D:
 		// A kernel is a vector, W ⊙ Mask byte for byte: each zero of it is
 		// W·0 — signed as nn's eval forward signs it —, each non-zero the
 		// source's.
-		c.scatter = c.own(v.Weight)
-		for i := range c.scatter {
-			c.scatter[i] *= 0
+		if c.scatter = c.own(v.Weight); c.scatter != nil {
+			for i := range c.scatter {
+				c.scatter[i] *= 0
+			}
+			c.src.NonZerosInto(v.Weight, &c.scatter)
 		}
-		c.src.NonZerosInto(v.Weight, &c.scatter)
-		return carve(&c.execs.depthwise, execDepthwise{geom: v.Geom, bias: c.own(v.Bias), weff: c.scatter}), nil
+		return carve(c, &c.execs.depthwise, execDepthwise{geom: v.Geom, bias: c.own(v.Bias), weff: c.scatter}), nil
 	case *nn.BatchNorm2D:
 		n := len(v.RunMean.Data)
 		mean, variance := c.vector(n), c.vector(n)
-		c.src.NormStatsInto(v, mean, variance)
-		return carve(&c.execs.batchNorm, execBatchNorm{
+		if mean != nil {
+			c.src.NormStatsInto(v, mean, variance)
+		}
+		return carve(c, &c.execs.batchNorm, execBatchNorm{
 			eps: v.Eps, mean: mean, variance: variance,
 			gamma: c.own(v.Gamma), beta: c.own(v.Beta),
 		}), nil
 	case *nn.ReLU:
-		return carve(&c.execs.relu, execReLU{clip: v.Cap}), nil
+		return carve(c, &c.execs.relu, execReLU{clip: v.Cap}), nil
 	case *nn.GELU:
 		return execGELU{}, nil
 	case *nn.LayerNorm:
-		return carve(&c.execs.layerNorm, execLayerNorm{eps: v.Eps, gamma: c.own(v.Gamma), beta: c.own(v.Beta)}), nil
+		return carve(c, &c.execs.layerNorm, execLayerNorm{eps: v.Eps, gamma: c.own(v.Gamma), beta: c.own(v.Beta)}), nil
 	case *nn.MaxPool2D:
-		return carve(&c.execs.maxPool, execMaxPool{k: v.K, stride: v.Stride}), nil
+		return carve(c, &c.execs.maxPool, execMaxPool{k: v.K, stride: v.Stride}), nil
 	case *nn.GlobalAvgPool:
 		return &execGlobalAvgPool{}, nil
 	case *nn.MeanPoolTokens:
@@ -555,47 +549,6 @@ func (c *compiler) compile(l nn.Layer) (execLayer, error) {
 	default:
 		return nil, fmt.Errorf("inference: no executor for layer type %T", l)
 	}
-}
-
-// takes is compile's switch reduced to what each case takes from the source,
-// in compile order: matrix for every weight compiled to a plan (kept when the
-// engine runs that float plan — an Int8 engine quantizes all but
-// attention's), vector for every run of values an executor copies (a bias, γ,
-// β, a norm layer's two running statistics, a depthwise kernel). A case that
-// compile and takes see differently leaves a slab over, which fails the
-// compile, or runs one short, which panics; TestEngineSlabsAreExact compiles
-// every family at both precisions.
-func takes(l nn.Layer, prec Precision, matrix func(p *nn.Param, kept bool), vector func(n int)) {
-	vec := func(ps ...*nn.Param) {
-		for _, p := range ps {
-			if p != nil {
-				vector(p.W.Len())
-			}
-		}
-	}
-	float := prec != Int8
-	nn.Walk(l, func(l nn.Layer) {
-		switch v := l.(type) {
-		case *nn.Conv2D:
-			matrix(v.Weight, float)
-			vec(v.Bias)
-		case *nn.Linear, *nn.TokenLinear, *nn.PatchEmbed:
-			w, bias, _ := rowLayer(v)
-			matrix(w, float)
-			vec(bias)
-		case *nn.MultiHeadAttention:
-			for _, p := range [...]*nn.Param{v.Wq, v.Wk, v.Wv, v.Wo} {
-				matrix(p, true)
-			}
-		case *nn.DepthwiseConv2D:
-			vec(v.Weight, v.Bias)
-		case *nn.BatchNorm2D:
-			vector(2 * len(v.RunMean.Data))
-			vec(v.Gamma, v.Beta)
-		case *nn.LayerNorm:
-			vec(v.Gamma, v.Beta)
-		}
-	})
 }
 
 // rowLayer returns the weight and bias of a layer sparseRows runs, and its
@@ -611,72 +564,6 @@ func rowLayer(l nn.Layer) (w, bias *nn.Param, patch int) {
 	}
 	panic(fmt.Sprintf("inference: %T is not a row layer", l))
 }
-
-// measure sizes everything a compile allocates before compile carves
-// anything, in walks of takes: one for shapes (the vector elements, the kept
-// plans and the images with their rows), with the executors counted beside
-// it; one that counts each matrix's non-zeros through the source, which are
-// exactly the entries its plan keeps; and at Int8, with the scratch plan made
-// at the size of the largest, one that counts the codes each image
-// quantizes to, a row at a time in the scratch plan's memory, building no
-// plan. A matrix wider than a plan's uint16
-// columns reach is an error naming the parameter, raised before the source
-// is read.
-func (c *compiler) measure(root nn.Layer) error {
-	var vecs, plans, rows, images, imageRows int
-	var wide *nn.Param
-	takes(root, c.e.precision, func(p *nn.Param, kept bool) {
-		if p.Cols > format.MaxCols && wide == nil {
-			wide = p
-		}
-		if kept {
-			plans++
-			rows += p.Rows
-		} else {
-			images++
-			imageRows += p.Rows
-		}
-	}, func(n int) { vecs += n })
-	if wide != nil {
-		return fmt.Errorf("inference: %s has %d columns, a plan holds at most %d", wide.Name, wide.Cols, format.MaxCols)
-	}
-	nn.Walk(root, func(l nn.Layer) { c.execs.count(l, c.e.precision) })
-	c.vecs = make([]float64, vecs)
-	c.quants = format.NewQuantSlab(images, imageRows)
-	var nnz, tmpRows, tmpNNZ int
-	takes(root, c.e.precision, func(p *nn.Param, kept bool) {
-		c.count = 0
-		c.src.NonZerosInto(p, &c.count)
-		if kept {
-			nnz += int(c.count)
-			return
-		}
-		tmpRows, tmpNNZ = max(tmpRows, p.Rows), max(tmpNNZ, int(c.count))
-	}, func(int) {})
-	c.plans = format.NewPlanSlab(plans, rows, nnz)
-	if images == 0 {
-		return nil
-	}
-	c.tmp = format.NewPlanSlab(1, tmpRows, tmpNNZ)
-	var err error
-	takes(root, c.e.precision, func(p *nn.Param, kept bool) {
-		if kept || err != nil {
-			return
-		}
-		c.codes = c.tmp.QuantCounter(p.Cols)
-		c.src.NonZerosInto(p, &c.codes)
-		var codes int
-		codes, err = c.codes.Codes()
-		c.quants.Reserve(codes)
-	}, func(int) {})
-	return err
-}
-
-// counter counts the entries it is handed.
-type counter int
-
-// Add implements format.EntrySink.
-func (n *counter) Add(int, float64) { *n++ }
 
 // scatter writes each entry it is handed into a dense vector.
 type scatter []float64
@@ -717,17 +604,22 @@ func (s *spmm) into(b, out *tensor.Tensor, a *arena) *tensor.Tensor {
 // precision. An Int8 engine keeps the image, carved from the engine's image
 // slab, and not the float plan it was quantized from: that plan is built in
 // the compile's scratch, which the next matrix rebuilds, since no forward
-// path reads it.
+// path reads it. The coding run counts the image's codes in the same scratch.
 func (c *compiler) newSpMM(p *nn.Param) (spmm, error) {
 	if c.e.precision != Int8 {
 		plan, err := c.newPlan(p)
 		return spmm{plan: plan}, err
 	}
-	plan, err := c.scratchPlan(p)
-	if err != nil {
+	c.tmp.Rewind()
+	plan, err := c.build(p, &c.tmp)
+	if plan == nil || err != nil {
 		return spmm{}, err
 	}
-	c.compiled(plan)
+	if c.mode == coding {
+		codes, err := plan.QuantCodes()
+		c.quants.Reserve(p.Rows, codes)
+		return spmm{}, err
+	}
 	q, err := plan.QuantizeIn(&c.quants)
 	if err != nil {
 		return spmm{}, err
@@ -738,60 +630,61 @@ func (c *compiler) newSpMM(p *nn.Param) (spmm, error) {
 }
 
 // newPlan builds a float-executed matrix's plan in the engine's plan slab
-// and charges it to the footprint.
+// and charges it to the footprint; the coding run reads no float matrix.
 func (c *compiler) newPlan(p *nn.Param) (*format.Plan, error) {
-	plan, err := c.build(p, &c.plans)
-	if err != nil {
-		return nil, err
+	if c.mode == coding {
+		return nil, nil
 	}
-	c.compiled(plan)
-	c.e.footprint += plan.SizeBytes()
-	return plan, nil
-}
-
-// scratchPlan builds p's plan in the compile's scratch, which the next call
-// rebuilds.
-func (c *compiler) scratchPlan(p *nn.Param) (*format.Plan, error) {
-	c.tmp.Rewind()
-	return c.build(p, &c.tmp)
+	plan, err := c.build(p, &c.plans)
+	if plan != nil {
+		c.e.footprint += plan.SizeBytes()
+	}
+	return plan, err
 }
 
 // build is how every matrix becomes a plan, at either precision: the next
 // plan of s, filled with the non-zeros of p's W ⊙ Mask the source hands it.
 // The plan keeps exactly those, each row's in ascending column order, which
-// is the order the CRISP and CSR storage kernels accumulate a row in.
+// is the order the CRISP and CSR storage kernels accumulate a row in. The
+// building run folds it into the engine's fingerprint and counts the layer
+// compressed. A matrix wider than a plan's uint16 columns reach is an error
+// naming it, raised by the counting run before the matrix is read.
 func (c *compiler) build(p *nn.Param, s *format.PlanSlab) (*format.Plan, error) {
+	if p.Cols > format.MaxCols {
+		return nil, fmt.Errorf("inference: %s has %d columns, a plan holds at most %d", p.Name, p.Cols, format.MaxCols)
+	}
 	if err := s.Begin(p.Rows, p.Cols); err != nil {
 		return nil, err
 	}
 	c.src.NonZerosInto(p, s)
-	return s.End()
-}
-
-// compiled folds a plan-backed layer's plan into the engine's fingerprint
-// and counts the layer compressed.
-func (c *compiler) compiled(plan *format.Plan) {
-	c.e.fingerprint = c.e.fingerprint.Uint64(plan.Fingerprint())
-	c.e.CompressedLayers++
+	plan, err := s.End()
+	if c.mode == building && err == nil {
+		c.e.fingerprint = c.e.fingerprint.Uint64(plan.Fingerprint())
+		c.e.CompressedLayers++
+	}
+	return plan, err
 }
 
 // vector carves the next n elements of the vector slab and charges them to
-// the footprint.
+// the footprint (nil unless c builds).
 func (c *compiler) vector(n int) []float64 {
-	v := c.vecs[:n:n]
-	c.vecs = c.vecs[n:]
-	c.e.footprint += int64(n) * 8
+	v := c.vecs.take(c, n)
+	if v != nil {
+		c.e.footprint += int64(n) * 8
+	}
 	return v
 }
 
 // own copies a parameter's values into the vector slab (nil for an absent
-// parameter, e.g. a bias-free conv).
+// parameter, e.g. a bias-free conv, and unless c builds).
 func (c *compiler) own(p *nn.Param) []float64 {
 	if p == nil {
 		return nil
 	}
 	v := c.vector(p.W.Len())
-	c.src.ValuesInto(p, v)
+	if v != nil {
+		c.src.ValuesInto(p, v)
+	}
 	return v
 }
 
@@ -926,6 +819,10 @@ type sparseConv struct {
 	cp   *format.ConvPlan // fused implicit-im2col kernel; nil in Int8 engines
 }
 
+// convHdrs is how many headers sparseConv.forward draws beside its result
+// at most: on the batch-last path, two transposes and two views.
+const convHdrs = 4
+
 func (s *sparseConv) forward(x *tensor.Tensor, a *arena) *tensor.Tensor {
 	g := s.geom
 	g.InH, g.InW = x.Shape[2], x.Shape[3]
@@ -987,6 +884,10 @@ type sparseRows struct {
 	mm      spmm
 }
 
+// rowsHdrs is how many headers sparseRows.forward draws beside its result at
+// most: the rows, their transpose, the product and a view of the result.
+const rowsHdrs = 4
+
 func (s *sparseRows) forward(x *tensor.Tensor, a *arena) *tensor.Tensor {
 	// The output is [N, Out], or [N, T, Out] for tokens and patches.
 	n, t := x.Shape[0], 1
@@ -1027,6 +928,11 @@ type execAttention struct {
 	d, heads       int
 	wq, wk, wv, wo *format.Plan
 }
+
+// attentionHdrs is how many headers execAttention.forward draws beside its
+// result: five token matrices, a projection and a view each of input and
+// result.
+const attentionHdrs = 8
 
 func (m *execAttention) forward(x *tensor.Tensor, a *arena) *tensor.Tensor {
 	n, t := x.Shape[0], x.Shape[1]
