@@ -268,31 +268,6 @@ func BenchmarkSpMM_CSR(b *testing.B) {
 	}
 }
 
-// BenchmarkSpMM_CRISPFastPath measures the CRISP-structure-specialized
-// blocked kernel: the hybrid matrix compiles with a proved uniform span
-// width, so the blocked path runs its fixed-trip-count microkernel loop
-// (blockedTileUniform) with no per-row span bookkeeping, at the
-// single-panel batch width where the blocked family wins outright.
-func BenchmarkSpMM_CRISPFastPath(b *testing.B) {
-	b.ReportAllocs()
-	w := benchHybridMatrix(512, 512, 16, sparsity.NM{N: 2, M: 4})
-	e, err := format.EncodeCRISP(w, 16, sparsity.NM{N: 2, M: 4})
-	if err != nil {
-		b.Fatal(err)
-	}
-	p := e.Compile()
-	if p.UniformSpan() == 0 {
-		b.Fatal("bench matrix did not compile to a uniform-span plan")
-	}
-	rng := rand.New(rand.NewSource(6))
-	x := tensor.Randn(rng, 1, 512, 8)
-	out := tensor.New(p.Rows, 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.MatMulInto(x, out)
-	}
-}
-
 // BenchmarkApplyNM measures N:M mask generation on a large layer.
 func BenchmarkApplyNM(b *testing.B) {
 	b.ReportAllocs()

@@ -42,7 +42,6 @@ import (
 // the test that needs it. An entry that is not dead fails the gate too, so
 // the list cannot go stale.
 var allowlist = map[string]string{
-	"internal/format.Plan.UniformSpan":   "BenchmarkSpMM_CRISPFastPath (bench_test.go) refuses a matrix that misses the uniform-span kernel",
 	"internal/nn.TrainingStateBytes":     "serve's TestReleasedClassifierTrainsBitIdentically holds a pruned classifier's training state to zero bytes",
 	"internal/serve.Server.Pool":         "cmd/crisp-serve's TestGracefulShutdownFlushesPendingSnapshots wedges the lone pool worker through it",
 	"internal/sparsity.VerifyRowBalance": "the CRISP row-balance oracle of core's TestApplyHybridInvariants and pruner's TestCRISPMaskInvariants",

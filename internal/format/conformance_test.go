@@ -9,13 +9,15 @@ import (
 	"repro/internal/tensor"
 )
 
-// Kernel conformance/differential harness. Every float kernel path — the
-// public dispatch (whichever way blockedAuto sends the call) and the
-// blocked driver at ragged and default row-chunk sizes — runs against the
-// scalar reference kernel over a shape grid chosen to hit every structural
-// edge: ragged row chunks, batch widths straddling the 8/4/1-column
-// panels, empty rows, all-padding CRISP spans, uniform-span CRISP plans
-// (the fixed-trip-count fast path). Results must be bit-identical.
+// Kernel conformance/differential harness. The plan kernel (Plan.MatMul
+// and MatMulInto: rowRange fanned out over the worker pool) runs against the
+// storage-format kernels a plan is compiled from — the CSR row walk, and the
+// CRISP slot walk when the matrix conforms — which share none of its kernel
+// code (not its uint16 columns, its row spans or its entry unrolling), only
+// the tensor.JobPool fan-out. The shape grid hits every structural edge:
+// empty rows, all-padding CRISP spans, spans shorter and longer than the
+// four-entry unroll, the uint16 width boundary and the transformer-s
+// matrices. Results must be bit-identical.
 
 // bitIdentical reports whether two rank-2 tensors hold exactly the same
 // bit patterns (stricter than ==: distinguishes -0 from +0, NaN payloads).
@@ -34,36 +36,40 @@ func bitIdentical(t *testing.T, got, want *tensor.Tensor) bool {
 	return true
 }
 
-// conformanceRowTiles are the row-chunk sizes the harness drives
-// matmulBlocked at: single-row chunks, a ragged size that misaligns with
-// every shape in the grid, and the production default.
-var conformanceRowTiles = []int{1, 3, defaultRowTile}
-
-// scalarRef runs the scalar reference kernel directly, bypassing dispatch.
-func scalarRef(p *Plan, x *tensor.Tensor) *tensor.Tensor {
-	n := x.Shape[1]
-	want := tensor.New(p.Rows, n)
-	p.matmulScalar(x, want, n)
-	return want
+// storagePlan is a compiled plan beside the storage-format kernel it was
+// compiled from, which is its reference.
+type storagePlan struct {
+	src  string
+	plan *Plan
+	ref  func(*tensor.Tensor) *tensor.Tensor
 }
 
-// checkAgainstScalar is the conformance contract for one (plan, activation)
-// pair: the public dispatch and matmulBlocked at every conformance chunk
-// size must reproduce the scalar reference bit for bit. The fuzz target
-// and the dispatch table feed it too.
-func checkAgainstScalar(t *testing.T, p *Plan, x *tensor.Tensor, label string) {
-	t.Helper()
-	n := x.Shape[1]
-	want := scalarRef(p, x)
-	if !bitIdentical(t, p.MatMul(x), want) {
-		t.Fatalf("%s: dispatch at %dx%d n=%d differs from scalar reference", label, p.Rows, p.Cols, n)
-	}
-	for _, rt := range conformanceRowTiles {
-		got := tensor.New(p.Rows, n)
-		p.matmulBlocked(x, got, n, rt)
-		if !bitIdentical(t, got, want) {
-			t.Fatalf("%s: blocked (row chunk %d) at %dx%d n=%d differs from scalar reference", label, rt, p.Rows, p.Cols, n)
+// storagePlans compiles one matrix from each encoding it fits: CSR always,
+// and CRISP when blk > 0 and the matrix satisfies the hybrid invariants.
+func storagePlans(w *tensor.Tensor, blk int, nm sparsity.NM) []storagePlan {
+	c := EncodeCSR(w)
+	plans := []storagePlan{{"csr", c.Compile(), c.MatMul}}
+	if blk > 0 {
+		if e, err := EncodeCRISP(w, blk, nm); err == nil {
+			plans = append(plans, storagePlan{"crisp", e.Compile(), e.MatMul})
 		}
+	}
+	return plans
+}
+
+// checkAgainstStorage is the conformance contract for one (plan,
+// activation) pair: MatMul, and MatMulInto over a NaN-filled buffer, must
+// reproduce the storage-format kernel bit for bit. The fuzz target feeds it
+// too.
+func checkAgainstStorage(t *testing.T, sp storagePlan, x *tensor.Tensor, label string) {
+	t.Helper()
+	p, n := sp.plan, x.Shape[1]
+	want := sp.ref(x)
+	if !bitIdentical(t, p.MatMul(x), want) {
+		t.Fatalf("%s/%s: MatMul at %dx%d n=%d differs from the storage kernel", label, sp.src, p.Rows, p.Cols, n)
+	}
+	if !bitIdentical(t, p.MatMulInto(x, tensor.Full(math.NaN(), p.Rows, n)), want) {
+		t.Fatalf("%s/%s: MatMulInto at %dx%d n=%d differs from the storage kernel", label, sp.src, p.Rows, p.Cols, n)
 	}
 }
 
@@ -78,45 +84,36 @@ func edgeColumns(rng *rand.Rand, rows int) *tensor.Tensor {
 	return w
 }
 
-// conformancePlans builds the plan corpus for one matrix: the CSR compile,
-// and — when the matrix satisfies the hybrid invariants — the CRISP
-// compile (which may prove uniform spans).
-func conformancePlans(w *tensor.Tensor, blk int, nm sparsity.NM) map[string]*Plan {
-	plans := map[string]*Plan{"csr": EncodeCSR(w).Compile()}
-	if blk > 0 {
-		if e, err := EncodeCRISP(w, blk, nm); err == nil {
-			plans["crisp"] = e.Compile()
-		}
-	}
-	return plans
-}
-
-// TestKernelConformance is the main differential sweep: every kernel path
-// × every plan source × a shape/batch grid, all proven bit-identical to
-// the scalar reference. The batch grid holds every width of the one-pass
-// regime (n = 4…7 run spanPanel4 plus the tail kernel, n = 8 spanPanel8)
-// and widths on both sides of it; the seventh shape is large enough that
-// batches of four and up cross tensor.ParallelThreshold, so on a multi-core
-// host the chunk sizes also partition the pool fan-out differently. The
-// last is the uint16 width boundary (edgeColumns), also held to the dense
-// product: the scalar reference shares its column load with every path.
+// TestKernelConformance is the main differential sweep: every plan source ×
+// a shape/batch grid, each plan proven bit-identical to the storage kernel
+// it was compiled from. The seventh shape is large enough that batches of
+// four and up cross tensor.ParallelThreshold, so on a multi-core host the
+// plan and its reference fan out over the pool. The eighth is the uint16
+// width boundary (edgeColumns): the CSR reference keeps int32 columns. The
+// last four are transformer-s's matrices at its served block size and ~90 %
+// sparsity.
 func TestKernelConformance(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	type shape struct {
 		rows, cols int
 		blk        int // 0 = CSR-only (arbitrary structure)
+		pruned     int // rank columns hybridMatrix prunes
 		emptyRows  bool
 		edge       bool // edgeColumns' matrix (cols = MaxCols)
 	}
 	shapes := []shape{
 		{rows: 1, cols: 8},
 		{rows: 3, cols: 33, emptyRows: true},
-		{rows: 64, cols: 128, blk: 4},
+		{rows: 64, cols: 128, blk: 4, pruned: 1},
 		{rows: 65, cols: 33, emptyRows: true},
-		{rows: 8, cols: 16, blk: 4},
-		{rows: 16, cols: 32, blk: 8},
-		{rows: 132, cols: 512, blk: 4},
+		{rows: 8, cols: 16, blk: 4, pruned: 1},
+		{rows: 16, cols: 32, blk: 8, pruned: 1},
+		{rows: 132, cols: 512, blk: 4, pruned: 1},
 		{rows: 2, cols: MaxCols, edge: true},
+		{rows: 32, cols: 32, blk: 4, pruned: 6},
+		{rows: 64, cols: 32, blk: 4, pruned: 6},
+		{rows: 32, cols: 64, blk: 4, pruned: 13},
+		{rows: 32, cols: 48, blk: 4, pruned: 10},
 	}
 	batches := []int{1, 3, 4, 5, 6, 7, 8, 16, 17}
 	for _, s := range shapes {
@@ -125,7 +122,7 @@ func TestKernelConformance(t *testing.T) {
 		case s.edge:
 			w = edgeColumns(rng, s.rows)
 		case s.blk > 0:
-			w = hybridMatrix(rng, s.rows, s.cols, s.blk, sparsity.NM{N: 2, M: 4}, 1)
+			w = hybridMatrix(rng, s.rows, s.cols, s.blk, sparsity.NM{N: 2, M: 4}, s.pruned)
 		default:
 			w = tensor.Randn(rng, 3, s.rows, s.cols)
 			for i := range w.Data {
@@ -139,49 +136,17 @@ func TestKernelConformance(t *testing.T) {
 				w.Data[(s.rows/2)*s.cols+c] = 0
 			}
 		}
-		for src, p := range conformancePlans(w, s.blk, sparsity.NM{N: 2, M: 4}) {
+		for _, sp := range storagePlans(w, s.blk, sparsity.NM{N: 2, M: 4}) {
 			for _, n := range batches {
-				x := tensor.Randn(rng, 1, s.cols, n)
-				checkAgainstScalar(t, p, x, src)
-				if s.edge && !tensor.Equal(p.MatMul(x), tensor.MatMul(w, x), 1e-12) {
-					t.Fatalf("%s: %dx%d n=%d differs from the dense product", src, s.rows, s.cols, n)
-				}
+				checkAgainstStorage(t, sp, tensor.Randn(rng, 1, s.cols, n), "grid")
 			}
 		}
 	}
 }
 
-// TestUniformSpanFastPath pins the CRISP-metadata specialization: an
-// encoding with no surviving padding slots must compile to a uniform plan
-// (blockedTileUniform eligible), one with a dropped zero must not — and
-// both must stay bit-identical to scalar on every kernel path.
-func TestUniformSpanFastPath(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	w := hybridMatrix(rng, 16, 32, 4, sparsity.NM{N: 2, M: 4}, 1)
-	e, err := EncodeCRISP(w, 4, sparsity.NM{N: 2, M: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := e.Compile()
-	if p.uniform == 0 {
-		t.Fatal("fully dense-slot CRISP encoding should compile to uniform spans")
-	}
-	x := tensor.Randn(rng, 1, 32, 9)
-	checkAgainstScalar(t, p, x, "uniform")
-
-	// Zero one stored value: the padding slot disappears from the plan, the
-	// spans go ragged, and Compile must not claim uniformity.
-	e.Val[0] = 0
-	rp := e.Compile()
-	if rp.uniform != 0 {
-		t.Fatal("ragged spans misdetected as uniform")
-	}
-	checkAgainstScalar(t, rp, x, "ragged")
-}
-
 // TestAllPaddingSpans drives the degenerate encoding whose every slot is a
-// padding zero: the plan holds no entries at all, and every kernel path
-// must still produce an exact zero matrix of the right shape.
+// padding zero: the plan holds no entries at all, and must still produce
+// the slot walk's exact zero matrix of the right shape.
 func TestAllPaddingSpans(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	w := hybridMatrix(rng, 8, 16, 4, sparsity.NM{N: 2, M: 4}, 1)
@@ -197,53 +162,17 @@ func TestAllPaddingSpans(t *testing.T) {
 		t.Fatalf("all-padding encoding compiled to %d entries", p.NNZ())
 	}
 	x := tensor.Randn(rng, 1, 16, 7)
-	for _, v := range scalarRef(p, x).Data {
+	for _, v := range e.MatMul(x).Data {
 		if v != 0 {
-			t.Fatal("scalar reference nonzero on empty plan")
+			t.Fatal("slot walk nonzero on an all-padding encoding")
 		}
 	}
-	checkAgainstScalar(t, p, x, "all-padding")
-}
-
-// TestKernelDispatch holds the one dispatch rule (blockedAuto): the blocked
-// path takes exactly the cache-resident one-panel-pass calls — 4 ≤ n ≤ 8
-// with Cols·n·8 ≤ blockedActBudget — and everything else is scalar. Each
-// row also goes through the conformance contract, so the shapes on both
-// sides of every boundary are proven bit-identical as dispatched.
-func TestKernelDispatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	overBudget := blockedActBudget/(8*blockedPanelWidth) + 1 // smallest Cols over budget at n = 8
-	for _, c := range []struct {
-		cols, n int
-		blocked bool
-	}{
-		{cols: 64, n: 1, blocked: false},
-		{cols: 64, n: 3, blocked: false},
-		{cols: 64, n: 4, blocked: true},
-		{cols: 64, n: 8, blocked: true},
-		{cols: 64, n: 9, blocked: false},
-		{cols: 64, n: 16, blocked: false},
-		{cols: overBudget - 1, n: 8, blocked: true},
-		{cols: overBudget, n: 8, blocked: false},
-		{cols: overBudget, n: 7, blocked: true},
-		{cols: 2 * overBudget, n: 4, blocked: false},
-	} {
-		if got := blockedAuto(c.cols, c.n); got != c.blocked {
-			t.Errorf("blockedAuto(cols=%d, n=%d) = %v, want %v", c.cols, c.n, got, c.blocked)
-		}
-		w := tensor.New(3, c.cols)
-		for i := range w.Data {
-			if rng.Float64() < 0.05 {
-				w.Data[i] = rng.NormFloat64()
-			}
-		}
-		checkAgainstScalar(t, EncodeCSR(w).Compile(), tensor.Randn(rng, 1, c.cols, c.n), "dispatch")
-	}
+	checkAgainstStorage(t, storagePlan{"crisp", p, e.MatMul}, x, "all-padding")
 }
 
 // TestConvPlanDifferential proves the fused implicit-im2col kernel (the
 // batch-last layout the engine runs) against the explicit lowering
-// (Im2ColInto + scalar plan MatMulInto). Equality is |difference| = 0: bit
+// (Im2ColInto + the CSR row walk). Equality is |difference| = 0: bit
 // patterns may differ only in the sign of all-padding-tap zeros (see
 // convplan.go).
 func TestConvPlanDifferential(t *testing.T) {
@@ -271,7 +200,8 @@ func TestConvPlanDifferential(t *testing.T) {
 					w.Data[i] = 0
 				}
 			}
-			p := EncodeCSR(w).Compile()
+			c := EncodeCSR(w)
+			p := c.Compile()
 			g := tensor.ConvGeom{InC: gm.inC, KH: gm.kh, KW: gm.kw,
 				Stride: gm.stride, Pad: gm.pad, InH: gm.inH, InW: gm.inW}
 			oh, ow := g.OutH(), g.OutW()
@@ -280,7 +210,7 @@ func TestConvPlanDifferential(t *testing.T) {
 
 			lowered := tensor.New(cols, n)
 			tensor.Im2ColInto(x, g, lowered)
-			want := scalarRef(p, lowered)
+			want := c.MatMul(lowered)
 
 			cp := p.CompileConv(new(ConvPlan), gm.kh, gm.kw, gm.stride, gm.pad)
 			chw := gm.inC * gm.inH * gm.inW

@@ -28,10 +28,9 @@
 // Begin carves a plan from exactly sized backing arrays, Add takes its
 // entries in row-major order (any EntrySink source can hand them over, so a
 // plan is built from a tenant's kept weights without a dense matrix or an
-// encoding between), and End closes it and proves whether every row span is
-// the same width (the uniform fast path below); the zero PlanSlab counts
-// what those calls would carve, so a caller can size a slab by running its
-// build once against it. The storage formats compile
+// encoding between), and End closes it; the zero PlanSlab counts what those
+// calls would carve, so a caller can size a slab by running its build once
+// against it. The storage formats compile
 // through the same builder — CSR.Compile, CRISPFormat.Compile — only to model
 // Fig. 4 and for tests: the CRISP slot walk emits each row's non-zeros in
 // ascending column order as well, so the plan of a CRISP-pruned matrix is its
@@ -42,40 +41,24 @@
 // goroutines and allocates nothing, and MatMulInto variants let callers
 // supply recycled output buffers.
 //
-// # The blocked kernel family
+// # The float kernel
 //
-// A compiled Plan runs one of two kernel implementations of the same SpMM
-// (plan.go, blocked.go, microkernel.go):
-//
-//   - the scalar reference kernel: one pass per row span, full-batch-width
-//     AXPY per entry (rowRange) — the semantics-defining implementation;
-//   - the register-blocked panel kernels: eight- and four-column panels
-//     whose partial sums live in register accumulators across the whole
-//     span (spanPanel8/spanPanel4 and a tail kernel), run over row chunks
-//     handed to the worker pool
-//     (matmulBlocked), with a fast path for plans whose row spans were
-//     proved uniform when they were built (blockedTileUniform, fixed trip
-//     counts, no row-pointer loads) — a CRISP-pruned matrix with no zero
-//     among its kept weights, or a dense one.
-//
-// Which one runs is decided in one place, per call: Plan.matmul asks
-// blockedAuto, which takes the blocked path when the batch is one panel
-// pass (4 ≤ n ≤ 8) over a cache-resident activation (Cols·n·8 ≤ 1 MiB)
-// and the scalar kernel otherwise. A plan carries no kernel choice. The
-// int8 kernel (QuantPlan) is the scalar SWAR walk at every batch width.
+// A compiled Plan runs one float kernel at every batch width (plan.go):
+// rowRange walks each row's span once, in storage order, with a
+// full-batch-width AXPY per entry (four entries unrolled), over rows fanned
+// out to the worker pool. The int8 kernel (QuantPlan) is the scalar SWAR
+// walk at every batch width.
 //
 // # Bit-exactness contract
 //
-// Every kernel must produce output bit-identical to the scalar reference:
-// for each output element, floating-point products are added in ascending
-// span (storage) order. Blocking, panel width, row chunking and parallel
-// fan-out may change where partial sums live and which order output
-// *elements* are produced in, but never the order of additions *within* an
-// element. The conformance harness (conformance_test.go) proves the public
-// dispatch and the blocked driver — at ragged and default chunk sizes, at
-// batch widths the dispatch would never send it —
-// bit-identical to the scalar reference across a geometry/batch grid, and
-// FuzzBlockedMatMul replays the same differential check under
-// fuzzer-chosen shapes, sparsity and values. A new kernel joins the family
-// by being driven from checkAgainstScalar.
+// A plan's output is bit-identical to the storage-format kernel it was
+// compiled from: for each output element, floating-point products are added
+// in ascending span (storage) order. Unrolling and parallel fan-out may
+// change which order output *elements* are produced in, but never the
+// order of additions *within* an element. The conformance harness
+// (conformance_test.go) proves MatMul and MatMulInto against the CSR row
+// walk and the CRISP slot walk, whose loops share none of the plan kernel's,
+// across a geometry/batch grid, and FuzzPlanMatMul replays the same
+// differential check under fuzzer-chosen shapes, sparsity and values. A
+// new kernel joins by being driven from checkAgainstStorage.
 package format

@@ -9,15 +9,14 @@ import (
 	"repro/internal/tensor"
 )
 
-// FuzzBlockedMatMul differentially fuzzes the float kernel paths against
-// the scalar reference (checkAgainstScalar: the public dispatch and
-// matmulBlocked at every conformance chunk size): fuzzer-chosen geometry,
-// sparsity and batch width build a plan corpus — arbitrary CSR structure
-// and, when the matrix conforms, the CRISP compile with its uniform-span
-// fast path — and every path must reproduce the scalar result bit for
-// bit. Seed corpus: testdata/fuzz/FuzzBlockedMatMul (9f6503bd0e51d467 holds
-// a negative selector).
-func FuzzBlockedMatMul(f *testing.F) {
+// FuzzPlanMatMul differentially fuzzes the plan kernel against the
+// storage-format kernels (checkAgainstStorage: MatMul and MatMulInto
+// against the CSR row walk and, when the matrix conforms, the CRISP slot
+// walk): fuzzer-chosen geometry, sparsity and batch width build a plan
+// corpus, and every plan must reproduce its storage kernel bit for bit.
+// Seed corpus: testdata/fuzz/FuzzPlanMatMul (9f6503bd0e51d467 holds a
+// negative selector).
+func FuzzPlanMatMul(f *testing.F) {
 	f.Add(int64(1), int64(2), int64(3), int64(16), int64(0))
 	f.Add(int64(7), int64(0), int64(0), int64(1), int64(1))
 	f.Add(int64(42), int64(3), int64(1), int64(17), int64(2))
@@ -42,13 +41,9 @@ func FuzzBlockedMatMul(f *testing.F) {
 				}
 			}
 		}
-		plans := []*Plan{EncodeCSR(w).Compile()}
-		if e, err := EncodeCRISP(w, 4, sparsity.NM{N: 2, M: 4}); err == nil {
-			plans = append(plans, e.Compile())
-		}
 		x := tensor.Randn(rng, 1, cols, n)
-		for _, p := range plans {
-			checkAgainstScalar(t, p, x, "fuzz")
+		for _, sp := range storagePlans(w, 4, sparsity.NM{N: 2, M: 4}) {
+			checkAgainstStorage(t, sp, x, "fuzz")
 		}
 	})
 }

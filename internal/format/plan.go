@@ -29,11 +29,6 @@ type Plan struct {
 	// Col holds absolute column indices, Val the matching non-zero values.
 	Col []uint16
 	Val []float64
-
-	// uniform, when positive, records that every row span holds exactly
-	// this many entries — proved when the plan is built — enabling the
-	// fixed-trip-count fast path (blockedTileUniform).
-	uniform int
 }
 
 // NNZ returns the number of stored (all non-zero) entries.
@@ -57,11 +52,6 @@ func checkCols(cols int) {
 		panic(fmt.Sprintf("format: %d columns, a plan holds at most %d", cols, MaxCols))
 	}
 }
-
-// UniformSpan returns the proved per-row entry count when every row span
-// holds the same number of entries (the fixed-trip-count fast path), and 0
-// for ragged plans.
-func (p *Plan) UniformSpan() int { return p.uniform }
 
 // Compile compiles the encoding into an execution plan. CSR is already
 // row-pointer + column-index + value, so the plan is a direct image of the
@@ -107,11 +97,13 @@ type PlanSlab struct {
 	np, nr, nz int
 	top        [3]int
 	// cur is the plan being built, since the entry start; last is the index
-	// of its latest entry, and err the first entry it could not take.
-	cur   *Plan
-	start int
-	last  int
-	err   error
+	// of its latest entry, row that entry's row and rowAt the row's first
+	// index, and err the first entry it could not take.
+	cur        *Plan
+	start      int
+	last       int
+	row, rowAt int
+	err        error
 }
 
 // NewPlanSlab returns a slab sized exactly for the given number of plans,
@@ -148,7 +140,7 @@ func (s *PlanSlab) Left() (plans, rows, nnz int) {
 // wider than MaxCols.
 func (s *PlanSlab) Begin(rows, cols int) error {
 	checkCols(cols)
-	s.start, s.last, s.err = s.nz, -1, nil
+	s.start, s.last, s.row, s.rowAt, s.err = s.nz, -1, 0, 0, nil
 	if s.plans != nil {
 		if plans, left, _ := s.Left(); plans == 0 || left < rows {
 			return fmt.Errorf("format: plan slab has %d plans and %d rows left, a %d-row plan needs 1 and %d", plans, left, rows, rows)
@@ -156,7 +148,7 @@ func (s *PlanSlab) Begin(rows, cols int) error {
 		at := s.np + s.nr
 		s.cur = &s.plans[s.np]
 		*s.cur = Plan{Rows: rows, Cols: cols, RowPtr: s.rowPtr[at : at+rows+1 : at+rows+1]}
-		clear(s.cur.RowPtr)
+		s.cur.RowPtr[0] = 0
 	}
 	s.np, s.nr = s.np+1, s.nr+rows
 	return nil
@@ -182,8 +174,11 @@ func (s *PlanSlab) Add(i int, v float64) {
 		return
 	}
 	s.last = i
-	p.RowPtr[i/p.Cols+1]++
-	s.col[s.nz], s.val[s.nz] = uint16(i%p.Cols), v
+	for i >= s.rowAt+p.Cols { // i is past the current row: close it
+		s.row, s.rowAt = s.row+1, s.rowAt+p.Cols
+		p.RowPtr[s.row] = int32(s.nz - s.start)
+	}
+	s.col[s.nz], s.val[s.nz] = uint16(i-s.rowAt), v
 	s.nz++
 }
 
@@ -202,21 +197,8 @@ func (s *PlanSlab) End() (*Plan, error) {
 	}
 	p.Col = s.col[s.start:s.nz:s.nz]
 	p.Val = s.val[s.start:s.nz:s.nz]
-	for r := range p.Rows {
-		p.RowPtr[r+1] += p.RowPtr[r]
-	}
-	// Every row span the same width (an N:M + block-column layout with no
-	// zero slot, or a dense matrix) lets the blocked kernels address spans
-	// without RowPtr loads (blockedTileUniform). One O(Rows) scan over the
-	// built RowPtr proves it.
-	if p.Rows > 0 {
-		u := p.RowPtr[1]
-		for r := 1; r < p.Rows && u > 0; r++ {
-			if p.RowPtr[r+1]-p.RowPtr[r] != u {
-				u = 0
-			}
-		}
-		p.uniform = int(u)
+	for r := s.row + 1; r <= p.Rows; r++ { // the latest entry's row and those after it
+		p.RowPtr[r] = int32(len(p.Col))
 	}
 	return p, nil
 }
@@ -300,39 +282,24 @@ func (p *Plan) MatMulInto(b, out *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-// matmul is the plan kernel, and the one place a kernel is chosen: per
-// call, from what the call can observe. blockedAuto sends cache-resident
-// activations of one panel pass (4 ≤ n ≤ 8) to the register-blocked path
-// (blocked.go); everything else — single samples, wide batches,
-// streaming-sized activations — runs the scalar reference kernel, whose
-// contiguous full-width row walks win there (see blockedActBudget). Both
-// produce bit-identical output (see microkernel.go).
+// matmul is the plan kernel at every batch width: rowRange over every row,
+// fanned out over the worker pool at batch scale.
 func (p *Plan) matmul(b, out *tensor.Tensor, n int) {
-	if blockedAuto(p.Cols, n) {
-		p.matmulBlocked(b, out, n, defaultRowTile)
-		return
-	}
-	p.matmulScalar(b, out, n)
+	planJobs.Run(p.Rows, p.NNZ()*n, planJob{p: p, b: b, out: out, n: n})
 }
 
-// matmulScalar is the scalar reference kernel's driver: rowRange over
-// every row, fanned out over the worker pool at batch scale.
-func (p *Plan) matmulScalar(b, out *tensor.Tensor, n int) {
-	scalarJobs.Run(p.Rows, p.NNZ()*n, scalarJob{p: p, b: b, out: out, n: n})
-}
-
-// scalarJob is matmulScalar's fan-out record.
-type scalarJob struct {
+// planJob is matmul's fan-out record.
+type planJob struct {
 	tensor.Join
 	p      *Plan
 	b, out *tensor.Tensor
 	n      int
 }
 
-var scalarJobs tensor.JobPool[scalarJob, *scalarJob]
+var planJobs tensor.JobPool[planJob, *planJob]
 
 // Rows implements tensor.RowJob.
-func (j *scalarJob) Rows(r0, r1 int) { j.p.rowRange(j.b, j.out, j.n, r0, r1) }
+func (j *planJob) Rows(r0, r1 int) { j.p.rowRange(j.b, j.out, j.n, r0, r1) }
 
 // rowRange computes output rows [row0, row1). Each row is zeroed and
 // accumulated by exactly one worker, walking its Col/Val span in storage

@@ -192,7 +192,7 @@ func TestParallelRowsPool(t *testing.T) {
 // TestFanOutAllocatesNothing: every serving kernel at batch 16 crosses the
 // fan-out threshold and hands the worker pool a pooled job record, so a
 // call allocates nothing: the conv plan, the int8 plan (its activation
-// encode fans out too), and the scalar and blocked float plans.
+// encode fans out too), and the float plan.
 func TestFanOutAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -224,8 +224,7 @@ func TestFanOutAllocatesNothing(t *testing.T) {
 	}{
 		{"conv-b16", cp.p.NNZ() * batch * ohow, func() { cp.MatMulBatchLastInto(xT, g, batch, convOut, clips) }},
 		{"quant-b16", len(q.Code) * batch, func() { q.MatMulInto(x, out, qs) }},
-		{"scalar-b16", p.NNZ() * batch, func() { p.matmulScalar(x, out, batch) }},
-		{"blocked-b16", p.NNZ() * batch, func() { p.matmulBlocked(x, out, batch, 8) }},
+		{"plan-b16", p.NNZ() * batch, func() { p.MatMulInto(x, out) }},
 	} {
 		if c.work < tensor.ParallelThreshold {
 			t.Fatalf("%s: %d multiply-adds do not cross the fan-out threshold", c.name, c.work)
@@ -254,10 +253,13 @@ func buildPlan(m *tensor.Tensor, slab *PlanSlab) (*Plan, error) {
 // TestPlanSlabCarvesExactly: planShapes' matrices, built one after another
 // into one slab sized for all of them from their non-zeros in row-major
 // order, are the plans Compile returns alone — from the CRISP encoding and
-// from CSR alternately — with the same fingerprint and the same uniform span,
-// every slice capped at its length, and the slab ends empty. A slab one entry
-// short fails the last plan and carves nothing for it; a rewound slab carves
-// from the start of its arrays again; an entry out of order fails its plan.
+// from CSR alternately — with the same fingerprint, every slice capped at
+// its length, and the slab ends empty. A slab one entry short fails the last
+// plan and carves nothing for it; a rewound slab carves from the start of
+// its arrays again; an entry out of order or past the matrix fails its
+// plan. Matrices that make Add step rows other than one at a time (leading,
+// inner and trailing empty rows, a last entry in the last column, a single
+// column) build the CSR encoding's rows, columns and values exactly.
 func TestPlanSlabCarvesExactly(t *testing.T) {
 	rng := rand.New(rand.NewSource(76))
 	var ms []*tensor.Tensor
@@ -287,7 +289,7 @@ func TestPlanSlabCarvesExactly(t *testing.T) {
 		if i == 0 {
 			first = got
 		}
-		if want := alone(i); got.Fingerprint() != want.Fingerprint() || got.UniformSpan() != want.UniformSpan() {
+		if want := alone(i); got.Fingerprint() != want.Fingerprint() {
 			t.Fatalf("plan %d from the slab differs from the plan compiled alone", i)
 		}
 		if cap(got.RowPtr) != len(got.RowPtr) || cap(got.Col) != len(got.Col) || cap(got.Val) != len(got.Val) {
@@ -338,6 +340,42 @@ func TestPlanSlabCarvesExactly(t *testing.T) {
 	slab.Add(6, 1)
 	if _, err := slab.End(); err == nil {
 		t.Fatal("an entry past the matrix built a plan")
+	}
+
+	// Each matrix lists its shape, then its non-zeros' (row, column).
+	for _, c := range [][]int{
+		{6, 5, 2, 0, 2, 4, 5, 4},       // two empty rows first, two inside, the last in the last column
+		{7, 4, 1, 3, 2, 0, 4, 2},       // a row ending in its last column, then two empty rows
+		{3, 4},                         // no entry at all
+		{1, 1, 0, 0},                   // one entry, the whole matrix
+		{5, 1, 0, 0, 2, 0, 3, 0},       // one column: every entry steps a row
+		{4, 3, 3, 0, 3, 1, 3, 2},       // every entry in the last row
+		{4, 6, 0, 5, 1, 0, 3, 0, 3, 5}, // row ends and row starts back to back
+	} {
+		slab.Rewind()
+		m := tensor.New(c[0], c[1])
+		for k := 2; k < len(c); k += 2 {
+			m.Data[c[k]*c[1]+c[k+1]] = float64(k)
+		}
+		got, err := buildPlan(m, &slab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		csr := EncodeCSR(m)
+		want := csr.Compile()
+		for r, at := range got.RowPtr {
+			if at != want.RowPtr[r] || at != csr.RowPtr[r] {
+				t.Fatalf("%v: RowPtr %v, Compile %v, CSR %v", c, got.RowPtr, want.RowPtr, csr.RowPtr)
+			}
+		}
+		if len(got.Col) != len(csr.ColIdx) || len(want.Col) != len(csr.ColIdx) {
+			t.Fatalf("%v: %d entries, Compile %d, CSR %d", c, len(got.Col), len(want.Col), len(csr.ColIdx))
+		}
+		for k, col := range got.Col {
+			if col != want.Col[k] || int32(col) != csr.ColIdx[k] || got.Val[k] != want.Val[k] || got.Val[k] != csr.Val[k] {
+				t.Fatalf("%v: entry %d is (%d, %v), Compile (%d, %v), CSR (%d, %v)", c, k, col, got.Val[k], want.Col[k], want.Val[k], csr.ColIdx[k], csr.Val[k])
+			}
+		}
 	}
 }
 
