@@ -126,12 +126,7 @@ func main() {
 	}
 	log.Printf("pre-training universal %s (%d classes, %d epoch(s))...", f, *numClasses, *pretrain)
 	base := build()
-	all := make([]int, *numClasses)
-	for i := range all {
-		all[i] = i
-	}
-	pruner.Finetune(base, ds.MakeSplit("pretrain", all, 8), *pretrain, 16,
-		nn.NewSGD(0.05, 0.9, 4e-5), rand.New(rand.NewSource(*seed+2)))
+	pruner.Pretrain(base, ds, *pretrain, 8, *seed+2)
 
 	servers := make([]*serve.Server, len(precs))
 	for i, prec := range precs {

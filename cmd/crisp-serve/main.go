@@ -197,12 +197,7 @@ func main() {
 	log.Printf("pre-training universal %s (%d classes, %d epochs)...", f, *numClasses, *pretrain)
 	start := time.Now()
 	base := build()
-	all := make([]int, *numClasses)
-	for i := range all {
-		all[i] = i
-	}
-	opt := nn.NewSGD(0.05, 0.9, 4e-5)
-	pruner.Finetune(base, ds.MakeSplit("pretrain", all, *perClass), *pretrain, 16, opt, rand.New(rand.NewSource(*seed+2)))
+	pruner.Pretrain(base, ds, *pretrain, *perClass, *seed+2)
 	log.Printf("pre-trained in %.1fs", time.Since(start).Seconds())
 
 	s, err := serve.NewServer(build, base, ds, serve.Options{

@@ -126,14 +126,7 @@ func DefaultConfig(target float64) Config {
 // Pretrain trains the model on all classes of ds — the "universal model"
 // the paper starts from.
 func Pretrain(model *Classifier, ds *Dataset, epochs, samplesPerClass int, seed int64) {
-	all := make([]int, ds.NumClasses)
-	for i := range all {
-		all[i] = i
-	}
-	split := ds.MakeSplit("pretrain", all, samplesPerClass)
-	opt := nn.NewSGD(0.05, 0.9, 4e-5)
-	pruner.Finetune(model, split, epochs, 16, opt, rand.New(rand.NewSource(seed)))
-	model.ReleaseTrainingState()
+	pruner.Pretrain(model, ds, epochs, samplesPerClass, seed)
 }
 
 // Result bundles the outcome of Personalize.

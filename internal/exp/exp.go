@@ -151,14 +151,7 @@ func (h *Harness) Pretrained(f models.Family, ds *data.Dataset) *nn.Classifier {
 		}
 		clf := snap.build()
 		epochs, perClass := h.pretrainCfg()
-		all := make([]int, ds.NumClasses)
-		for i := range all {
-			all[i] = i
-		}
-		split := ds.MakeSplit("pretrain", all, perClass)
-		opt := nn.NewSGD(0.05, 0.9, 4e-5)
-		pruner.Finetune(clf, split, epochs, 16, opt, rand.New(rand.NewSource(seed+1)))
-		clf.ReleaseTrainingState()
+		pruner.Pretrain(clf, ds, epochs, perClass, seed+1)
 		snap.trained = clf
 	})
 	fresh := snap.build()

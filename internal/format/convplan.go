@@ -6,8 +6,8 @@ import (
 	"repro/internal/tensor"
 )
 
-// Implicit-im2col convolution: the conv-layer member of the blocked kernel
-// family. The classic lowering materializes im2col(x) — a [InC·KH·KW,
+// Implicit-im2col convolution: the conv-layer counterpart of the float
+// plan kernel. The classic lowering materializes im2col(x) — a [InC·KH·KW,
 // N·OH·OW] matrix that duplicates every input pixel KH·KW times — and then
 // runs the generic SpMM over it. On conv-sized batches that write
 // amplification dominates the whole forward pass: the im2col matrix is

@@ -1,7 +1,6 @@
 package pruner
 
 import (
-	"math/rand"
 	"sort"
 
 	"repro/internal/core"
@@ -21,27 +20,16 @@ type NMOnly struct {
 // NewNMOnly constructs the baseline.
 func NewNMOnly(opts Options) *NMOnly { return &NMOnly{Opts: opts.WithDefaults()} }
 
-// Prune applies N:M masks iteratively with fine-tuning between rounds.
+// Prune applies N:M masks iteratively with fine-tuning between rounds. Its
+// target and every round's κ are the pattern's fixed 1 − N/M.
 func (b *NMOnly) Prune(clf *nn.Classifier, train data.Split) Report {
-	defer clf.ReleaseTrainingState()
 	o := b.Opts
-	rng := rand.New(rand.NewSource(o.Seed))
-	opt := nn.NewSGD(o.LR, o.Momentum, o.WeightDecay)
-	rep := Report{Method: "nm-only-" + o.NM.String(), Target: 1 - o.NM.Density()}
-	params := clf.PrunableParams()
-	for p := 1; p <= o.Iterations; p++ {
-		loss := Finetune(clf, train, o.FinetuneEpochs, o.BatchSize, opt, rng)
-		scores := saliency.Compute(clf, train, o.BatchSize, o.Saliency)
+	o.Target = 1 - o.NM.Density()
+	return run(clf, train, o, "nm-only-"+o.NM.String(), o.Target, func(params []*nn.Param, scores saliency.Scores, _ float64) {
 		for _, prm := range params {
 			sparsity.ApplyNM(prm.MaskMatrixView(), scores.MatrixView(prm), o.NM)
 		}
-		rep.Iterations = append(rep.Iterations, IterStat{Iteration: p, Kappa: rep.Target, Sparsity: clf.GlobalSparsity(), Loss: loss})
-	}
-	Finetune(clf, train, o.FinalFinetuneEpochs, o.BatchSize, opt, rng)
-	rep.AchievedSparsity = clf.GlobalSparsity()
-	rep.FLOPsRatio = FLOPsRatio(clf)
-	rep.Layers = LayerStats(clf, o.BlockSize)
-	return rep
+	})
 }
 
 // BlockOnly is the coarse-grained block-sparsity baseline of the paper's
@@ -62,36 +50,21 @@ func NewBlockOnly(opts Options, balanced bool) *BlockOnly {
 
 // Prune iteratively removes blocks until the target sparsity.
 func (b *BlockOnly) Prune(clf *nn.Classifier, train data.Split) Report {
-	defer clf.ReleaseTrainingState()
-	o := b.Opts
-	rng := rand.New(rand.NewSource(o.Seed))
-	opt := nn.NewSGD(o.LR, o.Momentum, o.WeightDecay)
-	name := "block-unbalanced"
 	if b.Balanced {
-		name = "block-balanced"
+		return run(clf, train, b.Opts, "block-balanced", 0, afresh(b.pruneBalanced))
 	}
-	rep := Report{Method: name, Target: o.Target}
-	params := clf.PrunableParams()
-	for p := 1; p <= o.Iterations; p++ {
-		loss := Finetune(clf, train, o.FinetuneEpochs, o.BatchSize, opt, rng)
-		scores := saliency.Compute(clf, train, o.BatchSize, o.Saliency)
-		// Reset masks: block pruning is recomputed from scratch each round.
+	return run(clf, train, b.Opts, "block-unbalanced", 0, afresh(b.pruneUnbalanced))
+}
+
+// afresh wraps a removal step whose masks are recomputed from scratch each
+// round: every mask is reset to dense before remove runs.
+func afresh(remove maskStep) maskStep {
+	return func(params []*nn.Param, scores saliency.Scores, kappa float64) {
 		for _, prm := range params {
 			prm.EnsureMask().Fill(1)
 		}
-		kappa := o.kappaAt(p, o.Iterations, 0)
-		if b.Balanced {
-			b.pruneBalanced(params, scores, kappa)
-		} else {
-			b.pruneUnbalanced(params, scores, kappa)
-		}
-		rep.Iterations = append(rep.Iterations, IterStat{Iteration: p, Kappa: kappa, Sparsity: clf.GlobalSparsity(), Loss: loss})
+		remove(params, scores, kappa)
 	}
-	Finetune(clf, train, o.FinalFinetuneEpochs, o.BatchSize, opt, rng)
-	rep.AchievedSparsity = clf.GlobalSparsity()
-	rep.FLOPsRatio = FLOPsRatio(clf)
-	rep.Layers = LayerStats(clf, o.BlockSize)
-	return rep
 }
 
 // pruneBalanced reuses CRISP's rank-column machinery without N:M (a 1:1
@@ -167,50 +140,12 @@ func NewChannel(opts Options) *Channel { return &Channel{Opts: opts.WithDefaults
 
 // Prune iteratively removes channels until the target sparsity.
 func (b *Channel) Prune(clf *nn.Classifier, train data.Split) Report {
-	defer clf.ReleaseTrainingState()
-	o := b.Opts
-	rng := rand.New(rand.NewSource(o.Seed))
-	opt := nn.NewSGD(o.LR, o.Momentum, o.WeightDecay)
-	rep := Report{Method: "channel", Target: o.Target}
-	params := clf.PrunableParams()
-	for p := 1; p <= o.Iterations; p++ {
-		loss := Finetune(clf, train, o.FinetuneEpochs, o.BatchSize, opt, rng)
-		rowScores := b.rowScores(clf, train)
-		for _, prm := range params {
-			prm.EnsureMask().Fill(1)
-		}
-		kappa := o.kappaAt(p, o.Iterations, 0)
-		b.pruneChannels(params, rowScores, kappa)
-		rep.Iterations = append(rep.Iterations, IterStat{Iteration: p, Kappa: kappa, Sparsity: clf.GlobalSparsity(), Loss: loss})
-	}
-	Finetune(clf, train, o.FinalFinetuneEpochs, o.BatchSize, opt, rng)
-	rep.AchievedSparsity = clf.GlobalSparsity()
-	rep.FLOPsRatio = FLOPsRatio(clf)
-	rep.Layers = LayerStats(clf, o.BlockSize)
-	return rep
+	return run(clf, train, b.Opts, "channel", 0, afresh(pruneChannels))
 }
 
-// rowScores returns one score per output row of every prunable parameter:
-// the row's summed weight saliency.
-func (b *Channel) rowScores(clf *nn.Classifier, train data.Split) map[*nn.Param][]float64 {
-	out := map[*nn.Param][]float64{}
-	scores := saliency.Compute(clf, train, b.Opts.BatchSize, b.Opts.Saliency)
-	for _, prm := range clf.PrunableParams() {
-		sv := scores.MatrixView(prm)
-		rows := make([]float64, prm.Rows)
-		for r := 0; r < prm.Rows; r++ {
-			s := 0.0
-			for c := 0; c < prm.Cols; c++ {
-				s += sv.At(r, c)
-			}
-			rows[r] = s
-		}
-		out[prm] = rows
-	}
-	return out
-}
-
-func (b *Channel) pruneChannels(params []*nn.Param, rowScores map[*nn.Param][]float64, kappa float64) {
+// pruneChannels removes whole rows by ascending score, each row scored by
+// its summed weight saliency, keeping minKeepRows rows per layer.
+func pruneChannels(params []*nn.Param, scores saliency.Scores, kappa float64) {
 	type rowRef struct {
 		param *nn.Param
 		row   int
@@ -223,8 +158,13 @@ func (b *Channel) pruneChannels(params []*nn.Param, rowScores map[*nn.Param][]fl
 		total += prm.W.Len()
 		nonzero += prm.EnsureMask().CountNonZero()
 		keepLeft[prm] = prm.Rows
+		sv := scores.MatrixView(prm)
 		for r := 0; r < prm.Rows; r++ {
-			rows = append(rows, rowRef{param: prm, row: r, score: rowScores[prm][r]})
+			sum := 0.0
+			for c := 0; c < prm.Cols; c++ {
+				sum += sv.At(r, c)
+			}
+			rows = append(rows, rowRef{param: prm, row: r, score: sum})
 		}
 	}
 	sort.SliceStable(rows, func(a, b int) bool { return rows[a].score < rows[b].score })

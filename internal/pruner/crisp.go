@@ -45,14 +45,32 @@ func coreLayers(params []*nn.Param, scores saliency.Scores) []*core.Layer {
 // Prune runs Algorithm 1 on clf using train as the user-class sample set,
 // mutating the classifier's masks and weights in place.
 func (c *CRISP) Prune(clf *nn.Classifier, train data.Split) Report {
-	defer clf.ReleaseTrainingState()
 	o := c.Opts
+	// The N:M pattern alone provides 1 − N/M, so κ_p ramps from there.
+	return run(clf, train, o, "crisp-"+o.NM.String(), 1-o.NM.Density(), func(params []*nn.Param, scores saliency.Scores, kappa float64) {
+		// Lines 2–10: hybrid mask construction at the round's target κ_p.
+		// ApplyNM rewrites the whole mask each round, so previously pruned
+		// weights may revive (the STE kept them training).
+		core.ApplyHybrid(coreLayers(params, scores), coreConfig(o), kappa)
+	})
+}
+
+// maskStep writes the masks of params from the round's saliency scores at
+// the round's target sparsity κ_p. It is all a pruner adds to run.
+type maskStep func(params []*nn.Param, scores saliency.Scores, kappa float64)
+
+// run is Algorithm 1's loop (paper Fig. 5), the one schedule CRISP and
+// every baseline share: each of o.Iterations rounds fine-tunes clf on the
+// user classes, estimates the saliency, and calls prune to write the masks
+// at the round's target κ_p, which ramps from floor to o.Target; a recovery
+// fine-tune follows the last round. The pruners differ only in prune.
+func run(clf *nn.Classifier, train data.Split, o Options, method string, floor float64, prune maskStep) Report {
+	defer clf.ReleaseTrainingState()
 	rng := rand.New(rand.NewSource(o.Seed))
 	opt := nn.NewSGD(o.LR, o.Momentum, o.WeightDecay)
-	rep := Report{Method: "crisp-" + o.NM.String(), Target: o.Target}
+	rep := Report{Method: method, Target: o.Target}
 
 	params := clf.PrunableParams()
-	floor := 1 - o.NM.Density()
 	for p := 1; p <= o.Iterations; p++ {
 		// Step 2 (paper Fig. 5): class-aware fine-tuning. The first round
 		// fine-tunes the dense model; later rounds recover from pruning.
@@ -61,11 +79,8 @@ func (c *CRISP) Prune(clf *nn.Classifier, train data.Split) Report {
 		// Step 4 of Alg. 1: estimate the class-aware saliency score.
 		scores := saliency.Compute(clf, train, o.BatchSize, o.Saliency)
 
-		// Lines 2–10: hybrid mask construction at the round's target κ_p.
-		// ApplyNM rewrites the whole mask each round, so previously pruned
-		// weights may revive (the STE kept them training).
 		kappa := o.kappaAt(p, o.Iterations, floor)
-		core.ApplyHybrid(coreLayers(params, scores), coreConfig(o), kappa)
+		prune(params, scores, kappa)
 
 		rep.Iterations = append(rep.Iterations, IterStat{
 			Iteration: p,

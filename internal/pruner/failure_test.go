@@ -7,6 +7,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/models"
 	"repro/internal/nn"
+	"repro/internal/saliency"
 	"repro/internal/sparsity"
 	"repro/internal/tensor"
 )
@@ -27,6 +28,11 @@ func TestOptionsValidate(t *testing.T) {
 		{Target: 0.5, BlockSize: -4},
 		{Target: 0.5, Momentum: 1.0},
 		{Target: 0.5, LR: -1},
+		{Target: 0.5, FinalFinetuneEpochs: -1},
+		{Target: 0.5, Schedule: ScheduleCubic + 1},
+		{Target: 0.5, Schedule: -1},
+		{Target: 0.5, Saliency: saliency.GradOnly + 1},
+		{Target: 0.5, Saliency: -1},
 	}
 	for i, o := range bad {
 		if err := o.Validate(); err == nil {

@@ -1,8 +1,6 @@
 package pruner
 
 import (
-	"math/rand"
-
 	"repro/internal/data"
 	"repro/internal/nn"
 	"repro/internal/saliency"
@@ -40,27 +38,10 @@ type layerState struct {
 	size  int
 }
 
-// Prune runs the iterative search + fine-tune loop.
+// Prune runs the iterative search + fine-tune loop. κ_p ramps from the
+// densest candidate's sparsity.
 func (b *MixedNM) Prune(clf *nn.Classifier, train data.Split) Report {
-	defer clf.ReleaseTrainingState()
-	o := b.Opts
-	rng := rand.New(rand.NewSource(o.Seed))
-	opt := nn.NewSGD(o.LR, o.Momentum, o.WeightDecay)
-	rep := Report{Method: "mixed-nm", Target: o.Target}
-	params := clf.PrunableParams()
-
-	for p := 1; p <= o.Iterations; p++ {
-		loss := Finetune(clf, train, o.FinetuneEpochs, o.BatchSize, opt, rng)
-		scores := saliency.Compute(clf, train, o.BatchSize, o.Saliency)
-		kappa := o.kappaAt(p, o.Iterations, 1-b.Candidates[0].Density())
-		b.assign(params, scores, kappa)
-		rep.Iterations = append(rep.Iterations, IterStat{Iteration: p, Kappa: kappa, Sparsity: clf.GlobalSparsity(), Loss: loss})
-	}
-	Finetune(clf, train, o.FinalFinetuneEpochs, o.BatchSize, opt, rng)
-	rep.AchievedSparsity = clf.GlobalSparsity()
-	rep.FLOPsRatio = FLOPsRatio(clf)
-	rep.Layers = LayerStats(clf, o.BlockSize)
-	return rep
+	return run(clf, train, b.Opts, "mixed-nm", 1-b.Candidates[0].Density(), b.assign)
 }
 
 // assign chooses per-layer patterns greedily and writes the masks.

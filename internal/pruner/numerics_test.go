@@ -51,6 +51,8 @@ func modelHash(clf *nn.Classifier) uint64 {
 // the dense kernels were register-blocked. The shapes are the repository
 // benchmark's fixture (width-2 models, 3×8×8, 2:4, block 4, target 0.9),
 // so an exact user_acc there is a consequence of this test, not a surprise.
+// The pre-train is Pretrain, the one recipe every entry point shares, at
+// the fixture's epochs, samples per class and seed.
 //
 // The constants were recorded at the parent of the kernel change. A kernel
 // or layer edit that moves them changed training arithmetic: that is a
@@ -73,12 +75,8 @@ func TestTrainingNumericsPinned(t *testing.T) {
 			build := func() *nn.Classifier {
 				return models.Build(tc.family, rand.New(rand.NewSource(20240608)), cfg.NumClasses, 2)
 			}
-			all := make([]int, cfg.NumClasses)
-			for i := range all {
-				all[i] = i
-			}
 			base := build()
-			Finetune(base, ds.MakeSplit("pretrain", all, 8), 2, 16, nn.NewSGD(0.05, 0.9, 4e-5), rand.New(rand.NewSource(20240609)))
+			Pretrain(base, ds, 2, 8, 20240609)
 			if got := modelHash(base); got != tc.pretrained {
 				t.Errorf("pre-trained model hash %#x, want %#x", got, tc.pretrained)
 			}

@@ -2,6 +2,11 @@
 // (Algorithm 1 of the paper) and the baselines it is compared against:
 // pure block pruning (balanced and classic unbalanced), N:M-only pruning,
 // mixed per-layer N:M, and CAPNN-style channel pruning.
+//
+// Algorithm 1's loop — fine-tune, saliency, mask at κ_p, and a recovery
+// fine-tune after the last round — is written once (run); every pruner,
+// CRISP included, is a mask step on it. Pretrain is the one recipe that
+// trains the universal model the pruners start from.
 package pruner
 
 import (
@@ -68,8 +73,14 @@ func (o Options) Validate() error {
 			return err
 		}
 	}
-	if o.BlockSize < 0 || o.Iterations < 0 || o.FinetuneEpochs < 0 || o.BatchSize < 0 {
+	if o.BlockSize < 0 || o.Iterations < 0 || o.FinetuneEpochs < 0 || o.FinalFinetuneEpochs < 0 || o.BatchSize < 0 {
 		return fmt.Errorf("pruner: negative option in %+v", o)
+	}
+	if o.Schedule != ScheduleLinear && o.Schedule != ScheduleCubic {
+		return fmt.Errorf("pruner: unknown schedule %d", o.Schedule)
+	}
+	if o.Saliency != saliency.Taylor && o.Saliency != saliency.Magnitude && o.Saliency != saliency.GradOnly {
+		return fmt.Errorf("pruner: unknown saliency method %d", o.Saliency)
 	}
 	if o.LR < 0 || o.Momentum < 0 || o.Momentum >= 1 || o.WeightDecay < 0 {
 		return fmt.Errorf("pruner: invalid optimizer settings lr=%v momentum=%v wd=%v", o.LR, o.Momentum, o.WeightDecay)
@@ -126,12 +137,9 @@ func (o Options) kappaAt(p, n int, floor float64) float64 {
 		return o.Target
 	}
 	t := float64(p) / float64(n)
-	var f float64
-	switch o.Schedule {
-	case ScheduleCubic:
+	f := t // ScheduleLinear
+	if o.Schedule == ScheduleCubic {
 		f = 1 - (1-t)*(1-t)*(1-t)
-	default:
-		f = t
 	}
 	return floor + (o.Target-floor)*f
 }
@@ -204,4 +212,17 @@ func Finetune(clf *nn.Classifier, split data.Split, epochs, batchSize int, opt *
 		return 0
 	}
 	return sum / float64(batches)
+}
+
+// Pretrain trains clf on every class of ds, samplesPerClass samples each,
+// into the universal model the paper personalizes from, then releases its
+// training state. It is the one pre-training recipe: batches of 16, SGD at
+// learning rate 0.05, momentum 0.9 and weight decay 4e-5, shuffled by seed.
+func Pretrain(clf *nn.Classifier, ds *data.Dataset, epochs, samplesPerClass int, seed int64) {
+	all := make([]int, ds.NumClasses)
+	for i := range all {
+		all[i] = i
+	}
+	Finetune(clf, ds.MakeSplit("pretrain", all, samplesPerClass), epochs, 16, nn.NewSGD(0.05, 0.9, 4e-5), rand.New(rand.NewSource(seed)))
+	clf.ReleaseTrainingState()
 }

@@ -198,13 +198,9 @@ func concatLead(ts []*Tensor) int {
 	return lead
 }
 
-// CacheBlockF64 is THE cache-block edge for float64 tiling in this repo:
-// the square tile side (in elements) below which two tiles — one read, one
-// written — fit in a 16 KiB half-L1 budget (2·32²·8 B = 16 KiB). The
-// cache-blocked transpose uses it directly, and the sparse blocked kernels
-// (internal/format) derive their row-chunk height and activation budget
-// from it, so both sides of every SpMM (transposed weights in, chunked
-// output out) block at the same granularity.
+// CacheBlockF64 is the cache-block edge of the float64 transpose: the
+// square tile side (in elements) below which two tiles — one read, one
+// written — fit in a 16 KiB half-L1 budget (2·32²·8 B = 16 KiB).
 const CacheBlockF64 = 32
 
 // Transpose returns mᵀ for a rank-2 tensor.
