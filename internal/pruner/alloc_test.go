@@ -29,7 +29,7 @@ func pruneObjects(t *testing.T, f models.Family, epochs int) float64 {
 		return models.Build(f, rand.New(rand.NewSource(20240608)), cfg.NumClasses, 2)
 	}
 	base := build()
-	Finetune(base, ds.MakeSplit("pretrain", []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, 8), 2, 16, nn.NewSGD(0.05, 0.9, 4e-5), rand.New(rand.NewSource(20240609)))
+	Pretrain(base, ds, 2, 8, 20240609)
 	split := ds.MakeSplit("serve-train/0,1,3", []int{0, 1, 3}, 8)
 	opts := Options{Target: 0.9, NM: sparsity.NM{N: 2, M: 4}, BlockSize: 4, Iterations: 1, FinetuneEpochs: epochs, BatchSize: 16}
 	const runs = 2

@@ -39,14 +39,8 @@ func testSetup(t *testing.T, f models.Family) (*nn.Classifier, data.Split, data.
 	pretrainedCache.Lock()
 	trained := pretrainedCache.m[f]
 	if trained == nil {
-		all := make([]int, cfg.NumClasses)
-		for i := range all {
-			all[i] = i
-		}
 		trained = build()
-		pre := ds.MakeSplit("pretrain", all, 12)
-		opt := nn.NewSGD(0.05, 0.9, 4e-5)
-		Finetune(trained, pre, 4, 16, opt, rand.New(rand.NewSource(12)))
+		Pretrain(trained, ds, 4, 12, 12)
 		pretrainedCache.m[f] = trained
 	}
 	pretrainedCache.Unlock()

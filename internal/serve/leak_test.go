@@ -345,9 +345,7 @@ func benchShapeServer(t *testing.T, f models.Family, tiers Options) *Server {
 		return models.Build(f, rand.New(rand.NewSource(20240608)), cfg.NumClasses, 2)
 	}
 	base := build()
-	all := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	pruner.Finetune(base, ds.MakeSplit("pretrain", all, 8), 2, 16, nn.NewSGD(0.05, 0.9, 4e-5), rand.New(rand.NewSource(20240609)))
-	base.ReleaseTrainingState()
+	pruner.Pretrain(base, ds, 2, 8, 20240609)
 	tiers.Prune = pruner.Options{Target: 0.9, NM: sparsity.NM{N: 2, M: 4}, BlockSize: 4, Iterations: 1, FinetuneEpochs: 1, BatchSize: 16}
 	tiers.TrainPerClass, tiers.TestPerClass, tiers.MaxBatch = 8, 8, 16
 	s, err := NewServer(build, base, ds, tiers)
