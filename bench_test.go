@@ -21,168 +21,21 @@ import (
 	"repro/internal/tensor"
 )
 
-// Figure/table benchmarks: each regenerates one of the paper's evaluation
-// artifacts at quick scale (exp.Figures lists them by name; `go run
-// ./cmd/crisp-bench -fig <name>` prints the same tables). They report one
-// op per full regeneration.
-
-func benchHarness() *exp.Harness {
-	return exp.NewHarness(exp.Config{Scale: exp.Quick, Seed: 1})
-}
-
-// BenchmarkFig1_NMRatios regenerates Fig. 1 (accuracy at N:M ∈ {1,2,3}:4
-// for the three model families).
-func BenchmarkFig1_NMRatios(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		h := benchHarness()
-		rows, _ := h.Figure1()
-		if len(rows) == 0 {
-			b.Fatal("no rows")
-		}
-	}
-}
-
-// BenchmarkFig2_LayerSparsity regenerates Fig. 2 (layer-wise sparsity
-// distribution after global CRISP pruning).
-func BenchmarkFig2_LayerSparsity(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		h := benchHarness()
-		rows, _ := h.Figure2()
-		if len(rows) == 0 {
-			b.Fatal("no rows")
-		}
-	}
-}
-
-// BenchmarkFig3_CRISPvsBlock regenerates Fig. 3 (CRISP vs block pruning
-// across sparsity levels).
-func BenchmarkFig3_CRISPvsBlock(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		h := benchHarness()
-		rows, _ := h.Figure3()
-		if len(rows) == 0 {
-			b.Fatal("no rows")
-		}
-	}
-}
-
-// BenchmarkFig4_Metadata regenerates Fig. 4 right (metadata overhead of
-// CSR/ELLPACK vs the CRISP format on full-size layers).
-func BenchmarkFig4_Metadata(b *testing.B) {
-	b.ReportAllocs()
-	h := benchHarness()
-	for i := 0; i < b.N; i++ {
-		rows, _ := h.Figure4()
-		if len(rows) == 0 {
-			b.Fatal("no rows")
-		}
-	}
-}
-
-// BenchmarkFig7_AccuracyVsClasses regenerates Fig. 7 (accuracy and FLOPs
-// ratio vs the number of user classes, CRISP vs channel pruning vs dense).
-func BenchmarkFig7_AccuracyVsClasses(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		h := benchHarness()
-		rows, _ := h.Figure7()
-		if len(rows) == 0 {
-			b.Fatal("no rows")
-		}
-	}
-}
-
-// BenchmarkFig8_SpeedupEnergy regenerates Fig. 8 (layer-wise speedup and
-// energy of CRISP-STC vs NVIDIA-STC, DSTC and dense on ResNet-50).
-func BenchmarkFig8_SpeedupEnergy(b *testing.B) {
-	b.ReportAllocs()
-	h := benchHarness()
-	for i := 0; i < b.N; i++ {
-		rows, _ := h.Figure8()
-		if len(rows) == 0 {
-			b.Fatal("no rows")
-		}
-	}
-}
-
-// BenchmarkAblation_Iterative regenerates ablation A (one-shot vs
-// iterative pruning).
-func BenchmarkAblation_Iterative(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		h := benchHarness()
-		rows, _ := h.AblationIterative()
-		if len(rows) != 2 {
-			b.Fatal("bad rows")
-		}
-	}
-}
-
-// BenchmarkAblation_Saliency regenerates ablation B (class-aware vs
-// magnitude saliency).
-func BenchmarkAblation_Saliency(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		h := benchHarness()
-		rows, _ := h.AblationSaliency()
-		if len(rows) != 2 {
-			b.Fatal("bad rows")
-		}
-	}
-}
-
-// BenchmarkAblation_Balance regenerates ablation C (balanced vs
-// unconstrained block pruning with load-imbalance accounting).
-func BenchmarkAblation_Balance(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		h := benchHarness()
-		rows, _ := h.AblationBalance()
-		if len(rows) != 2 {
-			b.Fatal("bad rows")
-		}
-	}
-}
-
-// BenchmarkExt_Transformer regenerates the transformer extension experiment
-// (the paper's future-work direction: CRISP on attention architectures).
-func BenchmarkExt_Transformer(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		h := benchHarness()
-		rows, _ := h.ExtTransformer()
-		if len(rows) == 0 {
-			b.Fatal("no rows")
-		}
-	}
-}
-
-// BenchmarkExt_NetworkTable regenerates the end-to-end network latency and
-// energy table (whole-network sums over the full-size shape tables).
-func BenchmarkExt_NetworkTable(b *testing.B) {
-	b.ReportAllocs()
-	h := benchHarness()
-	for i := 0; i < b.N; i++ {
-		rows, _ := h.NetworkTable()
-		if len(rows) == 0 {
-			b.Fatal("no rows")
-		}
-	}
-}
-
-// BenchmarkMem_ModelSize regenerates the deployed-model-size table (the
-// paper's memory-consumption claim, quantified per model family).
-func BenchmarkMem_ModelSize(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		h := benchHarness()
-		rows, _ := h.MemoryTable()
-		if len(rows) == 0 {
-			b.Fatal("no rows")
-		}
+// BenchmarkFigures regenerates each of the paper's evaluation artifacts at
+// quick scale, one sub-benchmark per exp.Figures entry (`go run
+// ./cmd/crisp-bench -fig <name>` prints the same table). One op is one
+// regeneration on a fresh harness, pre-training included.
+func BenchmarkFigures(b *testing.B) {
+	for _, f := range exp.Figures() {
+		b.Run(f.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				h := exp.NewHarness(exp.Config{Scale: exp.Quick, Seed: 1})
+				if t := f.Run(h); len(t.Rows) == 0 {
+					b.Fatal("no rows")
+				}
+			}
+		})
 	}
 }
 
@@ -368,32 +221,6 @@ func benchPrunedFamily(b *testing.B, f models.Family) (*nn.Classifier, *tensor.T
 	return clf, test.X
 }
 
-// BenchmarkAblation_Schedule regenerates ablation D (linear vs cubic κ_p
-// schedule).
-func BenchmarkAblation_Schedule(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		h := benchHarness()
-		rows, _ := h.AblationSchedule()
-		if len(rows) != 2 {
-			b.Fatal("bad rows")
-		}
-	}
-}
-
-// BenchmarkAblation_MixedNM regenerates ablation E (CRISP's global ranking
-// vs a per-layer N:M search).
-func BenchmarkAblation_MixedNM(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		h := benchHarness()
-		rows, _ := h.AblationMixedNM()
-		if len(rows) != 2 {
-			b.Fatal("bad rows")
-		}
-	}
-}
-
 // --- Serving-layer benchmarks (the dynamic-batching hot path) ---
 
 // serveBenchEnv shares one tiny dataset and pretrained universal model
@@ -416,9 +243,7 @@ var benchServeEnv = sync.OnceValue(func() *serveBenchEnv {
 		return models.Build(models.Transformer, rand.New(rand.NewSource(33)), cfg.NumClasses, 2)
 	}
 	base := build()
-	all := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	opt := nn.NewSGD(0.05, 0.9, 4e-5)
-	pruner.Finetune(base, ds.MakeSplit("pretrain", all, 8), 2, 16, opt, rand.New(rand.NewSource(34)))
+	pruner.Pretrain(base, ds, 2, 8, 34)
 	return &serveBenchEnv{ds: ds, build: build, base: base}
 })
 

@@ -1,8 +1,8 @@
 // Command crisp-bench regenerates the CRISP paper's tables and figures as
 // text tables on the reproduction substrate (exp.Figures is the experiment
-// index; -fig selects from it). The suite fans
-// out across a bounded worker pool (the same scheduler cmd/crisp-serve
-// uses), so a multi-core machine regenerates all figures concurrently.
+// index; -fig selects from it). At most -workers figures run at once, each
+// started in suite order, so a multi-core machine regenerates the suite
+// concurrently; a table prints as soon as it and every earlier one are done.
 //
 // Usage:
 //
@@ -17,11 +17,10 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"sync"
+	"runtime"
 	"time"
 
 	"repro/internal/exp"
-	"repro/internal/serve"
 )
 
 func main() {
@@ -31,8 +30,7 @@ func main() {
 		fig     = flag.String("fig", "all", "figure to regenerate: 1,2,3,4,7,8,ablations,ext,mem,validate,all or an exact name like ablation-C")
 		full    = flag.Bool("full", false, "run the full-scale configuration")
 		seed    = flag.Int64("seed", 1, "random seed")
-		format  = flag.String("format", "text", "output format: text, csv, md")
-		workers = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS, 1 = sequential)")
+		workers = flag.Int("workers", 0, "figures run at once (0 = GOMAXPROCS, 1 = sequential)")
 	)
 	flag.Parse()
 
@@ -46,43 +44,41 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	if *workers <= 0 {
+		*workers = runtime.GOMAXPROCS(0)
+	}
 
-	pool := serve.NewPool(*workers)
-	defer pool.Close()
-
-	// Wrap every figure with its own timer so the streamed output keeps the
-	// per-figure generation time even when figures run concurrently.
-	durs := make([]time.Duration, len(figs))
+	// Each worker takes the next figure in suite order; done[i] closes when
+	// figure i's table and generation time are in place.
+	next := make(chan int, len(figs))
 	for i := range figs {
-		i, orig := i, figs[i].Run
-		figs[i].Run = func(h *exp.Harness) *exp.Table {
-			t0 := time.Now()
-			t := orig(h)
-			durs[i] = time.Since(t0)
-			return t
-		}
+		next <- i
+	}
+	close(next)
+	tables := make([]*exp.Table, len(figs))
+	durs := make([]time.Duration, len(figs))
+	done := make([]chan struct{}, len(figs))
+	for i := range done {
+		done[i] = make(chan struct{})
+	}
+	start := time.Now()
+	for w := 0; w < *workers; w++ {
+		go func() {
+			for i := range next {
+				t0 := time.Now()
+				tables[i] = figs[i].Run(h)
+				durs[i] = time.Since(t0)
+				close(done[i])
+			}
+		}()
 	}
 
-	// Stream tables in input order as they complete: figure i prints as
-	// soon as it and everything before it are done, so an interrupted -full
-	// run keeps the artifacts already generated.
-	var mu sync.Mutex
-	next := 0
-	ready := make([]*exp.Table, len(figs))
-	start := time.Now()
-	exp.RunParallel(pool, h, figs, func(i int, t *exp.Table) {
-		mu.Lock()
-		defer mu.Unlock()
-		ready[i] = t
-		for next < len(ready) && ready[next] != nil {
-			fmt.Println(ready[next].Render(*format))
-			if *format == "text" {
-				fmt.Printf("(%s generated in %.1fs)\n\n", figs[next].Name, durs[next].Seconds())
-			}
-			next++
-		}
-	})
-	if *format == "text" {
-		fmt.Printf("(%d artifacts in %.1fs on %d workers)\n", len(figs), time.Since(start).Seconds(), pool.Workers())
+	// Print in suite order as figures complete, so an interrupted -full run
+	// keeps the artifacts already generated.
+	for i, f := range figs {
+		<-done[i]
+		fmt.Println(tables[i])
+		fmt.Printf("(%s generated in %.1fs)\n\n", f.Name, durs[i].Seconds())
 	}
+	fmt.Printf("(%d artifacts in %.1fs on %d workers)\n", len(figs), time.Since(start).Seconds(), *workers)
 }

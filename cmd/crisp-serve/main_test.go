@@ -91,8 +91,7 @@ func newShutdownFixture(t *testing.T, dir string) (*serve.Server, *data.Dataset)
 		return models.Build(models.ResNet, rand.New(rand.NewSource(71)), ds.NumClasses, 1)
 	}
 	base := build()
-	opt := nn.NewSGD(0.05, 0.9, 4e-5)
-	pruner.Finetune(base, ds.MakeSplit("pretrain", []int{0, 1, 2, 3}, 8), 2, 16, opt, rand.New(rand.NewSource(72)))
+	pruner.Pretrain(base, ds, 2, 8, 72)
 	s, err := serve.NewServer(build, base, ds, serve.Options{
 		Workers:     1,
 		SnapshotDir: dir,

@@ -48,8 +48,7 @@ func newTestMuxOpts(t *testing.T, mutate func(*serve.Options)) (*http.ServeMux, 
 		return models.Build(models.ResNet, rand.New(rand.NewSource(61)), ds.NumClasses, 1)
 	}
 	base := build()
-	opt := nn.NewSGD(0.05, 0.9, 4e-5)
-	pruner.Finetune(base, ds.MakeSplit("pretrain", []int{0, 1, 2, 3, 4, 5}, 8), 2, 16, opt, rand.New(rand.NewSource(62)))
+	pruner.Pretrain(base, ds, 2, 8, 62)
 	opts := serve.Options{
 		Prune: pruner.Options{
 			Target: 0.7, NM: sparsity.NM{N: 2, M: 4}, BlockSize: 4,

@@ -71,8 +71,7 @@ func newE2EEnv() *e2eEnv {
 		return models.Build(models.ResNet, rand.New(rand.NewSource(91)), cfg.NumClasses, 1)
 	}
 	base := build()
-	opt := nn.NewSGD(0.05, 0.9, 4e-5)
-	pruner.Finetune(base, ds.MakeSplit("pretrain", []int{0, 1, 2, 3, 4, 5}, 8), 2, 16, opt, rand.New(rand.NewSource(92)))
+	pruner.Pretrain(base, ds, 2, 8, 92)
 	return &e2eEnv{ds: ds, build: build, base: base}
 }
 

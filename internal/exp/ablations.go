@@ -18,55 +18,55 @@ type AblationRow struct {
 	Extra    string
 }
 
+// ablate runs each variant as a trial on resnet-s for the ablations'
+// scenario (5 ImageNet-like user classes) and tabulates the rows under title.
+func (h *Harness) ablate(title string, vs []variant) ([]AblationRow, *Table) {
+	ds := h.ImageNetLike
+	sc := h.Scenario(ds, 5)
+	var rows []AblationRow
+	for _, v := range vs {
+		clf, rep, acc := h.trial(models.ResNet, ds, sc, v.p)
+		row := AblationRow{Variant: v.name, Accuracy: acc, Sparsity: rep.AchievedSparsity}
+		if v.extra != nil {
+			row.Extra = v.extra(clf)
+		}
+		rows = append(rows, row)
+	}
+	t := &Table{Title: title, Columns: []string{"variant", "accuracy", "sparsity", "extra"}}
+	for _, r := range rows {
+		t.Rows = append(t.Rows, []string{r.Variant, f3(r.Accuracy), f3(r.Sparsity), r.Extra})
+	}
+	return rows, t
+}
+
 // AblationIterative compares one-shot pruning (n=1) against the paper's
 // iterative schedule at the same final target — the layer-collapse argument
 // of Sec. III-C.
 func (h *Harness) AblationIterative() ([]AblationRow, *Table) {
-	ds := h.ImageNetLike
-	sc := h.Scenario(ds, 5)
-	target := 0.92
-	var rows []AblationRow
+	var vs []variant
 	for _, iters := range []int{1, 4} {
-		clf := h.Pretrained(models.ResNet, ds)
-		o := h.pruneOpts(target)
-		o.NM = sparsity.NM{N: 2, M: 4}
+		o := h.pruneOpts(0.92)
 		o.Iterations = iters
 		// Paper setup: δ fine-tuning epochs per iteration plus a final
 		// recovery phase. One-shot inherently trains less — that is the
 		// point of the comparison.
 		o.FinetuneEpochs = 2
 		o.FinalFinetuneEpochs = 2
-		rep := pruner.NewCRISP(o).Prune(clf, sc.Train)
-		rows = append(rows, AblationRow{
-			Variant:  fmt.Sprintf("iterations=%d", iters),
-			Accuracy: clf.Accuracy(sc.Test.X, sc.Test.Labels),
-			Sparsity: rep.AchievedSparsity,
-		})
+		vs = append(vs, variant{name: fmt.Sprintf("iterations=%d", iters), p: pruner.NewCRISP(o)})
 	}
-	t := ablationTable("Ablation A: one-shot vs iterative pruning (κ=0.92)", rows)
-	return rows, t
+	return h.ablate("Ablation A: one-shot vs iterative pruning (κ=0.92)", vs)
 }
 
 // AblationSaliency compares the class-aware Taylor score (CASS) against
 // class-agnostic magnitude pruning — the Sec. III-D criterion argument.
 func (h *Harness) AblationSaliency() ([]AblationRow, *Table) {
-	ds := h.ImageNetLike
-	sc := h.Scenario(ds, 5)
-	var rows []AblationRow
+	var vs []variant
 	for _, m := range []saliency.Method{saliency.Taylor, saliency.Magnitude} {
-		clf := h.Pretrained(models.ResNet, ds)
 		o := h.pruneOpts(0.88)
-		o.NM = sparsity.NM{N: 2, M: 4}
 		o.Saliency = m
-		rep := pruner.NewCRISP(o).Prune(clf, sc.Train)
-		rows = append(rows, AblationRow{
-			Variant:  m.String(),
-			Accuracy: clf.Accuracy(sc.Test.X, sc.Test.Labels),
-			Sparsity: rep.AchievedSparsity,
-		})
+		vs = append(vs, variant{name: m.String(), p: pruner.NewCRISP(o)})
 	}
-	t := ablationTable("Ablation B: class-aware (CASS) vs magnitude saliency (κ=0.88)", rows)
-	return rows, t
+	return h.ablate("Ablation B: class-aware (CASS) vs magnitude saliency (κ=0.88)", vs)
 }
 
 // AblationBalance compares balanced (rank-column) against classic
@@ -74,26 +74,14 @@ func (h *Harness) AblationSaliency() ([]AblationRow, *Table) {
 // hardware argument of Sec. III-A. Imbalance is max/mean non-zero blocks
 // per block row, averaged over layers; an imbalance of 1.0 wastes no lanes.
 func (h *Harness) AblationBalance() ([]AblationRow, *Table) {
-	ds := h.ImageNetLike
-	sc := h.Scenario(ds, 5)
-	var rows []AblationRow
-	for _, balanced := range []bool{true, false} {
-		clf := h.Pretrained(models.ResNet, ds)
-		o := h.pruneOpts(0.8)
-		rep := pruner.NewBlockOnly(o, balanced).Prune(clf, sc.Train)
-		imb := meanImbalance(clf, o.BlockSize)
-		name := "unbalanced"
-		if balanced {
-			name = "balanced"
-		}
-		rows = append(rows, AblationRow{
-			Variant:  name,
-			Accuracy: clf.Accuracy(sc.Test.X, sc.Test.Labels),
-			Sparsity: rep.AchievedSparsity,
-			Extra:    fmt.Sprintf("row imbalance %.2f", imb),
-		})
+	o := h.pruneOpts(0.8)
+	imbalance := func(clf *nn.Classifier) string {
+		return fmt.Sprintf("row imbalance %.2f", meanImbalance(clf, o.BlockSize))
 	}
-	t := ablationTable("Ablation C: uniform per-row balance vs unconstrained block pruning (κ=0.80)", rows)
+	rows, t := h.ablate("Ablation C: uniform per-row balance vs unconstrained block pruning (κ=0.80)", []variant{
+		{name: "balanced", p: pruner.NewBlockOnly(o, true), extra: imbalance},
+		{name: "unbalanced", p: pruner.NewBlockOnly(o, false), extra: imbalance},
+	})
 	t.Notes = append(t.Notes, "imbalance = mean over layers of (max blocks/row ÷ mean blocks/row); 1.00 = perfect load balance")
 	return rows, t
 }
@@ -101,27 +89,17 @@ func (h *Harness) AblationBalance() ([]AblationRow, *Table) {
 // AblationSchedule compares the linear κ_p ramp (the paper's constant-∆
 // schedule) against the cubic Zhu–Gupta ramp at the same target.
 func (h *Harness) AblationSchedule() ([]AblationRow, *Table) {
-	ds := h.ImageNetLike
-	sc := h.Scenario(ds, 5)
-	var rows []AblationRow
+	var vs []variant
 	for _, s := range []pruner.Schedule{pruner.ScheduleLinear, pruner.ScheduleCubic} {
-		clf := h.Pretrained(models.ResNet, ds)
 		o := h.pruneOpts(0.9)
-		o.NM = sparsity.NM{N: 2, M: 4}
 		o.Schedule = s
-		rep := pruner.NewCRISP(o).Prune(clf, sc.Train)
 		name := "linear"
 		if s == pruner.ScheduleCubic {
 			name = "cubic"
 		}
-		rows = append(rows, AblationRow{
-			Variant:  name,
-			Accuracy: clf.Accuracy(sc.Test.X, sc.Test.Labels),
-			Sparsity: rep.AchievedSparsity,
-		})
+		vs = append(vs, variant{name: name, p: pruner.NewCRISP(o)})
 	}
-	t := ablationTable("Ablation D: linear vs cubic sparsity schedule (κ=0.90)", rows)
-	return rows, t
+	return h.ablate("Ablation D: linear vs cubic sparsity schedule (κ=0.90)", vs)
 }
 
 // AblationMixedNM compares CRISP's single global ranking against a
@@ -129,40 +107,20 @@ func (h *Harness) AblationSchedule() ([]AblationRow, *Table) {
 // the "increased algorithmic complexity" alternative the paper's
 // introduction argues against for edge deployment.
 func (h *Harness) AblationMixedNM() ([]AblationRow, *Table) {
-	ds := h.ImageNetLike
-	sc := h.Scenario(ds, 5)
-	target := 0.7 // between the 3:4 and 1:4 floors, where the search can act
-	var rows []AblationRow
-	{
-		clf := h.Pretrained(models.ResNet, ds)
-		o := h.pruneOpts(target)
-		o.NM = sparsity.NM{N: 2, M: 4}
-		rep := pruner.NewCRISP(o).Prune(clf, sc.Train)
-		rows = append(rows, AblationRow{
-			Variant:  "crisp (global ranking)",
-			Accuracy: clf.Accuracy(sc.Test.X, sc.Test.Labels),
-			Sparsity: rep.AchievedSparsity,
-			Extra:    "1 pattern hyperparameter",
-		})
-	}
-	{
-		clf := h.Pretrained(models.ResNet, ds)
-		o := h.pruneOpts(target)
-		mixed := pruner.NewMixedNM(o)
-		rep := mixed.Prune(clf, sc.Train)
-		patterns := mixed.AssignedPatterns(clf)
-		distinct := map[string]bool{}
-		for _, nm := range patterns {
-			distinct[nm.String()] = true
-		}
-		rows = append(rows, AblationRow{
-			Variant:  "mixed per-layer N:M",
-			Accuracy: clf.Accuracy(sc.Test.X, sc.Test.Labels),
-			Sparsity: rep.AchievedSparsity,
-			Extra:    fmt.Sprintf("%d per-layer assignments (%d distinct patterns)", len(patterns), len(distinct)),
-		})
-	}
-	t := ablationTable("Ablation E: CRISP vs per-layer N:M search (κ=0.70)", rows)
+	o := h.pruneOpts(0.7) // between the 3:4 and 1:4 floors, where the search can act
+	mixed := pruner.NewMixedNM(o)
+	rows, t := h.ablate("Ablation E: CRISP vs per-layer N:M search (κ=0.70)", []variant{
+		{name: "crisp (global ranking)", p: pruner.NewCRISP(o),
+			extra: func(*nn.Classifier) string { return "1 pattern hyperparameter" }},
+		{name: "mixed per-layer N:M", p: mixed, extra: func(clf *nn.Classifier) string {
+			patterns := mixed.AssignedPatterns(clf)
+			distinct := map[string]bool{}
+			for _, nm := range patterns {
+				distinct[nm.String()] = true
+			}
+			return fmt.Sprintf("%d per-layer assignments (%d distinct patterns)", len(patterns), len(distinct))
+		}},
+	})
 	t.Notes = append(t.Notes, "the search needs per-layer bookkeeping the paper's global ranking avoids")
 	return rows, t
 }
@@ -195,13 +153,4 @@ func meanImbalance(clf *nn.Classifier, blockSize int) float64 {
 		return 1
 	}
 	return sum / float64(layers)
-}
-
-// ablationTable renders rows uniformly.
-func ablationTable(title string, rows []AblationRow) *Table {
-	t := &Table{Title: title, Columns: []string{"variant", "accuracy", "sparsity", "extra"}}
-	for _, r := range rows {
-		t.Rows = append(t.Rows, []string{r.Variant, f3(r.Accuracy), f3(r.Sparsity), r.Extra})
-	}
-	return t
 }

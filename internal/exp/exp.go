@@ -1,7 +1,10 @@
 // Package exp is the experiment harness: one function per figure/table of
-// the CRISP paper, each returning structured rows plus a rendered text
-// table. cmd/crisp-bench and the repository's benchmarks are thin wrappers
-// around this package.
+// the CRISP paper, each returning structured rows plus a text table
+// (Table.String is its one rendering). Every pruned row goes through one
+// trial step (Harness.trial): a fresh clone of the cached universal model,
+// pruned to a user scenario, measured on the user classes. Figures is the
+// ordered suite; cmd/crisp-bench and the repository's benchmarks are thin
+// wrappers around it.
 package exp
 
 import (
@@ -44,9 +47,9 @@ type Config struct {
 
 // Harness owns the datasets and a cache of pre-trained "universal" models,
 // so each figure pays the pre-training cost at most once per family. A
-// harness is safe for concurrent figure runs (exp.RunParallel): the
-// pretraining cache is mutex-guarded and each snapshot trains exactly once
-// even when several figures request the same family at the same time.
+// harness is safe for concurrent figure runs: the pretraining cache is
+// mutex-guarded and each snapshot trains exactly once even when several
+// figures request the same family at the same time.
 type Harness struct {
 	Cfg Config
 	// ImageNetLike and CIFARLike are the two synthetic datasets standing in
@@ -188,6 +191,29 @@ func (h *Harness) Scenario(ds *data.Dataset, k int) UserScenario {
 		Train:   ds.MakeSplit("user-train", classes, trainPer),
 		Test:    ds.MakeSplit("user-test", classes, testPer),
 	}
+}
+
+// pruneStep is every pruner of package pruner: CRISP and the baselines it
+// is compared against.
+type pruneStep interface {
+	Prune(clf *nn.Classifier, train data.Split) pruner.Report
+}
+
+// variant is a labelled pruner: one row of a comparison. extra, if set,
+// fills an ablation's extra column from the pruned model.
+type variant struct {
+	name  string
+	p     pruneStep
+	extra func(clf *nn.Classifier) string
+}
+
+// trial is one pruned row of the suite: it prunes a fresh clone of family
+// f's universal model on ds to sc's user classes with p, and returns the
+// pruned model, its report and its user-class test accuracy.
+func (h *Harness) trial(f models.Family, ds *data.Dataset, sc UserScenario, p pruneStep) (*nn.Classifier, pruner.Report, float64) {
+	clf := h.Pretrained(f, ds)
+	rep := p.Prune(clf, sc.Train)
+	return clf, rep, clf.Accuracy(sc.Test.X, sc.Test.Labels)
 }
 
 // DenseUpperBound fine-tunes a fresh pretrained model on the user classes

@@ -258,32 +258,6 @@ func TestNetworkTableShape(t *testing.T) {
 	}
 }
 
-func TestTableCSVAndMarkdown(t *testing.T) {
-	tb := &Table{
-		Title:   "demo",
-		Columns: []string{"a", "b"},
-		Rows:    [][]string{{"x,y", `he said "hi"`}, {"plain", "2"}},
-		Notes:   []string{"a note"},
-	}
-	csv := tb.CSV()
-	if !strings.Contains(csv, `"x,y"`) || !strings.Contains(csv, `"he said ""hi"""`) {
-		t.Fatalf("CSV quoting broken:\n%s", csv)
-	}
-	if !strings.HasPrefix(csv, "# demo") {
-		t.Fatalf("CSV missing title comment:\n%s", csv)
-	}
-	md := tb.Markdown()
-	if !strings.Contains(md, "| a | b |") || !strings.Contains(md, "|---|---|") {
-		t.Fatalf("Markdown header broken:\n%s", md)
-	}
-	if !strings.Contains(md, "> a note") {
-		t.Fatalf("Markdown note missing:\n%s", md)
-	}
-	if tb.Render("csv") != csv || tb.Render("md") != md || tb.Render("text") != tb.String() {
-		t.Fatal("Render dispatch broken")
-	}
-}
-
 func TestActivationDensitySupportsDSTCAssumption(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training experiment (short mode)")

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/models"
 	"repro/internal/pruner"
-	"repro/internal/sparsity"
 )
 
 // ExtTransformerRow is one (method, target) point of the transformer
@@ -37,26 +36,14 @@ func (h *Harness) ExtTransformer() ([]ExtTransformerRow, *Table) {
 		targets = []float64{0.7, 0.8, 0.9}
 	}
 	for _, target := range targets {
-		clf := h.Pretrained(models.Transformer, ds)
 		o := h.pruneOpts(target)
-		o.NM = sparsity.NM{N: 2, M: 4}
-		rep := pruner.NewCRISP(o).Prune(clf, sc.Train)
-		rows = append(rows, ExtTransformerRow{
-			Method: "crisp", Target: target,
-			Achieved: rep.AchievedSparsity,
-			Accuracy: clf.Accuracy(sc.Test.X, sc.Test.Labels),
-			FLOPs:    rep.FLOPsRatio,
-		})
-
-		clf = h.Pretrained(models.Transformer, ds)
-		ob := h.pruneOpts(target)
-		repB := pruner.NewBlockOnly(ob, false).Prune(clf, sc.Train)
-		rows = append(rows, ExtTransformerRow{
-			Method: "block", Target: target,
-			Achieved: repB.AchievedSparsity,
-			Accuracy: clf.Accuracy(sc.Test.X, sc.Test.Labels),
-			FLOPs:    repB.FLOPsRatio,
-		})
+		for _, v := range []variant{{name: "crisp", p: pruner.NewCRISP(o)}, {name: "block", p: pruner.NewBlockOnly(o, false)}} {
+			_, rep, acc := h.trial(models.Transformer, ds, sc, v.p)
+			rows = append(rows, ExtTransformerRow{
+				Method: v.name, Target: target,
+				Achieved: rep.AchievedSparsity, Accuracy: acc, FLOPs: rep.FLOPsRatio,
+			})
+		}
 	}
 	t := &Table{
 		Title:   "Extension: CRISP on a vision transformer (" + h.Cfg.Scale.String() + ")",

@@ -33,17 +33,10 @@ func (h *Harness) Figure1() ([]Fig1Row, *Table) {
 	for _, f := range []models.Family{models.ResNet, models.VGG, models.MobileNet} {
 		dense := h.DenseUpperBound(f, ds, sc)
 		for _, nm := range []sparsity.NM{{N: 3, M: 4}, {N: 2, M: 4}, {N: 1, M: 4}} {
-			clf := h.Pretrained(f, ds)
 			o := h.pruneOpts(1 - nm.Density())
 			o.NM = nm
-			p := pruner.NewNMOnly(o)
-			p.Prune(clf, sc.Train)
-			rows = append(rows, Fig1Row{
-				Family:   f,
-				NM:       nm,
-				Accuracy: clf.Accuracy(sc.Test.X, sc.Test.Labels),
-				DenseAcc: dense,
-			})
+			_, _, acc := h.trial(f, ds, sc, pruner.NewNMOnly(o))
+			rows = append(rows, Fig1Row{Family: f, NM: nm, Accuracy: acc, DenseAcc: dense})
 		}
 	}
 	t := &Table{
@@ -70,10 +63,7 @@ func (h *Harness) Figure2() ([]Fig2Row, *Table) {
 	ds := h.ImageNetLike
 	k := 5
 	sc := h.Scenario(ds, k)
-	clf := h.Pretrained(models.ResNet, ds)
-	o := h.pruneOpts(0.9)
-	o.NM = sparsity.NM{N: 2, M: 4}
-	rep := pruner.NewCRISP(o).Prune(clf, sc.Train)
+	_, rep, _ := h.trial(models.ResNet, ds, sc, pruner.NewCRISP(h.pruneOpts(0.9)))
 	var rows []Fig2Row
 	for _, ls := range rep.Layers {
 		rows = append(rows, Fig2Row{Layer: ls.Name, Sparsity: ls.Sparsity})
@@ -143,23 +133,21 @@ func (h *Harness) Figure3() ([]Fig3Row, *Table) {
 	var rows []Fig3Row
 	for _, target := range targets {
 		for _, v := range variants {
-			clf := h.Pretrained(models.ResNet, ds)
 			o := h.pruneOpts(target)
 			o.BlockSize = v.block
-			var rep pruner.Report
-			if v.method == "crisp" {
-				o.NM = v.nm
-				rep = pruner.NewCRISP(o).Prune(clf, sc.Train)
-			} else {
-				rep = pruner.NewBlockOnly(o, false).Prune(clf, sc.Train)
+			o.NM = v.nm // block pruning ignores it
+			var p pruneStep = pruner.NewCRISP(o)
+			if v.method == "block" {
+				p = pruner.NewBlockOnly(o, false)
 			}
+			_, rep, acc := h.trial(models.ResNet, ds, sc, p)
 			rows = append(rows, Fig3Row{
 				Method:   v.method,
 				NM:       v.nm,
 				Block:    v.block,
 				Target:   target,
 				Achieved: rep.AchievedSparsity,
-				Accuracy: clf.Accuracy(sc.Test.X, sc.Test.Labels),
+				Accuracy: acc,
 			})
 		}
 	}
@@ -214,25 +202,15 @@ func (h *Harness) Figure7() ([]Fig7Row, *Table) {
 					Dataset: ds.Name, Family: f, NumClasses: k, Method: "dense-ft",
 					Accuracy: h.DenseUpperBound(f, ds, sc), FLOPsRatio: 1, Sparsity: 0,
 				})
-				// CRISP.
-				clf := h.Pretrained(f, ds)
+				// CRISP and the channel baseline at a matched target.
 				o := h.pruneOpts(target)
-				o.NM = sparsity.NM{N: 2, M: 4}
-				rep := pruner.NewCRISP(o).Prune(clf, sc.Train)
-				rows = append(rows, Fig7Row{
-					Dataset: ds.Name, Family: f, NumClasses: k, Method: "crisp",
-					Accuracy:   clf.Accuracy(sc.Test.X, sc.Test.Labels),
-					FLOPsRatio: rep.FLOPsRatio, Sparsity: rep.AchievedSparsity,
-				})
-				// Channel baseline at a matched target.
-				clf = h.Pretrained(f, ds)
-				oc := h.pruneOpts(target)
-				repC := pruner.NewChannel(oc).Prune(clf, sc.Train)
-				rows = append(rows, Fig7Row{
-					Dataset: ds.Name, Family: f, NumClasses: k, Method: "channel",
-					Accuracy:   clf.Accuracy(sc.Test.X, sc.Test.Labels),
-					FLOPsRatio: repC.FLOPsRatio, Sparsity: repC.AchievedSparsity,
-				})
+				for _, v := range []variant{{name: "crisp", p: pruner.NewCRISP(o)}, {name: "channel", p: pruner.NewChannel(o)}} {
+					_, rep, acc := h.trial(f, ds, sc, v.p)
+					rows = append(rows, Fig7Row{
+						Dataset: ds.Name, Family: f, NumClasses: k, Method: v.name,
+						Accuracy: acc, FLOPsRatio: rep.FLOPsRatio, Sparsity: rep.AchievedSparsity,
+					})
+				}
 			}
 		}
 	}

@@ -7,7 +7,6 @@ import (
 	"repro/internal/inference"
 	"repro/internal/models"
 	"repro/internal/pruner"
-	"repro/internal/sparsity"
 )
 
 // MemoryRow is one model's deployed-size accounting.
@@ -33,21 +32,18 @@ type MemoryRow struct {
 func (h *Harness) MemoryTable() ([]MemoryRow, *Table) {
 	ds := h.ImageNetLike
 	sc := h.Scenario(ds, 5)
-	nm := sparsity.NM{N: 2, M: 4}
-	target := 0.85
+	p := pruner.NewCRISP(h.pruneOpts(0.85))
+	o := p.Opts
 	var rows []MemoryRow
 	for _, f := range []models.Family{models.ResNet, models.VGG, models.MobileNet, models.Transformer} {
-		clf := h.Pretrained(f, ds)
-		o := h.pruneOpts(target)
-		o.NM = nm
-		rep := pruner.NewCRISP(o).Prune(clf, sc.Train)
-		ms, err := export.Sizes(clf, o.BlockSize, nm, 8)
+		clf, rep, acc := h.trial(f, ds, sc, p)
+		ms, err := export.Sizes(clf, o.BlockSize, o.NM, 8)
 		if err != nil {
 			panic(fmt.Sprintf("exp: memory table for %s: %v", f, err))
 		}
 		var served [2]int64
 		for i, prec := range []inference.Precision{inference.Float32, inference.Int8} {
-			eng, err := inference.NewWithOptions(clf, o.BlockSize, nm, inference.CompileOptions{Precision: prec})
+			eng, err := inference.NewWithOptions(clf, o.BlockSize, o.NM, inference.CompileOptions{Precision: prec})
 			if err != nil {
 				panic(fmt.Sprintf("exp: compiling %s at %s: %v", f, prec, err))
 			}
@@ -63,7 +59,7 @@ func (h *Harness) MemoryTable() ([]MemoryRow, *Table) {
 			ServedF32Bytes:  served[0],
 			ServedInt8Bytes: served[1],
 			Compression:     ms.CompressionRatio("crisp"),
-			Accuracy:        clf.Accuracy(sc.Test.X, sc.Test.Labels),
+			Accuracy:        acc,
 		})
 	}
 	t := &Table{

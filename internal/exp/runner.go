@@ -3,8 +3,6 @@ package exp
 import (
 	"fmt"
 	"strings"
-
-	"repro/internal/serve"
 )
 
 // Figure is one runnable experiment artifact: a paper figure, table or
@@ -22,7 +20,7 @@ type Figure struct {
 // Figures returns the full ordered experiment suite. Every entry is
 // independent of the others — shared state (the pretrained-model cache)
 // lives in the Harness, which is concurrency-safe — so the suite can run
-// sequentially or fan out over a worker pool.
+// sequentially or fan out over goroutines (cmd/crisp-bench -workers).
 func Figures() []Figure {
 	return []Figure{
 		{"fig1", "1", func(h *Harness) *Table { _, t := h.Figure1(); return t }},
@@ -74,28 +72,4 @@ func Select(figs []Figure, sel string) ([]Figure, error) {
 			sel, strings.Join(groups, ","), strings.Join(names, ","))
 	}
 	return out, nil
-}
-
-// RunParallel fans figs out across the worker pool — the same bounded
-// scheduler the serving layer uses — and returns their tables in input
-// order. onDone, if non-nil, fires as each figure completes (from the
-// worker goroutine that ran it), so callers can stream results instead of
-// waiting for the slowest figure. With pool=nil it degrades to a
-// sequential run.
-func RunParallel(pool *serve.Pool, h *Harness, figs []Figure, onDone func(i int, t *Table)) []*Table {
-	out := make([]*Table, len(figs))
-	run := func(i int) {
-		out[i] = figs[i].Run(h)
-		if onDone != nil {
-			onDone(i, out[i])
-		}
-	}
-	if pool == nil {
-		for i := range figs {
-			run(i)
-		}
-		return out
-	}
-	pool.Map(len(figs), run)
-	return out
 }

@@ -158,13 +158,10 @@ type QuantRow struct {
 // user classes, κ=0.80, 2:4) and returns the model, its held-out split and
 // the options it was pruned with.
 func (h *Harness) quantModel(f models.Family) (*nn.Classifier, data.Split, pruner.Options) {
-	ds := h.ImageNetLike
-	sc := h.Scenario(ds, 5)
-	clf := h.Pretrained(f, ds)
-	o := h.pruneOpts(0.8)
-	o.NM = sparsity.NM{N: 2, M: 4}
-	pruner.NewCRISP(o).Prune(clf, sc.Train)
-	return clf, sc.Test, o
+	sc := h.Scenario(h.ImageNetLike, 5)
+	p := pruner.NewCRISP(h.pruneOpts(0.8))
+	clf, _, _ := h.trial(f, h.ImageNetLike, sc, p)
+	return clf, sc.Test, p.Opts
 }
 
 // AblationQuant compiles CRISP-pruned models into the engines the server

@@ -323,7 +323,6 @@
 // survivor that inherits a dead shard's tenant restores it on first touch
 // (Stats.RestoreHits, zero re-prunes).
 //
-// The same Pool type fans the experiment suite out across GOMAXPROCS
-// (exp.RunParallel), so the serving scheduler and the figure runner share
-// one scheduling substrate.
+// The Pool is the serving layer's own scheduler: the figure runner
+// (cmd/crisp-bench) bounds its fan-out itself and does not share it.
 package serve

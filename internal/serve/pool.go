@@ -9,8 +9,7 @@ import (
 // DoLane are capped per lane at workers-1 concurrent executions, so one
 // lane can never occupy every worker — a flood of explicit /personalize
 // prunes always leaves a worker for predict-triggered restores, and vice
-// versa. Unlaned Do/Map work (snapshots, the experiment runner) is subject
-// to no cap.
+// versa. Unlaned Do work (snapshots) is subject to no cap.
 type Lane int
 
 const (
@@ -26,9 +25,9 @@ const (
 // Pool is a bounded worker pool: a fixed set of goroutines draining an
 // unbuffered job channel. Submission blocks until a worker is free, which
 // gives natural backpressure — at most Workers() jobs run at once and
-// nothing queues without bound. The same pool schedules personalization
-// jobs in Server and fans the experiment-suite figures out across
-// GOMAXPROCS (exp.RunParallel).
+// nothing queues without bound. Server schedules its personalization,
+// restore and snapshot jobs on it; nothing outside the serving layer shares
+// it.
 type Pool struct {
 	jobs    chan func()
 	workers int
@@ -117,27 +116,8 @@ func (p *Pool) DoLane(lane Lane, f func()) {
 	p.Do(f)
 }
 
-// Map runs f(0..n-1) across the pool and waits for all of them; on a
-// closed pool the remaining calls run inline.
-func (p *Pool) Map(n int, f func(i int)) {
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		i := i
-		if p.submit(func() {
-			defer wg.Done()
-			f(i)
-		}) {
-			continue
-		}
-		f(i)
-		wg.Done()
-	}
-	wg.Wait()
-}
-
 // Close stops accepting pool work and waits for in-flight jobs to drain.
-// It is idempotent and safe to call concurrently with Do/Map: submissions
+// It is idempotent and safe to call concurrently with Do: submissions
 // that lose the race run inline on their caller instead of panicking.
 func (p *Pool) Close() {
 	p.mu.Lock()
