@@ -23,7 +23,7 @@ import (
 
 // BenchmarkFigures regenerates each of the paper's evaluation artifacts at
 // quick scale, one sub-benchmark per exp.Figures entry (`go run
-// ./cmd/crisp-bench -fig <name>` prints the same table). One op is one
+// ./cmd/crisp figures -fig <name>` prints the same table). One op is one
 // regeneration on a fresh harness, pre-training included.
 func BenchmarkFigures(b *testing.B) {
 	for _, f := range exp.Figures() {

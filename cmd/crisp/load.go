@@ -1,32 +1,3 @@
-// Command crisp-load replays a synthetic multi-tenant traffic trace against
-// an in-process CRISP serving fleet and emits a machine-readable SLO report
-// (internal/sloreport). It is the load half of the CI SLO gate: CI runs it
-// at a fixed seed and rate, then cmd/slocheck compares the report against
-// the checked-in SLO_baseline.json.
-//
-// The trace is deterministic end to end — same seed, same schedule:
-//
-//   - Tenant popularity is Zipf-distributed (-zipf-s): a few tenants draw
-//     most of the traffic, the tail is cold. Rank 0 is the hottest tenant.
-//   - The arrival schedule is open-loop at -rps average, modulated by a
-//     sinusoidal diurnal curve (-diurnal amplitude, -diurnal-period): the
-//     run sweeps through a burst peak and a trough instead of a flat rate.
-//   - Tenants are assigned QoS classes by the -mix fractions and spread
-//     across one in-process server per -precisions entry (a mixed
-//     float32/int8 fleet), so the replay exercises quota shedding, deadline
-//     flushes and batching across classes and precisions at once.
-//
-// Every tenant is personalized (prewarmed) before the clock starts, so the
-// measured window is pure serving — scheduling, batching, quotas — not
-// pruning. -fifo disables the QoS layer (serve.QoSOptions.Disabled) to
-// produce the baseline the QoS run is judged against: gold p99 must beat
-// standard's under QoS while aggregate goodput does not regress vs FIFO.
-//
-// Usage:
-//
-//	crisp-load -seed 1 -rps 300 -duration 20s -tenants 24 -out report.json
-//	crisp-load -seed 1 -rps 300 -duration 20s -tenants 24 -fifo -out fifo.json
-//	slocheck -report report.json -baseline SLO_baseline.json
 package main
 
 import (
@@ -46,53 +17,82 @@ import (
 
 	"repro/internal/data"
 	"repro/internal/inference"
-	"repro/internal/models"
-	"repro/internal/nn"
-	"repro/internal/pruner"
 	"repro/internal/serve"
 	"repro/internal/sloreport"
-	"repro/internal/sparsity"
 	"repro/internal/tensor"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("crisp-load: ")
+// runLoad replays a synthetic multi-tenant traffic trace against an
+// in-process CRISP serving fleet and writes a machine-readable SLO report
+// (internal/sloreport) to -out. With -baseline it is CI's SLO gate: once
+// the report is written it checks it against the baseline (CI uses the
+// checked-in SLO_baseline.json), prints each violated threshold, and fails
+// if any SLO is broken.
+//
+// The trace is deterministic end to end — same seed, same schedule:
+//
+//   - Tenant popularity is Zipf-distributed (-zipf-s): a few tenants draw
+//     most of the traffic, the tail is cold. Rank 0 is the hottest tenant.
+//   - The arrival schedule is open-loop at -rps average, modulated by a
+//     sinusoidal diurnal curve (-diurnal amplitude, -diurnal-period): the
+//     run sweeps through a burst peak and a trough instead of a flat rate.
+//   - Tenants are assigned QoS classes by the -mix fractions and spread
+//     across one in-process server per -precisions entry (a mixed
+//     float32/int8 fleet), so the replay exercises quota shedding, deadline
+//     flushes and batching across classes and precisions at once.
+//
+// Every tenant is personalized (prewarmed) before the clock starts, so the
+// measured window is pure serving — scheduling, batching, quotas — not
+// pruning. -fifo disables the QoS layer (serve.QoSOptions.Disabled) to
+// produce the baseline the QoS run is judged against: gold p99 must beat
+// standard's under QoS while aggregate goodput does not regress vs FIFO.
+//
+// Refreshing the baseline after an intentional performance change:
+//
+//  1. Run the CI replay locally at the pinned seed and rate (see the slo
+//     job in .github/workflows/ci.yml for the exact flags).
+//  2. Read the new report's p50/p99/p999 and shed rates.
+//  3. Edit SLO_baseline.json, keeping thresholds ~2x the freshly observed
+//     values so runner jitter does not flake the gate, and commit it with
+//     the change that moved the numbers.
+func runLoad(args []string) error {
+	fs := flag.NewFlagSet("crisp load", flag.ExitOnError)
 	var (
-		seed       = flag.Int64("seed", 1, "replay seed: tenant class sets, QoS assignment and the Zipf draw are all derived from it")
-		duration   = flag.Duration("duration", 20*time.Second, "measured replay window (after prewarm)")
-		rps        = flag.Float64("rps", 300, "average offered request rate over the window")
-		tenants    = flag.Int("tenants", 24, "distinct tenants (class sets) in the trace")
-		classesPer = flag.Int("classes-per-tenant", 2, "classes per tenant class set")
-		zipfS      = flag.Float64("zipf-s", 1.2, "Zipf skew of tenant popularity (> 1; larger = hotter head)")
-		mix        = flag.String("mix", "gold=0.25,standard=0.5,batch=0.25", "QoS class mix over tenants, fractions summing to ~1")
-		diurnal    = flag.Float64("diurnal", 0.5, "diurnal burst amplitude in [0,1): rate swings rps*(1±amplitude) over -diurnal-period")
-		diurnalPer = flag.Duration("diurnal-period", 0, "diurnal cycle length (0: one full cycle over -duration)")
-		conc       = flag.Int("conc", 64, "max in-flight requests (client-side concurrency bound)")
-		samplesPer = flag.Int("samples-per-req", 1, "samples per predict request")
-		fifo       = flag.Bool("fifo", false, "disable QoS load shaping (the FIFO baseline run)")
-		precisions = flag.String("precisions", "float32,int8", "comma-separated engine precisions; one in-process server per entry, tenants spread across them")
-		out        = flag.String("out", "-", "report destination path (-: stdout)")
+		seed       = fs.Int64("seed", 1, "replay seed: tenant class sets, QoS assignment and the Zipf draw are all derived from it")
+		duration   = fs.Duration("duration", 20*time.Second, "measured replay window (after prewarm)")
+		rps        = fs.Float64("rps", 300, "average offered request rate over the window")
+		tenants    = fs.Int("tenants", 24, "distinct tenants (class sets) in the trace")
+		classesPer = fs.Int("classes-per-tenant", 2, "classes per tenant class set")
+		zipfS      = fs.Float64("zipf-s", 1.2, "Zipf skew of tenant popularity (> 1; larger = hotter head)")
+		mix        = fs.String("mix", "gold=0.25,standard=0.5,batch=0.25", "QoS class mix over tenants, fractions summing to ~1")
+		diurnal    = fs.Float64("diurnal", 0.5, "diurnal burst amplitude in [0,1): rate swings rps*(1±amplitude) over -diurnal-period")
+		diurnalPer = fs.Duration("diurnal-period", 0, "diurnal cycle length (0: one full cycle over -duration)")
+		conc       = fs.Int("conc", 64, "max in-flight requests (client-side concurrency bound)")
+		samplesPer = fs.Int("samples-per-req", 1, "samples per predict request")
+		fifo       = fs.Bool("fifo", false, "disable QoS load shaping (the FIFO baseline run)")
+		precisions = fs.String("precisions", "float32,int8", "comma-separated engine precisions; one in-process server per entry, tenants spread across them")
+		out        = fs.String("out", "-", "report destination path (-: stdout)")
+		baseline   = fs.String("baseline", "", "SLO baseline to check the report against once it is written; a violation fails the run (empty: no check)")
 
 		// Fleet shape: small enough to prewarm in seconds, loaded enough for
 		// batching and quotas to matter.
-		family     = flag.String("model", "resnet-s", "model family for the in-process fleet")
-		width      = flag.Int("width", 1, "model width multiplier")
-		numClasses = flag.Int("num-classes", 10, "classes in the universal model")
-		pretrain   = flag.Int("pretrain-epochs", 1, "universal pre-training epochs")
-		maxBatch   = flag.Int("max-batch", 16, "samples per coalesced engine call")
-		linger     = flag.Duration("linger", 20*time.Millisecond, "batcher linger; set above the gold budget so deadline flushes are visible")
-		maxQueue   = flag.Int("max-queue", 256, "per-tenant predict queue bound in samples")
+		family     = fs.String("model", "resnet-s", "model family for the in-process fleet")
+		width      = fs.Int("width", 1, "model width multiplier")
+		numClasses = fs.Int("num-classes", 10, "classes in the universal model")
+		pretrain   = fs.Int("pretrain-epochs", 1, "universal pre-training epochs")
+		maxBatch   = fs.Int("max-batch", 16, "samples per coalesced engine call")
+		linger     = fs.Duration("linger", 20*time.Millisecond, "batcher linger; set above the gold budget so deadline flushes are visible")
+		maxQueue   = fs.Int("max-queue", 256, "per-tenant predict queue bound in samples")
 	)
-	flag.Parse()
+	fs.Parse(args)
 	if *zipfS <= 1 {
-		log.Fatalf("-zipf-s must be > 1, got %g", *zipfS)
+		return fmt.Errorf("-zipf-s must be > 1, got %g", *zipfS)
 	}
 	if *diurnal < 0 || *diurnal >= 1 {
-		log.Fatalf("-diurnal must be in [0,1), got %g", *diurnal)
+		return fmt.Errorf("-diurnal must be in [0,1), got %g", *diurnal)
 	}
 	if err := checkTenants(*tenants, *classesPer, *numClasses); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	period := *diurnalPer
 	if period <= 0 {
@@ -101,38 +101,33 @@ func main() {
 
 	fractions, err := parseMix(*mix)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	precs, err := parsePrecisions(*precisions)
 	if err != nil {
-		log.Fatal(err)
+		return err
+	}
+	f, err := parseFamily(*family)
+	if err != nil {
+		return err
+	}
+	var slo *sloreport.Baseline
+	if *baseline != "" {
+		if slo, err = readBaseline(*baseline); err != nil {
+			return err
+		}
 	}
 
 	// ---- Build the fleet: one pretrained base shared by every server. ----
-	f := models.Family(*family)
-	prune := pruner.Options{
-		Target: 0.7, NM: sparsity.NM{N: 2, M: 4}, BlockSize: 4,
-		Iterations: 1, FinetuneEpochs: 1, BatchSize: 16, LR: 0.01,
+	fl, err := newFleet("load", f, *numClasses, *width, *seed, *pretrain, 8, 0.7, 1)
+	if err != nil {
+		return err
 	}
-	if err := prune.Validate(); err != nil {
-		log.Fatal(err)
-	}
-	ds := data.New(data.Config{
-		Name: "load", NumClasses: *numClasses, Channels: 3, H: 8, W: 8,
-		Noise: 0.25, Jitter: 1, Seed: *seed,
-	})
-	build := func() *nn.Classifier {
-		return models.Build(f, rand.New(rand.NewSource(*seed+1)), *numClasses, *width)
-	}
-	log.Printf("pre-training universal %s (%d classes, %d epoch(s))...", f, *numClasses, *pretrain)
-	base := build()
-	pruner.Pretrain(base, ds, *pretrain, 8, *seed+2)
-
 	servers := make([]*serve.Server, len(precs))
 	for i, prec := range precs {
-		s, err := serve.NewServer(build, base, ds, serve.Options{
+		s, err := serve.NewServer(fl.build, fl.base, fl.ds, serve.Options{
 			CacheSize: *tenants + 8,
-			Prune:     prune,
+			Prune:     fl.prune,
 			MaxBatch:  *maxBatch,
 			Linger:    *linger,
 			MaxQueue:  *maxQueue,
@@ -140,7 +135,7 @@ func main() {
 			QoS:       serve.QoSOptions{Disabled: *fifo},
 		})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		defer s.Close()
 		servers[i] = s
@@ -148,7 +143,7 @@ func main() {
 
 	// ---- Derive the tenant population. ----
 	rng := rand.New(rand.NewSource(*seed + 3))
-	ts := makeTenants(rng, ds, servers, *tenants, *classesPer, *samplesPer, fractions)
+	ts := makeTenants(rng, fl.ds, servers, *tenants, *classesPer, *samplesPer, fractions)
 
 	log.Printf("prewarming %d tenants across %d server(s) (%s)...", len(ts), len(servers), *precisions)
 	start := time.Now()
@@ -166,14 +161,14 @@ func main() {
 	wg.Wait()
 	close(errc)
 	if err := <-errc; err != nil {
-		log.Fatal(err)
+		return err
 	}
 	log.Printf("prewarmed in %.1fs", time.Since(start).Seconds())
 
 	// ---- Replay. ----
 	schedule := makeSchedule(*duration, *rps, *diurnal, period)
 	zipf := rand.NewZipf(rand.New(rand.NewSource(*seed+4)), *zipfS, 1, uint64(len(ts)-1))
-	rec := newRecorder()
+	rec := &recorder{}
 	before := fleetStats(servers)
 
 	log.Printf("replaying %d arrivals over %v (%.0f rps avg, diurnal ±%.0f%%)...",
@@ -214,7 +209,7 @@ func main() {
 	report.FlushForced = after.FlushForced - before.FlushForced
 
 	if err := writeReport(*out, report); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	log.Printf("done: %d requests (%.1f rps achieved), goodput %.1f rps, shed %d, overloaded %d",
 		report.Aggregate.Requests, report.AchievedRPS, report.GoodputRPS,
@@ -225,6 +220,18 @@ func main() {
 				name, c.P50MS, c.P99MS, c.P999MS, c.ShedRate*100, c.Requests)
 		}
 	}
+	if slo == nil {
+		return nil
+	}
+	violations := sloreport.Check(report, slo)
+	for _, v := range violations {
+		log.Printf("FAIL: %s", v)
+	}
+	if len(violations) > 0 {
+		return fmt.Errorf("%d SLO violation(s) against %s", len(violations), *baseline)
+	}
+	log.Printf("PASS: SLOs of %s hold", *baseline)
+	return nil
 }
 
 // tenant is one replayed class set: its home server (precision), QoS class,
@@ -334,8 +341,6 @@ type recorder struct {
 	}
 }
 
-func newRecorder() *recorder { return &recorder{} }
-
 func (r *recorder) record(qos serve.QoSClass, samples int, d time.Duration, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -424,15 +429,14 @@ func parseMix(s string) (map[serve.QoSClass]float64, error) {
 func parsePrecisions(s string) ([]inference.Precision, error) {
 	var out []inference.Precision
 	for _, part := range strings.Split(s, ",") {
-		switch strings.TrimSpace(part) {
-		case "float32", "float", "fp32":
-			out = append(out, inference.Float32)
-		case "int8", "i8":
-			out = append(out, inference.Int8)
-		case "":
-		default:
-			return nil, fmt.Errorf("unknown precision %q (want float32 or int8)", part)
+		if part = strings.TrimSpace(part); part == "" {
+			continue
 		}
+		p, err := parsePrecision(part)
+		if err != nil {
+			return nil, fmt.Errorf("-precisions: %w", err)
+		}
+		out = append(out, p)
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("-precisions is empty")
@@ -440,16 +444,38 @@ func parsePrecisions(s string) ([]inference.Precision, error) {
 	return out, nil
 }
 
+// writeReport writes rep as indented JSON to path, or to stdout for "-".
+// A file that fails to close is an error: its report may be truncated.
 func writeReport(path string, rep *sloreport.Report) error {
-	enc := json.NewEncoder(os.Stdout)
+	f := os.Stdout
 	if path != "-" && path != "" {
-		f, err := os.Create(path)
-		if err != nil {
+		var err error
+		if f, err = os.Create(path); err != nil {
 			return err
 		}
-		defer f.Close()
-		enc = json.NewEncoder(f)
 	}
+	enc := json.NewEncoder(f)
 	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
+	err := enc.Encode(rep)
+	if f == os.Stdout {
+		return err
+	}
+	return errors.Join(err, f.Close())
+}
+
+// readBaseline reads an SLO baseline; a field the schema does not know is
+// an error, so a misspelled threshold cannot pass unchecked.
+func readBaseline(path string) (*sloreport.Baseline, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	dec := json.NewDecoder(f)
+	dec.DisallowUnknownFields()
+	var slo sloreport.Baseline
+	if err := dec.Decode(&slo); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return &slo, nil
 }

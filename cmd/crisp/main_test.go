@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"path/filepath"
 	"strings"
 	"syscall"
 	"testing"
@@ -21,6 +22,40 @@ import (
 	"repro/internal/serve"
 	"repro/internal/sparsity"
 )
+
+// TestBadFlagsFailBeforeWork: every subcommand refuses a bad flag value
+// with an error that names it, and the command line refuses a missing or
+// unknown command. Each check runs before any work: without theirs, the
+// prune and load cases pre-train a model and then panic.
+func TestBadFlagsFailBeforeWork(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "missing.json")
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"prune", "-target", "1.5"}, "target sparsity 1.5"},
+		{[]string{"prune", "-model", "nope"}, `-model "nope"`},
+		{[]string{"load", "-model", "nope"}, `-model "nope"`},
+		{[]string{"load", "-precisions", "float32,fp8"}, `-precisions: unknown precision "fp8"`},
+		{[]string{"load", "-baseline", missing}, missing},
+		{[]string{"sim", "-kept", "1.7"}, "-kept 1.7"},
+		{[]string{"sim", "-act-density", "3"}, "-act-density 3"},
+		{[]string{"serve", "-precision", "fp8"}, `-precision: unknown precision "fp8"`},
+		{[]string{"serve", "-target", "1.5"}, "target sparsity 1.5"},
+		{[]string{"router", "-shards", "bad"}, `-shards: bad shard "bad"`},
+		{[]string{"router"}, "-shards: is required"},
+		{[]string{"bench"}, `unknown command "bench"`},
+		{nil, "no command"},
+	} {
+		run, err := command(tc.args)
+		if err == nil {
+			err = run(tc.args[1:])
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("crisp %s: error %v, want one containing %q", strings.Join(tc.args, " "), err, tc.want)
+		}
+	}
+}
 
 func TestParseBytes(t *testing.T) {
 	cases := []struct {
@@ -130,7 +165,7 @@ func TestGracefulShutdownFlushesPendingSnapshots(t *testing.T) {
 	log.SetOutput(&logBuf)
 	defer log.SetOutput(os.Stderr)
 	go func() {
-		done <- run(ln, api.NewMux(s, ds, api.Config{ShardID: "shutdown-test"}), "127.0.0.1:0", s, true, sigc, 10*time.Second)
+		done <- serveShard(ln, api.NewMux(s, ds, api.Config{ShardID: "shutdown-test"}), "127.0.0.1:0", s, true, sigc, 10*time.Second)
 	}()
 
 	url := "http://" + ln.Addr().String()
@@ -198,7 +233,7 @@ func TestShutdownOnListenerError(t *testing.T) {
 	sigc := make(chan os.Signal, 1)
 	done := make(chan error, 1)
 	go func() {
-		done <- run(ln, api.NewMux(s, ds, api.Config{}), "", s, true, sigc, 5*time.Second)
+		done <- serveShard(ln, api.NewMux(s, ds, api.Config{}), "", s, true, sigc, 5*time.Second)
 	}()
 	// Give Serve a moment to pick the listener up, then yank it away.
 	time.Sleep(50 * time.Millisecond)
@@ -210,5 +245,24 @@ func TestShutdownOnListenerError(t *testing.T) {
 		}
 	case <-time.After(15 * time.Second):
 		t.Fatal("run did not return after the listener died")
+	}
+}
+
+// TestCheckTenants: a population makeTenants cannot draw is refused before
+// pre-training — 46 two-class tenants of 10 classes (C(10, 2) = 45), an
+// 11-class set of 10 — and C(100, 50), past int64, still compares.
+func TestCheckTenants(t *testing.T) {
+	for _, tc := range []struct {
+		tenants, classesPer, numClasses int
+		ok                              bool
+	}{
+		{45, 2, 10, true}, {46, 2, 10, false},
+		{1, 10, 10, true}, {2, 10, 10, false}, {1, 11, 10, false},
+		{0, 2, 10, false}, {4, 0, 10, false},
+		{1 << 62, 50, 100, true},
+	} {
+		if err := checkTenants(tc.tenants, tc.classesPer, tc.numClasses); (err == nil) != tc.ok {
+			t.Errorf("checkTenants(%d, %d, %d) = %v, want ok %v", tc.tenants, tc.classesPer, tc.numClasses, err, tc.ok)
+		}
 	}
 }

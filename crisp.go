@@ -18,7 +18,7 @@
 // To serve many users concurrently, wrap the pretrained model in the
 // personalization server instead of pruning one-shot: engines are built on
 // a bounded worker pool, cached per class set with LRU eviction, and run
-// batched sparse inference (cmd/crisp-serve exposes the same thing over
+// batched sparse inference (crisp serve exposes the same thing over
 // HTTP):
 //
 //	srv, err := crisp.NewServer(model, crisp.ResNet, 2, 1, ds, crisp.ServerConfig{})
@@ -211,7 +211,7 @@ type ServerConfig = serve.Options
 
 // ErrOverloaded re-exports the admission-control rejection: the
 // personalization's predict queue is full and the request was dropped.
-// Callers should back off and retry (cmd/crisp-serve maps it to HTTP 429).
+// Callers should back off and retry (crisp serve maps it to HTTP 429).
 var ErrOverloaded = serve.ErrOverloaded
 
 // ErrOverQuota re-exports the weighted-shedding rejection: the tenant

@@ -1,5 +1,5 @@
 // Package api is the HTTP surface of one CRISP serving process (a
-// standalone server or a cluster shard). It is split out of cmd/crisp-serve
+// standalone server or a cluster shard). It is split out of crisp serve
 // so the same handlers serve three callers: the binary, its httptest-based
 // tests, and internal/cluster's in-process e2e shards.
 //

@@ -1,5 +1,5 @@
 // Package cluster scales CRISP serving horizontally: a consistent-hash
-// router in front of N shard processes, each an ordinary crisp-serve
+// router in front of N shard processes, each an ordinary crisp serve
 // sharing one snapshot store.
 //
 // # Why sharding is cheap here
@@ -90,7 +90,7 @@
 // the same budget arithmetic the shard's batcher runs, reused as the
 // cluster's impatience.
 //
-// cmd/crisp-router is the binary; internal/cluster/e2e_test.go drives a
+// crisp router is the command; internal/cluster/e2e_test.go drives a
 // router plus three real in-process shards, over a seeded flaky network,
 // through kill, lazy failover, rejoin, and drain under concurrent load, and
 // through TestClusterStormE2E's seeded storm — partition, record corruption,

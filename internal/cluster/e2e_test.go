@@ -109,7 +109,7 @@ func oracle(t *testing.T, classes []int) ([]float64, uint64) {
 	return eng.Logits(env.probeX(classes)).Data, eng.Fingerprint()
 }
 
-// realShard is one in-process crisp-serve: a real serve.Server behind the
+// realShard is one in-process crisp serve: a real serve.Server behind the
 // real api mux on a real TCP listener.
 type realShard struct {
 	id     string

@@ -18,7 +18,7 @@ import (
 	"repro/internal/serve"
 )
 
-// stubShard fakes a crisp-serve shard: just enough of the HTTP surface for
+// stubShard fakes a crisp serve shard: just enough of the HTTP surface for
 // the router's placement, probing, failover, and drain orchestration to be
 // tested without pruning a single model.
 type stubShard struct {

@@ -43,7 +43,7 @@ import (
 // the list cannot go stale.
 var allowlist = map[string]string{
 	"internal/nn.TrainingStateBytes":     "serve's TestReleasedClassifierTrainsBitIdentically holds a pruned classifier's training state to zero bytes",
-	"internal/serve.Server.Pool":         "cmd/crisp-serve's TestGracefulShutdownFlushesPendingSnapshots wedges the lone pool worker through it",
+	"internal/serve.Server.Pool":         "cmd/crisp's TestGracefulShutdownFlushesPendingSnapshots wedges the lone pool worker through it",
 	"internal/sparsity.VerifyRowBalance": "the CRISP row-balance oracle of core's TestApplyHybridInvariants and pruner's TestCRISPMaskInvariants",
 }
 

@@ -3,7 +3,7 @@
 // (Table.String is its one rendering). Every pruned row goes through one
 // trial step (Harness.trial): a fresh clone of the cached universal model,
 // pruned to a user scenario, measured on the user classes. Figures is the
-// ordered suite; cmd/crisp-bench and the repository's benchmarks are thin
+// ordered suite; crisp figures and the repository's benchmarks are thin
 // wrappers around it.
 package exp
 
@@ -26,7 +26,7 @@ const (
 	// Quick is the CI-friendly configuration (small synthetic datasets,
 	// few epochs) used by `go test -bench` and the default CLI mode.
 	Quick Scale = iota
-	// Full is the larger configuration (`crisp-bench -full`, and the
+	// Full is the larger configuration (`crisp figures -full`, and the
 	// package's tests under -full).
 	Full
 )

@@ -6,11 +6,11 @@ import (
 )
 
 // Figure is one runnable experiment artifact: a paper figure, table or
-// ablation, keyed by the name crisp-bench exposes.
+// ablation, keyed by the name crisp figures exposes.
 type Figure struct {
 	// Name is the CLI name ("fig1", "ablation-A", ...).
 	Name string
-	// Group is the coarse selector crisp-bench's -fig flag matches
+	// Group is the coarse selector crisp figures' -fig flag matches
 	// ("1", "ablations", "ext", ...).
 	Group string
 	// Run regenerates the artifact on a harness.
@@ -20,7 +20,7 @@ type Figure struct {
 // Figures returns the full ordered experiment suite. Every entry is
 // independent of the others — shared state (the pretrained-model cache)
 // lives in the Harness, which is concurrency-safe — so the suite can run
-// sequentially or fan out over goroutines (cmd/crisp-bench -workers).
+// sequentially or fan out over goroutines (crisp figures -workers).
 func Figures() []Figure {
 	return []Figure{
 		{"fig1", "1", func(h *Harness) *Table { _, t := h.Figure1(); return t }},

@@ -198,7 +198,7 @@ func (h *Harness) AblationQuant() ([]QuantRow, *Table) {
 	for _, r := range rows {
 		t.Rows = append(t.Rows, []string{string(r.Family), f3(r.Float), f3(r.Int8), f3(r.Agreement)})
 	}
-	t.Notes = append(t.Notes, "accuracies are the engines crisp-serve runs at -precision float32 / int8; agreement is what it reports per int8 tenant")
+	t.Notes = append(t.Notes, "accuracies are the engines crisp serve runs at -precision float32 / int8; agreement is what it reports per int8 tenant")
 	return rows, t
 }
 

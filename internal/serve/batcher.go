@@ -12,7 +12,7 @@ import (
 
 // ErrOverloaded reports an admission-control rejection: the personalization's
 // predict queue is full, so the request was dropped instead of queued without
-// bound. cmd/crisp-serve maps it to HTTP 429; callers should back off and
+// bound. crisp serve maps it to HTTP 429; callers should back off and
 // retry.
 var ErrOverloaded = errors.New("serve: overloaded: predict queue full")
 

@@ -53,7 +53,7 @@
 //     appended to the personalization's queue — unless the queue already
 //     holds MaxQueue samples, in which case the request is rejected
 //     immediately with ErrOverloaded (Stats.Rejected; HTTP 429 in
-//     cmd/crisp-serve). Load sheds at the door instead of queueing without
+//     crisp serve). Load sheds at the door instead of queueing without
 //     bound. A single request larger than MaxQueue is still admitted when
 //     the queue is empty, since it could never be admitted otherwise.
 //   - Leading: the first request into an empty queue becomes the batch
@@ -116,11 +116,11 @@
 //     flood of multi-second prunes cannot starve predicts, and vice versa.
 //
 // QoSOptions.Disabled turns the whole layer off (the FIFO baseline
-// cmd/crisp-load compares against); the arrival-relative linger remains,
-// because that is a correctness fix rather than policy. cmd/crisp-load
+// crisp load compares against); the arrival-relative linger remains,
+// because that is a correctness fix rather than policy. crisp load
 // replays a Zipf-skewed, diurnally-bursty multi-tenant trace against this
-// scheduler and cmd/slocheck gates the resulting per-class latency and
-// shed-rate report against SLO_baseline.json in CI.
+// scheduler and, in CI, gates the resulting per-class latency and
+// shed-rate report against SLO_baseline.json (its -baseline flag).
 //
 // # Snapshot lifecycle (Options.SnapshotDir)
 //
@@ -161,7 +161,7 @@
 //   - Explicit flush: Server.Flush waits for pending write-behind
 //     snapshots and writes any resident tenant not yet on disk — a hot
 //     engine, or a warm record whose write at demotion failed — the admin
-//     hook before a planned restart (POST /snapshot in cmd/crisp-serve).
+//     hook before a planned restart (POST /snapshot in crisp serve).
 //
 // # Memory tiers (Options.MemoryBudgetBytes)
 //
@@ -226,7 +226,7 @@
 // Budget 0 (the default) keeps the single-level count LRU; evicted engines
 // release immediately and rely on the cold tier alone.
 //
-// # HTTP endpoints (internal/api, served by cmd/crisp-serve)
+// # HTTP endpoints (internal/api, served by crisp serve)
 //
 //	POST /personalize {"classes":[3,17,42]}
 //	  → {"key","classes","cached","accuracy","sparsity","flops_ratio","compressed_layers"}
@@ -324,5 +324,5 @@
 // (Stats.RestoreHits, zero re-prunes).
 //
 // The Pool is the serving layer's own scheduler: the figure runner
-// (cmd/crisp-bench) bounds its fan-out itself and does not share it.
+// (crisp figures) bounds its fan-out itself and does not share it.
 package serve

@@ -9,7 +9,7 @@ import (
 // ErrDraining reports a personalization rejected because the server is
 // draining: a draining shard serves the tenants it already holds but accepts
 // no new ones, so the cluster router can move its state elsewhere without
-// chasing a moving target. cmd/crisp-serve maps it to HTTP 503 with a
+// chasing a moving target. crisp serve maps it to HTTP 503 with a
 // Retry-After header; callers should retry against the router, which will
 // have re-placed the tenant by then.
 var ErrDraining = errors.New("serve: draining: not accepting new tenants")

@@ -98,7 +98,7 @@ type QoSOptions struct {
 	// Disabled turns the whole layer off: no per-tenant quotas, no deadline
 	// flushes, every tenant effectively Standard. The batcher still flushes
 	// relative to the oldest rider's arrival (that is a correctness fix, not
-	// a policy). This is the FIFO baseline cmd/crisp-load compares against.
+	// a policy). This is the FIFO baseline crisp load compares against.
 	Disabled bool
 	// Gold, Standard and Batch override the per-class policies; zero fields
 	// take the class defaults (DefaultQoSPolicy).
@@ -165,7 +165,7 @@ func (rt *qosRuntime) policy(c QoSClass) QoSPolicy {
 }
 
 // ParseQoSPolicy overlays comma-separated key=value settings onto a policy:
-// "budget=5ms,rps=400,burst=100". Shared by the crisp-serve and crisp-load
+// "budget=5ms,rps=400,burst=100". Shared by the crisp serve and crisp load
 // flag surfaces.
 func ParseQoSPolicy(base QoSPolicy, s string) (QoSPolicy, error) {
 	s = strings.TrimSpace(s)

@@ -909,7 +909,7 @@ func (s *Server) checkInput(x *tensor.Tensor) error {
 
 // PredictSamples synthesizes n fresh samples of the class set, predicts
 // them in one batch, and returns predictions, labels and accuracy — the
-// self-contained demo path behind crisp-serve's /predict.
+// self-contained demo path behind crisp serve's /predict.
 func (s *Server) PredictSamples(classes []int, n int) (preds, labels []int, acc float64, err error) {
 	canon, key, err := s.Canonicalize(classes)
 	if err != nil {

@@ -1,5 +1,5 @@
-// Package sloreport defines the machine-readable report cmd/crisp-load
-// emits and the SLO baseline cmd/slocheck gates it against. It is a plain
+// Package sloreport defines the machine-readable report crisp load emits
+// and the SLO baseline its -baseline flag gates it against. It is a plain
 // data package — no serving imports — so the load harness, the checker and
 // the CI job all speak the same schema without a dependency cycle.
 package sloreport
@@ -73,7 +73,7 @@ func Percentile(sorted []float64, p float64) float64 {
 	return sorted[i]
 }
 
-// Report is crisp-load's machine-readable output: the run configuration
+// Report is crisp load's machine-readable output: the run configuration
 // echoed back (so a report is self-describing), per-class and aggregate
 // outcome summaries, and the server-counter deltas that explain them.
 type Report struct {
