@@ -88,6 +88,9 @@ func runLoad(args []string) error {
 	if *zipfS <= 1 {
 		return fmt.Errorf("-zipf-s must be > 1, got %g", *zipfS)
 	}
+	if *conc < 1 {
+		return fmt.Errorf("-conc must be >= 1, got %d", *conc)
+	}
 	if *diurnal < 0 || *diurnal >= 1 {
 		return fmt.Errorf("-diurnal must be in [0,1), got %g", *diurnal)
 	}

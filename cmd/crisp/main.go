@@ -67,7 +67,6 @@ import (
 	"repro/internal/data"
 	"repro/internal/energy"
 	"repro/internal/exp"
-	"repro/internal/export"
 	"repro/internal/inference"
 	"repro/internal/models"
 	"repro/internal/nn"
@@ -232,18 +231,16 @@ func runPrune(args []string) error {
 
 	// Validate that the compressed representation computes identically and
 	// report the deployed size.
-	if eng, err := inference.New(modelClf, *block, nm); err == nil {
-		x, _ := test.Sample(0)
-		dense := modelClf.Logits(x, false)
-		sparse := eng.Logits(x)
-		match := tensor.Equal(dense, sparse, 1e-9)
-		fmt.Printf("\nsparse inference engine: %d compressed layers, output match: %v\n",
-			eng.CompressedLayers, match)
+	dep, err := crisp.Deploy(modelClf, cfg)
+	if err != nil {
+		return err
 	}
-	if ms, err := export.Sizes(modelClf, *block, nm, 8); err == nil {
-		fmt.Printf("deployed size at 8-bit: dense %d B → crisp %d B (%.1fx compression)\n",
-			ms.DenseBytes, ms.FormatBytes["crisp"], ms.CompressionRatio("crisp"))
-	}
+	x, _ := test.Sample(0)
+	match := tensor.Equal(modelClf.Logits(x, false), dep.Engine.Logits(x), 1e-9)
+	fmt.Printf("\nsparse inference engine: %d compressed layers, output match: %v\n",
+		dep.Engine.CompressedLayers, match)
+	fmt.Printf("deployed size at 8-bit: dense %d B → crisp %d B (%.1fx compression)\n",
+		dep.DenseBytes, dep.CRISPBytes, dep.Compression)
 
 	if *saveCkpt != "" {
 		f, err := os.Create(*saveCkpt)
@@ -286,6 +283,9 @@ func runSim(args []string) error {
 	nm, err := sparsity.ParseNM(*nmFlag)
 	if err != nil {
 		return err
+	}
+	if *block < 1 {
+		return fmt.Errorf("-block must be >= 1, got %d", *block)
 	}
 	// The descriptor DSTC runs; every other architecture runs it on dense
 	// activations.

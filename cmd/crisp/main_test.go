@@ -38,8 +38,11 @@ func TestBadFlagsFailBeforeWork(t *testing.T) {
 		{[]string{"load", "-model", "nope"}, `-model "nope"`},
 		{[]string{"load", "-precisions", "float32,fp8"}, `-precisions: unknown precision "fp8"`},
 		{[]string{"load", "-baseline", missing}, missing},
+		{[]string{"load", "-conc", "0"}, "-conc must be >= 1, got 0"},
 		{[]string{"sim", "-kept", "1.7"}, "-kept 1.7"},
 		{[]string{"sim", "-act-density", "3"}, "-act-density 3"},
+		{[]string{"sim", "-block", "0"}, "-block must be >= 1, got 0"},
+		{[]string{"sim", "-block", "-4"}, "-block must be >= 1, got -4"},
 		{[]string{"serve", "-precision", "fp8"}, `-precision: unknown precision "fp8"`},
 		{[]string{"serve", "-target", "1.5"}, "target sparsity 1.5"},
 		{[]string{"router", "-shards", "bad"}, `-shards: bad shard "bad"`},

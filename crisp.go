@@ -7,29 +7,21 @@
 // a gradient-based class-aware saliency score and an iterative
 // prune→fine-tune loop.
 //
-// Quick start:
-//
-//	ds := crisp.NewDataset(crisp.SynthImageNet())
-//	model := crisp.NewModel(crisp.ResNet, ds.NumClasses, 2, 1)
-//	// ... pre-train or load weights, then personalize:
-//	result := crisp.Personalize(model, ds, []int{3, 17, 42}, crisp.DefaultConfig(0.9))
-//	fmt.Println(result.Report, result.Accuracy)
+// ExamplePersonalize is the quick start: pre-train a universal model with
+// Pretrain, then prune it to one user's classes with Personalize.
 //
 // To serve many users concurrently, wrap the pretrained model in the
-// personalization server instead of pruning one-shot: engines are built on
-// a bounded worker pool, cached per class set with LRU eviction, and run
-// batched sparse inference (crisp serve exposes the same thing over
-// HTTP):
-//
-//	srv, err := crisp.NewServer(model, crisp.ResNet, 2, 1, ds, crisp.ServerConfig{})
-//	p, cached, err := srv.Personalize([]int{3, 17, 42})
-//	preds, err := srv.Predict([]int{3, 17, 42}, batch) // batch: [B,C,H,W]
+// personalization server instead of pruning one-shot (ExampleNewServer):
+// engines are built on a bounded worker pool, cached per class set with LRU
+// eviction, and run batched sparse inference (crisp serve exposes the same
+// thing over HTTP).
 //
 // Concurrent Predict calls against the same personalization coalesce into
 // shared engine invocations (cross-request dynamic batching; tune with
 // ServerConfig.MaxBatch/Linger/MaxQueue) with results bit-identical to
 // running each request alone; when a personalization's queue is full the
-// server sheds load with ErrOverloaded instead of queueing without bound.
+// server sheds load with serve.ErrOverloaded instead of queueing without
+// bound.
 //
 // Set ServerConfig.SnapshotDir to make the server durable: completed
 // personalizations are snapshotted to disk write-behind, evicted engines
@@ -42,18 +34,18 @@
 // warm delta-encoded records → cold disk snapshots) that stores every
 // tenant as a delta over the universal weights instead of a full model
 // copy. Demoted tenants promote back bit-identically on their next
-// request; see examples/tiered and internal/serve's "Memory tiers"
+// request; see ExampleNewServer and internal/serve's "Memory tiers"
 // section. Budget 0 (the default) keeps the single-level count LRU.
 //
-// Set ServerConfig.Precision to PrecisionInt8 to serve from int8 quantized
+// Set ServerConfig.Precision to inference.Int8 to serve from int8 quantized
 // plans (the deployment precision of CRISP-STC's sparse tensor cores):
 // weights compile to int8 codes with per-row scales, activations quantize
 // per column on the fly, products accumulate in int32 and dequantize on
 // store. Results are approximate; every personalization measures its top-1
 // agreement against the full-precision engine on its held-out split
-// (Personalization.Agreement, aggregated in Stats), and snapshot restore
-// re-quantizes deterministically — the restored engine carries exactly the
-// pre-restart codes.
+// (serve.Personalization.Agreement, aggregated in Stats), and snapshot
+// restore re-quantizes deterministically — the restored engine carries
+// exactly the pre-restart codes.
 //
 // The heavy lifting lives in the internal packages (tensor, nn, sparsity,
 // saliency, pruner, format, accel, energy, data, models, exp, serve); this
@@ -75,14 +67,9 @@ import (
 	"repro/internal/sparsity"
 )
 
-// Model families mirroring the paper's three networks, plus the vision
-// transformer of the future-work extension.
-const (
-	ResNet            = models.ResNet
-	VGG               = models.VGG
-	MobileNet         = models.MobileNet
-	TransformerFamily = models.Transformer
-)
+// ResNet is the residual network family, the paper's main network
+// (package models builds the other families).
+const ResNet = models.ResNet
 
 // NM re-exports the N:M pattern descriptor.
 type NM = sparsity.NM
@@ -98,12 +85,6 @@ type Dataset = data.Dataset
 
 // Classifier re-exports the trainable model wrapper.
 type Classifier = nn.Classifier
-
-// SynthImageNet returns the ImageNet-scale synthetic dataset configuration.
-func SynthImageNet() data.Config { return data.SynthImageNet() }
-
-// SynthCIFAR returns the CIFAR-scale synthetic dataset configuration.
-func SynthCIFAR() data.Config { return data.SynthCIFAR() }
 
 // NewDataset materializes a synthetic dataset.
 func NewDataset(cfg data.Config) *Dataset { return data.New(cfg) }
@@ -200,61 +181,14 @@ type Server = serve.Server
 // batching knobs: MaxBatch coalesces concurrent Predict calls against one
 // personalization into shared engine invocations (1 disables), Linger
 // bounds how long a lone request waits for batch mates, and MaxQueue is
-// the admission-control bound — a full queue rejects with ErrOverloaded
-// instead of queueing without bound.
+// the admission-control bound — a full queue rejects with
+// serve.ErrOverloaded instead of queueing without bound.
 //
 // MemoryBudgetBytes bounds resident tenant state in bytes and switches
 // the cache to the tiered hot/warm/cold hierarchy (HotFraction splits the
 // budget between compiled engines and delta records); 0 keeps the
 // single-level LRU of CacheSize engines.
 type ServerConfig = serve.Options
-
-// ErrOverloaded re-exports the admission-control rejection: the
-// personalization's predict queue is full and the request was dropped.
-// Callers should back off and retry (crisp serve maps it to HTTP 429).
-var ErrOverloaded = serve.ErrOverloaded
-
-// ErrOverQuota re-exports the weighted-shedding rejection: the tenant
-// exceeded its QoS class's rate quota while the server was under queue
-// pressure (also HTTP 429, but targeted at the over-quota tenant — other
-// tenants keep being served).
-var ErrOverQuota = serve.ErrOverQuota
-
-// QoSClass re-exports a tenant's service class for ServerConfig.QoS and
-// Server.PersonalizeQoS; QoSOptions re-exports the load-shaping knobs
-// (per-class QoSPolicy overrides, shed watermark, or Disabled for plain
-// FIFO batching).
-type (
-	QoSClass   = serve.QoSClass
-	QoSOptions = serve.QoSOptions
-	QoSPolicy  = serve.QoSPolicy
-)
-
-// QoS classes: gold gets the tightest latency budget and fattest quota,
-// batch the loosest of both; standard (the zero value) is the default
-// interactive tier.
-const (
-	QoSGold     = serve.QoSGold
-	QoSStandard = serve.QoSStandard
-	QoSBatch    = serve.QoSBatch
-)
-
-// Precision re-exports the engine execution precision for
-// ServerConfig.Precision.
-type Precision = inference.Precision
-
-// Precision modes: the full-precision reference (default) and int8
-// quantized execution (int8 weight codes and activations, int32
-// accumulate — the sparse-tensor-core deployment precision; approximate,
-// with the accuracy cost measured per personalization as
-// Personalization.Agreement).
-const (
-	PrecisionFloat32 = inference.Float32
-	PrecisionInt8    = inference.Int8
-)
-
-// Personalization re-exports one cached tenant model.
-type Personalization = serve.Personalization
 
 // NewServer wraps a pretrained universal model in the personalization
 // service. f, width and seed must match the arguments model was built with

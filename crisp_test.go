@@ -4,46 +4,51 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/data"
-	"repro/internal/sparsity"
+	"repro/internal/inference"
 	"repro/internal/tensor"
 )
 
-// TestPublicAPIEndToEnd exercises the facade exactly as README's quickstart
-// does: dataset → model → pretrain → personalize.
-func TestPublicAPIEndToEnd(t *testing.T) {
-	ds := NewDataset(data.Config{
-		Name: "api-test", NumClasses: 8, Channels: 3, H: 8, W: 8,
-		Noise: 0.25, Jitter: 1, Seed: 21,
-	})
-	model := NewModel(ResNet, ds.NumClasses, 1, 22)
-	Pretrain(model, ds, 3, 10, 23)
-
-	user := ds.UserClasses(24, 3)
-	cfg := DefaultConfig(0.85)
-	cfg.BlockSize = 4
-	cfg.Iterations = 2
-	cfg.FinetuneEpochs = 1
-	cfg.BatchSize = 16
-	cfg.LR = 0.01
-
-	res := Personalize(model, ds, user, cfg)
-	if res.Report.AchievedSparsity < 0.78 {
-		t.Fatalf("achieved sparsity %v", res.Report.AchievedSparsity)
+// TestREADMECodeRunsAsExamples: every go block of README.md appears
+// verbatim, one tab in as a function body, in example_test.go, so the code
+// README shows is the code go test runs and checks.
+func TestREADMECodeRunsAsExamples(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res.Accuracy < 0 || res.Accuracy > 1 {
-		t.Fatalf("accuracy %v", res.Accuracy)
+	examples, err := os.ReadFile("example_test.go")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(res.Classes) != 3 {
-		t.Fatalf("classes %v", res.Classes)
-	}
-	// The pruned model must satisfy the hybrid invariants end to end.
-	for _, p := range model.PrunableParams() {
-		if err := sparsity.VerifyNM(p.MaskMatrixView(), cfg.NM); err != nil {
-			t.Fatalf("%s: %v", p.Name, err)
+	blocks := 0
+	for rest := string(readme); ; blocks++ {
+		_, after, ok := strings.Cut(rest, "```go\n")
+		if !ok {
+			break
 		}
+		block, tail, ok := strings.Cut(after, "```\n")
+		if !ok {
+			t.Fatalf("README go block %d is not closed", blocks+1)
+		}
+		rest = tail
+		var body strings.Builder
+		for _, line := range strings.SplitAfter(block, "\n") {
+			if strings.TrimSpace(line) != "" {
+				body.WriteString("\t")
+			}
+			body.WriteString(line)
+		}
+		if !strings.Contains(string(examples), body.String()) {
+			t.Errorf("README go block %d is not in example_test.go:\n%s", blocks+1, block)
+		}
+	}
+	if blocks == 0 {
+		t.Fatal("README.md has no go block")
 	}
 }
 
@@ -95,6 +100,65 @@ func TestFacadeServerWorkflow(t *testing.T) {
 		if prm.Mask != nil {
 			t.Fatalf("%s: serving masked the universal model", prm.Name)
 		}
+	}
+}
+
+// TestFacadeMemoryBudget exercises the tiered cache through the public
+// facade alone: a byte budget demotes the LRU tenant to a warm delta
+// record, and its next request promotes it back with identical
+// predictions — no internal/serve import required.
+func TestFacadeMemoryBudget(t *testing.T) {
+	ds := NewDataset(data.Config{
+		Name: "budget-test", NumClasses: 8, Channels: 3, H: 8, W: 8,
+		Noise: 0.25, Jitter: 1, Seed: 61,
+	})
+	model := NewModel(ResNet, ds.NumClasses, 1, 62)
+	Pretrain(model, ds, 2, 8, 63)
+
+	cfg := DefaultConfig(0.7)
+	cfg.BlockSize = 4
+	cfg.Iterations = 1
+	cfg.FinetuneEpochs = 1
+	cfg.BatchSize = 8
+	cfg.LR = 0.01
+	srv, err := NewServer(model, ResNet, 1, 62, ds, ServerConfig{
+		Prune: cfg, TrainPerClass: 6, TestPerClass: 4,
+		CacheSize:         1,
+		MemoryBudgetBytes: 1 << 30,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	user := []int{2, 5}
+	test := ds.MakeSplit("budget-predict", user, 4)
+	before, err := srv.Predict(user, test.X)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A second tenant demotes the first out of the one-engine hot tier.
+	if _, _, err := srv.Personalize([]int{1, 4}); err != nil {
+		t.Fatal(err)
+	}
+	st := srv.Stats()
+	if st.Demotions != 1 || st.WarmEntries != 1 {
+		t.Fatalf("budget did not tier: %+v", st)
+	}
+	if st.MemoryBudgetBytes != 1<<30 {
+		t.Fatalf("budget not echoed in stats: %+v", st)
+	}
+	after, err := srv.Predict(user, test.X)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range before {
+		if before[i] != after[i] {
+			t.Fatalf("prediction %d diverged across demote/promote: %d vs %d", i, before[i], after[i])
+		}
+	}
+	if st := srv.Stats(); st.Promotions != 1 || st.PromoteErrors != 0 {
+		t.Fatalf("warm promotion not taken: %+v", st)
 	}
 }
 
@@ -159,65 +223,6 @@ func TestFacadeWarmRestart(t *testing.T) {
 	}
 }
 
-// TestFacadeMemoryBudget exercises the tiered cache through the public
-// facade alone: a byte budget demotes the LRU tenant to a warm delta
-// record, and its next request promotes it back with identical
-// predictions — no internal/serve import required.
-func TestFacadeMemoryBudget(t *testing.T) {
-	ds := NewDataset(data.Config{
-		Name: "budget-test", NumClasses: 8, Channels: 3, H: 8, W: 8,
-		Noise: 0.25, Jitter: 1, Seed: 61,
-	})
-	model := NewModel(ResNet, ds.NumClasses, 1, 62)
-	Pretrain(model, ds, 2, 8, 63)
-
-	cfg := DefaultConfig(0.7)
-	cfg.BlockSize = 4
-	cfg.Iterations = 1
-	cfg.FinetuneEpochs = 1
-	cfg.BatchSize = 8
-	cfg.LR = 0.01
-	srv, err := NewServer(model, ResNet, 1, 62, ds, ServerConfig{
-		Prune: cfg, TrainPerClass: 6, TestPerClass: 4,
-		CacheSize:         1,
-		MemoryBudgetBytes: 1 << 30,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	user := []int{2, 5}
-	test := ds.MakeSplit("budget-predict", user, 4)
-	before, err := srv.Predict(user, test.X)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A second tenant demotes the first out of the one-engine hot tier.
-	if _, _, err := srv.Personalize([]int{1, 4}); err != nil {
-		t.Fatal(err)
-	}
-	st := srv.Stats()
-	if st.Demotions != 1 || st.WarmEntries != 1 {
-		t.Fatalf("budget did not tier: %+v", st)
-	}
-	if st.MemoryBudgetBytes != 1<<30 {
-		t.Fatalf("budget not echoed in stats: %+v", st)
-	}
-	after, err := srv.Predict(user, test.X)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range before {
-		if before[i] != after[i] {
-			t.Fatalf("prediction %d diverged across demote/promote: %d vs %d", i, before[i], after[i])
-		}
-	}
-	if st := srv.Stats(); st.Promotions != 1 || st.PromoteErrors != 0 {
-		t.Fatalf("warm promotion not taken: %+v", st)
-	}
-}
-
 func TestDefaultConfig(t *testing.T) {
 	cfg := DefaultConfig(0.9)
 	if cfg.Target != 0.9 {
@@ -238,17 +243,6 @@ func TestDeployRejectsInvalidConfig(t *testing.T) {
 	}
 	if _, err := Deploy(model, Config{Momentum: 1.0}); err == nil {
 		t.Fatal("invalid momentum must surface as an error")
-	}
-}
-
-func TestDatasetConfigsExported(t *testing.T) {
-	in := SynthImageNet()
-	if in.NumClasses != 1000 {
-		t.Fatalf("synth imagenet classes %d", in.NumClasses)
-	}
-	cf := SynthCIFAR()
-	if cf.NumClasses != 100 {
-		t.Fatalf("synth cifar classes %d", cf.NumClasses)
 	}
 }
 
@@ -365,7 +359,7 @@ func TestCheckpointFailsClosed(t *testing.T) {
 }
 
 // TestFacadeQuantizedServing: the public int8 serving path — a server
-// configured with PrecisionInt8 personalizes, serves predictions from
+// configured with inference.Int8 personalizes, serves predictions from
 // quantized engines, and reports the measured agreement per tenant and in
 // the aggregate stats.
 func TestFacadeQuantizedServing(t *testing.T) {
@@ -384,7 +378,7 @@ func TestFacadeQuantizedServing(t *testing.T) {
 	cfg.LR = 0.01
 	srv, err := NewServer(model, ResNet, 1, 45, ds, ServerConfig{
 		Prune: cfg, TrainPerClass: 6, TestPerClass: 4,
-		Precision: PrecisionInt8,
+		Precision: inference.Int8,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -396,7 +390,7 @@ func TestFacadeQuantizedServing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Engine().Precision(); got != PrecisionInt8 {
+	if got := p.Engine().Precision(); got != inference.Int8 {
 		t.Fatalf("engine precision %v, want int8", got)
 	}
 	if p.Agreement <= 0 || p.Agreement > 1 {

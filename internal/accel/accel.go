@@ -64,7 +64,7 @@ type Sparsity struct {
 	// KeptColFrac is K'/K, the fraction of block columns kept (1 = no block
 	// pruning).
 	KeptColFrac float64
-	// BlockSize is the B of the block grid (needed by CRISP-STC).
+	// BlockSize is the B of the block grid CRISP-STC models; 0 means 64.
 	BlockSize int
 	// ActDensity is the activation non-zero fraction (used by DSTC; the
 	// paper reserves 40% activation sparsity → density 0.6).
@@ -88,16 +88,15 @@ func (s Sparsity) WeightDensity() float64 {
 
 // Validate rejects descriptors the simulator cannot interpret.
 func (s Sparsity) Validate() error {
-	if s.KeptColFrac < 0 || s.KeptColFrac > 1 {
+	switch {
+	case s.KeptColFrac < 0 || s.KeptColFrac > 1:
 		return fmt.Errorf("accel: KeptColFrac %v outside [0,1]", s.KeptColFrac)
-	}
-	if s.NM.M != 0 {
-		if err := s.NM.Validate(); err != nil {
-			return err
-		}
-	}
-	if s.ActDensity < 0 || s.ActDensity > 1 {
+	case s.ActDensity < 0 || s.ActDensity > 1:
 		return fmt.Errorf("accel: ActDensity %v outside [0,1]", s.ActDensity)
+	case s.BlockSize < 0:
+		return fmt.Errorf("accel: BlockSize %d is negative", s.BlockSize)
+	case s.NM.M != 0:
+		return s.NM.Validate()
 	}
 	return nil
 }

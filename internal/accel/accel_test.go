@@ -55,6 +55,10 @@ func TestSparsityValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Fatal("invalid NM accepted")
 	}
+	bad = Sparsity{KeptColFrac: 0.5, BlockSize: -4}
+	if err := bad.Validate(); err == nil {
+		t.Fatal("negative BlockSize accepted")
+	}
 }
 
 func TestWeightDensity(t *testing.T) {

@@ -30,16 +30,6 @@ type Config struct {
 	Seed int64
 }
 
-// SynthImageNet stands in for ImageNet: 1000 classes of 16×16 RGB images.
-func SynthImageNet() Config {
-	return Config{Name: "synth-imagenet", NumClasses: 1000, Channels: 3, H: 16, W: 16, Noise: 0.35, Jitter: 2, Seed: 1}
-}
-
-// SynthCIFAR stands in for CIFAR-100: 100 classes of 12×12 RGB images.
-func SynthCIFAR() Config {
-	return Config{Name: "synth-cifar", NumClasses: 100, Channels: 3, H: 12, W: 12, Noise: 0.3, Jitter: 1, Seed: 2}
-}
-
 // Dataset generates samples for a Config. Prototypes are materialized once;
 // samples are drawn on demand from split-specific deterministic streams.
 type Dataset struct {

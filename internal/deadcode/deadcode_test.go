@@ -1,14 +1,15 @@
 // Package deadcode holds the repository's dead-surface gate: every
-// package-level function, method, type, var and const under internal/ must
-// be reachable from code that is not a test.
+// package-level function, method, type, var and const of the root package
+// (the repro facade) and under internal/ must be reachable from code that
+// is not a test.
 //
 // The gate type-checks every non-test file of the main module and of the
 // bench module (its own go.mod, which replaces repro with this tree) with
 // go/types. Packages under repro/ and repro/bench/ are read from the source
 // tree; the standard library comes from GOROOT through the source importer,
-// so nothing is fetched. Everything outside internal/ is a root: the repro
-// facade (the module's public API), cmd/, examples/ and bench/. So is
-// internal/fault, test support by design, and every entry of allowlist.
+// so nothing is fetched. The roots are cmd/ and bench/, internal/fault (test
+// support by design) and every entry of allowlist; the facade's Examples
+// reach it only through allowlist entries that name them.
 // From the roots the gate follows each identifier's uses to the
 // declarations they name; what is never reached is dead, including code
 // whose only callers are themselves dead.
@@ -36,15 +37,19 @@ import (
 	"testing"
 )
 
-// allowlist names the declarations under internal/ that no non-test code
-// reaches but that a test in another package needs, keyed
+// allowlist names the declarations that no non-test code reaches but that
+// a test or an Example in another package needs, keyed "repro.<Name>",
 // "internal/<pkg>.<Name>" or "internal/<pkg>.<Type>.<Method>", each with
-// the test that needs it. An entry that is not dead fails the gate too, so
+// the test or Example that needs it. An entry that is not dead fails the gate too, so
 // the list cannot go stale.
 var allowlist = map[string]string{
+	"internal/inference.ModelBytes":      "the full-copy cache's model bytes in serve's TestTieredDensityAtLeast3x",
 	"internal/nn.TrainingStateBytes":     "serve's TestReleasedClassifierTrainsBitIdentically holds a pruned classifier's training state to zero bytes",
 	"internal/serve.Server.Pool":         "cmd/crisp's TestGracefulShutdownFlushesPendingSnapshots wedges the lone pool worker through it",
 	"internal/sparsity.VerifyRowBalance": "the CRISP row-balance oracle of core's TestApplyHybridInvariants and pruner's TestCRISPMaskInvariants",
+	"internal/tensor.MatMul":             "the dense reference of format's TestSpMMMatchesDense, FuzzEncodeCRISPDecode and TestQuantPlanCloseToFloatPlan",
+	"repro.NewServer":                    "ExampleNewServer, README's serving block",
+	"repro.ResNet":                       "the model family of ExamplePersonalize and ExampleNewServer, README's quick start",
 }
 
 func TestNoDeadSurface(t *testing.T) {
@@ -69,7 +74,7 @@ func TestNoDeadSurface(t *testing.T) {
 		delete(stale, p.key(obj))
 	}
 	for k := range stale {
-		t.Errorf("allowlist entry %s is not a dead declaration under internal/: drop it", k)
+		t.Errorf("allowlist entry %s is not a dead declaration: drop it", k)
 	}
 	for _, obj := range p.unreached(allowlist) {
 		pos := p.fset.Position(obj.Pos())
@@ -273,9 +278,8 @@ func (p *program) addInterface(iface *types.Interface) {
 	}
 }
 
-// unreached returns the declarations under internal/ (outside
-// internal/fault) that no root reaches, in load order. The entries of
-// excused count as roots.
+// unreached returns the declarations in the gate's scope that no root
+// reaches, in load order. The entries of excused count as roots.
 func (p *program) unreached(excused map[string]string) []types.Object {
 	live := make(map[types.Object]bool)
 	var work []types.Object
@@ -315,11 +319,11 @@ func (p *program) unreached(excused map[string]string) []types.Object {
 	return out
 }
 
-// inScope reports whether the gate judges obj: a declaration under
-// repro/internal/, outside repro/internal/fault.
+// inScope reports whether the gate judges obj: a declaration of the root
+// package repro or under repro/internal/, outside repro/internal/fault.
 func (p *program) inScope(obj types.Object) bool {
 	path := obj.Pkg().Path()
-	return strings.HasPrefix(path, "repro/internal/") && path != "repro/internal/fault"
+	return path == "repro" || strings.HasPrefix(path, "repro/internal/") && path != "repro/internal/fault"
 }
 
 // key names obj the way allowlist does.

@@ -99,7 +99,7 @@ func crispSize(m *tensor.Tensor, g sparsity.BlockGrid, nm sparsity.NM) (kept, bl
 	return kept, blocks, blocks * g.B * (g.B / nm.M) * nm.N
 }
 
-// Name implements Encoded.
+// Name identifies the format.
 func (e *CRISPFormat) Name() string { return "crisp" }
 
 // grid reconstructs the block grid.
@@ -107,112 +107,18 @@ func (e *CRISPFormat) grid() sparsity.BlockGrid {
 	return sparsity.NewBlockGrid(e.Rows, e.Cols, e.B)
 }
 
-// MetadataBits implements Encoded: block indices + per-slot offsets.
+// MetadataBits is the index overhead in bits: block indices + per-slot
+// offsets.
 func (e *CRISPFormat) MetadataBits() int64 {
 	g := e.grid()
 	blockBits := BlockedELLMetadataBits(g.GridRows(), g.GridCols(), e.KeptPerRow)
 	return blockBits + int64(len(e.Offsets))*int64(bitsFor(e.NM.M))
 }
 
-// DataBits implements Encoded: every slot (including padding) carries a
-// value, as in the hardware layout.
+// DataBits is the value payload in bits: every slot (including padding)
+// carries a value, as in the hardware layout.
 func (e *CRISPFormat) DataBits(valueBits int) int64 {
 	return int64(len(e.Val)) * int64(valueBits)
-}
-
-// Decode implements Encoded.
-func (e *CRISPFormat) Decode() *tensor.Tensor {
-	out := tensor.New(e.Rows, e.Cols)
-	g := e.grid()
-	si := 0
-	for br := 0; br < g.GridRows(); br++ {
-		for k := 0; k < e.KeptPerRow; k++ {
-			bc := int(e.BlockCols[br*e.KeptPerRow+k])
-			r0, r1, c0, c1 := g.Bounds(br, bc)
-			for r := r0; r < r1; r++ {
-				for g0 := c0; g0 < c1; g0 += e.NM.M {
-					for s := 0; s < e.NM.N; s++ {
-						// Padding slots add zero; real slots write their value.
-						out.Data[r*e.Cols+g0+int(e.Offsets[si])] += e.Val[si]
-						si++
-					}
-				}
-			}
-		}
-	}
-	return out
-}
-
-// slotStarts returns the index into Val/Offsets where each block row's
-// slots begin (length gridRows+1), so MatMul can give each worker an
-// independent starting slot. Slot counts follow from the grid geometry
-// alone.
-func (e *CRISPFormat) slotStarts(g sparsity.BlockGrid) []int {
-	starts := make([]int, g.GridRows()+1)
-	for br := 0; br < g.GridRows(); br++ {
-		slots := 0
-		for k := 0; k < e.KeptPerRow; k++ {
-			bc := int(e.BlockCols[br*e.KeptPerRow+k])
-			r0, r1, c0, c1 := g.Bounds(br, bc)
-			groups := ((c1 - c0) + e.NM.M - 1) / e.NM.M
-			slots += (r1 - r0) * groups * e.NM.N
-		}
-		starts[br+1] = starts[br] + slots
-	}
-	return starts
-}
-
-// MatMul implements Encoded: the software analogue of the accelerator's
-// offset-driven activation selection. Block rows are independent, so large
-// problems (batched inference) fan out across GOMAXPROCS workers with
-// bit-identical results.
-func (e *CRISPFormat) MatMul(b *tensor.Tensor) *tensor.Tensor {
-	_, n := checkSpMM(b, e.Cols)
-	out := tensor.New(e.Rows, n)
-	g := e.grid()
-	crispJobs.Run(g.GridRows(), len(e.Val)*n, crispJob{e: e, g: g, starts: e.slotStarts(g), b: b.Data, out: out.Data, n: n})
-	return out
-}
-
-// crispJob is CRISPFormat.MatMul's fan-out record; its rows are block rows.
-type crispJob struct {
-	tensor.Join
-	e      *CRISPFormat
-	g      sparsity.BlockGrid
-	starts []int
-	b, out []float64
-	n      int
-}
-
-var crispJobs tensor.JobPool[crispJob, *crispJob]
-
-// Rows implements tensor.RowJob: it computes block rows [br0, br1).
-func (j *crispJob) Rows(br0, br1 int) {
-	e, g, n := j.e, j.g, j.n
-	for br := br0; br < br1; br++ {
-		si := j.starts[br]
-		for k := 0; k < e.KeptPerRow; k++ {
-			bc := int(e.BlockCols[br*e.KeptPerRow+k])
-			r0, r1, c0, c1 := g.Bounds(br, bc)
-			for r := r0; r < r1; r++ {
-				dst := j.out[r*n : (r+1)*n]
-				for g0 := c0; g0 < c1; g0 += e.NM.M {
-					for s := 0; s < e.NM.N; s++ {
-						v := e.Val[si]
-						col := g0 + int(e.Offsets[si])
-						si++
-						if v == 0 {
-							continue
-						}
-						src := j.b[col*n : (col+1)*n]
-						for x, bv := range src {
-							dst[x] += v * bv
-						}
-					}
-				}
-			}
-		}
-	}
 }
 
 // CRISPMetadataBits is the analytical model for a rows×cols matrix with
@@ -223,4 +129,10 @@ func CRISPMetadataBits(rows, cols, b, keptPerRow int, nm sparsity.NM) int64 {
 	// Slots: per kept block, B rows × (B/M) groups × N slots.
 	slots := int64(g.GridRows()) * int64(keptPerRow) * int64(b) * int64(b/nm.M) * int64(nm.N)
 	return blockBits + slots*int64(bitsFor(nm.M))
+}
+
+// BlockedELLMetadataBits is the analytical model: one ⌈log2 gridCols⌉-bit
+// index per kept block.
+func BlockedELLMetadataBits(gridRows, gridCols, keptPerRow int) int64 {
+	return int64(gridRows) * int64(keptPerRow) * int64(bitsFor(gridCols))
 }

@@ -31,63 +31,17 @@ func EncodeCSR(m *tensor.Tensor) *CSR {
 	return c
 }
 
-// Name implements Encoded.
+// Name identifies the format.
 func (c *CSR) Name() string { return "csr" }
 
-// MetadataBits implements Encoded: per-nnz column indices at ⌈log2 cols⌉
-// bits plus 32-bit row pointers.
+// MetadataBits is the index overhead in bits: per-nnz column indices at
+// ⌈log2 cols⌉ bits plus 32-bit row pointers.
 func (c *CSR) MetadataBits() int64 {
 	return CSRMetadataBits(c.Rows, c.Cols, len(c.Val))
 }
 
-// DataBits implements Encoded.
+// DataBits is the value payload in bits.
 func (c *CSR) DataBits(valueBits int) int64 { return int64(len(c.Val)) * int64(valueBits) }
-
-// Decode implements Encoded.
-func (c *CSR) Decode() *tensor.Tensor {
-	out := tensor.New(c.Rows, c.Cols)
-	for r := 0; r < c.Rows; r++ {
-		for i := c.RowPtr[r]; i < c.RowPtr[r+1]; i++ {
-			out.Data[r*c.Cols+int(c.ColIdx[i])] = c.Val[i]
-		}
-	}
-	return out
-}
-
-// MatMul implements Encoded. Rows are independent, so large problems
-// (batched inference) fan out across GOMAXPROCS workers with bit-identical
-// results.
-func (c *CSR) MatMul(b *tensor.Tensor) *tensor.Tensor {
-	_, n := checkSpMM(b, c.Cols)
-	out := tensor.New(c.Rows, n)
-	csrJobs.Run(c.Rows, len(c.Val)*n, csrJob{c: c, b: b.Data, out: out.Data, n: n})
-	return out
-}
-
-// csrJob is CSR.MatMul's fan-out record.
-type csrJob struct {
-	tensor.Join
-	c      *CSR
-	b, out []float64
-	n      int
-}
-
-var csrJobs tensor.JobPool[csrJob, *csrJob]
-
-// Rows implements tensor.RowJob.
-func (j *csrJob) Rows(row0, row1 int) {
-	c, n := j.c, j.n
-	for r := row0; r < row1; r++ {
-		dst := j.out[r*n : (r+1)*n]
-		for i := c.RowPtr[r]; i < c.RowPtr[r+1]; i++ {
-			v := c.Val[i]
-			src := j.b[int(c.ColIdx[i])*n : (int(c.ColIdx[i])+1)*n]
-			for k, bv := range src {
-				dst[k] += v * bv
-			}
-		}
-	}
-}
 
 // CSRMetadataBits is the analytical model for a rows×cols matrix with nnz
 // non-zeros.

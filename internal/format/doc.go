@@ -3,9 +3,10 @@
 // hybrid format (Blocked-ELLPACK block-column indices plus packed
 // ⌈log2 M⌉-bit intra-group offsets for the N:M non-zeros).
 //
-// Each format has a real encoder (encode → decode round-trips the masked
-// matrix, SpMM matches dense GEMM) and an analytical metadata-bit model used
-// to evaluate full-size ImageNet layers without materializing them. The bit
+// CSR, ELLPACK and CRISP each have a real encoder (its test-side decode
+// round-trips the masked matrix, its SpMM matches dense GEMM); every format
+// has an analytical metadata-bit model used to evaluate full-size ImageNet
+// layers without materializing them. The bit
 // conventions follow common practice and are validated against the paper's
 // reported ≈5×/≈7× CSR/ELLPACK overheads:
 //
@@ -52,7 +53,8 @@
 // # Bit-exactness contract
 //
 // A plan's output is bit-identical to the storage-format kernel it was
-// compiled from: for each output element, floating-point products are added
+// compiled from (those kernels, the oracles, live in spmm_ref_test.go): for
+// each output element, floating-point products are added
 // in ascending span (storage) order. Unrolling and parallel fan-out may
 // change which order output *elements* are produced in, but never the
 // order of additions *within* an element. The conformance harness

@@ -47,49 +47,18 @@ func EncodeELLPACK(m *tensor.Tensor) *ELLPACK {
 	return e
 }
 
-// Name implements Encoded.
+// Name identifies the format.
 func (e *ELLPACK) Name() string { return "ellpack" }
 
-// MetadataBits implements Encoded: fixed 16-bit indices for every padded
-// slot — the padding overhead the paper's Fig. 4 calls out.
+// MetadataBits is the index overhead in bits: fixed 16-bit indices for
+// every padded slot — the padding overhead the paper's Fig. 4 calls out.
 func (e *ELLPACK) MetadataBits() int64 {
 	return ELLPACKMetadataBits(e.Rows, e.Width)
 }
 
-// DataBits implements Encoded: padded slots carry values too.
+// DataBits is the value payload in bits: padded slots carry values too.
 func (e *ELLPACK) DataBits(valueBits int) int64 {
 	return int64(e.Rows) * int64(e.Width) * int64(valueBits)
-}
-
-// Decode implements Encoded.
-func (e *ELLPACK) Decode() *tensor.Tensor {
-	out := tensor.New(e.Rows, e.Cols)
-	for r := 0; r < e.Rows; r++ {
-		for k := 0; k < e.Width; k++ {
-			out.Data[r*e.Cols+int(e.ColIdx[r*e.Width+k])] += e.Val[r*e.Width+k]
-		}
-	}
-	return out
-}
-
-// MatMul implements Encoded.
-func (e *ELLPACK) MatMul(b *tensor.Tensor) *tensor.Tensor {
-	_, n := checkSpMM(b, e.Cols)
-	out := tensor.New(e.Rows, n)
-	for r := 0; r < e.Rows; r++ {
-		dst := out.Data[r*n : (r+1)*n]
-		for k := 0; k < e.Width; k++ {
-			v := e.Val[r*e.Width+k]
-			if v == 0 {
-				continue
-			}
-			src := b.Data[int(e.ColIdx[r*e.Width+k])*n : (int(e.ColIdx[r*e.Width+k])+1)*n]
-			for j, bv := range src {
-				dst[j] += v * bv
-			}
-		}
-	}
-	return out
 }
 
 // ELLPACKMetadataBits is the analytical model: every padded slot stores a

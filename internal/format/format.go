@@ -7,20 +7,6 @@ import (
 	"repro/internal/tensor"
 )
 
-// Encoded is the common interface of all sparse encodings.
-type Encoded interface {
-	// Name identifies the format ("csr", "ellpack", ...).
-	Name() string
-	// MetadataBits is the structural overhead in bits (indices, pointers).
-	MetadataBits() int64
-	// DataBits is the value payload in bits for the given value precision.
-	DataBits(valueBits int) int64
-	// Decode reconstructs the dense rows×cols matrix.
-	Decode() *tensor.Tensor
-	// MatMul computes Sparse · B for a dense cols×n matrix B.
-	MatMul(b *tensor.Tensor) *tensor.Tensor
-}
-
 // bitsFor returns ⌈log2 n⌉ with a floor of 1 bit.
 func bitsFor(n int) int {
 	if n <= 2 {

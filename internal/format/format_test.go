@@ -74,26 +74,6 @@ func TestELLPACKPadsRaggedRows(t *testing.T) {
 	}
 }
 
-func TestBlockedELLRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	m := hybridMatrix(rng, 8, 16, 4, sparsity.NM{N: 4, M: 4}, 2) // blocks only
-	e, err := EncodeBlockedELL(m, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tensor.Equal(e.Decode(), m, 0) {
-		t.Fatal("BlockedELL decode mismatch")
-	}
-}
-
-func TestBlockedELLRejectsImbalance(t *testing.T) {
-	m := tensor.New(8, 8)
-	m.Set(1, 0, 0) // block row 0 keeps 1 block, block row 1 keeps 0
-	if _, err := EncodeBlockedELL(m, 4); err == nil {
-		t.Fatal("imbalanced matrix accepted")
-	}
-}
-
 func TestCRISPRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for _, nm := range []sparsity.NM{{N: 1, M: 4}, {N: 2, M: 4}, {N: 3, M: 4}} {
@@ -142,12 +122,12 @@ func TestSpMMMatchesDense(t *testing.T) {
 	x := tensor.Randn(rng, 1, 16, 5)
 	want := tensor.MatMul(m, x)
 
-	encs := []Encoded{EncodeCSR(m), EncodeELLPACK(m)}
-	if be, err := EncodeBlockedELL(m, 4); err == nil {
-		encs = append(encs, be)
-	} else {
-		t.Fatal(err)
+	// spmm is what the storage formats' kernels have in common.
+	type spmm interface {
+		Name() string
+		MatMul(b *tensor.Tensor) *tensor.Tensor
 	}
+	encs := []spmm{EncodeCSR(m), EncodeELLPACK(m)}
 	if ce, err := EncodeCRISP(m, 4, nm); err == nil {
 		encs = append(encs, ce)
 	} else {
@@ -224,10 +204,6 @@ func TestRoundTripProperty(t *testing.T) {
 			return false
 		}
 		if !tensor.Equal(EncodeELLPACK(m).Decode(), m, 0) {
-			return false
-		}
-		be, err := EncodeBlockedELL(m, 4)
-		if err != nil || !tensor.Equal(be.Decode(), m, 0) {
 			return false
 		}
 		ce, err := EncodeCRISP(m, 4, nm)

@@ -262,14 +262,6 @@ func (e *CRISPFormat) nnz() int {
 	return n
 }
 
-// MatMul computes Plan · B for a dense Cols×n matrix B into a new tensor.
-func (p *Plan) MatMul(b *tensor.Tensor) *tensor.Tensor {
-	_, n := checkSpMM(b, p.Cols)
-	out := tensor.New(p.Rows, n)
-	p.matmul(b, out, n)
-	return out
-}
-
 // MatMulInto computes Plan · B into out, which must be a rank-2 Rows×n
 // tensor; its previous contents are overwritten (callers may hand the plan
 // an uninitialized arena buffer). Returns out.

@@ -319,13 +319,6 @@ func (s QuantScratch) grown(rows, cols, n int) QuantScratch {
 	return s
 }
 
-// MatMul computes QuantPlan · B into a new tensor, allocating its own
-// scratch — the convenience form of MatMulInto.
-func (q *QuantPlan) MatMul(b *tensor.Tensor) *tensor.Tensor {
-	_, n := checkSpMM(b, q.Cols)
-	return q.MatMulInto(b, tensor.New(q.Rows, n), QuantScratch{})
-}
-
 // MatMulInto computes QuantPlan · B into out ([Rows, n], previous contents
 // overwritten): B's columns are quantized to int8 at per-column symmetric
 // scales, products accumulate in packed 32-bit integer lanes, and each

@@ -118,14 +118,6 @@ func VerifyNM(mask *tensor.Tensor, nm NM) error {
 	return nil
 }
 
-// Density returns the fraction of non-zero entries in mask.
-func Density(mask *tensor.Tensor) float64 {
-	if mask.Len() == 0 {
-		return 0
-	}
-	return float64(mask.CountNonZero()) / float64(mask.Len())
-}
-
 // checkMatrix validates that a and b are rank-2 with identical shapes and
 // returns (rows, cols).
 func checkMatrix(a, b *tensor.Tensor) (int, int) {

@@ -9,6 +9,11 @@ import (
 	"repro/internal/tensor"
 )
 
+// density is the fraction of non-zero entries in a non-empty mask.
+func density(mask *tensor.Tensor) float64 {
+	return float64(mask.CountNonZero()) / float64(mask.Len())
+}
+
 func TestNMValidate(t *testing.T) {
 	if err := (NM{2, 4}).Validate(); err != nil {
 		t.Fatal(err)
@@ -76,7 +81,7 @@ func TestApplyNM1of4Density(t *testing.T) {
 	scores := tensor.Randn(rng, 1, 8, 16)
 	mask := tensor.New(8, 16)
 	ApplyNM(mask, scores, NM{1, 4})
-	if d := Density(mask); d != 0.25 {
+	if d := density(mask); d != 0.25 {
 		t.Fatalf("1:4 density = %v, want 0.25", d)
 	}
 	if err := VerifyNM(mask, NM{1, 4}); err != nil {
@@ -106,7 +111,7 @@ func TestApplyNMValidProperty(t *testing.T) {
 		if VerifyNM(mask, nm) != nil {
 			return false
 		}
-		return math.Abs(Density(mask)-nm.Density()) < 1e-12
+		return math.Abs(density(mask)-nm.Density()) < 1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -274,7 +279,7 @@ func TestHybridCompose(t *testing.T) {
 	// Overall sparsity matches the paper's formula 1-(K'/K)(N/M).
 	kept := keptBlockFraction(mask, g)
 	want := HybridSparsity(kept, nm)
-	got := 1 - Density(mask)
+	got := 1 - density(mask)
 	if math.Abs(got-want) > 1e-12 {
 		t.Fatalf("sparsity %v, formula %v", got, want)
 	}
