@@ -164,12 +164,7 @@ type tenantParam struct {
 func (p *tenantParam) each(visit func(j int, v float64)) {
 	switch {
 	case p.plan != nil:
-		pl := p.plan
-		for r := range pl.Rows {
-			for i := pl.RowPtr[r]; i < pl.RowPtr[r+1]; i++ {
-				visit(r*pl.Cols+int(pl.Col[i]), pl.Val[i])
-			}
-		}
+		p.plan.Entries(visit)
 	case p.mask != nil:
 		for j, m := range p.mask {
 			if m != 0 {

@@ -76,6 +76,6 @@ func (h *Harness) MemoryTable() ([]MemoryRow, *Table) {
 		})
 	}
 	t.Notes = append(t.Notes, "biases/norm parameters and the classifier head are charged dense in every format",
-		"served-*-B: Engine.MemoryFootprint of the same pruned model compiled at float32 / int8 (plans, biases, norm statistics, conv clip tables)")
+		"served-*-B: Engine.MemoryFootprint of the same pruned model compiled at float32 / int8 (plans — a row pointer per 256-column segment of a row, a one-byte column offset and a float64 or an int8 code per kept weight —, biases, norm statistics, conv clip tables)")
 	return rows, t
 }

@@ -13,11 +13,12 @@ import (
 // and MatMulInto: rowRange fanned out over the worker pool) runs against the
 // storage-format kernels a plan is compiled from — the CSR row walk, and the
 // CRISP slot walk when the matrix conforms — which share none of its kernel
-// code (not its uint16 columns, its row spans or its entry unrolling), only
-// the tensor.JobPool fan-out. The shape grid hits every structural edge:
-// empty rows, all-padding CRISP spans, spans shorter and longer than the
-// four-entry unroll, the uint16 width boundary and the transformer-s
-// matrices. Results must be bit-identical.
+// code (not its segment spans, its one-byte columns or its entry
+// unrolling), only the tensor.JobPool fan-out. The shape grid hits every
+// structural edge: empty rows, all-padding CRISP spans, spans shorter and
+// longer than the four-entry unroll, rows of one segment and of many, the
+// MaxCols width boundary and the transformer-s matrices. Results must be
+// bit-identical.
 
 // bitIdentical reports whether two rank-2 tensors hold exactly the same
 // bit patterns (stricter than ==: distinguishes -0 from +0, NaN payloads).
@@ -74,7 +75,8 @@ func checkAgainstStorage(t *testing.T, sp storagePlan, x *tensor.Tensor, label s
 }
 
 // edgeColumns returns a rows × MaxCols matrix whose only entries sit in the
-// first and the last column a uint16 index reaches.
+// first and the last column a plan reaches: the first and the last of 256
+// segments.
 func edgeColumns(rng *rand.Rand, rows int) *tensor.Tensor {
 	w := tensor.New(rows, MaxCols)
 	for r := 0; r < rows; r++ {
@@ -88,7 +90,7 @@ func edgeColumns(rng *rand.Rand, rows int) *tensor.Tensor {
 // a shape/batch grid, each plan proven bit-identical to the storage kernel
 // it was compiled from. The seventh shape is large enough that batches of
 // four and up cross tensor.ParallelThreshold, so on a multi-core host the
-// plan and its reference fan out over the pool. The eighth is the uint16
+// plan and its reference fan out over the pool. The eighth is the MaxCols
 // width boundary (edgeColumns): the CSR reference keeps int32 columns. The
 // last four are transformer-s's matrices at its served block size and ~90 %
 // sparsity.
@@ -189,6 +191,8 @@ func TestConvPlanDifferential(t *testing.T) {
 		{inC: 3, kh: 3, kw: 3, stride: 1, pad: 1, inH: 4, inW: 4},
 		{inC: 2, kh: 7, kw: 7, stride: 2, pad: 3, inH: 9, inW: 8},
 		{inC: 64, kh: 1, kw: 1, stride: 1, pad: 0, inH: 3, inW: 4},
+		{inC: 32, kh: 3, kw: 3, stride: 1, pad: 1, inH: 4, inW: 4}, // 288 columns: two segments, resnet-s's width
+		{inC: 64, kh: 3, kw: 3, stride: 2, pad: 1, inH: 4, inW: 4}, // 576 columns: three
 	}
 	for _, gm := range geoms {
 		for _, batch := range []int{1, 3, 16} {
@@ -236,13 +240,13 @@ func TestConvPlanDifferential(t *testing.T) {
 }
 
 // TestConvTapDecode proves the fused kernel's column decode exact: for every
-// kernel size KH·KW in 1…64 and every column a uint16 index holds, the
+// kernel size KH·KW in 1…64 and every column below MaxCols, the
 // multiply-shift CompileConv sets up yields (col / KH·KW, col % KH·KW).
 func TestConvTapDecode(t *testing.T) {
 	for khw := 1; khw <= 64; khw++ {
 		cp := (&Plan{Cols: MaxCols / khw * khw}).CompileConv(new(ConvPlan), khw, 1, 1, 0)
 		for col := 0; col < MaxCols; col++ {
-			if c, kk := cp.tap(uint16(col)); c != col/khw || kk != col%khw {
+			if c, kk := cp.tap(col); c != col/khw || kk != col%khw {
 				t.Fatalf("KH·KW = %d, col %d: decoded (%d, %d), want (%d, %d)", khw, col, c, kk, col/khw, col%khw)
 			}
 		}

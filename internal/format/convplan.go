@@ -22,13 +22,15 @@ import (
 // (channel, kh, kw) with integer divides costs more, done per entry per
 // sample, than the multiply-accumulates it feeds (the first cut of this
 // kernel measured ~2× slower than the lowering for exactly that reason).
-// The kernel decodes each stored entry's column once per call instead, by
-// a multiply-shift: with magic = ⌊2³²/KH·KW⌋+1, channel = col·magic>>32 and
+// The kernel decodes each stored entry's column — its segment's first
+// column plus its one-byte offset — once per call instead, by a
+// multiply-shift: with magic = ⌊2³²/KH·KW⌋+1, channel = col·magic>>32 and
 // kernel position = col − channel·KH·KW. That quotient is exact whenever
-// col·KH·KW < 2³², which uint16 columns (col < Cols ≤ MaxCols) guarantee,
-// so the plan keeps two words (KH·KW and magic) where a per-column tap
-// table would keep 8 bytes a column. The per-geometry border clipping
-// (which output rows/columns keep a given kernel position inside the
+// col·KH·KW < 2³², which MaxCols guarantees: KH·KW divides Cols, so both
+// col and KH·KW are at most Cols ≤ MaxCols = 2¹⁶, and col < Cols. The
+// plan keeps two words (KH·KW and magic) where a per-column tap table
+// would keep 8 bytes a column. The per-geometry border clipping (which
+// output rows/columns keep a given kernel position inside the
 // image) collapses into a KH·KW-entry table computed once per call, in
 // scratch its caller draws (ClipFloats). What remains per (entry, sample)
 // is a handful of adds and one multiply to form the slice bases, then pure
@@ -105,9 +107,9 @@ func (cp *ConvPlan) ClipFloats() int { return 4 * cp.khw }
 // tap splits a plan column into its input channel and its flattened kernel
 // position kh·KW+kw (the index into the per-geometry clip table) by the
 // multiply-shift described above.
-func (cp *ConvPlan) tap(col uint16) (c, kk int) {
+func (cp *ConvPlan) tap(col int) (c, kk int) {
 	c = int(uint64(col) * cp.magic >> 32)
-	return c, int(col) - c*cp.khw
+	return c, col - c*cp.khw
 }
 
 // matches reports whether g matches the compiled kernel shape.
@@ -194,8 +196,10 @@ var convJobs tensor.JobPool[convJob, *convJob]
 func (j *convJob) Rows(r0, r1 int) { j.cp.convRowsBatchLast(j.xd, &j.st, j.batch, j.out, r0, r1) }
 
 // convRowsBatchLast computes output rows [row0, row1) in batch-last
-// layout. Entries stay outermost (the accumulation-order contract); the
-// inner AXPY covers a whole clipped pixel run across every sample at once.
+// layout. Entries stay outermost, segment by segment in storage order (the
+// accumulation-order contract), each column decoded from its segment and
+// offset; the inner AXPY covers a whole clipped pixel run across every
+// sample at once.
 func (cp *ConvPlan) convRowsBatchLast(xd []float64, st *convState, batch int, out []float64, row0, row1 int) {
 	p := cp.p
 	chanSize := st.inH * st.inW
@@ -203,51 +207,54 @@ func (cp *ConvPlan) convRowsBatchLast(xd []float64, st *convState, batch int, ou
 	ow := st.ow
 	rowStep := cp.stride * st.inW * batch
 	s := cp.stride
+	ns := segs(p.Cols)
 	for r := row0; r < row1; r++ {
 		dst := out[r*ohow*batch : (r+1)*ohow*batch]
 		clear(dst)
-		i0, i1 := int(p.RowPtr[r]), int(p.RowPtr[r+1])
-		for i := i0; i < i1; i++ {
-			c, kk := cp.tap(p.Col[i])
-			cl := st.clips[4*kk : 4*kk+4]
-			w, rows := int(cl[0]), int(cl[1])
-			if w <= 0 || rows <= 0 {
-				continue
-			}
-			v := p.Val[i]
-			so := (c*chanSize + int(cl[2])) * batch
-			do := int(cl[3]) * batch
-			if s == 1 {
-				// Stride-1 taps read w·batch consecutive values: one long
-				// AXPY per clipped output row. Equal-length reslices let
-				// the compiler drop the per-element bounds checks.
-				wb := w * batch
-				for k := 0; k < rows; k++ {
-					xr := xd[so : so+wb]
-					d := dst[do : do+wb]
-					for j, xv := range xr {
-						d[j] += v * xv
-					}
-					so += rowStep
-					do += ow * batch
+		for seg := r * ns; seg < (r+1)*ns; seg++ {
+			at := (seg - r*ns) * SegCols
+			for i := int(p.RowPtr[seg]); i < int(p.RowPtr[seg+1]); i++ {
+				c, kk := cp.tap(at + int(p.Col[i]))
+				cl := st.clips[4*kk : 4*kk+4]
+				w, rows := int(cl[0]), int(cl[1])
+				if w <= 0 || rows <= 0 {
+					continue
 				}
-			} else {
-				// Strided taps are contiguous per pixel (batch elements);
-				// step s pixels between output columns.
-				sb := s * batch
-				for k := 0; k < rows; k++ {
-					soX := so
-					for ox := 0; ox < w; ox++ {
-						xr := xd[soX : soX+batch]
-						d := dst[do+ox*batch:]
-						d = d[:batch]
+				v := p.Val[i]
+				so := (c*chanSize + int(cl[2])) * batch
+				do := int(cl[3]) * batch
+				if s == 1 {
+					// Stride-1 taps read w·batch consecutive values: one long
+					// AXPY per clipped output row. Equal-length reslices let
+					// the compiler drop the per-element bounds checks.
+					wb := w * batch
+					for k := 0; k < rows; k++ {
+						xr := xd[so : so+wb]
+						d := dst[do : do+wb]
 						for j, xv := range xr {
 							d[j] += v * xv
 						}
-						soX += sb
+						so += rowStep
+						do += ow * batch
 					}
-					so += rowStep
-					do += ow * batch
+				} else {
+					// Strided taps are contiguous per pixel (batch elements);
+					// step s pixels between output columns.
+					sb := s * batch
+					for k := 0; k < rows; k++ {
+						soX := so
+						for ox := 0; ox < w; ox++ {
+							xr := xd[soX : soX+batch]
+							d := dst[do+ox*batch:]
+							d = d[:batch]
+							for j, xv := range xr {
+								d[j] += v * xv
+							}
+							soX += sb
+						}
+						so += rowStep
+						do += ow * batch
+					}
 				}
 			}
 		}

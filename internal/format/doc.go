@@ -22,30 +22,37 @@
 //
 // The storage formats model what the hardware stores; executing them
 // directly pays block-grid arithmetic, offset decoding and padding-slot
-// branches on every SpMM. Software serving runs a Plan instead: the CSR
-// image of W ⊙ Mask — a flat row-pointer / column-index / value layout of
-// the non-zeros, each row's in ascending column order — whose kernel is a
-// straight gather-multiply-accumulate. PlanSlab is the one plan builder:
+// branches on every SpMM. Software serving runs a Plan instead: a flat
+// image of W ⊙ Mask's non-zeros, each row's in ascending column order,
+// whose kernel is a straight gather-multiply-accumulate. Its metadata is
+// split the way the CRISP format's is, coarse index shared and fine offset
+// per weight: each row is cut into 256-column segments (SegCols), the row
+// pointer holds a span per (row, segment), and each weight keeps a one-byte
+// column offset within its segment — 1 B of metadata a weight where a CSR
+// column index takes 2 or 4, and a kernel rebases its activation rows once
+// per segment. Entries replays a plan's entries in index order; nothing
+// outside the package reads the layout. PlanSlab is the one plan builder:
 // Begin carves a plan from exactly sized backing arrays, Add takes its
 // entries in row-major order (any EntrySink source can hand them over, so a
 // plan is built from a tenant's kept weights without a dense matrix or an
 // encoding between), and End closes it; the zero PlanSlab counts what those
 // calls would carve, so a caller can size a slab by running its build once
-// against it. The storage formats compile
-// through the same builder — CSR.Compile, CRISPFormat.Compile — only to model
-// Fig. 4 and for tests: the CRISP slot walk emits each row's non-zeros in
-// ascending column order as well, so the plan of a CRISP-pruned matrix is its
-// CSR plan, and a plan accumulates in exactly either storage kernel's order
-// (bit-identical results). Large SpMMs fan out over the persistent kernel
-// worker pool through tensor.JobPool, each call handing it a recycled job
-// record (convJob, quantJob, …): the steady-state hot path spawns no
-// goroutines and allocates nothing, and MatMulInto variants let callers
-// supply recycled output buffers.
+// against it. The storage formats compile through the same builder —
+// CSR.Compile, CRISPFormat.Compile — only to model Fig. 4 and for tests:
+// the CRISP slot walk emits each row's non-zeros in ascending column order
+// as well, so the plan of a CRISP-pruned matrix is its CSR plan, and a plan
+// accumulates in exactly either storage kernel's order (bit-identical
+// results). Fingerprint and QuantPlan.Hash fold the plan's CSR form (row
+// starts, absolute columns), not its segment spans. Large SpMMs fan out
+// over the persistent kernel worker pool through tensor.JobPool, each call
+// handing it a recycled job record (convJob, quantJob, …): the steady-state
+// hot path spawns no goroutines and allocates nothing, and MatMulInto
+// variants let callers supply recycled output buffers.
 //
 // # The float kernel
 //
 // A compiled Plan runs one float kernel at every batch width (plan.go):
-// rowRange walks each row's span once, in storage order, with a
+// rowRange walks each row's segment spans once, in storage order, with a
 // full-batch-width AXPY per entry (four entries unrolled), over rows fanned
 // out to the worker pool. The int8 kernel (QuantPlan) is the scalar SWAR
 // walk at every batch width.

@@ -20,10 +20,15 @@ func FuzzPlanMatMul(f *testing.F) {
 	f.Add(int64(1), int64(2), int64(3), int64(16), int64(0))
 	f.Add(int64(7), int64(0), int64(0), int64(1), int64(1))
 	f.Add(int64(42), int64(3), int64(1), int64(17), int64(2))
+	// One per width that crosses a segment edge (SegCols = 256).
+	f.Add(int64(5), int64(2), int64(4), int64(15), int64(1))
+	f.Add(int64(6), int64(3), int64(5), int64(3), int64(0))
+	f.Add(int64(8), int64(4), int64(6), int64(0), int64(3))
+	f.Add(int64(9), int64(1), int64(7), int64(16), int64(2))
 	f.Fuzz(func(t *testing.T, seed, rowSel, colSel, nSel, mode int64) {
 		rng := rand.New(rand.NewSource(seed))
 		rowsGrid := []int{1, 3, 8, 64, 65}
-		colsGrid := []int{8, 16, 33, 128}
+		colsGrid := []int{8, 16, 33, 128, 255, 256, 257, 600}
 		// pick reduces a selector in uint64, so a negative one stays in range.
 		pick := func(sel int64, n int) int { return int(uint64(sel) % uint64(n)) }
 		rows := rowsGrid[pick(rowSel, len(rowsGrid))]
@@ -154,9 +159,14 @@ func FuzzPlanQuantize(f *testing.F) {
 	f.Add(int64(3), 1e6, false, uint8(2), uint16(17))
 	f.Add(int64(4), 0.0, true, uint8(3), uint16(65535))
 	// The four above leave one clean 2×1 matrix; these add a clean sparse
-	// 6×8 one and an all-zero 2×11 one (seed>>8 picks the width).
+	// 6×8 one and an all-zero 2×11 one (seed>>8 picks the width), then one
+	// of each width that crosses a segment edge: 255, 256, 257 and 600.
 	f.Add(int64(0x705), 1.0, true, uint8(0), uint16(0))
 	f.Add(int64(0xa03), 0.0, false, uint8(0), uint16(0))
+	f.Add(int64(0xf05), 1.0, false, uint8(0), uint16(0))
+	f.Add(int64(0x1006), 3.0, true, uint8(0), uint16(0))
+	f.Add(int64(0x1104), 1e-3, false, uint8(0), uint16(0))
+	f.Add(int64(0x1202), 1.0, true, uint8(0), uint16(0))
 	f.Fuzz(func(t *testing.T, seed int64, scale float64, sparse bool, poison uint8, poisonAt uint16) {
 		if math.IsNaN(scale) || math.IsInf(scale, 0) || math.Abs(scale) > 1e12 {
 			t.Skip("scale itself out of the finite test envelope")
@@ -164,7 +174,8 @@ func FuzzPlanQuantize(f *testing.F) {
 		if scale != 0 && math.Abs(scale) < 1e-280 {
 			t.Skip("near-subnormal row scales cannot hold a half-scale error bound")
 		}
-		rows, cols := 1+int(uint64(seed)%7), 1+int(uint64(seed>>8)%15)
+		widths := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 255, 256, 257, 600}
+		rows, cols := 1+int(uint64(seed)%7), widths[uint64(seed>>8)%uint64(len(widths))]
 		rng := rand.New(rand.NewSource(seed))
 		m := tensor.New(rows, cols)
 		// Magnitudes spread over 12 binades, so rows mix weights that
@@ -191,26 +202,22 @@ func FuzzPlanQuantize(f *testing.F) {
 		if err != nil {
 			t.Fatalf("finite weights rejected: %v", err)
 		}
-		deq := make([]float64, rows*cols)
 		for r, s := range q.RowScale {
 			if !(s > 0) || math.IsInf(s, 0) {
 				t.Fatalf("row %d scale %v not strictly positive and finite", r, s)
 			}
-			for i := q.RowPtr[r]; i < q.RowPtr[r+1]; i++ {
-				if c := q.Code[i]; c == 0 || c < -127 {
-					t.Fatalf("row %d entry %d: code %d outside the non-zero symmetric int8 window", r, i, c)
-				}
-				deq[r*cols+int(q.Col[i])] = float64(q.Code[i]) * s
+		}
+		for _, c := range q.Code {
+			if c == 0 || c < -127 {
+				t.Fatalf("code %d outside the non-zero symmetric int8 window", c)
 			}
 		}
-		for r := 0; r < p.Rows; r++ {
-			s := q.RowScale[r]
-			for i := p.RowPtr[r]; i < p.RowPtr[r+1]; i++ {
-				if e := math.Abs(deq[r*cols+int(p.Col[i])] - p.Val[i]); e > s/2+1e-9*s {
-					t.Fatalf("row %d col %d: reconstruction error %v exceeds half-scale %v", r, p.Col[i], e, s/2)
-				}
+		deq := dequantize(q)
+		p.Entries(func(at int, v float64) {
+			if s := q.RowScale[at/cols]; math.Abs(deq[at]-v) > s/2+1e-9*s {
+				t.Fatalf("row %d col %d: reconstruction error %v exceeds half-scale %v", at/cols, at%cols, math.Abs(deq[at]-v), s/2)
 			}
-		}
+		})
 
 		q2, err := p.Quantize()
 		if err != nil {

@@ -6,30 +6,44 @@ import (
 	"repro/internal/tensor"
 )
 
-// Plan is a compiled sparse-execution plan: the flat, kernel-ready CSR image
-// of a matrix's non-zeros. Where the storage formats keep the structure the
+// Plan is a compiled sparse-execution plan: the flat, kernel-ready image of
+// a matrix's non-zeros. Where the storage formats keep the structure the
 // hardware metadata model needs (block-column indices, per-slot intra-group
 // offsets, padding slots), the plan keeps only what the SpMM inner loop
 // needs:
 //
 //   - zeros are dropped entirely (no v == 0 branch),
-//   - columns are absolute uint16 indices (no block-grid arithmetic in the
-//     inner loop; a matrix is at most MaxCols wide),
-//   - per-output-row entry ranges are precomputed (RowPtr), so each row is a
-//     straight gather-multiply-accumulate over a contiguous Col/Val span.
+//   - each row is cut into segments of SegCols columns, and a column is its
+//     segment, which the row pointer carries, plus a one-byte offset into
+//     it: a kernel rebases its activation slice once per segment, and its
+//     inner loop gathers at offset·width with no block-grid arithmetic,
+//   - per-(row, segment) entry ranges are precomputed (RowPtr), so each
+//     segment is a straight gather-multiply-accumulate over a contiguous
+//     Col/Val span, and a row's segments are back to back.
 //
 // Each row's entries are in ascending column order, which is the order the
 // slot-walking (CRISP) and row-walking (CSR) kernels add a row's products
 // in, so plan results are bit-identical to the storage-format kernels. The
-// plan is immutable once built and safe for concurrent MatMul use.
+// plan is immutable once built and safe for concurrent MatMul use. Entries
+// replays it; no reader outside this package needs its layout.
 type Plan struct {
 	Rows, Cols int
-	// RowPtr[r] .. RowPtr[r+1] is row r's span in Col/Val (len Rows+1).
+	// RowPtr[k] .. RowPtr[k+1] is the span in Col/Val of segment k%S of row
+	// k/S, S = ⌈Cols/SegCols⌉ (len Rows·S+1): row r's entries are
+	// RowPtr[r·S] .. RowPtr[(r+1)·S].
 	RowPtr []int32
-	// Col holds absolute column indices, Val the matching non-zero values.
-	Col []uint16
+	// Col holds each entry's column offset within its segment, Val the
+	// matching non-zero value.
+	Col []uint8
 	Val []float64
 }
+
+// SegCols is the width of a plan segment: the columns a one-byte offset
+// reaches.
+const SegCols = 1 << 8
+
+// segs is ⌈cols/SegCols⌉, the segments a row of cols columns is cut into.
+func segs(cols int) int { return (cols + SegCols - 1) / SegCols }
 
 // NNZ returns the number of stored (all non-zero) entries.
 func (p *Plan) NNZ() int { return len(p.Col) }
@@ -37,16 +51,34 @@ func (p *Plan) NNZ() int { return len(p.Col) }
 // SizeBytes reports the heap bytes the plan's slice payloads occupy (RowPtr,
 // Col and Val). The fixed struct header is excluded as negligible.
 func (p *Plan) SizeBytes() int64 {
-	return int64(len(p.RowPtr))*4 + int64(len(p.Col))*2 + int64(len(p.Val))*8
+	return int64(len(p.RowPtr))*4 + int64(len(p.Col)) + int64(len(p.Val))*8
 }
 
-// MaxCols is the widest matrix a plan holds: its column indices are uint16.
-// No model here comes near it: the widest trainable matrix is 288·width
-// columns (resnet-s and vgg-s, 576 at the experiments' width 2), and the
-// widest paper-scale layer shape, VGG-16's fc6, is 25 088.
+// Entries hands add every entry of the plan, with its row-major index, in
+// ascending index order: the calls an EntrySink takes (pass its Add), so a
+// plan replayed into a PlanSlab builds its copy. It is the one reader of a
+// plan's layout outside the kernels. add is a func, not an EntrySink, so a
+// caller's closure stays on its stack: an interface argument escapes.
+func (p *Plan) Entries(add func(i int, v float64)) {
+	s := segs(p.Cols)
+	for r := range p.Rows {
+		for k := r * s; k < (r+1)*s; k++ {
+			at := r*p.Cols + (k-r*s)*SegCols
+			for i := p.RowPtr[k]; i < p.RowPtr[k+1]; i++ {
+				add(at+int(p.Col[i]), p.Val[i])
+			}
+		}
+	}
+}
+
+// MaxCols is the widest matrix a plan holds. It is what keeps the conv tap
+// decode exact: a column times the kernel size it divides stays below 2³²
+// (ConvPlan.tap). No model here comes near it: the widest trainable matrix
+// is 288·width columns (resnet-s and vgg-s, 576 at the experiments' width
+// 2), and the widest paper-scale layer shape, VGG-16's fc6, is 25 088.
 const MaxCols = 1 << 16
 
-// checkCols panics when a matrix is too wide for uint16 column indices.
+// checkCols panics when a matrix is wider than a plan holds.
 func checkCols(cols int) {
 	if cols > MaxCols {
 		panic(fmt.Sprintf("format: %d columns, a plan holds at most %d", cols, MaxCols))
@@ -55,11 +87,11 @@ func checkCols(cols int) {
 
 // Compile compiles the encoding into an execution plan. CSR is already
 // row-pointer + column-index + value, so the plan is a direct image of the
-// encoding. It panics on a matrix wider than MaxCols, and on an encoding
-// whose rows do not list their columns in ascending order, which EncodeCSR
-// never writes.
+// encoding, its columns cut into segments. It panics on a matrix wider than
+// MaxCols, and on an encoding whose rows do not list their columns in
+// ascending order, which EncodeCSR never writes.
 func (c *CSR) Compile() *Plan {
-	s := NewPlanSlab(1, c.Rows, len(c.Val))
+	s := NewPlanSlab(1, c.Rows*segs(c.Cols), len(c.Val))
 	_ = s.Begin(c.Rows, c.Cols) // the slab has room for exactly this plan
 	for r := range c.Rows {
 		for i := c.RowPtr[r]; i < c.RowPtr[r+1]; i++ {
@@ -90,29 +122,33 @@ type EntrySink interface {
 type PlanSlab struct {
 	plans  []Plan
 	rowPtr []int32
-	col    []uint16
+	col    []uint8
 	val    []float64
-	// np, nr and nz are the plan headers, rows and entries carved (counted)
-	// so far; top is the most a counting slab counted before a Rewind.
-	np, nr, nz int
+	// np, ns and nz are the plan headers, segments and entries carved
+	// (counted) so far; top is the most a counting slab counted before a
+	// Rewind.
+	np, ns, nz int
 	top        [3]int
 	// cur is the plan being built, since the entry start; last is the index
-	// of its latest entry, row that entry's row and rowAt the row's first
-	// index, and err the first entry it could not take.
-	cur        *Plan
-	start      int
-	last       int
-	row, rowAt int
-	err        error
+	// of its latest entry, seg that entry's segment (its RowPtr index),
+	// segAt the segment's first index, segEnd the index past it and rowEnd
+	// the index past its row; err is the first entry it could not take.
+	cur            *Plan
+	start          int
+	last           int
+	seg, segAt     int
+	segEnd, rowEnd int
+	err            error
 }
 
 // NewPlanSlab returns a slab sized exactly for the given number of plans,
-// rows (summed over the plans) and stored entries (summed likewise).
-func NewPlanSlab(plans, rows, nnz int) PlanSlab {
+// segments (Rows·⌈Cols/SegCols⌉, summed over the plans) and stored entries
+// (summed likewise).
+func NewPlanSlab(plans, segments, nnz int) PlanSlab {
 	return PlanSlab{
 		plans:  make([]Plan, plans),
-		rowPtr: make([]int32, rows+plans),
-		col:    make([]uint16, nnz),
+		rowPtr: make([]int32, segments+plans),
+		col:    make([]uint8, nnz),
 		val:    make([]float64, nnz),
 	}
 }
@@ -123,34 +159,36 @@ func (s *PlanSlab) Rewind() {
 	if s.plans == nil {
 		s.top[0], s.top[1], s.top[2] = s.Left()
 	}
-	s.np, s.nr, s.nz = 0, 0, 0
+	s.np, s.ns, s.nz = 0, 0, 0
 }
 
-// Left reports what s has not carved yet, in NewPlanSlab's terms: plans, rows
-// and entries; for the zero PlanSlab, what it counted.
-func (s *PlanSlab) Left() (plans, rows, nnz int) {
+// Left reports what s has not carved yet, in NewPlanSlab's terms: plans,
+// segments and entries; for the zero PlanSlab, what it counted.
+func (s *PlanSlab) Left() (plans, segments, nnz int) {
 	if s.plans == nil {
-		return max(s.top[0], s.np), max(s.top[1], s.nr), max(s.top[2], s.nz)
+		return max(s.top[0], s.np), max(s.top[1], s.ns), max(s.top[2], s.nz)
 	}
-	return len(s.plans) - s.np, len(s.rowPtr) - len(s.plans) - s.nr, len(s.col) - s.nz
+	return len(s.plans) - s.np, len(s.rowPtr) - len(s.plans) - s.ns, len(s.col) - s.nz
 }
 
 // Begin starts the next plan, of rows × cols. A slab without a plan header
-// or rows rows left is an error, and carves nothing. It panics on a matrix
-// wider than MaxCols.
+// or the plan's segments left is an error, and carves nothing. It panics on
+// a matrix wider than MaxCols.
 func (s *PlanSlab) Begin(rows, cols int) error {
 	checkCols(cols)
-	s.start, s.last, s.row, s.rowAt, s.err = s.nz, -1, 0, 0, nil
+	n := rows * segs(cols)
+	s.start, s.last, s.err = s.nz, -1, nil
+	s.seg, s.segAt, s.segEnd, s.rowEnd = 0, 0, min(SegCols, cols), cols
 	if s.plans != nil {
-		if plans, left, _ := s.Left(); plans == 0 || left < rows {
-			return fmt.Errorf("format: plan slab has %d plans and %d rows left, a %d-row plan needs 1 and %d", plans, left, rows, rows)
+		if plans, left, _ := s.Left(); plans == 0 || left < n {
+			return fmt.Errorf("format: plan slab has %d plans and %d segments left, a %d×%d plan needs 1 and %d", plans, left, rows, cols, n)
 		}
-		at := s.np + s.nr
+		at := s.np + s.ns
 		s.cur = &s.plans[s.np]
-		*s.cur = Plan{Rows: rows, Cols: cols, RowPtr: s.rowPtr[at : at+rows+1 : at+rows+1]}
+		*s.cur = Plan{Rows: rows, Cols: cols, RowPtr: s.rowPtr[at : at+n+1 : at+n+1]}
 		s.cur.RowPtr[0] = 0
 	}
-	s.np, s.nr = s.np+1, s.nr+rows
+	s.np, s.ns = s.np+1, s.ns+n
 	return nil
 }
 
@@ -174,11 +212,15 @@ func (s *PlanSlab) Add(i int, v float64) {
 		return
 	}
 	s.last = i
-	for i >= s.rowAt+p.Cols { // i is past the current row: close it
-		s.row, s.rowAt = s.row+1, s.rowAt+p.Cols
-		p.RowPtr[s.row] = int32(s.nz - s.start)
+	for i >= s.segEnd { // i is past the current segment: close it
+		if s.segEnd == s.rowEnd {
+			s.rowEnd += p.Cols
+		}
+		s.seg, s.segAt = s.seg+1, s.segEnd
+		s.segEnd = min(s.segAt+SegCols, s.rowEnd)
+		p.RowPtr[s.seg] = int32(s.nz - s.start)
 	}
-	s.col[s.nz], s.val[s.nz] = uint16(i-s.rowAt), v
+	s.col[s.nz], s.val[s.nz] = uint8(i-s.segAt), v
 	s.nz++
 }
 
@@ -192,13 +234,13 @@ func (s *PlanSlab) End() (*Plan, error) {
 	case s.plans == nil:
 		return nil, nil
 	case s.err != nil:
-		s.np, s.nr, s.nz = s.np-1, s.nr-p.Rows, s.start
+		s.np, s.ns, s.nz = s.np-1, s.ns-len(p.RowPtr)+1, s.start
 		return nil, s.err
 	}
 	p.Col = s.col[s.start:s.nz:s.nz]
 	p.Val = s.val[s.start:s.nz:s.nz]
-	for r := s.row + 1; r <= p.Rows; r++ { // the latest entry's row and those after it
-		p.RowPtr[r] = int32(len(p.Col))
+	for k := s.seg + 1; k < len(p.RowPtr); k++ { // the latest entry's segment and those after it
+		p.RowPtr[k] = int32(len(p.Col))
 	}
 	return p, nil
 }
@@ -216,13 +258,13 @@ func (s *PlanSlab) mustEnd() *Plan {
 // walk of CRISPFormat.MatMul row by row: each output row takes the non-zero
 // slots of its kept blocks in stored order, groups left-to-right, slots in
 // stored order, with intra-group offsets resolved against their block bounds
-// to absolute column indices. Padding slots (value 0) disappear. Within each
+// to columns. Padding slots (value 0) disappear. Within each
 // output row the emitted order is exactly the slot-walk order, so MatMul
 // over the plan accumulates bit-identically to the slot-walking kernel. It
 // panics on a matrix wider than MaxCols, and on an encoding whose slots do
 // not ascend within a row, which EncodeCRISP never writes.
 func (e *CRISPFormat) Compile() *Plan {
-	s := NewPlanSlab(1, e.Rows, e.nnz())
+	s := NewPlanSlab(1, e.Rows*segs(e.Cols), e.nnz())
 	_ = s.Begin(e.Rows, e.Cols) // the slab has room for exactly this plan
 	g := e.grid()
 	at := make([]int, e.KeptPerRow) // each kept block's next slot
@@ -294,38 +336,42 @@ var planJobs tensor.JobPool[planJob, *planJob]
 func (j *planJob) Rows(r0, r1 int) { j.p.rowRange(j.b, j.out, j.n, r0, r1) }
 
 // rowRange computes output rows [row0, row1). Each row is zeroed and
-// accumulated by exactly one worker, walking its Col/Val span in storage
-// order — the same per-element addition sequence as the source encoding's
-// kernel. Rows are unrolled four entries at a time purely to cut dst
-// loads/stores; the per-element additions stay in the same order
-// ((((d+v0*s0)+v1*s1)+...)), so results remain bit-identical to the
-// one-entry-at-a-time loop.
+// accumulated by exactly one worker, walking its segments in order, and
+// each segment's Col/Val span in storage order against the activation rows
+// rebased to the segment's first column — the same per-element addition
+// sequence as the source encoding's kernel. Spans are unrolled four entries
+// at a time purely to cut dst loads/stores; the per-element additions stay
+// in the same order ((((d+v0*s0)+v1*s1)+...)), so results remain
+// bit-identical to the one-entry-at-a-time loop.
 func (p *Plan) rowRange(b, out *tensor.Tensor, n, row0, row1 int) {
-	bd := b.Data
+	ns := segs(p.Cols)
 	for r := row0; r < row1; r++ {
 		dst := out.Data[r*n : (r+1)*n]
 		clear(dst)
-		i := int(p.RowPtr[r])
-		end := int(p.RowPtr[r+1])
-		for ; i+3 < end; i += 4 {
-			v0, v1, v2, v3 := p.Val[i], p.Val[i+1], p.Val[i+2], p.Val[i+3]
-			s0 := bd[int(p.Col[i])*n : int(p.Col[i])*n+n]
-			s1 := bd[int(p.Col[i+1])*n : int(p.Col[i+1])*n+n]
-			s2 := bd[int(p.Col[i+2])*n : int(p.Col[i+2])*n+n]
-			s3 := bd[int(p.Col[i+3])*n : int(p.Col[i+3])*n+n]
-			for j, b0 := range s0 {
-				a := dst[j] + v0*b0
-				a += v1 * s1[j]
-				a += v2 * s2[j]
-				a += v3 * s3[j]
-				dst[j] = a
+		for k := r * ns; k < (r+1)*ns; k++ {
+			bd := b.Data[(k-r*ns)*SegCols*n:]
+			i := int(p.RowPtr[k])
+			end := int(p.RowPtr[k+1])
+			for ; i+3 < end; i += 4 {
+				v0, v1, v2, v3 := p.Val[i], p.Val[i+1], p.Val[i+2], p.Val[i+3]
+				s0 := bd[int(p.Col[i])*n : int(p.Col[i])*n+n]
+				s1 := bd[int(p.Col[i+1])*n : int(p.Col[i+1])*n+n]
+				s2 := bd[int(p.Col[i+2])*n : int(p.Col[i+2])*n+n]
+				s3 := bd[int(p.Col[i+3])*n : int(p.Col[i+3])*n+n]
+				for j, b0 := range s0 {
+					a := dst[j] + v0*b0
+					a += v1 * s1[j]
+					a += v2 * s2[j]
+					a += v3 * s3[j]
+					dst[j] = a
+				}
 			}
-		}
-		for ; i < end; i++ {
-			v := p.Val[i]
-			src := bd[int(p.Col[i])*n : (int(p.Col[i])+1)*n]
-			for j, bv := range src {
-				dst[j] += v * bv
+			for ; i < end; i++ {
+				v := p.Val[i]
+				src := bd[int(p.Col[i])*n : (int(p.Col[i])+1)*n]
+				for j, bv := range src {
+					dst[j] += v * bv
+				}
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package format
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -11,7 +12,8 @@ import (
 
 // planShapes are the matrix/batch geometries the bit-identity suite sweeps:
 // small and large grids, partial trailing groups exercised via block sizes,
-// and batch widths from single-sample to serving-batch scale.
+// rows of one segment and of three, and batch widths from single-sample to
+// serving-batch scale.
 var planShapes = []struct {
 	rows, cols, b int
 	nm            sparsity.NM
@@ -22,6 +24,7 @@ var planShapes = []struct {
 	{32, 64, 8, sparsity.NM{N: 2, M: 4}, 3},
 	{64, 128, 16, sparsity.NM{N: 3, M: 4}, 4},
 	{16, 32, 8, sparsity.NM{N: 2, M: 8}, 1},
+	{16, 640, 16, sparsity.NM{N: 2, M: 4}, 10}, // three segments a row, the last 128 columns wide
 }
 
 var planBatches = []int{1, 3, 16, 64}
@@ -263,11 +266,11 @@ func buildPlan(m *tensor.Tensor, slab *PlanSlab) (*Plan, error) {
 func TestPlanSlabCarvesExactly(t *testing.T) {
 	rng := rand.New(rand.NewSource(76))
 	var ms []*tensor.Tensor
-	plans, rows, nnz := 0, 0, 0
+	plans, segments, nnz := 0, 0, 0
 	for _, s := range planShapes {
 		m := hybridMatrix(rng, s.rows, s.cols, s.b, s.nm, s.pruned)
 		ms = append(ms, m)
-		plans, rows, nnz = plans+1, rows+s.rows, nnz+m.CountNonZero()
+		plans, segments, nnz = plans+1, segments+s.rows*segs(s.cols), nnz+m.CountNonZero()
 	}
 	alone := func(i int) *Plan {
 		if i%2 == 1 {
@@ -279,7 +282,7 @@ func TestPlanSlabCarvesExactly(t *testing.T) {
 		}
 		return e.Compile()
 	}
-	slab := NewPlanSlab(plans, rows, nnz)
+	slab := NewPlanSlab(plans, segments, nnz)
 	var first *Plan
 	for i, m := range ms {
 		got, err := buildPlan(m, &slab)
@@ -297,10 +300,10 @@ func TestPlanSlabCarvesExactly(t *testing.T) {
 		}
 	}
 	if p, r, z := slab.Left(); p+r+z != 0 {
-		t.Fatalf("slab sized for the plans has %d plans, %d rows, %d entries left", p, r, z)
+		t.Fatalf("slab sized for the plans has %d plans, %d segments, %d entries left", p, r, z)
 	}
 
-	short := NewPlanSlab(plans, rows, nnz-1)
+	short := NewPlanSlab(plans, segments, nnz-1)
 	last := len(ms) - 1
 	for _, m := range ms[:last] {
 		if _, err := buildPlan(m, &short); err != nil {
@@ -344,13 +347,16 @@ func TestPlanSlabCarvesExactly(t *testing.T) {
 
 	// Each matrix lists its shape, then its non-zeros' (row, column).
 	for _, c := range [][]int{
-		{6, 5, 2, 0, 2, 4, 5, 4},       // two empty rows first, two inside, the last in the last column
-		{7, 4, 1, 3, 2, 0, 4, 2},       // a row ending in its last column, then two empty rows
-		{3, 4},                         // no entry at all
-		{1, 1, 0, 0},                   // one entry, the whole matrix
-		{5, 1, 0, 0, 2, 0, 3, 0},       // one column: every entry steps a row
-		{4, 3, 3, 0, 3, 1, 3, 2},       // every entry in the last row
-		{4, 6, 0, 5, 1, 0, 3, 0, 3, 5}, // row ends and row starts back to back
+		{6, 5, 2, 0, 2, 4, 5, 4},                 // two empty rows first, two inside, the last in the last column
+		{7, 4, 1, 3, 2, 0, 4, 2},                 // a row ending in its last column, then two empty rows
+		{3, 4},                                   // no entry at all
+		{1, 1, 0, 0},                             // one entry, the whole matrix
+		{5, 1, 0, 0, 2, 0, 3, 0},                 // one column: every entry steps a row
+		{4, 3, 3, 0, 3, 1, 3, 2},                 // every entry in the last row
+		{4, 6, 0, 5, 1, 0, 3, 0, 3, 5},           // row ends and row starts back to back
+		{3, 600, 0, 255, 0, 256, 1, 599, 2, 512}, // segment edges, a row's only entry in its last segment
+		{2, 256, 0, 255, 1, 0},                   // a full segment's last column, then the next row's first
+		{2, 513, 1, 512},                         // every segment empty but the last of the last row
 	} {
 		slab.Rewind()
 		m := tensor.New(c[0], c[1])
@@ -363,17 +369,33 @@ func TestPlanSlabCarvesExactly(t *testing.T) {
 		}
 		csr := EncodeCSR(m)
 		want := csr.Compile()
-		for r, at := range got.RowPtr {
-			if at != want.RowPtr[r] || at != csr.RowPtr[r] {
-				t.Fatalf("%v: RowPtr %v, Compile %v, CSR %v", c, got.RowPtr, want.RowPtr, csr.RowPtr)
-			}
+		checkPlanIsCSR(t, fmt.Sprint(c), got, csr)
+		checkPlanIsCSR(t, fmt.Sprint(c), want, csr)
+	}
+}
+
+// checkPlanIsCSR holds p's layout to the CSR encoding it images: each row's
+// segment spans, back to back, start where the CSR row starts, and each
+// entry is the CSR's, in order, with its column cut into its segment (the
+// span it sits in) and its one-byte offset.
+func checkPlanIsCSR(t *testing.T, label string, p *Plan, csr *CSR) {
+	t.Helper()
+	ns := segs(p.Cols)
+	if len(p.RowPtr) != p.Rows*ns+1 || len(p.Col) != len(csr.ColIdx) || len(p.Val) != len(csr.Val) {
+		t.Fatalf("%s: %d row pointers and %d entries, want %d and %d", label, len(p.RowPtr), len(p.Col), p.Rows*ns+1, len(csr.ColIdx))
+	}
+	for r := range p.Rows + 1 {
+		if p.RowPtr[r*ns] != csr.RowPtr[r] {
+			t.Fatalf("%s: row %d starts at %d, CSR at %d", label, r, p.RowPtr[r*ns], csr.RowPtr[r])
 		}
-		if len(got.Col) != len(csr.ColIdx) || len(want.Col) != len(csr.ColIdx) {
-			t.Fatalf("%v: %d entries, Compile %d, CSR %d", c, len(got.Col), len(want.Col), len(csr.ColIdx))
+	}
+	for k := range p.Rows * ns {
+		if p.RowPtr[k] > p.RowPtr[k+1] {
+			t.Fatalf("%s: segment span %d runs backwards: %v", label, k, p.RowPtr)
 		}
-		for k, col := range got.Col {
-			if col != want.Col[k] || int32(col) != csr.ColIdx[k] || got.Val[k] != want.Val[k] || got.Val[k] != csr.Val[k] {
-				t.Fatalf("%v: entry %d is (%d, %v), Compile (%d, %v), CSR (%d, %v)", c, k, col, got.Val[k], want.Col[k], want.Val[k], csr.ColIdx[k], csr.Val[k])
+		for i := p.RowPtr[k]; i < p.RowPtr[k+1]; i++ {
+			if col := k%ns*SegCols + int(p.Col[i]); col != int(csr.ColIdx[i]) || p.Val[i] != csr.Val[i] {
+				t.Fatalf("%s: entry %d is (%d, %v), CSR (%d, %v)", label, i, col, p.Val[i], csr.ColIdx[i], csr.Val[i])
 			}
 		}
 	}
@@ -398,7 +420,7 @@ func TestZeroPlanSlabCounts(t *testing.T) {
 				t.Fatalf("a counting slab built %v (%v)", p, err)
 			}
 		}
-		most[1], most[2] = max(most[1], s.rows), max(most[2], m.CountNonZero())
+		most[1], most[2] = max(most[1], s.rows*segs(s.cols)), max(most[2], m.CountNonZero())
 	}
 	slab := NewPlanSlab(counted.Left())
 	for _, m := range ms {
@@ -407,9 +429,9 @@ func TestZeroPlanSlabCounts(t *testing.T) {
 		}
 	}
 	if p, r, z := slab.Left(); p+r+z != 0 {
-		t.Fatalf("a slab made at the count has %d plans, %d rows, %d entries left", p, r, z)
+		t.Fatalf("a slab made at the count has %d plans, %d segments, %d entries left", p, r, z)
 	}
 	if p, r, z := scratch.Left(); [3]int{p, r, z} != most {
-		t.Fatalf("a rewound count is %d plans, %d rows, %d entries, the largest build %v", p, r, z, most)
+		t.Fatalf("a rewound count is %d plans, %d segments, %d entries, the largest build %v", p, r, z, most)
 	}
 }

@@ -34,7 +34,8 @@ const maxQuantRowNNZ = (1<<32 - 1) / (127 * 255)
 //     32-bit lanes per 64-bit word, so one 64-bit multiply computes two
 //     lane products with no carry between lanes (each lane stays < 2³² for
 //     any row within maxQuantRowNNZ entries);
-//   - weight codes are sign-split at quantization time: each row stores its
+//   - weight codes are sign-split at quantization time: each segment of a
+//     row (the float plan's: SegCols columns, one-byte offsets) stores its
 //     positive codes first, then its negatives (zero codes are dropped —
 //     they contribute nothing), so both spans multiply by |code| ≥ 1 and
 //     accumulate into separate non-negative lane sets, with no sign
@@ -46,22 +47,24 @@ const maxQuantRowNNZ = (1<<32 - 1) / (127 * 255)
 //     and one add per multiply-accumulate.
 //
 // Integer addition is associative and exact: results are identical under
-// any accumulation order (including the sign reordering and 4-way
-// unrolling), and the only rounding anywhere is quantization itself plus
-// the one dequantizing store.
+// any accumulation order (including the sign and segment reordering and
+// 4-way unrolling), and the only rounding anywhere is quantization itself
+// plus the one dequantizing store.
 //
 // A QuantPlan is immutable after Quantize and safe for concurrent MatMul
 // use; per-call state lives in the caller's QuantScratch.
 type QuantPlan struct {
 	Rows, Cols int
-	// RowPtr[r] .. RowPtr[r+1] is row r's span in Col/Code (len Rows+1);
-	// NegPtr[r] splits it into the positive-code prefix [RowPtr[r],
-	// NegPtr[r]) and the negative-code suffix [NegPtr[r], RowPtr[r+1]).
+	// RowPtr[k] .. RowPtr[k+1] is the span in Col/Code of segment k%S of
+	// row k/S, S = ⌈Cols/SegCols⌉, as in Plan (len Rows·S+1); NegPtr[k]
+	// splits it into the positive-code prefix [RowPtr[k], NegPtr[k]) and
+	// the negative-code suffix [NegPtr[k], RowPtr[k+1]) (len Rows·S).
 	RowPtr []int32
 	NegPtr []int32
-	// Col holds absolute column indices, Code the matching non-zero int8
-	// weight codes, sign-grouped per row as described above.
-	Col  []uint16
+	// Col holds each code's column offset within its segment, Code the
+	// matching non-zero int8 weight codes, sign-grouped per segment as
+	// described above.
+	Col  []uint8
 	Code []int8
 	// RowScale dequantizes row r: weight ≈ Code·RowScale[r] (len Rows).
 	RowScale []float64
@@ -73,7 +76,7 @@ type QuantPlan struct {
 // SizeBytes reports the heap bytes of the quantized plan's slice payloads
 // (RowPtr, NegPtr, Col, Code, RowScale and the row-sum correction terms).
 func (q *QuantPlan) SizeBytes() int64 {
-	return int64(len(q.RowPtr))*4 + int64(len(q.NegPtr))*4 + int64(len(q.Col))*2 +
+	return int64(len(q.RowPtr))*4 + int64(len(q.NegPtr))*4 + int64(len(q.Col)) +
 		int64(len(q.Code)) + int64(len(q.RowScale))*8 + int64(len(q.rowSum))*4
 }
 
@@ -88,7 +91,7 @@ func (p *Plan) Quantize() (*QuantPlan, error) {
 		return nil, err
 	}
 	var s QuantSlab
-	s.Reserve(p.Rows, codes)
+	s.Reserve(p.Rows, p.Cols, codes)
 	return p.QuantizeIn(&s)
 }
 
@@ -96,7 +99,7 @@ func (p *Plan) Quantize() (*QuantPlan, error) {
 // arrays and exactly as many Col and Code entries as the image keeps.
 func (p *Plan) QuantizeIn(s *QuantSlab) (*QuantPlan, error) {
 	if s.images == nil {
-		s.images, s.ptrs, s.scales = make([]QuantPlan, s.n), make([]int32, 3*s.rows+s.n), make([]float64, s.rows)
+		s.images, s.ptrs, s.scales = make([]QuantPlan, s.n), make([]int32, 2*s.segs+s.rows+s.n), make([]float64, s.rows)
 	}
 	if left := s.rows - s.nr; left < p.Rows {
 		return nil, fmt.Errorf("format: quant slab has %d rows left, an image needs %d", left, p.Rows)
@@ -104,9 +107,10 @@ func (p *Plan) QuantizeIn(s *QuantSlab) (*QuantPlan, error) {
 	// One rowScale pass per row: its scale goes straight into the slab rows
 	// the carve below hands the image as RowScale, its code count into the
 	// carve's size.
+	ns := segs(p.Cols)
 	scales, codes := s.scales[s.nr:s.nr+p.Rows], 0
 	for r := range p.Rows {
-		scale, n, err := rowScale(p.Val[p.RowPtr[r]:p.RowPtr[r+1]], r)
+		scale, n, err := rowScale(p.Val[p.RowPtr[r*ns]:p.RowPtr[(r+1)*ns]], r)
 		if err != nil {
 			return nil, err
 		}
@@ -118,27 +122,29 @@ func (p *Plan) QuantizeIn(s *QuantSlab) (*QuantPlan, error) {
 	}
 	at := int32(0)
 	for r := range p.Rows {
-		vals := p.Val[p.RowPtr[r]:p.RowPtr[r+1]]
 		inv := 1 / q.RowScale[r]
 		sum := int32(0)
-		// Positive codes first, then negatives; zero codes are dropped.
-		for i, v := range vals {
-			if c := quantCode(v, inv); c > 0 {
-				q.Col[at], q.Code[at] = p.Col[int(p.RowPtr[r])+i], c
-				at++
-				sum += int32(c)
+		for k := r * ns; k < (r+1)*ns; k++ {
+			vals, cols := p.Val[p.RowPtr[k]:p.RowPtr[k+1]], p.Col[p.RowPtr[k]:p.RowPtr[k+1]]
+			// Positive codes first, then negatives; zero codes are dropped.
+			for i, v := range vals {
+				if c := quantCode(v, inv); c > 0 {
+					q.Col[at], q.Code[at] = cols[i], c
+					at++
+					sum += int32(c)
+				}
 			}
-		}
-		q.NegPtr[r] = at
-		for i, v := range vals {
-			if c := quantCode(v, inv); c < 0 {
-				q.Col[at], q.Code[at] = p.Col[int(p.RowPtr[r])+i], c
-				at++
-				sum += int32(c)
+			q.NegPtr[k] = at
+			for i, v := range vals {
+				if c := quantCode(v, inv); c < 0 {
+					q.Col[at], q.Code[at] = cols[i], c
+					at++
+					sum += int32(c)
+				}
 			}
+			q.RowPtr[k+1] = at
 		}
 		q.rowSum[r] = sum
-		q.RowPtr[r+1] = at
 	}
 	return q, nil
 }
@@ -147,9 +153,9 @@ func (p *Plan) QuantizeIn(s *QuantSlab) (*QuantPlan, error) {
 // keeps a code per entry that does not round to zero. It lets a QuantSlab be
 // sized before the image is quantized; the errors are Quantize's.
 func (p *Plan) QuantCodes() (int, error) {
-	codes := 0
+	codes, ns := 0, segs(p.Cols)
 	for r := range p.Rows {
-		_, n, err := rowScale(p.Val[p.RowPtr[r]:p.RowPtr[r+1]], r)
+		_, n, err := rowScale(p.Val[p.RowPtr[r*ns]:p.RowPtr[(r+1)*ns]], r)
 		if err != nil {
 			return 0, err
 		}
@@ -207,25 +213,28 @@ type QuantSlab struct {
 	scales []float64
 	// col and code are the chunk being carved; chunks lists the code counts
 	// of the chunks after it.
-	col    []uint16
+	col    []uint8
 	code   []int8
 	chunks []int
-	// n and rows are the images and rows reserved; ni, nr and nc the next
-	// image, row and code (in the chunk) to carve.
-	n, rows, ni, nr, nc int
+	// n, rows and segs are the images, rows and segments reserved; ni, nr,
+	// ns and nc the next image, row, segment and code (in the chunk) to
+	// carve.
+	n, rows, segs, ni, nr, ns, nc int
 }
 
-// quantChunk bounds a chunk's entries: 16 Ki uint16 columns are 32 KiB, the
-// largest size class. One array past it is a large object, rounded up to
-// whole 8 KiB pages: a resnet-s tenant's 17 461 columns in one array would
-// waste 6 KB beside its 78 KB engine.
+// quantChunk bounds a chunk's entries: 16 Ki one-byte columns, and as many
+// codes, are 16 KiB an array, inside the size classes (the largest is
+// 32 KiB); an array past the largest is a large object, rounded up to whole
+// 8 KiB pages. A bound of 32 Ki would also fit; 16 Ki keeps the number of
+// chunk arrays a compile makes, which TestCompileAllocsDoNotFollowDepth and
+// TestPromoteAllocsBudget count.
 const quantChunk = 1 << 14
 
-// Reserve adds room for the next image, of rows rows and codes codes: its
-// codes go to the last chunk while it stays within quantChunk entries, else
-// to a chunk of their own, so no image straddles two.
-func (s *QuantSlab) Reserve(rows, codes int) {
-	s.n, s.rows = s.n+1, s.rows+rows
+// Reserve adds room for the next image, of rows × cols with codes codes:
+// its codes go to the last chunk while it stays within quantChunk entries,
+// else to a chunk of their own, so no image straddles two.
+func (s *QuantSlab) Reserve(rows, cols, codes int) {
+	s.n, s.rows, s.segs = s.n+1, s.rows+rows, s.segs+rows*segs(cols)
 	if n := len(s.chunks); n > 0 && s.chunks[n-1]+codes <= quantChunk {
 		s.chunks[n-1] += codes
 		return
@@ -247,26 +256,28 @@ func (s *QuantSlab) Left() (images, rows, codes int) {
 // up. A slab too short for it is an error, and carves nothing.
 func (s *QuantSlab) carve(rows, cols, codes int) (*QuantPlan, error) {
 	if s.nc == len(s.code) && len(s.chunks) > 0 {
-		s.col, s.code = make([]uint16, s.chunks[0]), make([]int8, s.chunks[0])
+		s.col, s.code = make([]uint8, s.chunks[0]), make([]int8, s.chunks[0])
 		s.chunks, s.nc = s.chunks[1:], 0
 	}
-	images, left := s.n-s.ni, s.rows-s.nr
-	if images == 0 || left < rows || len(s.code)-s.nc < codes {
-		return nil, fmt.Errorf("format: quant slab has %d images, %d rows and %d codes in its chunk left, a %d-row image of %d codes needs 1, %d and %d",
-			images, left, len(s.code)-s.nc, rows, codes, rows, codes)
+	n := rows * segs(cols)
+	images, left, segsLeft := s.n-s.ni, s.rows-s.nr, s.segs-s.ns
+	if images == 0 || left < rows || segsLeft < n || len(s.code)-s.nc < codes {
+		return nil, fmt.Errorf("format: quant slab has %d images, %d rows, %d segments and %d codes in its chunk left, a %d×%d image of %d codes needs 1, %d, %d and %d",
+			images, left, segsLeft, len(s.code)-s.nc, rows, cols, codes, rows, n, codes)
 	}
 	q := &s.images[s.ni]
-	p := s.ptrs[3*s.nr+s.ni : 3*(s.nr+rows)+s.ni+1 : 3*(s.nr+rows)+s.ni+1]
+	at := 2*s.ns + s.nr + s.ni
+	p := s.ptrs[at : at+2*n+rows+1 : at+2*n+rows+1]
 	*q = QuantPlan{
 		Rows: rows, Cols: cols,
-		RowPtr:   p[: rows+1 : rows+1],
-		NegPtr:   p[rows+1 : 2*rows+1 : 2*rows+1],
-		rowSum:   p[2*rows+1:],
+		RowPtr:   p[: n+1 : n+1],
+		NegPtr:   p[n+1 : 2*n+1 : 2*n+1],
+		rowSum:   p[2*n+1:],
 		RowScale: s.scales[s.nr : s.nr+rows : s.nr+rows],
 		Col:      s.col[s.nc : s.nc+codes : s.nc+codes],
 		Code:     s.code[s.nc : s.nc+codes : s.nc+codes],
 	}
-	s.ni, s.nr, s.nc = s.ni+1, s.nr+rows, s.nc+codes
+	s.ni, s.nr, s.ns, s.nc = s.ni+1, s.nr+rows, s.ns+n, s.nc+codes
 	q.RowPtr[0] = 0
 	return q, nil
 }
@@ -516,16 +527,21 @@ func (q *QuantPlan) spanMAC(acc []uint64, packed []uint64, halfW, i, end int, ne
 }
 
 // rowRange computes output rows [row0, row1): the positive and negative
-// sign spans accumulate separately (spanMAC), then one bias-correcting,
-// dequantizing store per element recombines them.
+// sign spans accumulate separately (spanMAC), each segment's against the
+// packed activation rows rebased to the segment's first column, then one
+// bias-correcting, dequantizing store per element recombines them.
 func (q *QuantPlan) rowRange(packed []uint64, colScale []float64, accPBuf, accNBuf []uint64, out *tensor.Tensor, n, halfW, row0, row1 int) {
+	ns := segs(q.Cols)
 	for r := row0; r < row1; r++ {
 		ap := accPBuf[r*halfW : (r+1)*halfW]
 		an := accNBuf[r*halfW : (r+1)*halfW]
 		clear(ap)
 		clear(an)
-		q.spanMAC(ap, packed, halfW, int(q.RowPtr[r]), int(q.NegPtr[r]), false)
-		q.spanMAC(an, packed, halfW, int(q.NegPtr[r]), int(q.RowPtr[r+1]), true)
+		for k := r * ns; k < (r+1)*ns; k++ {
+			base := packed[(k-r*ns)*SegCols*halfW:]
+			q.spanMAC(ap, base, halfW, int(q.RowPtr[k]), int(q.NegPtr[k]), false)
+			q.spanMAC(an, base, halfW, int(q.NegPtr[k]), int(q.RowPtr[k+1]), true)
+		}
 		rs := q.RowScale[r]
 		wsum := 128 * int64(q.rowSum[r])
 		dst := out.Data[r*n : (r+1)*n]

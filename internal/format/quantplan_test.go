@@ -26,26 +26,36 @@ func quantTol(p *Plan, q *QuantPlan, b *tensor.Tensor, n int) []float64 {
 		}
 	}
 	tol := make([]float64, p.Rows*n)
-	for r := 0; r < p.Rows; r++ {
-		rs := q.RowScale[r]
-		for i := p.RowPtr[r]; i < p.RowPtr[r+1]; i++ {
-			w := math.Abs(p.Val[i])
-			for j := 0; j < n; j++ {
-				cs := colMax[j] / 127
-				if colMax[j] == 0 {
-					cs = 1
-				}
-				tol[r*n+j] += w*cs/2 + colMax[j]*rs/2 + rs*cs/4
+	p.Entries(func(at int, v float64) {
+		r := at / p.Cols
+		rs, w := q.RowScale[r], math.Abs(v)
+		for j := 0; j < n; j++ {
+			cs := colMax[j] / 127
+			if colMax[j] == 0 {
+				cs = 1
 			}
+			tol[r*n+j] += w*cs/2 + colMax[j]*rs/2 + rs*cs/4
+		}
+	})
+	return tol
+}
+
+// quantEntries hands visit each code of q in storage order: its index in
+// Code, its row and absolute column, and whether it sits in its segment's
+// negative span.
+func quantEntries(q *QuantPlan, visit func(i, r, col int, neg bool)) {
+	ns := segs(q.Cols)
+	for k := range q.Rows * ns {
+		for i := q.RowPtr[k]; i < q.RowPtr[k+1]; i++ {
+			visit(int(i), k/ns, k%ns*SegCols+int(q.Col[i]), i >= q.NegPtr[k])
 		}
 	}
-	return tol
 }
 
 // TestQuantPlanCloseToFloatPlan is the int8 analog of the bit-identity
 // suite: the quantized kernel cannot match the float plan exactly, but it
 // must stay inside the analytical quantization-error bound on every output
-// element, across the same matrix/batch sweep — and, at the uint16 width
+// element, across the same matrix/batch sweep — and, at the MaxCols width
 // boundary (edgeColumns), against the dense product.
 func TestQuantPlanCloseToFloatPlan(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
@@ -92,44 +102,43 @@ func TestQuantPlanCloseToFloatPlan(t *testing.T) {
 	}
 }
 
-// TestQuantPlanReconstruction: the quantized plan stores each row's codes
-// sign-grouped (positives, then negatives; zero codes dropped), so it is
+// TestQuantPlanReconstruction: the quantized plan stores each segment's
+// codes sign-grouped (positives, then negatives; zero codes dropped), so it is
 // compared to the float plan element-wise through its decoded matrix: every
 // stored weight must reconstruct to within half its row scale, and the
 // sign-span invariants must hold.
 func TestQuantPlanReconstruction(t *testing.T) {
 	rng := rand.New(rand.NewSource(82))
-	w := hybridMatrix(rng, 32, 64, 8, sparsity.NM{N: 2, M: 4}, 2)
-	p := EncodeCSR(w).Compile()
-	q, err := p.Quantize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Decode the quantized plan to a dense matrix.
-	deq := tensor.New(32, 64)
-	for r := 0; r < q.Rows; r++ {
-		if q.RowScale[r] <= 0 {
-			t.Fatalf("row %d scale %v not strictly positive", r, q.RowScale[r])
+	for _, cols := range []int{64, 600} {
+		w := hybridMatrix(rng, 32, cols, 8, sparsity.NM{N: 2, M: 4}, 2)
+		p := EncodeCSR(w).Compile()
+		q, err := p.Quantize()
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := q.RowPtr[r]; i < q.RowPtr[r+1]; i++ {
+		for r, s := range q.RowScale {
+			if s <= 0 {
+				t.Fatalf("row %d scale %v not strictly positive", r, s)
+			}
+		}
+		// Decode the quantized plan to a dense matrix.
+		deq := tensor.New(32, cols)
+		quantEntries(q, func(i, r, col int, neg bool) {
 			if q.Code[i] == 0 {
 				t.Fatalf("row %d stores a zero code at %d (must be dropped)", r, i)
 			}
-			if (i < q.NegPtr[r]) != (q.Code[i] > 0) {
+			if neg != (q.Code[i] < 0) {
 				t.Fatalf("row %d entry %d: code %d on the wrong side of NegPtr", r, i, q.Code[i])
 			}
-			deq.Data[r*64+int(q.Col[i])] = float64(q.Code[i]) * q.RowScale[r]
-		}
-	}
-	// Every float-plan entry must be reconstructed within half a row scale
-	// (entries that quantize to 0 reconstruct as 0).
-	for r := 0; r < p.Rows; r++ {
-		for i := p.RowPtr[r]; i < p.RowPtr[r+1]; i++ {
-			got := deq.Data[r*64+int(p.Col[i])]
-			if e := math.Abs(got - p.Val[i]); e > q.RowScale[r]/2+1e-12 {
-				t.Fatalf("row %d col %d reconstructs with error %v > scale/2 %v", r, p.Col[i], e, q.RowScale[r]/2)
+			deq.Data[r*cols+col] = float64(q.Code[i]) * q.RowScale[r]
+		})
+		// Every float-plan entry must be reconstructed within half a row
+		// scale (entries that quantize to 0 reconstruct as 0).
+		p.Entries(func(at int, v float64) {
+			if s := q.RowScale[at/cols]; math.Abs(deq.Data[at]-v) > s/2+1e-12 {
+				t.Fatalf("%d columns: entry %d reconstructs with error %v > scale/2 %v", cols, at, math.Abs(deq.Data[at]-v), s/2)
 			}
-		}
+		})
 	}
 }
 
@@ -137,11 +146,9 @@ func TestQuantPlanReconstruction(t *testing.T) {
 // entries become Code·RowScale, dropped (zero-code) entries stay 0.
 func dequantize(q *QuantPlan) []float64 {
 	deq := make([]float64, q.Rows*q.Cols)
-	for r, s := range q.RowScale {
-		for i := q.RowPtr[r]; i < q.RowPtr[r+1]; i++ {
-			deq[r*q.Cols+int(q.Col[i])] = float64(q.Code[i]) * s
-		}
-	}
+	quantEntries(q, func(i, r, col int, _ bool) {
+		deq[r*q.Cols+col] = float64(q.Code[i]) * q.RowScale[r]
+	})
 	return deq
 }
 

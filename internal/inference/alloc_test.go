@@ -204,8 +204,9 @@ func TestInt8EngineSmallerThanFloat(t *testing.T) {
 // engine's Fingerprint (Float32) and QuantSignature (Int8), recomputed over
 // what it holds now, still equal the values folded in as each plan was
 // built, and its logits do not move. The scratch plan is scribbled by
-// rebuilding it for every quantized matrix, which reaches all the memory
-// the compile carved it from.
+// rebuilding it for every quantized matrix, then building over it a plan of
+// its shape and entry count whose values are NaN, which reaches all the
+// memory the compile carved it from.
 func TestCompiledPlansDoNotAliasTheScratch(t *testing.T) {
 	_, clone, x, prune := tenantEnv(t, models.Transformer)
 	tenant := clone()
@@ -237,11 +238,20 @@ func TestCompiledPlansDoNotAliasTheScratch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i := range plan.Val {
-				plan.Val[i], plan.Col[i] = math.NaN(), math.MaxUint16
+			// Scribble through the builder: the same shape again, its
+			// entries NaN at the matrix's first NNZ positions, rewrites
+			// every row pointer, column and value the plan was carved
+			// (the plan's header too: read it first).
+			rows, cols, nnz := plan.Rows, plan.Cols, plan.NNZ()
+			c.tmp.Rewind()
+			if err := c.tmp.Begin(rows, cols); err != nil {
+				t.Fatal(err)
 			}
-			for i := range plan.RowPtr {
-				plan.RowPtr[i] = -1
+			for i := range nnz {
+				c.tmp.Add(i, math.NaN())
+			}
+			if _, err := c.tmp.End(); err != nil {
+				t.Fatal(err)
 			}
 			quantized++
 		})

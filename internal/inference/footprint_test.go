@@ -154,11 +154,13 @@ func vectors(l execLayer) (out [][]float64) {
 
 // TestEngineSlabsAreExact: an engine compiled from a delta view, the way
 // every serving path compiles one, is carved from slabs sized to the
-// element, on every family at both precisions. Every float plan slice and
-// every vector it keeps has cap == len, so nothing it holds reaches into a
-// neighbour's memory; MemoryFootprint is the hand sum of its plans' and
-// images' SizeBytes, the float conv clip tables and 8 B per vector element
-// of the tree (biases, γ, β, running statistics, depthwise kernels); and
+// element, on every family at both precisions. Every vector it keeps has
+// cap == len, so nothing it holds reaches into a neighbour's memory (every
+// plan is carved by format.PlanSlab, which caps each slice at its length:
+// format's TestPlanSlabCarvesExactly); MemoryFootprint is the hand sum of
+// its plans' and images' SizeBytes, the float conv clip tables and 8 B per
+// vector element of the tree (biases, γ, β, running statistics, depthwise
+// kernels); and
 // Fingerprint and QuantSignature are those of the tenant compiled from its
 // own parameters. mobilenet-s, whose depthwise kernels and batch-norm
 // statistics ride in the vector slab, is a family the serving layer's
@@ -195,10 +197,6 @@ func TestEngineSlabsAreExact(t *testing.T) {
 			want := tapAndVectorBytes(tenant, eng) + kernels
 			for _, m := range resident(eng) {
 				want += m.bytes()
-				if p := m.plan; p != nil && (cap(p.RowPtr) != len(p.RowPtr) || cap(p.Col) != len(p.Col) || cap(p.Val) != len(p.Val)) {
-					t.Fatalf("%s/%s: a %T plan's slices have cap %d/%d/%d for len %d/%d/%d", f, prec, m.owner,
-						cap(p.RowPtr), cap(p.Col), cap(p.Val), len(p.RowPtr), len(p.Col), len(p.Val))
-				}
 			}
 			for _, v := range vectors(eng.root) {
 				if cap(v) != len(v) {

@@ -9,14 +9,15 @@
 // The hot path is built for serving:
 //
 //   - Every weight matrix is compiled once, at New time, into a flat
-//     format.Plan gather-multiply-accumulate kernel: the CSR image of its
-//     W ⊙ Mask (absolute uint16 columns, per-row spans precomputed), built
-//     straight from the non-zeros its source hands out. A CRISP-pruned
-//     matrix's plan is the one its CRISP encoding (format.EncodeCRISP)
-//     compiles to — the slot walk emits each row's non-zeros in ascending
-//     column order too —, so it runs bit-identically to the slot-walking
-//     kernel without the encoding being built. A matrix wider than
-//     format.MaxCols is a compile error.
+//     format.Plan gather-multiply-accumulate kernel: the image of its
+//     W ⊙ Mask's non-zeros, each row cut into 256-column segments (a span
+//     per row and segment precomputed, a one-byte column offset per
+//     weight), built straight from the non-zeros its source hands out. A
+//     CRISP-pruned matrix's plan is the one its CRISP encoding
+//     (format.EncodeCRISP) compiles to — the slot walk emits each row's
+//     non-zeros in ascending column order too —, so it runs
+//     bit-identically to the slot-walking kernel without the encoding
+//     being built. A matrix wider than format.MaxCols is a compile error.
 //   - Every forward pass draws its scratch — im2col matrices, transposes,
 //     SpMM outputs, bias fan-outs, batch concats, attention state — from an
 //     engine-owned arena recycled through a sync.Pool and made at exactly
@@ -617,7 +618,7 @@ func (c *compiler) newSpMM(p *nn.Param) (spmm, error) {
 	}
 	if c.mode == coding {
 		codes, err := plan.QuantCodes()
-		c.quants.Reserve(p.Rows, codes)
+		c.quants.Reserve(p.Rows, p.Cols, codes)
 		return spmm{}, err
 	}
 	q, err := plan.QuantizeIn(&c.quants)
@@ -647,8 +648,8 @@ func (c *compiler) newPlan(p *nn.Param) (*format.Plan, error) {
 // The plan keeps exactly those, each row's in ascending column order, which
 // is the order the CRISP and CSR storage kernels accumulate a row in. The
 // building run folds it into the engine's fingerprint and counts the layer
-// compressed. A matrix wider than a plan's uint16 columns reach is an error
-// naming it, raised by the counting run before the matrix is read.
+// compressed. A matrix wider than format.MaxCols is an error naming it,
+// raised by the counting run before the matrix is read.
 func (c *compiler) build(p *nn.Param, s *format.PlanSlab) (*format.Plan, error) {
 	if p.Cols > format.MaxCols {
 		return nil, fmt.Errorf("inference: %s has %d columns, a plan holds at most %d", p.Name, p.Cols, format.MaxCols)

@@ -3,7 +3,6 @@ package inference
 import (
 	"bytes"
 	"encoding/binary"
-	"hash"
 	"hash/fnv"
 	"math"
 	"math/rand"
@@ -63,16 +62,18 @@ func poison(clf *nn.Classifier) {
 // standaloneSignatures recomputes what Fingerprint and QuantSignature must
 // report for clf with no engine involved: each plan-backed parameter, in
 // layer order, through EncodeCRISP (CSR where the engine falls back) →
-// Compile → Quantize, hashed with hash/fnv. The float plans an Int8 engine
+// Compile → Quantize, hashed with hash/fnv, each image through
+// QuantPlan.Hash (which format's TestHashesFoldTheCSRImage holds to hash/fnv
+// over the bytes of the image's CSR form). The float plans an Int8 engine
 // dropped at compile time still count toward its Fingerprint; attention's
 // four count toward no QuantSignature.
 func standaloneSignatures(t *testing.T, clf *nn.Classifier, prec Precision) (fp, qsig uint64) {
 	t.Helper()
-	fph, qh := fnv.New64a(), fnv.New64a()
-	put := func(h hash.Hash64, v uint64) {
+	fph, qh := fnv.New64a(), format.HashInit
+	put := func(v uint64) {
 		var buf [8]byte
 		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
+		fph.Write(buf[:])
 	}
 	add := func(quantized bool, ps ...*nn.Param) {
 		for _, p := range ps {
@@ -83,7 +84,7 @@ func standaloneSignatures(t *testing.T, clf *nn.Classifier, prec Precision) (fp,
 					plan = enc.Compile()
 				}
 			}
-			put(fph, plan.Fingerprint())
+			put(plan.Fingerprint())
 			if !quantized || prec != Int8 {
 				continue
 			}
@@ -91,17 +92,7 @@ func standaloneSignatures(t *testing.T, clf *nn.Classifier, prec Precision) (fp,
 			if err != nil {
 				t.Fatal(err)
 			}
-			put(qh, uint64(q.Rows))
-			put(qh, uint64(q.Cols))
-			for _, p := range q.RowPtr {
-				put(qh, uint64(uint32(p)))
-			}
-			for i, c := range q.Col {
-				put(qh, uint64(uint32(c))<<8|uint64(uint8(q.Code[i])))
-			}
-			for _, s := range q.RowScale {
-				put(qh, math.Float64bits(s))
-			}
+			qh = q.Hash(qh)
 		}
 	}
 	nn.Walk(clf.Net, func(l nn.Layer) {
@@ -121,7 +112,7 @@ func standaloneSignatures(t *testing.T, clf *nn.Classifier, prec Precision) (fp,
 	if prec != Int8 {
 		return fph.Sum64(), 0
 	}
-	return fph.Sum64(), qh.Sum64()
+	return fph.Sum64(), uint64(qh)
 }
 
 // TestEngineOutlivesItsClassifier holds the ownership rule: after compile

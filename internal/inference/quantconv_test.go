@@ -26,6 +26,7 @@ func TestQuantConvForwardMatchesReference(t *testing.T) {
 		{"3x3 pad0 stride1", tensor.ConvGeom{InC: 2, InH: 6, InW: 8, KH: 3, KW: 3, Stride: 1, Pad: 0}, 5},
 		{"2x2 pad0 stride2", tensor.ConvGeom{InC: 4, InH: 8, InW: 8, KH: 2, KW: 2, Stride: 2, Pad: 0}, 6},
 		{"5x5 pad2 stride1", tensor.ConvGeom{InC: 1, InH: 10, InW: 10, KH: 5, KW: 5, Stride: 1, Pad: 2}, 4},
+		{"3x3 pad1 stride1, 288 columns", tensor.ConvGeom{InC: 32, InH: 4, InW: 4, KH: 3, KW: 3, Stride: 1, Pad: 1}, 6},
 	}
 	for _, tc := range cases {
 		g := tc.g
@@ -41,10 +42,20 @@ func TestQuantConvForwardMatchesReference(t *testing.T) {
 				w.Data[i] = 0
 			}
 		}
-		qp, err := format.EncodeCSR(w).Compile().Quantize()
+		plan := format.EncodeCSR(w).Compile()
+		qp, err := plan.Quantize()
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
+		// The weights row by row, from the plan the image was quantized
+		// from; the reference quantizes each at its row's scale.
+		type entry struct {
+			col int
+			v   float64
+		}
+		width := g.InC * g.KH * g.KW
+		rows := make([][]entry, qp.Rows)
+		plan.Entries(func(i int, v float64) { rows[i/width] = append(rows[i/width], entry{i % width, v}) })
 		x := tensor.Randn(rng, 1.5, n, g.InC, g.InH, g.InW)
 
 		got := planned(func(a *arena) *tensor.Tensor { return quantConvForward(qp, x, g, n, oh, ow, a) })
@@ -74,12 +85,12 @@ func TestQuantConvForwardMatchesReference(t *testing.T) {
 				for p := 0; p < oh*ow; p++ {
 					j := b*oh*ow + p
 					acc := int64(0)
-					for i := qp.RowPtr[r]; i < qp.RowPtr[r+1]; i++ {
+					for _, e := range rows[r] {
 						// The im2col row of this tap holds the float value;
 						// recover the code through the sample's scale.
-						fv := cols.Data[int(qp.Col[i])*n*oh*ow+j]
+						fv := cols.Data[e.col*n*oh*ow+j]
 						code := int64(format.EncodeBiased(fv, 1/scales[b])) - 128
-						acc += int64(qp.Code[i]) * code
+						acc += int64(math.Max(-127, math.Min(127, math.Round(e.v*(1/qp.RowScale[r]))))) * code
 					}
 					want := float64(acc) * qp.RowScale[r] * scales[b]
 					if gv := got.Data[r*n*oh*ow+j]; gv != want {

@@ -206,19 +206,22 @@ func liveHeap() uint64 {
 // a hot tenant really pins: on the repository benchmark's fixture shapes,
 // twelve personalizations grow the live heap by no more than 15 % over what
 // Stats().HotBytes charges for them, at either precision. A Float32
-// resnet-s tenant holds no delta beside its engine and pins 0.21 MB against
-// 0.20 MB charged (transformer-s 0.03 against 0.03); with the delta it pinned
+// resnet-s tenant holds no delta beside its engine and pins 0.19 MB against
+// 0.18 MB charged (transformer-s 0.03 against 0.03); 0.21 against 0.20 with
+// a uint16 column per kept weight; with the delta it pinned
 // 0.39 MB against 0.37 MB (transformer-s 0.06 against 0.05, once its
 // attention projections were plans and not dense D×D tensors), 13.98 MB
 // against 4.30 MB charged before training state was released, 4.48 MB while
 // the cache still held the pruned clone beside the engine, and 0.45 MB
 // against 0.43 MB with int32 plan columns and conv tap tables.
 // At int8 nothing float stays reachable behind a quantized layer: resnet-s
-// 0.27 MB against 0.26 MB charged (0.50 charged while every image kept the
-// float plan it was quantized from), transformer-s 0.05 against 0.05. Over
-// a store, once Flush has made them durable, Int8 resnet-s tenants hold no
-// delta: 0.09 MB against 0.08 MB charged, 0.31× their charge while holding
-// it — a drop that only un-charged the delta would leave the heap at 0.27.
+// 0.25 MB against 0.24 MB charged (0.27 against 0.26 with uint16 columns,
+// 0.50 charged while every image kept the float plan it was quantized
+// from), transformer-s 0.05 against 0.04. Over a store, once Flush has made
+// them durable, Int8 resnet-s tenants hold no delta: 0.07 MB against
+// 0.07 MB charged, 0.27× their charge while holding it (0.09 against 0.08
+// and 0.31× with uint16 columns) — a drop that only un-charged the delta
+// would leave the heap at 0.25.
 func TestHotBytesMatchesLiveHeap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale personalizations (short mode)")
@@ -294,8 +297,9 @@ func TestHotBytesMatchesLiveHeap(t *testing.T) {
 // scratch yet, so what the served heap holds beyond the unserved one — each
 // tenant's parked arena — is reported beside the charge, not gated.
 // Measured per tenant: resnet-s 1.33 MB float and 2.77 MB int8,
-// transformer-s 0.16 and 0.20 MB; 11.0, 29.2, 1.06 and 2.00 MB while an
-// arena summed a pass's buffers from a 512 KB slab floor.
+// transformer-s 0.16 and 0.20 MB, beside HotBytes of 0.18, 0.24, 0.03 and
+// 0.04 MB; 11.0, 29.2, 1.06 and 2.00 MB while an arena summed a pass's
+// buffers from a 512 KB slab floor.
 func TestServedHeapBesideHotBytes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale personalizations (short mode)")
