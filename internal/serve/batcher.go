@@ -20,6 +20,10 @@ var ErrOverloaded = errors.New("serve: overloaded: predict queue full")
 // caller blocks on done; the flusher fills preds/err and then sends one
 // value on done (not close: requests are pooled, and a buffered channel can
 // be reused where a closed one cannot).
+//
+// The queue is the requests themselves, linked through next, so enqueueing
+// a rider never grows a slice. Until the done send the batcher owns the
+// request (next included); after it the submitter does.
 type predictReq struct {
 	x    *tensor.Tensor // [B,C,H,W]
 	rows int            // x.Shape[0]
@@ -37,12 +41,19 @@ type predictReq struct {
 	// before enqueueing).
 	preds []int
 	err   error
+	// next is the rider queued behind this one (nil at the tail).
+	next *predictReq
+	// xs is the request's gather scratch for the flushes it leads: the
+	// leader's request heads its queue, so the flush's inputs go into the
+	// head's xs, which it keeps (cleared) for its next lead.
+	xs []*tensor.Tensor
 }
 
-// reqPool recycles predictReqs (with their channels) across Predict calls:
-// the submitting goroutine is the only owner after the done signal, so it
-// returns the request once it has copied the result out. Keeps the
-// steady-state batched predict path allocation-free on the serve side.
+// reqPool recycles predictReqs (with their channels and gather scratch)
+// across Predict calls: the submitting goroutine is the only owner after the
+// done signal, so it returns the request once it has copied the result out.
+// Keeps the steady-state batched predict path allocation-free on the serve
+// side, however flush generations overlap (TestBatcherOverlapAllocatesNothing).
 var reqPool = sync.Pool{New: func() any {
 	return &predictReq{done: make(chan struct{}, 1)}
 }}
@@ -78,16 +89,10 @@ type batcher struct {
 	maxQueue int              // admission bound, in samples
 	counters *predictCounters // shared with the owning Server
 
-	mu      sync.Mutex
-	pending []*predictReq
-	queued  int  // samples in pending
-	forced  bool // a forceFlush kicked the current generation
-	// spareReqs/spareXs recycle the previous generation's queue and fan-out
-	// slices (returned by the leader after the flush, picked up by the next
-	// generation's first submit), so steady-state batching never regrows
-	// them.
-	spareReqs []*predictReq
-	spareXs   []*tensor.Tensor
+	mu         sync.Mutex
+	head, tail *predictReq // the queue, linked through next; head is the leader's
+	queued     int         // samples queued
+	forced     bool        // a forceFlush kicked the current generation
 
 	// kick wakes a lingering leader early (queue reached maxBatch, or a
 	// forced flush). Buffered so enqueuers never block on it; sends and
@@ -128,7 +133,7 @@ func (s *Server) initBatcher(b *batcher, eng batchPredictor) *batcher {
 // rider for the queue-wait histogram.
 func (b *batcher) submit(x *tensor.Tensor, class QoSClass, deadline time.Time) ([]int, error) {
 	req := reqPool.Get().(*predictReq)
-	req.x, req.rows, req.preds, req.err = x, x.Shape[0], nil, nil
+	req.x, req.rows = x, x.Shape[0]
 	req.arrival, req.deadline, req.class = time.Now(), deadline, class
 
 	b.mu.Lock()
@@ -140,11 +145,13 @@ func (b *batcher) submit(x *tensor.Tensor, class QoSClass, deadline time.Time) (
 		b.counters.rejected.Add(1)
 		return nil, fmt.Errorf("%w (%d samples queued, bound %d)", ErrOverloaded, queued, b.maxQueue)
 	}
-	leader := len(b.pending) == 0
-	if b.pending == nil && b.spareReqs != nil {
-		b.pending, b.spareReqs = b.spareReqs, nil
+	leader := b.head == nil
+	if leader {
+		b.head = req
+	} else {
+		b.tail.next = req
 	}
-	b.pending = append(b.pending, req)
+	b.tail = req
 	b.queued += req.rows
 	b.counters.queued.Add(int64(req.rows))
 	if b.queued >= b.maxBatch {
@@ -159,7 +166,7 @@ func (b *batcher) submit(x *tensor.Tensor, class QoSClass, deadline time.Time) (
 	// The flusher is done with req after the send; this goroutine owns it
 	// again and recycles it once the result is copied out.
 	preds, err := req.preds, req.err
-	req.x, req.preds, req.err = nil, nil, nil
+	req.x, req.preds, req.err, req.next = nil, nil, nil, nil
 	reqPool.Put(req)
 	return preds, err
 }
@@ -213,10 +220,9 @@ func (b *batcher) lead() {
 	deadlineCut := false
 	if b.linger > 0 {
 		b.mu.Lock()
-		// The leader's own request is in pending (only lead removes), so
-		// the queue is non-empty; its head is the oldest rider.
-		oldest := b.pending[0]
-		arrival, deadline := oldest.arrival, oldest.deadline
+		// The leader's own request is the head (only lead empties the
+		// queue), and the head is the oldest rider.
+		arrival, deadline := b.head.arrival, b.head.deadline
 		b.mu.Unlock()
 
 		var wait time.Duration
@@ -245,12 +251,10 @@ func (b *batcher) lead() {
 
 	flushStart := time.Now()
 	b.mu.Lock()
-	batch := b.pending
+	head := b.head
 	total := b.queued
 	forced := b.forced
-	xs := b.spareXs
-	b.pending = nil
-	b.spareXs = nil
+	b.head, b.tail = nil, nil
 	b.queued = 0
 	b.forced = false
 	b.counters.queued.Add(-int64(total))
@@ -279,37 +283,35 @@ func (b *batcher) lead() {
 		b.counters.flushLinger.Add(1)
 	}
 
-	// Retire every rider's queue wait (arrival → flush start) into the
-	// per-class histograms before the engine call so the distribution
-	// reflects pure scheduling delay, not engine time.
-	for _, r := range batch {
+	// Gather the inputs into the head's scratch, and retire every rider's
+	// queue wait (arrival → flush start) into the per-class histograms
+	// before the engine call so the distribution reflects pure scheduling
+	// delay, not engine time.
+	xs := head.xs[:0]
+	for r := head; r != nil; r = r.next {
 		b.counters.observeWait(r.class, flushStart.Sub(r.arrival))
-	}
-
-	xs = xs[:0]
-	for _, r := range batch {
 		xs = append(xs, r.x)
 	}
 	preds, err := b.invoke(xs, total)
+	// The head keeps the scratch for its next lead; cleared, so the pool
+	// holds no caller's inputs.
+	clear(xs)
+	head.xs = xs[:0]
+
 	off := 0
-	for _, r := range batch {
+	for r := head; r != nil; {
 		if err != nil {
 			r.err = err
 		} else {
 			r.preds = preds[off : off+r.rows : off+r.rows]
 		}
 		off += r.rows
-		r.done <- struct{}{} // hands ownership of r back to its submitter
+		// Read next before the send: it hands r back to its submitter,
+		// which may recycle it at once.
+		next := r.next
+		r.done <- struct{}{}
+		r = next
 	}
-
-	// Return this generation's slices for the next one to reuse (cleared:
-	// the requests are already back with their submitters).
-	clear(batch)
-	clear(xs)
-	b.mu.Lock()
-	b.spareReqs = batch[:0]
-	b.spareXs = xs[:0]
-	b.mu.Unlock()
 }
 
 // invoke runs one engine call over the concatenated batch, recovering a

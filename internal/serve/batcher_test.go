@@ -2,6 +2,8 @@ package serve
 
 import (
 	"errors"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -192,6 +194,76 @@ func TestBatcherPanicFansOutError(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "kernel exploded") {
 			t.Fatalf("request %d error %v, want the batch panic surfaced", i, err)
 		}
+	}
+}
+
+// TestBatcherOverlapAllocatesNothing: a flush allocates nothing but its
+// answer, even when a generation starts while the previous leader is still
+// in its engine call. Two submitters take turns so that every round has two
+// generations in flight at once: the first leads, enters the engine and
+// blocks there; the second finds the queue empty, leads its own generation
+// and blocks beside it; then both are released. The engine returns a
+// preallocated answer, so whatever a round allocates is the batcher's. A
+// batcher that kept one spare queue slice per generation allocated two
+// objects a round here: the second generation's queue and gather slices.
+func TestBatcherOverlapAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	entered, release := make(chan struct{}), make(chan struct{})
+	answer := []int{0}
+	b, c := stubBatcher(16, 0, 16)
+	b.eng = predictFunc(func([]*tensor.Tensor) []int {
+		entered <- struct{}{}
+		<-release
+		return answer
+	})
+
+	var starts [2]chan struct{}
+	finished := make(chan error)
+	for i := range starts {
+		starts[i] = make(chan struct{})
+		go func(start <-chan struct{}, x *tensor.Tensor) {
+			for range start {
+				_, err := b.submit(x, QoSStandard, time.Time{})
+				finished <- err
+			}
+		}(starts[i], sample(i))
+		defer close(starts[i])
+	}
+	round := func() {
+		for _, start := range starts {
+			start <- struct{}{}
+			<-entered
+		}
+		for range starts {
+			release <- struct{}{}
+		}
+		for range starts {
+			if err := <-finished; err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	const warm, rounds = 10, 200
+	for i := 0; i < warm; i++ {
+		round()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		round()
+	}
+	runtime.ReadMemStats(&after)
+	if got := c.flushLinger.Load(); got != 2*(warm+rounds) {
+		t.Fatalf("%d flushes over %d rounds, want two a round", got, warm+rounds)
+	}
+	perRound := float64(after.Mallocs-before.Mallocs) / rounds
+	t.Logf("%.2f objects a round of two overlapping generations", perRound)
+	if perRound > 0.25 {
+		t.Errorf("two overlapping generations allocate %.2f objects a round, budget 0.25", perRound)
 	}
 }
 

@@ -62,7 +62,7 @@ func TestBatcherLingerRelativeToArrival(t *testing.T) {
 		class:   QoSStandard,
 	}
 	b.mu.Lock()
-	b.pending = append(b.pending, req)
+	b.head, b.tail = req, req
 	b.queued = req.rows
 	b.counters.queued.Add(int64(req.rows))
 	b.mu.Unlock()
